@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.client import QueryResult, RankedHit, skim_plaintexts
+from repro.core.client import QueryResult, skim_matches
 from repro.core.protocol import QueryTrace
 from repro.corpus.documents import Corpus
 from repro.crypto.cipher import StreamCipher
@@ -101,14 +101,9 @@ class ZerberClient:
         self._keys = key_service
         self._server = server
         self._plan = merge_plan
-        self._ciphers: dict[str, StreamCipher] = {}
 
     def _cipher(self, group: str) -> StreamCipher:
-        cipher = self._ciphers.get(group)
-        if cipher is None:
-            cipher = self._keys.cipher_for(self.principal, group)
-            self._ciphers[group] = cipher
-        return cipher
+        return self._keys.cipher_for(self.principal, group)
 
     def query(self, term: str, k: int) -> QueryResult:
         """Download the whole merged list, decrypt, filter, rank locally."""
@@ -129,20 +124,7 @@ class ZerberClient:
         # Zerber downloads the WHOLE merged list, so the skim is the
         # dominant client cost — batch it per group (the server already
         # filtered to groups this principal belongs to).
-        plaintexts, _ = skim_plaintexts(elements, self._cipher)
-        hits: list[RankedHit] = []
-        for element, plaintext in zip(elements, plaintexts):
-            if plaintext is None:
-                continue
-            posting = PostingElement.from_bytes(plaintext)
-            if posting.term == term:
-                hits.append(
-                    RankedHit(
-                        doc_id=posting.doc_id,
-                        rscore=posting.rscore,
-                        group=element.group,
-                    )
-                )
+        hits, _, _ = skim_matches(elements, term, self._cipher)
         hits.sort(key=lambda h: (-h.rscore, h.doc_id))
         trace.satisfied = len(hits) >= k or len(hits) > 0
         return QueryResult(hits=tuple(hits[:k]), trace=trace)

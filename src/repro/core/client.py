@@ -71,41 +71,64 @@ class RankedHit:
     group: str
 
 
-def skim_plaintexts(
+def _decode_posting(plaintext: bytes) -> PostingElement:
+    """The miss-path decoder as one stable function object: the cipher
+    memo goes by decoder identity, and a classmethod is a fresh bound
+    method on every attribute access."""
+    return PostingElement.from_bytes(plaintext)
+
+
+def skim_matches(
     elements: Sequence[EncryptedPostingElement],
+    term: str,
     cipher_for: Callable[[str], StreamCipher],
     readable: set[str] | frozenset[str] | None = None,
-) -> tuple[list[bytes | None], int]:
-    """Batch-decrypt a fetched slice, one entry per element in order.
+) -> tuple[list[RankedHit], list[float], int]:
+    """Fused skim → decode → match over one fetched slice.
 
-    Groups the elements per owning group and runs one
+    Buckets the slice by owning group and runs one
     :meth:`~repro.crypto.cipher.StreamCipher.try_decrypt_many` call per
-    group (``cipher_for(group)`` supplies the cipher), so the skim costs
-    one cipher call per readable group rather than one per element.
-    Elements whose group is not in *readable* (``None`` = skim all) and
-    elements that fail authentication yield ``None``.
+    group with the posting decoder (``cipher_for(group)`` supplies the
+    cipher), so each element is verified and decoded at most once — a
+    memo hit is the decoded :class:`PostingElement` itself — and the
+    skim costs one cipher call per readable group rather than one per
+    element.  Elements whose group is not in *readable* (``None`` = skim
+    all) or that fail authentication are skipped.
 
-    Returns the plaintexts plus this batch's decrypt-memo hit count —
-    counted here with two attribute reads per touched cipher, so the
-    telemetry layer never has to re-walk the caller's cipher table on
-    the skim hot path.
+    Returns the hits for *term* in element order, their server-visible
+    TRS values (``0.0`` where the element carries none), and this
+    slice's memo hit count — counted here with two attribute reads per
+    touched cipher, so the telemetry layer never has to re-walk the
+    caller's cipher table on the skim hot path.
     """
     by_group: dict[str, list[int]] = {}
     for index, element in enumerate(elements):
         if readable is None or element.group in readable:
             by_group.setdefault(element.group, []).append(index)
-    plaintexts: list[bytes | None] = [None] * len(elements)
+    found: list[tuple[int, PostingElement]] = []
     memo_hits = 0
     for group, indices in by_group.items():
         cipher = cipher_for(group)
         hits_before = cipher.memo_hits
-        decrypted = cipher.try_decrypt_many(
-            [elements[i].ciphertext for i in indices]
+        postings = cipher.try_decrypt_many(
+            [elements[i].ciphertext for i in indices], _decode_posting
         )
         memo_hits += cipher.memo_hits - hits_before
-        for i, plaintext in zip(indices, decrypted):
-            plaintexts[i] = plaintext
-    return plaintexts, memo_hits
+        found += [
+            (i, posting)
+            for i, posting in zip(indices, postings)
+            if posting is not None and posting.term == term
+        ]
+    found.sort()  # indices are unique, so postings are never compared
+    matches: list[RankedHit] = []
+    trs_values: list[float] = []
+    for i, posting in found:
+        element = elements[i]
+        matches.append(
+            RankedHit(doc_id=posting.doc_id, rscore=posting.rscore, group=element.group)
+        )
+        trs_values.append(element.trs if element.trs is not None else 0.0)
+    return matches, trs_values, memo_hits
 
 
 @dataclass(frozen=True)
@@ -340,7 +363,6 @@ class ZerberRClient:
         self._server = server
         self._rstf = rstf_model
         self._plan = merge_plan
-        self._ciphers: dict[str, StreamCipher] = {}
         # Telemetry is discovered from the backend (duck-typed, like
         # primary_version below): a cluster deployed with a Telemetry
         # exposes it, a bare server does not, and the client stays usable
@@ -462,11 +484,10 @@ class ZerberRClient:
     # -- key plumbing -----------------------------------------------------------
 
     def _cipher(self, group: str) -> StreamCipher:
-        cipher = self._ciphers.get(group)
-        if cipher is None:
-            cipher = self._keys.cipher_for(self.principal, group)
-            self._ciphers[group] = cipher
-        return cipher
+        # Never cached here: the key service owns the cipher and, with
+        # it, the group's memo of decoded postings, and drops both on
+        # revoke — a client-side copy would outlive the membership.
+        return self._keys.cipher_for(self.principal, group)
 
     def _nonce_sequence(self, group: str) -> NonceSequence:
         # The key service owns THE sequence per (principal, group): two
@@ -661,32 +682,15 @@ class ZerberRClient:
         """Decrypt readable elements and keep those matching *term*.
 
         Returns the hits plus their server-visible TRS values (needed for
-        the completeness check of :meth:`_topk_complete`).  The skim is
-        batched per group through :func:`skim_plaintexts`, so a fetched
-        slice costs one cipher call per readable group rather than one
-        per element.
+        the completeness check of :meth:`_topk_complete`), both in
+        element order, through the fused :func:`skim_matches` kernel.
         """
-        plaintexts, memo_hits = skim_plaintexts(
-            elements, self._cipher, self._readable_groups()
+        matches, trs_values, memo_hits = skim_matches(
+            elements, term, self._cipher, self._readable_groups()
         )
         if self._obs.enabled:
             self._skim_elements += len(elements)
             self._skim_memo_hits += memo_hits
-        matches: list[RankedHit] = []
-        trs_values: list[float] = []
-        for element, plaintext in zip(elements, plaintexts):
-            if plaintext is None:
-                continue
-            posting = PostingElement.from_bytes(plaintext)
-            if posting.term == term:
-                matches.append(
-                    RankedHit(
-                        doc_id=posting.doc_id,
-                        rscore=posting.rscore,
-                        group=element.group,
-                    )
-                )
-                trs_values.append(element.trs if element.trs is not None else 0.0)
         return matches, trs_values
 
     def _flush_skim(self, span: Span | None) -> None:

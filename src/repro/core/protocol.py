@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import ProtocolError
 from repro.index.postings import EncryptedPostingElement
@@ -137,6 +138,12 @@ class FetchResponse:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def size_bits(self) -> int:
+        """Wire size of the shipped elements in bits (§6.6), summed once
+        for every trace that records the response."""
+        return sum(e.size_bits for e in self.elements)
 
 
 @dataclass(frozen=True)
@@ -313,7 +320,7 @@ class QueryTrace:
     def record_response(self, response: FetchResponse) -> None:
         self.num_requests += 1
         self.elements_transferred += len(response.elements)
-        self.bits_transferred += sum(e.size_bits for e in response.elements)
+        self.bits_transferred += response.size_bits
 
     @property
     def total_response_size(self) -> int:
@@ -356,7 +363,7 @@ class BatchQueryTrace:
         self.num_subfetches += len(response)
         for sub in response:
             self.elements_transferred += len(sub.elements)
-            self.bits_transferred += sum(e.size_bits for e in sub.elements)
+            self.bits_transferred += sub.size_bits
 
     @property
     def num_requests(self) -> int:

@@ -29,21 +29,29 @@ layer of the per-element cost is flattened:
   subkeys per call;
 * :meth:`StreamCipher.try_decrypt_many` skims a whole fetched slice in
   one call with the verify/decrypt plumbing inlined, amortising the
-  per-element attribute lookups and call dispatch;
-* a bounded decrypt memo (ciphertext -> verified plaintext) makes
-  re-skims of hot elements O(dict lookup): the paper's Zipf workload
+  per-element attribute lookups and call dispatch, and takes the
+  caller's plaintext decoder so verify, decrypt *and* decode are one
+  pass;
+* a bounded verified-decoded memo (ciphertext -> ``decode(verified
+  plaintext)``) makes re-skims of hot elements O(dict lookup) — a hit
+  skips MAC, keystream and decode alike: the paper's Zipf workload
   fetches the same head slices over and over (every concurrent query
   shares the hot terms), and a ciphertext is immutable — same bytes,
-  same plaintext, so serving a memoised verified result is sound.  The
-  memo lives inside the per-group cipher, which principals only obtain
-  through the membership-checked key service.
+  same plaintext, same decoded value, so serving a memoised verified
+  result is sound.  Only what passed the MAC *and* its decoder is ever
+  stored; the memo holds one decoder's values at a time (a raw caller
+  never sees a decoded entry or the reverse, nor one decoder
+  another's); and it lives inside the per-group cipher, which
+  principals only obtain through the membership-checked key service
+  and which dies with its membership on revoke.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from functools import lru_cache
 from hmac import compare_digest as _compare_digest
+from typing import Any, TypeVar, overload
 
 from repro.crypto.prf import Prf, XofKeystream, derive_key
 from repro.errors import AuthenticationError
@@ -51,12 +59,15 @@ from repro.errors import AuthenticationError
 NONCE_SIZE = 16
 TAG_SIZE = 16
 
+_T = TypeVar("_T")
+_Decoder = Callable[[bytes], Any]
+
 
 class StreamCipher:
     """Encrypt/decrypt byte strings under one group master key.
 
-    ``memo_capacity`` bounds the decrypt memo (entries, FIFO-evicted in
-    halves); ``0`` disables memoisation entirely.
+    ``memo_capacity`` bounds the verified-decoded memo (entries,
+    FIFO-evicted in halves); ``0`` disables memoisation entirely.
 
     ``memo_hits`` counts skim decrypts answered straight from the memo
     — a plain attribute (one integer add on the hit path) that the
@@ -64,7 +75,14 @@ class StreamCipher:
     itself stays free of any registry dependency.
     """
 
-    __slots__ = ("_enc", "_mac", "_memo", "_memo_capacity", "memo_hits")
+    __slots__ = (
+        "_enc",
+        "_mac",
+        "_memo",
+        "_memo_capacity",
+        "_memo_decoder",
+        "memo_hits",
+    )
 
     DEFAULT_MEMO_CAPACITY = 8192
 
@@ -77,12 +95,14 @@ class StreamCipher:
             raise ValueError("memo_capacity must be non-negative")
         self._enc = XofKeystream(derive_key(master_key, "enc"))
         self._mac = Prf(derive_key(master_key, "mac"))
-        self._memo: dict[bytes, bytes] = {}
+        # ciphertext -> _memo_decoder(verified plaintext); None = raw bytes
+        self._memo: dict[bytes, Any] = {}
+        self._memo_decoder: _Decoder | None = None
         self._memo_capacity = memo_capacity
         self.memo_hits = 0
 
-    def _memoise(self, ciphertext: bytes, plaintext: bytes) -> None:
-        """Remember a *verified* decryption, evicting oldest when full."""
+    def _memoise(self, ciphertext: bytes, value: Any) -> None:
+        """Remember a *verified*, decoded decryption, evicting oldest when full."""
         memo = self._memo
         if len(memo) >= self._memo_capacity:
             # Drop the oldest half in one sweep (dicts iterate in
@@ -90,7 +110,7 @@ class StreamCipher:
             # bookkeeping on the fast path.
             for stale in list(memo)[: self._memo_capacity // 2 + 1]:
                 del memo[stale]
-        memo[ciphertext] = plaintext
+        memo[ciphertext] = value
 
     def encrypt(self, plaintext: bytes, nonce: bytes) -> bytes:
         """Encrypt *plaintext*; *nonce* must be unique per message.
@@ -125,10 +145,11 @@ class StreamCipher:
     def try_decrypt(self, ciphertext: bytes) -> bytes | None:
         """Decrypt, returning ``None`` instead of raising on auth failure.
 
-        The querying client uses this to skim merged lists containing
-        elements of groups it cannot read.
+        The one-element, straight-line form of a decoder-less
+        :meth:`try_decrypt_many`, under the same memo rules.
         """
-        cached = self._memo.get(ciphertext)
+        raw_memo = self._memo_decoder is None  # else a decoder's: go around it
+        cached = self._memo.get(ciphertext) if raw_memo else None
         if cached is not None:
             self.memo_hits += 1
             return cached
@@ -136,20 +157,36 @@ class StreamCipher:
             plaintext = self.decrypt(ciphertext)
         except AuthenticationError:
             return None
-        if self._memo_capacity:
+        if raw_memo and self._memo_capacity:
             self._memoise(ciphertext, plaintext)
         return plaintext
 
+    @overload
+    def try_decrypt_many(self, ciphertexts: Iterable[bytes]) -> list[bytes | None]: ...
+
+    @overload
     def try_decrypt_many(
-        self, ciphertexts: Iterable[bytes]
-    ) -> list[bytes | None]:
+        self, ciphertexts: Iterable[bytes], decode: Callable[[bytes], _T]
+    ) -> list[_T | None]: ...
+
+    def try_decrypt_many(
+        self, ciphertexts: Iterable[bytes], decode: _Decoder | None = None
+    ) -> list[Any]:
         """Skim a batch: one entry per input, ``None`` where auth fails.
 
-        Semantically ``[self.try_decrypt(c) for c in ciphertexts]``, but
-        the verify/decrypt plumbing is inlined against the precomputed
+        The verify/decrypt plumbing is inlined against the precomputed
         hash states (package-private access into the PRF layer) so a
         fetched slice is skimmed without per-element call overhead, and
         re-skimmed hot elements are served straight from the memo.
+
+        *decode* runs once per verified plaintext, never on unauthenticated
+        bytes, and the memo keeps its result; what it raises propagates
+        and nothing is stored for that ciphertext.  The memo serves only
+        the decoder that filled it, compared by identity — pass one
+        stable function, not a fresh closure or bound method per call.
+        A new decoder empties the memo and takes it over; a raw caller
+        (the snippet path shares these ciphers) goes around a decoder's
+        memo instead of evicting it.
         """
         mac_inner = self._mac._inner
         mac_outer = self._mac._outer
@@ -158,9 +195,15 @@ class StreamCipher:
         from_bytes = int.from_bytes
         floor = NONCE_SIZE + TAG_SIZE
         memo = self._memo
-        memo_get = memo.get
         memoise = self._memo_capacity > 0
-        out: list[bytes | None] = []
+        if decode is not self._memo_decoder:
+            if decode is None:
+                memo, memoise = {}, False
+            else:
+                memo.clear()
+                self._memo_decoder = decode
+        memo_get = memo.get
+        out: list[Any] = []
         append = out.append
         hits = 0  # batch-local tally; one attribute add after the loop
         for ciphertext in ciphertexts:
@@ -186,9 +229,10 @@ class StreamCipher:
             plaintext = (
                 from_bytes(body, "big") ^ from_bytes(xof.digest(size), "big")
             ).to_bytes(size, "big")
+            value = plaintext if decode is None else decode(plaintext)
             if memoise:
-                self._memoise(ciphertext, plaintext)
-            append(plaintext)
+                self._memoise(ciphertext, value)
+            append(value)
         self.memo_hits += hits
         return out
 

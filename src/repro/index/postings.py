@@ -20,9 +20,17 @@ import json
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from sys import intern
+
+from repro.errors import ProtocolError
+
+# The C scanner itself: ``json.loads`` wraps it in two Python frames and
+# two whitespace regex matches per call, which the canonical encoding of
+# :meth:`PostingElement.to_bytes` never needs.
+_scan_json = json.JSONDecoder().scan_once
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class PostingElement:
     """Plaintext posting element: one (term, document) occurrence record."""
 
@@ -56,14 +64,21 @@ class PostingElement:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PostingElement":
-        """Inverse of :meth:`to_bytes`."""
-        payload = json.loads(data.decode())
-        return cls(
-            term=payload["t"],
-            doc_id=payload["d"],
-            tf=payload["f"],
-            doc_length=payload["l"],
-        )
+        """Inverse of :meth:`to_bytes`; anything else is a :class:`ProtocolError`.
+
+        Term and document id are interned: a hot list repeats few of
+        them over many elements, and decoded elements live on in the
+        cipher's memo.
+        """
+        try:
+            text = data.decode()
+            payload, end = _scan_json(text, 0)
+            tf, doc_length = payload["f"], payload["l"]
+            if end != len(text) or type(tf) is not int or type(doc_length) is not int:
+                raise ProtocolError("trailing bytes or non-integer counts in element")
+            return cls(intern(payload["t"]), intern(payload["d"]), tf, doc_length)
+        except (StopIteration, ValueError, LookupError, TypeError) as error:
+            raise ProtocolError(f"malformed posting element: {error!r}") from None
 
 
 @dataclass(frozen=True)

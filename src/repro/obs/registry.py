@@ -230,7 +230,7 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec(
         "crypto_skim_memo_hits_total",
         "counter",
-        "skim decrypts answered by the verified-decrypt memo",
+        "skim elements answered by the verified-decoded memo (decode skipped too)",
         unit="elements",
     ),
     # -- persistence ------------------------------------------------------

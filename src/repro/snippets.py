@@ -108,17 +108,13 @@ class SnippetClient:
         self.principal = principal
         self._keys = key_service
         self._store = store
-        self._ciphers: dict[str, StreamCipher] = {}
         # snippet id -> (checksum, plaintext) — the HTTP-1.0-style cache.
         self._cache: dict[bytes, tuple[bytes, bytes]] = {}
         self.bytes_transferred = 0
 
     def _cipher(self, group: str) -> StreamCipher:
-        cipher = self._ciphers.get(group)
-        if cipher is None:
-            cipher = self._keys.cipher_for(self.principal, group)
-            self._ciphers[group] = cipher
-        return cipher
+        # The key service's cipher, never a copy that could outlive a revoke.
+        return self._keys.cipher_for(self.principal, group)
 
     def _nonce_sequence(self, group: str) -> NonceSequence:
         # The key service owns THE sequence per (principal, group): a

@@ -174,6 +174,32 @@ class TestQuery:
         assert hit.rscore == pytest.approx(0.8)
 
 
+class TestRevocation:
+    """The client holds no cipher of its own: the key service's per-
+    (principal, group) cipher — and the memo of decoded postings inside
+    it — is the only one, and it dies with the membership."""
+
+    def test_revoked_group_is_not_skimmed_and_reenroll_starts_cold(
+        self, alice, bob, root, keys
+    ):
+        TestQuery()._populate(alice, bob)
+        assert root.query("apple", k=3).doc_ids() == ["a1", "b1", "a2"]
+        stale = keys.cipher_for("root", "g2")
+        assert stale._memo  # root's skim left decoded g2 postings behind
+
+        keys.revoke("root", "g2")
+        served = stale.memo_hits
+        assert root.query("apple", k=3).doc_ids() == ["a1", "a2"]
+        assert stale.memo_hits == served  # the old cipher was never asked
+
+        keys.enroll("root", "g2")
+        fresh = keys.cipher_for("root", "g2")
+        assert fresh is not stale and not fresh._memo
+        assert root.query("apple", k=3).doc_ids() == ["a1", "b1", "a2"]
+        assert fresh._memo and stale.memo_hits == served
+        assert root._cipher("g2") is fresh
+
+
 class TestMultiTerm:
     def test_aggregation(self, alice, bob, root):
         alice.index_document(_doc("a1", {"apple": 5, "pear": 5}), "g1")

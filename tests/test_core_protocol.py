@@ -58,6 +58,27 @@ class TestFetchMessages:
         response = FetchResponse(elements=(_element(), _element()), exhausted=False)
         assert len(response) == 2
 
+    def test_response_bits_summed_once_and_shared_by_both_traces(self):
+        elements = (
+            _element(),
+            _element(trs=None),
+            EncryptedPostingElement(ciphertext=b"x" * 57, group="h", trs=0.1),
+        )
+        old_sum = sum(e.size_bits for e in elements)
+        assert old_sum == (8 + 8 + 57) * 8 + 2 * 64
+        response = FetchResponse(elements=elements, exhausted=False)
+        assert response.size_bits == old_sum
+        per_term = QueryTrace(term="t", k=3)
+        per_term.record_response(response)
+        batch = BatchQueryTrace(terms=("t",), k=3)
+        batch.record_round(BatchFetchResponse(responses=(response, response)))
+        assert per_term.bits_transferred == old_sum
+        assert batch.bits_transferred == 2 * old_sum
+        assert FetchResponse(elements=(), exhausted=True).size_bits == 0
+        # The cached sum is no field: equality, hashing and repr ignore it.
+        assert response == FetchResponse(elements=elements, exhausted=False)
+        assert "size_bits" not in repr(response)
+
 
 class TestQueryTrace:
     def test_record_response_accumulates(self):

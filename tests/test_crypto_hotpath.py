@@ -16,8 +16,10 @@ from repro.crypto.cipher import (
     decrypt,
     encrypt,
 )
+from repro.core.client import skim_matches
 from repro.crypto.prf import Prf, XofKeystream, derive_key
-from repro.errors import AuthenticationError
+from repro.errors import AuthenticationError, ProtocolError
+from repro.index.postings import EncryptedPostingElement, PostingElement
 
 KEY = b"0123456789abcdef0123456789abcdef"
 NONCE = bytes(range(NONCE_SIZE))
@@ -223,6 +225,190 @@ class TestDecryptMemo:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             StreamCipher(KEY, memo_capacity=-1)
+
+
+def _decode(plaintext: bytes) -> tuple[str, bytes]:
+    return ("decoded", plaintext)
+
+
+def _decode_other(plaintext: bytes) -> tuple[str, bytes]:
+    return ("other", plaintext)
+
+
+class TestDecodedMemo:
+    """The memo holds ``decode(verified plaintext)``: a hit skips MAC,
+    keystream and decode, and is only ever what a miss would have been."""
+
+    def _batch(self, cipher, count=4):
+        return [cipher.encrypt(b"hot-%d" % i, bytes([i]) * 16) for i in range(count)]
+
+    def test_hit_skips_the_decoder(self):
+        cipher = StreamCipher(KEY)
+        batch = self._batch(cipher)
+        calls = []
+
+        def decode(plaintext):
+            calls.append(plaintext)
+            return ("decoded", plaintext)
+
+        first = cipher.try_decrypt_many(batch, decode)
+        assert first == [("decoded", b"hot-%d" % i) for i in range(4)]
+        assert cipher.try_decrypt_many(batch, decode) == first
+        assert len(calls) == 4 and cipher.memo_hits == 4
+
+    def test_tampered_ciphertext_never_served_from_memo(self):
+        cipher = StreamCipher(KEY)
+        (ciphertext,) = self._batch(cipher, 1)
+        assert cipher.try_decrypt_many([ciphertext], _decode) == [("decoded", b"hot-0")]
+        for position in range(len(ciphertext)):
+            tampered = bytearray(ciphertext)
+            tampered[position] ^= 0x80
+            assert cipher.try_decrypt_many([bytes(tampered)], _decode) == [None]
+        assert cipher.try_decrypt_many([ciphertext[:-1], ciphertext + b"\0"], _decode) == [
+            None,
+            None,
+        ]
+        assert cipher.memo_hits == 0 and list(cipher._memo) == [ciphertext]
+
+    def test_decoded_entry_never_returned_raw(self):
+        cipher = StreamCipher(KEY)
+        batch = self._batch(cipher)
+        decoded = cipher.try_decrypt_many(batch, _decode)
+        raw = [b"hot-%d" % i for i in range(4)]
+        assert cipher.try_decrypt_many(batch) == raw
+        assert [cipher.try_decrypt(ct) for ct in batch] == raw
+        assert cipher.decrypt_many(batch) == raw
+        assert cipher.memo_hits == 0  # raw callers went around the memo ...
+        assert cipher.try_decrypt_many(batch, _decode) == decoded
+        assert cipher.memo_hits == 4  # ... and left the decoder's entries alone
+
+    def test_raw_entry_never_returned_decoded(self):
+        cipher = StreamCipher(KEY)
+        batch = self._batch(cipher)
+        assert cipher.try_decrypt_many(batch) == cipher.try_decrypt_many(batch)
+        assert cipher.memo_hits == 4
+        assert cipher.try_decrypt_many(batch, _decode) == [
+            ("decoded", b"hot-%d" % i) for i in range(4)
+        ]
+        assert cipher.memo_hits == 4  # nothing raw was served to the decoder
+
+    def test_one_decoder_never_sees_anothers_entries(self):
+        cipher = StreamCipher(KEY)
+        batch = self._batch(cipher)
+        cipher.try_decrypt_many(batch, _decode)
+        assert cipher.try_decrypt_many(batch, _decode_other) == [
+            ("other", b"hot-%d" % i) for i in range(4)
+        ]
+        assert cipher.try_decrypt_many(batch, _decode) == [
+            ("decoded", b"hot-%d" % i) for i in range(4)
+        ]
+        assert cipher.memo_hits == 0 and len(cipher._memo) == 4
+
+    def test_capacity_zero_decodes_and_stores_nothing(self):
+        cipher = StreamCipher(KEY, memo_capacity=0)
+        batch = self._batch(cipher)
+        for _ in range(2):
+            assert cipher.try_decrypt_many(batch, _decode) == [
+                ("decoded", b"hot-%d" % i) for i in range(4)
+            ]
+        assert cipher._memo == {} and cipher.memo_hits == 0
+
+    def test_failed_decode_is_never_memoised(self):
+        cipher = StreamCipher(KEY)
+        good = cipher.encrypt(PostingElement("t", "d", 1, 2).to_bytes(), NONCE)
+        bad = cipher.encrypt(b'{"t":"t"}', bytes(NONCE_SIZE))  # authentic, malformed
+        decode = PostingElement.from_bytes  # one object: the memo goes by identity
+        for _ in range(2):
+            with pytest.raises(ProtocolError):
+                cipher.try_decrypt_many([good, bad, good], decode)
+        assert list(cipher._memo) == [good]
+
+
+# -- the fused client kernel == a per-element reference -------------------------
+
+GROUPS = ("g0", "g1", "g2", "g3")
+GROUP_KEYS = {group: bytes([index + 1]) * 32 for index, group in enumerate(GROUPS)}
+TERMS = ("apple", "pear", "plum")
+
+
+@st.composite
+def _element_pool(draw):
+    """Encrypted elements of several groups, some of them damaged."""
+    pool = []
+    size = draw(st.integers(min_value=4, max_value=12))
+    for serial in range(size):
+        group = draw(st.sampled_from(GROUPS + GROUPS[:1] * 3))  # one busy group
+        posting = PostingElement(
+            term=draw(st.sampled_from(TERMS)),
+            doc_id=f"doc-{draw(st.integers(0, 5))}",
+            tf=draw(st.integers(1, 9)),
+            doc_length=draw(st.integers(9, 40)),
+        )
+        damage = draw(st.sampled_from(["none", "none", "none", "tag", "short", "key"]))
+        key = GROUP_KEYS[GROUPS[0] if damage == "key" and group != GROUPS[0] else group]
+        ciphertext = StreamCipher(key).encrypt(
+            posting.to_bytes(), serial.to_bytes(NONCE_SIZE, "big")
+        )
+        if damage == "tag":
+            ciphertext = ciphertext[:-1] + bytes([ciphertext[-1] ^ 1])
+        elif damage == "short":
+            ciphertext = ciphertext[: draw(st.integers(0, NONCE_SIZE + TAG_SIZE - 1))]
+        trs = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+        pool.append(EncryptedPostingElement(ciphertext=ciphertext, group=group, trs=trs))
+    return pool
+
+
+def _reference_matches(elements, term, ciphers, readable):
+    """What the kernel replaced: per element, try_decrypt + from_bytes + filter."""
+    hits, trs_values = [], []
+    before = sum(cipher.memo_hits for cipher in ciphers.values())
+    for element in elements:
+        if readable is not None and element.group not in readable:
+            continue
+        plaintext = ciphers[element.group].try_decrypt(element.ciphertext)
+        if plaintext is None:
+            continue
+        posting = PostingElement.from_bytes(plaintext)
+        if posting.term == term:
+            hits.append((posting.doc_id, posting.rscore, element.group))
+            trs_values.append(element.trs if element.trs is not None else 0.0)
+    return hits, trs_values, sum(c.memo_hits for c in ciphers.values()) - before
+
+
+@given(
+    pool=_element_pool(),
+    picks=st.lists(
+        st.tuples(
+            st.sampled_from(TERMS),
+            st.lists(st.integers(min_value=0, max_value=11), min_size=6, max_size=24),
+        ),
+        min_size=2,
+        max_size=6,
+    ),
+    readable=st.one_of(st.none(), st.sets(st.sampled_from(GROUPS))),
+    capacity=st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_skim_matches_equals_per_element_reference(pool, picks, readable, capacity):
+    """Identical hits in identical order, identical TRS values and memo
+    tallies — with groups interleaved, unreadable groups, broken tags,
+    truncated and duplicate ciphertexts, and a memo small enough to evict
+    in the middle of a slice."""
+    kernel = {g: StreamCipher(k, memo_capacity=capacity) for g, k in GROUP_KEYS.items()}
+    reference = {g: StreamCipher(k, memo_capacity=capacity) for g, k in GROUP_KEYS.items()}
+    for term, indices in picks:
+        elements = [pool[index % len(pool)] for index in indices]
+        hits, trs_values, memo_hits = skim_matches(
+            elements, term, kernel.__getitem__, readable
+        )
+        assert (
+            [(hit.doc_id, hit.rscore, hit.group) for hit in hits],
+            trs_values,
+            memo_hits,
+        ) == _reference_matches(elements, term, reference, readable)
+        for group in GROUPS:
+            assert len(kernel[group]._memo) <= capacity
+            assert list(kernel[group]._memo) == list(reference[group]._memo)
 
 
 # -- one-shot helper cache ----------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ProtocolError
 from repro.index.postings import (
     EncryptedPostingElement,
     MergedPostingList,
@@ -32,6 +33,43 @@ class TestPostingElement:
         a = PostingElement(term="t", doc_id="d", tf=1, doc_length=2)
         b = PostingElement(term="t", doc_id="d", tf=1, doc_length=2)
         assert a.to_bytes() == b.to_bytes()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"{",
+            b"nul",
+            b"\xff\xfe",  # not UTF-8
+            b'{"d":"x","f":1,"l":2}',  # missing key
+            b"[1,2]",  # not an object
+            b'"t"',
+            b'{"t":1,"d":"x","f":1,"l":2}',  # wrong types
+            b'{"t":"a","d":null,"f":1,"l":2}',
+            b'{"t":"a","d":"x","f":"1","l":2}',
+            b'{"t":"a","d":"x","f":1.0,"l":2}',
+            b'{"t":"a","d":"x","f":true,"l":2}',
+            b'{"t":"a","d":"x","f":0,"l":2}',  # fails element validation
+            b'{"t":"a","d":"x","f":3,"l":2}',
+            b'{"d":"x","f":1,"l":2,"t":"a"}x',  # trailing bytes
+            b'{"d":"x","f":1,"l":2,"t":"a"}{}',
+            b' {"d":"x","f":1,"l":2,"t":"a"}',  # not the canonical encoding
+        ],
+    )
+    def test_malformed_bytes_raise_protocol_error(self, data):
+        with pytest.raises(ProtocolError):
+            PostingElement.from_bytes(data)
+
+    def test_decoded_strings_are_interned(self):
+        data = PostingElement(term="tëst", doc_id="1.txt", tf=3, doc_length=10).to_bytes()
+        a, b = PostingElement.from_bytes(data), PostingElement.from_bytes(data)
+        assert a.term is b.term and a.doc_id is b.doc_id
+
+    def test_slots_keep_elements_small_and_frozen(self):
+        element = PostingElement(term="t", doc_id="d", tf=1, doc_length=2)
+        assert not hasattr(element, "__dict__")
+        with pytest.raises(AttributeError):
+            element.tf = 2
 
 
 class TestEncryptedPostingElement:
