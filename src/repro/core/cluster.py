@@ -556,25 +556,17 @@ class ServerCluster:
         if needed <= 1:
             return
         head = self._repl.head_version(list_id)
-        acked = sum(
-            1
-            for s in replicas
-            if self._repl.applied_version(list_id, s) >= head
-        )
+        versions = {s: self._repl.applied_version(list_id, s) for s in replicas}
+        acked = sum(1 for version in versions.values() if version >= head)
         stale = sorted(
-            (
-                s
-                for s in replicas[1:]
-                if self._reachable(s)
-                and self._repl.applied_version(list_id, s) < head
-            ),
-            key=lambda s: -self._repl.applied_version(list_id, s),
+            (s for s in replicas[1:] if versions[s] < head and self._reachable(s)),
+            key=lambda s: -versions[s],
         )
         for server_index in stale:
             if acked >= needed:
                 break
-            self._repl.sync(list_id, server_index, reason="write-ack")
-            if self._repl.applied_version(list_id, server_index) >= head:
+            # A reachable replica's sync runs to the head, or applies nothing.
+            if self._repl.sync(list_id, server_index, reason="write-ack"):
                 acked += 1
 
     def _ensure_primary_current(self, list_id: int) -> None:
@@ -587,17 +579,12 @@ class ServerCluster:
         from the log first; if it is unreachable (paused or down with a
         gap), the write fails honestly with :class:`UnavailableError`.
         """
-        primary = self.replicas_of(list_id)[0]
-        if (
-            self._repl.applied_version(list_id, primary)
-            < self._repl.head_version(list_id)
-        ):
-            self._repl.sync(list_id, primary, reason="write-catchup")
-            if (
-                self._repl.applied_version(list_id, primary)
-                < self._repl.head_version(list_id)
-            ):
-                raise UnavailableError(list_id, len(self.replicas_of(list_id)))
+        replicas = self.replicas_of(list_id)
+        head = self._repl.head_version(list_id)
+        if self._repl.applied_version(list_id, replicas[0]) < head:
+            self._repl.sync(list_id, replicas[0], reason="write-catchup")
+            if self._repl.applied_version(list_id, replicas[0]) < head:
+                raise UnavailableError(list_id, len(replicas))
 
     def _validate_items(
         self,
@@ -756,19 +743,20 @@ class ServerCluster:
                     removed_any = True
             if removed_any:
                 self._repl.record_synchronous(list_id, 1)
-            self._obs.writes.inc(1.0, consistency=consistency.value)
+                self._obs.writes.inc(1.0, consistency=consistency.value)
             return removed_any
         self._check_write_quorum(list_id, consistency)
         self._ensure_primary_current(list_id)
         removed = self._servers[replicas[0]].delete_element(
             principal, list_id, ciphertext
         )
-        if removed:
-            self._repl.record_delete(list_id, ciphertext)
-            self._force_write_acks(list_id, consistency)
-            self._repl.deliver_due()
+        if removed is None:
+            return False  # a missed receipt mutates, logs and counts nothing
+        self._repl.record_delete(list_id, ciphertext, removed.trs)
+        self._force_write_acks(list_id, consistency)
+        self._repl.deliver_due()
         self._obs.writes.inc(1.0, consistency=consistency.value)
-        return removed
+        return True
 
     # -- read path -------------------------------------------------------------
 

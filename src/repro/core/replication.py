@@ -14,9 +14,15 @@ diverge and "replication" bought availability only.  This module gives
 * followers receive recorded ops asynchronously through a tick-driven
   scheduler embedded in :class:`ReplicationManager`: each op becomes due
   ``LagModel.delay_for(server)`` ticks after it was recorded, and
-  :meth:`ReplicationManager.tick` applies every due op in log order;
+  :meth:`ReplicationManager.tick` applies every due op in log order.
+  The scheduler is *due-indexed*: a min-heap holds one entry per
+  non-empty (list, follower) FIFO, keyed by the due tick of the FIFO's
+  head, so a delivery round touches the pairs that are due and nothing
+  else (``docs/REPLICATION.md``, "Delivery scheduler");
 * a follower can be **paused** (network partition): deliveries to it are
-  held — not dropped — until :meth:`ReplicationManager.resume`;
+  held — not dropped — until :meth:`ReplicationManager.resume`; pairs
+  held back by a pause or an outage wait in a small set that every
+  delivery round re-examines;
 * an **anti-entropy sweep** (every ``anti_entropy_every`` ticks) force-
   syncs every reachable stale follower, bounding worst-case staleness
   even for lists that nobody reads.
@@ -37,7 +43,8 @@ Version / log invariants
    the log retains at least every op some current replica still lacks,
    so any reachable replica can always be caught up from the log alone
    (read-repair, anti-entropy, migration cut-over), even if the primary
-   is down.  Ops at or below the minimum applied version are truncated.
+   is down.  Ops at or below the minimum applied version are truncated,
+   so the retained ops are exactly the run ``(base_seq, head_seq]``.
 4. Staleness of a replica is ``head_seq - applied``; it is what fetch
    responses expose as the serving replica's
    :attr:`~repro.core.protocol.FetchResponse.replica_version` and what
@@ -56,6 +63,8 @@ from collections import deque
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, ProtocolError
@@ -220,20 +229,23 @@ class LagModel:
         return self.fixed_ticks == 0 and not any(self.per_server.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplicationOp:
     """One recorded mutation of a merged list.
 
     ``seq`` is the list's log sequence number after applying this op
     (the first op of a list has ``seq == 1``).  ``kind`` is ``"insert"``
     (payload in ``element``) or ``"delete"`` (payload in ``ciphertext``
-    — deletion is by receipt, exactly like the client protocol).
+    — deletion is by receipt, exactly like the client protocol — plus,
+    as a position hint, the ``trs`` of the element the primary removed;
+    ``None`` in ops logged before the hint existed).
     """
 
     seq: int
     kind: str
     element: EncryptedPostingElement | None = None
     ciphertext: bytes | None = None
+    trs: float | None = None
 
 
 class ReplicationLog:
@@ -260,10 +272,9 @@ class ReplicationLog:
         kind: str,
         element: EncryptedPostingElement | None = None,
         ciphertext: bytes | None = None,
+        trs: float | None = None,
     ) -> ReplicationOp:
-        op = ReplicationOp(
-            seq=self.head_seq + 1, kind=kind, element=element, ciphertext=ciphertext
-        )
+        op = ReplicationOp(self.head_seq + 1, kind, element, ciphertext, trs)
         self._ops.append(op)
         self.head_seq = op.seq
         return op
@@ -286,7 +297,9 @@ class ReplicationLog:
                 f"list {self.list_id}: ops after seq {after_seq} were "
                 f"truncated (log base is {self.base_seq})"
             )
-        return [op for op in self._ops if after_seq < op.seq <= upto_seq]
+        # The retained ops are the contiguous run (base_seq, head_seq].
+        base = self.base_seq
+        return list(islice(self._ops, after_seq - base, max(upto_seq - base, 0)))
 
     def truncate_to(self, min_applied: int) -> None:
         """Drop ops every current replica has applied (invariant 3)."""
@@ -412,7 +425,15 @@ class ReplicationManager:
         self._applied: dict[tuple[int, int], int] = {}
         # (list_id, server) -> FIFO of (due_tick, upto_seq, recorded_tick)
         # deliveries; the recorded tick is what ack latency is measured from.
+        # Only non-empty queues are kept, so "no backlog" is ``not _due``.
         self._due: dict[tuple[int, int], deque[tuple[int, int, int]]] = {}
+        # Min-heap of (head's due tick, list_id, server): one live entry per
+        # queue not in ``_held``; an entry whose queue has gone, or has a
+        # different head by now, is dead and is discarded when popped.
+        self._schedule: list[tuple[int, int, int]] = []
+        # Pairs whose head came due while the follower was paused or down;
+        # nobody announces a recovery, so deliver_due() re-examines these.
+        self._held: set[tuple[int, int]] = set()
         self._paused: set[int] = set()
         self.tick_count = 0
         self.stats = ReplicationStats()
@@ -498,10 +519,17 @@ class ReplicationManager:
             list_id, self._logs[list_id].append("insert", element=element)
         )
 
-    def record_delete(self, list_id: int, ciphertext: bytes) -> ReplicationOp:
-        """Log a delete the cluster just applied to the primary."""
+    def record_delete(
+        self, list_id: int, ciphertext: bytes, trs: float | None = None
+    ) -> ReplicationOp:
+        """Log a delete the cluster just applied to the primary.
+
+        *trs* is the TRS of the element the primary removed: followers
+        use it to bisect to the element instead of scanning for it.
+        """
         return self._record(
-            list_id, self._logs[list_id].append("delete", ciphertext=ciphertext)
+            list_id,
+            self._logs[list_id].append("delete", ciphertext=ciphertext, trs=trs),
         )
 
     def _record(self, list_id: int, op: ReplicationOp) -> ReplicationOp:
@@ -519,11 +547,18 @@ class ReplicationManager:
             )
         self._applied[(list_id, replicas[0])] = op.seq
         for follower in replicas[1:]:
-            due = self.tick_count + self.lag.delay_for(follower)
-            self._due.setdefault((list_id, follower), deque()).append(
-                (due, op.seq, self.tick_count)
-            )
+            self._enqueue(list_id, follower, op.seq)
         return op
+
+    def _enqueue(self, list_id: int, server_index: int, upto_seq: int) -> None:
+        """Queue the delivery of ops up to *upto_seq*, due after the lag."""
+        key = (list_id, server_index)
+        due = self.tick_count + self.lag.delay_for(server_index)
+        queue = self._due.get(key)
+        if queue is None:
+            queue = self._due[key] = deque()
+            heappush(self._schedule, (due, *key))
+        queue.append((due, upto_seq, self.tick_count))
 
     # -- delivery --------------------------------------------------------------
 
@@ -545,21 +580,44 @@ class ReplicationManager:
         return applied
 
     def deliver_due(self) -> int:
-        """Apply every delivery that is due at the current tick."""
+        """Apply every delivery that is due at the current tick.
+
+        Costs O(due + held): nothing due and nothing held is one
+        comparison against the top of the schedule.
+        """
         total = 0
-        for (list_id, server_index), queue in list(self._due.items()):
-            if not self._deliverable(server_index):
-                continue
-            upto = None
-            while queue and queue[0][0] <= self.tick_count:
-                _, upto, recorded = queue.popleft()
-                self._obs.ack_latency.observe(float(self.tick_count - recorded))
-            if upto is not None:
-                total += self._apply_ops(list_id, server_index, upto)
-            if not queue:
-                self._due.pop((list_id, server_index), None)
+        for key in [key for key in self._held if self._deliverable(key[1])]:
+            total += self._drain(key)
+        schedule = self._schedule
+        while schedule and schedule[0][0] <= self.tick_count:
+            due, list_id, server_index = heappop(schedule)
+            key = (list_id, server_index)
+            queue = self._due.get(key)
+            if not queue or queue[0][0] != due:
+                continue  # dead entry: its queue was emptied since the push
+            if self._deliverable(server_index):
+                total += self._drain(key)
+            else:
+                self._held.add(key)
         self.stats.follower_ops_applied += total
         return total
+
+    def _drain(self, key: tuple[int, int]) -> int:
+        """Deliver one pair's due records; re-schedule what stays queued."""
+        self._held.discard(key)
+        queue = self._due.get(key)
+        if not queue:
+            return 0  # held pair whose queue a sync or drop has since emptied
+        upto = None
+        while queue and queue[0][0] <= self.tick_count:
+            _, upto, recorded = queue.popleft()
+            self._obs.ack_latency.observe(float(self.tick_count - recorded))
+        applied = 0 if upto is None else self._apply_ops(*key, upto)
+        if queue:
+            heappush(self._schedule, (queue[0][0], *key))
+        else:
+            self._due.pop(key, None)
+        return applied
 
     def sync(self, list_id: int, server_index: int, reason: str = "repair") -> int:
         """Catch one replica up to the log head right now (if reachable).
@@ -603,7 +661,8 @@ class ReplicationManager:
         applied = self._applied[(list_id, server_index)]
         if upto_seq <= applied:
             return 0
-        ops = self._logs[list_id].ops_between(applied, upto_seq)
+        log = self._logs[list_id]
+        ops = log.ops_between(applied, upto_seq)
         server = self._servers[server_index]
         for op in ops:
             if op.kind == "insert":
@@ -611,7 +670,7 @@ class ReplicationManager:
                 server.apply_replicated_insert(list_id, op.element)
             else:
                 assert op.ciphertext is not None
-                server.apply_replicated_delete(list_id, op.ciphertext)
+                server.apply_replicated_delete(list_id, op.ciphertext, op.trs)
         self._applied[(list_id, server_index)] = upto_seq
         # Drop delivery records this application already satisfied.
         queue = self._due.get((list_id, server_index))
@@ -620,7 +679,9 @@ class ReplicationManager:
                 queue.popleft()
             if not queue:
                 self._due.pop((list_id, server_index), None)
-        self._truncate(list_id)
+        if applied <= log.base_seq:
+            # Only the replica that held the minimum can raise it.
+            self._truncate(list_id)
         return len(ops)
 
     def _truncate(self, list_id: int) -> None:
@@ -642,10 +703,7 @@ class ReplicationManager:
         self._applied[(list_id, server_index)] = at_version
         head = self._logs[list_id].head_seq
         if at_version < head:
-            due = self.tick_count + self.lag.delay_for(server_index)
-            self._due.setdefault((list_id, server_index), deque()).append(
-                (due, head, self.tick_count)
-            )
+            self._enqueue(list_id, server_index, head)
 
     def drop_replica(self, list_id: int, server_index: int) -> None:
         """Forget a replica that no longer hosts the list."""
@@ -726,6 +784,9 @@ class ReplicationManager:
             del self._due[key]
         for server_index in replicas:
             self.register_replica(list_id, server_index, applied[server_index])
+        # A hand-made dump may retain ops below every replica's version;
+        # _apply_ops relies on the base sitting at the minimum.
+        self._truncate(list_id)
 
     def best_source(self, list_id: int) -> int | None:
         """The live replica with the highest applied version (ties by

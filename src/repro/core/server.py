@@ -189,7 +189,7 @@ class ZerberRServer:
 
     def delete_element(
         self, principal: str, list_id: int, ciphertext: bytes
-    ) -> bool:
+    ) -> EncryptedPostingElement | None:
         """Remove one posting element by its ciphertext receipt.
 
         The server cannot read ciphertexts, so deletion is by exact match
@@ -197,19 +197,20 @@ class ZerberRServer:
         enforced against the stored element's group tag — only members of
         the owning group may delete it.  The list is scanned once: the
         same pass that finds the element yields its position, and cached
-        readable views are patched rather than invalidated.  Returns
-        whether an element was removed.
+        readable views are patched rather than invalidated.  Returns the
+        removed element (the cluster logs its TRS so replicas need not
+        repeat the scan), or ``None`` when the receipt matched nothing.
         """
         merged = self._list(list_id)
         found = merged.find_by_ciphertext(ciphertext)
         if found is None:
-            return False
+            return None
         position, target = found
         if not self._keys.is_member(principal, target.group):
             raise AccessDeniedError(principal, target.group)
         merged.pop_at(position)
         self._views.note_delete(merged, target)
-        return True
+        return target
 
     # -- replication (cluster data plane; see repro.core.replication) -----------
 
@@ -228,18 +229,22 @@ class ZerberRServer:
         merged.add_sorted_by_trs(element)
         self._views.note_insert(merged, element, replication=True)
 
-    def apply_replicated_delete(self, list_id: int, ciphertext: bytes) -> bool:
+    def apply_replicated_delete(
+        self, list_id: int, ciphertext: bytes, trs: float | None = None
+    ) -> bool:
         """Apply a delete op delivered from a list's replication log.
 
         Deletion is by ciphertext receipt, like the client protocol, and
         skips the membership check for the same reason as
-        :meth:`apply_replicated_insert`.  Returns whether an element was
-        removed (a miss is tolerated: log order guarantees the insert
-        preceded this delete, so a miss can only mean the state was
-        imported wholesale past this op during a migration).
+        :meth:`apply_replicated_insert`; *trs* is the op's position hint
+        (see :meth:`MergedPostingList.find_by_ciphertext`).  Returns
+        whether an element was removed (a miss is tolerated: log order
+        guarantees the insert preceded this delete, so a miss can only
+        mean the state was imported wholesale past this op during a
+        migration).
         """
         merged = self._list(list_id)
-        found = merged.find_by_ciphertext(ciphertext)
+        found = merged.find_by_ciphertext(ciphertext, trs)
         if found is None:
             return False
         position, target = found

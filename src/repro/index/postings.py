@@ -220,14 +220,24 @@ class MergedPostingList:
         return position
 
     def find_by_ciphertext(
-        self, ciphertext: bytes
+        self, ciphertext: bytes, trs: float | None = None
     ) -> tuple[int, EncryptedPostingElement] | None:
-        """Locate the element with *ciphertext* in one scan.
+        """Locate the element with *ciphertext*.
 
         Returns ``(position, element)`` or ``None``; lets callers inspect
         the element (e.g. check its group tag) before committing to a
-        removal without a second O(list) pass.
+        removal without a second O(list) pass.  A caller that knows the
+        element's *trs* passes it as a hint: the run of elements sharing
+        that TRS is bisected to and searched first, O(log n) on a
+        TRS-sorted list.  A wrong hint, or a list that is not sorted,
+        only costs that probe — the scan below still decides.
         """
+        if trs is not None:
+            keys = self._neg_trs_keys
+            run = range(bisect.bisect_left(keys, -trs), bisect.bisect_right(keys, -trs))
+            for position in run:
+                if self.elements[position].ciphertext == ciphertext:
+                    return position, self.elements[position]
         for position, element in enumerate(self.elements):
             if element.ciphertext == ciphertext:
                 return position, element

@@ -65,6 +65,8 @@ def replication_op_to_dict(op: ReplicationOp) -> dict:
         entry["e"] = element_to_dict(op.element)
     if op.ciphertext is not None:
         entry["c"] = base64.b64encode(op.ciphertext).decode()
+    if op.trs is not None:
+        entry["t"] = op.trs
     return entry
 
 
@@ -89,6 +91,8 @@ def replication_op_from_dict(entry: dict, source: str | Path) -> ReplicationOp:
             seq=int(entry["s"]),
             kind="delete",
             ciphertext=base64.b64decode(entry["c"]),
+            # The position hint; dumps written before it existed have none.
+            trs=float(entry["t"]) if "t" in entry else None,
         )
     raise ConfigurationError(
         f"{source}: corrupt cluster dump: unknown replication op kind {kind!r}"

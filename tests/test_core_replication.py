@@ -1,6 +1,7 @@
 """Unit tests for the replication subsystem (logs, lag, consistency)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cluster import ServerCluster
 from repro.core.placement import (
@@ -11,7 +12,12 @@ from repro.core.placement import (
     coerce_read_selector,
 )
 from repro.core.protocol import FetchRequest
-from repro.core.replication import LagModel, ReadConsistency
+from repro.core.replication import (
+    LagModel,
+    ReadConsistency,
+    ReplicationLog,
+    ReplicationManager,
+)
 from repro.crypto.keys import GroupKeyService
 from repro.errors import (
     ConfigurationError,
@@ -20,6 +26,7 @@ from repro.errors import (
     UnavailableError,
 )
 from repro.index.postings import EncryptedPostingElement
+from repro.obs.instruments import Telemetry
 
 
 @pytest.fixture()
@@ -509,3 +516,413 @@ class TestRouteValidation:
         other = (holder + 1) % 2
         with pytest.raises(ProtocolError):
             cluster.applied_version(0, other)
+
+
+class TestWriteAccounting:
+    def _quorum_cluster(self, keys, lag, telemetry):
+        return ServerCluster(
+            keys,
+            num_lists=1,
+            num_servers=3,
+            replication=3,
+            lag=lag,
+            write_consistency="quorum",
+            telemetry=telemetry,
+        )
+
+    @pytest.mark.parametrize("lag", [0, 2])
+    def test_missed_receipt_mutates_logs_and_counts_nothing(self, keys, lag):
+        telemetry = Telemetry()
+        cluster = self._quorum_cluster(keys, lag, telemetry)
+        writes = telemetry.registry.get("cluster_writes_total")
+        cluster.insert("u", 0, _element(0.5, b"kept"))
+        repl = cluster.replication_manager
+
+        def state():
+            return (
+                writes.total(),
+                cluster.primary_version(0),
+                repl.stats.ops_logged,
+                repl.stats.write_ack_syncs,
+                repl.outstanding_deliveries(),
+                repl.log_lengths(),
+                [cluster.server(s).list_version(0) for s in range(3)],
+            )
+
+        before = state()
+        assert before[0] == 1.0
+        assert cluster.delete_element("u", 0, b"no-such-receipt") is False
+        assert state() == before
+        # The receipt that does match is one acknowledged write more.
+        assert cluster.delete_element("u", 0, b"kept") is True
+        assert writes.total() == 2.0
+
+    def test_logged_delete_carries_the_primarys_trs(self, keys):
+        cluster = self._quorum_cluster(keys, 2, None)
+        cluster.insert("u", 0, _element(0.25, b"x"))
+        cluster.delete_element("u", 0, b"x")
+        *_, op = cluster.replication_manager.log_snapshot(0)[2]
+        assert (op.kind, op.ciphertext, op.trs) == ("delete", b"x", 0.25)
+
+    def test_lagged_soak_leaves_replicas_equal_to_the_primary(self, keys):
+        """Inserts and deletes among shared TRS values, delivered late and
+        partly forced by quorum acks: every replica ends element-for-element
+        equal to the primary, in the primary's order."""
+        cluster = self._quorum_cluster(keys, LagModel(2, {2: 5}), None)
+        live: list[bytes] = []
+        for step in range(240):
+            if step % 3 == 2 and live:
+                victim = live.pop((step * 7) % len(live))
+                assert cluster.delete_element("u", 0, victim)
+            else:
+                payload = b"e%d" % step
+                cluster.insert("u", 0, _element((step % 5) / 4, payload))
+                live.append(payload)
+            if step % 2:
+                cluster.replication_tick()
+        cluster.run_replication_until_quiet()
+        assert cluster.replication_backlog() == {}
+        primary = cluster.server(cluster.replicas_of(0)[0]).export_list(0)
+        assert sorted(e.ciphertext for e in primary) == sorted(live)
+        for server_index in cluster.replicas_of(0)[1:]:
+            assert cluster.server(server_index).export_list(0) == primary
+
+
+class TestLogSlicing:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 6)), max_size=40
+        )
+    )
+    def test_ops_between_slices_what_a_filter_would_select(self, steps):
+        """The retained ops stay the contiguous run (base, head] through
+        appends, truncations and synchronous advances, so the index slice
+        and a filter over the whole log agree on every window."""
+        log = ReplicationLog(0)
+        for code, amount in steps:
+            if code <= 1:
+                log.append("delete", ciphertext=b"c")
+            elif code == 2:
+                log.truncate_to(log.base_seq + amount)
+            else:
+                log.advance_synced(amount)
+            retained = log.iter_ops()
+            assert [op.seq for op in retained] == list(
+                range(log.base_seq + 1, log.head_seq + 1)
+            )
+            for after in range(log.base_seq, log.head_seq + 2):
+                for upto in range(log.base_seq - 1, log.head_seq + 2):
+                    assert log.ops_between(after, upto) == [
+                        op for op in retained if after < op.seq <= upto
+                    ]
+        with pytest.raises(ProtocolError):
+            log.ops_between(log.base_seq - 1, log.head_seq)
+
+
+# -- the delivery scheduler ---------------------------------------------------
+
+
+class _FullScanManager(ReplicationManager):
+    """The delivery loop the due-indexed schedule replaced, kept as the
+    oracle: walk every pending (list, follower) queue on every call."""
+
+    def deliver_due(self):
+        total = 0
+        for (list_id, server_index), queue in list(self._due.items()):
+            if not self._deliverable(server_index):
+                continue
+            upto = None
+            while queue and queue[0][0] <= self.tick_count:
+                _, upto, recorded = queue.popleft()
+                self._obs.ack_latency.observe(float(self.tick_count - recorded))
+            if upto is not None:
+                total += self._apply_ops(list_id, server_index, upto)
+            if not queue:
+                self._due.pop((list_id, server_index), None)
+        self.stats.follower_ops_applied += total
+        return total
+
+
+class _RecordingServer:
+    """Stands in for a server: notes every op the manager applies to it."""
+
+    def __init__(self, index, world):
+        self.index, self.world = index, world
+
+    def apply_replicated_insert(self, list_id, element):
+        self.world.note(list_id, self.index, element.ciphertext)
+
+    def apply_replicated_delete(self, list_id, ciphertext, trs=None):
+        self.world.note(list_id, self.index, ciphertext)
+
+
+SCHED_LISTS = 3
+SCHED_SERVERS = 4
+SYNC_REASONS = ("repair", "anti-entropy", "write-ack", "failover", "migration")
+
+
+class _World:
+    """One manager under test with the placement and liveness it is judged
+    against; ``applications`` is every (tick, list, server, seq) it applied."""
+
+    def __init__(self, manager_cls, lag, anti_entropy_every, spread=True):
+        self.manager_cls = manager_cls
+        self.lag, self.anti_entropy_every = lag, anti_entropy_every
+        # Three replicas a list: rotated over the servers, or all on 0-2.
+        self.placement = {
+            list_id: [(list_id * spread + i) % SCHED_SERVERS for i in range(3)]
+            for list_id in range(SCHED_LISTS)
+        }
+        self.alive = [True] * SCHED_SERVERS
+        self.alive_calls = 0
+        self.applications: list[tuple[int, int, int, int]] = []
+        self.servers = [_RecordingServer(i, self) for i in range(SCHED_SERVERS)]
+        self.manager = self._new_manager()
+
+    def _new_manager(self):
+        return self.manager_cls(
+            self.servers,
+            replicas_of=lambda list_id: self.placement[list_id],
+            server_alive=self._is_alive,
+            num_lists=SCHED_LISTS,
+            lag=self.lag,
+            anti_entropy_every=self.anti_entropy_every,
+        )
+
+    def _is_alive(self, server_index):
+        self.alive_calls += 1
+        return self.alive[server_index]
+
+    def note(self, list_id, server_index, ciphertext):
+        self.applications.append(
+            (self.manager.tick_count, list_id, server_index, int(ciphertext))
+        )
+
+    # -- steps ---------------------------------------------------------------
+
+    def record(self, list_id, delete):
+        m = self.manager
+        primary = self.placement[list_id][0]
+        if m.applied_version(list_id, primary) < m.head_version(list_id):
+            m.sync(list_id, primary, reason="write-catchup")
+            if m.applied_version(list_id, primary) < m.head_version(list_id):
+                return  # an unreachable gapped primary refuses the write
+        payload = b"%d" % (m.head_version(list_id) + 1)
+        if delete:
+            m.record_delete(list_id, payload, 0.5)
+        else:
+            m.record_insert(list_id, _element(0.5, payload))
+
+    def register(self, list_id, server_index):
+        if server_index in self.placement[list_id]:
+            return
+        source = self.manager.best_source(list_id)
+        if source is None:
+            return
+        self.placement[list_id].append(server_index)
+        self.manager.register_replica(
+            list_id, server_index, self.manager.applied_version(list_id, source)
+        )
+
+    def drop(self, list_id, server_index):
+        if server_index not in self.placement[list_id]:
+            return
+        if len(self.placement[list_id]) == 1:
+            return
+        self.placement[list_id].remove(server_index)
+        self.manager.drop_replica(list_id, server_index)
+
+    def snapshot_restore(self):
+        """A restart: a fresh manager reinstated from the durable state."""
+        old, self.manager = self.manager, self._new_manager()
+        self.manager.stats = old.stats
+        self.manager.restore_clock(old.tick_count, old.paused_servers())
+        for list_id in range(SCHED_LISTS):
+            self.manager.restore_list_state(
+                list_id, *old.log_snapshot(list_id), old.applied_snapshot(list_id)
+            )
+
+    def step(self, code, a, b):
+        m, list_id, server = self.manager, a % SCHED_LISTS, b % SCHED_SERVERS
+        if code <= 3:
+            self.record(list_id, delete=code == 3)
+        elif code <= 6:
+            m.tick()
+        elif code == 7:
+            m.deliver_due()
+        elif code == 8:
+            if server in self.placement[list_id]:
+                m.sync(list_id, server, reason=SYNC_REASONS[(a + b) % 5])
+        elif code == 9:
+            m.pause(server)
+        elif code == 10:
+            m.resume(server)
+        elif code == 11:
+            self.alive[server] = False
+        elif code == 12:
+            self.alive[server] = True
+        elif code == 13:
+            self.register(list_id, server)
+        elif code == 14:
+            self.drop(list_id, server)
+        else:
+            self.snapshot_restore()
+
+    def observe(self):
+        m = self.manager
+        pairs = [(l, s) for l in range(SCHED_LISTS) for s in self.placement[l]]
+        return {
+            "applications": sorted(self.applications),
+            "applied": {pair: m.applied_version(*pair) for pair in pairs},
+            "pending_lag": {pair: m.pending_lag_ticks(*pair) for pair in pairs},
+            "backlog": m.backlog(),
+            "outstanding": m.outstanding_deliveries(),
+            "synchronous": m.is_synchronous(),
+            "log_lengths": m.log_lengths(),
+            "stats": m.stats,
+            "tick": m.tick_count,
+        }
+
+
+def _schedule_covers_every_queue(manager):
+    """The scheduler's invariant: each non-empty queue is held, or has a
+    live entry (one carrying its head's due tick) in the heap."""
+    live = {
+        (list_id, server)
+        for due, list_id, server in manager._schedule
+        if manager._due.get((list_id, server))
+        and manager._due[(list_id, server)][0][0] == due
+    }
+    return all(queue for queue in manager._due.values()) and all(
+        key in live or key in manager._held for key in manager._due
+    )
+
+
+class TestDeliveryScheduler:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.integers(0, 15), st.integers(0, 11), st.integers(0, 11)
+            ),
+            max_size=90,
+        ),
+        fixed=st.integers(0, 3),
+        per_server=st.dictionaries(
+            st.integers(0, SCHED_SERVERS - 1), st.integers(0, 5), max_size=3
+        ),
+        anti_entropy_every=st.sampled_from([None, 4, 7]),
+    )
+    def test_due_index_matches_the_full_scan(
+        self, steps, fixed, per_server, anti_entropy_every
+    ):
+        lag = LagModel(fixed, per_server)
+        new = _World(ReplicationManager, lag, anti_entropy_every)
+        ref = _World(_FullScanManager, lag, anti_entropy_every)
+        for number, (code, a, b) in enumerate(steps):
+            new.step(code, a, b)
+            ref.step(code, a, b)
+            assert new.observe() == ref.observe(), (number, code, a, b)
+            assert _schedule_covers_every_queue(new.manager)
+        # Healed and given time, both drain completely — and the schedule
+        # carries no entry, live or dead, past the last due tick.
+        for world in (new, ref):
+            world.alive = [True] * SCHED_SERVERS
+            for server in range(SCHED_SERVERS):
+                world.manager.resume(server)
+            for _ in range(fixed + 6):
+                world.manager.tick()
+        assert new.observe() == ref.observe()
+        assert new.manager.backlog() == {}
+        assert new.manager.is_synchronous() == lag.is_zero
+        assert (new.manager._schedule, new.manager._held) == ([], set())
+
+    def _loaded(self, lag=3, queues=40):
+        world = _World(ReplicationManager, LagModel(lag), None, spread=False)
+        for _ in range(queues):
+            for list_id in range(SCHED_LISTS):
+                world.record(list_id, delete=False)
+        world.alive_calls = 0
+        return world
+
+    def test_nothing_due_consults_no_server(self):
+        world = self._loaded()
+        assert len(world.manager._due) == 2 * SCHED_LISTS
+        for _ in range(50):
+            assert world.manager.deliver_due() == 0
+        assert world.alive_calls == 0
+        # One schedule entry per queue, however many ops each queue holds.
+        assert world.manager.outstanding_deliveries() == 2 * SCHED_LISTS * 40
+        assert len(world.manager._schedule) == 2 * SCHED_LISTS
+
+    @pytest.mark.parametrize("outage", ["pause", "down"])
+    def test_held_delivery_goes_out_on_the_first_call_after_recovery(self, outage):
+        world = self._loaded(lag=1, queues=2)
+        m = world.manager
+        if outage == "pause":
+            m.pause(2)
+        else:
+            world.alive[2] = False
+        applied = m.tick()  # everything comes due; server 2 is unreachable
+        assert applied == 2 * SCHED_LISTS
+        assert m._held == {(l, 2) for l in range(SCHED_LISTS)}
+        assert m.reachable_backlog() == {}
+        # While the outage lasts a call costs one liveness check per held
+        # pair (a paused pair does not even get that far) and moves nothing.
+        world.alive_calls = 0
+        assert m.deliver_due() == 0
+        assert world.alive_calls == SCHED_LISTS
+        # Nobody tells the manager about the recovery ...
+        if outage == "pause":
+            m.resume(2)
+        else:
+            world.alive[2] = True
+        # ... and the very next call, without a tick, delivers.
+        assert m.deliver_due() == 2 * SCHED_LISTS
+        assert m.backlog() == {}
+        assert (m._held, m._due, m._schedule) == (set(), {}, [])
+
+    def test_snapshot_mid_lag_delivers_exactly_the_outstanding_ops(self):
+        lag = LagModel(2, {2: 4})
+        world = _World(ReplicationManager, lag, None, spread=False)
+        for _ in range(3):
+            world.record(0, delete=False)
+        world.manager.tick()
+        world.record(0, delete=True)
+        world.manager.tick()  # tick 2: server 1 receives ops 1-3
+        assert world.manager.backlog() == {(0, 1): 1, (0, 2): 4}
+        world.snapshot_restore()
+        m = world.manager
+        assert m.backlog() == {(0, 1): 1, (0, 2): 4}
+        assert _schedule_covers_every_queue(m)
+        world.applications.clear()
+        for _ in range(4):
+            m.tick()
+        # Re-registered at the restored clock: each follower's remainder
+        # arrives one lag after it, whole and in order, nothing twice.
+        assert world.applications == [
+            (4, 0, 1, 4),
+            (6, 0, 2, 1),
+            (6, 0, 2, 2),
+            (6, 0, 2, 3),
+            (6, 0, 2, 4),
+        ]
+        assert m.backlog() == {} and m.outstanding_deliveries() == 0
+
+    def test_slack_below_every_replica_is_truncated_on_restore(self):
+        """The log base sits at the minimum applied version — also after a
+        restore from a dump that kept more — so only the replica *at* the
+        base needs to look for something to truncate."""
+        world = _World(ReplicationManager, LagModel(2), None, spread=False)
+        for _ in range(3):
+            world.record(0, delete=False)
+        head, base, ops = world.manager.log_snapshot(0)
+        assert (head, base, len(ops)) == (3, 0, 3)
+        world.manager = m = world._new_manager()
+        m.restore_list_state(0, head, base, ops, {0: 3, 1: 2, 2: 2})
+        assert m.log_snapshot(0)[1] == 2 and m.log_lengths()[0] == 1
+        m.sync(0, 1)
+        assert m.log_lengths()[0] == 1  # server 2 still needs op 3
+        m.sync(0, 2)
+        assert m.log_lengths()[0] == 0

@@ -3,10 +3,15 @@
 import pytest
 
 from repro.core.protocol import BatchFetchRequest, FetchRequest
+from repro.core.replication import ReplicationOp
 from repro.core.server import ZerberRServer
 from repro.crypto.keys import GroupKeyService
 from repro.errors import AccessDeniedError, ProtocolError, UnknownListError
 from repro.index.postings import EncryptedPostingElement
+from repro.persist.clusterstate import (
+    replication_op_from_dict,
+    replication_op_to_dict,
+)
 
 
 @pytest.fixture()
@@ -307,6 +312,62 @@ class TestReadableViews:
         response = self._fetch(server, "alice")
         assert response.elements[0].trs == 0.95
         assert server.view_stats.invalidations >= 1
+
+
+class TestReplicatedDelete:
+    """The follower side of a delete op: addressed by TRS, decided by ciphertext."""
+
+    def _tied(self, server):
+        for trs, payload in [
+            (0.9, b"top"),
+            (0.5, b"tie-a"),
+            (0.5, b"tie-b"),
+            (0.5, b"tie-c"),
+            (0.1, b"low"),
+        ]:
+            server.apply_replicated_insert(
+                0, EncryptedPostingElement(ciphertext=payload, group="g1", trs=trs)
+            )
+        return server
+
+    def _ciphertexts(self, server):
+        return [e.ciphertext for e in server.export_list(0)]
+
+    def test_delete_returns_the_removed_element(self, server):
+        self._tied(server)
+        removed = server.delete_element("alice", 0, b"tie-b")
+        assert (removed.ciphertext, removed.trs) == (b"tie-b", 0.5)
+        assert server.delete_element("alice", 0, b"tie-b") is None
+
+    @pytest.mark.parametrize("hint", [0.5, 0.9, None])
+    def test_only_the_matching_element_of_a_tie_run_goes(self, server, hint):
+        self._tied(server)
+        alice = FetchRequest(principal="alice", list_id=0, offset=0, count=10)
+        server.fetch(alice)  # a cached view the delete must patch
+        assert server.apply_replicated_delete(0, b"tie-b", hint)
+        assert self._ciphertexts(server) == [b"top", b"tie-a", b"tie-c", b"low"]
+        assert [e.ciphertext for e in server.fetch(alice).elements] == (
+            self._ciphertexts(server)
+        )
+        assert server._lists[0].keys_in_sync()
+
+    def test_absent_element_is_a_tolerated_miss(self, server):
+        self._tied(server)
+        version = server.list_version(0)
+        assert not server.apply_replicated_delete(0, b"imported-past", 0.5)
+        assert server.list_version(0) == version
+        assert len(self._ciphertexts(server)) == 5
+
+    def test_hintless_op_from_an_older_snapshot_still_applies(self, server):
+        hinted = ReplicationOp(seq=6, kind="delete", ciphertext=b"tie-c", trs=0.5)
+        entry = replication_op_to_dict(hinted)
+        assert replication_op_from_dict(entry, "dump") == hinted
+        del entry["t"]  # what a dump written before the hint existed holds
+        old = replication_op_from_dict(entry, "dump")
+        assert old.trs is None
+        self._tied(server)
+        assert server.apply_replicated_delete(0, old.ciphertext, old.trs)
+        assert b"tie-c" not in self._ciphertexts(server)
 
 
 class TestAdversaryView:

@@ -211,6 +211,85 @@ class TestMergedPostingList:
         assert merged.keys_in_sync()
 
 
+class TestTrsAddressedFind:
+    """``find_by_ciphertext(ciphertext, trs)``: the hint only narrows the
+    search; the answer is the scan's whatever the hint says."""
+
+    def _tied(self):
+        merged = MergedPostingList(0)
+        for trs, payload in [
+            (0.9, b"top"),
+            (0.5, b"tie-a"),
+            (0.5, b"tie-b"),
+            (0.5, b"tie-c"),
+            (0.1, b"low"),
+        ]:
+            merged.add_sorted_by_trs(
+                EncryptedPostingElement(ciphertext=payload, group="g", trs=trs)
+            )
+        return merged
+
+    @pytest.mark.parametrize("payload", [b"tie-a", b"tie-b", b"tie-c"])
+    def test_only_the_matching_ciphertext_of_a_tie_run_goes(self, payload):
+        merged = self._tied()
+        position, element = merged.find_by_ciphertext(payload, 0.5)
+        assert element.ciphertext == payload
+        assert (position, element) == merged.find_by_ciphertext(payload)
+        merged.pop_at(position)
+        assert payload not in [e.ciphertext for e in merged]
+        assert len(merged) == 4
+        assert merged.keys_in_sync()
+
+    @pytest.mark.parametrize("hint", [0.9, 0.3, 0.0, 1.0, float("nan")])
+    def test_wrong_hint_falls_back_to_the_scan(self, hint):
+        merged = self._tied()
+        assert merged.find_by_ciphertext(b"tie-b", hint) == (
+            2,
+            merged.elements[2],
+        )
+
+    def test_hint_for_an_absent_element_finds_nothing(self):
+        merged = self._tied()
+        version = merged.version
+        assert merged.find_by_ciphertext(b"gone", 0.5) is None
+        assert merged.find_by_ciphertext(b"gone", 0.7) is None
+        assert (len(merged), merged.version) == (5, version)
+        assert merged.keys_in_sync()
+
+    def test_hint_examines_only_the_tie_run(self):
+        class Counting(list):
+            reads = 0
+
+            def __getitem__(self, index):
+                Counting.reads += 1
+                return super().__getitem__(index)
+
+        merged = self._tied()
+        for i in range(200):
+            merged.add_sorted_by_trs(
+                EncryptedPostingElement(
+                    ciphertext=b"pad%d" % i, group="g", trs=0.6 + i / 1000
+                )
+            )
+        merged.elements = Counting(merged.elements)
+        assert merged.find_by_ciphertext(b"tie-c", 0.5) is not None
+        assert Counting.reads <= 2 * 3  # the run has three elements
+
+    def test_hint_on_a_randomly_ordered_list_still_finds_by_scan(self):
+        rng = np.random.default_rng(5)
+        merged = MergedPostingList(0)
+        for i in range(50):
+            merged.add_random(
+                EncryptedPostingElement(
+                    ciphertext=b"r%d" % i, group="g", trs=float(rng.uniform())
+                ),
+                rng,
+            )
+        for element in list(merged):
+            found = merged.find_by_ciphertext(element.ciphertext, element.trs)
+            assert found is not None and found[1] is element
+
+
 class TestKeySyncInvariant:
     """The key list must mirror ``elements`` through every mutator mix."""
 
