@@ -1,4 +1,4 @@
-"""Fetch hot-path benchmark: vectorized crypto, O(log n) views, e2e latency.
+"""Fetch hot-path benchmark: vectorized crypto, cheap view patches, e2e latency.
 
 Three claims, all load-bearing for the ROADMAP's "as fast as the hardware
 allows" goal, plus the repo's first recorded perf trajectory point:
@@ -13,10 +13,16 @@ allows" goal, plus the repo's first recorded perf trajectory point:
    iteration per byte, per-element ``try_decrypt`` calls, no memo), with
    byte-identical recovered plaintexts.  The cold single-pass speedup is
    reported alongside.
-2. **View-patch scaling** — patching a cached readable view for one
-   insert/delete is O(log n) on the order-statistic skip list: growing
-   the list 10x must cost at most 2x per patch (the old bisect+splice
-   representation paid an O(view) memmove).
+2. **View-patch cost, as a writer pays it** — patching a cached
+   readable view for one insert/delete costs, at n = 2 000 and at
+   n = 20 000, no more than the skip list this repo used to keep under
+   a view did (8.6 / 11.8 us in its last committed record), and at
+   n = 20 000, where the splice is the cost, no more than the
+   ``add_sorted_by_trs`` + ``pop_at`` on the merged list that the two
+   patches mirror, timed in the same loop.  At n = 2 000 both sides sit
+   on the interpreter's call floor (a patch bisects through ~11 Python
+   key calls, the list through C floats; measured 1.1-1.2x), so there
+   the ratio is gated at 2x.
 3. **End-to-end** — coordinator-driven concurrent queries return results
    identical to the direct per-client path; their latency is recorded.
 4. **Instrumentation overhead** — running the same coordinator workload
@@ -46,7 +52,6 @@ import platform
 import time
 
 from repro import SystemConfig, ZerberRSystem
-from repro.core.ordstat import OrderStatList
 from repro.core.views import ReadableViewIndex
 from repro.corpus import studip_like, tiny_corpus
 from repro.crypto.cipher import StreamCipher
@@ -262,7 +267,12 @@ def _timed(fn) -> float:
     return time.perf_counter() - started
 
 
-# -- claim 2: view-patch scaling ----------------------------------------------
+# -- claim 2: view-patch cost ---------------------------------------------------
+
+# record key -> (view size; per-patch ceiling in us, the skip list's
+# committed figure at that size; ceiling on patch_us over the us of the
+# add_sorted_by_trs + pop_at the patches mirror).
+VIEW_PATCH_LIMITS = {"small": (2000, 8.6, 2.0), "large": (20000, 11.8, 1.0)}
 
 
 def _build_view(num_elements: int) -> tuple[ReadableViewIndex, MergedPostingList]:
@@ -283,20 +293,23 @@ def _build_view(num_elements: int) -> tuple[ReadableViewIndex, MergedPostingList
 def measure_view_patches(num_elements: int, num_patches: int) -> dict:
     """Per-patch cost of insert+delete pairs against a warm cached view.
 
-    Only the ``note_insert``/``note_delete`` patching is timed — the
-    merged list's own C-level splice is the same in both representations
-    and not what this PR changes.  Insert/delete pairs keep the view size
-    stable so the measurement is at a fixed n.
+    The ``note_insert``/``note_delete`` patches and the merged list's
+    own ``add_sorted_by_trs``/``pop_at`` they mirror are timed apart in
+    the same loop.  Insert/delete pairs keep the view size stable so the
+    measurement is at a fixed n.
     """
     views, merged = _build_view(num_elements)
     patch_seconds = 0.0
+    list_seconds = 0.0
     slice_seconds = 0.0
     perf_counter = time.perf_counter
     for i in range(num_patches):
         element = EncryptedPostingElement(
             ciphertext=b"patch-%d" % i, group="g", trs=(i % 997) / 997.0
         )
+        started = perf_counter()
         position = merged.add_sorted_by_trs(element)
+        list_seconds += perf_counter() - started
         started = perf_counter()
         views.note_insert(merged, element)
         patch_seconds += perf_counter() - started
@@ -309,7 +322,9 @@ def measure_view_patches(num_elements: int, num_patches: int) -> dict:
         # list since, so the element can be removed without the O(n)
         # find_by_ciphertext scan (which would trash the cache between
         # timed patches and measure the harness, not the structure).
+        started = perf_counter()
         merged.pop_at(position)
+        list_seconds += perf_counter() - started
         started = perf_counter()
         views.note_delete(merged, element)
         patch_seconds += perf_counter() - started
@@ -323,24 +338,21 @@ def measure_view_patches(num_elements: int, num_patches: int) -> dict:
         "view_size": num_elements,
         "patches": 2 * num_patches,
         "patch_us": patch_seconds / (2 * num_patches) * 1e6,
+        "list_add_pop_us": list_seconds / num_patches * 1e6,
         "slice_us": slice_seconds / num_patches * 1e6,
     }
 
 
-def measure_view_scaling(base_size: int, num_patches: int, repeats: int) -> dict:
-    small = [
-        measure_view_patches(base_size, num_patches) for _ in range(repeats)
-    ]
-    large = [
-        measure_view_patches(base_size * 10, num_patches) for _ in range(repeats)
-    ]
-    small_us = min(r["patch_us"] for r in small)
-    large_us = min(r["patch_us"] for r in large)
-    return {
-        "small": min(small, key=lambda r: r["patch_us"]),
-        "large": min(large, key=lambda r: r["patch_us"]),
-        "patch_cost_ratio_10x": large_us / small_us,
-    }
+def measure_view_patch_cost(num_patches: int, repeats: int) -> dict:
+    """Best-of-*repeats* patch cost at every size of VIEW_PATCH_LIMITS."""
+    record = {}
+    for name, (size, _, _) in VIEW_PATCH_LIMITS.items():
+        runs = [measure_view_patches(size, num_patches) for _ in range(repeats)]
+        best = min(runs, key=lambda r: r["patch_us"])
+        best["list_add_pop_us"] = min(r["list_add_pop_us"] for r in runs)
+        best["patch_vs_list"] = best["patch_us"] / best["list_add_pop_us"]
+        record[name] = best
+    return record
 
 
 # -- claim 3: end-to-end coordinator latency ----------------------------------
@@ -560,7 +572,6 @@ def main() -> int:
 
     crypto_elements = 1500 if args.quick else 5000
     crypto_rounds = 4
-    view_base = 2000 if args.quick else 20000
     view_patches = 500 if args.quick else 1500
     repeats = 3 if args.quick else 5
     num_queries = 8
@@ -579,12 +590,15 @@ def main() -> int:
     print(f"cold-pass speedup : {crypto['cold_speedup']:.2f}x")
     print(f"reject-path speedup: {crypto['reject_speedup']:.2f}x")
 
-    print(f"\n== view-patch scaling ({view_base} vs {view_base * 10} elements) ==")
-    views = measure_view_scaling(view_base, view_patches, repeats)
-    print(f"patch at n={views['small']['view_size']:<7}: {views['small']['patch_us']:.2f} us")
-    print(f"patch at n={views['large']['view_size']:<7}: {views['large']['patch_us']:.2f} us")
-    print(f"10x-size cost ratio: {views['patch_cost_ratio_10x']:.2f}x")
-    print(f"slice (count=10) at n={views['large']['view_size']}: {views['large']['slice_us']:.2f} us")
+    print("\n== view-patch cost (vs the skip list's record and the list's own splice) ==")
+    views = measure_view_patch_cost(view_patches, repeats)
+    for run in views.values():
+        print(
+            f"patch at n={run['view_size']:<6}: {run['patch_us']:.2f} us "
+            f"(list add+pop {run['list_add_pop_us']:.2f} us, "
+            f"ratio {run['patch_vs_list']:.2f}); "
+            f"slice(count=10) {run['slice_us']:.2f} us"
+        )
 
     print(f"\n== end-to-end coordinator queries ({mode} corpus) ==")
     system = build_system(args.quick)
@@ -629,11 +643,19 @@ def main() -> int:
         failures.append(
             f"decrypt-skim speedup {crypto['speedup']:.2f}x < 5x target"
         )
-    if views["patch_cost_ratio_10x"] > 2.0:
-        failures.append(
-            f"view patches are not sublinear: 10x size cost "
-            f"{views['patch_cost_ratio_10x']:.2f}x > 2x"
-        )
+    for name, (_, ceiling_us, ceiling_ratio) in VIEW_PATCH_LIMITS.items():
+        run = views[name]
+        if run["patch_us"] > ceiling_us:
+            failures.append(
+                f"view patch at n={run['view_size']} costs "
+                f"{run['patch_us']:.2f} us > the skip list's {ceiling_us} us"
+            )
+        if run["patch_vs_list"] > ceiling_ratio:
+            failures.append(
+                f"view patch at n={run['view_size']} costs "
+                f"{run['patch_vs_list']:.2f}x the list's own add+pop "
+                f"(base {run['list_add_pop_us']:.2f} us) > {ceiling_ratio}x"
+            )
     if instrumentation["overhead_fraction"] > INSTRUMENTATION_BUDGET:
         failures.append(
             f"telemetry overhead {instrumentation['overhead_fraction'] * 100:.2f}% "
@@ -646,7 +668,7 @@ def main() -> int:
             print(f"FAIL: {failure}")
         return 1
     print(
-        "OK: >=5x decrypt-skim, sublinear view patches, "
+        "OK: >=5x decrypt-skim, view patches within the list's own cost, "
         "coordinator results identical to the direct path, "
         "telemetry within its overhead budget"
     )

@@ -18,9 +18,9 @@ Two throughput mechanisms sit on the fetch path:
 * **Incremental readable views** — the per-principal readable sub-list a
   fetch slices is maintained by a
   :class:`~repro.core.views.ReadableViewIndex`: inserts and deletes patch
-  cached views in place (O(log n) order-statistic skip-list updates)
-  instead of forcing a full membership-filtered rebuild of the merged
-  list, fetches extract ``(offset, count)`` slices in O(log n + count),
+  cached views in place (a bisect plus one splice of a flat sorted
+  array) instead of forcing a full membership-filtered rebuild of the
+  merged list, fetches extract ``(offset, count)`` slices in O(count),
   and an LRU over ``(list, principal)`` pairs bounds the memory.
 
 Everything the server can observe — stored TRS values, group tags, and the
@@ -48,7 +48,13 @@ from repro.errors import AccessDeniedError, ProtocolError, UnknownListError
 from repro.index.postings import EncryptedPostingElement, MergedPostingList
 
 
-@dataclass(frozen=True)
+# The observation log keeps the newest OBSERVATION_LOG_CAPACITY fetches:
+# it is trimmed back to that many once it reaches twice as many, so the
+# trim is amortised O(1) per fetch and the log stays a plain list.
+OBSERVATION_LOG_CAPACITY = 65_536
+
+
+@dataclass(frozen=True, slots=True)
 class ObservedFetch:
     """What the compromised-server adversary records per served slice.
 
@@ -466,6 +472,8 @@ class ZerberRServer:
                 batch_id=batch_id,
             )
         )
+        if len(self.observations) >= 2 * OBSERVATION_LOG_CAPACITY:
+            del self.observations[:-OBSERVATION_LOG_CAPACITY]
         return FetchResponse(elements=tuple(slice_), exhausted=exhausted)
 
     # -- adversary-visible state (for the attack modules) -----------------------

@@ -16,13 +16,21 @@ lazily on next access, so correctness never depends on every mutation
 being routed through the notifications.
 
 Performance model: each view is an
-:class:`~repro.core.ordstat.OrderStatList` (an indexable skip list)
-keyed by the merged list's descending-TRS sort key, so
+:class:`~repro.core.ordstat.OrderStatList` — one flat Python list of the
+*same element objects* the merged list holds, in the merged list's
+descending-TRS order — so
 
-* an insert/delete patch is a true O(log n) — no O(view) tail memmove,
-  which is what the earlier bisect-and-splice representation paid;
-* the fetch path asks for ``slice(offset, count)`` directly, which costs
-  O(log n + count) — the server never materialises the whole sub-list.
+* a cold build is one C-speed pass: the group filter feeds ``list()``,
+  nothing is allocated per element and the sort key is never called;
+* the fetch path asks for ``slice(offset, count)``, a list slice of
+  O(count) — the server never copies the rest of the sub-list;
+* an insert/delete patch is an O(log n) bisect under the sort key plus
+  a C memmove of the view's tail.  The merged list pays that same
+  memmove twice (elements and keys) for the same mutation and a view is
+  never longer than its list, so the patch is bounded by the write it
+  mirrors.  A skip list would only undercut the memmove above ~10^5
+  elements per view (see :mod:`repro.core.ordstat`), a size the list
+  itself reaches first.
 
 Freshness is two-dimensional: a cached view is served only while the
 list *version* and the principal's *membership snapshot* both match, so
@@ -74,7 +82,7 @@ class ViewStats:
 class _ReadableView:
     """One materialised readable sub-list as an order-statistic list.
 
-    ``data`` holds ``(sort_key, element)`` pairs in merged-list order.
+    ``data`` holds the readable elements in merged-list order.
     ``memberships`` is the principal's group set at build time: a view is
     only fresh while both the list version AND the memberships match, so
     an enroll/revoke between requests forces a rebuild instead of serving
@@ -145,8 +153,8 @@ class ReadableViewIndex:
         """One fetchable slice of the principal's readable sub-list.
 
         Returns ``(elements[offset : offset + count], readable_length)``
-        in O(log n + count) on a cached view — the fetch hot path never
-        materialises the rest of the sub-list.
+        in O(count) on a cached view — the fetch hot path never copies
+        the rest of the sub-list.
         """
         view = self._fresh_view(merged, principal)
         return view.data.slice(offset, count), len(view.data)
@@ -164,9 +172,11 @@ class ReadableViewIndex:
     def _build(self, merged: MergedPostingList, principal: str) -> _ReadableView:
         self.stats.full_builds += 1
         memberships = self._keys.membership_snapshot(principal)
-        sort_key = MergedPostingList.sort_key
+        # The lazy filter is consumed inside from_sorted, so one call
+        # covers filtering and materialisation.
         data = OrderStatList.from_sorted(
-            (sort_key(e), e) for e in merged.elements if e.group in memberships
+            (e for e in merged.elements if e.group in memberships),
+            MergedPostingList.sort_key,
         )
         return _ReadableView(data, merged.version, memberships)
 
@@ -213,7 +223,7 @@ class ReadableViewIndex:
                 # OrderStatList.insert places ties after existing equals,
                 # mirroring MergedPostingList.add_sorted_by_trs, so the
                 # view's relative order always matches the list's.
-                view.data.insert(MergedPostingList.sort_key(element), element)
+                view.data.insert(element)
                 self.stats.incremental_updates += 1
                 if replication:
                     self.stats.replication_patches += 1
@@ -283,8 +293,7 @@ class ReadableViewIndex:
         membership change or write since the snapshot rebuilds it — a
         warm restore can never serve under stale access rights.
         """
-        sort_key = MergedPostingList.sort_key
-        data = OrderStatList.from_sorted((sort_key(e), e) for e in elements)
+        data = OrderStatList.from_sorted(elements, MergedPostingList.sort_key)
         view = _ReadableView(data, version, frozenset(memberships))
         self._store((merged.list_id, principal), view)
         self.stats.warm_restores += 1

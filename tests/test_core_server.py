@@ -140,6 +140,24 @@ class TestFetch:
         server.clear_observations()
         assert server.observations == []
 
+    def test_observation_log_is_bounded(self, server, monkeypatch):
+        """The log keeps the newest N..2N fetches, oldest trimmed first."""
+        capacity = 16
+        monkeypatch.setattr(
+            "repro.core.server.OBSERVATION_LOG_CAPACITY", capacity
+        )
+        self._populate(server)
+        log = server.observations
+        for i in range(3 * capacity):
+            server.fetch(
+                FetchRequest(principal="root", list_id=0, offset=i, count=1)
+            )
+            assert len(server.observations) < 2 * capacity
+        assert server.observations is log  # trimmed in place, still the list
+        kept = [obs.offset for obs in server.observations]
+        assert len(kept) >= capacity
+        assert kept == list(range(3 * capacity - len(kept), 3 * capacity))
+
 
 class TestBatchFetch:
     def _populate(self, server):

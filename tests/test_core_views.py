@@ -4,12 +4,15 @@ The reference behaviour is the straight filter the seed used: the
 principal-readable sub-list of a merged list is ``[e for e in elements if
 e.group in memberships]`` in list order, sliced by ``(offset, count)``.
 Random insert/delete/revoke/enroll/bulk sequences must keep the
-incrementally-patched skip-list views byte-identical to that filter.
+incrementally-patched flat-array views byte-identical to that filter.
 """
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.views import ReadableViewIndex
 from repro.crypto.keys import GroupKeyService
@@ -99,3 +102,212 @@ def test_views_match_list_backed_reference(seed):
     # The workload must actually have exercised the incremental path.
     assert views.stats.incremental_updates > 50
     assert merged.keys_in_sync()
+
+
+# -- scripted interleavings: one interpreter, a hypothesis case and a pinned run --
+
+SCRIPT_LISTS = 2
+SCRIPT_CAPACITY = 3  # < lists x principals, so reads keep evicting
+MEMBERSHIP_SETS = [
+    frozenset(),
+    frozenset({"g0"}),
+    frozenset({"g1", "g2"}),
+    frozenset(GROUPS),
+]
+
+
+def run_script(script):
+    """Apply ``(op, probe)`` steps; after each, the probed slice must equal
+    the merged list filtered by the principal's *current* groups.
+
+    Ops: ``("insert", list, group, trs_bucket, replication)``,
+    ``("delete", list, pick, replication)``, ``("toggle", principal,
+    group)`` (enroll or revoke), ``("adopt", list, principal,
+    membership_set or None for the current one, versions_behind)``.
+    A probe is ``(list, principal, offset, count)``.
+    """
+    keys = GroupKeyService(master_secret=b"views-script-secret-0123456789ab")
+    for group in GROUPS:
+        keys.ensure_group(group)
+    keys.register("alice", {"g0", "g1"})
+    keys.register("bob", {"g1", "g2"})
+    keys.register("carol", set(GROUPS))
+    views = ReadableViewIndex(keys, capacity=SCRIPT_CAPACITY)
+    lists = [MergedPostingList(list_id=i) for i in range(SCRIPT_LISTS)]
+    for step, (op, probe) in enumerate(script):
+        kind = op[0]
+        if kind == "insert":
+            _, list_index, group_index, bucket, replication = op
+            element = EncryptedPostingElement(
+                ciphertext=b"ct-%d" % step,
+                group=GROUPS[group_index],
+                trs=bucket / 4.0,  # five values: nearly every insert ties
+            )
+            lists[list_index].add_sorted_by_trs(element)
+            views.note_insert(lists[list_index], element, replication=replication)
+        elif kind == "delete":
+            _, list_index, pick, replication = op
+            merged = lists[list_index]
+            if merged.elements:
+                element = merged.pop_at(pick % len(merged.elements))
+                views.note_delete(merged, element, replication=replication)
+        elif kind == "toggle":
+            _, principal_index, group_index = op
+            principal, group = PRINCIPALS[principal_index], GROUPS[group_index]
+            if group in keys.membership_snapshot(principal):
+                keys.revoke(principal, group)
+            else:
+                keys.enroll(principal, group)
+        elif kind == "adopt":
+            _, list_index, principal_index, set_index, behind = op
+            merged = lists[list_index]
+            principal = PRINCIPALS[principal_index]
+            memberships = (
+                keys.membership_snapshot(principal)
+                if set_index is None
+                else MEMBERSHIP_SETS[set_index]
+            )
+            views.adopt_view(
+                merged,
+                principal,
+                memberships,
+                reference_readable(merged, memberships),
+                merged.version - behind,
+            )
+        else:
+            raise AssertionError(op)
+
+        list_index, principal_index, offset, count = probe
+        merged, principal = lists[list_index], PRINCIPALS[principal_index]
+        expected = reference_readable(merged, keys.membership_snapshot(principal))
+        got_slice, got_length = views.slice(merged, principal, offset, count)
+        assert got_length == len(expected), (step, op, probe)
+        assert got_slice == expected[offset : offset + count], (step, op, probe)
+        assert len(views) <= SCRIPT_CAPACITY
+    return views.stats
+
+
+_list_index = st.integers(0, SCRIPT_LISTS - 1)
+_principal_index = st.integers(0, len(PRINCIPALS) - 1)
+_group_index = st.integers(0, len(GROUPS) - 1)
+_op = st.one_of(
+    st.tuples(st.just("insert"), _list_index, _group_index, st.integers(0, 4), st.booleans()),
+    st.tuples(st.just("delete"), _list_index, st.integers(0, 63), st.booleans()),
+    st.tuples(st.just("toggle"), _principal_index, _group_index),
+    st.tuples(
+        st.just("adopt"),
+        _list_index,
+        _principal_index,
+        st.none() | st.integers(0, len(MEMBERSHIP_SETS) - 1),
+        st.integers(0, 1),
+    ),
+)
+_probe = st.tuples(_list_index, _principal_index, st.integers(0, 12), st.integers(0, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_op, _probe), max_size=60))
+def test_interleaved_script_matches_filter(script):
+    run_script(script)
+
+
+def _pinned_script(seed=20260930, steps=600):
+    rng = random.Random(seed)
+    script = []
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.45:
+            op = ("insert", rng.randrange(SCRIPT_LISTS), rng.randrange(3), rng.randrange(5), rng.random() < 0.3)
+        elif roll < 0.7:
+            op = ("delete", rng.randrange(SCRIPT_LISTS), rng.randrange(64), rng.random() < 0.3)
+        elif roll < 0.8:
+            op = ("toggle", rng.randrange(3), rng.randrange(3))
+        else:
+            set_index = None if rng.random() < 0.5 else rng.randrange(len(MEMBERSHIP_SETS))
+            op = ("adopt", rng.randrange(SCRIPT_LISTS), rng.randrange(3), set_index, rng.randrange(2))
+        # Probe mostly the same two pairs so views live long enough to be
+        # patched; the rest of the time roam, which evicts.
+        if rng.random() < 0.7:
+            pair = (0, 2) if rng.random() < 0.5 else (1, 0)
+        else:
+            pair = (rng.randrange(SCRIPT_LISTS), rng.randrange(3))
+        script.append((op, (*pair, rng.randrange(13), rng.randrange(7))))
+    return script
+
+
+# (full_builds, incremental_updates, replication_patches, stale_rebuilds,
+#  evictions, hits, misses, warm_restores)
+PINNED_STATS = (216, 270, 79, 59, 213, 384, 157, 121)
+
+
+def test_view_stats_unchanged_by_the_container():
+    """The counters are a property of the caching discipline, not of the
+    container under a view: these are the skip-list implementation's
+    numbers on the same script (commit c0a9d6b), pinned before the flat
+    array replaced it."""
+    stats = run_script(_pinned_script())
+    assert (
+        stats.full_builds,
+        stats.incremental_updates,
+        stats.replication_patches,
+        stats.stale_rebuilds,
+        stats.evictions,
+        stats.hits,
+        stats.misses,
+        stats.warm_restores,
+    ) == PINNED_STATS
+
+
+# -- work bounds: what a build and a patch may cost, counted not timed --------
+
+
+@pytest.mark.parametrize("n", [1, 7, 108, 1000])
+def test_build_never_calls_the_sort_key_and_patches_bisect(n, monkeypatch):
+    keys = GroupKeyService(master_secret=b"views-bound-secret-0123456789abc")
+    keys.register("reader", {"g0", "g1"})
+    keys.ensure_group("g2")
+    merged = MergedPostingList(list_id=0)
+    merged.bulk_load_sorted_by_trs(
+        EncryptedPostingElement(
+            ciphertext=b"seed-%d" % i, group=GROUPS[i % 3], trs=(i % 17) / 16.0
+        )
+        for i in range(n)
+    )
+    views = ReadableViewIndex(keys, capacity=2)
+
+    calls = 0
+    real_sort_key = MergedPostingList.sort_key
+
+    def counting_sort_key(element):
+        nonlocal calls
+        calls += 1
+        return real_sort_key(element)
+
+    monkeypatch.setattr(
+        MergedPostingList, "sort_key", staticmethod(counting_sort_key)
+    )
+
+    readable = views.get(merged, "reader")
+    assert views.stats.full_builds == 1
+    assert calls == 0, "a cold build is a filter, not a keyed sort"
+    # The view holds the merged list's own element objects, not copies.
+    expected = reference_readable(merged, {"g0", "g1"})
+    assert len(readable) == len(expected)
+    assert all(got is want for got, want in zip(readable, expected))
+
+    per_patch = 2 * math.ceil(math.log2(n + 1)) + 4
+    for i in range(20):
+        element = EncryptedPostingElement(
+            ciphertext=b"patch-%d" % i, group=GROUPS[i % 2], trs=(i % 17) / 16.0
+        )
+        position = merged.add_sorted_by_trs(element)
+        calls = 0
+        views.note_insert(merged, element)
+        assert calls <= per_patch, (n, "insert", calls)
+        merged.pop_at(position)
+        calls = 0
+        views.note_delete(merged, element)
+        assert calls <= per_patch, (n, "delete", calls)
+    assert views.stats.incremental_updates == 40
+    assert views.stats.full_builds == 1
+    assert views.get(merged, "reader") == expected
