@@ -23,9 +23,9 @@ write consistency (``one`` / ``quorum`` / ``all``), read consistency
 
 Claims checked (exit non-zero on failure):
 
-1. ``lag=0`` (the default) never detects a stale read — the synchronous
-   seed behaviour — and every W level acks with zero latency and zero
-   forced sync work.
+1. ``lag=0`` (the default) never detects a stale read — ops are due in
+   the recording call — and every W level acks with zero latency and
+   zero forced sync work.
 2. With ``lag>0`` and rotated reads, ``W=one``/``R=one`` observes
    staleness and read-repair catches the followers up.
 3. ``PRIMARY`` reads always return the log-head version (strong), at the
@@ -287,8 +287,8 @@ def check_claims(measured: dict) -> list[str]:
                 )
             if zero["write_ack_syncs"] != 0:
                 failures.append(
-                    f"lag=0/W={write_consistency} forced sync work on the "
-                    "synchronous path"
+                    f"lag=0/W={write_consistency} forced write-ack syncs: "
+                    "ops recorded at lag 0 were not delivered in the call"
                 )
     positive = [lag for lag in lags if lag > 0]
     for lag in positive:

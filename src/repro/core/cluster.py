@@ -10,27 +10,29 @@ so a multi-term client round costs one round-trip per *touched server*
 rather than per merged list.
 
 Which server holds which list is decided by a pluggable
-:class:`~repro.core.placement.PlacementPolicy` (round-robin by default —
-the seed behaviour byte-for-byte).  The cluster owns the authoritative
-placement table plus a *placement epoch* that bumps whenever
-:meth:`rebalance` migrates lists between servers (heat-weighted policies
-move hot head-term lists off overloaded shards); coalesced envelopes pin
-the epoch they were routed under so a stale route is rejected rather than
-silently served from a server that no longer hosts the list.
+:class:`~repro.core.placement.PlacementPolicy` (round-robin by default).
+The cluster owns the authoritative placement table plus a *placement
+epoch* that bumps whenever :meth:`rebalance` migrates lists between
+servers (heat-weighted policies move hot head-term lists off overloaded
+shards); coalesced envelopes pin the epoch they were routed under so a
+stale route is rejected rather than silently served from a server that no
+longer hosts the list.
 
 Replication is a real subsystem (:mod:`repro.core.replication`), not a
 synchronous fan-out: each list has a primary replica (first in its
-placement tuple) and a versioned replication log.  Writes apply to the
-primary inside the write call and drain to followers asynchronously under
-a configurable :class:`~repro.core.replication.LagModel`; reads carry the
+placement tuple) and a versioned replication log.  Every write, at every
+lag, takes one path: validate, check the ack quorum, mutate the primary,
+record the op, deliver what is due, force the acks W still lacks.
+Followers receive ops through the log under a configurable
+:class:`~repro.core.replication.LagModel`; reads carry the
 serving replica's applied version, and the cluster detects divergence and
 read-repairs according to the requested
 :class:`~repro.core.replication.ReadConsistency` (``ONE`` fast/stale,
 ``PRIMARY`` strong — the default, ``QUORUM`` version-max across a
 majority).  An anti-entropy sweep (``anti_entropy_every`` ticks) bounds
-worst-case staleness.  With the default zero-lag model the cluster takes
-the seed's synchronous write path verbatim, so default results are
-byte-identical to the pre-replication cluster.
+worst-case staleness.  Lag 0 (the default) is a lag: the ops a write
+records are due in the same call, so every reachable replica holds them
+when the call returns.
 
 Read routing is pluggable too: a
 :class:`~repro.core.placement.ReadSelector` (``read_strategy``) picks
@@ -49,7 +51,6 @@ replicas *diverge* instead).
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace as dataclass_replace
@@ -61,7 +62,6 @@ from repro.core.placement import (
     coerce_read_selector,
     validate_placement,
 )
-from repro.core.eventloop import EventLoop, PeriodicTask
 from repro.core.protocol import (
     BatchFetchRequest,
     BatchFetchResponse,
@@ -211,17 +211,15 @@ class ServerCluster:
         """Mark a server as down (availability simulation).
 
         A down server neither serves reads nor receives replication
-        deliveries — a write while any server is down always takes the
-        asynchronous path, so acknowledged ops the dead server missed
-        live on in the replication log and drain after
-        :meth:`restore_server`.  The one idealisation kept from the
-        seed: a *primary's* copy models durable storage, so a ``ONE``
-        write to a list whose primary is down still lands there and reads
-        fail over to the live replicas.  With ``failover_after`` set, a
-        primary that stays down past the threshold is deposed by an
-        election instead (see :meth:`check_failovers`); ``QUORUM``/
-        ``ALL`` writes never lean on the idealisation — they require a
-        live primary.
+        deliveries: acknowledged ops it missed live on in the
+        replication log and drain after :meth:`restore_server`.  The one
+        idealisation kept from the seed: a *primary's* copy models
+        durable storage, so a ``ONE`` write to a list whose primary is
+        down still lands there and reads fail over to the live replicas.
+        With ``failover_after`` set, a primary that stays down past the
+        threshold is deposed by an election instead (see
+        :meth:`check_failovers`); ``QUORUM``/``ALL`` writes never lean on
+        the idealisation — they require a live primary.
         """
         self._alive[index] = False
 
@@ -250,8 +248,7 @@ class ServerCluster:
         every ``anti_entropy_every``-th tick additionally force-syncs all
         reachable stale followers.  With ``failover_after`` set, the tick
         also runs the failover election check (see
-        :meth:`check_failovers`).  A no-op for the default zero-lag
-        configuration.
+        :meth:`check_failovers`).
         """
         applied = self._repl.tick()
         if self.failover_after is not None:
@@ -304,53 +301,6 @@ class ServerCluster:
             self.replication_tick()
             ticks += 1
         return ticks
-
-    def register_background_tasks(
-        self,
-        loop: EventLoop,
-        *,
-        delivery_every: int | None = 1,
-        anti_entropy_every: int | None = None,
-    ) -> list[PeriodicTask]:
-        """Run replica maintenance as *loop* daemons with their own periods.
-
-        Registers a replication-delivery daemon firing every
-        ``delivery_every`` virtual ticks (``None`` skips it — e.g. when
-        another coordinator sharing the loop already registered one) and,
-        when ``anti_entropy_every`` is set, detaches the anti-entropy
-        sweep from the replication clock onto its own daemon, so delivery
-        and staleness-bounding cadences tune independently instead of
-        both piggybacking on the scheduling tick.  Daemons run at
-        :data:`~repro.core.eventloop.BACKGROUND` priority: at any tick
-        they fire after all foreground session work, preserving the
-        legacy "envelopes first, then the replication tick" order.
-        """
-        if delivery_every is not None and delivery_every < 1:
-            raise ConfigurationError("delivery_every must be >= 1")
-        if anti_entropy_every is not None and anti_entropy_every < 1:
-            raise ConfigurationError("anti_entropy_every must be >= 1")
-        tasks: list[PeriodicTask] = []
-        if delivery_every is not None:
-            tasks.append(
-                loop.every(
-                    delivery_every,
-                    self.replication_tick,
-                    name="replication-delivery",
-                )
-            )
-        if anti_entropy_every is not None:
-            # The sweep leaves the replication clock entirely: the
-            # manager's own modulo trigger is disabled so a sweep fires
-            # exactly once per period, on loop time.
-            self._repl.anti_entropy_every = None
-            tasks.append(
-                loop.every(
-                    anti_entropy_every,
-                    self._repl.anti_entropy_sweep,
-                    name="anti-entropy",
-                )
-            )
-        return tasks
 
     # -- primary failover ----------------------------------------------------
 
@@ -465,16 +415,6 @@ class ServerCluster:
         self._unreachable_since = timers
 
     # -- data plane -----------------------------------------------------------
-
-    def _write_synchronously(self) -> bool:
-        """Whether writes may take the seed's inline all-replica path.
-
-        Requires every server up on top of the manager's conditions
-        (zero lag, nothing paused, no backlog): an inline write to a
-        down server would contradict the failure model, so any failure
-        routes writes through the log instead.
-        """
-        return all(self._alive) and self._repl.is_synchronous()
 
     def _resolve_consistency(
         self, consistency: ReadConsistency | str | None
@@ -606,17 +546,14 @@ class ServerCluster:
             self.replicas_of(list_id)  # validates the list id
         return items
 
-    def _group_by_server(
-        self,
-        items: list[tuple[int, EncryptedPostingElement]],
-        primary_only: bool = False,
+    def _group_by_primary(
+        self, items: list[tuple[int, EncryptedPostingElement]]
     ) -> dict[int, list[tuple[int, EncryptedPostingElement]]]:
-        """Group items by destination server, preserving caller order."""
+        """Group items by their list's primary, preserving caller order."""
         per_server: dict[int, list[tuple[int, EncryptedPostingElement]]] = {}
         for list_id, element in items:
-            replicas = self.replicas_of(list_id)
-            for server_index in replicas[:1] if primary_only else replicas:
-                per_server.setdefault(server_index, []).append((list_id, element))
+            primary = self.replicas_of(list_id)[0]
+            per_server.setdefault(primary, []).append((list_id, element))
         return per_server
 
     def insert(
@@ -626,35 +563,8 @@ class ServerCluster:
         element: EncryptedPostingElement,
         consistency: WriteConsistency | str | None = None,
     ) -> None:
-        """Insert one element; replicas converge through the log.
-
-        On the synchronous path (zero lag, no backlog) every replica is
-        mutated inline — the seed behaviour, and every ack level is
-        trivially satisfied.  Otherwise the primary is mutated and the op
-        logged; with *consistency* ``QUORUM``/``ALL`` (per-call override
-        of the cluster's ``write_consistency``) the required follower
-        acks are then forced synchronously through the log, and an
-        unsatisfiable ack count refuses the write up front with
-        :class:`~repro.errors.QuorumWriteUnavailableError` — a clean
-        no-op.  Remaining followers drain on later replication ticks.
-        """
-        consistency = self._resolve_write_consistency(consistency)
-        replicas = self.replicas_of(list_id)
-        if self._write_synchronously():
-            for server_index in replicas:
-                self._servers[server_index].insert(principal, list_id, element)
-            self._repl.record_synchronous(list_id, 1)
-            self._obs.writes.inc(1.0, consistency=consistency.value)
-            return
-        self._check_write_quorum(list_id, consistency)
-        self._ensure_primary_current(list_id)
-        # The primary's insert performs the TRS/membership validation; a
-        # rejected element raises before anything is logged.
-        self._servers[replicas[0]].insert(principal, list_id, element)
-        self._repl.record_insert(list_id, element)
-        self._force_write_acks(list_id, consistency)
-        self._repl.deliver_due()
-        self._obs.writes.inc(1.0, consistency=consistency.value)
+        """Insert one element: a one-item :meth:`insert_many`."""
+        self.insert_many(principal, [(list_id, element)], consistency)
 
     def insert_many(
         self,
@@ -662,16 +572,20 @@ class ServerCluster:
         items: Iterable[tuple[int, EncryptedPostingElement]],
         consistency: WriteConsistency | str | None = None,
     ) -> int:
-        """Replicated multi-insert, batched per touched server.
+        """Replicated multi-insert, batched per touched primary.
 
         Items are validated up front (all-or-nothing, see
-        :meth:`_validate_items`) and grouped by destination, so a batch
-        costs O(touched servers) server calls instead of O(elements ×
-        replication).  On the asynchronous path only the *primaries* are
-        written inline; follower copies drain through the log, except the
-        W - 1 follower acks a ``QUORUM``/``ALL`` *consistency* forces
-        synchronously per touched list — checked for every touched list
-        before anything is mutated, so a refused batch is a clean no-op.
+        :meth:`_validate_items`) and grouped by primary, so a batch costs
+        O(touched primaries) server write calls.  Only the primaries are
+        written by this call; every follower copy arrives through the
+        replication log — in this same call when its lag is 0, on a later
+        replication tick otherwise — except the W - 1 follower acks a
+        ``QUORUM``/``ALL`` *consistency* (per-call override of the
+        cluster's ``write_consistency``) forces through the log before
+        returning.  The ack count is checked for every touched list
+        before anything is mutated, so a write refused with
+        :class:`~repro.errors.QuorumWriteUnavailableError` is a clean
+        no-op.
         """
         return self._replicated_write_batch(
             principal, items, bulk=False, consistency=consistency
@@ -684,7 +598,7 @@ class ServerCluster:
         consistency: WriteConsistency | str | None = None,
     ) -> int:
         """Bulk-load with the same all-or-nothing validation as
-        :meth:`insert_many`; each touched server sorts once."""
+        :meth:`insert_many`; each touched primary sorts once."""
         return self._replicated_write_batch(
             principal, items, bulk=True, consistency=consistency
         )
@@ -701,26 +615,22 @@ class ServerCluster:
         consistency = self._resolve_write_consistency(consistency)
         items = self._validate_items(principal, items)
         touched = list(dict.fromkeys(lid for lid, _ in items))
-        sync = self._write_synchronously()
-        if not sync:
-            for list_id in touched:
-                self._check_write_quorum(list_id, consistency)
-            for list_id in touched:
-                self._ensure_primary_current(list_id)
-        per_server = self._group_by_server(items, primary_only=not sync)
-        for server_index in sorted(per_server):
+        for list_id in touched:
+            self._check_write_quorum(list_id, consistency)
+        for list_id in touched:
+            self._ensure_primary_current(list_id)
+        per_primary = self._group_by_primary(items)
+        for server_index in sorted(per_primary):
             server = self._servers[server_index]
             load = server.bulk_load if bulk else server.insert_many
-            load(principal, per_server[server_index])
-        if sync:
-            for list_id, count in Counter(lid for lid, _ in items).items():
-                self._repl.record_synchronous(list_id, count)
-        else:
-            for list_id, element in items:
-                self._repl.record_insert(list_id, element)
-            for list_id in touched:
-                self._force_write_acks(list_id, consistency)
-            self._repl.deliver_due()
+            load(principal, per_primary[server_index])
+        for list_id, element in items:
+            self._repl.record_insert(list_id, element)
+        # Deliver before forcing: a zero-lag follower's copy of the ops
+        # just recorded is already due, so the forcing finds it at the head.
+        self._repl.deliver_due()
+        for list_id in touched:
+            self._force_write_acks(list_id, consistency)
         self._obs.writes.inc(float(len(items)), consistency=consistency.value)
         return len(items)
 
@@ -733,28 +643,17 @@ class ServerCluster:
     ) -> bool:
         """Delete a receipt's element; followers learn through the log."""
         consistency = self._resolve_write_consistency(consistency)
-        replicas = self.replicas_of(list_id)
-        if self._write_synchronously():
-            removed_any = False
-            for server_index in replicas:
-                if self._servers[server_index].delete_element(
-                    principal, list_id, ciphertext
-                ):
-                    removed_any = True
-            if removed_any:
-                self._repl.record_synchronous(list_id, 1)
-                self._obs.writes.inc(1.0, consistency=consistency.value)
-            return removed_any
         self._check_write_quorum(list_id, consistency)
         self._ensure_primary_current(list_id)
-        removed = self._servers[replicas[0]].delete_element(
+        primary = self.replicas_of(list_id)[0]
+        removed = self._servers[primary].delete_element(
             principal, list_id, ciphertext
         )
         if removed is None:
             return False  # a missed receipt mutates, logs and counts nothing
         self._repl.record_delete(list_id, ciphertext, removed.trs)
-        self._force_write_acks(list_id, consistency)
         self._repl.deliver_due()
+        self._force_write_acks(list_id, consistency)
         self._obs.writes.inc(1.0, consistency=consistency.value)
         return True
 
@@ -1086,10 +985,9 @@ class ServerCluster:
         """Cumulative acknowledged write ops per list (log head versions).
 
         The write-side twin of :meth:`list_heat`: the replication log
-        head counts every acknowledged mutation of a list regardless of
-        which path (synchronous or logged) carried it, so the monitor's
-        write-heat deltas are "ops per sampling period" — the placement
-        forecaster's second input signal.
+        head counts every acknowledged mutation of a list, so the
+        monitor's write-heat deltas are "ops per sampling period" — the
+        placement forecaster's second input signal.
         """
         return {
             list_id: self._repl.head_version(list_id)

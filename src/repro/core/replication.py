@@ -36,9 +36,9 @@ Version / log invariants
 2. ``applied(list, server)`` is the number of log ops server has applied.
    Every replica's state is always a *prefix* of the log: ops are
    delivered strictly in sequence order, per (list, server) FIFO, and
-   nothing else mutates a replicated list (bulk loads and migrations go
-   through :meth:`record_synchronous` / :meth:`register_replica`, which
-   keep the prefix property by construction).
+   nothing else mutates a replicated list (a bulk load is a run of
+   recorded inserts; a migration admits its copy through
+   :meth:`register_replica` at the version it was exported at).
 3. ``base_seq(list) <= min(applied(list, s) for s in replicas(list))`` —
    the log retains at least every op some current replica still lacks,
    so any reachable replica can always be caught up from the log alone
@@ -50,11 +50,11 @@ Version / log invariants
    :attr:`~repro.core.protocol.FetchResponse.replica_version` and what
    read-repair keys on.
 
-With a zero lag model, no paused follower and no backlog, the manager
-reports :meth:`is_synchronous` and the cluster takes the seed's
-synchronous write path verbatim (followers mutate inline, versions
-advance in lockstep via :meth:`record_synchronous`) — the default
-configuration is byte-identical to the pre-replication cluster.
+Lag 0 (the default) is a lag like any other: a recorded op is due on the
+tick it was recorded, so the ``deliver_due()`` that ends every cluster
+write call applies it to each reachable follower before the call
+returns, and the op is truncated there and then.  A list with a single
+replica has no follower to wait for; its ops are truncated as recorded.
 """
 
 from __future__ import annotations
@@ -199,8 +199,8 @@ class LagModel:
 
     ``fixed_ticks`` is the default delay; ``per_server`` overrides it for
     individual servers (e.g. one straggler replica).  A delay of 0 means
-    the op is due on the tick it was recorded (and is drained inline by
-    the write call).  Pausing a follower is *not* a lag value — it is a
+    the op is due on the tick it was recorded, so the write call that
+    recorded it delivers it.  Pausing a follower is *not* a lag value — it is a
     partition, modelled by :meth:`ReplicationManager.pause`.
     """
 
@@ -279,17 +279,6 @@ class ReplicationLog:
         self.head_seq = op.seq
         return op
 
-    def advance_synced(self, num_ops: int) -> None:
-        """Version a batch of ops applied to *every* replica inline.
-
-        The synchronous write path mutates all replicas before
-        returning, so nothing ever needs these ops again: the head and
-        the base advance together and no op object is retained.
-        """
-        self.head_seq += num_ops
-        self.base_seq = self.head_seq
-        self._ops.clear()
-
     def ops_between(self, after_seq: int, upto_seq: int) -> list[ReplicationOp]:
         """Ops with ``after_seq < seq <= upto_seq``, in order."""
         if after_seq < self.base_seq:
@@ -345,7 +334,7 @@ class ReplicationLog:
 class ReplicationStats:
     """Counters of the replication data plane (benchmarks assert on these).
 
-    ``ops_logged`` counts ops recorded through the async path;
+    ``ops_logged`` counts recorded ops — every acknowledged write;
     ``follower_ops_applied`` counts scheduled (lag-driven) deliveries;
     ``repair_ops`` and ``anti_entropy_ops`` count the same deliveries
     when forced by read-repair or the anti-entropy sweep instead.
@@ -390,8 +379,8 @@ class ReplicationManager:
     The manager owns no placement: the cluster passes ``replicas_of``
     (current replica tuple per list, primary first) and ``server_alive``
     callables so migrations and failures are always judged against the
-    cluster's authoritative state.  It owns the server *mutations* of the
-    async path: follower deliveries go through
+    cluster's authoritative state.  It owns the follower-side server
+    *mutations*: deliveries go through
     :meth:`ZerberRServer.apply_replicated_insert` /
     ``apply_replicated_delete`` (no membership re-check — the op was
     admitted at the primary; re-checking at drain time would let a
@@ -441,24 +430,13 @@ class ReplicationManager:
             for server_index in replicas_of(list_id):
                 self._applied[(list_id, server_index)] = 0
 
-    # -- mode ------------------------------------------------------------------
-
-    def is_synchronous(self) -> bool:
-        """Whether writes may take the seed's inline all-replica path.
-
-        True only when the lag model is zero, no follower is paused and
-        no delivery is outstanding — an inline write while a follower
-        holds a backlog would apply out of log order.
-        """
-        return self.lag.is_zero and not self._paused and not self._due
+    # -- partitions ------------------------------------------------------------
 
     def pause(self, server_index: int) -> None:
         """Partition one server away from replication traffic.
 
         The server still serves reads (that is the point: its answers go
         stale), but deliveries to it are held until :meth:`resume`.
-        Pausing any server also forces the cluster off the synchronous
-        write path, so an inline write can never jump the held backlog.
         """
         self._check_server(server_index)
         self._paused.add(server_index)
@@ -504,13 +482,6 @@ class ReplicationManager:
 
     # -- write path ------------------------------------------------------------
 
-    def record_synchronous(self, list_id: int, num_ops: int) -> None:
-        """Version ops the cluster applied to every replica inline."""
-        self._logs[list_id].advance_synced(num_ops)
-        head = self._logs[list_id].head_seq
-        for server_index in self._replicas_of(list_id):
-            self._applied[(list_id, server_index)] = head
-
     def record_insert(
         self, list_id: int, element: EncryptedPostingElement
     ) -> ReplicationOp:
@@ -536,7 +507,7 @@ class ReplicationManager:
         self.stats.ops_logged += 1
         replicas = self._replicas_of(list_id)
         if self._applied[(list_id, replicas[0])] != op.seq - 1:
-            # The cluster guards every async write with a primary
+            # The cluster guards every write with a primary
             # catch-up (ServerCluster._ensure_primary_current); stamping
             # a gapped primary to op.seq here would mark its missing ops
             # as applied and silently lose them, so fail loudly instead.
@@ -548,6 +519,10 @@ class ReplicationManager:
         self._applied[(list_id, replicas[0])] = op.seq
         for follower in replicas[1:]:
             self._enqueue(list_id, follower, op.seq)
+        if len(replicas) == 1:
+            # No follower will ever apply the op, and truncation otherwise
+            # happens on application: the sole replica holds it already.
+            self._logs[list_id].truncate_to(op.seq)
         return op
 
     def _enqueue(self, list_id: int, server_index: int, upto_seq: int) -> None:

@@ -30,12 +30,12 @@ through the cluster's placement table and packs everything bound for one
 server into a single :class:`~repro.core.protocol.CoalescedBatchRequest`
 (one server call per touched server per flush, regardless of how many
 sessions are in flight), and (4) demultiplexes responses back to
-sessions by slice id — inline when ``round_latency`` is 0, or as
-deferred delivery events ``round_latency`` ticks later, in which case
-the decrypt/skim of round *n* overlaps the envelope build of round
-*n + 1* (counted by ``pipeline_overlap``).  Follower replication
-delivery and (optionally) the anti-entropy sweep run as background loop
-daemons with their own periods instead of piggybacking on the flush.
+sessions by slice id as delivery events ``round_latency`` ticks later
+(0: later in the same tick); above 0 the decrypt/skim of round *n*
+overlaps the envelope build of round *n + 1* (counted by
+``pipeline_overlap``).  Follower replication delivery, with the
+anti-entropy sweep and failover checks it carries, runs as a background
+loop daemon at the end of every tick instead of piggybacking on the flush.
 Every envelope pins the placement epoch it was routed under, so a
 rebalance can never tear a flush: the cluster rejects stale-epoch
 envelopes instead of serving them from the wrong shard.
@@ -49,11 +49,11 @@ acknowledged, carrying a deterministic
 :class:`~repro.errors.BackpressureError`; :meth:`submit_arrival`
 reschedules the arrival for the hinted tick).
 
-The legacy lockstep :meth:`Coordinator.tick` survives as a thin driver
-over the loop — one tick advances virtual time by exactly one tick,
-which drains that tick to quiescence — so zero-lag deterministic
-workloads are byte-identical to the pre-loop coordinator: same results,
-same stats, same replication cadence, same rebalance points.
+The lockstep :meth:`Coordinator.tick` is a thin driver over the loop —
+one tick advances virtual time by exactly one tick, which drains that
+tick to quiescence.  One cadence rule holds at every latency: a
+session's next flush is at ``max(delivery tick, dispatch tick + 1)``, so
+a round takes ``max(round_latency, 1)`` ticks.
 
 Per-session fetch sequences (offsets, counts, stop conditions) are exactly
 what the session would have issued against the cluster directly, so query
@@ -171,10 +171,7 @@ class Coordinator:
         max_slices_per_envelope: int | None = None,
         max_sessions_per_tick: int | None = None,
         *,
-        loop: EventLoop | None = None,
         round_latency: int = 0,
-        delivery_every: int = 1,
-        anti_entropy_every: int | None = None,
         max_queue_depth: int | None = None,
         credits_per_principal: int | None = None,
     ) -> None:
@@ -192,13 +189,8 @@ class Coordinator:
         *admission* bounds (``None`` disables): an arrival that would
         exceed one is shed with a retry-after hint instead of parked.
         ``round_latency`` ticks separate an envelope's dispatch from its
-        sessions' skim delivery (0 — the default — demultiplexes inline,
-        the lockstep-identical path).  ``delivery_every`` is the period
-        of the replication-delivery daemon; ``anti_entropy_every``
-        detaches the anti-entropy sweep from the replication clock onto
-        its own loop daemon.  ``loop`` shares an external event loop
-        (e.g. with an arrival generator); by default the coordinator
-        owns a fresh one.
+        sessions' skim delivery (0 — the default — delivers later in the
+        dispatching tick).
         """
         if rebalance_every is not None and rebalance_every < 1:
             raise ConfigurationError("rebalance_every must be >= 1")
@@ -219,7 +211,7 @@ class Coordinator:
         self._round_latency = round_latency
         self._max_queue_depth = max_queue_depth
         self._credits_per_principal = credits_per_principal
-        self._loop = loop if loop is not None else EventLoop()
+        self._loop = EventLoop()
         self._sessions: list[ClientQuerySession] = []
         # Sessions whose responses are in flight (id() keys — sessions are
         # scheduled by identity, never by equality).
@@ -235,16 +227,9 @@ class Coordinator:
         # queue-depth gauge and the per-envelope / per-session histograms.
         self._obs = CoordinatorInstruments(cluster.telemetry)
         self._obs.register_stats_collector(cluster.telemetry, lambda: self.stats)
-        # Replication delivery (and optionally anti-entropy) become loop
-        # daemons: they fire as virtual time passes, not as a side effect
-        # of the flush.  With delivery_every=1 the daemon fires at the end
-        # of every tick — the legacy "one scheduling tick is one
-        # replication tick" cadence, which the lockstep driver preserves.
-        cluster.register_background_tasks(
-            self._loop,
-            delivery_every=delivery_every,
-            anti_entropy_every=anti_entropy_every,
-        )
+        # One scheduling tick is one replication tick: the daemon fires at
+        # BACKGROUND priority, after all of the tick's session work.
+        self._loop.every(1, cluster.replication_tick, name="replication-delivery")
         if rebalance_every is not None:
             self._loop.every(
                 rebalance_every,
@@ -404,15 +389,13 @@ class Coordinator:
     def tick(self) -> bool:
         """Run one lockstep scheduling tick; returns whether work was done.
 
-        The legacy driver over the event loop: advances virtual time by
-        exactly one tick, which fires this tick's flush, its deliveries,
-        the replication daemon and any due maintenance — at zero round
-        latency this is byte-identical to the pre-loop lockstep
-        coordinator.  Raises :class:`~repro.errors.UnavailableError` if a
+        Advances virtual time by exactly one tick, which fires this
+        tick's flush, its deliveries, the replication daemon and any due
+        maintenance.  Raises :class:`~repro.errors.UnavailableError` if a
         needed list has no live replica — fail-fast, matching
         :meth:`ServerCluster.batch_fetch` semantics.
         """
-        self._prune(count_completions=True)
+        self._prune()
         if not self._sessions:
             self._obs.queue_depth.set(0.0)
             return False
@@ -430,17 +413,13 @@ class Coordinator:
         """
         return self._loop.run_until_quiet(max_ticks)
 
-    def _prune(self, count_completions: bool) -> None:
-        """Drop finished sessions; optionally count ones never delivered to.
-
-        Sessions that were already done when submitted (e.g. zero terms)
-        never reach :meth:`_demultiplex`; the counting prune at the start
-        of a flush is where they are counted.
-        """
-        done = [s for s in self._sessions if s.done]
+    def _prune(self) -> None:
+        """Drop, and count, sessions that were already done when submitted
+        (e.g. zero terms): they never reach :meth:`_deliver_one`, which
+        counts and drops every other session as it finishes."""
+        done = sum(1 for s in self._sessions if s.done)
         if done:
-            if count_completions:
-                self.stats.sessions_completed += len(done)
+            self.stats.sessions_completed += done
             self._sessions = [s for s in self._sessions if not s.done]
 
     def _ensure_flush(self, tick: int) -> None:
@@ -454,7 +433,7 @@ class Coordinator:
     def _flush(self, at_tick: int) -> None:
         """Run one coalescing round over every ready (non-awaiting) session."""
         self._flush_scheduled.discard(at_tick)
-        self._prune(count_completions=True)
+        self._prune()
         self._obs.queue_depth.set(float(len(self._sessions)))
         ready = [s for s in self._sessions if id(s) not in self._awaiting]
         if not ready:
@@ -467,9 +446,8 @@ class Coordinator:
             # of earlier rounds — the pipelining win over lockstep.
             self.stats.pipeline_overlap += 1
         # One flush's coalescing is genuinely shared work; its span is
-        # attributed to the oldest admitted session's trace.  Everything
-        # below — envelopes, serves, delivery rounds, skims — nests under
-        # it through the tracer's call stack.
+        # attributed to the oldest admitted session's trace.  The envelopes
+        # and serves below nest under it through the tracer's call stack.
         trace_ctx = plan.session_keys[0][0].trace_id
         with self._obs.tracer.span(
             "coalesce",
@@ -477,29 +455,27 @@ class Coordinator:
             sessions=len(plan.session_keys),
             unique_slices=len(plan.unique),
         ):
-            responses = self._dispatch(plan, trace_ctx)
-            if self._round_latency == 0:
-                self._demultiplex(plan, responses)
-            else:
-                self._schedule_deliveries(plan, responses)
+            self._schedule_deliveries(plan, self._dispatch(plan, trace_ctx))
         self.stats.ticks += 1
-        self._prune(count_completions=False)
         if any(id(s) not in self._awaiting for s in self._sessions):
-            # Ready work remains (next rounds, spilled sessions): next
-            # flush next tick — the legacy one-round-per-tick cadence.
+            # Spilled sessions are still ready: they flush next tick.
             self._ensure_flush(self._loop.now + 1)
 
     def _schedule_deliveries(
         self, plan: _TickPlan, by_slice_id: dict[int, FetchResponse]
     ) -> None:
-        """Defer each session's demux by ``round_latency`` ticks."""
+        """Fan every slice response out to all sessions that wanted it,
+        ``round_latency`` ticks from now."""
+        dispatched = self._loop.now
         for session, keys in plan.session_keys:
             responses = tuple(by_slice_id[plan.unique[key][0]] for key in keys)
             self._awaiting.add(id(session))
             self._pending_delivers += 1
             self._loop.call_at(
-                self._loop.now + self._round_latency,
-                lambda s=session, r=responses: self._deliver_one(s, r),
+                dispatched + self._round_latency,
+                lambda s=session, r=responses: self._deliver_one(
+                    s, r, dispatched
+                ),
                 name="deliver",
             )
 
@@ -507,8 +483,9 @@ class Coordinator:
         self,
         session: ClientQuerySession,
         responses: tuple[FetchResponse, ...],
+        dispatched: int,
     ) -> None:
-        """Land one session's deferred round (skim happens here)."""
+        """Land one session's round (skim happens here)."""
         self._awaiting.discard(id(session))
         self._pending_delivers -= 1
         if not any(existing is session for existing in self._sessions):
@@ -519,9 +496,12 @@ class Coordinator:
             self._obs.session_rounds.observe(float(session.rounds))
             self._sessions = [s for s in self._sessions if s is not session]
         else:
-            # Next round can coalesce with whatever else is ready at this
-            # tick — skim of round n overlapping build of round n+1.
-            self._ensure_flush(self._loop.now)
+            # The one cadence rule: next flush at max(this delivery tick,
+            # dispatch tick + 1) — _ensure_flush clamps to now.  Past
+            # latency 0 that is this tick, where the next round can coalesce
+            # with whatever else is ready: skim of round n overlapping build
+            # of round n+1.
+            self._ensure_flush(dispatched + 1)
 
     def _gather(self, ready: list[ClientQuerySession]) -> _TickPlan:
         """Collect pending slices, deduplicating across sessions.
@@ -709,19 +689,6 @@ class Coordinator:
                 self.stats.slices_sent += len(envelope)
             entries = retry
         return by_slice_id
-
-    def _demultiplex(
-        self, plan: _TickPlan, by_slice_id: dict[int, FetchResponse]
-    ) -> None:
-        """Fan every slice response out to all sessions that wanted it."""
-        for session, keys in plan.session_keys:
-            responses = tuple(
-                by_slice_id[plan.unique[key][0]] for key in keys
-            )
-            session.deliver(responses)
-            if session.done:
-                self.stats.sessions_completed += 1
-                self._obs.session_rounds.observe(float(session.rounds))
 
     def run_until_complete(self) -> int:
         """Tick until every submitted session is done; returns ticks run."""

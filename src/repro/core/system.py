@@ -283,14 +283,13 @@ class ZerberRSystem:
         :mod:`repro.core.replication` and
         :meth:`~repro.core.cluster.ServerCluster.check_failovers`); the
         defaults — zero lag, strong ``PRIMARY`` reads, ``ONE`` writes,
-        primary-only routing, no failover election — reproduce the
-        synchronous seed behaviour byte-for-byte.
+        primary-only routing, no failover election — give the same
+        results as a single server fed the same writes.
         ``max_slices_per_envelope`` / ``max_sessions_per_tick`` are the
         coordinator's per-round spill caps; ``max_queue_depth`` /
         ``credits_per_principal`` are its admission backpressure bounds,
         and ``round_latency`` defers skim delivery to pipeline rounds
-        (see :mod:`repro.core.router` — the zero defaults keep the
-        lockstep-identical path).
+        (see :mod:`repro.core.router`).
 
         *telemetry* (see :mod:`repro.obs`) instruments every layer of the
         deployment — coordinator, cluster read/write paths, replication,

@@ -169,13 +169,6 @@ class TestQuorumWrites:
         cluster.fail_server(cluster.replicas_of(0)[2])
         cluster.insert("u", 0, _element(0.6, b"y"), consistency="one")
 
-    def test_synchronous_path_satisfies_every_level(self, keys):
-        cluster = self._cluster(keys)  # zero lag, all alive
-        for level in ("one", "quorum", "all"):
-            cluster.insert("u", 0, _element(0.5), consistency=level)
-        assert cluster.replication_stats.write_ack_syncs == 0
-        assert cluster.replication_stats.ops_logged == 0
-
     def test_batch_writes_honor_consistency(self, keys):
         cluster = self._cluster(keys, lag=10)
         items = [(0, _element(0.1 * i, b"b%d" % i)) for i in range(1, 4)]

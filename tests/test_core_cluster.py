@@ -113,25 +113,36 @@ class TestDataPlane:
         assert isinstance(excinfo.value, ProtocolError)
 
     def test_insert_many_batches_per_server(self, keys, monkeypatch):
-        """Replicated multi-insert costs one call per touched server."""
+        """Replicated multi-insert costs one call per touched primary."""
         cluster = ServerCluster(keys, num_lists=4, num_servers=3, replication=2)
         calls = []
+        replicated = []
         original = ZerberRServer.insert_many
+        original_apply = ZerberRServer.apply_replicated_insert
 
         def counting_insert_many(self, principal, items):
             items = list(items)
             calls.append(len(items))
             return original(self, principal, items)
 
+        def counting_apply(self, list_id, element):
+            replicated.append(list_id)
+            return original_apply(self, list_id, element)
+
         monkeypatch.setattr(ZerberRServer, "insert_many", counting_insert_many)
+        monkeypatch.setattr(
+            ZerberRServer, "apply_replicated_insert", counting_apply
+        )
         items = [
             (list_id, _element(0.1 * (i + 1), b"im%d" % i))
             for i, list_id in enumerate([0, 1, 2, 3, 0, 1])
         ]
         assert cluster.insert_many("u", items) == 6
-        # 6 elements x 2 replicas over 3 servers: one call per server, not 12.
+        # 6 elements over 3 primaries: one call per primary, not one per
+        # element; each follower copy arrives through the log.
         assert len(calls) == 3
-        assert sum(calls) == 12
+        assert sum(calls) == 6
+        assert sorted(replicated) == [0, 0, 1, 1, 2, 3]
         # Contents landed exactly as per-element replicated inserts would.
         assert cluster.num_elements == 6
 

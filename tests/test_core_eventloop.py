@@ -1,11 +1,11 @@
 """Tests for the event-driven core: the virtual-time loop, arrival-driven
-coordinator scheduling, round pipelining, backpressure, and the
-lockstep-equivalence guarantee the refactor promised (the legacy
-``tick()`` driver is byte-identical to the pre-loop coordinator at zero
-round latency)."""
+coordinator scheduling, round pipelining, backpressure, the equivalence
+of the lockstep ``tick()`` driver and arrival-driven sessions, and the
+one cadence rule rounds follow at every ``round_latency``."""
 
 import pytest
 
+from repro.core.client import ClientQuerySession
 from repro.core.cluster import ServerCluster
 from repro.core.eventloop import (
     BACKGROUND,
@@ -13,10 +13,15 @@ from repro.core.eventloop import (
     MAINTENANCE,
     EventLoop,
 )
-from repro.core.protocol import BackpressureSignal
+from repro.core.protocol import BackpressureSignal, ResponsePolicy
 from repro.core.router import Coordinator
 from repro.crypto.keys import GroupKeyService
-from repro.errors import BackpressureError, ConfigurationError, ProtocolError
+from repro.errors import (
+    BackpressureError,
+    ConfigurationError,
+    ProtocolError,
+    UnavailableError,
+)
 
 
 class TestEventLoopScheduling:
@@ -384,43 +389,6 @@ class TestBackgroundDaemons:
         svc.register("u", {"g"})
         return svc
 
-    def test_delivery_daemon_period_validated(self, keys):
-        cluster = ServerCluster(
-            keys, num_lists=1, num_servers=2, replication=2
-        )
-        with pytest.raises(ConfigurationError):
-            cluster.register_background_tasks(EventLoop(), delivery_every=0)
-        with pytest.raises(ConfigurationError):
-            cluster.register_background_tasks(
-                EventLoop(), anti_entropy_every=0
-            )
-
-    def test_anti_entropy_detaches_onto_the_loop(self, keys):
-        from repro.core.protocol import EncryptedPostingElement
-
-        cluster = ServerCluster(
-            keys,
-            num_lists=1,
-            num_servers=2,
-            replication=2,
-            lag=100,  # deliveries far out: only the sweep can sync
-            anti_entropy_every=1000,
-        )
-        coordinator = Coordinator(cluster, anti_entropy_every=4)
-        # The manager's own modulo trigger is disabled; the sweep now
-        # fires on loop time with its own period.
-        assert cluster.replication_manager.anti_entropy_every is None
-        assert "anti-entropy" in [
-            t.name for t in coordinator.loop.tasks()
-        ]
-        element = EncryptedPostingElement(b"ct", group="g", trs=0.5)
-        cluster.insert("u", 0, element)
-        follower = cluster.replicas_of(0)[1]
-        assert cluster.applied_version(0, follower) == 0
-        coordinator.loop.advance(4)  # sweep fires at tick 3
-        assert cluster.applied_version(0, follower) == 1
-        assert cluster.replication_stats.anti_entropy_runs >= 1
-
     def test_replication_delivery_rides_virtual_time(self, keys):
         from repro.core.protocol import EncryptedPostingElement
 
@@ -438,8 +406,8 @@ class TestBackgroundDaemons:
 
 
 class TestLockstepEquivalence:
-    """The acceptance bar: at zero round latency the event-driven path is
-    byte-identical to the lockstep driver — same results, same stats,
+    """The acceptance bar: at zero round latency arrival-driven sessions
+    and the lockstep driver give the same results, the same stats and the
     same replication cadence."""
 
     def _run_lockstep(self, system, queries):
@@ -493,3 +461,94 @@ class TestLockstepEquivalence:
         assert coordinator.tick() is False
         assert coordinator.loop.now == 0
         assert cluster.replication_manager.tick_count == 0
+
+
+
+class TestOneCadenceRule:
+    """A session's next flush is at max(delivery tick, dispatch tick + 1):
+    one rule, whether the delivery lands in the dispatching tick or later."""
+
+    # b = 1 forces several doubling rounds per session.
+    POLICY = ResponsePolicy(initial_size=1)
+
+    def _run(self, system, monkeypatch, round_latency):
+        """Six sessions submitted at tick 0; per session, every dispatch
+        as ``(tick, [(list, offset, count), ...])``."""
+        cluster, coordinator = system.deploy_cluster(
+            num_servers=3, round_latency=round_latency
+        )
+        client = system.client_for("superuser", server=cluster)
+        sessions = [
+            client.open_multi_session(q, 4, policy=self.POLICY)
+            for q in _queries(system, 6)
+        ]
+        dispatches = {id(session): [] for session in sessions}
+        pending_requests = ClientQuerySession.pending_requests
+
+        def recording(session):
+            requests = pending_requests(session)
+            dispatches[id(session)].append(
+                (
+                    coordinator.loop.now,
+                    [(r.list_id, r.offset, r.count) for r in requests],
+                )
+            )
+            return requests
+
+        for session in sessions:
+            coordinator.submit(session)
+        with monkeypatch.context() as patch:
+            patch.setattr(ClientQuerySession, "pending_requests", recording)
+            coordinator.run_until_complete()
+        return (
+            coordinator.stats,
+            [dispatches[id(session)] for session in sessions],
+            [session.result().ranked for session in sessions],
+        )
+
+    @pytest.mark.parametrize("round_latency", [0, 1, 3])
+    def test_rounds_follow_the_rule_and_latency_changes_nothing_else(
+        self, system, monkeypatch, round_latency
+    ):
+        stats, dispatches, ranked = self._run(system, monkeypatch, round_latency)
+        assert max(len(rounds) for rounds in dispatches) > 1
+        for rounds in dispatches:
+            ticks = [tick for tick, _ in rounds]
+            assert ticks[0] == 0
+            for dispatched, following in zip(ticks, ticks[1:]):
+                assert following == max(
+                    dispatched + round_latency, dispatched + 1
+                )
+        base_stats, base_dispatches, base_ranked = self._run(
+            system, monkeypatch, 0
+        )
+        assert base_stats.pipeline_overlap == 0
+        assert ranked == base_ranked
+        assert [[fetch for _, fetch in rounds] for rounds in dispatches] == [
+            [fetch for _, fetch in rounds] for rounds in base_dispatches
+        ]
+        assert stats.server_calls == base_stats.server_calls
+        assert stats.sessions_completed == base_stats.sessions_completed == 6
+
+    def test_outage_in_a_zero_latency_round_surfaces_from_tick(self, system):
+        cluster, coordinator = system.deploy_cluster(num_servers=3)
+        client = system.client_for("superuser", server=cluster)
+        queries = _queries(system, 2)
+        session = coordinator.open_session(
+            client, queries[0], 4, policy=self.POLICY
+        )
+        assert coordinator.tick() is True  # round 1 dispatched and delivered
+        assert session.rounds == 1 and not session.done
+        down_list = session.pending_requests()[0].list_id
+        for server_index in cluster.replicas_of(down_list):
+            cluster.fail_server(server_index)
+        with pytest.raises(UnavailableError) as excinfo:
+            coordinator.tick()
+        assert excinfo.value.list_id == down_list
+        coordinator.evict(session)
+        for server_index in range(cluster.num_servers):
+            cluster.restore_server(server_index)
+        results = coordinator.run_queries([(client, queries[1], 4)])
+        assert results[0].ranked == client.query_multi_batched(
+            queries[1], 4
+        ).ranked

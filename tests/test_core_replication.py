@@ -1,5 +1,7 @@
 """Unit tests for the replication subsystem (logs, lag, consistency)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +20,7 @@ from repro.core.replication import (
     ReplicationLog,
     ReplicationManager,
 )
+from repro.core.server import ZerberRServer
 from repro.crypto.keys import GroupKeyService
 from repro.errors import (
     ConfigurationError,
@@ -78,21 +81,120 @@ class TestConfig:
             )
 
 
-class TestSynchronousDefault:
-    def test_default_config_is_synchronous(self, keys):
-        cluster = ServerCluster(keys, num_lists=2, num_servers=2, replication=2)
-        assert cluster.replication_manager.is_synchronous()
-        cluster.insert("u", 0, _element(0.5))
-        # Versions advanced in lockstep; no backlog, no stale reads ever.
-        assert cluster.primary_version(0) == 1
-        for server_index in cluster.replicas_of(0):
-            assert cluster.applied_version(0, server_index) == 1
-        assert cluster.replication_backlog() == {}
-        response = _fetch(cluster, 0)
-        assert response.replica_version == 1
-        assert cluster.replication_stats.stale_reads_detected == 0
-        assert cluster.replication_stats.ops_logged == 0
+class TestZeroLagIsALag:
+    """The one write path, pinned by what a caller can observe: at lag 0
+    every replica holds every acknowledged op when the write call returns,
+    at every W, and the cluster answers like one server fed the same ops."""
 
+    LISTS = 3
+
+    def _script(self, rng):
+        """~40 seeded write calls as ``(method, args)``; ciphertexts are
+        unique, deletes name a live receipt two times in three."""
+        live, serial = [], 0
+
+        def batch(size):
+            nonlocal serial
+            items = []
+            for _ in range(size):
+                serial += 1
+                list_id = rng.randrange(self.LISTS)
+                # Few distinct TRS values: ties must order alike everywhere.
+                element = _element(rng.randrange(8) / 8, b"c%d" % serial)
+                items.append((list_id, element))
+            live.extend((lid, e.ciphertext) for lid, e in items)
+            return items
+
+        for _ in range(40):
+            kind = rng.choice(["insert", "insert_many", "bulk_load", "delete"])
+            if kind == "insert":
+                ((list_id, element),) = batch(1)
+                yield "insert", (list_id, element)
+            elif kind == "delete":
+                if live and rng.random() < 2 / 3:
+                    list_id, receipt = live.pop(rng.randrange(len(live)))
+                else:
+                    list_id, receipt = rng.randrange(self.LISTS), b"no-such"
+                yield "delete_element", (list_id, receipt)
+            else:
+                yield kind, (batch(rng.randrange(5)),)
+
+    @pytest.mark.parametrize("replication", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_replica_holds_every_acknowledged_op(
+        self, keys, replication, seed
+    ):
+        rng = random.Random(seed)
+        telemetry = Telemetry()
+        cluster = ServerCluster(
+            keys,
+            num_lists=self.LISTS,
+            num_servers=3,
+            replication=replication,
+            telemetry=telemetry,
+        )
+        reference = ZerberRServer(keys, num_lists=self.LISTS)
+        writes = telemetry.registry.get("cluster_writes_total")
+        repl = cluster.replication_manager
+        for method, args in self._script(rng):
+            level = rng.choice(["one", "quorum", "all"])
+            got = getattr(cluster, method)("u", *args, consistency=level)
+            expected = getattr(reference, method)("u", *args)
+            if method == "delete_element":
+                assert got is (expected is not None)
+            else:
+                assert got == expected
+            for list_id in range(self.LISTS):
+                head = cluster.primary_version(list_id)
+                held = reference.export_list(list_id)
+                for server_index in cluster.replicas_of(list_id):
+                    assert cluster.server(server_index).export_list(list_id) == held
+                    assert cluster.applied_version(list_id, server_index) == head
+                request = FetchRequest("u", list_id, offset=0, count=1000)
+                expected = reference.fetch(request)
+                for consistency in ReadConsistency:
+                    response = cluster.fetch(request, consistency=consistency)
+                    assert response.replica_version == head
+                    assert response.elements == expected.elements
+                    assert response.exhausted == expected.exhausted
+            assert cluster.replication_backlog() == {}
+            assert set(repl.log_lengths().values()) == {0}
+            assert repl.outstanding_deliveries() == 0
+            assert repl.stats.write_ack_syncs == 0
+            assert repl.stats.stale_reads_detected == 0
+            assert repl.stats.ops_logged == writes.total()
+            assert repl.stats.ops_logged == sum(
+                cluster.primary_version(lid) for lid in range(self.LISTS)
+            )
+
+
+class TestSingleReplicaLog:
+    def test_log_of_a_single_replica_list_is_truncated_as_recorded(self, keys):
+        """No follower will ever apply (and so truncate) these ops."""
+        cluster = ServerCluster(
+            keys, num_lists=2, num_servers=2, replication=1, lag=1
+        )
+        for i in range(10):
+            cluster.insert("u", i % 2, _element(0.05 * i, b"s%d" % i))
+        assert cluster.delete_element("u", 0, b"s0")
+        assert cluster.bulk_load("u", [(1, _element(0.9, b"bulk"))]) == 1
+        assert cluster.primary_version(0) == 6
+        assert cluster.replication_manager.log_lengths() == {0: 0, 1: 0}
+        # ... whatever unrelated server is down at the time.
+        cluster.fail_server(cluster.replicas_of(1)[0])
+        cluster.insert("u", 0, _element(0.7, b"later"))
+        assert cluster.replication_manager.log_lengths() == {0: 0, 1: 0}
+
+    def test_default_deployment_retains_no_log(self, micro_corpus):
+        from repro import SystemConfig, ZerberRSystem
+
+        system = ZerberRSystem.build(micro_corpus, SystemConfig(r=3.0, seed=8))
+        cluster, _ = system.deploy_cluster(num_servers=2)
+        assert cluster.replication_stats.ops_logged == cluster.num_elements > 0
+        assert set(cluster.replication_manager.log_lengths().values()) == {0}
+
+
+class TestSynchronousDefault:
     def test_sync_delete_versions_only_on_removal(self, keys):
         cluster = ServerCluster(keys, num_lists=2, num_servers=2, replication=2)
         cluster.insert("u", 0, _element(0.5))
@@ -154,16 +256,15 @@ class TestLagAndConvergence:
         cluster = self._lagged(keys, lag=0)
         follower = cluster.replicas_of(0)[1]
         cluster.pause_follower(follower)
-        assert not cluster.replication_manager.is_synchronous()
         cluster.insert("u", 0, _element(0.5, b"x"))
+        assert cluster.replication_manager.outstanding_deliveries() == 1
         for _ in range(5):
             cluster.replication_tick()
         assert cluster.applied_version(0, follower) == 0
         cluster.resume_follower(follower)
         cluster.replication_tick()
         assert cluster.applied_version(0, follower) == 1
-        # Backlog drained: the cluster returns to the synchronous path.
-        assert cluster.replication_manager.is_synchronous()
+        assert cluster.replication_manager.outstanding_deliveries() == 0
 
     def test_failed_server_receives_nothing_until_restore(self, keys):
         cluster = self._lagged(keys, lag=1)
@@ -178,8 +279,8 @@ class TestLagAndConvergence:
         assert cluster.applied_version(0, follower) == 1
 
     def test_zero_lag_write_with_dead_follower_drains_after_restore(self, keys):
-        """Any failure forces the async path even at zero lag: the dead
-        follower's copy arrives through the log, not an inline write."""
+        """The dead follower's copy waits in the log and arrives on the
+        first tick after the restore."""
         cluster = self._lagged(keys, lag=0)
         primary, follower = cluster.replicas_of(0)
         cluster.fail_server(follower)
@@ -190,7 +291,7 @@ class TestLagAndConvergence:
         cluster.restore_server(follower)
         cluster.replication_tick()
         assert cluster.server(follower).list_length(0) == 1
-        assert cluster.replication_manager.is_synchronous()
+        assert cluster.replication_manager.outstanding_deliveries() == 0
 
     def test_bulk_load_replicates_through_log(self, keys):
         cluster = self._lagged(keys, lag=1)
@@ -592,21 +693,19 @@ class TestLogSlicing:
     @settings(max_examples=60, deadline=None)
     @given(
         steps=st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 6)), max_size=40
+            st.tuples(st.integers(0, 2), st.integers(0, 6)), max_size=40
         )
     )
     def test_ops_between_slices_what_a_filter_would_select(self, steps):
         """The retained ops stay the contiguous run (base, head] through
-        appends, truncations and synchronous advances, so the index slice
-        and a filter over the whole log agree on every window."""
+        appends and truncations, so the index slice and a filter over
+        the whole log agree on every window."""
         log = ReplicationLog(0)
         for code, amount in steps:
             if code <= 1:
                 log.append("delete", ciphertext=b"c")
-            elif code == 2:
-                log.truncate_to(log.base_seq + amount)
             else:
-                log.advance_synced(amount)
+                log.truncate_to(log.base_seq + amount)
             retained = log.iter_ops()
             assert [op.seq for op in retained] == list(
                 range(log.base_seq + 1, log.head_seq + 1)
@@ -778,7 +877,6 @@ class _World:
             "pending_lag": {pair: m.pending_lag_ticks(*pair) for pair in pairs},
             "backlog": m.backlog(),
             "outstanding": m.outstanding_deliveries(),
-            "synchronous": m.is_synchronous(),
             "log_lengths": m.log_lengths(),
             "stats": m.stats,
             "tick": m.tick_count,
@@ -835,7 +933,7 @@ class TestDeliveryScheduler:
                 world.manager.tick()
         assert new.observe() == ref.observe()
         assert new.manager.backlog() == {}
-        assert new.manager.is_synchronous() == lag.is_zero
+        assert new.manager.outstanding_deliveries() == 0
         assert (new.manager._schedule, new.manager._held) == ([], set())
 
     def _loaded(self, lag=3, queues=40):
