@@ -67,6 +67,7 @@ from repro.core import (
     QueryTrace,
     ReadConsistency,
     ReadSelector,
+    Receipt,
     ReplicationStats,
     ResponsePolicy,
     RotatingReads,
@@ -131,6 +132,7 @@ __all__ = [
     "ZerberRServer",
     "QueryResult",
     "QueryTrace",
+    "Receipt",
     "ResponsePolicy",
     "BatchFetchRequest",
     "BatchFetchResponse",

@@ -33,6 +33,7 @@ from repro.core.protocol import (
     FetchRequest,
     FetchResponse,
     QueryTrace,
+    Receipt,
     ResponsePolicy,
 )
 from repro.core.server import ZerberRServer
@@ -99,6 +100,7 @@ __all__ = [
     "FetchRequest",
     "FetchResponse",
     "QueryTrace",
+    "Receipt",
     "ResponsePolicy",
     "ZerberRServer",
     "OrderStatList",

@@ -4,7 +4,17 @@ Insert path (paper §5): "To index a document, its owner extracts the
 document's terms, builds their elements, encrypts them, calculates TRS
 values, and sends encrypted posting elements to the server along with the
 IDs of the merged posting list that the new element belongs to, the
-document's group and the TRS value."
+document's group and the TRS value."  The document is the unit on every
+leg of that path: :meth:`ZerberRClient.build_document` builds all of a
+document's elements in one pass (one cipher, nonce-sequence and PRF
+lookup per document, one vectorised RSTF evaluation, nonces drawn in
+sorted-term order), the upload is one ``insert_many`` batch, and
+:meth:`ZerberRClient.delete_document` presents the document's receipts
+(:class:`~repro.core.protocol.Receipt`) as one ``delete_many`` batch — all
+or nothing, under one failover retry.  A receipt carries the TRS the
+client computed at index time so the server can bisect to the element;
+the server stores that TRS in the clear already, so the receipt reveals
+nothing new.
 
 Query path (paper §5.2): fetch the head of the merged list, decrypt what
 the user's group keys open, filter for the queried term, and follow up with
@@ -42,6 +52,8 @@ from repro.core.protocol import (
     FetchRequest,
     FetchResponse,
     QueryTrace,
+    Receipt,
+    ReceiptLike,
     ResponsePolicy,
 )
 from repro.core.rstf import RstfModel
@@ -514,74 +526,101 @@ class ZerberRClient:
 
     # -- inserting (paper §5) -----------------------------------------------------
 
+    def build_document(
+        self, doc: DocumentStats, group: str, terms: Iterable[str] | None = None
+    ) -> list[tuple[int, EncryptedPostingElement]]:
+        """Build the encrypted posting elements of *doc*, with their
+        target list ids, in one pass.
+
+        *terms* defaults to every term of the document, sorted — the
+        order nonces are drawn in, so a document's ciphertexts do not
+        depend on who builds it.  Every term is checked (present in the
+        document, covered by the merge plan) before a nonce is drawn;
+        the group's cipher, nonce sequence and unseen-term PRF are looked
+        up once, and all TRS values come from one
+        :meth:`~repro.core.rstf.RstfModel.transform_many`.
+        """
+        terms = sorted(doc.counts) if terms is None else list(terms)
+        list_ids: list[int] = []
+        plains: list[PostingElement] = []
+        for term in terms:
+            tf = doc.tf(term)
+            if tf == 0:
+                raise UnknownTermError(term)
+            try:
+                list_ids.append(self._plan.list_of(term))
+            except KeyError:
+                raise UnknownTermError(term) from None
+            plains.append(
+                PostingElement(
+                    term=term, doc_id=doc.doc_id, tf=tf, doc_length=doc.length
+                )
+            )
+        trs_values = self._rstf.transform_many(
+            terms,
+            [plain.rscore for plain in plains],
+            unseen_trs=self._unseen_trs(group, doc.doc_id),
+        )
+        cipher = self._cipher(group)
+        nonces = self._nonce_sequence(group)
+        return [
+            (
+                list_id,
+                EncryptedPostingElement(
+                    ciphertext=cipher.encrypt(plain.to_bytes(), nonces.next()),
+                    group=group,
+                    trs=trs,
+                ),
+            )
+            for list_id, plain, trs in zip(list_ids, plains, trs_values)
+        ]
+
     def build_element(
         self, term: str, doc: DocumentStats, group: str
     ) -> tuple[int, EncryptedPostingElement]:
-        """Build one encrypted posting element with its target list id."""
-        tf = doc.tf(term)
-        if tf == 0:
-            raise UnknownTermError(term)
-        plain = PostingElement(
-            term=term, doc_id=doc.doc_id, tf=tf, doc_length=doc.length
-        )
-        trs = self._rstf.transform(
-            term, plain.rscore, unseen_trs=self._unseen_trs(group, doc.doc_id)
-        )
-        ciphertext = self._cipher(group).encrypt(
-            plain.to_bytes(), self._nonce_sequence(group).next()
-        )
-        try:
-            list_id = self._plan.list_of(term)
-        except KeyError:
-            raise UnknownTermError(term) from None
-        return list_id, EncryptedPostingElement(
-            ciphertext=ciphertext, group=group, trs=trs
-        )
+        """Build one element: a one-term :meth:`build_document`."""
+        return self.build_document(doc, group, [term])[0]
 
     def index_document(self, doc: DocumentStats, group: str) -> int:
         """Encrypt and upload every term of *doc*; returns elements sent."""
-        items = [self.build_element(term, doc, group) for term in sorted(doc.counts)]
-        sent = self._write_with_failover_retry(
-            lambda: self._server.insert_many(self.principal, items)
-        )
-        self._note_written(list_id for list_id, _ in items)
-        return sent
+        return len(self.index_document_with_receipts(doc, group))
 
     def index_document_with_receipts(
         self, doc: DocumentStats, group: str
-    ) -> list[tuple[int, bytes]]:
-        """Like :meth:`index_document` but returns deletion receipts.
+    ) -> list[Receipt]:
+        """Upload *doc* as one batch and return its deletion receipts.
 
-        Each receipt is ``(list_id, ciphertext)``; presenting it to
-        :meth:`delete_document` removes the element.  The server never
-        learns which document the receipts belong to.
+        Each :class:`~repro.core.protocol.Receipt` is ``(list_id,
+        ciphertext, trs)``; presenting them to :meth:`delete_document`
+        removes the elements.  The server never learns which document
+        the receipts belong to, and the TRS is one it already stores.
         """
-        items = [self.build_element(term, doc, group) for term in sorted(doc.counts)]
+        items = self.build_document(doc, group)
         self._write_with_failover_retry(
             lambda: self._server.insert_many(self.principal, items)
         )
         self._note_written(list_id for list_id, _ in items)
-        return [(list_id, element.ciphertext) for list_id, element in items]
+        return [
+            Receipt(list_id, element.ciphertext, element.trs)
+            for list_id, element in items
+        ]
 
-    def delete_document(self, receipts: Iterable[tuple[int, bytes]]) -> int:
+    def delete_document(self, receipts: Iterable[ReceiptLike]) -> int:
         """Remove a previously inserted document by its receipts.
 
+        One batch under one failover retry, all or nothing: a refused
+        batch (foreign element, unknown list, no quorum) deletes nothing.
         Returns the number of elements actually removed (receipts for
         already-removed elements are counted as misses, not errors —
         deletion is idempotent).
         """
-        removed = 0
-        touched: list[int] = []
-        for list_id, ciphertext in receipts:
-            if self._write_with_failover_retry(
-                lambda lid=list_id, ct=ciphertext: self._server.delete_element(
-                    self.principal, lid, ct
-                )
-            ):
-                removed += 1
-                touched.append(list_id)
+        batch = list(receipts)
+        outcome = self._write_with_failover_retry(
+            lambda: self._server.delete_many(self.principal, batch)
+        )
+        touched = [receipt[0] for receipt, hit in zip(batch, outcome) if hit]
         self._note_written(touched)
-        return removed
+        return len(touched)
 
     # -- querying (paper §5.2) ------------------------------------------------------
 

@@ -22,7 +22,12 @@ Replication is a real subsystem (:mod:`repro.core.replication`), not a
 synchronous fan-out: each list has a primary replica (first in its
 placement tuple) and a versioned replication log.  Every write, at every
 lag, takes one path: validate, check the ack quorum, mutate the primary,
-record the op, deliver what is due, force the acks W still lacks.
+record the op, deliver what is due, force the acks W still lacks.  The
+unit of that path is the batch — a document insert (``insert_many``) or
+a document delete (``delete_many``) is one pass through it, with the
+preconditions checked once per touched list and before any primary is
+written, so a refused batch is a clean no-op; ``insert`` and
+``delete_element`` are its one-item calls.
 Followers receive ops through the log under a configurable
 :class:`~repro.core.replication.LagModel`; reads carry the
 serving replica's applied version, and the cluster detects divergence and
@@ -69,6 +74,8 @@ from repro.core.protocol import (
     CoalescedBatchResponse,
     FetchRequest,
     FetchResponse,
+    Receipt,
+    ReceiptLike,
 )
 from repro.core.replication import (
     FailoverEvent,
@@ -603,6 +610,32 @@ class ServerCluster:
             principal, items, bulk=True, consistency=consistency
         )
 
+    def _admit_write(
+        self, list_ids: Iterable[int], consistency: WriteConsistency
+    ) -> list[int]:
+        """Per touched list: the ack quorum is reachable and the primary
+        holds the log head.  Runs before any primary is written, so a
+        refusal is a clean no-op.  Returns the distinct lists, in order.
+        """
+        touched = list(dict.fromkeys(list_ids))
+        for list_id in touched:
+            self._check_write_quorum(list_id, consistency)
+        for list_id in touched:
+            self._ensure_primary_current(list_id)
+        return touched
+
+    def _acknowledge_write(
+        self, touched: Iterable[int], consistency: WriteConsistency, ops: int
+    ) -> None:
+        """Close a batch whose *ops* are applied at the primaries and
+        recorded: one delivery round, then the acks W still lacks."""
+        # Deliver before forcing: a zero-lag follower's copy of the ops
+        # just recorded is already due, so the forcing finds it at the head.
+        self._repl.deliver_due()
+        for list_id in touched:
+            self._force_write_acks(list_id, consistency)
+        self._obs.writes.inc(float(ops), consistency=consistency.value)
+
     def _replicated_write_batch(
         self,
         principal: str,
@@ -614,11 +647,7 @@ class ServerCluster:
         identical replication discipline, different server entry point."""
         consistency = self._resolve_write_consistency(consistency)
         items = self._validate_items(principal, items)
-        touched = list(dict.fromkeys(lid for lid, _ in items))
-        for list_id in touched:
-            self._check_write_quorum(list_id, consistency)
-        for list_id in touched:
-            self._ensure_primary_current(list_id)
+        touched = self._admit_write((lid for lid, _ in items), consistency)
         per_primary = self._group_by_primary(items)
         for server_index in sorted(per_primary):
             server = self._servers[server_index]
@@ -626,13 +655,61 @@ class ServerCluster:
             load(principal, per_primary[server_index])
         for list_id, element in items:
             self._repl.record_insert(list_id, element)
-        # Deliver before forcing: a zero-lag follower's copy of the ops
-        # just recorded is already due, so the forcing finds it at the head.
-        self._repl.deliver_due()
-        for list_id in touched:
-            self._force_write_acks(list_id, consistency)
-        self._obs.writes.inc(float(len(items)), consistency=consistency.value)
+        self._acknowledge_write(touched, consistency, len(items))
         return len(items)
+
+    def delete_many(
+        self,
+        principal: str,
+        receipts: Iterable[ReceiptLike],
+        consistency: WriteConsistency | str | None = None,
+    ) -> list[bool]:
+        """Delete a document's elements by their receipts, as one write.
+
+        The delete-side twin of :meth:`insert_many`, on the same
+        pipeline: every touched list is admitted (ack quorum, primary at
+        the head) and every receipt is located and membership-checked at
+        its primary before any element is removed, so an unknown list id,
+        a foreign-group element or a refused quorum leaves every replica,
+        version and log untouched.  Receipts are located *after* the
+        primary catch-up because locating reads the primary's list.  Then
+        the primaries pop and patch their views, each removed element is
+        recorded with its stored TRS (followers bisect to it), and the
+        batch closes with one delivery round and one forced ack per
+        touched list.  Returns, per receipt, whether it removed an
+        element; a miss (already deleted, named twice, never inserted)
+        mutates, logs and counts nothing — deletion is idempotent.
+        """
+        consistency = self._resolve_write_consistency(consistency)
+        batch = [Receipt(*receipt) for receipt in receipts]
+        per_primary: dict[int, list[int]] = {}
+        for index, receipt in enumerate(batch):
+            primary = self.replicas_of(receipt.list_id)[0]  # validates the id
+            per_primary.setdefault(primary, []).append(index)
+        self._admit_write((receipt.list_id for receipt in batch), consistency)
+        located = {
+            server_index: self._servers[server_index].locate_receipts(
+                principal, [batch[i] for i in indices]
+            )
+            for server_index, indices in per_primary.items()
+        }
+        removed = [False] * len(batch)
+        written: list[int] = []
+        for server_index in sorted(per_primary):
+            elements = self._servers[server_index].remove_located(
+                located[server_index]
+            )
+            for index, element in zip(per_primary[server_index], elements):
+                if element is not None:
+                    list_id, ciphertext, _ = batch[index]
+                    self._repl.record_delete(list_id, ciphertext, element.trs)
+                    removed[index] = True
+                    written.append(list_id)
+        if written:
+            self._acknowledge_write(
+                dict.fromkeys(written), consistency, len(written)
+            )
+        return removed
 
     def delete_element(
         self,
@@ -641,21 +718,10 @@ class ServerCluster:
         ciphertext: bytes,
         consistency: WriteConsistency | str | None = None,
     ) -> bool:
-        """Delete a receipt's element; followers learn through the log."""
-        consistency = self._resolve_write_consistency(consistency)
-        self._check_write_quorum(list_id, consistency)
-        self._ensure_primary_current(list_id)
-        primary = self.replicas_of(list_id)[0]
-        removed = self._servers[primary].delete_element(
-            principal, list_id, ciphertext
-        )
-        if removed is None:
-            return False  # a missed receipt mutates, logs and counts nothing
-        self._repl.record_delete(list_id, ciphertext, removed.trs)
-        self._repl.deliver_due()
-        self._force_write_acks(list_id, consistency)
-        self._obs.writes.inc(1.0, consistency=consistency.value)
-        return True
+        """Delete one element: a one-receipt :meth:`delete_many`."""
+        return self.delete_many(
+            principal, [Receipt(list_id, ciphertext)], consistency
+        )[0]
 
     # -- read path -------------------------------------------------------------
 

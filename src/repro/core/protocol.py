@@ -35,6 +35,14 @@ principal (the server still authenticates each one), carries a flat tuple
 of coordinator-assigned *slice ids* so shared slices demultiplex back to
 every requesting session, and pins the *placement epoch* it was routed
 under so a concurrent shard migration cannot serve it from a stale route.
+
+Deletion is by :class:`Receipt`: what the inserting client kept of each
+element it uploaded.  The server cannot read ciphertexts, so a delete
+names the element by exact ciphertext match; the receipt also carries the
+TRS the client computed at index time, which lets the server bisect to
+the element instead of scanning for it.  The TRS is stored in the clear
+beside the element (it is what the server ranks by), so a receipt tells
+the server nothing it does not already hold.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from repro.errors import ProtocolError
 from repro.index.postings import EncryptedPostingElement
@@ -75,6 +84,23 @@ class ResponsePolicy:
         if num_requests < 0:
             raise ProtocolError("num_requests must be non-negative")
         return sum(self.response_size(i) for i in range(num_requests))
+
+
+class Receipt(NamedTuple):
+    """Deletion receipt of one uploaded posting element.
+
+    *trs* is a position hint only: a wrong or absent one (a legacy
+    ``(list_id, ciphertext)`` pair) costs the bisect probe, and the
+    ciphertext scan still decides.
+    """
+
+    list_id: int
+    ciphertext: bytes
+    trs: float | None = None
+
+
+# What a delete call accepts per element: ``Receipt(*pair)`` normalises.
+ReceiptLike = Receipt | tuple[int, bytes]
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,23 @@ Terms absent from the training set "are assumed to be rare and can
 therefore be assigned a random TRS" (§5.1.1); :class:`RstfModel` delegates
 those to a caller-supplied keyed PRF so that independent inserting clients
 assign the *same* pseudo-random TRS to the same term.
+
+A document is transformed in one pass: :meth:`RstfModel.transform_many`
+concatenates the cached ``mus`` arrays of the document's trained terms,
+evaluates the logistic curve once over all of them and reduces each
+term's segment with ``np.add.reduce(segment) / n`` — the pairwise
+summation ``mean`` itself runs, so every TRS is bit-identical to the
+scalar :meth:`Rstf.transform`.  ``np.add.reduceat`` would reduce all
+segments in one call but sums strictly left to right, which moves the
+last bit of about a third of the values; anything that compares a stored
+TRS against the scalar transform (the benchmarks' plaintext model does)
+would then disagree, so it is not used.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,11 +62,15 @@ class Rstf:
     kind:
         ``"logistic"`` — the paper's Eq. 8 closed form (default);
         ``"erf"`` — the exact Gaussian integral of Eq. 6.
+    mus_array:
+        ``mus`` as a float array, built once: every transform reads it,
+        and converting the tuple per call cost more than the curve.
     """
 
     mus: tuple[float, ...]
     sigma: float
     kind: str = "logistic"
+    mus_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.mus:
@@ -66,6 +81,7 @@ class Rstf:
             raise TrainingError(f"kind must be one of {VALID_KINDS}")
         if any(m < 0 for m in self.mus):
             raise TrainingError("relevance scores are non-negative")
+        object.__setattr__(self, "mus_array", np.asarray(self.mus, dtype=float))
 
     @classmethod
     def from_scores(
@@ -84,11 +100,10 @@ class Rstf:
         Output lies in (0, 1) and is strictly increasing in *x* (property 3
         of §4.2) because it is a positive mixture of increasing curves.
         """
-        mus = np.asarray(self.mus)
         if self.kind == "logistic":
-            result = logistic_sum_cdf(x, mus, self.sigma)
+            result = logistic_sum_cdf(x, self.mus_array, self.sigma)
         else:
-            result = gaussian_sum_cdf(x, mus, self.sigma)
+            result = gaussian_sum_cdf(x, self.mus_array, self.sigma)
         if np.ndim(x) == 0:
             return float(result)
         return np.asarray(result)
@@ -154,6 +169,45 @@ class RstfModel:
         if not 0.0 <= trs <= 1.0:
             raise TrainingError("unseen-term TRS must lie in [0, 1]")
         return trs
+
+    def transform_many(
+        self,
+        terms: Sequence[str],
+        scores: Sequence[float],
+        unseen_trs: Callable[[str], float] | None = None,
+    ) -> list[float]:
+        """TRS of every ``(terms[i], scores[i])`` pair of one document.
+
+        Equal, bit for bit, to calling :meth:`transform` pair by pair.
+        The logistic terms share one vectorised curve evaluation (see the
+        module docstring); ``erf`` and training-unseen terms take the
+        scalar path, with its range check and its :class:`TrainingError`
+        when *unseen_trs* is missing.
+        """
+        if len(terms) != len(scores):
+            raise ValueError("terms and scores must pair up")
+        result = [0.0] * len(terms)
+        batched: list[int] = []
+        arrays: list[np.ndarray] = []
+        neg_sigmas: list[float] = []
+        for index, term in enumerate(terms):
+            rstf = self._functions.get(term)
+            if rstf is None or rstf.kind != "logistic":
+                result[index] = self.transform(term, scores[index], unseen_trs)
+            else:
+                batched.append(index)
+                arrays.append(rstf.mus_array)
+                neg_sigmas.append(-rstf.sigma)
+        if batched:
+            lengths = [array.size for array in arrays]
+            x = np.repeat(np.array([scores[i] for i in batched], dtype=float), lengths)
+            z = np.repeat(np.array(neg_sigmas), lengths) * (x - np.concatenate(arrays))
+            curves = 1.0 / (1.0 + np.exp(np.clip(z, -700.0, 700.0)))
+            start = 0
+            for index, n in zip(batched, lengths):
+                result[index] = float(np.add.reduce(curves[start : start + n]) / n)
+                start += n
+        return result
 
 
 @dataclass(frozen=True)

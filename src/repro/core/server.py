@@ -23,6 +23,13 @@ Two throughput mechanisms sit on the fetch path:
   merged list, fetches extract ``(offset, count)`` slices in O(count),
   and an LRU over ``(list, principal)`` pairs bounds the memory.
 
+Deletion is by receipt (:class:`~repro.core.protocol.Receipt`), a batch
+at a time and in two steps — :meth:`ZerberRServer.locate_receipts`
+validates every receipt without touching a list,
+:meth:`ZerberRServer.remove_located` then removes what was found — so a
+cluster can validate a batch at every primary it spans before the first
+element goes, and a refused batch deletes nothing.
+
 Everything the server can observe — stored TRS values, group tags, and the
 stream of fetch requests — is exactly what the threat-model adversary gets
 when she compromises the server, so the server also keeps an observation
@@ -31,6 +38,7 @@ log that the attack modules read.
 
 from __future__ import annotations
 
+import bisect
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
@@ -41,6 +49,8 @@ from repro.core.protocol import (
     CoalescedBatchResponse,
     FetchRequest,
     FetchResponse,
+    Receipt,
+    ReceiptLike,
 )
 from repro.core.views import ReadableViewIndex, ViewStats
 from repro.crypto.keys import GroupKeyService
@@ -193,30 +203,80 @@ class ZerberRServer:
     # -- deletion (collaborative updates, paper §5's "unlimited index
     # update and insert operations") ------------------------------------------
 
+    def locate_receipts(
+        self, principal: str, receipts: Iterable[ReceiptLike]
+    ) -> list[tuple[int, int, EncryptedPostingElement] | None]:
+        """Validate a batch of deletion receipts; mutates nothing.
+
+        Per receipt (a :class:`~repro.core.protocol.Receipt` or a legacy
+        ``(list_id, ciphertext)`` pair): ``(list_id, position, element)``
+        of the element it names, or ``None`` for a miss — nothing
+        matches, or an earlier receipt of the batch already claimed the
+        element (ciphertexts are nonce-bound, hence unique).  The server
+        cannot read ciphertexts, so the match is exact; the receipt's TRS
+        lets :meth:`MergedPostingList.find_by_ciphertext` bisect to it.
+        Membership is enforced against the *stored* element's group tag —
+        only members of the owning group may delete it — and an unknown
+        list id or a foreign element refuses the whole batch here, before
+        :meth:`remove_located` touches anything.
+        """
+        located: list[tuple[int, int, EncryptedPostingElement] | None] = []
+        claimed: set[tuple[int, int]] = set()
+        for receipt in receipts:
+            list_id, ciphertext, trs = Receipt(*receipt)
+            found = self._list(list_id).find_by_ciphertext(ciphertext, trs)
+            if found is None or (list_id, found[0]) in claimed:
+                located.append(None)
+                continue
+            position, target = found
+            if not self._keys.is_member(principal, target.group):
+                raise AccessDeniedError(principal, target.group)
+            claimed.add((list_id, position))
+            located.append((list_id, position, target))
+        return located
+
+    def remove_located(
+        self, located: Iterable[tuple[int, int, EncryptedPostingElement] | None]
+    ) -> list[EncryptedPostingElement | None]:
+        """Remove what :meth:`locate_receipts` found, in receipt order.
+
+        Nothing may mutate the lists between the two calls: positions
+        are the located ones, shifted by the batch's own earlier pops of
+        the same list.  Cached readable views are patched rather than
+        invalidated.  Returns the removed element per receipt (the
+        cluster logs its TRS so replicas bisect too), ``None`` per miss.
+        """
+        removed: list[EncryptedPostingElement | None] = []
+        popped: dict[int, list[int]] = {}
+        for entry in located:
+            if entry is None:
+                removed.append(None)
+                continue
+            list_id, position, target = entry
+            merged = self._lists[list_id]
+            below = popped.setdefault(list_id, [])
+            merged.pop_at(position - bisect.bisect_left(below, position))
+            bisect.insort(below, position)
+            self._views.note_delete(merged, target)
+            removed.append(target)
+        return removed
+
+    def delete_many(
+        self, principal: str, receipts: Iterable[ReceiptLike]
+    ) -> list[EncryptedPostingElement | None]:
+        """Delete a document's elements by their receipts, all or nothing.
+
+        Validate-then-mutate (:meth:`locate_receipts`, then
+        :meth:`remove_located`): a refused batch removes nothing.  Misses
+        are not errors — deletion is idempotent.
+        """
+        return self.remove_located(self.locate_receipts(principal, receipts))
+
     def delete_element(
         self, principal: str, list_id: int, ciphertext: bytes
     ) -> EncryptedPostingElement | None:
-        """Remove one posting element by its ciphertext receipt.
-
-        The server cannot read ciphertexts, so deletion is by exact match
-        on the receipt the inserting client kept.  Group membership is
-        enforced against the stored element's group tag — only members of
-        the owning group may delete it.  The list is scanned once: the
-        same pass that finds the element yields its position, and cached
-        readable views are patched rather than invalidated.  Returns the
-        removed element (the cluster logs its TRS so replicas need not
-        repeat the scan), or ``None`` when the receipt matched nothing.
-        """
-        merged = self._list(list_id)
-        found = merged.find_by_ciphertext(ciphertext)
-        if found is None:
-            return None
-        position, target = found
-        if not self._keys.is_member(principal, target.group):
-            raise AccessDeniedError(principal, target.group)
-        merged.pop_at(position)
-        self._views.note_delete(merged, target)
-        return target
+        """Remove one element: a one-receipt :meth:`delete_many`."""
+        return self.delete_many(principal, [Receipt(list_id, ciphertext)])[0]
 
     # -- replication (cluster data plane; see repro.core.replication) -----------
 

@@ -206,9 +206,9 @@ class ZerberRSystem:
             client = self.client_for(owner)
             items = []
             for doc in self.corpus.documents_in_group(group):
-                doc_stats = self.corpus.stats(doc.doc_id)
-                for term in sorted(doc_stats.counts):
-                    items.append(client.build_element(term, doc_stats, group))
+                items.extend(
+                    client.build_document(self.corpus.stats(doc.doc_id), group)
+                )
             backend.bulk_load(owner, items)
 
     # -- principals and clients -----------------------------------------------------

@@ -115,6 +115,69 @@ class TestInsert:
         # Per-element pseudo-randomness keeps the TRS stream tie-free.
         assert a.trs != b.trs
 
+    def test_build_document_equals_the_build_element_loop(self, model):
+        """Twin key services (same secret, fresh nonce counters): the
+        one-pass builder and the per-term loop produce the same uploads,
+        byte for byte, and leave the nonce counters in the same place."""
+        plan = MergePlan(groups=(("apple", "pear"), ("plum", "mango")), r=2.0)
+        docs = [
+            _doc("d1", {"apple": 3, "pear": 1, "plum": 2, "mango": 4}),
+            _doc("d2", {"mango": 1}),
+            _doc("d3", {"pear": 7, "apple": 1}),
+        ]
+        twins = []
+        for _ in range(2):
+            keys = GroupKeyService(master_secret=b"s" * 32)
+            keys.register("alice", {"g1"})
+            twins.append(
+                (keys, _client("alice", keys, ZerberRServer(keys, 2), model, plan))
+            )
+        (keys_a, batch), (keys_b, loop) = twins
+        for doc in docs:
+            built = batch.build_document(doc, "g1")
+            looped = [loop.build_element(t, doc, "g1") for t in sorted(doc.counts)]
+            assert built == looped
+            assert [e.trs.hex() for _, e in built] == [e.trs.hex() for _, e in looped]
+        assert (
+            keys_a.nonce_sequence("alice", "g1").next()
+            == keys_b.nonce_sequence("alice", "g1").next()
+        )
+
+    def test_build_document_checks_every_term_before_drawing_a_nonce(
+        self, keys, alice
+    ):
+        before = _doc("d0", {"apple": 1})
+        first = alice.build_document(before, "g1")[0][1].ciphertext
+        with pytest.raises(UnknownTermError):
+            alice.build_document(_doc("d1", {"apple": 2, "mango": 1}), "g1")
+        with pytest.raises(UnknownTermError):
+            alice.build_document(_doc("d1", {"apple": 2}), "g1", ["apple", "pear"])
+        # The refused builds consumed nothing: a twin that never saw them
+        # encrypts the next document identically.
+        twin_keys = GroupKeyService(master_secret=b"s" * 32)
+        twin_keys.register("alice", {"g1"})
+        twin = _client(
+            "alice", twin_keys, ZerberRServer(twin_keys, 2), alice._rstf, alice._plan
+        )
+        assert twin.build_document(before, "g1")[0][1].ciphertext == first
+        after = _doc("d2", {"pear": 2})
+        assert alice.build_document(after, "g1") == twin.build_document(after, "g1")
+
+    def test_receipts_carry_the_trs_and_index_document_counts_them(
+        self, alice, server
+    ):
+        doc = _doc("d1", {"apple": 2, "plum": 1})
+        receipts = alice.index_document_with_receipts(doc, "g1")
+        stored = {
+            e.ciphertext: (list_id, e.trs)
+            for list_id in range(2)
+            for e in server.export_list(list_id)
+        }
+        assert [stored[r.ciphertext] for r in receipts] == [
+            (r.list_id, r.trs) for r in receipts
+        ]
+        assert alice.index_document(_doc("d2", {"apple": 1, "pear": 1}), "g1") == 2
+
 
 class TestQuery:
     def _populate(self, alice, bob):

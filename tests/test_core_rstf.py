@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.rstf import Rstf, RstfModel, RstfTrainer, TrainerConfig, train_rstf
+from repro.corpus import studip_like, tiny_corpus
+from repro.crypto.keys import GroupKeyService
 from repro.errors import TrainingError
 from repro.stats.uniformness import uniformness_variance
 from repro.text.analysis import DocumentStats
@@ -113,6 +115,75 @@ class TestRstfModel:
     def test_unseen_callback_range_validated(self):
         with pytest.raises(TrainingError):
             self._model().transform("unseen", 0.2, unseen_trs=lambda t: 1.5)
+
+
+class TestTransformMany:
+    """The batch refines the loop: ``transform_many`` is ``transform`` pair
+    by pair, bit for bit — the benchmarks' plaintext model thresholds on
+    the scalar value, so "close" is not enough."""
+
+    @staticmethod
+    def _pairs(doc):
+        terms = sorted(doc.counts)
+        return terms, [doc.tf(term) / doc.length for term in terms]
+
+    @staticmethod
+    def _prf():
+        keys = GroupKeyService(master_secret=b"t" * 32)
+        keys.register("u", {"g"})
+        return keys.unseen_term_prf("u", "g")
+
+    @pytest.mark.parametrize("kind", ["logistic", "erf"])
+    @pytest.mark.parametrize(
+        "make_corpus", [lambda: studip_like(60, 800), tiny_corpus]
+    )
+    def test_equals_the_scalar_loop_over_a_corpus(self, make_corpus, kind):
+        docs = make_corpus().all_stats()
+        # Trained on a third of the documents: the rest bring unseen terms.
+        model = RstfTrainer(
+            TrainerConfig(kind=kind, sigma_strategy="heuristic")
+        ).train_from_documents(docs[::3])
+        prf = self._prf()
+        seen = unseen = 0
+        for doc in docs:
+            terms, scores = self._pairs(doc)
+
+            def unseen_trs(term, doc_id=doc.doc_id):
+                return prf.evaluate_unit(f"{term}\x00{doc_id}".encode())
+
+            expected = [
+                model.transform(term, score, unseen_trs)
+                for term, score in zip(terms, scores)
+            ]
+            got = model.transform_many(terms, scores, unseen_trs)
+            assert [value.hex() for value in got] == [
+                value.hex() for value in expected
+            ]
+            assert all(type(value) is float for value in got)
+            seen += sum(term in model for term in terms)
+            unseen += sum(term not in model for term in terms)
+        assert seen > 1000 and unseen > 100
+
+    def test_one_term_and_empty_documents(self):
+        model = RstfModel({"seen": train_rstf([0.1, 0.2, 0.4], sigma=30.0)})
+        assert model.transform_many([], []) == []
+        assert model.transform_many(["seen"], [0.3]) == [model.transform("seen", 0.3)]
+        assert model.transform_many(["new"], [0.3], lambda term: 0.25) == [0.25]
+
+    def test_unseen_terms_keep_the_scalar_checks(self):
+        model = RstfModel({"seen": train_rstf([0.1, 0.2, 0.4], sigma=30.0)})
+        with pytest.raises(TrainingError):
+            model.transform_many(["seen", "new"], [0.2, 0.2])
+        with pytest.raises(TrainingError):
+            model.transform_many(["seen", "new"], [0.2, 0.2], lambda term: 1.5)
+        with pytest.raises(ValueError):
+            model.transform_many(["seen"], [0.2, 0.3])
+
+    def test_cached_array_is_not_part_of_the_value(self):
+        a = Rstf(mus=(0.1, 0.2), sigma=5.0)
+        b = Rstf(mus=(0.1, 0.2), sigma=5.0)
+        assert a == b and hash(a) == hash(b) and "mus_array" not in repr(a)
+        assert a.mus_array.tolist() == [0.1, 0.2]
 
 
 class TestTrainer:

@@ -1,0 +1,432 @@
+"""A document delete is one write: ``delete_many`` refines the per-receipt loop.
+
+The batch must equal the sequence of single deletes wherever the sequence
+succeeds, and be all-or-nothing where the sequence would have stopped
+half way.
+"""
+
+import math
+import random
+
+import pytest
+
+from repro.core.client import ZerberRClient
+from repro.core.cluster import ServerCluster
+from repro.core.protocol import FetchRequest, Receipt
+from repro.core.rstf import RstfModel, train_rstf
+from repro.core.server import ZerberRServer
+from repro.crypto.keys import GroupKeyService
+from repro.errors import (
+    AccessDeniedError,
+    QuorumWriteUnavailableError,
+    UnknownListError,
+)
+from repro.index.merge import MergePlan
+from repro.index.postings import EncryptedPostingElement
+from repro.text.analysis import DocumentStats
+
+LISTS = 3
+SERVERS = 3
+
+
+@pytest.fixture()
+def keys():
+    svc = GroupKeyService(master_secret=b"w" * 32)
+    svc.register("u", {"g"})
+    svc.register("intruder", {"h"})
+    svc.register("root", {"g", "h"})
+    return svc
+
+
+def _element(trs, payload, group="g"):
+    return EncryptedPostingElement(ciphertext=payload, group=group, trs=trs)
+
+
+def _state(cluster):
+    """Everything a write may touch, replica by replica."""
+    repl = cluster.replication_manager
+    return {
+        "lists": [
+            [cluster.server(s).export_list(lid) for lid in range(cluster.num_lists)]
+            for s in range(cluster.num_servers)
+        ],
+        "list_versions": [
+            [cluster.server(s).list_version(lid) for lid in range(cluster.num_lists)]
+            for s in range(cluster.num_servers)
+        ],
+        "applied": {
+            (lid, s): cluster.applied_version(lid, s)
+            for lid in range(cluster.num_lists)
+            for s in cluster.replicas_of(lid)
+        },
+        "heads": [cluster.primary_version(lid) for lid in range(cluster.num_lists)],
+        "ops_logged": repl.stats.ops_logged,
+        "log_lengths": repl.log_lengths(),
+        "backlog": cluster.replication_backlog(),
+        "outstanding": repl.outstanding_deliveries(),
+    }
+
+
+class TestAllOrNothing:
+    """A refused batch deletes nothing (the per-receipt loop stopped half
+    way, with the receipts before the refusal gone and logged)."""
+
+    def _loaded(self, keys):
+        cluster = ServerCluster(
+            keys, num_lists=LISTS, num_servers=SERVERS, replication=3, lag=2
+        )
+        receipts = []
+        for i in range(12):
+            group = "h" if i % 4 == 3 else "g"
+            element = _element((i % 5) / 5, b"c%02d" % i, group)
+            cluster.insert("root", i % LISTS, element)
+            receipts.append(Receipt(i % LISTS, element.ciphertext, element.trs))
+        cluster.replication_tick()
+        return cluster, receipts
+
+    def test_one_foreign_element_refuses_the_whole_batch(self, keys):
+        cluster, receipts = self._loaded(keys)
+        own = [r for i, r in enumerate(receipts) if i % 4 == 3]
+        foreign = receipts[0]
+        before = _state(cluster)
+        with pytest.raises(AccessDeniedError):
+            cluster.delete_many("intruder", [*own, foreign])
+        assert _state(cluster) == before
+        # Without the foreign element the same receipts go through.
+        assert cluster.delete_many("intruder", own) == [True] * len(own)
+
+    def test_unknown_list_id_refuses_the_whole_batch(self, keys):
+        cluster, receipts = self._loaded(keys)
+        before = _state(cluster)
+        with pytest.raises(UnknownListError):
+            cluster.delete_many("root", [*receipts[:5], (LISTS, b"nowhere")])
+        assert _state(cluster) == before
+
+    def test_refused_document_delete_leaves_the_session_floor_alone(self, keys):
+        """Through the client: nothing deleted, so no floor to raise —
+        and once allowed, the floor covers every delete made."""
+        plan = MergePlan(groups=(("apple", "pear"), ("plum",), ("fig",)), r=2.0)
+        model = RstfModel(
+            {t: train_rstf([0.1, 0.3, 0.6], sigma=20.0) for t in plan.groups[0]}
+        )
+        cluster = ServerCluster(
+            keys, num_lists=LISTS, num_servers=SERVERS, replication=3, lag=2
+        )
+
+        def client(principal):
+            return ZerberRClient(principal, keys, cluster, model, plan)
+
+        doc = DocumentStats.from_counts("d", {"apple": 2, "plum": 1, "fig": 1})
+        receipts = client("u").index_document_with_receipts(doc, "g")
+        theirs = client("intruder").index_document_with_receipts(
+            DocumentStats.from_counts("e", {"apple": 1, "pear": 1}), "h"
+        )
+        intruder = client("intruder")
+        before = _state(cluster)
+        with pytest.raises(AccessDeniedError):
+            intruder.delete_document([*theirs, receipts[-1]])
+        assert _state(cluster) == before
+        assert intruder.version_floor(0) is None
+        assert intruder.delete_document(theirs) == 2
+        assert intruder.version_floor(0) == cluster.primary_version(0)
+
+    def test_misses_and_duplicates_remove_each_element_once(self, keys):
+        cluster, receipts = self._loaded(keys)
+        first, second = receipts[0], receipts[1]
+        batch = [
+            first,
+            (0, b"never-inserted"),
+            second,
+            first,  # named twice: the second naming is a miss
+            (first.list_id, first.ciphertext),  # and so is a legacy pair
+        ]
+        logged = cluster.replication_stats.ops_logged
+        assert cluster.delete_many("root", batch) == [True, False, True, False, False]
+        assert cluster.replication_stats.ops_logged == logged + 2
+        assert cluster.delete_many("root", batch) == [False] * 5
+        assert cluster.replication_stats.ops_logged == logged + 2
+        held = {e.ciphertext for lid in range(LISTS) for e in _primary_list(cluster, lid)}
+        assert held == {r.ciphertext for r in receipts[2:]}
+
+    def test_a_batch_of_misses_is_not_a_write(self, keys):
+        """No delivery round either: a healed follower's held backlog
+        stays for the next tick, as after a missed ``delete_element``."""
+        cluster = ServerCluster(
+            keys, num_lists=1, num_servers=2, replication=2, lag=1
+        )
+        cluster.insert("u", 0, _element(0.5, b"kept"))
+        cluster.pause_follower(1)
+        cluster.replication_tick()  # due, but held for the partition
+        cluster.resume_follower(1)
+        before = _state(cluster)
+        assert before["backlog"] == {(0, 1): 1}
+        assert cluster.delete_many("u", [(0, b"gone"), Receipt(0, b"gone", 0.5)]) == [
+            False,
+            False,
+        ]
+        assert cluster.delete_many("u", []) == []
+        assert _state(cluster) == before
+
+    def test_bare_server_batches_are_all_or_nothing_too(self, keys):
+        server = ZerberRServer(keys, num_lists=1)
+        for i in range(4):
+            server.insert("root", 0, _element(i / 4, b"s%d" % i, "gh"[i % 2]))
+        before = server.export_list(0), server.list_version(0)
+        with pytest.raises(AccessDeniedError):
+            server.delete_many("u", [(0, b"s0"), (0, b"s2"), (0, b"s1")])
+        assert (server.export_list(0), server.list_version(0)) == before
+        removed = server.delete_many("u", [Receipt(0, b"s2", 0.5), (0, b"s0"), (0, b"s2")])
+        assert [e and e.ciphertext for e in removed] == [b"s2", b"s0", None]
+        assert [e.ciphertext for e in server.export_list(0)] == [b"s3", b"s1"]
+
+
+def _primary_list(cluster, list_id):
+    return cluster.server(cluster.replicas_of(list_id)[0]).export_list(list_id)
+
+
+class TestBatchRefinesTheLoop:
+    """Twin clusters run one seeded script — one deletes by batch, the
+    other receipt by receipt — and must agree after every call."""
+
+    def _script(self, rng):
+        """Write calls plus partition and clock events.  Few distinct TRS
+        values (ties), wrong and absent hints, legacy pairs, misses."""
+        live: list[tuple[int, EncryptedPostingElement]] = []
+        serial = 0
+
+        def receipt_for(list_id, element):
+            shape = rng.randrange(4)
+            if shape == 0:
+                return (list_id, element.ciphertext)  # legacy pair
+            if shape == 1:
+                return Receipt(list_id, element.ciphertext, rng.randrange(8) / 8)
+            return Receipt(list_id, element.ciphertext, element.trs)
+
+        def some_receipts(size):
+            batch = []
+            for _ in range(size):
+                if live and rng.random() < 0.8:
+                    batch.append(receipt_for(*live.pop(rng.randrange(len(live)))))
+                else:
+                    batch.append(Receipt(rng.randrange(LISTS), b"no-such", 0.5))
+            if batch and rng.random() < 0.3:
+                batch.append(batch[0])  # the same element named twice
+            return batch
+
+        for step in range(60):
+            kind = rng.choice(
+                ["insert_many"] * 3 + ["delete_many"] * 3 + ["delete_element", "tick", "pause"]
+            )
+            if kind == "insert_many":
+                items = []
+                for _ in range(rng.randrange(1, 9)):
+                    serial += 1
+                    element = _element(rng.randrange(8) / 8, b"c%d" % serial)
+                    items.append((rng.randrange(LISTS), element))
+                live.extend(items)
+                yield kind, items
+            elif kind == "delete_many":
+                yield kind, some_receipts(rng.randrange(7))
+            elif kind == "delete_element":
+                if live:
+                    list_id, element = live.pop(rng.randrange(len(live)))
+                    yield kind, (list_id, element.ciphertext)
+            elif kind == "tick":
+                yield kind, None
+            else:
+                yield "pause", rng.randrange(1, SERVERS)
+            if step % 5 == 4:  # partitions heal, so most batches go through
+                for server_index in range(1, SERVERS):
+                    yield "resume", server_index
+
+    @staticmethod
+    def _per_receipt(cluster, receipts, level):
+        """The reference: one single-receipt call per receipt, hints kept."""
+        return [
+            cluster.delete_many("u", [receipt], consistency=level)[0]
+            for receipt in receipts
+        ]
+
+    @pytest.mark.parametrize("level", ["one", "quorum", "all"])
+    @pytest.mark.parametrize("lag", [0, 2])
+    @pytest.mark.parametrize("replication", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_twins_agree_after_every_call(self, keys, seed, replication, lag, level):
+        batched, looped = (
+            ServerCluster(
+                keys,
+                num_lists=LISTS,
+                num_servers=SERVERS,
+                replication=replication,
+                lag=lag,
+                write_consistency=level,
+            )
+            for _ in range(2)
+        )
+        refused = deleted = 0
+        for kind, arg in self._script(random.Random(seed)):
+            if kind == "delete_many":
+                before = _state(batched)
+                try:
+                    got = batched.delete_many("u", arg)
+                except QuorumWriteUnavailableError:
+                    # A refusal is a clean no-op; the loop would have
+                    # stopped half way, so the twin skips the batch.
+                    assert _state(batched) == before
+                    refused += 1
+                    continue
+                assert got == self._per_receipt(looped, arg, level)
+                deleted += sum(got)
+            elif kind in ("insert_many", "delete_element"):
+                args = arg if kind == "delete_element" else (arg,)
+                outcomes = []
+                for cluster in (batched, looped):
+                    try:
+                        outcomes.append(getattr(cluster, kind)("u", *args))
+                    except QuorumWriteUnavailableError:
+                        outcomes.append("refused")
+                assert outcomes[0] == outcomes[1]
+            elif kind == "tick":
+                assert batched.replication_tick() == looped.replication_tick()
+            else:
+                getattr(batched, f"{kind}_follower")(arg)
+                getattr(looped, f"{kind}_follower")(arg)
+            assert _state(batched) == _state(looped)
+            for list_id in range(LISTS):
+                request = FetchRequest("u", list_id, offset=0, count=1000)
+                for consistency in ("one", "primary"):
+                    assert batched.fetch(request, consistency=consistency) == looped.fetch(
+                        request, consistency=consistency
+                    )
+        assert deleted > 5
+        if level == "all" and replication == 3:
+            assert refused  # the paused follower did refuse some batches
+
+
+class _CountingBytes(bytes):
+    """A ciphertext that counts how often it is compared."""
+
+    comparisons = 0
+
+    def __eq__(self, other):
+        type(self).comparisons += 1
+        return bytes.__eq__(self, other)
+
+    __hash__ = bytes.__hash__
+
+
+class TestWorkBound:
+    TERMS = [f"t{i:03d}" for i in range(150)]
+
+    def _deployment(self, keys, replication):
+        plan = MergePlan(
+            groups=tuple(tuple(self.TERMS[i::LISTS]) for i in range(LISTS)), r=2.0
+        )
+        model = RstfModel(
+            {t: train_rstf([0.001 * (i + 1), 0.01, 0.02], sigma=200.0)
+             for i, t in enumerate(self.TERMS)}
+        )
+        cluster = ServerCluster(
+            keys,
+            num_lists=LISTS,
+            num_servers=SERVERS,
+            replication=replication,
+            lag=2,
+            write_consistency="quorum",
+        )
+        rng = random.Random(5)
+        cluster.bulk_load(
+            "u",
+            [
+                (lid, _element(rng.random(), b"f%d-%d" % (lid, i)))
+                for lid in range(LISTS)
+                for i in range(1200)
+            ],
+        )
+        return cluster, ZerberRClient("u", keys, cluster, model, plan)
+
+    def test_primary_bisects_to_every_receipt(self, keys):
+        """150 elements out of lists of 1 200: the TRS in the receipt
+        takes the primary to the element's run; it never scans."""
+        cluster, client = self._deployment(keys, replication=1)
+        doc = DocumentStats.from_counts(
+            "big", {term: 1 + i % 7 for i, term in enumerate(self.TERMS)}
+        )
+        receipts = client.index_document_with_receipts(doc, "g")
+        assert len(receipts) == 150
+        runs = {
+            r.ciphertext: cluster.visible_trs_values(r.list_id).count(r.trs)
+            for r in receipts
+        }
+        n = min(cluster.list_length(lid) for lid in range(LISTS))
+        assert n >= 1000
+        counted = [Receipt(r.list_id, _CountingBytes(r.ciphertext), r.trs) for r in receipts]
+        _CountingBytes.comparisons = 0
+        assert client.delete_document(counted) == 150
+        bound = sum(2 * math.ceil(math.log2(n)) + run for run in runs.values())
+        assert 150 <= _CountingBytes.comparisons <= bound
+
+    def test_one_delivery_round_per_document(self, keys, monkeypatch):
+        cluster, client = self._deployment(keys, replication=3)
+        doc = DocumentStats.from_counts("big", {term: 2 for term in self.TERMS})
+        receipts = client.index_document_with_receipts(doc, "g")
+        repl = cluster.replication_manager
+        rounds = []
+        deliver_due = repl.deliver_due
+        monkeypatch.setattr(repl, "deliver_due", lambda: rounds.append(deliver_due()))
+        syncs = repl.stats.write_ack_syncs
+        assert client.delete_document(receipts) == 150
+        assert len(rounds) == 1
+        # One forced ack per touched list, not one per element.
+        assert repl.stats.write_ack_syncs - syncs == LISTS
+        assert client.version_floor(0) == cluster.primary_version(0)
+
+
+class TestRefusedBatchAndFailover:
+    def _deployment(self, keys):
+        plan = MergePlan(groups=(("apple", "pear"), ("plum",), ("fig",)), r=2.0)
+        model = RstfModel(
+            {t: train_rstf([0.1, 0.3, 0.6], sigma=20.0) for t in ("apple", "plum")}
+        )
+        cluster = ServerCluster(
+            keys,
+            num_lists=LISTS,
+            num_servers=SERVERS,
+            replication=3,
+            lag=1,
+            write_consistency="quorum",
+            failover_after=2,
+        )
+        return cluster, ZerberRClient("u", keys, cluster, model, plan)
+
+    def test_refusal_is_a_no_op_and_the_retry_resends_the_whole_batch(
+        self, keys, monkeypatch
+    ):
+        cluster, client = self._deployment(keys)
+        doc = DocumentStats.from_counts("d", {"apple": 2, "pear": 1, "plum": 1, "fig": 3})
+        receipts = client.index_document_with_receipts(doc, "g")
+        cluster.run_replication_until_quiet()
+        # Lists 0..2 have three different primaries under round-robin:
+        # killing one refuses a batch that the other two would accept.
+        dead = cluster.replicas_of(1)[0]
+        assert dead != cluster.replicas_of(0)[0]
+        cluster.fail_server(dead)
+        before = _state(cluster)
+        with pytest.raises(QuorumWriteUnavailableError) as refusal:
+            cluster.delete_many("u", receipts)
+        assert refusal.value.list_id == 1
+        assert _state(cluster) == before
+
+        sent = []
+        delete_many = cluster.delete_many
+
+        def recording(principal, batch, consistency=None):
+            sent.append(list(batch))
+            return delete_many(principal, batch, consistency)
+
+        monkeypatch.setattr(cluster, "delete_many", recording)
+        assert client.delete_document(receipts) == len(receipts)
+        assert cluster.replicas_of(1)[0] != dead
+        assert len(sent) >= 2 and all(batch == receipts for batch in sent)
+        assert cluster.num_elements == 0
+        assert client.query("apple", k=3).doc_ids() == []

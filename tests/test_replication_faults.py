@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro import SystemConfig, ZerberRSystem
 from repro.core.cluster import ServerCluster
 from repro.core.placement import HeatWeightedPlacement
-from repro.core.protocol import FetchRequest
+from repro.core.protocol import FetchRequest, Receipt
 from repro.errors import UnavailableError
 from repro.crypto.keys import GroupKeyService
 from repro.index.postings import EncryptedPostingElement
@@ -93,7 +93,7 @@ class _Reference:
 def _run_ops(cluster, ops):
     """Drive the cluster with an op tape; mirror acknowledged writes."""
     ref = _Reference()
-    receipts: list[tuple[int, bytes]] = []
+    receipts: list[Receipt] = []
     counter = 0
     for opcode, r in ops:
         if opcode in ("insert", "insert_quorum"):
@@ -113,19 +113,20 @@ def _run_ops(cluster, ops):
                 # without enough ack-capable replicas): not acked.
                 continue
             ref.insert(list_id, element)
-            receipts.append((list_id, element.ciphertext))
+            receipts.append(Receipt(list_id, element.ciphertext, element.trs))
         elif opcode == "kill_primary":
             cluster.fail_server(cluster.replicas_of(r % NUM_LISTS)[0])
         elif opcode == "delete":
             if not receipts:
                 continue
-            list_id, ciphertext = receipts[r % len(receipts)]
+            receipt = receipts[r % len(receipts)]
             try:
-                removed = cluster.delete_element("u", list_id, ciphertext)
+                # Hinted: the primary bisects to the receipt's TRS.
+                (removed,) = cluster.delete_many("u", [receipt])
             except UnavailableError:
                 continue
             if removed:
-                ref.delete(list_id, ciphertext)
+                ref.delete(receipt.list_id, receipt.ciphertext)
         elif opcode == "tick":
             cluster.replication_tick()
         elif opcode == "fail":
