@@ -15,6 +15,7 @@ from repro.analysis.checkers import (
     exports,
     obs,
     replication,
+    typed_defs,
 )
 
 __all__ = [
@@ -27,4 +28,5 @@ __all__ = [
     "exports",
     "obs",
     "replication",
+    "typed_defs",
 ]

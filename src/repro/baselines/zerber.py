@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.client import QueryResult, skim_matches
+from repro.core.client import QueryResult, ranked_hits, skim_matches
 from repro.core.protocol import QueryTrace
 from repro.corpus.documents import Corpus
-from repro.crypto.cipher import StreamCipher
 from repro.crypto.keys import GroupKeyService
 from repro.errors import (
     AccessDeniedError,
@@ -102,9 +101,6 @@ class ZerberClient:
         self._server = server
         self._plan = merge_plan
 
-    def _cipher(self, group: str) -> StreamCipher:
-        return self._keys.cipher_for(self.principal, group)
-
     def query(self, term: str, k: int) -> QueryResult:
         """Download the whole merged list, decrypt, filter, rank locally."""
         if k < 1:
@@ -122,12 +118,10 @@ class ZerberClient:
             bits_transferred=sum(e.size_bits for e in elements),
         )
         # Zerber downloads the WHOLE merged list, so the skim is the
-        # dominant client cost — batch it per group (the server already
-        # filtered to groups this principal belongs to).
-        hits, _, _ = skim_matches(elements, term, self._cipher)
-        hits.sort(key=lambda h: (-h.rscore, h.doc_id))
-        trace.satisfied = len(hits) >= k or len(hits) > 0
-        return QueryResult(hits=tuple(hits[:k]), trace=trace)
+        # dominant client cost: one pass, one keyring for all of it.
+        matches = skim_matches(elements, term, self._keys.keyring(self.principal))
+        trace.satisfied = len(matches) >= k or len(matches) > 0
+        return QueryResult(hits=ranked_hits(matches, k), trace=trace)
 
 
 class ZerberSystem:

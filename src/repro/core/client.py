@@ -37,11 +37,35 @@ query can also be driven *externally*: a
 coalesces their pending slices into shared per-shard server calls.  The
 self-driven and coordinator-driven paths share every line of step logic,
 so their results are identical by construction.
+
+Performance model — absorbing a response is the read path's tallest
+layer, and its steady state is a memo hit per element, so the step
+spends a small constant per fetched element and nothing per group:
+
+* one key-service call per delivery round (per response in
+  :meth:`ZerberRClient.query`): the principal's keyring,
+  ``group -> cipher``, whose keys *are* the readable set.  The client
+  may hold it for that one round because nothing else runs inside a
+  round; it may not hold it longer — a ring on the client or the
+  session would outlive a revoke between rounds, and the key service is
+  the only owner of ciphers and their memos (``_cipher`` below serves
+  the write path and caches nothing either);
+* :func:`skim_matches` is one loop in element order — ring lookup,
+  :meth:`~repro.crypto.cipher.StreamCipher.try_decrypt`, term filter,
+  append — with no per-group buckets to build and no order to restore;
+* the decoder it passes is the module-level :func:`_decode_posting`,
+  one stable object (the cipher memo goes by decoder identity) that
+  resolves ``PostingElement.from_bytes`` at call time, so a wrapper
+  installed on that classmethod (the e2e tracer's ``index.decode``
+  span) keeps seeing every miss-path decode;
+* a term session keeps the matched ``(posting, element)`` pairs as they
+  are; a :class:`RankedHit` is built only for the ≤ k hits a caller
+  reads, and the multi-term aggregate sums straight from the postings.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
 
@@ -90,57 +114,53 @@ def _decode_posting(plaintext: bytes) -> PostingElement:
     return PostingElement.from_bytes(plaintext)
 
 
+_Match = tuple[PostingElement, EncryptedPostingElement]
+
+
 def skim_matches(
-    elements: Sequence[EncryptedPostingElement],
+    elements: Iterable[EncryptedPostingElement],
     term: str,
-    cipher_for: Callable[[str], StreamCipher],
-    readable: set[str] | frozenset[str] | None = None,
-) -> tuple[list[RankedHit], list[float], int]:
-    """Fused skim → decode → match over one fetched slice.
+    ciphers: Mapping[str, StreamCipher],
+) -> list[_Match]:
+    """Skim → decode → match over one fetched slice, in one pass.
 
-    Buckets the slice by owning group and runs one
-    :meth:`~repro.crypto.cipher.StreamCipher.try_decrypt_many` call per
-    group with the posting decoder (``cipher_for(group)`` supplies the
-    cipher), so each element is verified and decoded at most once — a
-    memo hit is the decoded :class:`PostingElement` itself — and the
-    skim costs one cipher call per readable group rather than one per
-    element.  Elements whose group is not in *readable* (``None`` = skim
-    all) or that fail authentication are skipped.
+    Per element: look its group up in *ciphers* (a keyring — the keys
+    are the readable set), open it with that group's cipher
+    (:meth:`~repro.crypto.cipher.StreamCipher.try_decrypt` with the
+    posting decoder, so it is verified and decoded at most once and a
+    memo hit is the decoded :class:`PostingElement` itself) and keep it
+    if it is a posting of *term*.  Elements of a group not in *ciphers*
+    or that fail authentication are skipped.
 
-    Returns the hits for *term* in element order, their server-visible
-    TRS values (``0.0`` where the element carries none), and this
-    slice's memo hit count — counted here with two attribute reads per
-    touched cipher, so the telemetry layer never has to re-walk the
-    caller's cipher table on the skim hot path.
+    Returns ``(posting, element)`` per match, in element order.
     """
-    by_group: dict[str, list[int]] = {}
-    for index, element in enumerate(elements):
-        if readable is None or element.group in readable:
-            by_group.setdefault(element.group, []).append(index)
-    found: list[tuple[int, PostingElement]] = []
-    memo_hits = 0
-    for group, indices in by_group.items():
-        cipher = cipher_for(group)
-        hits_before = cipher.memo_hits
-        postings = cipher.try_decrypt_many(
-            [elements[i].ciphertext for i in indices], _decode_posting
-        )
-        memo_hits += cipher.memo_hits - hits_before
-        found += [
-            (i, posting)
-            for i, posting in zip(indices, postings)
-            if posting is not None and posting.term == term
-        ]
-    found.sort()  # indices are unique, so postings are never compared
-    matches: list[RankedHit] = []
-    trs_values: list[float] = []
-    for i, posting in found:
-        element = elements[i]
-        matches.append(
-            RankedHit(doc_id=posting.doc_id, rscore=posting.rscore, group=element.group)
-        )
-        trs_values.append(element.trs if element.trs is not None else 0.0)
-    return matches, trs_values, memo_hits
+    matches: list[_Match] = []
+    cipher_of = ciphers.get
+    for element in elements:
+        cipher = cipher_of(element.group)
+        if cipher is not None:
+            posting = cipher.try_decrypt(element.ciphertext, _decode_posting)
+            if posting is not None and posting.term == term:
+                matches.append((posting, element))
+    return matches
+
+
+def top_matches(matches: list[_Match], k: int) -> list[_Match]:
+    """The *k* best of *matches* by decrypted score, ties by doc id.
+
+    TRS order equals rscore order per term (monotonic RSTF), but the
+    decrypted scores are the ground truth — sort defensively and trim.
+    """
+    matches.sort(key=lambda match: (-match[0].rscore, match[0].doc_id))
+    return matches[:k]
+
+
+def ranked_hits(matches: list[_Match], k: int) -> tuple[RankedHit, ...]:
+    """:func:`top_matches` as the hits a caller reads."""
+    return tuple(
+        RankedHit(doc_id=posting.doc_id, rscore=posting.rscore, group=element.group)
+        for posting, element in top_matches(matches, k)
+    )
 
 
 @dataclass(frozen=True)
@@ -187,7 +207,6 @@ class _TermSession:
         "max_requests",
         "trace",
         "hits",
-        "hit_trs",
         "offset",
         "request_number",
         "done",
@@ -207,8 +226,7 @@ class _TermSession:
         self.policy = policy
         self.max_requests = max_requests
         self.trace = QueryTrace(term=term, k=k)
-        self.hits: list[RankedHit] = []
-        self.hit_trs: list[float] = []
+        self.hits: list[_Match] = []
         self.offset = 0
         self.request_number = 0
         # max_requests < 1 means "issue no requests at all" (the old
@@ -229,12 +247,6 @@ class _TermSession:
             min_version=min_version,
             trace_id=trace_id,
         )
-
-    def ranked_hits(self) -> tuple[RankedHit, ...]:
-        # TRS order equals rscore order per term (monotonic RSTF), but the
-        # decrypted scores are the ground truth — sort defensively and trim.
-        self.hits.sort(key=lambda h: (-h.rscore, h.doc_id))
-        return tuple(self.hits[: self.k])
 
 
 class ClientQuerySession:
@@ -319,19 +331,16 @@ class ClientQuerySession:
                 f"expected {len(active)} responses, got {len(responses)}"
             )
         # One span covers the whole round; it is named for the decrypt
-        # skim that dominates it.  A span per term slice (inside
-        # ``_decrypt_matches``) measurably ate the ``bench_hotpath``
-        # instrumentation budget, and per-term element counts are already
-        # on the ``crypto_skim_*`` counters.
+        # skim that dominates it.  A span per term slice measurably ate
+        # the ``bench_hotpath`` instrumentation budget, and per-term
+        # element counts are already on the ``crypto_skim_*`` counters.
         with self._tracer.span(
             "skim", trace=self.trace_id, slices=len(responses)
         ) as skim_span:
             self.batch_trace.record_round(
                 BatchFetchResponse(responses=tuple(responses))
             )
-            for session, response in zip(active, responses):
-                self._client._absorb_response(session, response)
-            self._client._flush_skim(skim_span)
+            self._client._absorb_round(zip(active, responses), skim_span)
         self.rounds += 1
         if self.done:
             self._tracer.end_trace(self.trace_id)
@@ -347,8 +356,9 @@ class ClientQuerySession:
         self._tracer.end_trace(self.trace_id)  # no-op unless never delivered
         scores: dict[str, float] = {}
         for session in self._sessions:
-            for hit in session.ranked_hits():
-                scores[hit.doc_id] = scores.get(hit.doc_id, 0.0) + hit.rscore
+            for posting, _ in top_matches(session.hits, session.k):
+                doc_id = posting.doc_id
+                scores[doc_id] = scores.get(doc_id, 0.0) + posting.rscore
         ranked = tuple(
             sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[: self._k]
         )
@@ -381,17 +391,6 @@ class ZerberRClient:
         # against both.  With no telemetry every instrument is a no-op.
         self.telemetry: Telemetry | None = getattr(server, "telemetry", None)
         self._obs = ClientInstruments(self.telemetry)
-        # Cumulative skim tallies, kept as plain ints on the decrypt
-        # path (one add per term slice) and mirrored into the bound
-        # counters once per delivery round / query by
-        # :meth:`_flush_skim` — two counter updates per round instead
-        # of two per term, which is what the bench_hotpath
-        # instrumentation budget demands.  The ``*_flushed`` watermarks
-        # track what the registry has already seen.
-        self._skim_elements = 0
-        self._skim_memo_hits = 0
-        self._skim_elements_flushed = 0
-        self._skim_memo_flushed = 0
         # Session-consistency tokens: list_id -> highest replication-log
         # version this client has written or read (the floor its future
         # reads of the list must reflect — read-your-writes + monotonic
@@ -521,9 +520,6 @@ class ZerberRClient:
         prf = self._keys.unseen_term_prf(self.principal, group)
         return lambda term: prf.evaluate_unit(f"{term}\x00{doc_id}".encode())
 
-    def _readable_groups(self) -> set[str]:
-        return self._keys.memberships(self.principal)
-
     # -- inserting (paper §5) -----------------------------------------------------
 
     def build_document(
@@ -642,26 +638,63 @@ class ZerberRClient:
             max_requests=max_requests,
         )
 
+    def _absorb_round(
+        self,
+        round_: Iterable[tuple["_TermSession", FetchResponse]],
+        span: Span | None,
+    ) -> None:
+        """Absorb one round's ``(term session, response)`` pairs.
+
+        The one place the read path asks the key service anything: one
+        keyring per round, so membership is re-validated against the
+        live principal every round, and dropped on return — never kept
+        on the client or the session, where it would outlive a revoke.
+        The ``crypto_skim_*`` counters move once per round, by the
+        difference of the ring's ``memo_hits`` around it; nothing else
+        can touch those ciphers in between, so the totals stay exact —
+        also when a malformed element raises mid-round: a slice is
+        counted before it is absorbed and the difference is taken on
+        the way out, so what was served before the raise is kept.
+        """
+        ciphers = self._keys.keyring(self.principal)
+        counting = self._obs.enabled
+        hits_before = sum(c.memo_hits for c in ciphers.values()) if counting else 0
+        elements = 0
+        try:
+            for session, response in round_:
+                elements += len(response.elements)
+                self._absorb_response(session, response, ciphers)
+        finally:
+            if counting:
+                memo_hits = sum(c.memo_hits for c in ciphers.values()) - hits_before
+                if elements:
+                    self._obs.skim_elements.inc(elements)
+                if memo_hits:
+                    self._obs.skim_memo_hits.inc(memo_hits)
+                    if span is not None:
+                        span.annotate(memo_hits=memo_hits)
+
     def _absorb_response(
-        self, session: "_TermSession", response: FetchResponse
+        self,
+        session: "_TermSession",
+        response: FetchResponse,
+        ciphers: Mapping[str, StreamCipher],
     ) -> None:
         """Feed one fetch response into a term session (shared step logic)."""
         session.trace.record_response(response)
         # Monotonic reads: later fetches of this list — this session's
         # follow-ups or any future session — never go below this version.
         self._note_version(session.list_id, response.replica_version)
-        session.offset += len(response.elements)
+        elements = response.elements
+        session.offset += len(elements)
         session.request_number += 1
-        matches, trs_values = self._decrypt_matches(response.elements, session.term)
-        session.hits.extend(matches)
-        session.hit_trs.extend(trs_values)
-        if len(session.hits) >= session.k and self._topk_complete(
-            session.hit_trs, session.k, response.elements
-        ):
+        hits = session.hits
+        hits += skim_matches(elements, session.term, ciphers)
+        if len(hits) >= session.k and self._topk_complete(hits, session.k, elements):
             session.trace.satisfied = True
             session.done = True
         elif response.exhausted:
-            session.trace.satisfied = len(session.hits) >= session.k
+            session.trace.satisfied = len(hits) >= session.k
             session.done = True
         elif session.request_number >= session.max_requests:
             session.done = True
@@ -686,14 +719,12 @@ class ZerberRClient:
                     self.principal, self.version_floor(session.list_id)
                 )
             )
-            self._absorb_response(session, response)
-        if self._obs.enabled:
-            self._flush_skim(None)
-        return QueryResult(hits=session.ranked_hits(), trace=session.trace)
+            self._absorb_round([(session, response)], None)
+        return QueryResult(hits=ranked_hits(session.hits, k), trace=session.trace)
 
     @staticmethod
     def _topk_complete(
-        hit_trs: list[float],
+        hits: list[_Match],
         k: int,
         last_elements: Sequence[EncryptedPostingElement],
     ) -> bool:
@@ -712,44 +743,9 @@ class ZerberRClient:
         boundary = last_elements[-1].trs
         if boundary is None:
             return True
-        kth = sorted(hit_trs, reverse=True)[k - 1]
+        # A match's server-visible TRS; 0.0 where the element carries none.
+        kth = sorted((element.trs or 0.0 for _, element in hits), reverse=True)[k - 1]
         return kth >= boundary
-
-    def _decrypt_matches(
-        self, elements: Sequence[EncryptedPostingElement], term: str
-    ) -> tuple[list[RankedHit], list[float]]:
-        """Decrypt readable elements and keep those matching *term*.
-
-        Returns the hits plus their server-visible TRS values (needed for
-        the completeness check of :meth:`_topk_complete`), both in
-        element order, through the fused :func:`skim_matches` kernel.
-        """
-        matches, trs_values, memo_hits = skim_matches(
-            elements, term, self._cipher, self._readable_groups()
-        )
-        if self._obs.enabled:
-            self._skim_elements += len(elements)
-            self._skim_memo_hits += memo_hits
-        return matches, trs_values
-
-    def _flush_skim(self, span: Span | None) -> None:
-        """Mirror the plain-int skim tallies into the bound counters.
-
-        Called once per delivery round (and once per self-driven
-        :meth:`query`) instead of once per term slice — the watermark
-        diff keeps the registry totals exact while taking the counter
-        updates off the per-slice decrypt path.
-        """
-        elements = self._skim_elements - self._skim_elements_flushed
-        if elements:
-            self._skim_elements_flushed = self._skim_elements
-            self._obs.skim_elements.inc(elements)
-        memo = self._skim_memo_hits - self._skim_memo_flushed
-        if memo:
-            self._skim_memo_flushed = self._skim_memo_hits
-            self._obs.skim_memo_hits.inc(memo)
-            if span is not None:
-                span.annotate(memo_hits=memo)
 
     def query_multi_batched(
         self,

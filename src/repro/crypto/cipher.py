@@ -27,11 +27,17 @@ layer of the per-element cost is flattened:
   module-level one-shot :func:`encrypt`/:func:`decrypt` helpers keep a
   bounded cache of ciphers keyed by master key instead of re-deriving
   subkeys per call;
-* :meth:`StreamCipher.try_decrypt_many` skims a whole fetched slice in
-  one call with the verify/decrypt plumbing inlined, amortising the
-  per-element attribute lookups and call dispatch, and takes the
-  caller's plaintext decoder so verify, decrypt *and* decode are one
-  pass;
+* :meth:`StreamCipher.try_decrypt` is the one kernel every non-raising
+  decrypt goes through — memo probe, MAC, keystream, XOR, the caller's
+  plaintext decoder and the memo store for ONE ciphertext, with the
+  verify/decrypt plumbing inlined against the precomputed states.  It
+  is per element, not per batch, because the steady state of a query
+  is a memo hit: a fetched slice interleaves ~7 groups at ~2 elements
+  each, so a per-group batch spends more on bucketing the slice, setting
+  the batch up and re-sorting its output than the hits themselves cost,
+  while a miss (a microsecond of hashing) does not notice one call.
+  :meth:`~StreamCipher.try_decrypt_many` is a comprehension over it, so
+  there is one copy of the sequence and one place the memo rules live;
 * a bounded verified-decoded memo (ciphertext -> ``decode(verified
   plaintext)``) makes re-skims of hot elements O(dict lookup) — a hit
   skips MAC, keystream and decode alike: the paper's Zipf workload
@@ -69,10 +75,11 @@ class StreamCipher:
     ``memo_capacity`` bounds the verified-decoded memo (entries,
     FIFO-evicted in halves); ``0`` disables memoisation entirely.
 
-    ``memo_hits`` counts skim decrypts answered straight from the memo
-    — a plain attribute (one integer add on the hit path) that the
-    client's telemetry instruments read and difference, so the cipher
-    itself stays free of any registry dependency.
+    ``memo_hits`` counts decrypts answered straight from the memo — a
+    plain attribute bumped per hit (so what was served before a decoder
+    raised stays counted) that the client's telemetry reads and
+    differences once per round, so the cipher itself stays free of any
+    registry dependency.
     """
 
     __slots__ = (
@@ -142,24 +149,64 @@ class StreamCipher:
             int.from_bytes(body, "big") ^ int.from_bytes(stream, "big")
         ).to_bytes(size, "big")
 
-    def try_decrypt(self, ciphertext: bytes) -> bytes | None:
-        """Decrypt, returning ``None`` instead of raising on auth failure.
+    @overload
+    def try_decrypt(self, ciphertext: bytes, decode: None = None) -> bytes | None: ...
 
-        The one-element, straight-line form of a decoder-less
-        :meth:`try_decrypt_many`, under the same memo rules.
+    @overload
+    def try_decrypt(
+        self, ciphertext: bytes, decode: Callable[[bytes], _T]
+    ) -> _T | None: ...
+
+    def try_decrypt(self, ciphertext: bytes, decode: _Decoder | None = None) -> Any:
+        """The skim kernel: verify → decrypt → decode → memoise ONE
+        ciphertext; ``None`` instead of raising where authentication fails.
+
+        A memoised ciphertext is answered from the memo (and counted in
+        ``memo_hits``) before anything else.  Otherwise the tag is
+        checked against the precomputed hash states (package-private
+        access into the PRF layer) and only then is the body decrypted
+        and handed to *decode* — which therefore never sees
+        unauthenticated bytes.  What *decode* raises propagates and
+        nothing is stored for that ciphertext.
+
+        The memo serves only the decoder that filled it, compared by
+        identity — pass one stable function, not a fresh closure or bound
+        method per call.  A new decoder empties the memo and takes it
+        over; a raw caller (the snippet path shares these ciphers) goes
+        around a decoder's memo instead of evicting it.
         """
-        raw_memo = self._memo_decoder is None  # else a decoder's: go around it
-        cached = self._memo.get(ciphertext) if raw_memo else None
-        if cached is not None:
-            self.memo_hits += 1
-            return cached
-        try:
-            plaintext = self.decrypt(ciphertext)
-        except AuthenticationError:
+        owns_memo = True
+        if decode is self._memo_decoder:
+            cached = self._memo.get(ciphertext)
+            if cached is not None:
+                self.memo_hits += 1
+                return cached
+        elif decode is None:
+            owns_memo = False  # raw beside a decoder's memo: go around it
+        else:
+            self._memo.clear()
+            self._memo_decoder = decode
+        if len(ciphertext) < NONCE_SIZE + TAG_SIZE:
             return None
-        if raw_memo and self._memo_capacity:
-            self._memoise(ciphertext, plaintext)
-        return plaintext
+        mac = self._mac
+        inner = mac._inner.copy()
+        inner.update(ciphertext[:-TAG_SIZE])
+        outer = mac._outer.copy()
+        outer.update(inner.digest())
+        if not _compare_digest(ciphertext[-TAG_SIZE:], outer.digest()[:TAG_SIZE]):
+            return None
+        body = ciphertext[NONCE_SIZE:-TAG_SIZE]
+        size = len(body)
+        xof = self._enc._state.copy()
+        xof.update(ciphertext[:NONCE_SIZE])
+        value: Any = (
+            int.from_bytes(body, "big") ^ int.from_bytes(xof.digest(size), "big")
+        ).to_bytes(size, "big")
+        if decode is not None:
+            value = decode(value)
+        if owns_memo and self._memo_capacity:
+            self._memoise(ciphertext, value)
+        return value
 
     @overload
     def try_decrypt_many(self, ciphertexts: Iterable[bytes]) -> list[bytes | None]: ...
@@ -172,69 +219,9 @@ class StreamCipher:
     def try_decrypt_many(
         self, ciphertexts: Iterable[bytes], decode: _Decoder | None = None
     ) -> list[Any]:
-        """Skim a batch: one entry per input, ``None`` where auth fails.
-
-        The verify/decrypt plumbing is inlined against the precomputed
-        hash states (package-private access into the PRF layer) so a
-        fetched slice is skimmed without per-element call overhead, and
-        re-skimmed hot elements are served straight from the memo.
-
-        *decode* runs once per verified plaintext, never on unauthenticated
-        bytes, and the memo keeps its result; what it raises propagates
-        and nothing is stored for that ciphertext.  The memo serves only
-        the decoder that filled it, compared by identity — pass one
-        stable function, not a fresh closure or bound method per call.
-        A new decoder empties the memo and takes it over; a raw caller
-        (the snippet path shares these ciphers) goes around a decoder's
-        memo instead of evicting it.
-        """
-        mac_inner = self._mac._inner
-        mac_outer = self._mac._outer
-        xof_copy = self._enc._state.copy
-        compare = _compare_digest
-        from_bytes = int.from_bytes
-        floor = NONCE_SIZE + TAG_SIZE
-        memo = self._memo
-        memoise = self._memo_capacity > 0
-        if decode is not self._memo_decoder:
-            if decode is None:
-                memo, memoise = {}, False
-            else:
-                memo.clear()
-                self._memo_decoder = decode
-        memo_get = memo.get
-        out: list[Any] = []
-        append = out.append
-        hits = 0  # batch-local tally; one attribute add after the loop
-        for ciphertext in ciphertexts:
-            cached = memo_get(ciphertext)
-            if cached is not None:
-                hits += 1
-                append(cached)
-                continue
-            if len(ciphertext) < floor:
-                append(None)
-                continue
-            inner = mac_inner.copy()
-            inner.update(ciphertext[:-TAG_SIZE])
-            outer = mac_outer.copy()
-            outer.update(inner.digest())
-            if not compare(ciphertext[-TAG_SIZE:], outer.digest()[:TAG_SIZE]):
-                append(None)
-                continue
-            body = ciphertext[NONCE_SIZE:-TAG_SIZE]
-            size = len(body)
-            xof = xof_copy()
-            xof.update(ciphertext[:NONCE_SIZE])
-            plaintext = (
-                from_bytes(body, "big") ^ from_bytes(xof.digest(size), "big")
-            ).to_bytes(size, "big")
-            value = plaintext if decode is None else decode(plaintext)
-            if memoise:
-                self._memoise(ciphertext, value)
-            append(value)
-        self.memo_hits += hits
-        return out
+        """Skim a batch: :meth:`try_decrypt` per input, in input order."""
+        try_one = self.try_decrypt
+        return [try_one(ciphertext, decode) for ciphertext in ciphertexts]
 
     def decrypt_many(self, ciphertexts: Iterable[bytes]) -> list[bytes]:
         """Decrypt a batch, raising on the first authentication failure.

@@ -7,6 +7,24 @@ groups, enrols principals, and hands a group's key only to its members.
 The index server itself never sees keys — it checks membership claims via
 :meth:`GroupKeyService.is_member` (authentication is out of the paper's
 scope and modelled as reliable).
+
+Performance model — the service is asked on every write and every
+delivery round of every query, so what it hands out is cached, and every
+cache answers to the live membership:
+
+* one :class:`~repro.crypto.cipher.StreamCipher` (and with it the
+  group's memo of decoded postings) per (principal, group), built on
+  first use, handed out by :meth:`GroupKeyService.cipher_for` after a
+  membership check on EVERY call and dropped on enroll/revoke;
+* one *keyring* per principal (:meth:`GroupKeyService.keyring`): the
+  ``group -> cipher`` index over those same cache slots that the read
+  path fetches once per round instead of asking ``memberships()`` per
+  slice and ``cipher_for()`` per group per slice.  It owns nothing —
+  the ciphers are the cache's — and it is dropped on enroll/revoke
+  *and* compared with ``Principal.groups`` on every call, so it cannot
+  outlive a membership however the membership changed.  Callers get a
+  copy and must not keep it past the round: the service is the only
+  place a cipher or a ring may live between calls.
 """
 
 from __future__ import annotations
@@ -50,6 +68,9 @@ class GroupKeyService:
         # are additionally dropped on enroll/revoke (belt and braces).
         self._ciphers: dict[tuple[str, str], StreamCipher] = {}
         self._unseen_prfs: dict[tuple[str, str], Prf] = {}
+        # principal -> {group: its _ciphers entry}: an index over the
+        # cipher cache for the read path, not a second owner.
+        self._keyrings: dict[str, dict[str, StreamCipher]] = {}
 
     # -- groups --------------------------------------------------------------
 
@@ -96,6 +117,7 @@ class GroupKeyService:
         """Drop cached crypto objects of one (principal, group) pair."""
         self._ciphers.pop((name, group), None)
         self._unseen_prfs.pop((name, group), None)
+        self._keyrings.pop(name, None)
 
     def _principal(self, name: str) -> Principal:
         principal = self._principals.get(name)
@@ -140,12 +162,41 @@ class GroupKeyService:
         """
         if not self.is_member(principal, group):
             raise AccessDeniedError(principal, group)
+        return self._cached_cipher(principal, group)
+
+    def _cached_cipher(self, principal: str, group: str) -> StreamCipher:
+        """The cache slot behind :meth:`cipher_for`; callers check membership."""
         cache_key = (principal, group)
         cipher = self._ciphers.get(cache_key)
         if cipher is None:
             cipher = StreamCipher(self._groups[group])
             self._ciphers[cache_key] = cipher
         return cipher
+
+    def keyring(self, principal: str) -> dict[str, StreamCipher]:
+        """Every cipher *principal* may use right now, by group.
+
+        The read path's one key-service call per delivery round: the
+        keys are the readable set and the values are the very ciphers
+        :meth:`cipher_for` hands out, so their memos are shared with it
+        and die with it.  The cached ring is dropped on enroll/revoke
+        and, like every lookup here, re-validated against the live
+        ``Principal.groups`` on EVERY call, so a membership change that
+        went around :meth:`revoke` is seen too.  Raises what
+        :meth:`memberships` raises for an unknown principal.
+
+        The caller gets a copy: its ``get`` stays a C-speed dict lookup
+        per fetched element (a read-only proxy dispatches a method call
+        each time) and writing to it changes nothing here.  Use it for
+        the round it was fetched for and let it go — a ring kept longer
+        would outlive a revocation.
+        """
+        groups = self._principal(principal).groups
+        ring = self._keyrings.get(principal)
+        if ring is None or ring.keys() != groups:
+            ring = {group: self._cached_cipher(principal, group) for group in groups}
+            self._keyrings[principal] = ring
+        return dict(ring)
 
     def nonce_sequence(self, principal: str, group: str) -> NonceSequence:
         """THE nonce sequence of a (member, group) pair — a singleton.

@@ -81,7 +81,7 @@ class PostingElement:
             raise ProtocolError(f"malformed posting element: {error!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EncryptedPostingElement:
     """Server-side posting element: ciphertext + plaintext ranking metadata.
 

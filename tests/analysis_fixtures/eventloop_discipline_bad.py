@@ -6,15 +6,16 @@ one of the raw-scheduling modules (eventloop itself, router).
 
 import threading
 from sched import scheduler
+from typing import Any
 
 
-def spawn_timer(callback):
+def spawn_timer(callback: Any) -> Any:
     timer = threading.Timer(1.0, callback)
     timer.start()
     return timer
 
 
-def schedule_delivery(loop, cluster):
+def schedule_delivery(loop: Any, cluster: Any) -> None:
     # Periodic maintenance hand-rolled as one-shot callbacks instead of
     # a registered EventLoop.every task.
     loop.call_at(3, cluster.replication_tick)

@@ -4,13 +4,15 @@ Linted as ``repro.core.fixture_mod`` — scheduling goes through
 ``EventLoop.every``, which is allowed everywhere in the core.
 """
 
+from typing import Any
 
-def register_maintenance(loop, cluster):
+
+def register_maintenance(loop: Any, cluster: Any) -> Any:
     delivery = loop.every(1, cluster.replication_tick, name="replication-delivery")
     sweep = loop.every(4, cluster.anti_entropy, name="anti-entropy")
     return delivery, sweep
 
 
-def drive(loop):
+def drive(loop: Any) -> Any:
     loop.advance(1)
     return loop.run_until_quiet()

@@ -3,8 +3,10 @@
 Linted as ``repro.core.fixture_mod`` so the core-scoped sub-rules apply.
 """
 
+from typing import Any
 
-def leak_telemetry(tracer, registry, batch):
+
+def leak_telemetry(tracer: Any, registry: Any, batch: Any) -> Any:
     # ad-hoc stdout telemetry instead of the registry
     print("served", len(batch), "slices")
 

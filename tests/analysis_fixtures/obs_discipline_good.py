@@ -3,8 +3,10 @@
 Linted as ``repro.core.fixture_mod`` so the core-scoped sub-rules apply.
 """
 
+from typing import Any
 
-def serve_with_discipline(tracer, obs, batch):
+
+def serve_with_discipline(tracer: Any, obs: Any, batch: Any) -> Any:
     # spans are context-managed, so they close even on exception
     with tracer.span("serve", slices=len(batch)) as span:
         span.annotate(done=True)

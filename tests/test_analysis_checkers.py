@@ -6,6 +6,7 @@ their fixture sources under an explicit in-scope module name, since
 fixture paths derive neutral bare-stem modules.
 """
 
+from configparser import ConfigParser
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from repro.analysis.checkers.consistency import (
     READ_CONSISTENCY_MEMBERS,
     WRITE_CONSISTENCY_MEMBERS,
 )
+from repro.analysis.checkers.typed_defs import STRICT_PACKAGES
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
 
@@ -30,6 +32,7 @@ RULE_FIXTURES = {
     "consistency-exhaustiveness": ("consistency", None),
     "export-sanity": ("export_sanity", None),
     "obs-discipline": ("obs_discipline", "repro.core.fixture_mod"),
+    "typed-defs": ("typed_defs", "repro.core.fixture_mod"),
 }
 
 
@@ -86,3 +89,40 @@ def test_write_consistency_mirror_matches_enum():
     from repro.core.replication import WriteConsistency
 
     assert WRITE_CONSISTENCY_MEMBERS == {member.name for member in WriteConsistency}
+
+
+def test_typed_defs_reports_each_def_once_naming_what_is_missing():
+    messages = {
+        f.message.split(" in ")[0]: f.message.split(" leaves ")[1].split(" unannotated")[0]
+        for f in _lint("typed_defs_bad", "repro.core.fixture_mod")
+    }
+    assert messages == {
+        "def untyped()": "a, b, return",
+        "def no_return()": "return",
+        "def half_typed()": "b",
+        "def star_args()": "args",
+        "def __init__()": "return",
+        "def method()": "other",
+        "def nested()": "x, return",
+        "def static()": "first",  # no self to skip on a staticmethod
+        "def fetch()": "timeout",
+    }
+
+
+def test_typed_defs_is_silent_outside_the_strict_packages():
+    path = FIXTURES / "typed_defs_bad.py"
+    for module in ("repro.index.fixture_mod", "repro.corefoo", "typed_defs_bad"):
+        assert analyze_source(path.read_text(), module=module, path=str(path)) == []
+
+
+def test_typed_defs_package_list_matches_mypy_ini():
+    """The rule's scope must track the strict sections of mypy.ini."""
+    config = ConfigParser()
+    config.read(Path(__file__).parents[1] / "mypy.ini")
+    strict = {
+        section.removeprefix("mypy-").removesuffix(".*")
+        for section in config.sections()
+        if config.getboolean(section, "disallow_untyped_defs", fallback=False)
+        and config.getboolean(section, "disallow_incomplete_defs", fallback=False)
+    }
+    assert strict == STRICT_PACKAGES

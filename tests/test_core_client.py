@@ -1,14 +1,21 @@
 """Unit tests for the Zerber+R client (insert + query protocol)."""
 
+from collections import Counter
+
 import pytest
 
-from repro.core.client import ZerberRClient
-from repro.core.protocol import ResponsePolicy
+import repro.core.client as client_module
+from repro.core.client import RankedHit, ZerberRClient
+from repro.core.cluster import ServerCluster
+from repro.core.protocol import BatchFetchRequest, FetchResponse, ResponsePolicy
+from repro.core.router import Coordinator
 from repro.core.rstf import RstfModel, train_rstf
 from repro.core.server import ZerberRServer
+from repro.crypto.cipher import StreamCipher
 from repro.crypto.keys import GroupKeyService
 from repro.errors import UnknownTermError
 from repro.index.merge import MergePlan
+from repro.index.postings import PostingElement
 from repro.text.analysis import DocumentStats
 
 
@@ -261,6 +268,234 @@ class TestRevocation:
         assert root.query("apple", k=3).doc_ids() == ["a1", "b1", "a2"]
         assert fresh._memo and stale.memo_hits == served
         assert root._cipher("g2") is fresh
+
+
+class TestRevocationBetweenRounds:
+    """Membership is re-validated against the live ``Principal.groups``
+    at every delivery round — also for a session parked at a coordinator,
+    and also when the change went around ``revoke()``."""
+
+    @pytest.fixture()
+    def parked(self, keys, model, plan):
+        """root's session at a coordinator, one response in flight that
+        was served while root was still a member of g2."""
+        cluster = ServerCluster(keys, num_lists=2, num_servers=2)
+        alice, bob, root = (
+            _client(name, keys, cluster, model, plan) for name in ("alice", "bob", "root")
+        )
+        for i in range(1, 6):
+            alice.index_document(_doc(f"a{i}", {"apple": i, "pear": 10 - i}), "g1")
+            bob.index_document(_doc(f"b{i}", {"apple": i + 1, "plum": 9 - i}), "g2")
+        assert {d[0] for d in root.query("apple", k=10).doc_ids()} == {"a", "b"}
+        coordinator = Coordinator(cluster, round_latency=1)
+        session = coordinator.open_session(
+            root, ["apple"], 4, policy=ResponsePolicy(initial_size=8)
+        )
+        coordinator.tick()
+        assert session.rounds == 0 and not session.done  # dispatched, not delivered
+        return cluster, coordinator, root, session
+
+    @pytest.mark.parametrize("how", ["revoke", "discard"])
+    def test_in_flight_elements_of_a_lost_group_are_never_opened(
+        self, parked, keys, plan, how, monkeypatch
+    ):
+        cluster, coordinator, root, session = parked
+        stale = keys.cipher_for("root", "g2")
+        served, held = stale.memo_hits, len(stale._memo)
+        assert held  # the warm-up query left decoded g2 postings behind
+        if how == "revoke":
+            keys.revoke("root", "g2")
+        else:
+            keys._principal("root").groups.discard("g2")  # no revoke() call
+        delivered = []
+        skim = client_module.skim_matches
+
+        def recording(elements, term, ciphers):
+            delivered.extend(element.group for element in elements)
+            return skim(elements, term, ciphers)
+
+        monkeypatch.setattr(client_module, "skim_matches", recording)
+        coordinator.run_until_complete()
+        assert "g2" in delivered  # the in-flight response did carry them
+        ranked = session.result().ranked
+        assert ranked and all(doc_id.startswith("a") for doc_id, _ in ranked)
+
+        # A hand-built response still carrying g2's elements, delivered to
+        # a session nobody else drives.
+        list_id = plan.list_of("apple")
+        stored = cluster.server(cluster.replicas_of(list_id)[0]).export_list(list_id)
+        assert {e.group for e in stored} == {"g1", "g2"}
+        late = root.open_multi_session(["apple"], 10)
+        late.deliver([FetchResponse(elements=tuple(stored), exhausted=True)])
+        assert late.result().ranked == tuple(
+            sorted(
+                ((f"a{i}", i / 10) for i in range(1, 6)), key=lambda kv: (-kv[1], kv[0])
+            )
+        )
+        assert (stale.memo_hits, len(stale._memo)) == (served, held)
+
+
+def _public_calls(monkeypatch, cls):
+    """Count calls of every public method of *cls*, by name."""
+    calls = Counter()
+    for name, attr in vars(cls).items():
+        if name.startswith("_") or not callable(attr):
+            continue
+
+        def counting(*args, _name=name, _attr=attr, **kwargs):
+            calls[_name] += 1
+            return _attr(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+class TestReadPathWorkBound:
+    """One key-service call per round, one probe per fetched element, no
+    hit object until somebody reads a result — counted, not timed."""
+
+    def _round(self, alice, bob, root, server):
+        TestBatchedMultiTerm()._populate(alice, bob)
+        session = root.open_multi_session(["apple", "pear", "plum"], k=2)
+        requests = session.pending_requests()
+        responses = server.batch_fetch(
+            BatchFetchRequest(principal="root", requests=requests)
+        ).responses
+        assert len(responses) == 3
+        assert {e.group for r in responses for e in r.elements} == {"g1", "g2"}
+        return session, responses
+
+    def test_one_deliver_makes_one_key_service_call(
+        self, alice, bob, root, server, monkeypatch
+    ):
+        session, responses = self._round(alice, bob, root, server)
+        calls = _public_calls(monkeypatch, GroupKeyService)
+        session.deliver(responses)
+        assert calls == {"keyring": 1}
+
+    def test_each_fetched_element_is_probed_exactly_once(
+        self, alice, bob, root, server, monkeypatch
+    ):
+        session, responses = self._round(alice, bob, root, server)
+        probed = Counter()
+        kernel = StreamCipher.try_decrypt
+
+        def counting(cipher, ciphertext, decode=None):
+            probed[ciphertext] += 1
+            return kernel(cipher, ciphertext, decode)
+
+        monkeypatch.setattr(StreamCipher, "try_decrypt", counting)
+        session.deliver(responses)
+        assert probed == Counter(e.ciphertext for r in responses for e in r.elements)
+
+    def test_no_hit_is_built_until_a_result_is_read(
+        self, alice, bob, root, monkeypatch
+    ):
+        TestBatchedMultiTerm()._populate(alice, bob)
+        built = []
+
+        def counting(**fields):
+            built.append(fields)
+            return RankedHit(**fields)
+
+        monkeypatch.setattr(client_module, "RankedHit", counting)
+        multi = root.query_multi_batched(["apple", "pear", "plum"], k=2)
+        assert multi.ranked and not built  # the aggregate sums the postings
+        single = root.query("apple", k=2)
+        assert len(built) == len(single.hits) == 2  # k hits, not one per match
+
+    def test_nothing_on_the_client_side_keeps_a_cipher(self, alice, bob, root, keys):
+        """The key service is the only owner: between calls no attribute
+        of the client, the query session or a term session holds a
+        cipher, a bound kernel or a keyring."""
+        TestBatchedMultiTerm()._populate(alice, bob)
+        session = root.open_multi_session(["apple", "plum"], k=2)
+        while not session.done:
+            session.deliver(
+                root._server.batch_fetch(
+                    BatchFetchRequest("root", session.pending_requests())
+                ).responses
+            )
+        root.query("apple", k=2)
+
+        def attributes(obj):
+            names = list(getattr(obj, "__dict__", ()))
+            for cls in type(obj).__mro__:
+                names += getattr(cls, "__slots__", ())
+            return [getattr(obj, name) for name in names]
+
+        def keeps_a_cipher(value, depth=2):
+            if isinstance(value, StreamCipher) or isinstance(
+                getattr(value, "__self__", None), StreamCipher
+            ):
+                return True
+            if depth and isinstance(value, dict):
+                return any(keeps_a_cipher(v, depth - 1) for v in value.values())
+            if depth and isinstance(value, (list, tuple, set, frozenset)):
+                return any(keeps_a_cipher(v, depth - 1) for v in value)
+            return False
+
+        holders = [root, session, *session._sessions]
+        assert all(
+            not keeps_a_cipher(value) for obj in holders for value in attributes(obj)
+        )
+        assert keeps_a_cipher(keys._keyrings["root"])  # the check can see one
+
+
+class TestTies:
+    """``ranked_hits()`` / ``result()`` order ties exactly as the eager
+    per-element ranking did: a stable sort on ``(-rscore, doc_id)`` over
+    element order, so the same doc in two groups keeps list order."""
+
+    def _populate(self, alice, bob):
+        # d1 lives in both groups with one score; a2 / b2 / a3 tie across docs.
+        alice.index_document(_doc("d1", {"apple": 4, "pear": 4}), "g1")
+        bob.index_document(_doc("d1", {"apple": 4, "plum": 4}), "g2")
+        alice.index_document(_doc("a2", {"apple": 2, "pear": 6}), "g1")
+        bob.index_document(_doc("b2", {"apple": 2, "plum": 6}), "g2")
+        alice.index_document(_doc("a3", {"apple": 1, "pear": 3}), "g1")
+        alice.index_document(_doc("a4", {"apple": 7, "pear": 1}), "g1")
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 9])
+    def test_query_ranks_ties_like_the_eager_reference(
+        self, alice, bob, root, server, keys, monkeypatch, k
+    ):
+        self._populate(alice, bob)
+        fetched = []
+        fetch = server.fetch
+
+        def recording(request):
+            response = fetch(request)
+            fetched.extend(response.elements)
+            return response
+
+        monkeypatch.setattr(server, "fetch", recording)
+        result = root.query("apple", k=k, policy=ResponsePolicy(initial_size=1))
+
+        eager = []  # one hit per readable matching element, in fetch order
+        for element in fetched:
+            posting = PostingElement.from_bytes(
+                keys.cipher_for("root", element.group).decrypt(element.ciphertext)
+            )
+            if posting.term == "apple":
+                eager.append(RankedHit(posting.doc_id, posting.rscore, element.group))
+        eager.sort(key=lambda h: (-h.rscore, h.doc_id))
+        assert result.hits == tuple(eager[:k])
+        if k >= 3:
+            d1 = [hit.group for hit in result.hits if hit.doc_id == "d1"]
+            assert sorted(d1) == ["g1", "g2"]  # both copies, list order kept
+
+    def test_multi_term_result_sums_the_same_tied_top_k(self, alice, bob, root):
+        self._populate(alice, bob)
+        for k in (1, 2, 3, 6):
+            expected = {}
+            for term in ("apple", "pear", "plum"):
+                for hit in root.query(term, k=k).hits:
+                    expected[hit.doc_id] = expected.get(hit.doc_id, 0.0) + hit.rscore
+            ranked = root.query_multi_batched(["apple", "pear", "plum"], k=k).ranked
+            assert ranked == tuple(
+                sorted(expected.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+            )
 
 
 class TestMultiTerm:

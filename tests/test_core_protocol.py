@@ -80,6 +80,19 @@ class TestFetchMessages:
         assert "size_bits" not in repr(response)
 
 
+    @pytest.mark.parametrize(
+        "trs_values",
+        [(), (None,), (0.0,), (None, None), (0.0, None, 1.0, None, 0.25), (0.3,) * 6],
+    )
+    def test_response_bits_equal_the_per_element_definition(self, trs_values):
+        elements = tuple(
+            EncryptedPostingElement(ciphertext=b"c" * (7 * i), group="g", trs=trs)
+            for i, trs in enumerate(trs_values)
+        )
+        response = FetchResponse(elements=elements, exhausted=False)
+        assert response.size_bits == sum(e.size_bits for e in elements)
+
+
 class TestQueryTrace:
     def test_record_response_accumulates(self):
         trace = QueryTrace(term="t", k=10)

@@ -323,8 +323,82 @@ class TestDecodedMemo:
                 cipher.try_decrypt_many([good, bad, good], decode)
         assert list(cipher._memo) == [good]
 
+    def test_decoder_that_raises_keeps_the_hits_served_before_it(self):
+        """The bug: a batch-local tally added after the loop lost every
+        hit served before the element whose decode raised."""
+        cipher = StreamCipher(KEY)
+        first, second = (
+            cipher.encrypt(PostingElement("t", f"d{i}", 1, 2).to_bytes(), bytes([i]) * 16)
+            for i in range(2)
+        )
+        bad = cipher.encrypt(b'{"t":"t"}', NONCE)  # authentic, malformed
+        decode = PostingElement.from_bytes
+        cipher.try_decrypt_many([first, second], decode)
+        assert cipher.memo_hits == 0
+        with pytest.raises(ProtocolError):
+            cipher.try_decrypt_many([first, second, bad], decode)
+        assert cipher.memo_hits == 2
+        assert list(cipher._memo) == [first, second]
 
-# -- the fused client kernel == a per-element reference -------------------------
+
+class TestOneElementKernel:
+    """``try_decrypt`` is the kernel; the batch is a comprehension over it."""
+
+    def _pool(self, cipher):
+        good = [cipher.encrypt(b"el-%d" % i, bytes([i]) * 16) for i in range(5)]
+        foreign = StreamCipher(b"x" * 32).encrypt(b"foreign", NONCE)
+        broken = good[1][:-1] + bytes([good[1][-1] ^ 1])
+        return [good[0], foreign, good[1], broken, good[0], b"short", *good[2:], good[1]]
+
+    @pytest.mark.parametrize("decode", [None, _decode])
+    @pytest.mark.parametrize("capacity", [0, 1, 2, 3, 64])
+    def test_batch_is_the_kernel_per_element(self, decode, capacity):
+        batch_cipher = StreamCipher(KEY, memo_capacity=capacity)
+        kernel_cipher = StreamCipher(KEY, memo_capacity=capacity)
+        pool = self._pool(batch_cipher)
+        for _ in range(2):
+            assert batch_cipher.try_decrypt_many(pool, decode) == [
+                kernel_cipher.try_decrypt(ct, decode) for ct in pool
+            ]
+            assert batch_cipher.memo_hits == kernel_cipher.memo_hits
+            assert list(batch_cipher._memo.items()) == list(kernel_cipher._memo.items())
+
+    def test_kernel_agrees_with_the_raising_reference(self):
+        cipher = StreamCipher(KEY, memo_capacity=0)
+        for ciphertext in self._pool(cipher):
+            try:
+                expected = cipher.decrypt(ciphertext)
+            except AuthenticationError:
+                expected = None
+            assert cipher.try_decrypt(ciphertext) == expected
+
+    def test_raw_caller_neither_reads_nor_evicts_a_decoders_memo(self):
+        cipher = StreamCipher(KEY, memo_capacity=2)
+        one, two, three = (cipher.encrypt(b"m%d" % i, bytes([i]) * 16) for i in range(3))
+        assert cipher.try_decrypt(one, _decode) == ("decoded", b"m0")
+        assert cipher.try_decrypt(two, _decode) == ("decoded", b"m1")
+        before = list(cipher._memo.items())
+        # Raw opens of a memoised and of an unseen ciphertext: bytes come
+        # back, nothing is served from, stored in or evicted from the memo.
+        assert [cipher.try_decrypt(ct) for ct in (one, three, one)] == [b"m0", b"m2", b"m0"]
+        assert cipher.memo_hits == 0 and list(cipher._memo.items()) == before
+        assert cipher.try_decrypt(one, _decode) == ("decoded", b"m0") and cipher.memo_hits == 1
+
+    def test_decoder_never_sees_unauthenticated_bytes(self):
+        cipher = StreamCipher(KEY)
+        seen = []
+
+        def decode(plaintext):
+            seen.append(plaintext)
+            return plaintext
+
+        for ciphertext in self._pool(cipher):
+            cipher.try_decrypt(ciphertext, decode)
+        assert sorted(seen) == [b"el-%d" % i for i in range(5)]  # once each
+        assert len(cipher._memo) == 5
+
+
+# -- the one-pass client skim == a per-element reference -------------------------
 
 GROUPS = ("g0", "g1", "g2", "g3")
 GROUP_KEYS = {group: bytes([index + 1]) * 32 for index, group in enumerate(GROUPS)}
@@ -358,21 +432,20 @@ def _element_pool(draw):
     return pool
 
 
-def _reference_matches(elements, term, ciphers, readable):
-    """What the kernel replaced: per element, try_decrypt + from_bytes + filter."""
-    hits, trs_values = [], []
-    before = sum(cipher.memo_hits for cipher in ciphers.values())
+def _reference_matches(elements, term, ciphers):
+    """What the skim replaced: per element, try_decrypt + from_bytes + filter."""
+    matches = []
     for element in elements:
-        if readable is not None and element.group not in readable:
+        cipher = ciphers.get(element.group)
+        if cipher is None:
             continue
-        plaintext = ciphers[element.group].try_decrypt(element.ciphertext)
+        plaintext = cipher.try_decrypt(element.ciphertext)
         if plaintext is None:
             continue
         posting = PostingElement.from_bytes(plaintext)
         if posting.term == term:
-            hits.append((posting.doc_id, posting.rscore, element.group))
-            trs_values.append(element.trs if element.trs is not None else 0.0)
-    return hits, trs_values, sum(c.memo_hits for c in ciphers.values()) - before
+            matches.append((posting, element))
+    return matches
 
 
 @given(
@@ -385,30 +458,31 @@ def _reference_matches(elements, term, ciphers, readable):
         min_size=2,
         max_size=6,
     ),
-    readable=st.one_of(st.none(), st.sets(st.sampled_from(GROUPS))),
+    readable=st.sets(st.sampled_from(GROUPS)),
     capacity=st.integers(min_value=0, max_value=3),
 )
 @settings(max_examples=200, deadline=None)
 def test_skim_matches_equals_per_element_reference(pool, picks, readable, capacity):
-    """Identical hits in identical order, identical TRS values and memo
-    tallies — with groups interleaved, unreadable groups, broken tags,
-    truncated and duplicate ciphertexts, and a memo small enough to evict
-    in the middle of a slice."""
-    kernel = {g: StreamCipher(k, memo_capacity=capacity) for g, k in GROUP_KEYS.items()}
-    reference = {g: StreamCipher(k, memo_capacity=capacity) for g, k in GROUP_KEYS.items()}
+    """Identical matches in identical order, identical per-cipher memo
+    tallies and memo contents — with groups interleaved, groups absent
+    from the mapping, broken tags, truncated and duplicate ciphertexts,
+    and a memo small enough to evict in the middle of a slice."""
+    kernel = {g: StreamCipher(GROUP_KEYS[g], memo_capacity=capacity) for g in readable}
+    reference = {g: StreamCipher(GROUP_KEYS[g], memo_capacity=capacity) for g in readable}
     for term, indices in picks:
         elements = [pool[index % len(pool)] for index in indices]
-        hits, trs_values, memo_hits = skim_matches(
-            elements, term, kernel.__getitem__, readable
-        )
-        assert (
-            [(hit.doc_id, hit.rscore, hit.group) for hit in hits],
-            trs_values,
-            memo_hits,
-        ) == _reference_matches(elements, term, reference, readable)
-        for group in GROUPS:
+        matches = skim_matches(elements, term, kernel)
+        assert matches == _reference_matches(elements, term, reference)
+        for group in readable:
+            assert kernel[group].memo_hits == reference[group].memo_hits
             assert len(kernel[group]._memo) <= capacity
+            # The reference memoises raw plaintexts, the skim decoded
+            # postings: same ciphertexts, same (insertion = eviction) order.
             assert list(kernel[group]._memo) == list(reference[group]._memo)
+            assert list(kernel[group]._memo.values()) == [
+                PostingElement.from_bytes(plaintext)
+                for plaintext in reference[group]._memo.values()
+            ]
 
 
 # -- one-shot helper cache ----------------------------------------------------

@@ -167,3 +167,72 @@ class TestKeyHandout:
         prf_1 = service.unseen_term_prf("bob", "g1")
         prf_2 = service.unseen_term_prf("bob", "g2")
         assert prf_1.evaluate_unit(b"term") != prf_2.evaluate_unit(b"term")
+
+
+class TestKeyring:
+    """The read path's one lookup: group -> cipher for everything the
+    principal may open right now, owned and cached by the key service."""
+
+    def test_keys_are_the_memberships_and_values_the_cipher_for_ciphers(self, service):
+        ring = service.keyring("bob")
+        assert ring.keys() == service.memberships("bob") == {"g1", "g2"}
+        assert all(ring[g] is service.cipher_for("bob", g) for g in ring)
+        assert service.keyring("alice").keys() == {"g1"}
+
+    def test_unknown_principal_raises_what_memberships_raises(self, service):
+        with pytest.raises(ConfigurationError) as from_memberships:
+            service.memberships("mallory")
+        with pytest.raises(ConfigurationError) as from_keyring:
+            service.keyring("mallory")
+        assert str(from_keyring.value) == str(from_memberships.value)
+
+    def test_handed_out_mapping_is_a_copy(self, service):
+        """A copy, not a read-only view: the skim's per-element ``get``
+        stays a plain dict lookup, and writing to it changes nothing."""
+        ring = service.keyring("bob")
+        genuine = ring["g2"]
+        ring["g2"] = service.cipher_for("bob", "g1")  # swap a cipher
+        ring["g9"] = genuine  # grant a group
+        del ring["g1"]  # drop one
+        again = service.keyring("bob")
+        assert again is not ring and again.keys() == {"g1", "g2"}
+        assert again["g2"] is genuine
+        assert not service.is_member("bob", "g9")
+
+    def test_revoke_drops_the_group_and_reenroll_starts_cold(self, service):
+        stale = service.keyring("bob")["g2"]
+        ciphertext = stale.encrypt(b"x", b"n" * 16)
+        assert stale.try_decrypt(ciphertext) == stale.try_decrypt(ciphertext) == b"x"
+        assert stale.memo_hits == 1
+        service.revoke("bob", "g2")
+        assert service.keyring("bob").keys() == {"g1"}
+        service.enroll("bob", "g2")
+        fresh = service.keyring("bob")["g2"]
+        assert fresh is not stale and fresh.memo_hits == 0 and not fresh._memo
+        assert fresh is service.cipher_for("bob", "g2")
+
+    def test_membership_change_that_bypassed_revoke_is_seen(self, service):
+        """``ring.keys() == principal.groups`` on every call, not only
+        after an ``_invalidate``."""
+        bob = service._principal("bob")
+        assert service.keyring("bob").keys() == {"g1", "g2"}
+        bob.groups.discard("g2")
+        assert service.keyring("bob").keys() == {"g1"}
+        bob.groups.add("g2")
+        assert service.keyring("bob").keys() == {"g1", "g2"}
+
+    def test_ring_is_cached_between_membership_changes(self, service):
+        built = []
+        original = service._cached_cipher
+
+        def counting(principal, group):
+            built.append((principal, group))
+            return original(principal, group)
+
+        service._cached_cipher = counting
+        for _ in range(3):
+            service.keyring("bob")
+        assert sorted(built) == [("bob", "g1"), ("bob", "g2")]
+        service.enroll("bob", "g3")
+        service.keyring("bob")
+        assert len(built) == 5  # one rebuild over the three groups

@@ -89,6 +89,14 @@ class TestEncryptedPostingElement:
         element = EncryptedPostingElement(ciphertext=b"1234", group="g")
         assert element.size_bits == 32
 
+    def test_slots_keep_elements_small_and_frozen(self):
+        element = EncryptedPostingElement(ciphertext=b"1234", group="g", trs=0.5)
+        assert not hasattr(element, "__dict__")
+        with pytest.raises(AttributeError):
+            element.trs = 0.9
+        assert element == EncryptedPostingElement(b"1234", "g", 0.5)
+        assert hash(element) == hash(EncryptedPostingElement(b"1234", "g", 0.5))
+
 
 class TestPostingList:
     def _element(self, doc_id, tf, length):

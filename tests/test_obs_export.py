@@ -138,6 +138,59 @@ class TestEndToEndSpanChain:
         assert snapshot["replication_ticks_total"]["series"][0]["value"] >= 1
         assert snapshot["crypto_skim_elements_total"]["series"][0]["value"] >= 1
 
+    def test_skim_counters_keep_what_was_served_before_a_malformed_element(
+        self, system
+    ):
+        """A verified-but-malformed element raises out of the round; the
+        slices absorbed before it — and the hits served before it inside
+        its own slice — still reach the ``crypto_skim_*`` counters."""
+        from dataclasses import replace
+
+        from repro.core.protocol import BatchFetchRequest
+        from repro.errors import ProtocolError
+        from repro.index.postings import EncryptedPostingElement
+
+        telemetry = Telemetry()
+        cluster, _ = system.deploy_cluster(num_servers=2, telemetry=telemetry)
+        client = system.client_for("superuser", server=cluster)
+        terms = [
+            t
+            for t in system.vocabulary.terms_by_frequency()
+            if system.vocabulary.document_frequency(t) >= 2
+        ][:2]
+        client.query_multi_batched(terms, k=2)  # memoise both head slices
+
+        def total(name):
+            series = telemetry.registry.snapshot()[name]["series"]
+            return series[0]["value"] if series else 0
+
+        session = client.open_multi_session(terms, k=2)
+        first, second = cluster.batch_fetch(
+            BatchFetchRequest(
+                principal=client.principal, requests=session.pending_requests()
+            )
+        ).responses
+        assert first.elements and second.elements
+        group = second.elements[0].group
+        cipher = system.key_service.cipher_for(client.principal, group)
+        malformed = EncryptedPostingElement(
+            ciphertext=cipher.encrypt(b'{"t":"t"}', b"\x07" * 16),  # authentic
+            group=group,
+            trs=0.0,
+        )
+        poisoned = replace(second, elements=(second.elements[0], malformed))
+        elements_before = total("crypto_skim_elements_total")
+        hits_before = total("crypto_skim_memo_hits_total")
+        with pytest.raises(ProtocolError):
+            session.deliver([first, poisoned])
+        assert total("crypto_skim_elements_total") - elements_before == (
+            len(first.elements) + 2
+        )
+        assert total("crypto_skim_memo_hits_total") - hits_before == (
+            len(first.elements) + 1
+        )
+        assert malformed.ciphertext not in cipher._memo
+
 
 class TestKillSwitch:
     def test_suspend_halts_recording_and_resume_restores_it(self, system):
