@@ -426,6 +426,12 @@ def cmd_cluster_status(args: argparse.Namespace) -> int:
         behind = per_server_behind.get(server_index, 0)
         if behind:
             line += f"  backlog={behind} op(s)"
+        outlook = repl.delivery_outlook(server_index)
+        if outlook.next_due is not None:
+            line += f"  next delivery in {outlook.next_due - tick} tick(s)"
+        if outlook.held:
+            reason = "partitioned" if alive else "down"
+            line += f"  {outlook.held} bucket(s) held ({reason})"
         print(line)
     history = cluster.failover_history()
     print(f"  failover history : {len(history)} election(s)")

@@ -24,10 +24,12 @@ placement tuple) and a versioned replication log.  Every write, at every
 lag, takes one path: validate, check the ack quorum, mutate the primary,
 record the op, deliver what is due, force the acks W still lacks.  The
 unit of that path is the batch — a document insert (``insert_many``) or
-a document delete (``delete_many``) is one pass through it, with the
-preconditions checked once per touched list and before any primary is
-written, so a refused batch is a clean no-op; ``insert`` and
-``delete_element`` are its one-item calls.
+a document delete (``delete_many``) is one pass through it: one
+admission pass (which servers can ack is decided once per batch, the
+preconditions once per touched list) before any primary is written, so
+a refused batch is a clean no-op, and one ack pass
+(:meth:`~repro.core.replication.ReplicationManager.force_acks`) at the
+end; ``insert`` and ``delete_element`` are its one-item calls.
 Followers receive ops through the log under a configurable
 :class:`~repro.core.replication.LagModel`; reads carry the
 serving replica's applied version, and the cluster detects divergence and
@@ -162,15 +164,7 @@ class ServerCluster:
         self._obs = ClusterInstruments(telemetry)
         self._repl_obs = ReplicationInstruments(telemetry)
         self._monitor: ClusterMonitor | None = None
-        self._repl = ReplicationManager(
-            self._servers,
-            replicas_of=self.replicas_of,
-            server_alive=lambda index: self._alive[index],
-            num_lists=num_lists,
-            lag=lag,
-            anti_entropy_every=anti_entropy_every,
-            instruments=self._repl_obs,
-        )
+        self._repl = self._new_replication_manager(lag, anti_entropy_every)
         if telemetry is not None:
             # The replication tick counter is THE telemetry clock; read
             # through self._repl so a restore_topology swap stays bound.
@@ -184,6 +178,21 @@ class ServerCluster:
                 per_server_load=self.per_server_load,
                 log_lengths=lambda: self._repl.log_lengths(),
             )
+
+    def _new_replication_manager(
+        self, lag: LagModel | int | None, anti_entropy_every: int | None
+    ) -> ReplicationManager:
+        """A manager over the current placement table.  It is handed ids
+        the cluster has validated, so it reads the rows as stored."""
+        return ReplicationManager(
+            self._servers,
+            replicas_of=lambda list_id: self._placement[list_id],
+            server_alive=lambda index: self._alive[index],
+            num_lists=self._num_lists,
+            lag=lag,
+            anti_entropy_every=anti_entropy_every,
+            instruments=self._repl_obs,
+        )
 
     # -- topology -----------------------------------------------------------
 
@@ -209,6 +218,12 @@ class ServerCluster:
         if not 0 <= list_id < self._num_lists:
             raise UnknownListError(list_id)
         return list(self._placement[list_id])
+
+    def _primary_of(self, list_id: int) -> int:
+        """The primary of *list_id*, validating the id (no row copy)."""
+        if not 0 <= list_id < self._num_lists:
+            raise UnknownListError(list_id)
+        return self._placement[list_id][0]
 
     def server(self, index: int) -> ZerberRServer:
         """Direct access to one server (the adversary's viewpoint)."""
@@ -449,8 +464,10 @@ class ServerCluster:
         that will *hold* the op when the write call returns: the primary
         (alive — a paused primary still applies writes inline; pausing
         only blocks log deliveries *to* it) plus every reachable
-        follower, which :meth:`_force_write_acks` forces current through
-        the log.  Per the :meth:`fail_server` contract, W > 1 writes
+        follower, which
+        :meth:`~repro.core.replication.ReplicationManager.force_acks`
+        forces current through the log.  Per the :meth:`fail_server`
+        contract, W > 1 writes
         never lean on the durable-primary idealisation: a down primary
         refuses the write outright even when enough followers could ack,
         because acknowledging through a dead primary's idealised copy
@@ -485,37 +502,6 @@ class ServerCluster:
                 ),
             )
 
-    def _force_write_acks(
-        self, list_id: int, consistency: WriteConsistency
-    ) -> None:
-        """Force followers current until W replicas hold the list's head.
-
-        The acks are synchronous *through the log* — no wall-clock
-        waiting: the most-caught-up reachable followers are caught up via
-        :meth:`~repro.core.replication.ReplicationManager.sync` (reason
-        ``"write-ack"``) until the required count of replicas sits at the
-        head.  :meth:`_check_write_quorum` already proved enough replicas
-        are reachable, and invariant 3 guarantees the log holds every op
-        they lack, so this cannot fail once the write was admitted.
-        """
-        replicas = self.replicas_of(list_id)
-        needed = consistency.required_acks(len(replicas))
-        if needed <= 1:
-            return
-        head = self._repl.head_version(list_id)
-        versions = {s: self._repl.applied_version(list_id, s) for s in replicas}
-        acked = sum(1 for version in versions.values() if version >= head)
-        stale = sorted(
-            (s for s in replicas[1:] if versions[s] < head and self._reachable(s)),
-            key=lambda s: -versions[s],
-        )
-        for server_index in stale:
-            if acked >= needed:
-                break
-            # A reachable replica's sync runs to the head, or applies nothing.
-            if self._repl.sync(list_id, server_index, reason="write-ack"):
-                acked += 1
-
     def _ensure_primary_current(self, list_id: int) -> None:
         """Refuse to acknowledge a write at a gapped primary.
 
@@ -526,11 +512,10 @@ class ServerCluster:
         from the log first; if it is unreachable (paused or down with a
         gap), the write fails honestly with :class:`UnavailableError`.
         """
-        replicas = self.replicas_of(list_id)
-        head = self._repl.head_version(list_id)
-        if self._repl.applied_version(list_id, replicas[0]) < head:
+        replicas = self._placement[list_id]
+        if self._repl.staleness(list_id, replicas[0]):
             self._repl.sync(list_id, replicas[0], reason="write-catchup")
-            if self._repl.applied_version(list_id, replicas[0]) < head:
+            if self._repl.staleness(list_id, replicas[0]):
                 raise UnavailableError(list_id, len(replicas))
 
     def _validate_items(
@@ -550,7 +535,7 @@ class ServerCluster:
                 raise ProtocolError("Zerber+R elements must carry a TRS")
             if not self._keys.is_member(principal, element.group):
                 raise AccessDeniedError(principal, element.group)
-            self.replicas_of(list_id)  # validates the list id
+            self._primary_of(list_id)  # validates the list id
         return items
 
     def _group_by_primary(
@@ -559,7 +544,7 @@ class ServerCluster:
         """Group items by their list's primary, preserving caller order."""
         per_server: dict[int, list[tuple[int, EncryptedPostingElement]]] = {}
         for list_id, element in items:
-            primary = self.replicas_of(list_id)[0]
+            primary = self._placement[list_id][0]
             per_server.setdefault(primary, []).append((list_id, element))
         return per_server
 
@@ -616,10 +601,22 @@ class ServerCluster:
         """Per touched list: the ack quorum is reachable and the primary
         holds the log head.  Runs before any primary is written, so a
         refusal is a clean no-op.  Returns the distinct lists, in order.
+
+        Which servers can ack is decided once per batch — it is a
+        property of the server, not of the list; the first list whose
+        replicas fall short gets its refusal, roster and all, from
+        :meth:`_check_write_quorum`.
         """
         touched = list(dict.fromkeys(list_ids))
-        for list_id in touched:
-            self._check_write_quorum(list_id, consistency)
+        needed = consistency.required_acks(self.replication)
+        if needed > 1:
+            reachable = [self._reachable(s) for s in range(len(self._servers))]
+            if not all(reachable):  # otherwise no list can fall short
+                for list_id in touched:
+                    replicas = self._placement[list_id]
+                    ack_capable = 1 + sum(reachable[s] for s in replicas[1:])
+                    if not self._alive[replicas[0]] or ack_capable < needed:
+                        self._check_write_quorum(list_id, consistency)
         for list_id in touched:
             self._ensure_primary_current(list_id)
         return touched
@@ -632,8 +629,7 @@ class ServerCluster:
         # Deliver before forcing: a zero-lag follower's copy of the ops
         # just recorded is already due, so the forcing finds it at the head.
         self._repl.deliver_due()
-        for list_id in touched:
-            self._force_write_acks(list_id, consistency)
+        self._repl.force_acks(touched, consistency)
         self._obs.writes.inc(float(ops), consistency=consistency.value)
 
     def _replicated_write_batch(
@@ -653,8 +649,9 @@ class ServerCluster:
             server = self._servers[server_index]
             load = server.bulk_load if bulk else server.insert_many
             load(principal, per_primary[server_index])
+        record_insert = self._repl.record_insert
         for list_id, element in items:
-            self._repl.record_insert(list_id, element)
+            record_insert(list_id, element)
         self._acknowledge_write(touched, consistency, len(items))
         return len(items)
 
@@ -675,8 +672,8 @@ class ServerCluster:
         primary catch-up because locating reads the primary's list.  Then
         the primaries pop and patch their views, each removed element is
         recorded with its stored TRS (followers bisect to it), and the
-        batch closes with one delivery round and one forced ack per
-        touched list.  Returns, per receipt, whether it removed an
+        batch closes with one delivery round and one ack pass over the
+        touched lists.  Returns, per receipt, whether it removed an
         element; a miss (already deleted, named twice, never inserted)
         mutates, logs and counts nothing — deletion is idempotent.
         """
@@ -684,7 +681,7 @@ class ServerCluster:
         batch = [Receipt(*receipt) for receipt in receipts]
         per_primary: dict[int, list[int]] = {}
         for index, receipt in enumerate(batch):
-            primary = self.replicas_of(receipt.list_id)[0]  # validates the id
+            primary = self._primary_of(receipt.list_id)
             per_primary.setdefault(primary, []).append(index)
         self._admit_write((receipt.list_id for receipt in batch), consistency)
         located = {
@@ -1153,14 +1150,8 @@ class ServerCluster:
             self.replication,
         )
         self._epoch = int(epoch)
-        self._repl = ReplicationManager(
-            self._servers,
-            replicas_of=self.replicas_of,
-            server_alive=lambda index: self._alive[index],
-            num_lists=self._num_lists,
-            lag=self._repl.lag,
-            anti_entropy_every=self._repl.anti_entropy_every,
-            instruments=self._repl_obs,
+        self._repl = self._new_replication_manager(
+            self._repl.lag, self._repl.anti_entropy_every
         )
 
     def _migrate_list(self, list_id: int, targets: tuple[int, ...]) -> None:

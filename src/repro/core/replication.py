@@ -15,14 +15,22 @@ diverge and "replication" bought availability only.  This module gives
   scheduler embedded in :class:`ReplicationManager`: each op becomes due
   ``LagModel.delay_for(server)`` ticks after it was recorded, and
   :meth:`ReplicationManager.tick` applies every due op in log order.
-  The scheduler is *due-indexed*: a min-heap holds one entry per
-  non-empty (list, follower) FIFO, keyed by the due tick of the FIFO's
-  head, so a delivery round touches the pairs that are due and nothing
-  else (``docs/REPLICATION.md``, "Delivery scheduler");
+  The scheduler keeps its state at the granularity it has: everything one
+  follower is owed for one tick is one **bucket**, ``(due tick, follower)
+  -> {list: [upto_seq, records]}``, and a min-heap holds one key per
+  bucket — at most one push per follower per tick, however many lists a
+  write batch touched — so a delivery round touches the followers that
+  have something due and nothing else (``docs/REPLICATION.md``,
+  "Delivery scheduler").  A follower's delay is resolved once, so the
+  tick a bucket was recorded at is ``due - delay`` and is not stored;
+  ``records`` counts the ops behind one entry, which is what
+  :meth:`ReplicationManager.outstanding_deliveries` and the ack-latency
+  histogram (one observation per delivered record) read;
 * a follower can be **paused** (network partition): deliveries to it are
-  held — not dropped — until :meth:`ReplicationManager.resume`; pairs
-  held back by a pause or an outage wait in a small set that every
-  delivery round re-examines;
+  held — not dropped — until :meth:`ReplicationManager.resume`; buckets
+  that came due while their follower was paused or down wait under that
+  server's name, and every delivery round asks once per such server
+  whether it is back;
 * an **anti-entropy sweep** (every ``anti_entropy_every`` ticks) force-
   syncs every reachable stale follower, bounding worst-case staleness
   even for lists that nobody reads.
@@ -33,22 +41,38 @@ Version / log invariants
 1. ``head_seq(list)`` increments by exactly one per recorded op (insert
    or delete); it is the version of the primary's state, because a write
    applies to the primary in the same call that records the op.
-2. ``applied(list, server)`` is the number of log ops server has applied.
-   Every replica's state is always a *prefix* of the log: ops are
-   delivered strictly in sequence order, per (list, server) FIFO, and
-   nothing else mutates a replicated list (a bulk load is a run of
-   recorded inserts; a migration admits its copy through
-   :meth:`register_replica` at the version it was exported at).
-3. ``base_seq(list) <= min(applied(list, s) for s in replicas(list))`` —
-   the log retains at least every op some current replica still lacks,
-   so any reachable replica can always be caught up from the log alone
-   (read-repair, anti-entropy, migration cut-over), even if the primary
-   is down.  Ops at or below the minimum applied version are truncated,
-   so the retained ops are exactly the run ``(base_seq, head_seq]``.
+2. ``log.applied[server]`` is the number of the log's ops *server* has
+   applied; the log owns one entry per current replica
+   (:attr:`ReplicationLog.applied`).  Every replica's state is always a
+   *prefix* of the log: ops are delivered strictly in sequence order —
+   a follower's buckets come due in due-tick order and each delivers
+   the run ``(applied, upto_seq]`` — and nothing else mutates a
+   replicated list (a bulk load is a run of recorded inserts; a
+   migration admits its copy through :meth:`register_replica` at the
+   version it was exported at).
+3. ``base_seq(list) <= min(log.applied.values())`` — the log retains at
+   least every op some current replica still lacks, so any reachable
+   replica can always be caught up from the log alone (read-repair,
+   anti-entropy, migration cut-over), even if the primary is down.  Ops
+   at or below the minimum applied version are truncated, so the
+   retained ops are exactly the run ``(base_seq, head_seq]``; the
+   minimum is over the log's own dict, and only the replica that held
+   it looks for something to truncate.
 4. Staleness of a replica is ``head_seq - applied``; it is what fetch
    responses expose as the serving replica's
    :attr:`~repro.core.protocol.FetchResponse.replica_version` and what
    read-repair keys on.
+
+Catching a follower up out of turn (read-repair, anti-entropy, a forced
+write ack) makes the deliveries it was still owed moot.  Its *newest*
+bucket entry — ``log.pending[server]`` remembers that bucket's due tick,
+which is also all :meth:`ReplicationManager.pending_lag_ticks` needs — is
+dropped there and then: a QUORUM write forces a follower in the very
+batch that scheduled its delivery, and leaving those entries in place
+piles them up through a lagged bulk load.  Entries in *older* buckets
+are left where they are and skipped when their bucket comes due
+(``upto_seq <= applied``): finding them eagerly would mean walking
+buckets on the write path, and there are at most ``delay`` of them.
 
 Lag 0 (the default) is a lag like any other: a recorded op is due on the
 tick it was recorded, so the ``deliver_due()`` that ends every cluster
@@ -60,12 +84,12 @@ replica has no follower to wait for; its ops are truncated as recorded.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
 from itertools import islice
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.index.postings import EncryptedPostingElement
@@ -224,10 +248,6 @@ class LagModel:
     def delay_for(self, server_index: int) -> int:
         return self.per_server.get(server_index, self.fixed_ticks)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.fixed_ticks == 0 and not any(self.per_server.values())
-
 
 @dataclass(frozen=True, slots=True)
 class ReplicationOp:
@@ -253,16 +273,22 @@ class ReplicationLog:
 
     Retains every op above ``base_seq``; invariant 3 of the module
     docstring governs truncation (the manager advances the base only
-    past the minimum applied version of the list's current replicas).
+    past the minimum of ``applied``).  The log owns the versions it is a
+    log *of*: ``applied`` has one entry per current replica of the list.
     """
 
-    __slots__ = ("list_id", "head_seq", "base_seq", "_ops")
+    __slots__ = ("list_id", "head_seq", "base_seq", "_ops", "applied", "pending")
 
-    def __init__(self, list_id: int) -> None:
+    def __init__(self, list_id: int, replicas: Iterable[int] = ()) -> None:
         self.list_id = list_id
         self.head_seq = 0
         self.base_seq = 0  # ops with seq <= base_seq are truncated
         self._ops: deque[ReplicationOp] = deque()
+        # server -> ops of this log the server has applied.
+        self.applied: dict[int, int] = dict.fromkeys(replicas, 0)
+        # server -> due tick of the newest delivery scheduled for it that
+        # nothing has satisfied yet (the bucket a catch-up must clean).
+        self.pending: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._ops)
@@ -373,6 +399,21 @@ class ReplicationStats:
     floor_reserves: int = 0
 
 
+class DeliveryOutlook(NamedTuple):
+    """When one server's scheduled deliveries are due (``cluster-status``).
+
+    ``next_due`` is the earliest due tick among its scheduled buckets
+    (``None`` when it has none); ``held`` counts buckets that came due
+    while it was paused or down and go out on the first delivery round
+    after it recovers.  Buckets nothing is owed from any more — every
+    entry satisfied by a catch-up — are not counted.
+    """
+
+    next_due: int | None
+    scheduled: int
+    held: int
+
+
 class ReplicationManager:
     """Per-list replication logs plus the tick-driven delivery scheduler.
 
@@ -402,33 +443,38 @@ class ReplicationManager:
         self._servers = servers
         self._replicas_of = replicas_of
         self._alive = server_alive
-        self.lag = LagModel.coerce(lag)
+        self._lag = LagModel.coerce(lag)
+        # Resolved once: a follower's delay never changes, so its buckets
+        # come due in the order they were filled and a bucket's recording
+        # tick is its due tick minus the delay.
+        self._delays = [self._lag.delay_for(s) for s in range(len(servers))]
         self.anti_entropy_every = anti_entropy_every
         self._obs = (
             instruments if instruments is not None else ReplicationInstruments(None)
         )
         self._logs: dict[int, ReplicationLog] = {
-            list_id: ReplicationLog(list_id) for list_id in range(num_lists)
+            list_id: ReplicationLog(list_id, replicas_of(list_id))
+            for list_id in range(num_lists)
         }
-        # (list_id, server) -> applied log seq; one entry per current replica.
-        self._applied: dict[tuple[int, int], int] = {}
-        # (list_id, server) -> FIFO of (due_tick, upto_seq, recorded_tick)
-        # deliveries; the recorded tick is what ack latency is measured from.
-        # Only non-empty queues are kept, so "no backlog" is ``not _due``.
-        self._due: dict[tuple[int, int], deque[tuple[int, int, int]]] = {}
-        # Min-heap of (head's due tick, list_id, server): one live entry per
-        # queue not in ``_held``; an entry whose queue has gone, or has a
-        # different head by now, is dead and is discarded when popped.
-        self._schedule: list[tuple[int, int, int]] = []
-        # Pairs whose head came due while the follower was paused or down;
-        # nobody announces a recovery, so deliver_due() re-examines these.
-        self._held: set[tuple[int, int]] = set()
+        # (due tick, server) -> list_id -> [upto_seq, records]: every
+        # delivery one follower is owed for one tick.  ``records`` is the
+        # number of recorded ops behind the entry.
+        self._buckets: dict[tuple[int, int], dict[int, list[int]]] = {}
+        # Every bucket is in exactly one of these two: the min-heap of the
+        # keys of buckets not yet due, or — server -> due ticks, oldest
+        # first — the buckets that came due while their follower was
+        # paused or down.  Nobody announces a recovery, so deliver_due()
+        # asks again about each server that has something held.
+        self._schedule: list[tuple[int, int]] = []
+        self._held: dict[int, list[int]] = {}
         self._paused: set[int] = set()
         self.tick_count = 0
         self.stats = ReplicationStats()
-        for list_id in range(num_lists):
-            for server_index in replicas_of(list_id):
-                self._applied[(list_id, server_index)] = 0
+
+    @property
+    def lag(self) -> LagModel:
+        """The lag model the per-server delays were resolved from."""
+        return self._lag
 
     # -- partitions ------------------------------------------------------------
 
@@ -465,20 +511,33 @@ class ReplicationManager:
     def applied_version(self, list_id: int, server_index: int) -> int:
         """Ops of *list_id*'s log that *server_index* has applied."""
         try:
-            return self._applied[(list_id, server_index)]
+            return self._logs[list_id].applied[server_index]
         except KeyError:
             raise ProtocolError(
                 f"server {server_index} does not hold list {list_id}"
             ) from None
 
     def staleness(self, list_id: int, server_index: int) -> int:
-        return self.head_version(list_id) - self.applied_version(
-            list_id, server_index
-        )
+        """Ops of *list_id*'s log that *server_index* still lacks."""
+        log = self._logs[list_id]
+        return log.head_seq - self.applied_version(list_id, server_index)
+
+    def _unsatisfied(self) -> Iterator[tuple[tuple[int, int], int]]:
+        """``(bucket key, records)`` of every entry still owed.
+
+        An entry a catch-up has satisfied since (``upto_seq <= applied``)
+        stays in its bucket until the bucket comes due; it is owed
+        nothing, so the observability reads skip it like delivery does.
+        """
+        logs = self._logs
+        for key, bucket in self._buckets.items():
+            for list_id, (upto_seq, records) in bucket.items():
+                if upto_seq > logs[list_id].applied[key[1]]:
+                    yield key, records
 
     def outstanding_deliveries(self) -> int:
-        """Queued (not yet applied) delivery records across all pairs."""
-        return sum(len(queue) for queue in self._due.values())
+        """Scheduled (not yet applied) delivery records across all followers."""
+        return sum(records for _, records in self._unsatisfied())
 
     # -- write path ------------------------------------------------------------
 
@@ -486,9 +545,7 @@ class ReplicationManager:
         self, list_id: int, element: EncryptedPostingElement
     ) -> ReplicationOp:
         """Log an insert the cluster just applied to the primary."""
-        return self._record(
-            list_id, self._logs[list_id].append("insert", element=element)
-        )
+        return self._record(list_id, "insert", element, None, None)
 
     def record_delete(
         self, list_id: int, ciphertext: bytes, trs: float | None = None
@@ -498,42 +555,96 @@ class ReplicationManager:
         *trs* is the TRS of the element the primary removed: followers
         use it to bisect to the element instead of scanning for it.
         """
-        return self._record(
-            list_id,
-            self._logs[list_id].append("delete", ciphertext=ciphertext, trs=trs),
-        )
+        return self._record(list_id, "delete", None, ciphertext, trs)
 
-    def _record(self, list_id: int, op: ReplicationOp) -> ReplicationOp:
-        self.stats.ops_logged += 1
+    def _record(
+        self,
+        list_id: int,
+        kind: str,
+        element: EncryptedPostingElement | None,
+        ciphertext: bytes | None,
+        trs: float | None,
+    ) -> ReplicationOp:
+        log = self._logs[list_id]
         replicas = self._replicas_of(list_id)
-        if self._applied[(list_id, replicas[0])] != op.seq - 1:
+        primary = replicas[0]
+        applied = log.applied
+        if applied[primary] != log.head_seq:
             # The cluster guards every write with a primary
             # catch-up (ServerCluster._ensure_primary_current); stamping
-            # a gapped primary to op.seq here would mark its missing ops
-            # as applied and silently lose them, so fail loudly instead.
+            # a gapped primary to the new head here would mark its missing
+            # ops as applied and silently lose them, so fail loudly — and
+            # before the op is appended: a refused record logs, schedules
+            # and counts nothing.
             raise ProtocolError(
-                f"list {list_id}: primary {replicas[0]} is at version "
-                f"{self._applied[(list_id, replicas[0])]}, cannot "
-                f"acknowledge op {op.seq}"
+                f"list {list_id}: primary {primary} is at version "
+                f"{applied[primary]}, cannot acknowledge op {log.head_seq + 1}"
             )
-        self._applied[(list_id, replicas[0])] = op.seq
-        for follower in replicas[1:]:
-            self._enqueue(list_id, follower, op.seq)
+        op = log.append(kind, element, ciphertext, trs)
+        self.stats.ops_logged += 1
+        applied[primary] = op.seq
         if len(replicas) == 1:
             # No follower will ever apply the op, and truncation otherwise
             # happens on application: the sole replica holds it already.
-            self._logs[list_id].truncate_to(op.seq)
+            log.truncate_to(op.seq)
+        for follower in replicas[1:]:
+            self._enqueue(log, follower, op.seq)
         return op
 
-    def _enqueue(self, list_id: int, server_index: int, upto_seq: int) -> None:
-        """Queue the delivery of ops up to *upto_seq*, due after the lag."""
-        key = (list_id, server_index)
-        due = self.tick_count + self.lag.delay_for(server_index)
-        queue = self._due.get(key)
-        if queue is None:
-            queue = self._due[key] = deque()
-            heappush(self._schedule, (due, *key))
-        queue.append((due, upto_seq, self.tick_count))
+    def _enqueue(self, log: ReplicationLog, server_index: int, upto_seq: int) -> None:
+        """Owe *server_index* the ops of *log* up to *upto_seq*, due after
+        its lag: one more record in the follower's bucket for that tick."""
+        due = self.tick_count + self._delays[server_index]
+        key = (due, server_index)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = {}
+            heappush(self._schedule, key)
+        entry = bucket.get(log.list_id)
+        if entry is None:
+            bucket[log.list_id] = [upto_seq, 1]
+        else:
+            entry[0] = upto_seq
+            entry[1] += 1
+        log.pending[server_index] = due
+
+    def force_acks(
+        self, list_ids: Iterable[int], consistency: WriteConsistency
+    ) -> None:
+        """Force followers current until W replicas hold each list's head.
+
+        The closing pass of a write batch over the lists it touched.  The
+        acks are synchronous *through the log* — no wall-clock waiting:
+        per list, the most-caught-up reachable followers (ties by
+        placement order) are caught up, counted as ``"write-ack"`` syncs,
+        until the required count of replicas sits at the head.  The
+        cluster's admission check already proved enough replicas are
+        reachable, and invariant 3 guarantees the log holds every op they
+        lack, so this cannot fail once the write was admitted.  Whether a
+        server is reachable is decided once per batch, not per list.
+        """
+        reachable: dict[int, bool] = {}
+        for list_id in list_ids:
+            log = self._logs[list_id]
+            applied = log.applied
+            needed = consistency.required_acks(len(applied))
+            head = log.head_seq
+            acked = 0
+            for version in applied.values():
+                if version >= head:
+                    acked += 1
+            if acked >= needed:
+                continue
+            stale: list[int] = []
+            for follower in self._replicas_of(list_id)[1:]:
+                if applied[follower] < head:
+                    if follower not in reachable:
+                        reachable[follower] = self._deliverable(follower)
+                    if reachable[follower]:
+                        stale.append(follower)
+            stale.sort(key=lambda s: -applied[s])
+            for follower in stale[: needed - acked]:
+                self._catch_up(log, follower, "write-ack")
 
     # -- delivery --------------------------------------------------------------
 
@@ -557,41 +668,42 @@ class ReplicationManager:
     def deliver_due(self) -> int:
         """Apply every delivery that is due at the current tick.
 
-        Costs O(due + held): nothing due and nothing held is one
-        comparison against the top of the schedule.
+        Costs one liveness check per *server* with something due or
+        held, and one heap pop per bucket come due: nothing due and
+        nothing held is one comparison against the top of the schedule.
         """
         total = 0
-        for key in [key for key in self._held if self._deliverable(key[1])]:
-            total += self._drain(key)
+        if self._held:
+            for server_index in [s for s in self._held if self._deliverable(s)]:
+                # Oldest first, and before anything newer leaves the heap.
+                for due in self._held.pop(server_index):
+                    total += self._deliver((due, server_index))
         schedule = self._schedule
         while schedule and schedule[0][0] <= self.tick_count:
-            due, list_id, server_index = heappop(schedule)
-            key = (list_id, server_index)
-            queue = self._due.get(key)
-            if not queue or queue[0][0] != due:
-                continue  # dead entry: its queue was emptied since the push
-            if self._deliverable(server_index):
-                total += self._drain(key)
+            key = heappop(schedule)
+            if self._deliverable(key[1]):
+                total += self._deliver(key)
             else:
-                self._held.add(key)
+                self._held.setdefault(key[1], []).append(key[0])
         self.stats.follower_ops_applied += total
         return total
 
-    def _drain(self, key: tuple[int, int]) -> int:
-        """Deliver one pair's due records; re-schedule what stays queued."""
-        self._held.discard(key)
-        queue = self._due.get(key)
-        if not queue:
-            return 0  # held pair whose queue a sync or drop has since emptied
-        upto = None
-        while queue and queue[0][0] <= self.tick_count:
-            _, upto, recorded = queue.popleft()
-            self._obs.ack_latency.observe(float(self.tick_count - recorded))
-        applied = 0 if upto is None else self._apply_ops(*key, upto)
-        if queue:
-            heappush(self._schedule, (queue[0][0], *key))
-        else:
-            self._due.pop(key, None)
+    def _deliver(self, key: tuple[int, int]) -> int:
+        """Hand one follower everything one bucket owes it."""
+        due, server_index = key
+        observe = self._obs.ack_latency.observe if self._obs.enabled else None
+        latency = float(self.tick_count - (due - self._delays[server_index]))
+        applied = 0
+        for list_id, (upto_seq, records) in self._buckets.pop(key).items():
+            log = self._logs[list_id]
+            if upto_seq <= log.applied[server_index]:
+                continue  # a catch-up got there first; it observed nothing
+            if observe is not None:
+                for _ in range(records):
+                    observe(latency)
+            if log.pending.get(server_index) == due:
+                del log.pending[server_index]  # nothing newer is scheduled
+            applied += self._apply_ops(log, server_index, upto_seq)
         return applied
 
     def sync(self, list_id: int, server_index: int, reason: str = "repair") -> int:
@@ -601,13 +713,16 @@ class ReplicationManager:
         cut-over.  Returns the number of ops applied (0 when the replica
         is already current, paused or down).
         """
-        if (list_id, server_index) not in self._applied:
+        log = self._logs.get(list_id)
+        if log is None or server_index not in log.applied:
             raise ProtocolError(f"server {server_index} does not hold list {list_id}")
         if not self._deliverable(server_index):
             return 0
-        applied = self._apply_ops(
-            list_id, server_index, self._logs[list_id].head_seq
-        )
+        return self._catch_up(log, server_index, reason)
+
+    def _catch_up(self, log: ReplicationLog, server_index: int, reason: str) -> int:
+        """:meth:`sync` of a replica already known to be reachable."""
+        applied = self._apply_ops(log, server_index, log.head_seq)
         if applied:
             if reason == "anti-entropy":
                 self.stats.anti_entropy_syncs += 1
@@ -619,7 +734,12 @@ class ReplicationManager:
                 self.stats.failover_ops += applied
             else:
                 self.stats.repair_ops += applied
-            self._due.pop((list_id, server_index), None)
+            # At the head, the replica is owed nothing: drop the newest
+            # delivery scheduled for it.  Older buckets skip theirs when
+            # they come due (see the module docstring).
+            due = log.pending.pop(server_index, None)
+            if due is not None:
+                del self._buckets[due, server_index][log.list_id]
         return applied
 
     def anti_entropy_sweep(self) -> int:
@@ -627,18 +747,21 @@ class ReplicationManager:
         self.stats.anti_entropy_runs += 1
         total = 0
         for list_id, log in self._logs.items():
+            head = log.head_seq
+            if log.base_seq == head:
+                continue  # invariant 3: the minimum is at the head
             for server_index in self._replicas_of(list_id):
-                if self._applied[(list_id, server_index)] < log.head_seq:
+                if log.applied[server_index] < head:
                     total += self.sync(list_id, server_index, reason="anti-entropy")
         return total
 
-    def _apply_ops(self, list_id: int, server_index: int, upto_seq: int) -> int:
-        applied = self._applied[(list_id, server_index)]
+    def _apply_ops(self, log: ReplicationLog, server_index: int, upto_seq: int) -> int:
+        applied = log.applied[server_index]
         if upto_seq <= applied:
             return 0
-        log = self._logs[list_id]
         ops = log.ops_between(applied, upto_seq)
         server = self._servers[server_index]
+        list_id = log.list_id
         for op in ops:
             if op.kind == "insert":
                 assert op.element is not None
@@ -646,23 +769,11 @@ class ReplicationManager:
             else:
                 assert op.ciphertext is not None
                 server.apply_replicated_delete(list_id, op.ciphertext, op.trs)
-        self._applied[(list_id, server_index)] = upto_seq
-        # Drop delivery records this application already satisfied.
-        queue = self._due.get((list_id, server_index))
-        if queue:
-            while queue and queue[0][1] <= upto_seq:
-                queue.popleft()
-            if not queue:
-                self._due.pop((list_id, server_index), None)
+        log.applied[server_index] = upto_seq
         if applied <= log.base_seq:
             # Only the replica that held the minimum can raise it.
-            self._truncate(list_id)
+            log.truncate_to(min(log.applied.values()))
         return len(ops)
-
-    def _truncate(self, list_id: int) -> None:
-        replicas = self._replicas_of(list_id)
-        min_applied = min(self._applied[(list_id, s)] for s in replicas)
-        self._logs[list_id].truncate_to(min_applied)
 
     # -- topology (migration support) ------------------------------------------
 
@@ -675,16 +786,23 @@ class ReplicationManager:
         are scheduled for normal lag-driven delivery, so a cut-over from
         a stale source still converges through the log.
         """
-        self._applied[(list_id, server_index)] = at_version
-        head = self._logs[list_id].head_seq
-        if at_version < head:
-            self._enqueue(list_id, server_index, head)
+        log = self._logs[list_id]
+        log.applied[server_index] = at_version
+        if at_version < log.head_seq:
+            self._enqueue(log, server_index, log.head_seq)
 
     def drop_replica(self, list_id: int, server_index: int) -> None:
         """Forget a replica that no longer hosts the list."""
-        self._applied.pop((list_id, server_index), None)
-        self._due.pop((list_id, server_index), None)
-        self._truncate(list_id)
+        log = self._logs[list_id]
+        log.applied.pop(server_index, None)
+        log.pending.pop(server_index, None)
+        # Control plane: walk the server's buckets and purge the list's
+        # entries, satisfied ones included — re-admitted later, the server
+        # must not find them.  An emptied bucket stays until it comes due.
+        for key, bucket in self._buckets.items():
+            if key[1] == server_index:
+                bucket.pop(list_id, None)
+        log.truncate_to(min(log.applied.values()))
 
     # -- recovery (persistence support; see repro.persist) ----------------------
 
@@ -695,8 +813,9 @@ class ReplicationManager:
 
     def applied_snapshot(self, list_id: int) -> dict[int, int]:
         """Applied version per current replica of *list_id*."""
+        applied = self._logs[list_id].applied
         return {
-            server_index: self._applied[(list_id, server_index)]
+            server_index: applied[server_index]
             for server_index in self._replicas_of(list_id)
         }
 
@@ -707,9 +826,9 @@ class ReplicationManager:
     def restore_clock(self, tick_count: int, paused: Iterable[int] = ()) -> None:
         """Reinstall the persisted replication clock and partition set.
 
-        Called before :meth:`restore_list_state` so catch-up deliveries
-        scheduled during the restore are due relative to the restored
-        clock, exactly as the pre-restart schedule was.
+        Called on a fresh manager, before :meth:`restore_list_state`, so
+        catch-up deliveries scheduled during the restore are due relative
+        to the restored clock, exactly as the pre-restart schedule was.
         """
         if tick_count < 0:
             raise ConfigurationError("tick_count must be >= 0")
@@ -752,26 +871,28 @@ class ReplicationManager:
                     f"server {server_index} outside log bounds "
                     f"[{base_seq}, {head_seq}]"
                 )
-        self._logs[list_id].restore(head_seq, base_seq, ops)
-        for key in [k for k in self._applied if k[0] == list_id]:
-            del self._applied[key]
-        for key in [k for k in self._due if k[0] == list_id]:
-            del self._due[key]
+        log = self._logs[list_id]
+        log.restore(head_seq, base_seq, ops)
+        for bucket in self._buckets.values():
+            bucket.pop(list_id, None)
+        log.pending.clear()
+        log.applied.clear()
         for server_index in replicas:
             self.register_replica(list_id, server_index, applied[server_index])
         # A hand-made dump may retain ops below every replica's version;
         # _apply_ops relies on the base sitting at the minimum.
-        self._truncate(list_id)
+        log.truncate_to(min(log.applied.values()))
 
     def best_source(self, list_id: int) -> int | None:
         """The live replica with the highest applied version (ties by
         placement order) — the migration export source."""
+        applied = self._logs[list_id].applied
         best: int | None = None
         best_version = -1
         for server_index in self._replicas_of(list_id):
             if not self._alive(server_index):
                 continue
-            version = self._applied[(list_id, server_index)]
+            version = applied[server_index]
             if version > best_version:
                 best, best_version = server_index, version
         return best
@@ -788,16 +909,24 @@ class ReplicationManager:
         """Ticks until the last scheduled delivery to one replica is due.
 
         0 means the replica has nothing scheduled (it is at the head, or
-        its remaining staleness has no delivery yet — e.g. it is paused
-        with its queue drained by a sync).  This is the tick-denominated
-        answer to "how long until a read from this replica would be
-        fresh", which the cluster's per-consistency read-latency
-        histogram observes.
+        its remaining staleness has no delivery yet — e.g. a sync emptied
+        its schedule and it was paused before the next write).  This is
+        the tick-denominated answer to "how long until a read from this
+        replica would be fresh", which the cluster's per-consistency
+        read-latency histogram observes.
         """
-        queue = self._due.get((list_id, server_index))
-        if not queue:
-            return 0
-        return max(0, queue[-1][0] - self.tick_count)
+        due = self._logs[list_id].pending.get(server_index)
+        return 0 if due is None else max(0, due - self.tick_count)
+
+    def delivery_outlook(self, server_index: int) -> DeliveryOutlook:
+        """When *server_index*'s scheduled deliveries are due (read-only)."""
+        self._check_server(server_index)
+        owed = {due for (due, s), _ in self._unsatisfied() if s == server_index}
+        held = owed.intersection(self._held.get(server_index, ()))
+        scheduled = owed - held
+        return DeliveryOutlook(
+            min(scheduled, default=None), len(scheduled), len(held)
+        )
 
     def log_lengths(self) -> dict[int, int]:
         """Retained (untruncated) op count per list's replication log."""
@@ -806,9 +935,10 @@ class ReplicationManager:
     def backlog(self) -> dict[tuple[int, int], int]:
         """Current staleness per (list, server) pair, stale pairs only."""
         return {
-            (list_id, server_index): self._logs[list_id].head_seq - applied
-            for (list_id, server_index), applied in self._applied.items()
-            if applied < self._logs[list_id].head_seq
+            (list_id, server_index): log.head_seq - applied
+            for list_id, log in self._logs.items()
+            for server_index, applied in log.applied.items()
+            if applied < log.head_seq
         }
 
     def reachable_backlog(self) -> dict[tuple[int, int], int]:

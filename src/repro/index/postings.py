@@ -29,6 +29,11 @@ from repro.errors import ProtocolError
 # :meth:`PostingElement.to_bytes` never needs.
 _scan_json = json.JSONDecoder().scan_once
 
+# The C string escaper ``json.dumps`` itself applies (quotes included):
+# the canonical form is fixed, so :meth:`PostingElement.to_bytes` formats
+# it directly instead of building a ``JSONEncoder`` per element.
+_escape_json = json.encoder.encode_basestring_ascii
+
 
 @dataclass(frozen=True, order=True, slots=True)
 class PostingElement:
@@ -53,14 +58,12 @@ class PostingElement:
     # -- serialisation (what gets encrypted) --------------------------------
 
     def to_bytes(self) -> bytes:
-        """Canonical byte encoding of the element (the encryption plaintext)."""
-        payload = {
-            "t": self.term,
-            "d": self.doc_id,
-            "f": self.tf,
-            "l": self.doc_length,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        """Canonical byte encoding of the element (the encryption plaintext):
+        ``json.dumps`` of the four fields, keys sorted, no whitespace."""
+        return (
+            f'{{"d":{_escape_json(self.doc_id)},"f":{self.tf},'
+            f'"l":{self.doc_length},"t":{_escape_json(self.term)}}}'
+        ).encode()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PostingElement":

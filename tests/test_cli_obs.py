@@ -5,6 +5,9 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.cluster import ServerCluster
+from repro.crypto.keys import GroupKeyService
+from repro.index.postings import EncryptedPostingElement
 
 
 class TestMetricsCommand:
@@ -110,6 +113,41 @@ class TestClusterStatusCommand:
         assert "servers" in out
         assert "server 0" in out
         assert "failover history" in out
+        # Recovered at lag 2: every stale follower's remainder is due one
+        # lag after the restored clock, and the status line says so.
+        stale = [line for line in out.splitlines() if "backlog=" in line]
+        assert stale and all("next delivery in 2 tick(s)" in line for line in stale)
+        assert "held" not in out
+
+    def test_says_when_a_backlog_is_due_and_why_it_is_held(
+        self, capsys, monkeypatch
+    ):
+        service = GroupKeyService(master_secret=b"s" * 32)
+        service.register("u", {"g"})
+        cluster = ServerCluster(
+            service, num_lists=1, num_servers=3, replication=3, lag=2
+        )
+        cluster.pause_follower(1)
+        cluster.insert("u", 0, EncryptedPostingElement(b"a", "g", 0.5))
+        cluster.replication_tick()
+        cluster.insert("u", 0, EncryptedPostingElement(b"b", "g", 0.5))
+        cluster.fail_server(2)
+        cluster.replication_tick()  # the first write's deliveries come due
+        monkeypatch.setattr(
+            "repro.cli.load_cluster", lambda path, service: (cluster, None, None)
+        )
+        assert main(["cluster-status", "--snapshot", "unused"]) == 0
+        lines = {
+            line.split(":")[0].strip(): line
+            for line in capsys.readouterr().out.splitlines()
+            if line.lstrip().startswith("server ")
+        }
+        assert "next delivery" not in lines["server 0"]
+        assert "backlog=2 op(s)  next delivery in 1 tick(s)" in lines["server 1"]
+        assert "1 bucket(s) held (partitioned)" in lines["server 1"]
+        assert (
+            "next delivery in 1 tick(s)  1 bucket(s) held (down)" in lines["server 2"]
+        )
 
     def test_missing_snapshot_errors(self, capsys, tmp_path):
         code = main(["cluster-status", "--snapshot", str(tmp_path / "nope.json")])

@@ -1,6 +1,9 @@
 """Unit tests for the replication subsystem (logs, lag, consistency)."""
 
+import heapq
 import random
+from collections import deque
+from dataclasses import replace as dataclass_replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,10 +18,12 @@ from repro.core.placement import (
 )
 from repro.core.protocol import FetchRequest
 from repro.core.replication import (
+    DeliveryOutlook,
     LagModel,
     ReadConsistency,
     ReplicationLog,
     ReplicationManager,
+    WriteConsistency,
 )
 from repro.core.server import ZerberRServer
 from repro.crypto.keys import GroupKeyService
@@ -29,7 +34,7 @@ from repro.errors import (
     UnavailableError,
 )
 from repro.index.postings import EncryptedPostingElement
-from repro.obs.instruments import Telemetry
+from repro.obs.instruments import ReplicationInstruments, Telemetry
 
 
 @pytest.fixture()
@@ -56,9 +61,7 @@ class TestConfig:
             LagModel(fixed_ticks=-1)
         with pytest.raises(ConfigurationError):
             LagModel(per_server={0: -2})
-        assert LagModel.coerce(None).is_zero
         assert LagModel.coerce(3).fixed_ticks == 3
-        assert not LagModel(per_server={1: 2}).is_zero
 
     def test_consistency_coercion(self):
         assert ReadConsistency.coerce(None) is ReadConsistency.PRIMARY
@@ -722,25 +725,119 @@ class TestLogSlicing:
 # -- the delivery scheduler ---------------------------------------------------
 
 
-class _FullScanManager(ReplicationManager):
-    """The delivery loop the due-indexed schedule replaced, kept as the
-    oracle: walk every pending (list, follower) queue on every call."""
+class _PerPairManager(ReplicationManager):
+    """The scheduler the buckets replaced, kept as the abstract model the
+    new one refines: a FIFO of ``(due, upto, recorded)`` records per
+    (list, follower), one heap entry per FIFO that is not held, ``sync``
+    emptying the pair's FIFO and every application dropping the records
+    it satisfied.  It shares the logs, versions and stats accounting with
+    the manager under test and nothing of its scheduling."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._due = {}
+        self._pair_schedule = []
+        self._held_pairs = set()
+
+    def _enqueue(self, log, server_index, upto_seq):
+        key = (log.list_id, server_index)
+        due = self.tick_count + self.lag.delay_for(server_index)
+        queue = self._due.get(key)
+        if queue is None:
+            queue = self._due[key] = deque()
+            heapq.heappush(self._pair_schedule, (due, *key))
+        queue.append((due, upto_seq, self.tick_count))
 
     def deliver_due(self):
         total = 0
-        for (list_id, server_index), queue in list(self._due.items()):
-            if not self._deliverable(server_index):
-                continue
-            upto = None
-            while queue and queue[0][0] <= self.tick_count:
-                _, upto, recorded = queue.popleft()
-                self._obs.ack_latency.observe(float(self.tick_count - recorded))
-            if upto is not None:
-                total += self._apply_ops(list_id, server_index, upto)
-            if not queue:
-                self._due.pop((list_id, server_index), None)
+        for key in [k for k in self._held_pairs if self._deliverable(k[1])]:
+            total += self._drain(key)
+        schedule = self._pair_schedule
+        while schedule and schedule[0][0] <= self.tick_count:
+            due, list_id, server_index = heapq.heappop(schedule)
+            key = (list_id, server_index)
+            queue = self._due.get(key)
+            if not queue or queue[0][0] != due:
+                continue  # dead entry: its queue was emptied since the push
+            if self._deliverable(server_index):
+                total += self._drain(key)
+            else:
+                self._held_pairs.add(key)
         self.stats.follower_ops_applied += total
         return total
+
+    def _drain(self, key):
+        self._held_pairs.discard(key)
+        queue = self._due.get(key)
+        if not queue:
+            return 0
+        upto = None
+        while queue and queue[0][0] <= self.tick_count:
+            _, upto, recorded = queue.popleft()
+            self._obs.ack_latency.observe(float(self.tick_count - recorded))
+        applied = 0
+        if upto is not None:
+            applied = self._apply_ops(self._logs[key[0]], key[1], upto)
+        if queue:
+            heapq.heappush(self._pair_schedule, (queue[0][0], *key))
+        else:
+            self._due.pop(key, None)
+        return applied
+
+    def _apply_ops(self, log, server_index, upto_seq):
+        applied = super()._apply_ops(log, server_index, upto_seq)
+        queue = self._due.get((log.list_id, server_index))
+        if applied and queue:
+            while queue and queue[0][1] <= upto_seq:
+                queue.popleft()
+            if not queue:
+                del self._due[(log.list_id, server_index)]
+        return applied
+
+    def _catch_up(self, log, server_index, reason):
+        applied = super()._catch_up(log, server_index, reason)
+        if applied:
+            self._due.pop((log.list_id, server_index), None)
+        return applied
+
+    def force_acks(self, list_ids, consistency):
+        for list_id in list_ids:
+            replicas = self._replicas_of(list_id)
+            needed = consistency.required_acks(len(replicas))
+            head = self.head_version(list_id)
+            versions = {s: self.applied_version(list_id, s) for s in replicas}
+            acked = sum(1 for version in versions.values() if version >= head)
+            stale = sorted(
+                (
+                    s
+                    for s in replicas[1:]
+                    if versions[s] < head and self._deliverable(s)
+                ),
+                key=lambda s: -versions[s],
+            )
+            for server_index in stale:
+                if acked >= needed:
+                    break
+                if self.sync(list_id, server_index, reason="write-ack"):
+                    acked += 1
+
+    def drop_replica(self, list_id, server_index):
+        self._due.pop((list_id, server_index), None)
+        super().drop_replica(list_id, server_index)
+
+    def restore_list_state(self, list_id, *state):
+        for key in [k for k in self._due if k[0] == list_id]:
+            del self._due[key]
+        super().restore_list_state(list_id, *state)
+
+    def outstanding_deliveries(self):
+        return sum(len(queue) for queue in self._due.values())
+
+    def pending_lag_ticks(self, list_id, server_index):
+        queue = self._due.get((list_id, server_index))
+        if not queue:
+            return 0
+        return max(0, queue[-1][0] - self.tick_count)
 
 
 class _RecordingServer:
@@ -765,9 +862,12 @@ class _World:
     """One manager under test with the placement and liveness it is judged
     against; ``applications`` is every (tick, list, server, seq) it applied."""
 
-    def __init__(self, manager_cls, lag, anti_entropy_every, spread=True):
+    def __init__(
+        self, manager_cls, lag, anti_entropy_every, spread=True, telemetry=False
+    ):
         self.manager_cls = manager_cls
         self.lag, self.anti_entropy_every = lag, anti_entropy_every
+        self.telemetry = Telemetry() if telemetry else None
         # Three replicas a list: rotated over the servers, or all on 0-2.
         self.placement = {
             list_id: [(list_id * spread + i) % SCHED_SERVERS for i in range(3)]
@@ -787,6 +887,7 @@ class _World:
             num_lists=SCHED_LISTS,
             lag=self.lag,
             anti_entropy_every=self.anti_entropy_every,
+            instruments=ReplicationInstruments(self.telemetry),
         )
 
     def _is_alive(self, server_index):
@@ -865,13 +966,21 @@ class _World:
             self.register(list_id, server)
         elif code == 14:
             self.drop(list_id, server)
-        else:
+        elif code == 15:
             self.snapshot_restore()
+        else:
+            level = WriteConsistency.QUORUM if code == 16 else WriteConsistency.ALL
+            m.force_acks([list_id, (list_id + 1) % SCHED_LISTS], level)
 
     def observe(self):
         m = self.manager
         pairs = [(l, s) for l in range(SCHED_LISTS) for s in self.placement[l]]
+        latency = None
+        if self.telemetry is not None:
+            series = self.telemetry.registry.get("replication_ack_latency_ticks")
+            latency = (series.count(), series.sum())
         return {
+            "ack_latency": latency,
             "applications": sorted(self.applications),
             "applied": {pair: m.applied_version(*pair) for pair in pairs},
             "pending_lag": {pair: m.pending_lag_ticks(*pair) for pair in pairs},
@@ -883,48 +992,42 @@ class _World:
         }
 
 
-def _schedule_covers_every_queue(manager):
-    """The scheduler's invariant: each non-empty queue is held, or has a
-    live entry (one carrying its head's due tick) in the heap."""
-    live = {
-        (list_id, server)
-        for due, list_id, server in manager._schedule
-        if manager._due.get((list_id, server))
-        and manager._due[(list_id, server)][0][0] == due
-    }
-    return all(queue for queue in manager._due.values()) and all(
-        key in live or key in manager._held for key in manager._due
-    )
+def _every_bucket_is_scheduled_or_held(manager):
+    """The scheduler's invariant: each bucket sits in exactly one of the
+    heap and the held table — no bucket is forgotten, no key is dead."""
+    keys = manager._schedule + [
+        (due, server) for server, dues in manager._held.items() for due in dues
+    ]
+    return sorted(keys) == sorted(manager._buckets) and len(set(keys)) == len(keys)
+
+
+SCHEDULES = dict(
+    steps=st.lists(
+        st.tuples(st.integers(0, 17), st.integers(0, 11), st.integers(0, 11)),
+        max_size=90,
+    ),
+    fixed=st.integers(0, 3),
+    per_server=st.dictionaries(
+        st.integers(0, SCHED_SERVERS - 1), st.integers(0, 5), max_size=3
+    ),
+    anti_entropy_every=st.sampled_from([None, 4, 7]),
+)
 
 
 class TestDeliveryScheduler:
-    @settings(max_examples=120, deadline=None)
-    @given(
-        steps=st.lists(
-            st.tuples(
-                st.integers(0, 15), st.integers(0, 11), st.integers(0, 11)
-            ),
-            max_size=90,
-        ),
-        fixed=st.integers(0, 3),
-        per_server=st.dictionaries(
-            st.integers(0, SCHED_SERVERS - 1), st.integers(0, 5), max_size=3
-        ),
-        anti_entropy_every=st.sampled_from([None, 4, 7]),
-    )
-    def test_due_index_matches_the_full_scan(
-        self, steps, fixed, per_server, anti_entropy_every
+    def _refines_the_per_pair_scheduler(
+        self, steps, fixed, per_server, anti_entropy_every, telemetry
     ):
         lag = LagModel(fixed, per_server)
-        new = _World(ReplicationManager, lag, anti_entropy_every)
-        ref = _World(_FullScanManager, lag, anti_entropy_every)
+        new = _World(ReplicationManager, lag, anti_entropy_every, telemetry=telemetry)
+        ref = _World(_PerPairManager, lag, anti_entropy_every, telemetry=telemetry)
         for number, (code, a, b) in enumerate(steps):
             new.step(code, a, b)
             ref.step(code, a, b)
             assert new.observe() == ref.observe(), (number, code, a, b)
-            assert _schedule_covers_every_queue(new.manager)
-        # Healed and given time, both drain completely — and the schedule
-        # carries no entry, live or dead, past the last due tick.
+            assert _every_bucket_is_scheduled_or_held(new.manager)
+        # Healed and given time, both drain completely — and no bucket,
+        # schedule entry or held key outlives the last due tick.
         for world in (new, ref):
             world.alive = [True] * SCHED_SERVERS
             for server in range(SCHED_SERVERS):
@@ -932,9 +1035,34 @@ class TestDeliveryScheduler:
             for _ in range(fixed + 6):
                 world.manager.tick()
         assert new.observe() == ref.observe()
-        assert new.manager.backlog() == {}
-        assert new.manager.outstanding_deliveries() == 0
-        assert (new.manager._schedule, new.manager._held) == ([], set())
+        m = new.manager
+        assert m.backlog() == {}
+        assert m.outstanding_deliveries() == 0
+        assert (m._buckets, m._schedule, m._held) == ({}, [], {})
+        assert not any(log.pending for log in m._logs.values())
+
+    @settings(max_examples=120, deadline=None)
+    @given(**SCHEDULES)
+    def test_due_index_matches_the_full_scan(
+        self, steps, fixed, per_server, anti_entropy_every
+    ):
+        """Every application, version, backlog, outstanding count, pending
+        lag, log length and stats field equals the per-pair reference
+        after every step of a random schedule."""
+        self._refines_the_per_pair_scheduler(
+            steps, fixed, per_server, anti_entropy_every, telemetry=False
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(**SCHEDULES)
+    def test_buckets_observe_the_ack_latencies_the_records_would(
+        self, steps, fixed, per_server, anti_entropy_every
+    ):
+        """Telemetry on: the same, and the ``replication_ack_latency_ticks``
+        series (count and sum) — one observation per delivered record."""
+        self._refines_the_per_pair_scheduler(
+            steps, fixed, per_server, anti_entropy_every, telemetry=True
+        )
 
     def _loaded(self, lag=3, queues=40):
         world = _World(ReplicationManager, LagModel(lag), None, spread=False)
@@ -946,13 +1074,13 @@ class TestDeliveryScheduler:
 
     def test_nothing_due_consults_no_server(self):
         world = self._loaded()
-        assert len(world.manager._due) == 2 * SCHED_LISTS
+        # One bucket per follower and tick, however many lists and ops.
+        assert sorted(world.manager._buckets) == [(3, 1), (3, 2)]
         for _ in range(50):
             assert world.manager.deliver_due() == 0
         assert world.alive_calls == 0
-        # One schedule entry per queue, however many ops each queue holds.
         assert world.manager.outstanding_deliveries() == 2 * SCHED_LISTS * 40
-        assert len(world.manager._schedule) == 2 * SCHED_LISTS
+        assert len(world.manager._schedule) == 2
 
     @pytest.mark.parametrize("outage", ["pause", "down"])
     def test_held_delivery_goes_out_on_the_first_call_after_recovery(self, outage):
@@ -964,13 +1092,15 @@ class TestDeliveryScheduler:
             world.alive[2] = False
         applied = m.tick()  # everything comes due; server 2 is unreachable
         assert applied == 2 * SCHED_LISTS
-        assert m._held == {(l, 2) for l in range(SCHED_LISTS)}
+        assert m._held == {2: [1]}
         assert m.reachable_backlog() == {}
-        # While the outage lasts a call costs one liveness check per held
-        # pair (a paused pair does not even get that far) and moves nothing.
+        assert m.delivery_outlook(2) == DeliveryOutlook(None, 0, 1)
+        # While the outage lasts a call costs one liveness check per
+        # *server* with something held — not per list behind it — and
+        # moves nothing.
         world.alive_calls = 0
         assert m.deliver_due() == 0
-        assert world.alive_calls == SCHED_LISTS
+        assert world.alive_calls == 1
         # Nobody tells the manager about the recovery ...
         if outage == "pause":
             m.resume(2)
@@ -979,7 +1109,27 @@ class TestDeliveryScheduler:
         # ... and the very next call, without a tick, delivers.
         assert m.deliver_due() == 2 * SCHED_LISTS
         assert m.backlog() == {}
-        assert (m._held, m._due, m._schedule) == (set(), {}, [])
+        assert (m._held, m._buckets, m._schedule) == ({}, {}, [])
+
+    def test_a_long_outage_is_asked_about_once_per_round(self):
+        """Held buckets pile up under their server's name: however long
+        the outage, a round asks about the server once, and the recovery
+        delivers the backlog oldest first."""
+        world = _World(ReplicationManager, LagModel(1), None, spread=False)
+        m = world.manager
+        world.alive[2] = False
+        for _ in range(25):
+            world.record(0, delete=False)
+            m.tick()
+        assert len(m._held[2]) == 25 and m.delivery_outlook(2).held == 25
+        world.alive_calls = 0
+        assert m.deliver_due() == 0
+        assert world.alive_calls == 1
+        world.alive[2] = True
+        world.applications.clear()
+        assert m.deliver_due() == 25
+        assert [seq for *_, seq in world.applications] == list(range(1, 26))
+        assert m._held == {} and m.backlog() == {}
 
     def test_snapshot_mid_lag_delivers_exactly_the_outstanding_ops(self):
         lag = LagModel(2, {2: 4})
@@ -993,7 +1143,9 @@ class TestDeliveryScheduler:
         world.snapshot_restore()
         m = world.manager
         assert m.backlog() == {(0, 1): 1, (0, 2): 4}
-        assert _schedule_covers_every_queue(m)
+        assert _every_bucket_is_scheduled_or_held(m)
+        assert m.delivery_outlook(1) == DeliveryOutlook(4, 1, 0)
+        assert m.delivery_outlook(2) == DeliveryOutlook(6, 1, 0)
         world.applications.clear()
         for _ in range(4):
             m.tick()
@@ -1024,3 +1176,200 @@ class TestDeliveryScheduler:
         assert m.log_lengths()[0] == 1  # server 2 still needs op 3
         m.sync(0, 2)
         assert m.log_lengths()[0] == 0
+
+    # -- what a catch-up leaves scheduled ------------------------------------
+
+    def _twins(self, lag):
+        return [
+            _World(cls, LagModel(lag), None, spread=False)
+            for cls in (ReplicationManager, _PerPairManager)
+        ]
+
+    def test_forced_ack_then_another_record_in_the_same_tick(self):
+        """The forced follower's entry in this tick's bucket is dropped by
+        the catch-up and re-created by the next record — one record owed,
+        not two, and none delivered twice."""
+        for world in self._twins(lag=2):
+            m = world.manager
+            world.record(0, delete=False)
+            assert m.outstanding_deliveries() == 2
+            m.force_acks([0], WriteConsistency.QUORUM)
+            assert m.applied_version(0, 1) == 1
+            assert (m.pending_lag_ticks(0, 1), m.pending_lag_ticks(0, 2)) == (0, 2)
+            assert m.outstanding_deliveries() == 1
+            world.record(0, delete=False)
+            assert (m.pending_lag_ticks(0, 1), m.pending_lag_ticks(0, 2)) == (2, 2)
+            assert m.outstanding_deliveries() == 3
+            m.tick()
+            m.tick()
+            assert world.applications == [
+                (0, 0, 1, 1),
+                (2, 0, 1, 2),
+                (2, 0, 2, 1),
+                (2, 0, 2, 2),
+            ]
+            assert m.outstanding_deliveries() == 0 and m.backlog() == {}
+            assert m.stats.write_ack_syncs == 1
+
+    def test_partial_drain_under_a_pause(self):
+        """Resumed between two due ticks, the follower receives the held
+        bucket at once and keeps waiting for the one not yet due."""
+        for world in self._twins(lag=2):
+            m = world.manager
+            m.pause(2)
+            world.record(0, delete=False)  # due at 2
+            m.tick()
+            world.record(0, delete=False)  # due at 3
+            world.record(1, delete=False)  # due at 3
+            m.tick()  # tick 2: server 2's first delivery is held
+            assert m.applied_version(0, 2) == 0
+            assert m.pending_lag_ticks(0, 2) == 1
+            m.resume(2)
+            assert m.deliver_due() == 1
+            assert m.applied_version(0, 2) == 1
+            assert m.pending_lag_ticks(0, 2) == 1
+            assert m.outstanding_deliveries() == 4
+            m.tick()
+            assert m.outstanding_deliveries() == 0 and m.backlog() == {}
+            assert [a for a in world.applications if a[2] == 2] == [
+                (2, 0, 2, 1),
+                (3, 0, 2, 2),
+                (3, 1, 2, 1),
+            ]
+
+    def test_dropped_replica_re_admitted_before_its_old_bucket_is_due(self):
+        """A delivery scheduled before the drop never reaches the server:
+        re-admitted from a source at version 1, it gets op 2 one lag after
+        the re-admission — not early at the old due tick, not twice."""
+        for world in self._twins(lag=3):
+            m = world.manager
+            world.record(0, delete=False)
+            world.record(0, delete=False)  # servers 1 and 2 owed 1-2 at tick 3
+            world.drop(0, 2)
+            assert m.outstanding_deliveries() == 2
+            m.tick()
+            # The best source is the primary (version 2); register server 2
+            # one behind it, as a cut-over from a stale copy would.
+            world.placement[0].append(2)
+            m.register_replica(0, 2, 1)
+            assert m.pending_lag_ticks(0, 2) == 3
+            assert m.outstanding_deliveries() == 3
+            for _ in range(3):
+                m.tick()
+            assert [a for a in world.applications if a[2] == 2] == [(4, 0, 2, 2)]
+            assert m.outstanding_deliveries() == 0 and m.backlog() == {}
+
+    def test_a_refused_record_leaves_no_trace(self):
+        """A gapped primary is refused before the op is appended: head,
+        retained ops, backlog, what is scheduled and stats stay as they were."""
+        world = _World(ReplicationManager, LagModel(2), None, spread=False)
+        m = world.manager
+        world.placement[0] = [0, 1]
+        m.drop_replica(0, 2)
+        world.record(0, delete=False)
+        assert m.backlog() == {(0, 1): 1}
+        world.placement[0] = [1, 0]  # the replica at version 0 now leads
+
+        def state():
+            return (
+                m.log_snapshot(0),
+                m.backlog(),
+                m.outstanding_deliveries(),
+                m.pending_lag_ticks(0, 0),
+                m.pending_lag_ticks(0, 1),
+                dataclass_replace(m.stats),
+            )
+
+        before = state()
+        for record in (
+            lambda: m.record_insert(0, _element(0.5, b"2")),
+            lambda: m.record_delete(0, b"1", 0.5),
+        ):
+            with pytest.raises(ProtocolError, match="cannot acknowledge op 2"):
+                record()
+            assert state() == before
+        assert before[0][0] == 1 and before[1] == {(0, 1): 1}
+
+
+class _CountedLiveness(list):
+    """A cluster's liveness table that counts how often it is consulted."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+class TestWriteBatchWorkBound:
+    """The replication plane's bookkeeping for one document is bounded by
+    the servers it reaches, not by the lists it touches — counted."""
+
+    LISTS, SERVERS = 12, 4
+
+    @pytest.fixture()
+    def counted(self, keys, monkeypatch):
+        import repro.core.replication as replication
+
+        cluster = ServerCluster(
+            keys,
+            num_lists=self.LISTS,
+            num_servers=self.SERVERS,
+            replication=3,
+            lag=2,
+            write_consistency="quorum",
+        )
+        repl = cluster.replication_manager
+        counts = {"push": 0, "pop": 0, "dead": 0, "rounds": 0}
+        push, pop = replication.heappush, replication.heappop
+        deliver_due = repl.deliver_due
+
+        def counting_push(heap, key):
+            counts["push"] += 1
+            push(heap, key)
+
+        def counting_pop(heap):
+            counts["pop"] += 1
+            key = pop(heap)
+            counts["dead"] += not repl._buckets.get(key)
+            return key
+
+        def counting_round():
+            counts["rounds"] += 1
+            return deliver_due()
+
+        monkeypatch.setattr(replication, "heappush", counting_push)
+        monkeypatch.setattr(replication, "heappop", counting_pop)
+        monkeypatch.setattr(repl, "deliver_due", counting_round)
+        cluster._alive = liveness = _CountedLiveness(cluster._alive)
+        return cluster, counts, liveness
+
+    def test_a_document_write_is_bounded_by_servers_not_lists(self, counted):
+        cluster, counts, liveness = counted
+        repl = cluster.replication_manager
+        items = [
+            (
+                list_id,
+                _element(0.1 * copy + 0.01 * list_id, b"w%d-%d" % (list_id, copy)),
+            )
+            for copy in range(2)
+            for list_id in range(self.LISTS)
+        ]
+        assert cluster.insert_many("u", items) == 2 * self.LISTS
+        assert liveness.reads <= 2 * self.SERVERS
+        assert 1 <= counts["push"] <= self.SERVERS
+        assert (counts["rounds"], counts["pop"]) == (1, 0)
+        # One forced catch-up per touched list, two ops each.
+        assert repl.stats.write_ack_syncs == self.LISTS
+        assert repl.stats.write_ack_ops == 2 * self.LISTS
+        assert repl.outstanding_deliveries() == 2 * self.LISTS
+
+        liveness.reads = 0
+        cluster.replication_tick()
+        assert (counts["pop"], liveness.reads) == (0, 0)
+        assert cluster.replication_tick() == 2 * self.LISTS
+        assert 1 <= counts["pop"] <= self.SERVERS
+        assert counts["dead"] == 0
+        assert liveness.reads <= self.SERVERS
+        assert cluster.replication_backlog() == {}
+        assert repl.outstanding_deliveries() == 0

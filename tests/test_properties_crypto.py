@@ -1,6 +1,8 @@
 """Property-based tests for the crypto substrate: roundtrip for all inputs,
 authentication rejects every single-bit tamper."""
 
+import json
+
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.cipher import NONCE_SIZE, StreamCipher
@@ -55,17 +57,25 @@ def test_prf_unit_in_range(key, message):
     assert 0.0 <= value < 1.0
 
 
+# Every code point, lone surrogates included (``st.text()`` leaves them out).
+any_text = st.text(st.characters(exclude_categories=()), max_size=20)
+
+
 @given(
-    term=st.text(min_size=1, max_size=20),
-    doc_id=st.text(min_size=1, max_size=20),
-    tf=st.integers(min_value=1, max_value=1000),
-    extra=st.integers(min_value=0, max_value=1000),
+    term=any_text
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\ud800", "\U0001f600"]),
+    doc_id=any_text,
+    tf=st.integers(min_value=1, max_value=10**12),
+    extra=st.integers(min_value=0, max_value=10**12),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_posting_element_serialisation_roundtrip(term, doc_id, tf, extra):
     element = PostingElement(
         term=term, doc_id=doc_id, tf=tf, doc_length=tf + extra
     )
+    payload = {"t": term, "d": doc_id, "f": tf, "l": tf + extra}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert element.to_bytes() == canonical.encode()
     assert PostingElement.from_bytes(element.to_bytes()) == element
 
 
