@@ -61,6 +61,27 @@ spends a small constant per fetched element and nothing per group:
 * a term session keeps the matched ``(posting, element)`` pairs as they
   are; a :class:`RankedHit` is built only for the ≤ k hits a caller
   reads, and the multi-term aggregate sums straight from the postings.
+
+Around the skim, each fact of a round is worked out once:
+
+* a response is walked once for the traces — its term trace counts it
+  and sums its bits as it is taken up
+  (:meth:`~repro.core.protocol.QueryTrace.record_response`), and the
+  session's :class:`~repro.core.protocol.BatchQueryTrace` is booked from
+  those totals when the round ends, so it *is* the sum of the term
+  traces;
+* a :class:`ClientQuerySession` keeps the terms still fetching as a
+  list: ``done`` is "the list is empty", ``pending_requests`` and
+  ``deliver`` walk it, and ``deliver`` refreshes it on its way out;
+* ``k`` is validated and the default policy built once per query, not
+  once per term.
+
+What :meth:`ClientQuerySession.deliver` guarantees when absorbing a
+slice raises (an element that passes its MAC but decodes malformed): the
+error propagates, the round is booked for exactly the slices the term
+traces counted — the one that raised included, the ones after it not —
+and the active list is refreshed, so a term that finished earlier in the
+round is not asked for again.
 """
 
 from __future__ import annotations
@@ -71,7 +92,6 @@ from typing import TypeVar
 
 from repro.core.protocol import (
     BatchFetchRequest,
-    BatchFetchResponse,
     BatchQueryTrace,
     FetchRequest,
     FetchResponse,
@@ -240,12 +260,12 @@ class _TermSession:
         trace_id: int | None = None,
     ) -> FetchRequest:
         return FetchRequest(
-            principal=principal,
-            list_id=self.list_id,
-            offset=self.offset,
-            count=self.policy.response_size(self.request_number),
-            min_version=min_version,
-            trace_id=trace_id,
+            principal,
+            self.list_id,
+            self.offset,
+            self.policy.response_size(self.request_number),
+            min_version,
+            trace_id,
         )
 
 
@@ -268,6 +288,10 @@ class ClientQuerySession:
     ) -> None:
         self._client = client
         self._sessions = sessions
+        # The terms still fetching, in term order: what the next round
+        # asks for and what its responses align with.  Refreshed by
+        # deliver() on its way out, whether the round landed or raised.
+        self._active = [s for s in sessions if not s.done]
         self._k = k
         self.principal = client.principal
         self.batch_trace = BatchQueryTrace(
@@ -300,7 +324,7 @@ class ClientQuerySession:
 
     @property
     def done(self) -> bool:
-        return all(s.done for s in self._sessions)
+        return not self._active
 
     def pending_requests(self) -> tuple[FetchRequest, ...]:
         """Next slice of every still-active term, in term order.
@@ -311,19 +335,25 @@ class ClientQuerySession:
         read-your-writes/monotonic-reads guarantees (shared slices are
         served at the max of the sharing sessions' floors).
         """
+        principal = self.principal
+        floor_of = self._client._version_floors.get  # version_floor(), unwrapped
+        trace_id = self.trace_id
         return tuple(
-            s.next_request(
-                self.principal,
-                self._client.version_floor(s.list_id),
-                self.trace_id,
-            )
-            for s in self._sessions
-            if not s.done
+            [
+                s.next_request(principal, floor_of(s.list_id), trace_id)
+                for s in self._active
+            ]
         )
 
     def deliver(self, responses: Sequence[FetchResponse]) -> None:
-        """Absorb one round's responses (aligned with the pending order)."""
-        active = [s for s in self._sessions if not s.done]
+        """Absorb one round's responses (aligned with the pending order).
+
+        If a slice raises while it is absorbed (a malformed element),
+        the error propagates with the session left consistent: the
+        round is booked for exactly the slices the term traces counted,
+        and terms that finished before the raise are no longer pending.
+        """
+        active = self._active
         if not active:
             raise ProtocolError("session has no pending requests")
         if len(responses) != len(active):
@@ -337,12 +367,14 @@ class ClientQuerySession:
         with self._tracer.span(
             "skim", trace=self.trace_id, slices=len(responses)
         ) as skim_span:
-            self.batch_trace.record_round(
-                BatchFetchResponse(responses=tuple(responses))
-            )
-            self._client._absorb_round(zip(active, responses), skim_span)
+            try:
+                self._client._absorb_round(
+                    zip(active, responses), skim_span, self.batch_trace
+                )
+            finally:
+                self._active = [s for s in active if not s.done]
         self.rounds += 1
-        if self.done:
+        if not self._active:
             self._tracer.end_trace(self.trace_id)
 
     def result(self) -> MultiQueryResult:
@@ -351,7 +383,7 @@ class ClientQuerySession:
         Scores aggregate by summation *without* IDF (the confidentiality
         trade-off the paper accepts, §3.2).
         """
-        if not self.done:
+        if self._active:
             raise ProtocolError("query session still has active terms")
         self._tracer.end_trace(self.trace_id)  # no-op unless never delivered
         scores: dict[str, float] = {}
@@ -620,30 +652,42 @@ class ZerberRClient:
 
     # -- querying (paper §5.2) ------------------------------------------------------
 
-    def _start_session(
-        self, term: str, k: int, policy: ResponsePolicy | None, max_requests: int
-    ) -> "_TermSession":
+    def _start_sessions(
+        self,
+        terms: Iterable[str],
+        k: int,
+        policy: ResponsePolicy | None,
+        max_requests: int,
+    ) -> list["_TermSession"]:
+        """One term session per term of a query: ``k`` is validated and
+        the default policy (``b = k``, §6.4) built once per query."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        policy = policy if policy is not None else ResponsePolicy(initial_size=k)
-        try:
-            list_id = self._plan.list_of(term)
-        except KeyError:
-            raise UnknownTermError(term) from None
-        return _TermSession(
-            term=term,
-            list_id=list_id,
-            k=k,
-            policy=policy,
-            max_requests=max_requests,
-        )
+        if policy is None:
+            policy = ResponsePolicy(k)
+        list_of = self._plan.list_of
+        sessions = []
+        for term in terms:
+            try:
+                list_id = list_of(term)
+            except KeyError:
+                raise UnknownTermError(term) from None
+            sessions.append(_TermSession(term, list_id, k, policy, max_requests))
+        return sessions
 
     def _absorb_round(
         self,
         round_: Iterable[tuple["_TermSession", FetchResponse]],
         span: Span | None,
+        batch_trace: BatchQueryTrace | None = None,
     ) -> None:
         """Absorb one round's ``(term session, response)`` pairs.
+
+        Every response is walked once for the traces: its term trace
+        counts it (and sums its bits) as it is taken up, and the round
+        is booked into *batch_trace* — a multi-term session's — from
+        those totals on the way out, so the batch trace equals the sum
+        of the term traces after every round, raised or not.
 
         The one place the read path asks the key service anything: one
         keyring per round, so membership is re-validated against the
@@ -658,15 +702,19 @@ class ZerberRClient:
         """
         ciphers = self._keys.keyring(self.principal)
         counting = self._obs.enabled
-        hits_before = sum(c.memo_hits for c in ciphers.values()) if counting else 0
-        elements = 0
+        hits_before = sum([c.memo_hits for c in ciphers.values()]) if counting else 0
+        slices = elements = bits = 0
         try:
             for session, response in round_:
+                slices += 1
                 elements += len(response.elements)
+                bits += session.trace.record_response(response)
                 self._absorb_response(session, response, ciphers)
         finally:
+            if batch_trace is not None:
+                batch_trace.record_totals(slices, elements, bits)
             if counting:
-                memo_hits = sum(c.memo_hits for c in ciphers.values()) - hits_before
+                memo_hits = sum([c.memo_hits for c in ciphers.values()]) - hits_before
                 if elements:
                     self._obs.skim_elements.inc(elements)
                 if memo_hits:
@@ -680,8 +728,8 @@ class ZerberRClient:
         response: FetchResponse,
         ciphers: Mapping[str, StreamCipher],
     ) -> None:
-        """Feed one fetch response into a term session (shared step logic)."""
-        session.trace.record_response(response)
+        """Feed one fetch response, already counted by the term trace,
+        into a term session (shared step logic)."""
         # Monotonic reads: later fetches of this list — this session's
         # follow-ups or any future session — never go below this version.
         self._note_version(session.list_id, response.replica_version)
@@ -712,7 +760,7 @@ class ZerberRClient:
         (§6.4).  ``max_requests`` is a safety valve against runaway loops;
         the doubling rule reaches any list length long before it triggers.
         """
-        session = self._start_session(term, k, policy, max_requests)
+        (session,) = self._start_sessions([term], k, policy, max_requests)
         while not session.done:
             response = self._server.fetch(
                 session.next_request(
@@ -790,10 +838,9 @@ class ZerberRClient:
         fetches them however it likes, and feeds the responses back via
         :meth:`ClientQuerySession.deliver`.
         """
-        sessions = [
-            self._start_session(term, k, policy, max_requests) for term in terms
-        ]
-        return ClientQuerySession(self, sessions, k)
+        return ClientQuerySession(
+            self, self._start_sessions(terms, k, policy, max_requests), k
+        )
 
     def query_multi(
         self,

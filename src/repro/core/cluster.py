@@ -45,7 +45,11 @@ Read routing is pluggable too: a
 :class:`~repro.core.placement.ReadSelector` (``read_strategy``) picks
 which *eligible* replica serves each slice — ``primary`` (seed
 behaviour), ``rotate`` or ``least-loaded`` — so trailing replicas can
-absorb read load instead of idling.
+absorb read load instead of idling.  Routing a slice and stamping its
+answer each read the replication log once
+(:meth:`~repro.core.replication.ReplicationManager.read_state`), and a
+batch that lands whole on one server is passed through as the object
+the caller built; nothing about a route is remembered between slices.
 
 Sharding also *improves* confidentiality in the compromised-server model:
 an adversary owning one server sees only ``1/N`` of the merged lists and
@@ -60,7 +64,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import fields as dataclass_fields
-from dataclasses import replace as dataclass_replace
 
 from repro.core.placement import (
     PlacementPolicy,
@@ -106,6 +109,7 @@ from repro.obs.instruments import (
     ReplicationInstruments,
     Telemetry,
 )
+from repro.obs.metrics import BoundHistogram
 from repro.obs.monitor import ClusterMonitor
 
 
@@ -721,16 +725,30 @@ class ServerCluster:
         )[0]
 
     # -- read path -------------------------------------------------------------
+    #
+    # Per slice the cluster decides which replica serves it and which
+    # version the answer is stamped with; both are read off the
+    # replication log in one call (ReplicationManager.read_state: head,
+    # the log's own server -> applied mapping, the paused set).  Neither
+    # decision is cached here: a remembered route would be a second source
+    # of truth for replica health, and the log read is two dict lookups.
 
     def route(
-        self, list_id: int, consistency: ReadConsistency | str | None = None
+        self,
+        list_id: int,
+        consistency: ReadConsistency | str | None = None,
+        min_version: int | None = None,
     ) -> int:
         """The replica that should serve a read of *list_id*.
 
         Eligibility depends on the consistency level (default: the
         cluster's ``read_consistency``): ``PRIMARY`` prefers caught-up
-        live replicas, ``ONE`` accepts any live replica, ``QUORUM``
-        requires a live majority and returns the version-max member.
+        live replicas, ``ONE`` accepts any live replica — narrowed, when
+        *min_version* (the asking session's version floor) is given, to
+        those at or above it whenever one exists, so the read is not
+        routed to a replica :meth:`serve_envelope` would then have to
+        repair — and ``QUORUM`` requires a live majority and returns the
+        version-max member.
         Among eligible replicas, paused (partitioned) ones are avoided
         whenever an unpaused candidate exists — they only grow staler —
         and the configured :class:`~repro.core.placement.ReadSelector`
@@ -742,7 +760,9 @@ class ServerCluster:
         :class:`QuorumUnavailableError` when a quorum read lacks a live
         majority.
         """
-        return self._route_read(list_id, self._resolve_consistency(consistency))
+        return self._route_read(
+            list_id, self._resolve_consistency(consistency), min_version=min_version
+        )
 
     def _route_read(
         self,
@@ -755,16 +775,25 @@ class ServerCluster:
         """:meth:`route` with a resolved consistency and optional
         precomputed per-server loads (batched reads compute them once).
 
+        One log read per slice: the placement row is read as stored (no
+        copy), liveness is filtered once, versions are compared out of
+        the log's own mapping, and the paused set is consulted only when
+        somebody is paused.
+
         *min_version* (a session's read-your-writes/monotonic floor) and
         *max_staleness* (version-delta bound) narrow ``ONE``'s candidate
         set to replicas satisfying them when any exists; enforcement —
         repair and re-serve when routing could not satisfy the bound —
         happens in :meth:`_finalize_read`.
         """
-        replicas = self.replicas_of(list_id)
-        live = [s for s in replicas if self._alive[s]]
+        if not 0 <= list_id < self._num_lists:
+            raise UnknownListError(list_id)
+        replicas = self._placement[list_id]
+        alive = self._alive
+        live = [s for s in replicas if alive[s]]
         if not live:
             raise UnavailableError(list_id, len(replicas))
+        head, applied, paused = self._repl.read_state(list_id)
         if consistency is ReadConsistency.QUORUM:
             needed = len(replicas) // 2 + 1
             if len(live) < needed:
@@ -773,45 +802,32 @@ class ServerCluster:
                     len(replicas),
                     needed,
                     live_replicas=tuple(live),
-                    down_replicas=tuple(
-                        s for s in replicas if not self._alive[s]
-                    ),
-                    paused_replicas=tuple(
-                        s for s in live if self._repl.is_paused(s)
-                    ),
+                    down_replicas=tuple(s for s in replicas if not alive[s]),
+                    paused_replicas=tuple(s for s in live if s in paused),
                 )
             self._repl.stats.version_probes += len(live)
-            return max(
-                live, key=lambda s: self._repl.applied_version(list_id, s)
-            )
-        head = self._repl.head_version(list_id)
+            return max(live, key=applied.__getitem__)
+        candidates = live
         if consistency is ReadConsistency.PRIMARY:
-            fresh = [
-                s
-                for s in live
-                if self._repl.applied_version(list_id, s) == head
-            ]
-            candidates = fresh if fresh else live
+            fresh = [s for s in live if applied[s] == head]
+            if fresh:
+                candidates = fresh
         else:  # ONE
-            candidates = live
             floor = 0
             if min_version is not None:
                 floor = min(min_version, head)
             if max_staleness is not None:
                 floor = max(floor, head - max_staleness)
             if floor > 0:
-                satisfying = [
-                    s
-                    for s in live
-                    if self._repl.applied_version(list_id, s) >= floor
-                ]
+                satisfying = [s for s in live if applied[s] >= floor]
                 if satisfying:
                     candidates = satisfying
-        # A partitioned follower only grows staler: route around it
-        # unless it is the only copy left (it then serves best-effort).
-        unpaused = [s for s in candidates if not self._repl.is_paused(s)]
-        if unpaused:
-            candidates = unpaused
+        if paused:
+            # A partitioned follower only grows staler: route around it
+            # unless it is the only copy left (it then serves best-effort).
+            unpaused = [s for s in candidates if s not in paused]
+            if unpaused:
+                candidates = unpaused
         if len(candidates) == 1:
             return candidates[0]
         if loads is None:
@@ -819,6 +835,19 @@ class ServerCluster:
                 self.per_server_load() if self._read_selector.needs_loads else []
             )
         return self._read_selector.select(list_id, candidates, loads)
+
+    def _count_reads(
+        self, consistency: ReadConsistency, slices: int
+    ) -> BoundHistogram | None:
+        """Count *slices* served under *consistency* — one instrument
+        lookup and one counter bump per server call — and hand back the
+        read-lag histogram :meth:`_finalize_read` observes per slice
+        (``None`` while telemetry is off)."""
+        if not self._obs.enabled:
+            return None
+        read_counter, lag_histogram = self._obs.read_instruments(consistency.value)
+        read_counter.inc(float(slices))
+        return lag_histogram
 
     def fetch(
         self,
@@ -842,14 +871,16 @@ class ServerCluster:
             raise ConfigurationError("max_staleness must be >= 0 ops")
         consistency = self._resolve_consistency(consistency)
         server_index = self._route_read(
-            request.list_id,
-            consistency,
-            min_version=request.min_version,
-            max_staleness=max_staleness,
+            request.list_id, consistency, None, request.min_version, max_staleness
         )
         response = self._servers[server_index].fetch(request)
         return self._finalize_read(
-            request, server_index, response, consistency, max_staleness
+            request,
+            server_index,
+            response,
+            consistency,
+            max_staleness,
+            self._count_reads(consistency, 1),
         )
 
     def batch_fetch(
@@ -858,16 +889,19 @@ class ServerCluster:
         consistency: ReadConsistency | str | None = None,
         max_staleness: int | None = None,
     ) -> BatchFetchResponse:
-        """Serve a batch with one sub-batch per shard server.
+        """Serve a batch with one server call per touched shard server.
 
-        Each slice routes per the consistency level; slices that land on
-        the same server travel as one :class:`BatchFetchRequest` to it
-        (one round-trip per touched server, not per slice).  Responses
-        reassemble in the original slice order, then each is finalized
-        (version stamp + read-repair) individually — a repair re-serve
-        costs one extra single-slice fetch, which the stats expose as
-        repair traffic.  A list with no live replica fails the whole
-        batch, matching :meth:`fetch`'s error behaviour.
+        Each slice routes per the consistency level.  A batch that lands
+        whole on one server travels as it is — the caller's
+        :class:`BatchFetchRequest` object, already validated when it was
+        built; only a round that really splits is re-bundled into one
+        sub-batch per touched server (one round-trip per touched server,
+        not per slice).  Responses reassemble in the original slice
+        order and each is finalized (version stamp + read-repair)
+        individually — a repair re-serve costs one extra single-slice
+        fetch, which the stats expose as repair traffic.  A list with no
+        live replica fails the whole batch, matching :meth:`fetch`'s
+        error behaviour.
         """
         if max_staleness is not None and max_staleness < 0:
             raise ConfigurationError("max_staleness must be >= 0 ops")
@@ -875,35 +909,36 @@ class ServerCluster:
         loads = (
             self.per_server_load() if self._read_selector.needs_loads else None
         )
-        routed: list[int] = [
-            self._route_read(
-                request.list_id,
-                consistency,
-                loads,
-                min_version=request.min_version,
-                max_staleness=max_staleness,
-            )
-            for request in batch.requests
-        ]
+        requests = batch.requests
+        route = self._route_read
         per_server: dict[int, list[int]] = {}
-        for slice_index, server_index in enumerate(routed):
-            per_server.setdefault(server_index, []).append(slice_index)
-        responses: list[FetchResponse | None] = [None] * len(batch.requests)
-        for server_index, slice_indices in per_server.items():
-            sub_batch = BatchFetchRequest(
-                principal=batch.principal,
-                requests=tuple(batch.requests[i] for i in slice_indices),
+        for slice_index, request in enumerate(requests):
+            server_index = route(
+                request.list_id, consistency, loads, request.min_version, max_staleness
             )
-            sub_response = self._servers[server_index].batch_fetch(sub_batch)
-            for i, response in zip(slice_indices, sub_response.responses):
-                responses[i] = self._finalize_read(
-                    batch.requests[i],
+            per_server.setdefault(server_index, []).append(slice_index)
+        finalize = self._finalize_read
+        responses: list[FetchResponse | None] = [None] * len(requests)
+        for server_index, slice_indices in per_server.items():
+            sub_batch = (
+                batch
+                if len(per_server) == 1
+                else BatchFetchRequest(
+                    batch.principal, tuple([requests[i] for i in slice_indices])
+                )
+            )
+            served = self._servers[server_index].batch_fetch(sub_batch).responses
+            lag_histogram = self._count_reads(consistency, len(served))
+            for i, response in zip(slice_indices, served):
+                responses[i] = finalize(
+                    requests[i],
                     server_index,
                     response,
                     consistency,
                     max_staleness,
+                    lag_histogram,
                 )
-        return BatchFetchResponse(responses=tuple(responses))  # type: ignore[arg-type]
+        return BatchFetchResponse(tuple(responses))  # type: ignore[arg-type]
 
     def serve_envelope(
         self,
@@ -935,12 +970,18 @@ class ServerCluster:
             slices=len(envelope),
         ):
             raw = self._servers[server_index].coalesced_fetch(envelope)
+            lag_histogram = self._count_reads(consistency, len(raw.responses))
+            finalize = self._finalize_read
             flat_requests = [
                 request for batch in envelope.batches for request in batch.requests
             ]
             finalized = tuple(
-                self._finalize_read(request, server_index, response, consistency)
-                for request, response in zip(flat_requests, raw.responses)
+                [
+                    finalize(
+                        request, server_index, response, consistency, None, lag_histogram
+                    )
+                    for request, response in zip(flat_requests, raw.responses)
+                ]
             )
         return CoalescedBatchResponse(
             responses=finalized, slice_ids=raw.slice_ids, epoch=raw.epoch
@@ -953,8 +994,15 @@ class ServerCluster:
         response: FetchResponse,
         consistency: ReadConsistency,
         max_staleness: int | None = None,
+        lag_histogram: BoundHistogram | None = None,
     ) -> FetchResponse:
         """Stamp the replica version; detect divergence and read-repair.
+
+        Reads the same log state routing did (one call; a server that
+        does not hold the list is a :class:`ProtocolError`) and *builds*
+        the stamped response from the parts of the one it was handed.
+        *lag_histogram* is the caller's bound read-lag histogram, or
+        ``None`` while telemetry is off (see :meth:`_count_reads`).
 
         A serving replica behind the log head is caught up immediately
         when reachable (the repair ops also patch its readable views).
@@ -970,18 +1018,16 @@ class ServerCluster:
         guarantees hold whenever a head replica is reachable.
         """
         list_id = request.list_id
-        version = self._repl.applied_version(list_id, server_index)
-        head = self._repl.head_version(list_id)
-        if self._obs.enabled:
-            read_counter, lag_histogram = self._obs.read_instruments(
-                consistency.value
-            )
-            read_counter.inc()
+        head, applied, _ = self._repl.read_state(list_id)
+        version = applied.get(server_index)
+        if version is None:
+            raise ProtocolError(f"server {server_index} does not hold list {list_id}")
+        if lag_histogram is not None:
             lag_histogram.observe(
                 float(self._repl.pending_lag_ticks(list_id, server_index))
             )
         if version >= head:
-            return dataclass_replace(response, replica_version=version)
+            return FetchResponse(response.elements, response.exhausted, version)
         self._repl.observe_staleness(head - version)
         self._obs.read_staleness.observe(float(head - version))
         with self._obs.tracer.span(
@@ -991,11 +1037,11 @@ class ServerCluster:
                 self._repl.stats.read_repairs += 1
         if consistency is ReadConsistency.QUORUM:
             # Quorum reads repair every stale live replica they examined.
-            for other in self.replicas_of(list_id):
+            for other in self._placement[list_id]:
                 if (
                     other != server_index
                     and self._alive[other]
-                    and self._repl.applied_version(list_id, other) < head
+                    and applied[other] < head
                     and self._repl.sync(list_id, other)
                 ):
                     self._repl.stats.read_repairs += 1
@@ -1009,14 +1055,11 @@ class ServerCluster:
         )
         if needs_fresh or bound_violated or floor_violated:
             reserve_from = None
-            if self._repl.applied_version(list_id, server_index) >= head:
+            if applied[server_index] >= head:
                 reserve_from = server_index  # repaired in place
             else:
-                primary = self.replicas_of(list_id)[0]
-                if (
-                    self._alive[primary]
-                    and self._repl.applied_version(list_id, primary) >= head
-                ):
+                primary = self._placement[list_id][0]
+                if self._alive[primary] and applied[primary] >= head:
                     reserve_from = primary
             if reserve_from is not None:
                 if not needs_fresh:
@@ -1026,9 +1069,8 @@ class ServerCluster:
                         self._repl.stats.floor_reserves += 1
                 response = self._servers[reserve_from].fetch(request)
                 self._repl.stats.read_reserves += 1
-                version = self._repl.applied_version(list_id, reserve_from)
-                return dataclass_replace(response, replica_version=version)
-        return dataclass_replace(response, replica_version=version)
+                version = applied[reserve_from]
+        return FetchResponse(response.elements, response.exhausted, version)
 
     # -- placement control plane -------------------------------------------------
 
@@ -1227,7 +1269,7 @@ class ServerCluster:
 
     def per_server_load(self) -> list[int]:
         """Slices served per server — the read-load balance signal."""
-        return [sum(s.fetch_counts.values()) for s in self._servers]
+        return [s.slices_served for s in self._servers]
 
     def view_stats(self) -> ViewStats:
         """Cluster-wide readable-view health: summed per-server counters.

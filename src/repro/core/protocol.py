@@ -24,7 +24,12 @@ doubling protocol over *t* terms costs one round-trip instead of *t*.
 :class:`BatchQueryTrace` accounts a batched multi-term session: it
 distinguishes server *round-trips* (batched calls, the quantity a
 latency-bound deployment cares about) from *sub-fetches* (slices served,
-the quantity the Fig. 12 per-term statistics count).
+the quantity the Fig. 12 per-term statistics count).  A session books
+each round from the totals its per-term traces just counted
+(:meth:`BatchQueryTrace.record_totals`), so a response's bits
+(:attr:`FetchResponse.size_bits`, a plain sum over the slice) are
+summed once per query; :meth:`BatchQueryTrace.record_round` is the same
+booking for a caller that holds only the responses.
 
 Coalesced envelopes: a :class:`~repro.core.router.Coordinator` collects
 the pending slices of *many* concurrent client sessions — potentially
@@ -49,7 +54,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 from repro.errors import ProtocolError
@@ -165,19 +169,25 @@ class FetchResponse:
     def __len__(self) -> int:
         return len(self.elements)
 
-    @cached_property
+    @property
     def size_bits(self) -> int:
-        """Wire size of the shipped elements in bits (§6.6), summed once
-        for every trace that records the response.
+        """Wire size of the shipped elements in bits (§6.6).
 
-        :attr:`EncryptedPostingElement.size_bits` is the definition
-        (ciphertext bytes, plus one double where a TRS rides along);
-        this is its sum taken in two passes over the slice instead of
-        one property call per element.
+        A definition, not a cache: every read walks the slice once.
+        :attr:`EncryptedPostingElement.size_bits` defines one element
+        (ciphertext bytes, plus one double where a TRS rides along) and
+        this is its sum, spelled inline instead of one property call per
+        element.  The query path reads it exactly once per response —
+        :meth:`QueryTrace.record_response` returns what it read, and the
+        batch trace is booked from those totals
+        (:meth:`BatchQueryTrace.record_totals`).
         """
-        elements = self.elements
-        with_trs = len(elements) - [e.trs for e in elements].count(None)
-        return 8 * sum([len(e.ciphertext) for e in elements]) + 64 * with_trs
+        bits = 0
+        for element in self.elements:
+            bits += 8 * len(element.ciphertext)
+            if element.trs is not None:
+                bits += 64
+        return bits
 
 
 @dataclass(frozen=True)
@@ -351,10 +361,14 @@ class QueryTrace:
     bits_transferred: int = 0
     satisfied: bool = False
 
-    def record_response(self, response: FetchResponse) -> None:
+    def record_response(self, response: FetchResponse) -> int:
+        """Count one response; returns its wire bits, so whoever also
+        keeps a session-level trace need not sum the slice again."""
+        bits = response.size_bits
         self.num_requests += 1
         self.elements_transferred += len(response.elements)
-        self.bits_transferred += response.size_bits
+        self.bits_transferred += bits
+        return bits
 
     @property
     def total_response_size(self) -> int:
@@ -392,12 +406,29 @@ class BatchQueryTrace:
     elements_transferred: int = 0
     bits_transferred: int = 0
 
-    def record_round(self, response: BatchFetchResponse) -> None:
+    def record_totals(self, subfetches: int, elements: int, bits: int) -> None:
+        """Book one round from totals the caller already holds.
+
+        The session path: the per-term traces count every slice as it
+        is absorbed (:meth:`QueryTrace.record_response`) and the round
+        is booked here from their sums, so this trace equals the sum of
+        the term traces by construction — also for a round that was cut
+        short by a raise.
+        """
         self.num_rounds += 1
-        self.num_subfetches += len(response)
-        for sub in response:
-            self.elements_transferred += len(sub.elements)
-            self.bits_transferred += sub.size_bits
+        self.num_subfetches += subfetches
+        self.elements_transferred += elements
+        self.bits_transferred += bits
+
+    def record_round(self, response: BatchFetchResponse) -> None:
+        """Book one round from its responses (walks every slice): the
+        call for whoever holds a :class:`BatchFetchResponse` and no
+        per-term traces."""
+        self.record_totals(
+            len(response),
+            response.elements_returned,
+            sum(sub.size_bits for sub in response),
+        )
 
     @property
     def num_requests(self) -> int:

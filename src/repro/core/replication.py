@@ -84,7 +84,7 @@ replica has no follower to wait for; its ops are truncated as recorded.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Set
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
@@ -516,6 +516,22 @@ class ReplicationManager:
             raise ProtocolError(
                 f"server {server_index} does not hold list {list_id}"
             ) from None
+
+    def read_state(
+        self, list_id: int
+    ) -> tuple[int, Mapping[int, int], Set[int]]:
+        """What a read of *list_id* is routed and stamped by, in one call:
+        ``(head version, applied version per current replica, paused
+        servers)``.
+
+        The mapping is the log's own (:attr:`ReplicationLog.applied`) and
+        the set the manager's own — read-only for the caller, and live: a
+        repair that runs after this call shows in the mapping already
+        held.  :meth:`head_version`, :meth:`applied_version` and
+        :meth:`is_paused` answer the same questions one at a time.
+        """
+        log = self._logs[list_id]
+        return log.head_seq, log.applied, self._paused
 
     def staleness(self, list_id: int, server_index: int) -> int:
         """Ops of *list_id*'s log that *server_index* still lacks."""

@@ -549,7 +549,12 @@ class Coordinator:
                         server_index,
                     )
                     continue
-                server_index = self._cluster.route(request.list_id)
+                # Routed on this (the slice's first) wanter's session
+                # floor; a floor merged in later is still enforced when
+                # the slice is finalized.
+                server_index = self._cluster.route(
+                    request.list_id, min_version=request.min_version
+                )
                 new_slices[key] = (request, server_index)
                 if self._max_slices_per_envelope is not None:
                     tentative[server_index] = tentative.get(server_index, 0) + 1
@@ -677,7 +682,10 @@ class Coordinator:
                             (
                                 slice_id,
                                 request,
-                                self._cluster.route(request.list_id),
+                                self._cluster.route(
+                                    request.list_id,
+                                    min_version=request.min_version,
+                                ),
                             )
                             for principal in sorted(by_principal)
                             for slice_id, request in by_principal[principal]

@@ -103,8 +103,11 @@ class ZerberRServer:
         )
         self._batch_counter = 0
         # Per-list fetch counters ("heat") — drive heat-weighted placement —
-        # and a call counter (round-trips served, whatever the envelope).
+        # with their running total (the read-load signal, asked per
+        # routing decision), and a call counter (round-trips served,
+        # whatever the envelope).
         self._fetch_counts: dict[int, int] = {}
+        self._slices_served = 0
         self._calls_served = 0
 
     # -- properties ----------------------------------------------------------
@@ -131,6 +134,12 @@ class ZerberRServer:
     def fetch_counts(self) -> dict[int, int]:
         """Slices served per list id — the list-heat signal placement uses."""
         return dict(self._fetch_counts)
+
+    @property
+    def slices_served(self) -> int:
+        """Slices served over all lists: ``sum(fetch_counts.values())``,
+        kept as a running total."""
+        return self._slices_served
 
     def list_length(self, list_id: int) -> int:
         return len(self._list(list_id))
@@ -392,6 +401,7 @@ class ZerberRServer:
                     f"list {list_id}: fetch count must be >= 0"
                 )
         self._fetch_counts = counts
+        self._slices_served = sum(counts.values())
         self._calls_served = calls
 
     def spill_views(self, limit: int) -> list[dict]:
@@ -468,7 +478,7 @@ class ZerberRServer:
         signals that no readable elements remain past the returned slice.
         """
         self._calls_served += 1
-        return self._serve_slice(request, batch_id=None)
+        return self._serve_slice(request, None)
 
     def batch_fetch(self, batch: BatchFetchRequest) -> BatchFetchResponse:
         """Serve many slices in one call (one client round-trip).
@@ -479,11 +489,9 @@ class ZerberRServer:
         self._calls_served += 1
         self._batch_counter += 1
         batch_id = self._batch_counter
+        serve = self._serve_slice
         return BatchFetchResponse(
-            responses=tuple(
-                self._serve_slice(request, batch_id=batch_id)
-                for request in batch.requests
-            )
+            tuple([serve(request, batch_id) for request in batch.requests])
         )
 
     def coalesced_fetch(
@@ -500,10 +508,13 @@ class ZerberRServer:
         self._calls_served += 1
         self._batch_counter += 1
         batch_id = self._batch_counter
+        serve = self._serve_slice
         responses = tuple(
-            self._serve_slice(request, batch_id=batch_id)
-            for batch in envelope.batches
-            for request in batch.requests
+            [
+                serve(request, batch_id)
+                for batch in envelope.batches
+                for request in batch.requests
+            ]
         )
         return CoalescedBatchResponse(
             responses=responses,
@@ -514,27 +525,24 @@ class ZerberRServer:
     def _serve_slice(
         self, request: FetchRequest, batch_id: int | None
     ) -> FetchResponse:
-        merged = self._list(request.list_id)
+        """Serve, count and observe one slice — once each, whatever call
+        it travelled in."""
+        principal = request.principal
+        list_id = request.list_id
+        offset = request.offset
+        count = request.count
         slice_, readable_length = self._views.slice(
-            merged, request.principal, request.offset, request.count
+            self._list(list_id), principal, offset, count
         )
-        exhausted = request.offset + request.count >= readable_length
-        self._fetch_counts[request.list_id] = (
-            self._fetch_counts.get(request.list_id, 0) + 1
+        self._fetch_counts[list_id] = self._fetch_counts.get(list_id, 0) + 1
+        self._slices_served += 1
+        observations = self.observations
+        observations.append(
+            ObservedFetch(principal, list_id, offset, count, len(slice_), batch_id)
         )
-        self.observations.append(
-            ObservedFetch(
-                principal=request.principal,
-                list_id=request.list_id,
-                offset=request.offset,
-                count=request.count,
-                returned=len(slice_),
-                batch_id=batch_id,
-            )
-        )
-        if len(self.observations) >= 2 * OBSERVATION_LOG_CAPACITY:
-            del self.observations[:-OBSERVATION_LOG_CAPACITY]
-        return FetchResponse(elements=tuple(slice_), exhausted=exhausted)
+        if len(observations) >= 2 * OBSERVATION_LOG_CAPACITY:
+            del observations[:-OBSERVATION_LOG_CAPACITY]
+        return FetchResponse(tuple(slice_), offset + count >= readable_length)
 
     # -- adversary-visible state (for the attack modules) -----------------------
 

@@ -36,7 +36,11 @@ Freshness is two-dimensional: a cached view is served only while the
 list *version* and the principal's *membership snapshot* both match, so
 an enroll or revoke between requests forces a rebuild — a revoked
 principal can never keep reading a group's elements out of a cached
-view.
+view.  The snapshot is asked for on every slice
+(:meth:`~repro.crypto.keys.GroupKeyService.membership_snapshot`, which
+re-validates it against the live principal on every call); while the
+membership is unchanged it is the very object the view was built
+under, so a hit is an identity check and builds no set.
 
 Memory is bounded by an LRU over ``(list_id, principal)`` pairs: a
 deployment with millions of users cannot hold one materialised sub-list
@@ -131,14 +135,19 @@ class ReadableViewIndex:
         """The up-to-date view of ``(merged, principal)``, building if needed."""
         cache_key = (merged.list_id, principal)
         view = self._views.get(cache_key)
-        if (
-            view is not None
-            and view.version == merged.version
-            and view.memberships == self._keys.membership_snapshot(principal)
-        ):
-            self.stats.hits += 1
-            self._views.move_to_end(cache_key)
-            return view
+        if view is not None and view.version == merged.version:
+            # Re-validated against the live membership on every slice.
+            # The key service hands an unchanged membership back as the
+            # object the view was built under, so a hit copies nothing
+            # and compares nothing element-wise.  A view holding an equal
+            # set of its own (adopted from a snapshot, or built before a
+            # revoke + re-enroll) takes the live object on its first hit.
+            snapshot = self._keys.membership_snapshot(principal)
+            if view.memberships is snapshot or view.memberships == snapshot:
+                view.memberships = snapshot
+                self.stats.hits += 1
+                self._views.move_to_end(cache_key)
+                return view
         if view is None:
             self.stats.misses += 1
         else:

@@ -24,7 +24,12 @@ cache answers to the live membership:
   *and* compared with ``Principal.groups`` on every call, so it cannot
   outlive a membership however the membership changed.  Callers get a
   copy and must not keep it past the round: the service is the only
-  place a cipher or a ring may live between calls.
+  place a cipher or a ring may live between calls;
+* one *membership snapshot* per principal
+  (:meth:`GroupKeyService.membership_snapshot`), which a server asks
+  for on every slice to check its readable view by: the same
+  drop-on-change, compare-on-every-call discipline, so an unchanged
+  membership costs one set comparison and builds nothing.
 """
 
 from __future__ import annotations
@@ -71,6 +76,9 @@ class GroupKeyService:
         # principal -> {group: its _ciphers entry}: an index over the
         # cipher cache for the read path, not a second owner.
         self._keyrings: dict[str, dict[str, StreamCipher]] = {}
+        # principal -> its memberships as last handed to a server;
+        # compared with the live set on every call, like the keyrings.
+        self._snapshots: dict[str, frozenset[str]] = {}
 
     # -- groups --------------------------------------------------------------
 
@@ -118,6 +126,7 @@ class GroupKeyService:
         self._ciphers.pop((name, group), None)
         self._unseen_prfs.pop((name, group), None)
         self._keyrings.pop(name, None)
+        self._snapshots.pop(name, None)
 
     def _principal(self, name: str) -> Principal:
         principal = self._principals.get(name)
@@ -140,9 +149,20 @@ class GroupKeyService:
         Servers compare snapshots to detect enroll/revoke between two
         requests (cached per-principal state must not outlive a
         revocation), so unlike :meth:`memberships` this never raises.
+
+        Asked once per served slice, so an unchanged membership gets the
+        *same* object back and no set is built: the cached snapshot is
+        dropped on enroll/revoke and, like the keyring, compared with
+        the live ``Principal.groups`` on EVERY call, so a change that
+        went around :meth:`revoke` yields a new, unequal snapshot too.
         """
         principal = self._principals.get(name)
-        return frozenset(principal.groups) if principal is not None else frozenset()
+        if principal is None:
+            return frozenset()
+        snapshot = self._snapshots.get(name)
+        if snapshot is None or snapshot != principal.groups:
+            snapshot = self._snapshots[name] = frozenset(principal.groups)
+        return snapshot
 
     # -- key handout -------------------------------------------------------------
 

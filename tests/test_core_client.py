@@ -1,11 +1,16 @@
 """Unit tests for the Zerber+R client (insert + query protocol)."""
 
+import contextlib
+import itertools
+import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.client as client_module
-from repro.core.client import RankedHit, ZerberRClient
+from repro.core.client import ClientQuerySession, RankedHit, ZerberRClient
 from repro.core.cluster import ServerCluster
 from repro.core.protocol import BatchFetchRequest, FetchResponse, ResponsePolicy
 from repro.core.router import Coordinator
@@ -13,9 +18,9 @@ from repro.core.rstf import RstfModel, train_rstf
 from repro.core.server import ZerberRServer
 from repro.crypto.cipher import StreamCipher
 from repro.crypto.keys import GroupKeyService
-from repro.errors import UnknownTermError
+from repro.errors import ProtocolError, UnknownTermError
 from repro.index.merge import MergePlan
-from repro.index.postings import PostingElement
+from repro.index.postings import EncryptedPostingElement, PostingElement
 from repro.text.analysis import DocumentStats
 
 
@@ -594,3 +599,255 @@ class TestBatchedMultiTerm:
         with pytest.raises(UnknownTermError):
             root.query_multi_batched(["apple", "mango"], k=1)
         assert server.observations == []
+
+
+# -- the batch trace is the sum of the term traces, after every round ----------
+
+
+def _assert_traces_agree(session, shipped=None):
+    batch, terms = session.batch_trace, [s.trace for s in session._sessions]
+    assert batch.num_subfetches == sum(t.num_requests for t in terms)
+    assert batch.elements_transferred == sum(t.elements_transferred for t in terms)
+    assert batch.bits_transferred == sum(t.bits_transferred for t in terms)
+    if shipped is not None:
+        assert batch.elements_transferred == sum(len(r.elements) for r in shipped)
+        assert batch.bits_transferred == sum(
+            e.size_bits for r in shipped for e in r.elements
+        )
+
+
+@contextlib.contextmanager
+def _traces_checked_after_every_round():
+    """Every ``deliver`` of every session — whoever drives it — is
+    followed by the trace comparison, against what was shipped to it."""
+    deliver = ClientQuerySession.deliver
+    shipped = {}
+    rounds = []
+
+    def checked(session, responses):
+        received = shipped.setdefault(id(session), (session, []))[1]
+        received.extend(responses)
+        deliver(session, responses)
+        _assert_traces_agree(session, received)
+        assert session.batch_trace.num_rounds == session.rounds
+        rounds.append(session)
+
+    ClientQuerySession.deliver = checked
+    try:
+        yield rounds
+    finally:
+        ClientQuerySession.deliver = deliver
+
+
+class _ShippedLog:
+    """A backend that remembers every response it handed to the client."""
+
+    def __init__(self, backend):
+        self._backend = backend
+        self.shipped = []
+
+    def fetch(self, request):
+        response = self._backend.fetch(request)
+        self.shipped.append(response)
+        return response
+
+    def __getattr__(self, name):
+        return getattr(self._backend, name)
+
+
+@pytest.fixture(scope="module")
+def tiny_deployment(system):
+    cluster, _ = system.deploy_cluster(num_servers=3, replication=2)
+    pool = system.vocabulary.terms_by_frequency()[:40]
+    return system, cluster, pool
+
+
+JOBS = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 39), min_size=1, max_size=4),
+        st.integers(1, 12),
+        st.sampled_from([None, 1, 3]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestTracesAgree:
+    @settings(max_examples=40, deadline=None)
+    @given(jobs=JOBS, round_latency=st.sampled_from([0, 1]))
+    def test_after_every_round_under_every_driver(
+        self, tiny_deployment, jobs, round_latency
+    ):
+        system, cluster, pool = tiny_deployment
+        client = system.client_for("superuser", server=cluster)
+        queries = [
+            ([pool[i] for i in picks], k, b and ResponsePolicy(initial_size=b))
+            for picks, k, b in jobs
+        ]
+        with _traces_checked_after_every_round() as rounds:
+            direct = [
+                client.query_multi_batched(terms, k, policy=policy)
+                for terms, k, policy in queries
+            ]
+            assert len(rounds) == sum(r.batch_trace.num_rounds for r in direct)
+            coordinator = Coordinator(cluster, round_latency=round_latency)
+            sessions = [
+                coordinator.open_session(client, terms, k, policy=policy)
+                for terms, k, policy in queries
+            ]
+            coordinator.run_until_complete()
+            driven = [session.result() for session in sessions]
+        assert [r.ranked for r in driven] == [r.ranked for r in direct]
+        assert [r.batch_trace for r in driven] == [r.batch_trace for r in direct]
+        # query(): one term, no batch trace — the term trace is the record.
+        logged = _ShippedLog(cluster)
+        single = ZerberRClient(
+            "superuser", system.key_service, logged, system.rstf_model, system.merge_plan
+        )
+        for terms, k, policy in queries:
+            del logged.shipped[:]
+            trace = single.query(terms[0], k, policy=policy).trace
+            assert trace.num_requests == len(logged.shipped)
+            assert trace.elements_transferred == sum(
+                len(r.elements) for r in logged.shipped
+            )
+            assert trace.bits_transferred == sum(
+                e.size_bits for r in logged.shipped for e in r.elements
+            )
+
+    def _poison(self, keys, server, list_id, group, owner):
+        """An element that passes its MAC and decodes malformed, written
+        through the owner's cipher, at the head of *list_id*."""
+        bad = keys.cipher_for(owner, group).encrypt(b'{"t":"t"}', b"\x07" * 16)
+        server.insert(
+            owner, list_id, EncryptedPostingElement(ciphertext=bad, group=group, trs=1.0)
+        )
+
+    def _first_round(self, root, server, terms, k=2):
+        session = root.open_multi_session(terms, k=k)
+        responses = server.batch_fetch(
+            BatchFetchRequest("root", session.pending_requests())
+        ).responses
+        return session, responses
+
+    def test_a_raise_on_the_first_slice_books_what_the_term_traces_counted(
+        self, keys, alice, bob, root, server
+    ):
+        """The bug: the batch trace used to count the whole round before
+        any of it was absorbed, so it ran ahead of the term traces."""
+        TestBatchedMultiTerm()._populate(alice, bob)
+        self._poison(keys, server, 0, "g1", "alice")  # apple's list
+        session, responses = self._first_round(root, server, ["apple", "plum"])
+        assert len(responses) == 2 and all(r.elements for r in responses)
+        with pytest.raises(ProtocolError):
+            session.deliver(responses)
+        _assert_traces_agree(session, responses[:1])
+        assert session.batch_trace.num_rounds == 1
+        assert session.batch_trace.num_subfetches == 1
+        assert [t.num_requests for t in (s.trace for s in session._sessions)] == [1, 0]
+        assert not session.done
+
+    def test_a_term_that_finished_before_the_raise_is_no_longer_pending(
+        self, keys, alice, bob, root, server
+    ):
+        TestBatchedMultiTerm()._populate(alice, bob)
+        self._poison(keys, server, 1, "g2", "bob")  # plum's list, the second slice
+        session, responses = self._first_round(root, server, ["apple", "plum"], k=1)
+        with pytest.raises(ProtocolError):
+            session.deliver(responses)
+        apple, plum = session._sessions
+        assert apple.done and apple.trace.satisfied and not plum.done
+        _assert_traces_agree(session, responses)
+        assert [r.list_id for r in session.pending_requests()] == [plum.list_id]
+        assert not session.done
+        with pytest.raises(ProtocolError, match="expected 1 responses"):
+            session.deliver(responses)
+
+
+# -- counted work bounds of the warm read path ---------------------------------
+
+
+def _frames_entered(call):
+    """Python frames entered while *call* runs (``call`` events only)."""
+    entered = 0
+
+    def profile(frame, event, arg):
+        nonlocal entered
+        if event == "call":
+            entered += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return entered - 1  # the lambda itself
+
+
+class TestWarmReadPathCounts:
+    def test_a_round_on_one_server_travels_as_the_clients_own_batch(
+        self, keys, alice, bob, model, plan, monkeypatch
+    ):
+        cluster = ServerCluster(keys, num_lists=2, num_servers=2)
+        writer = _client("alice", keys, cluster, model, plan)
+        writer.index_document(_doc("a1", {"apple": 5, "pear": 5}), "g1")
+        reader = _client("root", keys, cluster, model, plan)
+        reader.query_multi_batched(["apple", "pear"], k=1)  # warm
+        seen = {ServerCluster: [], ZerberRServer: []}
+        for cls in seen:
+            original = cls.batch_fetch
+
+            def recording(self, batch, *args, _cls=cls, _original=original):
+                seen[_cls].append(batch)
+                return _original(self, batch, *args)
+
+            monkeypatch.setattr(cls, "batch_fetch", recording)
+        result = reader.query_multi_batched(["apple", "pear"], k=1)
+        rounds = result.batch_trace.num_rounds
+        assert len(seen[ZerberRServer]) == len(seen[ServerCluster]) == rounds >= 1
+        assert len(seen[ServerCluster][0]) == 2  # both terms, one server
+        for built, served in zip(seen[ServerCluster], seen[ZerberRServer]):
+            assert served is built
+        # A round that really splits is re-bundled per touched server.
+        del seen[ServerCluster][:], seen[ZerberRServer][:]
+        reader.query_multi_batched(["apple", "plum"], k=1)
+        split, first, second = seen[ServerCluster][0], *seen[ZerberRServer][:2]
+        assert [r.list_id for r in split.requests] == [0, 1]
+        assert first is not split and second is not split
+        assert (first.requests, second.requests) == (
+            split.requests[:1],
+            split.requests[1:],
+        )
+
+    # One warm two-term query that takes one round of two five-element
+    # slices, telemetry off.  The budget is the path's own count on
+    # CPython 3.10/3.11 plus 5 % (3.12 inlines comprehensions and only
+    # reads lower): 175 entered, where the per-slice bookkeeping this
+    # replaced entered 225.
+    FRAME_BUDGET = 183
+
+    def test_frames_entered_by_one_warm_query_stay_under_budget(self, tiny_deployment):
+        system, cluster, pool = tiny_deployment
+        client = system.client_for("superuser", server=cluster)
+        terms, k = self._one_round_query(client, pool)
+        client.query_multi_batched(terms, k)  # warm: views, memos, keyring
+        results = []
+        frames = _frames_entered(
+            lambda: results.append(client.query_multi_batched(terms, k))
+        )
+        trace = results[0].batch_trace
+        assert (trace.num_rounds, trace.num_subfetches) == (1, 2)
+        assert trace.elements_transferred == 10
+        assert frames <= self.FRAME_BUDGET, frames
+
+    @staticmethod
+    def _one_round_query(client, pool):
+        k = 5
+        for first, second in itertools.combinations(pool, 2):
+            trace = client.query_multi_batched([first, second], k).batch_trace
+            if (trace.num_rounds, trace.num_subfetches) == (1, 2) and (
+                trace.elements_transferred == 2 * k
+            ):
+                return [first, second], k
+        raise AssertionError("tiny_corpus has no one-round two-term query at k=5")

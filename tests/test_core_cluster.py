@@ -1,19 +1,32 @@
 """Unit tests for the sharded multi-server deployment."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.core.cluster import ServerCluster
-from repro.core.protocol import BatchFetchRequest, FetchRequest
+from repro.core.protocol import (
+    BatchFetchRequest,
+    BatchFetchResponse,
+    CoalescedBatchRequest,
+    CoalescedBatchResponse,
+    FetchRequest,
+    FetchResponse,
+)
+from repro.core.replication import LagModel, ReadConsistency
 from repro.core.server import ZerberRServer
 from repro.crypto.keys import GroupKeyService
 from repro.errors import (
     ConfigurationError,
     CryptoError,
     ProtocolError,
+    QuorumUnavailableError,
     UnavailableError,
     UnknownListError,
 )
 from repro.index.postings import EncryptedPostingElement
+from repro.obs import Telemetry
 
 
 @pytest.fixture()
@@ -288,3 +301,384 @@ class TestAdversaryModel:
         other = (primary + 1) % 2
         assert len(cluster.observations_at(primary)) == 1
         assert cluster.observations_at(other) == []
+
+
+# -- the read path refines the accessor-spelled one ---------------------------
+
+
+class _AccessorReadPath(ServerCluster):
+    """Test-only reference: routing and stamping as they were spelled
+    before they read the replication log in one call — through
+    ``replicas_of`` (a row copy per slice), one ``applied_version`` call
+    per replica, ``head_version``, ``is_paused`` and
+    ``dataclasses.replace``.  :class:`ServerCluster`'s read path must be
+    indistinguishable from it (``TestReadPathRefinement``)."""
+
+    def _route_read(
+        self, list_id, consistency, loads=None, min_version=None, max_staleness=None
+    ):
+        repl = self.replication_manager
+        replicas = self.replicas_of(list_id)
+        live = [s for s in replicas if self.is_alive(s)]
+        if not live:
+            raise UnavailableError(list_id, len(replicas))
+        if consistency is ReadConsistency.QUORUM:
+            needed = len(replicas) // 2 + 1
+            if len(live) < needed:
+                raise QuorumUnavailableError(
+                    list_id,
+                    len(replicas),
+                    needed,
+                    live_replicas=tuple(live),
+                    down_replicas=tuple(s for s in replicas if not self.is_alive(s)),
+                    paused_replicas=tuple(s for s in live if repl.is_paused(s)),
+                )
+            repl.stats.version_probes += len(live)
+            return max(live, key=lambda s: repl.applied_version(list_id, s))
+        head = repl.head_version(list_id)
+        if consistency is ReadConsistency.PRIMARY:
+            fresh = [s for s in live if repl.applied_version(list_id, s) == head]
+            candidates = fresh if fresh else live
+        else:
+            candidates = live
+            floor = 0
+            if min_version is not None:
+                floor = min(min_version, head)
+            if max_staleness is not None:
+                floor = max(floor, head - max_staleness)
+            if floor > 0:
+                satisfying = [
+                    s for s in live if repl.applied_version(list_id, s) >= floor
+                ]
+                if satisfying:
+                    candidates = satisfying
+        unpaused = [s for s in candidates if not repl.is_paused(s)]
+        if unpaused:
+            candidates = unpaused
+        if len(candidates) == 1:
+            return candidates[0]
+        if loads is None:
+            loads = self.per_server_load() if self._read_selector.needs_loads else []
+        return self._read_selector.select(list_id, candidates, loads)
+
+    def _finalize_read(
+        self,
+        request,
+        server_index,
+        response,
+        consistency,
+        max_staleness=None,
+        lag_histogram=None,
+    ):
+        repl = self.replication_manager
+        list_id = request.list_id
+        version = repl.applied_version(list_id, server_index)
+        head = repl.head_version(list_id)
+        if version >= head:
+            return dataclasses.replace(response, replica_version=version)
+        repl.observe_staleness(head - version)
+        if repl.sync(list_id, server_index):
+            repl.stats.read_repairs += 1
+        if consistency is ReadConsistency.QUORUM:
+            for other in self.replicas_of(list_id):
+                if (
+                    other != server_index
+                    and self.is_alive(other)
+                    and repl.applied_version(list_id, other) < head
+                    and repl.sync(list_id, other)
+                ):
+                    repl.stats.read_repairs += 1
+        needs_fresh = consistency is not ReadConsistency.ONE
+        floor = min(request.min_version or 0, head)
+        floor_violated = version < floor
+        bound_violated = max_staleness is not None and head - version > max_staleness
+        if needs_fresh or bound_violated or floor_violated:
+            reserve_from = None
+            if repl.applied_version(list_id, server_index) >= head:
+                reserve_from = server_index
+            else:
+                primary = self.replicas_of(list_id)[0]
+                if (
+                    self.is_alive(primary)
+                    and repl.applied_version(list_id, primary) >= head
+                ):
+                    reserve_from = primary
+            if reserve_from is not None:
+                if not needs_fresh:
+                    if bound_violated:
+                        repl.stats.staleness_fallbacks += 1
+                    if floor_violated:
+                        repl.stats.floor_reserves += 1
+                response = self.server(reserve_from).fetch(request)
+                repl.stats.read_reserves += 1
+                version = repl.applied_version(list_id, reserve_from)
+                return dataclasses.replace(response, replica_version=version)
+        return dataclasses.replace(response, replica_version=version)
+
+
+READ_SERVERS = 4
+READ_LISTS = 5
+CONSISTENCIES = [None, "one", "primary", "quorum"]
+
+
+class _ReadWorld:
+    """One cluster under the shared random script; every step's outcome
+    is reduced to plain, comparable values."""
+
+    def __init__(self, cls, replication, consistency, strategy):
+        keys = GroupKeyService(master_secret=b"r" * 32)
+        keys.register("u", {"g"})
+        keys.register("v", {"g", "h"})
+        self.cluster = cls(
+            keys,
+            num_lists=READ_LISTS,
+            num_servers=READ_SERVERS,
+            replication=replication,
+            lag=LagModel(2, {1: 0, 3: 5}),
+            read_consistency=consistency,
+            read_strategy=strategy,
+            read_seed=3,
+        )
+
+    @staticmethod
+    def _plain(value):
+        if isinstance(value, FetchResponse):
+            return (
+                tuple(id(e) for e in value.elements),
+                value.exhausted,
+                value.replica_version,
+            )
+        if isinstance(value, BatchFetchResponse):
+            return [_ReadWorld._plain(r) for r in value.responses]
+        if isinstance(value, CoalescedBatchResponse):
+            return (
+                [_ReadWorld._plain(r) for r in value.responses],
+                value.slice_ids,
+                value.epoch,
+            )
+        return value
+
+    def outcome(self, call):
+        try:
+            return "ok", self._plain(call(self.cluster))
+        except (ProtocolError, ConfigurationError, CryptoError) as error:
+            return "error", type(error), str(error), dict(vars(error))
+
+    def observe(self):
+        cluster = self.cluster
+        return {
+            "stats": dataclasses.asdict(cluster.replication_stats),
+            "observed": [
+                list(cluster.observations_at(s)) for s in range(READ_SERVERS)
+            ],
+            "backlog": cluster.replication_backlog(),
+            "loads": cluster.per_server_load(),
+        }
+
+
+def _read_script(rng, steps, replicas_of):
+    """``(description, call)`` pairs; *call* takes the cluster, so the
+    very same elements and requests reach both worlds."""
+    inserted = []
+    heads = [0] * READ_LISTS
+
+    def request(principal=None, lists=range(READ_LISTS)):
+        list_id = rng.choice(lists)
+        head = heads[list_id]
+        floor = rng.choice([None, None, 0, head, rng.randint(0, head + 2)])
+        return FetchRequest(
+            principal or rng.choice("uv"),
+            list_id,
+            rng.randrange(4),
+            rng.randint(1, 4),
+            min_version=floor,
+        )
+
+    for number in range(steps):
+        kind = rng.randrange(16)
+        if kind < 4:
+            list_id = rng.randrange(READ_LISTS)
+            element = EncryptedPostingElement(
+                ciphertext=b"e%d" % number, group=rng.choice("gh"), trs=rng.random()
+            )
+            inserted.append((list_id, element))
+            heads[list_id] += 1
+            yield f"insert {list_id}", lambda c, l=list_id, e=element: c.insert("v", l, e)
+        elif kind == 4 and inserted:
+            list_id, element = inserted.pop(rng.randrange(len(inserted)))
+            heads[list_id] += 1
+            yield f"delete {list_id}", lambda c, l=list_id, e=element: c.delete_element(
+                "v", l, e.ciphertext
+            )
+        elif kind == 5:
+            yield "tick", lambda c: c.replication_tick()
+        elif kind == 6:
+            server, up = rng.randrange(READ_SERVERS), rng.random() < 0.5
+            yield f"alive {server} {up}", lambda c, s=server, u=up: (
+                c.restore_server(s) if u else c.fail_server(s)
+            )
+        elif kind == 7:
+            server, held = rng.randrange(READ_SERVERS), rng.random() < 0.5
+            yield f"paused {server} {held}", lambda c, s=server, h=held: (
+                c.pause_follower(s) if h else c.resume_follower(s)
+            )
+        elif kind < 11:
+            one, level = request(), rng.choice(CONSISTENCIES)
+            bound = rng.choice([None, None, 0, 1, 3])
+            yield f"fetch {one} {level} {bound}", lambda c, r=one, l=level, b=bound: (
+                c.fetch(r, l, b)
+            )
+        elif kind < 14:
+            principal = rng.choice("uv")
+            batch = BatchFetchRequest(
+                principal,
+                tuple(request(principal) for _ in range(rng.randint(1, 4))),
+            )
+            level, bound = rng.choice(CONSISTENCIES), rng.choice([None, None, 0, 2])
+            yield f"batch {batch} {level} {bound}", lambda c, b=batch, l=level, m=bound: (
+                c.batch_fetch(b, l, m)
+            )
+        elif kind == 14:
+            server, level = rng.randrange(READ_SERVERS), rng.choice(CONSISTENCIES)
+            lists = range(READ_LISTS)
+            if rng.random() < 0.8:  # mostly what a coordinator would route here
+                lists = [l for l in lists if server in replicas_of(l)]
+            batches = tuple(
+                BatchFetchRequest(
+                    principal,
+                    tuple(request(principal, lists) for _ in range(rng.randint(1, 3))),
+                )
+                for principal in rng.sample("uv", rng.randint(1, 2))
+            )
+            slices = sum(len(b) for b in batches)
+            yield f"envelope @{server} {batches} {level}", (
+                lambda c, s=server, b=batches, n=slices, l=level: c.serve_envelope(
+                    s,
+                    CoalescedBatchRequest(
+                        batches=b,
+                        slice_ids=tuple(range(100, 100 + n)),
+                        epoch=c.placement_epoch,
+                    ),
+                    l,
+                )
+            )
+        else:
+            one, level = request(), rng.choice(CONSISTENCIES)
+            yield f"route {one} {level}", lambda c, r=one, l=level: c.route(
+                r.list_id, l, r.min_version
+            )
+
+
+class TestReadPathRefinement:
+    """Reading the log once per slice changes nothing anybody can see:
+    same server per slice, same response, same error, same repair
+    counters, same observation log — against the accessor-spelled
+    reference, step by step through one random script."""
+
+    @pytest.mark.parametrize("strategy", ["primary", "rotate", "least-loaded"])
+    @pytest.mark.parametrize("consistency", ["one", "primary", "quorum"])
+    @pytest.mark.parametrize("replication", [1, 2, 3])
+    def test_same_server_response_error_stats_and_observations(
+        self, replication, consistency, strategy
+    ):
+        seen = set()
+        for seed in range(3):
+            new = _ReadWorld(ServerCluster, replication, consistency, strategy)
+            ref = _ReadWorld(_AccessorReadPath, replication, consistency, strategy)
+            rng = random.Random(f"{replication}/{consistency}/{strategy}/{seed}")
+            script = _read_script(rng, 160, ref.cluster.replicas_of)
+            for number, (what, call) in enumerate(script):
+                got, expected = new.outcome(call), ref.outcome(call)
+                assert got == expected, (seed, number, what)
+                assert new.observe() == ref.observe(), (seed, number, what)
+                seen.add(got[1] if got[0] == "error" else what.split()[0])
+            stats = new.cluster.replication_stats
+            if replication > 1:
+                assert stats.stale_reads_detected and stats.read_repairs
+        # The script reached the paths it is here for.
+        assert {"fetch", "batch", "envelope", "route", UnavailableError} <= seen
+        if replication > 1 and consistency == "quorum":
+            assert QuorumUnavailableError in seen
+
+    def test_the_script_exercises_floors_bounds_and_every_reserve_kind(self):
+        new = _ReadWorld(ServerCluster, 3, "one", "rotate")
+        ref = _ReadWorld(_AccessorReadPath, 3, "one", "rotate")
+        for what, call in _read_script(random.Random(19), 900, ref.cluster.replicas_of):
+            assert new.outcome(call) == ref.outcome(call), what
+        stats = new.cluster.replication_stats
+        assert stats == ref.cluster.replication_stats
+        assert stats.floor_reserves and stats.staleness_fallbacks
+        assert stats.read_reserves > stats.floor_reserves
+        assert stats.version_probes and stats.max_staleness_seen > 1
+
+    def test_a_slice_on_a_server_that_does_not_hold_its_list(self, keys):
+        cluster = ServerCluster(keys, num_lists=4, num_servers=3)
+        stranger = next(s for s in range(3) if s not in cluster.replicas_of(1))
+        envelope = CoalescedBatchRequest(
+            batches=(BatchFetchRequest.for_slices("u", [(1, 0, 1)]),),
+            slice_ids=(0,),
+            epoch=cluster.placement_epoch,
+        )
+        with pytest.raises(ProtocolError, match=f"server {stranger} does not hold list 1"):
+            cluster.serve_envelope(stranger, envelope)
+
+
+class TestReadInstrumentsPerServerCall:
+    """Telemetry on: the read counter moves once per server call, by the
+    slices it served, and the lag histogram still sees every slice — so
+    both series read what a bump per slice would have left."""
+
+    def _cluster(self, telemetry):
+        keys = GroupKeyService(master_secret=b"t" * 32)
+        keys.register("u", {"g"})
+        cluster = ServerCluster(
+            keys, num_lists=4, num_servers=2, replication=2, lag=3, telemetry=telemetry
+        )
+        for list_id in range(4):
+            cluster.insert("u", list_id, _element(0.5, b"e%d" % list_id))
+        return cluster
+
+    @staticmethod
+    def _counted(reads, lags, level):
+        return reads.value(consistency=level), lags.count(consistency=level)
+
+    def test_counter_and_histogram_count_every_slice_once(self):
+        telemetry = Telemetry()
+        cluster = self._cluster(telemetry)
+        reads = telemetry.registry.counter("cluster_reads_total")
+        lags = telemetry.registry.histogram("cluster_read_lag_ticks")
+        cluster.fetch(FetchRequest("u", 0, 0, 1))
+        assert self._counted(reads, lags, "primary") == (1, 1)
+        batch = BatchFetchRequest.for_slices("u", [(0, 0, 1), (1, 0, 1), (2, 0, 1)])
+        cluster.batch_fetch(batch, consistency="one")  # splits over both servers
+        assert {o.batch_id for s in range(2) for o in cluster.observations_at(s)} >= {1}
+        assert self._counted(reads, lags, "one") == (3, 3)
+        server = cluster.route(3)
+        cluster.serve_envelope(
+            server,
+            CoalescedBatchRequest(
+                batches=(BatchFetchRequest.for_slices("u", [(3, 0, 1), (3, 1, 1)]),),
+                slice_ids=(7, 8),
+                epoch=cluster.placement_epoch,
+            ),
+            "quorum",
+        )
+        assert self._counted(reads, lags, "quorum") == (2, 2)
+        # A follower that still waits for its copy reports the ticks left.
+        follower = cluster.replicas_of(0)[1]
+        assert cluster.applied_version(0, follower) == 0
+        cluster.fail_server(cluster.replicas_of(0)[0])
+        before = lags.sum(consistency="one")
+        cluster.fetch(FetchRequest("u", 0, 0, 1), consistency="one")
+        assert lags.sum(consistency="one") == before + 3
+        assert reads.total() == 7 == sum(cluster.per_server_load())
+
+    def test_suspended_telemetry_counts_nothing(self):
+        telemetry = Telemetry()
+        cluster = self._cluster(telemetry)
+        telemetry.suspend()
+        cluster.batch_fetch(BatchFetchRequest.for_slices("u", [(0, 0, 1), (1, 0, 1)]))
+        telemetry.resume()
+        assert telemetry.registry.counter("cluster_reads_total").total() == 0
+        cluster.fetch(FetchRequest("u", 0, 0, 1))
+        assert telemetry.registry.counter("cluster_reads_total").total() == 1

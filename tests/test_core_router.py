@@ -1,5 +1,7 @@
 """Unit tests for the coordinator (cross-query slice coalescing)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.cluster import ServerCluster
@@ -12,6 +14,8 @@ from repro.core.protocol import (
 from repro.core.router import Coordinator
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError, ProtocolError, UnavailableError
+from repro.index.postings import EncryptedPostingElement
+from repro.text.analysis import DocumentStats
 
 
 @pytest.fixture()
@@ -162,6 +166,81 @@ class TestFailureAndEpoch:
         _, cluster, _ = deployment
         with pytest.raises(ConfigurationError):
             Coordinator(cluster, rebalance_every=0)
+
+
+class TestFloorAwareRouting:
+    """The coordinator routes a slice on its session's version floor,
+    exactly like the direct path — not to any live replica, to be
+    force-repaired and re-served under the floor afterwards."""
+
+    COUNTERS = (
+        "floor_reserves",
+        "read_reserves",
+        "read_repairs",
+        "stale_reads_detected",
+        "repair_ops",
+    )
+
+    def _writer_queries(self, system, micro_corpus, through_coordinator):
+        cluster, coordinator = system.deploy_cluster(
+            num_servers=3,
+            replication=3,
+            lag=6,
+            read_consistency="one",
+            read_strategy="rotate",
+        )
+        cluster.run_replication_until_quiet()
+        client = system.client_for("superuser", server=cluster)
+        terms = system.vocabulary.terms_by_frequency()[:3]
+        doc = DocumentStats.from_counts("written-here", dict.fromkeys(terms, 5))
+        client.index_document_with_receipts(doc, sorted(micro_corpus.groups())[0])
+        assert all(client.version_floor(system.merge_plan.list_of(t)) for t in terms)
+        assert cluster.replication_backlog()  # the followers trail the write
+        before = dataclasses.replace(cluster.replication_stats)
+        ranked = []
+        for _ in range(6):
+            if through_coordinator:
+                (result,) = coordinator.run_queries([(client, terms, 5)])
+            else:
+                result = client.query_multi_batched(terms, 5)
+            ranked.append(result.ranked)
+        after = cluster.replication_stats
+        moved = {
+            name: getattr(after, name) - getattr(before, name) for name in self.COUNTERS
+        }
+        return ranked, moved
+
+    def test_writer_reads_cost_the_coordinator_no_more_repairs_than_direct(
+        self, system, micro_corpus
+    ):
+        direct, direct_moved = self._writer_queries(system, micro_corpus, False)
+        driven, driven_moved = self._writer_queries(system, micro_corpus, True)
+        assert driven == direct
+        assert all(ranked[0][0] == "written-here" for ranked in direct)
+        assert driven_moved == direct_moved == dict.fromkeys(self.COUNTERS, 0)
+
+    def test_route_narrows_one_to_replicas_at_the_floor(self):
+        keys = GroupKeyService(master_secret=b"k" * 32)
+        keys.register("u", {"g"})
+        cluster = ServerCluster(
+            keys,
+            num_lists=1,
+            num_servers=3,
+            replication=3,
+            lag=5,
+            read_consistency="one",
+            read_strategy="rotate",
+        )
+        cluster.insert(
+            "u", 0, EncryptedPostingElement(ciphertext=b"c", group="g", trs=0.5)
+        )
+        primary = cluster.replicas_of(0)[0]
+        assert {cluster.route(0) for _ in range(6)} == {0, 1, 2}
+        assert {cluster.route(0, min_version=1) for _ in range(6)} == {primary}
+        assert {cluster.route(0, "one", 0) for _ in range(6)} == {0, 1, 2}
+        # No replica can meet a floor beyond the head: any live one serves.
+        cluster.fail_server(primary)
+        assert {cluster.route(0, min_version=1) for _ in range(6)} == {0, 1, 2} - {primary}
 
 
 class TestSessionProtocol:

@@ -300,6 +300,69 @@ class TestReadableViews:
         keys.enroll("alice", "g1")
         assert len(self._fetch(server, "alice").elements) == 3
 
+    def test_a_view_hit_builds_no_membership_set(self, keys, server, monkeypatch):
+        """Freshness is re-validated per slice by comparing, not by
+        copying: every hit is answered the snapshot the view holds."""
+        self._populate(server)
+        self._fetch(server, "root")  # build
+        probe, answers = GroupKeyService.membership_snapshot, []
+
+        def recording(service, name):
+            answers.append(probe(service, name))
+            return answers[-1]
+
+        monkeypatch.setattr(GroupKeyService, "membership_snapshot", recording)
+        hits = server.view_stats.hits
+        for offset in range(4):
+            server.fetch(FetchRequest("root", 0, offset, 2))
+        assert server.view_stats.hits == hits + 4 and len(answers) == 4
+        (view,) = server._views._views.values()
+        assert all(answer is view.memberships for answer in answers)
+        assert view.memberships == {"g1", "g2"}
+
+    def test_membership_changed_around_the_service_is_seen_by_the_next_slice(
+        self, keys, server
+    ):
+        """``Principal.groups`` edited directly — no ``revoke()`` /
+        ``enroll()`` to drop a cache — must cost exactly one rebuild and
+        take effect on the very next slice."""
+        self._populate(server)
+        assert {e.group for e in self._fetch(server, "root").elements} == {"g1", "g2"}
+        groups = keys._principal("root").groups
+        for lost, kept in (("g1", "g2"), ("g2", None)):
+            rebuilds = server.view_stats.stale_rebuilds
+            groups.discard(lost)
+            response = self._fetch(server, "root")
+            assert {e.group for e in response.elements} == ({kept} if kept else set())
+            assert server.view_stats.stale_rebuilds == rebuilds + 1
+            self._fetch(server, "root")
+            assert server.view_stats.stale_rebuilds == rebuilds + 1  # a hit again
+        rebuilds = server.view_stats.stale_rebuilds
+        groups.add("g1")
+        response = self._fetch(server, "root")
+        assert [e.ciphertext for e in response.elements] == [b"c0", b"c2", b"c4"]
+        assert server.view_stats.stale_rebuilds == rebuilds + 1
+
+    def test_revoke_and_reenroll_keep_serving_the_cached_view(self, keys, server):
+        # The membership is the same set again: the view is still right,
+        # and it takes the service's new snapshot object on its next hit.
+        self._populate(server)
+        self._fetch(server, "alice")
+        keys.revoke("alice", "g1")
+        keys.enroll("alice", "g1")
+        builds = server.view_stats.full_builds
+        for _ in range(2):
+            assert len(self._fetch(server, "alice").elements) == 3
+        assert server.view_stats.full_builds == builds
+        view = server._views._views[(0, "alice")]
+        assert view.memberships is keys.membership_snapshot("alice")
+
+    def test_unknown_principal_is_served_an_empty_exhausted_slice(self, server):
+        self._populate(server)
+        for _ in range(2):
+            response = self._fetch(server, "mallory")
+            assert response.elements == () and response.exhausted
+
     def test_external_mutation_falls_back_to_rebuild(self, server):
         # Direct list edits (no server notification) bump the version, so
         # the stale view is rebuilt, never served.

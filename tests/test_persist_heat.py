@@ -9,10 +9,12 @@ old dumps without it still load, they just come back cold).
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.cluster import ServerCluster
-from repro.core.protocol import FetchRequest
+from repro.core.protocol import BatchFetchRequest, CoalescedBatchRequest, FetchRequest
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError, ProtocolError, UnknownListError
 from repro.index.postings import EncryptedPostingElement
@@ -71,6 +73,55 @@ class TestHeatRoundTrip:
         before = restored.list_heat()[0]
         restored.fetch(FetchRequest(principal="u", list_id=0, offset=0, count=1))
         assert restored.list_heat()[0] == before + 1
+
+    def test_the_running_load_total_is_the_summed_per_list_heat(self, tmp_path):
+        """``per_server_load()`` reads a running total per server; it
+        must equal the per-list counters it used to sum — after reads
+        through every call shape, and after a restore re-derives it."""
+
+        def summed(cluster):
+            return [
+                sum(cluster.server(s).fetch_counts.values())
+                for s in range(cluster.num_servers)
+            ]
+
+        cluster = ServerCluster(
+            _keys(), num_lists=3, num_servers=3, replication=2, read_strategy="rotate"
+        )
+        rng = random.Random(5)
+        for step in range(200):
+            slices = [
+                (rng.randrange(3), rng.randrange(3), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 4))
+            ]
+            batch = BatchFetchRequest.for_slices("u", slices)
+            shape = rng.randrange(3)
+            if shape == 0:
+                cluster.fetch(batch.requests[0])
+            elif shape == 1:
+                cluster.batch_fetch(batch)
+            else:
+                server = cluster.route(slices[0][0])
+                held = tuple(
+                    r for r in batch.requests if server in cluster.replicas_of(r.list_id)
+                )
+                cluster.serve_envelope(
+                    server,
+                    CoalescedBatchRequest(
+                        batches=(BatchFetchRequest("u", held),),
+                        slice_ids=tuple(range(len(held))),
+                        epoch=cluster.placement_epoch,
+                    ),
+                )
+            assert cluster.per_server_load() == summed(cluster), step
+        assert min(cluster.per_server_load()) > 0
+        path = tmp_path / "snap.json"
+        _save(cluster, path)
+        restored = _load(path)
+        assert restored.per_server_load() == summed(restored) == summed(cluster)
+        restored.fetch(FetchRequest("u", 0, 0, 1))
+        assert restored.per_server_load() == summed(restored)
+        assert sum(restored.per_server_load()) == sum(summed(cluster)) + 1
 
     def test_old_dump_without_heat_restores_cold(self):
         cluster = _warm_cluster()
