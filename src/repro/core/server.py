@@ -355,7 +355,7 @@ class ZerberRServer:
     # -- crash recovery (persistence support; see repro.persist) ----------------
 
     def list_version(self, list_id: int) -> int:
-        """The mutation counter of one merged list (persisted in format v2)."""
+        """The mutation counter of one merged list (persisted with the list)."""
         return self._list(list_id).version
 
     def restore_list(

@@ -9,6 +9,12 @@ queries/s; a 56 Kb/s modem user downloads an answer in ≈0.5 s.
 
 :class:`NetworkModel` reproduces the calculation from *measured* element
 counts, so the §6.6 benchmark can plug in our synthetic-ODP numbers.
+
+The 64 bits are the paper's assumption.  A *measured* element of the e2e
+bench corpus (10-byte term, 13-byte doc id) is 560 bits on the wire —
+nonce 16 + header 7 + term + doc id + tag 16 bytes, plus the 64-bit TRS
+(``EncryptedPostingElement.size_bits``; 736 bits while the plaintext was
+canonical JSON): ``NetworkModel(element_bits=560)`` prices that.
 """
 
 from __future__ import annotations

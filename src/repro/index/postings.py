@@ -11,28 +11,44 @@ Three element flavours appear in the reproduction:
   *transformed relevance score* (TRS) used for server-side ranking.
 * :class:`MergedPostingList` — a merged list (one per set of merged terms)
   keyed by an integer list id.
+
+The plaintext layout — :meth:`PostingElement.to_bytes` / ``from_bytes``
+are its single owner — is a fixed 7-byte header and two UTF-8 strings::
+
+    tf (2) | doc_length (4) | n = len(term) (1) | term (n) | doc_id (rest)
+
+all unsigned big-endian, with no version byte, no padding and no second
+layout: the decoder maps every byte string either to exactly one element,
+whose ``to_bytes()`` is that byte string again, or to a
+:class:`~repro.errors.ProtocolError`.
+
+What the server learns from a length: the cipher adds a 16-byte nonce
+and a 16-byte tag and does not hide the body's length, so the untrusted
+server sees ``len(ciphertext) == 16 + 7 + len(term) + len(doc_id) + 16``
+(UTF-8 bytes) for every element — a function of the two string lengths
+only, independent of tf and doc_length (pinned in
+``tests/test_integration_security.py``).  The canonical-JSON body this
+replaced spelled both counts in decimal, so its length also showed their
+digit counts: the magnitude of the very score the TRS exists to hide.
+Lists are not padded, so ``len(term) + len(doc_id)`` stays visible.
 """
 
 from __future__ import annotations
 
 import bisect
-import json
 import math
+import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from sys import intern
 
 from repro.errors import ProtocolError
 
-# The C scanner itself: ``json.loads`` wraps it in two Python frames and
-# two whitespace regex matches per call, which the canonical encoding of
-# :meth:`PostingElement.to_bytes` never needs.
-_scan_json = json.JSONDecoder().scan_once
-
-# The C string escaper ``json.dumps`` itself applies (quotes included):
-# the canonical form is fixed, so :meth:`PostingElement.to_bytes` formats
-# it directly instead of building a ``JSONEncoder`` per element.
-_escape_json = json.encoder.encode_basestring_ascii
+# tf, doc_length, UTF-8 length of the term.  Fixed width on purpose: one C
+# call decodes it, and the body length does not vary with the counts.
+_HEADER = struct.Struct(">HIB")
+_HEADER_SIZE = _HEADER.size
+_unpack_header = _HEADER.unpack_from
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -58,12 +74,20 @@ class PostingElement:
     # -- serialisation (what gets encrypted) --------------------------------
 
     def to_bytes(self) -> bytes:
-        """Canonical byte encoding of the element (the encryption plaintext):
-        ``json.dumps`` of the four fields, keys sorted, no whitespace."""
-        return (
-            f'{{"d":{_escape_json(self.doc_id)},"f":{self.tf},'
-            f'"l":{self.doc_length},"t":{_escape_json(self.term)}}}'
-        ).encode()
+        """The element's one byte encoding (the encryption plaintext).
+
+        :class:`ValueError` for a field the header cannot hold (``tf`` >
+        65 535, ``doc_length`` ≥ 2**32, a term over 255 UTF-8 bytes) or a
+        string UTF-8 cannot encode.
+        """
+        term = self.term.encode()
+        try:
+            header = _HEADER.pack(self.tf, self.doc_length, len(term))
+        except struct.error as error:
+            raise ValueError(
+                f"posting element does not fit the plaintext header: {error}"
+            ) from None
+        return header + term + self.doc_id.encode()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PostingElement":
@@ -74,13 +98,13 @@ class PostingElement:
         cipher's memo.
         """
         try:
-            text = data.decode()
-            payload, end = _scan_json(text, 0)
-            tf, doc_length = payload["f"], payload["l"]
-            if end != len(text) or type(tf) is not int or type(doc_length) is not int:
-                raise ProtocolError("trailing bytes or non-integer counts in element")
-            return cls(intern(payload["t"]), intern(payload["d"]), tf, doc_length)
-        except (StopIteration, ValueError, LookupError, TypeError) as error:
+            tf, doc_length, term_size = _unpack_header(data)
+            term_end = _HEADER_SIZE + term_size
+            if term_end > len(data):
+                raise ProtocolError("term length runs past the element body")
+            term = intern(data[_HEADER_SIZE:term_end].decode())
+            return cls(term, intern(data[term_end:].decode()), tf, doc_length)
+        except (struct.error, ValueError) as error:
             raise ProtocolError(f"malformed posting element: {error!r}") from None
 
 

@@ -11,16 +11,23 @@ reconstructs from its own secret.
 Two dump kinds share one version-tagged JSON container:
 
 * ``kind: "server"`` — a single :class:`~repro.core.server.ZerberRServer`
-  (:func:`save_index` / :func:`load_index`).  Format v1 (the legacy,
-  pre-replication dump without version counters or a ``kind`` tag) still
-  loads byte-identically.
+  (:func:`save_index` / :func:`load_index`).
 * ``kind: "cluster"`` — a whole
   :class:`~repro.core.cluster.ServerCluster` (:func:`save_cluster` /
   :func:`load_cluster`), including its replication logs; see
   :mod:`repro.persist.clusterstate`.
 
-Format / recovery invariants (v2)
----------------------------------
+The container is format **v3**, the only version this build writes or
+reads: v2's container unchanged, renumbered because the plaintext inside
+every ciphertext changed (the binary layout of
+:mod:`repro.index.postings` replaced canonical JSON).  Ciphertexts are
+opaque to the host, so a v2 dump would restore without complaint and
+then answer every query empty; any other version is therefore refused
+with a :class:`~repro.errors.ConfigurationError` naming the file, the
+version found and the version read.  Re-index to carry an older index over.
+
+Format / recovery invariants
+----------------------------
 
 1. **Atomicity.**  Every save writes a temp file in the target's
    directory and ``os.replace``\\ s it into place: an interrupted save
@@ -48,7 +55,9 @@ Format / recovery invariants (v2)
    bounds and op payloads against the dump's own declarations and raise
    :class:`~repro.errors.ConfigurationError` naming the file and the
    offending value — nothing escapes as a raw ``KeyError`` or
-   ``IndexError``.
+   ``IndexError``.  Element fields are decoded strictly (base64 with
+   validation, string group, float-or-null TRS): a damaged entry never
+   restores as a *different* ciphertext.
 """
 
 from __future__ import annotations
@@ -73,7 +82,6 @@ from repro.persist.clusterstate import (
 )
 from repro.persist.encoders import (
     FORMAT_VERSION,
-    V1_FORMAT_VERSION,
     element_from_dict,
     element_to_dict,
     merge_plan_from_dict,
@@ -87,7 +95,6 @@ from repro.persist.encoders import (
 
 __all__ = [
     "FORMAT_VERSION",
-    "V1_FORMAT_VERSION",
     "DEFAULT_VIEW_SPILL",
     "save_index",
     "load_index",
@@ -134,18 +141,9 @@ def load_index(
 
     The key service must already know the groups/principals the
     deployment uses; this function restores only the untrusted state.
-    Reads the current v2 ``kind: "server"`` dumps and legacy v1 dumps
-    alike (v1 carries no version counters — reloaded lists restart at
-    version 1, exactly as every pre-v2 build behaved).
     """
     payload = read_payload(path)
-    version = payload.get("format_version")
-    if version not in (V1_FORMAT_VERSION, FORMAT_VERSION):
-        raise ConfigurationError(
-            f"unsupported index format version: {version!r} "
-            f"(this build reads {V1_FORMAT_VERSION} and {FORMAT_VERSION})"
-        )
-    kind = payload.get("kind", "server")
+    kind = payload.get("kind")
     if kind != "server":
         raise ConfigurationError(
             f"{path}: not a single-server dump (kind={kind!r}); "

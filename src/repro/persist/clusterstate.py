@@ -1,7 +1,7 @@
-"""Format-v2 cluster snapshots: encode, decode, and crash-safe recovery.
+"""Cluster snapshots: encode, decode, and crash-safe recovery.
 
 A cluster snapshot captures everything the untrusted host tier must not
-forget across a restart (the ``cluster`` section of a v2 dump):
+forget across a restart (the ``cluster`` section of a dump):
 
 * every server's merged lists **with their mutation counters** — so
   version-stamped fetch responses stay comparable across the restart;
@@ -90,8 +90,8 @@ def replication_op_from_dict(entry: dict, source: str | Path) -> ReplicationOp:
         return ReplicationOp(
             seq=int(entry["s"]),
             kind="delete",
-            ciphertext=base64.b64decode(entry["c"]),
-            # The position hint; dumps written before it existed have none.
+            ciphertext=base64.b64decode(entry["c"], validate=True),
+            # The position hint; a delete by a bare (list, ciphertext) has none.
             trs=float(entry["t"]) if "t" in entry else None,
         )
     raise ConfigurationError(
@@ -135,11 +135,10 @@ def cluster_to_dict(
         "epoch": cluster.placement_epoch,
         "read_consistency": cluster.read_consistency.value,
         "write_consistency": cluster.write_consistency.value,
-        # Promotion state (format-v2 extension; absent in older dumps —
-        # decode falls back to disabled failover and an empty history).
-        # The elected primaries themselves travel in "placement": the
-        # extension carries the audit trail and the in-progress timers so
-        # a restart taken mid-outage resumes the failover clock.
+        # Promotion state.  The elected primaries themselves travel in
+        # "placement": this section carries the audit trail and the
+        # in-progress timers so a restart taken mid-outage resumes the
+        # failover clock.
         "failover": {
             "after": cluster.failover_after,
             "unreachable_since": {
@@ -181,10 +180,8 @@ def cluster_to_dict(
             {
                 **server_to_dict(cluster.server(server_index)),
                 "views": cluster.server(server_index).spill_views(spill_views),
-                # Per-server heat (format-v2 extension; absent in older
-                # dumps — decode leaves the counters cold).  Persisting it
-                # fixes the stats amnesia that reset heat-weighted
-                # placement (and the monitor's heat series) every restart.
+                # Per-server heat: without it heat-weighted placement
+                # (and the monitor's heat series) would reset every restart.
                 "heat": {
                     "fetch_counts": {
                         str(list_id): count
@@ -289,7 +286,7 @@ def cluster_from_dict(
     for server_index, server_data in enumerate(servers_data):
         load_server_state(cluster.server(server_index), server_data, source)
         heat = server_data.get("heat")
-        if heat is not None:  # absent in pre-extension dumps: stay cold
+        if heat is not None:  # a dump without the section stays cold
             try:
                 cluster.server(server_index).restore_heat(
                     {
@@ -426,12 +423,6 @@ def load_cluster(
     cluster and counts the restore.
     """
     payload = read_payload(path)
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ConfigurationError(
-            f"{path}: unsupported cluster snapshot version: {version!r} "
-            f"(this build reads {FORMAT_VERSION})"
-        )
     kind = payload.get("kind")
     if kind != "cluster":
         raise ConfigurationError(

@@ -1,4 +1,4 @@
-"""JSON encoders/decoders shared by the v1 and v2 dump formats.
+"""JSON encoders/decoders shared by the server and cluster dump kinds.
 
 Everything here is symmetric pairs (``*_to_dict`` / ``*_from_dict``) over
 plain JSON types; ciphertexts travel base64.  Decoders validate against
@@ -22,23 +22,25 @@ from repro.errors import ConfigurationError
 from repro.index.merge import MergePlan
 from repro.index.postings import EncryptedPostingElement
 
-#: Current dump format.  v2 adds per-list version counters, the dump
-#: ``kind`` tag ("server" | "cluster") and the whole-cluster sections.
-FORMAT_VERSION = 2
-
-#: The legacy single-server format (pre-replication deployments); still
-#: loaded byte-identically by :func:`repro.persist.load_index`.
-V1_FORMAT_VERSION = 1
+#: The one dump format this build writes and reads (see :mod:`repro.persist`).
+FORMAT_VERSION = 3
 
 
 def read_payload(path: str | Path) -> dict:
-    """Parse a dump file, wrapping corruption into a named error."""
+    """Parse a dump file of the current format version; corruption and
+    any other version are a :class:`ConfigurationError` naming the file."""
     try:
         payload = json.loads(Path(path).read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as error:
         raise ConfigurationError(f"{path}: corrupt index dump: {error}") from error
     if not isinstance(payload, dict):
         raise ConfigurationError(f"{path}: corrupt index dump: not a JSON object")
+    version = payload.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ConfigurationError(
+            f"{path}: unsupported dump format version {version!r} "
+            f"(this build reads {FORMAT_VERSION})"
+        )
     return payload
 
 
@@ -54,11 +56,15 @@ def element_to_dict(element: EncryptedPostingElement) -> dict:
 
 
 def element_from_dict(entry: dict) -> EncryptedPostingElement:
-    return EncryptedPostingElement(
-        ciphertext=base64.b64decode(entry["c"]),
-        group=entry["g"],
-        trs=entry["t"],
-    )
+    """Strict on every field: a damaged entry must not restore as a
+    different element (lenient base64 skips non-alphabet characters)."""
+    group, trs = entry["g"], entry["t"]
+    if not isinstance(group, str):
+        raise TypeError(f"element group must be a string, not {group!r}")
+    if trs is not None and type(trs) is not float:
+        raise TypeError(f"element TRS must be a float or null, not {trs!r}")
+    ciphertext = base64.b64decode(entry["c"], validate=True)
+    return EncryptedPostingElement(ciphertext=ciphertext, group=group, trs=trs)
 
 
 # -- setup artifacts ----------------------------------------------------------
@@ -102,16 +108,11 @@ def rstf_model_from_dict(data: dict) -> RstfModel:
 # -- server state -------------------------------------------------------------
 
 
-def server_to_dict(server: ZerberRServer, include_versions: bool = True) -> dict:
-    """One server's merged lists; empty lists are omitted.
-
-    ``include_versions=True`` (format v2) additionally records each
-    list's mutation counter, so a reload resumes exactly where the
-    pre-restart process stopped instead of restarting every counter from
-    scratch — without it, post-restart version-stamped fetch responses
-    and replication applied-versions cannot be compared against any
-    pre-restart log state.  ``include_versions=False`` reproduces the v1
-    wire shape byte-for-byte.
+def server_to_dict(server: ZerberRServer) -> dict:
+    """One server's merged lists (empty ones omitted) and each list's
+    mutation counter, so a reload resumes where the pre-restart process
+    stopped: post-restart version-stamped fetch responses and replication
+    applied-versions stay comparable with pre-restart log state.
     """
     lists = {}
     versions = {}
@@ -121,10 +122,7 @@ def server_to_dict(server: ZerberRServer, include_versions: bool = True) -> dict
             lists[str(list_id)] = [element_to_dict(e) for e in merged.elements]
         if merged.version:
             versions[str(list_id)] = merged.version
-    data = {"num_lists": server.num_lists, "lists": lists}
-    if include_versions:
-        data["versions"] = versions
-    return data
+    return {"num_lists": server.num_lists, "lists": lists, "versions": versions}
 
 
 def decode_list_id(list_id_str: str, num_lists: int, source: str | Path) -> int:
@@ -143,45 +141,26 @@ def decode_list_id(list_id_str: str, num_lists: int, source: str | Path) -> int:
     return list_id
 
 
-def load_server_state(
-    server: ZerberRServer, data: dict, source: str | Path
-) -> None:
-    """Restore merged lists (and, for v2 dumps, their version counters)
-    into an existing, empty server.
-
-    v1 dumps carry no counters; their lists restore at version 1 —
-    exactly where every pre-v2 build's reload left them.
-    """
-    num_lists = server.num_lists
+def load_server_state(server: ZerberRServer, data: dict, source: str | Path) -> None:
+    """Restore merged lists and their version counters into an
+    existing, empty server."""
     try:
-        lists = data["lists"]
-        versions = data.get("versions", {})
-        decoded: list[tuple[str, list, int]] = []
+        lists, versions = data["lists"], data["versions"]
         for list_id_str in sorted(set(lists) | set(versions), key=str):
-            elements = [
-                element_from_dict(entry) for entry in lists.get(list_id_str, ())
-            ]
-            if list_id_str in versions:
-                version = int(versions[list_id_str])
-                if version < 1:
-                    raise ConfigurationError(
-                        f"{source}: corrupt dump: list {list_id_str} has "
-                        f"non-positive version {version}"
-                    )
-            else:
-                version = 1 if elements else 0
-            decoded.append((list_id_str, elements, version))
+            list_id = decode_list_id(list_id_str, server.num_lists, source)
+            # KeyError: elements without a counter cannot have been written.
+            version = int(versions[list_id_str])
+            if version < 1:
+                raise ConfigurationError(
+                    f"{source}: corrupt dump: list {list_id_str} has "
+                    f"non-positive version {version}"
+                )
+            elements = [element_from_dict(e) for e in lists.get(list_id_str, ())]
+            server.restore_list(list_id, elements, version)
     except ConfigurationError:
         raise
     except (KeyError, TypeError, ValueError) as error:
-        raise ConfigurationError(
-            f"{source}: corrupt dump: {error!r}"
-        ) from error
-    for list_id_str, elements, version in decoded:
-        list_id = decode_list_id(list_id_str, num_lists, source)
-        if version == 0 and not elements:
-            continue
-        server.restore_list(list_id, elements, version)
+        raise ConfigurationError(f"{source}: corrupt dump: {error!r}") from error
 
 
 def server_from_dict(

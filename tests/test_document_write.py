@@ -130,6 +130,31 @@ class TestAllOrNothing:
         assert intruder.delete_document(theirs) == 2
         assert intruder.version_floor(0) == cluster.primary_version(0)
 
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {"apple": 1, "x" * 256: 1, "plum": 1},  # term > 255 UTF-8 bytes
+            {"apple": 65_536},  # tf past the 2-byte header field
+        ],
+        ids=["long-term", "large-tf"],
+    )
+    def test_a_document_the_layout_cannot_hold_sends_nothing(self, keys, counts):
+        """One element that does not fit the plaintext header refuses the
+        whole document before anything is sent: no insert, no floor."""
+        plan = MergePlan(groups=(("apple", "x" * 256), ("plum",), ("fig",)), r=2.0)
+        cluster = ServerCluster(
+            keys, num_lists=LISTS, num_servers=SERVERS, replication=3, lag=2
+        )
+        writer = ZerberRClient("u", keys, cluster, RstfModel({}), plan)
+        writer.index_document(DocumentStats.from_counts("d", {"fig": 1}), "g")
+        before = _state(cluster)
+        with pytest.raises(ValueError):
+            writer.index_document_with_receipts(
+                DocumentStats.from_counts("e", counts), "g"
+            )
+        assert _state(cluster) == before
+        assert writer.version_floor(0) is None and writer.version_floor(1) is None
+
     def test_misses_and_duplicates_remove_each_element_once(self, keys):
         cluster, receipts = self._loaded(keys)
         first, second = receipts[0], receipts[1]

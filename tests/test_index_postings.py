@@ -29,36 +29,58 @@ class TestPostingElement:
         element = PostingElement(term="tëst", doc_id="1.txt", tf=3, doc_length=10)
         assert PostingElement.from_bytes(element.to_bytes()) == element
 
-    def test_bytes_canonical(self):
-        a = PostingElement(term="t", doc_id="d", tf=1, doc_length=2)
-        b = PostingElement(term="t", doc_id="d", tf=1, doc_length=2)
-        assert a.to_bytes() == b.to_bytes()
+    def test_bytes_layout(self):
+        """tf (2) | doc_length (4) | len(term) (1) | term | doc id."""
+        element = PostingElement(term="tëst", doc_id="1.txt", tf=3, doc_length=10)
+        assert element.to_bytes() == (
+            b"\x00\x03" b"\x00\x00\x00\x0a" b"\x05" + "tëst".encode() + b"1.txt"
+        )
+        assert PostingElement("", "", 1, 1).to_bytes() == b"\x00\x01\x00\x00\x00\x01\x00"
 
     @pytest.mark.parametrize(
         "data",
         [
             b"",
-            b"{",
-            b"nul",
-            b"\xff\xfe",  # not UTF-8
-            b'{"d":"x","f":1,"l":2}',  # missing key
-            b"[1,2]",  # not an object
-            b'"t"',
-            b'{"t":1,"d":"x","f":1,"l":2}',  # wrong types
-            b'{"t":"a","d":null,"f":1,"l":2}',
-            b'{"t":"a","d":"x","f":"1","l":2}',
-            b'{"t":"a","d":"x","f":1.0,"l":2}',
-            b'{"t":"a","d":"x","f":true,"l":2}',
-            b'{"t":"a","d":"x","f":0,"l":2}',  # fails element validation
-            b'{"t":"a","d":"x","f":3,"l":2}',
-            b'{"d":"x","f":1,"l":2,"t":"a"}x',  # trailing bytes
-            b'{"d":"x","f":1,"l":2,"t":"a"}{}',
-            b' {"d":"x","f":1,"l":2,"t":"a"}',  # not the canonical encoding
+            b"\x00\x01\x00\x00\x00\x02",  # short header
+            b"\x00\x01\x00\x00\x00\x02\x01",  # term length runs past the body
+            b"\x00\x01\x00\x00\x00\x02\x04abc",
+            b"\x00\x01\x00\x00\x00\x02\xffab",
+            b"\x00\x01\x00\x00\x00\x02\x01\xffd",  # invalid UTF-8 in the term
+            b"\x00\x01\x00\x00\x00\x02\x02\xc3ad",  # ... a sequence cut by the split
+            b"\x00\x01\x00\x00\x00\x02\x01t\xff",  # invalid UTF-8 in the doc id
+            b"\x00\x01\x00\x00\x00\x02\x01t\xed\xa0\x80",  # ... an encoded surrogate
+            b"\x00\x01\x00\x00\x00\x02\x01t\xc0\x80",  # ... an overlong NUL
+            b"\x00\x00\x00\x00\x00\x02\x01td",  # tf == 0
+            b"\x00\x03\x00\x00\x00\x02\x01td",  # doc_length < tf
+            # The layout this one replaced, and what tests pass as "authentic
+            # but malformed": an old element is refused, not misread.
+            b'{"d":"studip-000000","f":52,"l":472,"t":"term000000"}',
+            b'{"d":"x","f":1,"l":2,"t":"a"}',
+            b'{"t":"t"}',
         ],
     )
     def test_malformed_bytes_raise_protocol_error(self, data):
         with pytest.raises(ProtocolError):
             PostingElement.from_bytes(data)
+
+    @pytest.mark.parametrize(
+        "element",
+        [
+            PostingElement("t", "d", 65_536, 65_536),
+            PostingElement("t", "d", 1, 2**32),
+            PostingElement("t" * 256, "d", 1, 2),
+            PostingElement("é" * 128, "d", 1, 2),  # 256 UTF-8 bytes
+            PostingElement("\ud800", "d", 1, 2),  # not encodable at all
+            PostingElement("t", "\udfff", 1, 2),
+        ],
+    )
+    def test_fields_the_header_cannot_hold_raise_value_error(self, element):
+        with pytest.raises(ValueError):
+            element.to_bytes()
+
+    def test_header_limits_themselves_fit(self):
+        element = PostingElement("é" * 127 + "x", "d", 65_535, 2**32 - 1)
+        assert PostingElement.from_bytes(element.to_bytes()) == element
 
     def test_decoded_strings_are_interned(self):
         data = PostingElement(term="tëst", doc_id="1.txt", tf=3, doc_length=10).to_bytes()

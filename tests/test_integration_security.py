@@ -12,8 +12,14 @@ import pytest
 from repro import SystemConfig, ZerberRSystem
 from repro.attacks.background import BackgroundKnowledge
 from repro.attacks.query_observation import QueryObservationAttack, extract_sessions
+from repro.core.client import ZerberRClient
 from repro.core.protocol import ResponsePolicy
+from repro.core.rstf import RstfModel
+from repro.core.server import ZerberRServer
+from repro.crypto.keys import GroupKeyService
+from repro.index.merge import MergePlan
 from repro.stats.uniformness import ks_distance_to_uniform
+from repro.text.analysis import DocumentStats
 
 
 class TestServerVisibleState:
@@ -121,3 +127,38 @@ class TestScoreDistributionDefence:
             distances.append(ks_distance_to_uniform(scaled))
         assert distances
         assert float(np.median(distances)) > 0.3
+
+
+class TestCiphertextLength:
+    """What the untrusted server learns from an element's length.
+
+    The cipher hides nothing about the body's length, so the server sees
+    ``len(ciphertext)`` for every element it stores.  With the binary
+    plaintext layout that is ``16 (nonce) + 7 (header) + len(term) +
+    len(doc_id) + 16 (tag)`` in UTF-8 bytes: a function of the two string
+    lengths only.  The canonical-JSON layout it replaced spelled tf and
+    doc_length in decimal, so the length also gave away their digit
+    counts — the magnitude of the very score the TRS exists to hide.
+    """
+
+    @pytest.mark.parametrize("term, doc_id", [("apple", "doc-1"), ("grüße", "akte-ß")])
+    def test_length_is_independent_of_tf_and_doc_length(self, term, doc_id):
+        keys = GroupKeyService(master_secret=b"l" * 32)
+        keys.register("u", {"g"})
+        plan = MergePlan(groups=((term, "filler"),), r=2.0)
+        client = ZerberRClient(
+            "u", keys, ZerberRServer(keys, num_lists=1), RstfModel({}), plan
+        )
+        expected = 16 + 7 + len(term.encode()) + len(doc_id.encode()) + 16
+        lengths = set()
+        for tf in (1, 9, 10, 255, 256, 9_999, 65_535):
+            for doc_length in (1, 99, 100, 65_535, 65_536, 999_999, 10**7):
+                if doc_length < tf:
+                    continue
+                counts = {term: tf}
+                if doc_length > tf:
+                    counts["filler"] = doc_length - tf
+                doc = DocumentStats.from_counts(doc_id, counts)
+                [(_, element)] = client.build_document(doc, "g", [term])
+                lengths.add(len(element.ciphertext))
+        assert lengths == {expected}

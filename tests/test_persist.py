@@ -10,14 +10,14 @@ from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError
 from repro.persist import (
     FORMAT_VERSION,
-    V1_FORMAT_VERSION,
+    load_cluster,
     load_index,
     merge_plan_from_dict,
     merge_plan_to_dict,
     rstf_model_from_dict,
     rstf_model_to_dict,
+    save_cluster,
     save_index,
-    server_to_dict,
 )
 
 
@@ -93,18 +93,8 @@ class TestSaveLoad:
                 list_id
             )
 
-    def test_version_check(self, built, tmp_path):
-        system, _ = built
-        path = tmp_path / "index.json"
-        save_index(path, system.server, system.merge_plan, system.rstf_model)
-        payload = json.loads(path.read_text())
-        payload["format_version"] = FORMAT_VERSION + 1
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError):
-            load_index(path, GroupKeyService(master_secret=b"p" * 32))
-
     def test_list_versions_survive_reload(self, built, tmp_path):
-        """v2 dumps carry per-list mutation counters, so version-stamped
+        """Dumps carry per-list mutation counters, so version-stamped
         responses stay comparable across a restart."""
         system, _ = built
         path = tmp_path / "index.json"
@@ -137,45 +127,78 @@ class TestSaveLoad:
         assert result.hits == ()
 
 
-class TestV1Compat:
-    """Legacy (pre-replication) dumps must keep loading unchanged."""
+@pytest.fixture(scope="module")
+def dumps(built, tmp_path_factory):
+    """kind -> (loader, text of a freshly saved dump of that kind)."""
+    system, _ = built
+    path = tmp_path_factory.mktemp("dumps") / "dump.json"
+    save_index(path, system.server, system.merge_plan, system.rstf_model)
+    server_text = path.read_text()
+    cluster, _ = system.deploy_cluster(num_servers=2, replication=2)
+    save_cluster(path, cluster, system.merge_plan, system.rstf_model)
+    return {
+        "server": (load_index, server_text),
+        "cluster": (load_cluster, path.read_text()),
+    }
 
-    def _v1_payload(self, system):
-        return {
-            "format_version": V1_FORMAT_VERSION,
-            "merge_plan": merge_plan_to_dict(system.merge_plan),
-            "rstf_model": rstf_model_to_dict(system.rstf_model),
-            "server": server_to_dict(system.server, include_versions=False),
-        }
 
-    def test_v1_dump_loads_and_queries(self, built, tmp_path):
-        system, _ = built
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(self._v1_payload(system)))
-        service = GroupKeyService(master_secret=b"p" * 32)
-        server2, plan2, model2 = load_index(path, service)
-        assert server2.num_elements == system.server.num_elements
-        assert plan2 == system.merge_plan
-        for group in system.corpus.groups():
-            service.ensure_group(group)
-        service.register("superuser", set(system.corpus.groups()))
-        client = ZerberRClient(
-            principal="superuser",
-            key_service=service,
-            server=server2,
-            rstf_model=model2,
-            merge_plan=plan2,
+def _server_section(kind, payload):
+    return payload["server"] if kind == "server" else payload["cluster"]["servers"][0]
+
+
+@pytest.mark.parametrize("kind", ["server", "cluster"])
+class TestOneFormatVersion:
+    """Older dumps hold elements no client of this build can open, so a
+    restore that "succeeds" would answer every query empty: any version
+    but the current one is refused, by both loaders."""
+
+    def _refused(self, dumps, kind, tmp_path, damage):
+        """Load a dump after *damage*(payload); returns the error text."""
+        loader, text = dumps[kind]
+        payload = json.loads(text)
+        damage(payload)
+        path = tmp_path / "dump.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match=str(path)) as excinfo:
+            loader(path, GroupKeyService(master_secret=b"p" * 32))
+        return str(excinfo.value)
+
+    @pytest.mark.parametrize("found", [1, 2, FORMAT_VERSION + 1, "3", None])
+    def test_other_versions_are_refused_by_name(self, dumps, tmp_path, kind, found):
+        assert json.loads(dumps[kind][1])["format_version"] == FORMAT_VERSION == 3
+        message = self._refused(
+            dumps, kind, tmp_path, lambda p: p.update(format_version=found)
         )
-        term = system.vocabulary.terms_by_frequency()[1]
-        assert client.query(term, k=5).doc_ids() == system.query(
-            term, k=5
-        ).doc_ids()
+        assert repr(found) in message and f"reads {FORMAT_VERSION}" in message
 
-    def test_v1_wire_shape_is_versionless(self, built):
-        system, _ = built
-        payload = self._v1_payload(system)
-        assert "versions" not in payload["server"]
-        assert "kind" not in payload
+    def test_versionless_server_section_is_corrupt(self, dumps, tmp_path, kind):
+        """The v1 shape (lists without their counters) has no default."""
+        self._refused(
+            dumps, kind, tmp_path, lambda p: _server_section(kind, p).pop("versions")
+        )
+
+    @pytest.mark.parametrize(
+        "field, damage",
+        [
+            # Lenient base64 drops the "!!" and restores a shorter ciphertext.
+            ("c", lambda text: text[:4] + "!!" + text[4:]),
+            ("g", lambda group: 5),
+            ("t", lambda trs: str(trs)),
+        ],
+        ids=["b64-foreign-chars", "int-group", "str-trs"],
+    )
+    def test_damaged_element_is_refused_not_restored(
+        self, dumps, tmp_path, kind, field, damage
+    ):
+        """A damaged element must not restore as a *different* element
+        that then fails its MAC for every reader and drops out of results."""
+
+        def damage_first_element(payload):
+            lists = _server_section(kind, payload)["lists"]
+            entry = next(iter(lists.values()))[0]
+            entry[field] = damage(entry[field])
+
+        self._refused(dumps, kind, tmp_path, damage_first_element)
 
 
 class TestCorruptDumps:

@@ -1,4 +1,4 @@
-"""Crash-recovery tests for whole-cluster persistence (format v2).
+"""Crash-recovery tests for whole-cluster persistence.
 
 The restart-amnesia contract: a cluster snapshotted mid-replication —
 nonzero lag, paused followers, down servers, whatever — and reloaded
