@@ -90,11 +90,10 @@ from repro.core.replication import (
     ReplicationStats,
     WriteConsistency,
 )
-from repro.core.server import ObservedFetch, ZerberRServer
+from repro.core.server import ObservedFetch, ZerberRServer, validate_write_batch
 from repro.core.views import ViewStats
 from repro.crypto.keys import GroupKeyService
 from repro.errors import (
-    AccessDeniedError,
     ConfigurationError,
     ProtocolError,
     QuorumUnavailableError,
@@ -522,26 +521,6 @@ class ServerCluster:
             if self._repl.staleness(list_id, replicas[0]):
                 raise UnavailableError(list_id, len(replicas))
 
-    def _validate_items(
-        self,
-        principal: str,
-        items: Iterable[tuple[int, EncryptedPostingElement]],
-    ) -> list[tuple[int, EncryptedPostingElement]]:
-        """All-or-nothing preamble of the batched write paths.
-
-        List id, TRS and group membership are checked for the whole batch
-        before any server is touched, so a rejected batch cannot leave
-        replicas of a list divergent.
-        """
-        items = list(items)
-        for list_id, element in items:
-            if element.trs is None:
-                raise ProtocolError("Zerber+R elements must carry a TRS")
-            if not self._keys.is_member(principal, element.group):
-                raise AccessDeniedError(principal, element.group)
-            self._primary_of(list_id)  # validates the list id
-        return items
-
     def _group_by_primary(
         self, items: list[tuple[int, EncryptedPostingElement]]
     ) -> dict[int, list[tuple[int, EncryptedPostingElement]]]:
@@ -570,8 +549,11 @@ class ServerCluster:
     ) -> int:
         """Replicated multi-insert, batched per touched primary.
 
-        Items are validated up front (all-or-nothing, see
-        :meth:`_validate_items`) and grouped by primary, so a batch costs
+        Items are validated up front (list id, TRS and group membership
+        of the whole batch before any server is touched, see
+        :func:`~repro.core.server.validate_write_batch` — a rejected
+        batch cannot leave replicas of a list divergent) and grouped by
+        primary, so a batch costs
         O(touched primaries) server write calls.  Only the primaries are
         written by this call; every follower copy arrives through the
         replication log — in this same call when its lag is 0, on a later
@@ -593,8 +575,10 @@ class ServerCluster:
         items: Iterable[tuple[int, EncryptedPostingElement]],
         consistency: WriteConsistency | str | None = None,
     ) -> int:
-        """Bulk-load with the same all-or-nothing validation as
-        :meth:`insert_many`; each touched primary sorts once."""
+        """Bulk-load with the same all-or-nothing validation and the
+        same replication discipline as :meth:`insert_many` — every
+        element is one logged op — but each touched primary list takes
+        its share of the batch as one mutation."""
         return self._replicated_write_batch(
             principal, items, bulk=True, consistency=consistency
         )
@@ -646,7 +630,9 @@ class ServerCluster:
         """Shared body of :meth:`insert_many` and :meth:`bulk_load` —
         identical replication discipline, different server entry point."""
         consistency = self._resolve_write_consistency(consistency)
-        items = self._validate_items(principal, items)
+        items = validate_write_batch(
+            self._keys, principal, items, self._primary_of
+        )
         touched = self._admit_write((lid for lid, _ in items), consistency)
         per_primary = self._group_by_primary(items)
         for server_index in sorted(per_primary):

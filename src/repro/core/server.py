@@ -39,7 +39,7 @@ log that the attack modules read.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 
 from repro.core.protocol import (
@@ -78,6 +78,41 @@ class ObservedFetch:
     count: int
     returned: int
     batch_id: int | None = None
+
+
+def validate_write_batch(
+    keys: GroupKeyService,
+    principal: str,
+    items: Iterable[tuple[int, EncryptedPostingElement]],
+    check_list_id: Callable[[int], object],
+) -> list[tuple[int, EncryptedPostingElement]]:
+    """The all-or-nothing gate of a batched insert, mutating nothing.
+
+    Element by element, in batch order: it carries a TRS
+    (:class:`ProtocolError`), *principal* is a member of its group
+    (:class:`AccessDeniedError`), its list id is one *check_list_id*
+    accepts (it raises :class:`UnknownListError`) — so the first
+    offending element decides the refusal.  Memberships and list ids do
+    not change inside one call, so each distinct group is put to the key
+    service once and each distinct list id checked once.  The server and
+    the cluster in front of it both gate on this: a bare server must
+    check what it is handed, and the cluster must refuse a batch before
+    the first of several primaries is touched.
+    """
+    batch = list(items)
+    groups: set[str] = set()
+    list_ids: set[int] = set()
+    for list_id, element in batch:
+        if element.trs is None:
+            raise ProtocolError("Zerber+R elements must carry a TRS")
+        if element.group not in groups:
+            if not keys.is_member(principal, element.group):
+                raise AccessDeniedError(principal, element.group)
+            groups.add(element.group)
+        if list_id not in list_ids:
+            check_list_id(list_id)
+            list_ids.add(list_id)
+    return batch
 
 
 class ZerberRServer:
@@ -186,28 +221,25 @@ class ZerberRServer:
         principal: str,
         items: Iterable[tuple[int, EncryptedPostingElement]],
     ) -> int:
-        """Load many elements, sorting each touched list once.
+        """Load many elements, mutating each touched list once.
 
-        Functionally identical to :meth:`insert_many` (including the
-        membership checks) but O(n log n) per list instead of O(n²); used
-        when indexing a whole corpus at system setup.  Touched lists'
-        cached views are dropped wholesale — a bulk load changes too much
-        for per-element patching to win.
+        Leaves every list as :meth:`insert_many` would (same elements,
+        same order, same checks — :func:`validate_write_batch`, all or
+        nothing) but a touched list takes its share of the batch in one
+        call (:meth:`MergedPostingList.bulk_load_sorted_by_trs`) and its
+        version advances once; used when a whole index is loaded at
+        system setup.  Touched lists' cached views are dropped
+        wholesale — a bulk load changes too much for per-element
+        patching to win.
         """
+        batch = validate_write_batch(self._keys, principal, items, self._list)
         by_list: dict[int, list[EncryptedPostingElement]] = {}
-        accepted = 0
-        for list_id, element in items:
-            if element.trs is None:
-                raise ProtocolError("Zerber+R elements must carry a TRS")
-            if not self._keys.is_member(principal, element.group):
-                raise AccessDeniedError(principal, element.group)
-            self._list(list_id)  # validates the id
+        for list_id, element in batch:
             by_list.setdefault(list_id, []).append(element)
-            accepted += 1
         for list_id, elements in by_list.items():
             self._lists[list_id].bulk_load_sorted_by_trs(elements)
             self._views.invalidate_list(list_id)
-        return accepted
+        return len(batch)
 
     # -- deletion (collaborative updates, paper §5's "unlimited index
     # update and insert operations") ------------------------------------------
@@ -340,7 +372,9 @@ class ZerberRServer:
 
         Elements arrive already encrypted and TRS-tagged from the source
         replica — no membership re-check, the data was admitted when first
-        inserted.  Cached views of the list are dropped.
+        inserted — and in the source's TRS order, which the load keeps
+        (ties included): each element bisects to the end of the list.
+        Cached views of the list are dropped.
         """
         merged = self._list(list_id)
         merged.clear()
@@ -369,7 +403,9 @@ class ZerberRServer:
         Unlike :meth:`import_list` (migration — the counter keeps
         advancing), a restored list resumes at its pre-restart version,
         so version-stamped fetch responses and the replication manager's
-        applied versions stay comparable across the restart.
+        applied versions stay comparable across the restart.  A dump is
+        written in list order, which the load keeps as it is; a dump
+        that is not comes back TRS-sorted.
         """
         if version < 0:
             raise ProtocolError(f"list {list_id}: version must be >= 0")

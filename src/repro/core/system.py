@@ -34,6 +34,7 @@ from repro.corpus.documents import Corpus
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError
 from repro.index.merge import MergePlan, bfm_merge, greedy_pairing_merge, random_merge
+from repro.index.postings import EncryptedPostingElement
 from repro.obs import ClusterMonitor, Telemetry
 from repro.text.vocabulary import Vocabulary
 
@@ -186,30 +187,54 @@ class ZerberRSystem:
             return random_merge(probabilities, config.r, rng=rng)
         return greedy_pairing_merge(probabilities, config.r)
 
-    def _index_corpus(self, backend: ZerberRServer | ServerCluster | None = None) -> None:
-        """Online insertion phase: per-group owners encrypt and upload.
-
-        *backend* is any object with the server bulk-load surface; it
-        defaults to this system's single server and lets
-        :meth:`deploy_cluster` re-index the same corpus into a
-        :class:`~repro.core.cluster.ServerCluster`.
-        """
-        backend = backend if backend is not None else self.server
-        for group in sorted(self.corpus.groups()):
-            owner = f"owner:{group}"
+    def _owner_of(self, group: str) -> str:
+        """The principal that uploads *group*'s elements, enrolled if it
+        is not (a pre-seeded key service may already know it)."""
+        owner = f"owner:{group}"
+        if not self.key_service.is_member(owner, group):
             try:
                 self.key_service.register(owner, {group})
             except ConfigurationError:
                 self.key_service.enroll(owner, group)
+        return owner
+
+    def _index_corpus(self) -> None:
+        """Online insertion phase: per-group owners encrypt and upload.
+
+        The one place a corpus is encrypted: each element is built once,
+        into this system's own server; :meth:`deploy_cluster` shards what
+        is here instead of running the pipeline again.
+        """
         for group in sorted(self.corpus.groups()):
-            owner = f"owner:{group}"
+            owner = self._owner_of(group)
             client = self.client_for(owner)
             items = []
             for doc in self.corpus.documents_in_group(group):
                 items.extend(
                     client.build_document(self.corpus.stats(doc.doc_id), group)
                 )
-            backend.bulk_load(owner, items)
+            self.server.bulk_load(owner, items)
+
+    def _shard_index_into(self, cluster: ServerCluster) -> None:
+        """Upload the built index, as it stands, into *cluster*.
+
+        Every list of :attr:`server` is read through ``export_list`` in
+        list-id order and its elements are handed, group by group, to
+        ``cluster.bulk_load`` as that group's owner — the same gate and
+        the same replication log a fresh upload goes through.  The
+        cluster ends up holding the very element objects this server
+        holds (they are immutable): no nonce is drawn and nothing is
+        encrypted or transformed a second time, and a document written
+        to or deleted from this server since :meth:`build` is deployed
+        or left out like the rest.  Elements of equal TRS keep the order
+        :meth:`build` gives them: group by group, then list order.
+        """
+        by_group: dict[str, list[tuple[int, EncryptedPostingElement]]] = {}
+        for list_id in range(self.server.num_lists):
+            for element in self.server.export_list(list_id):
+                by_group.setdefault(element.group, []).append((list_id, element))
+        for group in sorted(by_group):
+            cluster.bulk_load(self._owner_of(group), by_group[group])
 
     # -- principals and clients -----------------------------------------------------
 
@@ -270,8 +295,10 @@ class ZerberRSystem:
         """Stand up a sharded deployment of this system's index.
 
         Builds a :class:`~repro.core.cluster.ServerCluster` over the same
-        key service and merge plan, re-indexes the corpus into it through
-        the per-group owners, and fronts it with a
+        key service and merge plan, uploads the index :attr:`server`
+        holds at this moment into it through the per-group owners (the
+        same element objects — nothing is encrypted again, see
+        :meth:`_shard_index_into`), and fronts it with a
         :class:`~repro.core.router.Coordinator` for cross-query slice
         coalescing.  Query it either directly
         (``system.client_for(p, server=cluster)``) or through coordinator
@@ -324,7 +351,7 @@ class ZerberRSystem:
                     telemetry, every=monitor_every, window=monitor_window
                 )
             )
-        self._index_corpus(backend=cluster)
+        self._shard_index_into(cluster)
         return cluster, Coordinator(
             cluster,
             rebalance_every=rebalance_every,
@@ -380,7 +407,7 @@ class ZerberRSystem:
     ) -> tuple[ServerCluster, Coordinator]:
         """Recover a snapshotted cluster deployment of *this* system.
 
-        Unlike :meth:`deploy_cluster`, nothing is re-indexed: servers,
+        Unlike :meth:`deploy_cluster`, nothing is uploaded: servers,
         replication logs, applied versions and placement come back from
         the snapshot, and lagged/paused followers resume converging
         through the normal catch-up machinery.  The snapshot must have

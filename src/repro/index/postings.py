@@ -219,17 +219,26 @@ class MergedPostingList:
     def bulk_load_sorted_by_trs(
         self, elements: Iterable[EncryptedPostingElement]
     ) -> None:
-        """Add many elements at once, re-sorting a single time.
+        """Add many elements as one mutation, each bisected to its place.
 
-        Equivalent to repeated :meth:`add_sorted_by_trs` but O(n log n)
-        total; used when a whole corpus is indexed at setup time.
+        What feeding *elements* one by one through
+        :meth:`add_sorted_by_trs` leaves — the same objects in the same
+        order, held elements before incoming ones at equal TRS and
+        incoming ones in arrival order — but all-or-nothing (a TRS-less
+        element refuses the whole batch) and with ``version`` advanced
+        once per call, also for an empty batch.  A key is taken once per
+        incoming element; what the list holds is never re-keyed or
+        re-sorted.
         """
         incoming = list(elements)
         if any(e.trs is None for e in incoming):
             raise ValueError("all bulk-loaded elements must carry a TRS")
-        self.elements.extend(incoming)
-        self.elements.sort(key=self.sort_key)
-        self._neg_trs_keys = [self.sort_key(e) for e in self.elements]
+        held, keys = self.elements, self._neg_trs_keys
+        for element in incoming:
+            key = -element.trs
+            position = bisect.bisect_right(keys, key)
+            keys.insert(position, key)
+            held.insert(position, element)
         self.version += 1
 
     def add_random(self, element: EncryptedPostingElement, rng) -> int:

@@ -8,3 +8,7 @@ def sneak_insert(server, list_id: int, element) -> None:
 
 def sneak_delete(merged, ciphertext: bytes) -> bool:
     return merged.remove_by_ciphertext(ciphertext)
+
+
+def sneak_bulk_load(merged, elements) -> None:
+    merged.bulk_load_sorted_by_trs(elements)  # a whole batch no replica sees

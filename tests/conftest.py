@@ -75,3 +75,19 @@ def rare_term(ordinary_index):
         if vocab.document_frequency(term) == 1:
             return term
     raise RuntimeError("test corpus has no df==1 term")
+
+
+@pytest.fixture()
+def counted_encrypts(monkeypatch):
+    """One entry per ``StreamCipher.encrypt`` call made while the test runs."""
+    from repro.crypto.cipher import StreamCipher
+
+    calls = []
+    encrypt = StreamCipher.encrypt
+
+    def counting(self, plaintext, nonce):
+        calls.append(len(plaintext))
+        return encrypt(self, plaintext, nonce)
+
+    monkeypatch.setattr(StreamCipher, "encrypt", counting)
+    return calls

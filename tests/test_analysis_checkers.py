@@ -126,3 +126,11 @@ def test_typed_defs_package_list_matches_mypy_ini():
         and config.getboolean(section, "disallow_incomplete_defs", fallback=False)
     }
     assert strict == STRICT_PACKAGES
+
+
+def test_every_list_mutator_named_in_the_bad_fixture_is_flagged():
+    """The bulk load stays a storage-layer call: a direct
+    ``bulk_load_sorted_by_trs`` from anywhere else is a bypassed batch."""
+    messages = " ".join(f.message for f in _lint("replication_bypass_bad", None))
+    for mutator in ("add_sorted_by_trs", "remove_by_ciphertext", "bulk_load_sorted_by_trs"):
+        assert f"MergedPostingList.{mutator}()" in messages

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.protocol import BatchFetchRequest, FetchRequest
 from repro.core.replication import ReplicationOp
-from repro.core.server import ZerberRServer
+from repro.core.cluster import ServerCluster
+from repro.core.server import ZerberRServer, validate_write_batch
 from repro.crypto.keys import GroupKeyService
 from repro.errors import AccessDeniedError, ProtocolError, UnknownListError
 from repro.index.postings import EncryptedPostingElement
@@ -71,6 +72,69 @@ class TestInsert:
         server.insert("alice", 0, _element("g1", 0.1))
         server.insert("bob", 1, _element("g2", 0.2))
         assert server.num_elements == 2
+
+
+class _CountingKeys:
+    """A key service stand-in that counts the membership questions."""
+
+    def __init__(self, keys):
+        self._keys = keys
+        self.asked = []
+
+    def is_member(self, principal, group):
+        self.asked.append((principal, group))
+        return self._keys.is_member(principal, group)
+
+
+class TestWriteBatchGate:
+    """``validate_write_batch`` is the one all-or-nothing gate of a batched
+    insert, for a bare server and for the cluster in front of several: the
+    first offending element decides the refusal, nothing is mutated, and no
+    question is put twice within a call."""
+
+    def test_membership_once_per_group_and_list_id_once_per_id(self, keys):
+        counting = _CountingKeys(keys)
+        checked = []
+        items = [
+            (list_id, _element(group, 0.5))
+            for list_id, group in [(0, "g1"), (2, "g2"), (0, "g2"), (2, "g1"), (1, "g1")]
+        ]
+        assert validate_write_batch(counting, "root", iter(items), checked.append) == items
+        assert counting.asked == [("root", "g1"), ("root", "g2")]
+        assert checked == [0, 2, 1]
+
+    @pytest.mark.parametrize(
+        "offending, error",
+        [
+            # Per element: TRS, then membership, then list id.
+            ([(7, EncryptedPostingElement(b"c", "g2"))], ProtocolError),
+            ([(7, _element("g2", 0.5))], AccessDeniedError),
+            ([(7, _element("g1", 0.5))], UnknownListError),
+            # Across elements: the first offender in batch order.
+            ([(7, _element("g1", 0.5)), (0, _element("g2", 0.5))], UnknownListError),
+            ([(0, _element("g2", 0.5)), (7, _element("g1", 0.5))], AccessDeniedError),
+            (
+                [(0, _element("g2", 0.5)), (0, EncryptedPostingElement(b"c", "g1"))],
+                AccessDeniedError,
+            ),
+        ],
+    )
+    def test_first_offender_refuses_the_batch_and_nothing_is_mutated(
+        self, keys, offending, error
+    ):
+        batch = [(0, _element("g1", 0.9)), (1, _element("g1", 0.8))] + offending
+        server = ZerberRServer(keys, num_lists=3)
+        cluster = ServerCluster(keys, num_lists=3, num_servers=3, replication=2)
+        for backend in (server, cluster):
+            with pytest.raises(error):
+                backend.bulk_load("alice", batch)
+            assert backend.num_elements == 0
+        with pytest.raises(error):
+            cluster.insert_many("alice", batch)
+        assert cluster.num_elements == 0
+        assert cluster.replication_stats.ops_logged == 0
+        assert [cluster.primary_version(i) for i in range(3)] == [0, 0, 0]
+        assert [server.list_version(i) for i in range(3)] == [0, 0, 0]
 
 
 class TestFetch:

@@ -154,3 +154,118 @@ class TestMergeSchemes:
             micro_corpus, SystemConfig(r=3.0, merge_scheme=scheme, seed=1)
         )
         assert system.audit().is_confidential
+
+
+def _nonce_counters(system):
+    return {
+        group: system.key_service.nonce_sequence(f"owner:{group}", group)._counter
+        for group in sorted(system.corpus.groups())
+    }
+
+
+@pytest.fixture(scope="module")
+def studip_system():
+    from repro.corpus.synthetic import studip_like
+
+    return ZerberRSystem.build(
+        studip_like(num_documents=60, vocabulary_size=800),
+        SystemConfig(r=4.0, seed=5),
+    )
+
+
+@pytest.fixture(params=["system", "studip_system"], ids=["tiny", "studip"])
+def indexed(request):
+    """The session's tiny-corpus system, and one over a Stud.IP-like corpus."""
+    return request.getfixturevalue(request.param)
+
+
+class TestDeployShardsTheBuiltIndex:
+    """``deploy_cluster`` uploads the index ``build`` made — the same
+    element objects, through the same gate and log — instead of encrypting
+    the corpus a second time (paper §5: a member encrypts an element once)."""
+
+    @pytest.mark.parametrize("lag", [0, 2])
+    @pytest.mark.parametrize("replication", [1, 2, 3])
+    def test_index_once(self, indexed, counted_encrypts, replication, lag):
+        # The shared system is deployed from twelve times over: a second
+        # deployment of one system is part of what is checked.
+        system = indexed
+        nonces = _nonce_counters(system)
+        cluster, _ = system.deploy_cluster(
+            num_servers=3, replication=replication, lag=lag
+        )
+        assert counted_encrypts == []
+        assert _nonce_counters(system) == nonces
+        assert sum(nonces.values()) == system.server.num_elements
+        assert cluster.replication_stats.ops_logged == system.server.num_elements
+        cluster.run_replication_until_quiet()
+        assert cluster.replication_backlog() == {}
+        for list_id in range(system.merge_plan.num_lists):
+            built = system.server.export_list(list_id)
+            for server_index in cluster.replicas_of(list_id):
+                held = cluster.server(server_index).export_list(list_id)
+                assert len(held) == len(built)
+                assert all(a is b for a, b in zip(held, built)), (list_id, server_index)
+
+    def test_preseeded_owners_and_a_revoked_owner_are_enrolled(self, micro_corpus):
+        groups = sorted(micro_corpus.groups())
+        key_service = GroupKeyService(master_secret=b"o" * 32)
+        for group in groups:
+            key_service.register(f"owner:{group}", {group})
+        system = ZerberRSystem.build(
+            micro_corpus, SystemConfig(r=3.0, seed=8), key_service=key_service
+        )
+        key_service.revoke(f"owner:{groups[0]}", groups[0])
+        cluster, _ = system.deploy_cluster(num_servers=2, replication=2)
+        assert cluster.num_elements == system.server.num_elements
+        assert key_service.is_member(f"owner:{groups[0]}", groups[0])
+
+    def test_the_index_is_deployed_not_the_corpus(self, corpus):
+        """Regression: a document written to or deleted from
+        ``system.server`` after ``build`` never reached (or reappeared in)
+        the cluster, which was re-indexed from the corpus."""
+        from repro.core.protocol import Receipt
+        from repro.corpus.documents import DocumentStats
+        from repro.index.postings import PostingElement
+
+        system = ZerberRSystem.build(corpus, SystemConfig(r=4.0, seed=5))
+        group = sorted(corpus.groups())[0]
+        victim, donor = [d.doc_id for d in corpus.documents_in_group(group)[:2]]
+        writer = system.client_for(f"owner:{group}")
+        added = DocumentStats.from_counts("added-doc", dict(corpus.stats(donor).counts))
+        assert writer.index_document(added, group) == len(added.counts)
+        cipher = system.key_service.cipher_for("superuser", group)
+        receipts = [
+            Receipt(list_id, element.ciphertext, element.trs)
+            for list_id in range(system.merge_plan.num_lists)
+            for element in system.server.export_list(list_id)
+            if element.group == group
+            and cipher.try_decrypt(element.ciphertext, PostingElement.from_bytes).doc_id
+            == victim
+        ]
+        assert len(receipts) == len(corpus.stats(victim).counts)
+        assert writer.delete_document(receipts) == len(receipts)
+
+        cluster, _ = system.deploy_cluster(num_servers=3, replication=2, lag=2)
+        assert cluster.replication_stats.ops_logged == system.server.num_elements
+        cluster.run_replication_until_quiet()
+        for list_id in range(system.merge_plan.num_lists):
+            built = system.server.export_list(list_id)
+            primary, follower = cluster.replicas_of(list_id)
+            on_primary = cluster.server(primary).export_list(list_id)
+            assert on_primary == cluster.server(follower).export_list(list_id)
+            # Equal TRS are deployed group by group, so only ties between
+            # groups may sit in another order than on the written-to server.
+            assert [e.trs for e in on_primary] == [e.trs for e in built]
+            assert {id(e) for e in on_primary} == {id(e) for e in built}
+        single = system.client_for("superuser")
+        sharded = system.client_for("superuser", server=cluster)
+        tapes = [sorted(added.counts)[:3], sorted(corpus.stats(victim).counts)[:3]]
+        tapes += [[term] for term in system.vocabulary.terms_by_frequency()[:6]]
+        everything = len(corpus) + 1
+        for terms in tapes:
+            ours = sharded.query_multi_batched(terms, everything)
+            theirs = single.query_multi_batched(terms, everything)
+            assert ours.ranked == theirs.ranked, terms
+            assert victim not in ours.doc_ids()
+        assert "added-doc" in sharded.query_multi_batched(tapes[0], everything).doc_ids()

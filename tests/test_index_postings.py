@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolError
 from repro.index.postings import (
@@ -238,6 +239,78 @@ class TestMergedPostingList:
         popped = merged.pop_at(position)
         assert popped.ciphertext == b"b"
         assert [e.trs for e in merged] == [0.9, 0.1]
+        assert merged.keys_in_sync()
+
+
+class _CountedTrs(float):
+    """A TRS that remembers how often its sort key (``-trs``) was taken."""
+
+    negations = 0
+
+    def __neg__(self):
+        self.negations += 1
+        return -float(self)
+
+
+# Few distinct scores, so ties inside a batch and against held elements are
+# the rule; every element is its own object, so order is checked by identity.
+_trs_batches = st.lists(
+    st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0]) | st.floats(0, 1)),
+    max_size=8,
+)
+
+
+class TestBulkLoadRefinesSortedInsert:
+    """``bulk_load_sorted_by_trs`` is a refinement of repeated
+    ``add_sorted_by_trs``: the abstract action is "insert these, one after
+    the other"; the bulk load must leave the very state that leaves (the
+    abstract-action -> implementation argument PAPERS.md cites for
+    Event-B -> SQL), in one version step and without re-keying what it holds."""
+
+    @staticmethod
+    def _elements(batch):
+        return [
+            EncryptedPostingElement(ciphertext=b"c", group="g", trs=_CountedTrs(trs))
+            for trs in batch
+        ]
+
+    @given(batches=_trs_batches)
+    @settings(max_examples=300, deadline=None)
+    def test_same_objects_in_the_same_order_as_one_by_one(self, batches):
+        bulk, reference = MergedPostingList(0), MergedPostingList(1)
+        for batch in batches:
+            elements = self._elements(batch)
+            version = bulk.version
+            bulk.bulk_load_sorted_by_trs(iter(elements))
+            for element in elements:
+                reference.add_sorted_by_trs(element)
+            assert bulk.version == version + 1
+            assert len(bulk) == len(reference)
+            assert all(a is b for a, b in zip(bulk, reference))
+            assert bulk.keys_in_sync()
+
+    @given(batches=_trs_batches)
+    @settings(max_examples=100, deadline=None)
+    def test_a_key_is_taken_once_per_incoming_element_and_never_again(self, batches):
+        merged = MergedPostingList(0)
+        held = []
+        for batch in batches:
+            elements = self._elements(batch)
+            merged.bulk_load_sorted_by_trs(elements)
+            assert [e.trs.negations for e in elements] == [1] * len(elements)
+            assert all(e.trs.negations == 1 for e in held)
+            held += elements
+
+    def test_a_refused_batch_changes_nothing(self):
+        merged = MergedPostingList(0)
+        merged.bulk_load_sorted_by_trs(self._elements([0.5, 0.9]))
+        before = (list(merged), merged.version)
+        with pytest.raises(ValueError):
+            merged.bulk_load_sorted_by_trs(
+                self._elements([0.7])
+                + [EncryptedPostingElement(ciphertext=b"c", group="g")]
+            )
+        assert (list(merged), merged.version) == before
         assert merged.keys_in_sync()
 
 

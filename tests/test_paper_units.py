@@ -7,6 +7,11 @@ benchmark reports as ``requests_per_query`` / ``elements_per_query`` /
 no clock, no machine — so a change that moves one must say so by
 refreshing a constant here, not be noticed later in a bench table.
 
+Beside them, the machine-independent half of ``setup_s``: what ``build`` +
+``deploy_cluster`` do per element (encryptions, TRS sort keys), counted, so
+that indexing a corpus twice or re-keying a list per batch shows up here
+and not as a slower bench.
+
 Refresh (after a change that is *meant* to move a unit, and says so in
 CHANGES.md): ``PYTHONPATH=src python tests/test_paper_units.py`` prints
 the three lines to paste over the constants below.
@@ -54,6 +59,41 @@ def test_paper_units_are_exactly_the_recorded_ones():
     # Every element on the wire is nonce + 7-byte header + term + doc id +
     # tag + one TRS double; "termNNNNNN" in "tiny-NNNNNN" makes that 68 bytes.
     assert BITS == ELEMENTS * 8 * (16 + 7 + 10 + 11 + 16 + 8)
+
+
+class _CountedTrs(float):
+    """A TRS that counts, class-wide, how often ``-trs`` (its sort key) is taken."""
+
+    taken = 0
+
+    def __neg__(self):
+        _CountedTrs.taken += 1
+        return -float(self)
+
+
+def test_setup_work_is_once_per_element(monkeypatch, counted_encrypts):
+    """``build`` + ``deploy_cluster``: one encryption per element indexed,
+    and at most one sort key per element per list copy bulk-loaded (the
+    single server's and the cluster primary's; at ``replication=1`` there
+    is no follower, whose copy arrives op by op through the log)."""
+    import repro.core.client as client_module
+    from repro.index.postings import EncryptedPostingElement
+
+    monkeypatch.setattr(
+        client_module,
+        "EncryptedPostingElement",
+        lambda ciphertext, group, trs: EncryptedPostingElement(
+            ciphertext, group, _CountedTrs(trs)
+        ),
+    )
+    monkeypatch.setattr(_CountedTrs, "taken", 0)
+    corpus = tiny_corpus(seed=3)
+    system = ZerberRSystem.build(corpus, SystemConfig(r=4.0, seed=5))
+    cluster, _ = system.deploy_cluster(num_servers=3, replication=1)
+    elements = sum(len(corpus.stats(doc_id).counts) for doc_id in corpus.doc_ids())
+    assert system.server.num_elements == cluster.num_elements == elements
+    assert len(counted_encrypts) == elements
+    assert 0 < _CountedTrs.taken <= 2 * elements
 
 
 if __name__ == "__main__":
