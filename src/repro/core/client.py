@@ -361,9 +361,9 @@ class ClientQuerySession:
                 f"expected {len(active)} responses, got {len(responses)}"
             )
         # One span covers the whole round; it is named for the decrypt
-        # skim that dominates it.  A span per term slice measurably ate
-        # the ``bench_hotpath`` instrumentation budget, and per-term
-        # element counts are already on the ``crypto_skim_*`` counters.
+        # skim that dominates it.  A span per slice would cost frames per
+        # slice against ``TELEMETRY_FRAME_BUDGET`` (tests/test_core_client),
+        # and per-term counts are already on the ``crypto_skim_*`` counters.
         with self._tracer.span(
             "skim", trace=self.trace_id, slices=len(responses)
         ) as skim_span:

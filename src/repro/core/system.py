@@ -34,7 +34,6 @@ from repro.corpus.documents import Corpus
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError
 from repro.index.merge import MergePlan, bfm_merge, greedy_pairing_merge, random_merge
-from repro.index.postings import EncryptedPostingElement
 from repro.obs import ClusterMonitor, Telemetry
 from repro.text.vocabulary import Vocabulary
 
@@ -218,23 +217,21 @@ class ZerberRSystem:
     def _shard_index_into(self, cluster: ServerCluster) -> None:
         """Upload the built index, as it stands, into *cluster*.
 
-        Every list of :attr:`server` is read through ``export_list`` in
-        list-id order and its elements are handed, group by group, to
-        ``cluster.bulk_load`` as that group's owner — the same gate and
-        the same replication log a fresh upload goes through.  The
-        cluster ends up holding the very element objects this server
-        holds (they are immutable): no nonce is drawn and nothing is
-        encrypted or transformed a second time, and a document written
+        Every list of :attr:`server`, read through ``export_list`` in
+        list-id order, goes to one ``cluster.bulk_load`` by ``superuser``
+        — the gate, admission, log and ack pass of any upload, so a
+        superuser revoked from a group is refused before anything is
+        written, and deploying enrols no one.  The cluster holds the very
+        (immutable) element objects this server holds, in the same order,
+        ties included: nothing is encrypted again, and a document written
         to or deleted from this server since :meth:`build` is deployed
-        or left out like the rest.  Elements of equal TRS keep the order
-        :meth:`build` gives them: group by group, then list order.
+        or left out like the rest.
         """
-        by_group: dict[str, list[tuple[int, EncryptedPostingElement]]] = {}
-        for list_id in range(self.server.num_lists):
-            for element in self.server.export_list(list_id):
-                by_group.setdefault(element.group, []).append((list_id, element))
-        for group in sorted(by_group):
-            cluster.bulk_load(self._owner_of(group), by_group[group])
+        lists = range(self.server.num_lists)
+        cluster.bulk_load(
+            "superuser",
+            ((lid, e) for lid in lists for e in self.server.export_list(lid)),
+        )
 
     # -- principals and clients -----------------------------------------------------
 
@@ -296,8 +293,8 @@ class ZerberRSystem:
 
         Builds a :class:`~repro.core.cluster.ServerCluster` over the same
         key service and merge plan, uploads the index :attr:`server`
-        holds at this moment into it through the per-group owners (the
-        same element objects — nothing is encrypted again, see
+        holds at this moment into it as ``superuser`` (the same element
+        objects in the same order — nothing is encrypted again, see
         :meth:`_shard_index_into`), and fronts it with a
         :class:`~repro.core.router.Coordinator` for cross-query slice
         coalescing.  Query it either directly

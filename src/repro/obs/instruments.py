@@ -5,8 +5,9 @@ zlint rule bans ``.counter(`` / ``.gauge(`` / ``.histogram(`` calls
 there.  Instead each layer holds one of the bundles below, built from
 an optional :class:`Telemetry`.  With telemetry absent every slot is a
 shared ``Null*`` instrument, so instrumented code is branch-free and
-the disabled cost is one no-op method call per site (measured by
-``bench_hotpath --quick`` against the <= 5 % overhead budget).
+the disabled cost is one no-op method call per site.  What live
+instruments add to a warm query is an exact tier-1 frame count
+(``TELEMETRY_FRAME_BUDGET`` in ``tests/test_core_client.py``).
 
 Cumulative counters that already live in the ``*Stats`` dataclasses
 (``CoordinatorStats`` / ``ReplicationStats`` / ``ViewStats``) stay the

@@ -37,10 +37,10 @@ class Span:
     ``__exit__`` stamps the end tick.  Folding the scope into the node
     (instead of a separate ``@contextmanager`` or scope object) matters
     because span entry/exit sits on the coordinator/skim hot path — the
-    generator machinery alone measurably ate the ``bench_hotpath``
-    instrumentation budget, and a dedicated scope object is one more
-    allocation per span.  Roots created by :meth:`Tracer.begin_trace`
-    never use the context-manager half.
+    generator machinery alone enters extra frames per span against the
+    ``TELEMETRY_FRAME_BUDGET`` of ``tests/test_core_client.py``, and a
+    scope object is one more allocation per span.  Roots created by
+    :meth:`Tracer.begin_trace` never use the context-manager half.
     """
 
     __slots__ = (
@@ -97,8 +97,8 @@ class Span:
             self._owner = None  # break the span <-> owning-trace cycle
         # Unlink the tracer: a closed span kept in the finished ring must
         # not form a cycle back through the tracer, or every recorded
-        # trace becomes cyclic garbage the collector has to chase (which
-        # shows up directly in the bench_hotpath overhead measurement).
+        # trace becomes cyclic garbage the collector has to chase (wall
+        # time a frame count does not see, but every query pays).
         del self._tracer
 
     @property

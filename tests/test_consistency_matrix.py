@@ -7,6 +7,8 @@ session guarantees (read-your-writes + monotonic reads), plus the
 dead-primary routing matrix for every read selector.
 """
 
+import random
+
 import pytest
 
 from repro.core.client import ZerberRClient
@@ -189,6 +191,71 @@ class TestQuorumWrites:
         cluster.fail_server(cluster.replicas_of(0)[0])
         response = _fetch(cluster, 0, consistency="quorum")
         assert [e.ciphertext for e in response.elements] == [b"acked"]
+
+
+class TestMatrixUnderLag:
+    """Every W×R cell under one seeded write/read mix — Zipf-skewed lists,
+    rotated reads so followers are read, a replication tick every third
+    write — on a fresh cluster per cell, at lag 0 and at two lags above."""
+
+    WRITES = ("one", "quorum", "all")
+    READS = ("one", "primary", "quorum")
+    LISTS = 8
+
+    def _mix(self, keys, lag, write, read):
+        """``(stale reads, writes held by no quorum when the call
+        returned, forced ack syncs)`` of one cell."""
+        cluster = ServerCluster(
+            keys,
+            num_lists=self.LISTS,
+            num_servers=4,
+            replication=3,
+            lag=lag,
+            read_strategy="rotate",
+        )
+        rng = random.Random(7)
+        zipf = [1.0 / (rank + 1) for rank in range(self.LISTS)]
+        late_acks = 0
+        for serial in range(60):
+            (list_id,) = rng.choices(range(self.LISTS), zipf)
+            cluster.insert(
+                "u", list_id, _element(rng.random(), b"w%d" % serial), write
+            )
+            head = cluster.primary_version(list_id)
+            replicas = cluster.replicas_of(list_id)
+            holders = sum(
+                cluster.applied_version(list_id, s) >= head for s in replicas
+            )
+            late_acks += holders < len(replicas) // 2 + 1
+            for _ in range(2):
+                (list_id,) = rng.choices(range(self.LISTS), zipf)
+                _fetch(cluster, list_id, count=5, consistency=read)
+            if serial % 3 == 2:
+                cluster.replication_tick()
+        stats = cluster.replication_stats
+        return stats.stale_reads_detected, late_acks, stats.write_ack_syncs
+
+    @pytest.mark.parametrize("lag", [0, 1, 4])
+    def test_acks_syncs_and_staleness_in_every_cell(self, keys, lag):
+        cell = {
+            (write, read): self._mix(keys, lag, write, read)
+            for write in self.WRITES
+            for read in self.READS
+        }
+        for write in self.WRITES:
+            # QUORUM reads are never staler than ONE reads of the same mix.
+            assert cell[write, "quorum"][0] <= cell[write, "one"][0], write
+        for (write, read), (stale, late_acks, syncs) in cell.items():
+            if lag == 0 or write == "all":
+                assert stale == 0, (write, read)
+            if lag == 0:  # every op is delivered in the call that records it
+                assert (late_acks, syncs) == (0, 0), (write, read)
+            elif write == "one":  # acks at the primary, the quorum forms later
+                assert late_acks > 0 and syncs == 0, read
+            else:  # acks forced through the log, at the write
+                assert late_acks == 0 and syncs >= 1, (write, read)
+        if lag:  # lag shows: rotated ONE reads see diverged followers
+            assert cell["one", "one"][0] > 0
 
 
 class TestFailoverElection:

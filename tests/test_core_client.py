@@ -21,6 +21,7 @@ from repro.crypto.keys import GroupKeyService
 from repro.errors import ProtocolError, UnknownTermError
 from repro.index.merge import MergePlan
 from repro.index.postings import EncryptedPostingElement, PostingElement
+from repro.obs import Telemetry
 from repro.text.analysis import DocumentStats
 
 
@@ -840,6 +841,51 @@ class TestWarmReadPathCounts:
         assert (trace.num_rounds, trace.num_subfetches) == (1, 2)
         assert trace.elements_transferred == 10
         assert frames <= self.FRAME_BUDGET, frames
+
+    # What telemetry adds to one warm six-term query that takes one round
+    # of six slices on three servers: frames entered with the deployment's
+    # Telemetry on, less those entered on the same deployment after
+    # ``telemetry.suspend()`` — read counters, per-slice lag observations,
+    # the trace root and its clock and, through the coordinator, the
+    # coalesce and envelope spans.  An absolute count, so a faster read
+    # path cannot move it and a clock cannot blur it: 70 and 48 on
+    # CPython 3.11, on tiny_corpus and studip_like alike (3.12 inlines
+    # list comprehensions and can only read lower).  A change that puts
+    # more telemetry on the read path raises these in the open; refresh
+    # them from the ``(on, off)`` pair this test fails with.
+    TELEMETRY_FRAME_BUDGET = {"coordinator": 70, "direct": 48}
+
+    @pytest.mark.parametrize("path", sorted(TELEMETRY_FRAME_BUDGET))
+    def test_frames_telemetry_adds_to_one_warm_query_stay_under_budget(
+        self, system, path
+    ):
+        telemetry = Telemetry()
+        cluster, coordinator = system.deploy_cluster(
+            num_servers=3, telemetry=telemetry
+        )
+        client = system.client_for("superuser", server=cluster)
+        by_list = {}
+        for term in system.vocabulary.terms_by_frequency():
+            by_list.setdefault(system.merge_plan.list_of(term), term)
+        terms, k = list(by_list.values())[:6], 5
+        servers = {cluster.route(system.merge_plan.list_of(t)) for t in terms}
+        assert len(servers) == cluster.num_servers == 3
+
+        def run():
+            if path == "coordinator":
+                return coordinator.run_queries([(client, terms, k)])[0]
+            return client.query_multi_batched(terms, k)
+
+        trace = run().batch_trace  # warm: views, memos, keyring
+        assert (trace.num_rounds, trace.num_subfetches) == (1, 6)
+        on = _frames_entered(run)
+        telemetry.suspend()
+        try:
+            run()
+            off = _frames_entered(run)
+        finally:
+            telemetry.resume()
+        assert on - off <= self.TELEMETRY_FRAME_BUDGET[path], (on, off)
 
     @staticmethod
     def _one_round_query(client, pool):

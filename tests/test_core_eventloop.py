@@ -352,6 +352,59 @@ class TestBackpressure:
         assert not dropped.done
         assert coordinator.stats.backpressure_sheds == 1
 
+    def test_open_loop_overload_sheds_and_pipelines_without_losing_work(
+        self, system
+    ):
+        """Arrivals at twice the rate a closed batch sustains, deliveries
+        two ticks late, a queue bound under the overload backlog: the bound
+        sheds, rounds overlap, every admitted session completes, and
+        admitted-work latency is bounded by the queue, not the offered
+        load — no admitted session outlives the arrival horizon."""
+        queries = _queries(system, 8, terms_per_query=3)
+        policy = ResponsePolicy(initial_size=1)  # several rounds a session
+        cluster, coordinator = system.deploy_cluster(
+            num_servers=3, round_latency=2
+        )
+        client = system.client_for("superuser", server=cluster)
+        for query in queries:
+            coordinator.submit_arrival(
+                client.open_multi_session(query, 5, policy=policy), at=0
+            )
+        rate = 2 * len(queries) / coordinator.drain()
+
+        horizon = 24
+        cluster, coordinator = system.deploy_cluster(
+            num_servers=3, round_latency=2, max_queue_depth=len(queries) // 2
+        )
+        client = system.client_for("superuser", server=cluster)
+        arrivals = []  # (session, arrival tick)
+        for tick in range(horizon):
+            for _ in range(int((tick + 1) * rate) - int(tick * rate)):
+                query = queries[len(arrivals) % len(queries)]
+                session = client.open_multi_session(query, 5, policy=policy)
+                arrivals.append((session, tick))
+                coordinator.submit_arrival(session, at=tick, retry_on_shed=False)
+        finished = {}
+
+        def probe():
+            for session, _ in arrivals:
+                if session.done:
+                    finished.setdefault(id(session), coordinator.loop.now)
+
+        coordinator.loop.every(1, probe, name="latency-probe", priority=MAINTENANCE)
+        coordinator.drain()
+        probe()
+        stats = coordinator.stats
+        admitted = len(arrivals) - stats.backpressure_sheds
+        assert stats.backpressure_sheds > 0
+        assert stats.pipeline_overlap > 0
+        assert len(finished) == stats.sessions_completed == admitted
+        assert max(
+            finished[id(session)] - tick
+            for session, tick in arrivals
+            if id(session) in finished
+        ) <= horizon
+
     def test_bounds_validated(self, system):
         cluster, _ = system.deploy_cluster(num_servers=2)
         with pytest.raises(ConfigurationError):

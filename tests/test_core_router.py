@@ -68,7 +68,7 @@ class TestCoalescing:
         before = cluster.total_calls
         coordinator.run_queries([(client, q, 4) for q in queries])
         coalesced_calls = cluster.total_calls - before
-        assert coalesced_calls < direct_calls
+        assert coalesced_calls * 2 <= direct_calls  # at least halved
 
     def test_identical_sessions_share_slices(self, deployment):
         system, cluster, coordinator = deployment

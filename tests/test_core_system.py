@@ -4,7 +4,7 @@ import pytest
 
 from repro import SystemConfig, ZerberRSystem
 from repro.crypto.keys import GroupKeyService
-from repro.errors import ConfigurationError
+from repro.errors import AccessDeniedError, ConfigurationError
 from repro.index.merge import MergePlan
 
 
@@ -207,7 +207,11 @@ class TestDeployShardsTheBuiltIndex:
                 assert len(held) == len(built)
                 assert all(a is b for a, b in zip(held, built)), (list_id, server_index)
 
-    def test_preseeded_owners_and_a_revoked_owner_are_enrolled(self, micro_corpus):
+    def test_preseeded_owners_build_and_a_revoked_owner_stays_revoked(
+        self, micro_corpus
+    ):
+        """Regression: deploying uploaded as each group's owner and so
+        re-enrolled an owner an admin had revoked since ``build``."""
         groups = sorted(micro_corpus.groups())
         key_service = GroupKeyService(master_secret=b"o" * 32)
         for group in groups:
@@ -218,7 +222,29 @@ class TestDeployShardsTheBuiltIndex:
         key_service.revoke(f"owner:{groups[0]}", groups[0])
         cluster, _ = system.deploy_cluster(num_servers=2, replication=2)
         assert cluster.num_elements == system.server.num_elements
-        assert key_service.is_member(f"owner:{groups[0]}", groups[0])
+        assert not key_service.is_member(f"owner:{groups[0]}", groups[0])
+        assert all(key_service.is_member(f"owner:{g}", g) for g in groups[1:])
+
+    def test_a_superuser_revoked_from_a_group_cannot_deploy(
+        self, micro_corpus, monkeypatch
+    ):
+        system = ZerberRSystem.build(micro_corpus, SystemConfig(r=3.0, seed=8))
+        group = sorted(micro_corpus.groups())[-1]
+        system.key_service.revoke("superuser", group)
+        deployed = []
+        shard = system._shard_index_into
+
+        def recording(cluster):
+            deployed.append(cluster)
+            shard(cluster)
+
+        monkeypatch.setattr(system, "_shard_index_into", recording)
+        with pytest.raises(AccessDeniedError):
+            system.deploy_cluster(num_servers=2, replication=2)
+        (cluster,) = deployed
+        assert cluster.num_elements == 0
+        assert cluster.replication_stats.ops_logged == 0
+        assert not system.key_service.is_member("superuser", group)
 
     def test_the_index_is_deployed_not_the_corpus(self, corpus):
         """Regression: a document written to or deleted from
@@ -229,8 +255,11 @@ class TestDeployShardsTheBuiltIndex:
         from repro.index.postings import PostingElement
 
         system = ZerberRSystem.build(corpus, SystemConfig(r=4.0, seed=5))
-        group = sorted(corpus.groups())[0]
-        victim, donor = [d.doc_id for d in corpus.documents_in_group(group)[:2]]
+        group, other = sorted(corpus.groups())[:2]
+        victim = corpus.documents_in_group(group)[0].doc_id
+        # A copy of another group's document ties every element of it on
+        # TRS, and is held after it although its group sorts first.
+        donor = corpus.documents_in_group(other)[0].doc_id
         writer = system.client_for(f"owner:{group}")
         added = DocumentStats.from_counts("added-doc", dict(corpus.stats(donor).counts))
         assert writer.index_document(added, group) == len(added.counts)
@@ -249,15 +278,18 @@ class TestDeployShardsTheBuiltIndex:
         cluster, _ = system.deploy_cluster(num_servers=3, replication=2, lag=2)
         assert cluster.replication_stats.ops_logged == system.server.num_elements
         cluster.run_replication_until_quiet()
+        ties_between_groups = 0
         for list_id in range(system.merge_plan.num_lists):
             built = system.server.export_list(list_id)
-            primary, follower = cluster.replicas_of(list_id)
-            on_primary = cluster.server(primary).export_list(list_id)
-            assert on_primary == cluster.server(follower).export_list(list_id)
-            # Equal TRS are deployed group by group, so only ties between
-            # groups may sit in another order than on the written-to server.
-            assert [e.trs for e in on_primary] == [e.trs for e in built]
-            assert {id(e) for e in on_primary} == {id(e) for e in built}
+            ties_between_groups += sum(
+                a.trs == b.trs and a.group != b.group
+                for a, b in zip(built, built[1:])
+            )
+            for server_index in cluster.replicas_of(list_id):
+                held = cluster.server(server_index).export_list(list_id)
+                assert len(held) == len(built)
+                assert all(a is b for a, b in zip(held, built)), list_id
+        assert ties_between_groups > 0
         single = system.client_for("superuser")
         sharded = system.client_for("superuser", server=cluster)
         tapes = [sorted(added.counts)[:3], sorted(corpus.stats(victim).counts)[:3]]

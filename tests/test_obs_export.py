@@ -138,6 +138,30 @@ class TestEndToEndSpanChain:
         assert snapshot["replication_ticks_total"]["series"][0]["value"] >= 1
         assert snapshot["crypto_skim_elements_total"]["series"][0]["value"] >= 1
 
+    def test_envelope_histogram_counts_what_the_coordinator_sent(self, system):
+        """One ``coordinator_envelope_slices`` observation per envelope,
+        carrying its slices: count and sum are the coordinator's own
+        ``server_calls`` and ``slices_sent`` after a coalesced run."""
+        telemetry = Telemetry()
+        cluster, coordinator = system.deploy_cluster(
+            num_servers=3, telemetry=telemetry
+        )
+        hot, *tail = [
+            t
+            for t in system.vocabulary.terms_by_frequency()
+            if system.vocabulary.document_frequency(t) >= 2
+        ][:9]
+        client = system.client_for("superuser", server=cluster)
+        jobs = [(client, [hot, *tail[i : i + 2]], 3) for i in range(0, 8, 2)]
+        coordinator.run_queries(jobs)
+        stats = coordinator.stats
+        assert stats.slices_shared > 0 and stats.server_calls > 1
+        series = telemetry.registry.snapshot()["coordinator_envelope_slices"][
+            "series"
+        ]
+        assert sum(entry["count"] for entry in series) == stats.server_calls
+        assert sum(entry["sum"] for entry in series) == stats.slices_sent
+
     def test_skim_counters_keep_what_was_served_before_a_malformed_element(
         self, system
     ):
