@@ -57,9 +57,7 @@ from repro.core import (
     CoordinatorStats,
     FailoverEvent,
     HeatWeightedPlacement,
-    LagModel,
     EventLoop,
-    LeastLoadedReads,
     MultiQueryResult,
     PlacementPolicy,
     PrimaryReads,
@@ -151,8 +149,6 @@ __all__ = [
     "ReadSelector",
     "PrimaryReads",
     "RotatingReads",
-    "LeastLoadedReads",
-    "LagModel",
     "ReadConsistency",
     "WriteConsistency",
     "FailoverEvent",

@@ -57,7 +57,6 @@ CATALOG_METRIC_NAMES = frozenset(
         "coordinator_slices_sent_total",
         "coordinator_sessions_completed_total",
         "coordinator_sessions_spilled_total",
-        "coordinator_slices_spilled_total",
         "coordinator_rebalances_total",
         "coordinator_lists_migrated_total",
         "coordinator_stale_epoch_reroutes_total",

@@ -387,11 +387,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_cluster_status(args: argparse.Namespace) -> int:
     """Recover a snapshot and show its availability / failover state."""
     service = GroupKeyService(master_secret=bytes.fromhex(args.secret))
-    try:
-        cluster, _, _ = load_cluster(args.snapshot, service)
-    except OSError as error:
-        print(f"error: cannot read snapshot: {error}", file=sys.stderr)
-        return 2
+    cluster, _, _ = load_cluster(args.snapshot, service)
     repl = cluster.replication_manager
     tick = repl.tick_count
     timers = cluster.unreachable_since()

@@ -47,7 +47,6 @@ from repro.core.client import (
 )
 from repro.core.placement import (
     HeatWeightedPlacement,
-    LeastLoadedReads,
     PlacementPolicy,
     PrimaryReads,
     ReadSelector,
@@ -58,7 +57,6 @@ from repro.core.placement import (
 from repro.core.replication import (
     DeliveryOutlook,
     FailoverEvent,
-    LagModel,
     ReadConsistency,
     ReplicationLog,
     ReplicationManager,
@@ -117,11 +115,9 @@ __all__ = [
     "ReadSelector",
     "PrimaryReads",
     "RotatingReads",
-    "LeastLoadedReads",
     "load_balance_ratio",
     "DeliveryOutlook",
     "FailoverEvent",
-    "LagModel",
     "ReadConsistency",
     "ReplicationLog",
     "ReplicationManager",

@@ -30,8 +30,8 @@ preconditions once per touched list) before any primary is written, so
 a refused batch is a clean no-op, and one ack pass
 (:meth:`~repro.core.replication.ReplicationManager.force_acks`) at the
 end; ``insert`` and ``delete_element`` are its one-item calls.
-Followers receive ops through the log under a configurable
-:class:`~repro.core.replication.LagModel`; reads carry the
+Followers receive ops through the log ``lag`` ticks after they were
+recorded (one integer for every follower); reads carry the
 serving replica's applied version, and the cluster detects divergence and
 read-repairs according to the requested
 :class:`~repro.core.replication.ReadConsistency` (``ONE`` fast/stale,
@@ -44,8 +44,8 @@ when the call returns.
 Read routing is pluggable too: a
 :class:`~repro.core.placement.ReadSelector` (``read_strategy``) picks
 which *eligible* replica serves each slice — ``primary`` (seed
-behaviour), ``rotate`` or ``least-loaded`` — so trailing replicas can
-absorb read load instead of idling.  Routing a slice and stamping its
+behaviour) or ``rotate`` — so trailing replicas can absorb read load
+instead of idling.  Routing a slice and stamping its
 answer each read the replication log once
 (:meth:`~repro.core.replication.ReplicationManager.read_state`), and a
 batch that lands whole on one server is passed through as the object
@@ -84,7 +84,6 @@ from repro.core.protocol import (
 )
 from repro.core.replication import (
     FailoverEvent,
-    LagModel,
     ReadConsistency,
     ReplicationManager,
     ReplicationStats,
@@ -122,10 +121,9 @@ class ServerCluster:
         num_servers: int,
         replication: int = 1,
         placement: PlacementPolicy | None = None,
-        lag: LagModel | int | None = None,
+        lag: int = 0,
         read_consistency: ReadConsistency | str | None = None,
         read_strategy: ReadSelector | str | None = None,
-        read_seed: int = 0,
         anti_entropy_every: int | None = None,
         write_consistency: WriteConsistency | str | None = None,
         failover_after: int | None = None,
@@ -162,7 +160,7 @@ class ServerCluster:
         # failover timer); cleared the tick the server is reachable again.
         self._unreachable_since: dict[int, int] = {}
         self._failover_history: list[FailoverEvent] = []
-        self._read_selector = coerce_read_selector(read_strategy, seed=read_seed)
+        self._read_selector = coerce_read_selector(read_strategy)
         self.telemetry = telemetry
         self._obs = ClusterInstruments(telemetry)
         self._repl_obs = ReplicationInstruments(telemetry)
@@ -183,7 +181,7 @@ class ServerCluster:
             )
 
     def _new_replication_manager(
-        self, lag: LagModel | int | None, anti_entropy_every: int | None
+        self, lag: int, anti_entropy_every: int | None
     ) -> ReplicationManager:
         """A manager over the current placement table.  It is handed ids
         the cluster has validated, so it reads the rows as stored."""
@@ -754,12 +752,10 @@ class ServerCluster:
         self,
         list_id: int,
         consistency: ReadConsistency,
-        loads: list[int] | None = None,
         min_version: int | None = None,
         max_staleness: int | None = None,
     ) -> int:
-        """:meth:`route` with a resolved consistency and optional
-        precomputed per-server loads (batched reads compute them once).
+        """:meth:`route` with a resolved consistency.
 
         One log read per slice: the placement row is read as stored (no
         copy), liveness is filtered once, versions are compared out of
@@ -816,11 +812,7 @@ class ServerCluster:
                 candidates = unpaused
         if len(candidates) == 1:
             return candidates[0]
-        if loads is None:
-            loads = (
-                self.per_server_load() if self._read_selector.needs_loads else []
-            )
-        return self._read_selector.select(list_id, candidates, loads)
+        return self._read_selector.select(list_id, candidates)
 
     def _count_reads(
         self, consistency: ReadConsistency, slices: int
@@ -857,7 +849,7 @@ class ServerCluster:
             raise ConfigurationError("max_staleness must be >= 0 ops")
         consistency = self._resolve_consistency(consistency)
         server_index = self._route_read(
-            request.list_id, consistency, None, request.min_version, max_staleness
+            request.list_id, consistency, request.min_version, max_staleness
         )
         response = self._servers[server_index].fetch(request)
         return self._finalize_read(
@@ -892,15 +884,12 @@ class ServerCluster:
         if max_staleness is not None and max_staleness < 0:
             raise ConfigurationError("max_staleness must be >= 0 ops")
         consistency = self._resolve_consistency(consistency)
-        loads = (
-            self.per_server_load() if self._read_selector.needs_loads else None
-        )
         requests = batch.requests
         route = self._route_read
         per_server: dict[int, list[int]] = {}
         for slice_index, request in enumerate(requests):
             server_index = route(
-                request.list_id, consistency, loads, request.min_version, max_staleness
+                request.list_id, consistency, request.min_version, max_staleness
             )
             per_server.setdefault(server_index, []).append(slice_index)
         finalize = self._finalize_read

@@ -13,7 +13,7 @@ cluster can be built with:
   ``f - 1`` servers.  Never proposes moves.
 * :class:`HeatWeightedPlacement` — observes per-list fetch counters (the
   servers' measured "heat") and greedily repacks hot lists onto the
-  least-loaded servers, so two head-term lists no longer share a shard
+  lightest-loaded servers, so two head-term lists no longer share a shard
   just because their ids are congruent mod N.
 
 The cluster owns the authoritative placement table and a monotonically
@@ -22,9 +22,10 @@ with the measured heat when asked to rebalance.  Policies carry no
 placement state of their own; the heat-weighted policy may carry *decay*
 state (an exponentially-weighted view of the cumulative counters) so a
 briefly-hot list stops pinning placement once its traffic fades.  Only
-read load is balanced — fetches are served by the first live replica, so
-a list's entire heat lands on its primary; trailing replicas exist for
-availability and carry write load only.
+*primary* read load is balanced: under the default
+:class:`PrimaryReads` selector a list's entire heat lands on its
+primary, while :class:`RotatingReads` spreads it over the eligible
+replicas the cluster computes per consistency level.
 """
 
 from __future__ import annotations
@@ -99,24 +100,15 @@ class ReadSelector(ABC):
     cluster computed for the requested consistency level (all live
     replicas for ``ONE``; the caught-up live replicas for ``PRIMARY``),
     so balancing never weakens consistency.  Selectors must be
-    deterministic: same construction seed, same call sequence, same
-    choices — benchmarks and the byte-identity tests rely on replay.
+    deterministic: same call sequence, same choices — benchmarks and the
+    byte-identity tests rely on replay.
     """
 
     name = "abstract"
-    #: Whether select() reads *loads*; lets the cluster skip computing the
-    #: per-server counters for load-oblivious strategies.
-    needs_loads = False
 
     @abstractmethod
-    def select(
-        self, list_id: int, candidates: Sequence[int], loads: Sequence[int]
-    ) -> int:
-        """Pick one server from *candidates* (non-empty, placement order).
-
-        *loads* is the cluster's per-server slices-served counter
-        (indexed by server id), for load-aware strategies.
-        """
+    def select(self, list_id: int, candidates: Sequence[int]) -> int:
+        """Pick one server from *candidates* (non-empty, placement order)."""
 
 
 class PrimaryReads(ReadSelector):
@@ -124,60 +116,36 @@ class PrimaryReads(ReadSelector):
 
     name = "primary"
 
-    def select(
-        self, list_id: int, candidates: Sequence[int], loads: Sequence[int]
-    ) -> int:
+    def select(self, list_id: int, candidates: Sequence[int]) -> int:
         return candidates[0]
 
 
 class RotatingReads(ReadSelector):
     """Deterministic per-list round-robin over the eligible replicas.
 
-    Each list keeps its own rotation cursor, started from *seed*, so
+    Each list keeps its own rotation cursor, starting at 0, so
     consecutive reads of a hot list spread over its replicas while the
-    sequence stays exactly reproducible under the same seed.
+    sequence stays exactly reproducible.
     """
 
     name = "rotate"
 
-    def __init__(self, seed: int = 0) -> None:
-        self._seed = seed
+    def __init__(self) -> None:
         self._cursors: dict[int, int] = {}
 
-    def select(
-        self, list_id: int, candidates: Sequence[int], loads: Sequence[int]
-    ) -> int:
-        cursor = self._cursors.get(list_id, self._seed)
+    def select(self, list_id: int, candidates: Sequence[int]) -> int:
+        cursor = self._cursors.get(list_id, 0)
         self._cursors[list_id] = cursor + 1
         return candidates[cursor % len(candidates)]
-
-
-class LeastLoadedReads(ReadSelector):
-    """Pick the eligible replica with the lowest served-slice count.
-
-    Ties break by server index, so the choice is deterministic without
-    any per-selector state.
-    """
-
-    name = "least-loaded"
-    needs_loads = True
-
-    def select(
-        self, list_id: int, candidates: Sequence[int], loads: Sequence[int]
-    ) -> int:
-        return min(candidates, key=lambda s: (loads[s], s))
 
 
 _READ_SELECTORS = {
     PrimaryReads.name: PrimaryReads,
     RotatingReads.name: RotatingReads,
-    LeastLoadedReads.name: LeastLoadedReads,
 }
 
 
-def coerce_read_selector(
-    value: "ReadSelector | str | None", seed: int = 0
-) -> ReadSelector:
+def coerce_read_selector(value: "ReadSelector | str | None") -> ReadSelector:
     """Resolve a selector instance or name (``None`` = seed behaviour)."""
     if value is None:
         return PrimaryReads()
@@ -190,8 +158,6 @@ def coerce_read_selector(
             f"unknown read strategy {value!r}; "
             f"expected one of {sorted(_READ_SELECTORS)}"
         ) from None
-    if selector_cls is RotatingReads:
-        return RotatingReads(seed=seed)
     return selector_cls()
 
 
@@ -240,13 +206,13 @@ class RoundRobinPlacement(PlacementPolicy):
 
 
 class HeatWeightedPlacement(PlacementPolicy):
-    """Greedy repacking of hot lists onto the least-loaded servers.
+    """Greedy repacking of hot lists onto the lightest-loaded servers.
 
     Starts out round-robin (no heat has been observed yet).  On
     :meth:`propose`, lists with observed heat are sorted hottest-first
-    and each is assigned to the currently least-loaded server (ties by
+    and each is assigned to the currently lightest-loaded server (ties by
     server index, so proposals are deterministic); its remaining replicas
-    go to the next least-loaded distinct servers.  Cold lists
+    go to the next lightest-loaded distinct servers.  Cold lists
     (zero observed fetches) keep their current placement — moving them
     costs a migration and buys nothing.
 

@@ -307,17 +307,15 @@ class CoalescedBatchResponse:
 class BackpressureSignal:
     """Shed notice a coordinator returns instead of admitting a session.
 
-    Real backpressure replaces silent FIFO spill as the overload story:
-    when the bounded admission queue (or a principal's concurrency
-    credits) is exhausted, the arrival is *shed* with an explicit,
-    deterministic retry hint instead of being parked unboundedly.  This
-    is the wire-shaped record of that decision — what a fronting RPC
-    layer would serialize back to the client as a 429-with-Retry-After.
+    When the bounded admission queue is full, the arrival is *shed* with
+    an explicit, deterministic retry hint instead of being parked
+    unboundedly.  This is the wire-shaped record of that decision — what
+    a fronting RPC layer would serialize back to the client as a
+    429-with-Retry-After.
 
     ``retry_after_ticks`` is a lower-bound hint (capacity may free up
     later than estimated; retrying earlier only earns another shed);
-    ``reason`` is ``"queue"`` (admission queue full) or ``"credits"``
-    (per-principal concurrency credits exhausted).
+    ``queue_depth`` is the depth the arrival found, ``limit`` the bound.
     """
 
     principal: str
@@ -325,13 +323,10 @@ class BackpressureSignal:
     retry_after_ticks: int
     queue_depth: int
     limit: int
-    reason: str
 
     def __post_init__(self) -> None:
         if self.retry_after_ticks < 1:
             raise ProtocolError("retry_after_ticks must be >= 1")
-        if self.reason not in ("queue", "credits"):
-            raise ProtocolError(f"unknown shed reason {self.reason!r}")
 
 
 @dataclass

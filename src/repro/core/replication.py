@@ -13,7 +13,7 @@ diverge and "replication" bought availability only.  This module gives
   sequence number;
 * followers receive recorded ops asynchronously through a tick-driven
   scheduler embedded in :class:`ReplicationManager`: each op becomes due
-  ``LagModel.delay_for(server)`` ticks after it was recorded, and
+  ``lag`` ticks after it was recorded (one delay for every follower), and
   :meth:`ReplicationManager.tick` applies every due op in log order.
   The scheduler keeps its state at the granularity it has: everything one
   follower is owed for one tick is one **bucket**, ``(due tick, follower)
@@ -21,8 +21,8 @@ diverge and "replication" bought availability only.  This module gives
   bucket — at most one push per follower per tick, however many lists a
   write batch touched — so a delivery round touches the followers that
   have something due and nothing else (``docs/REPLICATION.md``,
-  "Delivery scheduler").  A follower's delay is resolved once, so the
-  tick a bucket was recorded at is ``due - delay`` and is not stored;
+  "Delivery scheduler").  The delay never changes, so the tick a bucket
+  was recorded at is ``due - lag`` and is not stored;
   ``records`` counts the ops behind one entry, which is what
   :meth:`ReplicationManager.outstanding_deliveries` and the ack-latency
   histogram (one observation per delivered record) read;
@@ -72,7 +72,7 @@ batch that scheduled its delivery, and leaving those entries in place
 piles them up through a lagged bulk load.  Entries in *older* buckets
 are left where they are and skipped when their bucket comes due
 (``upto_seq <= applied``): finding them eagerly would mean walking
-buckets on the write path, and there are at most ``delay`` of them.
+buckets on the write path, and there are at most ``lag`` of them.
 
 Lag 0 (the default) is a lag like any other: a recorded op is due on the
 tick it was recorded, so the ``deliver_due()`` that ends every cluster
@@ -85,7 +85,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
 from itertools import islice
@@ -215,38 +215,6 @@ class FailoverEvent:
     old_primary: int
     new_primary: int
     tick: int
-
-
-@dataclass(frozen=True)
-class LagModel:
-    """How many scheduler ticks an op takes to reach each follower.
-
-    ``fixed_ticks`` is the default delay; ``per_server`` overrides it for
-    individual servers (e.g. one straggler replica).  A delay of 0 means
-    the op is due on the tick it was recorded, so the write call that
-    recorded it delivers it.  Pausing a follower is *not* a lag value — it is a
-    partition, modelled by :meth:`ReplicationManager.pause`.
-    """
-
-    fixed_ticks: int = 0
-    per_server: Mapping[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.fixed_ticks < 0:
-            raise ConfigurationError("replication lag must be >= 0 ticks")
-        if any(delay < 0 for delay in self.per_server.values()):
-            raise ConfigurationError("per-server replication lag must be >= 0")
-
-    @classmethod
-    def coerce(cls, value: "LagModel | int | None") -> "LagModel":
-        if value is None:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        return cls(fixed_ticks=int(value))
-
-    def delay_for(self, server_index: int) -> int:
-        return self.per_server.get(server_index, self.fixed_ticks)
 
 
 @dataclass(frozen=True, slots=True)
@@ -426,6 +394,11 @@ class ReplicationManager:
     ``apply_replicated_delete`` (no membership re-check — the op was
     admitted at the primary; re-checking at drain time would let a
     concurrent revocation fork the replicas).
+
+    *lag* is the number of ticks every follower trails a recorded op by
+    (0: due on the tick it was recorded, so the write call that recorded
+    it delivers it).  Pausing a follower is *not* a lag value — it is a
+    partition, modelled by :meth:`pause`.
     """
 
     def __init__(
@@ -434,20 +407,21 @@ class ReplicationManager:
         replicas_of: Callable[[int], Sequence[int]],
         server_alive: Callable[[int], bool],
         num_lists: int,
-        lag: LagModel | int | None = None,
+        lag: int = 0,
         anti_entropy_every: int | None = None,
         instruments: ReplicationInstruments | None = None,
     ) -> None:
+        if lag < 0:
+            raise ConfigurationError("replication lag must be >= 0 ticks")
         if anti_entropy_every is not None and anti_entropy_every < 1:
             raise ConfigurationError("anti_entropy_every must be >= 1")
         self._servers = servers
         self._replicas_of = replicas_of
         self._alive = server_alive
-        self._lag = LagModel.coerce(lag)
-        # Resolved once: a follower's delay never changes, so its buckets
-        # come due in the order they were filled and a bucket's recording
-        # tick is its due tick minus the delay.
-        self._delays = [self._lag.delay_for(s) for s in range(len(servers))]
+        # The delay never changes, so a follower's buckets come due in the
+        # order they were filled and a bucket's recording tick is its due
+        # tick minus the delay.
+        self._lag = int(lag)
         self.anti_entropy_every = anti_entropy_every
         self._obs = (
             instruments if instruments is not None else ReplicationInstruments(None)
@@ -472,8 +446,8 @@ class ReplicationManager:
         self.stats = ReplicationStats()
 
     @property
-    def lag(self) -> LagModel:
-        """The lag model the per-server delays were resolved from."""
+    def lag(self) -> int:
+        """Ticks between recording an op and its delivery to a follower."""
         return self._lag
 
     # -- partitions ------------------------------------------------------------
@@ -610,7 +584,7 @@ class ReplicationManager:
     def _enqueue(self, log: ReplicationLog, server_index: int, upto_seq: int) -> None:
         """Owe *server_index* the ops of *log* up to *upto_seq*, due after
         its lag: one more record in the follower's bucket for that tick."""
-        due = self.tick_count + self._delays[server_index]
+        due = self.tick_count + self._lag
         key = (due, server_index)
         bucket = self._buckets.get(key)
         if bucket is None:
@@ -708,7 +682,7 @@ class ReplicationManager:
         """Hand one follower everything one bucket owes it."""
         due, server_index = key
         observe = self._obs.ack_latency.observe if self._obs.enabled else None
-        latency = float(self.tick_count - (due - self._delays[server_index]))
+        latency = float(self.tick_count - (due - self._lag))
         applied = 0
         for list_id, (upto_seq, records) in self._buckets.pop(key).items():
             log = self._logs[list_id]

@@ -21,9 +21,7 @@ which schedules them over a deterministic virtual-time
                                 (every R ticks) rebalance
 
 Per *flush* the coordinator (1) gathers every ready session's pending
-fetch slices in submission-age order, spilling sessions to a later flush
-when the per-round caps (``max_sessions_per_tick``,
-``max_slices_per_envelope``) are reached, (2) deduplicates identical
+fetch slices in submission-age order, (2) deduplicates identical
 slices — same principal, list, offset, count — so concurrent queries for
 the same hot list share one server slice, (3) routes unique slices
 through the cluster's placement table and packs everything bound for one
@@ -41,9 +39,8 @@ rebalance can never tear a flush: the cluster rejects stale-epoch
 envelopes instead of serving them from the wrong shard.
 
 Admission is governed by *real backpressure* rather than unbounded
-parking: with ``max_queue_depth`` / ``credits_per_principal`` set, an
-arrival that would exceed a bound is shed before anything is
-acknowledged, carrying a deterministic
+parking: with ``max_queue_depth`` set, an arrival that would exceed the
+bound is shed before anything is acknowledged, carrying a deterministic
 :class:`~repro.core.protocol.BackpressureSignal` retry hint
 (:meth:`Coordinator.submit` raises
 :class:`~repro.errors.BackpressureError`; :meth:`submit_arrival`
@@ -107,17 +104,13 @@ class CoordinatorStats:
     ``slices_sent`` counts unique slices actually shipped after
     cross-session deduplication — the difference is work served from a
     shared response.  ``server_calls`` counts envelopes sent (the number a
-    latency-bound deployment cares about).  ``sessions_spilled`` /
-    ``slices_spilled`` count per-round deferrals: a session held
-    back to a later flush because this flush's envelope or session caps
-    were reached (each spilled session counts once per flush it waits).
-    ``stale_epoch_reroutes`` counts envelopes the cluster rejected with
+    latency-bound deployment cares about).  ``stale_epoch_reroutes`` counts envelopes the cluster rejected with
     :class:`~repro.errors.StaleEpochError` (a failover election or
     rebalance bumped the epoch after routing) whose slices were
     re-routed under the new placement instead of failing the flush.
     ``backpressure_sheds`` counts arrivals refused at admission (queue
-    depth or principal credits exhausted) — shed *before* anything was
-    acknowledged, so a shed never loses accepted work.
+    depth exhausted) — shed *before* anything was acknowledged, so a
+    shed never loses accepted work.
     ``pipeline_overlap`` counts flushes that built envelopes while
     earlier rounds' deliveries were still in flight — the round-
     pipelining the event loop buys over lockstep barriers (always 0 with
@@ -129,8 +122,7 @@ class CoordinatorStats:
     slices_requested: int = 0
     slices_sent: int = 0
     sessions_completed: int = 0
-    sessions_spilled: int = 0
-    slices_spilled: int = 0
+    sessions_spilled: int = 0  # always 0: no flush defers a session any more
     rebalances: int = 0
     lists_migrated: int = 0
     stale_epoch_reroutes: int = 0
@@ -148,8 +140,8 @@ class _TickPlan:
     """Work of one flush: per-session slice keys plus unique routed slices.
 
     ``unique`` maps a slice key to ``(slice_id, request, server_index)``
-    — routing happens at gather time so admission control can enforce
-    per-envelope caps, and dispatch reuses the stored route (the flush is
+    — a slice is routed once, on its first wanter's session floor, when
+    it is gathered, and dispatch reuses the stored route (the flush is
     atomic, so the placement cannot change in between).
     """
 
@@ -168,49 +160,26 @@ class Coordinator:
         self,
         cluster: ServerCluster,
         rebalance_every: int | None = None,
-        max_slices_per_envelope: int | None = None,
-        max_sessions_per_tick: int | None = None,
         *,
         round_latency: int = 0,
         max_queue_depth: int | None = None,
-        credits_per_principal: int | None = None,
     ) -> None:
-        """``max_slices_per_envelope`` / ``max_sessions_per_tick`` are the
-        per-round caps: a flush schedules sessions in submission (age)
-        order and defers — *spills* — any session that would push a
-        server's envelope past the slice cap or the flush past the
-        session cap.  Spilled sessions keep their age priority, so a
-        large round degrades into FIFO-fair extra flushes instead of
-        unbounded envelopes.  A session whose own slices exceed the
-        envelope cap is still admitted when the envelope is empty (it
-        cannot be split).  ``None`` (the default) disables a cap.
-
-        ``max_queue_depth`` / ``credits_per_principal`` are the
-        *admission* bounds (``None`` disables): an arrival that would
-        exceed one is shed with a retry-after hint instead of parked.
-        ``round_latency`` ticks separate an envelope's dispatch from its
-        sessions' skim delivery (0 — the default — delivers later in the
-        dispatching tick).
+        """``max_queue_depth`` is the *admission* bound (``None``
+        disables): an arrival that would exceed it is shed with a
+        retry-after hint instead of parked.  ``round_latency`` ticks
+        separate an envelope's dispatch from its sessions' skim delivery
+        (0 — the default — delivers later in the dispatching tick).
         """
         if rebalance_every is not None and rebalance_every < 1:
             raise ConfigurationError("rebalance_every must be >= 1")
-        if max_slices_per_envelope is not None and max_slices_per_envelope < 1:
-            raise ConfigurationError("max_slices_per_envelope must be >= 1")
-        if max_sessions_per_tick is not None and max_sessions_per_tick < 1:
-            raise ConfigurationError("max_sessions_per_tick must be >= 1")
         if round_latency < 0:
             raise ConfigurationError("round_latency must be >= 0")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ConfigurationError("max_queue_depth must be >= 1")
-        if credits_per_principal is not None and credits_per_principal < 1:
-            raise ConfigurationError("credits_per_principal must be >= 1")
         self._cluster = cluster
         self._rebalance_every = rebalance_every
-        self._max_slices_per_envelope = max_slices_per_envelope
-        self._max_sessions_per_tick = max_sessions_per_tick
         self._round_latency = round_latency
         self._max_queue_depth = max_queue_depth
-        self._credits_per_principal = credits_per_principal
         self._loop = EventLoop()
         self._sessions: list[ClientQuerySession] = []
         # Sessions whose responses are in flight (id() keys — sessions are
@@ -257,33 +226,18 @@ class Coordinator:
         self, principal: str
     ) -> BackpressureSignal | None:
         """The shed signal admitting *principal* now would trigger, if any."""
-        if self._max_queue_depth is not None:
-            depth = sum(1 for s in self._sessions if not s.done)
-            if depth >= self._max_queue_depth:
-                return BackpressureSignal(
-                    principal=principal,
-                    tick=self._loop.now,
-                    retry_after_ticks=depth - self._max_queue_depth + 1,
-                    queue_depth=depth,
-                    limit=self._max_queue_depth,
-                    reason="queue",
-                )
-        if self._credits_per_principal is not None:
-            held = sum(
-                1
-                for s in self._sessions
-                if not s.done and s.principal == principal
-            )
-            if held >= self._credits_per_principal:
-                return BackpressureSignal(
-                    principal=principal,
-                    tick=self._loop.now,
-                    retry_after_ticks=1,
-                    queue_depth=held,
-                    limit=self._credits_per_principal,
-                    reason="credits",
-                )
-        return None
+        if self._max_queue_depth is None:
+            return None
+        depth = sum(1 for s in self._sessions if not s.done)
+        if depth < self._max_queue_depth:
+            return None
+        return BackpressureSignal(
+            principal=principal,
+            tick=self._loop.now,
+            retry_after_ticks=depth - self._max_queue_depth + 1,
+            queue_depth=depth,
+            limit=self._max_queue_depth,
+        )
 
     def _record_shed(self, signal: BackpressureSignal) -> None:
         self.stats.backpressure_sheds += 1
@@ -439,8 +393,6 @@ class Coordinator:
         if not ready:
             return
         plan = self._gather(ready)
-        if not plan.session_keys:
-            return
         if self._pending_delivers:
             # Envelope build of this round overlaps in-flight deliveries
             # of earlier rounds — the pipelining win over lockstep.
@@ -457,9 +409,6 @@ class Coordinator:
         ):
             self._schedule_deliveries(plan, self._dispatch(plan, trace_ctx))
         self.stats.ticks += 1
-        if any(id(s) not in self._awaiting for s in self._sessions):
-            # Spilled sessions are still ready: they flush next tick.
-            self._ensure_flush(self._loop.now + 1)
 
     def _schedule_deliveries(
         self, plan: _TickPlan, by_slice_id: dict[int, FetchResponse]
@@ -506,30 +455,16 @@ class Coordinator:
     def _gather(self, ready: list[ClientQuerySession]) -> _TickPlan:
         """Collect pending slices, deduplicating across sessions.
 
-        Sessions are considered in submission (age) order; the per-round
-        caps spill a session to a later flush when this flush's caps
-        are already committed (see :meth:`__init__`).  Slices shared with
-        an already-admitted session are free — they ship once — so
-        dedup happens before cap accounting.
+        Sessions are considered in submission (age) order, so slice ids —
+        and with them each envelope's trace attribution — follow session
+        age.  A slice another session already asked for ships once, under
+        the max of both session floors.
         """
         plan = _TickPlan()
-        next_slice_id = 0
-        admitted_sessions = 0
-        per_server_count: dict[int, int] = {}
+        unique = plan.unique
         for session in ready:
-            pending = session.pending_requests()
-            if (
-                self._max_sessions_per_tick is not None
-                and admitted_sessions >= self._max_sessions_per_tick
-            ):
-                self.stats.sessions_spilled += 1
-                self.stats.slices_spilled += len(pending)
-                continue
             keys: list[SliceKey] = []
-            new_slices: dict[SliceKey, tuple[FetchRequest, int]] = {}
-            tentative = dict(per_server_count)
-            admit = True
-            for request in pending:
+            for request in session.pending_requests():
                 key: SliceKey = (
                     request.principal,
                     request.list_id,
@@ -537,13 +472,9 @@ class Coordinator:
                     request.count,
                 )
                 keys.append(key)
-                if key in new_slices:
-                    held, server_index = new_slices[key]
-                    new_slices[key] = (self._merge_floor(held, request), server_index)
-                    continue
-                if key in plan.unique:
-                    slice_id, held, server_index = plan.unique[key]
-                    plan.unique[key] = (
+                if key in unique:
+                    slice_id, held, server_index = unique[key]
+                    unique[key] = (
                         slice_id,
                         self._merge_floor(held, request),
                         server_index,
@@ -555,32 +486,9 @@ class Coordinator:
                 server_index = self._cluster.route(
                     request.list_id, min_version=request.min_version
                 )
-                new_slices[key] = (request, server_index)
-                if self._max_slices_per_envelope is not None:
-                    tentative[server_index] = tentative.get(server_index, 0) + 1
-                    if (
-                        tentative[server_index] > self._max_slices_per_envelope
-                        and per_server_count.get(server_index, 0) > 0
-                    ):
-                        # The envelope already carries other sessions'
-                        # slices; this one waits its turn.  (An oversized
-                        # session alone on an empty envelope is admitted
-                        # above — it cannot be split.)
-                        admit = False
-                        break
-            if not admit:
-                self.stats.sessions_spilled += 1
-                self.stats.slices_spilled += len(pending)
-                continue
-            for key, (request, server_index) in new_slices.items():
-                plan.unique[key] = (next_slice_id, request, server_index)
-                next_slice_id += 1
-                per_server_count[server_index] = (
-                    per_server_count.get(server_index, 0) + 1
-                )
+                unique[key] = (len(unique), request, server_index)
             self.stats.slices_requested += len(keys)
             plan.session_keys.append((session, keys))
-            admitted_sessions += 1
         return plan
 
     @staticmethod

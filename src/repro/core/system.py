@@ -25,7 +25,7 @@ from repro.core.client import QueryResult, ZerberRClient
 from repro.core.cluster import ServerCluster
 from repro.core.confidentiality import ConfidentialityAudit, audit_merge_plan
 from repro.core.placement import PlacementPolicy, ReadSelector
-from repro.core.replication import LagModel, ReadConsistency, WriteConsistency
+from repro.core.replication import ReadConsistency, WriteConsistency
 from repro.core.protocol import ResponsePolicy
 from repro.core.router import Coordinator
 from repro.core.rstf import RstfModel, RstfTrainer, TrainerConfig
@@ -274,20 +274,16 @@ class ZerberRSystem:
         replication: int = 1,
         placement: PlacementPolicy | None = None,
         rebalance_every: int | None = None,
-        lag: LagModel | int | None = None,
+        lag: int = 0,
         read_consistency: ReadConsistency | str | None = None,
         read_strategy: ReadSelector | str | None = None,
         anti_entropy_every: int | None = None,
-        max_slices_per_envelope: int | None = None,
-        max_sessions_per_tick: int | None = None,
         write_consistency: WriteConsistency | str | None = None,
         failover_after: int | None = None,
         telemetry: Telemetry | None = None,
         monitor_every: int | None = None,
-        monitor_window: int = 64,
         round_latency: int = 0,
         max_queue_depth: int | None = None,
-        credits_per_principal: int | None = None,
     ) -> tuple[ServerCluster, Coordinator]:
         """Stand up a sharded deployment of this system's index.
 
@@ -309,25 +305,19 @@ class ZerberRSystem:
         defaults — zero lag, strong ``PRIMARY`` reads, ``ONE`` writes,
         primary-only routing, no failover election — give the same
         results as a single server fed the same writes.
-        ``max_slices_per_envelope`` / ``max_sessions_per_tick`` are the
-        coordinator's per-round spill caps; ``max_queue_depth`` /
-        ``credits_per_principal`` are its admission backpressure bounds,
-        and ``round_latency`` defers skim delivery to pipeline rounds
-        (see :mod:`repro.core.router`).
+        ``max_queue_depth`` is the coordinator's admission backpressure
+        bound and ``round_latency`` defers skim delivery to pipeline
+        rounds (see :mod:`repro.core.router`).
 
         *telemetry* (see :mod:`repro.obs`) instruments every layer of the
         deployment — coordinator, cluster read/write paths, replication,
         views, clients obtained via ``client_for(p, server=cluster)`` —
         and *monitor_every* additionally attaches a
         :class:`~repro.obs.ClusterMonitor` sampling heat/load/backlog
-        every that many replication ticks into a *monitor_window*-sample
-        window.  Both default to off: an uninstrumented deployment runs
-        the seed code paths with shared no-op instruments.
+        every that many replication ticks.  Both default to off: an
+        uninstrumented deployment runs the seed code paths with shared
+        no-op instruments.
         """
-        if monitor_every is not None and telemetry is None:
-            raise ConfigurationError(
-                "monitor_every requires telemetry to record samples into"
-            )
         cluster = ServerCluster(
             self.key_service,
             num_lists=self.merge_plan.num_lists,
@@ -342,21 +332,36 @@ class ZerberRSystem:
             failover_after=failover_after,
             telemetry=telemetry,
         )
-        if monitor_every is not None and telemetry is not None:
-            cluster.attach_monitor(
-                ClusterMonitor(
-                    telemetry, every=monitor_every, window=monitor_window
-                )
-            )
         self._shard_index_into(cluster)
+        return self._front(
+            cluster, rebalance_every, monitor_every, round_latency, max_queue_depth
+        )
+
+    @staticmethod
+    def _front(
+        cluster: ServerCluster,
+        rebalance_every: int | None,
+        monitor_every: int | None,
+        round_latency: int,
+        max_queue_depth: int | None,
+    ) -> tuple[ServerCluster, Coordinator]:
+        """The tail :meth:`deploy_cluster` and :meth:`restore_cluster`
+        share: attach the monitor, then front *cluster* with a
+        coordinator.  Every coordinator knob is passed here and only here.
+        """
+        if monitor_every is not None:
+            if cluster.telemetry is None:
+                raise ConfigurationError(
+                    "monitor_every requires telemetry to record samples into"
+                )
+            cluster.attach_monitor(
+                ClusterMonitor(cluster.telemetry, every=monitor_every)
+            )
         return cluster, Coordinator(
             cluster,
             rebalance_every=rebalance_every,
-            max_slices_per_envelope=max_slices_per_envelope,
-            max_sessions_per_tick=max_sessions_per_tick,
             round_latency=round_latency,
             max_queue_depth=max_queue_depth,
-            credits_per_principal=credits_per_principal,
         )
 
     # -- durability (see repro.persist) ------------------------------------------
@@ -393,14 +398,10 @@ class ZerberRSystem:
         placement: PlacementPolicy | None = None,
         read_strategy: ReadSelector | str | None = None,
         rebalance_every: int | None = None,
-        max_slices_per_envelope: int | None = None,
-        max_sessions_per_tick: int | None = None,
         telemetry: Telemetry | None = None,
         monitor_every: int | None = None,
-        monitor_window: int = 64,
         round_latency: int = 0,
         max_queue_depth: int | None = None,
-        credits_per_principal: int | None = None,
     ) -> tuple[ServerCluster, Coordinator]:
         """Recover a snapshotted cluster deployment of *this* system.
 
@@ -413,10 +414,6 @@ class ZerberRSystem:
         """
         from repro.persist import load_cluster
 
-        if monitor_every is not None and telemetry is None:
-            raise ConfigurationError(
-                "monitor_every requires telemetry to record samples into"
-            )
         cluster, merge_plan, _ = load_cluster(
             path,
             self.key_service,
@@ -424,25 +421,13 @@ class ZerberRSystem:
             read_strategy=read_strategy,
             telemetry=telemetry,
         )
-        if monitor_every is not None and telemetry is not None:
-            cluster.attach_monitor(
-                ClusterMonitor(
-                    telemetry, every=monitor_every, window=monitor_window
-                )
-            )
         if merge_plan != self.merge_plan:
             raise ConfigurationError(
                 f"{path}: snapshot was taken under a different merge plan; "
                 "restore it through repro.persist.load_cluster instead"
             )
-        return cluster, Coordinator(
-            cluster,
-            rebalance_every=rebalance_every,
-            max_slices_per_envelope=max_slices_per_envelope,
-            max_sessions_per_tick=max_sessions_per_tick,
-            round_latency=round_latency,
-            max_queue_depth=max_queue_depth,
-            credits_per_principal=credits_per_principal,
+        return self._front(
+            cluster, rebalance_every, monitor_every, round_latency, max_queue_depth
         )
 
     # -- convenience -----------------------------------------------------------------

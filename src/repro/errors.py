@@ -172,12 +172,11 @@ class QuorumWriteUnavailableError(QuorumUnavailableError):
 
 
 class BackpressureError(ProtocolError):
-    """A coordinator shed a session at admission (queue or credits full).
+    """A coordinator shed a session at admission (admission queue full).
 
     Raised by :meth:`~repro.core.router.Coordinator.submit` when real
-    backpressure is configured (``max_queue_depth`` /
-    ``credits_per_principal``) and admitting the session would exceed a
-    bound.  The shed happens *before* admission, so nothing was
+    backpressure is configured (``max_queue_depth``) and admitting the
+    session would exceed the bound.  The shed happens *before* admission, so nothing was
     acknowledged and nothing is lost — the caller retries no earlier
     than ``signal.retry_after_ticks`` virtual ticks later.  ``signal``
     is the :class:`~repro.core.protocol.BackpressureSignal` a fronting
@@ -186,7 +185,7 @@ class BackpressureError(ProtocolError):
 
     def __init__(self, signal: object) -> None:
         super().__init__(
-            f"session shed at admission ({getattr(signal, 'reason', '?')}: "
+            "session shed at admission (queue: "
             f"depth {getattr(signal, 'queue_depth', '?')} at limit "
             f"{getattr(signal, 'limit', '?')}); retry after "
             f"{getattr(signal, 'retry_after_ticks', '?')} tick(s)"

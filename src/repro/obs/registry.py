@@ -66,7 +66,6 @@ COORDINATOR_STAT_FIELDS: tuple[str, ...] = (
     "slices_sent",
     "sessions_completed",
     "sessions_spilled",
-    "slices_spilled",
     "rebalances",
     "lists_migrated",
     "stale_epoch_reroutes",

@@ -8,7 +8,7 @@ forget across a restart (the ``cluster`` section of a dump):
 * the placement table and its epoch — so pre-restart envelopes are
   correctly rejected, not silently served from a reshuffled shard map;
 * the replication manager's durable state: each list's log tail above
-  ``base_seq``, every replica's applied version, the lag model, the
+  ``base_seq``, every replica's applied version, the lag, the
   anti-entropy cadence, the tick clock, and the paused/down server sets;
 * optionally, the hottest per-server readable views, spilled as
   merged-list positions so a warm restart skips their full rebuilds.
@@ -32,7 +32,7 @@ from time import perf_counter
 
 from repro.core.cluster import ServerCluster
 from repro.core.placement import PlacementPolicy, ReadSelector
-from repro.core.replication import FailoverEvent, LagModel, ReplicationOp
+from repro.core.replication import FailoverEvent, ReplicationOp
 from repro.core.rstf import RstfModel
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError, ProtocolError, ReproError
@@ -126,7 +126,6 @@ def cluster_to_dict(
             str(server_index): version
             for server_index, version in repl.applied_snapshot(list_id).items()
         }
-    lag = repl.lag
     return {
         "num_lists": cluster.num_lists,
         "num_servers": cluster.num_servers,
@@ -157,13 +156,7 @@ def cluster_to_dict(
                 for event in cluster.failover_history()
             ],
         },
-        "lag": {
-            "fixed_ticks": lag.fixed_ticks,
-            "per_server": {
-                str(server_index): delay
-                for server_index, delay in sorted(lag.per_server.items())
-            },
-        },
+        "lag": {"fixed_ticks": repl.lag},
         "anti_entropy_every": repl.anti_entropy_every,
         "down": [
             server_index
@@ -206,7 +199,6 @@ def cluster_from_dict(
     source: str | Path = "<dump>",
     placement: PlacementPolicy | None = None,
     read_strategy: ReadSelector | str | None = None,
-    read_seed: int = 0,
     telemetry: Telemetry | None = None,
 ) -> ServerCluster:
     """Recover a live cluster from a dumped ``cluster`` section.
@@ -217,19 +209,16 @@ def cluster_from_dict(
     the dump regardless of the policy object.  *telemetry*, likewise
     runtime wiring, instruments the recovered cluster from its first
     post-restore operation on.
+
+    Per-server lag is gone: a dump whose ``lag.per_server`` names any
+    server is refused rather than restored under a different lag.
     """
     try:
         num_lists = int(data["num_lists"])
         num_servers = int(data["num_servers"])
         replication = int(data["replication"])
         lag_data = data.get("lag", {})
-        lag = LagModel(
-            fixed_ticks=int(lag_data.get("fixed_ticks", 0)),
-            per_server={
-                int(server_index): int(delay)
-                for server_index, delay in lag_data.get("per_server", {}).items()
-            },
-        )
+        per_server_lag = lag_data.get("per_server")
         failover_data = data.get("failover", {})
         failover_after = failover_data.get("after")
         cluster = ServerCluster(
@@ -238,10 +227,9 @@ def cluster_from_dict(
             num_servers=num_servers,
             replication=replication,
             placement=placement,
-            lag=lag,
+            lag=int(lag_data.get("fixed_ticks", 0)),
             read_consistency=data.get("read_consistency"),
             read_strategy=read_strategy,
-            read_seed=read_seed,
             anti_entropy_every=data.get("anti_entropy_every"),
             write_consistency=data.get("write_consistency"),
             failover_after=None if failover_after is None else int(failover_after),
@@ -276,6 +264,12 @@ def cluster_from_dict(
         raise ConfigurationError(
             f"{source}: corrupt cluster dump: {error}"
         ) from error
+    if per_server_lag:
+        raise ConfigurationError(
+            f"{source}: dump sets per-server replication lag "
+            f"{per_server_lag!r}; per-server lag was removed and this build "
+            "restores one lag for every follower"
+        )
 
     servers_data = data.get("servers", [])
     if len(servers_data) != num_servers:
@@ -412,7 +406,6 @@ def load_cluster(
     key_service: GroupKeyService,
     placement: PlacementPolicy | None = None,
     read_strategy: ReadSelector | str | None = None,
-    read_seed: int = 0,
     telemetry: Telemetry | None = None,
 ) -> tuple[ServerCluster, MergePlan, RstfModel]:
     """Recover a cluster snapshot against a (trusted) key service.
@@ -448,7 +441,6 @@ def load_cluster(
         source=path,
         placement=placement,
         read_strategy=read_strategy,
-        read_seed=read_seed,
         telemetry=telemetry,
     )
     PersistInstruments(telemetry).restores.inc()

@@ -27,10 +27,15 @@ FORMAT_VERSION = 3
 
 
 def read_payload(path: str | Path) -> dict:
-    """Parse a dump file of the current format version; corruption and
-    any other version are a :class:`ConfigurationError` naming the file."""
+    """Parse a dump file of the current format version; a file that
+    cannot be read, corruption and any other version are a
+    :class:`ConfigurationError` naming the file."""
     try:
         payload = json.loads(Path(path).read_text())
+    except OSError as error:
+        raise ConfigurationError(
+            f"{path}: cannot read dump: {error.strerror or error}"
+        ) from error
     except (json.JSONDecodeError, UnicodeDecodeError) as error:
         raise ConfigurationError(f"{path}: corrupt index dump: {error}") from error
     if not isinstance(payload, dict):

@@ -185,3 +185,24 @@ class TestSnapshotRestore:
         code = main(["restore", "--snapshot", str(index_file)])
         assert code == 2
         assert "load_index" in capsys.readouterr().err
+
+
+class TestUnreadableDumps:
+    """A dump path that is missing or names a directory ends in one
+    ``error:`` line naming it and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize(
+        "argv",
+        ["query --index {} --term reactor", "restore --snapshot {}", "cluster-status --snapshot {}"],
+    )
+    def test_one_error_line_and_exit_2(self, argv, kind, tmp_path, capsys):
+        path = tmp_path / "dump.json"
+        if kind == "directory":
+            path.mkdir()
+        code = main([arg.format(path) for arg in argv.split()])
+        captured = capsys.readouterr()
+        assert code == 2
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and str(path) in line
+        assert captured.out == ""

@@ -148,7 +148,3 @@ class TestClusterStatusCommand:
         assert (
             "next delivery in 1 tick(s)  1 bucket(s) held (down)" in lines["server 2"]
         )
-
-    def test_missing_snapshot_errors(self, capsys, tmp_path):
-        code = main(["cluster-status", "--snapshot", str(tmp_path / "nope.json")])
-        assert code != 0

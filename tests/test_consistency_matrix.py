@@ -18,7 +18,7 @@ from repro.core.protocol import (
     CoalescedBatchRequest,
     FetchRequest,
 )
-from repro.core.replication import LagModel, ReadConsistency, WriteConsistency
+from repro.core.replication import ReadConsistency, WriteConsistency
 from repro.core.rstf import RstfModel, train_rstf
 from repro.crypto.keys import GroupKeyService
 from repro.errors import (
@@ -109,13 +109,15 @@ class TestQuorumWrites:
         assert cluster.replication_backlog() == {}
 
     def test_quorum_ack_prefers_most_caught_up_follower(self, keys):
-        cluster = self._cluster(keys, lag=LagModel(per_server={1: 1, 2: 10}))
-        cluster.insert("u", 0, _element(0.5, b"a"))
-        cluster.replication_tick()  # server 1 at v1; server 2 at v0
+        cluster = self._cluster(keys, lag=10)
+        cluster.pause_follower(1)
+        cluster.insert("u", 0, _element(0.5, b"a"), consistency="quorum")
+        cluster.resume_follower(1)  # server 2 at v1; server 1 at v0
         cluster.insert("u", 0, _element(0.6, b"b"), consistency="quorum")
-        # The nearer follower (1) was synced for the ack; 2 stays behind.
-        assert cluster.applied_version(0, 1) == 2
-        assert cluster.applied_version(0, 2) == 0
+        # The nearer follower (2) was synced for the ack, ahead of the one
+        # placement lists first; 1 stays behind.
+        assert cluster.applied_version(0, 2) == 2
+        assert cluster.applied_version(0, 1) == 0
 
     def test_quorum_write_refused_before_mutation(self, keys):
         cluster = self._cluster(keys, lag=1)
@@ -300,12 +302,14 @@ class TestFailoverElection:
             num_lists=1,
             num_servers=3,
             replication=3,
-            lag=LagModel(per_server={1: 10, 2: 1}),
+            lag=10,
             failover_after=2,
         )
-        cluster.insert("u", 0, _element(0.5, b"x"))
-        cluster.replication_tick()  # server 2 at v1, server 1 at v0
+        cluster.pause_follower(1)
+        cluster.insert("u", 0, _element(0.5, b"x"), consistency="quorum")
+        cluster.resume_follower(1)  # server 2 at v1, server 1 at v0
         assert cluster.applied_version(0, 2) == 1
+        assert cluster.applied_version(0, 1) == 0
         cluster.fail_server(0)
         for _ in range(3):
             cluster.replication_tick()
@@ -493,11 +497,12 @@ class TestBoundedStaleness:
             num_lists=1,
             num_servers=3,
             replication=3,
-            lag=LagModel(per_server={1: 1, 2: 50}),
+            lag=50,
             read_strategy="rotate",
         )
-        cluster.insert("u", 0, _element(0.5, b"x"))
-        cluster.replication_tick()  # server 1 at head, server 2 at v0
+        cluster.pause_follower(2)
+        cluster.insert("u", 0, _element(0.5, b"x"), consistency="quorum")
+        cluster.resume_follower(2)  # server 1 at head, server 2 at v0
         cluster.fail_server(0)
         for _ in range(4):
             response = _fetch(cluster, 0, consistency="one", max_staleness=0)
@@ -684,8 +689,8 @@ class TestDeadPrimaryRoutingMatrix:
         with pytest.raises(UnavailableError):
             _fetch(cluster, 0, consistency=level)
 
-    def test_least_loaded_never_selects_downed_server(self, keys):
-        cluster = self._cluster(keys, strategy="least-loaded")
+    def test_rotate_never_selects_downed_server(self, keys):
+        cluster = self._cluster(keys, strategy="rotate")
         dead = cluster.replicas_of(0)[0]
         baseline = cluster.per_server_load()[dead]
         for _ in range(9):

@@ -14,7 +14,7 @@ from repro.core.protocol import (
     FetchRequest,
     FetchResponse,
 )
-from repro.core.replication import LagModel, ReadConsistency
+from repro.core.replication import ReadConsistency
 from repro.core.server import ZerberRServer
 from repro.crypto.keys import GroupKeyService
 from repro.errors import (
@@ -314,9 +314,7 @@ class _AccessorReadPath(ServerCluster):
     ``dataclasses.replace``.  :class:`ServerCluster`'s read path must be
     indistinguishable from it (``TestReadPathRefinement``)."""
 
-    def _route_read(
-        self, list_id, consistency, loads=None, min_version=None, max_staleness=None
-    ):
+    def _route_read(self, list_id, consistency, min_version=None, max_staleness=None):
         repl = self.replication_manager
         replicas = self.replicas_of(list_id)
         live = [s for s in replicas if self.is_alive(s)]
@@ -357,9 +355,7 @@ class _AccessorReadPath(ServerCluster):
             candidates = unpaused
         if len(candidates) == 1:
             return candidates[0]
-        if loads is None:
-            loads = self.per_server_load() if self._read_selector.needs_loads else []
-        return self._read_selector.select(list_id, candidates, loads)
+        return self._read_selector.select(list_id, candidates)
 
     def _finalize_read(
         self,
@@ -434,10 +430,9 @@ class _ReadWorld:
             num_lists=READ_LISTS,
             num_servers=READ_SERVERS,
             replication=replication,
-            lag=LagModel(2, {1: 0, 3: 5}),
+            lag=2,
             read_consistency=consistency,
             read_strategy=strategy,
-            read_seed=3,
         )
 
     @staticmethod
@@ -575,7 +570,7 @@ class TestReadPathRefinement:
     counters, same observation log — against the accessor-spelled
     reference, step by step through one random script."""
 
-    @pytest.mark.parametrize("strategy", ["primary", "rotate", "least-loaded"])
+    @pytest.mark.parametrize("strategy", ["primary", "rotate"])
     @pytest.mark.parametrize("consistency", ["one", "primary", "quorum"])
     @pytest.mark.parametrize("replication", [1, 2, 3])
     def test_same_server_response_error_stats_and_observations(

@@ -295,31 +295,12 @@ class TestBackpressure:
         assert excinfo.value.retry_after_ticks >= 1
         signal = excinfo.value.signal
         assert isinstance(signal, BackpressureSignal)
-        assert signal.reason == "queue"
         assert signal.queue_depth == 2
         assert coordinator.stats.backpressure_sheds == 1
         assert coordinator.sheds == [signal]
         # Nothing was parked; the accepted sessions still complete.
         assert coordinator.active_sessions == 2
         coordinator.run_until_complete()
-
-    def test_per_principal_credits(self, system):
-        groups = set(system.corpus.groups())
-        system.register_user("bp-a", groups)
-        system.register_user("bp-b", groups)
-        cluster, coordinator = system.deploy_cluster(
-            num_servers=2, credits_per_principal=1
-        )
-        a = system.client_for("bp-a", server=cluster)
-        b = system.client_for("bp-b", server=cluster)
-        query = _queries(system, 1)[0]
-        coordinator.submit(a.open_multi_session(query, 4))
-        with pytest.raises(BackpressureError) as excinfo:
-            coordinator.submit(a.open_multi_session(query, 4))
-        assert excinfo.value.signal.reason == "credits"
-        # One principal exhausting its credits never starves another.
-        coordinator.submit(b.open_multi_session(query, 4))
-        assert coordinator.active_sessions == 2
 
     def test_shed_arrival_retries_and_completes(self, system):
         cluster, coordinator = system.deploy_cluster(
@@ -410,8 +391,6 @@ class TestBackpressure:
         with pytest.raises(ConfigurationError):
             Coordinator(cluster, max_queue_depth=0)
         with pytest.raises(ConfigurationError):
-            Coordinator(cluster, credits_per_principal=0)
-        with pytest.raises(ConfigurationError):
             Coordinator(cluster, round_latency=-1)
 
     def test_signal_validates_itself(self):
@@ -422,16 +401,6 @@ class TestBackpressure:
                 retry_after_ticks=0,
                 queue_depth=1,
                 limit=1,
-                reason="queue",
-            )
-        with pytest.raises(ProtocolError):
-            BackpressureSignal(
-                principal="p",
-                tick=0,
-                retry_after_ticks=1,
-                queue_depth=1,
-                limit=1,
-                reason="because",
             )
 
 

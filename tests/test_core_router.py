@@ -338,69 +338,3 @@ class TestSessionProtocol:
         assert a is b
         assert system.client_for("superuser") is system.client_for("superuser")
         assert system.client_for("superuser") is not a
-
-
-class TestAdmissionControl:
-    def test_caps_validated(self, deployment):
-        _, cluster, _ = deployment
-        with pytest.raises(ConfigurationError):
-            Coordinator(cluster, max_slices_per_envelope=0)
-        with pytest.raises(ConfigurationError):
-            Coordinator(cluster, max_sessions_per_tick=0)
-
-    def test_session_cap_spills_fifo_with_identical_results(self, system):
-        cluster, _ = system.deploy_cluster(num_servers=3)
-        capped = Coordinator(cluster, max_sessions_per_tick=2)
-        queries = _queries(system, 6)
-        client = system.client_for("superuser", server=cluster)
-        direct = [client.query_multi_batched(q, 4) for q in queries]
-        results = capped.run_queries([(client, q, 4) for q in queries])
-        for d, r in zip(direct, results):
-            assert r.ranked == d.ranked
-        assert capped.stats.sessions_spilled > 0
-        assert capped.stats.slices_spilled > 0
-
-    def test_session_cap_costs_extra_ticks(self, system):
-        cluster_a, uncapped = system.deploy_cluster(num_servers=3)
-        cluster_b, _ = system.deploy_cluster(num_servers=3)
-        capped = Coordinator(cluster_b, max_sessions_per_tick=1)
-        queries = _queries(system, 5)
-        client_a = system.client_for("superuser", server=cluster_a)
-        client_b = system.client_for("superuser", server=cluster_b)
-        uncapped.run_queries([(client_a, q, 4) for q in queries])
-        capped.run_queries([(client_b, q, 4) for q in queries])
-        assert capped.stats.ticks > uncapped.stats.ticks
-
-    def test_envelope_cap_bounds_batch_sizes(self, system):
-        cluster, _ = system.deploy_cluster(num_servers=2)
-        cap = 2
-        coordinator = Coordinator(cluster, max_slices_per_envelope=cap)
-        queries = _queries(system, 6, terms_per_query=1)
-        client = system.client_for("superuser", server=cluster)
-        direct = [client.query_multi_batched(q, 4) for q in queries]
-        for server_index in range(cluster.num_servers):
-            cluster.server(server_index).clear_observations()
-        results = coordinator.run_queries([(client, q, 4) for q in queries])
-        for d, r in zip(direct, results):
-            assert r.ranked == d.ranked
-        # Single-term sessions can never exceed the cap alone, so every
-        # envelope served at most `cap` slices.
-        for server_index in range(cluster.num_servers):
-            sizes: dict[int, int] = {}
-            for obs in cluster.observations_at(server_index):
-                if obs.batch_id is not None:
-                    sizes[obs.batch_id] = sizes.get(obs.batch_id, 0) + 1
-            assert all(size <= cap for size in sizes.values())
-
-    def test_oversized_session_admitted_on_empty_envelope(self, system):
-        """A session bigger than the cap cannot be split — it must not
-        starve, it rides an otherwise-empty envelope."""
-        cluster, _ = system.deploy_cluster(num_servers=1)
-        coordinator = Coordinator(cluster, max_slices_per_envelope=1)
-        queries = _queries(system, 2, terms_per_query=3)
-        client = system.client_for("superuser", server=cluster)
-        direct = [client.query_multi_batched(q, 4) for q in queries]
-        results = coordinator.run_queries([(client, q, 4) for q in queries])
-        for d, r in zip(direct, results):
-            assert r.ranked == d.ranked
-        assert coordinator.stats.sessions_spilled > 0

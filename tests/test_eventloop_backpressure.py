@@ -47,7 +47,7 @@ def _keys():
     return svc
 
 
-def _deploy(docs, *, max_queue_depth, credits, round_latency, lag=0):
+def _deploy(docs, *, max_queue_depth, round_latency, lag=0):
     """Fresh cluster + coordinator with *docs* indexed before arrivals."""
     keys = _keys()
     cluster = ServerCluster(
@@ -76,7 +76,6 @@ def _deploy(docs, *, max_queue_depth, credits, round_latency, lag=0):
     coordinator = Coordinator(
         cluster,
         max_queue_depth=max_queue_depth,
-        credits_per_principal=credits,
         round_latency=round_latency,
     )
     return cluster, coordinator, clients
@@ -124,17 +123,15 @@ def _run_schedule(coordinator, clients, arrivals):
     docs=st.lists(doc_counts, min_size=1, max_size=5),
     arrivals=arrivals_strategy,
     max_queue_depth=st.integers(1, 3),
-    credits=st.one_of(st.none(), st.integers(1, 2)),
     round_latency=st.integers(0, 2),
 )
 @settings(max_examples=25, deadline=None)
 def test_overload_sheds_without_losing_work(
-    docs, arrivals, max_queue_depth, credits, round_latency
+    docs, arrivals, max_queue_depth, round_latency
 ):
     cluster, coordinator, clients = _deploy(
         docs,
         max_queue_depth=max_queue_depth,
-        credits=credits,
         round_latency=round_latency,
     )
     sessions, depths = _run_schedule(coordinator, clients, arrivals)
@@ -147,7 +144,6 @@ def test_overload_sheds_without_losing_work(
     assert coordinator.stats.backpressure_sheds == len(coordinator.sheds)
     for signal in coordinator.sheds:
         assert signal.retry_after_ticks >= 1
-        assert signal.reason in ("queue", "credits")
         assert signal.queue_depth >= signal.limit
     # Scheduling never corrupts results: each equals the direct path.
     for (tick, principal_idx, terms, k), session in zip(arrivals, sessions):
@@ -165,7 +161,7 @@ def test_overload_sheds_without_losing_work(
 @settings(max_examples=15, deadline=None)
 def test_replication_converges_after_quiesce(docs, arrivals, lag):
     cluster, coordinator, clients = _deploy(
-        docs, max_queue_depth=2, credits=None, round_latency=1, lag=lag
+        docs, max_queue_depth=2, round_latency=1, lag=lag
     )
     _run_schedule(coordinator, clients, arrivals)
     cluster.run_replication_until_quiet()
@@ -187,7 +183,7 @@ def test_same_tape_is_deterministic(docs, arrivals, round_latency):
     runs = []
     for _ in range(2):
         _, coordinator, clients = _deploy(
-            docs, max_queue_depth=2, credits=1, round_latency=round_latency
+            docs, max_queue_depth=2, round_latency=round_latency
         )
         sessions, depths = _run_schedule(coordinator, clients, arrivals)
         runs.append(

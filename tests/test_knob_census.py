@@ -1,0 +1,73 @@
+"""The deployment surfaces take exactly these parameters.
+
+Every knob on these signatures is code somebody has to keep working, so
+the set is pinned here by name, in order.  Adding a knob means editing
+``SURFACES`` in the open, in the same change, and saying who uses it —
+the way ``TELEMETRY_FRAME_BUDGET`` in ``test_core_client.py`` makes more
+telemetry on the read path a visible decision.  The knob census in
+CHANGES.md found six knobs with no user outside their own unit tests;
+they were deleted, and this test keeps them from drifting back.
+"""
+
+import inspect
+
+import pytest
+
+import repro
+import repro.core
+from repro.core.cluster import ServerCluster
+from repro.core.replication import ReplicationManager
+from repro.core.router import Coordinator
+from repro.core.system import ZerberRSystem
+from repro.persist import load_cluster
+
+SURFACES = {
+    "ZerberRSystem.deploy_cluster": (
+        ZerberRSystem.deploy_cluster,
+        "num_servers replication placement rebalance_every lag read_consistency "
+        "read_strategy anti_entropy_every write_consistency failover_after "
+        "telemetry monitor_every round_latency max_queue_depth",
+    ),
+    "ZerberRSystem.restore_cluster": (
+        ZerberRSystem.restore_cluster,
+        "path placement read_strategy rebalance_every telemetry monitor_every "
+        "round_latency max_queue_depth",
+    ),
+    "ServerCluster.__init__": (
+        ServerCluster.__init__,
+        "key_service num_lists num_servers replication placement lag "
+        "read_consistency read_strategy anti_entropy_every write_consistency "
+        "failover_after telemetry",
+    ),
+    "Coordinator.__init__": (
+        Coordinator.__init__,
+        "cluster rebalance_every round_latency max_queue_depth",
+    ),
+    "load_cluster": (
+        load_cluster,
+        "path key_service placement read_strategy telemetry",
+    ),
+}
+
+
+@pytest.mark.parametrize("surface", sorted(SURFACES))
+def test_surface_takes_exactly_the_pinned_parameters(surface):
+    function, expected = SURFACES[surface]
+    parameters = [p for p in inspect.signature(function).parameters if p != "self"]
+    assert parameters == expected.split()
+
+
+@pytest.mark.parametrize(
+    "function",
+    [ZerberRSystem.deploy_cluster, ServerCluster.__init__, ReplicationManager.__init__],
+    ids=["deploy_cluster", "ServerCluster", "ReplicationManager"],
+)
+def test_lag_is_one_int_defaulting_to_zero(function):
+    lag = inspect.signature(function).parameters["lag"]
+    assert (lag.annotation, lag.default) == ("int", 0)
+
+
+@pytest.mark.parametrize("module", [repro, repro.core], ids=["repro", "repro.core"])
+def test_deleted_names_are_not_exported(module):
+    for name in ("LagModel", "LeastLoadedReads"):
+        assert name not in module.__all__ and not hasattr(module, name)

@@ -127,12 +127,11 @@ class TestMonitorIntegration:
             lag=1,
             telemetry=telemetry,
             monitor_every=2,
-            monitor_window=16,
         )
         assert cluster.monitor is telemetry.monitor
         for _ in range(6):
             cluster.replication_tick()
-        assert 1 <= len(cluster.monitor.window()) <= 16
+        assert 1 <= len(cluster.monitor.window()) <= cluster.monitor.window_size
 
     def test_election_lands_in_a_monitor_window(self, system):
         from repro.core.replication import FailoverEvent
@@ -145,7 +144,6 @@ class TestMonitorIntegration:
             failover_after=2,
             telemetry=telemetry,
             monitor_every=1,
-            monitor_window=32,
         )
         primary = cluster.replicas_of(0)[0]
         cluster.fail_server(primary)

@@ -590,6 +590,19 @@ class TestCorruptClusterDumps:
         with pytest.raises(ConfigurationError, match=str(path)):
             load_cluster(path, _keys())
 
+    def test_one_lag_is_written_and_per_server_lag_is_refused(self, tmp_path):
+        path = self._dump(tmp_path)  # written without "per_server", and loaded
+        payload = json.loads(path.read_text())
+        assert payload["cluster"]["lag"] == {"fixed_ticks": 3}
+        payload["cluster"]["lag"]["per_server"] = {}
+        path.write_text(json.dumps(payload))
+        assert load_cluster(path, _keys())[0].replication_manager.lag == 3
+        payload["cluster"]["lag"]["per_server"] = {"1": 5}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match="per-server replication lag") as excinfo:
+            load_cluster(path, _keys())  # not restored under a different lag
+        assert str(path) in str(excinfo.value)
+
     def test_truncated_file_names_path(self, tmp_path):
         path = self._dump(tmp_path)
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
