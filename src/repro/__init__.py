@@ -56,10 +56,8 @@ from repro.core import (
     Coordinator,
     CoordinatorStats,
     FailoverEvent,
-    HeatWeightedPlacement,
     EventLoop,
     MultiQueryResult,
-    PlacementPolicy,
     PrimaryReads,
     QueryResult,
     QueryTrace,
@@ -69,7 +67,6 @@ from repro.core import (
     ReplicationStats,
     ResponsePolicy,
     RotatingReads,
-    RoundRobinPlacement,
     Rstf,
     RstfModel,
     RstfTrainer,
@@ -143,9 +140,6 @@ __all__ = [
     "CoordinatorStats",
     "EventLoop",
     "MultiQueryResult",
-    "PlacementPolicy",
-    "RoundRobinPlacement",
-    "HeatWeightedPlacement",
     "ReadSelector",
     "PrimaryReads",
     "RotatingReads",

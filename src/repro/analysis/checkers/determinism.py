@@ -9,8 +9,7 @@ entropy (``os.urandom``/``secrets``/``uuid``), the module-level
 ``random.*`` functions (shared global state), and unseeded generator
 construction (``random.Random()`` / ``np.random.default_rng()`` with no
 arguments) inside ``repro.core`` — and, since PR 9, inside
-``repro.obs``, whose tick-stamped traces and monitor windows must
-replay the same way.
+``repro.obs``, whose tick-stamped traces must replay the same way.
 """
 
 from __future__ import annotations

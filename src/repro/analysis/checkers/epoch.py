@@ -4,8 +4,8 @@ PR 2/4's contract: a
 :class:`~repro.core.protocol.CoalescedBatchRequest` is routed against one
 placement epoch and must carry it, so
 :meth:`~repro.core.cluster.ServerCluster.serve_envelope` can reject an
-envelope built before a rebalance instead of serving it from a reshuffled
-shard map.  The dataclass field defaults to ``None`` ("unrouted") for
+envelope built before a failover election instead of serving it from a
+deposed primary.  The dataclass field defaults to ``None`` ("unrouted") for
 protocol-level tests, which makes it easy to *forget* — this rule flags
 any construction outside ``repro.core.protocol`` that omits ``epoch=`` or
 pins the literal ``None``, and any read of a cluster's private
@@ -59,8 +59,8 @@ class EpochDisciplineChecker(Checker):
                         self.rule,
                         node,
                         f"{terminal}(...) constructed without epoch= — an "
-                        "unpinned envelope can be served across a rebalance "
-                        "from a stale shard map; thread the routing epoch "
+                        "unpinned envelope can be served across a failover "
+                        "election from a stale shard map; thread the routing epoch "
                         "(cluster.placement_epoch)",
                     )
                 else:

@@ -57,8 +57,6 @@ CATALOG_METRIC_NAMES = frozenset(
         "coordinator_slices_sent_total",
         "coordinator_sessions_completed_total",
         "coordinator_sessions_spilled_total",
-        "coordinator_rebalances_total",
-        "coordinator_lists_migrated_total",
         "coordinator_stale_epoch_reroutes_total",
         "coordinator_backpressure_sheds_total",
         "coordinator_pipeline_overlap_total",
@@ -72,8 +70,6 @@ CATALOG_METRIC_NAMES = frozenset(
         "cluster_read_staleness",
         "cluster_quorum_write_refusals_total",
         "cluster_server_load",
-        "cluster_list_read_heat",
-        "cluster_list_write_heat",
         # replication stats mirrors + direct instruments
         "replication_ticks_total",
         "replication_ops_logged_total",
@@ -95,7 +91,7 @@ CATALOG_METRIC_NAMES = frozenset(
         "replication_max_staleness",
         "replication_ack_latency_ticks",
         "replication_log_length",
-        "replication_replica_lag",
+        "replication_follower_backlog",
         "replication_elections_total",
         # readable-view stats mirrors
         "views_hits_total",

@@ -11,7 +11,7 @@ for: replicas diverge silently and read-repair cannot converge them.
 
 Sanctioned modules are the storage/replication layers themselves, the
 persistence codecs (restore is by definition not a replicated write), the
-cluster (which orchestrates migrations under an epoch bump) and the
+cluster (which routes every write through the log) and the
 non-replicated baselines, which own private list state of the same shape.
 """
 

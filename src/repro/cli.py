@@ -219,7 +219,7 @@ def _scripted_workload(
 
     The workload behind ``repro-index metrics`` / ``trace``: index a
     synthetic corpus into an instrumented 3-server cluster (replication
-    2, 1-tick lag, anti-entropy, failover elections, monitor attached),
+    2, 1-tick lag, anti-entropy, failover elections),
     run coalesced coordinator sessions plus direct reads and writes at
     each consistency level, force a failover election, and snapshot the
     cluster to a scratch file — so the emitted registry covers the
@@ -258,7 +258,6 @@ def _scripted_workload(
         round_latency=2,
         max_queue_depth=2,
         telemetry=telemetry,
-        monitor_every=2,
         read_strategy="rotate",
     )
     client = system.client_for("superuser", server=cluster)
@@ -317,7 +316,7 @@ def _scripted_workload(
     for _ in range(4):
         cluster.replication_tick()
 
-    # A failover election inside a monitor window (election counters).
+    # A failover election (election counters).
     victim = cluster.replicas_of(list_id)[0]
     cluster.fail_server(victim)
     for _ in range(4):
@@ -346,9 +345,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     telemetry = Telemetry()
     _scripted_workload(telemetry)
     snapshot = telemetry.registry.snapshot()
-    monitor = telemetry.monitor
     if args.format == "json":
-        _emit(metrics_to_json(snapshot, monitor=monitor), args.output)
+        _emit(metrics_to_json(snapshot), args.output)
     else:
         _emit(metrics_to_text(snapshot), args.output)
     return 0

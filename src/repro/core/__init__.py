@@ -46,13 +46,10 @@ from repro.core.client import (
     ZerberRClient,
 )
 from repro.core.placement import (
-    HeatWeightedPlacement,
-    PlacementPolicy,
     PrimaryReads,
     ReadSelector,
     RotatingReads,
-    RoundRobinPlacement,
-    load_balance_ratio,
+    round_robin_placement,
 )
 from repro.core.replication import (
     DeliveryOutlook,
@@ -109,13 +106,10 @@ __all__ = [
     "ZerberRClient",
     "MultiQueryResult",
     "QueryResult",
-    "PlacementPolicy",
-    "RoundRobinPlacement",
-    "HeatWeightedPlacement",
+    "round_robin_placement",
     "ReadSelector",
     "PrimaryReads",
     "RotatingReads",
-    "load_balance_ratio",
     "DeliveryOutlook",
     "FailoverEvent",
     "ReadConsistency",

@@ -9,14 +9,13 @@ unchanged.  A batched fetch splits into one sub-batch per shard server,
 so a multi-term client round costs one round-trip per *touched server*
 rather than per merged list.
 
-Which server holds which list is decided by a pluggable
-:class:`~repro.core.placement.PlacementPolicy` (round-robin by default).
-The cluster owns the authoritative placement table plus a *placement
-epoch* that bumps whenever :meth:`rebalance` migrates lists between
-servers (heat-weighted policies move hot head-term lists off overloaded
-shards); coalesced envelopes pin the epoch they were routed under so a
-stale route is rejected rather than silently served from a server that no
-longer hosts the list.
+Which servers hold which list is fixed at construction
+(:func:`~repro.core.placement.round_robin_placement`).  The cluster owns
+the placement table plus a *placement epoch* that bumps whenever a
+failover election reorders a list's replicas (see
+:meth:`ServerCluster.check_failovers`); coalesced envelopes pin the
+epoch they were routed under so a stale route is rejected rather than
+served from a server that is no longer the list's primary.
 
 Replication is a real subsystem (:mod:`repro.core.replication`), not a
 synchronous fan-out: each list has a primary replica (first in its
@@ -66,10 +65,9 @@ from collections.abc import Iterable, Mapping
 from dataclasses import fields as dataclass_fields
 
 from repro.core.placement import (
-    PlacementPolicy,
     ReadSelector,
-    RoundRobinPlacement,
     coerce_read_selector,
+    round_robin_placement,
     validate_placement,
 )
 from repro.core.protocol import (
@@ -108,7 +106,6 @@ from repro.obs.instruments import (
     Telemetry,
 )
 from repro.obs.metrics import BoundHistogram
-from repro.obs.monitor import ClusterMonitor
 
 
 class ServerCluster:
@@ -120,7 +117,6 @@ class ServerCluster:
         num_lists: int,
         num_servers: int,
         replication: int = 1,
-        placement: PlacementPolicy | None = None,
         lag: int = 0,
         read_consistency: ReadConsistency | str | None = None,
         read_strategy: ReadSelector | str | None = None,
@@ -145,13 +141,7 @@ class ServerCluster:
             for _ in range(num_servers)
         ]
         self._alive = [True] * num_servers
-        self._policy = placement if placement is not None else RoundRobinPlacement()
-        self._placement = validate_placement(
-            self._policy.initial_placement(num_lists, num_servers, replication),
-            num_lists,
-            num_servers,
-            replication,
-        )
+        self._placement = round_robin_placement(num_lists, num_servers, replication)
         self._epoch = 0
         self.read_consistency = ReadConsistency.coerce(read_consistency)
         self.write_consistency = WriteConsistency.coerce(write_consistency)
@@ -164,7 +154,6 @@ class ServerCluster:
         self.telemetry = telemetry
         self._obs = ClusterInstruments(telemetry)
         self._repl_obs = ReplicationInstruments(telemetry)
-        self._monitor: ClusterMonitor | None = None
         self._repl = self._new_replication_manager(lag, anti_entropy_every)
         if telemetry is not None:
             # The replication tick counter is THE telemetry clock; read
@@ -174,9 +163,8 @@ class ServerCluster:
                 telemetry,
                 replication_stats=lambda: self._repl.stats,
                 view_stats=self.view_stats,
-                list_heat=self.list_heat,
-                list_write_heat=self.list_write_heat,
                 per_server_load=self.per_server_load,
+                replication_backlog=lambda: self._repl.backlog(),
                 log_lengths=lambda: self._repl.log_lengths(),
             )
 
@@ -206,12 +194,8 @@ class ServerCluster:
         return self._num_lists
 
     @property
-    def placement_policy(self) -> PlacementPolicy:
-        return self._policy
-
-    @property
     def placement_epoch(self) -> int:
-        """Version of the placement table; bumps on every rebalance."""
+        """Version of the placement table; bumps on every failover election."""
         return self._epoch
 
     def replicas_of(self, list_id: int) -> list[int]:
@@ -276,19 +260,7 @@ class ServerCluster:
         applied = self._repl.tick()
         if self.failover_after is not None:
             self.check_failovers()
-        if self._monitor is not None:
-            self._monitor.maybe_sample(self, self._repl.tick_count)
         return applied
-
-    def attach_monitor(self, monitor: ClusterMonitor) -> None:
-        """Sample *monitor* from :meth:`replication_tick` from now on."""
-        self._monitor = monitor
-        if self.telemetry is not None:
-            self.telemetry.monitor = monitor
-
-    @property
-    def monitor(self) -> ClusterMonitor | None:
-        return self._monitor
 
     def pause_follower(self, index: int) -> None:
         """Partition one server from replication traffic (reads still work)."""
@@ -506,12 +478,12 @@ class ServerCluster:
     def _ensure_primary_current(self, list_id: int) -> None:
         """Refuse to acknowledge a write at a gapped primary.
 
-        A stale-source migration cutover can install a primary below the
-        log head; acknowledging a fresh write there would stamp the
-        primary *over* its gap and silently lose the gap ops (their
-        scheduled catch-up delivery would no-op).  Catch the primary up
-        from the log first; if it is unreachable (paused or down with a
-        gap), the write fails honestly with :class:`UnavailableError`.
+        A primary below the log head (a restored dump can say so) must
+        not acknowledge a fresh write: that would stamp the primary
+        *over* its gap and silently lose the gap ops (their scheduled
+        catch-up delivery would no-op).  Catch the primary up from the
+        log first; if it is unreachable (paused or down with a gap), the
+        write fails honestly with :class:`UnavailableError`.
         """
         replicas = self._placement[list_id]
         if self._repl.staleness(list_id, replicas[0]):
@@ -926,7 +898,8 @@ class ServerCluster:
         The coordinator routed the envelope itself, so the cluster only
         verifies that the target is alive and that the envelope was routed
         under the *current* placement epoch — an envelope built before a
-        rebalance must be re-routed, not served from a stale shard map.
+        failover election must be re-routed, not served from a stale
+        shard map.
         Every slice is then finalized like a direct fetch: versions are
         stamped and stale slices are read-repaired per the consistency
         level (extra single-slice fetches, visible in the stats).
@@ -1047,100 +1020,10 @@ class ServerCluster:
                 version = applied[reserve_from]
         return FetchResponse(response.elements, response.exhausted, version)
 
-    # -- placement control plane -------------------------------------------------
-
-    def list_heat(self) -> dict[int, int]:
-        """Cumulative slices served per list, aggregated over all servers.
-
-        Counters stay with the server that served the fetch, so summing
-        across servers keeps a migrated list's history intact.
-        """
-        heat: dict[int, int] = {}
-        for server in self._servers:
-            for list_id, count in server.fetch_counts.items():
-                heat[list_id] = heat.get(list_id, 0) + count
-        return heat
-
-    def list_write_heat(self) -> dict[int, int]:
-        """Cumulative acknowledged write ops per list (log head versions).
-
-        The write-side twin of :meth:`list_heat`: the replication log
-        head counts every acknowledged mutation of a list, so the
-        monitor's write-heat deltas are "ops per sampling period" — the
-        placement forecaster's second input signal.
-        """
-        return {
-            list_id: self._repl.head_version(list_id)
-            for list_id in range(self._num_lists)
-        }
-
-    def rebalance(self) -> dict[int, tuple[int, ...]]:
-        """Ask the placement policy for heat-driven moves and apply them.
-
-        Every proposed move is migrated (drain-then-cutover through the
-        replication log, see :meth:`_migrate_list`) and the placement
-        epoch bumps once if anything moved — including when a later
-        migration fails midway, so envelopes routed under the
-        pre-rebalance table are always rejected rather than served from a
-        half-migrated shard map.  Moves that would place a list on a dead
-        server are refused here even if a (buggy) policy proposes them.
-        Returns the applied moves; empty for static policies such as
-        round-robin.
-        """
-        proposal = self._policy.propose(
-            self.list_heat(),
-            [tuple(replicas) for replicas in self._placement],
-            self.num_servers,
-            self.replication,
-            alive=tuple(self._alive),
-        )
-        # Reject a malformed proposal wholesale BEFORE applying any move —
-        # a defence against buggy policies; failing on move k after moves
-        # 0..k-1 were applied would leave a half-rebalanced cluster.
-        for list_id, targets in proposal.items():
-            if not 0 <= list_id < self._num_lists:
-                raise ConfigurationError(
-                    f"placement policy proposed unknown list {list_id}"
-                )
-            targets = tuple(targets)
-            if len(targets) != self.replication or len(set(targets)) != len(
-                targets
-            ):
-                raise ConfigurationError(
-                    f"placement policy proposed {len(targets)} replicas for "
-                    f"list {list_id}, expected {self.replication} distinct"
-                )
-            if not all(0 <= s < len(self._servers) for s in targets):
-                raise ConfigurationError(
-                    f"placement policy proposed unknown server for list {list_id}"
-                )
-        moves = {
-            list_id: tuple(targets)
-            for list_id, targets in proposal.items()
-            if tuple(targets) != self._placement[list_id]
-            and all(self._alive[s] for s in targets)
-        }
-        applied: dict[int, tuple[int, ...]] = {}
-        try:
-            for list_id, targets in sorted(moves.items()):
-                try:
-                    self._migrate_list(list_id, targets)
-                except UnavailableError:
-                    # Every current replica of this list is down, so its
-                    # data cannot be copied anywhere — leave it in place
-                    # (it is unreachable either way) instead of failing
-                    # the whole rebalance and aborting unrelated queries.
-                    continue
-                applied[list_id] = targets
-        finally:
-            if applied:
-                self._epoch += 1
-        return applied
-
     # -- crash recovery (persistence support; see repro.persist) -----------------
 
     def placement_table(self) -> list[tuple[int, ...]]:
-        """A copy of the authoritative placement table (persisted in v2)."""
+        """A copy of the authoritative placement table (persisted in every snapshot)."""
         return [tuple(replicas) for replicas in self._placement]
 
     def restore_topology(
@@ -1149,7 +1032,7 @@ class ServerCluster:
         """Install a persisted placement table and epoch (recovery path).
 
         Replaces the replication manager with a fresh one built over the
-        restored placement (same lag model and anti-entropy cadence);
+        restored placement (same lag and anti-entropy cadence);
         the persistence layer then reinstalls each list's log and
         per-replica applied versions through
         :meth:`~repro.core.replication.ReplicationManager.restore_clock`
@@ -1170,44 +1053,6 @@ class ServerCluster:
         self._repl = self._new_replication_manager(
             self._repl.lag, self._repl.anti_entropy_every
         )
-
-    def _migrate_list(self, list_id: int, targets: tuple[int, ...]) -> None:
-        """Move one list's replicas through the log: drain, then cut over.
-
-        The export source is the most-caught-up live replica; it is first
-        *drained* (caught up from the replication log) so the copy is as
-        fresh as reachability allows — the stop-the-world wholesale copy
-        of the seed became drain-then-cutover.  If the source still lags
-        the head (it was partitioned), new replicas are registered at the
-        source's version and the remaining ops are scheduled through the
-        normal lag-driven delivery, so an unlucky cut-over converges
-        instead of silently losing acknowledged writes.
-        """
-        if len(targets) != self.replication or len(set(targets)) != len(targets):
-            raise ConfigurationError(
-                f"migration of list {list_id} needs {self.replication} "
-                "distinct target servers"
-            )
-        if not all(0 <= s < len(self._servers) for s in targets):
-            raise ConfigurationError("migration names an unknown server")
-        old = self._placement[list_id]
-        source = self._repl.best_source(list_id)
-        if source is None:
-            raise UnavailableError(list_id, len(old))
-        self._repl.sync(list_id, source, reason="migration")
-        elements = self._servers[source].export_list(list_id)
-        source_version = self._repl.applied_version(list_id, source)
-        for server_index in targets:
-            if server_index not in old:
-                self._servers[server_index].import_list(list_id, elements)
-        self._placement[list_id] = tuple(targets)
-        for server_index in targets:
-            if server_index not in old:
-                self._repl.register_replica(list_id, server_index, source_version)
-        for server_index in old:
-            if server_index not in targets:
-                self._servers[server_index].clear_list(list_id)
-                self._repl.drop_replica(list_id, server_index)
 
     # -- accounting -------------------------------------------------------------
 
@@ -1251,9 +1096,8 @@ class ServerCluster:
 
         Aggregates every server's :class:`~repro.core.views.ViewStats`
         (hits, rebuilds, patches, evictions, …) so benchmarks and the
-        coordinator can watch view churn — e.g. a migration-heavy
-        rebalance shows up as a spike in invalidations, and replication
-        repair traffic as ``replication_patches``.
+        coordinator can watch view churn — replication repair traffic
+        shows up as ``replication_patches``.
         """
         total = ViewStats()
         for server in self._servers:

@@ -39,8 +39,8 @@ from repro.errors import ConfigurationError, ProtocolError
 #: Priority bands.  Foreground session work (arrivals, flushes, skim
 #: deliveries) runs first at a tick; replication delivery daemons run
 #: after all foreground work of the tick (matching the legacy ordering
-#: "envelopes first, then the replication tick"); placement maintenance
-#: (rebalance) runs last.
+#: "envelopes first, then the replication tick"); the maintenance band
+#: runs last (probes use it to observe a tick's settled state).
 FOREGROUND = 0
 BACKGROUND = 10
 MAINTENANCE = 20

@@ -39,7 +39,8 @@ envelope nests one single-principal :class:`BatchFetchRequest` per
 principal (the server still authenticates each one), carries a flat tuple
 of coordinator-assigned *slice ids* so shared slices demultiplex back to
 every requesting session, and pins the *placement epoch* it was routed
-under so a concurrent shard migration cannot serve it from a stale route.
+under so a concurrent failover election cannot serve it from a stale
+route.
 
 Deletion is by :class:`Receipt`: what the inserting client kept of each
 element it uploaded.  The server cannot read ciphertexts, so a delete

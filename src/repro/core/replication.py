@@ -47,13 +47,13 @@ Version / log invariants
    *prefix* of the log: ops are delivered strictly in sequence order —
    a follower's buckets come due in due-tick order and each delivers
    the run ``(applied, upto_seq]`` — and nothing else mutates a
-   replicated list (a bulk load is a run of recorded inserts; a
-   migration admits its copy through :meth:`register_replica` at the
-   version it was exported at).
+   replicated list (a bulk load is a run of recorded inserts; a restored
+   replica is admitted through :meth:`register_replica` at the version
+   its dump recorded).
 3. ``base_seq(list) <= min(log.applied.values())`` — the log retains at
    least every op some current replica still lacks, so any reachable
    replica can always be caught up from the log alone (read-repair,
-   anti-entropy, migration cut-over), even if the primary is down.  Ops
+   anti-entropy, failover election), even if the primary is down.  Ops
    at or below the minimum applied version are truncated, so the
    retained ops are exactly the run ``(base_seq, head_seq]``; the
    minimum is over the log's own dict, and only the replica that held
@@ -387,7 +387,7 @@ class ReplicationManager:
 
     The manager owns no placement: the cluster passes ``replicas_of``
     (current replica tuple per list, primary first) and ``server_alive``
-    callables so migrations and failures are always judged against the
+    callables so elections and failures are always judged against the
     cluster's authoritative state.  It owns the follower-side server
     *mutations*: deliveries go through
     :meth:`ZerberRServer.apply_replicated_insert` /
@@ -699,8 +699,8 @@ class ReplicationManager:
     def sync(self, list_id: int, server_index: int, reason: str = "repair") -> int:
         """Catch one replica up to the log head right now (if reachable).
 
-        Used by read-repair, the anti-entropy sweep and migration
-        cut-over.  Returns the number of ops applied (0 when the replica
+        Used by read-repair, the anti-entropy sweep and failover
+        elections.  Returns the number of ops applied (0 when the replica
         is already current, paused or down).
         """
         log = self._logs.get(list_id)
@@ -765,36 +765,20 @@ class ReplicationManager:
             log.truncate_to(min(log.applied.values()))
         return len(ops)
 
-    # -- topology (migration support) ------------------------------------------
+    # -- recovery (persistence support; see repro.persist) ----------------------
 
     def register_replica(
         self, list_id: int, server_index: int, at_version: int
     ) -> None:
-        """Admit a new replica whose state was imported at *at_version*.
+        """Admit a replica whose state was restored at *at_version*.
 
-        If the import source was behind the log head, the remaining ops
-        are scheduled for normal lag-driven delivery, so a cut-over from
-        a stale source still converges through the log.
+        If it is behind the log head, the remaining ops are scheduled for
+        normal lag-driven delivery, so it converges through the log.
         """
         log = self._logs[list_id]
         log.applied[server_index] = at_version
         if at_version < log.head_seq:
             self._enqueue(log, server_index, log.head_seq)
-
-    def drop_replica(self, list_id: int, server_index: int) -> None:
-        """Forget a replica that no longer hosts the list."""
-        log = self._logs[list_id]
-        log.applied.pop(server_index, None)
-        log.pending.pop(server_index, None)
-        # Control plane: walk the server's buckets and purge the list's
-        # entries, satisfied ones included — re-admitted later, the server
-        # must not find them.  An emptied bucket stays until it comes due.
-        for key, bucket in self._buckets.items():
-            if key[1] == server_index:
-                bucket.pop(list_id, None)
-        log.truncate_to(min(log.applied.values()))
-
-    # -- recovery (persistence support; see repro.persist) ----------------------
 
     def log_snapshot(self, list_id: int) -> tuple[int, int, list[ReplicationOp]]:
         """One list's durable log state: ``(head_seq, base_seq, retained ops)``."""
@@ -872,20 +856,6 @@ class ReplicationManager:
         # A hand-made dump may retain ops below every replica's version;
         # _apply_ops relies on the base sitting at the minimum.
         log.truncate_to(min(log.applied.values()))
-
-    def best_source(self, list_id: int) -> int | None:
-        """The live replica with the highest applied version (ties by
-        placement order) — the migration export source."""
-        applied = self._logs[list_id].applied
-        best: int | None = None
-        best_version = -1
-        for server_index in self._replicas_of(list_id):
-            if not self._alive(server_index):
-                continue
-            version = applied[server_index]
-            if version > best_version:
-                best, best_version = server_index, version
-        return best
 
     # -- observability ---------------------------------------------------------
 

@@ -17,8 +17,8 @@ which schedules them over a deterministic virtual-time
                                 2 dedup shared slices  env    +----------+
      ◂─deliver()/result()──     3 route @ epoch   ──{srv 1}─▸ | server 1 |
                                 4 demux by slice id           +----------+
-          background daemons:   replication delivery · anti-entropy ·
-                                (every R ticks) rebalance
+          background daemon:    replication delivery · anti-entropy ·
+                                failover checks
 
 Per *flush* the coordinator (1) gathers every ready session's pending
 fetch slices in submission-age order, (2) deduplicates identical
@@ -35,8 +35,8 @@ overlaps the envelope build of round *n + 1* (counted by
 anti-entropy sweep and failover checks it carries, runs as a background
 loop daemon at the end of every tick instead of piggybacking on the flush.
 Every envelope pins the placement epoch it was routed under, so a
-rebalance can never tear a flush: the cluster rejects stale-epoch
-envelopes instead of serving them from the wrong shard.
+failover election can never tear a flush: the cluster rejects
+stale-epoch envelopes instead of serving them from a deposed primary.
 
 Admission is governed by *real backpressure* rather than unbounded
 parking: with ``max_queue_depth`` set, an arrival that would exceed the
@@ -66,7 +66,7 @@ from dataclasses import replace as dataclass_replace
 
 from repro.core.client import ClientQuerySession, MultiQueryResult, ZerberRClient
 from repro.core.cluster import ServerCluster
-from repro.core.eventloop import MAINTENANCE, EventLoop
+from repro.core.eventloop import EventLoop
 from repro.core.protocol import (
     BackpressureSignal,
     BatchFetchRequest,
@@ -105,8 +105,8 @@ class CoordinatorStats:
     cross-session deduplication — the difference is work served from a
     shared response.  ``server_calls`` counts envelopes sent (the number a
     latency-bound deployment cares about).  ``stale_epoch_reroutes`` counts envelopes the cluster rejected with
-    :class:`~repro.errors.StaleEpochError` (a failover election or
-    rebalance bumped the epoch after routing) whose slices were
+    :class:`~repro.errors.StaleEpochError` (a failover election bumped
+    the epoch after routing) whose slices were
     re-routed under the new placement instead of failing the flush.
     ``backpressure_sheds`` counts arrivals refused at admission (queue
     depth exhausted) — shed *before* anything was acknowledged, so a
@@ -123,8 +123,6 @@ class CoordinatorStats:
     slices_sent: int = 0
     sessions_completed: int = 0
     sessions_spilled: int = 0  # always 0: no flush defers a session any more
-    rebalances: int = 0
-    lists_migrated: int = 0
     stale_epoch_reroutes: int = 0
     backpressure_sheds: int = 0
     pipeline_overlap: int = 0
@@ -159,7 +157,6 @@ class Coordinator:
     def __init__(
         self,
         cluster: ServerCluster,
-        rebalance_every: int | None = None,
         *,
         round_latency: int = 0,
         max_queue_depth: int | None = None,
@@ -170,14 +167,11 @@ class Coordinator:
         separate an envelope's dispatch from its sessions' skim delivery
         (0 — the default — delivers later in the dispatching tick).
         """
-        if rebalance_every is not None and rebalance_every < 1:
-            raise ConfigurationError("rebalance_every must be >= 1")
         if round_latency < 0:
             raise ConfigurationError("round_latency must be >= 0")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ConfigurationError("max_queue_depth must be >= 1")
         self._cluster = cluster
-        self._rebalance_every = rebalance_every
         self._round_latency = round_latency
         self._max_queue_depth = max_queue_depth
         self._loop = EventLoop()
@@ -199,13 +193,6 @@ class Coordinator:
         # One scheduling tick is one replication tick: the daemon fires at
         # BACKGROUND priority, after all of the tick's session work.
         self._loop.every(1, cluster.replication_tick, name="replication-delivery")
-        if rebalance_every is not None:
-            self._loop.every(
-                rebalance_every,
-                self._rebalance_task,
-                name="rebalance",
-                priority=MAINTENANCE,
-            )
 
     @property
     def cluster(self) -> ServerCluster:
@@ -529,9 +516,8 @@ class Coordinator:
         """Send one envelope per touched server (routes fixed at gather).
 
         An envelope the cluster rejects with
-        :class:`~repro.errors.StaleEpochError` — a failover election or an
-        externally triggered rebalance bumped the placement epoch between
-        routing and delivery — is not an error for its sessions: the
+        :class:`~repro.errors.StaleEpochError` — a failover election bumped
+        the placement epoch between routing and delivery — is not an error for its sessions: the
         rejected slices are re-routed under the now-current placement and
         re-sent, so an epoch bump costs the affected slices one extra
         envelope instead of failing the whole flush.
@@ -642,23 +628,3 @@ class Coordinator:
                 self.evict(session)
             raise
         return [session.result() for session in sessions]
-
-    # -- placement ---------------------------------------------------------------
-
-    def _rebalance_task(self) -> None:
-        """Periodic maintenance daemon body (see :meth:`rebalance`)."""
-        self.rebalance()
-
-    def rebalance(self) -> dict[int, tuple[int, ...]]:
-        """Trigger heat-driven shard rebalancing between flushes.
-
-        Safe at any tick boundary: the next flush routes from the updated
-        placement table under the bumped epoch, and session state (offsets
-        into readable sub-lists) is placement-independent, so in-flight
-        queries continue with identical results.
-        """
-        moves = self._cluster.rebalance()
-        if moves:
-            self.stats.rebalances += 1
-            self.stats.lists_migrated += len(moves)
-        return moves

@@ -39,7 +39,7 @@ log that the attack modules read.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from repro.core.protocol import (
@@ -137,11 +137,8 @@ class ZerberRServer:
             key_service, capacity=readable_view_capacity
         )
         self._batch_counter = 0
-        # Per-list fetch counters ("heat") — drive heat-weighted placement —
-        # with their running total (the read-load signal, asked per
-        # routing decision), and a call counter (round-trips served,
-        # whatever the envelope).
-        self._fetch_counts: dict[int, int] = {}
+        # Slices served (the per-server read load) and round-trips served,
+        # whatever the envelope.
         self._slices_served = 0
         self._calls_served = 0
 
@@ -166,14 +163,8 @@ class ZerberRServer:
         return self._calls_served
 
     @property
-    def fetch_counts(self) -> dict[int, int]:
-        """Slices served per list id — the list-heat signal placement uses."""
-        return dict(self._fetch_counts)
-
-    @property
     def slices_served(self) -> int:
-        """Slices served over all lists: ``sum(fetch_counts.values())``,
-        kept as a running total."""
+        """Slices served over all lists, kept as a running total."""
         return self._slices_served
 
     def list_length(self, list_id: int) -> int:
@@ -347,8 +338,7 @@ class ZerberRServer:
         (see :meth:`MergedPostingList.find_by_ciphertext`).  Returns
         whether an element was removed (a miss is tolerated: log order
         guarantees the insert preceded this delete, so a miss can only
-        mean the state was imported wholesale past this op during a
-        migration).
+        mean the state was restored wholesale past this op).
         """
         merged = self._list(list_id)
         found = merged.find_by_ciphertext(ciphertext, trs)
@@ -359,34 +349,11 @@ class ZerberRServer:
         self._views.note_delete(merged, target, replication=True)
         return True
 
-    # -- shard migration (cluster control plane) --------------------------------
+    # -- crash recovery (persistence support; see repro.persist) ----------------
 
     def export_list(self, list_id: int) -> list[EncryptedPostingElement]:
-        """Snapshot one list's elements in server order (migration source)."""
+        """Snapshot one list's elements in server order."""
         return list(self._list(list_id).elements)
-
-    def import_list(
-        self, list_id: int, elements: Iterable[EncryptedPostingElement]
-    ) -> None:
-        """Replace one list's content wholesale (migration target).
-
-        Elements arrive already encrypted and TRS-tagged from the source
-        replica — no membership re-check, the data was admitted when first
-        inserted — and in the source's TRS order, which the load keeps
-        (ties included): each element bisects to the end of the list.
-        Cached views of the list are dropped.
-        """
-        merged = self._list(list_id)
-        merged.clear()
-        merged.bulk_load_sorted_by_trs(elements)
-        self._views.invalidate_list(list_id)
-
-    def clear_list(self, list_id: int) -> None:
-        """Drop one list's content (this server no longer hosts it)."""
-        self._list(list_id).clear()
-        self._views.invalidate_list(list_id)
-
-    # -- crash recovery (persistence support; see repro.persist) ----------------
 
     def list_version(self, list_id: int) -> int:
         """The mutation counter of one merged list (persisted with the list)."""
@@ -400,9 +367,7 @@ class ZerberRServer:
     ) -> None:
         """Reinstall one list's persisted content *and* version counter.
 
-        Unlike :meth:`import_list` (migration — the counter keeps
-        advancing), a restored list resumes at its pre-restart version,
-        so version-stamped fetch responses and the replication manager's
+        A restored list resumes at its pre-restart version, so version-stamped fetch responses and the replication manager's
         applied versions stay comparable across the restart.  A dump is
         written in list order, which the load keeps as it is; a dump
         that is not comes back TRS-sorted.
@@ -414,31 +379,6 @@ class ZerberRServer:
         merged.bulk_load_sorted_by_trs(elements)
         merged.version = version
         self._views.invalidate_list(list_id)
-
-    def restore_heat(
-        self, fetch_counts: Mapping[int, int], calls: int
-    ) -> None:
-        """Reinstall persisted per-list fetch counters and the call count.
-
-        Heat drives heat-weighted placement (and the monitor's read-heat
-        series); before it was persisted, every restart silently reset
-        the signal to zero and the first post-restart rebalance saw a
-        cold cluster.  Counter values must be non-negative; unknown list
-        ids are rejected (the snapshot and the topology travel together).
-        """
-        if calls < 0:
-            raise ProtocolError("calls served must be >= 0")
-        counts = dict(fetch_counts)
-        for list_id, count in counts.items():
-            if list_id not in self._lists:
-                raise UnknownListError(list_id)
-            if count < 0:
-                raise ProtocolError(
-                    f"list {list_id}: fetch count must be >= 0"
-                )
-        self._fetch_counts = counts
-        self._slices_served = sum(counts.values())
-        self._calls_served = calls
 
     def spill_views(self, limit: int) -> list[dict]:
         """Spill records of the hottest *fresh* readable views.
@@ -570,7 +510,6 @@ class ZerberRServer:
         slice_, readable_length = self._views.slice(
             self._list(list_id), principal, offset, count
         )
-        self._fetch_counts[list_id] = self._fetch_counts.get(list_id, 0) + 1
         self._slices_served += 1
         observations = self.observations
         observations.append(

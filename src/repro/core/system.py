@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.client import QueryResult, ZerberRClient
 from repro.core.cluster import ServerCluster
 from repro.core.confidentiality import ConfidentialityAudit, audit_merge_plan
-from repro.core.placement import PlacementPolicy, ReadSelector
+from repro.core.placement import ReadSelector
 from repro.core.replication import ReadConsistency, WriteConsistency
 from repro.core.protocol import ResponsePolicy
 from repro.core.router import Coordinator
@@ -34,7 +34,7 @@ from repro.corpus.documents import Corpus
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError
 from repro.index.merge import MergePlan, bfm_merge, greedy_pairing_merge, random_merge
-from repro.obs import ClusterMonitor, Telemetry
+from repro.obs import Telemetry
 from repro.text.vocabulary import Vocabulary
 
 MERGE_SCHEMES = ("bfm", "random", "greedy")
@@ -272,8 +272,6 @@ class ZerberRSystem:
         self,
         num_servers: int,
         replication: int = 1,
-        placement: PlacementPolicy | None = None,
-        rebalance_every: int | None = None,
         lag: int = 0,
         read_consistency: ReadConsistency | str | None = None,
         read_strategy: ReadSelector | str | None = None,
@@ -281,7 +279,6 @@ class ZerberRSystem:
         write_consistency: WriteConsistency | str | None = None,
         failover_after: int | None = None,
         telemetry: Telemetry | None = None,
-        monitor_every: int | None = None,
         round_latency: int = 0,
         max_queue_depth: int | None = None,
     ) -> tuple[ServerCluster, Coordinator]:
@@ -311,19 +308,15 @@ class ZerberRSystem:
 
         *telemetry* (see :mod:`repro.obs`) instruments every layer of the
         deployment — coordinator, cluster read/write paths, replication,
-        views, clients obtained via ``client_for(p, server=cluster)`` —
-        and *monitor_every* additionally attaches a
-        :class:`~repro.obs.ClusterMonitor` sampling heat/load/backlog
-        every that many replication ticks.  Both default to off: an
-        uninstrumented deployment runs the seed code paths with shared
-        no-op instruments.
+        views, clients obtained via ``client_for(p, server=cluster)``.  It
+        defaults to off: an uninstrumented deployment runs the seed code
+        paths with shared no-op instruments.
         """
         cluster = ServerCluster(
             self.key_service,
             num_lists=self.merge_plan.num_lists,
             num_servers=num_servers,
             replication=replication,
-            placement=placement,
             lag=lag,
             read_consistency=read_consistency,
             read_strategy=read_strategy,
@@ -333,35 +326,8 @@ class ZerberRSystem:
             telemetry=telemetry,
         )
         self._shard_index_into(cluster)
-        return self._front(
-            cluster, rebalance_every, monitor_every, round_latency, max_queue_depth
-        )
-
-    @staticmethod
-    def _front(
-        cluster: ServerCluster,
-        rebalance_every: int | None,
-        monitor_every: int | None,
-        round_latency: int,
-        max_queue_depth: int | None,
-    ) -> tuple[ServerCluster, Coordinator]:
-        """The tail :meth:`deploy_cluster` and :meth:`restore_cluster`
-        share: attach the monitor, then front *cluster* with a
-        coordinator.  Every coordinator knob is passed here and only here.
-        """
-        if monitor_every is not None:
-            if cluster.telemetry is None:
-                raise ConfigurationError(
-                    "monitor_every requires telemetry to record samples into"
-                )
-            cluster.attach_monitor(
-                ClusterMonitor(cluster.telemetry, every=monitor_every)
-            )
         return cluster, Coordinator(
-            cluster,
-            rebalance_every=rebalance_every,
-            round_latency=round_latency,
-            max_queue_depth=max_queue_depth,
+            cluster, round_latency=round_latency, max_queue_depth=max_queue_depth
         )
 
     # -- durability (see repro.persist) ------------------------------------------
@@ -395,11 +361,8 @@ class ZerberRSystem:
     def restore_cluster(
         self,
         path: str | Path,
-        placement: PlacementPolicy | None = None,
         read_strategy: ReadSelector | str | None = None,
-        rebalance_every: int | None = None,
         telemetry: Telemetry | None = None,
-        monitor_every: int | None = None,
         round_latency: int = 0,
         max_queue_depth: int | None = None,
     ) -> tuple[ServerCluster, Coordinator]:
@@ -417,7 +380,6 @@ class ZerberRSystem:
         cluster, merge_plan, _ = load_cluster(
             path,
             self.key_service,
-            placement=placement,
             read_strategy=read_strategy,
             telemetry=telemetry,
         )
@@ -426,8 +388,8 @@ class ZerberRSystem:
                 f"{path}: snapshot was taken under a different merge plan; "
                 "restore it through repro.persist.load_cluster instead"
             )
-        return self._front(
-            cluster, rebalance_every, monitor_every, round_latency, max_queue_depth
+        return cluster, Coordinator(
+            cluster, round_latency=round_latency, max_queue_depth=max_queue_depth
         )
 
     # -- convenience -----------------------------------------------------------------

@@ -201,7 +201,7 @@ class StaleEpochError(ProtocolError):
     """An envelope was routed under an outdated placement epoch.
 
     Raised by :meth:`~repro.core.cluster.ServerCluster.serve_envelope`
-    when a rebalance or failover election bumped the epoch after the
+    when a failover election bumped the epoch after the
     envelope was routed.  The coordinator catches this and re-routes the
     in-flight slices under the current placement instead of failing the
     scheduling tick.

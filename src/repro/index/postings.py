@@ -300,7 +300,7 @@ class MergedPostingList:
         return self.pop_at(position)
 
     def clear(self) -> None:
-        """Drop every element (shard migration hands the list elsewhere)."""
+        """Drop every element (a restore reloads the list from a dump)."""
         self.elements.clear()
         self._neg_trs_keys.clear()
         self.version += 1

@@ -1,6 +1,6 @@
 """``repro.obs`` — dependency-free unified telemetry.
 
-Three cooperating pieces, all injectable and all deterministic under
+Two cooperating pieces, all injectable and all deterministic under
 the ``repro.core`` rules (tick clock only, no wall time, no global
 state):
 
@@ -12,10 +12,6 @@ state):
   (query → coalesce → envelope → serve → skim → read-repair),
   tick-stamped, in a bounded ring buffer; the trace-context id rides
   the wire on ``FetchRequest`` / ``CoalescedBatchRequest``.
-* **Monitoring** — :class:`ClusterMonitor` samples the cluster every N
-  ticks into fixed-size time-series windows of per-list read/write
-  heat and per-server load — the input surface for ROADMAP item 2's
-  forecasters.
 
 :class:`Telemetry` bundles a registry and a tracer into the single
 object threaded through ``deploy_cluster`` and the layer constructors;
@@ -34,19 +30,16 @@ from repro.obs.export import (
 )
 from repro.obs.instruments import Telemetry
 from repro.obs.metrics import Counter, Gauge, Histogram
-from repro.obs.monitor import ClusterMonitor, MonitorSample
 from repro.obs.registry import METRIC_CATALOG, MetricSpec, MetricsRegistry
 from repro.obs.trace import Span, Trace, Tracer
 
 __all__ = [
     "METRIC_CATALOG",
-    "ClusterMonitor",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricSpec",
     "MetricsRegistry",
-    "MonitorSample",
     "Span",
     "Telemetry",
     "Trace",

@@ -1,4 +1,4 @@
-"""Exposition formats: JSON and human text for metrics, traces, monitor.
+"""Exposition formats: JSON and human text for metrics and traces.
 
 The JSON shapes are stable, sorted, and schema-stamped so CI can diff
 artifacts across runs; the text renderers exist for the CLI
@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 
-from repro.obs.monitor import ClusterMonitor
 from repro.obs.trace import Span, Trace
 
 METRICS_SCHEMA_VERSION = 1
@@ -19,26 +18,15 @@ METRICS_SCHEMA_VERSION = 1
 
 def metrics_to_dict(
     snapshot: Mapping[str, Mapping[str, object]],
-    *,
-    monitor: ClusterMonitor | None = None,
 ) -> dict[str, object]:
-    record: dict[str, object] = {
+    return {
         "schema_version": METRICS_SCHEMA_VERSION,
         "metrics": {name: dict(snapshot[name]) for name in sorted(snapshot)},
     }
-    if monitor is not None:
-        record["monitor"] = monitor.to_dict()
-    return record
 
 
-def metrics_to_json(
-    snapshot: Mapping[str, Mapping[str, object]],
-    *,
-    monitor: ClusterMonitor | None = None,
-) -> str:
-    return json.dumps(
-        metrics_to_dict(snapshot, monitor=monitor), indent=2, sort_keys=True
-    )
+def metrics_to_json(snapshot: Mapping[str, Mapping[str, object]]) -> str:
+    return json.dumps(metrics_to_dict(snapshot), indent=2, sort_keys=True)
 
 
 def _format_value(value: float) -> str:

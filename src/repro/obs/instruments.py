@@ -50,8 +50,7 @@ class Telemetry:
     The tick clock starts as a constant 0 and is bound to the owning
     cluster's replication tick counter when the cluster attaches
     (:meth:`bind_clock`), so span timestamps share the one sanctioned
-    time source.  ``monitor`` is attached by ``deploy_cluster`` /
-    :meth:`ServerCluster.attach_monitor` when sampling is wanted.
+    time source.
     """
 
     def __init__(
@@ -63,7 +62,6 @@ class Telemetry:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._clock: Callable[[], int] = lambda: 0
         self.tracer = Tracer(self._now, capacity=trace_capacity)
-        self.monitor: object | None = None
         self._bundles: list[_InstrumentBundle] = []
 
     def _now(self) -> int:
@@ -276,9 +274,8 @@ class ClusterInstruments(_InstrumentBundle):
         *,
         replication_stats: Callable[[], object],
         view_stats: Callable[[], object],
-        list_heat: Callable[[], Mapping[int, int]],
-        list_write_heat: Callable[[], Mapping[int, int]],
         per_server_load: Callable[[], Sequence[int]],
+        replication_backlog: Callable[[], Mapping[tuple[int, int], int]],
         log_lengths: Callable[[], Mapping[int, int]],
     ) -> None:
         if telemetry is None:
@@ -292,8 +289,7 @@ class ClusterInstruments(_InstrumentBundle):
         max_staleness = registry.gauge("replication_max_staleness")
         view_counters = _mirror_stats(registry, "views", VIEW_STAT_FIELDS)
         server_load = registry.gauge("cluster_server_load")
-        read_heat = registry.gauge("cluster_list_read_heat")
-        write_heat = registry.gauge("cluster_list_write_heat")
+        follower_backlog = registry.gauge("replication_follower_backlog")
         log_length = registry.gauge("replication_log_length")
 
         def collect() -> None:
@@ -303,12 +299,13 @@ class ClusterInstruments(_InstrumentBundle):
             )
             max_staleness.set(float(getattr(stats, "max_staleness_seen")))
             _collect_stats(view_counters, view_stats())
-            for index, load in enumerate(per_server_load()):
+            loads = per_server_load()
+            behind = [0] * len(loads)
+            for (_, server_index), depth in replication_backlog().items():
+                behind[server_index] += depth
+            for index, load in enumerate(loads):
                 server_load.set(float(load), server=str(index))
-            for list_id, heat in sorted(list_heat().items()):
-                read_heat.set(float(heat), list=str(list_id))
-            for list_id, heat in sorted(list_write_heat().items()):
-                write_heat.set(float(heat), list=str(list_id))
+                follower_backlog.set(float(behind[index]), server=str(index))
             for list_id, length in sorted(log_lengths().items()):
                 log_length.set(float(length), list=str(list_id))
 
@@ -320,7 +317,6 @@ class ReplicationInstruments(_InstrumentBundle):
 
     _swap = (
         ("ack_latency", NULL_BOUND_HISTOGRAM),
-        ("replica_lag", NULL_BOUND_HISTOGRAM),
     )
 
     def __init__(self, telemetry: Telemetry | None) -> None:
@@ -330,10 +326,8 @@ class ReplicationInstruments(_InstrumentBundle):
             self.ack_latency = registry.histogram(
                 "replication_ack_latency_ticks"
             ).bind()
-            self.replica_lag = registry.histogram("replication_replica_lag").bind()
         else:
             self.ack_latency = NULL_HISTOGRAM.bind()
-            self.replica_lag = NULL_HISTOGRAM.bind()
 
 
 class ClientInstruments(_InstrumentBundle):

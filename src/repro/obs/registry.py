@@ -66,8 +66,6 @@ COORDINATOR_STAT_FIELDS: tuple[str, ...] = (
     "slices_sent",
     "sessions_completed",
     "sessions_spilled",
-    "rebalances",
-    "lists_migrated",
     "stale_epoch_reroutes",
     "backpressure_sheds",
     "pipeline_overlap",
@@ -168,20 +166,8 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec(
         "cluster_server_load",
         "gauge",
-        "cumulative slices served per server (placement-heat surface)",
+        "cumulative slices served per server",
         unit="slices",
-    ),
-    MetricSpec(
-        "cluster_list_read_heat",
-        "gauge",
-        "cumulative fetches per merged posting list",
-        unit="slices",
-    ),
-    MetricSpec(
-        "cluster_list_write_heat",
-        "gauge",
-        "cumulative replication-log writes per merged posting list",
-        unit="ops",
     ),
     # -- replication ------------------------------------------------------
     *_stats_counters("replication", REPLICATION_STAT_FIELDS),
@@ -205,11 +191,10 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
         unit="ops",
     ),
     MetricSpec(
-        "replication_replica_lag",
-        "histogram",
-        "per-(list, follower) backlog depth sampled by the cluster monitor",
+        "replication_follower_backlog",
+        "gauge",
+        "log ops a server still lacks, summed over the lists it holds",
         unit="ops",
-        buckets=DEFAULT_SIZE_BUCKETS,
     ),
     MetricSpec(
         "replication_elections_total",

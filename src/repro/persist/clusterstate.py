@@ -6,7 +6,7 @@ forget across a restart (the ``cluster`` section of a dump):
 * every server's merged lists **with their mutation counters** — so
   version-stamped fetch responses stay comparable across the restart;
 * the placement table and its epoch — so pre-restart envelopes are
-  correctly rejected, not silently served from a reshuffled shard map;
+  correctly rejected, not silently served from a pre-election shard map;
 * the replication manager's durable state: each list's log tail above
   ``base_seq``, every replica's applied version, the lag, the
   anti-entropy cadence, the tick clock, and the paused/down server sets;
@@ -31,7 +31,7 @@ from pathlib import Path
 from time import perf_counter
 
 from repro.core.cluster import ServerCluster
-from repro.core.placement import PlacementPolicy, ReadSelector
+from repro.core.placement import ReadSelector
 from repro.core.replication import FailoverEvent, ReplicationOp
 from repro.core.rstf import RstfModel
 from repro.crypto.keys import GroupKeyService
@@ -173,17 +173,6 @@ def cluster_to_dict(
             {
                 **server_to_dict(cluster.server(server_index)),
                 "views": cluster.server(server_index).spill_views(spill_views),
-                # Per-server heat: without it heat-weighted placement
-                # (and the monitor's heat series) would reset every restart.
-                "heat": {
-                    "fetch_counts": {
-                        str(list_id): count
-                        for list_id, count in sorted(
-                            cluster.server(server_index).fetch_counts.items()
-                        )
-                    },
-                    "calls": cluster.server(server_index).num_calls,
-                },
             }
             for server_index in range(cluster.num_servers)
         ],
@@ -197,21 +186,20 @@ def cluster_from_dict(
     data: dict,
     key_service: GroupKeyService,
     source: str | Path = "<dump>",
-    placement: PlacementPolicy | None = None,
     read_strategy: ReadSelector | str | None = None,
     telemetry: Telemetry | None = None,
 ) -> ServerCluster:
     """Recover a live cluster from a dumped ``cluster`` section.
 
-    *placement* and *read_strategy* are runtime policy — code, not data —
-    so they are supplied by the caller (defaults match the cluster
-    defaults); the authoritative placement *table* and epoch come from
-    the dump regardless of the policy object.  *telemetry*, likewise
-    runtime wiring, instruments the recovered cluster from its first
-    post-restore operation on.
+    *read_strategy* is runtime policy — code, not data — so it is
+    supplied by the caller (the default matches the cluster default);
+    the placement table and epoch come from the dump.  *telemetry*,
+    likewise runtime wiring, instruments the recovered cluster from its
+    first post-restore operation on.
 
     Per-server lag is gone: a dump whose ``lag.per_server`` names any
-    server is refused rather than restored under a different lag.
+    server is refused rather than restored under a different lag.  A
+    per-server ``heat`` block, which older dumps carry, is not read.
     """
     try:
         num_lists = int(data["num_lists"])
@@ -226,7 +214,6 @@ def cluster_from_dict(
             num_lists=num_lists,
             num_servers=num_servers,
             replication=replication,
-            placement=placement,
             lag=int(lag_data.get("fixed_ticks", 0)),
             read_consistency=data.get("read_consistency"),
             read_strategy=read_strategy,
@@ -279,23 +266,6 @@ def cluster_from_dict(
         )
     for server_index, server_data in enumerate(servers_data):
         load_server_state(cluster.server(server_index), server_data, source)
-        heat = server_data.get("heat")
-        if heat is not None:  # a dump without the section stays cold
-            try:
-                cluster.server(server_index).restore_heat(
-                    {
-                        decode_list_id(list_id_str, num_lists, source): int(count)
-                        for list_id_str, count in heat.get(
-                            "fetch_counts", {}
-                        ).items()
-                    },
-                    int(heat.get("calls", 0)),
-                )
-            except (ReproError, TypeError, ValueError) as error:
-                raise ConfigurationError(
-                    f"{source}: corrupt cluster dump: server {server_index} "
-                    f"heat section: {error}"
-                ) from error
 
     repl = cluster.replication_manager
     state = data.get("replication_state", {})
@@ -404,7 +374,6 @@ def save_cluster(
 def load_cluster(
     path: str | Path,
     key_service: GroupKeyService,
-    placement: PlacementPolicy | None = None,
     read_strategy: ReadSelector | str | None = None,
     telemetry: Telemetry | None = None,
 ) -> tuple[ServerCluster, MergePlan, RstfModel]:
@@ -439,7 +408,6 @@ def load_cluster(
         cluster_section,
         key_service,
         source=path,
-        placement=placement,
         read_strategy=read_strategy,
         telemetry=telemetry,
     )

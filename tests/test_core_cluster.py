@@ -677,3 +677,114 @@ class TestReadInstrumentsPerServerCall:
         assert telemetry.registry.counter("cluster_reads_total").total() == 0
         cluster.fetch(FetchRequest("u", 0, 0, 1))
         assert telemetry.registry.counter("cluster_reads_total").total() == 1
+
+
+class TestClusterStateGauges:
+    """The cluster collector mirrors per-server state into two gauges at
+    snapshot time: ``cluster_server_load`` (slices served) and
+    ``replication_follower_backlog`` (log ops a server still lacks,
+    summed over the lists it holds)."""
+
+    def _cluster(self, telemetry, **kwargs):
+        keys = GroupKeyService(master_secret=b"g" * 32)
+        keys.register("u", {"g"})
+        return ServerCluster(
+            keys, num_lists=3, num_servers=3, replication=3, telemetry=telemetry, **kwargs
+        )
+
+    @staticmethod
+    def _gauge(telemetry, name):
+        series = telemetry.registry.snapshot()[name]["series"]
+        return {int(entry["labels"]["server"]): entry["value"] for entry in series}
+
+    def test_backlog_reads_zero_on_every_server_when_converged(self):
+        telemetry = Telemetry()
+        cluster = self._cluster(telemetry)
+        for list_id in range(3):
+            cluster.insert("u", list_id, _element(0.5, b"c%d" % list_id))
+        assert cluster.replication_backlog() == {}
+        backlog = self._gauge(telemetry, "replication_follower_backlog")
+        assert backlog == {0: 0.0, 1: 0.0, 2: 0.0}
+
+    def test_backlog_follows_a_paused_follower_down_and_back(self):
+        telemetry = Telemetry()
+        cluster = self._cluster(telemetry, lag=1)
+        cluster.pause_follower(2)
+        for i in range(4):
+            cluster.insert("u", i % 3, _element(0.1 * (i + 1), b"p%d" % i))
+        cluster.run_replication_until_quiet()
+        backlog = self._gauge(telemetry, "replication_follower_backlog")
+        # Server 2 leads list 2 (one op) and lacks lists 0 (two) and 1 (one).
+        assert backlog == {0: 0.0, 1: 0.0, 2: 3.0}
+        cluster.resume_follower(2)
+        cluster.run_replication_until_quiet()
+        assert self._gauge(telemetry, "replication_follower_backlog") == {
+            0: 0.0,
+            1: 0.0,
+            2: 0.0,
+        }
+
+    def test_server_load_mirrors_per_server_load(self):
+        telemetry = Telemetry()
+        cluster = self._cluster(telemetry, read_strategy="rotate")
+        for list_id in range(3):
+            cluster.insert("u", list_id, _element(0.5, b"l%d" % list_id))
+        for step in range(7):
+            cluster.fetch(FetchRequest("u", step % 3, 0, 1), consistency="one")
+        load = self._gauge(telemetry, "cluster_server_load")
+        assert [load[s] for s in range(3)] == cluster.per_server_load()
+        assert sum(load.values()) == 7
+
+
+class TestLoadAccounting:
+    """``per_server_load`` counts slices and ``total_calls`` server calls,
+    for each of the three read shapes."""
+
+    def _cluster(self, keys):
+        cluster = ServerCluster(keys, num_lists=4, num_servers=2)
+        for list_id in range(4):
+            cluster.insert("u", list_id, _element(0.5, b"a%d" % list_id))
+        return cluster
+
+    def test_a_fetch_is_one_call_of_one_slice(self, keys):
+        cluster = self._cluster(keys)
+        cluster.fetch(FetchRequest("u", 1, 0, 1))
+        assert cluster.total_calls == 1
+        assert cluster.per_server_load() == [0, 1]
+
+    def test_a_split_batch_is_one_call_per_touched_server(self, keys):
+        cluster = self._cluster(keys)
+        batch = BatchFetchRequest.for_slices(
+            "u", [(0, 0, 1), (1, 0, 1), (2, 0, 1)]
+        )
+        cluster.batch_fetch(batch)
+        assert cluster.total_calls == 2
+        assert cluster.per_server_load() == [2, 1]
+
+    def test_an_envelope_is_one_call(self, keys):
+        cluster = self._cluster(keys)
+        envelope = CoalescedBatchRequest(
+            batches=(BatchFetchRequest.for_slices("u", [(0, 0, 1), (2, 0, 1)]),),
+            slice_ids=(0, 1),
+            epoch=cluster.placement_epoch,
+        )
+        cluster.serve_envelope(0, envelope)
+        assert cluster.total_calls == 1
+        assert cluster.per_server_load() == [2, 0]
+
+    def test_an_election_keeps_the_counts(self, keys):
+        cluster = ServerCluster(
+            keys, num_lists=4, num_servers=2, replication=2, failover_after=1
+        )
+        for list_id in range(4):
+            cluster.insert("u", list_id, _element(0.5, b"b%d" % list_id))
+        for list_id in range(4):
+            cluster.fetch(FetchRequest("u", list_id, 0, 1))
+        assert cluster.per_server_load() == [2, 2]
+        cluster.fail_server(1)
+        cluster.replication_tick()
+        cluster.replication_tick()
+        assert cluster.placement_epoch == 1
+        cluster.fetch(FetchRequest("u", 1, 0, 1))
+        assert cluster.per_server_load() == [3, 2]
+        assert cluster.total_calls == 5

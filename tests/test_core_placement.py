@@ -1,43 +1,98 @@
-"""Unit tests for pluggable placement policies and shard migration."""
+"""Unit tests for the static round-robin placement and its validation.
+
+A list's replica *set* is fixed when the cluster is built; a failover
+election only reorders it (the winner first, the deposed primary kept
+as a follower), and nothing ever hands a list back or moves it.
+"""
+
+from collections import Counter
 
 import pytest
 
 from repro.core.cluster import ServerCluster
-from repro.core.placement import (
-    HeatWeightedPlacement,
-    RoundRobinPlacement,
-    load_balance_ratio,
-    validate_placement,
-)
+from repro.core.placement import round_robin_placement, validate_placement
 from repro.core.protocol import FetchRequest
 from repro.crypto.keys import GroupKeyService
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.index.postings import EncryptedPostingElement
 
-
-@pytest.fixture()
-def keys():
-    svc = GroupKeyService(master_secret=b"p" * 32)
-    svc.register("u", {"g"})
-    return svc
+# (num_lists, num_servers, replication)
+SHAPES = [(1, 1, 1), (7, 3, 1), (7, 3, 2), (7, 3, 3), (10, 4, 2), (4, 10, 3)]
 
 
-def _element(trs, payload=b"cipher"):
-    return EncryptedPostingElement(ciphertext=payload, group="g", trs=trs)
+def _keys():
+    keys = GroupKeyService(master_secret=b"p" * 32)
+    keys.register("u", {"g"})
+    return keys
 
 
-class TestRoundRobinPlacement:
+def _filled(num_lists=6, num_servers=3, replication=2, **kwargs):
+    cluster = ServerCluster(
+        _keys(),
+        num_lists=num_lists,
+        num_servers=num_servers,
+        replication=replication,
+        **kwargs,
+    )
+    for i in range(3 * num_lists):
+        element = EncryptedPostingElement(b"s-%02d" % i, "g", (i + 1) / 100.0)
+        cluster.insert("u", i % num_lists, element)
+    return cluster
+
+
+def _contents(cluster):
+    return {
+        list_id: [
+            e.ciphertext
+            for e in cluster.fetch(FetchRequest("u", list_id, 0, 100)).elements
+        ]
+        for list_id in range(cluster.num_lists)
+    }
+
+
+class TestRoundRobinLayout:
     def test_matches_seed_modulo_rule(self):
-        placement = RoundRobinPlacement().initial_placement(
+        placement = round_robin_placement(
             num_lists=10, num_servers=4, replication=2
         )
         for list_id, replicas in enumerate(placement):
             assert replicas == (list_id % 4, (list_id + 1) % 4)
 
-    def test_never_proposes_moves(self):
-        policy = RoundRobinPlacement()
-        current = policy.initial_placement(6, 3, 1)
-        assert policy.propose({0: 1000}, current, 3, 1) == {}
+    def test_cluster_is_laid_out_round_robin(self):
+        keys = GroupKeyService(master_secret=b"p" * 32)
+        cluster = ServerCluster(keys, num_lists=7, num_servers=3, replication=2)
+        assert cluster.placement_table() == round_robin_placement(7, 3, 2)
+        assert cluster.placement_epoch == 0
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rows_hold_consecutive_distinct_servers(self, shape):
+        num_lists, num_servers, replication = shape
+        placement = round_robin_placement(num_lists, num_servers, replication)
+        assert len(placement) == num_lists
+        for list_id, replicas in enumerate(placement):
+            assert len(set(replicas)) == len(replicas) == replication
+            assert replicas[0] == list_id % num_servers
+            for rank in range(1, replication):
+                assert replicas[rank] == (replicas[rank - 1] + 1) % num_servers
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_every_rank_is_spread_evenly(self, shape):
+        num_lists, num_servers, replication = shape
+        placement = round_robin_placement(num_lists, num_servers, replication)
+        for rank in range(replication):
+            held = Counter(replicas[rank] for replicas in placement)
+            counts = [held.get(s, 0) for s in range(num_servers)]
+            assert max(counts) - min(counts) <= 1, (rank, counts)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_passes_its_own_validation(self, shape):
+        num_lists, num_servers, replication = shape
+        placement = round_robin_placement(num_lists, num_servers, replication)
+        as_lists = [list(replicas) for replicas in placement]
+        assert (
+            validate_placement(as_lists, num_lists, num_servers, replication)
+            == placement
+        )
 
 
 class TestValidation:
@@ -55,321 +110,137 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             validate_placement([(5,)], num_lists=1, num_servers=2, replication=1)
 
+    def test_rejects_a_negative_server_index(self):
+        with pytest.raises(ConfigurationError, match="unknown server"):
+            validate_placement([(-1,)], num_lists=1, num_servers=2, replication=1)
 
-class TestHeatWeightedPlacement:
-    def test_initial_is_round_robin(self):
-        hw = HeatWeightedPlacement().initial_placement(8, 4, 2)
-        rr = RoundRobinPlacement().initial_placement(8, 4, 2)
-        assert hw == rr
+    def test_rejects_extra_lists_and_names_the_bad_row(self):
+        with pytest.raises(ConfigurationError, match="covers 3 lists"):
+            validate_placement(
+                [(0,), (1,), (0,)], num_lists=2, num_servers=2, replication=1
+            )
+        with pytest.raises(ConfigurationError, match="list 1 "):
+            validate_placement(
+                [(0, 1), (0, 0)], num_lists=2, num_servers=2, replication=2
+            )
 
-    def test_separates_colliding_hot_lists(self):
-        """Two hot lists congruent mod N must not share a primary."""
-        policy = HeatWeightedPlacement()
-        current = policy.initial_placement(8, 4, 1)
-        heat = {0: 100, 4: 100, 1: 1, 2: 1, 3: 1, 5: 1, 6: 1, 7: 1}
-        proposal = policy.propose(heat, current, 4, 1)
-        merged = {
-            list_id: proposal.get(list_id, current[list_id])
-            for list_id in range(8)
-        }
-        assert merged[0][0] != merged[4][0]
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            (dict(num_lists=2, num_servers=0, replication=1), ConfigurationError),
+            (dict(num_lists=2, num_servers=2, replication=0), ConfigurationError),
+            (dict(num_lists=2, num_servers=2, replication=3), ConfigurationError),
+            (dict(num_lists=0, num_servers=2, replication=1), ProtocolError),
+        ],
+        ids=["no-servers", "no-replicas", "more-replicas-than-servers", "no-lists"],
+    )
+    def test_cluster_refuses_an_impossible_layout(self, kwargs, error):
+        with pytest.raises(error):
+            ServerCluster(_keys(), **kwargs)
 
-    def test_lowers_max_over_mean_on_skewed_heat(self):
-        policy = HeatWeightedPlacement()
-        current = policy.initial_placement(8, 4, 1)
-        heat = {0: 100, 4: 100, 1: 1, 2: 1, 3: 1, 5: 1, 6: 1, 7: 1}
-        proposal = policy.propose(heat, current, 4, 1)
-        rebalanced = [
-            proposal.get(list_id, current[list_id]) for list_id in range(8)
-        ]
-        assert load_balance_ratio(heat, rebalanced, 4) < load_balance_ratio(
-            heat, current, 4
-        )
+    def test_restore_topology_installs_an_elected_order(self):
+        cluster = ServerCluster(_keys(), num_lists=3, num_servers=3, replication=2)
+        elected = [(1, 0), (1, 2), (0, 2)]
+        cluster.restore_topology(elected, epoch=4)
+        assert cluster.placement_table() == elected
+        assert cluster.placement_epoch == 4
+        assert cluster.replicas_of(2) == [0, 2]
 
-    def test_cold_lists_stay_put(self):
-        policy = HeatWeightedPlacement()
-        current = policy.initial_placement(6, 3, 1)
-        proposal = policy.propose({0: 50}, current, 3, 1)
-        assert all(list_id == 0 for list_id in proposal) or proposal == {}
-
-    def test_replicas_distinct(self):
-        policy = HeatWeightedPlacement()
-        current = policy.initial_placement(6, 3, 2)
-        proposal = policy.propose(
-            {i: 10 * (6 - i) for i in range(6)}, current, 3, 2
-        )
-        for replicas in proposal.values():
-            assert len(set(replicas)) == 2
-
-
-class TestHeatDecay:
-    def test_invalid_half_life_rejected(self):
+    def test_restore_topology_refuses_bad_input_and_keeps_the_old_table(self):
+        cluster = ServerCluster(_keys(), num_lists=3, num_servers=3, replication=2)
+        before = cluster.placement_table()
         with pytest.raises(ConfigurationError):
-            HeatWeightedPlacement(heat_half_life=0)
+            cluster.restore_topology(before, epoch=-1)
         with pytest.raises(ConfigurationError):
-            HeatWeightedPlacement(heat_half_life=-2)
+            cluster.restore_topology([(0, 1), (1, 2), (2, 7)], epoch=1)
+        assert cluster.placement_table() == before
+        assert cluster.placement_epoch == 0
 
-    def test_no_decay_by_default(self):
-        policy = HeatWeightedPlacement()
-        current = policy.initial_placement(2, 2, 1)
-        heat = {0: 100, 1: 3}
-        for _ in range(5):
-            policy.propose(heat, current, 2, 1)
-            assert policy.effective_heat(heat) == {0: 100.0, 1: 3.0}
 
-    def test_effective_heat_is_a_pure_preview(self):
-        """Observing heat must not advance the decay clock."""
-        policy = HeatWeightedPlacement(heat_half_life=1)
-        current = policy.initial_placement(2, 2, 1)
-        policy.propose({0: 64}, current, 2, 1)  # tick: state 64
-        first = policy.effective_heat({0: 64})
-        for _ in range(5):  # repeated observation changes nothing
-            assert policy.effective_heat({0: 64}) == first
+class TestStaticLayoutUnderFailover:
+    def test_a_fault_free_cluster_never_moves_a_list(self):
+        cluster = _filled(lag=1, failover_after=1)
+        for step in range(20):
+            cluster.replication_tick()
+            cluster.fetch(FetchRequest("u", step % 6, 0, 2), consistency="one")
+            cluster.insert(
+                "u", step % 6, EncryptedPostingElement(b"t-%02d" % step, "g", 0.5)
+            )
+        assert cluster.placement_table() == round_robin_placement(6, 3, 2)
+        assert cluster.placement_epoch == 0
+        assert cluster.failover_history() == []
 
-    def test_first_observation_arrives_at_full_weight(self):
-        decayed = HeatWeightedPlacement(heat_half_life=2)
-        plain = HeatWeightedPlacement()
-        heat = {0: 100, 4: 100, 1: 1, 2: 1, 3: 1, 5: 1, 6: 1, 7: 1}
-        current = plain.initial_placement(8, 4, 1)
-        # A fresh decaying policy proposes exactly like the plain one: all
-        # heat is new, so nothing has decayed yet.
-        assert decayed.propose(heat, current, 4, 1) == plain.propose(
-            heat, current, 4, 1
-        )
+    def test_an_election_reorders_but_keeps_the_replica_set(self):
+        cluster = _filled(failover_after=1)
+        before = cluster.placement_table()
+        cluster.fail_server(0)
+        cluster.replication_tick()
+        cluster.replication_tick()
+        after = cluster.placement_table()
+        for old, new in zip(before, after):
+            assert sorted(new) == sorted(old)
+            if old[0] == 0:
+                assert new == (old[1], 0)  # winner first, deposed kept
+            else:
+                assert new == old
 
-    def test_idle_heat_halves_per_half_life(self):
-        policy = HeatWeightedPlacement(heat_half_life=1)
-        current = policy.initial_placement(2, 2, 1)
-        policy.propose({0: 64}, current, 2, 1)  # tick 1: all heat fresh
-        # No new fetches: each rebalance cycle is one half-life tick, and
-        # effective_heat previews what the NEXT propose would rank by.
-        assert policy.effective_heat({0: 64}) == {0: 32.0}
-        policy.propose({0: 64}, current, 2, 1)  # tick 2
-        assert policy.effective_heat({0: 64}) == {0: 16.0}
+    def test_one_epoch_bump_per_election_batch(self):
+        cluster = _filled(failover_after=1)
+        led = [l for l in range(6) if cluster.replicas_of(l)[0] == 0]
+        assert len(led) == 2
+        cluster.fail_server(0)
+        cluster.replication_tick()
+        cluster.replication_tick()
+        assert sorted(e.list_id for e in cluster.failover_history()) == led
+        assert cluster.placement_epoch == 1
 
-    def test_briefly_hot_list_goes_cold(self):
-        policy = HeatWeightedPlacement(heat_half_life=1)
-        current = policy.initial_placement(4, 2, 1)
-        heat = {0: 8}
-        for _ in range(6):  # 8 halves past the 0.5 cold threshold
-            proposal = policy.propose(heat, current, 2, 1)
-        assert proposal == {}
-        assert policy.effective_heat(heat) == {}
-
-    def test_sustained_traffic_stays_hot(self):
-        policy = HeatWeightedPlacement(heat_half_life=2)
-        current = policy.initial_placement(2, 2, 1)
-        cumulative = 0
+    def test_a_restored_server_is_not_handed_its_lists_back(self):
+        cluster = _filled(failover_after=1)
+        cluster.fail_server(0)
+        cluster.replication_tick()
+        cluster.replication_tick()
+        elected = cluster.placement_table()
+        cluster.restore_server(0)
+        cluster.run_replication_until_quiet()
         for _ in range(10):
-            cumulative += 50  # 50 new fetches between every rebalance
-            policy.propose({0: cumulative}, current, 2, 1)
-        cumulative += 50
-        assert policy.effective_heat({0: cumulative})[0] >= 50.0
-
-    def test_decay_reorders_hot_lists_over_time(self):
-        """A once-hot list is outranked by one with fresh traffic."""
-        policy = HeatWeightedPlacement(heat_half_life=1)
-        current = policy.initial_placement(2, 2, 1)
-        policy.propose({0: 1000, 1: 0}, current, 2, 1)
-        # List 0 goes idle; list 1 accumulates new fetches.
-        effective = policy.effective_heat({0: 1000, 1: 600})
-        assert effective[1] > effective[0]
-
-
-class TestClusterMigration:
-    def _hot_cluster(self, keys, replication=1):
-        """4 lists / 2 servers; lists 0 and 2 (both on server 0) made hot."""
-        cluster = ServerCluster(
-            keys,
-            num_lists=4,
-            num_servers=2,
-            replication=replication,
-            placement=HeatWeightedPlacement(),
-        )
-        for list_id in range(4):
-            for j, trs in enumerate([0.9, 0.6, 0.3]):
-                cluster.insert("u", list_id, _element(trs, b"l%dj%d" % (list_id, j)))
-        for list_id in (0, 2):
-            for _ in range(10):
-                cluster.fetch(
-                    FetchRequest(principal="u", list_id=list_id, offset=0, count=3)
-                )
-        return cluster
-
-    def test_rebalance_bumps_epoch_and_moves_a_hot_list(self, keys):
-        cluster = self._hot_cluster(keys)
-        assert cluster.placement_epoch == 0
-        moves = cluster.rebalance()
-        assert moves
+            cluster.replication_tick()
+        assert cluster.placement_table() == elected
         assert cluster.placement_epoch == 1
-        # The two hot lists no longer share a primary.
-        assert cluster.replicas_of(0)[0] != cluster.replicas_of(2)[0]
-
-    def test_migration_preserves_fetch_results(self, keys):
-        cluster = self._hot_cluster(keys)
-        before = {
-            list_id: cluster.fetch(
-                FetchRequest(principal="u", list_id=list_id, offset=0, count=3)
-            )
-            for list_id in range(4)
-        }
-        assert cluster.rebalance()
-        for list_id in range(4):
-            after = cluster.fetch(
-                FetchRequest(principal="u", list_id=list_id, offset=0, count=3)
-            )
-            assert after.elements == before[list_id].elements
-            assert after.exhausted == before[list_id].exhausted
-
-    def test_migration_preserves_element_counts(self, keys):
-        cluster = self._hot_cluster(keys, replication=2)
-        total = cluster.num_elements
-        assert cluster.rebalance() is not None
-        assert cluster.num_elements == total
-        # Every list is stored on exactly `replication` servers.
-        for list_id in range(4):
-            holders = [
-                i
-                for i in range(2)
-                if cluster.server(i).list_length(list_id) > 0
-            ]
-            assert len(holders) == 2
-
-    def test_round_robin_cluster_never_rebalances(self, keys):
-        cluster = ServerCluster(keys, num_lists=4, num_servers=2)
-        cluster.insert("u", 0, _element(0.5))
-        for _ in range(5):
-            cluster.fetch(
-                FetchRequest(principal="u", list_id=0, offset=0, count=1)
-            )
-        assert cluster.rebalance() == {}
-        assert cluster.placement_epoch == 0
-
-    def test_list_heat_survives_migration(self, keys):
-        cluster = self._hot_cluster(keys)
-        heat_before = cluster.list_heat()
-        cluster.rebalance()
-        heat_after = cluster.list_heat()
-        for list_id, count in heat_before.items():
-            assert heat_after[list_id] >= count
-
-    def test_rebalance_never_targets_dead_servers(self, keys):
-        cluster = ServerCluster(
-            keys,
-            num_lists=6,
-            num_servers=3,
-            replication=1,
-            placement=HeatWeightedPlacement(),
+        assert all(
+            cluster.applied_version(l, 0) == cluster.primary_version(l)
+            for l in range(6)
+            if 0 in cluster.replicas_of(l)
         )
-        for list_id in range(6):
-            cluster.insert("u", list_id, _element(0.5, b"dd%d" % list_id))
-        for list_id, count in [(0, 10), (3, 5), (1, 3)]:
-            for _ in range(count):
-                cluster.fetch(
-                    FetchRequest(principal="u", list_id=list_id, offset=0, count=1)
-                )
-        cluster.fail_server(2)
-        before = {lid: tuple(cluster.replicas_of(lid)) for lid in range(6)}
-        moves = cluster.rebalance()
-        for list_id, targets in moves.items():
-            assert 2 not in targets, "rebalance placed a list on the dead server"
-        # Cold lists were not gratuitously moved.
-        for list_id in (2, 4, 5):
-            assert tuple(cluster.replicas_of(list_id)) == before[list_id]
-        # Every fetched list is still fetchable after the rebalance.
-        for list_id in (0, 1, 3):
-            assert cluster.fetch(
-                FetchRequest(principal="u", list_id=list_id, offset=0, count=1)
-            ).elements
 
-    def test_no_rebalance_when_too_few_live_servers(self, keys):
-        cluster = ServerCluster(
-            keys,
-            num_lists=4,
-            num_servers=2,
-            replication=2,
-            placement=HeatWeightedPlacement(),
-        )
-        cluster.insert("u", 0, _element(0.5))
-        cluster.fetch(FetchRequest(principal="u", list_id=0, offset=0, count=1))
-        cluster.fail_server(1)
-        assert cluster.rebalance() == {}
-        assert cluster.placement_epoch == 0
-
-    def test_rebalance_skips_lists_with_no_live_replica(self, keys):
-        """A fully-down hot list must not abort the whole rebalance."""
-        cluster = ServerCluster(
-            keys,
-            num_lists=4,
-            num_servers=3,
-            replication=1,
-            placement=HeatWeightedPlacement(),
-        )
-        for list_id in range(4):
-            cluster.insert("u", list_id, _element(0.5, b"ds%d" % list_id))
-        # Heat on lists 1 (server 1) and 0, 3 (servers 0 and 0-after-move).
-        for list_id, count in [(1, 10), (0, 8), (3, 5)]:
-            for _ in range(count):
-                cluster.fetch(
-                    FetchRequest(principal="u", list_id=list_id, offset=0, count=1)
-                )
-        cluster.fail_server(1)  # list 1's only replica is gone
-        moves = cluster.rebalance()
-        assert 1 not in moves  # unreachable list left in place
-        # Other hot lists still rebalanced onto the live servers.
-        for targets in moves.values():
-            assert 1 not in targets
-
-    def test_buggy_policy_proposal_rejected_clearly(self, keys):
-        class BadServerPolicy(HeatWeightedPlacement):
-            def propose(self, heat, current, num_servers, replication, alive=None):
-                return {0: (num_servers,)}
-
-        class BadListPolicy(HeatWeightedPlacement):
-            def propose(self, heat, current, num_servers, replication, alive=None):
-                return {-1: (0,)}
-
-        class BadArityPolicy(HeatWeightedPlacement):
-            def propose(self, heat, current, num_servers, replication, alive=None):
-                return {0: (0, 1)}  # replication is 1
-
-        for policy in (BadServerPolicy(), BadListPolicy(), BadArityPolicy()):
-            cluster = ServerCluster(
-                keys, num_lists=2, num_servers=2, placement=policy
-            )
-            cluster.insert("u", 0, _element(0.5))
-            with pytest.raises(ConfigurationError):
-                cluster.rebalance()
-            assert cluster.placement_epoch == 0
-
-    def test_partial_migration_failure_still_bumps_epoch(self, keys, monkeypatch):
-        """A half-applied rebalance must not keep validating old-epoch routes."""
-        cluster = ServerCluster(
-            keys,
-            num_lists=4,
-            num_servers=2,
-            replication=1,
-            placement=HeatWeightedPlacement(),
-        )
-        for list_id in range(4):
-            cluster.insert("u", list_id, _element(0.5, b"pm%d" % list_id))
-        # Heat picked so the greedy proposal moves (at least) two lists.
-        for list_id, count in [(0, 10), (2, 10), (1, 2)]:
-            for _ in range(count):
-                cluster.fetch(
-                    FetchRequest(principal="u", list_id=list_id, offset=0, count=1)
-                )
-        original = ServerCluster._migrate_list
-        migrated = []
-
-        def flaky_migrate(self, list_id, targets):
-            if migrated:
-                raise RuntimeError("migration transport failed")
-            migrated.append(list_id)
-            return original(self, list_id, targets)
-
-        monkeypatch.setattr(ServerCluster, "_migrate_list", flaky_migrate)
-        with pytest.raises(RuntimeError):
-            cluster.rebalance()
-        assert migrated, "test needs a proposal with at least two moves"
+    def test_an_election_changes_no_answer_and_no_size(self):
+        cluster = _filled(failover_after=1)
+        contents = _contents(cluster)
+        size = cluster.num_elements
+        fraction = cluster.visible_fraction([1])
+        cluster.fail_server(0)
+        cluster.replication_tick()
+        cluster.replication_tick()
         assert cluster.placement_epoch == 1
+        assert _contents(cluster) == contents
+        assert cluster.num_elements == size
+        assert cluster.visible_fraction([1]) == fraction
+
+    def test_no_election_without_a_reachable_follower(self):
+        cluster = _filled(replication=1, failover_after=1)
+        cluster.fail_server(0)
+        for _ in range(3):
+            cluster.replication_tick()
+        assert cluster.placement_table() == round_robin_placement(6, 3, 1)
+        assert cluster.placement_epoch == 0
+        assert cluster.failover_history() == []
+
+    def test_a_paused_follower_is_passed_over(self):
+        cluster = _filled(num_lists=3, replication=3, lag=3, failover_after=1)
+        cluster.pause_follower(1)
+        cluster.insert("u", 0, EncryptedPostingElement(b"late", "g", 0.99))
+        cluster.fail_server(0)
+        cluster.replication_tick()
+        cluster.replication_tick()
+        assert cluster.replicas_of(0) == [2, 0, 1]
+        assert cluster.applied_version(0, 2) == cluster.primary_version(0)
+        assert b"late" in _contents(cluster)[0]

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cluster import ServerCluster
 from repro.core.placement import (
-    PlacementPolicy,
     PrimaryReads,
     RotatingReads,
     coerce_read_selector,
@@ -435,121 +434,40 @@ class TestAntiEntropy:
         assert cluster.applied_version(0, follower) == 1
 
 
-class _MoveList(PlacementPolicy):
-    """Test policy: move list 0 to a fixed replica set on first propose."""
+class TestGappedPrimary:
+    """A restored dump may name a primary below the log head; a write must
+    catch it up from the log first, not stamp over the gap."""
 
-    name = "move-list"
-
-    def __init__(self, targets):
-        self.targets = targets
-
-    def initial_placement(self, num_lists, num_servers, replication):
-        from repro.core.placement import RoundRobinPlacement
-
-        return RoundRobinPlacement().initial_placement(
-            num_lists, num_servers, replication
-        )
-
-    def propose(self, heat, current, num_servers, replication, alive=None):
-        if tuple(current[0]) != self.targets:
-            return {0: self.targets}
-        return {}
-
-
-class TestMigrationThroughLog:
-    def test_drain_then_cutover_carries_pending_writes(self, keys):
+    def _gapped(self, keys):
         cluster = ServerCluster(
-            keys,
-            num_lists=1,
-            num_servers=4,
-            replication=2,
-            lag=5,
-            placement=_MoveList(targets=(2, 3)),
+            keys, num_lists=1, num_servers=2, replication=2, lag=100
         )
-        cluster.insert("u", 0, _element(0.9, b"a"))
-        cluster.insert("u", 0, _element(0.8, b"b"))
-        # Follower (server 1) never caught up; migrate 0 -> servers 2, 3.
-        moves = cluster.rebalance()
-        assert moves == {0: (2, 3)}
-        # New primary was cut over from the drained source: fully caught up.
-        assert cluster.applied_version(0, 2) == cluster.primary_version(0) == 2
-        assert [e.ciphertext for e in cluster.server(2).export_list(0)] == [
-            b"a",
-            b"b",
-        ]
-        # Old replicas no longer hold the list.
-        assert cluster.server(0).list_length(0) == 0
-        assert cluster.server(1).list_length(0) == 0
-        # The new follower converges through the log like any other.
-        cluster.run_replication_until_quiet()
-        assert cluster.applied_version(0, 3) == 2
+        cluster.insert("u", 0, _element(0.9, b"acked"))  # head 1, server 1 owed
+        repl = cluster.replication_manager
+        head, base, ops = repl.log_snapshot(0)
+        applied = repl.applied_snapshot(0)
+        # The dump names the lagging replica primary.
+        cluster.restore_topology([(1, 0)], epoch=1)
+        cluster.replication_manager.restore_list_state(0, head, base, ops, applied)
+        assert cluster.applied_version(0, 1) == 0 < cluster.primary_version(0)
+        return cluster
 
-    def test_stale_source_cutover_then_write_keeps_gap_ops(self, keys):
-        """Regression: a cut-over from a partitioned stale source installs
-        a below-head primary; the next write must first catch it up from
-        the log — not stamp over the gap and lose the acknowledged op."""
-        cluster = ServerCluster(
-            keys,
-            num_lists=1,
-            num_servers=4,
-            replication=2,
-            lag=100,
-            placement=_MoveList(targets=(2, 3)),
-        )
-        cluster.insert("u", 0, _element(0.9, b"acked"))  # head=1, on server 0
-        cluster.pause_follower(1)  # stale source-to-be
-        cluster.fail_server(0)  # the only head-version replica goes down
-        assert cluster.rebalance() == {0: (2, 3)}
-        # New primary was registered below the head (empty import).
-        assert cluster.primary_version(0) == 1
+    def test_write_keeps_gap_ops(self, keys):
+        cluster = self._gapped(keys)
         cluster.insert("u", 0, _element(0.5, b"later"))
-        # The acknowledged pre-cutover op survived on the new primary.
-        assert [e.ciphertext for e in cluster.server(2).export_list(0)] == [
+        assert [e.ciphertext for e in cluster.server(1).export_list(0)] == [
             b"acked",
             b"later",
         ]
-        assert cluster.applied_version(0, 2) == cluster.primary_version(0) == 2
+        assert cluster.applied_version(0, 1) == cluster.primary_version(0) == 2
 
     def test_write_refused_at_unreachable_gapped_primary(self, keys):
-        cluster = ServerCluster(
-            keys,
-            num_lists=1,
-            num_servers=4,
-            replication=2,
-            lag=100,
-            placement=_MoveList(targets=(2, 3)),
-        )
-        cluster.insert("u", 0, _element(0.9, b"acked"))
-        cluster.pause_follower(1)
-        cluster.fail_server(0)
-        cluster.rebalance()
-        cluster.pause_follower(2)  # gapped new primary, now unreachable
+        cluster = self._gapped(keys)
+        cluster.pause_follower(1)  # gapped primary, now unreachable
         with pytest.raises(UnavailableError):
             cluster.insert("u", 0, _element(0.5, b"later"))
         # Nothing was logged or applied for the refused write.
         assert cluster.primary_version(0) == 1
-        assert cluster.server(2).list_length(0) == 0
-
-    def test_writes_after_migration_replicate_to_new_followers(self, keys):
-        cluster = ServerCluster(
-            keys,
-            num_lists=1,
-            num_servers=4,
-            replication=2,
-            lag=1,
-            placement=_MoveList(targets=(2, 3)),
-        )
-        cluster.insert("u", 0, _element(0.9, b"a"))
-        cluster.rebalance()
-        cluster.insert("u", 0, _element(0.5, b"z"))
-        assert cluster.server(2).list_length(0) == 2  # new primary, inline
-        cluster.run_replication_until_quiet()
-        assert [e.ciphertext for e in cluster.server(3).export_list(0)] == [
-            b"a",
-            b"z",
-        ]
-        # The dropped replicas received nothing.
-        assert cluster.server(0).list_length(0) == 0
         assert cluster.server(1).list_length(0) == 0
 
 
@@ -817,10 +735,6 @@ class _PerPairManager(ReplicationManager):
                 if self.sync(list_id, server_index, reason="write-ack"):
                     acked += 1
 
-    def drop_replica(self, list_id, server_index):
-        self._due.pop((list_id, server_index), None)
-        super().drop_replica(list_id, server_index)
-
     def restore_list_state(self, list_id, *state):
         for key in [k for k in self._due if k[0] == list_id]:
             del self._due[key]
@@ -851,7 +765,7 @@ class _RecordingServer:
 
 SCHED_LISTS = 3
 SCHED_SERVERS = 4
-SYNC_REASONS = ("repair", "anti-entropy", "write-ack", "failover", "migration")
+SYNC_REASONS = ("repair", "anti-entropy", "write-ack", "failover")
 
 
 class _World:
@@ -910,25 +824,6 @@ class _World:
         else:
             m.record_insert(list_id, _element(0.5, payload))
 
-    def register(self, list_id, server_index):
-        if server_index in self.placement[list_id]:
-            return
-        source = self.manager.best_source(list_id)
-        if source is None:
-            return
-        self.placement[list_id].append(server_index)
-        self.manager.register_replica(
-            list_id, server_index, self.manager.applied_version(list_id, source)
-        )
-
-    def drop(self, list_id, server_index):
-        if server_index not in self.placement[list_id]:
-            return
-        if len(self.placement[list_id]) == 1:
-            return
-        self.placement[list_id].remove(server_index)
-        self.manager.drop_replica(list_id, server_index)
-
     def snapshot_restore(self):
         """A restart: a fresh manager reinstated from the durable state."""
         old, self.manager = self.manager, self._new_manager()
@@ -949,7 +844,7 @@ class _World:
             m.deliver_due()
         elif code == 8:
             if server in self.placement[list_id]:
-                m.sync(list_id, server, reason=SYNC_REASONS[(a + b) % 5])
+                m.sync(list_id, server, reason=SYNC_REASONS[(a + b) % 4])
         elif code == 9:
             m.pause(server)
         elif code == 10:
@@ -959,13 +854,9 @@ class _World:
         elif code == 12:
             self.alive[server] = True
         elif code == 13:
-            self.register(list_id, server)
-        elif code == 14:
-            self.drop(list_id, server)
-        elif code == 15:
             self.snapshot_restore()
         else:
-            level = WriteConsistency.QUORUM if code == 16 else WriteConsistency.ALL
+            level = WriteConsistency.QUORUM if code == 14 else WriteConsistency.ALL
             m.force_acks([list_id, (list_id + 1) % SCHED_LISTS], level)
 
     def observe(self):
@@ -999,7 +890,7 @@ def _every_bucket_is_scheduled_or_held(manager):
 
 SCHEDULES = dict(
     steps=st.lists(
-        st.tuples(st.integers(0, 17), st.integers(0, 11), st.integers(0, 11)),
+        st.tuples(st.integers(0, 15), st.integers(0, 11), st.integers(0, 11)),
         max_size=90,
     ),
     lag=st.integers(0, 3),
@@ -1230,38 +1121,14 @@ class TestDeliveryScheduler:
                 (3, 1, 2, 1),
             ]
 
-    def test_dropped_replica_re_admitted_before_its_old_bucket_is_due(self):
-        """A delivery scheduled before the drop never reaches the server:
-        re-admitted from a source at version 1, it gets op 2 one lag after
-        the re-admission — not early at the old due tick, not twice."""
-        for world in self._twins(lag=3):
-            m = world.manager
-            world.record(0, delete=False)
-            world.record(0, delete=False)  # servers 1 and 2 owed 1-2 at tick 3
-            world.drop(0, 2)
-            assert m.outstanding_deliveries() == 2
-            m.tick()
-            # The best source is the primary (version 2); register server 2
-            # one behind it, as a cut-over from a stale copy would.
-            world.placement[0].append(2)
-            m.register_replica(0, 2, 1)
-            assert m.pending_lag_ticks(0, 2) == 3
-            assert m.outstanding_deliveries() == 3
-            for _ in range(3):
-                m.tick()
-            assert [a for a in world.applications if a[2] == 2] == [(4, 0, 2, 2)]
-            assert m.outstanding_deliveries() == 0 and m.backlog() == {}
-
     def test_a_refused_record_leaves_no_trace(self):
         """A gapped primary is refused before the op is appended: head,
         retained ops, backlog, what is scheduled and stats stay as they were."""
         world = _World(ReplicationManager, 2, None, spread=False)
         m = world.manager
-        world.placement[0] = [0, 1]
-        m.drop_replica(0, 2)
         world.record(0, delete=False)
-        assert m.backlog() == {(0, 1): 1}
-        world.placement[0] = [1, 0]  # the replica at version 0 now leads
+        assert m.backlog() == {(0, 1): 1, (0, 2): 1}
+        world.placement[0] = [1, 0, 2]  # a replica at version 0 now leads
 
         def state():
             return (
@@ -1281,7 +1148,7 @@ class TestDeliveryScheduler:
             with pytest.raises(ProtocolError, match="cannot acknowledge op 2"):
                 record()
             assert state() == before
-        assert before[0][0] == 1 and before[1] == {(0, 1): 1}
+        assert before[0][0] == 1 and before[1] == {(0, 1): 1, (0, 2): 1}
 
 
 class _CountedLiveness(list):

@@ -5,13 +5,11 @@ import dataclasses
 import pytest
 
 from repro.core.cluster import ServerCluster
-from repro.core.placement import HeatWeightedPlacement
 from repro.core.protocol import (
     BatchFetchRequest,
     CoalescedBatchRequest,
     FetchRequest,
 )
-from repro.core.router import Coordinator
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError, ProtocolError, UnavailableError
 from repro.index.postings import EncryptedPostingElement
@@ -128,9 +126,7 @@ class TestFailureAndEpoch:
         assert excinfo.value.list_id == list_id
 
     def test_stale_epoch_envelope_rejected(self, system):
-        cluster, _ = system.deploy_cluster(
-            num_servers=2, placement=HeatWeightedPlacement()
-        )
+        cluster, _ = system.deploy_cluster(num_servers=2)
         term = system.vocabulary.terms_by_frequency()[0]
         list_id = system.merge_plan.list_of(term)
         request = FetchRequest(
@@ -146,26 +142,41 @@ class TestFailureAndEpoch:
         with pytest.raises(ProtocolError):
             cluster.serve_envelope(cluster.route(list_id), envelope)
 
-    def test_rebalance_mid_stream_preserves_results(self, system):
+    def test_election_mid_dispatch_reroutes_stale_envelopes(
+        self, system, monkeypatch
+    ):
+        """A failover election lands while a flush is being dispatched:
+        the envelopes routed before it carry the old epoch, the cluster
+        refuses them, and the coordinator re-routes their slices under
+        the new placement — with the results of the direct path."""
         cluster, coordinator = system.deploy_cluster(
-            num_servers=3,
-            placement=HeatWeightedPlacement(),
-            rebalance_every=1,
+            num_servers=3, replication=2, failover_after=1
         )
-        queries = _queries(system, 6)
+        queries = _queries(system, 4)
         client = system.client_for("superuser", server=cluster)
-        # Warm heat so the first rebalance actually has something to move.
-        for q in queries:
-            client.query_multi_batched(q, 4)
         direct = [client.query_multi_batched(q, 4) for q in queries]
-        results = coordinator.run_queries([(client, q, 4) for q in queries])
-        for d, r in zip(direct, results):
-            assert r.ranked == d.ranked
+        list_id = system.merge_plan.list_of(queries[0][0])
+        victim = cluster.replicas_of(list_id)[0]
+        cluster.fail_server(victim)
+        cluster.replication_tick()  # the failover timer starts
+        epoch = cluster.placement_epoch
+        serve = cluster.serve_envelope
+        ticked = []
 
-    def test_rebalance_every_validated(self, deployment):
-        _, cluster, _ = deployment
-        with pytest.raises(ConfigurationError):
-            Coordinator(cluster, rebalance_every=0)
+        def serve_while_replication_ticks(server_index, envelope, *args):
+            # The replication plane ticks concurrently with the first
+            # envelope of the flush: the timer has run out, so it elects.
+            if not ticked:
+                ticked.append(cluster.replication_tick())
+            return serve(server_index, envelope, *args)
+
+        monkeypatch.setattr(cluster, "serve_envelope", serve_while_replication_ticks)
+        results = coordinator.run_queries([(client, q, 4) for q in queries])
+        assert [r.ranked for r in results] == [d.ranked for d in direct]
+        assert cluster.failover_history()
+        assert cluster.replicas_of(list_id)[0] != victim
+        assert cluster.placement_epoch == epoch + 1
+        assert coordinator.stats.stale_epoch_reroutes >= 1
 
 
 class TestFloorAwareRouting:

@@ -5,8 +5,10 @@ the set is pinned here by name, in order.  Adding a knob means editing
 ``SURFACES`` in the open, in the same change, and saying who uses it —
 the way ``TELEMETRY_FRAME_BUDGET`` in ``test_core_client.py`` makes more
 telemetry on the read path a visible decision.  The knob census in
-CHANGES.md found six knobs with no user outside their own unit tests;
-they were deleted, and this test keeps them from drifting back.
+CHANGES.md found knobs with no user outside their own unit tests — the
+replica selectors, per-server lag, spill caps and principal credits,
+then heat-weighted placement, rebalancing and the cluster monitor; they
+were deleted, and this test keeps them from drifting back.
 """
 
 import inspect
@@ -15,6 +17,7 @@ import pytest
 
 import repro
 import repro.core
+import repro.obs
 from repro.core.cluster import ServerCluster
 from repro.core.replication import ReplicationManager
 from repro.core.router import Coordinator
@@ -24,28 +27,27 @@ from repro.persist import load_cluster
 SURFACES = {
     "ZerberRSystem.deploy_cluster": (
         ZerberRSystem.deploy_cluster,
-        "num_servers replication placement rebalance_every lag read_consistency "
-        "read_strategy anti_entropy_every write_consistency failover_after "
-        "telemetry monitor_every round_latency max_queue_depth",
+        "num_servers replication lag read_consistency read_strategy "
+        "anti_entropy_every write_consistency failover_after telemetry "
+        "round_latency max_queue_depth",
     ),
     "ZerberRSystem.restore_cluster": (
         ZerberRSystem.restore_cluster,
-        "path placement read_strategy rebalance_every telemetry monitor_every "
-        "round_latency max_queue_depth",
+        "path read_strategy telemetry round_latency max_queue_depth",
     ),
     "ServerCluster.__init__": (
         ServerCluster.__init__,
-        "key_service num_lists num_servers replication placement lag "
+        "key_service num_lists num_servers replication lag "
         "read_consistency read_strategy anti_entropy_every write_consistency "
         "failover_after telemetry",
     ),
     "Coordinator.__init__": (
         Coordinator.__init__,
-        "cluster rebalance_every round_latency max_queue_depth",
+        "cluster round_latency max_queue_depth",
     ),
     "load_cluster": (
         load_cluster,
-        "path key_service placement read_strategy telemetry",
+        "path key_service read_strategy telemetry",
     ),
 }
 
@@ -67,7 +69,23 @@ def test_lag_is_one_int_defaulting_to_zero(function):
     assert (lag.annotation, lag.default) == ("int", 0)
 
 
-@pytest.mark.parametrize("module", [repro, repro.core], ids=["repro", "repro.core"])
+DELETED_NAMES = {
+    "repro": (
+        repro,
+        "LagModel LeastLoadedReads HeatWeightedPlacement PlacementPolicy "
+        "RoundRobinPlacement load_balance_ratio",
+    ),
+    "repro.core": (
+        repro.core,
+        "LagModel LeastLoadedReads HeatWeightedPlacement PlacementPolicy "
+        "RoundRobinPlacement load_balance_ratio",
+    ),
+    "repro.obs": (repro.obs, "ClusterMonitor MonitorSample"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(DELETED_NAMES))
 def test_deleted_names_are_not_exported(module):
-    for name in ("LagModel", "LeastLoadedReads"):
-        assert name not in module.__all__ and not hasattr(module, name)
+    namespace, names = DELETED_NAMES[module]
+    for name in names.split():
+        assert name not in namespace.__all__ and not hasattr(namespace, name)

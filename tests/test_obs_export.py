@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs import (
     Telemetry,
-    metrics_to_dict,
     metrics_to_json,
     metrics_to_text,
     trace_to_dict,
@@ -32,14 +31,6 @@ class TestMetricsExport:
         assert record["schema_version"] == METRICS_SCHEMA_VERSION
         assert list(record["metrics"]) == sorted(record["metrics"])
         assert "monitor" not in record
-
-    def test_monitor_window_is_attached_when_given(self):
-        from repro.obs import ClusterMonitor
-
-        telemetry = Telemetry()
-        monitor = ClusterMonitor(telemetry, every=2, window=4)
-        record = metrics_to_dict(telemetry.registry.snapshot(), monitor=monitor)
-        assert record["monitor"]["every"] == 2
 
     def test_text_renders_one_line_per_series(self):
         text = metrics_to_text(self._snapshot())
@@ -339,7 +330,7 @@ class TestEnvelopeTraceAttribution:
 
         def racing(server_index, envelope, consistency=None):
             if server_index == route_b and not rejected["done"]:
-                # Simulate a rebalance bumping the epoch after routing.
+                # Simulate an election bumping the epoch after routing.
                 rejected["done"] = True
                 raise StaleEpochError(envelope.epoch, envelope.epoch + 1)
             if server_index == route_b:

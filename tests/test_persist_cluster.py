@@ -19,11 +19,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cluster import ServerCluster
-from repro.core.protocol import FetchRequest
+from repro.core.protocol import BatchFetchRequest, FetchRequest
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError, UnavailableError
 from repro.index.postings import EncryptedPostingElement
-from repro.persist import load_cluster, save_cluster
+from repro.persist import (
+    cluster_from_dict,
+    cluster_to_dict,
+    load_cluster,
+    save_cluster,
+)
 
 NUM_LISTS = 3
 NUM_SERVERS = 4
@@ -523,6 +528,62 @@ class TestViewSpill:
         assert response.elements == ()
 
 
+class TestLegacyHeatBlock:
+    """Dumps written before heat persistence went carry a per-server
+    ``heat`` block; it is not read, whatever it holds, and the restored
+    servers count their load from zero."""
+
+    @staticmethod
+    def _read_cluster():
+        cluster = _cluster(lag=0)
+        for counter in range(6):
+            element = EncryptedPostingElement(
+                ciphertext=b"load-%02d" % counter, group="g", trs=counter / 10.0
+            )
+            cluster.insert("u", counter % NUM_LISTS, element)
+        for list_id in range(NUM_LISTS):
+            cluster.fetch(FetchRequest("u", list_id, 0, 2))
+        return cluster
+
+    def test_a_dump_carries_no_heat_block(self):
+        data = cluster_to_dict(self._read_cluster())
+        assert all("heat" not in server for server in data["servers"])
+
+    @pytest.mark.parametrize(
+        "heat",
+        [
+            {"fetch_counts": {"0": 4}, "calls": -1},
+            {"fetch_counts": {"0": -2}, "calls": 1},
+            {"fetch_counts": {"99": 1}, "calls": 1},
+            {"fetch_counts": {"0": "many"}, "calls": 1},
+            "not-a-mapping",
+        ],
+        ids=["negative-calls", "negative-count", "unknown-list", "non-numeric", "scalar"],
+    )
+    def test_any_heat_block_restores(self, heat):
+        cluster = self._read_cluster()
+        data = cluster_to_dict(cluster)
+        for server in data["servers"]:
+            server["heat"] = heat
+        restored = cluster_from_dict(data, _keys())
+        assert restored.placement_table() == cluster.placement_table()
+        assert restored.num_elements == cluster.num_elements
+        assert restored.per_server_load() == [0] * NUM_SERVERS
+
+    def test_load_counters_restart_at_zero_and_count_on(self, tmp_path):
+        cluster = self._read_cluster()
+        assert sum(cluster.per_server_load()) == NUM_LISTS  # one slice each
+        restored, _ = _reload(cluster, tmp_path)
+        assert restored.per_server_load() == [0] * NUM_SERVERS
+        assert restored.total_calls == 0
+        batch = BatchFetchRequest.for_slices("u", [(0, 0, 1), (1, 0, 1)])
+        restored.batch_fetch(batch)
+        assert sum(restored.per_server_load()) == 2
+        assert restored.total_calls == len(
+            {restored.route(0), restored.route(1)}
+        )
+
+
 class TestCorruptClusterDumps:
     def _dump(self, tmp_path):
         cluster, _, _ = _lagged_snapshot_cluster()
@@ -602,6 +663,36 @@ class TestCorruptClusterDumps:
         with pytest.raises(ConfigurationError, match="per-server replication lag") as excinfo:
             load_cluster(path, _keys())  # not restored under a different lag
         assert str(path) in str(excinfo.value)
+
+    def test_a_heat_block_of_an_older_dump_is_not_read(self, tmp_path):
+        cluster = _cluster(lag=2, failover_after=1)
+        for counter in range(6):
+            element = EncryptedPostingElement(
+                ciphertext=b"heat-%02d" % counter, group="g", trs=counter / 10.0
+            )
+            cluster.insert("u", counter % NUM_LISTS, element)
+        cluster.fail_server(cluster.replicas_of(0)[0])
+        cluster.replication_tick()
+        cluster.replication_tick()  # the election moves the epoch
+        assert cluster.placement_epoch == 1
+        _, path = _reload(cluster, tmp_path)
+        payload = json.loads(path.read_text())
+        for server in payload["cluster"]["servers"]:
+            assert "heat" not in server
+            server["heat"] = {"fetch_counts": {"0": 7, "2": 1}, "calls": 3}
+        path.write_text(json.dumps(payload))
+        restored = load_cluster(path, _keys())[0]
+        assert restored.placement_table() == cluster.placement_table()
+        assert restored.placement_epoch == cluster.placement_epoch
+        for server_index in range(NUM_SERVERS):
+            for list_id in range(NUM_LISTS):
+                assert [
+                    e.ciphertext
+                    for e in restored.server(server_index).export_list(list_id)
+                ] == [
+                    e.ciphertext
+                    for e in cluster.server(server_index).export_list(list_id)
+                ]
 
     def test_truncated_file_names_path(self, tmp_path):
         path = self._dump(tmp_path)

@@ -3,7 +3,7 @@
 Property tests that acknowledged writes are never lost and every replica
 converges to a list-backed reference index, no matter how failures
 (``fail_server``/``restore_server``), partitions (``pause_follower``),
-replication lag, heat-driven rebalances and reads at every consistency
+replication lag, failover elections and reads at every consistency
 level interleave.  The reference is deliberately dumb: a python list per
 merged list, mutated at the moment a write is *acknowledged* (the
 cluster call returns) — exactly the contract replication must preserve.
@@ -11,7 +11,7 @@ cluster call returns) — exactly the contract replication must preserve.
 Three interleaving regimes are covered:
 
 * random op soup against the cluster surface (hypothesis-driven);
-* fail/restore around migrations (mid-rebalance);
+* fail/restore around lagged writes and elections (mid-outage);
 * fail/restore between coordinator scheduling ticks (mid-tick), where
   PRIMARY-consistency results must match a zero-lag reference cluster.
 """
@@ -23,7 +23,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import SystemConfig, ZerberRSystem
 from repro.core.cluster import ServerCluster
-from repro.core.placement import HeatWeightedPlacement
 from repro.core.protocol import FetchRequest, Receipt
 from repro.errors import UnavailableError
 from repro.crypto.keys import GroupKeyService
@@ -47,11 +46,10 @@ OPCODES = (
     "fetch_one",
     "fetch_primary",
     "fetch_quorum",
-    "rebalance",
 )
 
 # The failover soup adds quorum-acked writes and targeted primary kills
-# (mid-write, mid-rebalance), so elections fire while the tape runs.
+# (mid-write), so elections fire while the tape runs.
 FAILOVER_OPCODES = OPCODES + (
     "insert_quorum",
     "insert_quorum",
@@ -155,8 +153,6 @@ def _run_ops(cluster, ops):
                 assert [e.ciphertext for e in response.elements] == (
                     ref.expected_order(list_id)[:5]
                 ), f"head-version read diverged on list {list_id}"
-        elif opcode == "rebalance":
-            cluster.rebalance()
     return ref
 
 
@@ -204,7 +200,6 @@ class TestFuzzedFaultSoup:
             num_servers=NUM_SERVERS,
             replication=REPLICATION,
             lag=lag,
-            placement=HeatWeightedPlacement(),
         )
         ref = _run_ops(cluster, ops)
         _assert_converged(cluster, ref)
@@ -220,7 +215,7 @@ class TestFuzzedFaultSoup:
             replication=REPLICATION,
             lag=10**6,
         )
-        ref = _run_ops(cluster, [op for op in ops if op[0] != "rebalance"])
+        ref = _run_ops(cluster, ops)
         _assert_converged(cluster, ref)
 
 
@@ -237,7 +232,6 @@ class TestFailoverSoup:
             replication=REPLICATION,
             lag=lag,
             failover_after=2,
-            placement=HeatWeightedPlacement(),
         )
         ref = _run_ops(cluster, ops)
         _assert_converged(cluster, ref)
@@ -260,20 +254,19 @@ class TestFailoverSoup:
             failover_after=3,
             write_consistency="quorum",
         )
-        ref = _run_ops(cluster, [op for op in ops if op[0] != "rebalance"])
+        ref = _run_ops(cluster, ops)
         _assert_converged(cluster, ref)
 
 
-class TestMidRebalance:
-    def test_failures_between_writes_and_migrations(self):
-        """Deterministic worst case: fail/restore straddling rebalances."""
+class TestMidOutage:
+    def test_failures_between_lagged_writes(self):
+        """Deterministic worst case: fail/restore straddling lagged writes."""
         cluster = ServerCluster(
             _keys(),
             num_lists=NUM_LISTS,
             num_servers=NUM_SERVERS,
             replication=REPLICATION,
             lag=3,
-            placement=HeatWeightedPlacement(),
         )
         ref = _Reference()
         counter = 0
@@ -290,25 +283,23 @@ class TestMidRebalance:
         for list_id in range(NUM_LISTS):
             write(list_id)
             write(list_id)
-        # Heat up list 0 so the policy wants to move it, then migrate
-        # while its follower is behind AND a server is down.
-        for _ in range(6):
-            cluster.fetch(
-                FetchRequest(principal="u", list_id=0, offset=0, count=2)
-            )
+        # Write list 0 while its follower is behind AND down, then write
+        # list 1 through its down primary (the durable-primary idealisation).
         cluster.fail_server(cluster.replicas_of(0)[1])
-        cluster.rebalance()
-        write(0)  # write lands on the post-migration primary
-        cluster.rebalance()  # second migration with backlog in flight
+        write(0)
+        cluster.replication_tick()
+        write(0)  # a second op with backlog in flight
+        cluster.fail_server(cluster.replicas_of(1)[0])
+        write(1)
         for server_index in range(NUM_SERVERS):
             cluster.restore_server(server_index)
         cluster.run_replication_until_quiet()
         _assert_converged(cluster, ref)
 
-    def test_election_mid_rebalance_keeps_quorum_writes(self):
+    def test_election_mid_outage_keeps_quorum_writes(self):
         """Kill a primary mid-workload with failover enabled: a replica
-        is elected, the epoch moves, a rebalance runs during the outage,
-        and no acknowledged QUORUM write is lost."""
+        is elected, the epoch moves, quorum writes keep landing during
+        the outage, and no acknowledged QUORUM write is lost."""
         cluster = ServerCluster(
             _keys(),
             num_lists=NUM_LISTS,
@@ -316,7 +307,6 @@ class TestMidRebalance:
             replication=3,  # quorum (2) stays reachable with one dead
             lag=2,
             failover_after=2,
-            placement=HeatWeightedPlacement(),
         )
         ref = _Reference()
         counter = 0
@@ -343,11 +333,7 @@ class TestMidRebalance:
         assert cluster.replicas_of(0)[0] != victim
         # The elected primary acknowledges quorum writes mid-outage.
         write(0, consistency="quorum")
-        for _ in range(6):  # heat list 0, then rebalance during the outage
-            cluster.fetch(
-                FetchRequest(principal="u", list_id=0, offset=0, count=2)
-            )
-        cluster.rebalance()
+        cluster.replication_tick()
         write(0, consistency="quorum")
         cluster.restore_server(victim)
         cluster.run_replication_until_quiet()
