@@ -119,7 +119,9 @@ class ZerberClient:
         )
         # Zerber downloads the WHOLE merged list, so the skim is the
         # dominant client cost: one pass, one keyring for all of it.
-        matches = skim_matches(elements, term, self._keys.keyring(self.principal))
+        matches = skim_matches(
+            elements, term, self._keys.keyring(self.principal), self._plan.decoder
+        )
         trace.satisfied = len(matches) >= k or len(matches) > 0
         return QueryResult(hits=ranked_hits(matches, k), trace=trace)
 
@@ -174,18 +176,18 @@ class ZerberSystem:
             for doc in self.corpus.documents_in_group(group):
                 doc_stats = self.corpus.stats(doc.doc_id)
                 for term in sorted(doc_stats.counts):
+                    list_id, number = self.merge_plan.locate(term)
                     plain = PostingElement(
                         term=term,
                         doc_id=doc_stats.doc_id,
                         tf=doc_stats.tf(term),
                         doc_length=doc_stats.length,
                     )
+                    ciphertext = cipher.encrypt(plain.to_bytes(number), nonces.next())
                     element = EncryptedPostingElement(
-                        ciphertext=cipher.encrypt(plain.to_bytes(), nonces.next()),
-                        group=group,
-                        trs=None,
+                        ciphertext=ciphertext, group=group, trs=None
                     )
-                    self.server.insert(owner, self.merge_plan.list_of(term), element)
+                    self.server.insert(owner, list_id, element)
 
     def client_for(self, principal: str) -> ZerberClient:
         client = self._clients.get(principal)

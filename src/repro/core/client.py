@@ -53,11 +53,14 @@ spends a small constant per fetched element and nothing per group:
 * :func:`skim_matches` is one loop in element order — ring lookup,
   :meth:`~repro.crypto.cipher.StreamCipher.try_decrypt`, term filter,
   append — with no per-group buckets to build and no order to restore;
-* the decoder it passes is the module-level :func:`_decode_posting`,
-  one stable object (the cipher memo goes by decoder identity) that
-  resolves ``PostingElement.from_bytes`` at call time, so a wrapper
-  installed on that classmethod (the e2e tracer's ``index.decode``
-  span) keeps seeing every miss-path decode;
+* the decoder it passes is the merge plan's
+  :attr:`~repro.index.merge.MergePlan.decoder`, one stable object per
+  plan (the cipher memo goes by decoder identity, and every client of a
+  deployment shares the plan) that resolves
+  ``PostingElement.from_bytes`` at call time, so a wrapper installed on
+  that classmethod (the e2e tracer's ``index.decode`` span) keeps seeing
+  every miss-path decode.  A miss decodes a fixed header and the doc id:
+  the term is an index into the plan's terms, not a string to convert;
 * a term session keeps the matched ``(posting, element)`` pairs as they
   are; a :class:`RankedHit` is built only for the ≤ k hits a caller
   reads, and the multi-term aggregate sums straight from the postings.
@@ -127,13 +130,6 @@ class RankedHit:
     group: str
 
 
-def _decode_posting(plaintext: bytes) -> PostingElement:
-    """The miss-path decoder as one stable function object: the cipher
-    memo goes by decoder identity, and a classmethod is a fresh bound
-    method on every attribute access."""
-    return PostingElement.from_bytes(plaintext)
-
-
 _Match = tuple[PostingElement, EncryptedPostingElement]
 
 
@@ -141,16 +137,19 @@ def skim_matches(
     elements: Iterable[EncryptedPostingElement],
     term: str,
     ciphers: Mapping[str, StreamCipher],
+    decode: Callable[[bytes], PostingElement],
 ) -> list[_Match]:
     """Skim → decode → match over one fetched slice, in one pass.
 
     Per element: look its group up in *ciphers* (a keyring — the keys
     are the readable set), open it with that group's cipher
-    (:meth:`~repro.crypto.cipher.StreamCipher.try_decrypt` with the
-    posting decoder, so it is verified and decoded at most once and a
-    memo hit is the decoded :class:`PostingElement` itself) and keep it
-    if it is a posting of *term*.  Elements of a group not in *ciphers*
-    or that fail authentication are skipped.
+    (:meth:`~repro.crypto.cipher.StreamCipher.try_decrypt` with *decode*,
+    the merge plan's :attr:`~repro.index.merge.MergePlan.decoder`, so it
+    is verified and decoded at most once and a memo hit is the decoded
+    :class:`PostingElement` itself) and keep it if it is a posting of
+    *term*.  Elements of a group not in *ciphers* or that fail
+    authentication are skipped, and so is an authentic element of
+    another term — one the server moved here from its own list too.
 
     Returns ``(posting, element)`` per match, in element order.
     """
@@ -159,7 +158,7 @@ def skim_matches(
     for element in elements:
         cipher = cipher_of(element.group)
         if cipher is not None:
-            posting = cipher.try_decrypt(element.ciphertext, _decode_posting)
+            posting = cipher.try_decrypt(element.ciphertext, decode)
             if posting is not None and posting.term == term:
                 matches.append((posting, element))
     return matches
@@ -563,31 +562,33 @@ class ZerberRClient:
         *terms* defaults to every term of the document, sorted — the
         order nonces are drawn in, so a document's ciphertexts do not
         depend on who builds it.  Every term is checked (present in the
-        document, covered by the merge plan) before a nonce is drawn;
-        the group's cipher, nonce sequence and unseen-term PRF are looked
-        up once, and all TRS values come from one
-        :meth:`~repro.core.rstf.RstfModel.transform_many`.
+        document, covered by the merge plan) and every plaintext encoded
+        before a nonce is drawn; one plan lookup per term gives its list
+        id and its term number; the group's cipher, nonce sequence and
+        unseen-term PRF are looked up once, and all TRS values come from
+        one :meth:`~repro.core.rstf.RstfModel.transform_many`.
         """
         terms = sorted(doc.counts) if terms is None else list(terms)
+        locate = self._plan.locate
         list_ids: list[int] = []
-        plains: list[PostingElement] = []
+        rscores: list[float] = []
+        plaintexts: list[bytes] = []
         for term in terms:
             tf = doc.tf(term)
             if tf == 0:
                 raise UnknownTermError(term)
             try:
-                list_ids.append(self._plan.list_of(term))
+                list_id, number = locate(term)
             except KeyError:
                 raise UnknownTermError(term) from None
-            plains.append(
-                PostingElement(
-                    term=term, doc_id=doc.doc_id, tf=tf, doc_length=doc.length
-                )
+            plain = PostingElement(
+                term=term, doc_id=doc.doc_id, tf=tf, doc_length=doc.length
             )
+            list_ids.append(list_id)
+            rscores.append(plain.rscore)
+            plaintexts.append(plain.to_bytes(number))
         trs_values = self._rstf.transform_many(
-            terms,
-            [plain.rscore for plain in plains],
-            unseen_trs=self._unseen_trs(group, doc.doc_id),
+            terms, rscores, unseen_trs=self._unseen_trs(group, doc.doc_id)
         )
         cipher = self._cipher(group)
         nonces = self._nonce_sequence(group)
@@ -595,12 +596,12 @@ class ZerberRClient:
             (
                 list_id,
                 EncryptedPostingElement(
-                    ciphertext=cipher.encrypt(plain.to_bytes(), nonces.next()),
+                    ciphertext=cipher.encrypt(plaintext, nonces.next()),
                     group=group,
                     trs=trs,
                 ),
             )
-            for list_id, plain, trs in zip(list_ids, plains, trs_values)
+            for list_id, plaintext, trs in zip(list_ids, plaintexts, trs_values)
         ]
 
     def build_element(
@@ -737,7 +738,7 @@ class ZerberRClient:
         session.offset += len(elements)
         session.request_number += 1
         hits = session.hits
-        hits += skim_matches(elements, session.term, ciphers)
+        hits += skim_matches(elements, session.term, ciphers, self._plan.decoder)
         if len(hits) >= session.k and self._topk_complete(hits, session.k, elements):
             session.trace.satisfied = True
             session.done = True

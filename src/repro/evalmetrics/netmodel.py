@@ -11,10 +11,11 @@ queries/s; a 56 Kb/s modem user downloads an answer in ≈0.5 s.
 counts, so the §6.6 benchmark can plug in our synthetic-ODP numbers.
 
 The 64 bits are the paper's assumption.  A *measured* element of the e2e
-bench corpus (10-byte term, 13-byte doc id) is 560 bits on the wire —
-nonce 16 + header 7 + term + doc id + tag 16 bytes, plus the 64-bit TRS
-(``EncryptedPostingElement.size_bits``; 736 bits while the plaintext was
-canonical JSON): ``NetworkModel(element_bits=560)`` prices that.
+bench corpus (13-byte doc id) is 504 bits on the wire — nonce 16 +
+header 10 (tf, doc length, term number) + doc id + tag 16 bytes, plus
+the 64-bit TRS (``EncryptedPostingElement.size_bits``; 560 bits while the
+header spelled the 10-byte term out, 736 while the plaintext was
+canonical JSON): ``NetworkModel(element_bits=504)`` prices that.
 """
 
 from __future__ import annotations

@@ -27,12 +27,14 @@ Schemes:
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.errors import ConfidentialityViolationError, ConfigurationError
+from repro.index.postings import PostingElement
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,7 @@ class MergePlan:
     ----------
     groups:
         ``groups[i]`` is the tuple of terms merged into list id ``i``.
+        Read in order, they also number the terms (:attr:`terms`).
     r:
         The confidentiality parameter the plan was built for.
     """
@@ -64,18 +67,44 @@ class MergePlan:
     def num_lists(self) -> int:
         return len(self.groups)
 
+    @cached_property
+    def terms(self) -> tuple[str, ...]:
+        """Every term, numbered: a term's number is its index here —
+        ``groups`` read in order.  A posting plaintext names its term by
+        this number (:meth:`~repro.index.postings.PostingElement.to_bytes`)."""
+        return tuple(term for group in self.groups for term in group)
+
+    @cached_property
+    def _addresses(self) -> dict[str, tuple[int, int]]:
+        addresses: dict[str, tuple[int, int]] = {}
+        for list_id, group in enumerate(self.groups):
+            for term in group:
+                addresses[term] = (list_id, len(addresses))
+        return addresses
+
+    def locate(self, term: str) -> tuple[int, int]:
+        """``(list id, term number)`` of *term* in one lookup — what a
+        writer needs per element (raises KeyError for unknown terms)."""
+        return self._addresses[term]
+
     def list_of(self, term: str) -> int:
         """List id a term is merged into (raises KeyError for unknown terms)."""
-        return self._term_to_list()[term]
+        return self._addresses[term][0]
 
-    def _term_to_list(self) -> dict[str, int]:
-        cached = getattr(self, "_cache", None)
-        if cached is None:
-            cached = {
-                term: i for i, group in enumerate(self.groups) for term in group
-            }
-            object.__setattr__(self, "_cache", cached)
-        return cached
+    @cached_property
+    def decoder(self) -> Callable[[bytes], PostingElement]:
+        """This plan's posting decoder: one stable object per plan, since
+        a cipher's memo serves the decoder that filled it by identity.
+
+        It resolves :meth:`PostingElement.from_bytes` at call time, so a
+        wrapper installed on that classmethod sees every miss-path decode.
+        """
+        terms = self.terms
+
+        def decode(plaintext: bytes) -> PostingElement:
+            return PostingElement.from_bytes(plaintext, terms)
+
+        return decode
 
     def terms_of(self, list_id: int) -> tuple[str, ...]:
         """Terms merged into *list_id*."""
@@ -84,7 +113,7 @@ class MergePlan:
         return self.groups[list_id]
 
     def all_terms(self) -> set[str]:
-        return set(self._term_to_list())
+        return set(self.terms)
 
     def verify(self, probabilities: Mapping[str, float]) -> None:
         """Assert Def. 2 for every group; raises on violation.

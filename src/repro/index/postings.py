@@ -13,24 +13,34 @@ Three element flavours appear in the reproduction:
   keyed by an integer list id.
 
 The plaintext layout — :meth:`PostingElement.to_bytes` / ``from_bytes``
-are its single owner — is a fixed 7-byte header and two UTF-8 strings::
+are its single owner — is a fixed 10-byte header and one UTF-8 string::
 
-    tf (2) | doc_length (4) | n = len(term) (1) | term (n) | doc_id (rest)
+    tf (2) | doc_length (4) | term number (4) | doc_id (rest)
 
 all unsigned big-endian, with no version byte, no padding and no second
-layout: the decoder maps every byte string either to exactly one element,
-whose ``to_bytes()`` is that byte string again, or to a
-:class:`~repro.errors.ProtocolError`.
+layout.  The term travels as its number in the merge plan
+(:attr:`~repro.index.merge.MergePlan.terms`, the plan's groups read in
+order): every client can name a term from the public plan, so spelling
+it out cost bytes and told the server nothing a member needs.  The
+number is global, not a slot within a list, so an element the server
+moves into another list still decodes to its own term.  Given the
+plan's terms, the decoder maps every byte string either to exactly one
+element, whose ``to_bytes(number)`` is that byte string again, or to a
+:class:`~repro.errors.ProtocolError` — a number outside the plan
+included.
 
 What the server learns from a length: the cipher adds a 16-byte nonce
 and a 16-byte tag and does not hide the body's length, so the untrusted
-server sees ``len(ciphertext) == 16 + 7 + len(term) + len(doc_id) + 16``
-(UTF-8 bytes) for every element — a function of the two string lengths
-only, independent of tf and doc_length (pinned in
-``tests/test_integration_security.py``).  The canonical-JSON body this
-replaced spelled both counts in decimal, so its length also showed their
-digit counts: the magnitude of the very score the TRS exists to hide.
-Lists are not padded, so ``len(term) + len(doc_id)`` stays visible.
+server sees ``len(ciphertext) == 16 + 10 + len(doc_id) + 16`` (UTF-8
+bytes) for every element — a function of the document alone, the same
+for every term, tf and doc_length (pinned in
+``tests/test_integration_security.py``).  When the term was spelled out,
+``len(term)`` split a merged list into length classes, each attributable
+at better odds than Def. 2 allows; the canonical-JSON body before that
+also showed the digit counts of tf and doc_length.  What remains is
+``len(doc_id)``, which links one document's elements across lists; a
+fixed-width document number would close it and needs a document
+directory members can read.
 """
 
 from __future__ import annotations
@@ -38,16 +48,16 @@ from __future__ import annotations
 import bisect
 import math
 import struct
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from sys import intern
 
 from repro.errors import ProtocolError
 
-# tf, doc_length, UTF-8 length of the term.  Fixed width on purpose: one C
-# call decodes it, and the body length does not vary with the counts.
-_HEADER = struct.Struct(">HIB")
-_HEADER_SIZE = _HEADER.size
+# tf, doc_length, term number.  Fixed width on purpose: one C call decodes
+# it, and the body length varies with neither the counts nor the term.
+_HEADER = struct.Struct(">HII")
+HEADER_SIZE = _HEADER.size
 _unpack_header = _HEADER.unpack_from
 
 
@@ -73,37 +83,39 @@ class PostingElement:
 
     # -- serialisation (what gets encrypted) --------------------------------
 
-    def to_bytes(self) -> bytes:
-        """The element's one byte encoding (the encryption plaintext).
+    def to_bytes(self, number: int) -> bytes:
+        """The element's one byte encoding (the encryption plaintext),
+        with *number* — the term's number in the merge plan — for the term.
 
         :class:`ValueError` for a field the header cannot hold (``tf`` >
-        65 535, ``doc_length`` ≥ 2**32, a term over 255 UTF-8 bytes) or a
-        string UTF-8 cannot encode.
+        65 535, ``doc_length`` or *number* outside ``[0, 2**32)``) or a
+        doc id UTF-8 cannot encode.
         """
-        term = self.term.encode()
         try:
-            header = _HEADER.pack(self.tf, self.doc_length, len(term))
+            header = _HEADER.pack(self.tf, self.doc_length, number)
         except struct.error as error:
             raise ValueError(
                 f"posting element does not fit the plaintext header: {error}"
             ) from None
-        return header + term + self.doc_id.encode()
+        return header + self.doc_id.encode()
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "PostingElement":
-        """Inverse of :meth:`to_bytes`; anything else is a :class:`ProtocolError`.
+    def from_bytes(cls, data: bytes, terms: Sequence[str]) -> "PostingElement":
+        """Inverse of :meth:`to_bytes`, naming the term ``terms[number]``;
+        anything else — a number outside *terms* included — is a
+        :class:`ProtocolError`.
 
-        Term and document id are interned: a hot list repeats few of
-        them over many elements, and decoded elements live on in the
-        cipher's memo.
+        The term is the very string *terms* holds, and the document id is
+        interned: a hot list repeats few of them over many elements, and
+        decoded elements live on in the cipher's memo.
         """
         try:
-            tf, doc_length, term_size = _unpack_header(data)
-            term_end = _HEADER_SIZE + term_size
-            if term_end > len(data):
-                raise ProtocolError("term length runs past the element body")
-            term = intern(data[_HEADER_SIZE:term_end].decode())
-            return cls(term, intern(data[term_end:].decode()), tf, doc_length)
+            tf, doc_length, number = _unpack_header(data)
+            if number >= len(terms):
+                raise ProtocolError(f"term number {number} is not in the plan")
+            return cls(
+                terms[number], intern(data[HEADER_SIZE:].decode()), tf, doc_length
+            )
         except (struct.error, ValueError) as error:
             raise ProtocolError(f"malformed posting element: {error!r}") from None
 

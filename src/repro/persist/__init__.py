@@ -17,14 +17,19 @@ Two dump kinds share one version-tagged JSON container:
   :func:`load_cluster`), including its replication logs; see
   :mod:`repro.persist.clusterstate`.
 
-The container is format **v3**, the only version this build writes or
-reads: v2's container unchanged, renumbered because the plaintext inside
-every ciphertext changed (the binary layout of
-:mod:`repro.index.postings` replaced canonical JSON).  Ciphertexts are
-opaque to the host, so a v2 dump would restore without complaint and
-then answer every query empty; any other version is therefore refused
-with a :class:`~repro.errors.ConfigurationError` naming the file, the
-version found and the version read.  Re-index to carry an older index over.
+The container is format **v4**, the only version this build writes or
+reads: v3's container unchanged, renumbered because the plaintext inside
+every ciphertext changed again (:mod:`repro.index.postings` names the
+term by its number in the merge plan instead of spelling it out).
+Ciphertexts are opaque to the host, so an older dump would restore
+without complaint and then misread every element: read as v4, a v3
+element's term-length byte and first three term bytes become a term
+number — usually outside the plan, so every query raises, but on a
+small vocabulary sometimes inside it, silently naming the wrong term
+(and a v2 element, canonical JSON, never decodes at all).  Any other
+version is therefore refused with a
+:class:`~repro.errors.ConfigurationError` naming the file, the version
+found and the version read.  Re-index to carry an older index over.
 
 Format / recovery invariants
 ----------------------------
@@ -57,7 +62,10 @@ Format / recovery invariants
    offending value — nothing escapes as a raw ``KeyError`` or
    ``IndexError``.  Element fields are decoded strictly (base64 with
    validation, string group, float-or-null TRS): a damaged entry never
-   restores as a *different* ciphertext.
+   restores as a *different* ciphertext.  The setup artifacts are held
+   to the same rule: a merge plan or RSTF model its own constructor
+   refuses is a :class:`~repro.errors.ConfigurationError` naming the
+   file, never a bare one or a ``TrainingError``.
 """
 
 from __future__ import annotations
@@ -91,6 +99,7 @@ from repro.persist.encoders import (
     rstf_model_to_dict,
     server_from_dict,
     server_to_dict,
+    setup_from_payload,
 )
 
 __all__ = [
@@ -149,9 +158,8 @@ def load_index(
             f"{path}: not a single-server dump (kind={kind!r}); "
             "use repro.persist.load_cluster"
         )
+    merge_plan, rstf_model = setup_from_payload(payload, path)
     try:
-        merge_plan = merge_plan_from_dict(payload["merge_plan"])
-        rstf_model = rstf_model_from_dict(payload["rstf_model"])
         server = server_from_dict(payload["server"], key_service, source=path)
     except ConfigurationError:
         raise

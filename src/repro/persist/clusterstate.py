@@ -45,12 +45,11 @@ from repro.persist.encoders import (
     element_from_dict,
     element_to_dict,
     load_server_state,
-    merge_plan_from_dict,
     merge_plan_to_dict,
     read_payload,
-    rstf_model_from_dict,
     rstf_model_to_dict,
     server_to_dict,
+    setup_from_payload,
 )
 
 DEFAULT_VIEW_SPILL = 64
@@ -391,13 +390,7 @@ def load_cluster(
             f"{path}: not a cluster snapshot (kind={kind!r}); "
             "use repro.persist.load_index for single-server dumps"
         )
-    try:
-        merge_plan = merge_plan_from_dict(payload["merge_plan"])
-        rstf_model = rstf_model_from_dict(payload["rstf_model"])
-    except (KeyError, TypeError, ValueError) as error:
-        raise ConfigurationError(
-            f"{path}: corrupt cluster dump: {error!r}"
-        ) from error
+    merge_plan, rstf_model = setup_from_payload(payload, path)
     try:
         cluster_section = payload["cluster"]
     except KeyError:

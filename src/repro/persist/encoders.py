@@ -18,12 +18,12 @@ from pathlib import Path
 from repro.core.rstf import Rstf, RstfModel
 from repro.core.server import ZerberRServer
 from repro.crypto.keys import GroupKeyService
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TrainingError
 from repro.index.merge import MergePlan
 from repro.index.postings import EncryptedPostingElement
 
 #: The one dump format this build writes and reads (see :mod:`repro.persist`).
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def read_payload(path: str | Path) -> dict:
@@ -108,6 +108,26 @@ def rstf_model_from_dict(data: dict) -> RstfModel:
             for term, entry in data.items()
         }
     )
+
+
+def setup_from_payload(
+    payload: dict, source: str | Path
+) -> tuple[MergePlan, RstfModel]:
+    """A dump's merge plan and RSTF model.  Whatever is wrong with
+    either — a missing section, a term in two groups, a non-positive
+    sigma — is a :class:`ConfigurationError` naming *source*: the plan
+    numbers every term a ciphertext names, so a bad one is as corrupt
+    as a bad element."""
+    try:
+        merge_plan = merge_plan_from_dict(payload["merge_plan"])
+        rstf_model = rstf_model_from_dict(payload["rstf_model"])
+    except (
+        ConfigurationError, TrainingError, KeyError, TypeError, ValueError
+    ) as error:
+        raise ConfigurationError(
+            f"{source}: corrupt setup artifacts: {error!r}"
+        ) from error
+    return merge_plan, rstf_model
 
 
 # -- server state -------------------------------------------------------------

@@ -316,9 +316,9 @@ class TestRevocationBetweenRounds:
         delivered = []
         skim = client_module.skim_matches
 
-        def recording(elements, term, ciphers):
+        def recording(elements, term, ciphers, decode):
             delivered.extend(element.group for element in elements)
-            return skim(elements, term, ciphers)
+            return skim(elements, term, ciphers, decode)
 
         monkeypatch.setattr(client_module, "skim_matches", recording)
         coordinator.run_until_complete()
@@ -464,7 +464,7 @@ class TestTies:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 9])
     def test_query_ranks_ties_like_the_eager_reference(
-        self, alice, bob, root, server, keys, monkeypatch, k
+        self, alice, bob, root, server, keys, plan, monkeypatch, k
     ):
         self._populate(alice, bob)
         fetched = []
@@ -481,7 +481,8 @@ class TestTies:
         eager = []  # one hit per readable matching element, in fetch order
         for element in fetched:
             posting = PostingElement.from_bytes(
-                keys.cipher_for("root", element.group).decrypt(element.ciphertext)
+                keys.cipher_for("root", element.group).decrypt(element.ciphertext),
+                plan.terms,
             )
             if posting.term == "apple":
                 eager.append(RankedHit(posting.doc_id, posting.rscore, element.group))

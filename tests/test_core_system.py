@@ -252,7 +252,6 @@ class TestDeployShardsTheBuiltIndex:
         the cluster, which was re-indexed from the corpus."""
         from repro.core.protocol import Receipt
         from repro.corpus.documents import DocumentStats
-        from repro.index.postings import PostingElement
 
         system = ZerberRSystem.build(corpus, SystemConfig(r=4.0, seed=5))
         group, other = sorted(corpus.groups())[:2]
@@ -269,7 +268,7 @@ class TestDeployShardsTheBuiltIndex:
             for list_id in range(system.merge_plan.num_lists)
             for element in system.server.export_list(list_id)
             if element.group == group
-            and cipher.try_decrypt(element.ciphertext, PostingElement.from_bytes).doc_id
+            and cipher.try_decrypt(element.ciphertext, system.merge_plan.decoder).doc_id
             == victim
         ]
         assert len(receipts) == len(corpus.stats(victim).counts)

@@ -19,10 +19,14 @@ from repro.crypto.cipher import (
 from repro.core.client import skim_matches
 from repro.crypto.prf import Prf, XofKeystream, derive_key
 from repro.errors import AuthenticationError, ProtocolError
+from repro.index.merge import MergePlan
 from repro.index.postings import EncryptedPostingElement, PostingElement
 
 KEY = b"0123456789abcdef0123456789abcdef"
 NONCE = bytes(range(NONCE_SIZE))
+TERMS = ("apple", "pear", "plum")
+# "t" is term 0; the skim's terms follow.
+PLAN = MergePlan(groups=(("t",), TERMS), r=2.0)
 
 key_strategy = st.binary(min_size=16, max_size=64)
 nonce_strategy = st.binary(min_size=NONCE_SIZE, max_size=NONCE_SIZE)
@@ -315,9 +319,9 @@ class TestDecodedMemo:
 
     def test_failed_decode_is_never_memoised(self):
         cipher = StreamCipher(KEY)
-        good = cipher.encrypt(PostingElement("t", "d", 1, 2).to_bytes(), NONCE)
+        good = cipher.encrypt(PostingElement("t", "d", 1, 2).to_bytes(0), NONCE)
         bad = cipher.encrypt(b'{"t":"t"}', bytes(NONCE_SIZE))  # authentic, malformed
-        decode = PostingElement.from_bytes  # one object: the memo goes by identity
+        decode = PLAN.decoder  # one object: the memo goes by identity
         for _ in range(2):
             with pytest.raises(ProtocolError):
                 cipher.try_decrypt_many([good, bad, good], decode)
@@ -328,11 +332,11 @@ class TestDecodedMemo:
         hit served before the element whose decode raised."""
         cipher = StreamCipher(KEY)
         first, second = (
-            cipher.encrypt(PostingElement("t", f"d{i}", 1, 2).to_bytes(), bytes([i]) * 16)
+            cipher.encrypt(PostingElement("t", f"d{i}", 1, 2).to_bytes(0), bytes([i]) * 16)
             for i in range(2)
         )
         bad = cipher.encrypt(b'{"t":"t"}', NONCE)  # authentic, malformed
-        decode = PostingElement.from_bytes
+        decode = PLAN.decoder
         cipher.try_decrypt_many([first, second], decode)
         assert cipher.memo_hits == 0
         with pytest.raises(ProtocolError):
@@ -402,7 +406,6 @@ class TestOneElementKernel:
 
 GROUPS = ("g0", "g1", "g2", "g3")
 GROUP_KEYS = {group: bytes([index + 1]) * 32 for index, group in enumerate(GROUPS)}
-TERMS = ("apple", "pear", "plum")
 
 
 @st.composite
@@ -421,7 +424,8 @@ def _element_pool(draw):
         damage = draw(st.sampled_from(["none", "none", "none", "tag", "short", "key"]))
         key = GROUP_KEYS[GROUPS[0] if damage == "key" and group != GROUPS[0] else group]
         ciphertext = StreamCipher(key).encrypt(
-            posting.to_bytes(), serial.to_bytes(NONCE_SIZE, "big")
+            posting.to_bytes(PLAN.locate(posting.term)[1]),
+            serial.to_bytes(NONCE_SIZE, "big"),
         )
         if damage == "tag":
             ciphertext = ciphertext[:-1] + bytes([ciphertext[-1] ^ 1])
@@ -442,7 +446,7 @@ def _reference_matches(elements, term, ciphers):
         plaintext = cipher.try_decrypt(element.ciphertext)
         if plaintext is None:
             continue
-        posting = PostingElement.from_bytes(plaintext)
+        posting = PostingElement.from_bytes(plaintext, PLAN.terms)
         if posting.term == term:
             matches.append((posting, element))
     return matches
@@ -471,7 +475,7 @@ def test_skim_matches_equals_per_element_reference(pool, picks, readable, capaci
     reference = {g: StreamCipher(GROUP_KEYS[g], memo_capacity=capacity) for g in readable}
     for term, indices in picks:
         elements = [pool[index % len(pool)] for index in indices]
-        matches = skim_matches(elements, term, kernel)
+        matches = skim_matches(elements, term, kernel, PLAN.decoder)
         assert matches == _reference_matches(elements, term, reference)
         for group in readable:
             assert kernel[group].memo_hits == reference[group].memo_hits
@@ -480,7 +484,7 @@ def test_skim_matches_equals_per_element_reference(pool, picks, readable, capaci
             # postings: same ciphertexts, same (insertion = eviction) order.
             assert list(kernel[group]._memo) == list(reference[group]._memo)
             assert list(kernel[group]._memo.values()) == [
-                PostingElement.from_bytes(plaintext)
+                PostingElement.from_bytes(plaintext, PLAN.terms)
                 for plaintext in reference[group]._memo.values()
             ]
 

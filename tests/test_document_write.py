@@ -131,28 +131,31 @@ class TestAllOrNothing:
         assert intruder.version_floor(0) == cluster.primary_version(0)
 
     @pytest.mark.parametrize(
-        "counts",
+        "doc",
         [
-            {"apple": 1, "x" * 256: 1, "plum": 1},  # term > 255 UTF-8 bytes
-            {"apple": 65_536},  # tf past the 2-byte header field
+            # tf past the 2-byte header field
+            DocumentStats.from_counts("e", {"apple": 1, "plum": 65_536}),
+            # doc_length past the 4-byte one
+            DocumentStats("e", {"apple": 1, "plum": 1}, 2**32),
         ],
-        ids=["long-term", "large-tf"],
+        ids=["large-tf", "large-doc-length"],
     )
-    def test_a_document_the_layout_cannot_hold_sends_nothing(self, keys, counts):
+    def test_a_document_the_layout_cannot_hold_sends_nothing(self, keys, doc):
         """One element that does not fit the plaintext header refuses the
-        whole document before anything is sent: no insert, no floor."""
-        plan = MergePlan(groups=(("apple", "x" * 256), ("plum",), ("fig",)), r=2.0)
+        whole document before anything is sent: no insert, no floor, no
+        nonce drawn."""
+        plan = MergePlan(groups=(("apple", "pear"), ("plum",), ("fig",)), r=2.0)
         cluster = ServerCluster(
             keys, num_lists=LISTS, num_servers=SERVERS, replication=3, lag=2
         )
         writer = ZerberRClient("u", keys, cluster, RstfModel({}), plan)
         writer.index_document(DocumentStats.from_counts("d", {"fig": 1}), "g")
         before = _state(cluster)
+        nonces = keys.nonce_sequence("u", "g")._counter
         with pytest.raises(ValueError):
-            writer.index_document_with_receipts(
-                DocumentStats.from_counts("e", counts), "g"
-            )
+            writer.index_document_with_receipts(doc, "g")
         assert _state(cluster) == before
+        assert keys.nonce_sequence("u", "g")._counter == nonces
         assert writer.version_floor(0) is None and writer.version_floor(1) is None
 
     def test_misses_and_duplicates_remove_each_element_once(self, keys):

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfidentialityViolationError, ConfigurationError
+from repro.errors import (
+    ConfidentialityViolationError,
+    ConfigurationError,
+    ProtocolError,
+)
 from repro.index.merge import (
     MergePlan,
     bfm_merge,
@@ -11,6 +15,7 @@ from repro.index.merge import (
     merged_list_confidentiality,
     random_merge,
 )
+from repro.index.postings import PostingElement
 
 
 @pytest.fixture()
@@ -58,6 +63,40 @@ class TestMergePlan:
     def test_all_terms(self):
         plan = MergePlan(groups=(("a", "b"), ("c",)), r=2.0)
         assert plan.all_terms() == {"a", "b", "c"}
+
+    def test_terms_are_numbered_globally_in_group_order(self):
+        plan = MergePlan(groups=(("b", "a"), ("c",), ("e", "d")), r=2.0)
+        assert plan.terms == ("b", "a", "c", "e", "d")
+        assert [plan.locate(t) for t in plan.terms] == [
+            (0, 0), (0, 1), (1, 2), (2, 3), (2, 4)
+        ]
+        with pytest.raises(KeyError):
+            plan.locate("zzz")
+
+    def test_one_stable_decoder_per_plan(self):
+        """A cipher memo serves the decoder that filled it, by identity."""
+        plan = MergePlan(groups=(("a", "b"), ("c",)), r=2.0)
+        same = MergePlan(groups=(("a", "b"), ("c",)), r=2.0)
+        assert plan.decoder is plan.decoder
+        assert same == plan  # the numbering is no part of a plan's value
+        posting = PostingElement("c", "doc", 2, 5)
+        assert plan.decoder(posting.to_bytes(plan.locate("c")[1])) == posting
+        with pytest.raises(ProtocolError):
+            plan.decoder(posting.to_bytes(len(plan.terms)))
+
+    def test_decoder_resolves_from_bytes_at_call_time(self, monkeypatch):
+        plan = MergePlan(groups=(("a",),), r=2.0)
+        decode = plan.decoder
+        seen = []
+        original = PostingElement.__dict__["from_bytes"].__func__
+
+        def traced(cls, data, terms):
+            seen.append(data)
+            return original(cls, data, terms)
+
+        monkeypatch.setattr(PostingElement, "from_bytes", classmethod(traced))
+        data = PostingElement("a", "d", 1, 1).to_bytes(0)
+        assert decode(data).term == "a" and seen == [data]
 
 
 class TestEffectiveConfidentiality:

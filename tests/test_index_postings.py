@@ -26,35 +26,41 @@ class TestPostingElement:
         with pytest.raises(ValueError):
             PostingElement(term="t", doc_id="d", tf=6, doc_length=5)
 
+    # A plan's terms, numbered: "tëst" is term 1.
+    TERMS = ("t", "tëst", "u")
+
     def test_bytes_roundtrip(self):
         element = PostingElement(term="tëst", doc_id="1.txt", tf=3, doc_length=10)
-        assert PostingElement.from_bytes(element.to_bytes()) == element
+        assert PostingElement.from_bytes(element.to_bytes(1), self.TERMS) == element
 
     def test_bytes_layout(self):
-        """tf (2) | doc_length (4) | len(term) (1) | term | doc id."""
+        """tf (2) | doc_length (4) | term number (4) | doc id."""
         element = PostingElement(term="tëst", doc_id="1.txt", tf=3, doc_length=10)
-        assert element.to_bytes() == (
-            b"\x00\x03" b"\x00\x00\x00\x0a" b"\x05" + "tëst".encode() + b"1.txt"
+        assert element.to_bytes(1) == (
+            b"\x00\x03" b"\x00\x00\x00\x0a" b"\x00\x00\x00\x01" b"1.txt"
         )
-        assert PostingElement("", "", 1, 1).to_bytes() == b"\x00\x01\x00\x00\x00\x01\x00"
+        assert (
+            PostingElement("", "", 1, 1).to_bytes(0)
+            == b"\x00\x01\x00\x00\x00\x01\x00\x00\x00\x00"
+        )
 
     @pytest.mark.parametrize(
         "data",
         [
             b"",
-            b"\x00\x01\x00\x00\x00\x02",  # short header
-            b"\x00\x01\x00\x00\x00\x02\x01",  # term length runs past the body
-            b"\x00\x01\x00\x00\x00\x02\x04abc",
-            b"\x00\x01\x00\x00\x00\x02\xffab",
-            b"\x00\x01\x00\x00\x00\x02\x01\xffd",  # invalid UTF-8 in the term
-            b"\x00\x01\x00\x00\x00\x02\x02\xc3ad",  # ... a sequence cut by the split
-            b"\x00\x01\x00\x00\x00\x02\x01t\xff",  # invalid UTF-8 in the doc id
-            b"\x00\x01\x00\x00\x00\x02\x01t\xed\xa0\x80",  # ... an encoded surrogate
-            b"\x00\x01\x00\x00\x00\x02\x01t\xc0\x80",  # ... an overlong NUL
-            b"\x00\x00\x00\x00\x00\x02\x01td",  # tf == 0
-            b"\x00\x03\x00\x00\x00\x02\x01td",  # doc_length < tf
-            # The layout this one replaced, and what tests pass as "authentic
-            # but malformed": an old element is refused, not misread.
+            b"\x00\x01\x00\x00\x00\x02\x00\x00\x00",  # short header
+            b"\x00\x01\x00\x00\x00\x02\x00\x00\x00\x03d",  # number past the plan
+            b"\x00\x01\x00\x00\x00\x02\xff\xff\xff\xffd",  # ... far past it
+            b"\x00\x01\x00\x00\x00\x02\x00\x00\x00\x00\xff",  # invalid UTF-8 doc id
+            b"\x00\x01\x00\x00\x00\x02\x00\x00\x00\x00\xed\xa0\x80",  # a surrogate
+            b"\x00\x01\x00\x00\x00\x02\x00\x00\x00\x00\xc0\x80",  # an overlong NUL
+            b"\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00d",  # tf == 0
+            b"\x00\x03\x00\x00\x00\x02\x00\x00\x00\x00d",  # doc_length < tf
+            # The layouts this one replaced, and what tests pass as
+            # "authentic but malformed": an old element is refused, not
+            # misread — the v3 one's length byte and first three term
+            # bytes read as a term number far outside any plan.
+            b"\x00\x01\x00\x00\x00\x02\x0aterm000000tiny-000000",
             b'{"d":"studip-000000","f":52,"l":472,"t":"term000000"}',
             b'{"d":"x","f":1,"l":2,"t":"a"}',
             b'{"t":"t"}',
@@ -62,31 +68,44 @@ class TestPostingElement:
     )
     def test_malformed_bytes_raise_protocol_error(self, data):
         with pytest.raises(ProtocolError):
-            PostingElement.from_bytes(data)
+            PostingElement.from_bytes(data, self.TERMS)
 
     @pytest.mark.parametrize(
-        "element",
+        "element, number",
         [
-            PostingElement("t", "d", 65_536, 65_536),
-            PostingElement("t", "d", 1, 2**32),
-            PostingElement("t" * 256, "d", 1, 2),
-            PostingElement("é" * 128, "d", 1, 2),  # 256 UTF-8 bytes
-            PostingElement("\ud800", "d", 1, 2),  # not encodable at all
-            PostingElement("t", "\udfff", 1, 2),
+            (PostingElement("t", "d", 65_536, 65_536), 0),
+            (PostingElement("t", "d", 1, 2**32), 0),
+            (PostingElement("t", "d", 1, 2), 2**32),
+            (PostingElement("t", "d", 1, 2), -1),
+            (PostingElement("t", "\udfff", 1, 2), 0),  # not encodable at all
         ],
     )
-    def test_fields_the_header_cannot_hold_raise_value_error(self, element):
+    def test_fields_the_header_cannot_hold_raise_value_error(self, element, number):
         with pytest.raises(ValueError):
-            element.to_bytes()
+            element.to_bytes(number)
 
     def test_header_limits_themselves_fit(self):
-        element = PostingElement("é" * 127 + "x", "d", 65_535, 2**32 - 1)
-        assert PostingElement.from_bytes(element.to_bytes()) == element
+        element = PostingElement("u", "d", 65_535, 2**32 - 1)
+        assert PostingElement.from_bytes(element.to_bytes(2), self.TERMS) == element
+        data = element.to_bytes(2**32 - 1)
+        assert data[6:10] == b"\xff\xff\xff\xff"
+
+    @pytest.mark.parametrize("term", ["", "x" * 300, "é" * 200, "\U0001f600" * 90])
+    def test_any_term_costs_the_same_four_bytes(self, term):
+        """The term is a number: its length, UTF-8 or not, no longer
+        reaches the plaintext (a 300-byte term overflowed the old
+        one-byte length header)."""
+        element = PostingElement(term, "doc", 1, 2)
+        data = element.to_bytes(0)
+        assert len(data) == 10 + 3
+        assert PostingElement.from_bytes(data, (term,)) == element
 
     def test_decoded_strings_are_interned(self):
-        data = PostingElement(term="tëst", doc_id="1.txt", tf=3, doc_length=10).to_bytes()
-        a, b = PostingElement.from_bytes(data), PostingElement.from_bytes(data)
-        assert a.term is b.term and a.doc_id is b.doc_id
+        """The term is the plan's own string; the doc id is interned."""
+        data = PostingElement(term="tëst", doc_id="1.txt", tf=3, doc_length=10).to_bytes(1)
+        a = PostingElement.from_bytes(data, self.TERMS)
+        b = PostingElement.from_bytes(data, self.TERMS)
+        assert a.term is self.TERMS[1] and a.doc_id is b.doc_id
 
     def test_slots_keep_elements_small_and_frozen(self):
         element = PostingElement(term="t", doc_id="d", tf=1, doc_length=2)

@@ -6,12 +6,15 @@ the score-distribution attack collapses, and BFM keeps follow-up counts
 aligned within merged lists.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro import SystemConfig, ZerberRSystem
 from repro.attacks.background import BackgroundKnowledge
 from repro.attacks.query_observation import QueryObservationAttack, extract_sessions
+from repro.attacks.score_distribution import chance_attribution_level
 from repro.core.client import ZerberRClient
 from repro.core.protocol import ResponsePolicy
 from repro.core.rstf import RstfModel
@@ -133,32 +136,88 @@ class TestCiphertextLength:
     """What the untrusted server learns from an element's length.
 
     The cipher hides nothing about the body's length, so the server sees
-    ``len(ciphertext)`` for every element it stores.  With the binary
-    plaintext layout that is ``16 (nonce) + 7 (header) + len(term) +
-    len(doc_id) + 16 (tag)`` in UTF-8 bytes: a function of the two string
-    lengths only.  The canonical-JSON layout it replaced spelled tf and
-    doc_length in decimal, so the length also gave away their digit
-    counts — the magnitude of the very score the TRS exists to hide.
+    ``len(ciphertext)`` for every element it stores: ``16 (nonce) + 10
+    (header: tf, doc_length, term number) + len(doc_id) + 16 (tag)`` in
+    UTF-8 bytes, a function of the document alone.  When the plaintext
+    spelled the term out, ``len(term)`` split a merged list into length
+    classes the server could attribute at better odds than Def. 2 allows;
+    the canonical-JSON layout before that also gave away the digit counts
+    of tf and doc_length — the magnitude of the very score the TRS exists
+    to hide.
     """
 
-    @pytest.mark.parametrize("term, doc_id", [("apple", "doc-1"), ("grüße", "akte-ß")])
-    def test_length_is_independent_of_tf_and_doc_length(self, term, doc_id):
+    # 1, 5, 12, 40 and 300 UTF-8 bytes.
+    TERMS = ("a", "café", "twelve-bytes", "ü" * 20, "€" * 100)
+
+    @staticmethod
+    def _deployment(plan):
         keys = GroupKeyService(master_secret=b"l" * 32)
         keys.register("u", {"g"})
-        plan = MergePlan(groups=((term, "filler"),), r=2.0)
-        client = ZerberRClient(
-            "u", keys, ZerberRServer(keys, num_lists=1), RstfModel({}), plan
-        )
-        expected = 16 + 7 + len(term.encode()) + len(doc_id.encode()) + 16
+        server = ZerberRServer(keys, num_lists=plan.num_lists)
+        return ZerberRClient("u", keys, server, RstfModel({}), plan), server, keys
+
+    @pytest.mark.parametrize("doc_id", ["doc-1", "akte-ß"])
+    def test_length_is_independent_of_term_tf_and_doc_length(self, doc_id):
+        assert [len(t.encode()) for t in self.TERMS] == [1, 5, 12, 40, 300]
+        plan = MergePlan(groups=(self.TERMS, ("filler",)), r=2.0)
+        client, _, _ = self._deployment(plan)
+        expected = 16 + 10 + len(doc_id.encode()) + 16
         lengths = set()
-        for tf in (1, 9, 10, 255, 256, 9_999, 65_535):
-            for doc_length in (1, 99, 100, 65_535, 65_536, 999_999, 10**7):
-                if doc_length < tf:
-                    continue
-                counts = {term: tf}
-                if doc_length > tf:
-                    counts["filler"] = doc_length - tf
-                doc = DocumentStats.from_counts(doc_id, counts)
-                [(_, element)] = client.build_document(doc, "g", [term])
-                lengths.add(len(element.ciphertext))
+        for term in self.TERMS:
+            for tf in (1, 9, 10, 255, 256, 9_999, 65_535):
+                for doc_length in (1, 99, 100, 65_535, 65_536, 999_999, 10**7):
+                    if doc_length < tf:
+                        continue
+                    counts = {term: tf}
+                    if doc_length > tf:
+                        counts["filler"] = doc_length - tf
+                    doc = DocumentStats.from_counts(doc_id, counts)
+                    [(_, element)] = client.build_document(doc, "g", [term])
+                    lengths.add(len(element.ciphertext))
         assert lengths == {expected}
+
+    def test_length_classes_attribute_at_chance(self):
+        """The length-aware adversary: group one merged list's elements
+        by ``len(ciphertext)`` and guess each class's most frequent term.
+        Its terms differ in length and its documents' ids share one
+        width, so any class structure left would come from the terms."""
+        plan = MergePlan(groups=(self.TERMS[:4],), r=2.0)
+        client, server, keys = self._deployment(plan)
+        rng = np.random.default_rng(7)
+        for i in range(60):
+            # A head-heavy term mix, so that chance sits well below 1.
+            counts = {
+                term: int(rng.integers(1, 9))
+                for term, share in zip(plan.terms, (0.9, 0.5, 0.3, 0.15))
+                if rng.random() < share
+            } or {plan.terms[0]: 1}
+            client.index_document(DocumentStats.from_counts(f"doc-{i:03d}", counts), "g")
+        cipher = keys.cipher_for("u", "g")
+        labelled = [
+            (len(e.ciphertext), cipher.try_decrypt(e.ciphertext, plan.decoder).term)
+            for e in server.export_list(0)
+        ]
+        classes: dict[int, Counter] = {}
+        for length, term in labelled:
+            classes.setdefault(length, Counter())[term] += 1
+        accuracy = sum(max(c.values()) for c in classes.values()) / len(labelled)
+        chance = chance_attribution_level(
+            plan.terms, [(0.0, term) for _, term in labelled]
+        )
+        assert len({term for _, term in labelled}) == 4 and chance < 0.6
+        assert accuracy == chance
+
+    def test_an_element_moved_into_another_list_is_skipped(self):
+        """The term number is global: an authentic element the server
+        places into another list still names its own term, so a query
+        for a term of that list fetches it and skips it."""
+        plan = MergePlan(groups=(("apple", "pear"), ("plum", "fig")), r=2.0)
+        client, server, _ = self._deployment(plan)
+        client.index_document(DocumentStats.from_counts("moved", {"apple": 3}), "g")
+        for doc_id in ("p1", "p2"):
+            client.index_document(DocumentStats.from_counts(doc_id, {"plum": 1}), "g")
+        [element] = server.export_list(0)
+        server.insert("u", 1, element)
+        result = client.query("plum", k=10)
+        assert result.trace.elements_transferred == 3  # the moved one came along
+        assert sorted(result.doc_ids()) == ["p1", "p2"]

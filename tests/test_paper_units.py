@@ -14,18 +14,21 @@ and not as a slower bench.
 
 Refresh (after a change that is *meant* to move a unit, and says so in
 CHANGES.md): ``PYTHONPATH=src python tests/test_paper_units.py`` prints
-the three lines to paste over the constants below.
+the three lines to paste over the constants below, and the wire bytes
+per element they imply.
 """
 
 import numpy as np
 
 from repro import SystemConfig, ZerberRSystem
 from repro.corpus.synthetic import tiny_corpus
+from repro.crypto.cipher import NONCE_SIZE, TAG_SIZE
+from repro.index.postings import HEADER_SIZE
 
 # 20 queries over tiny_corpus(seed=3), SystemConfig(r=4.0, seed=5), tape seed 11.
 REQUESTS = 52
 ELEMENTS = 693
-BITS = 376992
+BITS = 338184
 
 NUM_QUERIES = 20
 K = 5
@@ -56,9 +59,10 @@ def measure():
 
 def test_paper_units_are_exactly_the_recorded_ones():
     assert measure() == (REQUESTS, ELEMENTS, BITS)
-    # Every element on the wire is nonce + 7-byte header + term + doc id +
-    # tag + one TRS double; "termNNNNNN" in "tiny-NNNNNN" makes that 68 bytes.
-    assert BITS == ELEMENTS * 8 * (16 + 7 + 10 + 11 + 16 + 8)
+    # Every element on the wire is nonce + header + doc id + tag + one TRS
+    # double; a "tiny-NNNNNN" doc id makes that 61 bytes.
+    doc_id_size = len("tiny-000000")
+    assert BITS == ELEMENTS * 8 * (NONCE_SIZE + HEADER_SIZE + doc_id_size + TAG_SIZE + 8)
 
 
 class _CountedTrs(float):
@@ -97,5 +101,8 @@ def test_setup_work_is_once_per_element(monkeypatch, counted_encrypts):
 
 
 if __name__ == "__main__":
-    for name, value in zip(("REQUESTS", "ELEMENTS", "BITS"), measure()):
+    units = measure()
+    for name, value in zip(("REQUESTS", "ELEMENTS", "BITS"), units):
         print(f"{name} = {value}")
+    _, elements, bits = units
+    print(f"# wire bytes per element: {bits / 8 / elements:g}")

@@ -27,6 +27,7 @@ from repro.persist import (
     cluster_from_dict,
     cluster_to_dict,
     load_cluster,
+    load_index,
     save_cluster,
 )
 
@@ -693,6 +694,65 @@ class TestCorruptClusterDumps:
                     e.ciphertext
                     for e in cluster.server(server_index).export_list(list_id)
                 ]
+
+    @staticmethod
+    def _setup_dump(tmp_path, loader):
+        """A dump *loader* reads, saved under a three-list plan."""
+        from repro.core.rstf import RstfModel
+        from repro.core.server import ZerberRServer
+        from repro.index.merge import MergePlan
+        from repro.persist import save_index
+
+        plan = MergePlan(groups=tuple((f"t{i}",) for i in range(NUM_LISTS)), r=2.0)
+        path = tmp_path / "setup.json"
+        if loader is load_cluster:
+            save_cluster(path, _cluster(), plan, RstfModel({}))
+        else:
+            server = ZerberRServer(_keys(), num_lists=NUM_LISTS)
+            save_index(path, server, plan, RstfModel({}))
+        return path
+
+    @staticmethod
+    def _refused(path, loader, section, damage):
+        payload = json.loads(path.read_text())
+        damage(payload[section])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError) as excinfo:
+            loader(path, _keys())
+        assert str(path) in str(excinfo.value)
+        return str(excinfo.value)
+
+    @pytest.mark.parametrize("loader", [load_cluster, load_index], ids=["cluster", "server"])
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda plan: plan["groups"].append(["t0"]), "term in two groups"),
+            (lambda plan: plan["groups"].append([]), "empty merge group"),
+        ],
+        ids=["term-in-two-groups", "empty-group"],
+    )
+    def test_a_corrupt_merge_plan_names_the_file(self, tmp_path, loader, damage, named):
+        """The plan numbers every term a ciphertext names: a bad one is
+        as corrupt as a bad element, and is reported like one."""
+        path = self._setup_dump(tmp_path, loader)
+        assert named in self._refused(path, loader, "merge_plan", damage)
+
+    @pytest.mark.parametrize("loader", [load_cluster, load_index], ids=["cluster", "server"])
+    @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ({"mus": [0.1, 0.2], "sigma": 0, "kind": "erf"}, "sigma must be positive"),
+            ({"mus": [0.1, 0.2], "sigma": 1.0, "kind": "cauchy"}, "kind must be one of"),
+        ],
+        ids=["zero-sigma", "unknown-kind"],
+    )
+    def test_a_corrupt_rstf_model_names_the_file(self, tmp_path, loader, entry, named):
+        """Not a bare ``TrainingError``: the model's own refusal, with the file."""
+        path = self._setup_dump(tmp_path, loader)
+        message = self._refused(
+            path, loader, "rstf_model", lambda model: model.update(t0=entry)
+        )
+        assert named in message
 
     def test_truncated_file_names_path(self, tmp_path):
         path = self._dump(tmp_path)

@@ -59,59 +59,61 @@ def test_prf_unit_in_range(key, message):
 # encoding that decodes to it, and every byte string decodes to at most one
 # element — the one whose encoding it is.
 
-# Whatever UTF-8 can encode (``st.text()`` leaves lone surrogates out).
-term_strategy = st.text(max_size=64).filter(lambda t: len(t.encode()) <= 255) | (
-    st.sampled_from(["", "x" * 255, "é" * 127, "\U0001f600" * 63, '"\\\x00\x1f\x7f'])
-)
+# A plan's terms: whatever UTF-8 can encode (``st.text()`` leaves lone
+# surrogates out), of any length — the layout carries a number, not the term.
+TERMS = ("", "x" * 300, "é" * 127, "\U0001f600" * 63, '"\\\x00\x1f\x7f', "apple")
 
 
 @given(
-    term=term_strategy,
+    number=st.integers(0, len(TERMS) - 1),
     doc_id=st.text(max_size=40) | st.just(""),
     tf=st.integers(min_value=1, max_value=2**16 - 1),
     extra=st.integers(min_value=0, max_value=2**32 - 2**16),
 )
 @settings(max_examples=300, deadline=None)
-def test_posting_element_serialisation_roundtrip(term, doc_id, tf, extra):
-    element = PostingElement(term=term, doc_id=doc_id, tf=tf, doc_length=tf + extra)
-    data = element.to_bytes()
-    assert len(data) == 7 + len(term.encode()) + len(doc_id.encode())
-    assert PostingElement.from_bytes(data) == element
+def test_posting_element_serialisation_roundtrip(number, doc_id, tf, extra):
+    element = PostingElement(
+        term=TERMS[number], doc_id=doc_id, tf=tf, doc_length=tf + extra
+    )
+    data = element.to_bytes(number)
+    assert len(data) == 10 + len(doc_id.encode())
+    assert PostingElement.from_bytes(data, TERMS) == element
 
 
 @given(
     data=st.binary(max_size=64)
-    # Steer half the examples past the header checks: a plausible header
-    # over arbitrary (mostly non-UTF-8) and over textual bodies.
+    # Steer half the examples past the header checks: a plausible header,
+    # its term number in and just past the plan, over arbitrary (mostly
+    # non-UTF-8) and over textual bodies.
     | st.builds(
-        lambda tf, dl, n, body: tf.to_bytes(2, "big")
+        lambda tf, dl, number, body: tf.to_bytes(2, "big")
         + dl.to_bytes(4, "big")
-        + bytes([n])
+        + number.to_bytes(4, "big")
         + body,
         st.integers(0, 2),
         st.integers(0, 2**32 - 1),
-        st.integers(0, 4),
+        st.integers(0, len(TERMS) + 1) | st.integers(0, 2**32 - 1),
         st.binary(max_size=8) | st.text(max_size=6).map(str.encode),
     )
 )
 @settings(max_examples=500, deadline=None)
 def test_arbitrary_bytes_decode_to_their_own_element_or_a_typed_refusal(data):
     try:
-        element = PostingElement.from_bytes(data)
+        element = PostingElement.from_bytes(data, TERMS)
     except ProtocolError:
         return
-    assert element.to_bytes() == data
+    assert element.to_bytes(TERMS.index(element.term)) == data
 
 
 @given(
     key=key_strategy,
     nonce=nonce_strategy,
-    term=st.text(min_size=1, max_size=10),
+    number=st.integers(0, len(TERMS) - 1),
     tf=st.integers(min_value=1, max_value=100),
 )
 @settings(max_examples=100, deadline=None)
-def test_encrypted_element_end_to_end(key, nonce, term, tf):
-    element = PostingElement(term=term, doc_id="d", tf=tf, doc_length=tf + 5)
+def test_encrypted_element_end_to_end(key, nonce, number, tf):
+    element = PostingElement(term=TERMS[number], doc_id="d", tf=tf, doc_length=tf + 5)
     cipher = StreamCipher(key)
-    ciphertext = cipher.encrypt(element.to_bytes(), nonce)
-    assert PostingElement.from_bytes(cipher.decrypt(ciphertext)) == element
+    ciphertext = cipher.encrypt(element.to_bytes(number), nonce)
+    assert PostingElement.from_bytes(cipher.decrypt(ciphertext), TERMS) == element
