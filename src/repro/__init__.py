@@ -58,15 +58,12 @@ from repro.core import (
     FailoverEvent,
     EventLoop,
     MultiQueryResult,
-    PrimaryReads,
     QueryResult,
     QueryTrace,
     ReadConsistency,
-    ReadSelector,
     Receipt,
     ReplicationStats,
     ResponsePolicy,
-    RotatingReads,
     Rstf,
     RstfModel,
     RstfTrainer,
@@ -140,9 +137,6 @@ __all__ = [
     "CoordinatorStats",
     "EventLoop",
     "MultiQueryResult",
-    "ReadSelector",
-    "PrimaryReads",
-    "RotatingReads",
     "ReadConsistency",
     "WriteConsistency",
     "FailoverEvent",

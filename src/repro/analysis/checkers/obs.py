@@ -86,7 +86,6 @@ CATALOG_METRIC_NAMES = frozenset(
         "replication_write_ack_ops_total",
         "replication_failovers_total",
         "replication_failover_ops_total",
-        "replication_staleness_fallbacks_total",
         "replication_floor_reserves_total",
         "replication_max_staleness",
         "replication_ack_latency_ticks",
@@ -102,7 +101,6 @@ CATALOG_METRIC_NAMES = frozenset(
         "views_replication_patches_total",
         "views_evictions_total",
         "views_invalidations_total",
-        "views_warm_restores_total",
         # crypto skim
         "crypto_skim_elements_total",
         "crypto_skim_memo_hits_total",

@@ -258,7 +258,6 @@ def _scripted_workload(
         round_latency=2,
         max_queue_depth=2,
         telemetry=telemetry,
-        read_strategy="rotate",
     )
     client = system.client_for("superuser", server=cluster)
 
@@ -298,27 +297,27 @@ def _scripted_workload(
 
     # Direct reads at every consistency level (read-path histograms).
     list_id = system.merge_plan.list_of("alpha")
+    alpha_slice = FetchRequest(
+        principal="superuser", list_id=list_id, offset=0, count=2
+    )
     for consistency in ("one", "primary", "quorum"):
-        cluster.fetch(
-            FetchRequest(
-                principal="superuser", list_id=list_id, offset=0, count=2
-            ),
-            consistency=consistency,
-        )
+        cluster.fetch(alpha_slice, consistency=consistency)
 
     # Writes at every consistency level (write counters, ack latency).
+    # The ONE write goes last, so alpha's follower is left one op behind.
     owner = system.client_for("owner:g0")
     doc = next(iter(corpus.documents_in_group("g0")))
     doc_stats = corpus.stats(doc.doc_id)
-    for consistency in ("one", "quorum", "all"):
+    for consistency in ("all", "quorum", "one"):
         target_list, element = owner.build_element("alpha", doc_stats, "g0")
         cluster.insert("owner:g0", target_list, element, consistency=consistency)
-    for _ in range(4):
-        cluster.replication_tick()
 
-    # A failover election (election counters).
+    # A failover election (election counters).  While alpha's primary is
+    # down, a ONE read of alpha goes to that follower: a stale read,
+    # detected and read-repaired (stale-read and repair counters).
     victim = cluster.replicas_of(list_id)[0]
     cluster.fail_server(victim)
+    cluster.fetch(alpha_slice, consistency="one")
     for _ in range(4):
         cluster.replication_tick()
     cluster.restore_server(victim)

@@ -45,12 +45,7 @@ from repro.core.client import (
     QueryResult,
     ZerberRClient,
 )
-from repro.core.placement import (
-    PrimaryReads,
-    ReadSelector,
-    RotatingReads,
-    round_robin_placement,
-)
+from repro.core.placement import round_robin_placement
 from repro.core.replication import (
     DeliveryOutlook,
     FailoverEvent,
@@ -107,9 +102,6 @@ __all__ = [
     "MultiQueryResult",
     "QueryResult",
     "round_robin_placement",
-    "ReadSelector",
-    "PrimaryReads",
-    "RotatingReads",
     "DeliveryOutlook",
     "FailoverEvent",
     "ReadConsistency",

@@ -842,17 +842,3 @@ class ZerberRClient:
         return ClientQuerySession(
             self, self._start_sessions(terms, k, policy, max_requests), k
         )
-
-    def query_multi(
-        self,
-        terms: Iterable[str],
-        k: int,
-        policy: ResponsePolicy | None = None,
-    ) -> tuple[list[tuple[str, float]], list[QueryTrace]]:
-        """Multi-term query as per-term top-k sessions (§3.2).
-
-        Thin compatibility wrapper over :meth:`query_multi_batched` — same
-        results and per-term traces, one batched server call per round.
-        """
-        result = self.query_multi_batched(terms, k, policy=policy)
-        return list(result.ranked), list(result.traces)

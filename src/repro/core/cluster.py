@@ -40,11 +40,12 @@ worst-case staleness.  Lag 0 (the default) is a lag: the ops a write
 records are due in the same call, so every reachable replica holds them
 when the call returns.
 
-Read routing is pluggable too: a
-:class:`~repro.core.placement.ReadSelector` (``read_strategy``) picks
-which *eligible* replica serves each slice — ``primary`` (seed
-behaviour) or ``rotate`` — so trailing replicas can absorb read load
-instead of idling.  Routing a slice and stamping its
+A read goes to the first *eligible* replica in placement order — the
+primary whenever it is live, unpaused and fresh enough for the
+consistency level and the session floor — so a follower serves a read
+only when the primary cannot.  Every shard server is a synchronous
+in-process call with no queue, so spreading reads would buy no latency.
+Routing a slice and stamping its
 answer each read the replication log once
 (:meth:`~repro.core.replication.ReplicationManager.read_state`), and a
 batch that lands whole on one server is passed through as the object
@@ -64,12 +65,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import fields as dataclass_fields
 
-from repro.core.placement import (
-    ReadSelector,
-    coerce_read_selector,
-    round_robin_placement,
-    validate_placement,
-)
+from repro.core.placement import round_robin_placement, validate_placement
 from repro.core.protocol import (
     BatchFetchRequest,
     BatchFetchResponse,
@@ -119,7 +115,6 @@ class ServerCluster:
         replication: int = 1,
         lag: int = 0,
         read_consistency: ReadConsistency | str | None = None,
-        read_strategy: ReadSelector | str | None = None,
         anti_entropy_every: int | None = None,
         write_consistency: WriteConsistency | str | None = None,
         failover_after: int | None = None,
@@ -150,7 +145,6 @@ class ServerCluster:
         # failover timer); cleared the tick the server is reachable again.
         self._unreachable_since: dict[int, int] = {}
         self._failover_history: list[FailoverEvent] = []
-        self._read_selector = coerce_read_selector(read_strategy)
         self.telemetry = telemetry
         self._obs = ClusterInstruments(telemetry)
         self._repl_obs = ReplicationInstruments(telemetry)
@@ -707,10 +701,8 @@ class ServerCluster:
         version-max member.
         Among eligible replicas, paused (partitioned) ones are avoided
         whenever an unpaused candidate exists — they only grow staler —
-        and the configured :class:`~repro.core.placement.ReadSelector`
-        picks from what remains (the default always takes the first —
-        the seed's replica-0 skew).  Down servers are never eligible
-        under any level or selector.
+        and the first that remains, in placement order, serves.  Down
+        servers are never eligible under any level.
 
         Raises :class:`UnavailableError` when every replica is down and
         :class:`QuorumUnavailableError` when a quorum read lacks a live
@@ -725,7 +717,6 @@ class ServerCluster:
         list_id: int,
         consistency: ReadConsistency,
         min_version: int | None = None,
-        max_staleness: int | None = None,
     ) -> int:
         """:meth:`route` with a resolved consistency.
 
@@ -734,11 +725,10 @@ class ServerCluster:
         the log's own mapping, and the paused set is consulted only when
         somebody is paused.
 
-        *min_version* (a session's read-your-writes/monotonic floor) and
-        *max_staleness* (version-delta bound) narrow ``ONE``'s candidate
-        set to replicas satisfying them when any exists; enforcement —
-        repair and re-serve when routing could not satisfy the bound —
-        happens in :meth:`_finalize_read`.
+        *min_version* (a session's read-your-writes/monotonic floor)
+        narrows ``ONE``'s candidate set to replicas at or above it when
+        any exists; enforcement — repair and re-serve when routing could
+        not satisfy the floor — happens in :meth:`_finalize_read`.
         """
         if not 0 <= list_id < self._num_lists:
             raise UnknownListError(list_id)
@@ -766,25 +756,18 @@ class ServerCluster:
             fresh = [s for s in live if applied[s] == head]
             if fresh:
                 candidates = fresh
-        else:  # ONE
-            floor = 0
-            if min_version is not None:
-                floor = min(min_version, head)
-            if max_staleness is not None:
-                floor = max(floor, head - max_staleness)
-            if floor > 0:
-                satisfying = [s for s in live if applied[s] >= floor]
-                if satisfying:
-                    candidates = satisfying
+        elif min_version:  # ONE under a session floor
+            floor = min(min_version, head)
+            satisfying = [s for s in live if applied[s] >= floor]
+            if satisfying:
+                candidates = satisfying
         if paused:
             # A partitioned follower only grows staler: route around it
             # unless it is the only copy left (it then serves best-effort).
             unpaused = [s for s in candidates if s not in paused]
             if unpaused:
                 candidates = unpaused
-        if len(candidates) == 1:
-            return candidates[0]
-        return self._read_selector.select(list_id, candidates)
+        return candidates[0]
 
     def _count_reads(
         self, consistency: ReadConsistency, slices: int
@@ -803,25 +786,17 @@ class ServerCluster:
         self,
         request: FetchRequest,
         consistency: ReadConsistency | str | None = None,
-        max_staleness: int | None = None,
     ) -> FetchResponse:
         """Serve one slice at the requested (or default) consistency.
 
         The response's ``replica_version`` is the serving replica's
-        applied log version; a stale replica triggers read-repair (see
-        :meth:`_finalize_read`).  *max_staleness* bounds how many log ops
-        a ``ONE`` read may trail the head: a violating answer falls back
-        toward ``PRIMARY`` (repair and re-serve) instead of returning
-        arbitrarily stale data.  ``max_staleness=0`` means read-at-head;
-        the bound is a no-op under ``PRIMARY``/``QUORUM``, which already
-        re-serve stale answers.  The request's ``min_version`` session
-        floor is honored the same way.
+        applied log version; a stale replica triggers read-repair, and a
+        ``ONE`` answer below the request's ``min_version`` session floor
+        is re-served (see :meth:`_finalize_read`).
         """
-        if max_staleness is not None and max_staleness < 0:
-            raise ConfigurationError("max_staleness must be >= 0 ops")
         consistency = self._resolve_consistency(consistency)
         server_index = self._route_read(
-            request.list_id, consistency, request.min_version, max_staleness
+            request.list_id, consistency, request.min_version
         )
         response = self._servers[server_index].fetch(request)
         return self._finalize_read(
@@ -829,7 +804,6 @@ class ServerCluster:
             server_index,
             response,
             consistency,
-            max_staleness,
             self._count_reads(consistency, 1),
         )
 
@@ -837,7 +811,6 @@ class ServerCluster:
         self,
         batch: BatchFetchRequest,
         consistency: ReadConsistency | str | None = None,
-        max_staleness: int | None = None,
     ) -> BatchFetchResponse:
         """Serve a batch with one server call per touched shard server.
 
@@ -853,16 +826,12 @@ class ServerCluster:
         live replica fails the whole batch, matching :meth:`fetch`'s
         error behaviour.
         """
-        if max_staleness is not None and max_staleness < 0:
-            raise ConfigurationError("max_staleness must be >= 0 ops")
         consistency = self._resolve_consistency(consistency)
         requests = batch.requests
         route = self._route_read
         per_server: dict[int, list[int]] = {}
         for slice_index, request in enumerate(requests):
-            server_index = route(
-                request.list_id, consistency, request.min_version, max_staleness
-            )
+            server_index = route(request.list_id, consistency, request.min_version)
             per_server.setdefault(server_index, []).append(slice_index)
         finalize = self._finalize_read
         responses: list[FetchResponse | None] = [None] * len(requests)
@@ -878,12 +847,7 @@ class ServerCluster:
             lag_histogram = self._count_reads(consistency, len(served))
             for i, response in zip(slice_indices, served):
                 responses[i] = finalize(
-                    requests[i],
-                    server_index,
-                    response,
-                    consistency,
-                    max_staleness,
-                    lag_histogram,
+                    requests[i], server_index, response, consistency, lag_histogram
                 )
         return BatchFetchResponse(tuple(responses))  # type: ignore[arg-type]
 
@@ -925,9 +889,7 @@ class ServerCluster:
             ]
             finalized = tuple(
                 [
-                    finalize(
-                        request, server_index, response, consistency, None, lag_histogram
-                    )
+                    finalize(request, server_index, response, consistency, lag_histogram)
                     for request, response in zip(flat_requests, raw.responses)
                 ]
             )
@@ -941,7 +903,6 @@ class ServerCluster:
         server_index: int,
         response: FetchResponse,
         consistency: ReadConsistency,
-        max_staleness: int | None = None,
         lag_histogram: BoundHistogram | None = None,
     ) -> FetchResponse:
         """Stamp the replica version; detect divergence and read-repair.
@@ -958,12 +919,12 @@ class ServerCluster:
         replica at the head — the repaired server itself, or the primary
         — so the caller sees every acknowledged write; under ``ONE`` the
         stale response is returned as-is (fast/stale) *unless* it
-        violates the read's *max_staleness* bound or the request's
-        ``min_version`` session floor, in which case the read escalates
-        to the same repair-and-re-serve.  When no reachable replica can
-        satisfy a bound (every fresh copy down or partitioned), the stale
-        answer is returned best-effort rather than failing the read — the
-        guarantees hold whenever a head replica is reachable.
+        violates the request's ``min_version`` session floor, in which
+        case the read escalates to the same repair-and-re-serve.  When no
+        reachable replica can satisfy the floor (every fresh copy down or
+        partitioned), the stale answer is returned best-effort rather
+        than failing the read — the guarantees hold whenever a head
+        replica is reachable.
         """
         list_id = request.list_id
         head, applied, _ = self._repl.read_state(list_id)
@@ -998,10 +959,7 @@ class ServerCluster:
         # from an earlier response of this cluster); clamp defensively.
         floor = min(request.min_version or 0, head)
         floor_violated = version < floor
-        bound_violated = (
-            max_staleness is not None and head - version > max_staleness
-        )
-        if needs_fresh or bound_violated or floor_violated:
+        if needs_fresh or floor_violated:
             reserve_from = None
             if applied[server_index] >= head:
                 reserve_from = server_index  # repaired in place
@@ -1011,10 +969,7 @@ class ServerCluster:
                     reserve_from = primary
             if reserve_from is not None:
                 if not needs_fresh:
-                    if bound_violated:
-                        self._repl.stats.staleness_fallbacks += 1
-                    if floor_violated:
-                        self._repl.stats.floor_reserves += 1
+                    self._repl.stats.floor_reserves += 1
                 response = self._servers[reserve_from].fetch(request)
                 self._repl.stats.read_reserves += 1
                 version = applied[reserve_from]
@@ -1039,7 +994,7 @@ class ServerCluster:
         and ``restore_list_state``.  Must run before the servers' list
         contents are restored only in the sense that nothing here reads
         them — the order the persist module uses is topology, clock,
-        lists, logs, views.
+        lists, logs.
         """
         if epoch < 0:
             raise ConfigurationError("placement epoch must be >= 0")

@@ -341,10 +341,8 @@ class ReplicationStats:
     follower catch-ups forced synchronously by QUORUM/ALL writes (the
     price of a W > 1 ack).  ``failovers`` / ``failover_ops`` count
     primary elections and the catch-up ops they forced through the log.
-    ``staleness_fallbacks`` counts ONE reads escalated to a fresh
-    re-serve because a ``max_staleness`` bound was violated;
-    ``floor_reserves`` counts re-serves forced by a session's
-    read-your-writes/monotonic-reads version floor.
+    ``floor_reserves`` counts ONE reads re-served because a session's
+    read-your-writes/monotonic-reads version floor was violated.
     """
 
     ticks: int = 0
@@ -363,7 +361,6 @@ class ReplicationStats:
     write_ack_ops: int = 0
     failovers: int = 0
     failover_ops: int = 0
-    staleness_fallbacks: int = 0
     floor_reserves: int = 0
 
 

@@ -181,31 +181,31 @@ class ZerberRServer:
     def insert(
         self, principal: str, list_id: int, element: EncryptedPostingElement
     ) -> None:
-        """Accept one posting element from an authenticated group member.
-
-        The server checks group membership ("checks his group membership
-        and accepts the update if appropriate") and inserts by TRS order.
-        Cached readable views of the list are patched in place.
-        """
-        if element.trs is None:
-            raise ProtocolError("Zerber+R elements must carry a TRS")
-        if not self._keys.is_member(principal, element.group):
-            raise AccessDeniedError(principal, element.group)
-        merged = self._list(list_id)
-        merged.add_sorted_by_trs(element)
-        self._views.note_insert(merged, element)
+        """Insert one element: a one-item :meth:`insert_many`."""
+        self.insert_many(principal, [(list_id, element)])
 
     def insert_many(
         self,
         principal: str,
         items: Iterable[tuple[int, EncryptedPostingElement]],
     ) -> int:
-        """Bulk insert; returns the number of accepted elements."""
-        accepted = 0
-        for list_id, element in items:
-            self.insert(principal, list_id, element)
-            accepted += 1
-        return accepted
+        """Accept posting elements from an authenticated group member.
+
+        The server checks group membership ("checks his group membership
+        and accepts the update if appropriate") for the whole batch
+        before the first element goes in (:func:`validate_write_batch`,
+        all or nothing), then inserts each by TRS order and patches the
+        list's cached readable views in place.  Returns the number of
+        elements inserted.
+        """
+        batch = validate_write_batch(self._keys, principal, items, self._list)
+        lists = self._lists
+        note_insert = self._views.note_insert
+        for list_id, element in batch:
+            merged = lists[list_id]
+            merged.add_sorted_by_trs(element)
+            note_insert(merged, element)
+        return len(batch)
 
     def bulk_load(
         self,
@@ -379,70 +379,6 @@ class ZerberRServer:
         merged.bulk_load_sorted_by_trs(elements)
         merged.version = version
         self._views.invalidate_list(list_id)
-
-    def spill_views(self, limit: int) -> list[dict]:
-        """Spill records of the hottest *fresh* readable views.
-
-        Each record stores the view as merged-list *positions*, not
-        element copies — the elements are already in the persisted list,
-        so a spilled view costs O(view) small ints.  Stale views (list
-        version moved on) are skipped: they would rebuild on first read
-        anyway.  Records come coldest-first so adopting them in order
-        reproduces the pre-restart LRU.
-        """
-        spilled = []
-        for list_id, principal, version, memberships in self._views.spillable(
-            limit
-        ):
-            merged = self._lists[list_id]
-            if version != merged.version:
-                continue
-            spilled.append(
-                {
-                    "list": list_id,
-                    "principal": principal,
-                    "version": version,
-                    "groups": sorted(memberships),
-                    "positions": [
-                        position
-                        for position, element in enumerate(merged.elements)
-                        if element.group in memberships
-                    ],
-                }
-            )
-        return spilled
-
-    def adopt_view(
-        self,
-        list_id: int,
-        principal: str,
-        memberships: Iterable[str],
-        positions: Iterable[int],
-        version: int,
-    ) -> None:
-        """Warm one readable view from spilled positions (best effort).
-
-        Positions must be a strictly increasing run inside the restored
-        list — that is what :meth:`spill_views` emits, and it is what
-        guarantees the adopted view is ordered like the merged list.
-        Anything else (out of range, duplicated, reordered) means the
-        spill is stale or damaged; the view is skipped (it would rebuild
-        on first read anyway) rather than installing a mis-ordered view
-        or failing the whole restore.
-        """
-        merged = self._list(list_id)
-        positions = list(positions)
-        if any(not 0 <= p < len(merged.elements) for p in positions):
-            return
-        if any(b <= a for a, b in zip(positions, positions[1:])):
-            return
-        self._views.adopt_view(
-            merged,
-            principal,
-            memberships,
-            (merged.elements[p] for p in positions),
-            version,
-        )
 
     # -- queries (paper §5.2) --------------------------------------------------
 

@@ -24,7 +24,6 @@ import numpy as np
 from repro.core.client import QueryResult, ZerberRClient
 from repro.core.cluster import ServerCluster
 from repro.core.confidentiality import ConfidentialityAudit, audit_merge_plan
-from repro.core.placement import ReadSelector
 from repro.core.replication import ReadConsistency, WriteConsistency
 from repro.core.protocol import ResponsePolicy
 from repro.core.router import Coordinator
@@ -274,7 +273,6 @@ class ZerberRSystem:
         replication: int = 1,
         lag: int = 0,
         read_consistency: ReadConsistency | str | None = None,
-        read_strategy: ReadSelector | str | None = None,
         anti_entropy_every: int | None = None,
         write_consistency: WriteConsistency | str | None = None,
         failover_after: int | None = None,
@@ -294,14 +292,13 @@ class ZerberRSystem:
         (``system.client_for(p, server=cluster)``) or through coordinator
         sessions — results are identical.
 
-        *lag*, *read_consistency*, *read_strategy*,
-        *anti_entropy_every*, *write_consistency* and *failover_after*
-        configure the replication subsystem (see
-        :mod:`repro.core.replication` and
+        *lag*, *read_consistency*, *anti_entropy_every*,
+        *write_consistency* and *failover_after* configure the
+        replication subsystem (see :mod:`repro.core.replication` and
         :meth:`~repro.core.cluster.ServerCluster.check_failovers`); the
         defaults — zero lag, strong ``PRIMARY`` reads, ``ONE`` writes,
-        primary-only routing, no failover election — give the same
-        results as a single server fed the same writes.
+        no failover election — give the same results as a single server
+        fed the same writes.
         ``max_queue_depth`` is the coordinator's admission backpressure
         bound and ``round_latency`` defers skim delivery to pipeline
         rounds (see :mod:`repro.core.router`).
@@ -319,7 +316,6 @@ class ZerberRSystem:
             replication=replication,
             lag=lag,
             read_consistency=read_consistency,
-            read_strategy=read_strategy,
             anti_entropy_every=anti_entropy_every,
             write_consistency=write_consistency,
             failover_after=failover_after,
@@ -338,30 +334,20 @@ class ZerberRSystem:
 
         save_index(path, self.server, self.merge_plan, self.rstf_model)
 
-    def snapshot_cluster(
-        self, path: str | Path, cluster: ServerCluster, spill_views: int | None = None
-    ) -> None:
-        """Snapshot a deployed cluster (lists, logs, placement, hot views).
+    def snapshot_cluster(self, path: str | Path, cluster: ServerCluster) -> None:
+        """Snapshot a deployed cluster (lists, logs, placement).
 
         The snapshot is crash-consistent with whatever the cluster has
         *acknowledged* at call time: in-flight follower backlogs are
         captured in the replication logs and survive a restart.
-        *spill_views* defaults to :data:`repro.persist.DEFAULT_VIEW_SPILL`.
         """
-        from repro.persist import DEFAULT_VIEW_SPILL, save_cluster
+        from repro.persist import save_cluster
 
-        save_cluster(
-            path,
-            cluster,
-            self.merge_plan,
-            self.rstf_model,
-            spill_views=DEFAULT_VIEW_SPILL if spill_views is None else spill_views,
-        )
+        save_cluster(path, cluster, self.merge_plan, self.rstf_model)
 
     def restore_cluster(
         self,
         path: str | Path,
-        read_strategy: ReadSelector | str | None = None,
         telemetry: Telemetry | None = None,
         round_latency: int = 0,
         max_queue_depth: int | None = None,
@@ -378,10 +364,7 @@ class ZerberRSystem:
         from repro.persist import load_cluster
 
         cluster, merge_plan, _ = load_cluster(
-            path,
-            self.key_service,
-            read_strategy=read_strategy,
-            telemetry=telemetry,
+            path, self.key_service, telemetry=telemetry
         )
         if merge_plan != self.merge_plan:
             raise ConfigurationError(

@@ -53,7 +53,6 @@ rebuilds.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.crypto.keys import GroupKeyService
@@ -80,7 +79,6 @@ class ViewStats:
     replication_patches: int = 0
     evictions: int = 0
     invalidations: int = 0
-    warm_restores: int = 0
 
 
 class _ReadableView:
@@ -140,8 +138,8 @@ class ReadableViewIndex:
             # The key service hands an unchanged membership back as the
             # object the view was built under, so a hit copies nothing
             # and compares nothing element-wise.  A view holding an equal
-            # set of its own (adopted from a snapshot, or built before a
-            # revoke + re-enroll) takes the live object on its first hit.
+            # set of its own (built before a revoke + re-enroll) takes
+            # the live object on its first hit.
             snapshot = self._keys.membership_snapshot(principal)
             if view.memberships is snapshot or view.memberships == snapshot:
                 view.memberships = snapshot
@@ -267,45 +265,6 @@ class ReadableViewIndex:
                     # inconsistency as staleness rather than guessing.
                     continue
             view.version = merged.version
-
-    # -- recovery (persistence support; see repro.persist) ---------------------
-
-    def spillable(
-        self, limit: int
-    ) -> list[tuple[int, str, int, frozenset[str]]]:
-        """Up to *limit* hottest views as ``(list_id, principal, version,
-        memberships)``, coldest first (the adoption order that rebuilds
-        the same LRU).  The caller checks version freshness against its
-        lists — a stale view is not worth spilling."""
-        if limit <= 0:
-            return []
-        return [
-            (list_id, principal, view.version, view.memberships)
-            for (list_id, principal), view in list(self._views.items())[-limit:]
-        ]
-
-    def adopt_view(
-        self,
-        merged: MergedPostingList,
-        principal: str,
-        memberships: Iterable[str],
-        elements: Iterable[EncryptedPostingElement],
-        version: int,
-    ) -> None:
-        """Install a spilled view rebuilt from persisted state.
-
-        *elements* are the principal's readable elements in merged-list
-        order and *memberships* is the membership snapshot the view was
-        built under, both as recorded at snapshot time.  The view enters
-        the LRU like any built view; freshness checks on the next read
-        compare against the *current* list version and key service, so a
-        membership change or write since the snapshot rebuilds it — a
-        warm restore can never serve under stale access rights.
-        """
-        data = OrderStatList.from_sorted(elements, MergedPostingList.sort_key)
-        view = _ReadableView(data, version, frozenset(memberships))
-        self._store((merged.list_id, principal), view)
-        self.stats.warm_restores += 1
 
     def invalidate_list(self, list_id: int) -> None:
         """Drop every cached view of one list (bulk loads, external edits)."""

@@ -89,7 +89,6 @@ REPLICATION_STAT_FIELDS: tuple[str, ...] = (
     "write_ack_ops",
     "failovers",
     "failover_ops",
-    "staleness_fallbacks",
     "floor_reserves",
 )
 
@@ -103,7 +102,6 @@ VIEW_STAT_FIELDS: tuple[str, ...] = (
     "replication_patches",
     "evictions",
     "invalidations",
-    "warm_restores",
 )
 
 METRIC_CATALOG: tuple[MetricSpec, ...] = (

@@ -51,11 +51,11 @@ Format / recovery invariants
    catch-up machinery, so a restarted lagged/paused/dead follower
    converges exactly as a live one would (one anti-entropy sweep bounds
    the wait) — it never silently restarts blank.
-4. **Warm views are hints, not truth.**  Spilled readable views restore
-   with the membership snapshot and list version they were built under;
-   the first read re-checks both against the live key service and list,
-   so a stale spill costs one rebuild and can never serve under revoked
-   access rights.
+4. **Views are derived, not persisted.**  A restored server holds no
+   readable views: the first read of a list by a principal builds its
+   view from the restored list under the live key service, so a restart
+   can never serve under revoked access rights.  The per-server
+   ``views`` block an earlier v4 dump may carry is ignored.
 5. **Corruption fails loudly.**  Decoders validate ids, shapes, log
    bounds and op payloads against the dump's own declarations and raise
    :class:`~repro.errors.ConfigurationError` naming the file and the
@@ -80,7 +80,6 @@ from repro.errors import ConfigurationError
 from repro.index.merge import MergePlan
 from repro.persist.atomic import atomic_write_text
 from repro.persist.clusterstate import (
-    DEFAULT_VIEW_SPILL,
     cluster_from_dict,
     cluster_to_dict,
     load_cluster,
@@ -104,7 +103,6 @@ from repro.persist.encoders import (
 
 __all__ = [
     "FORMAT_VERSION",
-    "DEFAULT_VIEW_SPILL",
     "save_index",
     "load_index",
     "save_cluster",

@@ -9,13 +9,14 @@ forget across a restart (the ``cluster`` section of a dump):
   correctly rejected, not silently served from a pre-election shard map;
 * the replication manager's durable state: each list's log tail above
   ``base_seq``, every replica's applied version, the lag, the
-  anti-entropy cadence, the tick clock, and the paused/down server sets;
-* optionally, the hottest per-server readable views, spilled as
-  merged-list positions so a warm restart skips their full rebuilds.
+  anti-entropy cadence, the tick clock, and the paused/down server sets.
+
+Readable views are not in the dump: each is derived from its list and
+rebuilt on its first read after recovery, as on any cold server.
 
 Recovery (:func:`cluster_from_dict`) rebuilds a live
 :class:`~repro.core.cluster.ServerCluster` in dependency order —
-topology, clock, list contents, logs + applied versions, then views —
+topology, clock, list contents, then logs + applied versions —
 re-registering each replica at its persisted applied version.  Replicas
 behind the restored log head get their remaining ops *scheduled* through
 the normal catch-up machinery, so a restarted lagged or paused follower
@@ -31,7 +32,6 @@ from pathlib import Path
 from time import perf_counter
 
 from repro.core.cluster import ServerCluster
-from repro.core.placement import ReadSelector
 from repro.core.replication import FailoverEvent, ReplicationOp
 from repro.core.rstf import RstfModel
 from repro.crypto.keys import GroupKeyService
@@ -51,8 +51,6 @@ from repro.persist.encoders import (
     server_to_dict,
     setup_from_payload,
 )
-
-DEFAULT_VIEW_SPILL = 64
 
 
 # -- replication ops ----------------------------------------------------------
@@ -101,14 +99,8 @@ def replication_op_from_dict(entry: dict, source: str | Path) -> ReplicationOp:
 # -- whole-cluster encode -----------------------------------------------------
 
 
-def cluster_to_dict(
-    cluster: ServerCluster, spill_views: int = DEFAULT_VIEW_SPILL
-) -> dict:
-    """The durable state of a cluster as one JSON-ready dict.
-
-    *spill_views* caps how many hot readable views each server spills
-    (0 disables the spill; views then rebuild lazily after recovery).
-    """
+def cluster_to_dict(cluster: ServerCluster) -> dict:
+    """The durable state of a cluster as one JSON-ready dict."""
     repl = cluster.replication_manager
     logs: dict[str, dict] = {}
     applied: dict[str, dict] = {}
@@ -169,10 +161,7 @@ def cluster_to_dict(
             "applied": applied,
         },
         "servers": [
-            {
-                **server_to_dict(cluster.server(server_index)),
-                "views": cluster.server(server_index).spill_views(spill_views),
-            }
+            server_to_dict(cluster.server(server_index))
             for server_index in range(cluster.num_servers)
         ],
     }
@@ -185,20 +174,19 @@ def cluster_from_dict(
     data: dict,
     key_service: GroupKeyService,
     source: str | Path = "<dump>",
-    read_strategy: ReadSelector | str | None = None,
     telemetry: Telemetry | None = None,
 ) -> ServerCluster:
     """Recover a live cluster from a dumped ``cluster`` section.
 
-    *read_strategy* is runtime policy — code, not data — so it is
-    supplied by the caller (the default matches the cluster default);
-    the placement table and epoch come from the dump.  *telemetry*,
-    likewise runtime wiring, instruments the recovered cluster from its
-    first post-restore operation on.
+    The placement table and epoch come from the dump.  *telemetry* is
+    runtime wiring — code, not data — so it is supplied by the caller,
+    and instruments the recovered cluster from its first post-restore
+    operation on.
 
     Per-server lag is gone: a dump whose ``lag.per_server`` names any
-    server is refused rather than restored under a different lag.  A
-    per-server ``heat`` block, which older dumps carry, is not read.
+    server is refused rather than restored under a different lag.  The
+    per-server ``heat`` and ``views`` blocks, which older dumps carry,
+    are not read.
     """
     try:
         num_lists = int(data["num_lists"])
@@ -215,7 +203,6 @@ def cluster_from_dict(
             replication=replication,
             lag=int(lag_data.get("fixed_ticks", 0)),
             read_consistency=data.get("read_consistency"),
-            read_strategy=read_strategy,
             anti_entropy_every=data.get("anti_entropy_every"),
             write_consistency=data.get("write_consistency"),
             failover_after=None if failover_after is None else int(failover_after),
@@ -313,25 +300,6 @@ def cluster_from_dict(
                 f"{server_index} out of range"
             )
         cluster.fail_server(server_index)
-
-    for server_index, server_data in enumerate(servers_data):
-        for view in server_data.get("views", ()):
-            try:
-                list_id = decode_list_id(str(view["list"]), num_lists, source)
-                cluster.server(server_index).adopt_view(
-                    list_id,
-                    view["principal"],
-                    view["groups"],
-                    view["positions"],
-                    int(view["version"]),
-                )
-            except ConfigurationError:
-                raise
-            except (KeyError, TypeError, ValueError) as error:
-                raise ConfigurationError(
-                    f"{source}: corrupt cluster dump: spilled view "
-                    f"{view!r}: {error!r}"
-                ) from error
     return cluster
 
 
@@ -343,7 +311,6 @@ def save_cluster(
     cluster: ServerCluster,
     merge_plan: MergePlan,
     rstf_model: RstfModel,
-    spill_views: int = DEFAULT_VIEW_SPILL,
 ) -> None:
     """Atomically write a whole-cluster snapshot plus setup artifacts.
 
@@ -361,7 +328,7 @@ def save_cluster(
         "kind": "cluster",
         "merge_plan": merge_plan_to_dict(merge_plan),
         "rstf_model": rstf_model_to_dict(rstf_model),
-        "cluster": cluster_to_dict(cluster, spill_views=spill_views),
+        "cluster": cluster_to_dict(cluster),
     }
     text = json.dumps(payload)
     atomic_write_text(path, text)
@@ -373,7 +340,6 @@ def save_cluster(
 def load_cluster(
     path: str | Path,
     key_service: GroupKeyService,
-    read_strategy: ReadSelector | str | None = None,
     telemetry: Telemetry | None = None,
 ) -> tuple[ServerCluster, MergePlan, RstfModel]:
     """Recover a cluster snapshot against a (trusted) key service.
@@ -398,11 +364,7 @@ def load_cluster(
             f"{path}: corrupt cluster dump: missing 'cluster' section"
         ) from None
     cluster = cluster_from_dict(
-        cluster_section,
-        key_service,
-        source=path,
-        read_strategy=read_strategy,
-        telemetry=telemetry,
+        cluster_section, key_service, source=path, telemetry=telemetry
     )
     PersistInstruments(telemetry).restores.inc()
     return cluster, merge_plan, rstf_model

@@ -2,9 +2,9 @@
 
 Companion to ``test_core_replication.py`` (the R side of the matrix and
 the log machinery): this file exercises the write-side ack levels, the
-primary-failover election, bounded-staleness reads, and the client
-session guarantees (read-your-writes + monotonic reads), plus the
-dead-primary routing matrix for every read selector.
+primary-failover election, stale ``ONE`` reads, and the client session
+guarantees (read-your-writes + monotonic reads), plus the dead-primary
+routing matrix.
 """
 
 import random
@@ -45,11 +45,16 @@ def _element(trs, payload=b"cipher"):
     return EncryptedPostingElement(ciphertext=payload, group="g", trs=trs)
 
 
-def _fetch(cluster, list_id, count=8, consistency=None, **kwargs):
+def _fetch(cluster, list_id, count=8, consistency=None, min_version=None):
     return cluster.fetch(
-        FetchRequest(principal="u", list_id=list_id, offset=0, count=count),
+        FetchRequest(
+            principal="u",
+            list_id=list_id,
+            offset=0,
+            count=count,
+            min_version=min_version,
+        ),
         consistency=consistency,
-        **kwargs,
     )
 
 
@@ -197,45 +202,56 @@ class TestQuorumWrites:
 
 class TestMatrixUnderLag:
     """Every W×R cell under one seeded write/read mix — Zipf-skewed lists,
-    rotated reads so followers are read, a replication tick every third
-    write — on a fresh cluster per cell, at lag 0 and at two lags above."""
+    a replication tick every third write, and one server at a time
+    partitioned for half of every ten writes, so reads of the lists it
+    leads go to followers — on a fresh cluster per cell, at lag 0 and at
+    two lags above."""
 
     WRITES = ("one", "quorum", "all")
     READS = ("one", "primary", "quorum")
     LISTS = 8
+    SERVERS = 4
 
     def _mix(self, keys, lag, write, read):
         """``(stale reads, writes held by no quorum when the call
-        returned, forced ack syncs)`` of one cell."""
+        returned, forced ack syncs, refused writes)`` of one cell."""
         cluster = ServerCluster(
             keys,
             num_lists=self.LISTS,
-            num_servers=4,
+            num_servers=self.SERVERS,
             replication=3,
             lag=lag,
-            read_strategy="rotate",
         )
         rng = random.Random(7)
         zipf = [1.0 / (rank + 1) for rank in range(self.LISTS)]
-        late_acks = 0
+        late_acks = refused = 0
         for serial in range(60):
+            window, step = divmod(serial, 10)
+            if step == 0:
+                cluster.pause_follower(window % self.SERVERS)
+            elif step == 5:
+                cluster.resume_follower(window % self.SERVERS)
             (list_id,) = rng.choices(range(self.LISTS), zipf)
-            cluster.insert(
-                "u", list_id, _element(rng.random(), b"w%d" % serial), write
-            )
-            head = cluster.primary_version(list_id)
-            replicas = cluster.replicas_of(list_id)
-            holders = sum(
-                cluster.applied_version(list_id, s) >= head for s in replicas
-            )
-            late_acks += holders < len(replicas) // 2 + 1
+            try:
+                cluster.insert(
+                    "u", list_id, _element(rng.random(), b"w%d" % serial), write
+                )
+            except QuorumWriteUnavailableError:
+                refused += 1  # ALL cannot reach a partitioned follower
+            else:
+                head = cluster.primary_version(list_id)
+                replicas = cluster.replicas_of(list_id)
+                holders = sum(
+                    cluster.applied_version(list_id, s) >= head for s in replicas
+                )
+                late_acks += holders < len(replicas) // 2 + 1
             for _ in range(2):
                 (list_id,) = rng.choices(range(self.LISTS), zipf)
                 _fetch(cluster, list_id, count=5, consistency=read)
             if serial % 3 == 2:
                 cluster.replication_tick()
         stats = cluster.replication_stats
-        return stats.stale_reads_detected, late_acks, stats.write_ack_syncs
+        return stats.stale_reads_detected, late_acks, stats.write_ack_syncs, refused
 
     @pytest.mark.parametrize("lag", [0, 1, 4])
     def test_acks_syncs_and_staleness_in_every_cell(self, keys, lag):
@@ -247,7 +263,8 @@ class TestMatrixUnderLag:
         for write in self.WRITES:
             # QUORUM reads are never staler than ONE reads of the same mix.
             assert cell[write, "quorum"][0] <= cell[write, "one"][0], write
-        for (write, read), (stale, late_acks, syncs) in cell.items():
+        for (write, read), (stale, late_acks, syncs, refused) in cell.items():
+            assert (refused > 0) == (write == "all"), (write, read)
             if lag == 0 or write == "all":
                 assert stale == 0, (write, read)
             if lag == 0:  # every op is delivered in the call that records it
@@ -256,7 +273,7 @@ class TestMatrixUnderLag:
                 assert late_acks > 0 and syncs == 0, read
             else:  # acks forced through the log, at the write
                 assert late_acks == 0 and syncs >= 1, (write, read)
-        if lag:  # lag shows: rotated ONE reads see diverged followers
+        if lag:  # lag shows: ONE reads past a partitioned primary are stale
             assert cell["one", "one"][0] > 0
 
 
@@ -432,10 +449,10 @@ class TestFailoverElection:
             cluster.restore_failover_state(unreachable_since={9: 1})
 
 
-class TestBoundedStaleness:
-    def _lagged(self, keys, **kwargs):
+class TestSessionFloors:
+    def _lagged(self, keys):
         cluster = ServerCluster(
-            keys, num_lists=1, num_servers=2, replication=2, lag=50, **kwargs
+            keys, num_lists=1, num_servers=2, replication=2, lag=50
         )
         cluster.insert("u", 0, _element(0.5, b"old"))
         cluster.run_replication_until_quiet(max_ticks=60)
@@ -444,82 +461,48 @@ class TestBoundedStaleness:
         cluster.fail_server(cluster.replicas_of(0)[0])  # follower is 2 behind
         return cluster
 
-    def test_unbounded_one_read_serves_stale(self, keys):
+    def test_floorless_one_read_serves_stale(self, keys):
         cluster = self._lagged(keys)
         response = _fetch(cluster, 0, consistency="one")
         assert response.replica_version == 1
-        assert cluster.replication_stats.staleness_fallbacks == 0
-
-    def test_bound_violation_escalates_to_fresh(self, keys):
-        cluster = self._lagged(keys)
-        response = _fetch(cluster, 0, consistency="one", max_staleness=1)
-        assert response.replica_version == 3
-        assert {e.ciphertext for e in response.elements} == {
-            b"old",
-            b"new",
-            b"newer",
-        }
+        assert [e.ciphertext for e in response.elements] == [b"old"]
         stats = cluster.replication_stats
-        assert stats.staleness_fallbacks == 1
-        assert stats.read_reserves == 1
+        assert (stats.floor_reserves, stats.read_reserves) == (0, 0)
 
-    def test_bound_met_returns_stale_fast(self, keys):
+    def test_a_floor_below_the_head_is_met_by_a_stale_replica(self, keys):
         cluster = self._lagged(keys)
-        response = _fetch(cluster, 0, consistency="one", max_staleness=2)
+        response = _fetch(cluster, 0, consistency="one", min_version=1)
+        # The follower holds version 1 of 3: the floor holds, so nothing
+        # is re-served even though the head is further on.
         assert response.replica_version == 1
-        assert cluster.replication_stats.staleness_fallbacks == 0
+        stats = cluster.replication_stats
+        assert (stats.floor_reserves, stats.read_reserves) == (0, 0)
+        assert stats.stale_reads_detected == 1
 
-    def test_zero_staleness_means_read_at_head(self, keys):
-        cluster = self._lagged(keys)
-        response = _fetch(cluster, 0, consistency="one", max_staleness=0)
-        assert response.replica_version == 3
-
-    def test_negative_staleness_rejected(self, keys):
-        cluster = self._lagged(keys)
-        with pytest.raises(ConfigurationError):
-            _fetch(cluster, 0, consistency="one", max_staleness=-1)
-        with pytest.raises(ConfigurationError):
-            cluster.batch_fetch(
-                BatchFetchRequest(
-                    principal="u",
-                    requests=(
-                        FetchRequest(
-                            principal="u", list_id=0, offset=0, count=1
-                        ),
-                    ),
-                ),
-                max_staleness=-1,
-            )
-
-    def test_routing_prefers_satisfying_replica(self, keys):
+    def test_routing_prefers_a_replica_at_the_floor(self, keys):
         cluster = ServerCluster(
-            keys,
-            num_lists=1,
-            num_servers=3,
-            replication=3,
-            lag=50,
-            read_strategy="rotate",
+            keys, num_lists=1, num_servers=3, replication=3, lag=50
         )
-        cluster.pause_follower(2)
+        cluster.pause_follower(1)
         cluster.insert("u", 0, _element(0.5, b"x"), consistency="quorum")
-        cluster.resume_follower(2)  # server 1 at head, server 2 at v0
+        cluster.resume_follower(1)  # server 2 at head, server 1 at v0
         cluster.fail_server(0)
         for _ in range(4):
-            response = _fetch(cluster, 0, consistency="one", max_staleness=0)
+            response = _fetch(cluster, 0, consistency="one", min_version=1)
             assert response.replica_version == 1
-        # The satisfying replica was routed to directly: no fallbacks.
-        assert cluster.replication_stats.staleness_fallbacks == 0
+        # The replica at the floor was routed to directly: no re-serves.
+        assert cluster.replication_stats.floor_reserves == 0
+        assert cluster.per_server_load() == [0, 0, 4]
 
-    def test_best_effort_when_no_fresh_replica_reachable(self, keys):
+    def test_best_effort_when_no_replica_at_the_floor_is_reachable(self, keys):
         cluster = self._lagged(keys)
         cluster.pause_follower(cluster.replicas_of(0)[1])
-        response = _fetch(cluster, 0, consistency="one", max_staleness=0)
+        response = _fetch(cluster, 0, consistency="one", min_version=3)
         # Primary down, follower partitioned: stale best-effort beats
-        # failing a read the bound cannot possibly satisfy.
+        # failing a read the floor cannot possibly satisfy.
         assert response.replica_version == 1
+        assert cluster.replication_stats.floor_reserves == 0
 
-
-class TestSessionFloors:
     def test_min_version_validation(self):
         with pytest.raises(ProtocolError):
             FetchRequest(
@@ -660,14 +643,9 @@ class TestClientSessionGuarantees:
 class TestDeadPrimaryRoutingMatrix:
     """Every ReadConsistency level routes sanely with the primary down."""
 
-    def _cluster(self, keys, strategy=None):
+    def _cluster(self, keys):
         cluster = ServerCluster(
-            keys,
-            num_lists=1,
-            num_servers=3,
-            replication=3,
-            lag=1,
-            read_strategy=strategy,
+            keys, num_lists=1, num_servers=3, replication=3, lag=1
         )
         cluster.insert("u", 0, _element(0.5, b"x"))
         cluster.run_replication_until_quiet()
@@ -689,34 +667,22 @@ class TestDeadPrimaryRoutingMatrix:
         with pytest.raises(UnavailableError):
             _fetch(cluster, 0, consistency=level)
 
-    def test_rotate_never_selects_downed_server(self, keys):
-        cluster = self._cluster(keys, strategy="rotate")
-        dead = cluster.replicas_of(0)[0]
-        baseline = cluster.per_server_load()[dead]
+    def test_one_reads_go_to_the_first_live_follower(self, keys):
+        cluster = self._cluster(keys)
+        dead, first, second = cluster.replicas_of(0)
         for _ in range(9):
             _fetch(cluster, 0, count=1, consistency="one")
-        assert cluster.per_server_load()[dead] == baseline
-        live = [s for s in cluster.replicas_of(0) if s != dead]
-        loads = [cluster.per_server_load()[s] for s in live]
-        assert max(loads) - min(loads) <= 1  # still balanced over the rest
+        loads = cluster.per_server_load()
+        assert (loads[dead], loads[first], loads[second]) == (0, 9, 0)
 
-    def test_rotate_skips_paused_followers(self, keys):
-        cluster = ServerCluster(
-            keys,
-            num_lists=1,
-            num_servers=3,
-            replication=3,
-            lag=0,
-            read_strategy="rotate",
-        )
-        cluster.insert("u", 0, _element(0.5, b"x"))
-        paused = cluster.replicas_of(0)[2]
+    def test_one_reads_skip_a_paused_follower(self, keys):
+        cluster = self._cluster(keys)
+        dead, paused, second = cluster.replicas_of(0)
         cluster.pause_follower(paused)
-        baseline = cluster.per_server_load()[paused]
         for _ in range(8):
             _fetch(cluster, 0, count=1, consistency="one")
-        assert cluster.per_server_load()[paused] == baseline
-        assert sum(cluster.per_server_load()) >= 8
+        loads = cluster.per_server_load()
+        assert (loads[dead], loads[paused], loads[second]) == (0, 0, 8)
 
     def test_consistency_levels_are_enums_everywhere(self, keys):
         cluster = self._cluster(keys)

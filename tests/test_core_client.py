@@ -509,8 +509,9 @@ class TestMultiTerm:
     def test_aggregation(self, alice, bob, root):
         alice.index_document(_doc("a1", {"apple": 5, "pear": 5}), "g1")
         alice.index_document(_doc("a2", {"apple": 9, "pear": 1}), "g1")
-        ranked, traces = root.query_multi(["apple", "pear"], k=2)
-        assert len(traces) == 2
+        result = root.query_multi_batched(["apple", "pear"], k=2)
+        ranked = result.ranked
+        assert len(result.traces) == 2
         # a1 has balanced scores (0.5 + 0.5) beating a2 (0.9 + 0.1)? equal —
         # both sum to 1.0; tie-break by doc id puts a1 first.
         assert ranked[0][0] == "a1"
@@ -565,19 +566,12 @@ class TestBatchedMultiTerm:
         assert len(batch_ids) == result.batch_trace.num_rounds
         assert len(batch_ids) < len(server.observations)
 
-    def test_wrapper_query_multi_uses_batched_path(self, alice, bob, root, server):
-        self._populate(alice, bob)
-        server.clear_observations()
-        ranked, traces = root.query_multi(["apple", "pear"], k=2)
-        assert len(traces) == 2
-        assert all(obs.batch_id is not None for obs in server.observations)
-
     def test_duplicate_terms_keep_sequential_semantics(self, alice, bob, root):
         self._populate(alice, bob)
-        ranked_once, _ = root.query_multi(["apple"], k=2)
-        ranked_twice, traces = root.query_multi(["apple", "apple"], k=2)
-        assert len(traces) == 2
-        assert ranked_twice[0][1] == pytest.approx(2 * ranked_once[0][1])
+        once = root.query_multi_batched(["apple"], k=2)
+        twice = root.query_multi_batched(["apple", "apple"], k=2)
+        assert len(twice.traces) == 2
+        assert twice.ranked[0][1] == pytest.approx(2 * once.ranked[0][1])
 
     def test_empty_term_list(self, root):
         result = root.query_multi_batched([], k=3)

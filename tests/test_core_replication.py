@@ -9,11 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cluster import ServerCluster
-from repro.core.placement import (
-    PrimaryReads,
-    RotatingReads,
-    coerce_read_selector,
-)
 from repro.core.protocol import FetchRequest
 from repro.core.replication import (
     DeliveryOutlook,
@@ -65,12 +60,6 @@ class TestConfig:
         assert ReadConsistency.coerce("QUORUM") is ReadConsistency.QUORUM
         with pytest.raises(ConfigurationError):
             ReadConsistency.coerce("eventual")
-
-    def test_read_strategy_coercion(self):
-        assert isinstance(coerce_read_selector(None), PrimaryReads)
-        assert isinstance(coerce_read_selector("rotate"), RotatingReads)
-        with pytest.raises(ConfigurationError):
-            coerce_read_selector("random")
 
     def test_anti_entropy_validation(self, keys):
         with pytest.raises(ConfigurationError):
@@ -471,51 +460,46 @@ class TestGappedPrimary:
         assert cluster.server(1).list_length(0) == 0
 
 
-class TestReadBalancing:
-    def _cluster(self, keys, strategy, **kwargs):
+class TestReadRouting:
+    def _cluster(self, keys, **kwargs):
         cluster = ServerCluster(
-            keys,
-            num_lists=1,
-            num_servers=3,
-            replication=3,
-            read_strategy=strategy,
-            **kwargs,
+            keys, num_lists=1, num_servers=3, replication=3, **kwargs
         )
         cluster.insert("u", 0, _element(0.5, b"x"))
         return cluster
 
-    def test_rotation_spreads_reads_deterministically(self, keys):
-        cluster = self._cluster(keys, "rotate")
-        for _ in range(6):
-            _fetch(cluster, 0, count=1)
-        assert cluster.per_server_load() == [2, 2, 2]
-        # Deterministic: a fresh cluster replays the same choices.
-        svc = GroupKeyService(master_secret=b"r" * 32)
-        svc.register("u", {"g"})
-        replay = self._cluster(svc, RotatingReads())
-        for _ in range(6):
-            _fetch(replay, 0, count=1)
-        assert replay.per_server_load() == cluster.per_server_load()
-
-    def test_balanced_reads_never_serve_stale_under_primary(self, keys):
-        cluster = self._cluster(keys, "rotate", lag=10)
-        cluster.insert("u", 0, _element(0.9, b"new"))
-        # Followers lag by one op; PRIMARY-consistency rotation must only
-        # pick caught-up replicas (here: the primary alone).
-        for _ in range(4):
-            response = _fetch(cluster, 0, consistency="primary")
-            assert response.replica_version == cluster.primary_version(0)
-            assert [e.ciphertext for e in response.elements] == [b"new", b"x"]
-        assert cluster.replication_stats.read_reserves == 0
-
-    def test_primary_strategy_is_seed_behaviour(self, keys):
-        cluster = self._cluster(keys, None)
-        for _ in range(4):
-            _fetch(cluster, 0, count=1)
+    def test_reads_go_to_the_primary(self, keys):
+        cluster = self._cluster(keys)
+        for consistency in ("one", "primary", "one", "primary"):
+            _fetch(cluster, 0, count=1, consistency=consistency)
         primary = cluster.replicas_of(0)[0]
         loads = cluster.per_server_load()
         assert loads[primary] == 4
         assert sum(loads) == 4
+
+    def test_primary_reads_skip_a_stale_first_follower(self, keys):
+        cluster = self._cluster(keys, lag=10)
+        # A QUORUM write while follower 1 is partitioned forces follower 2
+        # to the head; follower 1 stays an op behind.
+        cluster.pause_follower(1)
+        cluster.insert("u", 0, _element(0.9, b"new"), consistency="quorum")
+        cluster.resume_follower(1)
+        cluster.fail_server(0)
+        assert cluster.applied_version(0, 1) < cluster.primary_version(0)
+        assert cluster.applied_version(0, 2) == cluster.primary_version(0)
+        # With the primary down, PRIMARY reads pass over the stale first
+        # follower and never need a re-serve.
+        for _ in range(4):
+            response = _fetch(cluster, 0, consistency="primary")
+            assert response.replica_version == cluster.primary_version(0)
+            assert [e.ciphertext for e in response.elements] == [b"new", b"x"]
+        assert cluster.per_server_load() == [0, 0, 4]
+        assert cluster.replication_stats.read_reserves == 0
+        # A ONE read takes the first live follower as it stands: it has
+        # not received even the first write yet.
+        response = _fetch(cluster, 0, consistency="one")
+        assert (response.replica_version, response.elements) == (0, ())
+        assert cluster.per_server_load() == [0, 1, 4]
 
 
 class TestRouteValidation:

@@ -182,7 +182,9 @@ class TestFailureAndEpoch:
 class TestFloorAwareRouting:
     """The coordinator routes a slice on its session's version floor,
     exactly like the direct path — not to any live replica, to be
-    force-repaired and re-served under the floor afterwards."""
+    force-repaired and re-served under the floor afterwards.  The primary
+    of one queried list is partitioned, so floor-blind routing would send
+    that list's reads to a follower that trails the write."""
 
     COUNTERS = (
         "floor_reserves",
@@ -194,11 +196,7 @@ class TestFloorAwareRouting:
 
     def _writer_queries(self, system, micro_corpus, through_coordinator):
         cluster, coordinator = system.deploy_cluster(
-            num_servers=3,
-            replication=3,
-            lag=6,
-            read_consistency="one",
-            read_strategy="rotate",
+            num_servers=3, replication=3, lag=6, read_consistency="one"
         )
         cluster.run_replication_until_quiet()
         client = system.client_for("superuser", server=cluster)
@@ -207,6 +205,10 @@ class TestFloorAwareRouting:
         client.index_document_with_receipts(doc, sorted(micro_corpus.groups())[0])
         assert all(client.version_floor(system.merge_plan.list_of(t)) for t in terms)
         assert cluster.replication_backlog()  # the followers trail the write
+        list_id = system.merge_plan.list_of(terms[0])
+        cluster.pause_follower(cluster.replicas_of(list_id)[0])
+        stale = cluster.route(list_id)
+        assert cluster.applied_version(list_id, stale) < cluster.primary_version(list_id)
         before = dataclasses.replace(cluster.replication_stats)
         ranked = []
         for _ in range(6):
@@ -240,18 +242,21 @@ class TestFloorAwareRouting:
             replication=3,
             lag=5,
             read_consistency="one",
-            read_strategy="rotate",
         )
         cluster.insert(
             "u", 0, EncryptedPostingElement(ciphertext=b"c", group="g", trs=0.5)
         )
-        primary = cluster.replicas_of(0)[0]
-        assert {cluster.route(0) for _ in range(6)} == {0, 1, 2}
-        assert {cluster.route(0, min_version=1) for _ in range(6)} == {primary}
-        assert {cluster.route(0, "one", 0) for _ in range(6)} == {0, 1, 2}
-        # No replica can meet a floor beyond the head: any live one serves.
+        primary, follower, _ = cluster.replicas_of(0)
+        assert cluster.route(0) == primary
+        # Partitioned, the primary is passed over — unless it is the only
+        # replica at the floor.
+        cluster.pause_follower(primary)
+        assert cluster.route(0) == follower
+        assert cluster.route(0, min_version=1) == primary
+        assert cluster.route(0, "one", 0) == follower
+        # No live replica meets the floor: the first live one serves.
         cluster.fail_server(primary)
-        assert {cluster.route(0, min_version=1) for _ in range(6)} == {0, 1, 2} - {primary}
+        assert cluster.route(0, min_version=1) == follower
 
 
 class TestSessionProtocol:

@@ -73,6 +73,29 @@ class TestInsert:
         server.insert("bob", 1, _element("g2", 0.2))
         assert server.num_elements == 2
 
+    @pytest.mark.parametrize(
+        "refused, error",
+        [
+            ((1, EncryptedPostingElement(b"c", "g1")), ProtocolError),
+            ((1, _element("g2", 0.5)), AccessDeniedError),
+            ((7, _element("g1", 0.5)), UnknownListError),
+        ],
+        ids=["no-trs", "foreign-group", "unknown-list"],
+    )
+    def test_a_refused_batch_insert_leaves_every_list_as_it_was(
+        self, keys, refused, error
+    ):
+        server = ZerberRServer(keys, num_lists=2)
+        server.insert("alice", 0, _element("g1", 0.7))
+        request = FetchRequest(principal="alice", list_id=0, offset=0, count=5)
+        served = server.fetch(request).elements  # caches alice's view of list 0
+        with pytest.raises(error):
+            server.insert_many("alice", [(0, _element("g1", 0.9)), refused])
+        assert [server.list_length(i) for i in range(2)] == [1, 0]
+        assert [server.list_version(i) for i in range(2)] == [1, 0]
+        assert server.fetch(request).elements == served
+        assert server.view_stats.incremental_updates == 0
+
 
 class _CountingKeys:
     """A key service stand-in that counts the membership questions."""
@@ -129,9 +152,10 @@ class TestWriteBatchGate:
             with pytest.raises(error):
                 backend.bulk_load("alice", batch)
             assert backend.num_elements == 0
-        with pytest.raises(error):
-            cluster.insert_many("alice", batch)
-        assert cluster.num_elements == 0
+        for backend in (server, cluster):
+            with pytest.raises(error):
+                backend.insert_many("alice", batch)
+            assert backend.num_elements == 0
         assert cluster.replication_stats.ops_logged == 0
         assert [cluster.primary_version(i) for i in range(3)] == [0, 0, 0]
         assert [server.list_version(i) for i in range(3)] == [0, 0, 0]

@@ -84,16 +84,16 @@ class TestMultiTermAccuracy:
         query = [terms[3], terms[30]]
         expected = [d for d, _ in ordinary_index.top_k_multi(query, 10)]
         client = system.client_for("superuser")
-        got, _ = client.query_multi(query, 10)
+        got = client.query_multi_batched(query, 10).ranked
         got_ids = [d for d, _ in got]
         assert overlap_at_k(got_ids, expected, 10) >= 0.3
 
     def test_single_term_multi_query_degenerates_to_query(self, system, medium_term):
         client = system.client_for("superuser")
-        ranked, traces = client.query_multi([medium_term], 5)
+        result = client.query_multi_batched([medium_term], 5)
         single = system.query(medium_term, k=5)
-        assert [d for d, _ in ranked] == single.doc_ids()
-        assert len(traces) == 1
+        assert [d for d, _ in result.ranked] == single.doc_ids()
+        assert len(result.traces) == 1
 
 
 class TestZerberComparison:

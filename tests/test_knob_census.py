@@ -7,8 +7,9 @@ the way ``TELEMETRY_FRAME_BUDGET`` in ``test_core_client.py`` makes more
 telemetry on the read path a visible decision.  The knob census in
 CHANGES.md found knobs with no user outside their own unit tests — the
 replica selectors, per-server lag, spill caps and principal credits,
-then heat-weighted placement, rebalancing and the cluster monitor; they
-were deleted, and this test keeps them from drifting back.
+then heat-weighted placement, rebalancing and the cluster monitor, then
+rotating reads, per-call staleness bounds and the snapshot view spill;
+they were deleted, and this test keeps them from drifting back.
 """
 
 import inspect
@@ -18,27 +19,32 @@ import pytest
 import repro
 import repro.core
 import repro.obs
+import repro.persist
 from repro.core.cluster import ServerCluster
 from repro.core.replication import ReplicationManager
 from repro.core.router import Coordinator
 from repro.core.system import ZerberRSystem
-from repro.persist import load_cluster
+from repro.persist import load_cluster, save_cluster
 
 SURFACES = {
     "ZerberRSystem.deploy_cluster": (
         ZerberRSystem.deploy_cluster,
-        "num_servers replication lag read_consistency read_strategy "
+        "num_servers replication lag read_consistency "
         "anti_entropy_every write_consistency failover_after telemetry "
         "round_latency max_queue_depth",
     ),
     "ZerberRSystem.restore_cluster": (
         ZerberRSystem.restore_cluster,
-        "path read_strategy telemetry round_latency max_queue_depth",
+        "path telemetry round_latency max_queue_depth",
+    ),
+    "ZerberRSystem.snapshot_cluster": (
+        ZerberRSystem.snapshot_cluster,
+        "path cluster",
     ),
     "ServerCluster.__init__": (
         ServerCluster.__init__,
         "key_service num_lists num_servers replication lag "
-        "read_consistency read_strategy anti_entropy_every write_consistency "
+        "read_consistency anti_entropy_every write_consistency "
         "failover_after telemetry",
     ),
     "Coordinator.__init__": (
@@ -47,7 +53,11 @@ SURFACES = {
     ),
     "load_cluster": (
         load_cluster,
-        "path key_service read_strategy telemetry",
+        "path key_service telemetry",
+    ),
+    "save_cluster": (
+        save_cluster,
+        "path cluster merge_plan rstf_model",
     ),
 }
 
@@ -73,14 +83,17 @@ DELETED_NAMES = {
     "repro": (
         repro,
         "LagModel LeastLoadedReads HeatWeightedPlacement PlacementPolicy "
-        "RoundRobinPlacement load_balance_ratio",
+        "RoundRobinPlacement load_balance_ratio "
+        "ReadSelector PrimaryReads RotatingReads coerce_read_selector",
     ),
     "repro.core": (
         repro.core,
         "LagModel LeastLoadedReads HeatWeightedPlacement PlacementPolicy "
-        "RoundRobinPlacement load_balance_ratio",
+        "RoundRobinPlacement load_balance_ratio "
+        "ReadSelector PrimaryReads RotatingReads coerce_read_selector",
     ),
     "repro.obs": (repro.obs, "ClusterMonitor MonitorSample"),
+    "repro.persist": (repro.persist, "DEFAULT_VIEW_SPILL"),
 }
 
 

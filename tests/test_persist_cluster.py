@@ -439,8 +439,14 @@ class TestFailoverStatePersistence:
         _assert_converged(restored, ref)
 
 
-class TestViewSpill:
-    def _warmed(self):
+class TestLegacyViewBlock:
+    """Dumps written before views stopped being persisted carry a
+    per-server ``views`` block (readable views as merged-list positions);
+    it is not read, whatever it holds, and every view is rebuilt from its
+    restored list on first read."""
+
+    @staticmethod
+    def _warmed():
         cluster, ref, _ = _lagged_snapshot_cluster()
         # Converge first so the served views are fresh at snapshot time.
         for s in range(NUM_SERVERS):
@@ -452,11 +458,49 @@ class TestViewSpill:
             )
         return cluster, ref
 
-    def test_restored_views_serve_without_rebuild(self, tmp_path):
+    @staticmethod
+    def _views_block(cluster, server_index):
+        """The block an older dump held for one server: per list it
+        holds, the positions of the elements ``u`` may read."""
+        server = cluster.server(server_index)
+        return [
+            {
+                "list": list_id,
+                "principal": "u",
+                "version": server.list_version(list_id),
+                "groups": ["g"],
+                "positions": [
+                    position
+                    for position, element in enumerate(server.export_list(list_id))
+                    if element.group == "g"
+                ],
+            }
+            for list_id in range(NUM_LISTS)
+            if server_index in cluster.replicas_of(list_id)
+        ]
+
+    def test_a_dump_carries_no_views_block(self):
+        cluster, _ = self._warmed()
+        data = cluster_to_dict(cluster)
+        assert all("views" not in server for server in data["servers"])
+
+    @pytest.mark.parametrize(
+        "damage", ["none", "reversed", "no-principal", "scalar"]
+    )
+    def test_any_views_block_restores_and_builds_on_first_read(self, damage):
         cluster, ref = self._warmed()
-        restored, _ = _reload(cluster, tmp_path)
-        stats = restored.view_stats()
-        assert stats.warm_restores >= NUM_LISTS
+        data = cluster_to_dict(cluster)
+        for server_index, server in enumerate(data["servers"]):
+            block = self._views_block(cluster, server_index)
+            for view in block:
+                if damage == "reversed":
+                    view["positions"].reverse()
+                elif damage == "no-principal":
+                    del view["principal"]
+            server["views"] = "not-a-list" if damage == "scalar" else block
+        assert any(view["positions"] for view in self._views_block(cluster, 0))
+        restored = cluster_from_dict(data, _keys())
+        assert all(len(restored.server(s)._views) == 0 for s in range(NUM_SERVERS))
         for list_id in range(NUM_LISTS):
             response = restored.fetch(
                 FetchRequest(principal="u", list_id=list_id, offset=0, count=5)
@@ -465,54 +509,11 @@ class TestViewSpill:
                 ref.expected_order(list_id)[:5]
             )
         stats = restored.view_stats()
-        assert stats.full_builds == 0, "warm restart paid a rebuild"
-        assert stats.hits >= NUM_LISTS
+        assert (stats.full_builds, stats.hits) == (NUM_LISTS, 0)
 
-    def test_spill_disabled_still_correct(self, tmp_path):
-        cluster, ref = self._warmed()
-        path = tmp_path / "cold.json"
-        from repro.index.merge import MergePlan
-        from repro.core.rstf import RstfModel
-
-        plan = MergePlan(groups=tuple((f"t{i}",) for i in range(NUM_LISTS)), r=2.0)
-        save_cluster(path, cluster, plan, RstfModel({}), spill_views=0)
-        restored, _, _ = load_cluster(path, _keys())
-        assert restored.view_stats().warm_restores == 0
-        response = restored.fetch(
-            FetchRequest(principal="u", list_id=0, offset=0, count=5)
-        )
-        assert [e.ciphertext for e in response.elements] == (
-            ref.expected_order(0)[:5]
-        )
-        assert restored.view_stats().full_builds >= 1
-
-    def test_misordered_spill_positions_are_skipped(self, tmp_path):
-        """Reordered/duplicated positions mean a damaged spill: the view
-        must be rebuilt from the list, never installed mis-ordered."""
-        cluster, ref = self._warmed()
-        path = tmp_path / "misordered.json"
-        from repro.index.merge import MergePlan
-        from repro.core.rstf import RstfModel
-
-        plan = MergePlan(groups=tuple((f"t{i}",) for i in range(NUM_LISTS)), r=2.0)
-        save_cluster(path, cluster, plan, RstfModel({}))
-        payload = json.loads(path.read_text())
-        for server_data in payload["cluster"]["servers"]:
-            for view in server_data["views"]:
-                view["positions"] = list(reversed(view["positions"]))
-        path.write_text(json.dumps(payload))
-        restored, _, _ = load_cluster(path, _keys())
-        for list_id in range(NUM_LISTS):
-            response = restored.fetch(
-                FetchRequest(principal="u", list_id=list_id, offset=0, count=5)
-            )
-            assert [e.ciphertext for e in response.elements] == (
-                ref.expected_order(list_id)[:5]
-            ), "mis-ordered spill leaked into a served slice"
-
-    def test_revocation_beats_warm_view(self, tmp_path):
-        """A membership change between snapshot and restore must win:
-        the spilled view may not serve under stale access rights."""
+    def test_a_restored_cluster_serves_under_the_live_key_service(self, tmp_path):
+        """A membership change between snapshot and restore wins: nothing
+        in the dump can serve under the access rights of snapshot time."""
         cluster, _ = self._warmed()
         path = tmp_path / "revoked.json"
         from repro.index.merge import MergePlan
@@ -630,18 +631,6 @@ class TestCorruptClusterDumps:
         del entry["ops"][0]
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigurationError, match="contiguous"):
-            load_cluster(path, _keys())
-
-    def test_view_record_missing_principal(self, tmp_path):
-        cluster, _ = TestViewSpill()._warmed()
-        restored, path = _reload(cluster, tmp_path)
-        payload = json.loads(path.read_text())
-        views = next(
-            s["views"] for s in payload["cluster"]["servers"] if s["views"]
-        )
-        views[0].pop("principal")
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match=str(path)):
             load_cluster(path, _keys())
 
     def test_non_integer_paused_entry(self, tmp_path):
