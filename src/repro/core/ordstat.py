@@ -9,8 +9,10 @@ the representation of the merged list it filters.
 
 Performance model (n = elements held):
 
-* ``from_sorted(values, key)`` — ``list(values)``: one C-speed pass, no
-  per-element allocation, *key* never called;
+* ``from_sorted(values, key)`` — ``list(values)``, *key* never called:
+  for a list (what views pass) one C-speed pointer copy with no
+  per-element work; any other iterable pays its own per-element cost
+  (a generator resumes a Python frame per value);
 * ``slice(start, count)`` — a list slice, O(count);
 * ``bisect_left/right(key)`` — O(log n) calls of the key function;
 * ``insert(value)`` / ``pop(position)`` — that search plus a C memmove

@@ -179,10 +179,10 @@ class ReadableViewIndex:
     def _build(self, merged: MergedPostingList, principal: str) -> _ReadableView:
         self.stats.full_builds += 1
         memberships = self._keys.membership_snapshot(principal)
-        # The lazy filter is consumed inside from_sorted, so one call
-        # covers filtering and materialisation.
+        # A list, not a generator: a comprehension filters without
+        # resuming a generator frame per element.
         data = OrderStatList.from_sorted(
-            (e for e in merged.elements if e.group in memberships),
+            [e for e in merged.elements if e.group in memberships],
             MergedPostingList.sort_key,
         )
         return _ReadableView(data, merged.version, memberships)

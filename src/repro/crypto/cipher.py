@@ -4,16 +4,17 @@ Wire format of a ciphertext::
 
     nonce (16 bytes) || body (len(plaintext) bytes) || tag (16 bytes)
 
-``body = plaintext XOR keystream(nonce)``; the tag is a truncated
-HMAC-SHA256 over ``nonce || body`` under an independent MAC subkey, checked
-on decryption (wrong-key or tampered ciphertexts raise
+``body = plaintext XOR keystream(nonce)``; the tag is keyed BLAKE2b-128
+over ``nonce || body`` under an independent MAC subkey (encrypt-then-MAC;
+BLAKE2's keyed mode is a MAC by design, RFC 7693), checked on decryption
+(wrong-key or tampered ciphertexts raise
 :class:`~repro.errors.AuthenticationError` instead of yielding garbage — a
 querying client must be able to tell "not my group's element" apart from
 data corruption).
 
 Performance model — this cipher sits on the fetch hot path (a querying
-client skims every readable element of every fetched slice), so every
-layer of the per-element cost is flattened:
+client skims every readable element of every fetched slice, the elements
+past k included), so every layer of the per-element cost is flattened:
 
 * the keystream is one :class:`~repro.crypto.prf.XofKeystream` squeeze
   (``SHAKE-256(enc_subkey || nonce)`` expanded to the body length in a
@@ -21,21 +22,23 @@ layer of the per-element cost is flattened:
 * the XOR is a single arbitrary-precision integer operation
   (``int.from_bytes(a) ^ int.from_bytes(b)``), three C-level calls instead
   of one Python iteration per byte;
-* the MAC answers from precomputed HMAC states
-  (:class:`~repro.crypto.prf.Prf`), so no key schedule is re-run per tag;
-* both subkey derivations happen once in ``__init__``, and the
-  module-level one-shot :func:`encrypt`/:func:`decrypt` helpers keep a
-  bounded cache of ciphers keyed by master key instead of re-deriving
-  subkeys per call;
+* the tag is one keyed hash: the BLAKE2b state keyed with the MAC subkey
+  is built once and each tag is ``copy`` / ``update`` / ``digest`` of it,
+  where HMAC-SHA256 needs an inner and an outer state per tag (about
+  half the time per element);
+* both subkey derivations happen once in ``__init__``, which also binds
+  the ``copy`` methods of the two keyed states the kernel uses per
+  element;
 * :meth:`StreamCipher.try_decrypt` is the one kernel every non-raising
   decrypt goes through — memo probe, MAC, keystream, XOR, the caller's
-  plaintext decoder and the memo store for ONE ciphertext, with the
-  verify/decrypt plumbing inlined against the precomputed states.  It
-  is per element, not per batch, because the steady state of a query
-  is a memo hit: a fetched slice interleaves ~7 groups at ~2 elements
-  each, so a per-group batch spends more on bucketing the slice, setting
-  the batch up and re-sorting its output than the hits themselves cost,
-  while a miss (a microsecond of hashing) does not notice one call.
+  plaintext decoder and the memo store for ONE ciphertext, all inline,
+  so a miss enters no Python frame but the decoder's and a hit none at
+  all.  It is per element, not per batch, because the steady state of a
+  query is a memo hit: a fetched slice interleaves ~7 groups at ~2
+  elements each, so a per-group batch spends more on bucketing the
+  slice, setting the batch up and re-sorting its output than the hits
+  themselves cost, while a miss (a few microseconds of hashing and
+  decoding) does not notice one call.
   :meth:`~StreamCipher.try_decrypt_many` is a comprehension over it, so
   there is one copy of the sequence and one place the memo rules live;
 * a bounded verified-decoded memo (ciphertext -> ``decode(verified
@@ -54,8 +57,8 @@ layer of the per-element cost is flattened:
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Callable, Iterable
-from functools import lru_cache
 from hmac import compare_digest as _compare_digest
 from typing import Any, TypeVar, overload
 
@@ -83,7 +86,7 @@ class StreamCipher:
     """
 
     __slots__ = (
-        "_enc",
+        "_keystream",
         "_mac",
         "_memo",
         "_memo_capacity",
@@ -100,24 +103,17 @@ class StreamCipher:
             raise ValueError("master key must be at least 16 bytes")
         if memo_capacity < 0:
             raise ValueError("memo_capacity must be non-negative")
-        self._enc = XofKeystream(derive_key(master_key, "enc"))
-        self._mac = Prf(derive_key(master_key, "mac"))
+        # The keyed states themselves stay private to these bound methods:
+        # every keystream and every tag starts from a copy of one of them.
+        self._keystream = XofKeystream(derive_key(master_key, "enc"))._state.copy
+        self._mac = hashlib.blake2b(
+            key=derive_key(master_key, "mac"), digest_size=TAG_SIZE
+        ).copy
         # ciphertext -> _memo_decoder(verified plaintext); None = raw bytes
         self._memo: dict[bytes, Any] = {}
         self._memo_decoder: _Decoder | None = None
         self._memo_capacity = memo_capacity
         self.memo_hits = 0
-
-    def _memoise(self, ciphertext: bytes, value: Any) -> None:
-        """Remember a *verified*, decoded decryption, evicting oldest when full."""
-        memo = self._memo
-        if len(memo) >= self._memo_capacity:
-            # Drop the oldest half in one sweep (dicts iterate in
-            # insertion order); amortised O(1) per store, no per-hit
-            # bookkeeping on the fast path.
-            for stale in list(memo)[: self._memo_capacity // 2 + 1]:
-                del memo[stale]
-        memo[ciphertext] = value
 
     def encrypt(self, plaintext: bytes, nonce: bytes) -> bytes:
         """Encrypt *plaintext*; *nonce* must be unique per message.
@@ -128,25 +124,29 @@ class StreamCipher:
         if len(nonce) != NONCE_SIZE:
             raise ValueError(f"nonce must be {NONCE_SIZE} bytes")
         size = len(plaintext)
-        stream = self._enc.keystream(nonce, size)
-        body = (
-            int.from_bytes(plaintext, "big") ^ int.from_bytes(stream, "big")
+        xof = self._keystream()
+        xof.update(nonce)
+        head = nonce + (
+            int.from_bytes(plaintext, "big") ^ int.from_bytes(xof.digest(size), "big")
         ).to_bytes(size, "big")
-        tag = self._mac.evaluate(nonce + body)[:TAG_SIZE]
-        return nonce + body + tag
+        mac = self._mac()
+        mac.update(head)
+        return head + mac.digest()
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         """Decrypt and authenticate; raises :class:`AuthenticationError`."""
         if len(ciphertext) < NONCE_SIZE + TAG_SIZE:
             raise AuthenticationError("ciphertext too short")
-        expected = self._mac.evaluate(ciphertext[:-TAG_SIZE])[:TAG_SIZE]
-        if not _compare_digest(ciphertext[-TAG_SIZE:], expected):
+        mac = self._mac()
+        mac.update(ciphertext[:-TAG_SIZE])
+        if not _compare_digest(ciphertext[-TAG_SIZE:], mac.digest()):
             raise AuthenticationError("ciphertext failed integrity check")
         body = ciphertext[NONCE_SIZE:-TAG_SIZE]
         size = len(body)
-        stream = self._enc.keystream(ciphertext[:NONCE_SIZE], size)
+        xof = self._keystream()
+        xof.update(ciphertext[:NONCE_SIZE])
         return (
-            int.from_bytes(body, "big") ^ int.from_bytes(stream, "big")
+            int.from_bytes(body, "big") ^ int.from_bytes(xof.digest(size), "big")
         ).to_bytes(size, "big")
 
     @overload
@@ -163,11 +163,12 @@ class StreamCipher:
 
         A memoised ciphertext is answered from the memo (and counted in
         ``memo_hits``) before anything else.  Otherwise the tag is
-        checked against the precomputed hash states (package-private
-        access into the PRF layer) and only then is the body decrypted
-        and handed to *decode* — which therefore never sees
-        unauthenticated bytes.  What *decode* raises propagates and
-        nothing is stored for that ciphertext.
+        checked and only then is the body decrypted and handed to
+        *decode* — which therefore never sees unauthenticated bytes.
+        What *decode* raises propagates and nothing is stored for that
+        ciphertext.  A store into a full memo first drops its oldest
+        half (dicts iterate in insertion order): amortised O(1) per
+        store, no per-hit bookkeeping.
 
         The memo serves only the decoder that filled it, compared by
         identity — pass one stable function, not a fresh closure or bound
@@ -175,37 +176,39 @@ class StreamCipher:
         over; a raw caller (the snippet path shares these ciphers) goes
         around a decoder's memo instead of evicting it.
         """
+        memo = self._memo
         owns_memo = True
         if decode is self._memo_decoder:
-            cached = self._memo.get(ciphertext)
+            cached = memo.get(ciphertext)
             if cached is not None:
                 self.memo_hits += 1
                 return cached
         elif decode is None:
             owns_memo = False  # raw beside a decoder's memo: go around it
         else:
-            self._memo.clear()
+            memo.clear()
             self._memo_decoder = decode
         if len(ciphertext) < NONCE_SIZE + TAG_SIZE:
             return None
-        mac = self._mac
-        inner = mac._inner.copy()
-        inner.update(ciphertext[:-TAG_SIZE])
-        outer = mac._outer.copy()
-        outer.update(inner.digest())
-        if not _compare_digest(ciphertext[-TAG_SIZE:], outer.digest()[:TAG_SIZE]):
+        mac = self._mac()
+        mac.update(ciphertext[:-TAG_SIZE])
+        if not _compare_digest(ciphertext[-TAG_SIZE:], mac.digest()):
             return None
         body = ciphertext[NONCE_SIZE:-TAG_SIZE]
         size = len(body)
-        xof = self._enc._state.copy()
+        xof = self._keystream()
         xof.update(ciphertext[:NONCE_SIZE])
         value: Any = (
             int.from_bytes(body, "big") ^ int.from_bytes(xof.digest(size), "big")
         ).to_bytes(size, "big")
         if decode is not None:
             value = decode(value)
-        if owns_memo and self._memo_capacity:
-            self._memoise(ciphertext, value)
+        capacity = self._memo_capacity
+        if owns_memo and capacity:
+            if len(memo) >= capacity:
+                for stale in list(memo)[: capacity // 2 + 1]:
+                    del memo[stale]
+            memo[ciphertext] = value
         return value
 
     @overload
@@ -252,25 +255,3 @@ class NonceSequence:
         nonce = self._prf.evaluate(self._counter.to_bytes(8, "big"))[:NONCE_SIZE]
         self._counter += 1
         return nonce
-
-
-@lru_cache(maxsize=1024)
-def cipher_for_key(master_key: bytes) -> StreamCipher:
-    """THE cipher for *master_key* — cached, since ciphers are stateless.
-
-    A :class:`StreamCipher` carries no per-message state (nonces are
-    caller-supplied), so one shared instance per key is safe and saves the
-    two subkey derivations plus the hash key schedules on every one-shot
-    call.  The cache is bounded; a deployment has a handful of group keys.
-    """
-    return StreamCipher(master_key)
-
-
-def encrypt(master_key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
-    """One-shot helper around a cached :class:`StreamCipher`."""
-    return cipher_for_key(master_key).encrypt(plaintext, nonce)
-
-
-def decrypt(master_key: bytes, ciphertext: bytes) -> bytes:
-    """One-shot helper around a cached :class:`StreamCipher`."""
-    return cipher_for_key(master_key).decrypt(ciphertext)

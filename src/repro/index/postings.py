@@ -108,16 +108,40 @@ class PostingElement:
         The term is the very string *terms* holds, and the document id is
         interned: a hot list repeats few of them over many elements, and
         decoded elements live on in the cipher's memo.
+
+        This is the skim's cold path, once per element a client opens, so
+        it runs the constructor's checks inline and fills the slots
+        through their descriptors instead of calling the class: the
+        generated ``__init__`` would set each frozen field through
+        ``object.__setattr__`` and then enter ``__post_init__``.  What it
+        returns is an ordinary element — equality, ordering, hash, repr
+        and immutability are the dataclass's own.
         """
         try:
             tf, doc_length, number = _unpack_header(data)
-            if number >= len(terms):
-                raise ProtocolError(f"term number {number} is not in the plan")
-            return cls(
-                terms[number], intern(data[HEADER_SIZE:].decode()), tf, doc_length
-            )
-        except (struct.error, ValueError) as error:
+            doc_id = data[HEADER_SIZE:].decode()
+        except (struct.error, UnicodeDecodeError) as error:
             raise ProtocolError(f"malformed posting element: {error!r}") from None
+        if number >= len(terms):
+            raise ProtocolError(f"term number {number} is not in the plan")
+        if tf <= 0 or doc_length < tf:
+            raise ProtocolError(
+                f"malformed posting element: tf {tf} with doc_length {doc_length}"
+            )
+        element = _new(cls)
+        _set_term(element, terms[number])
+        _set_doc_id(element, intern(doc_id))
+        _set_tf(element, tf)
+        _set_doc_length(element, doc_length)
+        return element
+
+
+# The slot descriptors ``from_bytes`` fills a decoded element through.
+_new = object.__new__
+_set_term = PostingElement.term.__set__  # type: ignore[attr-defined]
+_set_doc_id = PostingElement.doc_id.__set__  # type: ignore[attr-defined]
+_set_tf = PostingElement.tf.__set__  # type: ignore[attr-defined]
+_set_doc_length = PostingElement.doc_length.__set__  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True, slots=True)

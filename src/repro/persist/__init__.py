@@ -17,19 +17,23 @@ Two dump kinds share one version-tagged JSON container:
   :func:`load_cluster`), including its replication logs; see
   :mod:`repro.persist.clusterstate`.
 
-The container is format **v4**, the only version this build writes or
-reads: v3's container unchanged, renumbered because the plaintext inside
-every ciphertext changed again (:mod:`repro.index.postings` names the
-term by its number in the merge plan instead of spelling it out).
-Ciphertexts are opaque to the host, so an older dump would restore
-without complaint and then misread every element: read as v4, a v3
-element's term-length byte and first three term bytes become a term
-number — usually outside the plan, so every query raises, but on a
-small vocabulary sometimes inside it, silently naming the wrong term
-(and a v2 element, canonical JSON, never decodes at all).  Any other
-version is therefore refused with a
+The container is format **v5**, the only version this build writes or
+reads.  It is renumbered because every stored tag changed: a ciphertext
+is now tagged with keyed BLAKE2b-128 (:mod:`repro.crypto.cipher`), not
+truncated HMAC-SHA256, at the same 16 bytes.  Ciphertexts are opaque to
+the host, so an older dump would restore without complaint and then
+answer wrongly without an error: every v4 element fails its tag, so
+every query comes back empty.  (A v3 element would also misread its
+plaintext — its term-length byte and first three term bytes read as a
+term number — and a v2 element, canonical JSON, never decodes at all.)
+Any other version is therefore refused with a
 :class:`~repro.errors.ConfigurationError` naming the file, the version
 found and the version read.  Re-index to carry an older index over.
+
+The same bump dropped the blocks only v4 dumps carry: the cluster's
+``lag`` is written and read as the int it is (v4 wrapped it as
+``{"fixed_ticks": n}`` beside a ``per_server`` table that no build
+restored), and no server section holds ``heat`` or ``views`` any more.
 
 Format / recovery invariants
 ----------------------------
@@ -54,13 +58,15 @@ Format / recovery invariants
 4. **Views are derived, not persisted.**  A restored server holds no
    readable views: the first read of a list by a principal builds its
    view from the restored list under the live key service, so a restart
-   can never serve under revoked access rights.  The per-server
-   ``views`` block an earlier v4 dump may carry is ignored.
+   can never serve under revoked access rights.  Nor does a dump carry
+   access counters (the v4 ``heat`` block): every restored server
+   counts its load from zero.
 5. **Corruption fails loudly.**  Decoders validate ids, shapes, log
    bounds and op payloads against the dump's own declarations and raise
    :class:`~repro.errors.ConfigurationError` naming the file and the
-   offending value — nothing escapes as a raw ``KeyError`` or
-   ``IndexError``.  Element fields are decoded strictly (base64 with
+   offending value — nothing escapes as a raw ``KeyError``,
+   ``IndexError`` or ``AttributeError`` (every cluster section is
+   type-checked before it is read).  Element fields are decoded strictly (base64 with
    validation, string group, float-or-null TRS): a damaged entry never
    restores as a *different* ciphertext.  The setup artifacts are held
    to the same rule: a merge plan or RSTF model its own constructor

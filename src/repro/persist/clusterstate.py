@@ -30,6 +30,7 @@ import base64
 import json
 from pathlib import Path
 from time import perf_counter
+from typing import Any
 
 from repro.core.cluster import ServerCluster
 from repro.core.replication import FailoverEvent, ReplicationOp
@@ -53,6 +54,24 @@ from repro.persist.encoders import (
 )
 
 
+# -- section shapes -----------------------------------------------------------
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", int: "an integer"}
+
+
+def _typed(value: Any, kind: type, what: str, source: str | Path) -> Any:
+    """*value*, refused unless it is exactly a *kind* (``True`` is no
+    integer here) — so a section of the wrong shape fails with the file
+    named instead of as an ``AttributeError`` deep inside the decode."""
+    if type(value) is not kind:
+        raise ConfigurationError(
+            f"{source}: corrupt cluster dump: {what} must be "
+            f"{_JSON_TYPES[kind]}, not {value!r}"
+        )
+    return value
+
+
 # -- replication ops ----------------------------------------------------------
 
 
@@ -68,7 +87,7 @@ def replication_op_to_dict(op: ReplicationOp) -> dict:
 
 
 def replication_op_from_dict(entry: dict, source: str | Path) -> ReplicationOp:
-    kind = entry.get("k")
+    kind = _typed(entry, dict, "a replication op", source).get("k")
     if kind == "insert":
         if "e" not in entry:
             raise ConfigurationError(
@@ -147,7 +166,7 @@ def cluster_to_dict(cluster: ServerCluster) -> dict:
                 for event in cluster.failover_history()
             ],
         },
-        "lag": {"fixed_ticks": repl.lag},
+        "lag": repl.lag,
         "anti_entropy_every": repl.anti_entropy_every,
         "down": [
             server_index
@@ -183,25 +202,23 @@ def cluster_from_dict(
     and instruments the recovered cluster from its first post-restore
     operation on.
 
-    Per-server lag is gone: a dump whose ``lag.per_server`` names any
-    server is refused rather than restored under a different lag.  The
-    per-server ``heat`` and ``views`` blocks, which older dumps carry,
-    are not read.
+    Every section is type-checked before it is read, so a section of the
+    wrong JSON type — a v4 ``{"fixed_ticks": n}`` lag included — is a
+    :class:`ConfigurationError` naming *source*, never a bare
+    ``AttributeError``.
     """
     try:
         num_lists = int(data["num_lists"])
         num_servers = int(data["num_servers"])
         replication = int(data["replication"])
-        lag_data = data.get("lag", {})
-        per_server_lag = lag_data.get("per_server")
-        failover_data = data.get("failover", {})
+        failover_data = _typed(data.get("failover", {}), dict, "failover", source)
         failover_after = failover_data.get("after")
         cluster = ServerCluster(
             key_service,
             num_lists=num_lists,
             num_servers=num_servers,
             replication=replication,
-            lag=int(lag_data.get("fixed_ticks", 0)),
+            lag=_typed(data.get("lag", 0), int, "lag", source),
             read_consistency=data.get("read_consistency"),
             anti_entropy_every=data.get("anti_entropy_every"),
             write_consistency=data.get("write_consistency"),
@@ -212,6 +229,8 @@ def cluster_from_dict(
             [tuple(replicas) for replicas in data["placement"]],
             int(data.get("epoch", 0)),
         )
+        history = failover_data.get("history", [])
+        timers = failover_data.get("unreachable_since", {})
         cluster.restore_failover_state(
             history=[
                 FailoverEvent(
@@ -220,15 +239,17 @@ def cluster_from_dict(
                     new_primary=int(entry["new"]),
                     tick=int(entry["tick"]),
                 )
-                for entry in failover_data.get("history", ())
+                for entry in _typed(history, list, "failover.history", source)
             ],
             unreachable_since={
                 int(server_index): int(tick)
-                for server_index, tick in failover_data.get(
-                    "unreachable_since", {}
+                for server_index, tick in _typed(
+                    timers, dict, "failover.unreachable_since", source
                 ).items()
             },
         )
+    except ConfigurationError:
+        raise
     except (KeyError, TypeError, ValueError) as error:
         raise ConfigurationError(
             f"{source}: corrupt cluster dump: {error!r}"
@@ -237,14 +258,8 @@ def cluster_from_dict(
         raise ConfigurationError(
             f"{source}: corrupt cluster dump: {error}"
         ) from error
-    if per_server_lag:
-        raise ConfigurationError(
-            f"{source}: dump sets per-server replication lag "
-            f"{per_server_lag!r}; per-server lag was removed and this build "
-            "restores one lag for every follower"
-        )
 
-    servers_data = data.get("servers", [])
+    servers_data = _typed(data.get("servers", []), list, "servers", source)
     if len(servers_data) != num_servers:
         raise ConfigurationError(
             f"{source}: corrupt cluster dump: {len(servers_data)} server "
@@ -254,18 +269,24 @@ def cluster_from_dict(
         load_server_state(cluster.server(server_index), server_data, source)
 
     repl = cluster.replication_manager
-    state = data.get("replication_state", {})
+    state = _typed(
+        data.get("replication_state", {}), dict, "replication_state", source
+    )
+    paused = _typed(state.get("paused", []), list, "replication_state.paused", source)
     try:
         repl.restore_clock(
             int(state.get("tick_count", 0)),
-            (int(server_index) for server_index in state.get("paused", ())),
+            (int(server_index) for server_index in paused),
         )
     except (ReproError, TypeError, ValueError) as error:
         raise ConfigurationError(
             f"{source}: corrupt cluster dump: {error}"
         ) from error
-    applied_sections = state.get("applied", {})
-    for list_id_str, log_data in state.get("logs", {}).items():
+    logs = _typed(state.get("logs", {}), dict, "replication_state.logs", source)
+    applied_sections = _typed(
+        state.get("applied", {}), dict, "replication_state.applied", source
+    )
+    for list_id_str, log_data in logs.items():
         list_id = decode_list_id(list_id_str, num_lists, source)
         applied_data = applied_sections.get(list_id_str)
         if applied_data is None:
@@ -273,6 +294,8 @@ def cluster_from_dict(
                 f"{source}: corrupt cluster dump: list {list_id} has a log "
                 "but no applied versions"
             )
+        _typed(log_data, dict, f"the log of list {list_id}", source)
+        _typed(applied_data, dict, f"the applied versions of list {list_id}", source)
         try:
             repl.restore_list_state(
                 list_id,
@@ -292,12 +315,11 @@ def cluster_from_dict(
                 f"{source}: corrupt cluster dump: {error}"
             ) from error
 
-    for server_index in data.get("down", ()):
-        server_index = int(server_index)
-        if not 0 <= server_index < num_servers:
+    for server_index in _typed(data.get("down", []), list, "down", source):
+        if type(server_index) is not int or not 0 <= server_index < num_servers:
             raise ConfigurationError(
                 f"{source}: corrupt cluster dump: down-server index "
-                f"{server_index} out of range"
+                f"{server_index!r} is not one of {num_servers} servers"
             )
         cluster.fail_server(server_index)
     return cluster

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.crypto.cipher import (
-    NONCE_SIZE,
-    NonceSequence,
-    StreamCipher,
-    TAG_SIZE,
-    decrypt,
-    encrypt,
-)
+from repro.crypto.cipher import NONCE_SIZE, NonceSequence, StreamCipher, TAG_SIZE
 from repro.errors import AuthenticationError
 
 KEY = b"k" * 32
@@ -78,11 +71,6 @@ class TestStreamCipher:
         ciphertext = StreamCipher(KEY).encrypt(plaintext, NONCE)
         body = ciphertext[NONCE_SIZE:-TAG_SIZE]
         assert len(zlib.compress(body, 9)) > 0.95 * len(body)
-
-
-class TestHelpers:
-    def test_module_level_roundtrip(self):
-        assert decrypt(KEY, encrypt(KEY, b"data", NONCE)) == b"data"
 
 
 class TestNonceSequence:

@@ -1,21 +1,17 @@
 """Hot-path crypto: the optimized implementations are byte-identical to
 straight-line references, known answers stay pinned across refactors, and
-the batch/memo/cache layers change performance only — never bytes."""
+the batch/memo layers change performance only — never bytes."""
 
+import dataclasses
 import hashlib
 import hmac
+import operator
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.cipher import (
-    NONCE_SIZE,
-    TAG_SIZE,
-    StreamCipher,
-    cipher_for_key,
-    decrypt,
-    encrypt,
-)
+from repro.crypto.cipher import NONCE_SIZE, TAG_SIZE, StreamCipher
 from repro.core.client import skim_matches
 from repro.crypto.prf import Prf, XofKeystream, derive_key
 from repro.errors import AuthenticationError, ProtocolError
@@ -59,13 +55,22 @@ def reference_xof_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
 
 
 def reference_encrypt(master_key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
-    """The cipher construction, spelled out byte by byte."""
+    """The cipher construction, spelled out byte by byte: one-shot keyed
+    BLAKE2b-128 over ``nonce || body``, no precomputed state."""
     enc_key = reference_prf(master_key, b"derive:enc")
     mac_key = reference_prf(master_key, b"derive:mac")
     stream = reference_xof_keystream(enc_key, nonce, len(plaintext))
     body = bytes(p ^ s for p, s in zip(plaintext, stream))
-    tag = reference_prf(mac_key, nonce + body)[:TAG_SIZE]
+    tag = hashlib.blake2b(nonce + body, key=mac_key, digest_size=TAG_SIZE).digest()
     return nonce + body + tag
+
+
+def hmac_tagged(master_key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
+    """The same ciphertext tagged the way format v4 did: HMAC-SHA256 under
+    the same MAC subkey, truncated to the same 16 bytes."""
+    mac_key = reference_prf(master_key, b"derive:mac")
+    head = reference_encrypt(master_key, plaintext, nonce)[:-TAG_SIZE]
+    return head + reference_prf(mac_key, head)[:TAG_SIZE]
 
 
 # -- known-answer vectors (pin the bytes across future refactors) -------------
@@ -96,11 +101,12 @@ class TestKnownAnswers:
             "8d353692a009a49c33028ffbfc7bcbb756b33e86771484eb"
         )
 
+    # Pinned from reference_encrypt, not from the code under test.
     def test_cipher_encrypt(self):
         assert StreamCipher(KEY).encrypt(b"attack at dawn", NONCE).hex() == (
             "000102030405060708090a0b0c0d0e0f"
-            "ec4142f3c36284fd4722eb9a8b1565e5"
-            "b7954e9082625c9bcd7d6f94c5bc"
+            "ec4142f3c36284fd4722eb9a8b156300"
+            "19795116f86dded974f6c7ae6834"
         )
 
 
@@ -153,6 +159,21 @@ def test_roundtrip_through_reference_ciphertext(key, nonce, plaintext):
     assert StreamCipher(key).decrypt(
         reference_encrypt(key, plaintext, nonce)
     ) == plaintext
+
+
+@given(key=key_strategy, nonce=nonce_strategy, plaintext=st.binary(max_size=300))
+@settings(max_examples=100, deadline=None)
+def test_an_hmac_tagged_ciphertext_is_refused(key, nonce, plaintext):
+    """The v4 tag is not a second accepted construction: same nonce, same
+    body, same subkey, but the kernel skips it, the raising path refuses
+    it, and nothing is memoised."""
+    ciphertext = hmac_tagged(key, plaintext, nonce)
+    cipher = StreamCipher(key)
+    assert cipher.try_decrypt(ciphertext) is None
+    assert cipher.try_decrypt(ciphertext, _decode) is None
+    with pytest.raises(AuthenticationError):
+        cipher.decrypt(ciphertext)
+    assert cipher._memo == {} and cipher.memo_hits == 0
 
 
 # -- batch skim semantics -----------------------------------------------------
@@ -402,6 +423,129 @@ class TestOneElementKernel:
         assert len(cipher._memo) == 5
 
 
+# -- the decoder of the skim's cold path ----------------------------------------
+
+
+@st.composite
+def _postings(draw):
+    """Any element the header can hold, of a term in the plan."""
+    tf = draw(st.integers(min_value=1, max_value=65_535))
+    return PostingElement(
+        term=draw(st.sampled_from(PLAN.terms)),
+        doc_id=draw(st.text(max_size=12)),
+        tf=tf,
+        doc_length=draw(st.integers(min_value=tf, max_value=2**32 - 1)),
+    )
+
+
+def _decoded(element):
+    return PLAN.decoder(element.to_bytes(PLAN.locate(element.term)[1]))
+
+
+@given(element=_postings(), other=_postings())
+@settings(max_examples=150, deadline=None)
+def test_a_decoded_element_is_the_constructed_one(element, other):
+    """Filled through its slots, not its constructor, and indistinguishable
+    from the constructed element: equal, same hash, same repr, ordered the
+    same way against another, and frozen."""
+    decoded, decoded_other = _decoded(element), _decoded(other)
+    assert type(decoded) is PostingElement
+    assert decoded == element and hash(decoded) == hash(element)
+    assert repr(decoded) == repr(element)
+    for compare in (operator.lt, operator.le, operator.eq, operator.ge, operator.gt):
+        assert compare(decoded, decoded_other) == compare(element, other)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        decoded.tf = element.tf + 1
+    assert decoded == element
+
+
+class TestMalformedPlaintext:
+    """The decoder runs the constructor's checks itself: an authentic
+    plaintext the constructor would refuse raises ``ProtocolError`` and is
+    never memoised, so the next open raises again."""
+
+    GOOD = PostingElement("pear", "doc", 2, 5)
+
+    @pytest.mark.parametrize(
+        "plaintext",
+        [
+            b"\x00\x00" b"\x00\x00\x00\x05" b"\x00\x00\x00\x02" b"doc",
+            b"\x00\x06" b"\x00\x00\x00\x05" b"\x00\x00\x00\x02" b"doc",
+            b"\x00\x02" b"\x00\x00\x00\x05" b"\x00\x00\x00\x02" b"\xffdoc",
+            b"\x00\x02" b"\x00\x00\x00\x05" b"\x00\x00\x00",
+            b"\x00\x02" b"\x00\x00\x00\x05" b"\x00\x00\x00\x04" b"doc",
+        ],
+        ids=[
+            "tf-zero",
+            "doc-length-below-tf",
+            "invalid-utf8",
+            "short-header",
+            "term-outside-plan",
+        ],
+    )
+    def test_raises_protocol_error_and_is_not_memoised(self, plaintext):
+        cipher = StreamCipher(KEY)
+        good = cipher.encrypt(self.GOOD.to_bytes(PLAN.locate("pear")[1]), NONCE)
+        bad = cipher.encrypt(plaintext, bytes(NONCE_SIZE))
+        decode = PLAN.decoder
+        assert cipher.try_decrypt(good, decode) == self.GOOD
+        for _ in range(2):
+            with pytest.raises(ProtocolError):
+                cipher.try_decrypt(bad, decode)
+        assert list(cipher._memo) == [good] and cipher.memo_hits == 0
+
+
+# -- the skim kernel's exact frame budget -----------------------------------------
+
+
+def _frames_entered(call):
+    """Python frames entered while *call* runs (``call`` events only)."""
+    entered = 0
+
+    def profile(frame, event, arg):
+        nonlocal entered
+        if event == "call":
+            entered += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return entered - 1  # the lambda itself
+
+
+class TestSkimFrameBudget:
+    """Python frames ``skim_matches`` enters to open one slice, per
+    element: a count, not a clock, so it is the same on every machine and
+    a refactor that adds a frame per element fails here in the open (as
+    ``TELEMETRY_FRAME_BUDGET`` does for telemetry).  A cold element enters
+    ``try_decrypt``, the plan's decoder and ``from_bytes``, and nothing
+    else: no memo-store helper, no constructor, no ``__post_init__``.  A
+    memo hit enters ``try_decrypt`` alone."""
+
+    COLD_FRAMES_PER_ELEMENT = 3
+    HIT_FRAMES_PER_ELEMENT = 1
+
+    def test_a_slice_enters_exactly_its_per_element_frames(self):
+        ring = {group: StreamCipher(GROUP_KEYS[group]) for group in GROUPS}
+        elements = []
+        for serial in range(12):
+            group, term = GROUPS[serial % len(GROUPS)], TERMS[serial % len(TERMS)]
+            posting = PostingElement(term, f"doc-{serial}", 1 + serial, 40)
+            nonce = serial.to_bytes(NONCE_SIZE, "big")
+            ciphertext = ring[group].encrypt(posting.to_bytes(PLAN.locate(term)[1]), nonce)
+            elements.append(EncryptedPostingElement(ciphertext, group, 0.5))
+
+        def skim():
+            return skim_matches(elements, "pear", ring, PLAN.decoder)
+
+        # The one frame beside the per-element ones is skim_matches itself.
+        assert _frames_entered(skim) == 1 + self.COLD_FRAMES_PER_ELEMENT * len(elements)
+        assert _frames_entered(skim) == 1 + self.HIT_FRAMES_PER_ELEMENT * len(elements)
+        assert sum(cipher.memo_hits for cipher in ring.values()) == len(elements)
+
+
 # -- the one-pass client skim == a per-element reference -------------------------
 
 GROUPS = ("g0", "g1", "g2", "g3")
@@ -487,22 +631,3 @@ def test_skim_matches_equals_per_element_reference(pool, picks, readable, capaci
                 PostingElement.from_bytes(plaintext, PLAN.terms)
                 for plaintext in reference[group]._memo.values()
             ]
-
-
-# -- one-shot helper cache ----------------------------------------------------
-
-
-class TestCachedHelpers:
-    def test_cipher_for_key_is_cached(self):
-        assert cipher_for_key(KEY) is cipher_for_key(KEY)
-
-    def test_cipher_for_key_separates_keys(self):
-        assert cipher_for_key(KEY) is not cipher_for_key(b"y" * 32)
-
-    def test_one_shot_roundtrip(self):
-        assert decrypt(KEY, encrypt(KEY, b"data", NONCE)) == b"data"
-
-    def test_one_shot_matches_instance(self):
-        assert encrypt(KEY, b"data", NONCE) == StreamCipher(KEY).encrypt(
-            b"data", NONCE
-        )

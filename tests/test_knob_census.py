@@ -8,7 +8,8 @@ telemetry on the read path a visible decision.  The knob census in
 CHANGES.md found knobs with no user outside their own unit tests — the
 replica selectors, per-server lag, spill caps and principal credits,
 then heat-weighted placement, rebalancing and the cluster monitor, then
-rotating reads, per-call staleness bounds and the snapshot view spill;
+rotating reads, per-call staleness bounds and the snapshot view spill,
+then the one-shot cipher helpers and the cipher cache behind them;
 they were deleted, and this test keeps them from drifting back.
 """
 
@@ -18,6 +19,7 @@ import pytest
 
 import repro
 import repro.core
+import repro.crypto
 import repro.obs
 import repro.persist
 from repro.core.cluster import ServerCluster
@@ -92,6 +94,7 @@ DELETED_NAMES = {
         "RoundRobinPlacement load_balance_ratio "
         "ReadSelector PrimaryReads RotatingReads coerce_read_selector",
     ),
+    "repro.crypto": (repro.crypto, "cipher_for_key encrypt decrypt"),
     "repro.obs": (repro.obs, "ClusterMonitor MonitorSample"),
     "repro.persist": (repro.persist, "DEFAULT_VIEW_SPILL"),
 }

@@ -163,11 +163,12 @@ class TestOneFormatVersion:
             loader(path, GroupKeyService(master_secret=b"p" * 32))
         return str(excinfo.value)
 
-    # A v3 element spells its term out; read under v4, its length byte and
-    # first three term bytes would pass for a term number.
-    @pytest.mark.parametrize("found", [1, 2, 3, "4", FORMAT_VERSION + 1, None])
+    # A v4 element carries a truncated HMAC-SHA256 tag and fails the
+    # keyed-BLAKE2b check; a v3 element also spells its term out, so its
+    # length byte and first three term bytes would pass for a term number.
+    @pytest.mark.parametrize("found", [1, 2, 3, 4, "5", FORMAT_VERSION + 1, None])
     def test_other_versions_are_refused_by_name(self, dumps, tmp_path, kind, found):
-        assert json.loads(dumps[kind][1])["format_version"] == FORMAT_VERSION == 4
+        assert json.loads(dumps[kind][1])["format_version"] == FORMAT_VERSION == 5
         message = self._refused(
             dumps, kind, tmp_path, lambda p: p.update(format_version=found)
         )

@@ -439,11 +439,11 @@ class TestFailoverStatePersistence:
         _assert_converged(restored, ref)
 
 
-class TestLegacyViewBlock:
-    """Dumps written before views stopped being persisted carry a
-    per-server ``views`` block (readable views as merged-list positions);
-    it is not read, whatever it holds, and every view is rebuilt from its
-    restored list on first read."""
+class TestRestoredServersStartCold:
+    """A dump holds lists and logs, not what was derived from them: no
+    readable views and no access counters.  Every view is rebuilt from its
+    restored list on first read, and every server counts its load from
+    zero."""
 
     @staticmethod
     def _warmed():
@@ -458,47 +458,12 @@ class TestLegacyViewBlock:
             )
         return cluster, ref
 
-    @staticmethod
-    def _views_block(cluster, server_index):
-        """The block an older dump held for one server: per list it
-        holds, the positions of the elements ``u`` may read."""
-        server = cluster.server(server_index)
-        return [
-            {
-                "list": list_id,
-                "principal": "u",
-                "version": server.list_version(list_id),
-                "groups": ["g"],
-                "positions": [
-                    position
-                    for position, element in enumerate(server.export_list(list_id))
-                    if element.group == "g"
-                ],
-            }
-            for list_id in range(NUM_LISTS)
-            if server_index in cluster.replicas_of(list_id)
-        ]
-
-    def test_a_dump_carries_no_views_block(self):
-        cluster, _ = self._warmed()
-        data = cluster_to_dict(cluster)
-        assert all("views" not in server for server in data["servers"])
-
-    @pytest.mark.parametrize(
-        "damage", ["none", "reversed", "no-principal", "scalar"]
-    )
-    def test_any_views_block_restores_and_builds_on_first_read(self, damage):
+    def test_views_are_built_on_first_read(self):
         cluster, ref = self._warmed()
+        assert cluster.view_stats().full_builds == NUM_LISTS
         data = cluster_to_dict(cluster)
-        for server_index, server in enumerate(data["servers"]):
-            block = self._views_block(cluster, server_index)
-            for view in block:
-                if damage == "reversed":
-                    view["positions"].reverse()
-                elif damage == "no-principal":
-                    del view["principal"]
-            server["views"] = "not-a-list" if damage == "scalar" else block
-        assert any(view["positions"] for view in self._views_block(cluster, 0))
+        for server in data["servers"]:  # no views, no access counters
+            assert set(server) == {"num_lists", "lists", "versions"}
         restored = cluster_from_dict(data, _keys())
         assert all(len(restored.server(s)._views) == 0 for s in range(NUM_SERVERS))
         for list_id in range(NUM_LISTS):
@@ -529,14 +494,7 @@ class TestLegacyViewBlock:
         )
         assert response.elements == ()
 
-
-class TestLegacyHeatBlock:
-    """Dumps written before heat persistence went carry a per-server
-    ``heat`` block; it is not read, whatever it holds, and the restored
-    servers count their load from zero."""
-
-    @staticmethod
-    def _read_cluster():
+    def test_load_counters_restart_at_zero_and_count_on(self, tmp_path):
         cluster = _cluster(lag=0)
         for counter in range(6):
             element = EncryptedPostingElement(
@@ -545,35 +503,6 @@ class TestLegacyHeatBlock:
             cluster.insert("u", counter % NUM_LISTS, element)
         for list_id in range(NUM_LISTS):
             cluster.fetch(FetchRequest("u", list_id, 0, 2))
-        return cluster
-
-    def test_a_dump_carries_no_heat_block(self):
-        data = cluster_to_dict(self._read_cluster())
-        assert all("heat" not in server for server in data["servers"])
-
-    @pytest.mark.parametrize(
-        "heat",
-        [
-            {"fetch_counts": {"0": 4}, "calls": -1},
-            {"fetch_counts": {"0": -2}, "calls": 1},
-            {"fetch_counts": {"99": 1}, "calls": 1},
-            {"fetch_counts": {"0": "many"}, "calls": 1},
-            "not-a-mapping",
-        ],
-        ids=["negative-calls", "negative-count", "unknown-list", "non-numeric", "scalar"],
-    )
-    def test_any_heat_block_restores(self, heat):
-        cluster = self._read_cluster()
-        data = cluster_to_dict(cluster)
-        for server in data["servers"]:
-            server["heat"] = heat
-        restored = cluster_from_dict(data, _keys())
-        assert restored.placement_table() == cluster.placement_table()
-        assert restored.num_elements == cluster.num_elements
-        assert restored.per_server_load() == [0] * NUM_SERVERS
-
-    def test_load_counters_restart_at_zero_and_count_on(self, tmp_path):
-        cluster = self._read_cluster()
         assert sum(cluster.per_server_load()) == NUM_LISTS  # one slice each
         restored, _ = _reload(cluster, tmp_path)
         assert restored.per_server_load() == [0] * NUM_SERVERS
@@ -641,48 +570,80 @@ class TestCorruptClusterDumps:
         with pytest.raises(ConfigurationError, match=str(path)):
             load_cluster(path, _keys())
 
-    def test_one_lag_is_written_and_per_server_lag_is_refused(self, tmp_path):
-        path = self._dump(tmp_path)  # written without "per_server", and loaded
+    @pytest.mark.parametrize("version", [4, 5])
+    def test_a_v4_shaped_dump_is_refused(self, tmp_path, version):
+        """A v4 dump wraps its lag in ``{"fixed_ticks": n}`` beside a
+        ``per_server`` table, and older ones carry per-server ``views`` and
+        ``heat`` blocks.  Marked v4, it is refused for its version (its
+        tags are HMAC ones no client here accepts); relabelled v5, for its
+        lag — never restored under some other reading of it."""
+        path = self._dump(tmp_path)
         payload = json.loads(path.read_text())
-        assert payload["cluster"]["lag"] == {"fixed_ticks": 3}
-        payload["cluster"]["lag"]["per_server"] = {}
-        path.write_text(json.dumps(payload))
+        assert payload["cluster"]["lag"] == 3  # written as the int it is
         assert load_cluster(path, _keys())[0].replication_manager.lag == 3
-        payload["cluster"]["lag"]["per_server"] = {"1": 5}
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match="per-server replication lag") as excinfo:
-            load_cluster(path, _keys())  # not restored under a different lag
-        assert str(path) in str(excinfo.value)
-
-    def test_a_heat_block_of_an_older_dump_is_not_read(self, tmp_path):
-        cluster = _cluster(lag=2, failover_after=1)
-        for counter in range(6):
-            element = EncryptedPostingElement(
-                ciphertext=b"heat-%02d" % counter, group="g", trs=counter / 10.0
-            )
-            cluster.insert("u", counter % NUM_LISTS, element)
-        cluster.fail_server(cluster.replicas_of(0)[0])
-        cluster.replication_tick()
-        cluster.replication_tick()  # the election moves the epoch
-        assert cluster.placement_epoch == 1
-        _, path = _reload(cluster, tmp_path)
-        payload = json.loads(path.read_text())
+        payload["format_version"] = version
+        payload["cluster"]["lag"] = {"fixed_ticks": 3, "per_server": {"1": 5}}
         for server in payload["cluster"]["servers"]:
-            assert "heat" not in server
+            server["views"] = [{"list": 0, "principal": "u", "positions": [0]}]
             server["heat"] = {"fetch_counts": {"0": 7, "2": 1}, "calls": 3}
         path.write_text(json.dumps(payload))
-        restored = load_cluster(path, _keys())[0]
-        assert restored.placement_table() == cluster.placement_table()
-        assert restored.placement_epoch == cluster.placement_epoch
-        for server_index in range(NUM_SERVERS):
-            for list_id in range(NUM_LISTS):
-                assert [
-                    e.ciphertext
-                    for e in restored.server(server_index).export_list(list_id)
-                ] == [
-                    e.ciphertext
-                    for e in cluster.server(server_index).export_list(list_id)
-                ]
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_cluster(path, _keys())
+        message = str(excinfo.value)
+        assert str(path) in message
+        if version == 4:
+            assert "version 4" in message and "reads 5" in message
+        else:
+            assert "lag must be an integer" in message
+
+    # Each of these escaped as a bare AttributeError (``'list' object has
+    # no attribute 'get'``, or ``'int' object ...``) before every section
+    # was type-checked.
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda c: c.update(lag={"fixed_ticks": 3}),
+            lambda c: c.update(lag="3"),
+            lambda c: c.update(lag=True),
+            lambda c: c.update(failover=[]),
+            lambda c: c["failover"].update(unreachable_since=[]),
+            lambda c: c["failover"].update(history={}),
+            lambda c: c.update(replication_state=[]),
+            lambda c: c["replication_state"].update(logs=[]),
+            lambda c: c["replication_state"].update(applied=[]),
+            lambda c: c["replication_state"].update(paused={}),
+            lambda c: c["replication_state"]["applied"].update(
+                dict.fromkeys(c["replication_state"]["applied"], [])
+            ),
+            lambda c: c["replication_state"]["logs"]["0"]["ops"].append([]),
+            lambda c: c.update(down="1"),
+            lambda c: c.update(down=["1"]),
+        ],
+        ids=[
+            "lag-v4-object",
+            "lag-string",
+            "lag-bool",
+            "failover-array",
+            "timers-array",
+            "history-object",
+            "replication-state-array",
+            "logs-array",
+            "applied-array",
+            "paused-object",
+            "applied-versions-array",
+            "op-array",
+            "down-string",
+            "down-string-index",
+        ],
+    )
+    def test_a_section_of_the_wrong_type_names_the_file(self, tmp_path, damage):
+        path = self._dump(tmp_path)
+        payload = json.loads(path.read_text())
+        damage(payload["cluster"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match="corrupt cluster dump") as excinfo:
+            load_cluster(path, _keys())
+        assert str(path) in str(excinfo.value)
 
     @staticmethod
     def _setup_dump(tmp_path, loader):
