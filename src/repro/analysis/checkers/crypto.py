@@ -5,9 +5,11 @@ PR 2 made nonce safety a *service* property: the
 :class:`~repro.crypto.cipher.NonceSequence` per (principal, group), so
 every writer — clients, snippet publishers, baselines — continues one
 counter stream.  A second sequence built ad hoc over the same key
-restarts the counter and reuses nonces on different plaintexts: an
-XOR-keystream confidentiality break that no test observes, because
-decryption still succeeds.  ``crypto-construct`` therefore bans direct
+restarts the counter.  Nonces bind their plaintext, so that no longer
+reuses a keystream on different plaintexts, but every plaintext the
+first sequence encrypted at the same count comes out as the same
+ciphertext — an equality leak no test observes, because decryption
+still succeeds.  ``crypto-construct`` therefore bans direct
 cipher/keystream/nonce construction and raw ``hmac``/``hashlib`` calls
 outside ``repro.crypto`` (the ``Prf``/``derive_key`` surface stays
 public — it is stateless, so duplicating it is safe).
@@ -63,8 +65,8 @@ class CryptoConstructChecker(Checker):
                     node,
                     f"direct {terminal}() construction outside repro.crypto — "
                     "obtain ciphers and nonce sequences from GroupKeyService; "
-                    "an ad-hoc sequence restarts the nonce counter (XOR-"
-                    "keystream reuse hazard)",
+                    "an ad-hoc sequence restarts the nonce counter (equal "
+                    "plaintexts then repeat their ciphertexts)",
                 )
             elif name.startswith(_RAW_HASH_PREFIXES):
                 yield ctx.finding(

@@ -2,8 +2,8 @@
 
 The reproduction's correctness rests on contracts that unit tests cannot
 see at every call site: nonce sequences are singletons owned by the
-:class:`~repro.crypto.keys.GroupKeyService` (one restarted counter is an
-XOR-keystream confidentiality break), every list mutation flows through
+:class:`~repro.crypto.keys.GroupKeyService` (one restarted counter
+repeats the ciphertext of every equal plaintext), every list mutation flows through
 the replication log (a bypassed write silently diverges replicas),
 coordinator envelopes pin the placement epoch they were routed under,
 ``repro.core`` draws time and randomness only from the tick clock and

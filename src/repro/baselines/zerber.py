@@ -175,15 +175,11 @@ class ZerberSystem:
             nonces = self.key_service.nonce_sequence(owner, group)
             for doc in self.corpus.documents_in_group(group):
                 doc_stats = self.corpus.stats(doc.doc_id)
+                encode = PostingElement.encoder(doc_stats.doc_id, doc_stats.length)
                 for term in sorted(doc_stats.counts):
                     list_id, number = self.merge_plan.locate(term)
-                    plain = PostingElement(
-                        term=term,
-                        doc_id=doc_stats.doc_id,
-                        tf=doc_stats.tf(term),
-                        doc_length=doc_stats.length,
-                    )
-                    ciphertext = cipher.encrypt(plain.to_bytes(number), nonces.next())
+                    plaintext = encode(doc_stats.tf(term), number)
+                    ciphertext = cipher.encrypt(plaintext, nonces.next(plaintext))
                     element = EncryptedPostingElement(
                         ciphertext=ciphertext, group=group, trs=None
                     )

@@ -534,8 +534,8 @@ class ZerberRClient:
     def _nonce_sequence(self, group: str) -> NonceSequence:
         # The key service owns THE sequence per (principal, group): two
         # clients for one principal (e.g. bound to different backends)
-        # must continue one counter stream, never restart it — a restart
-        # reuses nonces on different plaintexts.
+        # continue one counter stream instead of restarting it, so their
+        # nonces stay unique and not merely unique up to equal plaintexts.
         return self._keys.nonce_sequence(self.principal, group)
 
     def _unseen_trs(self, group: str, doc_id: str) -> Callable[[str], float]:
@@ -567,40 +567,44 @@ class ZerberRClient:
         id and its term number; the group's cipher, nonce sequence and
         unseen-term PRF are looked up once, and all TRS values come from
         one :meth:`~repro.core.rstf.RstfModel.transform_many`.
+
+        Per element it builds nothing it throws away: the document's
+        :meth:`~repro.index.postings.PostingElement.encoder` encodes the
+        plaintext straight from ``(tf, term number)`` (no
+        :class:`PostingElement` to read ``rscore`` off — it is ``tf /
+        length``, the same float), each nonce is bound to its plaintext,
+        and :meth:`~repro.index.postings.EncryptedPostingElement.checked`
+        builds the element with its TRS check inline.
         """
         terms = sorted(doc.counts) if terms is None else list(terms)
         locate = self._plan.locate
+        tf_of = doc.counts.get
+        length = doc.length
+        encode = PostingElement.encoder(doc.doc_id, length)
         list_ids: list[int] = []
         rscores: list[float] = []
         plaintexts: list[bytes] = []
         for term in terms:
-            tf = doc.tf(term)
+            tf = tf_of(term, 0)
             if tf == 0:
                 raise UnknownTermError(term)
             try:
                 list_id, number = locate(term)
             except KeyError:
                 raise UnknownTermError(term) from None
-            plain = PostingElement(
-                term=term, doc_id=doc.doc_id, tf=tf, doc_length=doc.length
-            )
+            plaintexts.append(encode(tf, number))
             list_ids.append(list_id)
-            rscores.append(plain.rscore)
-            plaintexts.append(plain.to_bytes(number))
+            rscores.append(tf / length)
         trs_values = self._rstf.transform_many(
             terms, rscores, unseen_trs=self._unseen_trs(group, doc.doc_id)
         )
-        cipher = self._cipher(group)
-        nonces = self._nonce_sequence(group)
+        # Looked up per document, not bound once: a wrapper installed on
+        # StreamCipher.encrypt (the e2e tracer's) sees every encryption.
+        encrypt = self._cipher(group).encrypt
+        next_nonce = self._nonce_sequence(group).next
+        element = EncryptedPostingElement.checked
         return [
-            (
-                list_id,
-                EncryptedPostingElement(
-                    ciphertext=cipher.encrypt(plaintext, nonces.next()),
-                    group=group,
-                    trs=trs,
-                ),
-            )
+            (list_id, element(encrypt(plaintext, next_nonce(plaintext)), group, trs))
             for list_id, plaintext, trs in zip(list_ids, plaintexts, trs_values)
         ]
 

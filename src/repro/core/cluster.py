@@ -488,11 +488,12 @@ class ServerCluster:
     def _group_by_primary(
         self, items: list[tuple[int, EncryptedPostingElement]]
     ) -> dict[int, list[tuple[int, EncryptedPostingElement]]]:
-        """Group items by their list's primary, preserving caller order."""
+        """Group items by their list's primary, preserving caller order
+        (the items themselves, not copies: one per element written)."""
         per_server: dict[int, list[tuple[int, EncryptedPostingElement]]] = {}
-        for list_id, element in items:
-            primary = self._placement[list_id][0]
-            per_server.setdefault(primary, []).append((list_id, element))
+        placement = self._placement
+        for item in items:
+            per_server.setdefault(placement[item[0]][0], []).append(item)
         return per_server
 
     def insert(

@@ -217,8 +217,7 @@ class FailoverEvent:
     tick: int
 
 
-@dataclass(frozen=True, slots=True)
-class ReplicationOp:
+class ReplicationOp(NamedTuple):
     """One recorded mutation of a merged list.
 
     ``seq`` is the list's log sequence number after applying this op
@@ -227,6 +226,10 @@ class ReplicationOp:
     — deletion is by receipt, exactly like the client protocol — plus,
     as a position hint, the ``trs`` of the element the primary removed;
     ``None`` in ops logged before the hint existed).
+
+    A tuple, not a dataclass: every element written is one op, built on
+    the write path, and a tuple is built in one C call where a frozen
+    dataclass sets each field through ``object.__setattr__``.
     """
 
     seq: int
@@ -234,6 +237,9 @@ class ReplicationOp:
     element: EncryptedPostingElement | None = None
     ciphertext: bytes | None = None
     trs: float | None = None
+
+
+_new_op = tuple.__new__
 
 
 class ReplicationLog:
@@ -268,9 +274,14 @@ class ReplicationLog:
         ciphertext: bytes | None = None,
         trs: float | None = None,
     ) -> ReplicationOp:
-        op = ReplicationOp(self.head_seq + 1, kind, element, ciphertext, trs)
+        # One op per element written: the tuple is built in one C call,
+        # without the generated ``__new__`` a call to the class enters.
+        seq = self.head_seq + 1
+        op: ReplicationOp = _new_op(
+            ReplicationOp, (seq, kind, element, ciphertext, trs)
+        )
         self._ops.append(op)
-        self.head_seq = op.seq
+        self.head_seq = seq
         return op
 
     def ops_between(self, after_seq: int, upto_seq: int) -> list[ReplicationOp]:
@@ -386,11 +397,11 @@ class ReplicationManager:
     (current replica tuple per list, primary first) and ``server_alive``
     callables so elections and failures are always judged against the
     cluster's authoritative state.  It owns the follower-side server
-    *mutations*: deliveries go through
-    :meth:`ZerberRServer.apply_replicated_insert` /
-    ``apply_replicated_delete`` (no membership re-check — the op was
-    admitted at the primary; re-checking at drain time would let a
-    concurrent revocation fork the replicas).
+    *mutations*: a delivery, catch-up or repair hands a replica the run of
+    ops it lacks on one list in one
+    :meth:`ZerberRServer.apply_replicated_ops` call (no membership
+    re-check — the ops were admitted at the primary; re-checking at drain
+    time would let a concurrent revocation fork the replicas).
 
     *lag* is the number of ticks every follower trails a recorded op by
     (0: due on the tick it was recorded, so the write call that recorded
@@ -743,19 +754,13 @@ class ReplicationManager:
         return total
 
     def _apply_ops(self, log: ReplicationLog, server_index: int, upto_seq: int) -> int:
+        """Hand one replica the run ``(applied, upto_seq]`` of *log* in
+        one server call."""
         applied = log.applied[server_index]
         if upto_seq <= applied:
             return 0
         ops = log.ops_between(applied, upto_seq)
-        server = self._servers[server_index]
-        list_id = log.list_id
-        for op in ops:
-            if op.kind == "insert":
-                assert op.element is not None
-                server.apply_replicated_insert(list_id, op.element)
-            else:
-                assert op.ciphertext is not None
-                server.apply_replicated_delete(list_id, op.ciphertext, op.trs)
+        self._servers[server_index].apply_replicated_ops(log.list_id, ops)
         log.applied[server_index] = upto_seq
         if applied <= log.base_seq:
             # Only the replica that held the minimum can raise it.

@@ -52,6 +52,7 @@ from repro.core.protocol import (
     Receipt,
     ReceiptLike,
 )
+from repro.core.replication import ReplicationOp
 from repro.core.views import ReadableViewIndex, ViewStats
 from repro.crypto.keys import GroupKeyService
 from repro.errors import AccessDeniedError, ProtocolError, UnknownListError
@@ -312,42 +313,66 @@ class ZerberRServer:
 
     # -- replication (cluster data plane; see repro.core.replication) -----------
 
+    def apply_replicated_ops(
+        self, list_id: int, ops: Iterable[ReplicationOp]
+    ) -> int:
+        """Apply a run of ops delivered from a list's replication log, in
+        log order; returns how many of them changed the list.
+
+        No membership re-check: each op was validated and admitted at the
+        primary when it was acknowledged; re-checking at delivery time
+        would let a concurrent revocation make replicas diverge
+        permanently.  An insert is bisected into place; a delete is by
+        ciphertext receipt, like the client protocol, with the op's TRS
+        as the position hint (see
+        :meth:`MergedPostingList.find_by_ciphertext`).  A delete that
+        finds nothing is tolerated: log order guarantees the insert
+        preceded it, so a miss can only mean the state was restored
+        wholesale past this op.
+
+        A replica is handed the whole run it lacks at once: the list is
+        looked up once per run, and its cached readable views are patched
+        per op exactly as for a direct write (attributed to replication
+        in the view stats) — when it has any; a list nobody has read
+        since it was loaded has none, and its ops cost the list mutation
+        alone.
+        """
+        merged = self._list(list_id)
+        views = self._views if self._views.holds_views_of(list_id) else None
+        add = merged.add_sorted_by_trs
+        find, pop = merged.find_by_ciphertext, merged.pop_at
+        changed = 0
+        for op in ops:
+            if op.kind == "insert":
+                element = op.element
+                assert element is not None
+                add(element)
+                if views is not None:
+                    views.note_insert(merged, element, replication=True)
+            else:
+                assert op.ciphertext is not None
+                found = find(op.ciphertext, op.trs)
+                if found is None:
+                    continue
+                pop(found[0])
+                if views is not None:
+                    views.note_delete(merged, found[1], replication=True)
+            changed += 1
+        return changed
+
     def apply_replicated_insert(
         self, list_id: int, element: EncryptedPostingElement
     ) -> None:
-        """Apply an insert op delivered from a list's replication log.
-
-        No membership re-check: the op was validated and admitted at the
-        primary when it was acknowledged; re-checking at delivery time
-        would let a concurrent revocation make replicas diverge
-        permanently.  Cached readable views are patched exactly as for a
-        direct insert (attributed to replication in the view stats).
-        """
-        merged = self._list(list_id)
-        merged.add_sorted_by_trs(element)
-        self._views.note_insert(merged, element, replication=True)
+        """Apply one insert op: a one-op :meth:`apply_replicated_ops`."""
+        self.apply_replicated_ops(list_id, [ReplicationOp(0, "insert", element)])
 
     def apply_replicated_delete(
         self, list_id: int, ciphertext: bytes, trs: float | None = None
     ) -> bool:
-        """Apply a delete op delivered from a list's replication log.
-
-        Deletion is by ciphertext receipt, like the client protocol, and
-        skips the membership check for the same reason as
-        :meth:`apply_replicated_insert`; *trs* is the op's position hint
-        (see :meth:`MergedPostingList.find_by_ciphertext`).  Returns
-        whether an element was removed (a miss is tolerated: log order
-        guarantees the insert preceded this delete, so a miss can only
-        mean the state was restored wholesale past this op).
-        """
-        merged = self._list(list_id)
-        found = merged.find_by_ciphertext(ciphertext, trs)
-        if found is None:
-            return False
-        position, target = found
-        merged.pop_at(position)
-        self._views.note_delete(merged, target, replication=True)
-        return True
+        """Apply one delete op: a one-op :meth:`apply_replicated_ops`;
+        returns whether an element was removed."""
+        op = ReplicationOp(0, "delete", None, ciphertext, trs)
+        return self.apply_replicated_ops(list_id, [op]) == 1
 
     # -- crash recovery (persistence support; see repro.persist) ----------------
 

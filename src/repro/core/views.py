@@ -125,6 +125,12 @@ class ReadableViewIndex:
         """Cached ``(list_id, principal)`` pairs, LRU order (oldest first)."""
         return list(self._views)
 
+    def holds_views_of(self, list_id: int) -> bool:
+        """Whether any view of *list_id* is cached — a mutator with no
+        view to patch need not call :meth:`note_insert` /
+        :meth:`note_delete`, which would find none."""
+        return list_id in self._by_list
+
     # -- read path -----------------------------------------------------------
 
     def _fresh_view(

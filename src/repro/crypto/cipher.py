@@ -62,7 +62,7 @@ from collections.abc import Callable, Iterable
 from hmac import compare_digest as _compare_digest
 from typing import Any, TypeVar, overload
 
-from repro.crypto.prf import Prf, XofKeystream, derive_key
+from repro.crypto.prf import XofKeystream, derive_key
 from repro.errors import AuthenticationError
 
 NONCE_SIZE = 16
@@ -119,7 +119,8 @@ class StreamCipher:
         """Encrypt *plaintext*; *nonce* must be unique per message.
 
         Nonces are caller-supplied (16 bytes) so that tests and simulations
-        stay deterministic; :class:`NonceSequence` provides a safe default.
+        stay deterministic; :class:`NonceSequence` provides a safe default,
+        ``next(plaintext)``.
         """
         if len(nonce) != NONCE_SIZE:
             raise ValueError(f"nonce must be {NONCE_SIZE} bytes")
@@ -240,18 +241,33 @@ class StreamCipher:
 
 
 class NonceSequence:
-    """Deterministic unique nonces: ``PRF(counter)`` under a nonce subkey.
+    """Deterministic nonces bound to their plaintext, SIV-style (RFC 5297).
 
-    Each inserting client owns one sequence; uniqueness holds as long as a
-    (client key, counter) pair is never reused, which the monotonically
-    increasing counter guarantees within a process.
+    ``next(plaintext)`` is keyed BLAKE2b-128 under a nonce subkey over
+    ``counter (8 bytes) || plaintext``: the state keyed once in
+    ``__init__`` is copied, updated and digested per nonce, the tag's
+    construction.  Two nonces of one sequence repeat only where the
+    counter *and* the plaintext repeat.  Within a process the counter
+    never repeats.  Across a restart it does — a sequence rebuilt from the
+    same key starts at 0 again, e.g. after a dump is reloaded under the
+    deployment secret — and then a repeated nonce needs an equal
+    plaintext, whose ciphertext is the identical byte string: it shows the
+    server that two elements are equal and nothing more, where a counter
+    alone would give it the XOR of two different plaintexts.
     """
 
+    __slots__ = ("_prf", "_counter")
+
     def __init__(self, master_key: bytes, label: str = "nonce") -> None:
-        self._prf = Prf(derive_key(master_key, label))
+        self._prf = hashlib.blake2b(
+            key=derive_key(master_key, label), digest_size=NONCE_SIZE
+        ).copy
         self._counter = 0
 
-    def next(self) -> bytes:
-        nonce = self._prf.evaluate(self._counter.to_bytes(8, "big"))[:NONCE_SIZE]
+    def next(self, plaintext: bytes) -> bytes:
+        """The nonce to encrypt *plaintext* under, advancing the counter."""
+        prf = self._prf()
+        prf.update(self._counter.to_bytes(8, "big"))
+        prf.update(plaintext)
         self._counter += 1
-        return nonce
+        return prf.digest()

@@ -221,13 +221,16 @@ class GroupKeyService:
     def nonce_sequence(self, principal: str, group: str) -> NonceSequence:
         """THE nonce sequence of a (member, group) pair — a singleton.
 
-        A principal's nonces are ``PRF(counter)`` under a key derived only
-        from the group key and the principal's name, so two independent
-        :class:`NonceSequence` instances would restart the counter and
-        reuse nonces on different plaintexts — an XOR-stream
-        confidentiality break.  The key service (shared by every client of
-        a deployment) therefore owns one cached sequence per pair; clients
-        must draw nonces from here instead of building their own.
+        A principal's nonces are ``PRF(counter || plaintext)`` under a key
+        derived only from the group key and the principal's name (see
+        :class:`NonceSequence`).  The key service (shared by every client
+        of a deployment) owns one cached sequence per pair, so within a
+        deployment the counter never repeats and nonces are unique.  A
+        service rebuilt from the same secret — a restored dump — starts
+        the counter again, and then a nonce repeats only for an equal
+        plaintext, as the identical ciphertext: uniqueness holds across
+        restarts up to equal plaintexts.  Clients must still draw nonces
+        from here instead of building their own sequence.
         """
         # Membership is checked on EVERY call, not just the cache miss: a
         # revoked principal must lose access immediately (cached state

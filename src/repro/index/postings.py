@@ -12,8 +12,9 @@ Three element flavours appear in the reproduction:
 * :class:`MergedPostingList` — a merged list (one per set of merged terms)
   keyed by an integer list id.
 
-The plaintext layout — :meth:`PostingElement.to_bytes` / ``from_bytes``
-are its single owner — is a fixed 10-byte header and one UTF-8 string::
+The plaintext layout — :meth:`PostingElement.encoder` (``to_bytes`` is
+its one-element form) / ``from_bytes`` are its single owner — is a fixed
+10-byte header and one UTF-8 string::
 
     tf (2) | doc_length (4) | term number (4) | doc_id (rest)
 
@@ -48,7 +49,7 @@ from __future__ import annotations
 import bisect
 import math
 import struct
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from sys import intern
 
@@ -89,15 +90,38 @@ class PostingElement:
 
         :class:`ValueError` for a field the header cannot hold (``tf`` >
         65 535, ``doc_length`` or *number* outside ``[0, 2**32)``) or a
-        doc id UTF-8 cannot encode.
+        doc id UTF-8 cannot encode.  It is :meth:`encoder`'s encoding.
         """
-        try:
-            header = _HEADER.pack(self.tf, self.doc_length, number)
-        except struct.error as error:
-            raise ValueError(
-                f"posting element does not fit the plaintext header: {error}"
-            ) from None
-        return header + self.doc_id.encode()
+        return PostingElement.encoder(self.doc_id, self.doc_length)(self.tf, number)
+
+    @staticmethod
+    def encoder(doc_id: str, doc_length: int) -> Callable[[int, int], bytes]:
+        """``(tf, number) -> bytes``: the encoding of every element of one
+        document, without building the elements.
+
+        A writer encodes a whole document at once, so the doc id is
+        encoded once and each element costs one call: the constructor's
+        checks (``tf > 0``, ``doc_length >= tf``) and the header pack, with
+        :meth:`to_bytes`'s :class:`ValueError` for a field that does not
+        fit.  :meth:`to_bytes` is this encoder's single-element form, so
+        the layout keeps one owner.
+        """
+        suffix = doc_id.encode()
+        pack = _HEADER.pack
+
+        def encode(tf: int, number: int) -> bytes:
+            if tf <= 0:
+                raise ValueError("tf must be positive (absent terms have no element)")
+            if doc_length < tf:
+                raise ValueError("doc_length must be >= tf")
+            try:
+                return pack(tf, doc_length, number) + suffix
+            except struct.error as error:
+                raise ValueError(
+                    f"posting element does not fit the plaintext header: {error}"
+                ) from None
+
+        return encode
 
     @classmethod
     def from_bytes(cls, data: bytes, terms: Sequence[str]) -> "PostingElement":
@@ -136,7 +160,8 @@ class PostingElement:
         return element
 
 
-# The slot descriptors ``from_bytes`` fills a decoded element through.
+# The slot descriptors ``from_bytes`` fills a decoded element through
+# (``_new`` serves ``EncryptedPostingElement.checked`` too).
 _new = object.__new__
 _set_term = PostingElement.term.__set__  # type: ignore[attr-defined]
 _set_doc_id = PostingElement.doc_id.__set__  # type: ignore[attr-defined]
@@ -162,11 +187,39 @@ class EncryptedPostingElement:
         if self.trs is not None and not 0.0 <= self.trs <= 1.0:
             raise ValueError("TRS must lie in [0, 1]")
 
+    @classmethod
+    def checked(
+        cls, ciphertext: bytes, group: str, trs: float | None
+    ) -> "EncryptedPostingElement":
+        """The element ``cls(ciphertext, group, trs)``, built the way
+        :meth:`PostingElement.from_bytes` builds a decoded one.
+
+        A writer builds one per element it uploads, so the TRS range
+        check runs inline and the slots are filled through their
+        descriptors: the generated ``__init__`` would set each frozen
+        field through ``object.__setattr__`` and then enter
+        ``__post_init__``.  Equality, hash, repr and immutability are the
+        dataclass's own.
+        """
+        if trs is not None and not 0.0 <= trs <= 1.0:
+            raise ValueError("TRS must lie in [0, 1]")
+        element = _new(cls)
+        _set_ciphertext(element, ciphertext)
+        _set_group(element, group)
+        _set_trs(element, trs)
+        return element
+
     @property
     def size_bits(self) -> int:
         """Wire size of the element in bits (for the §6.6 bandwidth model)."""
         overhead = 0 if self.trs is None else 64  # one double for the TRS
         return len(self.ciphertext) * 8 + overhead
+
+
+# The slot descriptors ``checked`` fills a new element through.
+_set_ciphertext = EncryptedPostingElement.ciphertext.__set__  # type: ignore[attr-defined]
+_set_group = EncryptedPostingElement.group.__set__  # type: ignore[attr-defined]
+_set_trs = EncryptedPostingElement.trs.__set__  # type: ignore[attr-defined]
 
 
 class PostingList:

@@ -118,9 +118,9 @@ class SnippetClient:
 
     def _nonce_sequence(self, group: str) -> NonceSequence:
         # The key service owns THE sequence per (principal, group): a
-        # second SnippetClient for the same principal must continue one
-        # counter stream, never restart it — a restart reuses nonces on
-        # different plaintexts (XOR-keystream break).
+        # second SnippetClient for the same principal continues one
+        # counter stream instead of restarting it, so its nonces stay
+        # unique and not merely unique up to equal plaintexts.
         return self._keys.nonce_sequence(self.principal, group)
 
     def snippet_id(self, group: str, doc_id: str) -> bytes:
@@ -132,8 +132,9 @@ class SnippetClient:
     def publish(self, group: str, doc_id: str, snippet_text: str) -> bytes:
         """Encrypt and upload a document's snippet; returns its id."""
         snippet_id = self.snippet_id(group, doc_id)
+        plaintext = snippet_text.encode()
         ciphertext = self._cipher(group).encrypt(
-            snippet_text.encode(), self._nonce_sequence(group).next()
+            plaintext, self._nonce_sequence(group).next(plaintext)
         )
         self._store.put(self.principal, group, snippet_id, ciphertext)
         return snippet_id

@@ -3,5 +3,5 @@
 
 def encrypt_sanctioned(keys, principal: str, group: str, plaintext: bytes) -> bytes:
     cipher = keys.cipher_for(principal, group)
-    nonce = keys.nonce_sequence(principal, group).next()
+    nonce = keys.nonce_sequence(principal, group).next(plaintext)
     return cipher.encrypt(plaintext, nonce)

@@ -1,0 +1,81 @@
+"""Write the format-v5 cluster dump that ``tests/test_persist_cluster.py``
+loads, and the answers it must give.
+
+    PYTHONPATH=src python tests/fixtures/make_cluster_v5.py
+
+A three-server, two-way replicated deployment of a twelve-document corpus
+under ``SECRET``, caught up, then one new document written by its group's
+owner and a third of it deleted again at lag 2, so the dump's replication
+logs still hold insert and delete ops a follower has not applied.  Beside
+``cluster_v5.json`` it writes ``cluster_v5_queries.json``: the groups, and
+``superuser``'s ranking of a few multi-term queries just before the dump.
+
+The committed pair was written by the v5 code whose nonces were
+HMAC-SHA256 of a bare counter and whose log ops were dataclasses;
+rerunning this script overwrites it with what the code in the tree writes.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+from repro import SystemConfig, ZerberRSystem
+from repro.corpus.synthetic import SyntheticCorpusConfig, SyntheticCorpusGenerator
+from repro.crypto.keys import GroupKeyService
+from repro.persist import save_cluster
+from repro.text.analysis import DocumentStats
+
+HERE = Path(__file__).resolve().parent
+SECRET = b"cluster-v5-fixture-secret-012345"
+K = 4
+
+
+def corpus():
+    config = SyntheticCorpusConfig(
+        num_documents=12,
+        vocabulary_size=40,
+        num_groups=2,
+        topic_vocabulary_size=12,
+        doc_length_median=10.0,
+        doc_length_sigma=0.3,
+        min_doc_length=6,
+        max_doc_length=16,
+        seed=17,
+        name="fixture",
+    )
+    return SyntheticCorpusGenerator(config).generate()
+
+
+def main() -> None:
+    source = corpus()
+    system = ZerberRSystem.build(
+        source, SystemConfig(r=2.0, seed=3), key_service=GroupKeyService(SECRET)
+    )
+    cluster, _ = system.deploy_cluster(num_servers=3, replication=2, lag=2)
+    cluster.run_replication_until_quiet()
+    first = source.doc_ids()[0]
+    group = source.document(first).group
+    owner = system.client_for(f"owner:{group}", server=cluster)
+    counts = dict(source.stats(first).counts)
+    receipts = owner.index_document_with_receipts(
+        DocumentStats.from_counts("fixture-new", counts), group
+    )
+    owner.delete_document(receipts[: len(receipts) // 3])
+    reader = system.client_for("superuser", server=cluster)
+    terms = sorted(counts)
+    queries = [terms[i : i + 2] for i in range(0, len(terms), 2)]
+    expected = {
+        "groups": sorted(source.groups()),
+        "k": K,
+        "queries": [
+            {"terms": q, "ranked": reader.query_multi_batched(q, K).ranked}
+            for q in queries
+        ],
+    }
+    save_cluster(HERE / "cluster_v5.json", cluster, system.merge_plan, system.rstf_model)
+    (HERE / "cluster_v5_queries.json").write_text(json.dumps(expected, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

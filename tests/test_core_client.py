@@ -152,8 +152,8 @@ class TestInsert:
             assert built == looped
             assert [e.trs.hex() for _, e in built] == [e.trs.hex() for _, e in looped]
         assert (
-            keys_a.nonce_sequence("alice", "g1").next()
-            == keys_b.nonce_sequence("alice", "g1").next()
+            keys_a.nonce_sequence("alice", "g1").next(b"probe")
+            == keys_b.nonce_sequence("alice", "g1").next(b"probe")
         )
 
     def test_build_document_checks_every_term_before_drawing_a_nonce(

@@ -126,38 +126,48 @@ class TestDataPlane:
         assert isinstance(excinfo.value, ProtocolError)
 
     def test_insert_many_batches_per_server(self, keys, monkeypatch):
-        """Replicated multi-insert costs one call per touched primary."""
+        """Replicated multi-insert costs one call per touched primary, and
+        one call per (list, follower) run of the log on the follower side."""
         cluster = ServerCluster(keys, num_lists=4, num_servers=3, replication=2)
         calls = []
-        replicated = []
+        runs = []
         original = ZerberRServer.insert_many
-        original_apply = ZerberRServer.apply_replicated_insert
+        original_apply = ZerberRServer.apply_replicated_ops
 
         def counting_insert_many(self, principal, items):
             items = list(items)
             calls.append(len(items))
             return original(self, principal, items)
 
-        def counting_apply(self, list_id, element):
-            replicated.append(list_id)
-            return original_apply(self, list_id, element)
+        def counting_apply(self, list_id, ops):
+            runs.append((list_id, [op.kind for op in ops]))
+            return original_apply(self, list_id, ops)
 
         monkeypatch.setattr(ZerberRServer, "insert_many", counting_insert_many)
-        monkeypatch.setattr(
-            ZerberRServer, "apply_replicated_insert", counting_apply
-        )
+        monkeypatch.setattr(ZerberRServer, "apply_replicated_ops", counting_apply)
         items = [
             (list_id, _element(0.1 * (i + 1), b"im%d" % i))
             for i, list_id in enumerate([0, 1, 2, 3, 0, 1])
         ]
         assert cluster.insert_many("u", items) == 6
         # 6 elements over 3 primaries: one call per primary, not one per
-        # element; each follower copy arrives through the log.
+        # element; each follower copy arrives through the log, a list's
+        # run in one call.
         assert len(calls) == 3
         assert sum(calls) == 6
-        assert sorted(replicated) == [0, 0, 1, 1, 2, 3]
+        assert sorted(runs) == [
+            (0, ["insert", "insert"]),
+            (1, ["insert", "insert"]),
+            (2, ["insert"]),
+            (3, ["insert"]),
+        ]
         # Contents landed exactly as per-element replicated inserts would.
         assert cluster.num_elements == 6
+        for list_id in range(4):
+            primary, follower = cluster.replicas_of(list_id)
+            assert cluster.server(follower).export_list(list_id) == (
+                cluster.server(primary).export_list(list_id)
+            )
 
     def test_insert_many_rejected_batch_touches_no_server(self, keys):
         """Validation failures must not leave replicas divergent."""

@@ -735,16 +735,18 @@ class _PerPairManager(ReplicationManager):
 
 
 class _RecordingServer:
-    """Stands in for a server: notes every op the manager applies to it."""
+    """Stands in for a server: notes every op the manager applies to it,
+    and every run it hands over in one call."""
 
     def __init__(self, index, world):
         self.index, self.world = index, world
 
-    def apply_replicated_insert(self, list_id, element):
-        self.world.note(list_id, self.index, element.ciphertext)
-
-    def apply_replicated_delete(self, list_id, ciphertext, trs=None):
-        self.world.note(list_id, self.index, ciphertext)
+    def apply_replicated_ops(self, list_id, ops):
+        self.world.runs.append((list_id, self.index, [op.seq for op in ops]))
+        for op in ops:
+            payload = op.element.ciphertext if op.kind == "insert" else op.ciphertext
+            self.world.note(list_id, self.index, payload)
+        return len(ops)
 
 
 SCHED_LISTS = 3
@@ -770,6 +772,8 @@ class _World:
         self.alive = [True] * SCHED_SERVERS
         self.alive_calls = 0
         self.applications: list[tuple[int, int, int, int]] = []
+        # (list, server, seqs) per server call: the run it was handed.
+        self.runs: list[tuple[int, int, list[int]]] = []
         self.servers = [_RecordingServer(i, self) for i in range(SCHED_SERVERS)]
         self.manager = self._new_manager()
 
@@ -905,6 +909,9 @@ class TestDeliveryScheduler:
         assert m.outstanding_deliveries() == 0
         assert (m._buckets, m._schedule, m._held) == ({}, [], {})
         assert not any(log.pending for log in m._logs.values())
+        # Each server call carried one non-empty, gap-free run of its log.
+        for _, _, seqs in new.runs:
+            assert seqs and seqs == list(range(seqs[0], seqs[0] + len(seqs)))
 
     @settings(max_examples=120, deadline=None)
     @given(**SCHEDULES)

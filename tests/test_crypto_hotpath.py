@@ -537,13 +537,103 @@ class TestSkimFrameBudget:
             ciphertext = ring[group].encrypt(posting.to_bytes(PLAN.locate(term)[1]), nonce)
             elements.append(EncryptedPostingElement(ciphertext, group, 0.5))
 
+        decode = PLAN.decoder  # built on first use: outside the count
+
         def skim():
-            return skim_matches(elements, "pear", ring, PLAN.decoder)
+            return skim_matches(elements, "pear", ring, decode)
 
         # The one frame beside the per-element ones is skim_matches itself.
         assert _frames_entered(skim) == 1 + self.COLD_FRAMES_PER_ELEMENT * len(elements)
         assert _frames_entered(skim) == 1 + self.HIT_FRAMES_PER_ELEMENT * len(elements)
         assert sum(cipher.memo_hits for cipher in ring.values()) == len(elements)
+
+
+class TestWriteFrameBudget:
+    """The write side's twin of :class:`TestSkimFrameBudget`: Python frames
+    per element a document build enters, and per op a follower's run
+    enters, as exact counts.  Each is the difference between a call of
+    ``2n`` and one of ``n`` elements (ops) divided by ``n``, so the
+    per-call frames — numpy's wrappers, the key-service lookups, the
+    comprehension, which differ across Python versions — cancel.
+
+    A trained term's element enters the plan's ``locate``, the document's
+    encoder, ``StreamCipher.encrypt``, ``NonceSequence.next`` and
+    ``EncryptedPostingElement.checked``: no ``PostingElement``, no
+    ``__post_init__``, no ``rscore`` property, no HMAC state (11 frames
+    when each of those was built).  A follower's insert op enters
+    ``add_sorted_by_trs`` and a delete op ``find_by_ciphertext`` and
+    ``pop_at``: no per-op server call, list lookup or view patch on a
+    list with no cached view.  (With one, ``note_insert`` /
+    ``note_delete`` patch it per op, and the view's bisect calls its sort
+    key a logarithmic number of times, so that count is not a constant.)"""
+
+    BUILD_FRAMES_PER_ELEMENT = 5
+    INSERT_FRAMES_PER_OP = 1
+    DELETE_FRAMES_PER_OP = 2
+
+    TERMS = tuple(f"t{index:02d}" for index in range(16))
+
+    def _client(self):
+        from repro.core.client import ZerberRClient
+        from repro.core.rstf import RstfModel, train_rstf
+        from repro.core.server import ZerberRServer
+        from repro.crypto.keys import GroupKeyService
+
+        keys = GroupKeyService(master_secret=KEY)
+        keys.register("writer", {"g"})
+        plan = MergePlan(groups=tuple(zip(self.TERMS[::2], self.TERMS[1::2])), r=2.0)
+        model = RstfModel(
+            {term: train_rstf([0.1, 0.2, 0.4], sigma=20.0) for term in self.TERMS}
+        )
+        server = ZerberRServer(keys, num_lists=plan.num_lists)
+        return ZerberRClient("writer", keys, server, model, plan), server
+
+    def _per_item(self, prepare, n):
+        """Frames per item of the call ``prepare(k)`` returns for ``k``
+        items; what ``prepare`` itself does is not counted."""
+        twice, once = prepare(2 * n), prepare(n)
+        return (_frames_entered(twice) - _frames_entered(once)) / n
+
+    def test_build_document_enters_exactly_its_per_element_frames(self):
+        from repro.text.analysis import DocumentStats
+
+        client, _ = self._client()
+
+        def build(n):
+            counts = {term: 1 + index % 3 for index, term in enumerate(self.TERMS[:n])}
+            doc = DocumentStats.from_counts("d", counts)
+            return lambda: client.build_document(doc, "g")
+
+        build(8)()  # the key service's caches are filled on the first build
+        assert self._per_item(build, 8) == self.BUILD_FRAMES_PER_ELEMENT
+
+    def test_a_follower_run_enters_exactly_its_per_op_frames(self):
+        from repro.core.replication import ReplicationOp
+
+        elements = [
+            EncryptedPostingElement(b"op-%02d" % index, "g", index / 40.0)
+            for index in range(16)
+        ]
+
+        def run(held, ops):
+            _, server = self._client()  # a fresh replica, no view cached
+            server.restore_list(0, held, 0)
+            return lambda: server.apply_replicated_ops(0, ops)
+
+        def inserts(n):
+            ops = [ReplicationOp(i + 1, "insert", e) for i, e in enumerate(elements[:n])]
+            return run([], ops)
+
+        def deletes(n):
+            ops = [
+                ReplicationOp(i + 1, "delete", None, e.ciphertext, e.trs)
+                for i, e in enumerate(elements[:n])
+            ]
+            return run(elements[:n], ops)
+
+        assert inserts(8)() == deletes(8)() == 8
+        assert self._per_item(inserts, 8) == self.INSERT_FRAMES_PER_OP
+        assert self._per_item(deletes, 8) == self.DELETE_FRAMES_PER_OP
 
 
 # -- the one-pass client skim == a per-element reference -------------------------

@@ -130,10 +130,10 @@ class TestKeyHandout:
     def test_nonce_sequence_is_singleton_per_member(self, service):
         """Two lookups share one counter — nonces never restart at 0."""
         a = service.nonce_sequence("alice", "g1")
-        first = a.next()
+        first = a.next(b"same plaintext")
         b = service.nonce_sequence("alice", "g1")
         assert b is a
-        assert b.next() != first
+        assert b.next(b"same plaintext") != first
 
     def test_nonce_sequence_member_and_group_separated(self, service):
         assert service.nonce_sequence("alice", "g1") is not service.nonce_sequence(
@@ -149,7 +149,7 @@ class TestKeyHandout:
 
     def test_nonce_sequence_denied_after_revocation(self, service):
         before = service.nonce_sequence("bob", "g2")
-        before.next()
+        before.next(b"plaintext")
         service.revoke("bob", "g2")
         with pytest.raises(AccessDeniedError):
             service.nonce_sequence("bob", "g2")

@@ -1,8 +1,12 @@
 """Unit tests for posting element/list data structures."""
 
+import dataclasses
+import math
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import ProtocolError
 from repro.index.postings import (
@@ -84,6 +88,35 @@ class TestPostingElement:
         with pytest.raises(ValueError):
             element.to_bytes(number)
 
+    @given(
+        doc_id=st.one_of(st.text(max_size=8), st.just("d\udfff")),
+        tf=st.integers(-1, 70_000),
+        doc_length=st.integers(-1, 2**32 + 1),
+        number=st.integers(-1, 2**32 + 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_the_document_encoder_is_to_bytes(self, doc_id, tf, doc_length, number):
+        """What the encoder returns for ``(tf, number)`` is what building
+        the element and calling ``to_bytes`` returns, or the same
+        ValueError: the constructor's for counts it refuses, ``to_bytes``'s
+        for a field the header cannot hold or a doc id UTF-8 cannot
+        encode.  (A doc the encoder cannot encode fails when the encoder
+        is made, so it is not paired with counts the constructor refuses.)"""
+
+        def outcome(call):
+            try:
+                return call()
+            except ValueError as error:
+                return type(error), str(error)
+
+        refused = tf <= 0 or doc_length < tf
+        assume(not refused or "\udfff" not in doc_id)
+        built = outcome(lambda: PostingElement("t", doc_id, tf, doc_length).to_bytes(number))
+        encoded = outcome(lambda: PostingElement.encoder(doc_id, doc_length)(tf, number))
+        assert encoded == built
+        if isinstance(built, bytes):
+            assert built == struct.pack(">HII", tf, doc_length, number) + doc_id.encode()
+
     def test_header_limits_themselves_fit(self):
         element = PostingElement("u", "d", 65_535, 2**32 - 1)
         assert PostingElement.from_bytes(element.to_bytes(2), self.TERMS) == element
@@ -138,6 +171,32 @@ class TestEncryptedPostingElement:
             element.trs = 0.9
         assert element == EncryptedPostingElement(b"1234", "g", 0.5)
         assert hash(element) == hash(EncryptedPostingElement(b"1234", "g", 0.5))
+
+    @given(
+        ciphertext=st.binary(max_size=12),
+        group=st.text(max_size=6),
+        trs=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_checked_builds_the_constructed_element(self, ciphertext, group, trs):
+        """Filled through its slots, not its constructor, and
+        indistinguishable from the constructed element: equal, same hash,
+        same repr, and frozen."""
+        checked = EncryptedPostingElement.checked(ciphertext, group, trs)
+        constructed = EncryptedPostingElement(ciphertext, group, trs)
+        assert type(checked) is EncryptedPostingElement
+        assert checked == constructed and hash(checked) == hash(constructed)
+        assert repr(checked) == repr(constructed)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            checked.trs = 0.5
+        assert not hasattr(checked, "__dict__")
+
+    @pytest.mark.parametrize("trs", [-0.0001, 1.0001, math.inf, -math.inf, math.nan])
+    def test_checked_refuses_a_trs_outside_the_unit_interval(self, trs):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            EncryptedPostingElement.checked(b"x", "g", trs)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            EncryptedPostingElement(b"x", "g", trs)
 
 
 class TestPostingList:

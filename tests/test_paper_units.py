@@ -80,15 +80,13 @@ def test_setup_work_is_once_per_element(monkeypatch, counted_encrypts):
     and at most one sort key per element per list copy bulk-loaded (the
     single server's and the cluster primary's; at ``replication=1`` there
     is no follower, whose copy arrives op by op through the log)."""
-    import repro.core.client as client_module
     from repro.index.postings import EncryptedPostingElement
 
+    checked = EncryptedPostingElement.checked
     monkeypatch.setattr(
-        client_module,
-        "EncryptedPostingElement",
-        lambda ciphertext, group, trs: EncryptedPostingElement(
-            ciphertext, group, _CountedTrs(trs)
-        ),
+        EncryptedPostingElement,
+        "checked",
+        lambda ciphertext, group, trs: checked(ciphertext, group, _CountedTrs(trs)),
     )
     monkeypatch.setattr(_CountedTrs, "taken", 0)
     corpus = tiny_corpus(seed=3)

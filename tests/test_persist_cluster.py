@@ -18,8 +18,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import SystemConfig, ZerberRSystem
+from repro.core.client import ZerberRClient
 from repro.core.cluster import ServerCluster
 from repro.core.protocol import BatchFetchRequest, FetchRequest
+from repro.corpus.synthetic import tiny_corpus
+from repro.crypto.cipher import NONCE_SIZE
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError, UnavailableError
 from repro.index.postings import EncryptedPostingElement
@@ -30,6 +34,7 @@ from repro.persist import (
     load_index,
     save_cluster,
 )
+from repro.text.analysis import DocumentStats
 
 NUM_LISTS = 3
 NUM_SERVERS = 4
@@ -513,6 +518,77 @@ class TestRestoredServersStartCold:
         assert restored.total_calls == len(
             {restored.route(0), restored.route(1)}
         )
+
+
+class TestRestoredDeploymentWrites:
+    """The documented workflow (``examples/persistent_index.py``) plus one
+    write: a deployment dumped, reloaded under a key service rebuilt from
+    the same secret, and written to by a group owner whose nonce counter
+    has therefore started again at 0."""
+
+    SECRET = b"restored-deployment-secret-01234"
+
+    def test_a_restored_owner_draws_no_nonce_already_stored(self, tmp_path):
+        corpus = tiny_corpus()
+        system = ZerberRSystem.build(
+            corpus, SystemConfig(r=4.0, seed=5), key_service=GroupKeyService(self.SECRET)
+        )
+        cluster, _ = system.deploy_cluster(num_servers=2)
+        path = tmp_path / "cluster.json"
+        save_cluster(path, cluster, system.merge_plan, system.rstf_model)
+
+        keys = GroupKeyService(self.SECRET)
+        restored, plan, model = load_cluster(path, keys)
+        source = corpus.doc_ids()[0]
+        group = corpus.document(source).group
+        owner = f"owner:{group}"
+        keys.register(owner, {group})
+        doc = DocumentStats.from_counts("restored-new", corpus.stats(source).counts)
+        client = ZerberRClient(owner, keys, restored, model, plan)
+        written = {r.ciphertext for r in client.index_document_with_receipts(doc, group)}
+
+        assert len(written) == len(doc.counts) > 0
+        stored = {
+            element.ciphertext[:NONCE_SIZE]
+            for server in range(restored.num_servers)
+            for list_id in range(restored.num_lists)
+            for element in restored.server(server).export_list(list_id)
+            if element.ciphertext not in written
+        }
+        # A counter-only nonce repeats here for every element written: the
+        # keystream is SHAKE(key || nonce), so the server would learn the
+        # XOR of each new plaintext with a stored one.
+        assert stored.isdisjoint(c[:NONCE_SIZE] for c in written)
+
+
+class TestCounterNonceDump:
+    """``fixtures/cluster_v5.json`` was written by the v5 code before
+    nonces bound their plaintext and log ops became tuples (see
+    ``fixtures/make_cluster_v5.py``).  Nonces are never recomputed on the
+    read side and ops persist field by field, so it loads as it is:
+    same answers, and the insert and delete ops its logs still hold reach
+    the followers."""
+
+    FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+    def test_it_loads_answers_the_same_queries_and_converges(self):
+        expected = json.loads((self.FIXTURES / "cluster_v5_queries.json").read_text())
+        keys = GroupKeyService(b"cluster-v5-fixture-secret-012345")
+        cluster, plan, model = load_cluster(self.FIXTURES / "cluster_v5.json", keys)
+        keys.register("reader", set(expected["groups"]))
+        reader = ZerberRClient("reader", keys, cluster, model, plan)
+        for query in expected["queries"]:
+            ranked = reader.query_multi_batched(query["terms"], expected["k"]).ranked
+            assert [list(hit) for hit in ranked] == query["ranked"]
+
+        assert cluster.replication_manager.outstanding_deliveries() > 0
+        cluster.run_replication_until_quiet()
+        assert cluster.replication_manager.backlog() == {}
+        for list_id in range(cluster.num_lists):
+            primary, follower = cluster.replicas_of(list_id)
+            assert cluster.server(follower).export_list(list_id) == (
+                cluster.server(primary).export_list(list_id)
+            )
 
 
 class TestCorruptClusterDumps:
