@@ -2,7 +2,7 @@
 
 The event-driven refactor moved the coordinator/cluster seam onto the
 deterministic virtual-time scheduler in :mod:`repro.core.eventloop` —
-its ``(tick, priority, seq)`` total order is what makes two runs of the
+its ``(tick, band, seq)`` total order is what makes two runs of the
 same workload fire the same events in the same order.  That guarantee
 only holds if nothing else in the core builds its own callback or timer
 machinery.  This rule bans:
@@ -11,11 +11,10 @@ machinery.  This rule bans:
   ``sched``, ``_thread``, ``concurrent``, ``queue``, ``signal``) inside
   ``repro.core`` — the virtual-time loop is the only scheduler, and any
   OS thread or wall-clock timer would race it nondeterministically;
-* raw one-shot scheduling (``.call_at(...)`` / ``.call_later(...)``)
-  outside the loop itself and its driver, :mod:`repro.core.router` —
-  everywhere else, periodic work must register through
-  ``EventLoop.every(...)``, which names the task, tracks its firings,
-  and keeps daemons from blocking quiescence.
+* raw one-shot scheduling (``.call_at(...)``) outside the loop itself
+  and its driver, :mod:`repro.core.router` — everywhere else, periodic
+  work must register through ``EventLoop.every(...)``, whose tasks fire
+  after the tick's one-shot events and never block quiescence.
 """
 
 from __future__ import annotations
@@ -33,9 +32,8 @@ from repro.analysis.framework import (
 
 _SCOPE = ("repro.core",)
 
-#: Modules whose raw-scheduling surface may call ``call_at``/``call_later``
-#: directly: the loop itself, and the coordinator (arrival/flush/delivery
-#: events are genuinely one-shot).
+#: Modules that may call ``call_at`` directly: the loop itself, and the
+#: coordinator (arrival/flush/delivery events are genuinely one-shot).
 _RAW_SCHEDULING_MODULES = ("repro.core.eventloop", "repro.core.router")
 
 _BANNED_MODULES = frozenset(
@@ -51,8 +49,6 @@ _BANNED_MODULES = frozenset(
     }
 )
 
-_RAW_SCHEDULE_METHODS = frozenset({"call_at", "call_later"})
-
 
 def _banned_import(name: str) -> bool:
     top = name.split(".", 1)[0]
@@ -64,7 +60,7 @@ class EventLoopDisciplineChecker(Checker):
     rule = "eventloop-discipline"
     description = (
         "repro.core schedules only through repro.core.eventloop: no host "
-        "thread/timer modules, no raw call_at/call_later outside the loop "
+        "thread/timer modules, no raw call_at outside the loop "
         "and its driver (periodic work registers via EventLoop.every)"
     )
 
@@ -96,15 +92,12 @@ class EventLoopDisciplineChecker(Checker):
                     )
             elif isinstance(node, ast.Call) and not raw_scheduling_ok:
                 func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in _RAW_SCHEDULE_METHODS
-                ):
+                if isinstance(func, ast.Attribute) and func.attr == "call_at":
                     yield ctx.finding(
                         self.rule,
                         node,
-                        f".{func.attr}(...) in {ctx.module} — ad-hoc one-shot "
+                        f".call_at(...) in {ctx.module} — ad-hoc one-shot "
                         "callbacks belong to the loop and its driver; "
                         "register periodic work with EventLoop.every(...) "
-                        "so firings stay named, counted and deterministic",
+                        "so it fires after the tick's events, in a fixed order",
                     )

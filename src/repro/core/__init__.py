@@ -15,14 +15,7 @@ from repro.core.confidentiality import (
     probability_amplification,
     ConfidentialityAudit,
 )
-from repro.core.eventloop import (
-    BACKGROUND,
-    FOREGROUND,
-    MAINTENANCE,
-    EventHandle,
-    EventLoop,
-    PeriodicTask,
-)
+from repro.core.eventloop import EventLoop
 from repro.core.protocol import (
     BackpressureSignal,
     BatchFetchRequest,
@@ -76,12 +69,7 @@ __all__ = [
     "audit_merge_plan",
     "probability_amplification",
     "ConfidentialityAudit",
-    "FOREGROUND",
-    "BACKGROUND",
-    "MAINTENANCE",
-    "EventHandle",
     "EventLoop",
-    "PeriodicTask",
     "BackpressureSignal",
     "BatchFetchRequest",
     "BatchFetchResponse",

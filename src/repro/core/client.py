@@ -23,27 +23,28 @@ exhausted.  The client returns results ranked by the *decrypted* relevance
 score — identical to TRS order for a single term because the RSTF is
 monotonic (§4.2 property 3).
 
-Multi-term queries run the same per-term doubling protocol for every term
-*in lockstep*: each round bundles the next slice of every still-active
-term into one :class:`~repro.core.protocol.BatchFetchRequest`, so a round
-costs one server round-trip instead of one per term.  The per-term fetch
-sequence (offsets, counts, stop conditions) is identical to running
-:meth:`ZerberRClient.query` term by term — batching changes latency and
-request counts, never results or bytes.
+A query of any number of terms runs that per-term doubling protocol for
+every term *in lockstep*: each round bundles the next slice of every
+still-active term into one :class:`~repro.core.protocol.BatchFetchRequest`,
+so a round costs one server round-trip instead of one per term.  The
+per-term fetch sequence (offsets, counts, stop conditions) is identical to
+running :meth:`ZerberRClient.query` term by term — batching changes
+latency and request counts, never results or bytes.
 
-The lockstep state machine is reified as :class:`ClientQuerySession` so a
-query can also be driven *externally*: a
-:class:`~repro.core.router.Coordinator` holds many users' sessions and
-coalesces their pending slices into shared per-shard server calls.  The
-self-driven and coordinator-driven paths share every line of step logic,
-so their results are identical by construction.
+The lockstep state machine is reified as :class:`ClientQuerySession`, and
+it is the only one: :meth:`ZerberRClient.query` is a one-term session and
+:meth:`ZerberRClient.query_multi_batched` a session of many, both run by
+one driver loop (:meth:`ZerberRClient._drive`).  A session can also be
+driven *externally*: a :class:`~repro.core.router.Coordinator` holds many
+users' sessions and coalesces their pending slices into shared per-shard
+server calls.  Every driver feeds the same step logic, so results are
+identical by construction.
 
 Performance model — absorbing a response is the read path's tallest
 layer, and its steady state is a memo hit per element, so the step
 spends a small constant per fetched element and nothing per group:
 
-* one key-service call per delivery round (per response in
-  :meth:`ZerberRClient.query`): the principal's keyring,
+* one key-service call per delivery round: the principal's keyring,
   ``group -> cipher``, whose keys *are* the readable set.  The client
   may hold it for that one round because nothing else runs inside a
   round; it may not hold it longer — a ring on the client or the
@@ -211,12 +212,9 @@ class MultiQueryResult:
 
 
 class _TermSession:
-    """Mutable state of one term's doubling protocol.
-
-    Holds exactly what :meth:`ZerberRClient.query`'s loop used to keep in
-    locals, so the single-term and batched multi-term paths share one
-    step function and cannot drift apart.
-    """
+    """Mutable state of one term's doubling protocol inside a
+    :class:`ClientQuerySession`: where the term's next slice starts, how
+    many were asked for, and the matches held so far."""
 
     __slots__ = (
         "term",
@@ -253,10 +251,7 @@ class _TermSession:
         self.done = max_requests < 1
 
     def next_request(
-        self,
-        principal: str,
-        min_version: int | None = None,
-        trace_id: int | None = None,
+        self, principal: str, min_version: int | None, trace_id: int | None
     ) -> FetchRequest:
         return FetchRequest(
             principal,
@@ -274,10 +269,11 @@ class ClientQuerySession:
     One instance is one user's in-flight query: it exposes the next round's
     fetch slices (:meth:`pending_requests`) and absorbs their responses
     (:meth:`deliver`), holding all per-term doubling state in between.
-    :meth:`ZerberRClient.query_multi_batched` drives one session against
-    the client's own server; a :class:`~repro.core.router.Coordinator`
-    drives *many* sessions in lockstep, coalescing their slices into shared
-    per-shard envelopes.  Either driver feeds the identical step logic
+    :meth:`ZerberRClient.query` and :meth:`ZerberRClient.query_multi_batched`
+    drive one session against the client's own server; a
+    :class:`~repro.core.router.Coordinator` drives *many* sessions in
+    lockstep, coalescing their slices into shared per-shard envelopes.
+    Every driver feeds the identical step logic
     (:meth:`ZerberRClient._absorb_response`), so results cannot depend on
     who drives.
     """
@@ -683,16 +679,16 @@ class ZerberRClient:
     def _absorb_round(
         self,
         round_: Iterable[tuple["_TermSession", FetchResponse]],
-        span: Span | None,
-        batch_trace: BatchQueryTrace | None = None,
+        span: Span,
+        batch_trace: BatchQueryTrace,
     ) -> None:
         """Absorb one round's ``(term session, response)`` pairs.
 
         Every response is walked once for the traces: its term trace
         counts it (and sums its bits) as it is taken up, and the round
-        is booked into *batch_trace* — a multi-term session's — from
-        those totals on the way out, so the batch trace equals the sum
-        of the term traces after every round, raised or not.
+        is booked into the session's *batch_trace* from those totals on
+        the way out, so the batch trace equals the sum of the term
+        traces after every round, raised or not.
 
         The one place the read path asks the key service anything: one
         keyring per round, so membership is re-validated against the
@@ -716,16 +712,14 @@ class ZerberRClient:
                 bits += session.trace.record_response(response)
                 self._absorb_response(session, response, ciphers)
         finally:
-            if batch_trace is not None:
-                batch_trace.record_totals(slices, elements, bits)
+            batch_trace.record_totals(slices, elements, bits)
             if counting:
                 memo_hits = sum([c.memo_hits for c in ciphers.values()]) - hits_before
                 if elements:
                     self._obs.skim_elements.inc(elements)
                 if memo_hits:
                     self._obs.skim_memo_hits.inc(memo_hits)
-                    if span is not None:
-                        span.annotate(memo_hits=memo_hits)
+                    span.annotate(memo_hits=memo_hits)
 
     def _absorb_response(
         self,
@@ -761,18 +755,16 @@ class ZerberRClient:
     ) -> QueryResult:
         """Single-term top-k with the doubling follow-up protocol.
 
+        A one-term :class:`ClientQuerySession` run by the same driver as
+        :meth:`query_multi_batched`: one ``batch_fetch`` of one slice per
+        round, a ``query`` trace root and a ``skim`` span per round.
         ``policy`` defaults to the paper's recommendation ``b = k``
         (§6.4).  ``max_requests`` is a safety valve against runaway loops;
         the doubling rule reaches any list length long before it triggers.
         """
-        (session,) = self._start_sessions([term], k, policy, max_requests)
-        while not session.done:
-            response = self._server.fetch(
-                session.next_request(
-                    self.principal, self.version_floor(session.list_id)
-                )
-            )
-            self._absorb_round([(session, response)], None)
+        term_sessions = self._start_sessions([term], k, policy, max_requests)
+        self._drive(ClientQuerySession(self, term_sessions, k))
+        (session,) = term_sessions
         return QueryResult(hits=ranked_hits(session.hits, k), trace=session.trace)
 
     @staticmethod
@@ -819,13 +811,16 @@ class ZerberRClient:
         Scores aggregate by summation *without* IDF (the confidentiality
         trade-off the paper accepts, §3.2).
         """
-        session = self.open_multi_session(
-            terms, k, policy=policy, max_requests=max_requests
+        return self._drive(
+            self.open_multi_session(terms, k, policy=policy, max_requests=max_requests)
         )
+
+    def _drive(self, session: ClientQuerySession) -> MultiQueryResult:
+        """Run *session* to its end against the client's own backend — one
+        :class:`BatchFetchRequest` per round — and return its result,
+        which also closes its trace root when no round was ever fetched."""
         while not session.done:
-            batch = BatchFetchRequest(
-                principal=self.principal, requests=session.pending_requests()
-            )
+            batch = BatchFetchRequest(self.principal, session.pending_requests())
             session.deliver(self._server.batch_fetch(batch).responses)
         return session.result()
 

@@ -788,25 +788,17 @@ class ServerCluster:
         request: FetchRequest,
         consistency: ReadConsistency | str | None = None,
     ) -> FetchResponse:
-        """Serve one slice at the requested (or default) consistency.
+        """Serve one slice at the requested (or default) consistency: the
+        one-slice form of :meth:`batch_fetch`.
 
         The response's ``replica_version`` is the serving replica's
         applied log version; a stale replica triggers read-repair, and a
         ``ONE`` answer below the request's ``min_version`` session floor
         is re-served (see :meth:`_finalize_read`).
         """
-        consistency = self._resolve_consistency(consistency)
-        server_index = self._route_read(
-            request.list_id, consistency, request.min_version
-        )
-        response = self._servers[server_index].fetch(request)
-        return self._finalize_read(
-            request,
-            server_index,
-            response,
-            consistency,
-            self._count_reads(consistency, 1),
-        )
+        return self.batch_fetch(
+            BatchFetchRequest(request.principal, (request,)), consistency
+        ).responses[0]
 
     def batch_fetch(
         self,
@@ -824,8 +816,7 @@ class ServerCluster:
         order and each is finalized (version stamp + read-repair)
         individually — a repair re-serve costs one extra single-slice
         fetch, which the stats expose as repair traffic.  A list with no
-        live replica fails the whole batch, matching :meth:`fetch`'s
-        error behaviour.
+        live replica fails the whole batch.
         """
         consistency = self._resolve_consistency(consistency)
         requests = batch.requests

@@ -28,8 +28,7 @@ the quantity the Fig. 12 per-term statistics count).  A session books
 each round from the totals its per-term traces just counted
 (:meth:`BatchQueryTrace.record_totals`), so a response's bits
 (:attr:`FetchResponse.size_bits`, a plain sum over the slice) are
-summed once per query; :meth:`BatchQueryTrace.record_round` is the same
-booking for a caller that holds only the responses.
+summed once per query.
 
 Coalesced envelopes: a :class:`~repro.core.router.Coordinator` collects
 the pending slices of *many* concurrent client sessions — potentially
@@ -243,10 +242,6 @@ class BatchFetchResponse:
     def __iter__(self) -> Iterator[FetchResponse]:
         return iter(self.responses)
 
-    @property
-    def elements_returned(self) -> int:
-        return sum(len(r) for r in self.responses)
-
 
 @dataclass(frozen=True)
 class CoalescedBatchRequest:
@@ -416,22 +411,8 @@ class BatchQueryTrace:
         self.elements_transferred += elements
         self.bits_transferred += bits
 
-    def record_round(self, response: BatchFetchResponse) -> None:
-        """Book one round from its responses (walks every slice): the
-        call for whoever holds a :class:`BatchFetchResponse` and no
-        per-term traces."""
-        self.record_totals(
-            len(response),
-            response.elements_returned,
-            sum(sub.size_bits for sub in response),
-        )
-
     @property
     def num_requests(self) -> int:
         """Server calls issued — the batched analogue of
         :attr:`QueryTrace.num_requests`."""
         return self.num_rounds
-
-    def requests_saved(self) -> int:
-        """Round-trips avoided versus per-list fetching."""
-        return self.num_subfetches - self.num_rounds

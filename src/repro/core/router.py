@@ -190,9 +190,9 @@ class Coordinator:
         # queue-depth gauge and the per-envelope / per-session histograms.
         self._obs = CoordinatorInstruments(cluster.telemetry)
         self._obs.register_stats_collector(cluster.telemetry, lambda: self.stats)
-        # One scheduling tick is one replication tick: the daemon fires at
-        # BACKGROUND priority, after all of the tick's session work.
-        self._loop.every(1, cluster.replication_tick, name="replication-delivery")
+        # One scheduling tick is one replication tick: the replication
+        # delivery daemon fires after all of the tick's session work.
+        self._loop.every(1, cluster.replication_tick)
 
     @property
     def cluster(self) -> ServerCluster:
@@ -278,11 +278,7 @@ class Coordinator:
         """
         self._check_intake(session)
         when = self._loop.now if at is None else at
-        self._loop.call_at(
-            when,
-            lambda: self._admit_arrival(session, retry_on_shed),
-            name="arrival",
-        )
+        self._loop.call_at(when, lambda: self._admit_arrival(session, retry_on_shed))
 
     def _admit_arrival(
         self, session: ClientQuerySession, retry_on_shed: bool
@@ -296,7 +292,6 @@ class Coordinator:
                 self._loop.call_at(
                     self._loop.now + signal.retry_after_ticks,
                     lambda: self._admit_arrival(session, retry_on_shed),
-                    name="arrival-retry",
                 )
             return
         self._sessions.append(session)
@@ -369,7 +364,7 @@ class Coordinator:
         if tick in self._flush_scheduled:
             return
         self._flush_scheduled.add(tick)
-        self._loop.call_at(tick, lambda: self._flush(tick), name="flush")
+        self._loop.call_at(tick, lambda: self._flush(tick))
 
     def _flush(self, at_tick: int) -> None:
         """Run one coalescing round over every ready (non-awaiting) session."""
@@ -412,7 +407,6 @@ class Coordinator:
                 lambda s=session, r=responses: self._deliver_one(
                     s, r, dispatched
                 ),
-                name="deliver",
             )
 
     def _deliver_one(
@@ -617,13 +611,14 @@ class Coordinator:
             )
             for client, terms, k in jobs
         ]
-        for session in sessions:
-            self.submit(session)
         try:
+            for session in sessions:
+                self.submit(session)
             self.run_until_complete()
         except BaseException:
-            # A mid-run failure (e.g. every replica of a list down) must
-            # not park these sessions forever and wedge the coordinator.
+            # A failure at admission (a later job shed by the queue bound)
+            # or mid-run (e.g. every replica of a list down) must not park
+            # these sessions forever and wedge the coordinator.
             for session in sessions:
                 self.evict(session)
             raise

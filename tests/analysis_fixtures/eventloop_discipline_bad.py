@@ -19,4 +19,4 @@ def schedule_delivery(loop: Any, cluster: Any) -> None:
     # Periodic maintenance hand-rolled as one-shot callbacks instead of
     # a registered EventLoop.every task.
     loop.call_at(3, cluster.replication_tick)
-    loop.call_later(1, cluster.replication_tick)
+    loop.call_at(4, cluster.replication_tick)

@@ -7,10 +7,9 @@ Linted as ``repro.core.fixture_mod`` — scheduling goes through
 from typing import Any
 
 
-def register_maintenance(loop: Any, cluster: Any) -> Any:
-    delivery = loop.every(1, cluster.replication_tick, name="replication-delivery")
-    sweep = loop.every(4, cluster.anti_entropy, name="anti-entropy")
-    return delivery, sweep
+def register_maintenance(loop: Any, cluster: Any) -> None:
+    loop.every(1, cluster.replication_tick)
+    loop.every(4, cluster.anti_entropy)
 
 
 def drive(loop: Any) -> Any:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.client as client_module
+from repro.attacks.query_observation import extract_sessions
 from repro.core.client import ClientQuerySession, RankedHit, ZerberRClient
 from repro.core.cluster import ServerCluster
 from repro.core.protocol import BatchFetchRequest, FetchResponse, ResponsePolicy
@@ -468,14 +469,15 @@ class TestTies:
     ):
         self._populate(alice, bob)
         fetched = []
-        fetch = server.fetch
+        batch_fetch = server.batch_fetch
 
-        def recording(request):
-            response = fetch(request)
-            fetched.extend(response.elements)
+        def recording(batch):
+            response = batch_fetch(batch)
+            for served in response:
+                fetched.extend(served.elements)
             return response
 
-        monkeypatch.setattr(server, "fetch", recording)
+        monkeypatch.setattr(server, "batch_fetch", recording)
         result = root.query("apple", k=k, policy=ResponsePolicy(initial_size=1))
 
         eager = []  # one hit per readable matching element, in fetch order
@@ -553,7 +555,7 @@ class TestBatchedMultiTerm:
         per_term = [t.num_requests for t in result.traces]
         assert result.batch_trace.num_rounds == max(per_term)
         assert result.batch_trace.num_subfetches == sum(per_term)
-        assert result.batch_trace.requests_saved() > 0
+        assert result.batch_trace.num_subfetches > result.batch_trace.num_rounds
 
     def test_fewer_server_calls_than_sequential(self, alice, bob, root, server):
         self._populate(alice, bob)
@@ -572,6 +574,27 @@ class TestBatchedMultiTerm:
         twice = root.query_multi_batched(["apple", "apple"], k=2)
         assert len(twice.traces) == 2
         assert twice.ranked[0][1] == pytest.approx(2 * once.ranked[0][1])
+
+    def test_query_ships_the_slices_of_a_one_term_batched_query(
+        self, alice, bob, root, server
+    ):
+        self._populate(alice, bob)
+        policy = ResponsePolicy(initial_size=1)
+
+        def wire(run):
+            server.clear_observations()
+            run()
+            return list(server.observations)
+
+        single = wire(lambda: root.query("apple", k=3, policy=policy))
+        batched = wire(lambda: root.query_multi_batched(["apple"], k=3, policy=policy))
+        assert len(single) > 1
+        shape = [(o.list_id, o.offset, o.count, o.returned) for o in single]
+        assert shape == [(o.list_id, o.offset, o.count, o.returned) for o in batched]
+        # One server call a round, each slice under its own batch id.
+        assert len({o.batch_id for o in single}) == len(single)
+        (session,) = extract_sessions(single)
+        assert session.num_requests == len(single)
 
     def test_empty_term_list(self, root):
         result = root.query_multi_batched([], k=3)
@@ -642,9 +665,9 @@ class _ShippedLog:
         self._backend = backend
         self.shipped = []
 
-    def fetch(self, request):
-        response = self._backend.fetch(request)
-        self.shipped.append(response)
+    def batch_fetch(self, batch):
+        response = self._backend.batch_fetch(batch)
+        self.shipped.extend(response.responses)
         return response
 
     def __getattr__(self, name):
@@ -681,6 +704,10 @@ class TestTracesAgree:
             ([pool[i] for i in picks], k, b and ResponsePolicy(initial_size=b))
             for picks, k, b in jobs
         ]
+        logged = _ShippedLog(cluster)
+        single = ZerberRClient(
+            "superuser", system.key_service, logged, system.rstf_model, system.merge_plan
+        )
         with _traces_checked_after_every_round() as rounds:
             direct = [
                 client.query_multi_batched(terms, k, policy=policy)
@@ -694,23 +721,21 @@ class TestTracesAgree:
             ]
             coordinator.run_until_complete()
             driven = [session.result() for session in sessions]
+            # query(): a one-term session, run by the same driver, its
+            # rounds checked like every other session's.
+            for (terms, k, policy), multi in zip(queries, direct):
+                del logged.shipped[:], rounds[:]
+                trace = single.query(terms[0], k, policy=policy).trace
+                assert trace == multi.traces[0]
+                assert trace.num_requests == len(rounds) == len(logged.shipped)
+                assert trace.elements_transferred == sum(
+                    len(r.elements) for r in logged.shipped
+                )
+                assert trace.bits_transferred == sum(
+                    e.size_bits for r in logged.shipped for e in r.elements
+                )
         assert [r.ranked for r in driven] == [r.ranked for r in direct]
         assert [r.batch_trace for r in driven] == [r.batch_trace for r in direct]
-        # query(): one term, no batch trace — the term trace is the record.
-        logged = _ShippedLog(cluster)
-        single = ZerberRClient(
-            "superuser", system.key_service, logged, system.rstf_model, system.merge_plan
-        )
-        for terms, k, policy in queries:
-            del logged.shipped[:]
-            trace = single.query(terms[0], k, policy=policy).trace
-            assert trace.num_requests == len(logged.shipped)
-            assert trace.elements_transferred == sum(
-                len(r.elements) for r in logged.shipped
-            )
-            assert trace.bits_transferred == sum(
-                e.size_bits for r in logged.shipped for e in r.elements
-            )
 
     def _poison(self, keys, server, list_id, group, owner):
         """An element that passes its MAC and decodes malformed, written
@@ -759,6 +784,32 @@ class TestTracesAgree:
         assert not session.done
         with pytest.raises(ProtocolError, match="expected 1 responses"):
             session.deliver(responses)
+
+
+class TestQueryTelemetry:
+    """``query()`` is a session like any other: one ``query`` root,
+    closed, with one ``skim`` span per round — none left open, even when
+    it never fetches."""
+
+    @pytest.mark.parametrize("driver", ["query", "query_multi_batched"])
+    def test_one_closed_root_with_a_skim_span_per_round(self, system, driver):
+        telemetry = Telemetry()
+        cluster, _ = system.deploy_cluster(num_servers=3, telemetry=telemetry)
+        client = system.client_for("superuser", server=cluster)
+        term, tracer = system.vocabulary.terms_by_frequency()[0], telemetry.tracer
+        for policy, max_requests in ((ResponsePolicy(initial_size=1), 64), (None, 0)):
+            tracer.reset()
+            if driver == "query":
+                trace = client.query(term, 3, policy, max_requests).trace
+            else:
+                (trace,) = client.query_multi_batched([term], 3, policy, max_requests).traces
+            assert trace.num_requests > 1 if max_requests else not trace.num_requests
+            assert tracer.active_trace_ids() == []
+            (root,) = [t.root for t in tracer.traces() if t.root.name == "query"]
+            assert root.end_tick is not None
+            assert [span.name for span in root.children] == (
+                ["skim"] * trace.num_requests
+            )
 
 
 # -- counted work bounds of the warm read path ---------------------------------

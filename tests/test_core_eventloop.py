@@ -7,12 +7,7 @@ import pytest
 
 from repro.core.client import ClientQuerySession
 from repro.core.cluster import ServerCluster
-from repro.core.eventloop import (
-    BACKGROUND,
-    FOREGROUND,
-    MAINTENANCE,
-    EventLoop,
-)
+from repro.core.eventloop import EventLoop
 from repro.core.protocol import BackpressureSignal, ResponsePolicy
 from repro.core.router import Coordinator
 from repro.crypto.keys import GroupKeyService
@@ -31,19 +26,22 @@ class TestEventLoopScheduling:
         loop.call_at(3, lambda: fired.append("c"))
         loop.call_at(1, lambda: fired.append("a"))
         loop.call_at(2, lambda: fired.append("b"))
-        loop.advance(4)
+        assert loop.advance(4) == 3
         assert fired == ["a", "b", "c"]
         assert loop.now == 4
-        assert loop.events_fired == 3
 
-    def test_priority_orders_within_a_tick(self):
+    def test_events_fire_before_tasks_and_tasks_in_registration_order(self):
         loop = EventLoop()
         fired = []
-        loop.call_at(1, lambda: fired.append("maint"), priority=MAINTENANCE)
-        loop.call_at(1, lambda: fired.append("bg"), priority=BACKGROUND)
-        loop.call_at(1, lambda: fired.append("fg"), priority=FOREGROUND)
-        loop.advance(2)
-        assert fired == ["fg", "bg", "maint"]
+        loop.every(1, lambda: fired.append("early"))
+        loop.advance(5)
+        # Its entry is queued at tick 5, "early"'s at tick 8: it still
+        # fires second, because tasks keep their registration order.
+        loop.every(5, lambda: fired.append("late"))
+        loop.call_at(9, lambda: fired.append("event"))
+        del fired[:]
+        loop.advance(5)
+        assert fired == ["early"] * 4 + ["event", "early", "late"]
 
     def test_fifo_within_tick_and_priority(self):
         loop = EventLoop()
@@ -54,12 +52,12 @@ class TestEventLoopScheduling:
         assert fired == [0, 1, 2, 3, 4]
 
     def test_past_tick_clamps_to_now(self):
-        loop = EventLoop(start_tick=10)
+        loop = EventLoop()
+        loop.advance(10)
         fired = []
-        handle = loop.call_at(3, lambda: fired.append("late"))
-        assert handle.tick == 10
+        loop.call_at(3, lambda: fired.append(("late", loop.now)))
         loop.advance(1)
-        assert fired == ["late"]
+        assert fired == [("late", 10)]
 
     def test_same_window_events_fire_in_same_advance(self):
         # The lockstep-compat contract: events scheduled DURING a tick's
@@ -75,42 +73,17 @@ class TestEventLoopScheduling:
         loop.advance(1)
         assert fired == ["first", "second"]
 
-    def test_cancel_is_a_noop_firing(self):
-        loop = EventLoop()
-        fired = []
-        handle = loop.call_at(1, lambda: fired.append("x"))
-        loop.cancel(handle)
-        loop.cancel(handle)  # idempotent
-        assert loop.pending() == 0
-        loop.advance(2)
-        assert fired == []
-
-    def test_call_later_validates_delay(self):
-        loop = EventLoop()
-        with pytest.raises(ConfigurationError):
-            loop.call_later(-1, lambda: None)
-
     def test_advance_validates_ticks(self):
         loop = EventLoop()
         with pytest.raises(ConfigurationError):
             loop.advance(0)
-
-    def test_start_tick_validated(self):
-        with pytest.raises(ConfigurationError):
-            EventLoop(start_tick=-1)
-
-    def test_seeded_rng_is_deterministic(self):
-        a, b = EventLoop(seed=7), EventLoop(seed=7)
-        assert [a.rng.random() for _ in range(5)] == [
-            b.rng.random() for _ in range(5)
-        ]
 
 
 class TestPeriodicTasks:
     def test_every_fires_at_period_cadence(self):
         loop = EventLoop()
         fires = []
-        loop.every(3, lambda: fires.append(loop.now), name="sweep")
+        loop.every(3, lambda: fires.append(loop.now))
         loop.advance(9)
         # First firing at now + period - 1 (end of the period-th tick).
         assert fires == [2, 5, 8]
@@ -118,36 +91,19 @@ class TestPeriodicTasks:
     def test_period_one_fires_every_tick(self):
         loop = EventLoop()
         fires = []
-        loop.every(1, lambda: fires.append(loop.now), name="delivery")
+        loop.every(1, lambda: fires.append(loop.now))
         loop.advance(4)
         assert fires == [0, 1, 2, 3]
-
-    def test_first_at_override(self):
-        loop = EventLoop()
-        fires = []
-        loop.every(4, lambda: fires.append(loop.now), name="rebal", first_at=0)
-        loop.advance(9)
-        assert fires == [0, 4, 8]
-
-    def test_cancel_stops_future_firings(self):
-        loop = EventLoop()
-        task = loop.every(1, lambda: None, name="d")
-        loop.advance(3)
-        assert task.fires == 3
-        task.cancel()
-        loop.advance(3)
-        assert task.fires == 3
-        assert loop.tasks() == []
 
     def test_period_validated(self):
         loop = EventLoop()
         with pytest.raises(ConfigurationError):
-            loop.every(0, lambda: None, name="bad")
+            loop.every(0, lambda: None)
 
     def test_daemons_do_not_block_quiescence(self):
         loop = EventLoop()
-        loop.every(1, lambda: None, name="daemon")
-        assert loop.pending() == 0
+        loop.every(1, lambda: None)
+        assert loop.run_until_quiet() == 0
         fired = []
         loop.call_at(2, lambda: fired.append("work"))
         ticks = loop.run_until_quiet()
@@ -163,16 +119,6 @@ class TestPeriodicTasks:
         loop.call_at(0, reschedule)
         with pytest.raises(ProtocolError):
             loop.run_until_quiet(max_ticks=10)
-
-    def test_non_daemon_periodic_keeps_loop_alive(self):
-        loop = EventLoop()
-        task = loop.every(1, lambda: None, name="fg", daemon=False)
-        assert loop.pending() == 1
-        loop.advance(1)
-        assert loop.pending() == 1  # rescheduled itself as foreground
-        task.cancel()
-        loop.advance(1)
-        assert loop.pending() == 0
 
 
 @pytest.fixture()
@@ -333,6 +279,21 @@ class TestBackpressure:
         assert not dropped.done
         assert coordinator.stats.backpressure_sheds == 1
 
+    def test_run_queries_shed_at_admission_evicts_every_job(self, system):
+        """A later job shed by the queue bound fails the whole call and
+        parks nothing, so the next ``run_queries`` runs."""
+        cluster, coordinator = system.deploy_cluster(
+            num_servers=2, max_queue_depth=1
+        )
+        client = system.client_for("superuser", server=cluster)
+        first, second = (query[:1] for query in _queries(system, 2))
+        with pytest.raises(BackpressureError):
+            coordinator.run_queries([(client, first, 4), (client, second, 4)])
+        assert coordinator.active_sessions == 0
+        (result,) = coordinator.run_queries([(client, second, 4)])
+        assert result.ranked == client.query_multi_batched(second, 4).ranked
+        assert coordinator.active_sessions == 0
+
     def test_open_loop_overload_sheds_and_pipelines_without_losing_work(
         self, system
     ):
@@ -372,7 +333,7 @@ class TestBackpressure:
                 if session.done:
                     finished.setdefault(id(session), coordinator.loop.now)
 
-        coordinator.loop.every(1, probe, name="latency-probe", priority=MAINTENANCE)
+        coordinator.loop.every(1, probe)
         coordinator.drain()
         probe()
         stats = coordinator.stats
@@ -483,7 +444,6 @@ class TestLockstepEquivalence:
         assert coordinator.tick() is False
         assert coordinator.loop.now == 0
         assert cluster.replication_manager.tick_count == 0
-
 
 
 class TestOneCadenceRule:

@@ -69,10 +69,10 @@ class TestFetchMessages:
         response = FetchResponse(elements=elements, exhausted=False)
         assert response.size_bits == old_sum
         per_term = QueryTrace(term="t", k=3)
-        per_term.record_response(response)
+        bits = per_term.record_response(response)
         batch = BatchQueryTrace(terms=("t",), k=3)
-        batch.record_round(BatchFetchResponse(responses=(response, response)))
-        assert per_term.bits_transferred == old_sum
+        batch.record_totals(2, 2 * len(response), 2 * bits)
+        assert per_term.bits_transferred == bits == old_sum
         assert batch.bits_transferred == 2 * old_sum
         assert FetchResponse(elements=(), exhausted=True).size_bits == 0
         # The cached sum is no field: equality, hashing and repr ignore it.
@@ -156,31 +156,20 @@ class TestBatchFetchMessages:
             )
         )
         assert len(response) == 2
-        assert response.elements_returned == 2
+        assert [len(r) for r in response] == [2, 0]
         assert [r.exhausted for r in response] == [False, True]
 
 
 class TestBatchQueryTrace:
-    def _round(self, slice_sizes):
-        return BatchFetchResponse(
-            responses=tuple(
-                FetchResponse(elements=(_element(),) * n, exhausted=False)
-                for n in slice_sizes
-            )
-        )
-
-    def test_record_round_accumulates(self):
+    def test_record_totals_accumulates(self):
         trace = BatchQueryTrace(terms=("a", "b"), k=10)
-        trace.record_round(self._round([10, 10]))
-        trace.record_round(self._round([20]))
-        assert trace.num_rounds == 2
-        assert trace.num_subfetches == 3
-        assert trace.elements_transferred == 40
-        assert trace.bits_transferred == 40 * (8 * 8 + 64)
+        trace.record_totals(2, 20, 20 * 128)
+        trace.record_totals(1, 20, 20 * 128)
+        assert (trace.num_rounds, trace.num_subfetches) == (2, 3)
+        assert (trace.elements_transferred, trace.bits_transferred) == (40, 40 * 128)
 
     def test_num_requests_counts_server_calls(self):
         trace = BatchQueryTrace(terms=("a", "b", "c"), k=5)
-        trace.record_round(self._round([5, 5, 5]))
-        trace.record_round(self._round([10, 10]))
-        assert trace.num_requests == 2
-        assert trace.requests_saved() == 3
+        trace.record_totals(3, 15, 0)
+        trace.record_totals(2, 20, 0)
+        assert (trace.num_requests, trace.num_subfetches) == (2, 5)

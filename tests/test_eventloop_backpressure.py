@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.client import ZerberRClient
 from repro.core.cluster import ServerCluster
-from repro.core.eventloop import MAINTENANCE
 from repro.core.router import Coordinator
 from repro.core.rstf import RstfModel, train_rstf
 from repro.crypto.keys import GroupKeyService
@@ -101,7 +100,8 @@ arrivals_strategy = st.lists(
 
 def _run_schedule(coordinator, clients, arrivals):
     """Submit every arrival on the virtual clock; returns the sessions
-    and the per-tick queue-depth samples from a maintenance probe."""
+    and the per-tick queue-depth samples from a probe registered after
+    the coordinator's replication daemon, so it reads each tick settled."""
     sessions = []
     for tick, principal_idx, terms, k in arrivals:
         client = clients[PRINCIPALS[principal_idx]]
@@ -109,12 +109,7 @@ def _run_schedule(coordinator, clients, arrivals):
         sessions.append(session)
         coordinator.submit_arrival(session, at=tick)
     depths = []
-    coordinator.loop.every(
-        1,
-        lambda: depths.append(coordinator.active_sessions),
-        name="depth-probe",
-        priority=MAINTENANCE,
-    )
+    coordinator.loop.every(1, lambda: depths.append(coordinator.active_sessions))
     coordinator.drain()
     return sessions, depths
 

@@ -9,7 +9,8 @@ CHANGES.md found knobs with no user outside their own unit tests — the
 replica selectors, per-server lag, spill caps and principal credits,
 then heat-weighted placement, rebalancing and the cluster monitor, then
 rotating reads, per-call staleness bounds and the snapshot view spill,
-then the one-shot cipher helpers and the cipher cache behind them;
+then the one-shot cipher helpers and the cipher cache behind them,
+then the event loop's bands, cancellation, RNG and task handles;
 they were deleted, and this test keeps them from drifting back.
 """
 
@@ -23,6 +24,7 @@ import repro.crypto
 import repro.obs
 import repro.persist
 from repro.core.cluster import ServerCluster
+from repro.core.eventloop import EventLoop
 from repro.core.replication import ReplicationManager
 from repro.core.router import Coordinator
 from repro.core.system import ZerberRSystem
@@ -53,6 +55,9 @@ SURFACES = {
         Coordinator.__init__,
         "cluster round_latency max_queue_depth",
     ),
+    "EventLoop.__init__": (EventLoop.__init__, ""),
+    "EventLoop.call_at": (EventLoop.call_at, "tick fn"),
+    "EventLoop.every": (EventLoop.every, "period fn"),
     "load_cluster": (
         load_cluster,
         "path key_service telemetry",
@@ -92,7 +97,8 @@ DELETED_NAMES = {
         repro.core,
         "LagModel LeastLoadedReads HeatWeightedPlacement PlacementPolicy "
         "RoundRobinPlacement load_balance_ratio "
-        "ReadSelector PrimaryReads RotatingReads coerce_read_selector",
+        "ReadSelector PrimaryReads RotatingReads coerce_read_selector "
+        "EventHandle PeriodicTask FOREGROUND BACKGROUND MAINTENANCE",
     ),
     "repro.crypto": (repro.crypto, "cipher_for_key encrypt decrypt"),
     "repro.obs": (repro.obs, "ClusterMonitor MonitorSample"),
