@@ -51,8 +51,6 @@ from repro.core import (
     BatchFetchResponse,
     BatchQueryTrace,
     ClientQuerySession,
-    CoalescedBatchRequest,
-    CoalescedBatchResponse,
     Coordinator,
     CoordinatorStats,
     FailoverEvent,
@@ -129,8 +127,6 @@ __all__ = [
     "BatchFetchRequest",
     "BatchFetchResponse",
     "BatchQueryTrace",
-    "CoalescedBatchRequest",
-    "CoalescedBatchResponse",
     "BackpressureSignal",
     "ClientQuerySession",
     "Coordinator",

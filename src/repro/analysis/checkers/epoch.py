@@ -1,15 +1,15 @@
-"""Epoch-discipline rule: envelopes and placement reads thread an epoch.
+"""Epoch-discipline rule: routed batches and placement reads thread an epoch.
 
-PR 2/4's contract: a
-:class:`~repro.core.protocol.CoalescedBatchRequest` is routed against one
-placement epoch and must carry it, so
-:meth:`~repro.core.cluster.ServerCluster.serve_envelope` can reject an
-envelope built before a failover election instead of serving it from a
-deposed primary.  The dataclass field defaults to ``None`` ("unrouted") for
-protocol-level tests, which makes it easy to *forget* — this rule flags
-any construction outside ``repro.core.protocol`` that omits ``epoch=`` or
-pins the literal ``None``, and any read of a cluster's private
-``._placement`` table outside the cluster/persist layers (the public
+The contract: a :class:`~repro.core.protocol.BatchFetchRequest`
+that ``repro.core.router`` builds — the one layer that routes a batch
+before it is served — is routed against one placement epoch and must
+carry it, so :meth:`~repro.core.cluster.ServerCluster.serve_envelope` can
+reject an envelope built before a failover election instead of serving it
+from a deposed primary.  The field defaults to ``None`` ("unrouted"), as
+a client's own round is, which makes it easy to *forget* in the router —
+this rule flags any construction there that omits ``epoch=`` or pins the
+literal ``None``, and any read of a cluster's private ``._placement``
+table outside the cluster/persist layers (the public
 ``placement_table()``/``replicas_of()`` accessors are epoch-consistent).
 """
 
@@ -27,9 +27,9 @@ from repro.analysis.framework import (
     register,
 )
 
-_ENVELOPE_TYPES = frozenset({"CoalescedBatchRequest", "CoalescedBatchResponse"})
+_ROUTED_TYPE = "BatchFetchRequest"
 
-_PROTOCOL_MODULE = ("repro.core.protocol",)
+_ROUTING_MODULE = ("repro.core.router",)
 _PLACEMENT_MODULES = ("repro.core.cluster", "repro.persist")
 
 
@@ -37,12 +37,12 @@ _PLACEMENT_MODULES = ("repro.core.cluster", "repro.persist")
 class EpochDisciplineChecker(Checker):
     rule = "epoch-discipline"
     description = (
-        "coalesced envelopes must thread epoch=; no direct placement-table "
-        "reads outside the cluster/persist layers"
+        "batches the router builds must thread epoch=; no direct "
+        "placement-table reads outside the cluster/persist layers"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        envelope_scope = not module_matches(ctx.module, _PROTOCOL_MODULE)
+        envelope_scope = module_matches(ctx.module, _ROUTING_MODULE)
         placement_scope = not module_matches(ctx.module, _PLACEMENT_MODULES)
         for node in ast.walk(ctx.tree):
             if envelope_scope and isinstance(node, ast.Call):
@@ -50,7 +50,7 @@ class EpochDisciplineChecker(Checker):
                 if name is None:
                     continue
                 terminal = name.rsplit(".", 1)[-1]
-                if terminal not in _ENVELOPE_TYPES:
+                if terminal != _ROUTED_TYPE:
                     continue
                 keywords = {kw.arg: kw.value for kw in node.keywords}
                 has_splat = any(kw.arg is None for kw in node.keywords)

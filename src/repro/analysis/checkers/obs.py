@@ -91,7 +91,6 @@ CATALOG_METRIC_NAMES = frozenset(
         "replication_ack_latency_ticks",
         "replication_log_length",
         "replication_follower_backlog",
-        "replication_elections_total",
         # readable-view stats mirrors
         "views_hits_total",
         "views_misses_total",

@@ -46,7 +46,6 @@ _LIST_MUTATORS = frozenset(
         "add_random",
         "bulk_load_sorted_by_trs",
         "pop_at",
-        "remove_by_ciphertext",
     }
 )
 

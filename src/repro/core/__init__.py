@@ -21,8 +21,6 @@ from repro.core.protocol import (
     BatchFetchRequest,
     BatchFetchResponse,
     BatchQueryTrace,
-    CoalescedBatchRequest,
-    CoalescedBatchResponse,
     FetchRequest,
     FetchResponse,
     QueryTrace,
@@ -74,8 +72,6 @@ __all__ = [
     "BatchFetchRequest",
     "BatchFetchResponse",
     "BatchQueryTrace",
-    "CoalescedBatchRequest",
-    "CoalescedBatchResponse",
     "FetchRequest",
     "FetchResponse",
     "QueryTrace",

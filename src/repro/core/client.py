@@ -820,7 +820,7 @@ class ZerberRClient:
         :class:`BatchFetchRequest` per round — and return its result,
         which also closes its trace root when no round was ever fetched."""
         while not session.done:
-            batch = BatchFetchRequest(self.principal, session.pending_requests())
+            batch = BatchFetchRequest(session.pending_requests())
             session.deliver(self._server.batch_fetch(batch).responses)
         return session.result()
 

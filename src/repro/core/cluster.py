@@ -7,13 +7,17 @@ insert/fetch/batch-fetch surface, so
 :class:`~repro.core.client.ZerberRClient` works against a cluster
 unchanged.  A batched fetch splits into one sub-batch per shard server,
 so a multi-term client round costs one round-trip per *touched server*
-rather than per merged list.
+rather than per merged list.  A slice has one path to a shard server and
+back: ``fetch`` is a one-slice ``batch_fetch``, which routes and groups
+per server, and every server call — a client's sub-batch or a
+coordinator's envelope (:meth:`ServerCluster.serve_envelope`) — goes
+through one body, ``_serve``.
 
 Which servers hold which list is fixed at construction
 (:func:`~repro.core.placement.round_robin_placement`).  The cluster owns
 the placement table plus a *placement epoch* that bumps whenever a
 failover election reorders a list's replicas (see
-:meth:`ServerCluster.check_failovers`); coalesced envelopes pin the
+:meth:`ServerCluster.check_failovers`); coordinator envelopes pin the
 epoch they were routed under so a stale route is rejected rather than
 served from a server that is no longer the list's primary.
 
@@ -50,6 +54,10 @@ answer each read the replication log once
 (:meth:`~repro.core.replication.ReplicationManager.read_state`), and a
 batch that lands whole on one server is passed through as the object
 the caller built; nothing about a route is remembered between slices.
+The stamp is read *before* the serve and handed to the server, which
+builds each reply once with it: a fresh slice comes back as that very
+reply, and only a slice stamped below its list's head is repaired and,
+where its consistency level asks, re-served.
 
 Sharding also *improves* confidentiality in the compromised-server model:
 an adversary owning one server sees only ``1/N`` of the merged lists and
@@ -69,8 +77,6 @@ from repro.core.placement import round_robin_placement, validate_placement
 from repro.core.protocol import (
     BatchFetchRequest,
     BatchFetchResponse,
-    CoalescedBatchRequest,
-    CoalescedBatchResponse,
     FetchRequest,
     FetchResponse,
     Receipt,
@@ -370,7 +376,6 @@ class ServerCluster:
         )
         self._failover_history.append(event)
         self._repl.stats.failovers += 1
-        self._obs.elections.inc()
         return event
 
     def failover_history(self) -> list[FailoverEvent]:
@@ -678,11 +683,12 @@ class ServerCluster:
     # -- read path -------------------------------------------------------------
     #
     # Per slice the cluster decides which replica serves it and which
-    # version the answer is stamped with; both are read off the
-    # replication log in one call (ReplicationManager.read_state: head,
-    # the log's own server -> applied mapping, the paused set).  Neither
-    # decision is cached here: a remembered route would be a second source
-    # of truth for replica health, and the log read is two dict lookups.
+    # version the answer is stamped with — the stamp before the server is
+    # called; both are read off the replication log in one call
+    # (ReplicationManager.read_state: head, the log's own server ->
+    # applied mapping, the paused set).  Neither decision is cached here:
+    # a remembered route would be a second source of truth for replica
+    # health, and the log read is two dict lookups.
 
     def route(
         self,
@@ -775,8 +781,8 @@ class ServerCluster:
     ) -> BoundHistogram | None:
         """Count *slices* served under *consistency* — one instrument
         lookup and one counter bump per server call — and hand back the
-        read-lag histogram :meth:`_finalize_read` observes per slice
-        (``None`` while telemetry is off)."""
+        read-lag histogram :meth:`_serve` observes per slice (``None``
+        while telemetry is off)."""
         if not self._obs.enabled:
             return None
         read_counter, lag_histogram = self._obs.read_instruments(consistency.value)
@@ -796,9 +802,7 @@ class ServerCluster:
         ``ONE`` answer below the request's ``min_version`` session floor
         is re-served (see :meth:`_finalize_read`).
         """
-        return self.batch_fetch(
-            BatchFetchRequest(request.principal, (request,)), consistency
-        ).responses[0]
+        return self.batch_fetch(BatchFetchRequest((request,)), consistency).responses[0]
 
     def batch_fetch(
         self,
@@ -810,13 +814,11 @@ class ServerCluster:
         Each slice routes per the consistency level.  A batch that lands
         whole on one server travels as it is — the caller's
         :class:`BatchFetchRequest` object, already validated when it was
-        built; only a round that really splits is re-bundled into one
-        sub-batch per touched server (one round-trip per touched server,
-        not per slice).  Responses reassemble in the original slice
-        order and each is finalized (version stamp + read-repair)
-        individually — a repair re-serve costs one extra single-slice
-        fetch, which the stats expose as repair traffic.  A list with no
-        live replica fails the whole batch.
+        built — and its reply is the one :meth:`_serve` returns; only a
+        round that really splits is re-bundled into one sub-batch per
+        touched server (one round-trip per touched server, not per
+        slice), its replies reassembled in the original slice order.  A
+        list with no live replica fails the whole batch.
         """
         consistency = self._resolve_consistency(consistency)
         requests = batch.requests
@@ -825,40 +827,33 @@ class ServerCluster:
         for slice_index, request in enumerate(requests):
             server_index = route(request.list_id, consistency, request.min_version)
             per_server.setdefault(server_index, []).append(slice_index)
-        finalize = self._finalize_read
+        if len(per_server) == 1:
+            (server_index,) = per_server
+            return self._serve(server_index, batch, consistency)
         responses: list[FetchResponse | None] = [None] * len(requests)
         for server_index, slice_indices in per_server.items():
-            sub_batch = (
-                batch
-                if len(per_server) == 1
-                else BatchFetchRequest(
-                    batch.principal, tuple([requests[i] for i in slice_indices])
-                )
-            )
-            served = self._servers[server_index].batch_fetch(sub_batch).responses
-            lag_histogram = self._count_reads(consistency, len(served))
+            sub_batch = BatchFetchRequest(tuple([requests[i] for i in slice_indices]))
+            served = self._serve(server_index, sub_batch, consistency).responses
             for i, response in zip(slice_indices, served):
-                responses[i] = finalize(
-                    requests[i], server_index, response, consistency, lag_histogram
-                )
+                responses[i] = response
         return BatchFetchResponse(tuple(responses))  # type: ignore[arg-type]
 
     def serve_envelope(
         self,
         server_index: int,
-        envelope: CoalescedBatchRequest,
+        envelope: BatchFetchRequest,
         consistency: ReadConsistency | str | None = None,
-    ) -> CoalescedBatchResponse:
+    ) -> BatchFetchResponse:
         """Deliver a coordinator envelope to one (live) shard server.
 
         The coordinator routed the envelope itself, so the cluster only
         verifies that the target is alive and that the envelope was routed
         under the *current* placement epoch — an envelope built before a
         failover election must be re-routed, not served from a stale
-        shard map.
-        Every slice is then finalized like a direct fetch: versions are
-        stamped and stale slices are read-repaired per the consistency
-        level (extra single-slice fetches, visible in the stats).
+        shard map.  It is then served like any other batch
+        (:meth:`_serve`): stamped before the serve, its stale slices
+        read-repaired per the consistency level.  Replies come back in
+        the envelope's slice order.
         """
         if not 0 <= server_index < len(self._servers):
             raise ConfigurationError(f"unknown server index {server_index}")
@@ -873,40 +868,77 @@ class ServerCluster:
             server=server_index,
             slices=len(envelope),
         ):
-            raw = self._servers[server_index].coalesced_fetch(envelope)
-            lag_histogram = self._count_reads(consistency, len(raw.responses))
-            finalize = self._finalize_read
-            flat_requests = [
-                request for batch in envelope.batches for request in batch.requests
-            ]
-            finalized = tuple(
-                [
-                    finalize(request, server_index, response, consistency, lag_histogram)
-                    for request, response in zip(flat_requests, raw.responses)
-                ]
+            return self._serve(server_index, envelope, consistency)
+
+    def _serve(
+        self,
+        server_index: int,
+        batch: BatchFetchRequest,
+        consistency: ReadConsistency,
+    ) -> BatchFetchResponse:
+        """The one server call of the read path: stamp, serve, repair.
+
+        Every slice's stamp — the serving replica's applied version of
+        its list — is read before the server is called, together with
+        the list's head, and handed down, so the server builds each reply
+        once, with the version its elements reflect.  (Read after the
+        serve, one slice's read-repair would stamp a later, pre-repair
+        slice of the same list as fresh.)  A slice sent to a server that
+        does not hold its list fails the whole call before anything is
+        served.
+        The read counter moves once per call and the read-lag histogram
+        sees every slice once (:meth:`_count_reads`).  A slice stamped at
+        its head comes back as the very reply the server built, and the
+        whole reply when every slice is; a slice stamped below its head
+        goes through :meth:`_finalize_read`.
+        """
+        requests = batch.requests
+        read_state = self._repl.read_state
+        stamps: list[int] = []
+        stale: list[int] = []
+        for slice_index, request in enumerate(requests):
+            head, applied, _ = read_state(request.list_id)
+            version = applied.get(server_index)
+            if version is None:
+                raise ProtocolError(
+                    f"server {server_index} does not hold list {request.list_id}"
+                )
+            stamps.append(version)
+            if version < head:
+                stale.append(slice_index)
+        served = self._servers[server_index].batch_fetch(batch, stamps)
+        lag_histogram = self._count_reads(consistency, len(requests))
+        if lag_histogram is not None:
+            pending_lag = self._repl.pending_lag_ticks
+            for request in requests:
+                lag_histogram.observe(float(pending_lag(request.list_id, server_index)))
+        if not stale:
+            return served
+        responses = list(served.responses)
+        for slice_index in stale:
+            responses[slice_index] = self._finalize_read(
+                requests[slice_index],
+                server_index,
+                stamps[slice_index],
+                responses[slice_index],
+                consistency,
             )
-        return CoalescedBatchResponse(
-            responses=finalized, slice_ids=raw.slice_ids, epoch=raw.epoch
-        )
+        return BatchFetchResponse(tuple(responses))
 
     def _finalize_read(
         self,
         request: FetchRequest,
         server_index: int,
+        version: int,
         response: FetchResponse,
         consistency: ReadConsistency,
-        lag_histogram: BoundHistogram | None = None,
     ) -> FetchResponse:
-        """Stamp the replica version; detect divergence and read-repair.
+        """Read-repair a slice served from a replica behind its head.
 
-        Reads the same log state routing did (one call; a server that
-        does not hold the list is a :class:`ProtocolError`) and *builds*
-        the stamped response from the parts of the one it was handed.
-        *lag_histogram* is the caller's bound read-lag histogram, or
-        ``None`` while telemetry is off (see :meth:`_count_reads`).
-
-        A serving replica behind the log head is caught up immediately
-        when reachable (the repair ops also patch its readable views).
+        *version* is the stamp :meth:`_serve` read before the serve and
+        *response* the reply the server built with it.  The serving
+        replica is caught up immediately when reachable (the repair ops
+        also patch its readable views).
         Under ``PRIMARY``/``QUORUM`` the slice is then *re-served* from a
         replica at the head — the repaired server itself, or the primary
         — so the caller sees every acknowledged write; under ``ONE`` the
@@ -916,19 +948,11 @@ class ServerCluster:
         reachable replica can satisfy the floor (every fresh copy down or
         partitioned), the stale answer is returned best-effort rather
         than failing the read — the guarantees hold whenever a head
-        replica is reachable.
+        replica is reachable.  The re-serve is the one place a slice is
+        answered twice.
         """
         list_id = request.list_id
         head, applied, _ = self._repl.read_state(list_id)
-        version = applied.get(server_index)
-        if version is None:
-            raise ProtocolError(f"server {server_index} does not hold list {list_id}")
-        if lag_histogram is not None:
-            lag_histogram.observe(
-                float(self._repl.pending_lag_ticks(list_id, server_index))
-            )
-        if version >= head:
-            return FetchResponse(response.elements, response.exhausted, version)
         self._repl.observe_staleness(head - version)
         self._obs.read_staleness.observe(float(head - version))
         with self._obs.tracer.span(
@@ -962,10 +986,11 @@ class ServerCluster:
             if reserve_from is not None:
                 if not needs_fresh:
                     self._repl.stats.floor_reserves += 1
-                response = self._servers[reserve_from].fetch(request)
+                response = self._servers[reserve_from].fetch(
+                    request, applied[reserve_from]
+                )
                 self._repl.stats.read_reserves += 1
-                version = applied[reserve_from]
-        return FetchResponse(response.elements, response.exhausted, version)
+        return response
 
     # -- crash recovery (persistence support; see repro.persist) -----------------
 

@@ -17,10 +17,10 @@ total after ``n`` follow-ups is (Eq. 12)::
 Batched fetches: a multi-term query touches one merged list per term, and
 issuing those slices as separate server calls pays one network round-trip
 each.  :class:`BatchFetchRequest` bundles many :class:`FetchRequest`
-slices (all from the same principal) into a single server call and
-:class:`BatchFetchResponse` returns the per-slice
-:class:`FetchResponse` replies in request order, so a client round of the
-doubling protocol over *t* terms costs one round-trip instead of *t*.
+slices into a single server call and :class:`BatchFetchResponse` returns
+the per-slice :class:`FetchResponse` replies in request order, so a client
+round of the doubling protocol over *t* terms costs one round-trip instead
+of *t*.
 :class:`BatchQueryTrace` accounts a batched multi-term session: it
 distinguishes server *round-trips* (batched calls, the quantity a
 latency-bound deployment cares about) from *sub-fetches* (slices served,
@@ -30,16 +30,15 @@ each round from the totals its per-term traces just counted
 (:attr:`FetchResponse.size_bits`, a plain sum over the slice) are
 summed once per query.
 
-Coalesced envelopes: a :class:`~repro.core.router.Coordinator` collects
-the pending slices of *many* concurrent client sessions — potentially
-different principals — and ships everything bound for one shard server as
-a single :class:`CoalescedBatchRequest` per scheduling tick.  The
-envelope nests one single-principal :class:`BatchFetchRequest` per
-principal (the server still authenticates each one), carries a flat tuple
-of coordinator-assigned *slice ids* so shared slices demultiplex back to
-every requesting session, and pins the *placement epoch* it was routed
-under so a concurrent failover election cannot serve it from a stale
-route.
+The same type is the coordinator's envelope: a
+:class:`~repro.core.router.Coordinator` collects the pending slices of
+*many* concurrent client sessions and ships everything bound for one shard
+server as one :class:`BatchFetchRequest` per scheduling tick.  Its slices
+may belong to different principals — access control is per slice, each
+request names its own — and the reply comes back in slice order, so the
+coordinator matches replies to its sessions by position.  An envelope pins
+the *placement epoch* it was routed under, so a concurrent failover
+election cannot serve it from a stale route.
 
 Deletion is by :class:`Receipt`: what the inserting client kept of each
 element it uploaded.  The server cannot read ciphertexts, so a delete
@@ -154,9 +153,10 @@ class FetchResponse:
     """Server reply: an ordered slice plus an exhaustion flag.
 
     ``replica_version`` is the serving replica's applied replication-log
-    version of the fetched list (see :mod:`repro.core.replication`),
-    stamped by the cluster on its read path; ``None`` means the response
-    came from an unreplicated backend (a bare
+    version of the fetched list (see :mod:`repro.core.replication`): the
+    cluster reads it before the serve and hands it to the server, which
+    builds the reply with it.  ``None`` means the response came from an
+    unreplicated backend (a bare
     :class:`~repro.core.server.ZerberRServer`).  The cluster compares it
     against the list's log head to detect a stale replica and trigger
     read-repair.
@@ -194,36 +194,36 @@ class FetchResponse:
 class BatchFetchRequest:
     """Many fetch slices bundled into one server call.
 
-    All slices must come from the same authenticated principal (the
-    server authenticates the call once).  Slice order is significant: the
-    response carries replies in the same order.
+    A client round holds one principal's slices, a coordinator envelope
+    many principals'; the server reads each slice's own principal.  Slice
+    order is significant: the response carries replies in the same order.
+    ``epoch`` is the placement epoch a routed envelope was routed under
+    (``None``: unrouted, as a client's own round is).  ``trace_id`` names
+    the telemetry span tree the envelope's serve is recorded under
+    (``None`` when tracing is off).
     """
 
-    principal: str
     requests: tuple[FetchRequest, ...]
+    epoch: int | None = None
+    trace_id: int | None = None
 
     def __post_init__(self) -> None:
         if not self.requests:
             raise ProtocolError("batch must contain at least one fetch request")
-        for request in self.requests:
-            if request.principal != self.principal:
-                raise ProtocolError(
-                    "all requests in a batch must share the batch principal"
-                )
 
     @classmethod
     def for_slices(
         cls, principal: str, slices: "tuple[tuple[int, int, int], ...] | list"
     ) -> "BatchFetchRequest":
-        """Build a batch from ``(list_id, offset, count)`` triples."""
+        """Build one principal's batch from ``(list_id, offset, count)``
+        triples."""
         return cls(
-            principal=principal,
-            requests=tuple(
+            tuple(
                 FetchRequest(
                     principal=principal, list_id=list_id, offset=offset, count=count
                 )
                 for list_id, offset, count in slices
-            ),
+            )
         )
 
     def __len__(self) -> int:
@@ -241,62 +241,6 @@ class BatchFetchResponse:
 
     def __iter__(self) -> Iterator[FetchResponse]:
         return iter(self.responses)
-
-
-@dataclass(frozen=True)
-class CoalescedBatchRequest:
-    """One coordinator→server envelope per scheduling tick.
-
-    ``batches`` holds one single-principal :class:`BatchFetchRequest` per
-    principal with slices on this server this tick.  ``slice_ids`` runs
-    parallel to the *flattened* slice order (batches concatenated in
-    order) and must be unique within the envelope — they are the
-    coordinator's demultiplexing handles, opaque to the server.
-    ``epoch`` is the placement epoch the envelope was routed under;
-    ``None`` means "unrouted" (direct single-server use).  ``trace_id``
-    names the telemetry span tree the envelope is recorded under — the
-    coordinator attributes each tick's shared coalescing work to the
-    oldest admitted session's trace (``None`` when tracing is off).
-    """
-
-    batches: tuple[BatchFetchRequest, ...]
-    slice_ids: tuple[int, ...]
-    epoch: int | None = None
-    trace_id: int | None = None
-
-    def __post_init__(self) -> None:
-        if not self.batches:
-            raise ProtocolError("envelope must contain at least one sub-batch")
-        total_slices = sum(len(batch) for batch in self.batches)
-        if len(self.slice_ids) != total_slices:
-            raise ProtocolError(
-                f"envelope carries {total_slices} slices but "
-                f"{len(self.slice_ids)} slice ids"
-            )
-        if len(set(self.slice_ids)) != len(self.slice_ids):
-            raise ProtocolError("slice ids must be unique within an envelope")
-
-    def __len__(self) -> int:
-        return sum(len(batch) for batch in self.batches)
-
-
-@dataclass(frozen=True)
-class CoalescedBatchResponse:
-    """Per-slice replies of an envelope, keyed by the echoed slice ids."""
-
-    responses: tuple[FetchResponse, ...]
-    slice_ids: tuple[int, ...]
-    epoch: int | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.responses) != len(self.slice_ids):
-            raise ProtocolError("one response per slice id required")
-
-    def __len__(self) -> int:
-        return len(self.responses)
-
-    def by_slice_id(self) -> dict[int, FetchResponse]:
-        return dict(zip(self.slice_ids, self.responses))
 
 
 @dataclass(frozen=True)

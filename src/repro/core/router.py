@@ -16,7 +16,7 @@ which schedules them over a deterministic virtual-time
     s3: [t2,t5]    ──submit─▸     slices                      +----------+
                                 2 dedup shared slices  env    +----------+
      ◂─deliver()/result()──     3 route @ epoch   ──{srv 1}─▸ | server 1 |
-                                4 demux by slice id           +----------+
+                                4 demux by position           +----------+
           background daemon:    replication delivery · anti-entropy ·
                                 failover checks
 
@@ -25,10 +25,13 @@ fetch slices in submission-age order, (2) deduplicates identical
 slices — same principal, list, offset, count — so concurrent queries for
 the same hot list share one server slice, (3) routes unique slices
 through the cluster's placement table and packs everything bound for one
-server into a single :class:`~repro.core.protocol.CoalescedBatchRequest`
-(one server call per touched server per flush, regardless of how many
-sessions are in flight), and (4) demultiplexes responses back to
-sessions by slice id as delivery events ``round_latency`` ticks later
+server into a single :class:`~repro.core.protocol.BatchFetchRequest` —
+the type a client's own round travels in, here holding many principals'
+slices, by principal and then by slice id (one server call per touched
+server per flush, regardless of how many sessions are in flight), and
+(4) matches each reply to its slice by position — the coordinator keeps
+the slice ids, the wire carries none — and fans it out to every session
+that wanted the slice as delivery events ``round_latency`` ticks later
 (0: later in the same tick); above 0 the decrypt/skim of round *n*
 overlaps the envelope build of round *n + 1* (counted by
 ``pipeline_overlap``).  Follower replication delivery, with the
@@ -70,7 +73,6 @@ from repro.core.eventloop import EventLoop
 from repro.core.protocol import (
     BackpressureSignal,
     BatchFetchRequest,
-    CoalescedBatchRequest,
     FetchRequest,
     FetchResponse,
     ResponsePolicy,
@@ -258,6 +260,9 @@ class Coordinator:
             self._record_shed(signal)
             raise BackpressureError(signal)
         self._sessions.append(session)
+        # As for an arrival: the session's first round is queued now, so
+        # drain() settles it as tick() does (tick finds this flush queued).
+        self._ensure_flush(self._loop.now)
         return session
 
     def submit_arrival(
@@ -393,13 +398,13 @@ class Coordinator:
         self.stats.ticks += 1
 
     def _schedule_deliveries(
-        self, plan: _TickPlan, by_slice_id: dict[int, FetchResponse]
+        self, plan: _TickPlan, replies: dict[int, FetchResponse]
     ) -> None:
         """Fan every slice response out to all sessions that wanted it,
         ``round_latency`` ticks from now."""
         dispatched = self._loop.now
         for session, keys in plan.session_keys:
-            responses = tuple(by_slice_id[plan.unique[key][0]] for key in keys)
+            responses = tuple(replies[plan.unique[key][0]] for key in keys)
             self._awaiting.add(id(session))
             self._pending_delivers += 1
             self._loop.call_at(
@@ -481,8 +486,7 @@ class Coordinator:
 
     @staticmethod
     def _envelope_trace(
-        by_principal: dict[str, list[tuple[int, FetchRequest]]],
-        trace_ctx: int | None,
+        packed: list[tuple[int, FetchRequest]], trace_ctx: int | None
     ) -> int | None:
         """Trace to attribute one envelope (and its serve span) to.
 
@@ -496,12 +500,11 @@ class Coordinator:
         keeps each retry attached to the session tree that asked for it.
         """
         oldest: tuple[int, int] | None = None  # (slice_id, trace_id)
-        for slices in by_principal.values():
-            for slice_id, request in slices:
-                if request.trace_id is None:
-                    continue
-                if oldest is None or slice_id < oldest[0]:
-                    oldest = (slice_id, request.trace_id)
+        for slice_id, request in packed:
+            if request.trace_id is None:
+                continue
+            if oldest is None or slice_id < oldest[0]:
+                oldest = (slice_id, request.trace_id)
         return oldest[1] if oldest is not None else trace_ctx
 
     def _dispatch(
@@ -509,6 +512,9 @@ class Coordinator:
     ) -> dict[int, FetchResponse]:
         """Send one envelope per touched server (routes fixed at gather).
 
+        An envelope packs its slices by principal, then in slice-id
+        order; the coordinator keeps that order and matches the reply's
+        responses to their slice ids by position.
         An envelope the cluster rejects with
         :class:`~repro.errors.StaleEpochError` — a failover election bumped
         the placement epoch between routing and delivery — is not an error for its sessions: the
@@ -517,7 +523,7 @@ class Coordinator:
         envelope instead of failing the whole flush.
         """
         entries = list(plan.unique.values())
-        by_slice_id: dict[int, FetchResponse] = {}
+        replies: dict[int, FetchResponse] = {}
         attempts = 0
         while entries:
             attempts += 1
@@ -535,21 +541,14 @@ class Coordinator:
             retry: list[tuple[int, FetchRequest, int]] = []
             for server_index in sorted(per_server):
                 by_principal = per_server[server_index]
-                batches = []
-                slice_ids: list[int] = []
-                for principal in sorted(by_principal):
-                    slices = by_principal[principal]
-                    batches.append(
-                        BatchFetchRequest(
-                            principal=principal,
-                            requests=tuple(request for _, request in slices),
-                        )
-                    )
-                    slice_ids.extend(slice_id for slice_id, _ in slices)
-                envelope_trace = self._envelope_trace(by_principal, trace_ctx)
-                envelope = CoalescedBatchRequest(
-                    batches=tuple(batches),
-                    slice_ids=tuple(slice_ids),
+                packed = [
+                    entry
+                    for principal in sorted(by_principal)
+                    for entry in by_principal[principal]
+                ]
+                envelope_trace = self._envelope_trace(packed, trace_ctx)
+                envelope = BatchFetchRequest(
+                    tuple([request for _, request in packed]),
                     epoch=epoch,
                     trace_id=envelope_trace,
                 )
@@ -575,16 +574,16 @@ class Coordinator:
                                     min_version=request.min_version,
                                 ),
                             )
-                            for principal in sorted(by_principal)
-                            for slice_id, request in by_principal[principal]
+                            for slice_id, request in packed
                         )
                         continue
-                by_slice_id.update(response.by_slice_id())
+                for (slice_id, _), reply in zip(packed, response.responses):
+                    replies[slice_id] = reply
                 self._obs.envelope_slices.observe(float(len(envelope)))
                 self.stats.server_calls += 1
                 self.stats.slices_sent += len(envelope)
             entries = retry
-        return by_slice_id
+        return replies
 
     def run_until_complete(self) -> int:
         """Tick until every submitted session is done; returns ticks run."""

@@ -11,10 +11,14 @@ Two throughput mechanisms sit on the fetch path:
 
 * **Batched fetches** — :meth:`ZerberRServer.batch_fetch` serves a
   :class:`~repro.core.protocol.BatchFetchRequest` bundling many slices
-  (one per merged list a multi-term query needs) in a single call, so a
-  client round of the doubling protocol costs one round-trip regardless
-  of term count.  Each slice is still logged individually (with a shared
-  ``batch_id``) because the compromised-server adversary sees them all.
+  in a single call: a client round (one slice per merged list a
+  multi-term query needs, so a round of the doubling protocol costs one
+  round-trip regardless of term count) and a coordinator envelope (many
+  principals' slices) alike, each slice under its own request's
+  principal.  A cluster hands down the replica stamp of every slice,
+  and each reply is built once, with it.  Each slice is still logged
+  individually (with a shared ``batch_id``) because the
+  compromised-server adversary sees them all.
 * **Incremental readable views** — the per-principal readable sub-list a
   fetch slices is maintained by a
   :class:`~repro.core.views.ReadableViewIndex`: inserts and deletes patch
@@ -39,14 +43,13 @@ log that the attack modules read.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 from repro.core.protocol import (
     BatchFetchRequest,
     BatchFetchResponse,
-    CoalescedBatchRequest,
-    CoalescedBatchResponse,
     FetchRequest,
     FetchResponse,
     Receipt,
@@ -407,63 +410,55 @@ class ZerberRServer:
 
     # -- queries (paper §5.2) --------------------------------------------------
 
-    def fetch(self, request: FetchRequest) -> FetchResponse:
+    def fetch(
+        self, request: FetchRequest, version: int | None = None
+    ) -> FetchResponse:
         """Serve a TRS-ordered slice of the principal-readable elements.
 
         ``offset`` counts within the readable sub-list (the principal never
         learns how many unreadable elements interleave), and ``exhausted``
         signals that no readable elements remain past the returned slice.
+        *version* is the reply's ``replica_version``: the stamp a cluster
+        read for this replica before the call (``None`` on a bare server).
         """
         self._calls_served += 1
-        return self._serve_slice(request, None)
+        return self._serve_slice(request, None, version)
 
-    def batch_fetch(self, batch: BatchFetchRequest) -> BatchFetchResponse:
-        """Serve many slices in one call (one client round-trip).
+    def batch_fetch(
+        self, batch: BatchFetchRequest, versions: Sequence[int] | None = None
+    ) -> BatchFetchResponse:
+        """Serve many slices in one call — a client's round or a
+        coordinator's envelope alike.
 
-        Slices are served in request order; each is logged as its own
-        :class:`ObservedFetch` carrying the shared ``batch_id``.
+        Slices are served in request order, each under its own request's
+        principal; each is logged as its own :class:`ObservedFetch`
+        carrying the shared ``batch_id``, because the compromised-server
+        adversary sees them travel together.  *versions*, when given,
+        runs parallel to the requests: the stamp each reply is built with
+        (see :meth:`fetch`).
         """
         self._calls_served += 1
         self._batch_counter += 1
         batch_id = self._batch_counter
         serve = self._serve_slice
+        stamps: Iterable[int | None] = repeat(None) if versions is None else versions
         return BatchFetchResponse(
-            tuple([serve(request, batch_id) for request in batch.requests])
+            tuple(
+                [
+                    serve(request, batch_id, version)
+                    for request, version in zip(batch.requests, stamps)
+                ]
+            )
         )
 
-    def coalesced_fetch(
-        self, envelope: CoalescedBatchRequest
-    ) -> CoalescedBatchResponse:
-        """Serve a coordinator envelope — many principals, one round-trip.
-
-        Each nested sub-batch keeps the single-principal invariant and is
-        served exactly as :meth:`batch_fetch` would; all slices share one
-        ``batch_id`` because the compromised-server adversary sees them
-        travel together.  The response echoes the coordinator's slice ids
-        and placement epoch so demultiplexing is by id, not position.
-        """
-        self._calls_served += 1
-        self._batch_counter += 1
-        batch_id = self._batch_counter
-        serve = self._serve_slice
-        responses = tuple(
-            [
-                serve(request, batch_id)
-                for batch in envelope.batches
-                for request in batch.requests
-            ]
-        )
-        return CoalescedBatchResponse(
-            responses=responses,
-            slice_ids=envelope.slice_ids,
-            epoch=envelope.epoch,
-        )
+    # The envelope entry's old name, still bound by the e2e bench tracer.
+    coalesced_fetch = batch_fetch
 
     def _serve_slice(
-        self, request: FetchRequest, batch_id: int | None
+        self, request: FetchRequest, batch_id: int | None, version: int | None
     ) -> FetchResponse:
         """Serve, count and observe one slice — once each, whatever call
-        it travelled in."""
+        it travelled in — and build its one reply, stamped *version*."""
         principal = request.principal
         list_id = request.list_id
         offset = request.offset
@@ -478,7 +473,9 @@ class ZerberRServer:
         )
         if len(observations) >= 2 * OBSERVATION_LOG_CAPACITY:
             del observations[:-OBSERVATION_LOG_CAPACITY]
-        return FetchResponse(tuple(slice_), offset + count >= readable_length)
+        return FetchResponse(
+            tuple(slice_), offset + count >= readable_length, version
+        )
 
     # -- adversary-visible state (for the attack modules) -----------------------
 

@@ -121,10 +121,6 @@ class ReadableViewIndex:
     def __len__(self) -> int:
         return len(self._views)
 
-    def cached_pairs(self) -> list[tuple[int, str]]:
-        """Cached ``(list_id, principal)`` pairs, LRU order (oldest first)."""
-        return list(self._views)
-
     def holds_views_of(self, list_id: int) -> bool:
         """Whether any view of *list_id* is cached — a mutator with no
         view to patch need not call :meth:`note_insert` /

@@ -227,18 +227,6 @@ class StreamCipher:
         try_one = self.try_decrypt
         return [try_one(ciphertext, decode) for ciphertext in ciphertexts]
 
-    def decrypt_many(self, ciphertexts: Iterable[bytes]) -> list[bytes]:
-        """Decrypt a batch, raising on the first authentication failure.
-
-        For callers that *own* every ciphertext (no skimming); anything
-        unreadable is data corruption, not somebody else's element.
-        """
-        plaintexts = self.try_decrypt_many(ciphertexts)
-        for plaintext in plaintexts:
-            if plaintext is None:
-                raise AuthenticationError("ciphertext failed integrity check")
-        return plaintexts  # type: ignore[return-value]
-
 
 class NonceSequence:
     """Deterministic nonces bound to their plaintext, SIV-style (RFC 5297).

@@ -375,19 +375,6 @@ class MergedPostingList:
         self.version += 1
         return element
 
-    def remove_by_ciphertext(self, ciphertext: bytes) -> EncryptedPostingElement | None:
-        """Remove the element with *ciphertext*; returns it, or ``None``.
-
-        Ciphertexts are unique (nonce-bound), so at most one element
-        matches.  Used by the deletion protocol: the owner presents the
-        receipt it kept from the insert.
-        """
-        found = self.find_by_ciphertext(ciphertext)
-        if found is None:
-            return None
-        position, _ = found
-        return self.pop_at(position)
-
     def clear(self) -> None:
         """Drop every element (a restore reloads the list from a dump)."""
         self.elements.clear()

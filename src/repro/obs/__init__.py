@@ -11,7 +11,7 @@ state):
 * **Tracing** — :class:`Tracer` records per-request span trees
   (query → coalesce → envelope → serve → skim → read-repair),
   tick-stamped, in a bounded ring buffer; the trace-context id rides
-  the wire on ``FetchRequest`` / ``CoalescedBatchRequest``.
+  the wire on ``FetchRequest`` / ``BatchFetchRequest``.
 
 :class:`Telemetry` bundles a registry and a tracer into the single
 object threaded through ``deploy_cluster`` and the layer constructors;

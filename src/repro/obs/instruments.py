@@ -210,7 +210,6 @@ class ClusterInstruments(_InstrumentBundle):
         ("read_lag_ticks", NULL_HISTOGRAM),
         ("read_staleness", NULL_BOUND_HISTOGRAM),
         ("quorum_refusals", NULL_BOUND_COUNTER),
-        ("elections", NULL_BOUND_COUNTER),
     )
 
     def __init__(self, telemetry: Telemetry | None) -> None:
@@ -226,23 +225,21 @@ class ClusterInstruments(_InstrumentBundle):
             self.quorum_refusals = registry.counter(
                 "cluster_quorum_write_refusals_total"
             ).bind()
-            self.elections = registry.counter("replication_elections_total").bind()
         else:
             self.reads = NULL_COUNTER
             self.writes = NULL_COUNTER
             self.read_lag_ticks = NULL_HISTOGRAM
             self.read_staleness = NULL_HISTOGRAM.bind()
             self.quorum_refusals = NULL_COUNTER.bind()
-            self.elections = NULL_COUNTER.bind()
         self._read_bound: dict[str, tuple[BoundCounter, BoundHistogram]] = {}
         self._saved_read_bound: dict[str, tuple[BoundCounter, BoundHistogram]] = {}
 
     def read_instruments(self, consistency: str) -> tuple[BoundCounter, BoundHistogram]:
         """Per-consistency (reads counter, read-lag histogram) pair.
 
-        ``_finalize_read`` runs once per served slice; binding the label
-        set once per consistency level keeps the label freeze off that
-        hot path.
+        Looked up once per server call of the read path; binding the
+        label set once per consistency level keeps the label freeze off
+        that hot path.
         """
         pair = self._read_bound.get(consistency)
         if pair is None:

@@ -194,12 +194,6 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
         "log ops a server still lacks, summed over the lists it holds",
         unit="ops",
     ),
-    MetricSpec(
-        "replication_elections_total",
-        "counter",
-        "primary failover elections committed",
-        unit="elections",
-    ),
     # -- readable views ---------------------------------------------------
     *_stats_counters("views", VIEW_STAT_FIELDS),
     # -- crypto skim ------------------------------------------------------

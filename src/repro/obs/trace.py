@@ -13,7 +13,7 @@ Parenting follows the synchronous call structure: an open ``span``
 nests under the innermost span on the tracer's stack; with an empty
 stack it attaches to the root of the trace named by ``trace=`` (the
 trace-context id threaded through ``FetchRequest`` /
-``CoalescedBatchRequest``); with neither it becomes its own
+``BatchFetchRequest``); with neither it becomes its own
 single-root trace, so direct-path serve spans are still recorded.
 
 Timestamps are scheduling ticks from the injected ``clock`` — never

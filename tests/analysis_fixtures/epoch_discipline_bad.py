@@ -1,15 +1,21 @@
-"""Bad: unpinned envelopes and direct placement-table reads."""
+"""Bad: routed batches without their epoch, and a direct placement read.
 
-from repro.core.protocol import CoalescedBatchRequest
+Linted as ``repro.core.router`` — the one layer that routes a batch
+before it is served.
+"""
 
+from typing import Any
 
-def route_without_epoch(batches, slice_ids):
-    return CoalescedBatchRequest(batches=batches, slice_ids=slice_ids)
-
-
-def route_with_none(batches, slice_ids):
-    return CoalescedBatchRequest(batches=batches, slice_ids=slice_ids, epoch=None)
+from repro.core.protocol import BatchFetchRequest, FetchRequest
 
 
-def peek_placement(cluster, list_id: int):
+def route_without_epoch(requests: tuple[FetchRequest, ...]) -> BatchFetchRequest:
+    return BatchFetchRequest(requests)
+
+
+def route_with_none(requests: tuple[FetchRequest, ...]) -> BatchFetchRequest:
+    return BatchFetchRequest(requests, epoch=None)
+
+
+def peek_placement(cluster: Any, list_id: int) -> Any:
     return cluster._placement[list_id]

@@ -1,13 +1,16 @@
-"""Good: the envelope pins the epoch it was routed under."""
+"""Good: the routed batch pins the epoch it was routed under.
 
-from repro.core.protocol import CoalescedBatchRequest
+Linted as ``repro.core.router``.
+"""
+
+from typing import Any
+
+from repro.core.protocol import BatchFetchRequest, FetchRequest
 
 
-def route(cluster, batches, slice_ids):
-    return CoalescedBatchRequest(
-        batches=batches, slice_ids=slice_ids, epoch=cluster.placement_epoch
-    )
+def route(cluster: Any, requests: tuple[FetchRequest, ...]) -> BatchFetchRequest:
+    return BatchFetchRequest(requests, epoch=cluster.placement_epoch)
 
 
-def replicas(cluster, list_id: int):
+def replicas(cluster: Any, list_id: int) -> list[int]:
     return cluster.replicas_of(list_id)

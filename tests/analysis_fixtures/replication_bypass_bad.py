@@ -6,8 +6,8 @@ def sneak_insert(server, list_id: int, element) -> None:
     merged.add_sorted_by_trs(element)  # replicas never see this write
 
 
-def sneak_delete(merged, ciphertext: bytes) -> bool:
-    return merged.remove_by_ciphertext(ciphertext)
+def sneak_delete(merged, position: int):
+    return merged.pop_at(position)
 
 
 def sneak_bulk_load(merged, elements) -> None:

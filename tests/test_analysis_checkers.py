@@ -25,7 +25,7 @@ RULE_FIXTURES = {
     "crypto-construct": ("crypto_construct", None),
     "crypto-key-leak": ("crypto_key_leak", None),
     "replication-bypass": ("replication_bypass", None),
-    "epoch-discipline": ("epoch_discipline", None),
+    "epoch-discipline": ("epoch_discipline", "repro.core.router"),
     "determinism": ("determinism", "repro.core.fixture_mod"),
     "eventloop-discipline": ("eventloop_discipline", "repro.core.fixture_mod"),
     "exception-discipline": ("exception_discipline", "repro.persist.fixture_mod"),
@@ -128,9 +128,20 @@ def test_typed_defs_package_list_matches_mypy_ini():
     assert strict == STRICT_PACKAGES
 
 
+def test_each_unpinned_routed_batch_fires_on_its_own():
+    """In the router both bad ``BatchFetchRequest(...)`` calls are findings
+    of their own; elsewhere a batch is a client's unrouted round, and only
+    the placement read fires."""
+    routed = _lint("epoch_discipline_bad", "repro.core.router")
+    batches = [f for f in routed if f.message.startswith("BatchFetchRequest(")]
+    assert len({f.line for f in batches}) == 2
+    elsewhere = _lint("epoch_discipline_bad", "repro.core.client")
+    assert elsewhere == [f for f in routed if f not in batches]
+
+
 def test_every_list_mutator_named_in_the_bad_fixture_is_flagged():
     """The bulk load stays a storage-layer call: a direct
     ``bulk_load_sorted_by_trs`` from anywhere else is a bypassed batch."""
     messages = " ".join(f.message for f in _lint("replication_bypass_bad", None))
-    for mutator in ("add_sorted_by_trs", "remove_by_ciphertext", "bulk_load_sorted_by_trs"):
+    for mutator in ("add_sorted_by_trs", "pop_at", "bulk_load_sorted_by_trs"):
         assert f"MergedPostingList.{mutator}()" in messages

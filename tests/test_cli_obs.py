@@ -38,7 +38,7 @@ class TestMetricsCommand:
 
         assert total("cluster_reads_total") > 0
         assert total("cluster_writes_total") > 0
-        assert total("replication_elections_total") >= 1
+        assert total("replication_failovers_total") >= 1
         assert total("replication_read_repairs_total") > 0
         assert total("crypto_skim_elements_total") > 0
         assert total("persist_snapshots_total") >= 1

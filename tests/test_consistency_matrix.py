@@ -13,11 +13,7 @@ import pytest
 
 from repro.core.client import ZerberRClient
 from repro.core.cluster import ServerCluster
-from repro.core.protocol import (
-    BatchFetchRequest,
-    CoalescedBatchRequest,
-    FetchRequest,
-)
+from repro.core.protocol import BatchFetchRequest, FetchRequest
 from repro.core.replication import ReadConsistency, WriteConsistency
 from repro.core.rstf import RstfModel, train_rstf
 from repro.crypto.keys import GroupKeyService
@@ -408,18 +404,8 @@ class TestFailoverElection:
         cluster = self._cluster(keys)
         cluster.insert("u", 0, _element(0.5, b"x"))
         stale_epoch = cluster.placement_epoch
-        envelope = CoalescedBatchRequest(
-            batches=(
-                BatchFetchRequest(
-                    principal="u",
-                    requests=(
-                        FetchRequest(
-                            principal="u", list_id=0, offset=0, count=1
-                        ),
-                    ),
-                ),
-            ),
-            slice_ids=(0,),
+        envelope = BatchFetchRequest(
+            (FetchRequest(principal="u", list_id=0, offset=0, count=1),),
             epoch=stale_epoch,
         )
         cluster.fail_server(cluster.replicas_of(0)[0])

@@ -365,9 +365,7 @@ class TestReadPathWorkBound:
         TestBatchedMultiTerm()._populate(alice, bob)
         session = root.open_multi_session(["apple", "pear", "plum"], k=2)
         requests = session.pending_requests()
-        responses = server.batch_fetch(
-            BatchFetchRequest(principal="root", requests=requests)
-        ).responses
+        responses = server.batch_fetch(BatchFetchRequest(requests)).responses
         assert len(responses) == 3
         assert {e.group for r in responses for e in r.elements} == {"g1", "g2"}
         return session, responses
@@ -420,7 +418,7 @@ class TestReadPathWorkBound:
         while not session.done:
             session.deliver(
                 root._server.batch_fetch(
-                    BatchFetchRequest("root", session.pending_requests())
+                    BatchFetchRequest(session.pending_requests())
                 ).responses
             )
         root.query("apple", k=2)
@@ -748,7 +746,7 @@ class TestTracesAgree:
     def _first_round(self, root, server, terms, k=2):
         session = root.open_multi_session(terms, k=k)
         responses = server.batch_fetch(
-            BatchFetchRequest("root", session.pending_requests())
+            BatchFetchRequest(session.pending_requests())
         ).responses
         return session, responses
 
@@ -846,32 +844,43 @@ class TestWarmReadPathCounts:
             original = cls.batch_fetch
 
             def recording(self, batch, *args, _cls=cls, _original=original):
-                seen[_cls].append(batch)
-                return _original(self, batch, *args)
+                reply = _original(self, batch, *args)
+                seen[_cls].append((batch, reply))
+                return reply
 
             monkeypatch.setattr(cls, "batch_fetch", recording)
         result = reader.query_multi_batched(["apple", "pear"], k=1)
         rounds = result.batch_trace.num_rounds
         assert len(seen[ZerberRServer]) == len(seen[ServerCluster]) == rounds >= 1
-        assert len(seen[ServerCluster][0]) == 2  # both terms, one server
-        for built, served in zip(seen[ServerCluster], seen[ZerberRServer]):
+        assert len(seen[ServerCluster][0][0]) == 2  # both terms, one server
+        for (built, answer), (served, reply) in zip(
+            seen[ServerCluster], seen[ZerberRServer]
+        ):
             assert served is built
-        # A round that really splits is re-bundled per touched server.
+            # Fresh slices: the reply the server built, stamped, travels.
+            assert answer is reply
+            assert all(r.replica_version is not None for r in reply)
+        # A round that really splits is re-bundled per touched server, and
+        # each fresh slice's reply is still the one its server built.
         del seen[ServerCluster][:], seen[ZerberRServer][:]
         reader.query_multi_batched(["apple", "plum"], k=1)
-        split, first, second = seen[ServerCluster][0], *seen[ZerberRServer][:2]
+        (split, answer), (first, first_reply), (second, second_reply) = (
+            seen[ServerCluster][0],
+            *seen[ZerberRServer][:2],
+        )
         assert [r.list_id for r in split.requests] == [0, 1]
         assert first is not split and second is not split
         assert (first.requests, second.requests) == (
             split.requests[:1],
             split.requests[1:],
         )
+        assert answer.responses[0] is first_reply.responses[0]
+        assert answer.responses[1] is second_reply.responses[0]
 
     # One warm two-term query that takes one round of two five-element
     # slices, telemetry off.  The budget is the path's own count on
     # CPython 3.10/3.11 plus 5 % (3.12 inlines comprehensions and only
-    # reads lower): 175 entered, where the per-slice bookkeeping this
-    # replaced entered 225.
+    # reads lower): 170 entered.
     FRAME_BUDGET = 183
 
     def test_frames_entered_by_one_warm_query_stay_under_budget(self, tiny_deployment):
@@ -887,6 +896,22 @@ class TestWarmReadPathCounts:
         assert (trace.num_rounds, trace.num_subfetches) == (1, 2)
         assert trace.elements_transferred == 10
         assert frames <= self.FRAME_BUDGET, frames
+
+    # The warm six-term query of the telemetry budget below, one round of
+    # six slices on three servers, through Coordinator.run_queries with no
+    # telemetry: its count on CPython 3.11 plus 5 %, 526 entered.
+    COORDINATOR_FRAME_BUDGET = 552
+
+    def test_frames_entered_by_one_warm_coordinator_query_stay_under_budget(
+        self, system
+    ):
+        cluster, coordinator = system.deploy_cluster(num_servers=3)
+        client = system.client_for("superuser", server=cluster)
+        terms, k = self._six_terms_on_three_servers(system, cluster), 5
+        trace = coordinator.run_queries([(client, terms, k)])[0].batch_trace
+        assert (trace.num_rounds, trace.num_subfetches) == (1, 6)
+        frames = _frames_entered(lambda: coordinator.run_queries([(client, terms, k)]))
+        assert frames <= self.COORDINATOR_FRAME_BUDGET, frames
 
     # What telemetry adds to one warm six-term query that takes one round
     # of six slices on three servers: frames entered with the deployment's
@@ -910,12 +935,7 @@ class TestWarmReadPathCounts:
             num_servers=3, telemetry=telemetry
         )
         client = system.client_for("superuser", server=cluster)
-        by_list = {}
-        for term in system.vocabulary.terms_by_frequency():
-            by_list.setdefault(system.merge_plan.list_of(term), term)
-        terms, k = list(by_list.values())[:6], 5
-        servers = {cluster.route(system.merge_plan.list_of(t)) for t in terms}
-        assert len(servers) == cluster.num_servers == 3
+        terms, k = self._six_terms_on_three_servers(system, cluster), 5
 
         def run():
             if path == "coordinator":
@@ -932,6 +952,16 @@ class TestWarmReadPathCounts:
         finally:
             telemetry.resume()
         assert on - off <= self.TELEMETRY_FRAME_BUDGET[path], (on, off)
+
+    @staticmethod
+    def _six_terms_on_three_servers(system, cluster):
+        by_list = {}
+        for term in system.vocabulary.terms_by_frequency():
+            by_list.setdefault(system.merge_plan.list_of(term), term)
+        terms = list(by_list.values())[:6]
+        servers = {cluster.route(system.merge_plan.list_of(t)) for t in terms}
+        assert len(servers) == cluster.num_servers == 3
+        return terms
 
     @staticmethod
     def _one_round_query(client, pool):

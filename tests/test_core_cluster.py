@@ -9,8 +9,6 @@ from repro.core.cluster import ServerCluster
 from repro.core.protocol import (
     BatchFetchRequest,
     BatchFetchResponse,
-    CoalescedBatchRequest,
-    CoalescedBatchResponse,
     FetchRequest,
     FetchResponse,
 )
@@ -320,7 +318,10 @@ class _AccessorReadPath(ServerCluster):
     before they read the replication log in one call — through
     ``replicas_of`` (a row copy per slice), one ``applied_version`` call
     per replica, ``head_version``, ``is_paused`` and
-    ``dataclasses.replace``.  :class:`ServerCluster`'s read path must be
+    ``dataclasses.replace``.  It reads every stamp before the server call
+    too, but serves through the server's unstamped ``batch_fetch`` and
+    stamps the replies afterwards, so it shares none of
+    ``ServerCluster._serve``.  :class:`ServerCluster`'s read path must be
     indistinguishable from it (``TestReadPathRefinement``)."""
 
     def _route_read(self, list_id, consistency, min_version=None):
@@ -362,15 +363,29 @@ class _AccessorReadPath(ServerCluster):
             candidates = unpaused
         return candidates[0]
 
-    def _finalize_read(
-        self, request, server_index, response, consistency, lag_histogram=None
-    ):
+    def _serve(self, server_index, batch, consistency):
+        repl = self.replication_manager
+        stamps = [
+            (repl.applied_version(r.list_id, server_index), repl.head_version(r.list_id))
+            for r in batch.requests
+        ]
+        served = self.server(server_index).batch_fetch(batch)
+        return BatchFetchResponse(
+            tuple(
+                dataclasses.replace(response, replica_version=version)
+                if version >= head
+                else self._repair(
+                    request, server_index, response, version, head, consistency
+                )
+                for request, response, (version, head) in zip(
+                    batch.requests, served, stamps
+                )
+            )
+        )
+
+    def _repair(self, request, server_index, response, version, head, consistency):
         repl = self.replication_manager
         list_id = request.list_id
-        version = repl.applied_version(list_id, server_index)
-        head = repl.head_version(list_id)
-        if version >= head:
-            return dataclasses.replace(response, replica_version=version)
         repl.observe_staleness(head - version)
         if repl.sync(list_id, server_index):
             repl.stats.read_repairs += 1
@@ -439,12 +454,6 @@ class _ReadWorld:
             )
         if isinstance(value, BatchFetchResponse):
             return [_ReadWorld._plain(r) for r in value.responses]
-        if isinstance(value, CoalescedBatchResponse):
-            return (
-                [_ReadWorld._plain(r) for r in value.responses],
-                value.slice_ids,
-                value.epoch,
-            )
         return value
 
     def outcome(self, call):
@@ -517,8 +526,7 @@ def _read_script(rng, steps, replicas_of):
         elif kind < 14:
             principal = rng.choice("uv")
             batch = BatchFetchRequest(
-                principal,
-                tuple(request(principal) for _ in range(rng.randint(1, 4))),
+                tuple(request(principal) for _ in range(rng.randint(1, 4)))
             )
             level = rng.choice(CONSISTENCIES)
             yield f"batch {batch} {level}", lambda c, b=batch, l=level: (
@@ -529,23 +537,15 @@ def _read_script(rng, steps, replicas_of):
             lists = range(READ_LISTS)
             if rng.random() < 0.8:  # mostly what a coordinator would route here
                 lists = [l for l in lists if server in replicas_of(l)]
-            batches = tuple(
-                BatchFetchRequest(
-                    principal,
-                    tuple(request(principal, lists) for _ in range(rng.randint(1, 3))),
-                )
+            # One or two principals' slices in one envelope, by principal.
+            slices = tuple(
+                one
                 for principal in rng.sample("uv", rng.randint(1, 2))
+                for one in [request(principal, lists) for _ in range(rng.randint(1, 3))]
             )
-            slices = sum(len(b) for b in batches)
-            yield f"envelope @{server} {batches} {level}", (
-                lambda c, s=server, b=batches, n=slices, l=level: c.serve_envelope(
-                    s,
-                    CoalescedBatchRequest(
-                        batches=b,
-                        slice_ids=tuple(range(100, 100 + n)),
-                        epoch=c.placement_epoch,
-                    ),
-                    l,
+            yield f"envelope @{server} {slices} {level}", (
+                lambda c, s=server, r=slices, l=level: c.serve_envelope(
+                    s, BatchFetchRequest(r, epoch=c.placement_epoch), l
                 )
             )
         else:
@@ -602,13 +602,71 @@ class TestReadPathRefinement:
     def test_a_slice_on_a_server_that_does_not_hold_its_list(self, keys):
         cluster = ServerCluster(keys, num_lists=4, num_servers=3)
         stranger = next(s for s in range(3) if s not in cluster.replicas_of(1))
-        envelope = CoalescedBatchRequest(
-            batches=(BatchFetchRequest.for_slices("u", [(1, 0, 1)]),),
-            slice_ids=(0,),
+        held = next(l for l in range(4) if stranger in cluster.replicas_of(l))
+        envelope = BatchFetchRequest(
+            (FetchRequest("u", held, 0, 1), FetchRequest("u", 1, 0, 1)),
             epoch=cluster.placement_epoch,
         )
         with pytest.raises(ProtocolError, match=f"server {stranger} does not hold list 1"):
             cluster.serve_envelope(stranger, envelope)
+        # Refused before anything was served, the slice it holds included.
+        assert cluster.observations_at(stranger) == []
+        assert cluster.total_calls == 0
+
+
+class TestStampBeforeServe:
+    """A strong read that repairs its replica partway through one server
+    call must not stamp the call's later, pre-repair slices as fresh: the
+    stamp of every slice is read before the serve."""
+
+    RANGES = (FetchRequest("u", 0, 0, 2), FetchRequest("u", 0, 2, 2))
+    TWO_PRINCIPALS = (FetchRequest("u", 0, 0, 2), FetchRequest("w", 0, 0, 2))
+
+    @pytest.mark.parametrize(
+        "envelope, level, requests, expected",
+        [
+            (False, "primary", RANGES, [slice(0, 2), slice(2, 4)]),
+            (True, "primary", RANGES, [slice(0, 2), slice(2, 4)]),
+            (True, "quorum", RANGES, [slice(0, 2), slice(2, 4)]),
+            (True, "primary", TWO_PRINCIPALS, [slice(0, 2), slice(0, 2)]),
+            (True, "quorum", TWO_PRINCIPALS, [slice(0, 2), slice(0, 2)]),
+        ],
+    )
+    def test_every_slice_of_a_call_reads_the_repaired_replica(
+        self, keys, envelope, level, requests, expected
+    ):
+        # Four writes the lagged follower has not seen, and the primary down.
+        keys.register("w", {"g"})
+        cluster = ServerCluster(keys, num_lists=1, num_servers=2, replication=2, lag=5)
+        elements = tuple(_element(0.9 - 0.1 * i, b"e%d" % i) for i in range(4))
+        for element in elements:
+            cluster.insert("u", 0, element)
+        primary, follower = cluster.replicas_of(0)
+        cluster.fail_server(primary)
+        if envelope:
+            batch = BatchFetchRequest(requests, epoch=cluster.placement_epoch)
+            replies = cluster.serve_envelope(follower, batch, level)
+        else:
+            replies = cluster.batch_fetch(BatchFetchRequest(requests), level)
+        assert [r.elements for r in replies] == [elements[s] for s in expected]
+        assert [r.replica_version for r in replies] == [4, 4]
+        stats = cluster.replication_stats
+        assert (stats.read_repairs, stats.read_reserves) == (1, 2)
+
+    def test_a_query_over_one_merged_list_ranks_as_the_single_server(self, system):
+        by_list = {}
+        for term in system.vocabulary.terms_by_frequency():
+            by_list.setdefault(system.merge_plan.list_of(term), []).append(term)
+        terms = next(found[:2] for found in by_list.values() if len(found) >= 2)
+        single = system.client_for("superuser").query_multi_batched(terms, 3)
+        cluster, _ = system.deploy_cluster(num_servers=2, replication=2, lag=5)
+        cluster.fail_server(cluster.replicas_of(system.merge_plan.list_of(terms[0]))[0])
+        reader = system.client_for("superuser", server=cluster)
+        result = reader.query_multi_batched(terms, 3)
+        assert result.ranked == single.ranked
+        satisfied = [[t.satisfied for t in r.traces] for r in (result, single)]
+        assert satisfied[0] == satisfied[1]
+        assert all(t.elements_transferred for t in result.traces)
 
 
 class TestReadInstrumentsPerServerCall:
@@ -642,13 +700,10 @@ class TestReadInstrumentsPerServerCall:
         assert {o.batch_id for s in range(2) for o in cluster.observations_at(s)} >= {1}
         assert self._counted(reads, lags, "one") == (3, 3)
         server = cluster.route(3)
+        envelope = BatchFetchRequest.for_slices("u", [(3, 0, 1), (3, 1, 1)])
         cluster.serve_envelope(
             server,
-            CoalescedBatchRequest(
-                batches=(BatchFetchRequest.for_slices("u", [(3, 0, 1), (3, 1, 1)]),),
-                slice_ids=(7, 8),
-                epoch=cluster.placement_epoch,
-            ),
+            BatchFetchRequest(envelope.requests, epoch=cluster.placement_epoch),
             "quorum",
         )
         assert self._counted(reads, lags, "quorum") == (2, 2)
@@ -757,10 +812,10 @@ class TestLoadAccounting:
         assert cluster.per_server_load() == [2, 1]
 
     def test_an_envelope_is_one_call(self, keys):
+        keys.register("v", {"g"})
         cluster = self._cluster(keys)
-        envelope = CoalescedBatchRequest(
-            batches=(BatchFetchRequest.for_slices("u", [(0, 0, 1), (2, 0, 1)]),),
-            slice_ids=(0, 1),
+        envelope = BatchFetchRequest(
+            (FetchRequest("u", 0, 0, 1), FetchRequest("v", 2, 0, 1)),
             epoch=cluster.placement_epoch,
         )
         cluster.serve_envelope(0, envelope)

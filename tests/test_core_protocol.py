@@ -128,14 +128,7 @@ class TestBatchFetchMessages:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ProtocolError):
-            BatchFetchRequest(principal="p", requests=())
-
-    def test_foreign_principal_rejected(self):
-        with pytest.raises(ProtocolError):
-            BatchFetchRequest(
-                principal="p",
-                requests=(self._request(), self._request(principal="q")),
-            )
+            BatchFetchRequest(requests=())
 
     def test_for_slices_builder(self):
         batch = BatchFetchRequest.for_slices("p", [(0, 0, 5), (3, 10, 2)])

@@ -5,11 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core.cluster import ServerCluster
-from repro.core.protocol import (
-    BatchFetchRequest,
-    CoalescedBatchRequest,
-    FetchRequest,
-)
+from repro.core.protocol import BatchFetchRequest, FetchRequest
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError, ProtocolError, UnavailableError
 from repro.index.postings import EncryptedPostingElement
@@ -111,6 +107,17 @@ class TestCoalescing:
         assert second.result().ranked == direct.ranked
         assert first.done
 
+    def test_drain_settles_a_submitted_session(self, system):
+        """``submit`` queues the session's first flush, so ``drain`` runs
+        it to its end as ``tick`` does."""
+        cluster, coordinator = system.deploy_cluster(num_servers=2, replication=2)
+        client = system.client_for("superuser", server=cluster)
+        term = system.vocabulary.terms_by_frequency()[0]
+        session = coordinator.submit(client.open_multi_session([term], 3))
+        assert coordinator.drain() >= 1
+        assert session.done
+        assert session.result().ranked == client.query_multi_batched([term], 3).ranked
+
 
 class TestFailureAndEpoch:
     def test_unavailable_list_raises_named_error(self, deployment):
@@ -132,13 +139,7 @@ class TestFailureAndEpoch:
         request = FetchRequest(
             principal="superuser", list_id=list_id, offset=0, count=2
         )
-        envelope = CoalescedBatchRequest(
-            batches=(
-                BatchFetchRequest(principal="superuser", requests=(request,)),
-            ),
-            slice_ids=(0,),
-            epoch=cluster.placement_epoch + 1,
-        )
+        envelope = BatchFetchRequest((request,), epoch=cluster.placement_epoch + 1)
         with pytest.raises(ProtocolError):
             cluster.serve_envelope(cluster.route(list_id), envelope)
 

@@ -189,6 +189,21 @@ class TestFetch:
         assert [e.trs for e in response.elements] == [0.9, 0.7, 0.5]
         assert all(e.group == "g1" for e in response.elements)
 
+    def test_a_batch_serves_each_slice_under_its_own_principal(self, server):
+        """A coordinator envelope holds many principals' slices: each is
+        answered from its own principal's readable view, in one call."""
+        self._populate(server)
+        alice, bob = FetchRequest("alice", 0, 0, 10), FetchRequest("bob", 0, 0, 10)
+        server.clear_observations()
+        mixed = server.batch_fetch(BatchFetchRequest((alice, bob)))
+        trs = [[e.trs for e in r.elements] for r in mixed]
+        assert trs == [[0.9, 0.7, 0.5], [0.8, 0.6]]
+        singles = [server.fetch(alice).elements, server.fetch(bob).elements]
+        assert [r.elements for r in mixed] == singles
+        first, second = server.observations[:2]
+        assert (first.principal, second.principal) == ("alice", "bob")
+        assert first.batch_id == second.batch_id is not None
+
     def test_offsets_count_within_readable_view(self, server):
         self._populate(server)
         response = server.fetch(

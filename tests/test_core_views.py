@@ -72,8 +72,9 @@ def test_views_match_list_backed_reference(seed):
             live.append(element)
         elif roll < 0.7:
             element = live.pop(rng.randrange(len(live)))
-            removed = merged.remove_by_ciphertext(element.ciphertext)
-            assert removed is element
+            position, found = merged.find_by_ciphertext(element.ciphertext)
+            assert found is element
+            assert merged.pop_at(position) is element
             views.note_delete(merged, element)
         elif roll < 0.8:
             principal = rng.choice(PRINCIPALS)

@@ -202,15 +202,19 @@ class TestTryDecryptMany:
         assert result[:8] == [b"element-%d" % i for i in range(8)]
         assert result[8:] == [None, None, None]
 
-    def test_decrypt_many_raises_on_failure(self):
+    def test_decrypt_raises_where_the_skim_returns_none(self):
         cipher, batch = self._batch()
-        with pytest.raises(AuthenticationError):
-            cipher.decrypt_many(batch)
+        for ciphertext, skimmed in zip(batch, cipher.try_decrypt_many(batch)):
+            if skimmed is None:
+                with pytest.raises(AuthenticationError):
+                    cipher.decrypt(ciphertext)
+            else:
+                assert cipher.decrypt(ciphertext) == skimmed
 
-    def test_decrypt_many_all_good(self):
+    def test_decrypt_all_good(self):
         cipher = StreamCipher(KEY)
         batch = [cipher.encrypt(b"m%d" % i, bytes([i]) * 16) for i in range(5)]
-        assert cipher.decrypt_many(batch) == [b"m%d" % i for i in range(5)]
+        assert [cipher.decrypt(ct) for ct in batch] == [b"m%d" % i for i in range(5)]
 
     def test_empty_plaintexts(self):
         cipher = StreamCipher(KEY)
@@ -302,7 +306,7 @@ class TestDecodedMemo:
         raw = [b"hot-%d" % i for i in range(4)]
         assert cipher.try_decrypt_many(batch) == raw
         assert [cipher.try_decrypt(ct) for ct in batch] == raw
-        assert cipher.decrypt_many(batch) == raw
+        assert [cipher.decrypt(ct) for ct in batch] == raw
         assert cipher.memo_hits == 0  # raw callers went around the memo ...
         assert cipher.try_decrypt_many(batch, _decode) == decoded
         assert cipher.memo_hits == 4  # ... and left the decoder's entries alone

@@ -498,7 +498,7 @@ class TestKeySyncInvariant:
         for trs, payload in [(0.9, b"a"), (0.5, b"b"), (0.2, b"c")]:
             merged.add_sorted_by_trs(self._sorted_el(trs, payload))
         merged.add_random(self._random_el(b"rnd"), rng)
-        merged.remove_by_ciphertext(b"rnd")
+        merged.pop_at(merged.find_by_ciphertext(b"rnd")[0])
         merged.add_sorted_by_trs(self._sorted_el(0.8, b"d"))
         assert [e.trs for e in merged] == [0.9, 0.8, 0.5, 0.2]
         assert merged.keys_in_sync()
@@ -524,7 +524,9 @@ class TestKeySyncInvariant:
                 live.append(payload)
             elif live:
                 victim = live.pop(int(rng.integers(0, len(live))))
-                assert merged.remove_by_ciphertext(victim) is not None
+                found = merged.find_by_ciphertext(victim)
+                assert found is not None
+                merged.pop_at(found[0])
             assert merged.keys_in_sync()
         assert len(merged) == len(live)
 
@@ -539,9 +541,8 @@ class TestKeySyncInvariant:
             )
             live.append(payload)
             if i % 3 == 2:
-                merged.remove_by_ciphertext(
-                    live.pop(int(rng.integers(0, len(live))))
-                )
+                victim = live.pop(int(rng.integers(0, len(live))))
+                merged.pop_at(merged.find_by_ciphertext(victim)[0])
             trs = [e.trs for e in merged]
             assert trs == sorted(trs, reverse=True)
             assert merged.keys_in_sync()

@@ -181,9 +181,7 @@ class TestEndToEndSpanChain:
 
         session = client.open_multi_session(terms, k=2)
         first, second = cluster.batch_fetch(
-            BatchFetchRequest(
-                principal=client.principal, requests=session.pending_requests()
-            )
+            BatchFetchRequest(session.pending_requests())
         ).responses
         assert first.elements and second.elements
         group = second.elements[0].group
