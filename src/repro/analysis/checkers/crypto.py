@@ -36,7 +36,7 @@ from repro.analysis.framework import (
 _SANCTIONED_MODULES = ("repro.crypto",)
 
 #: Stateful constructions whose duplication breaks nonce/keystream safety.
-_STATEFUL_CONSTRUCTORS = frozenset({"StreamCipher", "NonceSequence", "XofKeystream"})
+_STATEFUL_CONSTRUCTORS = frozenset({"StreamCipher", "NonceSequence"})
 
 _RAW_HASH_PREFIXES = ("hmac.", "hashlib.")
 
@@ -45,8 +45,8 @@ _RAW_HASH_PREFIXES = ("hmac.", "hashlib.")
 class CryptoConstructChecker(Checker):
     rule = "crypto-construct"
     description = (
-        "no StreamCipher/NonceSequence/XofKeystream or raw hmac/hashlib "
-        "construction outside repro.crypto (nonce-reuse hazard)"
+        "no StreamCipher/NonceSequence or raw hmac/hashlib construction "
+        "outside repro.crypto (nonce-reuse hazard)"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

@@ -2,7 +2,7 @@
 
 Wire format of a ciphertext::
 
-    nonce (16 bytes) || body (len(plaintext) bytes) || tag (16 bytes)
+    nonce (12 bytes) || body (len(plaintext) bytes) || tag (16 bytes)
 
 ``body = plaintext XOR keystream(nonce)``; the tag is keyed BLAKE2b-128
 over ``nonce || body`` under an independent MAC subkey (encrypt-then-MAC;
@@ -12,16 +12,41 @@ BLAKE2's keyed mode is a MAC by design, RFC 7693), checked on decryption
 querying client must be able to tell "not my group's element" apart from
 data corruption).
 
+The keystream is keyed BLAKE2b-512 under the enc subkey, in counter
+mode: block 0 is ``BLAKE2b(enc_subkey; nonce)`` and block ``i >= 1`` is
+``BLAKE2b(enc_subkey; nonce || i)`` with ``i`` as 8 big-endian bytes, the
+blocks concatenated and cut to the body length.  Every block hashes a
+distinct input (block 0's is 12 bytes long, every other one 20), so the
+blocks are independent PRF outputs.  A body of up to 64 bytes — every
+posting element, a 10-byte header plus its doc id — is block 0 alone.
+
+The nonce is 96 bits, the AEAD nonce width of RFC 5116 and RFC 8439.
+:class:`NonceSequence` derives it from the plaintext it protects, so a
+repeat needs an equal plaintext and then gives the identical ciphertext;
+two *distinct* inputs share a nonce only by a collision of the 96-bit
+PRF, which the birthday bound puts at ~2^48 encryptions under one
+(principal, group) key — far past any index this code builds.
+
+The MAC subkey is derived under the label ``"mac:v6"``: a ciphertext
+sealed with the 16-byte nonce and SHAKE-256 keystream of dump format v5
+covers the same bytes with its tag, so under the old subkey it would
+verify and then decrypt to garbage; under the new one it fails its tag
+and is refused like any foreign element.
+
 Performance model — this cipher sits on the fetch hot path (a querying
 client skims every readable element of every fetched slice, the elements
 past k included), so every layer of the per-element cost is flattened:
 
-* the keystream is one :class:`~repro.crypto.prf.XofKeystream` squeeze
-  (``SHAKE-256(enc_subkey || nonce)`` expanded to the body length in a
-  single C call) instead of one HMAC invocation per 32 bytes;
+* a posting's keystream is one keyed BLAKE2b digest — ``copy`` /
+  ``update`` / ``digest`` of the state keyed once in ``__init__``, the
+  tag's construction — so opening an element is two keyed BLAKE2b
+  hashes (a SHAKE-256 state copy alone costs more than a whole keyed
+  BLAKE2b digest).  Only a body past 64 bytes (a snippet) leaves the
+  inline path for :meth:`StreamCipher._stream`;
 * the XOR is a single arbitrary-precision integer operation
   (``int.from_bytes(a) ^ int.from_bytes(b)``), three C-level calls instead
-  of one Python iteration per byte;
+  of one Python iteration per byte; the one-block keystream is cut to the
+  body length by a right shift of its integer, not a slice;
 * the tag is one keyed hash: the BLAKE2b state keyed with the MAC subkey
   is built once and each tag is ``copy`` / ``update`` / ``digest`` of it,
   where HMAC-SHA256 needs an inner and an outer state per tag (about
@@ -62,11 +87,13 @@ from collections.abc import Callable, Iterable
 from hmac import compare_digest as _compare_digest
 from typing import Any, TypeVar, overload
 
-from repro.crypto.prf import XofKeystream, derive_key
+from repro.crypto.prf import derive_key
 from repro.errors import AuthenticationError
 
-NONCE_SIZE = 16
+NONCE_SIZE = 12
 TAG_SIZE = 16
+#: One keystream block: a BLAKE2b-512 digest, the longest one-block body.
+BLOCK_SIZE = 64
 
 _T = TypeVar("_T")
 _Decoder = Callable[[bytes], Any]
@@ -104,10 +131,12 @@ class StreamCipher:
         if memo_capacity < 0:
             raise ValueError("memo_capacity must be non-negative")
         # The keyed states themselves stay private to these bound methods:
-        # every keystream and every tag starts from a copy of one of them.
-        self._keystream = XofKeystream(derive_key(master_key, "enc"))._state.copy
+        # every keystream block and every tag starts from a copy of one.
+        self._keystream = hashlib.blake2b(
+            key=derive_key(master_key, "enc"), digest_size=BLOCK_SIZE
+        ).copy
         self._mac = hashlib.blake2b(
-            key=derive_key(master_key, "mac"), digest_size=TAG_SIZE
+            key=derive_key(master_key, "mac:v6"), digest_size=TAG_SIZE
         ).copy
         # ciphertext -> _memo_decoder(verified plaintext); None = raw bytes
         self._memo: dict[bytes, Any] = {}
@@ -118,18 +147,20 @@ class StreamCipher:
     def encrypt(self, plaintext: bytes, nonce: bytes) -> bytes:
         """Encrypt *plaintext*; *nonce* must be unique per message.
 
-        Nonces are caller-supplied (16 bytes) so that tests and simulations
+        Nonces are caller-supplied (12 bytes) so that tests and simulations
         stay deterministic; :class:`NonceSequence` provides a safe default,
         ``next(plaintext)``.
         """
         if len(nonce) != NONCE_SIZE:
             raise ValueError(f"nonce must be {NONCE_SIZE} bytes")
         size = len(plaintext)
-        xof = self._keystream()
-        xof.update(nonce)
-        head = nonce + (
-            int.from_bytes(plaintext, "big") ^ int.from_bytes(xof.digest(size), "big")
-        ).to_bytes(size, "big")
+        if size <= BLOCK_SIZE:
+            block = self._keystream()
+            block.update(nonce)
+            stream = int.from_bytes(block.digest(), "big") >> (BLOCK_SIZE - size) * 8
+        else:
+            stream = self._stream(nonce, size)
+        head = nonce + (int.from_bytes(plaintext, "big") ^ stream).to_bytes(size, "big")
         mac = self._mac()
         mac.update(head)
         return head + mac.digest()
@@ -144,11 +175,22 @@ class StreamCipher:
             raise AuthenticationError("ciphertext failed integrity check")
         body = ciphertext[NONCE_SIZE:-TAG_SIZE]
         size = len(body)
-        xof = self._keystream()
-        xof.update(ciphertext[:NONCE_SIZE])
-        return (
-            int.from_bytes(body, "big") ^ int.from_bytes(xof.digest(size), "big")
-        ).to_bytes(size, "big")
+        stream = self._stream(ciphertext[:NONCE_SIZE], size)
+        return (int.from_bytes(body, "big") ^ stream).to_bytes(size, "big")
+
+    def _stream(self, nonce: bytes, size: int) -> int:
+        """The keystream of a *size*-byte body, as the integer of its
+        big-endian bytes: block 0 over *nonce*, then block ``i`` over
+        ``nonce || i``, concatenated and cut to *size*.  :meth:`encrypt`
+        and :meth:`try_decrypt` inline the one-block case."""
+        blocks = []
+        for counter in range(-(-size // BLOCK_SIZE)):
+            block = self._keystream()
+            block.update(nonce + counter.to_bytes(8, "big") if counter else nonce)
+            blocks.append(block.digest())
+        return int.from_bytes(b"".join(blocks), "big") >> (
+            len(blocks) * BLOCK_SIZE - size
+        ) * 8
 
     @overload
     def try_decrypt(self, ciphertext: bytes, decode: None = None) -> bytes | None: ...
@@ -197,11 +239,13 @@ class StreamCipher:
             return None
         body = ciphertext[NONCE_SIZE:-TAG_SIZE]
         size = len(body)
-        xof = self._keystream()
-        xof.update(ciphertext[:NONCE_SIZE])
-        value: Any = (
-            int.from_bytes(body, "big") ^ int.from_bytes(xof.digest(size), "big")
-        ).to_bytes(size, "big")
+        if size <= BLOCK_SIZE:
+            block = self._keystream()
+            block.update(ciphertext[:NONCE_SIZE])
+            stream = int.from_bytes(block.digest(), "big") >> (BLOCK_SIZE - size) * 8
+        else:
+            stream = self._stream(ciphertext[:NONCE_SIZE], size)
+        value: Any = (int.from_bytes(body, "big") ^ stream).to_bytes(size, "big")
         if decode is not None:
             value = decode(value)
         capacity = self._memo_capacity
@@ -231,17 +275,22 @@ class StreamCipher:
 class NonceSequence:
     """Deterministic nonces bound to their plaintext, SIV-style (RFC 5297).
 
-    ``next(plaintext)`` is keyed BLAKE2b-128 under a nonce subkey over
+    ``next(plaintext)`` is keyed BLAKE2b-96 under a nonce subkey over
     ``counter (8 bytes) || plaintext``: the state keyed once in
     ``__init__`` is copied, updated and digested per nonce, the tag's
-    construction.  Two nonces of one sequence repeat only where the
-    counter *and* the plaintext repeat.  Within a process the counter
-    never repeats.  Across a restart it does — a sequence rebuilt from the
-    same key starts at 0 again, e.g. after a dump is reloaded under the
-    deployment secret — and then a repeated nonce needs an equal
-    plaintext, whose ciphertext is the identical byte string: it shows the
-    server that two elements are equal and nothing more, where a counter
-    alone would give it the XOR of two different plaintexts.
+    construction.  The 12 bytes are the AEAD nonce width of RFC 5116 and
+    RFC 8439.  Two nonces of one sequence repeat where the counter *and*
+    the plaintext repeat, or where two distinct inputs collide under the
+    96-bit PRF: by the birthday bound the chance is about ``n^2 / 2^97``
+    after ``n`` encryptions under one (principal, group) key, so a
+    collision becomes likely only after ~2^48 of them.  Within a process
+    the counter never repeats.  Across a restart it does — a sequence
+    rebuilt from the same key starts at 0 again, e.g. after a dump is
+    reloaded under the deployment secret — and then a repeated nonce
+    needs an equal plaintext, whose ciphertext is the identical byte
+    string: it shows the server that two elements are equal and nothing
+    more, where a counter alone would give it the XOR of two different
+    plaintexts.
     """
 
     __slots__ = ("_prf", "_counter")

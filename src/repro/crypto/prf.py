@@ -7,10 +7,6 @@ blocks) on every call, plus the ``hmac`` module's per-object overhead.  A
 construction and answers every :meth:`evaluate` from ``.copy()`` of those
 states — six C-level hashlib calls per PRF block, no re-keying, byte
 identical to ``hmac.new(key, message, sha256).digest()``.
-:meth:`keystream` additionally absorbs the nonce into a third state that
-is copied per counter block, and produces exactly the requested length
-(single-block requests — the common case for posting elements — take a
-no-join fast path).
 """
 
 from __future__ import annotations
@@ -63,78 +59,6 @@ class Prf:
         block = self.evaluate(message)
         mantissa = int.from_bytes(block[:8], "big") >> 11  # top 53 bits
         return mantissa / float(1 << 53)
-
-    def keystream(self, nonce: bytes, length: int) -> bytes:
-        """*length* pseudo-random bytes bound to *nonce* (counter mode).
-
-        Block ``i`` is ``HMAC(key, nonce || i)`` — identical bytes to the
-        straight-line loop, but generated from precomputed hash states
-        (the nonce is absorbed once, each block costs two state copies and
-        two short updates) with the trailing block trimmed before joining,
-        so exactly *length* bytes are materialised.
-        """
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        if length == 0:
-            return b""
-        outer = self._outer
-        if length <= DIGEST_SIZE:
-            # Single-block fast path: no seeded-state copy, no join.
-            inner = self._inner.copy()
-            inner.update(nonce + b"\x00\x00\x00\x00\x00\x00\x00\x00")
-            out = outer.copy()
-            out.update(inner.digest())
-            block = out.digest()
-            return block if length == DIGEST_SIZE else block[:length]
-        seeded = self._inner.copy()
-        seeded.update(nonce)
-        seeded_copy = seeded.copy
-        outer_copy = outer.copy
-        num_blocks = -(-length // DIGEST_SIZE)
-        parts = []
-        append = parts.append
-        for counter in range(num_blocks):
-            inner = seeded_copy()
-            inner.update(counter.to_bytes(8, "big"))
-            out = outer_copy()
-            out.update(inner.digest())
-            append(out.digest())
-        tail = length - (num_blocks - 1) * DIGEST_SIZE
-        if tail != DIGEST_SIZE:
-            parts[-1] = parts[-1][:tail]
-        return b"".join(parts)
-
-
-class XofKeystream:
-    """Arbitrary-length keystream from a prefix-keyed SHAKE-256 sponge.
-
-    ``keystream(nonce, n)`` squeezes ``SHAKE-256(key || nonce)`` to *n*
-    bytes — the whole stream comes out of ONE extendable-output digest
-    call instead of one HMAC invocation per 32 bytes, which is what makes
-    the decrypt-skim hot path fast.  The key is absorbed once at
-    construction; each call copies the keyed state and absorbs the nonce.
-    A secret-prefix sponge is a PRF for fixed-length keys (the KMAC
-    construction minus its encoding frills); callers must pass a
-    fixed-width key such as a :func:`derive_key` output so the key/nonce
-    boundary is unambiguous.
-    """
-
-    KEY_SIZE = DIGEST_SIZE  # fixed width keeps the key || nonce split sound
-
-    __slots__ = ("_state",)
-
-    def __init__(self, key: bytes) -> None:
-        if len(key) != self.KEY_SIZE:
-            raise ValueError(f"XOF keystream key must be {self.KEY_SIZE} bytes")
-        self._state = hashlib.shake_256(key)
-
-    def keystream(self, nonce: bytes, length: int) -> bytes:
-        """*length* pseudo-random bytes bound to *nonce*, one squeeze."""
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        state = self._state.copy()
-        state.update(nonce)
-        return state.digest(length)
 
 
 def derive_key(master_key: bytes, label: str) -> bytes:

@@ -11,11 +11,12 @@ queries/s; a 56 Kb/s modem user downloads an answer in ≈0.5 s.
 counts, so the §6.6 benchmark can plug in our synthetic-ODP numbers.
 
 The 64 bits are the paper's assumption.  A *measured* element of the e2e
-bench corpus (13-byte doc id) is 504 bits on the wire — nonce 16 +
+bench corpus (13-byte doc id) is 472 bits on the wire — nonce 12 +
 header 10 (tf, doc length, term number) + doc id + tag 16 bytes, plus
-the 64-bit TRS (``EncryptedPostingElement.size_bits``; 560 bits while the
-header spelled the 10-byte term out, 736 while the plaintext was
-canonical JSON): ``NetworkModel(element_bits=504)`` prices that.
+the 64-bit TRS (``EncryptedPostingElement.size_bits``; 504 bits while the
+nonce was 16 bytes, 560 while the header spelled the 10-byte term out,
+736 while the plaintext was canonical JSON):
+``NetworkModel(element_bits=472)`` prices that.
 """
 
 from __future__ import annotations

@@ -30,9 +30,9 @@ element, whose ``to_bytes(number)`` is that byte string again, or to a
 :class:`~repro.errors.ProtocolError` — a number outside the plan
 included.
 
-What the server learns from a length: the cipher adds a 16-byte nonce
+What the server learns from a length: the cipher adds a 12-byte nonce
 and a 16-byte tag and does not hide the body's length, so the untrusted
-server sees ``len(ciphertext) == 16 + 10 + len(doc_id) + 16`` (UTF-8
+server sees ``len(ciphertext) == 12 + 10 + len(doc_id) + 16`` (UTF-8
 bytes) for every element — a function of the document alone, the same
 for every term, tf and doc_length (pinned in
 ``tests/test_integration_security.py``).  When the term was spelled out,

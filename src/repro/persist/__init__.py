@@ -17,20 +17,23 @@ Two dump kinds share one version-tagged JSON container:
   :func:`load_cluster`), including its replication logs; see
   :mod:`repro.persist.clusterstate`.
 
-The container is format **v5**, the only version this build writes or
-reads.  It is renumbered because every stored tag changed: a ciphertext
-is now tagged with keyed BLAKE2b-128 (:mod:`repro.crypto.cipher`), not
-truncated HMAC-SHA256, at the same 16 bytes.  Ciphertexts are opaque to
-the host, so an older dump would restore without complaint and then
-answer wrongly without an error: every v4 element fails its tag, so
-every query comes back empty.  (A v3 element would also misread its
-plaintext — its term-length byte and first three term bytes read as a
-term number — and a v2 element, canonical JSON, never decodes at all.)
-Any other version is therefore refused with a
-:class:`~repro.errors.ConfigurationError` naming the file, the version
-found and the version read.  Re-index to carry an older index over.
+The container is format **v6**, the only version this build writes or
+reads.  It is renumbered because every stored ciphertext changed: a v6
+element carries a 12-byte nonce and a keyed-BLAKE2b keystream
+(:mod:`repro.crypto.cipher`) where v5 carried a 16-byte nonce and a
+SHAKE-256 one, and its tag is keyed under a new MAC subkey, so every v5
+element fails its tag.  Ciphertexts are opaque to the host, so an older
+dump would restore without complaint and then answer wrongly without an
+error: every query would come back empty.  (Every v4 element fails its
+tag too — keyed BLAKE2b-128 replaced truncated HMAC-SHA256 in v5; a v3
+element would also misread its plaintext — its term-length byte and
+first three term bytes read as a term number — and a v2 element,
+canonical JSON, never decodes at all.)  Any other version is therefore
+refused with a :class:`~repro.errors.ConfigurationError` naming the
+file, the version found and the version read.  Re-index to carry an
+older index over.
 
-The same bump dropped the blocks only v4 dumps carry: the cluster's
+The v5 bump dropped the blocks only v4 dumps carry: the cluster's
 ``lag`` is written and read as the int it is (v4 wrapped it as
 ``{"fixed_ticks": n}`` beside a ``per_server`` table that no build
 restored), and no server section holds ``heat`` or ``views`` any more.

@@ -1,23 +1,21 @@
 """Write the format-v5 cluster dump that ``tests/test_persist_cluster.py``
-loads, and the answers it must give.
+expects to be refused.
 
     PYTHONPATH=src python tests/fixtures/make_cluster_v5.py
 
 A three-server, two-way replicated deployment of a twelve-document corpus
 under ``SECRET``, caught up, then one new document written by its group's
 owner and a third of it deleted again at lag 2, so the dump's replication
-logs still hold insert and delete ops a follower has not applied.  Beside
-``cluster_v5.json`` it writes ``cluster_v5_queries.json``: the groups, and
-``superuser``'s ranking of a few multi-term queries just before the dump.
+logs still hold insert and delete ops a follower has not applied.
 
-The committed pair was written by the v5 code whose nonces were
-HMAC-SHA256 of a bare counter and whose log ops were dataclasses;
-rerunning this script overwrites it with what the code in the tree writes.
+The committed ``cluster_v5.json`` was written by the v5 code: 16-byte
+nonces (HMAC-SHA256 of a bare counter), a SHAKE-256 keystream and
+dataclass log ops.  Rerunning this script overwrites it with what the
+code in the tree writes, which is no longer a v5 dump.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro import SystemConfig, ZerberRSystem
@@ -28,7 +26,6 @@ from repro.text.analysis import DocumentStats
 
 HERE = Path(__file__).resolve().parent
 SECRET = b"cluster-v5-fixture-secret-012345"
-K = 4
 
 
 def corpus():
@@ -62,19 +59,7 @@ def main() -> None:
         DocumentStats.from_counts("fixture-new", counts), group
     )
     owner.delete_document(receipts[: len(receipts) // 3])
-    reader = system.client_for("superuser", server=cluster)
-    terms = sorted(counts)
-    queries = [terms[i : i + 2] for i in range(0, len(terms), 2)]
-    expected = {
-        "groups": sorted(source.groups()),
-        "k": K,
-        "queries": [
-            {"terms": q, "ranked": reader.query_multi_batched(q, K).ranked}
-            for q in queries
-        ],
-    }
     save_cluster(HERE / "cluster_v5.json", cluster, system.merge_plan, system.rstf_model)
-    (HERE / "cluster_v5_queries.json").write_text(json.dumps(expected, indent=1) + "\n")
 
 
 if __name__ == "__main__":

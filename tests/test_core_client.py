@@ -17,7 +17,7 @@ from repro.core.protocol import BatchFetchRequest, FetchResponse, ResponsePolicy
 from repro.core.router import Coordinator
 from repro.core.rstf import RstfModel, train_rstf
 from repro.core.server import ZerberRServer
-from repro.crypto.cipher import StreamCipher
+from repro.crypto.cipher import NONCE_SIZE, StreamCipher
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ProtocolError, UnknownTermError
 from repro.index.merge import MergePlan
@@ -738,7 +738,7 @@ class TestTracesAgree:
     def _poison(self, keys, server, list_id, group, owner):
         """An element that passes its MAC and decodes malformed, written
         through the owner's cipher, at the head of *list_id*."""
-        bad = keys.cipher_for(owner, group).encrypt(b'{"t":"t"}', b"\x07" * 16)
+        bad = keys.cipher_for(owner, group).encrypt(b'{"t":"t"}', b"\x07" * NONCE_SIZE)
         server.insert(
             owner, list_id, EncryptedPostingElement(ciphertext=bad, group=group, trs=1.0)
         )

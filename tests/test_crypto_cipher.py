@@ -77,7 +77,7 @@ class TestStreamCipher:
 
 
 def reference_nonce(master_key: bytes, label: str, counter: int, plaintext: bytes) -> bytes:
-    """One-shot keyed BLAKE2b-128 over ``counter || plaintext`` under the
+    """One-shot keyed BLAKE2b-96 over ``counter || plaintext`` under the
     label's subkey, derived with a one-shot HMAC: no precomputed state."""
     subkey = hmac.new(master_key, b"derive:" + label.encode(), hashlib.sha256).digest()
     message = counter.to_bytes(8, "big") + plaintext

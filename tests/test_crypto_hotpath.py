@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.cipher import NONCE_SIZE, TAG_SIZE, StreamCipher
 from repro.core.client import skim_matches
-from repro.crypto.prf import Prf, XofKeystream, derive_key
+from repro.crypto.prf import Prf, derive_key
 from repro.errors import AuthenticationError, ProtocolError
 from repro.index.merge import MergePlan
 from repro.index.postings import EncryptedPostingElement, PostingElement
@@ -36,30 +36,25 @@ def reference_prf(key: bytes, message: bytes) -> bytes:
     return hmac.new(key, message, hashlib.sha256).digest()
 
 
-def reference_hmac_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """The pre-PR chunked loop: HMAC(key, nonce || counter) blocks, trimmed."""
+def reference_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
+    """One-shot keyed BLAKE2b-512 blocks, no precomputed state: block 0
+    over the nonce, block ``i >= 1`` over ``nonce || i``, cut to length."""
     blocks = []
     counter = 0
-    produced = 0
-    while produced < length:
-        block = reference_prf(key, nonce + counter.to_bytes(8, "big"))
-        blocks.append(block)
-        produced += len(block)
+    while 64 * counter < length:
+        message = nonce + counter.to_bytes(8, "big") if counter else nonce
+        blocks.append(hashlib.blake2b(message, key=key).digest())
         counter += 1
     return b"".join(blocks)[:length]
 
 
-def reference_xof_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """One-shot SHAKE-256(key || nonce) squeeze, no precomputed state."""
-    return hashlib.shake_256(key + nonce).digest(length)
-
-
 def reference_encrypt(master_key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
-    """The cipher construction, spelled out byte by byte: one-shot keyed
-    BLAKE2b-128 over ``nonce || body``, no precomputed state."""
+    """The cipher construction, spelled out byte by byte: a one-shot
+    keyed-BLAKE2b keystream and a one-shot keyed BLAKE2b-128 tag over
+    ``nonce || body``, no precomputed state."""
     enc_key = reference_prf(master_key, b"derive:enc")
-    mac_key = reference_prf(master_key, b"derive:mac")
-    stream = reference_xof_keystream(enc_key, nonce, len(plaintext))
+    mac_key = reference_prf(master_key, b"derive:mac:v6")
+    stream = reference_keystream(enc_key, nonce, len(plaintext))
     body = bytes(p ^ s for p, s in zip(plaintext, stream))
     tag = hashlib.blake2b(nonce + body, key=mac_key, digest_size=TAG_SIZE).digest()
     return nonce + body + tag
@@ -68,9 +63,20 @@ def reference_encrypt(master_key: bytes, plaintext: bytes, nonce: bytes) -> byte
 def hmac_tagged(master_key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
     """The same ciphertext tagged the way format v4 did: HMAC-SHA256 under
     the same MAC subkey, truncated to the same 16 bytes."""
-    mac_key = reference_prf(master_key, b"derive:mac")
+    mac_key = reference_prf(master_key, b"derive:mac:v6")
     head = reference_encrypt(master_key, plaintext, nonce)[:-TAG_SIZE]
     return head + reference_prf(mac_key, head)[:TAG_SIZE]
+
+
+def v5_sealed(master_key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
+    """A ciphertext as format v5 sealed it: a 16-byte nonce, a
+    ``SHAKE-256(enc_subkey || nonce)`` keystream and keyed BLAKE2b-128
+    over ``nonce || body`` under the ``"mac"`` subkey."""
+    enc_key = reference_prf(master_key, b"derive:enc")
+    mac_key = reference_prf(master_key, b"derive:mac")
+    stream = hashlib.shake_256(enc_key + nonce).digest(len(plaintext))
+    head = nonce + bytes(p ^ s for p, s in zip(plaintext, stream))
+    return head + hashlib.blake2b(head, key=mac_key, digest_size=TAG_SIZE).digest()
 
 
 # -- known-answer vectors (pin the bytes across future refactors) -------------
@@ -83,30 +89,18 @@ class TestKnownAnswers:
             "e9e09b8fc1e517307c72b6fbcbdee547"
         )
 
-    def test_prf_keystream(self):
-        assert Prf(KEY).keystream(b"kat-nonce", 48).hex() == (
-            "7ba3d32fb0153c9cbbdc0b02166e10f9"
-            "1892541230d8718460ed38f01f081c83"
-            "16032578415cfccded60dbd6d76d5830"
-        )
-
     def test_derive_key(self):
         assert derive_key(KEY, "enc").hex() == (
             "da1e7564d2b19f985e5bbf440318a564"
             "f4087d70c87fb15f245049d107cc5611"
         )
 
-    def test_xof_keystream(self):
-        assert XofKeystream(derive_key(KEY, "enc")).keystream(NONCE, 24).hex() == (
-            "8d353692a009a49c33028ffbfc7bcbb756b33e86771484eb"
-        )
-
     # Pinned from reference_encrypt, not from the code under test.
     def test_cipher_encrypt(self):
         assert StreamCipher(KEY).encrypt(b"attack at dawn", NONCE).hex() == (
-            "000102030405060708090a0b0c0d0e0f"
-            "ec4142f3c36284fd4722eb9a8b156300"
-            "19795116f86dded974f6c7ae6834"
+            "000102030405060708090a0b"  # nonce
+            "af620120a3c5fea29974f20d0e31"  # body
+            "0db6a6044b68e4fa28eb1186374e991b"  # tag
         )
 
 
@@ -117,31 +111,6 @@ class TestKnownAnswers:
 @settings(max_examples=150, deadline=None)
 def test_prf_matches_hmac(key, message):
     assert Prf(key).evaluate(message) == reference_prf(key, message)
-
-
-@given(
-    key=key_strategy,
-    nonce=st.binary(min_size=1, max_size=32),
-    length=st.integers(min_value=0, max_value=200),
-)
-@settings(max_examples=150, deadline=None)
-def test_prf_keystream_matches_reference(key, nonce, length):
-    assert Prf(key).keystream(nonce, length) == reference_hmac_keystream(
-        key, nonce, length
-    )
-
-
-@given(
-    key=key_strategy,
-    nonce=nonce_strategy,
-    length=st.integers(min_value=0, max_value=200),
-)
-@settings(max_examples=150, deadline=None)
-def test_xof_keystream_matches_reference(key, nonce, length):
-    xof_key = derive_key(key, "enc")
-    assert XofKeystream(xof_key).keystream(nonce, length) == (
-        reference_xof_keystream(xof_key, nonce, length)
-    )
 
 
 @given(key=key_strategy, nonce=nonce_strategy, plaintext=st.binary(max_size=300))
@@ -155,10 +124,21 @@ def test_encrypt_matches_reference(key, nonce, plaintext):
 @given(key=key_strategy, nonce=nonce_strategy, plaintext=st.binary(max_size=300))
 @settings(max_examples=150, deadline=None)
 def test_roundtrip_through_reference_ciphertext(key, nonce, plaintext):
-    """A reference-built ciphertext decrypts on the optimized path."""
-    assert StreamCipher(key).decrypt(
-        reference_encrypt(key, plaintext, nonce)
-    ) == plaintext
+    """A reference-built ciphertext opens on both optimized paths, the
+    inline one-block keystream and the multi-block one alike."""
+    ciphertext = reference_encrypt(key, plaintext, nonce)
+    cipher = StreamCipher(key)
+    assert cipher.decrypt(ciphertext) == cipher.try_decrypt(ciphertext) == plaintext
+
+
+@pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 127, 128, 129, 300])
+def test_the_block_edges_match_the_reference(size):
+    """64 bytes is the last one-digest body, 65 the first to need block 1."""
+    plaintext = bytes(index % 256 for index in range(size))
+    cipher = StreamCipher(KEY)
+    ciphertext = cipher.encrypt(plaintext, NONCE)
+    assert ciphertext == reference_encrypt(KEY, plaintext, NONCE)
+    assert cipher.decrypt(ciphertext) == cipher.try_decrypt(ciphertext) == plaintext
 
 
 @given(key=key_strategy, nonce=nonce_strategy, plaintext=st.binary(max_size=300))
@@ -168,6 +148,25 @@ def test_an_hmac_tagged_ciphertext_is_refused(key, nonce, plaintext):
     body, same subkey, but the kernel skips it, the raising path refuses
     it, and nothing is memoised."""
     ciphertext = hmac_tagged(key, plaintext, nonce)
+    cipher = StreamCipher(key)
+    assert cipher.try_decrypt(ciphertext) is None
+    assert cipher.try_decrypt(ciphertext, _decode) is None
+    with pytest.raises(AuthenticationError):
+        cipher.decrypt(ciphertext)
+    assert cipher._memo == {} and cipher.memo_hits == 0
+
+
+@given(
+    key=key_strategy,
+    nonce=st.binary(min_size=16, max_size=16),
+    plaintext=st.binary(max_size=300),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_v5_sealed_ciphertext_is_refused(key, nonce, plaintext):
+    """A v5 seal is not misread as a v6 one with a longer body: its tag
+    was keyed under the old MAC subkey, so the kernel skips it, the
+    raising path refuses it, and nothing is memoised."""
+    ciphertext = v5_sealed(key, plaintext, nonce)
     cipher = StreamCipher(key)
     assert cipher.try_decrypt(ciphertext) is None
     assert cipher.try_decrypt(ciphertext, _decode) is None
@@ -213,7 +212,7 @@ class TestTryDecryptMany:
 
     def test_decrypt_all_good(self):
         cipher = StreamCipher(KEY)
-        batch = [cipher.encrypt(b"m%d" % i, bytes([i]) * 16) for i in range(5)]
+        batch = [cipher.encrypt(b"m%d" % i, bytes([i]) * NONCE_SIZE) for i in range(5)]
         assert [cipher.decrypt(ct) for ct in batch] == [b"m%d" % i for i in range(5)]
 
     def test_empty_plaintexts(self):
@@ -225,14 +224,14 @@ class TestTryDecryptMany:
 class TestDecryptMemo:
     def test_repeated_skim_identical(self):
         cipher = StreamCipher(KEY)
-        batch = [cipher.encrypt(b"hot-%d" % i, bytes([i]) * 16) for i in range(4)]
+        batch = [cipher.encrypt(b"hot-%d" % i, bytes([i]) * NONCE_SIZE) for i in range(4)]
         first = cipher.try_decrypt_many(batch)
         second = cipher.try_decrypt_many(batch)  # served from the memo
         assert first == second == [b"hot-%d" % i for i in range(4)]
 
     def test_memo_is_bounded(self):
         cipher = StreamCipher(KEY, memo_capacity=16)
-        batch = [cipher.encrypt(b"e%d" % i, bytes([i % 251, i // 251]) * 8) for i in range(100)]
+        batch = [cipher.encrypt(b"e%d" % i, bytes([i % 251, i // 251]) * (NONCE_SIZE // 2)) for i in range(100)]
         cipher.try_decrypt_many(batch)
         assert len(cipher._memo) <= 16
 
@@ -269,7 +268,7 @@ class TestDecodedMemo:
     keystream and decode, and is only ever what a miss would have been."""
 
     def _batch(self, cipher, count=4):
-        return [cipher.encrypt(b"hot-%d" % i, bytes([i]) * 16) for i in range(count)]
+        return [cipher.encrypt(b"hot-%d" % i, bytes([i]) * NONCE_SIZE) for i in range(count)]
 
     def test_hit_skips_the_decoder(self):
         cipher = StreamCipher(KEY)
@@ -357,7 +356,7 @@ class TestDecodedMemo:
         hit served before the element whose decode raised."""
         cipher = StreamCipher(KEY)
         first, second = (
-            cipher.encrypt(PostingElement("t", f"d{i}", 1, 2).to_bytes(0), bytes([i]) * 16)
+            cipher.encrypt(PostingElement("t", f"d{i}", 1, 2).to_bytes(0), bytes([i]) * NONCE_SIZE)
             for i in range(2)
         )
         bad = cipher.encrypt(b'{"t":"t"}', NONCE)  # authentic, malformed
@@ -374,7 +373,7 @@ class TestOneElementKernel:
     """``try_decrypt`` is the kernel; the batch is a comprehension over it."""
 
     def _pool(self, cipher):
-        good = [cipher.encrypt(b"el-%d" % i, bytes([i]) * 16) for i in range(5)]
+        good = [cipher.encrypt(b"el-%d" % i, bytes([i]) * NONCE_SIZE) for i in range(5)]
         foreign = StreamCipher(b"x" * 32).encrypt(b"foreign", NONCE)
         broken = good[1][:-1] + bytes([good[1][-1] ^ 1])
         return [good[0], foreign, good[1], broken, good[0], b"short", *good[2:], good[1]]
@@ -403,7 +402,7 @@ class TestOneElementKernel:
 
     def test_raw_caller_neither_reads_nor_evicts_a_decoders_memo(self):
         cipher = StreamCipher(KEY, memo_capacity=2)
-        one, two, three = (cipher.encrypt(b"m%d" % i, bytes([i]) * 16) for i in range(3))
+        one, two, three = (cipher.encrypt(b"m%d" % i, bytes([i]) * NONCE_SIZE) for i in range(3))
         assert cipher.try_decrypt(one, _decode) == ("decoded", b"m0")
         assert cipher.try_decrypt(two, _decode) == ("decoded", b"m1")
         before = list(cipher._memo.items())

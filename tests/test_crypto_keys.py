@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.cipher import NONCE_SIZE
 from repro.crypto.keys import GroupKeyService
 from repro.errors import AccessDeniedError, ConfigurationError
 
@@ -88,7 +89,7 @@ class TestKeyHandout:
 
     def test_cipher_for_member(self, service):
         cipher = service.cipher_for("alice", "g1")
-        nonce = b"n" * 16
+        nonce = b"n" * NONCE_SIZE
         assert cipher.decrypt(cipher.encrypt(b"x", nonce)) == b"x"
 
     def test_cipher_for_non_member_denied(self, service):
@@ -108,11 +109,11 @@ class TestKeyHandout:
         # Re-enrolling restores access and yields a working cipher again.
         service.enroll("bob", "g2")
         cipher = service.cipher_for("bob", "g2")
-        nonce = b"n" * 16
+        nonce = b"n" * NONCE_SIZE
         assert cipher.decrypt(cipher.encrypt(b"x", nonce)) == b"x"
 
     def test_cached_ciphers_interoperate_across_members(self, service):
-        nonce = b"n" * 16
+        nonce = b"n" * NONCE_SIZE
         ciphertext = service.cipher_for("alice", "g1").encrypt(b"shared", nonce)
         assert service.cipher_for("bob", "g1").decrypt(ciphertext) == b"shared"
 
@@ -201,7 +202,7 @@ class TestKeyring:
 
     def test_revoke_drops_the_group_and_reenroll_starts_cold(self, service):
         stale = service.keyring("bob")["g2"]
-        ciphertext = stale.encrypt(b"x", b"n" * 16)
+        ciphertext = stale.encrypt(b"x", b"n" * NONCE_SIZE)
         assert stale.try_decrypt(ciphertext) == stale.try_decrypt(ciphertext) == b"x"
         assert stale.memo_hits == 1
         service.revoke("bob", "g2")

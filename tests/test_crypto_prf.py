@@ -48,23 +48,6 @@ class TestPrf:
         low = sum(1 for v in values if v < 0.5)
         assert 60 < low < 140
 
-    def test_keystream_length(self):
-        prf = Prf(KEY)
-        assert len(prf.keystream(b"nonce", 100)) == 100
-        assert len(prf.keystream(b"nonce", 0)) == 0
-
-    def test_keystream_prefix_property(self):
-        prf = Prf(KEY)
-        assert prf.keystream(b"n", 64)[:32] == prf.keystream(b"n", 32)
-
-    def test_keystream_nonce_sensitivity(self):
-        prf = Prf(KEY)
-        assert prf.keystream(b"n1", 32) != prf.keystream(b"n2", 32)
-
-    def test_keystream_negative_length(self):
-        with pytest.raises(ValueError):
-            Prf(KEY).keystream(b"n", -1)
-
 
 class TestDeriveKey:
     def test_label_separation(self):

@@ -19,6 +19,7 @@ from repro.core.client import ZerberRClient
 from repro.core.protocol import ResponsePolicy
 from repro.core.rstf import RstfModel
 from repro.core.server import ZerberRServer
+from repro.crypto.cipher import NONCE_SIZE, TAG_SIZE
 from repro.crypto.keys import GroupKeyService
 from repro.index.merge import MergePlan
 from repro.stats.uniformness import ks_distance_to_uniform
@@ -136,7 +137,7 @@ class TestCiphertextLength:
     """What the untrusted server learns from an element's length.
 
     The cipher hides nothing about the body's length, so the server sees
-    ``len(ciphertext)`` for every element it stores: ``16 (nonce) + 10
+    ``len(ciphertext)`` for every element it stores: ``12 (nonce) + 10
     (header: tf, doc_length, term number) + len(doc_id) + 16 (tag)`` in
     UTF-8 bytes, a function of the document alone.  When the plaintext
     spelled the term out, ``len(term)`` split a merged list into length
@@ -161,7 +162,7 @@ class TestCiphertextLength:
         assert [len(t.encode()) for t in self.TERMS] == [1, 5, 12, 40, 300]
         plan = MergePlan(groups=(self.TERMS, ("filler",)), r=2.0)
         client, _, _ = self._deployment(plan)
-        expected = 16 + 10 + len(doc_id.encode()) + 16
+        expected = NONCE_SIZE + 10 + len(doc_id.encode()) + TAG_SIZE
         lengths = set()
         for term in self.TERMS:
             for tf in (1, 9, 10, 255, 256, 9_999, 65_535):

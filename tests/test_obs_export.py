@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.crypto.cipher import NONCE_SIZE
 from repro.obs import (
     Telemetry,
     metrics_to_json,
@@ -187,7 +188,7 @@ class TestEndToEndSpanChain:
         group = second.elements[0].group
         cipher = system.key_service.cipher_for(client.principal, group)
         malformed = EncryptedPostingElement(
-            ciphertext=cipher.encrypt(b'{"t":"t"}', b"\x07" * 16),  # authentic
+            ciphertext=cipher.encrypt(b'{"t":"t"}', b"\x07" * NONCE_SIZE),  # authentic
             group=group,
             trs=0.0,
         )

@@ -28,7 +28,7 @@ from repro.index.postings import HEADER_SIZE
 # 20 queries over tiny_corpus(seed=3), SystemConfig(r=4.0, seed=5), tape seed 11.
 REQUESTS = 52
 ELEMENTS = 693
-BITS = 338184
+BITS = 316008
 
 NUM_QUERIES = 20
 K = 5
@@ -60,7 +60,7 @@ def measure():
 def test_paper_units_are_exactly_the_recorded_ones():
     assert measure() == (REQUESTS, ELEMENTS, BITS)
     # Every element on the wire is nonce + header + doc id + tag + one TRS
-    # double; a "tiny-NNNNNN" doc id makes that 61 bytes.
+    # double; a "tiny-NNNNNN" doc id makes that 57 bytes.
     doc_id_size = len("tiny-000000")
     assert BITS == ELEMENTS * 8 * (NONCE_SIZE + HEADER_SIZE + doc_id_size + TAG_SIZE + 8)
 

@@ -163,12 +163,13 @@ class TestOneFormatVersion:
             loader(path, GroupKeyService(master_secret=b"p" * 32))
         return str(excinfo.value)
 
-    # A v4 element carries a truncated HMAC-SHA256 tag and fails the
-    # keyed-BLAKE2b check; a v3 element also spells its term out, so its
-    # length byte and first three term bytes would pass for a term number.
-    @pytest.mark.parametrize("found", [1, 2, 3, 4, "5", FORMAT_VERSION + 1, None])
+    # A v5 element carries a 16-byte nonce and a SHAKE-256 keystream and
+    # fails the v6 tag; a v4 element carries a truncated HMAC-SHA256 tag;
+    # a v3 element also spells its term out, so its length byte and first
+    # three term bytes would pass for a term number.
+    @pytest.mark.parametrize("found", [1, 2, 3, 4, 5, "6", FORMAT_VERSION + 1, None])
     def test_other_versions_are_refused_by_name(self, dumps, tmp_path, kind, found):
-        assert json.loads(dumps[kind][1])["format_version"] == FORMAT_VERSION == 5
+        assert json.loads(dumps[kind][1])["format_version"] == FORMAT_VERSION == 6
         message = self._refused(
             dumps, kind, tmp_path, lambda p: p.update(format_version=found)
         )

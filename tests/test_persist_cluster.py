@@ -28,6 +28,7 @@ from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError, UnavailableError
 from repro.index.postings import EncryptedPostingElement
 from repro.persist import (
+    FORMAT_VERSION,
     cluster_from_dict,
     cluster_to_dict,
     load_cluster,
@@ -556,39 +557,29 @@ class TestRestoredDeploymentWrites:
             if element.ciphertext not in written
         }
         # A counter-only nonce repeats here for every element written: the
-        # keystream is SHAKE(key || nonce), so the server would learn the
+        # keystream is BLAKE2b(key; nonce), so the server would learn the
         # XOR of each new plaintext with a stored one.
         assert stored.isdisjoint(c[:NONCE_SIZE] for c in written)
 
 
-class TestCounterNonceDump:
-    """``fixtures/cluster_v5.json`` was written by the v5 code before
-    nonces bound their plaintext and log ops became tuples (see
-    ``fixtures/make_cluster_v5.py``).  Nonces are never recomputed on the
-    read side and ops persist field by field, so it loads as it is:
-    same answers, and the insert and delete ops its logs still hold reach
-    the followers."""
+class TestV5Dump:
+    """``fixtures/cluster_v5.json`` was written by the v5 code (see
+    ``fixtures/make_cluster_v5.py``): 16-byte nonces and a SHAKE-256
+    keystream, sealed under a MAC subkey v6 no longer derives.  Every
+    element of it would fail its tag and every query come back empty, so
+    the dump is refused by name instead of restored."""
 
     FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
-    def test_it_loads_answers_the_same_queries_and_converges(self):
-        expected = json.loads((self.FIXTURES / "cluster_v5_queries.json").read_text())
+    def test_it_is_refused_by_name_and_version(self):
+        path = self.FIXTURES / "cluster_v5.json"
+        assert json.loads(path.read_text())["format_version"] == 5
         keys = GroupKeyService(b"cluster-v5-fixture-secret-012345")
-        cluster, plan, model = load_cluster(self.FIXTURES / "cluster_v5.json", keys)
-        keys.register("reader", set(expected["groups"]))
-        reader = ZerberRClient("reader", keys, cluster, model, plan)
-        for query in expected["queries"]:
-            ranked = reader.query_multi_batched(query["terms"], expected["k"]).ranked
-            assert [list(hit) for hit in ranked] == query["ranked"]
-
-        assert cluster.replication_manager.outstanding_deliveries() > 0
-        cluster.run_replication_until_quiet()
-        assert cluster.replication_manager.backlog() == {}
-        for list_id in range(cluster.num_lists):
-            primary, follower = cluster.replicas_of(list_id)
-            assert cluster.server(follower).export_list(list_id) == (
-                cluster.server(primary).export_list(list_id)
-            )
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_cluster(path, keys)
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert "version 5" in message and f"reads {FORMAT_VERSION}" in message
 
 
 class TestCorruptClusterDumps:
@@ -646,13 +637,14 @@ class TestCorruptClusterDumps:
         with pytest.raises(ConfigurationError, match=str(path)):
             load_cluster(path, _keys())
 
-    @pytest.mark.parametrize("version", [4, 5])
+    @pytest.mark.parametrize("version", [4, 5, FORMAT_VERSION])
     def test_a_v4_shaped_dump_is_refused(self, tmp_path, version):
         """A v4 dump wraps its lag in ``{"fixed_ticks": n}`` beside a
         ``per_server`` table, and older ones carry per-server ``views`` and
-        ``heat`` blocks.  Marked v4, it is refused for its version (its
-        tags are HMAC ones no client here accepts); relabelled v5, for its
-        lag — never restored under some other reading of it."""
+        ``heat`` blocks.  Marked v4 or v5, it is refused for its version
+        (its tags are ones no client here accepts); relabelled with the
+        current version, for its lag — never restored under some other
+        reading of it."""
         path = self._dump(tmp_path)
         payload = json.loads(path.read_text())
         assert payload["cluster"]["lag"] == 3  # written as the int it is
@@ -667,8 +659,9 @@ class TestCorruptClusterDumps:
             load_cluster(path, _keys())
         message = str(excinfo.value)
         assert str(path) in message
-        if version == 4:
-            assert "version 4" in message and "reads 5" in message
+        if version != FORMAT_VERSION:
+            assert f"version {version}" in message
+            assert f"reads {FORMAT_VERSION}" in message
         else:
             assert "lag must be an integer" in message
 
