@@ -38,7 +38,6 @@ from repro.corpus import (
     Corpus,
     Document,
     Query,
-    QueryLog,
     QueryLogConfig,
     QueryLogGenerator,
     odp_like,
@@ -109,7 +108,6 @@ __all__ = [
     "Corpus",
     "Document",
     "Query",
-    "QueryLog",
     "QueryLogConfig",
     "QueryLogGenerator",
     "studip_like",

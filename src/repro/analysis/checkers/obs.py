@@ -9,9 +9,10 @@ pair, for session roots that outlive a call frame).  Second, the metric
 namespace is closed: instruments are created from the literal names in
 :data:`repro.obs.registry.METRIC_CATALOG`, never ad hoc — ``repro.core``
 never creates instruments at all (it holds bundles from
-``repro.obs.instruments``), and everywhere else a literal metric name
-must come from the catalog.  Third, there is no side-channel telemetry:
-``print()`` in ``repro.core`` is banned outright.
+``repro.obs.instruments``), and everywhere else, ``repro.obs``
+included, a metric name is a literal from the catalog.  Third, there
+is no side-channel telemetry: ``print()`` in ``repro.core`` is banned
+outright.
 
 The catalog names are mirrored here (not imported) so zlint stays
 dependency-free; ``tests/test_obs_discipline.py`` asserts the mirror
@@ -35,31 +36,18 @@ from repro.analysis.framework import (
 #: Modules where instrument *creation* is banned outright.
 _CORE_SCOPE = ("repro.core",)
 
-#: Modules where literal metric names are checked against the mirror.
+#: Modules where metric names must be literals from the mirror.
 _CATALOG_SCOPE = ("repro",)
-
-#: Modules allowed to build metric names dynamically (the stats-mirror
-#: loop in ``instruments._mirror_stats`` derives names from dataclass
-#: fields; the registry itself re-creates series when merging snapshots).
-_DYNAMIC_NAME_OK = ("repro.obs", "repro.analysis")
 
 _INSTRUMENT_FACTORIES = frozenset({"counter", "gauge", "histogram"})
 
 #: Mirror of the ``repro.obs.registry.METRIC_CATALOG`` names.  The
-#: ``_stats_counters`` families are spelled out flat so this file keeps
-#: zlint's no-runtime-imports property.
+#: ``*_stats_total`` families carry one ``field=`` series per field of
+#: their ``*Stats`` dataclass, so a new field needs no entry here.
 CATALOG_METRIC_NAMES = frozenset(
     {
-        # coordinator stats mirrors + direct instruments
-        "coordinator_ticks_total",
-        "coordinator_server_calls_total",
-        "coordinator_slices_requested_total",
-        "coordinator_slices_sent_total",
-        "coordinator_sessions_completed_total",
-        "coordinator_sessions_spilled_total",
-        "coordinator_stale_epoch_reroutes_total",
-        "coordinator_backpressure_sheds_total",
-        "coordinator_pipeline_overlap_total",
+        # coordinator
+        "coordinator_stats_total",
         "coordinator_queue_depth",
         "coordinator_envelope_slices",
         "coordinator_session_rounds",
@@ -70,36 +58,14 @@ CATALOG_METRIC_NAMES = frozenset(
         "cluster_read_staleness",
         "cluster_quorum_write_refusals_total",
         "cluster_server_load",
-        # replication stats mirrors + direct instruments
-        "replication_ticks_total",
-        "replication_ops_logged_total",
-        "replication_follower_ops_applied_total",
-        "replication_stale_reads_detected_total",
-        "replication_read_repairs_total",
-        "replication_repair_ops_total",
-        "replication_read_reserves_total",
-        "replication_anti_entropy_runs_total",
-        "replication_anti_entropy_syncs_total",
-        "replication_anti_entropy_ops_total",
-        "replication_version_probes_total",
-        "replication_write_ack_syncs_total",
-        "replication_write_ack_ops_total",
-        "replication_failovers_total",
-        "replication_failover_ops_total",
-        "replication_floor_reserves_total",
+        # replication
+        "replication_stats_total",
         "replication_max_staleness",
         "replication_ack_latency_ticks",
         "replication_log_length",
         "replication_follower_backlog",
-        # readable-view stats mirrors
-        "views_hits_total",
-        "views_misses_total",
-        "views_full_builds_total",
-        "views_stale_rebuilds_total",
-        "views_incremental_updates_total",
-        "views_replication_patches_total",
-        "views_evictions_total",
-        "views_invalidations_total",
+        # readable views
+        "views_stats_total",
         # crypto skim
         "crypto_skim_elements_total",
         "crypto_skim_memo_hits_total",
@@ -138,7 +104,6 @@ class ObsDisciplineChecker(Checker):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         in_core = module_matches(ctx.module, _CORE_SCOPE)
         check_names = module_matches(ctx.module, _CATALOG_SCOPE) and not in_core
-        dynamic_ok = module_matches(ctx.module, _DYNAMIC_NAME_OK)
         if not (in_core or check_names):
             return
 
@@ -196,11 +161,11 @@ class ObsDisciplineChecker(Checker):
                             "declare it in repro.obs.registry and the "
                             "obs-discipline mirror first",
                         )
-                elif not dynamic_ok:
+                else:
                     yield ctx.finding(
                         self.rule,
                         node,
                         f".{factory}(...) with a non-literal metric name — "
-                        "outside repro.obs, metric names must be catalog "
-                        "literals so this rule can check them",
+                        "metric names must be catalog literals so this rule "
+                        "can check them",
                     )

@@ -1,6 +1,6 @@
 """Zerber+R core: RSTF, σ selection, confidentiality, server/client/protocol."""
 
-from repro.core.scoring import rscore, extract_term_scores, tfidf_rscore
+from repro.core.scoring import rscore, extract_term_scores
 from repro.core.rstf import Rstf, RstfModel, RstfTrainer, train_rstf
 from repro.core.sigma import (
     SigmaSelection,
@@ -38,10 +38,8 @@ from repro.core.client import (
 )
 from repro.core.placement import round_robin_placement
 from repro.core.replication import (
-    DeliveryOutlook,
     FailoverEvent,
     ReadConsistency,
-    ReplicationLog,
     ReplicationManager,
     ReplicationOp,
     ReplicationStats,
@@ -53,7 +51,6 @@ from repro.core.system import ZerberRSystem, SystemConfig
 __all__ = [
     "rscore",
     "extract_term_scores",
-    "tfidf_rscore",
     "Rstf",
     "RstfModel",
     "RstfTrainer",
@@ -86,10 +83,8 @@ __all__ = [
     "MultiQueryResult",
     "QueryResult",
     "round_robin_placement",
-    "DeliveryOutlook",
     "FailoverEvent",
     "ReadConsistency",
-    "ReplicationLog",
     "ReplicationManager",
     "ReplicationOp",
     "ReplicationStats",

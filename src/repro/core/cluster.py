@@ -162,7 +162,11 @@ class ServerCluster:
             self._obs.register_collectors(
                 telemetry,
                 replication_stats=lambda: self._repl.stats,
-                view_stats=self.view_stats,
+                view_stats=[
+                    lambda server=server: server.view_stats
+                    for server in self._servers
+                ],
+                max_staleness=lambda: self._repl.max_staleness_seen,
                 per_server_load=self.per_server_load,
                 replication_backlog=lambda: self._repl.backlog(),
                 log_lengths=lambda: self._repl.log_lengths(),

@@ -345,8 +345,8 @@ class ReplicationStats:
     when forced by read-repair or the anti-entropy sweep instead.
     ``read_reserves`` counts slices re-served for consistency after a
     stale first answer; ``version_probes`` counts replica version checks
-    done by quorum reads.  ``max_staleness_seen`` is the largest
-    head-minus-applied gap any read ever observed.
+    done by quorum reads.  Every field is a count; the high-water mark of
+    observed staleness is :attr:`ReplicationManager.max_staleness_seen`.
 
     Write-side counters: ``write_ack_syncs`` / ``write_ack_ops`` count
     follower catch-ups forced synchronously by QUORUM/ALL writes (the
@@ -367,7 +367,6 @@ class ReplicationStats:
     anti_entropy_syncs: int = 0
     anti_entropy_ops: int = 0
     version_probes: int = 0
-    max_staleness_seen: int = 0
     write_ack_syncs: int = 0
     write_ack_ops: int = 0
     failovers: int = 0
@@ -452,6 +451,8 @@ class ReplicationManager:
         self._paused: set[int] = set()
         self.tick_count = 0
         self.stats = ReplicationStats()
+        # The largest head-minus-applied gap any read ever observed.
+        self.max_staleness_seen = 0
 
     @property
     def lag(self) -> int:
@@ -864,8 +865,8 @@ class ReplicationManager:
     def observe_staleness(self, staleness: int) -> None:
         if staleness > 0:
             self.stats.stale_reads_detected += 1
-            if staleness > self.stats.max_staleness_seen:
-                self.stats.max_staleness_seen = staleness
+            if staleness > self.max_staleness_seen:
+                self.max_staleness_seen = staleness
 
     def pending_lag_ticks(self, list_id: int, server_index: int) -> int:
         """Ticks until the last scheduled delivery to one replica is due.

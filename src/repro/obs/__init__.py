@@ -6,8 +6,12 @@ state):
 
 * **Metrics** — :class:`MetricsRegistry` hands out catalog-validated
   :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments
-  with labeled series, plus snapshot / merge / reset.  The closed
-  catalog lives in :data:`METRIC_CATALOG`.
+  with labeled series, and snapshots them.  The closed catalog lives in
+  :data:`METRIC_CATALOG`.  The layers' ``*Stats`` dataclasses are the
+  one store of their cumulative counts; each is exported as one counter
+  family labeled by field name (``coordinator_stats_total{field=...}``,
+  ``replication_stats_total``, ``views_stats_total``), summed over every
+  source registered on the telemetry.
 * **Tracing** — :class:`Tracer` records per-request span trees
   (query → coalesce → envelope → serve → skim → read-repair),
   tick-stamped, in a bounded ring buffer; the trace-context id rides
@@ -21,16 +25,14 @@ zlint rule enforces this).  See ``docs/OBSERVABILITY.md``.
 """
 
 from repro.obs.export import (
-    metrics_to_dict,
     metrics_to_json,
     metrics_to_text,
-    trace_to_dict,
     trace_to_json,
     trace_to_text,
 )
 from repro.obs.instruments import Telemetry
 from repro.obs.metrics import Counter, Gauge, Histogram
-from repro.obs.registry import METRIC_CATALOG, MetricSpec, MetricsRegistry
+from repro.obs.registry import METRIC_CATALOG, MetricsRegistry
 from repro.obs.trace import Span, Trace, Tracer
 
 __all__ = [
@@ -38,16 +40,13 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "MetricSpec",
     "MetricsRegistry",
     "Span",
     "Telemetry",
     "Trace",
     "Tracer",
-    "metrics_to_dict",
     "metrics_to_json",
     "metrics_to_text",
-    "trace_to_dict",
     "trace_to_json",
     "trace_to_text",
 ]

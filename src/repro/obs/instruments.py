@@ -9,162 +9,58 @@ the disabled cost is one no-op method call per site.  What live
 instruments add to a warm query is an exact tier-1 frame count
 (``TELEMETRY_FRAME_BUDGET`` in ``tests/test_core_client.py``).
 
-Cumulative counters that already live in the ``*Stats`` dataclasses
-(``CoordinatorStats`` / ``ReplicationStats`` / ``ViewStats``) stay the
-write-path storage; ``register_*_collector`` mirrors them into the
-registry at snapshot time via ``Counter.set_total``, generically over
-``dataclasses.fields`` so a new stats field that lacks a catalog entry
-fails the drift-guard test instead of silently vanishing.
+The ``CoordinatorStats`` / ``ReplicationStats`` / ``ViewStats``
+dataclasses are the one store of the layers' cumulative counts; the
+bundles register them with the registry
+(:meth:`~repro.obs.registry.MetricsRegistry.register_stats`), which
+exports each as one counter family labeled by field name, so a new
+field is exported with no other edit.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Callable, Mapping, Sequence
 
 from repro.obs.metrics import (
-    NULL_BOUND_COUNTER,
-    NULL_BOUND_GAUGE,
-    NULL_BOUND_HISTOGRAM,
     NULL_COUNTER,
     NULL_GAUGE,
     NULL_HISTOGRAM,
     BoundCounter,
     BoundHistogram,
     Counter,
-    Gauge,
     Histogram,
 )
-from repro.obs.registry import (
-    COORDINATOR_STAT_FIELDS,
-    REPLICATION_STAT_FIELDS,
-    VIEW_STAT_FIELDS,
-    MetricsRegistry,
-)
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 
 
 class Telemetry:
     """Everything a layer needs, threaded through constructors.
 
-    The tick clock starts as a constant 0 and is bound to the owning
-    cluster's replication tick counter when the cluster attaches
+    The tracer's tick clock starts as a constant 0 and is bound to the
+    owning cluster's replication tick counter when the cluster attaches
     (:meth:`bind_clock`), so span timestamps share the one sanctioned
     time source.
     """
 
-    def __init__(
-        self,
-        *,
-        registry: MetricsRegistry | None = None,
-        trace_capacity: int = 256,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._clock: Callable[[], int] = lambda: 0
-        self.tracer = Tracer(self._now, capacity=trace_capacity)
-        self._bundles: list[_InstrumentBundle] = []
-
-    def _now(self) -> int:
-        return self._clock()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
+        self.tracer = Tracer(lambda: 0)
 
     def bind_clock(self, clock: Callable[[], int]) -> None:
-        self._clock = clock
-        # Rebind the tracer directly: span enter/exit reads the clock on
-        # the hot path, and the extra _now() hop is measurable there.
         self.tracer._clock = clock
-
-    def now(self) -> int:
-        return self._now()
-
-    def suspend(self) -> None:
-        """Runtime kill switch: stop all hot-path recording, live.
-
-        Every bundle built from this telemetry swaps its instruments for
-        the shared ``Null*`` singletons, putting the deployment in the
-        same state as one deployed with no telemetry at all — without
-        redeploying.  Registry collectors still run at snapshot time
-        (they read ``*Stats`` dataclasses, not hot-path instruments),
-        and totals recorded before the suspend are kept, so flipping
-        telemetry back on (:meth:`resume`) continues where it left off.
-        """
-        for bundle in self._bundles:
-            bundle.suspend()
-
-    def resume(self) -> None:
-        """Undo :meth:`suspend`: restore every bundle's live instruments."""
-        for bundle in self._bundles:
-            bundle.resume()
-
-
-def _mirror_stats(
-    registry: MetricsRegistry,
-    prefix: str,
-    expected_fields: tuple[str, ...],
-    skip: frozenset[str] = frozenset(),
-) -> dict[str, Counter]:
-    counters: dict[str, Counter] = {}
-    for field in expected_fields:
-        if field in skip:
-            continue
-        counters[field] = registry.counter(f"{prefix}_{field}_total")
-    return counters
-
-
-def _collect_stats(
-    counters: Mapping[str, Counter], stats: object, skip: frozenset[str] = frozenset()
-) -> None:
-    for field in dataclasses.fields(stats):  # type: ignore[arg-type]
-        if field.name in skip:
-            continue
-        counters[field.name].set_total(float(getattr(stats, field.name)))
 
 
 class _InstrumentBundle:
-    """Base for the per-layer bundles: wiring plus the live kill switch.
-
-    ``_swap`` names the instrument attributes that :meth:`suspend`
-    replaces with shared ``Null*`` singletons (and :meth:`resume` puts
-    back).  Swapping the *attributes* rather than flagging each call
-    site keeps the hot path branch-free in both states — suspended code
-    runs the very same no-op method calls as a telemetry-less
-    deployment.
-    """
-
-    _swap: tuple[tuple[str, object], ...] = ()
+    """Base for the per-layer bundles: the tracer and the enabled flag."""
 
     def __init__(self, telemetry: Telemetry | None) -> None:
         self.enabled = telemetry is not None
         self.tracer = telemetry.tracer if telemetry else NULL_TRACER
-        self._saved: dict[str, object] | None = None
-        if telemetry is not None:
-            telemetry._bundles.append(self)
-
-    def suspend(self) -> None:
-        if not self.enabled or self._saved is not None:
-            return
-        self._saved = {name: getattr(self, name) for name, _ in self._swap}
-        for name, null in self._swap:
-            setattr(self, name, null)
-        self.enabled = False
-
-    def resume(self) -> None:
-        if self._saved is None:
-            return
-        for name, value in self._saved.items():
-            setattr(self, name, value)
-        self._saved = None
-        self.enabled = True
 
 
 class CoordinatorInstruments(_InstrumentBundle):
     """Direct instruments for the scheduling hot loop."""
-
-    _swap = (
-        ("tracer", NULL_TRACER),
-        ("queue_depth", NULL_BOUND_GAUGE),
-        ("envelope_slices", NULL_BOUND_HISTOGRAM),
-        ("session_rounds", NULL_BOUND_HISTOGRAM),
-    )
 
     def __init__(self, telemetry: Telemetry | None) -> None:
         super().__init__(telemetry)
@@ -183,34 +79,16 @@ class CoordinatorInstruments(_InstrumentBundle):
             self.session_rounds = NULL_HISTOGRAM.bind()
 
     def register_stats_collector(
-        self, telemetry: Telemetry | None, stats_fn: Callable[[], object]
+        self, telemetry: Telemetry | None, stats: Callable[[], object]
     ) -> None:
         if telemetry is None:
             return
-        counters = _mirror_stats(
-            telemetry.registry, "coordinator", COORDINATOR_STAT_FIELDS
-        )
-
-        def collect() -> None:
-            _collect_stats(counters, stats_fn())
-
-        telemetry.registry.register_collector(collect)
-
-
-_REPLICATION_GAUGE_FIELDS = frozenset({"max_staleness_seen"})
+        registry = telemetry.registry
+        registry.register_stats(registry.counter("coordinator_stats_total"), stats)
 
 
 class ClusterInstruments(_InstrumentBundle):
     """Read/write-path instruments plus the cluster-side collectors."""
-
-    _swap = (
-        ("tracer", NULL_TRACER),
-        ("reads", NULL_COUNTER),
-        ("writes", NULL_COUNTER),
-        ("read_lag_ticks", NULL_HISTOGRAM),
-        ("read_staleness", NULL_BOUND_HISTOGRAM),
-        ("quorum_refusals", NULL_BOUND_COUNTER),
-    )
 
     def __init__(self, telemetry: Telemetry | None) -> None:
         super().__init__(telemetry)
@@ -232,7 +110,6 @@ class ClusterInstruments(_InstrumentBundle):
             self.read_staleness = NULL_HISTOGRAM.bind()
             self.quorum_refusals = NULL_COUNTER.bind()
         self._read_bound: dict[str, tuple[BoundCounter, BoundHistogram]] = {}
-        self._saved_read_bound: dict[str, tuple[BoundCounter, BoundHistogram]] = {}
 
     def read_instruments(self, consistency: str) -> tuple[BoundCounter, BoundHistogram]:
         """Per-consistency (reads counter, read-lag histogram) pair.
@@ -250,27 +127,13 @@ class ClusterInstruments(_InstrumentBundle):
             self._read_bound[consistency] = pair
         return pair
 
-    def suspend(self) -> None:
-        if not self.enabled or self._saved is not None:
-            return
-        # Park the per-consistency cache too: its pairs are bound to the
-        # live counter/histogram.  Suspended lookups rebuild null pairs.
-        self._saved_read_bound = self._read_bound
-        self._read_bound = {}
-        super().suspend()
-
-    def resume(self) -> None:
-        if self._saved is None:
-            return
-        self._read_bound = self._saved_read_bound
-        super().resume()
-
     def register_collectors(
         self,
         telemetry: Telemetry | None,
         *,
         replication_stats: Callable[[], object],
-        view_stats: Callable[[], object],
+        view_stats: Sequence[Callable[[], object]],
+        max_staleness: Callable[[], int],
         per_server_load: Callable[[], Sequence[int]],
         replication_backlog: Callable[[], Mapping[tuple[int, int], int]],
         log_lengths: Callable[[], Mapping[int, int]],
@@ -278,24 +141,19 @@ class ClusterInstruments(_InstrumentBundle):
         if telemetry is None:
             return
         registry = telemetry.registry
-        replication_counters = _mirror_stats(
-            registry,
-            "replication",
-            REPLICATION_STAT_FIELDS,
+        registry.register_stats(
+            registry.counter("replication_stats_total"), replication_stats
         )
-        max_staleness = registry.gauge("replication_max_staleness")
-        view_counters = _mirror_stats(registry, "views", VIEW_STAT_FIELDS)
+        views = registry.counter("views_stats_total")
+        for read in view_stats:
+            registry.register_stats(views, read)
+        max_staleness_seen = registry.gauge("replication_max_staleness")
         server_load = registry.gauge("cluster_server_load")
         follower_backlog = registry.gauge("replication_follower_backlog")
         log_length = registry.gauge("replication_log_length")
 
         def collect() -> None:
-            stats = replication_stats()
-            _collect_stats(
-                replication_counters, stats, skip=_REPLICATION_GAUGE_FIELDS
-            )
-            max_staleness.set(float(getattr(stats, "max_staleness_seen")))
-            _collect_stats(view_counters, view_stats())
+            max_staleness_seen.set(float(max_staleness()))
             loads = per_server_load()
             behind = [0] * len(loads)
             for (_, server_index), depth in replication_backlog().items():
@@ -312,10 +170,6 @@ class ClusterInstruments(_InstrumentBundle):
 class ReplicationInstruments(_InstrumentBundle):
     """Handed to the replication manager for in-path observations."""
 
-    _swap = (
-        ("ack_latency", NULL_BOUND_HISTOGRAM),
-    )
-
     def __init__(self, telemetry: Telemetry | None) -> None:
         super().__init__(telemetry)
         if telemetry is not None:
@@ -329,12 +183,6 @@ class ReplicationInstruments(_InstrumentBundle):
 
 class ClientInstruments(_InstrumentBundle):
     """Client-side skim accounting (the only crypto metrics producer)."""
-
-    _swap = (
-        ("tracer", NULL_TRACER),
-        ("skim_elements", NULL_BOUND_COUNTER),
-        ("skim_memo_hits", NULL_BOUND_COUNTER),
-    )
 
     def __init__(self, telemetry: Telemetry | None) -> None:
         super().__init__(telemetry)
@@ -351,13 +199,6 @@ class ClientInstruments(_InstrumentBundle):
 
 class PersistInstruments(_InstrumentBundle):
     """Snapshot/restore accounting recorded by ``repro.persist``."""
-
-    _swap = (
-        ("snapshots", NULL_BOUND_COUNTER),
-        ("snapshot_bytes", NULL_BOUND_GAUGE),
-        ("snapshot_seconds", NULL_BOUND_GAUGE),
-        ("restores", NULL_BOUND_COUNTER),
-    )
 
     def __init__(self, telemetry: Telemetry | None) -> None:
         super().__init__(telemetry)

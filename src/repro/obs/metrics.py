@@ -6,8 +6,7 @@ are tick- or count-denominated — the registry lives under the
 ``repro.core`` determinism contract (the replication tick clock is the
 only time source), so nothing in this module reads a wall clock.
 Snapshots are plain JSON-shaped dicts with deterministic (sorted)
-ordering, and merging two snapshots of the same catalog is well
-defined: counters and histogram buckets add, gauges are right-biased.
+ordering.
 
 Hot paths bind a series once (:meth:`Counter.bind`) and pay one method
 call plus one dict update per event.  When telemetry is disabled the
@@ -48,24 +47,11 @@ class Metric:
         self.help_text = help_text
         self.unit = unit
 
-    def reset(self) -> None:
-        raise NotImplementedError
-
     def to_snapshot(self) -> dict[str, object]:
-        raise NotImplementedError
-
-    def merge_series(self, entry: Mapping[str, object]) -> None:
         raise NotImplementedError
 
     def _snapshot_shell(self) -> dict[str, object]:
         return {"kind": self.kind, "unit": self.unit, "help": self.help_text}
-
-    @staticmethod
-    def _entry_labels(entry: Mapping[str, object]) -> LabelKey:
-        labels = entry.get("labels", {})
-        if not isinstance(labels, Mapping):
-            raise ValueError(f"series labels must be a mapping, got {labels!r}")
-        return freeze_labels({str(k): str(v) for k, v in labels.items()})
 
 
 class BoundCounter:
@@ -102,9 +88,8 @@ class Counter(Metric):
         self._series[key] = self._series.get(key, 0.0) + amount
 
     def set_total(self, value: float, **labels: str) -> None:
-        """Overwrite the cumulative total (collector path: the live
-        counter lives elsewhere — e.g. a ``*Stats`` dataclass — and is
-        mirrored into the registry at snapshot time)."""
+        """Overwrite the cumulative total (snapshot-time export of a
+        ``*Stats`` dataclass field, which is the count's one store)."""
         self._series[freeze_labels(labels)] = value
 
     def bind(self, **labels: str) -> BoundCounter:
@@ -116,9 +101,6 @@ class Counter(Metric):
     def total(self) -> float:
         return sum(self._series.values())
 
-    def reset(self) -> None:
-        self._series.clear()
-
     def to_snapshot(self) -> dict[str, object]:
         shell = self._snapshot_shell()
         shell["series"] = [
@@ -127,17 +109,9 @@ class Counter(Metric):
         ]
         return shell
 
-    def merge_series(self, entry: Mapping[str, object]) -> None:
-        key = self._entry_labels(entry)
-        value = float(entry.get("value", 0.0))  # type: ignore[arg-type]
-        self._series[key] = self._series.get(key, 0.0) + value
-
 
 class NullCounter(Counter):
     def inc(self, amount: float = 1.0, **labels: str) -> None:
-        pass
-
-    def set_total(self, value: float, **labels: str) -> None:
         pass
 
     def bind(self, **labels: str) -> BoundCounter:
@@ -182,9 +156,6 @@ class Gauge(Metric):
     def value(self, **labels: str) -> float:
         return self._series.get(freeze_labels(labels), 0.0)
 
-    def reset(self) -> None:
-        self._series.clear()
-
     def to_snapshot(self) -> dict[str, object]:
         shell = self._snapshot_shell()
         shell["series"] = [
@@ -192,10 +163,6 @@ class Gauge(Metric):
             for key in sorted(self._series)
         ]
         return shell
-
-    def merge_series(self, entry: Mapping[str, object]) -> None:
-        # Gauges are point-in-time: the merged-in snapshot wins.
-        self._series[self._entry_labels(entry)] = float(entry.get("value", 0.0))  # type: ignore[arg-type]
 
 
 class NullGauge(Gauge):
@@ -237,7 +204,7 @@ class Histogram(Metric):
     """Fixed-bucket distribution (bucket bounds are *upper* bounds).
 
     Buckets are fixed at construction — tick-denominated by default —
-    so two snapshots of the same catalog metric always merge bucket by
+    so two snapshots of the same catalog metric line up bucket by
     bucket.
     """
 
@@ -302,9 +269,6 @@ class Histogram(Metric):
             return 0.0
         return series.total / series.count
 
-    def reset(self) -> None:
-        self._series.clear()
-
     def to_snapshot(self) -> dict[str, object]:
         shell = self._snapshot_shell()
         bounds: list[Union[float, str]] = [*self.buckets, "+Inf"]
@@ -321,21 +285,6 @@ class Histogram(Metric):
             for key in sorted(self._series)
         ]
         return shell
-
-    def merge_series(self, entry: Mapping[str, object]) -> None:
-        key = self._entry_labels(entry)
-        series = self._series_for(key)
-        buckets = entry.get("buckets", [])
-        if not isinstance(buckets, Sequence) or len(buckets) != len(
-            series.bucket_counts
-        ):
-            raise ValueError(
-                f"{self.name}: merged snapshot has incompatible buckets"
-            )
-        for i, pair in enumerate(buckets):
-            series.bucket_counts[i] += int(pair[1])
-        series.total += float(entry.get("sum", 0.0))  # type: ignore[arg-type]
-        series.count += int(entry.get("count", 0))  # type: ignore[arg-type]
 
 
 class NullHistogram(Histogram):

@@ -10,20 +10,19 @@ The ``obs-discipline`` zlint rule mirrors the catalog names statically
 in sync, the same way the consistency-enum mirrors are guarded.
 
 The registry is process-global-free: callers construct one (usually via
-:class:`~repro.obs.instruments.Telemetry`) and inject it.  Cheap live
-counters that already exist as ``*Stats`` dataclasses are mirrored in
-at snapshot time through *collectors* (:meth:`register_collector`), so
-the hot paths keep their single-attribute increments and no existing
-caller breaks.
-
-``snapshot`` → ``reset`` → ``merge_snapshot`` round-trips: counters and
-histogram buckets add, gauges are right-biased.
+:class:`~repro.obs.instruments.Telemetry`) and inject it.  The
+``CoordinatorStats`` / ``ReplicationStats`` / ``ViewStats`` dataclasses
+are the one store of the layers' cumulative counts: the hot paths bump
+their fields, and :meth:`MetricsRegistry.register_stats` exports each
+dataclass as one counter family labeled ``field=<name>``, read at
+snapshot time.  Gauges that summarise live state are refreshed the same
+way, by *collectors* (:meth:`MetricsRegistry.register_collector`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 
 from repro.obs.metrics import (
     DEFAULT_SIZE_BUCKETS,
@@ -46,67 +45,14 @@ class MetricSpec:
     buckets: tuple[float, ...] | None = None
 
 
-def _stats_counters(prefix: str, fields: tuple[str, ...], unit: str = "") -> tuple[MetricSpec, ...]:
-    return tuple(
-        MetricSpec(
-            name=f"{prefix}_{field}_total",
-            kind="counter",
-            help=f"cumulative {field.replace('_', ' ')} (mirrored from {prefix} stats)",
-            unit=unit,
-        )
-        for field in fields
-    )
-
-
-#: Fields of ``CoordinatorStats`` mirrored as counters by the collector.
-COORDINATOR_STAT_FIELDS: tuple[str, ...] = (
-    "ticks",
-    "server_calls",
-    "slices_requested",
-    "slices_sent",
-    "sessions_completed",
-    "sessions_spilled",
-    "stale_epoch_reroutes",
-    "backpressure_sheds",
-    "pipeline_overlap",
-)
-
-#: Fields of ``ReplicationStats`` mirrored as counters (``max_staleness_seen``
-#: is a high-water mark and becomes the ``replication_max_staleness`` gauge).
-REPLICATION_STAT_FIELDS: tuple[str, ...] = (
-    "ticks",
-    "ops_logged",
-    "follower_ops_applied",
-    "stale_reads_detected",
-    "read_repairs",
-    "repair_ops",
-    "read_reserves",
-    "anti_entropy_runs",
-    "anti_entropy_syncs",
-    "anti_entropy_ops",
-    "version_probes",
-    "write_ack_syncs",
-    "write_ack_ops",
-    "failovers",
-    "failover_ops",
-    "floor_reserves",
-)
-
-#: Fields of ``ViewStats`` mirrored as counters by the collector.
-VIEW_STAT_FIELDS: tuple[str, ...] = (
-    "hits",
-    "misses",
-    "full_builds",
-    "stale_rebuilds",
-    "incremental_updates",
-    "replication_patches",
-    "evictions",
-    "invalidations",
-)
-
 METRIC_CATALOG: tuple[MetricSpec, ...] = (
     # -- coordinator ------------------------------------------------------
-    *_stats_counters("coordinator", COORDINATOR_STAT_FIELDS),
+    MetricSpec(
+        "coordinator_stats_total",
+        "counter",
+        "CoordinatorStats counters, one series per field, summed over "
+        "every coordinator on this telemetry",
+    ),
     MetricSpec(
         "coordinator_queue_depth",
         "gauge",
@@ -168,7 +114,12 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
         unit="slices",
     ),
     # -- replication ------------------------------------------------------
-    *_stats_counters("replication", REPLICATION_STAT_FIELDS),
+    MetricSpec(
+        "replication_stats_total",
+        "counter",
+        "ReplicationStats counters, one series per field, summed over "
+        "every cluster on this telemetry",
+    ),
     MetricSpec(
         "replication_max_staleness",
         "gauge",
@@ -195,7 +146,12 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
         unit="ops",
     ),
     # -- readable views ---------------------------------------------------
-    *_stats_counters("views", VIEW_STAT_FIELDS),
+    MetricSpec(
+        "views_stats_total",
+        "counter",
+        "ViewStats counters, one series per field, summed over every "
+        "shard server's view index",
+    ),
     # -- crypto skim ------------------------------------------------------
     MetricSpec(
         "crypto_skim_elements_total",
@@ -244,11 +200,12 @@ if len(CATALOG_BY_NAME) != len(METRIC_CATALOG):  # pragma: no cover
 
 
 class MetricsRegistry:
-    """Catalog-validated instrument factory plus snapshot/merge/reset."""
+    """Catalog-validated instrument factory plus snapshot-time export."""
 
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
         self._collectors: list[Callable[[], None]] = []
+        self._stats_sources: dict[Counter, list[Callable[[], object]]] = {}
 
     def _spec(self, name: str, kind: str) -> MetricSpec:
         spec = CATALOG_BY_NAME.get(name)
@@ -298,12 +255,31 @@ class MetricsRegistry:
     def get(self, name: str) -> Metric | None:
         return self._metrics.get(name)
 
+    def register_stats(self, counter: Counter, read: Callable[[], object]) -> None:
+        """Export the ``*Stats`` dataclass ``read()`` returns through
+        *counter*, one ``field=<name>`` series per dataclass field.
+
+        Every source registered on one counter is summed at snapshot
+        time — two coordinators on one telemetry export their joint
+        counts — so every field must be a count, never a high-water mark.
+        """
+        self._stats_sources.setdefault(counter, []).append(read)
+
     def register_collector(self, collector: Callable[[], None]) -> None:
-        """Run ``collector()`` before every snapshot; collectors mirror
-        live ``*Stats`` counters into registry series via ``set_total``."""
+        """Run ``collector()`` before every snapshot (gauges of live state)."""
         self._collectors.append(collector)
 
     def collect(self) -> None:
+        for counter, sources in self._stats_sources.items():
+            totals: dict[str, int] = {}
+            for read in sources:
+                stats = read()
+                for field in fields(stats):  # type: ignore[arg-type]
+                    totals[field.name] = totals.get(field.name, 0) + getattr(
+                        stats, field.name
+                    )
+            for name, total in totals.items():
+                counter.set_total(float(total), field=name)
         for collector in self._collectors:
             collector()
 
@@ -314,27 +290,3 @@ class MetricsRegistry:
             name: self._metrics[name].to_snapshot()
             for name in sorted(self._metrics)
         }
-
-    def reset(self) -> None:
-        """Zero every series; instruments and collectors stay registered."""
-        for metric in self._metrics.values():
-            metric.reset()
-
-    def merge_snapshot(self, snapshot: Mapping[str, Mapping[str, object]]) -> None:
-        """Fold a snapshot (this catalog's shape) into the live metrics."""
-        for name in sorted(snapshot):
-            data = snapshot[name]
-            kind = data.get("kind")
-            if kind == "counter":
-                metric: Metric = self.counter(name)
-            elif kind == "gauge":
-                metric = self.gauge(name)
-            elif kind == "histogram":
-                metric = self.histogram(name)
-            else:
-                raise ValueError(f"metric {name!r}: unknown kind {kind!r}")
-            series = data.get("series", [])
-            if not isinstance(series, list):
-                raise ValueError(f"metric {name!r}: series must be a list")
-            for entry in series:
-                metric.merge_series(entry)

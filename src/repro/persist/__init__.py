@@ -88,22 +88,13 @@ from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError
 from repro.index.merge import MergePlan
 from repro.persist.atomic import atomic_write_text
-from repro.persist.clusterstate import (
-    cluster_from_dict,
-    cluster_to_dict,
-    load_cluster,
-    replication_op_from_dict,
-    replication_op_to_dict,
-    save_cluster,
-)
+from repro.persist.clusterstate import load_cluster, save_cluster
 from repro.persist.encoders import (
     FORMAT_VERSION,
     element_from_dict,
     element_to_dict,
-    merge_plan_from_dict,
     merge_plan_to_dict,
     read_payload,
-    rstf_model_from_dict,
     rstf_model_to_dict,
     server_from_dict,
     server_to_dict,
@@ -116,16 +107,10 @@ __all__ = [
     "load_index",
     "save_cluster",
     "load_cluster",
-    "cluster_to_dict",
-    "cluster_from_dict",
     "element_to_dict",
     "element_from_dict",
     "merge_plan_to_dict",
-    "merge_plan_from_dict",
-    "replication_op_to_dict",
-    "replication_op_from_dict",
     "rstf_model_to_dict",
-    "rstf_model_from_dict",
     "server_to_dict",
     "server_from_dict",
     "read_payload",

@@ -1,11 +1,15 @@
 """CLI tests for the telemetry subcommands: metrics, trace, cluster-status."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.cli import main
 from repro.core.cluster import ServerCluster
+from repro.core.replication import ReplicationStats
+from repro.core.router import CoordinatorStats
+from repro.core.views import ViewStats
 from repro.crypto.keys import GroupKeyService
 from repro.index.postings import EncryptedPostingElement
 
@@ -36,10 +40,20 @@ class TestMetricsCommand:
                 entry["value"] for entry in metrics[name]["series"]
             )
 
+        def stat(family, field):
+            (value,) = [
+                entry["value"]
+                for entry in metrics[family]["series"]
+                if entry["labels"] == {"field": field}
+            ]
+            return value
+
         assert total("cluster_reads_total") > 0
         assert total("cluster_writes_total") > 0
-        assert total("replication_failovers_total") >= 1
-        assert total("replication_read_repairs_total") > 0
+        assert stat("replication_stats_total", "failovers") >= 1
+        assert stat("replication_stats_total", "read_repairs") > 0
+        assert stat("coordinator_stats_total", "server_calls") > 0
+        assert stat("views_stats_total", "hits") > 0
         assert total("crypto_skim_elements_total") > 0
         assert total("persist_snapshots_total") >= 1
         read_labels = {
@@ -47,6 +61,23 @@ class TestMetricsCommand:
             for entry in metrics["cluster_reads_total"]["series"]
         }
         assert {"one", "primary", "quorum"} <= read_labels
+
+    @pytest.mark.parametrize(
+        "family, stats",
+        [
+            ("coordinator_stats_total", CoordinatorStats),
+            ("replication_stats_total", ReplicationStats),
+            ("views_stats_total", ViewStats),
+        ],
+    )
+    def test_every_stats_field_is_an_exported_label(self, capsys, family, stats):
+        """Each ``*Stats`` dataclass is exported whole, one ``field=``
+        series per field, with no list of names to keep in step."""
+        assert main(["metrics", "--format", "json"]) == 0
+        series = json.loads(capsys.readouterr().out)["metrics"][family]["series"]
+        assert [entry["labels"]["field"] for entry in series] == sorted(
+            field.name for field in dataclasses.fields(stats)
+        )
 
     def test_text_format(self, capsys):
         assert main(["metrics", "--format", "text"]) == 0

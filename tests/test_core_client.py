@@ -914,43 +914,42 @@ class TestWarmReadPathCounts:
         assert frames <= self.COORDINATOR_FRAME_BUDGET, frames
 
     # What telemetry adds to one warm six-term query that takes one round
-    # of six slices on three servers: frames entered with the deployment's
-    # Telemetry on, less those entered on the same deployment after
-    # ``telemetry.suspend()`` — read counters, per-slice lag observations,
-    # the trace root and its clock and, through the coordinator, the
-    # coalesce and envelope spans.  An absolute count, so a faster read
-    # path cannot move it and a clock cannot blur it: 70 and 48 on
-    # CPython 3.11, on tiny_corpus and studip_like alike (3.12 inlines
-    # list comprehensions and can only read lower).  A change that puts
-    # more telemetry on the read path raises these in the open; refresh
-    # them from the ``(on, off)`` pair this test fails with.
+    # of six slices on three servers: frames entered on a deployment with
+    # a Telemetry, less those entered on a second deployment of the same
+    # system with none — read counters, per-slice lag observations, the
+    # trace root and its clock and, through the coordinator, the coalesce
+    # and envelope spans.  The deployment with no telemetry enters exactly
+    # what the same deployment entered with its telemetry switched off
+    # live, so the budgets kept their values when that switch went.  An
+    # absolute count, so a faster read path cannot move it and a clock
+    # cannot blur it: 70 and 48 on CPython 3.11, on tiny_corpus and
+    # studip_like alike (3.12 inlines list comprehensions and can only
+    # read lower).  A change that puts more telemetry on the read path
+    # raises these in the open; refresh them from the ``(on, off)`` pair
+    # this test fails with.
     TELEMETRY_FRAME_BUDGET = {"coordinator": 70, "direct": 48}
 
     @pytest.mark.parametrize("path", sorted(TELEMETRY_FRAME_BUDGET))
     def test_frames_telemetry_adds_to_one_warm_query_stay_under_budget(
         self, system, path
     ):
-        telemetry = Telemetry()
-        cluster, coordinator = system.deploy_cluster(
-            num_servers=3, telemetry=telemetry
-        )
-        client = system.client_for("superuser", server=cluster)
-        terms, k = self._six_terms_on_three_servers(system, cluster), 5
+        def frames(telemetry):
+            cluster, coordinator = system.deploy_cluster(
+                num_servers=3, telemetry=telemetry
+            )
+            client = system.client_for("superuser", server=cluster)
+            terms, k = self._six_terms_on_three_servers(system, cluster), 5
 
-        def run():
-            if path == "coordinator":
-                return coordinator.run_queries([(client, terms, k)])[0]
-            return client.query_multi_batched(terms, k)
+            def run():
+                if path == "coordinator":
+                    return coordinator.run_queries([(client, terms, k)])[0]
+                return client.query_multi_batched(terms, k)
 
-        trace = run().batch_trace  # warm: views, memos, keyring
-        assert (trace.num_rounds, trace.num_subfetches) == (1, 6)
-        on = _frames_entered(run)
-        telemetry.suspend()
-        try:
-            run()
-            off = _frames_entered(run)
-        finally:
-            telemetry.resume()
+            trace = run().batch_trace  # warm: views, memos, keyring
+            assert (trace.num_rounds, trace.num_subfetches) == (1, 6)
+            return _frames_entered(run)
+
+        on, off = frames(Telemetry()), frames(None)
         assert on - off <= self.TELEMETRY_FRAME_BUDGET[path], (on, off)
 
     @staticmethod

@@ -597,7 +597,9 @@ class TestReadPathRefinement:
         assert stats == ref.cluster.replication_stats
         assert stats.floor_reserves and stats.read_repairs
         assert stats.read_reserves > stats.floor_reserves
-        assert stats.version_probes and stats.max_staleness_seen > 1
+        assert stats.version_probes
+        staleness = new.cluster.replication_manager.max_staleness_seen
+        assert staleness == ref.cluster.replication_manager.max_staleness_seen > 1
 
     def test_a_slice_on_a_server_that_does_not_hold_its_list(self, keys):
         cluster = ServerCluster(keys, num_lists=4, num_servers=3)
@@ -716,16 +718,6 @@ class TestReadInstrumentsPerServerCall:
         assert lags.sum(consistency="one") == before + 3
         assert reads.total() == 7 == sum(cluster.per_server_load())
 
-    def test_suspended_telemetry_counts_nothing(self):
-        telemetry = Telemetry()
-        cluster = self._cluster(telemetry)
-        telemetry.suspend()
-        cluster.batch_fetch(BatchFetchRequest.for_slices("u", [(0, 0, 1), (1, 0, 1)]))
-        telemetry.resume()
-        assert telemetry.registry.counter("cluster_reads_total").total() == 0
-        cluster.fetch(FetchRequest("u", 0, 0, 1))
-        assert telemetry.registry.counter("cluster_reads_total").total() == 1
-
 
 class TestClusterStateGauges:
     """The cluster collector mirrors per-server state into two gauges at
@@ -771,6 +763,17 @@ class TestClusterStateGauges:
             1: 0.0,
             2: 0.0,
         }
+
+    def test_max_staleness_gauge_reads_the_managers_high_water_mark(self):
+        telemetry = Telemetry()
+        cluster = self._cluster(telemetry, lag=5)
+        for i in range(3):
+            cluster.insert("u", 0, _element(0.1 * (i + 1), b"s%d" % i))
+        cluster.fail_server(cluster.replicas_of(0)[0])
+        cluster.fetch(FetchRequest("u", 0, 0, 1), consistency="one")
+        assert cluster.replication_manager.max_staleness_seen == 3
+        series = telemetry.registry.snapshot()["replication_max_staleness"]["series"]
+        assert series == [{"labels": {}, "value": 3.0}]
 
     def test_server_load_mirrors_per_server_load(self):
         telemetry = Telemetry()

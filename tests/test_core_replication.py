@@ -312,7 +312,7 @@ class TestReadConsistency:
         assert cluster.primary_version(0) == 2
         stats = cluster.replication_stats
         assert stats.stale_reads_detected == 1
-        assert stats.max_staleness_seen == 1
+        assert cluster.replication_manager.max_staleness_seen == 1
         # ... but the divergence was repaired behind the response.
         follower = cluster.replicas_of(0)[1]
         assert cluster.applied_version(0, follower) == 2

@@ -10,7 +10,9 @@ replica selectors, per-server lag, spill caps and principal credits,
 then heat-weighted placement, rebalancing and the cluster monitor, then
 rotating reads, per-call staleness bounds and the snapshot view spill,
 then the one-shot cipher helpers and the cipher cache behind them,
-then the event loop's bands, cancellation, RNG and task handles;
+then the event loop's bands, cancellation, RNG and task handles,
+then the telemetry kill switch, snapshot merge/reset and the
+``Telemetry`` registry and trace-capacity parameters;
 they were deleted, and this test keeps them from drifting back.
 """
 
@@ -28,6 +30,7 @@ from repro.core.eventloop import EventLoop
 from repro.core.replication import ReplicationManager
 from repro.core.router import Coordinator
 from repro.core.system import ZerberRSystem
+from repro.obs import MetricsRegistry, Telemetry
 from repro.persist import load_cluster, save_cluster
 
 SURFACES = {
@@ -56,6 +59,7 @@ SURFACES = {
         "cluster round_latency max_queue_depth",
     ),
     "EventLoop.__init__": (EventLoop.__init__, ""),
+    "Telemetry.__init__": (Telemetry.__init__, ""),
     "EventLoop.call_at": (EventLoop.call_at, "tick fn"),
     "EventLoop.every": (EventLoop.every, "period fn"),
     "load_cluster": (
@@ -91,18 +95,28 @@ DELETED_NAMES = {
         repro,
         "LagModel LeastLoadedReads HeatWeightedPlacement PlacementPolicy "
         "RoundRobinPlacement load_balance_ratio "
-        "ReadSelector PrimaryReads RotatingReads coerce_read_selector",
+        "ReadSelector PrimaryReads RotatingReads coerce_read_selector "
+        "QueryLog",
     ),
     "repro.core": (
         repro.core,
         "LagModel LeastLoadedReads HeatWeightedPlacement PlacementPolicy "
         "RoundRobinPlacement load_balance_ratio "
         "ReadSelector PrimaryReads RotatingReads coerce_read_selector "
-        "EventHandle PeriodicTask FOREGROUND BACKGROUND MAINTENANCE",
+        "EventHandle PeriodicTask FOREGROUND BACKGROUND MAINTENANCE "
+        "DeliveryOutlook ReplicationLog tfidf_rscore",
     ),
     "repro.crypto": (repro.crypto, "cipher_for_key encrypt decrypt"),
-    "repro.obs": (repro.obs, "ClusterMonitor MonitorSample"),
-    "repro.persist": (repro.persist, "DEFAULT_VIEW_SPILL"),
+    "repro.obs": (
+        repro.obs,
+        "ClusterMonitor MonitorSample MetricSpec metrics_to_dict trace_to_dict",
+    ),
+    "repro.persist": (
+        repro.persist,
+        "DEFAULT_VIEW_SPILL cluster_to_dict cluster_from_dict "
+        "merge_plan_from_dict replication_op_to_dict replication_op_from_dict "
+        "rstf_model_from_dict",
+    ),
 }
 
 
@@ -111,3 +125,9 @@ def test_deleted_names_are_not_exported(module):
     namespace, names = DELETED_NAMES[module]
     for name in names.split():
         assert name not in namespace.__all__ and not hasattr(namespace, name)
+
+
+def test_telemetry_has_no_kill_switch_merge_or_reset():
+    for cls in (Telemetry, MetricsRegistry):
+        for name in ("suspend", "resume", "merge_snapshot", "reset"):
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"

@@ -1,5 +1,7 @@
 """Unit tests for the metric primitives and the catalog registry."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.obs.metrics import (
@@ -112,7 +114,6 @@ class TestHistogramBucketMath:
 class TestNullInstruments:
     def test_null_instruments_swallow_everything(self):
         NULL_COUNTER.inc(5.0)
-        NULL_COUNTER.set_total(5.0)
         NULL_COUNTER.bind(x="1").inc()
         NULL_GAUGE.set(5.0)
         NULL_GAUGE.bind(x="1").set(5.0)
@@ -158,71 +159,58 @@ class TestRegistry:
 
     def test_collector_runs_before_snapshot(self):
         registry = MetricsRegistry()
-        counter = registry.counter("views_hits_total")
-        live = {"hits": 0}
-        registry.register_collector(
-            lambda: counter.set_total(float(live["hits"]))
-        )
-        live["hits"] = 12
+        gauge = registry.gauge("cluster_server_load")
+        live = {"load": 0}
+        registry.register_collector(lambda: gauge.set(float(live["load"])))
+        live["load"] = 12
         snapshot = registry.snapshot()
-        assert snapshot["views_hits_total"]["series"] == [
+        assert snapshot["cluster_server_load"]["series"] == [
             {"labels": {}, "value": 12.0}
         ]
 
 
-def _populated_registry() -> MetricsRegistry:
-    registry = MetricsRegistry()
-    registry.counter("cluster_reads_total").inc(3.0, consistency="one")
-    registry.counter("cluster_reads_total").inc(1.0, consistency="quorum")
-    registry.gauge("cluster_server_load").set(5.0, server="0")
-    hist = registry.histogram("cluster_read_lag_ticks")
-    for value in (0.0, 1.0, 3.0, 100.0):
-        hist.observe(value, consistency="one")
-    return registry
+@dataclass
+class _Stats:
+    hits: int = 0
+    misses: int = 0
 
 
-class TestSnapshotMergeReset:
+class TestStatsExport:
+    """A ``*Stats`` dataclass is exported as one counter family, one
+    ``field=`` series per field, summed over every registered source."""
+
+    def test_each_field_is_a_series_read_at_snapshot_time(self):
+        registry = MetricsRegistry()
+        stats = _Stats()
+        registry.register_stats(registry.counter("views_stats_total"), lambda: stats)
+        stats.hits += 12
+        assert registry.snapshot()["views_stats_total"]["series"] == [
+            {"labels": {"field": "hits"}, "value": 12.0},
+            {"labels": {"field": "misses"}, "value": 0.0},
+        ]
+
+    def test_sources_of_one_family_are_summed(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("views_stats_total")
+        first, second = _Stats(hits=2, misses=1), _Stats(hits=5)
+        registry.register_stats(counter, lambda: first)
+        registry.register_stats(counter, lambda: second)
+        registry.collect()
+        assert counter.value(field="hits") == 7.0
+        assert counter.value(field="misses") == 1.0
+        second.misses += 3
+        registry.collect()
+        assert counter.value(field="misses") == 4.0
+
+
+class TestSnapshot:
     def test_snapshot_is_sorted_and_json_shaped(self):
         import json
 
-        snapshot = _populated_registry().snapshot()
+        registry = MetricsRegistry()
+        registry.counter("cluster_reads_total").inc(3.0, consistency="one")
+        registry.gauge("cluster_server_load").set(5.0, server="0")
+        registry.histogram("cluster_read_lag_ticks").observe(1.0, consistency="one")
+        snapshot = registry.snapshot()
         assert list(snapshot) == sorted(snapshot)
         json.dumps(snapshot)  # must be serializable as-is
-
-    def test_snapshot_reset_merge_round_trips(self):
-        registry = _populated_registry()
-        before = registry.snapshot()
-        registry.reset()
-        empty = registry.snapshot()
-        assert all(not data["series"] for data in empty.values())
-        registry.merge_snapshot(before)
-        assert registry.snapshot() == before
-
-    def test_merge_into_live_registry_adds_counters_and_buckets(self):
-        registry = _populated_registry()
-        snapshot = registry.snapshot()
-        registry.merge_snapshot(snapshot)
-        assert registry.counter("cluster_reads_total").value(consistency="one") == 6.0
-        hist = registry.histogram("cluster_read_lag_ticks")
-        assert hist.count(consistency="one") == 8
-        assert hist.sum(consistency="one") == 208.0
-
-    def test_merge_is_right_biased_for_gauges(self):
-        registry = _populated_registry()
-        snapshot = registry.snapshot()
-        registry.gauge("cluster_server_load").set(99.0, server="0")
-        registry.merge_snapshot(snapshot)
-        assert registry.gauge("cluster_server_load").value(server="0") == 5.0
-
-    def test_merge_rejects_incompatible_histogram(self):
-        registry = _populated_registry()
-        snapshot = registry.snapshot()
-        entry = dict(snapshot["cluster_read_lag_ticks"]["series"][0])
-        entry["buckets"] = entry["buckets"][:2]
-        with pytest.raises(ValueError, match="incompatible buckets"):
-            registry.histogram("cluster_read_lag_ticks").merge_series(entry)
-
-    def test_merge_rejects_unknown_kind(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError, match="unknown kind"):
-            registry.merge_snapshot({"cluster_reads_total": {"kind": "summary"}})

@@ -12,13 +12,12 @@ from repro.persist import (
     FORMAT_VERSION,
     load_cluster,
     load_index,
-    merge_plan_from_dict,
     merge_plan_to_dict,
-    rstf_model_from_dict,
     rstf_model_to_dict,
     save_cluster,
     save_index,
 )
+from repro.persist.encoders import merge_plan_from_dict, rstf_model_from_dict
 
 
 @pytest.fixture(scope="module")

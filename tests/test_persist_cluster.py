@@ -27,14 +27,8 @@ from repro.crypto.cipher import NONCE_SIZE
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError, UnavailableError
 from repro.index.postings import EncryptedPostingElement
-from repro.persist import (
-    FORMAT_VERSION,
-    cluster_from_dict,
-    cluster_to_dict,
-    load_cluster,
-    load_index,
-    save_cluster,
-)
+from repro.persist import FORMAT_VERSION, load_cluster, load_index, save_cluster
+from repro.persist.clusterstate import cluster_from_dict, cluster_to_dict
 from repro.text.analysis import DocumentStats
 
 NUM_LISTS = 3
