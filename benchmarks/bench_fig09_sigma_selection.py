@@ -4,8 +4,8 @@ The paper's curve: decreasing to a minimum (an optimal σ), then rising
 again as overfitting sets in; a good σ achieves variance < 2e-5 on their
 collections.  We regenerate the sweep for a frequent term of the
 StudIP-like collection, assert the U-shape, and additionally benchmark the
-paper's "future work" direct σ estimator (DESIGN.md §6 ablation) against
-the cross-validated optimum.
+paper's "future work" direct σ estimator (an ablation: σ from the spacing
+of the training scores, with no sweep) against the cross-validated optimum.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ def test_fig09_sigma_sweep_u_shape(benchmark, studip):
 
 
 def test_fig09_direct_sigma_estimator_ablation(benchmark, studip):
-    """DESIGN.md §6: the spacing heuristic lands near the CV optimum."""
+    """Ablation: the spacing heuristic lands near the CV optimum, so a
+    costly training run can skip the sweep."""
     term, train, control = _train_control(studip)
 
     def measure():
@@ -99,7 +100,8 @@ def test_fig09_direct_sigma_estimator_ablation(benchmark, studip):
 
 
 def test_fig09_erf_vs_logistic_kind(benchmark, studip):
-    """DESIGN.md §6: Eq. 8's logistic vs. the exact erf integral."""
+    """Ablation: Eq. 8's logistic approximation vs. the exact erf integral
+    of the Gaussian it stands for."""
     term, train, control = _train_control(studip)
     grid = default_sigma_grid(minimum=0.5, maximum=1e6, points=15)
 

@@ -15,7 +15,7 @@ from repro.evalmetrics.storage import TRS_BITS, compare_storage
 def test_sec63_storage_overhead(benchmark, collections):
     def measure():
         return {
-            c.name: compare_storage(c.ordinary, c.system.server)
+            c.name: compare_storage(c.ordinary, c.system.cluster)
             for c in collections
         }
 

@@ -2,14 +2,19 @@
 
 Everything heavy is session-scoped and built once:
 
-* ``studip`` / ``odp`` — the two synthetic collections (DESIGN.md §4
-  substitutes them for the paper's StudIP snapshot and ODP crawl).
+* ``studip`` / ``odp`` — the two synthetic collections, standing in for
+  the paper's StudIP snapshot and ODP crawl, which are not public: every
+  figure depends only on their distributional shape (Zipfian document
+  frequencies, power-law raw TF, group partitioning), which
+  :mod:`repro.corpus.synthetic` reproduces.
 * assembled Zerber+R systems, ordinary indexes, and query logs per
   collection.
 
 Benchmarks run the paper's measurement once per figure
 (``benchmark.pedantic(..., rounds=1)``) and print the paper-shaped table;
-assertions encode the qualitative shape listed in DESIGN.md §3.
+assertions encode the qualitative shape of the paper's curve (a minimum,
+a crossover, an ordering), not its absolute numbers, which depend on the
+private collections.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from repro.text.vocabulary import Vocabulary
 
 # Collection sizes: large enough to show the paper's shapes, small enough
 # to keep the whole benchmark suite in the minutes range.  Paper-scale runs
-# are a parameter change (see DESIGN.md §4).
+# (8.5k / 237k documents) are a parameter change: nothing in the generator
+# is quadratic.
 STUDIP_DOCS = 400
 STUDIP_VOCAB = 5000
 ODP_DOCS = 600

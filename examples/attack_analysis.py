@@ -70,13 +70,13 @@ def main() -> None:
 
     # Watch the wire: query a rare and a frequent term and show what the
     # server log reveals.
-    system.server.clear_observations()
+    system.cluster.server(0).clear_observations()
     ordered = system.vocabulary.terms_by_frequency()
     frequent, rare = ordered[0], ordered[-1]
     system.query(frequent, k=10, policy=policy)
     system.query(rare, k=10, policy=policy)
     print("  server-observed fetches (principal, list, offset, count):")
-    for obs in system.server.observations:
+    for obs in system.cluster.observations_at(0):
         print(f"    {obs.principal}  list={obs.list_id}  offset={obs.offset}  count={obs.count}")
     print(
         "  the term itself never crosses the wire; within a BFM list all\n"

@@ -41,7 +41,7 @@ def main() -> None:
         corpus, SystemConfig(r=1.5, training_fraction=0.9, seed=3)
     )
     print(
-        f"PCC index: {system.server.num_elements} encrypted elements, "
+        f"PCC index: {system.cluster.num_elements} encrypted elements, "
         f"{system.merge_plan.num_lists} merged lists, "
         f"confidential={system.audit().is_confidential}"
     )
@@ -73,7 +73,7 @@ def main() -> None:
 
     # What the compromised server sees for the list holding 'pricing':
     list_id = system.merge_plan.list_of("pricing")
-    trs = system.server.visible_trs_values(list_id)
+    trs = system.cluster.visible_trs_values(list_id)
     print(
         f"\nserver-visible state of merged list {list_id}: "
         f"{len(trs)} TRS values in [{min(trs):.3f}, {max(trs):.3f}] — "

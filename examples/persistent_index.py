@@ -16,8 +16,7 @@ from repro import (
     SnippetStore,
     SystemConfig,
     ZerberRSystem,
-    load_index,
-    save_index,
+    load_cluster,
     studip_like,
 )
 from repro.core.client import ZerberRClient
@@ -33,22 +32,22 @@ def main() -> None:
     keys = GroupKeyService(master_secret=SECRET)
     system = ZerberRSystem.build(corpus, SystemConfig(r=4.0), key_service=keys)
     path = Path(tempfile.mkdtemp()) / "index.json"
-    save_index(path, system.server, system.merge_plan, system.rstf_model)
+    system.snapshot_cluster(path, system.cluster)
     print(
-        f"persisted {system.server.num_elements} encrypted elements "
+        f"persisted {system.cluster.num_elements} encrypted elements "
         f"({path.stat().st_size / 1024:.0f} KB) to {path}"
     )
 
     # --- process 2: reload with the same secret ----------------------------
     keys2 = GroupKeyService(master_secret=SECRET)
-    server2, plan2, model2 = load_index(path, keys2)
+    cluster2, plan2, model2 = load_cluster(path, keys2)
     for group in corpus.groups():
         keys2.ensure_group(group)
     keys2.register("reader", set(corpus.groups()))
     client = ZerberRClient(
         principal="reader",
         key_service=keys2,
-        server=server2,
+        server=cluster2,
         rstf_model=model2,
         merge_plan=plan2,
     )

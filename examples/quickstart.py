@@ -20,7 +20,7 @@ def main() -> None:
     system = ZerberRSystem.build(corpus, SystemConfig(r=4.0))
     audit = system.audit()
     print(
-        f"index: {system.server.num_elements} encrypted posting elements in "
+        f"index: {system.cluster.num_elements} encrypted posting elements in "
         f"{system.merge_plan.num_lists} merged lists "
         f"(r={system.config.r}, max amplification {audit.max_amplification:.2f}, "
         f"confidential={audit.is_confidential})"

@@ -67,13 +67,12 @@ from repro.core import (
     SystemConfig,
     WriteConsistency,
     ZerberRClient,
-    ZerberRServer,
     ZerberRSystem,
 )
 from repro.core.rstf import TrainerConfig
 from repro.core.cluster import ServerCluster
 from repro.core.idf import BucketedIdf, aggregate_with_idf
-from repro.persist import load_cluster, load_index, save_cluster, save_index
+from repro.persist import load_cluster, save_cluster
 from repro.snippets import SnippetClient, SnippetStore
 from repro.index import (
     MergePlan,
@@ -117,7 +116,6 @@ __all__ = [
     "ZerberRSystem",
     "SystemConfig",
     "ZerberRClient",
-    "ZerberRServer",
     "QueryResult",
     "QueryTrace",
     "Receipt",
@@ -142,8 +140,6 @@ __all__ = [
     "ServerCluster",
     "BucketedIdf",
     "aggregate_with_idf",
-    "save_index",
-    "load_index",
     "save_cluster",
     "load_cluster",
     "SnippetStore",

@@ -1,18 +1,29 @@
 """Replication-bypass rule: all list mutations flow through the log.
 
-PR 4's contract: a :class:`~repro.core.server.ZerberRServer` write is only
-durable-and-replicated when it enters through the server's public
-mutators, because those are what the
-:class:`~repro.core.replication.ReplicationManager` records.  Calling a
-:class:`~repro.index.postings.MergedPostingList` mutator directly — or
-reaching into ``server._lists`` from outside the server/persist layers —
-produces a write that no replica ever sees and no snapshot can account
-for: replicas diverge silently and read-repair cannot converge them.
+Every write enters through :class:`~repro.core.cluster.ServerCluster` —
+``insert_many`` / ``bulk_load`` / ``delete_many`` — which validates the
+batch, mutates the primaries and records each op in the
+:class:`~repro.core.replication.ReplicationManager` log that the
+followers replay.  Three things would let a write past that log:
 
-Sanctioned modules are the storage/replication layers themselves, the
-persistence codecs (restore is by definition not a replicated write), the
-cluster (which routes every write through the log) and the
-non-replicated baselines, which own private list state of the same shape.
+* calling a :class:`~repro.index.postings.MergedPostingList` mutator
+  directly outside the storage layers;
+* reaching into a server's ``_lists`` from outside the server/persist
+  layers;
+* constructing a :class:`~repro.core.server.ZerberRServer` anywhere but
+  in ``repro.core.cluster``: a shard that no cluster holds has no log,
+  no replicas and no write gate, so what it is handed no snapshot
+  accounts for.  The paper's single index server is a one-server
+  cluster, not a bare shard.
+
+Each produces a write that no replica ever sees: replicas diverge
+silently and read-repair cannot converge them.
+
+Sanctioned mutation modules are the storage/replication layers
+themselves, the persistence codecs (restore is by definition not a
+replicated write), the cluster (which routes every write through the
+log) and the non-replicated baselines, which own private list state of
+the same shape.
 """
 
 from __future__ import annotations
@@ -51,6 +62,18 @@ _LIST_MUTATORS = frozenset(
 
 _STATE_ATTR_MODULES = ("repro.core.server", "repro.persist")
 
+#: The one module that constructs a shard.
+_SHARD_OWNER = "repro.core.cluster"
+
+
+def _called_name(node: ast.Call) -> str | None:
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
 
 def _receiver_is_self(node: ast.Attribute) -> bool:
     return isinstance(node.value, ast.Name) and node.value.id == "self"
@@ -61,14 +84,29 @@ class ReplicationBypassChecker(Checker):
     rule = "replication-bypass"
     description = (
         "no direct MergedPostingList mutation or server list-state access "
-        "outside the server/replication/persist layers"
+        "outside the server/replication/persist layers, and no "
+        "ZerberRServer built outside the cluster"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         mutation_sanctioned = module_matches(ctx.module, _SANCTIONED_MUTATION_MODULES)
         state_sanctioned = module_matches(ctx.module, _STATE_ATTR_MODULES)
+        shard_owner = ctx.module == _SHARD_OWNER
         for node in ast.walk(ctx.tree):
             if (
+                not shard_owner
+                and isinstance(node, ast.Call)
+                and _called_name(node) == "ZerberRServer"
+            ):
+                yield ctx.finding(
+                    self.rule,
+                    node,
+                    "a ZerberRServer built outside repro.core.cluster — a "
+                    "shard is built only by ServerCluster; a bare one has no "
+                    "log and no write gate (a single server is a one-server "
+                    "cluster)",
+                )
+            elif (
                 not mutation_sanctioned
                 and isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -78,7 +116,7 @@ class ReplicationBypassChecker(Checker):
                     self.rule,
                     node,
                     f"direct MergedPostingList.{node.func.attr}() outside the "
-                    "storage layers — writes must enter through ZerberRServer "
+                    "storage layers — writes must enter through ServerCluster "
                     "so the ReplicationManager logs them; a bypassed write "
                     "never reaches replicas",
                 )

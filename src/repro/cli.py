@@ -12,7 +12,9 @@ immediate parent directory is its collaboration group.  The key service
 derives group keys from ``--secret`` (hex, >= 32 hex chars), so running
 ``query`` with the same secret reconstructs them — a convenience for
 demos and tests, not a production key-management story (see
-``repro.crypto.keys``).
+``repro.crypto.keys``).  ``build`` writes the paper's single index server
+as a one-server cluster dump, the one format ``snapshot`` writes too, so
+``info`` / ``query`` and ``restore`` / ``cluster-status`` read either.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.core.system import SystemConfig, ZerberRSystem
 from repro.corpus.documents import Corpus, Document
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ReproError
-from repro.persist import load_cluster, load_index, save_index
+from repro.persist import load_cluster
 
 DEFAULT_SECRET = "0f" * 32
 
@@ -68,31 +70,36 @@ def cmd_build(args: argparse.Namespace) -> int:
         SystemConfig(r=args.r, training_fraction=args.training_fraction),
         key_service=service,
     )
-    save_index(args.output, system.server, system.merge_plan, system.rstf_model)
+    system.snapshot_cluster(args.output, system.cluster)
     audit = system.audit()
     print(
-        f"wrote {args.output}: {system.server.num_elements} elements, "
+        f"wrote {args.output}: {system.cluster.num_elements} elements, "
         f"{system.merge_plan.num_lists} merged lists, "
         f"r={args.r} (confidential={audit.is_confidential})"
     )
     return 0
 
 
-def _server_groups(server) -> set[str]:
-    """Group tags visible in a single-server index (public accessor)."""
-    return {
+def _load(path: str, secret: str):
+    """Load a dump; its key service knows every group a list holds a tag of."""
+    service = GroupKeyService(master_secret=bytes.fromhex(secret))
+    cluster, plan, model = load_cluster(path, service)
+    groups = {
         tag
-        for list_id in range(server.num_lists)
-        for tag in server.visible_group_tags(list_id)
+        for list_id in range(cluster.num_lists)
+        for tag in cluster.server(cluster.replicas_of(list_id)[0]).visible_group_tags(
+            list_id
+        )
     }
+    for group in sorted(groups):
+        service.ensure_group(group)
+    return service, cluster, plan, model, groups
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    service = GroupKeyService(master_secret=bytes.fromhex(args.secret))
-    server, plan, model = load_index(args.index, service)
-    groups = _server_groups(server)
+    _, cluster, plan, model, groups = _load(args.index, args.secret)
     print(f"index: {args.index}")
-    print(f"  posting elements : {server.num_elements}")
+    print(f"  posting elements : {cluster.num_elements}")
     print(f"  merged lists     : {plan.num_lists} (r={plan.r})")
     print(f"  trained RSTFs    : {model.num_terms}")
     print(f"  groups           : {', '.join(sorted(groups))}")
@@ -110,8 +117,7 @@ def _run_query(
 ) -> int:
     """Register the querying principal, run one query, print the hits.
 
-    Shared by ``query`` (single-server index) and ``restore`` (recovered
-    cluster) — *backend* is anything with the fetch surface.
+    Shared by ``query`` and ``restore``: *backend* is the loaded cluster.
     """
     service.register(args.principal, set(args.groups) if args.groups else groups)
     client = ZerberRClient(
@@ -137,12 +143,8 @@ def _run_query(
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    service = GroupKeyService(master_secret=bytes.fromhex(args.secret))
-    server, plan, model = load_index(args.index, service)
-    groups = _server_groups(server)
-    for group in sorted(groups):
-        service.ensure_group(group)
-    return _run_query(service, server, plan, model, groups, args)
+    service, cluster, plan, model, groups = _load(args.index, args.secret)
+    return _run_query(service, cluster, plan, model, groups, args)
 
 
 def cmd_snapshot(args: argparse.Namespace) -> int:
@@ -176,24 +178,9 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cluster_groups(cluster) -> set[str]:
-    """Group tags visible in the cluster (read from each list's primary)."""
-    return {
-        tag
-        for list_id in range(cluster.num_lists)
-        for tag in cluster.server(cluster.replicas_of(list_id)[0]).visible_group_tags(
-            list_id
-        )
-    }
-
-
 def cmd_restore(args: argparse.Namespace) -> int:
     """Recover a cluster snapshot; show its state and optionally query it."""
-    service = GroupKeyService(master_secret=bytes.fromhex(args.secret))
-    cluster, plan, model = load_cluster(args.snapshot, service)
-    groups = _cluster_groups(cluster)
-    for group in sorted(groups):
-        service.ensure_group(group)
+    service, cluster, plan, model, groups = _load(args.snapshot, args.secret)
     backlog = cluster.replication_backlog()
     print(f"snapshot: {args.snapshot}")
     print(f"  posting elements : {cluster.num_elements}")

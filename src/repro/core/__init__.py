@@ -27,7 +27,6 @@ from repro.core.protocol import (
     Receipt,
     ResponsePolicy,
 )
-from repro.core.server import ZerberRServer
 from repro.core.ordstat import OrderStatList
 from repro.core.views import ReadableViewIndex, ViewStats
 from repro.core.client import (
@@ -74,7 +73,6 @@ __all__ = [
     "QueryTrace",
     "Receipt",
     "ResponsePolicy",
-    "ZerberRServer",
     "OrderStatList",
     "ReadableViewIndex",
     "ViewStats",

@@ -105,7 +105,7 @@ from repro.core.protocol import (
     ResponsePolicy,
 )
 from repro.core.rstf import RstfModel
-from repro.core.server import ZerberRServer
+from repro.core.cluster import ServerCluster
 from repro.crypto.cipher import NonceSequence, StreamCipher
 from repro.crypto.keys import GroupKeyService
 from repro.errors import (
@@ -270,7 +270,7 @@ class ClientQuerySession:
     fetch slices (:meth:`pending_requests`) and absorbs their responses
     (:meth:`deliver`), holding all per-term doubling state in between.
     :meth:`ZerberRClient.query` and :meth:`ZerberRClient.query_multi_batched`
-    drive one session against the client's own server; a
+    drive one session against the client's own cluster; a
     :class:`~repro.core.router.Coordinator` drives *many* sessions in
     lockstep, coalescing their slices into shared per-shard envelopes.
     Every driver feeds the identical step logic
@@ -308,8 +308,8 @@ class ClientQuerySession:
         self.rounds = 0
 
     @property
-    def backend(self) -> ZerberRServer:
-        """The server/cluster the owning client is bound to.
+    def backend(self) -> ServerCluster:
+        """The cluster the owning client is bound to.
 
         A coordinator checks this at submit time: scheduling a session
         whose client talks to a *different* backend would silently answer
@@ -403,7 +403,7 @@ class ZerberRClient:
         self,
         principal: str,
         key_service: GroupKeyService,
-        server: ZerberRServer,
+        server: ServerCluster,
         rstf_model: RstfModel,
         merge_plan: MergePlan,
     ) -> None:
@@ -412,17 +412,15 @@ class ZerberRClient:
         self._server = server
         self._rstf = rstf_model
         self._plan = merge_plan
-        # Telemetry is discovered from the backend (duck-typed, like
-        # primary_version below): a cluster deployed with a Telemetry
-        # exposes it, a bare server does not, and the client stays usable
-        # against both.  With no telemetry every instrument is a no-op.
-        self.telemetry: Telemetry | None = getattr(server, "telemetry", None)
+        # Telemetry is the backend's: a cluster deployed with a Telemetry
+        # instruments its clients too.  With none every instrument is a
+        # no-op.
+        self.telemetry: Telemetry | None = server.telemetry
         self._obs = ClientInstruments(self.telemetry)
         # Session-consistency tokens: list_id -> highest replication-log
         # version this client has written or read (the floor its future
         # reads of the list must reflect — read-your-writes + monotonic
-        # reads).  Stays empty against a bare unreplicated server, which
-        # exposes neither primary_version nor response versions.
+        # reads).
         self._version_floors: dict[int, int] = {}
 
     # -- session-consistency tokens ----------------------------------------------
@@ -447,12 +445,9 @@ class ZerberRClient:
         """Record a write's acknowledged versions (read-your-writes).
 
         The backend's post-write log head bounds the written op's
-        version; duck-typed so a bare :class:`ZerberRServer` (no
-        ``primary_version``, no replication) keeps floor-free requests.
+        version.
         """
-        version_of = getattr(self._server, "primary_version", None)
-        if version_of is None:
-            return
+        version_of = self._server.primary_version
         for list_id in dict.fromkeys(list_ids):
             self._note_version(list_id, version_of(list_id))
 
@@ -463,8 +458,8 @@ class ZerberRClient:
     ) -> int | None:
         """Ticks to park a refused write for, when an election can fix it.
 
-        ``None`` means surface the error immediately: the backend has no
-        failover election (bare server, or ``failover_after`` unset), no
+        ``None`` means surface the error immediately: the backend runs no
+        failover election (``failover_after`` unset), no
         live replica exists to elect, or the list's primary is still
         reachable — then the refusal is a genuine ack shortfall that an
         election cannot repair.  Otherwise the election fires within
@@ -472,23 +467,16 @@ class ZerberRClient:
         unreachable; one extra tick covers a timer that starts on the
         tick the write was refused.
         """
-        failover_after = getattr(self._server, "failover_after", None)
-        replicas_of = getattr(self._server, "replicas_of", None)
-        if (
-            failover_after is None
-            or replicas_of is None
-            or getattr(self._server, "replication_tick", None) is None
-        ):
+        failover_after = self._server.failover_after
+        if failover_after is None or not error.live_replicas:
             return None
-        if not error.live_replicas:
-            return None
-        primary = replicas_of(error.list_id)[0]
+        primary = self._server.replicas_of(error.list_id)[0]
         if (
             primary not in error.down_replicas
             and primary not in error.paused_replicas
         ):
             return None
-        return int(failover_after) + 1
+        return failover_after + 1
 
     def _write_with_failover_retry(self, op: Callable[[], _W]) -> _W:
         """Run a write op, parking through a pending failover election.
@@ -509,10 +497,9 @@ class ZerberRClient:
             budget = self._failover_retry_budget(error)
             if budget is None:
                 raise
-            tick: Callable[[], int] = getattr(self._server, "replication_tick")
             last = error
             for _ in range(budget):
-                tick()
+                self._server.replication_tick()
                 try:
                     return op()
                 except QuorumWriteUnavailableError as retry_error:

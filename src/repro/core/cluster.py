@@ -2,10 +2,12 @@
 set of largely untrusted index servers").
 
 A :class:`ServerCluster` shards the merged posting lists across N
-:class:`~repro.core.server.ZerberRServer` instances and exposes the same
-insert/fetch/batch-fetch surface, so
-:class:`~repro.core.client.ZerberRClient` works against a cluster
-unchanged.  A batched fetch splits into one sub-batch per shard server,
+:class:`~repro.core.server.ZerberRServer` shards, which it alone
+constructs, and is the one backend a
+:class:`~repro.core.client.ZerberRClient` talks to: the paper's single
+index server is a one-server cluster (what
+:meth:`~repro.core.system.ZerberRSystem.build` indexes into).  A batched
+fetch splits into one sub-batch per shard server,
 so a multi-term client round costs one round-trip per *touched server*
 rather than per merged list.  A slice has one path to a shard server and
 back: ``fetch`` is a one-slice ``batch_fetch``, which routes and groups
@@ -70,7 +72,7 @@ replicas *diverge* instead).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import fields as dataclass_fields
 
 from repro.core.placement import round_robin_placement, validate_placement
@@ -89,10 +91,11 @@ from repro.core.replication import (
     ReplicationStats,
     WriteConsistency,
 )
-from repro.core.server import ObservedFetch, ZerberRServer, validate_write_batch
+from repro.core.server import ObservedFetch, ZerberRServer
 from repro.core.views import ViewStats
 from repro.crypto.keys import GroupKeyService
 from repro.errors import (
+    AccessDeniedError,
     ConfigurationError,
     ProtocolError,
     QuorumUnavailableError,
@@ -108,6 +111,40 @@ from repro.obs.instruments import (
     Telemetry,
 )
 from repro.obs.metrics import BoundHistogram
+
+
+def validate_write_batch(
+    keys: GroupKeyService,
+    principal: str,
+    items: Iterable[tuple[int, EncryptedPostingElement]],
+    check_list_id: Callable[[int], object],
+) -> list[tuple[int, EncryptedPostingElement]]:
+    """The all-or-nothing gate of a batched insert, mutating nothing.
+
+    Element by element, in batch order: it carries a TRS
+    (:class:`ProtocolError`), *principal* is a member of its group
+    (:class:`AccessDeniedError`), its list id is one *check_list_id*
+    accepts (it raises :class:`UnknownListError`) — so the first
+    offending element decides the refusal.  Memberships and list ids do
+    not change inside one call, so each distinct group is put to the key
+    service once and each distinct list id checked once.  It runs once
+    per batch, in the cluster, before the first of several primaries is
+    touched; the shards take what it passed as it is.
+    """
+    batch = list(items)
+    groups: set[str] = set()
+    list_ids: set[int] = set()
+    for list_id, element in batch:
+        if element.trs is None:
+            raise ProtocolError("Zerber+R elements must carry a TRS")
+        if element.group not in groups:
+            if not keys.is_member(principal, element.group):
+                raise AccessDeniedError(principal, element.group)
+            groups.add(element.group)
+        if list_id not in list_ids:
+            check_list_id(list_id)
+            list_ids.add(list_id)
+    return batch
 
 
 class ServerCluster:
@@ -176,11 +213,13 @@ class ServerCluster:
         self, lag: int, anti_entropy_every: int | None
     ) -> ReplicationManager:
         """A manager over the current placement table.  It is handed ids
-        the cluster has validated, so it reads the rows as stored."""
+        the cluster has validated, so it reads the rows as stored.  It
+        holds the two tables, not the cluster: with no telemetry a
+        dropped cluster is freed at once, not at the next collection."""
         return ReplicationManager(
             self._servers,
-            replicas_of=lambda list_id: self._placement[list_id],
-            server_alive=lambda index: self._alive[index],
+            replicas_of=self._placement.__getitem__,
+            server_alive=self._alive.__getitem__,
             num_lists=self._num_lists,
             lag=lag,
             anti_entropy_every=anti_entropy_every,
@@ -525,7 +564,7 @@ class ServerCluster:
 
         Items are validated up front (list id, TRS and group membership
         of the whole batch before any server is touched, see
-        :func:`~repro.core.server.validate_write_batch` — a rejected
+        :func:`validate_write_batch` — a rejected
         batch cannot leave replicas of a list divergent) and grouped by
         primary, so a batch costs
         O(touched primaries) server write calls.  Only the primaries are
@@ -612,7 +651,7 @@ class ServerCluster:
         for server_index in sorted(per_primary):
             server = self._servers[server_index]
             load = server.bulk_load if bulk else server.insert_many
-            load(principal, per_primary[server_index])
+            load(per_primary[server_index])
         record_insert = self._repl.record_insert
         for list_id, element in items:
             record_insert(list_id, element)

@@ -118,8 +118,9 @@ class FetchRequest:
     replication-log version of the list the response may reflect,
     carried by sessions enforcing read-your-writes and monotonic reads
     (see :class:`~repro.core.client.ClientQuerySession`).  ``None`` (the
-    default, and the only value a bare server ever sees) imposes no
-    floor; a cluster read below the floor is repaired and re-served.  It
+    default, what a client sends before it first writes or reads the
+    list) imposes no floor; a read below the floor is repaired and
+    re-served.  It
     reveals only how recently the session last touched the list —
     strictly less than the query-observation channel already leaks.
 
@@ -155,11 +156,9 @@ class FetchResponse:
     ``replica_version`` is the serving replica's applied replication-log
     version of the fetched list (see :mod:`repro.core.replication`): the
     cluster reads it before the serve and hands it to the server, which
-    builds the reply with it.  ``None`` means the response came from an
-    unreplicated backend (a bare
-    :class:`~repro.core.server.ZerberRServer`).  The cluster compares it
-    against the list's log head to detect a stale replica and trigger
-    read-repair.
+    builds the reply with it (``None`` only from a shard called with no
+    stamp).  The cluster compares it against the list's log head to
+    detect a stale replica and trigger read-repair.
     """
 
     elements: tuple[EncryptedPostingElement, ...]

@@ -78,7 +78,8 @@ Lag 0 (the default) is a lag like any other: a recorded op is due on the
 tick it was recorded, so the ``deliver_due()`` that ends every cluster
 write call applies it to each reachable follower before the call
 returns, and the op is truncated there and then.  A list with a single
-replica has no follower to wait for; its ops are truncated as recorded.
+replica has no follower to wait for: recording an op there advances the
+head, the base and the replica's version together, and keeps no op.
 """
 
 from __future__ import annotations
@@ -542,19 +543,19 @@ class ReplicationManager:
 
     def record_insert(
         self, list_id: int, element: EncryptedPostingElement
-    ) -> ReplicationOp:
+    ) -> None:
         """Log an insert the cluster just applied to the primary."""
-        return self._record(list_id, "insert", element, None, None)
+        self._record(list_id, "insert", element, None, None)
 
     def record_delete(
         self, list_id: int, ciphertext: bytes, trs: float | None = None
-    ) -> ReplicationOp:
+    ) -> None:
         """Log a delete the cluster just applied to the primary.
 
         *trs* is the TRS of the element the primary removed: followers
         use it to bisect to the element instead of scanning for it.
         """
-        return self._record(list_id, "delete", None, ciphertext, trs)
+        self._record(list_id, "delete", None, ciphertext, trs)
 
     def _record(
         self,
@@ -563,7 +564,7 @@ class ReplicationManager:
         element: EncryptedPostingElement | None,
         ciphertext: bytes | None,
         trs: float | None,
-    ) -> ReplicationOp:
+    ) -> None:
         log = self._logs[list_id]
         replicas = self._replicas_of(list_id)
         primary = replicas[0]
@@ -579,16 +580,19 @@ class ReplicationManager:
                 f"list {list_id}: primary {primary} is at version "
                 f"{applied[primary]}, cannot acknowledge op {log.head_seq + 1}"
             )
-        op = log.append(kind, element, ciphertext, trs)
         self.stats.ops_logged += 1
-        applied[primary] = op.seq
         if len(replicas) == 1:
-            # No follower will ever apply the op, and truncation otherwise
-            # happens on application: the sole replica holds it already.
-            log.truncate_to(op.seq)
+            # Invariant 3 applied as the op is recorded: the sole replica
+            # holds it already and no follower will ever ask for it, so
+            # the head, the base and its version advance together and no
+            # op is kept (the log was empty: the base sat at the head).
+            seq = log.head_seq + 1
+            log.head_seq = log.base_seq = applied[primary] = seq
+            return
+        op = log.append(kind, element, ciphertext, trs)
+        applied[primary] = op.seq
         for follower in replicas[1:]:
             self._enqueue(log, follower, op.seq)
-        return op
 
     def _enqueue(self, log: ReplicationLog, server_index: int, upto_seq: int) -> None:
         """Owe *server_index* the ops of *log* up to *upto_seq*, due after

@@ -1,4 +1,4 @@
-"""The untrusted Zerber+R index server (paper §5, §5.2).
+"""One shard of the untrusted Zerber+R index server (paper §5, §5.2).
 
 The server stores merged posting lists whose elements carry an encrypted
 payload plus a plaintext TRS, keeps each list sorted by descending TRS, and
@@ -6,6 +6,13 @@ serves ``(offset, count)`` slices to authenticated clients.  Access control
 is group-based: every element is tagged with its owning group, and a fetch
 only ever returns elements of groups the requesting principal belongs to
 (paper §4.1: "The index server determines user's access rights").
+
+A :class:`ZerberRServer` is a shard: only
+:class:`~repro.core.cluster.ServerCluster` constructs one, and the paper's
+single index server is a one-server cluster.  The cluster gates every
+write batch once (:func:`~repro.core.cluster.validate_write_batch`) before
+it hands a shard its share, and reads each slice's replica stamp before it
+asks a shard to serve it.
 
 Two throughput mechanisms sit on the fetch path:
 
@@ -15,7 +22,7 @@ Two throughput mechanisms sit on the fetch path:
   multi-term query needs, so a round of the doubling protocol costs one
   round-trip regardless of term count) and a coordinator envelope (many
   principals' slices) alike, each slice under its own request's
-  principal.  A cluster hands down the replica stamp of every slice,
+  principal.  The cluster hands down the replica stamp of every slice,
   and each reply is built once, with it.  Each slice is still logged
   individually (with a shared ``batch_id``) because the
   compromised-server adversary sees them all.
@@ -43,7 +50,7 @@ log that the attack modules read.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -84,43 +91,8 @@ class ObservedFetch:
     batch_id: int | None = None
 
 
-def validate_write_batch(
-    keys: GroupKeyService,
-    principal: str,
-    items: Iterable[tuple[int, EncryptedPostingElement]],
-    check_list_id: Callable[[int], object],
-) -> list[tuple[int, EncryptedPostingElement]]:
-    """The all-or-nothing gate of a batched insert, mutating nothing.
-
-    Element by element, in batch order: it carries a TRS
-    (:class:`ProtocolError`), *principal* is a member of its group
-    (:class:`AccessDeniedError`), its list id is one *check_list_id*
-    accepts (it raises :class:`UnknownListError`) — so the first
-    offending element decides the refusal.  Memberships and list ids do
-    not change inside one call, so each distinct group is put to the key
-    service once and each distinct list id checked once.  The server and
-    the cluster in front of it both gate on this: a bare server must
-    check what it is handed, and the cluster must refuse a batch before
-    the first of several primaries is touched.
-    """
-    batch = list(items)
-    groups: set[str] = set()
-    list_ids: set[int] = set()
-    for list_id, element in batch:
-        if element.trs is None:
-            raise ProtocolError("Zerber+R elements must carry a TRS")
-        if element.group not in groups:
-            if not keys.is_member(principal, element.group):
-                raise AccessDeniedError(principal, element.group)
-            groups.add(element.group)
-        if list_id not in list_ids:
-            check_list_id(list_id)
-            list_ids.add(list_id)
-    return batch
-
-
 class ZerberRServer:
-    """Merged, TRS-sorted, access-controlled posting-list store."""
+    """One shard: a merged, TRS-sorted, access-controlled posting-list store."""
 
     def __init__(
         self,
@@ -182,59 +154,36 @@ class ZerberRServer:
 
     # -- inserts (paper §5: online insertion phase) ----------------------------
 
-    def insert(
-        self, principal: str, list_id: int, element: EncryptedPostingElement
-    ) -> None:
-        """Insert one element: a one-item :meth:`insert_many`."""
-        self.insert_many(principal, [(list_id, element)])
-
-    def insert_many(
-        self,
-        principal: str,
-        items: Iterable[tuple[int, EncryptedPostingElement]],
-    ) -> int:
-        """Accept posting elements from an authenticated group member.
-
-        The server checks group membership ("checks his group membership
-        and accepts the update if appropriate") for the whole batch
-        before the first element goes in (:func:`validate_write_batch`,
-        all or nothing), then inserts each by TRS order and patches the
-        list's cached readable views in place.  Returns the number of
-        elements inserted.
-        """
-        batch = validate_write_batch(self._keys, principal, items, self._list)
+    def insert_many(self, items: Sequence[tuple[int, EncryptedPostingElement]]) -> int:
+        """Insert a batch the cluster has validated, each element by TRS
+        order, patching the list's cached readable views in place.
+        Returns the number of elements inserted."""
         lists = self._lists
         note_insert = self._views.note_insert
-        for list_id, element in batch:
+        for list_id, element in items:
             merged = lists[list_id]
             merged.add_sorted_by_trs(element)
             note_insert(merged, element)
-        return len(batch)
+        return len(items)
 
-    def bulk_load(
-        self,
-        principal: str,
-        items: Iterable[tuple[int, EncryptedPostingElement]],
-    ) -> int:
-        """Load many elements, mutating each touched list once.
+    def bulk_load(self, items: Sequence[tuple[int, EncryptedPostingElement]]) -> int:
+        """Load a validated batch, mutating each touched list once.
 
         Leaves every list as :meth:`insert_many` would (same elements,
-        same order, same checks — :func:`validate_write_batch`, all or
-        nothing) but a touched list takes its share of the batch in one
-        call (:meth:`MergedPostingList.bulk_load_sorted_by_trs`) and its
-        version advances once; used when a whole index is loaded at
+        same order) but a touched list takes its share of the batch in
+        one call (:meth:`MergedPostingList.bulk_load_sorted_by_trs`) and
+        its version advances once; used when a whole index is loaded at
         system setup.  Touched lists' cached views are dropped
         wholesale — a bulk load changes too much for per-element
         patching to win.
         """
-        batch = validate_write_batch(self._keys, principal, items, self._list)
         by_list: dict[int, list[EncryptedPostingElement]] = {}
-        for list_id, element in batch:
+        for list_id, element in items:
             by_list.setdefault(list_id, []).append(element)
         for list_id, elements in by_list.items():
             self._lists[list_id].bulk_load_sorted_by_trs(elements)
             self._views.invalidate_list(list_id)
-        return len(batch)
+        return len(items)
 
     # -- deletion (collaborative updates, paper §5's "unlimited index
     # update and insert operations") ------------------------------------------
@@ -297,22 +246,12 @@ class ZerberRServer:
             removed.append(target)
         return removed
 
-    def delete_many(
-        self, principal: str, receipts: Iterable[ReceiptLike]
-    ) -> list[EncryptedPostingElement | None]:
-        """Delete a document's elements by their receipts, all or nothing.
-
-        Validate-then-mutate (:meth:`locate_receipts`, then
-        :meth:`remove_located`): a refused batch removes nothing.  Misses
-        are not errors — deletion is idempotent.
-        """
-        return self.remove_located(self.locate_receipts(principal, receipts))
-
     def delete_element(
         self, principal: str, list_id: int, ciphertext: bytes
     ) -> EncryptedPostingElement | None:
-        """Remove one element: a one-receipt :meth:`delete_many`."""
-        return self.delete_many(principal, [Receipt(list_id, ciphertext)])[0]
+        """Remove one element by its receipt: locate, then remove."""
+        located = self.locate_receipts(principal, [Receipt(list_id, ciphertext)])
+        return self.remove_located(located)[0]
 
     # -- replication (cluster data plane; see repro.core.replication) -----------
 
@@ -419,7 +358,7 @@ class ZerberRServer:
         learns how many unreadable elements interleave), and ``exhausted``
         signals that no readable elements remain past the returned slice.
         *version* is the reply's ``replica_version``: the stamp a cluster
-        read for this replica before the call (``None`` on a bare server).
+        read for this replica before the call (``None`` when none is given).
         """
         self._calls_served += 1
         return self._serve_slice(request, None, version)
@@ -486,10 +425,6 @@ class ZerberRServer:
     def visible_group_tags(self, list_id: int) -> list[str]:
         """Plaintext group tags of a list, in server order."""
         return [e.group for e in self._list(list_id)]
-
-    def storage_score_slots(self) -> int:
-        """Per-element score slots stored (the §6.3 comparison quantity)."""
-        return self.num_elements
 
     def storage_bits(self) -> int:
         """Total stored wire size of all posting elements."""

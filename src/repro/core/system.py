@@ -3,7 +3,8 @@
 Offline pre-computing phase (paper §5): sample a training set from the
 corpus, train and publish one RSTF per training term, build the
 r-confidential merge plan from (public) document-frequency statistics, and
-stand up the key service and the untrusted index server.
+stand up the key service and the untrusted index server — a one-server
+:class:`~repro.core.cluster.ServerCluster` at replication 1.
 
 Online phase: each document's owning group encrypts and uploads its posting
 elements; registered users run top-k queries through
@@ -28,7 +29,6 @@ from repro.core.replication import ReadConsistency, WriteConsistency
 from repro.core.protocol import ResponsePolicy
 from repro.core.router import Coordinator
 from repro.core.rstf import RstfModel, RstfTrainer, TrainerConfig
-from repro.core.server import ZerberRServer
 from repro.corpus.documents import Corpus
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError
@@ -86,7 +86,7 @@ class ZerberRSystem:
         merge_plan: MergePlan,
         rstf_model: RstfModel,
         key_service: GroupKeyService,
-        server: ZerberRServer,
+        cluster: ServerCluster,
         config: SystemConfig,
     ) -> None:
         self.corpus = corpus
@@ -94,10 +94,10 @@ class ZerberRSystem:
         self.merge_plan = merge_plan
         self.rstf_model = rstf_model
         self.key_service = key_service
-        self.server = server
+        self.cluster = cluster
         self.config = config
         # (principal, backend id) -> client.
-        self._clients: dict[tuple[str, int | None], ZerberRClient] = {}
+        self._clients: dict[tuple[str, int], ZerberRClient] = {}
 
     # -- assembly ---------------------------------------------------------------
 
@@ -160,14 +160,16 @@ class ZerberRSystem:
                 for group in missing:
                     key_service.enroll("superuser", group)
 
-        server = ZerberRServer(key_service, num_lists=merge_plan.num_lists)
+        cluster = ServerCluster(
+            key_service, num_lists=merge_plan.num_lists, num_servers=1
+        )
         system = cls(
             corpus=corpus,
             vocabulary=vocabulary,
             merge_plan=merge_plan,
             rstf_model=rstf_model,
             key_service=key_service,
-            server=server,
+            cluster=cluster,
             config=config,
         )
         system._index_corpus()
@@ -200,8 +202,9 @@ class ZerberRSystem:
         """Online insertion phase: per-group owners encrypt and upload.
 
         The one place a corpus is encrypted: each element is built once,
-        into this system's own server; :meth:`deploy_cluster` shards what
-        is here instead of running the pipeline again.
+        into this system's own one-server :attr:`cluster`;
+        :meth:`deploy_cluster` shards what is there instead of running the
+        pipeline again.
         """
         for group in sorted(self.corpus.groups()):
             owner = self._owner_of(group)
@@ -211,25 +214,26 @@ class ZerberRSystem:
                 items.extend(
                     client.build_document(self.corpus.stats(doc.doc_id), group)
                 )
-            self.server.bulk_load(owner, items)
+            self.cluster.bulk_load(owner, items)
 
     def _shard_index_into(self, cluster: ServerCluster) -> None:
         """Upload the built index, as it stands, into *cluster*.
 
-        Every list of :attr:`server`, read through ``export_list`` in
-        list-id order, goes to one ``cluster.bulk_load`` by ``superuser``
-        — the gate, admission, log and ack pass of any upload, so a
-        superuser revoked from a group is refused before anything is
-        written, and deploying enrols no one.  The cluster holds the very
-        (immutable) element objects this server holds, in the same order,
-        ties included: nothing is encrypted again, and a document written
-        to or deleted from this server since :meth:`build` is deployed
-        or left out like the rest.
+        Every list of :attr:`cluster`'s one server, read through
+        ``export_list`` in list-id order, goes to one ``cluster.bulk_load``
+        by ``superuser`` — the gate, admission, log and ack pass of any
+        upload, so a superuser revoked from a group is refused before
+        anything is written, and deploying enrols no one.  The new
+        cluster holds the very (immutable) element objects this system's
+        holds, in the same order, ties included: nothing is encrypted
+        again, and a document written to or deleted from this system
+        since :meth:`build` is deployed or left out like the rest.
         """
-        lists = range(self.server.num_lists)
+        source = self.cluster.server(0)
+        lists = range(source.num_lists)
         cluster.bulk_load(
             "superuser",
-            ((lid, e) for lid in lists for e in self.server.export_list(lid)),
+            ((lid, e) for lid in lists for e in source.export_list(lid)),
         )
 
     # -- principals and clients -----------------------------------------------------
@@ -240,13 +244,13 @@ class ZerberRSystem:
         return self.client_for(name)
 
     def client_for(
-        self, principal: str, server: ZerberRServer | ServerCluster | None = None
+        self, principal: str, server: ServerCluster | None = None
     ) -> ZerberRClient:
         """A (cached) client bound to *principal*.
 
-        Without *server*, the client talks to this system's own server;
-        with *server* — e.g. a :class:`~repro.core.cluster.ServerCluster`
-        deployed via :meth:`deploy_cluster` — to that backend.  Clients
+        Without *server*, the client talks to this system's own
+        :attr:`cluster`; with *server* — e.g. a cluster deployed via
+        :meth:`deploy_cluster` — to that backend.  Clients
         are cached per ``(principal, backend)`` for object identity and
         to avoid re-deriving key material; nonce safety does NOT depend
         on the cache — the shared key service owns one
@@ -254,13 +258,14 @@ class ZerberRSystem:
         group), so even independently constructed clients continue one
         counter stream.
         """
-        cache_key = (principal, None if server is None else id(server))
+        backend = self.cluster if server is None else server
+        cache_key = (principal, id(backend))
         client = self._clients.get(cache_key)
         if client is None:
             client = ZerberRClient(
                 principal=principal,
                 key_service=self.key_service,
-                server=self.server if server is None else server,
+                server=backend,
                 rstf_model=self.rstf_model,
                 merge_plan=self.merge_plan,
             )
@@ -283,7 +288,7 @@ class ZerberRSystem:
         """Stand up a sharded deployment of this system's index.
 
         Builds a :class:`~repro.core.cluster.ServerCluster` over the same
-        key service and merge plan, uploads the index :attr:`server`
+        key service and merge plan, uploads the index :attr:`cluster`
         holds at this moment into it as ``superuser`` (the same element
         objects in the same order — nothing is encrypted again, see
         :meth:`_shard_index_into`), and fronts it with a
@@ -297,8 +302,8 @@ class ZerberRSystem:
         replication subsystem (see :mod:`repro.core.replication` and
         :meth:`~repro.core.cluster.ServerCluster.check_failovers`); the
         defaults — zero lag, strong ``PRIMARY`` reads, ``ONE`` writes,
-        no failover election — give the same results as a single server
-        fed the same writes.
+        no failover election — give the same results as :attr:`cluster`,
+        the system's one server, fed the same writes.
         ``max_queue_depth`` is the coordinator's admission backpressure
         bound and ``round_latency`` defers skim delivery to pipeline
         rounds (see :mod:`repro.core.router`).
@@ -327,12 +332,6 @@ class ZerberRSystem:
         )
 
     # -- durability (see repro.persist) ------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """Persist the single-server index plus public setup artifacts."""
-        from repro.persist import save_index
-
-        save_index(path, self.server, self.merge_plan, self.rstf_model)
 
     def snapshot_cluster(self, path: str | Path, cluster: ServerCluster) -> None:
         """Snapshot a deployed cluster (lists, logs, placement).

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.ordinary import PLAINTEXT_ELEMENT_BITS
-from repro.core.server import ZerberRServer
+from repro.core.cluster import ServerCluster
 from repro.index.inverted import OrdinaryInvertedIndex
 
 TRS_BITS = 64  # one double per element, same as a plaintext score slot
@@ -50,14 +50,14 @@ class StorageReport:
 
 
 def compare_storage(
-    ordinary: OrdinaryInvertedIndex, server: ZerberRServer
+    ordinary: OrdinaryInvertedIndex, cluster: ServerCluster
 ) -> StorageReport:
     """Build the §6.3 report for one corpus indexed by both systems."""
     return StorageReport(
         ordinary_elements=ordinary.num_posting_elements,
         ordinary_score_slots=ordinary.storage_score_slots(),
         ordinary_bits=ordinary.num_posting_elements * PLAINTEXT_ELEMENT_BITS,
-        zerber_r_elements=server.num_elements,
-        zerber_r_score_slots=server.storage_score_slots(),
-        zerber_r_bits=server.storage_bits(),
+        zerber_r_elements=cluster.num_elements,
+        zerber_r_score_slots=cluster.storage_score_slots(),
+        zerber_r_bits=cluster.storage_bits(),
     )

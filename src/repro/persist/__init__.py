@@ -8,14 +8,13 @@ serialised; they live in the trusted
 :class:`~repro.crypto.keys.GroupKeyService`, which a deployment
 reconstructs from its own secret.
 
-Two dump kinds share one version-tagged JSON container:
-
-* ``kind: "server"`` — a single :class:`~repro.core.server.ZerberRServer`
-  (:func:`save_index` / :func:`load_index`).
-* ``kind: "cluster"`` — a whole
-  :class:`~repro.core.cluster.ServerCluster` (:func:`save_cluster` /
-  :func:`load_cluster`), including its replication logs; see
-  :mod:`repro.persist.clusterstate`.
+One dump kind, a version-tagged JSON container with ``kind:
+"cluster"``, holds a whole :class:`~repro.core.cluster.ServerCluster`
+(:func:`save_cluster` / :func:`load_cluster`), replication logs
+included; see :mod:`repro.persist.clusterstate`.  The paper's single
+index server is a one-server cluster, and its dump is this one too.  A
+``kind: "server"`` container (a bare server, from an older build) is
+refused by name: re-index to carry it over.
 
 The container is format **v6**, the only version this build writes or
 reads.  It is renumbered because every stored ciphertext changed: a v6
@@ -79,14 +78,6 @@ Format / recovery invariants
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-from repro.core.rstf import RstfModel
-from repro.core.server import ZerberRServer
-from repro.crypto.keys import GroupKeyService
-from repro.errors import ConfigurationError
-from repro.index.merge import MergePlan
 from repro.persist.atomic import atomic_write_text
 from repro.persist.clusterstate import load_cluster, save_cluster
 from repro.persist.encoders import (
@@ -96,15 +87,11 @@ from repro.persist.encoders import (
     merge_plan_to_dict,
     read_payload,
     rstf_model_to_dict,
-    server_from_dict,
     server_to_dict,
-    setup_from_payload,
 )
 
 __all__ = [
     "FORMAT_VERSION",
-    "save_index",
-    "load_index",
     "save_cluster",
     "load_cluster",
     "element_to_dict",
@@ -112,51 +99,6 @@ __all__ = [
     "merge_plan_to_dict",
     "rstf_model_to_dict",
     "server_to_dict",
-    "server_from_dict",
     "read_payload",
     "atomic_write_text",
 ]
-
-
-def save_index(
-    path: str | Path,
-    server: ZerberRServer,
-    merge_plan: MergePlan,
-    rstf_model: RstfModel,
-) -> None:
-    """Atomically write the untrusted-host state plus public setup artifacts."""
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "kind": "server",
-        "merge_plan": merge_plan_to_dict(merge_plan),
-        "rstf_model": rstf_model_to_dict(rstf_model),
-        "server": server_to_dict(server),
-    }
-    atomic_write_text(path, json.dumps(payload))
-
-
-def load_index(
-    path: str | Path, key_service: GroupKeyService
-) -> tuple[ZerberRServer, MergePlan, RstfModel]:
-    """Reload a saved single-server index against a (trusted) key service.
-
-    The key service must already know the groups/principals the
-    deployment uses; this function restores only the untrusted state.
-    """
-    payload = read_payload(path)
-    kind = payload.get("kind")
-    if kind != "server":
-        raise ConfigurationError(
-            f"{path}: not a single-server dump (kind={kind!r}); "
-            "use repro.persist.load_cluster"
-        )
-    merge_plan, rstf_model = setup_from_payload(payload, path)
-    try:
-        server = server_from_dict(payload["server"], key_service, source=path)
-    except ConfigurationError:
-        raise
-    except (KeyError, TypeError, ValueError) as error:
-        raise ConfigurationError(
-            f"{path}: corrupt index dump: {error!r}"
-        ) from error
-    return server, merge_plan, rstf_model

@@ -336,8 +336,7 @@ def save_cluster(
 ) -> None:
     """Atomically write a whole-cluster snapshot plus setup artifacts.
 
-    Like :func:`~repro.persist.save_index`, the dump holds only what the
-    untrusted host tier stores (ciphertexts, TRS, group tags, logs) plus
+    The dump holds only what the untrusted host tier stores (ciphertexts, TRS, group tags, logs) plus
     the public setup artifacts — never keys.  An instrumented cluster
     records snapshot size and duration into its telemetry registry
     (wall-clock timing is fine here: ``repro.persist`` is outside the
@@ -367,16 +366,15 @@ def load_cluster(
     """Recover a cluster snapshot against a (trusted) key service.
 
     The key service must already know the deployment's groups and
-    principals — like :func:`~repro.persist.load_index`, only the
-    untrusted state is restored.  *telemetry* instruments the recovered
+    principals: only the untrusted state is restored.  *telemetry* instruments the recovered
     cluster and counts the restore.
     """
     payload = read_payload(path)
     kind = payload.get("kind")
     if kind != "cluster":
         raise ConfigurationError(
-            f"{path}: not a cluster snapshot (kind={kind!r}); "
-            "use repro.persist.load_index for single-server dumps"
+            f"{path}: not a cluster dump (kind={kind!r}); this build reads "
+            "no other kind: re-index the corpus to carry it over"
         )
     merge_plan, rstf_model = setup_from_payload(payload, path)
     try:

@@ -1,4 +1,4 @@
-"""JSON encoders/decoders shared by the server and cluster dump kinds.
+"""JSON encoders/decoders of the cluster dump and its sections.
 
 Everything here is symmetric pairs (``*_to_dict`` / ``*_from_dict``) over
 plain JSON types; ciphertexts travel base64.  Decoders validate against
@@ -17,7 +17,6 @@ from pathlib import Path
 
 from repro.core.rstf import Rstf, RstfModel
 from repro.core.server import ZerberRServer
-from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError, TrainingError
 from repro.index.merge import MergePlan
 from repro.index.postings import EncryptedPostingElement
@@ -186,12 +185,3 @@ def load_server_state(server: ZerberRServer, data: dict, source: str | Path) -> 
         raise
     except (KeyError, TypeError, ValueError) as error:
         raise ConfigurationError(f"{source}: corrupt dump: {error!r}") from error
-
-
-def server_from_dict(
-    data: dict, key_service: GroupKeyService, source: str | Path = "<dump>"
-) -> ZerberRServer:
-    """Reconstruct a standalone server from a dumped ``server`` section."""
-    server = ZerberRServer(key_service, num_lists=int(data["num_lists"]))
-    load_server_state(server, data, source)
-    return server

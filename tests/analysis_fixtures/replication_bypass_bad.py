@@ -1,5 +1,7 @@
 """Bad: mutating a merged list / reaching server state outside the log."""
 
+from repro.core.server import ZerberRServer
+
 
 def sneak_insert(server, list_id: int, element) -> None:
     merged = server._lists[list_id]  # private state of a foreign object
@@ -12,3 +14,7 @@ def sneak_delete(merged, position: int):
 
 def sneak_bulk_load(merged, elements) -> None:
     merged.bulk_load_sorted_by_trs(elements)  # a whole batch no replica sees
+
+
+def bare_shard(keys, num_lists: int):
+    return ZerberRServer(keys, num_lists=num_lists)  # a server with no log

@@ -145,3 +145,12 @@ def test_every_list_mutator_named_in_the_bad_fixture_is_flagged():
     messages = " ".join(f.message for f in _lint("replication_bypass_bad", None))
     for mutator in ("add_sorted_by_trs", "pop_at", "bulk_load_sorted_by_trs"):
         assert f"MergedPostingList.{mutator}()" in messages
+
+
+def test_a_shard_is_built_only_by_the_cluster():
+    """One deployment shape: ``ZerberRServer(...)`` anywhere but
+    ``repro.core.cluster`` is a server with no log and no write gate."""
+    source = "from repro.core import server\nshard = server.ZerberRServer(keys, 3)\n"
+    (finding,) = analyze_source(source, module="repro.core.system", path="s.py")
+    assert finding.rule == "replication-bypass" and "ZerberRServer" in finding.message
+    assert analyze_source(source, module="repro.core.cluster", path="c.py") == []

@@ -181,10 +181,16 @@ class TestSnapshotRestore:
         assert "b1.txt" in out
         assert "a1.txt" not in out and "a2.txt" not in out
 
-    def test_restore_of_server_dump_errors(self, index_file, capsys):
-        code = main(["restore", "--snapshot", str(index_file)])
-        assert code == 2
-        assert "load_index" in capsys.readouterr().err
+    def test_restore_reads_a_build_output_and_info_a_snapshot(
+        self, index_file, snapshot_file, capsys
+    ):
+        """One dump format: ``build`` writes a one-server cluster's."""
+        argv = ["restore", "--snapshot", str(index_file), "--term", "reactor"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "servers          : 1 (replication=1" in out and "a1.txt" in out
+        assert main(["info", "--index", str(snapshot_file)]) == 0
+        assert "alpha, beta" in capsys.readouterr().out
 
 
 class TestUnreadableDumps:

@@ -602,16 +602,18 @@ class TestClientSessionGuarantees:
         alice._note_version(0, 0)  # a stale observation cannot lower it
         assert alice.version_floor(0) == floor
 
-    def test_bare_server_keeps_floor_free_requests(self, client_keys, model, plan):
-        from repro.core.server import ZerberRServer
-
-        server = ZerberRServer(client_keys, num_lists=1)
-        alice = self._client(client_keys, server, model, plan)
+    def test_a_one_server_cluster_keeps_floors_too(self, client_keys, model, plan):
+        """The paper's single server is a one-server cluster: its clients
+        keep floors like any other, and a floor there is always met."""
+        cluster = ServerCluster(client_keys, num_lists=1, num_servers=1)
+        alice = self._client(client_keys, cluster, model, plan)
         alice.index_document(self._doc("d1", {"apple": 3}), "g1")
-        assert alice.version_floor(0) is None
+        assert alice.version_floor(0) == cluster.primary_version(0) == 1
         session = alice.open_multi_session(["apple"], k=2)
         for request in session.pending_requests():
-            assert request.min_version is None
+            assert request.min_version == 1
+        assert alice.query("apple", k=2).doc_ids() == ["d1"]
+        assert cluster.replication_stats.floor_reserves == 0
 
     def test_delete_document_raises_floor(self, client_keys, model, plan):
         cluster = ServerCluster(

@@ -15,8 +15,8 @@ from repro.core.client import ClientQuerySession, RankedHit, ZerberRClient
 from repro.core.cluster import ServerCluster
 from repro.core.protocol import BatchFetchRequest, FetchResponse, ResponsePolicy
 from repro.core.router import Coordinator
-from repro.core.rstf import RstfModel, train_rstf
 from repro.core.server import ZerberRServer
+from repro.core.rstf import RstfModel, train_rstf
 from repro.crypto.cipher import NONCE_SIZE, StreamCipher
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ProtocolError, UnknownTermError
@@ -53,7 +53,8 @@ def model():
 
 @pytest.fixture()
 def server(keys):
-    return ZerberRServer(keys, num_lists=2)
+    """The paper's single index server: a one-server cluster."""
+    return ServerCluster(keys, num_lists=2, num_servers=1)
 
 
 def _client(principal, keys, server, model, plan):
@@ -144,7 +145,7 @@ class TestInsert:
             keys = GroupKeyService(master_secret=b"s" * 32)
             keys.register("alice", {"g1"})
             twins.append(
-                (keys, _client("alice", keys, ZerberRServer(keys, 2), model, plan))
+                (keys, _client("alice", keys, ServerCluster(keys, 2, 1), model, plan))
             )
         (keys_a, batch), (keys_b, loop) = twins
         for doc in docs:
@@ -171,7 +172,7 @@ class TestInsert:
         twin_keys = GroupKeyService(master_secret=b"s" * 32)
         twin_keys.register("alice", {"g1"})
         twin = _client(
-            "alice", twin_keys, ZerberRServer(twin_keys, 2), alice._rstf, alice._plan
+            "alice", twin_keys, ServerCluster(twin_keys, 2, 1), alice._rstf, alice._plan
         )
         assert twin.build_document(before, "g1")[0][1].ciphertext == first
         after = _doc("d2", {"pear": 2})
@@ -185,7 +186,7 @@ class TestInsert:
         stored = {
             e.ciphertext: (list_id, e.trs)
             for list_id in range(2)
-            for e in server.export_list(list_id)
+            for e in server.server(0).export_list(list_id)
         }
         assert [stored[r.ciphertext] for r in receipts] == [
             (r.list_id, r.trs) for r in receipts
@@ -557,14 +558,14 @@ class TestBatchedMultiTerm:
 
     def test_fewer_server_calls_than_sequential(self, alice, bob, root, server):
         self._populate(alice, bob)
-        server.clear_observations()
+        server.server(0).clear_observations()
         result = root.query_multi_batched(["apple", "pear", "plum"], k=2)
-        batch_ids = {obs.batch_id for obs in server.observations}
+        batch_ids = {obs.batch_id for obs in server.observations_at(0)}
         assert None not in batch_ids
         # One server call per round: distinct batch ids == num_rounds, and
         # strictly fewer than the slices served.
         assert len(batch_ids) == result.batch_trace.num_rounds
-        assert len(batch_ids) < len(server.observations)
+        assert len(batch_ids) < len(server.observations_at(0))
 
     def test_duplicate_terms_keep_sequential_semantics(self, alice, bob, root):
         self._populate(alice, bob)
@@ -580,9 +581,9 @@ class TestBatchedMultiTerm:
         policy = ResponsePolicy(initial_size=1)
 
         def wire(run):
-            server.clear_observations()
+            server.server(0).clear_observations()
             run()
-            return list(server.observations)
+            return list(server.observations_at(0))
 
         single = wire(lambda: root.query("apple", k=3, policy=policy))
         batched = wire(lambda: root.query_multi_batched(["apple"], k=3, policy=policy))
@@ -602,20 +603,20 @@ class TestBatchedMultiTerm:
     def test_max_requests_zero_issues_no_fetches(self, alice, bob, root, server):
         # Old for-range semantics: max_requests=0 contacts no server.
         self._populate(alice, bob)
-        server.clear_observations()
+        server.server(0).clear_observations()
         single = root.query("apple", k=2, max_requests=0)
         batched = root.query_multi_batched(["apple", "pear"], k=2, max_requests=0)
         assert single.hits == ()
         assert not single.trace.satisfied
         assert batched.ranked == ()
         assert batched.batch_trace.num_rounds == 0
-        assert server.observations == []
+        assert server.observations_at(0) == []
 
     def test_unknown_term_rejected_before_any_fetch(self, root, server):
-        server.clear_observations()
+        server.server(0).clear_observations()
         with pytest.raises(UnknownTermError):
             root.query_multi_batched(["apple", "mango"], k=1)
-        assert server.observations == []
+        assert server.observations_at(0) == []
 
 
 # -- the batch trace is the sum of the term traces, after every round ----------

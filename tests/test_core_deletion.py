@@ -27,13 +27,13 @@ class TestDeletion:
         terms = sorted(base.counts)[:2]
         doc = DocumentStats.from_counts("dup-doc", {t: 2 for t in terms})
 
-        before = system.server.num_elements
+        before = system.cluster.num_elements
         receipts = client.index_document_with_receipts(doc, group)
-        assert system.server.num_elements == before + len(terms)
+        assert system.cluster.num_elements == before + len(terms)
 
         removed = client.delete_document(receipts)
         assert removed == len(terms)
-        assert system.server.num_elements == before
+        assert system.cluster.num_elements == before
 
     def test_deleted_document_not_retrieved(self, system, micro_corpus):
         group = sorted(micro_corpus.groups())[0]
@@ -87,5 +87,5 @@ class TestDeletion:
         receipts = client.index_document_with_receipts(doc, group)
         client.delete_document(receipts)
         list_id = system.merge_plan.list_of(term)
-        trs = system.server.visible_trs_values(list_id)
+        trs = system.cluster.visible_trs_values(list_id)
         assert trs == sorted(trs, reverse=True)

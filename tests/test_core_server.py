@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.protocol import BatchFetchRequest, FetchRequest
 from repro.core.replication import ReplicationOp
-from repro.core.cluster import ServerCluster
-from repro.core.server import ZerberRServer, validate_write_batch
+from repro.core.cluster import ServerCluster, validate_write_batch
+from repro.core.server import ZerberRServer
 from repro.crypto.keys import GroupKeyService
 from repro.errors import AccessDeniedError, ProtocolError, UnknownListError
 from repro.index.postings import EncryptedPostingElement
@@ -29,30 +29,47 @@ def server(keys):
     return ZerberRServer(keys, num_lists=3)
 
 
-def _element(group, trs):
-    return EncryptedPostingElement(ciphertext=b"cipher", group=group, trs=trs)
+def _element(group, trs, ciphertext=b"cipher"):
+    return EncryptedPostingElement(ciphertext=ciphertext, group=group, trs=trs)
+
+
+def _insert(server, list_id, element):
+    """A shard takes what the cluster's gate passed, one batch at a time."""
+    server.insert_many([(list_id, element)])
+
+
+@pytest.fixture()
+def cluster(keys):
+    """The one-server cluster a system builds: its gate fronts the shard."""
+    return ServerCluster(keys, num_lists=3, num_servers=1)
 
 
 class TestInsert:
-    def test_member_insert_accepted(self, server):
-        server.insert("alice", 0, _element("g1", 0.5))
-        assert server.list_length(0) == 1
+    def test_member_insert_accepted(self, cluster):
+        cluster.insert("alice", 0, _element("g1", 0.5))
+        assert cluster.list_length(0) == 1
 
-    def test_non_member_insert_denied(self, server):
+    def test_non_member_insert_denied(self, cluster):
         with pytest.raises(AccessDeniedError):
-            server.insert("alice", 0, _element("g2", 0.5))
+            cluster.insert("alice", 0, _element("g2", 0.5))
+        assert cluster.num_elements == 0
 
-    def test_trs_required(self, server):
+    def test_trs_required(self, cluster):
         with pytest.raises(ProtocolError):
-            server.insert("alice", 0, EncryptedPostingElement(b"c", "g1"))
+            cluster.insert("alice", 0, EncryptedPostingElement(b"c", "g1"))
 
-    def test_unknown_list(self, server):
+    def test_unknown_list(self, cluster):
         with pytest.raises(UnknownListError):
-            server.insert("alice", 99, _element("g1", 0.5))
+            cluster.insert("alice", 99, _element("g1", 0.5))
+
+    def test_bulk_load_membership_checked(self, cluster):
+        with pytest.raises(AccessDeniedError):
+            cluster.bulk_load("alice", [(0, _element("g2", 0.5))])
+        assert cluster.num_elements == 0
 
     def test_insert_keeps_trs_order(self, server):
         for trs in [0.2, 0.9, 0.5]:
-            server.insert("alice", 0, _element("g1", trs))
+            _insert(server, 0, _element("g1", trs))
         assert server.visible_trs_values(0) == [0.9, 0.5, 0.2]
 
     def test_bulk_load_matches_incremental(self, keys):
@@ -60,17 +77,13 @@ class TestInsert:
         bulk = ZerberRServer(keys, num_lists=1)
         elements = [_element("g1", t) for t in [0.3, 0.8, 0.1]]
         for e in elements:
-            incremental.insert("alice", 0, e)
-        bulk.bulk_load("alice", [(0, e) for e in elements])
+            _insert(incremental, 0, e)
+        bulk.bulk_load([(0, e) for e in elements])
         assert incremental.visible_trs_values(0) == bulk.visible_trs_values(0)
 
-    def test_bulk_load_membership_checked(self, server):
-        with pytest.raises(AccessDeniedError):
-            server.bulk_load("alice", [(0, _element("g2", 0.5))])
-
     def test_num_elements(self, server):
-        server.insert("alice", 0, _element("g1", 0.1))
-        server.insert("bob", 1, _element("g2", 0.2))
+        _insert(server, 0, _element("g1", 0.1))
+        _insert(server, 1, _element("g2", 0.2))
         assert server.num_elements == 2
 
     @pytest.mark.parametrize(
@@ -85,16 +98,16 @@ class TestInsert:
     def test_a_refused_batch_insert_leaves_every_list_as_it_was(
         self, keys, refused, error
     ):
-        server = ZerberRServer(keys, num_lists=2)
-        server.insert("alice", 0, _element("g1", 0.7))
+        cluster = ServerCluster(keys, num_lists=2, num_servers=1)
+        cluster.insert("alice", 0, _element("g1", 0.7))
         request = FetchRequest(principal="alice", list_id=0, offset=0, count=5)
-        served = server.fetch(request).elements  # caches alice's view of list 0
+        served = cluster.fetch(request).elements  # caches alice's view of list 0
         with pytest.raises(error):
-            server.insert_many("alice", [(0, _element("g1", 0.9)), refused])
-        assert [server.list_length(i) for i in range(2)] == [1, 0]
-        assert [server.list_version(i) for i in range(2)] == [1, 0]
-        assert server.fetch(request).elements == served
-        assert server.view_stats.incremental_updates == 0
+            cluster.insert_many("alice", [(0, _element("g1", 0.9)), refused])
+        assert [cluster.list_length(i) for i in range(2)] == [1, 0]
+        assert [cluster.primary_version(i) for i in range(2)] == [1, 0]
+        assert cluster.fetch(request).elements == served
+        assert cluster.view_stats().incremental_updates == 0
 
 
 class _CountingKeys:
@@ -111,7 +124,7 @@ class _CountingKeys:
 
 class TestWriteBatchGate:
     """``validate_write_batch`` is the one all-or-nothing gate of a batched
-    insert, for a bare server and for the cluster in front of several: the
+    insert, run once per batch by the cluster in front of the shards: the
     first offending element decides the refusal, nothing is mutated, and no
     question is put twice within a call."""
 
@@ -146,27 +159,38 @@ class TestWriteBatchGate:
         self, keys, offending, error
     ):
         batch = [(0, _element("g1", 0.9)), (1, _element("g1", 0.8))] + offending
-        server = ZerberRServer(keys, num_lists=3)
         cluster = ServerCluster(keys, num_lists=3, num_servers=3, replication=2)
-        for backend in (server, cluster):
+        for write in (cluster.bulk_load, cluster.insert_many):
             with pytest.raises(error):
-                backend.bulk_load("alice", batch)
-            assert backend.num_elements == 0
-        for backend in (server, cluster):
-            with pytest.raises(error):
-                backend.insert_many("alice", batch)
-            assert backend.num_elements == 0
+                write("alice", batch)
+            assert cluster.num_elements == 0
         assert cluster.replication_stats.ops_logged == 0
         assert [cluster.primary_version(i) for i in range(3)] == [0, 0, 0]
-        assert [server.list_version(i) for i in range(3)] == [0, 0, 0]
+
+    def test_each_question_is_put_once_per_batch(self, keys, monkeypatch):
+        """The gate runs once, in the cluster, however many primaries the
+        batch spans: a shard asks nothing of what it is handed."""
+        asked = []
+        is_member = GroupKeyService.is_member
+        monkeypatch.setattr(
+            GroupKeyService,
+            "is_member",
+            lambda service, principal, group: asked.append(group)
+            or is_member(service, principal, group),
+        )
+        cluster = ServerCluster(keys, num_lists=3, num_servers=3, replication=2)
+        batch = [(i, _element("g1", 0.1 * (i + 1))) for i in range(3)]
+        for write in (cluster.bulk_load, cluster.insert_many):
+            assert write("alice", batch) == 3
+        assert len({cluster.replicas_of(i)[0] for i in range(3)}) == 3
+        assert asked == ["g1", "g1"]
 
 
 class TestFetch:
     def _populate(self, server):
         for i, trs in enumerate([0.9, 0.8, 0.7, 0.6, 0.5]):
             group = "g1" if i % 2 == 0 else "g2"
-            principal = "alice" if group == "g1" else "bob"
-            server.insert(principal, 0, _element(group, trs))
+            _insert(server, 0, _element(group, trs))
 
     def test_slice_and_exhaustion(self, server):
         self._populate(server)
@@ -214,7 +238,7 @@ class TestFetch:
     def test_cache_invalidated_on_insert(self, server):
         self._populate(server)
         server.fetch(FetchRequest(principal="alice", list_id=0, offset=0, count=1))
-        server.insert("alice", 0, _element("g1", 0.95))
+        _insert(server, 0, _element("g1", 0.95))
         response = server.fetch(
             FetchRequest(principal="alice", list_id=0, offset=0, count=1)
         )
@@ -266,14 +290,7 @@ class TestBatchFetch:
     def _populate(self, server):
         for i, trs in enumerate([0.9, 0.8, 0.7, 0.6, 0.5]):
             group = "g1" if i % 2 == 0 else "g2"
-            principal = "alice" if group == "g1" else "bob"
-            server.insert(
-                principal,
-                i % 2,
-                EncryptedPostingElement(
-                    ciphertext=b"c%d" % i, group=group, trs=trs
-                ),
-            )
+            _insert(server, i % 2, _element(group, trs, b"c%d" % i))
 
     def test_batch_matches_singleton_fetches(self, server):
         self._populate(server)
@@ -317,14 +334,7 @@ class TestReadableViews:
     def _populate(self, server):
         for i, trs in enumerate([0.9, 0.8, 0.7, 0.6, 0.5]):
             group = "g1" if i % 2 == 0 else "g2"
-            principal = "alice" if group == "g1" else "bob"
-            server.insert(
-                principal,
-                0,
-                EncryptedPostingElement(
-                    ciphertext=b"c%d" % i, group=group, trs=trs
-                ),
-            )
+            _insert(server, 0, _element(group, trs, b"c%d" % i))
 
     def _fetch(self, server, principal, count=10):
         return server.fetch(
@@ -336,13 +346,7 @@ class TestReadableViews:
         self._fetch(server, "alice")  # warm the view
         builds = server.view_stats.full_builds
         for i in range(20):
-            server.insert(
-                "alice",
-                0,
-                EncryptedPostingElement(
-                    ciphertext=b"new%d" % i, group="g1", trs=(i % 10) / 10.0
-                ),
-            )
+            _insert(server, 0, _element("g1", (i % 10) / 10.0, b"new%d" % i))
             response = self._fetch(server, "alice", count=30)
             trs = [e.trs for e in response.elements]
             assert trs == sorted(trs, reverse=True)
@@ -363,22 +367,14 @@ class TestReadableViews:
         self._populate(server)
         self._fetch(server, "alice")
         builds = server.view_stats.full_builds
-        server.insert(
-            "bob",
-            0,
-            EncryptedPostingElement(ciphertext=b"bob-new", group="g2", trs=0.99),
-        )
+        _insert(server, 0, _element("g2", 0.99, b"bob-new"))
         response = self._fetch(server, "alice")
         assert all(e.group == "g1" for e in response.elements)
         assert server.view_stats.full_builds == builds
 
     def test_lru_eviction_bounds_cached_views(self, keys):
         server = ZerberRServer(keys, num_lists=1, readable_view_capacity=2)
-        server.insert(
-            "alice",
-            0,
-            EncryptedPostingElement(ciphertext=b"a", group="g1", trs=0.5),
-        )
+        _insert(server, 0, _element("g1", 0.5, b"a"))
         for principal in ["alice", "bob", "root"]:
             server.fetch(
                 FetchRequest(principal=principal, list_id=0, offset=0, count=1)
@@ -483,15 +479,7 @@ class TestReadableViews:
         self._populate(server)
         self._fetch(server, "alice")
         server.bulk_load(
-            "alice",
-            [
-                (
-                    0,
-                    EncryptedPostingElement(
-                        ciphertext=b"bulk", group="g1", trs=0.95
-                    ),
-                )
-            ],
+            [(0, EncryptedPostingElement(ciphertext=b"bulk", group="g1", trs=0.95))]
         )
         response = self._fetch(server, "alice")
         assert response.elements[0].trs == 0.95
@@ -556,12 +544,11 @@ class TestReplicatedDelete:
 
 class TestAdversaryView:
     def test_visible_group_tags(self, server):
-        server.insert("alice", 1, _element("g1", 0.4))
+        _insert(server, 1, _element("g1", 0.4))
         assert server.visible_group_tags(1) == ["g1"]
 
     def test_storage_accounting(self, server):
-        server.insert("alice", 0, _element("g1", 0.4))
-        assert server.storage_score_slots() == 1
+        _insert(server, 0, _element("g1", 0.4))
         assert server.storage_bits() == len(b"cipher") * 8 + 64
 
     def test_invalid_num_lists(self, keys):

@@ -28,9 +28,14 @@ class TestBuild:
         vocab_terms = set(iter(system.vocabulary))
         assert vocab_terms <= system.merge_plan.all_terms()
 
-    def test_server_holds_all_posting_elements(self, system, corpus):
+    def test_one_server_cluster_holds_all_posting_elements(self, system, corpus):
+        """One deployment shape: the paper's single index server is a
+        one-server cluster at replication 1, and the system has no other."""
         expected = sum(len(corpus.stats(d).counts) for d in corpus.doc_ids())
-        assert system.server.num_elements == expected
+        assert system.cluster.num_elements == expected
+        assert (system.cluster.num_servers, system.cluster.replication) == (1, 1)
+        assert not hasattr(system, "server") and not hasattr(system, "save")
+        assert system.client_for("superuser")._server is system.cluster
 
     def test_audit_confidential(self, system):
         audit = system.audit()
@@ -131,20 +136,17 @@ class TestClusterDurability:
         with pytest.raises(ConfigurationError, match="merge plan"):
             system.restore_cluster(path)
 
-    def test_system_save_is_load_index_compatible(self, micro_corpus, tmp_path):
-        from repro.persist import load_index
+    def test_the_build_output_round_trips_through_load_cluster(
+        self, micro_corpus, tmp_path
+    ):
+        from repro.persist import load_cluster
 
-        service = GroupKeyService(master_secret=b"s" * 32)
-        system = ZerberRSystem.build(
-            micro_corpus, SystemConfig(r=3.0, seed=8), key_service=service
-        )
+        system = ZerberRSystem.build(micro_corpus, SystemConfig(r=3.0, seed=8))
         path = tmp_path / "index.json"
-        system.save(path)
-        server2, plan2, _ = load_index(
-            path, GroupKeyService(master_secret=b"s" * 32)
-        )
-        assert plan2 == system.merge_plan
-        assert server2.num_elements == system.server.num_elements
+        system.snapshot_cluster(path, system.cluster)
+        cluster, plan, _ = load_cluster(path, GroupKeyService())
+        assert plan == system.merge_plan
+        assert cluster.num_elements == system.cluster.num_elements
 
 
 class TestMergeSchemes:
@@ -196,12 +198,12 @@ class TestDeployShardsTheBuiltIndex:
         )
         assert counted_encrypts == []
         assert _nonce_counters(system) == nonces
-        assert sum(nonces.values()) == system.server.num_elements
-        assert cluster.replication_stats.ops_logged == system.server.num_elements
+        assert sum(nonces.values()) == system.cluster.num_elements
+        assert cluster.replication_stats.ops_logged == system.cluster.num_elements
         cluster.run_replication_until_quiet()
         assert cluster.replication_backlog() == {}
         for list_id in range(system.merge_plan.num_lists):
-            built = system.server.export_list(list_id)
+            built = system.cluster.server(0).export_list(list_id)
             for server_index in cluster.replicas_of(list_id):
                 held = cluster.server(server_index).export_list(list_id)
                 assert len(held) == len(built)
@@ -221,7 +223,7 @@ class TestDeployShardsTheBuiltIndex:
         )
         key_service.revoke(f"owner:{groups[0]}", groups[0])
         cluster, _ = system.deploy_cluster(num_servers=2, replication=2)
-        assert cluster.num_elements == system.server.num_elements
+        assert cluster.num_elements == system.cluster.num_elements
         assert not key_service.is_member(f"owner:{groups[0]}", groups[0])
         assert all(key_service.is_member(f"owner:{g}", g) for g in groups[1:])
 
@@ -248,7 +250,7 @@ class TestDeployShardsTheBuiltIndex:
 
     def test_the_index_is_deployed_not_the_corpus(self, corpus):
         """Regression: a document written to or deleted from
-        ``system.server`` after ``build`` never reached (or reappeared in)
+        ``system.cluster`` after ``build`` never reached (or reappeared in)
         the cluster, which was re-indexed from the corpus."""
         from repro.core.protocol import Receipt
         from repro.corpus.documents import DocumentStats
@@ -266,7 +268,7 @@ class TestDeployShardsTheBuiltIndex:
         receipts = [
             Receipt(list_id, element.ciphertext, element.trs)
             for list_id in range(system.merge_plan.num_lists)
-            for element in system.server.export_list(list_id)
+            for element in system.cluster.server(0).export_list(list_id)
             if element.group == group
             and cipher.try_decrypt(element.ciphertext, system.merge_plan.decoder).doc_id
             == victim
@@ -275,11 +277,11 @@ class TestDeployShardsTheBuiltIndex:
         assert writer.delete_document(receipts) == len(receipts)
 
         cluster, _ = system.deploy_cluster(num_servers=3, replication=2, lag=2)
-        assert cluster.replication_stats.ops_logged == system.server.num_elements
+        assert cluster.replication_stats.ops_logged == system.cluster.num_elements
         cluster.run_replication_until_quiet()
         ties_between_groups = 0
         for list_id in range(system.merge_plan.num_lists):
-            built = system.server.export_list(list_id)
+            built = system.cluster.server(0).export_list(list_id)
             ties_between_groups += sum(
                 a.trs == b.trs and a.group != b.group
                 for a, b in zip(built, built[1:])

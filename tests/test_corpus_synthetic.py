@@ -74,7 +74,8 @@ class TestGeneration:
 
 
 class TestDistributionalShape:
-    """The substitution criteria of DESIGN.md §4."""
+    """What the synthetic collections must share with the paper's private
+    ones: a Zipfian df head, power-law raw TF, frequent vs. rare terms."""
 
     @pytest.fixture(scope="class")
     def corpus(self):

@@ -578,8 +578,8 @@ class TestWriteFrameBudget:
 
     def _client(self):
         from repro.core.client import ZerberRClient
+        from repro.core.cluster import ServerCluster
         from repro.core.rstf import RstfModel, train_rstf
-        from repro.core.server import ZerberRServer
         from repro.crypto.keys import GroupKeyService
 
         keys = GroupKeyService(master_secret=KEY)
@@ -588,8 +588,8 @@ class TestWriteFrameBudget:
         model = RstfModel(
             {term: train_rstf([0.1, 0.2, 0.4], sigma=20.0) for term in self.TERMS}
         )
-        server = ZerberRServer(keys, num_lists=plan.num_lists)
-        return ZerberRClient("writer", keys, server, model, plan), server
+        cluster = ServerCluster(keys, num_lists=plan.num_lists, num_servers=1)
+        return ZerberRClient("writer", keys, cluster, model, plan), cluster.server(0)
 
     def _per_item(self, prepare, n):
         """Frames per item of the call ``prepare(k)`` returns for ``k``

@@ -14,7 +14,6 @@ from repro.core.client import ZerberRClient
 from repro.core.cluster import ServerCluster
 from repro.core.protocol import FetchRequest, Receipt
 from repro.core.rstf import RstfModel, train_rstf
-from repro.core.server import ZerberRServer
 from repro.crypto.keys import GroupKeyService
 from repro.errors import (
     AccessDeniedError,
@@ -195,17 +194,17 @@ class TestAllOrNothing:
         assert cluster.delete_many("u", []) == []
         assert _state(cluster) == before
 
-    def test_bare_server_batches_are_all_or_nothing_too(self, keys):
-        server = ZerberRServer(keys, num_lists=1)
+    def test_a_one_server_clusters_batches_are_all_or_nothing_too(self, keys):
+        cluster = ServerCluster(keys, num_lists=1, num_servers=1)
         for i in range(4):
-            server.insert("root", 0, _element(i / 4, b"s%d" % i, "gh"[i % 2]))
-        before = server.export_list(0), server.list_version(0)
+            cluster.insert("root", 0, _element(i / 4, b"s%d" % i, "gh"[i % 2]))
+        before = _state(cluster)
         with pytest.raises(AccessDeniedError):
-            server.delete_many("u", [(0, b"s0"), (0, b"s2"), (0, b"s1")])
-        assert (server.export_list(0), server.list_version(0)) == before
-        removed = server.delete_many("u", [Receipt(0, b"s2", 0.5), (0, b"s0"), (0, b"s2")])
-        assert [e and e.ciphertext for e in removed] == [b"s2", b"s0", None]
-        assert [e.ciphertext for e in server.export_list(0)] == [b"s3", b"s1"]
+            cluster.delete_many("u", [(0, b"s0"), (0, b"s2"), (0, b"s1")])
+        assert _state(cluster) == before
+        removed = cluster.delete_many("u", [Receipt(0, b"s2", 0.5), (0, b"s0"), (0, b"s2")])
+        assert removed == [True, True, False]
+        assert [e.ciphertext for e in _primary_list(cluster, 0)] == [b"s3", b"s1"]
 
 
 def _primary_list(cluster, list_id):

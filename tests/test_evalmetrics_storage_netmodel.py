@@ -8,17 +8,17 @@ from repro.evalmetrics.storage import compare_storage
 
 class TestStorage:
     def test_score_slots_equal(self, system, ordinary_index):
-        report = compare_storage(ordinary_index, system.server)
+        report = compare_storage(ordinary_index, system.cluster)
         # §6.3: one score slot per element in both systems.
         assert report.score_slots_per_element_ordinary == pytest.approx(1.0)
         assert report.score_slots_per_element_zerber_r == pytest.approx(1.0)
 
     def test_same_element_counts(self, system, ordinary_index):
-        report = compare_storage(ordinary_index, system.server)
+        report = compare_storage(ordinary_index, system.cluster)
         assert report.ordinary_elements == report.zerber_r_elements
 
     def test_no_ranking_overhead(self, system, ordinary_index):
-        report = compare_storage(ordinary_index, system.server)
+        report = compare_storage(ordinary_index, system.cluster)
         assert report.ranking_overhead_bits_per_element == 0.0
 
 

@@ -20,6 +20,11 @@ def system(micro_corpus):
     return ZerberRSystem.build(micro_corpus, SystemConfig(r=3.0, seed=15))
 
 
+def _held(system, list_id):
+    """The merged list the (tampering) server holds: the system's one."""
+    return system.cluster.server(0)._lists[list_id]
+
+
 def _some_term(system, min_df=3):
     for term in system.vocabulary.terms_by_frequency():
         if system.vocabulary.document_frequency(term) >= min_df:
@@ -31,7 +36,7 @@ class TestTamperedCiphertexts:
     def test_corrupted_element_skipped_not_crashed(self, system):
         term = _some_term(system)
         list_id = system.merge_plan.list_of(term)
-        merged = system.server._lists[list_id]
+        merged = _held(system, list_id)
         # Flip a byte in the highest-TRS element's ciphertext.
         victim = merged.elements[0]
         corrupted = EncryptedPostingElement(
@@ -50,11 +55,11 @@ class TestTamperedCiphertexts:
     def test_forged_element_rejected(self, system):
         term = _some_term(system)
         list_id = system.merge_plan.list_of(term)
-        group = system.server._lists[list_id].elements[0].group
+        group = _held(system, list_id).elements[0].group
         forged = EncryptedPostingElement(
             ciphertext=b"forged-by-the-server" * 3, group=group, trs=0.999
         )
-        system.server._lists[list_id].add_sorted_by_trs(forged)
+        _held(system, list_id).add_sorted_by_trs(forged)
         result = system.query(term, k=3)
         # The forged top element fails authentication: it can waste
         # bandwidth but never appear as a hit.
@@ -67,7 +72,7 @@ class TestTamperedCiphertexts:
         groups = sorted(micro_corpus.groups())
         term = _some_term(system)
         list_id = system.merge_plan.list_of(term)
-        merged = system.server._lists[list_id]
+        merged = _held(system, list_id)
         victim_index = next(
             i for i, e in enumerate(merged.elements) if e.group == groups[0]
         )
@@ -87,7 +92,7 @@ class TestMisorderedServer:
         corrupt the ranking of what the client receives."""
         term = _some_term(system, min_df=4)
         list_id = system.merge_plan.list_of(term)
-        merged = system.server._lists[list_id]
+        merged = _held(system, list_id)
         rng = np.random.default_rng(3)
         perm = rng.permutation(len(merged.elements))
         merged.elements[:] = [merged.elements[i] for i in perm]
@@ -111,9 +116,9 @@ class TestWithholdingServer:
     def test_empty_list_returns_empty_not_error(self, system):
         term = _some_term(system)
         list_id = system.merge_plan.list_of(term)
-        system.server._lists[list_id].elements.clear()
-        system.server._lists[list_id]._neg_trs_keys.clear()
-        system.server._lists[list_id].version += 1
+        _held(system, list_id).elements.clear()
+        _held(system, list_id)._neg_trs_keys.clear()
+        _held(system, list_id).version += 1
         result = system.query(term, k=5)
         assert result.hits == ()
         assert not result.trace.satisfied

@@ -60,7 +60,7 @@ class TestClusterQueries:
 
     def test_element_counts_match(self, cluster_setup):
         system, cluster, _ = cluster_setup
-        assert cluster.num_elements == system.server.num_elements
+        assert cluster.num_elements == system.cluster.num_elements
 
     def test_queries_survive_one_failure(self, cluster_setup):
         system, cluster, superuser = cluster_setup

@@ -18,7 +18,7 @@ from repro.attacks.score_distribution import chance_attribution_level
 from repro.core.client import ZerberRClient
 from repro.core.protocol import ResponsePolicy
 from repro.core.rstf import RstfModel
-from repro.core.server import ZerberRServer
+from repro.core.cluster import ServerCluster
 from repro.crypto.cipher import NONCE_SIZE, TAG_SIZE
 from repro.crypto.keys import GroupKeyService
 from repro.index.merge import MergePlan
@@ -31,7 +31,7 @@ class TestServerVisibleState:
         """Every reasonably large merged list's TRS sample must look uniform."""
         distances = []
         for list_id in range(system.merge_plan.num_lists):
-            trs = system.server.visible_trs_values(list_id)
+            trs = system.cluster.visible_trs_values(list_id)
             if len(trs) >= 40:
                 distances.append(ks_distance_to_uniform(trs))
         assert distances, "test corpus produced no large merged lists"
@@ -41,13 +41,13 @@ class TestServerVisibleState:
 
     def test_trs_sorted_descending_per_list(self, system):
         for list_id in range(min(system.merge_plan.num_lists, 50)):
-            trs = system.server.visible_trs_values(list_id)
+            trs = system.cluster.visible_trs_values(list_id)
             assert trs == sorted(trs, reverse=True)
 
     def test_ciphertexts_unique(self, system):
         seen = set()
         for list_id in range(system.merge_plan.num_lists):
-            for trs_element in system.server._lists[list_id].elements:
+            for trs_element in system.cluster.server(0).export_list(list_id):
                 assert trs_element.ciphertext not in seen
                 seen.add(trs_element.ciphertext)
 
@@ -88,12 +88,13 @@ class TestQueryObservationDefence:
         assert max_leak(greedy) > max_leak(bfm)
 
     def test_sessions_reconstructable_from_server_log(self, system, medium_term):
-        system.server.clear_observations()
+        server = system.cluster.server(0)
+        server.clear_observations()
         system.query(medium_term, k=5)
-        sessions = extract_sessions(system.server.observations)
+        sessions = extract_sessions(server.observations)
         assert len(sessions) == 1
         assert sessions[0].list_id == system.merge_plan.list_of(medium_term)
-        system.server.clear_observations()
+        server.clear_observations()
 
 
 class TestScoreDistributionDefence:
@@ -154,8 +155,9 @@ class TestCiphertextLength:
     def _deployment(plan):
         keys = GroupKeyService(master_secret=b"l" * 32)
         keys.register("u", {"g"})
-        server = ZerberRServer(keys, num_lists=plan.num_lists)
-        return ZerberRClient("u", keys, server, RstfModel({}), plan), server, keys
+        cluster = ServerCluster(keys, num_lists=plan.num_lists, num_servers=1)
+        client = ZerberRClient("u", keys, cluster, RstfModel({}), plan)
+        return client, cluster.server(0), keys
 
     @pytest.mark.parametrize("doc_id", ["doc-1", "akte-ß"])
     def test_length_is_independent_of_term_tf_and_doc_length(self, doc_id):
@@ -218,7 +220,7 @@ class TestCiphertextLength:
         for doc_id in ("p1", "p2"):
             client.index_document(DocumentStats.from_counts(doc_id, {"plum": 1}), "g")
         [element] = server.export_list(0)
-        server.insert("u", 1, element)
+        server.insert_many([(1, element)])
         result = client.query("plum", k=10)
         assert result.trace.elements_transferred == 3  # the moved one came along
         assert sorted(result.doc_ids()) == ["p1", "p2"]

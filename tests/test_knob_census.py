@@ -96,7 +96,7 @@ DELETED_NAMES = {
         "LagModel LeastLoadedReads HeatWeightedPlacement PlacementPolicy "
         "RoundRobinPlacement load_balance_ratio "
         "ReadSelector PrimaryReads RotatingReads coerce_read_selector "
-        "QueryLog",
+        "QueryLog ZerberRServer save_index load_index",
     ),
     "repro.core": (
         repro.core,
@@ -104,7 +104,7 @@ DELETED_NAMES = {
         "RoundRobinPlacement load_balance_ratio "
         "ReadSelector PrimaryReads RotatingReads coerce_read_selector "
         "EventHandle PeriodicTask FOREGROUND BACKGROUND MAINTENANCE "
-        "DeliveryOutlook ReplicationLog tfidf_rscore",
+        "DeliveryOutlook ReplicationLog tfidf_rscore ZerberRServer",
     ),
     "repro.crypto": (repro.crypto, "cipher_for_key encrypt decrypt"),
     "repro.obs": (
@@ -115,7 +115,7 @@ DELETED_NAMES = {
         repro.persist,
         "DEFAULT_VIEW_SPILL cluster_to_dict cluster_from_dict "
         "merge_plan_from_dict replication_op_to_dict replication_op_from_dict "
-        "rstf_model_from_dict",
+        "rstf_model_from_dict save_index load_index server_from_dict",
     ),
 }
 

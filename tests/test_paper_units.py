@@ -93,7 +93,7 @@ def test_setup_work_is_once_per_element(monkeypatch, counted_encrypts):
     system = ZerberRSystem.build(corpus, SystemConfig(r=4.0, seed=5))
     cluster, _ = system.deploy_cluster(num_servers=3, replication=1)
     elements = sum(len(corpus.stats(doc_id).counts) for doc_id in corpus.doc_ids())
-    assert system.server.num_elements == cluster.num_elements == elements
+    assert system.cluster.num_elements == cluster.num_elements == elements
     assert len(counted_encrypts) == elements
     assert 0 < _CountedTrs.taken <= 2 * elements
 

@@ -27,7 +27,7 @@ from repro.crypto.cipher import NONCE_SIZE
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError, UnavailableError
 from repro.index.postings import EncryptedPostingElement
-from repro.persist import FORMAT_VERSION, load_cluster, load_index, save_cluster
+from repro.persist import FORMAT_VERSION, load_cluster, save_cluster
 from repro.persist.clusterstate import cluster_from_dict, cluster_to_dict
 from repro.text.analysis import DocumentStats
 
@@ -709,33 +709,33 @@ class TestCorruptClusterDumps:
         assert str(path) in str(excinfo.value)
 
     @staticmethod
-    def _setup_dump(tmp_path, loader):
-        """A dump *loader* reads, saved under a three-list plan."""
+    def _setup_dump(tmp_path, shape="replicated"):
+        """A dump saved under a three-list plan, of a replicated cluster or
+        of the one-server cluster a system builds."""
         from repro.core.rstf import RstfModel
-        from repro.core.server import ZerberRServer
         from repro.index.merge import MergePlan
-        from repro.persist import save_index
 
         plan = MergePlan(groups=tuple((f"t{i}",) for i in range(NUM_LISTS)), r=2.0)
         path = tmp_path / "setup.json"
-        if loader is load_cluster:
-            save_cluster(path, _cluster(), plan, RstfModel({}))
-        else:
-            server = ZerberRServer(_keys(), num_lists=NUM_LISTS)
-            save_index(path, server, plan, RstfModel({}))
+        cluster = (
+            _cluster()
+            if shape == "replicated"
+            else ServerCluster(_keys(), num_lists=NUM_LISTS, num_servers=1)
+        )
+        save_cluster(path, cluster, plan, RstfModel({}))
         return path
 
     @staticmethod
-    def _refused(path, loader, section, damage):
+    def _refused(path, section, damage):
         payload = json.loads(path.read_text())
         damage(payload[section])
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigurationError) as excinfo:
-            loader(path, _keys())
+            load_cluster(path, _keys())
         assert str(path) in str(excinfo.value)
         return str(excinfo.value)
 
-    @pytest.mark.parametrize("loader", [load_cluster, load_index], ids=["cluster", "server"])
+    @pytest.mark.parametrize("shape", ["replicated", "one-server"])
     @pytest.mark.parametrize(
         "damage, named",
         [
@@ -744,13 +744,15 @@ class TestCorruptClusterDumps:
         ],
         ids=["term-in-two-groups", "empty-group"],
     )
-    def test_a_corrupt_merge_plan_names_the_file(self, tmp_path, loader, damage, named):
+    def test_a_corrupt_merge_plan_names_the_file(
+        self, tmp_path, shape, damage, named
+    ):
         """The plan numbers every term a ciphertext names: a bad one is
         as corrupt as a bad element, and is reported like one."""
-        path = self._setup_dump(tmp_path, loader)
-        assert named in self._refused(path, loader, "merge_plan", damage)
+        path = self._setup_dump(tmp_path, shape)
+        assert named in self._refused(path, "merge_plan", damage)
 
-    @pytest.mark.parametrize("loader", [load_cluster, load_index], ids=["cluster", "server"])
+    @pytest.mark.parametrize("shape", ["replicated", "one-server"])
     @pytest.mark.parametrize(
         "entry, named",
         [
@@ -759,11 +761,13 @@ class TestCorruptClusterDumps:
         ],
         ids=["zero-sigma", "unknown-kind"],
     )
-    def test_a_corrupt_rstf_model_names_the_file(self, tmp_path, loader, entry, named):
+    def test_a_corrupt_rstf_model_names_the_file(
+        self, tmp_path, shape, entry, named
+    ):
         """Not a bare ``TrainingError``: the model's own refusal, with the file."""
-        path = self._setup_dump(tmp_path, loader)
+        path = self._setup_dump(tmp_path, shape)
         message = self._refused(
-            path, loader, "rstf_model", lambda model: model.update(t0=entry)
+            path, "rstf_model", lambda model: model.update(t0=entry)
         )
         assert named in message
 
@@ -773,18 +777,13 @@ class TestCorruptClusterDumps:
         with pytest.raises(ConfigurationError, match=str(path)):
             load_cluster(path, _keys())
 
-    def test_server_dump_rejected_by_load_cluster(self, tmp_path):
-        from repro.persist import save_index
-        from repro.core.server import ZerberRServer
-        from repro.index.merge import MergePlan
-        from repro.core.rstf import RstfModel
-
-        path = tmp_path / "server.json"
-        save_index(
-            path,
-            ZerberRServer(_keys(), num_lists=2),
-            MergePlan(groups=(("a",), ("b",)), r=2.0),
-            RstfModel({}),
-        )
-        with pytest.raises(ConfigurationError, match="load_index"):
+    def test_a_server_kind_dump_is_refused_with_a_re_index_hint(self, tmp_path):
+        """A bare server's dump, from an older build, is no cluster dump."""
+        path = self._setup_dump(tmp_path)
+        payload = json.loads(path.read_text())
+        del payload["cluster"]
+        payload.update(kind="server", server={"num_lists": NUM_LISTS, "lists": {}})
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match="re-index") as excinfo:
             load_cluster(path, _keys())
+        assert str(path) in str(excinfo.value) and "'server'" in str(excinfo.value)
