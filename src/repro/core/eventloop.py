@@ -7,19 +7,24 @@ module provides the substrate that decouples them — an event scheduler
 over *virtual time* (integer ticks, the same unit as the replication
 clock) with deterministic total ordering:
 
-* Heap entries are plain ``(tick, band, seq, fn)`` tuples: due tick
-  first, then the band — 0 for a one-shot :meth:`EventLoop.call_at`
+* Heap entries are plain ``(tick, band, seq, fn, period)`` tuples: due
+  tick first, then the band — 0 for a one-shot :meth:`EventLoop.call_at`
   event, 1 for an :meth:`EventLoop.every` task, so a tick's session work
   runs before its background tasks — then submission order.  A task
   keeps the ``seq`` it was registered with, so the tasks due at one tick
-  fire in registration order.  Two runs that schedule the same events
+  fire in registration order.  ``seq`` is unique, so the comparison
+  never reaches ``fn``.  Two runs that schedule the same events
   observe the same firing order — there is no wall clock, no thread, and
   no OS entropy anywhere in the loop, so it is clean under the
   ``determinism`` zlint rule and usable from ``repro.core``.
-* Periodic tasks (:meth:`EventLoop.every`) reschedule themselves and are
-  daemons: they never keep the loop alive —
-  :meth:`EventLoop.run_until_quiet` drains until no one-shot events
-  remain.
+* Periodic tasks (:meth:`EventLoop.every`) are daemons: they never keep
+  the loop alive — :meth:`EventLoop.run_until_quiet` drains until no
+  one-shot events remain.  A task's entry carries its ``period`` (an
+  event's is 0) and :meth:`EventLoop.advance` re-pushes it after it
+  fires.  There is no self-rescheduling closure: one would refer to
+  itself through the heap, and that cycle would pin its callable — a
+  coordinator's ``cluster.replication_tick``, hence the whole dropped
+  deployment — until the cycle collector ran.
 * ``advance(n)`` is the lockstep-compat primitive: it fires everything
   due strictly before ``now + n`` (including events scheduled *during*
   processing at the current tick) and then moves ``now`` forward — one
@@ -36,7 +41,7 @@ from repro.errors import ConfigurationError, ProtocolError
 _EVENT = 0  # band of a one-shot call_at event
 _TASK = 1  # band of an every() task: after the tick's events
 
-_Entry = tuple[int, int, int, Callable[[], object]]
+_Entry = tuple[int, int, int, Callable[[], object], int]
 
 
 class EventLoop:
@@ -57,7 +62,7 @@ class EventLoop:
 
     def call_at(self, tick: int, fn: Callable[[], object]) -> None:
         """Schedule ``fn`` at virtual ``tick`` (clamped to ``now`` if past)."""
-        heapq.heappush(self._heap, (max(tick, self._now), _EVENT, self._seq, fn))
+        heapq.heappush(self._heap, (max(tick, self._now), _EVENT, self._seq, fn, 0))
         self._seq += 1
         self._pending_events += 1
 
@@ -71,15 +76,9 @@ class EventLoop:
         """
         if period < 1:
             raise ConfigurationError("period must be >= 1")
-        seq = self._seq
+        entry = (self._now + period - 1, _TASK, self._seq, fn, period)
+        heapq.heappush(self._heap, entry)
         self._seq += 1
-        heap = self._heap
-
-        def fire() -> None:
-            fn()
-            heapq.heappush(heap, (self._now + period, _TASK, seq, fire))
-
-        heapq.heappush(heap, (self._now + period - 1, _TASK, seq, fire))
 
     # -- execution ---------------------------------------------------------------
 
@@ -96,13 +95,15 @@ class EventLoop:
         fired = 0
         heap = self._heap
         while heap and heap[0][0] < target:
-            tick, band, _, fn = heapq.heappop(heap)
+            tick, band, seq, fn, period = heapq.heappop(heap)
             if tick > self._now:
                 self._now = tick
             if band == _EVENT:
                 self._pending_events -= 1
             fired += 1
             fn()
+            if period:
+                heapq.heappush(heap, (self._now + period, _TASK, seq, fn, period))
         self._now = target
         return fired
 

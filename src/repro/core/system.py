@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -96,8 +97,12 @@ class ZerberRSystem:
         self.key_service = key_service
         self.cluster = cluster
         self.config = config
-        # (principal, backend id) -> client.
-        self._clients: dict[tuple[str, int], ZerberRClient] = {}
+        # (principal, backend id) -> client, held only while a caller holds
+        # it: a cached client would pin its backend for the system's life.
+        # A live client keeps its backend, hence the backend's id, alive.
+        self._clients: WeakValueDictionary[tuple[str, int], ZerberRClient] = (
+            WeakValueDictionary()
+        )
 
     # -- assembly ---------------------------------------------------------------
 
@@ -252,8 +257,10 @@ class ZerberRSystem:
         :attr:`cluster`; with *server* — e.g. a cluster deployed via
         :meth:`deploy_cluster` — to that backend.  Clients
         are cached per ``(principal, backend)`` for object identity and
-        to avoid re-deriving key material; nonce safety does NOT depend
-        on the cache — the shared key service owns one
+        to avoid re-deriving key material, for as long as a caller holds
+        the client: the cache never keeps a dropped deployment alive, and
+        a dropped client's session floors go with it.  Nonce safety does
+        NOT depend on the cache — the shared key service owns one
         :class:`~repro.crypto.cipher.NonceSequence` per (principal,
         group), so even independently constructed clients continue one
         counter stream.

@@ -49,6 +49,7 @@ from __future__ import annotations
 import bisect
 import math
 import struct
+from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from sys import intern
@@ -268,9 +269,10 @@ class MergedPostingList:
     ``version`` increments on every mutation so servers can cache derived
     views (e.g. per-principal readable sub-lists) safely.
 
-    ``_neg_trs_keys`` is a position-parallel list of sort keys
+    ``_neg_trs_keys`` is a position-parallel ``array('d')`` of sort keys
     (``-trs``; TRS-less elements get ``+inf`` so they order after every
-    real TRS).  Every mutator maintains the parallelism invariant —
+    real TRS): a held element's key is an unboxed 8-byte double, not a
+    ``float`` object.  Every mutator maintains the parallelism invariant —
     ``_neg_trs_keys[i] == sort_key(elements[i])`` for all ``i`` — so the
     binary searches in :meth:`add_sorted_by_trs` and the position-paired
     deletes in :meth:`pop_at` never act on stale keys.
@@ -279,7 +281,9 @@ class MergedPostingList:
     list_id: int
     elements: list[EncryptedPostingElement] = field(default_factory=list)
     version: int = 0
-    _neg_trs_keys: list[float] = field(default_factory=list, repr=False)
+    _neg_trs_keys: array[float] = field(
+        default_factory=lambda: array("d"), repr=False
+    )
 
     @staticmethod
     def sort_key(element: EncryptedPostingElement) -> float:
@@ -288,7 +292,7 @@ class MergedPostingList:
 
     def keys_in_sync(self) -> bool:
         """Whether the key list mirrors ``elements`` position-for-position."""
-        return self._neg_trs_keys == [self.sort_key(e) for e in self.elements]
+        return self._neg_trs_keys == array("d", map(self.sort_key, self.elements))
 
     def add_sorted_by_trs(self, element: EncryptedPostingElement) -> int:
         """Insert keeping descending-TRS order (Zerber+R discipline).
@@ -378,7 +382,7 @@ class MergedPostingList:
     def clear(self) -> None:
         """Drop every element (a restore reloads the list from a dump)."""
         self.elements.clear()
-        self._neg_trs_keys.clear()
+        del self._neg_trs_keys[:]
         self.version += 1
 
     def slice(self, start: int, count: int) -> list[EncryptedPostingElement]:

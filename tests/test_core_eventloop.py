@@ -3,6 +3,9 @@ coordinator scheduling, round pipelining, backpressure, the equivalence
 of the lockstep ``tick()`` driver and arrival-driven sessions, and the
 one cadence rule rounds follow at every ``round_latency``."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.client import ClientQuerySession
@@ -72,6 +75,28 @@ class TestEventLoopScheduling:
         loop.call_at(0, chain)
         loop.advance(1)
         assert fired == ["first", "second"]
+
+    def test_a_dropped_loop_frees_its_task_without_the_cycle_collector(self):
+        """A task that re-pushed itself from a closure would hold itself
+        through the heap: a coordinator's loop would keep its cluster's
+        ``replication_tick``, hence the whole deployment, until a full
+        collection."""
+        fired = []
+
+        def task():
+            fired.append(1)
+
+        loop = EventLoop()
+        loop.every(1, task)
+        loop.advance(3)
+        assert fired == [1, 1, 1]
+        freed = weakref.ref(task)
+        gc.disable()
+        try:
+            del loop, task
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_advance_validates_ticks(self):
         loop = EventLoop()

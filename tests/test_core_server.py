@@ -469,7 +469,7 @@ class TestReadableViews:
         self._fetch(server, "alice")
         merged = server._lists[0]
         merged.elements.clear()
-        merged._neg_trs_keys.clear()
+        del merged._neg_trs_keys[:]
         merged.version += 1
         response = self._fetch(server, "alice")
         assert response.elements == ()

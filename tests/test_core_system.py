@@ -1,11 +1,15 @@
 """Tests for the end-to-end system facade."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import SystemConfig, ZerberRSystem
 from repro.crypto.keys import GroupKeyService
 from repro.errors import AccessDeniedError, ConfigurationError
 from repro.index.merge import MergePlan
+from repro.text.analysis import DocumentStats
 
 
 class TestConfig:
@@ -97,6 +101,18 @@ class TestQuerying:
     def test_client_cached(self, system):
         assert system.client_for("superuser") is system.client_for("superuser")
 
+    def test_the_client_cache_does_not_pin_a_dropped_deployment(self, system):
+        """A client is cached only while a caller holds it: a cached client
+        holds its backend, so the cache would keep every cluster it was
+        asked for alive as long as the system."""
+        cluster = system.deploy_cluster(num_servers=2)[0]
+        client = system.client_for("superuser", server=cluster)
+        assert system.client_for("superuser", server=cluster) is client
+        freed = weakref.ref(cluster)
+        del cluster, client
+        gc.collect()
+        assert freed() is None
+
     def test_register_user(self, corpus):
         system = ZerberRSystem.build(corpus, SystemConfig(r=4.0, seed=77))
         group = sorted(corpus.groups())[0]
@@ -147,6 +163,74 @@ class TestClusterDurability:
         cluster, plan, _ = load_cluster(path, GroupKeyService())
         assert plan == system.merge_plan
         assert cluster.num_elements == system.cluster.num_elements
+
+
+def _is_repro(obj) -> bool:
+    module = getattr(obj, "__module__", None)
+    return isinstance(module, str) and module.startswith("repro")
+
+
+def _build(system, tmp_path):
+    rebuilt = ZerberRSystem.build(system.corpus, system.config)
+    return weakref.ref(rebuilt.cluster)
+
+
+def _deploy(system, tmp_path):
+    """A deployment that has served one coordinator query and one write."""
+    cluster, coordinator = system.deploy_cluster(
+        num_servers=3, replication=2, lag=1, round_latency=1
+    )
+    superuser = system.client_for("superuser", server=cluster)
+    session = coordinator.open_session(
+        superuser, system.vocabulary.terms_by_frequency()[:2], 5
+    )
+    coordinator.run_until_complete()
+    assert session.result().ranked
+    source = system.corpus.doc_ids()[0]
+    group = system.corpus.document(source).group
+    doc = DocumentStats.from_counts("no-cycles", system.corpus.stats(source).counts)
+    system.client_for(f"owner:{group}", server=cluster).index_document_with_receipts(
+        doc, group
+    )
+    return weakref.ref(cluster)
+
+
+def _restore(system, tmp_path):
+    cluster, coordinator = system.restore_cluster(tmp_path / "cluster.json")
+    coordinator.tick()
+    return weakref.ref(cluster)
+
+
+class TestADroppedDeploymentIsFreedByReferenceCounting:
+    """What each deployment constructor returns is freed as soon as it is
+    dropped, not at the next full collection: a cycle through a dropped
+    deployment holds its servers and every element they hold, and raises
+    the peak memory of whatever is built next."""
+
+    @pytest.fixture()
+    def system(self, micro_corpus, tmp_path):
+        system = ZerberRSystem.build(micro_corpus, SystemConfig(r=3.0, seed=8))
+        cluster, _ = system.deploy_cluster(num_servers=3, replication=2, lag=2)
+        system.snapshot_cluster(tmp_path / "cluster.json", cluster)
+        return system
+
+    @pytest.mark.parametrize(
+        "construct", [_build, _deploy, _restore], ids=["build", "deploy", "restore"]
+    )
+    def test_no_cycles(self, construct, system, tmp_path):
+        gc.collect()
+        gc.disable()
+        try:
+            freed = construct(system, tmp_path)
+            assert freed() is None
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            cyclic = sorted({type(o).__qualname__ for o in gc.garbage if _is_repro(o)})
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert cyclic == []
 
 
 class TestMergeSchemes:

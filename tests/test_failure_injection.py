@@ -7,6 +7,8 @@ forged elements (the MAC rejects them), and (c) never mis-rank what they do
 return (scores come from authenticated plaintext, not server claims).
 """
 
+from array import array
+
 import numpy as np
 import pytest
 
@@ -96,9 +98,9 @@ class TestMisorderedServer:
         rng = np.random.default_rng(3)
         perm = rng.permutation(len(merged.elements))
         merged.elements[:] = [merged.elements[i] for i in perm]
-        merged._neg_trs_keys[:] = [
-            -e.trs if e.trs is not None else 0.0 for e in merged.elements
-        ]
+        merged._neg_trs_keys[:] = array(
+            "d", [-e.trs if e.trs is not None else 0.0 for e in merged.elements]
+        )
         merged.version += 1
         result = system.query(term, k=3)
         scores = [h.rscore for h in result.hits]
@@ -117,7 +119,7 @@ class TestWithholdingServer:
         term = _some_term(system)
         list_id = system.merge_plan.list_of(term)
         _held(system, list_id).elements.clear()
-        _held(system, list_id)._neg_trs_keys.clear()
+        del _held(system, list_id)._neg_trs_keys[:]
         _held(system, list_id).version += 1
         result = system.query(term, k=5)
         assert result.hits == ()

@@ -3,6 +3,9 @@
 import dataclasses
 import math
 import struct
+import sys
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -546,3 +549,35 @@ class TestKeySyncInvariant:
             trs = [e.trs for e in merged]
             assert trs == sorted(trs, reverse=True)
             assert merged.keys_in_sync()
+
+
+class TestKeyStorage:
+    """A held element's sort key is an unboxed double: a boxed ``-trs``
+    would cost a 24-byte ``float`` object per element per replica on top
+    of the 8-byte slot that points at it."""
+
+    def test_bulk_load_keeps_eight_bytes_a_key_and_allocates_no_float(self):
+        n = 10_000
+        trs = np.random.default_rng(1).uniform(size=n).tolist()
+        elements = [
+            EncryptedPostingElement(ciphertext=b"c%d" % i, group="g", trs=t)
+            for i, t in enumerate(trs)
+        ]
+        merged = MergedPostingList(0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            merged.bulk_load_sorted_by_trs(elements)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        keys = merged._neg_trs_keys
+        held = sys.getsizeof(merged.elements) - sys.getsizeof([])
+        key_bytes = sys.getsizeof(keys) - sys.getsizeof(array("d"))
+        # 8 bytes a key, plus the growth reserve of at most 1/16 that any
+        # insert-grown buffer keeps.
+        assert len(keys) * keys.itemsize == 8 * n
+        assert key_bytes <= 8 * n * 17 // 16
+        # All the load leaves behind is the two buffers: no object per key.
+        assert grown - held - key_bytes < 1024
+        assert merged.keys_in_sync()
