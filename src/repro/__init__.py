@@ -22,8 +22,6 @@ from repro.errors import (
     BackpressureError,
     ConfidentialityViolationError,
     ConfigurationError,
-    CryptoError,
-    IndexingError,
     ProtocolError,
     QuorumUnavailableError,
     QuorumWriteUnavailableError,
@@ -83,17 +81,13 @@ from repro.index import (
 )
 from repro.text import Tokenizer, Vocabulary
 
-__version__ = "1.0.0"
-
 __all__ = [
     # errors
     "ReproError",
     "ConfigurationError",
-    "IndexingError",
     "UnknownTermError",
     "UnknownListError",
     "ConfidentialityViolationError",
-    "CryptoError",
     "AuthenticationError",
     "AccessDeniedError",
     "ProtocolError",
@@ -153,5 +147,4 @@ __all__ = [
     # text
     "Tokenizer",
     "Vocabulary",
-    "__version__",
 ]

@@ -216,6 +216,7 @@ def _scripted_workload(
     import tempfile
 
     from repro.core.protocol import FetchRequest
+    from repro.core.replication import ReadConsistency, WriteConsistency
 
     corpus = Corpus(name="scripted")
     for i in range(24):
@@ -282,29 +283,39 @@ def _scripted_workload(
         coordinator.submit_arrival(session, at=coordinator.loop.now + offset)
     coordinator.drain()
 
-    # Direct reads at every consistency level (read-path histograms).
+    # Direct reads at every consistency level (read-path histograms).  A
+    # level is the cluster's setting, so each loop sets it per step and
+    # puts the deployment's own back when it is done.
     list_id = system.merge_plan.list_of("alpha")
     alpha_slice = FetchRequest(
         principal="superuser", list_id=list_id, offset=0, count=2
     )
-    for consistency in ("one", "primary", "quorum"):
-        cluster.fetch(alpha_slice, consistency=consistency)
+    read_level = cluster.read_consistency
+    for read in (ReadConsistency.ONE, ReadConsistency.PRIMARY, ReadConsistency.QUORUM):
+        cluster.read_consistency = read
+        cluster.fetch(alpha_slice)
+    cluster.read_consistency = read_level
 
     # Writes at every consistency level (write counters, ack latency).
     # The ONE write goes last, so alpha's follower is left one op behind.
     owner = system.client_for("owner:g0")
     doc = next(iter(corpus.documents_in_group("g0")))
     doc_stats = corpus.stats(doc.doc_id)
-    for consistency in ("all", "quorum", "one"):
+    write_level = cluster.write_consistency
+    for write in (WriteConsistency.ALL, WriteConsistency.QUORUM, WriteConsistency.ONE):
+        cluster.write_consistency = write
         target_list, element = owner.build_element("alpha", doc_stats, "g0")
-        cluster.insert("owner:g0", target_list, element, consistency=consistency)
+        cluster.insert("owner:g0", target_list, element)
+    cluster.write_consistency = write_level
 
     # A failover election (election counters).  While alpha's primary is
     # down, a ONE read of alpha goes to that follower: a stale read,
     # detected and read-repaired (stale-read and repair counters).
     victim = cluster.replicas_of(list_id)[0]
     cluster.fail_server(victim)
-    cluster.fetch(alpha_slice, consistency="one")
+    cluster.read_consistency = ReadConsistency.ONE
+    cluster.fetch(alpha_slice)
+    cluster.read_consistency = read_level
     for _ in range(4):
         cluster.replication_tick()
     cluster.restore_server(victim)

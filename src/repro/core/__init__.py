@@ -3,16 +3,13 @@
 from repro.core.scoring import rscore, extract_term_scores
 from repro.core.rstf import Rstf, RstfModel, RstfTrainer, train_rstf
 from repro.core.sigma import (
-    SigmaSelection,
     default_sigma_grid,
     heuristic_sigma,
     select_sigma,
     trs_variance_for_sigma,
 )
 from repro.core.confidentiality import (
-    attribution_probabilities,
     audit_merge_plan,
-    probability_amplification,
     ConfidentialityAudit,
 )
 from repro.core.eventloop import EventLoop
@@ -54,14 +51,11 @@ __all__ = [
     "RstfModel",
     "RstfTrainer",
     "train_rstf",
-    "SigmaSelection",
     "default_sigma_grid",
     "heuristic_sigma",
     "select_sigma",
     "trs_variance_for_sigma",
-    "attribution_probabilities",
     "audit_merge_plan",
-    "probability_amplification",
     "ConfidentialityAudit",
     "EventLoop",
     "BackpressureSignal",

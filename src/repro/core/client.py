@@ -121,6 +121,11 @@ from repro.text.analysis import DocumentStats
 
 _W = TypeVar("_W")
 
+#: Slices one term may fetch before its session stops asking: a safety
+#: valve against a runaway loop.  The doubling rule (§5.2) reaches any
+#: list length long before it triggers.
+MAX_REQUESTS = 64
+
 
 @dataclass(frozen=True)
 class RankedHit:
@@ -221,7 +226,6 @@ class _TermSession:
         "list_id",
         "k",
         "policy",
-        "max_requests",
         "trace",
         "hits",
         "offset",
@@ -235,20 +239,16 @@ class _TermSession:
         list_id: int,
         k: int,
         policy: ResponsePolicy,
-        max_requests: int,
     ) -> None:
         self.term = term
         self.list_id = list_id
         self.k = k
         self.policy = policy
-        self.max_requests = max_requests
         self.trace = QueryTrace(term=term, k=k)
         self.hits: list[_Match] = []
         self.offset = 0
         self.request_number = 0
-        # max_requests < 1 means "issue no requests at all" (the old
-        # for-range loop's semantics): empty, unsatisfied result.
-        self.done = max_requests < 1
+        self.done = False
 
     def next_request(
         self, principal: str, min_version: int | None, trace_id: int | None
@@ -286,7 +286,7 @@ class ClientQuerySession:
         # The terms still fetching, in term order: what the next round
         # asks for and what its responses align with.  Refreshed by
         # deliver() on its way out, whether the round landed or raised.
-        self._active = [s for s in sessions if not s.done]
+        self._active = list(sessions)
         self._k = k
         self.principal = client.principal
         self.batch_trace = BatchQueryTrace(
@@ -645,7 +645,6 @@ class ZerberRClient:
         terms: Iterable[str],
         k: int,
         policy: ResponsePolicy | None,
-        max_requests: int,
     ) -> list["_TermSession"]:
         """One term session per term of a query: ``k`` is validated and
         the default policy (``b = k``, §6.4) built once per query."""
@@ -660,7 +659,7 @@ class ZerberRClient:
                 list_id = list_of(term)
             except KeyError:
                 raise UnknownTermError(term) from None
-            sessions.append(_TermSession(term, list_id, k, policy, max_requests))
+            sessions.append(_TermSession(term, list_id, k, policy))
         return sessions
 
     def _absorb_round(
@@ -730,15 +729,11 @@ class ZerberRClient:
         elif response.exhausted:
             session.trace.satisfied = len(hits) >= session.k
             session.done = True
-        elif session.request_number >= session.max_requests:
+        elif session.request_number >= MAX_REQUESTS:
             session.done = True
 
     def query(
-        self,
-        term: str,
-        k: int,
-        policy: ResponsePolicy | None = None,
-        max_requests: int = 64,
+        self, term: str, k: int, policy: ResponsePolicy | None = None
     ) -> QueryResult:
         """Single-term top-k with the doubling follow-up protocol.
 
@@ -746,10 +741,9 @@ class ZerberRClient:
         :meth:`query_multi_batched`: one ``batch_fetch`` of one slice per
         round, a ``query`` trace root and a ``skim`` span per round.
         ``policy`` defaults to the paper's recommendation ``b = k``
-        (§6.4).  ``max_requests`` is a safety valve against runaway loops;
-        the doubling rule reaches any list length long before it triggers.
+        (§6.4).  A term stops after :data:`MAX_REQUESTS` slices.
         """
-        term_sessions = self._start_sessions([term], k, policy, max_requests)
+        term_sessions = self._start_sessions([term], k, policy)
         self._drive(ClientQuerySession(self, term_sessions, k))
         (session,) = term_sessions
         return QueryResult(hits=ranked_hits(session.hits, k), trace=session.trace)
@@ -780,11 +774,7 @@ class ZerberRClient:
         return kth >= boundary
 
     def query_multi_batched(
-        self,
-        terms: Iterable[str],
-        k: int,
-        policy: ResponsePolicy | None = None,
-        max_requests: int = 64,
+        self, terms: Iterable[str], k: int, policy: ResponsePolicy | None = None
     ) -> MultiQueryResult:
         """Multi-term query over the batched fetch protocol.
 
@@ -798,9 +788,7 @@ class ZerberRClient:
         Scores aggregate by summation *without* IDF (the confidentiality
         trade-off the paper accepts, §3.2).
         """
-        return self._drive(
-            self.open_multi_session(terms, k, policy=policy, max_requests=max_requests)
-        )
+        return self._drive(self.open_multi_session(terms, k, policy=policy))
 
     def _drive(self, session: ClientQuerySession) -> MultiQueryResult:
         """Run *session* to its end against the client's own backend — one
@@ -812,11 +800,7 @@ class ZerberRClient:
         return session.result()
 
     def open_multi_session(
-        self,
-        terms: Iterable[str],
-        k: int,
-        policy: ResponsePolicy | None = None,
-        max_requests: int = 64,
+        self, terms: Iterable[str], k: int, policy: ResponsePolicy | None = None
     ) -> ClientQuerySession:
         """Open a multi-term query session without driving it.
 
@@ -825,6 +809,4 @@ class ZerberRClient:
         fetches them however it likes, and feeds the responses back via
         :meth:`ClientQuerySession.deliver`.
         """
-        return ClientQuerySession(
-            self, self._start_sessions(terms, k, policy, max_requests), k
-        )
+        return ClientQuerySession(self, self._start_sessions(terms, k, policy), k)

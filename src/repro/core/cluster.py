@@ -38,7 +38,7 @@ end; ``insert`` and ``delete_element`` are its one-item calls.
 Followers receive ops through the log ``lag`` ticks after they were
 recorded (one integer for every follower); reads carry the
 serving replica's applied version, and the cluster detects divergence and
-read-repairs according to the requested
+read-repairs according to its
 :class:`~repro.core.replication.ReadConsistency` (``ONE`` fast/stale,
 ``PRIMARY`` strong — the default, ``QUORUM`` version-max across a
 majority).  An anti-entropy sweep (``anti_entropy_every`` ticks) bounds
@@ -148,7 +148,14 @@ def validate_write_batch(
 
 
 class ServerCluster:
-    """Shard merged posting lists over several untrusted servers."""
+    """Shard merged posting lists over several untrusted servers.
+
+    ``read_consistency`` and ``write_consistency`` are plain attributes,
+    the one setting every read and every write obeys; the constructor is
+    the one place a level's string spelling (``"one"``, ``"quorum"``, …)
+    is coerced.  A caller that wants another level for a while assigns
+    the attribute (``cluster.read_consistency = ReadConsistency.ONE``).
+    """
 
     def __init__(
         self,
@@ -453,22 +460,6 @@ class ServerCluster:
 
     # -- data plane -----------------------------------------------------------
 
-    def _resolve_consistency(
-        self, consistency: ReadConsistency | str | None
-    ) -> ReadConsistency:
-        """Per-call override, or the cluster default."""
-        if consistency is None:
-            return self.read_consistency
-        return ReadConsistency.coerce(consistency)
-
-    def _resolve_write_consistency(
-        self, consistency: WriteConsistency | str | None
-    ) -> WriteConsistency:
-        """Per-call override, or the cluster default."""
-        if consistency is None:
-            return self.write_consistency
-        return WriteConsistency.coerce(consistency)
-
     def _check_write_quorum(
         self, list_id: int, consistency: WriteConsistency
     ) -> None:
@@ -545,20 +536,13 @@ class ServerCluster:
         return per_server
 
     def insert(
-        self,
-        principal: str,
-        list_id: int,
-        element: EncryptedPostingElement,
-        consistency: WriteConsistency | str | None = None,
+        self, principal: str, list_id: int, element: EncryptedPostingElement
     ) -> None:
         """Insert one element: a one-item :meth:`insert_many`."""
-        self.insert_many(principal, [(list_id, element)], consistency)
+        self.insert_many(principal, [(list_id, element)])
 
     def insert_many(
-        self,
-        principal: str,
-        items: Iterable[tuple[int, EncryptedPostingElement]],
-        consistency: WriteConsistency | str | None = None,
+        self, principal: str, items: Iterable[tuple[int, EncryptedPostingElement]]
     ) -> int:
         """Replicated multi-insert, batched per touched primary.
 
@@ -571,30 +555,22 @@ class ServerCluster:
         written by this call; every follower copy arrives through the
         replication log — in this same call when its lag is 0, on a later
         replication tick otherwise — except the W - 1 follower acks a
-        ``QUORUM``/``ALL`` *consistency* (per-call override of the
-        cluster's ``write_consistency``) forces through the log before
-        returning.  The ack count is checked for every touched list
+        ``QUORUM``/``ALL`` ``write_consistency`` forces through the log
+        before returning.  The ack count is checked for every touched list
         before anything is mutated, so a write refused with
         :class:`~repro.errors.QuorumWriteUnavailableError` is a clean
         no-op.
         """
-        return self._replicated_write_batch(
-            principal, items, bulk=False, consistency=consistency
-        )
+        return self._replicated_write_batch(principal, items, bulk=False)
 
     def bulk_load(
-        self,
-        principal: str,
-        items: Iterable[tuple[int, EncryptedPostingElement]],
-        consistency: WriteConsistency | str | None = None,
+        self, principal: str, items: Iterable[tuple[int, EncryptedPostingElement]]
     ) -> int:
         """Bulk-load with the same all-or-nothing validation and the
         same replication discipline as :meth:`insert_many` — every
         element is one logged op — but each touched primary list takes
         its share of the batch as one mutation."""
-        return self._replicated_write_batch(
-            principal, items, bulk=True, consistency=consistency
-        )
+        return self._replicated_write_batch(principal, items, bulk=True)
 
     def _admit_write(
         self, list_ids: Iterable[int], consistency: WriteConsistency
@@ -638,11 +614,10 @@ class ServerCluster:
         principal: str,
         items: Iterable[tuple[int, EncryptedPostingElement]],
         bulk: bool,
-        consistency: WriteConsistency | str | None = None,
     ) -> int:
         """Shared body of :meth:`insert_many` and :meth:`bulk_load` —
         identical replication discipline, different server entry point."""
-        consistency = self._resolve_write_consistency(consistency)
+        consistency = self.write_consistency
         items = validate_write_batch(
             self._keys, principal, items, self._primary_of
         )
@@ -659,10 +634,7 @@ class ServerCluster:
         return len(items)
 
     def delete_many(
-        self,
-        principal: str,
-        receipts: Iterable[ReceiptLike],
-        consistency: WriteConsistency | str | None = None,
+        self, principal: str, receipts: Iterable[ReceiptLike]
     ) -> list[bool]:
         """Delete a document's elements by their receipts, as one write.
 
@@ -680,7 +652,7 @@ class ServerCluster:
         element; a miss (already deleted, named twice, never inserted)
         mutates, logs and counts nothing — deletion is idempotent.
         """
-        consistency = self._resolve_write_consistency(consistency)
+        consistency = self.write_consistency
         batch = [Receipt(*receipt) for receipt in receipts]
         per_primary: dict[int, list[int]] = {}
         for index, receipt in enumerate(batch):
@@ -711,17 +683,9 @@ class ServerCluster:
             )
         return removed
 
-    def delete_element(
-        self,
-        principal: str,
-        list_id: int,
-        ciphertext: bytes,
-        consistency: WriteConsistency | str | None = None,
-    ) -> bool:
+    def delete_element(self, principal: str, list_id: int, ciphertext: bytes) -> bool:
         """Delete one element: a one-receipt :meth:`delete_many`."""
-        return self.delete_many(
-            principal, [Receipt(list_id, ciphertext)], consistency
-        )[0]
+        return self.delete_many(principal, [Receipt(list_id, ciphertext)])[0]
 
     # -- read path -------------------------------------------------------------
     #
@@ -733,52 +697,30 @@ class ServerCluster:
     # a remembered route would be a second source of truth for replica
     # health, and the log read is two dict lookups.
 
-    def route(
-        self,
-        list_id: int,
-        consistency: ReadConsistency | str | None = None,
-        min_version: int | None = None,
-    ) -> int:
+    def route(self, list_id: int, min_version: int | None = None) -> int:
         """The replica that should serve a read of *list_id*.
 
-        Eligibility depends on the consistency level (default: the
-        cluster's ``read_consistency``): ``PRIMARY`` prefers caught-up
-        live replicas, ``ONE`` accepts any live replica — narrowed, when
-        *min_version* (the asking session's version floor) is given, to
-        those at or above it whenever one exists, so the read is not
-        routed to a replica :meth:`serve_envelope` would then have to
-        repair — and ``QUORUM`` requires a live majority and returns the
+        Eligibility depends on the cluster's ``read_consistency``:
+        ``PRIMARY`` prefers caught-up live replicas, ``ONE`` accepts any
+        live replica — narrowed, when *min_version* (the asking session's
+        read-your-writes/monotonic floor) is given, to those at or above
+        it whenever one exists, so the read is not routed to a replica
+        :meth:`_finalize_read` would then have to repair and re-serve —
+        and ``QUORUM`` requires a live majority and returns the
         version-max member.
         Among eligible replicas, paused (partitioned) ones are avoided
         whenever an unpaused candidate exists — they only grow staler —
         and the first that remains, in placement order, serves.  Down
         servers are never eligible under any level.
 
-        Raises :class:`UnavailableError` when every replica is down and
-        :class:`QuorumUnavailableError` when a quorum read lacks a live
-        majority.
-        """
-        return self._route_read(
-            list_id, self._resolve_consistency(consistency), min_version=min_version
-        )
-
-    def _route_read(
-        self,
-        list_id: int,
-        consistency: ReadConsistency,
-        min_version: int | None = None,
-    ) -> int:
-        """:meth:`route` with a resolved consistency.
-
         One log read per slice: the placement row is read as stored (no
         copy), liveness is filtered once, versions are compared out of
         the log's own mapping, and the paused set is consulted only when
         somebody is paused.
 
-        *min_version* (a session's read-your-writes/monotonic floor)
-        narrows ``ONE``'s candidate set to replicas at or above it when
-        any exists; enforcement — repair and re-serve when routing could
-        not satisfy the floor — happens in :meth:`_finalize_read`.
+        Raises :class:`UnavailableError` when every replica is down and
+        :class:`QuorumUnavailableError` when a quorum read lacks a live
+        majority.
         """
         if not 0 <= list_id < self._num_lists:
             raise UnknownListError(list_id)
@@ -788,6 +730,7 @@ class ServerCluster:
         if not live:
             raise UnavailableError(list_id, len(replicas))
         head, applied, paused = self._repl.read_state(list_id)
+        consistency = self.read_consistency
         if consistency is ReadConsistency.QUORUM:
             needed = len(replicas) // 2 + 1
             if len(live) < needed:
@@ -819,42 +762,33 @@ class ServerCluster:
                 candidates = unpaused
         return candidates[0]
 
-    def _count_reads(
-        self, consistency: ReadConsistency, slices: int
-    ) -> BoundHistogram | None:
-        """Count *slices* served under *consistency* — one instrument
-        lookup and one counter bump per server call — and hand back the
-        read-lag histogram :meth:`_serve` observes per slice (``None``
-        while telemetry is off)."""
+    def _count_reads(self, slices: int) -> BoundHistogram | None:
+        """Count *slices* served under the cluster's ``read_consistency``
+        — one instrument lookup and one counter bump per server call —
+        and hand back the read-lag histogram :meth:`_serve` observes per
+        slice (``None`` while telemetry is off)."""
         if not self._obs.enabled:
             return None
-        read_counter, lag_histogram = self._obs.read_instruments(consistency.value)
+        read_counter, lag_histogram = self._obs.read_instruments(
+            self.read_consistency.value
+        )
         read_counter.inc(float(slices))
         return lag_histogram
 
-    def fetch(
-        self,
-        request: FetchRequest,
-        consistency: ReadConsistency | str | None = None,
-    ) -> FetchResponse:
-        """Serve one slice at the requested (or default) consistency: the
-        one-slice form of :meth:`batch_fetch`.
+    def fetch(self, request: FetchRequest) -> FetchResponse:
+        """Serve one slice: the one-slice form of :meth:`batch_fetch`.
 
         The response's ``replica_version`` is the serving replica's
         applied log version; a stale replica triggers read-repair, and a
         ``ONE`` answer below the request's ``min_version`` session floor
         is re-served (see :meth:`_finalize_read`).
         """
-        return self.batch_fetch(BatchFetchRequest((request,)), consistency).responses[0]
+        return self.batch_fetch(BatchFetchRequest((request,))).responses[0]
 
-    def batch_fetch(
-        self,
-        batch: BatchFetchRequest,
-        consistency: ReadConsistency | str | None = None,
-    ) -> BatchFetchResponse:
+    def batch_fetch(self, batch: BatchFetchRequest) -> BatchFetchResponse:
         """Serve a batch with one server call per touched shard server.
 
-        Each slice routes per the consistency level.  A batch that lands
+        Each slice routes on its own (:meth:`route`).  A batch that lands
         whole on one server travels as it is — the caller's
         :class:`BatchFetchRequest` object, already validated when it was
         built — and its reply is the one :meth:`_serve` returns; only a
@@ -863,29 +797,25 @@ class ServerCluster:
         slice), its replies reassembled in the original slice order.  A
         list with no live replica fails the whole batch.
         """
-        consistency = self._resolve_consistency(consistency)
         requests = batch.requests
-        route = self._route_read
+        route = self.route
         per_server: dict[int, list[int]] = {}
         for slice_index, request in enumerate(requests):
-            server_index = route(request.list_id, consistency, request.min_version)
+            server_index = route(request.list_id, request.min_version)
             per_server.setdefault(server_index, []).append(slice_index)
         if len(per_server) == 1:
             (server_index,) = per_server
-            return self._serve(server_index, batch, consistency)
+            return self._serve(server_index, batch)
         responses: list[FetchResponse | None] = [None] * len(requests)
         for server_index, slice_indices in per_server.items():
             sub_batch = BatchFetchRequest(tuple([requests[i] for i in slice_indices]))
-            served = self._serve(server_index, sub_batch, consistency).responses
+            served = self._serve(server_index, sub_batch).responses
             for i, response in zip(slice_indices, served):
                 responses[i] = response
         return BatchFetchResponse(tuple(responses))  # type: ignore[arg-type]
 
     def serve_envelope(
-        self,
-        server_index: int,
-        envelope: BatchFetchRequest,
-        consistency: ReadConsistency | str | None = None,
+        self, server_index: int, envelope: BatchFetchRequest
     ) -> BatchFetchResponse:
         """Deliver a coordinator envelope to one (live) shard server.
 
@@ -895,7 +825,7 @@ class ServerCluster:
         failover election must be re-routed, not served from a stale
         shard map.  It is then served like any other batch
         (:meth:`_serve`): stamped before the serve, its stale slices
-        read-repaired per the consistency level.  Replies come back in
+        read-repaired per ``read_consistency``.  Replies come back in
         the envelope's slice order.
         """
         if not 0 <= server_index < len(self._servers):
@@ -904,21 +834,15 @@ class ServerCluster:
             raise ProtocolError(f"server {server_index} is down")
         if envelope.epoch is not None and envelope.epoch != self._epoch:
             raise StaleEpochError(envelope.epoch, self._epoch)
-        consistency = self._resolve_consistency(consistency)
         with self._obs.tracer.span(
             "serve",
             trace=envelope.trace_id,
             server=server_index,
             slices=len(envelope),
         ):
-            return self._serve(server_index, envelope, consistency)
+            return self._serve(server_index, envelope)
 
-    def _serve(
-        self,
-        server_index: int,
-        batch: BatchFetchRequest,
-        consistency: ReadConsistency,
-    ) -> BatchFetchResponse:
+    def _serve(self, server_index: int, batch: BatchFetchRequest) -> BatchFetchResponse:
         """The one server call of the read path: stamp, serve, repair.
 
         Every slice's stamp — the serving replica's applied version of
@@ -950,7 +874,7 @@ class ServerCluster:
             if version < head:
                 stale.append(slice_index)
         served = self._servers[server_index].batch_fetch(batch, stamps)
-        lag_histogram = self._count_reads(consistency, len(requests))
+        lag_histogram = self._count_reads(len(requests))
         if lag_histogram is not None:
             pending_lag = self._repl.pending_lag_ticks
             for request in requests:
@@ -964,7 +888,6 @@ class ServerCluster:
                 server_index,
                 stamps[slice_index],
                 responses[slice_index],
-                consistency,
             )
         return BatchFetchResponse(tuple(responses))
 
@@ -974,7 +897,6 @@ class ServerCluster:
         server_index: int,
         version: int,
         response: FetchResponse,
-        consistency: ReadConsistency,
     ) -> FetchResponse:
         """Read-repair a slice served from a replica behind its head.
 
@@ -995,6 +917,7 @@ class ServerCluster:
         answered twice.
         """
         list_id = request.list_id
+        consistency = self.read_consistency
         head, applied, _ = self._repl.read_state(list_id)
         self._repl.observe_staleness(head - version)
         self._obs.read_staleness.observe(float(head - version))

@@ -154,7 +154,15 @@ class _TickPlan:
 
 
 class Coordinator:
-    """Shared front-end scheduling many query sessions over one cluster."""
+    """Shared front-end scheduling many query sessions over one cluster.
+
+    It routes and serves every slice at the cluster's own
+    ``read_consistency`` (:meth:`ServerCluster.route`,
+    :meth:`ServerCluster.serve_envelope`); a session's fetch sequence is
+    the client's, ``policy`` and the per-term request cap
+    (:data:`~repro.core.client.MAX_REQUESTS`) included, so the
+    coordinator takes no consistency or request-count knob of its own.
+    """
 
     def __init__(
         self,
@@ -316,14 +324,9 @@ class Coordinator:
         terms: Sequence[str],
         k: int,
         policy: ResponsePolicy | None = None,
-        max_requests: int = 64,
     ) -> ClientQuerySession:
         """Open a session on *client* and submit it in one step."""
-        return self.submit(
-            client.open_multi_session(
-                terms, k, policy=policy, max_requests=max_requests
-            )
-        )
+        return self.submit(client.open_multi_session(terms, k, policy=policy))
 
     # -- scheduling --------------------------------------------------------------
 
@@ -596,7 +599,6 @@ class Coordinator:
         self,
         jobs: Sequence[tuple[ZerberRClient, Sequence[str], int]],
         policy: ResponsePolicy | None = None,
-        max_requests: int = 64,
     ) -> list[MultiQueryResult]:
         """Serve ``(client, terms, k)`` jobs concurrently; results in order."""
         if self.active_sessions:
@@ -605,9 +607,7 @@ class Coordinator:
         # term, invalid k) must fail the whole call without leaving
         # earlier jobs parked, which would wedge later run_queries calls.
         sessions = [
-            client.open_multi_session(
-                terms, k, policy=policy, max_requests=max_requests
-            )
+            client.open_multi_session(terms, k, policy=policy)
             for client, terms, k in jobs
         ]
         try:

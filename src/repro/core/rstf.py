@@ -90,10 +90,6 @@ class Rstf:
         """Build from raw (unsorted) training scores."""
         return cls(mus=tuple(sorted(float(s) for s in scores)), sigma=sigma, kind=kind)
 
-    @property
-    def num_training_points(self) -> int:
-        return len(self.mus)
-
     def transform(self, x: float | np.ndarray) -> float | np.ndarray:
         """TRS for score(s) *x*; accepts a scalar or an array.
 

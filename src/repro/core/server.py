@@ -94,12 +94,7 @@ class ObservedFetch:
 class ZerberRServer:
     """One shard: a merged, TRS-sorted, access-controlled posting-list store."""
 
-    def __init__(
-        self,
-        key_service: GroupKeyService,
-        num_lists: int,
-        readable_view_capacity: int = 256,
-    ) -> None:
+    def __init__(self, key_service: GroupKeyService, num_lists: int) -> None:
         if num_lists < 1:
             raise ProtocolError("num_lists must be >= 1")
         self._keys = key_service
@@ -109,9 +104,7 @@ class ZerberRServer:
         self.observations: list[ObservedFetch] = []
         # Incrementally maintained (list, principal) -> readable sub-list
         # cache; see repro.core.views for the maintenance discipline.
-        self._views = ReadableViewIndex(
-            key_service, capacity=readable_view_capacity
-        )
+        self._views = ReadableViewIndex(key_service)
         self._batch_counter = 0
         # Slices served (the per-server read load) and round-trips served,
         # whatever the envelope.

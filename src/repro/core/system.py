@@ -16,9 +16,8 @@ examples, tests and benchmarks share a single, correct assembly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 from weakref import WeakValueDictionary
 
 import numpy as np
@@ -310,7 +309,10 @@ class ZerberRSystem:
         :meth:`~repro.core.cluster.ServerCluster.check_failovers`); the
         defaults — zero lag, strong ``PRIMARY`` reads, ``ONE`` writes,
         no failover election — give the same results as :attr:`cluster`,
-        the system's one server, fed the same writes.
+        the system's one server, fed the same writes.  The two levels are
+        set here once: every read and write of the deployment obeys the
+        cluster's ``read_consistency`` / ``write_consistency`` attribute,
+        and no query or write call takes a per-call level.
         ``max_queue_depth`` is the coordinator's admission backpressure
         bound and ``round_latency`` defers skim delivery to pipeline
         rounds (see :mod:`repro.core.router`).
@@ -399,7 +401,3 @@ class ZerberRSystem:
             term: self.vocabulary.probability(term) for term in self.vocabulary
         }
         return audit_merge_plan(self.merge_plan, probabilities)
-
-    def with_config(self, **overrides: Any) -> "ZerberRSystem":
-        """Rebuild the system over the same corpus with config overrides."""
-        return type(self).build(self.corpus, replace(self.config, **overrides))

@@ -19,7 +19,7 @@ The key service (:mod:`repro.crypto.keys`) is the only cache of ciphers.
 
 from repro.crypto.prf import Prf, derive_key
 from repro.crypto.cipher import NonceSequence, StreamCipher
-from repro.crypto.keys import GroupKeyService, Principal
+from repro.crypto.keys import GroupKeyService
 
 __all__ = [
     "Prf",
@@ -27,5 +27,4 @@ __all__ = [
     "StreamCipher",
     "NonceSequence",
     "GroupKeyService",
-    "Principal",
 ]

@@ -23,11 +23,8 @@ class IndexError_(ReproError):
     """Base class for indexing errors.
 
     Named with a trailing underscore to avoid shadowing the builtin
-    :class:`IndexError`; exported as ``repro.IndexingError``.
+    :class:`IndexError`.
     """
-
-
-IndexingError = IndexError_
 
 
 class UnknownTermError(IndexError_):

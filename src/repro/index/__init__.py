@@ -12,7 +12,6 @@ from repro.index.merge import (
     bfm_merge,
     random_merge,
     greedy_pairing_merge,
-    merged_list_confidentiality,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "bfm_merge",
     "random_merge",
     "greedy_pairing_merge",
-    "merged_list_confidentiality",
 ]

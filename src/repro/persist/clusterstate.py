@@ -205,20 +205,24 @@ def cluster_from_dict(
     Every section is type-checked before it is read, so a section of the
     wrong JSON type — a v4 ``{"fixed_ticks": n}`` lag included — is a
     :class:`ConfigurationError` naming *source*, never a bare
-    ``AttributeError``.
+    ``AttributeError``; so is a setting the cluster refuses.
     """
+    lag = _typed(data.get("lag", 0), int, "lag", source)
+    failover = _typed(data.get("failover", {}), dict, "failover", source)
+    history = _typed(failover.get("history", []), list, "failover.history", source)
+    timers = failover.get("unreachable_since", {})
+    _typed(timers, dict, "failover.unreachable_since", source)
     try:
         num_lists = int(data["num_lists"])
         num_servers = int(data["num_servers"])
         replication = int(data["replication"])
-        failover_data = _typed(data.get("failover", {}), dict, "failover", source)
-        failover_after = failover_data.get("after")
+        failover_after = failover.get("after")
         cluster = ServerCluster(
             key_service,
             num_lists=num_lists,
             num_servers=num_servers,
             replication=replication,
-            lag=_typed(data.get("lag", 0), int, "lag", source),
+            lag=lag,
             read_consistency=data.get("read_consistency"),
             anti_entropy_every=data.get("anti_entropy_every"),
             write_consistency=data.get("write_consistency"),
@@ -229,8 +233,6 @@ def cluster_from_dict(
             [tuple(replicas) for replicas in data["placement"]],
             int(data.get("epoch", 0)),
         )
-        history = failover_data.get("history", [])
-        timers = failover_data.get("unreachable_since", {})
         cluster.restore_failover_state(
             history=[
                 FailoverEvent(
@@ -239,17 +241,12 @@ def cluster_from_dict(
                     new_primary=int(entry["new"]),
                     tick=int(entry["tick"]),
                 )
-                for entry in _typed(history, list, "failover.history", source)
+                for entry in history
             ],
             unreachable_since={
-                int(server_index): int(tick)
-                for server_index, tick in _typed(
-                    timers, dict, "failover.unreachable_since", source
-                ).items()
+                int(server_index): int(tick) for server_index, tick in timers.items()
             },
         )
-    except ConfigurationError:
-        raise
     except (KeyError, TypeError, ValueError) as error:
         raise ConfigurationError(
             f"{source}: corrupt cluster dump: {error!r}"

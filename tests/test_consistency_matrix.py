@@ -42,6 +42,10 @@ def _element(trs, payload=b"cipher"):
 
 
 def _fetch(cluster, list_id, count=8, consistency=None, min_version=None):
+    """One slice of *list_id*; a *consistency* given becomes the
+    cluster's read level first (the one place a level lives)."""
+    if consistency is not None:
+        cluster.read_consistency = ReadConsistency.coerce(consistency)
     return cluster.fetch(
         FetchRequest(
             principal="u",
@@ -49,8 +53,7 @@ def _fetch(cluster, list_id, count=8, consistency=None, min_version=None):
             offset=0,
             count=count,
             min_version=min_version,
-        ),
-        consistency=consistency,
+        )
     )
 
 
@@ -85,8 +88,8 @@ class TestQuorumWrites:
         )
 
     def test_quorum_write_forces_acks_through_log(self, keys):
-        cluster = self._cluster(keys, lag=10)
-        cluster.insert("u", 0, _element(0.5, b"x"), consistency="quorum")
+        cluster = self._cluster(keys, lag=10, write_consistency="quorum")
+        cluster.insert("u", 0, _element(0.5, b"x"))
         versions = sorted(
             cluster.applied_version(0, s) for s in cluster.replicas_of(0)
         )
@@ -102,19 +105,19 @@ class TestQuorumWrites:
         )
 
     def test_all_write_forces_every_replica(self, keys):
-        cluster = self._cluster(keys, lag=10)
-        cluster.insert("u", 0, _element(0.5, b"x"), consistency="all")
+        cluster = self._cluster(keys, lag=10, write_consistency="all")
+        cluster.insert("u", 0, _element(0.5, b"x"))
         assert all(
             cluster.applied_version(0, s) == 1 for s in cluster.replicas_of(0)
         )
         assert cluster.replication_backlog() == {}
 
     def test_quorum_ack_prefers_most_caught_up_follower(self, keys):
-        cluster = self._cluster(keys, lag=10)
+        cluster = self._cluster(keys, lag=10, write_consistency="quorum")
         cluster.pause_follower(1)
-        cluster.insert("u", 0, _element(0.5, b"a"), consistency="quorum")
+        cluster.insert("u", 0, _element(0.5, b"a"))
         cluster.resume_follower(1)  # server 2 at v1; server 1 at v0
-        cluster.insert("u", 0, _element(0.6, b"b"), consistency="quorum")
+        cluster.insert("u", 0, _element(0.6, b"b"))
         # The nearer follower (2) was synced for the ack, ahead of the one
         # placement lists first; 1 stays behind.
         assert cluster.applied_version(0, 2) == 2
@@ -125,8 +128,9 @@ class TestQuorumWrites:
         cluster.insert("u", 0, _element(0.5, b"a"))
         cluster.fail_server(1)
         cluster.fail_server(2)
+        cluster.write_consistency = WriteConsistency.QUORUM
         with pytest.raises(QuorumWriteUnavailableError) as excinfo:
-            cluster.insert("u", 0, _element(0.6, b"b"), consistency="quorum")
+            cluster.insert("u", 0, _element(0.6, b"b"))
         err = excinfo.value
         assert err.list_id == 0
         assert err.needed == 2
@@ -139,16 +143,18 @@ class TestQuorumWrites:
         assert cluster.server(0).list_length(0) == 1
 
     def test_paused_follower_is_not_ack_capable(self, keys):
-        cluster = self._cluster(keys, num_servers=2, replication=2, lag=1)
+        cluster = self._cluster(
+            keys, num_servers=2, replication=2, lag=1, write_consistency="all"
+        )
         cluster.pause_follower(1)
         with pytest.raises(QuorumWriteUnavailableError) as excinfo:
-            cluster.insert("u", 0, _element(0.5), consistency="all")
+            cluster.insert("u", 0, _element(0.5))
         assert excinfo.value.paused_replicas == (1,)
         # A paused *primary* still applies writes inline (pausing only
         # blocks deliveries TO it), so it stays ack-capable.
         cluster.resume_follower(1)
         cluster.pause_follower(0)
-        cluster.insert("u", 0, _element(0.5, b"x"), consistency="all")
+        cluster.insert("u", 0, _element(0.5, b"x"))
         assert cluster.applied_version(0, 0) == 1
         assert cluster.applied_version(0, 1) == 1
 
@@ -157,8 +163,9 @@ class TestQuorumWrites:
         cluster.fail_server(cluster.replicas_of(0)[0])
         cluster.insert("u", 0, _element(0.5, b"x"))  # W=ONE still lands
         assert cluster.primary_version(0) == 1
+        cluster.write_consistency = WriteConsistency.QUORUM
         with pytest.raises(QuorumWriteUnavailableError):
-            cluster.insert("u", 0, _element(0.6), consistency="quorum")
+            cluster.insert("u", 0, _element(0.6))
 
     def test_cluster_default_write_consistency(self, keys):
         cluster = self._cluster(keys, lag=10, write_consistency="quorum")
@@ -170,18 +177,19 @@ class TestQuorumWrites:
             if cluster.applied_version(0, s) == 1
         ]
         assert len(at_head) >= 2
-        # A per-call ONE override relaxes the default back down.
+        # Assigning ONE relaxes the setting back down.
         cluster.fail_server(cluster.replicas_of(0)[2])
-        cluster.insert("u", 0, _element(0.6, b"y"), consistency="one")
+        cluster.write_consistency = WriteConsistency.ONE
+        cluster.insert("u", 0, _element(0.6, b"y"))
 
     def test_batch_writes_honor_consistency(self, keys):
-        cluster = self._cluster(keys, lag=10)
+        cluster = self._cluster(keys, lag=10, write_consistency="all")
         items = [(0, _element(0.1 * i, b"b%d" % i)) for i in range(1, 4)]
-        assert cluster.bulk_load("u", items, consistency="all") == 3
+        assert cluster.bulk_load("u", items) == 3
         assert all(
             cluster.applied_version(0, s) == 3 for s in cluster.replicas_of(0)
         )
-        assert cluster.delete_element("u", 0, b"b1", consistency="all")
+        assert cluster.delete_element("u", 0, b"b1")
         assert all(
             cluster.applied_version(0, s) == 4 for s in cluster.replicas_of(0)
         )
@@ -189,10 +197,12 @@ class TestQuorumWrites:
     def test_acked_quorum_write_survives_primary_crash(self, keys):
         """The point of W=QUORUM: kill the primary right after the ack
         and the op is still served — no acked write lost."""
-        cluster = self._cluster(keys, lag=10)
-        cluster.insert("u", 0, _element(0.9, b"acked"), consistency="quorum")
+        cluster = self._cluster(
+            keys, lag=10, write_consistency="quorum", read_consistency="quorum"
+        )
+        cluster.insert("u", 0, _element(0.9, b"acked"))
         cluster.fail_server(cluster.replicas_of(0)[0])
-        response = _fetch(cluster, 0, consistency="quorum")
+        response = _fetch(cluster, 0)
         assert [e.ciphertext for e in response.elements] == [b"acked"]
 
 
@@ -217,6 +227,8 @@ class TestMatrixUnderLag:
             num_servers=self.SERVERS,
             replication=3,
             lag=lag,
+            read_consistency=read,
+            write_consistency=write,
         )
         rng = random.Random(7)
         zipf = [1.0 / (rank + 1) for rank in range(self.LISTS)]
@@ -229,9 +241,7 @@ class TestMatrixUnderLag:
                 cluster.resume_follower(window % self.SERVERS)
             (list_id,) = rng.choices(range(self.LISTS), zipf)
             try:
-                cluster.insert(
-                    "u", list_id, _element(rng.random(), b"w%d" % serial), write
-                )
+                cluster.insert("u", list_id, _element(rng.random(), b"w%d" % serial))
             except QuorumWriteUnavailableError:
                 refused += 1  # ALL cannot reach a partitioned follower
             else:
@@ -243,7 +253,7 @@ class TestMatrixUnderLag:
                 late_acks += holders < len(replicas) // 2 + 1
             for _ in range(2):
                 (list_id,) = rng.choices(range(self.LISTS), zipf)
-                _fetch(cluster, list_id, count=5, consistency=read)
+                _fetch(cluster, list_id, count=5)
             if serial % 3 == 2:
                 cluster.replication_tick()
         stats = cluster.replication_stats
@@ -317,9 +327,10 @@ class TestFailoverElection:
             replication=3,
             lag=10,
             failover_after=2,
+            write_consistency="quorum",
         )
         cluster.pause_follower(1)
-        cluster.insert("u", 0, _element(0.5, b"x"), consistency="quorum")
+        cluster.insert("u", 0, _element(0.5, b"x"))
         cluster.resume_follower(1)  # server 2 at v1, server 1 at v0
         assert cluster.applied_version(0, 2) == 1
         assert cluster.applied_version(0, 1) == 0
@@ -467,10 +478,15 @@ class TestSessionFloors:
 
     def test_routing_prefers_a_replica_at_the_floor(self, keys):
         cluster = ServerCluster(
-            keys, num_lists=1, num_servers=3, replication=3, lag=50
+            keys,
+            num_lists=1,
+            num_servers=3,
+            replication=3,
+            lag=50,
+            write_consistency="quorum",
         )
         cluster.pause_follower(1)
-        cluster.insert("u", 0, _element(0.5, b"x"), consistency="quorum")
+        cluster.insert("u", 0, _element(0.5, b"x"))
         cluster.resume_follower(1)  # server 2 at head, server 1 at v0
         cluster.fail_server(0)
         for _ in range(4):
@@ -505,7 +521,8 @@ class TestSessionFloors:
         request = FetchRequest(
             principal="u", list_id=0, offset=0, count=4, min_version=2
         )
-        response = cluster.fetch(request, consistency="one")
+        cluster.read_consistency = ReadConsistency.ONE
+        response = cluster.fetch(request)
         assert response.replica_version == 2
         assert cluster.replication_stats.floor_reserves == 1
 
@@ -518,7 +535,8 @@ class TestSessionFloors:
         request = FetchRequest(
             principal="u", list_id=0, offset=0, count=4, min_version=99
         )
-        response = cluster.fetch(request, consistency="one")
+        cluster.read_consistency = ReadConsistency.ONE
+        response = cluster.fetch(request)
         assert response.replica_version == 1  # head, not 99
 
 
@@ -805,6 +823,6 @@ class TestFailoverAwareWriteRetry:
         cluster.fail_server(cluster.replicas_of(0)[0])
         element = EncryptedPostingElement(b"ct", group="g1", trs=0.5)
         with pytest.raises(QuorumWriteUnavailableError) as excinfo:
-            cluster.insert("alice", 0, element, consistency="quorum")
+            cluster.insert("alice", 0, element)  # the cluster writes at QUORUM
         assert len(excinfo.value.live_replicas) == 2
         assert cluster.replicas_of(0)[0] in excinfo.value.down_replicas

@@ -600,18 +600,6 @@ class TestBatchedMultiTerm:
         assert result.ranked == ()
         assert result.batch_trace.num_rounds == 0
 
-    def test_max_requests_zero_issues_no_fetches(self, alice, bob, root, server):
-        # Old for-range semantics: max_requests=0 contacts no server.
-        self._populate(alice, bob)
-        server.server(0).clear_observations()
-        single = root.query("apple", k=2, max_requests=0)
-        batched = root.query_multi_batched(["apple", "pear"], k=2, max_requests=0)
-        assert single.hits == ()
-        assert not single.trace.satisfied
-        assert batched.ranked == ()
-        assert batched.batch_trace.num_rounds == 0
-        assert server.observations_at(0) == []
-
     def test_unknown_term_rejected_before_any_fetch(self, root, server):
         server.server(0).clear_observations()
         with pytest.raises(UnknownTermError):
@@ -787,8 +775,7 @@ class TestTracesAgree:
 
 class TestQueryTelemetry:
     """``query()`` is a session like any other: one ``query`` root,
-    closed, with one ``skim`` span per round — none left open, even when
-    it never fetches."""
+    closed, with one ``skim`` span per round — none left open."""
 
     @pytest.mark.parametrize("driver", ["query", "query_multi_batched"])
     def test_one_closed_root_with_a_skim_span_per_round(self, system, driver):
@@ -796,19 +783,16 @@ class TestQueryTelemetry:
         cluster, _ = system.deploy_cluster(num_servers=3, telemetry=telemetry)
         client = system.client_for("superuser", server=cluster)
         term, tracer = system.vocabulary.terms_by_frequency()[0], telemetry.tracer
-        for policy, max_requests in ((ResponsePolicy(initial_size=1), 64), (None, 0)):
-            tracer.reset()
-            if driver == "query":
-                trace = client.query(term, 3, policy, max_requests).trace
-            else:
-                (trace,) = client.query_multi_batched([term], 3, policy, max_requests).traces
-            assert trace.num_requests > 1 if max_requests else not trace.num_requests
-            assert tracer.active_trace_ids() == []
-            (root,) = [t.root for t in tracer.traces() if t.root.name == "query"]
-            assert root.end_tick is not None
-            assert [span.name for span in root.children] == (
-                ["skim"] * trace.num_requests
-            )
+        policy = ResponsePolicy(initial_size=1)
+        if driver == "query":
+            trace = client.query(term, 3, policy).trace
+        else:
+            (trace,) = client.query_multi_batched([term], 3, policy).traces
+        assert trace.num_requests > 1
+        assert tracer.active_trace_ids() == []
+        (root,) = [t.root for t in tracer.traces() if t.root.name == "query"]
+        assert root.end_tick is not None
+        assert [span.name for span in root.children] == ["skim"] * trace.num_requests
 
 
 # -- counted work bounds of the warm read path ---------------------------------
@@ -880,9 +864,9 @@ class TestWarmReadPathCounts:
 
     # One warm two-term query that takes one round of two five-element
     # slices, telemetry off.  The budget is the path's own count on
-    # CPython 3.10/3.11 plus 5 % (3.12 inlines comprehensions and only
-    # reads lower): 170 entered.
-    FRAME_BUDGET = 183
+    # CPython 3.11 plus 5 % (3.12 inlines comprehensions and only reads
+    # lower): 168 entered.
+    FRAME_BUDGET = 176
 
     def test_frames_entered_by_one_warm_query_stay_under_budget(self, tiny_deployment):
         system, cluster, pool = tiny_deployment
@@ -900,8 +884,8 @@ class TestWarmReadPathCounts:
 
     # The warm six-term query of the telemetry budget below, one round of
     # six slices on three servers, through Coordinator.run_queries with no
-    # telemetry: its count on CPython 3.11 plus 5 %, 526 entered.
-    COORDINATOR_FRAME_BUDGET = 552
+    # telemetry: its count on CPython 3.11 plus 5 %, 509 entered.
+    COORDINATOR_FRAME_BUDGET = 534
 
     def test_frames_entered_by_one_warm_coordinator_query_stay_under_budget(
         self, system

@@ -340,8 +340,9 @@ class _AccessorReadPath(ServerCluster):
     ``ServerCluster._serve``.  :class:`ServerCluster`'s read path must be
     indistinguishable from it (``TestReadPathRefinement``)."""
 
-    def _route_read(self, list_id, consistency, min_version=None):
+    def route(self, list_id, min_version=None):
         repl = self.replication_manager
+        consistency = self.read_consistency
         replicas = self.replicas_of(list_id)
         live = [s for s in replicas if self.is_alive(s)]
         if not live:
@@ -379,7 +380,7 @@ class _AccessorReadPath(ServerCluster):
             candidates = unpaused
         return candidates[0]
 
-    def _serve(self, server_index, batch, consistency):
+    def _serve(self, server_index, batch):
         repl = self.replication_manager
         stamps = [
             (repl.applied_version(r.list_id, server_index), repl.head_version(r.list_id))
@@ -390,17 +391,16 @@ class _AccessorReadPath(ServerCluster):
             tuple(
                 dataclasses.replace(response, replica_version=version)
                 if version >= head
-                else self._repair(
-                    request, server_index, response, version, head, consistency
-                )
+                else self._repair(request, server_index, response, version, head)
                 for request, response, (version, head) in zip(
                     batch.requests, served, stamps
                 )
             )
         )
 
-    def _repair(self, request, server_index, response, version, head, consistency):
+    def _repair(self, request, server_index, response, version, head):
         repl = self.replication_manager
+        consistency = self.read_consistency
         list_id = request.list_id
         repl.observe_staleness(head - version)
         if repl.sync(list_id, server_index):
@@ -490,6 +490,24 @@ class _ReadWorld:
         }
 
 
+def _at_level(level, read):
+    """*read* (a call taking the cluster) at read level *level* — the
+    cluster's own setting, assigned for the call and put back after it;
+    ``None`` reads at the level the world was built with."""
+
+    def call(cluster):
+        if level is None:
+            return read(cluster)
+        built_with = cluster.read_consistency
+        cluster.read_consistency = ReadConsistency.coerce(level)
+        try:
+            return read(cluster)
+        finally:
+            cluster.read_consistency = built_with
+
+    return call
+
+
 def _read_script(rng, steps, replicas_of):
     """``(description, call)`` pairs; *call* takes the cluster, so the
     very same elements and requests reach both worlds."""
@@ -538,15 +556,15 @@ def _read_script(rng, steps, replicas_of):
             )
         elif kind < 11:
             one, level = request(), rng.choice(CONSISTENCIES)
-            yield f"fetch {one} {level}", lambda c, r=one, l=level: c.fetch(r, l)
+            yield f"fetch {one} {level}", _at_level(level, lambda c, r=one: c.fetch(r))
         elif kind < 14:
             principal = rng.choice("uv")
             batch = BatchFetchRequest(
                 tuple(request(principal) for _ in range(rng.randint(1, 4)))
             )
             level = rng.choice(CONSISTENCIES)
-            yield f"batch {batch} {level}", lambda c, b=batch, l=level: (
-                c.batch_fetch(b, l)
+            yield f"batch {batch} {level}", _at_level(
+                level, lambda c, b=batch: c.batch_fetch(b)
             )
         elif kind == 14:
             server, level = rng.randrange(READ_SERVERS), rng.choice(CONSISTENCIES)
@@ -559,15 +577,16 @@ def _read_script(rng, steps, replicas_of):
                 for principal in rng.sample("uv", rng.randint(1, 2))
                 for one in [request(principal, lists) for _ in range(rng.randint(1, 3))]
             )
-            yield f"envelope @{server} {slices} {level}", (
-                lambda c, s=server, r=slices, l=level: c.serve_envelope(
-                    s, BatchFetchRequest(r, epoch=c.placement_epoch), l
-                )
+            yield f"envelope @{server} {slices} {level}", _at_level(
+                level,
+                lambda c, s=server, r=slices: c.serve_envelope(
+                    s, BatchFetchRequest(r, epoch=c.placement_epoch)
+                ),
             )
         else:
             one, level = request(), rng.choice(CONSISTENCIES)
-            yield f"route {one} {level}", lambda c, r=one, l=level: c.route(
-                r.list_id, l, r.min_version
+            yield f"route {one} {level}", _at_level(
+                level, lambda c, r=one: c.route(r.list_id, r.min_version)
             )
 
 
@@ -655,7 +674,14 @@ class TestStampBeforeServe:
     ):
         # Four writes the lagged follower has not seen, and the primary down.
         keys.register("w", {"g"})
-        cluster = ServerCluster(keys, num_lists=1, num_servers=2, replication=2, lag=5)
+        cluster = ServerCluster(
+            keys,
+            num_lists=1,
+            num_servers=2,
+            replication=2,
+            lag=5,
+            read_consistency=level,
+        )
         elements = tuple(_element(0.9 - 0.1 * i, b"e%d" % i) for i in range(4))
         for element in elements:
             cluster.insert("u", 0, element)
@@ -663,9 +689,9 @@ class TestStampBeforeServe:
         cluster.fail_server(primary)
         if envelope:
             batch = BatchFetchRequest(requests, epoch=cluster.placement_epoch)
-            replies = cluster.serve_envelope(follower, batch, level)
+            replies = cluster.serve_envelope(follower, batch)
         else:
-            replies = cluster.batch_fetch(BatchFetchRequest(requests), level)
+            replies = cluster.batch_fetch(BatchFetchRequest(requests))
         assert [r.elements for r in replies] == [elements[s] for s in expected]
         assert [r.replica_version for r in replies] == [4, 4]
         stats = cluster.replication_stats
@@ -714,15 +740,15 @@ class TestReadInstrumentsPerServerCall:
         cluster.fetch(FetchRequest("u", 0, 0, 1))
         assert self._counted(reads, lags, "primary") == (1, 1)
         batch = BatchFetchRequest.for_slices("u", [(0, 0, 1), (1, 0, 1), (2, 0, 1)])
-        cluster.batch_fetch(batch, consistency="one")  # splits over both servers
+        cluster.read_consistency = ReadConsistency.ONE
+        cluster.batch_fetch(batch)  # splits over both servers
         assert {o.batch_id for s in range(2) for o in cluster.observations_at(s)} >= {1}
         assert self._counted(reads, lags, "one") == (3, 3)
+        cluster.read_consistency = ReadConsistency.QUORUM
         server = cluster.route(3)
         envelope = BatchFetchRequest.for_slices("u", [(3, 0, 1), (3, 1, 1)])
         cluster.serve_envelope(
-            server,
-            BatchFetchRequest(envelope.requests, epoch=cluster.placement_epoch),
-            "quorum",
+            server, BatchFetchRequest(envelope.requests, epoch=cluster.placement_epoch)
         )
         assert self._counted(reads, lags, "quorum") == (2, 2)
         # A follower that still waits for its copy reports the ticks left.
@@ -730,7 +756,8 @@ class TestReadInstrumentsPerServerCall:
         assert cluster.applied_version(0, follower) == 0
         cluster.fail_server(cluster.replicas_of(0)[0])
         before = lags.sum(consistency="one")
-        cluster.fetch(FetchRequest("u", 0, 0, 1), consistency="one")
+        cluster.read_consistency = ReadConsistency.ONE
+        cluster.fetch(FetchRequest("u", 0, 0, 1))
         assert lags.sum(consistency="one") == before + 3
         assert reads.total() == 7 == sum(cluster.per_server_load())
 
@@ -782,24 +809,24 @@ class TestClusterStateGauges:
 
     def test_max_staleness_gauge_reads_the_managers_high_water_mark(self):
         telemetry = Telemetry()
-        cluster = self._cluster(telemetry, lag=5)
+        cluster = self._cluster(telemetry, lag=5, read_consistency="one")
         for i in range(3):
             cluster.insert("u", 0, _element(0.1 * (i + 1), b"s%d" % i))
         cluster.fail_server(cluster.replicas_of(0)[0])
-        cluster.fetch(FetchRequest("u", 0, 0, 1), consistency="one")
+        cluster.fetch(FetchRequest("u", 0, 0, 1))
         assert cluster.replication_manager.max_staleness_seen == 3
         series = telemetry.registry.snapshot()["replication_max_staleness"]["series"]
         assert series == [{"labels": {}, "value": 3.0}]
 
     def test_server_load_mirrors_per_server_load(self):
         telemetry = Telemetry()
-        cluster = self._cluster(telemetry)
+        cluster = self._cluster(telemetry, read_consistency="one")
         for list_id in range(3):
             cluster.insert("u", list_id, _element(0.5, b"l%d" % list_id))
         for step in range(7):
             if step == 4:  # list 0's primary goes: its follower serves
                 cluster.fail_server(0)
-            cluster.fetch(FetchRequest("u", step % 3, 0, 1), consistency="one")
+            cluster.fetch(FetchRequest("u", step % 3, 0, 1))
         load = self._gauge(telemetry, "cluster_server_load")
         assert [load[s] for s in range(3)] == cluster.per_server_load() == [2, 3, 2]
         assert sum(load.values()) == 7

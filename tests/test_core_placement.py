@@ -159,10 +159,10 @@ class TestValidation:
 
 class TestStaticLayoutUnderFailover:
     def test_a_fault_free_cluster_never_moves_a_list(self):
-        cluster = _filled(lag=1, failover_after=1)
+        cluster = _filled(lag=1, failover_after=1, read_consistency="one")
         for step in range(20):
             cluster.replication_tick()
-            cluster.fetch(FetchRequest("u", step % 6, 0, 2), consistency="one")
+            cluster.fetch(FetchRequest("u", step % 6, 0, 2))
             cluster.insert(
                 "u", step % 6, EncryptedPostingElement(b"t-%02d" % step, "g", 0.5)
             )

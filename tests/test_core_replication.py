@@ -41,9 +41,12 @@ def _element(trs, payload=b"cipher"):
 
 
 def _fetch(cluster, list_id, count=8, consistency=None):
+    """One slice of *list_id*; a *consistency* given becomes the
+    cluster's read level first (the one place a level lives)."""
+    if consistency is not None:
+        cluster.read_consistency = ReadConsistency.coerce(consistency)
     return cluster.fetch(
-        FetchRequest(principal="u", list_id=list_id, offset=0, count=count),
-        consistency=consistency,
+        FetchRequest(principal="u", list_id=list_id, offset=0, count=count)
     )
 
 
@@ -125,7 +128,8 @@ class TestZeroLagIsALag:
         repl = cluster.replication_manager
         for method, args in self._script(rng):
             level = rng.choice(["one", "quorum", "all"])
-            got = getattr(cluster, method)("u", *args, consistency=level)
+            cluster.write_consistency = WriteConsistency.coerce(level)
+            got = getattr(cluster, method)("u", *args)
             # The reference shard takes what the cluster's gate passed.
             if method == "delete_element":
                 assert got is (reference.delete_element("u", *args) is not None)
@@ -142,7 +146,8 @@ class TestZeroLagIsALag:
                 request = FetchRequest("u", list_id, offset=0, count=1000)
                 expected = reference.fetch(request)
                 for consistency in ReadConsistency:
-                    response = cluster.fetch(request, consistency=consistency)
+                    cluster.read_consistency = consistency
+                    response = cluster.fetch(request)
                     assert response.replica_version == head
                     assert response.elements == expected.elements
                     assert response.exhausted == expected.exhausted
@@ -481,7 +486,8 @@ class TestReadRouting:
         # A QUORUM write while follower 1 is partitioned forces follower 2
         # to the head; follower 1 stays an op behind.
         cluster.pause_follower(1)
-        cluster.insert("u", 0, _element(0.9, b"new"), consistency="quorum")
+        cluster.write_consistency = WriteConsistency.QUORUM
+        cluster.insert("u", 0, _element(0.9, b"new"))
         cluster.resume_follower(1)
         cluster.fail_server(0)
         assert cluster.applied_version(0, 1) < cluster.primary_version(0)
@@ -502,10 +508,12 @@ class TestReadRouting:
 
 
 class TestRouteValidation:
-    def test_route_unknown_consistency_rejected(self, keys):
-        cluster = ServerCluster(keys, num_lists=1, num_servers=1)
-        with pytest.raises(ConfigurationError):
-            cluster.route(0, consistency="gossip")
+    def test_an_unknown_level_is_refused_by_the_constructor(self, keys):
+        # The constructor is the one place a level's spelling is read.
+        with pytest.raises(ConfigurationError, match="gossip"):
+            ServerCluster(keys, num_lists=1, num_servers=1, read_consistency="gossip")
+        with pytest.raises(ConfigurationError, match="gossip"):
+            ServerCluster(keys, num_lists=1, num_servers=1, write_consistency="gossip")
 
     def test_applied_version_unknown_holder_rejected(self, keys):
         cluster = ServerCluster(keys, num_lists=2, num_servers=2, replication=1)

@@ -373,7 +373,8 @@ class TestReadableViews:
         assert server.view_stats.full_builds == builds
 
     def test_lru_eviction_bounds_cached_views(self, keys):
-        server = ZerberRServer(keys, num_lists=1, readable_view_capacity=2)
+        server = ZerberRServer(keys, num_lists=1)
+        server._views.capacity = 2  # the index's bound; 256 needs 257 principals
         _insert(server, 0, _element("g1", 0.5, b"a"))
         for principal in ["alice", "bob", "root"]:
             server.fetch(

@@ -13,6 +13,7 @@ import pytest
 from repro.core.client import ZerberRClient
 from repro.core.cluster import ServerCluster
 from repro.core.protocol import FetchRequest, Receipt
+from repro.core.replication import ReadConsistency
 from repro.core.rstf import RstfModel, train_rstf
 from repro.crypto.keys import GroupKeyService
 from repro.errors import (
@@ -267,12 +268,9 @@ class TestBatchRefinesTheLoop:
                     yield "resume", server_index
 
     @staticmethod
-    def _per_receipt(cluster, receipts, level):
+    def _per_receipt(cluster, receipts):
         """The reference: one single-receipt call per receipt, hints kept."""
-        return [
-            cluster.delete_many("u", [receipt], consistency=level)[0]
-            for receipt in receipts
-        ]
+        return [cluster.delete_many("u", [receipt])[0] for receipt in receipts]
 
     @pytest.mark.parametrize("level", ["one", "quorum", "all"])
     @pytest.mark.parametrize("lag", [0, 2])
@@ -302,7 +300,7 @@ class TestBatchRefinesTheLoop:
                     assert _state(batched) == before
                     refused += 1
                     continue
-                assert got == self._per_receipt(looped, arg, level)
+                assert got == self._per_receipt(looped, arg)
                 deleted += sum(got)
             elif kind in ("insert_many", "delete_element"):
                 args = arg if kind == "delete_element" else (arg,)
@@ -321,10 +319,9 @@ class TestBatchRefinesTheLoop:
             assert _state(batched) == _state(looped)
             for list_id in range(LISTS):
                 request = FetchRequest("u", list_id, offset=0, count=1000)
-                for consistency in ("one", "primary"):
-                    assert batched.fetch(request, consistency=consistency) == looped.fetch(
-                        request, consistency=consistency
-                    )
+                for consistency in (ReadConsistency.ONE, ReadConsistency.PRIMARY):
+                    batched.read_consistency = looped.read_consistency = consistency
+                    assert batched.fetch(request) == looped.fetch(request)
         assert deleted > 5
         if level == "all" and replication == 3:
             assert refused  # the paused follower did refuse some batches
@@ -447,9 +444,9 @@ class TestRefusedBatchAndFailover:
         sent = []
         delete_many = cluster.delete_many
 
-        def recording(principal, batch, consistency=None):
+        def recording(principal, batch):
             sent.append(list(batch))
-            return delete_many(principal, batch, consistency)
+            return delete_many(principal, batch)
 
         monkeypatch.setattr(cluster, "delete_many", recording)
         assert client.delete_document(receipts) == len(receipts)

@@ -12,7 +12,11 @@ rotating reads, per-call staleness bounds and the snapshot view spill,
 then the one-shot cipher helpers and the cipher cache behind them,
 then the event loop's bands, cancellation, RNG and task handles,
 then the telemetry kill switch, snapshot merge/reset and the
-``Telemetry`` registry and trace-capacity parameters;
+``Telemetry`` registry and trace-capacity parameters,
+then the per-call ``consistency`` of every cluster read and write (the
+cluster's ``read_consistency`` / ``write_consistency`` is the one home of
+a level), the per-query ``max_requests`` (now the constant
+``repro.core.client.MAX_REQUESTS``) and the shard's view capacity;
 they were deleted, and this test keeps them from drifting back.
 """
 
@@ -23,12 +27,17 @@ import pytest
 import repro
 import repro.core
 import repro.crypto
+import repro.errors
+import repro.index
 import repro.obs
 import repro.persist
+from repro.core.client import ZerberRClient
 from repro.core.cluster import ServerCluster
 from repro.core.eventloop import EventLoop
 from repro.core.replication import ReplicationManager
 from repro.core.router import Coordinator
+from repro.core.rstf import Rstf
+from repro.core.server import ZerberRServer
 from repro.core.system import ZerberRSystem
 from repro.obs import MetricsRegistry, Telemetry
 from repro.persist import load_cluster, save_cluster
@@ -58,6 +67,39 @@ SURFACES = {
         Coordinator.__init__,
         "cluster round_latency max_queue_depth",
     ),
+    # A level is the cluster's setting, never a per-call argument.
+    "ServerCluster.insert": (ServerCluster.insert, "principal list_id element"),
+    "ServerCluster.insert_many": (ServerCluster.insert_many, "principal items"),
+    "ServerCluster.bulk_load": (ServerCluster.bulk_load, "principal items"),
+    "ServerCluster.delete_many": (ServerCluster.delete_many, "principal receipts"),
+    "ServerCluster.delete_element": (
+        ServerCluster.delete_element,
+        "principal list_id ciphertext",
+    ),
+    "ServerCluster.route": (ServerCluster.route, "list_id min_version"),
+    "ServerCluster.fetch": (ServerCluster.fetch, "request"),
+    "ServerCluster.batch_fetch": (ServerCluster.batch_fetch, "batch"),
+    "ServerCluster.serve_envelope": (
+        ServerCluster.serve_envelope,
+        "server_index envelope",
+    ),
+    # The request cap is one constant; ``policy`` is what the figure
+    # benches vary.
+    "ZerberRClient.query": (ZerberRClient.query, "term k policy"),
+    "ZerberRClient.query_multi_batched": (
+        ZerberRClient.query_multi_batched,
+        "terms k policy",
+    ),
+    "ZerberRClient.open_multi_session": (
+        ZerberRClient.open_multi_session,
+        "terms k policy",
+    ),
+    "Coordinator.open_session": (
+        Coordinator.open_session,
+        "client terms k policy",
+    ),
+    "Coordinator.run_queries": (Coordinator.run_queries, "jobs policy"),
+    "ZerberRServer.__init__": (ZerberRServer.__init__, "key_service num_lists"),
     "EventLoop.__init__": (EventLoop.__init__, ""),
     "Telemetry.__init__": (Telemetry.__init__, ""),
     "EventLoop.call_at": (EventLoop.call_at, "tick fn"),
@@ -96,7 +138,8 @@ DELETED_NAMES = {
         "LagModel LeastLoadedReads HeatWeightedPlacement PlacementPolicy "
         "RoundRobinPlacement load_balance_ratio "
         "ReadSelector PrimaryReads RotatingReads coerce_read_selector "
-        "QueryLog ZerberRServer save_index load_index",
+        "QueryLog ZerberRServer save_index load_index "
+        "IndexingError CryptoError __version__",
     ),
     "repro.core": (
         repro.core,
@@ -104,9 +147,11 @@ DELETED_NAMES = {
         "RoundRobinPlacement load_balance_ratio "
         "ReadSelector PrimaryReads RotatingReads coerce_read_selector "
         "EventHandle PeriodicTask FOREGROUND BACKGROUND MAINTENANCE "
-        "DeliveryOutlook ReplicationLog tfidf_rscore ZerberRServer",
+        "DeliveryOutlook ReplicationLog tfidf_rscore ZerberRServer "
+        "SigmaSelection attribution_probabilities probability_amplification",
     ),
-    "repro.crypto": (repro.crypto, "cipher_for_key encrypt decrypt"),
+    "repro.crypto": (repro.crypto, "cipher_for_key encrypt decrypt Principal"),
+    "repro.index": (repro.index, "merged_list_confidentiality"),
     "repro.obs": (
         repro.obs,
         "ClusterMonitor MonitorSample MetricSpec metrics_to_dict trace_to_dict",
@@ -125,6 +170,24 @@ def test_deleted_names_are_not_exported(module):
     namespace, names = DELETED_NAMES[module]
     for name in names.split():
         assert name not in namespace.__all__ and not hasattr(namespace, name)
+
+
+@pytest.mark.parametrize(
+    "owner, names",
+    [
+        (
+            ServerCluster,
+            "_resolve_consistency _resolve_write_consistency _route_read",
+        ),
+        (ZerberRSystem, "with_config"),
+        (Rstf, "num_training_points"),
+        (repro.errors, "IndexingError"),
+    ],
+    ids=["ServerCluster", "ZerberRSystem", "Rstf", "repro.errors"],
+)
+def test_deleted_members_stay_gone(owner, names):
+    for name in names.split():
+        assert not hasattr(owner, name), name
 
 
 def test_telemetry_has_no_kill_switch_merge_or_reset():

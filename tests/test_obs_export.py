@@ -260,9 +260,9 @@ class TestEnvelopeTraceAttribution:
         seen = []
         real = cluster.serve_envelope
 
-        def recording(server_index, envelope, consistency=None):
+        def recording(server_index, envelope):
             seen.append((server_index, envelope.trace_id))
-            return real(server_index, envelope, consistency)
+            return real(server_index, envelope)
 
         cluster.serve_envelope = recording
         try:
@@ -289,14 +289,14 @@ class TestEnvelopeTraceAttribution:
         rejected = {"done": False}
         retried = []
 
-        def racing(server_index, envelope, consistency=None):
+        def racing(server_index, envelope):
             if server_index == route_b and not rejected["done"]:
                 # Simulate an election bumping the epoch after routing.
                 rejected["done"] = True
                 raise StaleEpochError(envelope.epoch, envelope.epoch + 1)
             if server_index == route_b:
                 retried.append(envelope.trace_id)
-            return real(server_index, envelope, consistency)
+            return real(server_index, envelope)
 
         cluster.serve_envelope = racing
         try:

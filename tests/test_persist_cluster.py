@@ -22,6 +22,7 @@ from repro import SystemConfig, ZerberRSystem
 from repro.core.client import ZerberRClient
 from repro.core.cluster import ServerCluster
 from repro.core.protocol import BatchFetchRequest, FetchRequest
+from repro.core.replication import ReadConsistency
 from repro.corpus.synthetic import tiny_corpus
 from repro.crypto.cipher import NONCE_SIZE
 from repro.crypto.keys import GroupKeyService
@@ -131,13 +132,18 @@ def _run_ops(cluster, ops, ref=None, counter_start=0):
         elif opcode == "kill_primary":
             cluster.fail_server(cluster.replicas_of(r % NUM_LISTS)[0])
         elif opcode == "fetch":
+            # A ONE read, with the cluster's own level put back after it:
+            # the level is part of what a snapshot saves.
+            built_read = cluster.read_consistency
+            cluster.read_consistency = ReadConsistency.ONE
             try:
                 cluster.fetch(
-                    FetchRequest(principal="u", list_id=r % NUM_LISTS, offset=0, count=5),
-                    consistency="one",
+                    FetchRequest(principal="u", list_id=r % NUM_LISTS, offset=0, count=5)
                 )
             except UnavailableError:
                 continue
+            finally:
+                cluster.read_consistency = built_read
     return ref, counter
 
 
@@ -222,12 +228,14 @@ class TestLaggedSnapshotRecovery:
     def test_primary_reads_identical_after_restart(self, tmp_path):
         cluster, ref, _ = _lagged_snapshot_cluster()
         restored, _ = _reload(cluster, tmp_path)
+        assert cluster.read_consistency is ReadConsistency.PRIMARY
+        assert restored.read_consistency is ReadConsistency.PRIMARY
         for list_id in range(NUM_LISTS):
             request = FetchRequest(
                 principal="u", list_id=list_id, offset=0, count=10
             )
-            original = cluster.fetch(request, consistency="primary")
-            recovered = restored.fetch(request, consistency="primary")
+            original = cluster.fetch(request)
+            recovered = restored.fetch(request)
             assert [e.ciphertext for e in recovered.elements] == [
                 e.ciphertext for e in original.elements
             ]
@@ -363,7 +371,7 @@ class TestFailoverStatePersistence:
         element = EncryptedPostingElement(
             ciphertext=b"post-failover", group="g", trs=0.999
         )
-        restored.insert("u", 0, element, consistency="quorum")
+        restored.insert("u", 0, element)  # at the restored QUORUM
         ref.insert(0, element)
         assert restored.replicas_of(0)[0] == elected  # no flap-back
         _assert_converged(restored, ref)
@@ -707,6 +715,41 @@ class TestCorruptClusterDumps:
         with pytest.raises(ConfigurationError, match="corrupt cluster dump") as excinfo:
             load_cluster(path, _keys())
         assert str(path) in str(excinfo.value)
+
+    # Each of these is well-typed JSON that ServerCluster itself refuses;
+    # its ConfigurationError used to escape without the file's name.
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda c: c.update(read_consistency="bogus"), "bogus"),
+            (lambda c: c.update(write_consistency=7), "7"),
+            (lambda c: c.update(anti_entropy_every=0), "anti"),
+            (lambda c: c.update(lag=-1), "lag"),
+            (lambda c: c.update(replication=0), "replication"),
+            (lambda c: c.update(num_servers=0), "server"),
+            (lambda c: c["failover"].update(after=0), "failover_after"),
+        ],
+        ids=[
+            "read-consistency",
+            "write-consistency",
+            "anti-entropy-every",
+            "lag",
+            "replication",
+            "num-servers",
+            "failover-after",
+        ],
+    )
+    def test_a_setting_the_cluster_refuses_names_the_file(
+        self, tmp_path, damage, named
+    ):
+        path = self._dump(tmp_path)
+        payload = json.loads(path.read_text())
+        damage(payload["cluster"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match=named) as excinfo:
+            load_cluster(path, _keys())
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: corrupt cluster dump: "), message
 
     @staticmethod
     def _setup_dump(tmp_path, shape="replicated"):

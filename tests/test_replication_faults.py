@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro import SystemConfig, ZerberRSystem
 from repro.core.cluster import ServerCluster
 from repro.core.protocol import FetchRequest, Receipt
+from repro.core.replication import ReadConsistency, WriteConsistency
 from repro.errors import UnavailableError
 from repro.crypto.keys import GroupKeyService
 from repro.index.postings import EncryptedPostingElement
@@ -89,8 +90,13 @@ class _Reference:
 
 
 def _run_ops(cluster, ops):
-    """Drive the cluster with an op tape; mirror acknowledged writes."""
+    """Drive the cluster with an op tape; mirror acknowledged writes.
+
+    An op that names a level sets it on the cluster (``insert_quorum``
+    writes at QUORUM, a plain ``insert`` at the level the cluster was
+    built with; ``fetch_<level>`` reads at that level)."""
     ref = _Reference()
+    built_write = cluster.write_consistency
     receipts: list[Receipt] = []
     counter = 0
     for opcode, r in ops:
@@ -103,9 +109,11 @@ def _run_ops(cluster, ops):
                 group="g",
                 trs=(counter % 997) / 1000.0,
             )
-            consistency = "quorum" if opcode == "insert_quorum" else None
+            cluster.write_consistency = (
+                WriteConsistency.QUORUM if opcode == "insert_quorum" else built_write
+            )
             try:
-                cluster.insert("u", list_id, element, consistency=consistency)
+                cluster.insert("u", list_id, element)
             except UnavailableError:
                 # Refused (unreachable gapped primary, or a W>1 write
                 # without enough ack-capable replicas): not acked.
@@ -137,13 +145,10 @@ def _run_ops(cluster, ops):
             cluster.resume_follower(r % NUM_SERVERS)
         elif opcode.startswith("fetch"):
             list_id = r % NUM_LISTS
-            consistency = opcode.split("_")[1]
+            cluster.read_consistency = ReadConsistency.coerce(opcode.split("_")[1])
             try:
                 response = cluster.fetch(
-                    FetchRequest(
-                        principal="u", list_id=list_id, offset=0, count=5
-                    ),
-                    consistency=consistency,
+                    FetchRequest(principal="u", list_id=list_id, offset=0, count=5)
                 )
             except UnavailableError:
                 continue
@@ -311,17 +316,18 @@ class TestMidOutage:
         ref = _Reference()
         counter = 0
 
-        def write(list_id, consistency=None):
+        def write(list_id, consistency=WriteConsistency.ONE):
             nonlocal counter
             counter += 1
             element = EncryptedPostingElement(
                 ciphertext=b"fe-%03d" % counter, group="g", trs=counter / 1000.0
             )
-            cluster.insert("u", list_id, element, consistency=consistency)
+            cluster.write_consistency = consistency
+            cluster.insert("u", list_id, element)
             ref.insert(list_id, element)
 
         for list_id in range(NUM_LISTS):
-            write(list_id, consistency="quorum")
+            write(list_id, WriteConsistency.QUORUM)
         epoch_before = cluster.placement_epoch
         victim = cluster.replicas_of(0)[0]
         cluster.fail_server(victim)
@@ -332,9 +338,9 @@ class TestMidOutage:
         assert cluster.placement_epoch > epoch_before
         assert cluster.replicas_of(0)[0] != victim
         # The elected primary acknowledges quorum writes mid-outage.
-        write(0, consistency="quorum")
+        write(0, WriteConsistency.QUORUM)
         cluster.replication_tick()
-        write(0, consistency="quorum")
+        write(0, WriteConsistency.QUORUM)
         cluster.restore_server(victim)
         cluster.run_replication_until_quiet()
         _assert_converged(cluster, ref)
