@@ -120,7 +120,7 @@ class ZerberClient:
         # Zerber downloads the WHOLE merged list, so the skim is the
         # dominant client cost: one pass, one keyring for all of it.
         matches = skim_matches(
-            elements, term, self._keys.keyring(self.principal), self._plan.decoder
+            elements, term, self._keys.keyring(self.principal, self._plan)
         )
         trace.satisfied = len(matches) >= k or len(matches) > 0
         return QueryResult(hits=ranked_hits(matches, k), trace=trace)
@@ -175,7 +175,10 @@ class ZerberSystem:
             nonces = self.key_service.nonce_sequence(owner, group)
             for doc in self.corpus.documents_in_group(group):
                 doc_stats = self.corpus.stats(doc.doc_id)
-                encode = PostingElement.encoder(doc_stats.doc_id, doc_stats.length)
+                doc_number = self.key_service.document_number(
+                    owner, group, doc_stats.doc_id
+                )
+                encode = PostingElement.encoder(doc_number, doc_stats.length)
                 for term in sorted(doc_stats.counts):
                     list_id, number = self.merge_plan.locate(term)
                     plaintext = encode(doc_stats.tf(term), number)

@@ -8,11 +8,13 @@ Usage (after ``pip install -e .``)::
     repro-index lint   src/
 
 ``build`` indexes every ``*.txt`` file under ``--input``; the file's
-immediate parent directory is its collaboration group.  The key service
-derives group keys from ``--secret`` (hex, >= 32 hex chars), so running
-``query`` with the same secret reconstructs them — a convenience for
-demos and tests, not a production key-management story (see
-``repro.crypto.keys``).  ``build`` writes the paper's single index server
+immediate parent directory is its collaboration group and its path
+relative to ``--input`` its doc id.  The key service derives group keys
+from ``--secret`` (hex, >= 32 hex chars), so running ``query`` with the
+same secret reconstructs them and opens the document directories the
+dump carries sealed (a posting names its document by a number, so no
+path is written in the clear) — a convenience for demos and tests, not
+a production key-management story (see ``repro.crypto.keys``).  ``build`` writes the paper's single index server
 as a one-server cluster dump, the one format ``snapshot`` writes too, so
 ``info`` / ``query`` and ``restore`` / ``cluster-status`` read either.
 """

@@ -45,23 +45,26 @@ layer, and its steady state is a memo hit per element, so the step
 spends a small constant per fetched element and nothing per group:
 
 * one key-service call per delivery round: the principal's keyring,
-  ``group -> cipher``, whose keys *are* the readable set.  The client
-  may hold it for that one round because nothing else runs inside a
-  round; it may not hold it longer — a ring on the client or the
-  session would outlive a revoke between rounds, and the key service is
-  the only owner of ciphers and their memos (``_cipher`` below serves
-  the write path and caches nothing either);
+  ``group -> (cipher, decoder)``, whose keys *are* the readable set.
+  The client may hold it for that one round because nothing else runs
+  inside a round; it may not hold it longer — a ring on the client or
+  the session would outlive a revoke between rounds, and the key
+  service is the only owner of ciphers, their memos and the document
+  directories (``_cipher`` below serves the write path and caches
+  nothing either);
 * :func:`skim_matches` is one loop in element order — ring lookup,
   :meth:`~repro.crypto.cipher.StreamCipher.try_decrypt`, term filter,
   append — with no per-group buckets to build and no order to restore;
-* the decoder it passes is the merge plan's
-  :attr:`~repro.index.merge.MergePlan.decoder`, one stable object per
-  plan (the cipher memo goes by decoder identity, and every client of a
-  deployment shares the plan) that resolves
-  ``PostingElement.from_bytes`` at call time, so a wrapper installed on
-  that classmethod (the e2e tracer's ``index.decode`` span) keeps seeing
-  every miss-path decode.  A miss decodes a fixed header and the doc id:
-  the term is an index into the plan's terms, not a string to convert;
+* each decoder in the ring is the merge plan's
+  :meth:`~repro.index.merge.MergePlan.decoder` of one group's document
+  directory, one stable object per (plan, group) (the cipher memo goes
+  by decoder identity, and every client of a deployment shares the
+  plan and the key service) that resolves ``PostingElement.from_bytes``
+  at call time, so a wrapper installed on that classmethod (the e2e
+  tracer's ``index.decode`` span) keeps seeing every miss-path decode.
+  A miss decodes one fixed header: the term and the document are
+  indexes into the plan's terms and the group's directory, not strings
+  to convert;
 * a term session keeps the matched ``(posting, element)`` pairs as they
   are; a :class:`RankedHit` is built only for the ≤ k hits a caller
   reads, and the multi-term aggregate sums straight from the postings.
@@ -107,7 +110,7 @@ from repro.core.protocol import (
 from repro.core.rstf import RstfModel
 from repro.core.cluster import ServerCluster
 from repro.crypto.cipher import NonceSequence, StreamCipher
-from repro.crypto.keys import GroupKeyService
+from repro.crypto.keys import GroupKeyService, Opener
 from repro.errors import (
     ProtocolError,
     QuorumWriteUnavailableError,
@@ -142,28 +145,31 @@ _Match = tuple[PostingElement, EncryptedPostingElement]
 def skim_matches(
     elements: Iterable[EncryptedPostingElement],
     term: str,
-    ciphers: Mapping[str, StreamCipher],
-    decode: Callable[[bytes], PostingElement],
+    ring: Mapping[str, Opener],
 ) -> list[_Match]:
     """Skim → decode → match over one fetched slice, in one pass.
 
-    Per element: look its group up in *ciphers* (a keyring — the keys
-    are the readable set), open it with that group's cipher
-    (:meth:`~repro.crypto.cipher.StreamCipher.try_decrypt` with *decode*,
-    the merge plan's :attr:`~repro.index.merge.MergePlan.decoder`, so it
-    is verified and decoded at most once and a memo hit is the decoded
+    Per element: look its group up in *ring* (a keyring — the keys are
+    the readable set), open it with that group's cipher and decoder
+    (:meth:`~repro.crypto.cipher.StreamCipher.try_decrypt`, so it is
+    verified and decoded at most once and a memo hit is the decoded
     :class:`PostingElement` itself) and keep it if it is a posting of
-    *term*.  Elements of a group not in *ciphers* or that fail
+    *term*.  Elements of a group not in *ring* or that fail
     authentication are skipped, and so is an authentic element of
     another term — one the server moved here from its own list too.
+    The decoder resolves the document number in the element's own
+    group, so a number past that group's directory raises
+    :class:`~repro.errors.ProtocolError` rather than name another
+    group's document.
 
     Returns ``(posting, element)`` per match, in element order.
     """
     matches: list[_Match] = []
-    cipher_of = ciphers.get
+    opener_of = ring.get
     for element in elements:
-        cipher = cipher_of(element.group)
-        if cipher is not None:
+        opener = opener_of(element.group)
+        if opener is not None:
+            cipher, decode = opener
             posting = cipher.try_decrypt(element.ciphertext, decode)
             if posting is not None and posting.term == term:
                 matches.append((posting, element))
@@ -526,10 +532,12 @@ class ZerberRClient:
 
         Realised as PRF(term || doc id) under the group key: deterministic
         (re-inserting the same document is idempotent and concurrent
-        clients agree) yet unique per posting element, so the TRS stream
-        stays tie-free and uniform.  Order among an unseen term's elements
-        is arbitrary — the accepted trade-off for terms "assumed to be
-        rare" (§5.1.1).
+        clients agree) yet unique per posting element, so an unseen
+        term's TRS values are tie-free and uniform.  The input is the doc
+        id string, not its directory number, so no TRS depends on the
+        order documents were first written.  Order among an unseen
+        term's elements is arbitrary — the accepted trade-off for terms
+        "assumed to be rare" (§5.1.1).
         """
         prf = self._keys.unseen_term_prf(self.principal, group)
         return lambda term: prf.evaluate_unit(f"{term}\x00{doc_id}".encode())
@@ -545,11 +553,13 @@ class ZerberRClient:
         *terms* defaults to every term of the document, sorted — the
         order nonces are drawn in, so a document's ciphertexts do not
         depend on who builds it.  Every term is checked (present in the
-        document, covered by the merge plan) and every plaintext encoded
-        before a nonce is drawn; one plan lookup per term gives its list
-        id and its term number; the group's cipher, nonce sequence and
-        unseen-term PRF are looked up once, and all TRS values come from
-        one :meth:`~repro.core.rstf.RstfModel.transform_many`.
+        document, covered by the merge plan) before the document's
+        number is minted and before a nonce is drawn; one plan lookup
+        per term gives its list id and its term number; the document's
+        number in the group directory, the group's cipher, nonce
+        sequence and unseen-term PRF are looked up once, and all TRS
+        values come from one
+        :meth:`~repro.core.rstf.RstfModel.transform_many`.
 
         Per element it builds nothing it throws away: the document's
         :meth:`~repro.index.postings.PostingElement.encoder` encodes the
@@ -563,10 +573,9 @@ class ZerberRClient:
         locate = self._plan.locate
         tf_of = doc.counts.get
         length = doc.length
-        encode = PostingElement.encoder(doc.doc_id, length)
         list_ids: list[int] = []
         rscores: list[float] = []
-        plaintexts: list[bytes] = []
+        fields: list[tuple[int, int]] = []
         for term in terms:
             tf = tf_of(term, 0)
             if tf == 0:
@@ -575,9 +584,13 @@ class ZerberRClient:
                 list_id, number = locate(term)
             except KeyError:
                 raise UnknownTermError(term) from None
-            plaintexts.append(encode(tf, number))
+            fields.append((tf, number))
             list_ids.append(list_id)
             rscores.append(tf / length)
+        encode = PostingElement.encoder(
+            self._keys.document_number(self.principal, group, doc.doc_id), length
+        )
+        plaintexts = [encode(tf, number) for tf, number in fields]
         trs_values = self._rstf.transform_many(
             terms, rscores, unseen_trs=self._unseen_trs(group, doc.doc_id)
         )
@@ -687,20 +700,20 @@ class ZerberRClient:
         counted before it is absorbed and the difference is taken on
         the way out, so what was served before the raise is kept.
         """
-        ciphers = self._keys.keyring(self.principal)
+        ring = self._keys.keyring(self.principal, self._plan)
         counting = self._obs.enabled
-        hits_before = sum([c.memo_hits for c in ciphers.values()]) if counting else 0
+        hits_before = sum([c.memo_hits for c, _ in ring.values()]) if counting else 0
         slices = elements = bits = 0
         try:
             for session, response in round_:
                 slices += 1
                 elements += len(response.elements)
                 bits += session.trace.record_response(response)
-                self._absorb_response(session, response, ciphers)
+                self._absorb_response(session, response, ring)
         finally:
             batch_trace.record_totals(slices, elements, bits)
             if counting:
-                memo_hits = sum([c.memo_hits for c in ciphers.values()]) - hits_before
+                memo_hits = sum([c.memo_hits for c, _ in ring.values()]) - hits_before
                 if elements:
                     self._obs.skim_elements.inc(elements)
                 if memo_hits:
@@ -711,7 +724,7 @@ class ZerberRClient:
         self,
         session: "_TermSession",
         response: FetchResponse,
-        ciphers: Mapping[str, StreamCipher],
+        ring: Mapping[str, Opener],
     ) -> None:
         """Feed one fetch response, already counted by the term trace,
         into a term session (shared step logic)."""
@@ -722,7 +735,7 @@ class ZerberRClient:
         session.offset += len(elements)
         session.request_number += 1
         hits = session.hits
-        hits += skim_matches(elements, session.term, ciphers, self._plan.decoder)
+        hits += skim_matches(elements, session.term, ring)
         if len(hits) >= session.k and self._topk_complete(hits, session.k, elements):
             session.trace.satisfied = True
             session.done = True
@@ -759,10 +772,16 @@ class ZerberRClient:
         The merged list is served in descending TRS order, so every
         unfetched element's TRS is <= the last fetched one.  If the k-th
         best matched TRS is at least the boundary, later elements cannot
-        strictly beat the current top-k.  TRS values are tie-free by
-        construction (continuous RSTF outputs; unseen terms get a
-        per-element PRF value), so treating equality as complete is safe
-        up to float collisions.
+        strictly beat the current top-k.
+
+        TRS values are *not* tie-free: one term's equal rscores give
+        equal TRS (on the bench index 7 171 of 60 330 elements share
+        their TRS with a neighbour, in runs of up to 63).  So the
+        guarantee is exact up to ties at the boundary: the result's
+        scores are the true top-k scores, and every match that strictly
+        beats the k-th is in it, but of the matches tied with the k-th
+        it holds whichever the server served first — an arbitrary subset
+        of the tie, not the ones with the smallest doc ids.
         """
         if not last_elements:
             return True

@@ -216,6 +216,12 @@ class ServerCluster:
                 log_lengths=lambda: self._repl.log_lengths(),
             )
 
+    @property
+    def key_service(self) -> GroupKeyService:
+        """The trusted key service the cluster checks memberships with
+        (a dump seals its document directories through it)."""
+        return self._keys
+
     def _new_replication_manager(
         self, lag: int, anti_entropy_every: int | None
     ) -> ReplicationManager:

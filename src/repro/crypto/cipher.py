@@ -18,7 +18,7 @@ mode: block 0 is ``BLAKE2b(enc_subkey; nonce)`` and block ``i >= 1`` is
 blocks concatenated and cut to the body length.  Every block hashes a
 distinct input (block 0's is 12 bytes long, every other one 20), so the
 blocks are independent PRF outputs.  A body of up to 64 bytes — every
-posting element, a 10-byte header plus its doc id — is block 0 alone.
+posting element, a fixed 14-byte header — is block 0 alone.
 
 The nonce is 96 bits, the AEAD nonce width of RFC 5116 and RFC 8439.
 :class:`NonceSequence` derives it from the plaintext it protects, so a

@@ -17,29 +17,89 @@ cache answers to the live membership:
   first use, handed out by :meth:`GroupKeyService.cipher_for` after a
   membership check on EVERY call and dropped on enroll/revoke;
 * one *keyring* per principal (:meth:`GroupKeyService.keyring`): the
-  ``group -> cipher`` index over those same cache slots that the read
-  path fetches once per round instead of asking ``memberships()`` per
-  slice and ``cipher_for()`` per group per slice.  It owns nothing —
-  the ciphers are the cache's — and it is dropped on enroll/revoke
-  *and* compared with ``Principal.groups`` on every call, so it cannot
-  outlive a membership however the membership changed.  Callers get a
-  copy and must not keep it past the round: the service is the only
-  place a cipher or a ring may live between calls;
+  ``group -> (cipher, decoder)`` index over those same cache slots that
+  the read path fetches once per round instead of asking
+  ``memberships()`` per slice and ``cipher_for()`` per group per slice.
+  Each decoder resolves document numbers through its group's
+  :class:`DocumentDirectory`, so the ring hands out the names with the
+  keys and a revoke takes both.  It owns nothing — the ciphers are the
+  cache's, the decoders the merge plan's — and it is dropped on
+  enroll/revoke *and* compared with ``Principal.groups`` on every call,
+  so it cannot outlive a membership however the membership changed.
+  Callers get a copy and must not keep it past the round: the service
+  is the only place a cipher or a ring may live between calls;
 * one *membership snapshot* per principal
   (:meth:`GroupKeyService.membership_snapshot`), which a server asks
   for on every slice to check its readable view by: the same
   drop-on-change, compare-on-every-call discipline, so an unchanged
   membership costs one set comparison and builds nothing.
+
+Document directories — a posting names its document by a 4-byte number
+(:mod:`repro.index.postings`), and the service keeps one append-only
+:class:`DocumentDirectory` per group that says which doc id a number
+is.  A writer mints or looks up its document's number once per document
+(:meth:`GroupKeyService.document_number`, membership-checked); a reader
+resolves numbers only through the decoders of its keyring, each bound to
+its own group's directory, so a number can never name another group's
+document.  A dump stores each directory sealed under a subkey of its
+group's key (:meth:`GroupKeyService.sealed_directories` /
+:meth:`~GroupKeyService.install_directories`), never in the clear.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.crypto.cipher import NonceSequence, StreamCipher
 from repro.crypto.prf import Prf, derive_key
 from repro.errors import AccessDeniedError, ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.index.merge import MergePlan
+    from repro.index.postings import PostingElement
+
+#: What a keyring holds per group: the group's cipher and the merge
+#: plan's decoder bound to the group's directory.
+Opener = tuple[StreamCipher, "Callable[[bytes], PostingElement]"]
+
+
+class DocumentDirectory:
+    """One group's document numbers: which doc id a posting names.
+
+    Append-only: a doc id gets the next number, dense from 0, the first
+    time it is written, and keeps it for the directory's life — written
+    again, deleted, written again — so a number is never reused.
+    ``names[n]`` is the doc id numbered ``n``, the very string every
+    element decoded through this directory carries.  A posting holds
+    the number in 4 bytes, so a directory holds at most ``2**32`` names.
+    """
+
+    __slots__ = ("names", "_numbers")
+
+    LIMIT = 2**32
+
+    def __init__(self, names: Iterable[str] = ()) -> None:
+        self.names: list[str] = []
+        self._numbers: dict[str, int] = {}
+        for name in names:
+            if name in self._numbers:
+                raise ConfigurationError(f"doc id numbered twice: {name!r}")
+            self.number(name)
+
+    def number(self, doc_id: str) -> int:
+        """*doc_id*'s number, minted on first use."""
+        number = self._numbers.get(doc_id)
+        if number is None:
+            number = len(self.names)
+            if number >= self.LIMIT:
+                raise ConfigurationError("document directory is full (2**32 ids)")
+            self._numbers[doc_id] = number
+            self.names.append(doc_id)
+        return number
 
 
 @dataclass
@@ -64,6 +124,7 @@ class GroupKeyService:
             raise ConfigurationError("master secret must be at least 16 bytes")
         self._master = master_secret
         self._groups: dict[str, bytes] = {}
+        self._directories: dict[str, DocumentDirectory] = {}
         self._principals: dict[str, Principal] = {}
         self._nonce_sequences: dict[tuple[str, str], NonceSequence] = {}
         # Hot-path object caches: building a StreamCipher (two subkey
@@ -73,9 +134,10 @@ class GroupKeyService:
         # are additionally dropped on enroll/revoke (belt and braces).
         self._ciphers: dict[tuple[str, str], StreamCipher] = {}
         self._unseen_prfs: dict[tuple[str, str], Prf] = {}
-        # principal -> {group: its _ciphers entry}: an index over the
-        # cipher cache for the read path, not a second owner.
-        self._keyrings: dict[str, dict[str, StreamCipher]] = {}
+        # principal -> (plan, {group: (its _ciphers entry, the plan's
+        # decoder of the group's directory)}): an index over the cipher
+        # cache for the read path, not a second owner.
+        self._keyrings: dict[str, tuple[MergePlan, dict[str, Opener]]] = {}
         # principal -> its memberships as last handed to a server;
         # compared with the live set on every call, like the keyrings.
         self._snapshots: dict[str, frozenset[str]] = {}
@@ -87,6 +149,7 @@ class GroupKeyService:
         if group in self._groups:
             raise ConfigurationError(f"group already exists: {group!r}")
         self._groups[group] = derive_key(self._master, f"group:{group}")
+        self._directories[group] = DocumentDirectory()
 
     def ensure_group(self, group: str) -> None:
         """Create *group* if it does not exist yet."""
@@ -193,17 +256,21 @@ class GroupKeyService:
             self._ciphers[cache_key] = cipher
         return cipher
 
-    def keyring(self, principal: str) -> dict[str, StreamCipher]:
-        """Every cipher *principal* may use right now, by group.
+    def keyring(self, principal: str, plan: MergePlan) -> dict[str, Opener]:
+        """Every ``(cipher, decoder)`` pair *principal* may use right
+        now, by group.
 
         The read path's one key-service call per delivery round: the
-        keys are the readable set and the values are the very ciphers
-        :meth:`cipher_for` hands out, so their memos are shared with it
-        and die with it.  The cached ring is dropped on enroll/revoke
-        and, like every lookup here, re-validated against the live
-        ``Principal.groups`` on EVERY call, so a membership change that
-        went around :meth:`revoke` is seen too.  Raises what
-        :meth:`memberships` raises for an unknown principal.
+        keys are the readable set, the ciphers are the very ones
+        :meth:`cipher_for` hands out (their memos are shared with it and
+        die with it) and each decoder is *plan*'s decoder of the group's
+        :class:`DocumentDirectory` — the only way a reader resolves a
+        document number, and only within the element's own group.  The
+        cached ring is dropped on enroll/revoke and, like every lookup
+        here, re-validated against the live ``Principal.groups`` (and
+        *plan*) on EVERY call, so a membership change that went around
+        :meth:`revoke` is seen too.  Raises what :meth:`memberships`
+        raises for an unknown principal.
 
         The caller gets a copy: its ``get`` stays a C-speed dict lookup
         per fetched element (a read-only proxy dispatches a method call
@@ -212,11 +279,98 @@ class GroupKeyService:
         would outlive a revocation.
         """
         groups = self._principal(principal).groups
-        ring = self._keyrings.get(principal)
-        if ring is None or ring.keys() != groups:
-            ring = {group: self._cached_cipher(principal, group) for group in groups}
-            self._keyrings[principal] = ring
+        cached = self._keyrings.get(principal)
+        if cached is None or cached[0] is not plan or cached[1].keys() != groups:
+            decoder = plan.decoder
+            ring = {
+                group: (
+                    self._cached_cipher(principal, group),
+                    decoder(self._directories[group]),
+                )
+                for group in groups
+            }
+            self._keyrings[principal] = (plan, ring)
+        else:
+            ring = cached[1]
         return dict(ring)
+
+    # -- document directories ------------------------------------------------------
+
+    def document_number(self, principal: str, group: str, doc_id: str) -> int:
+        """The number *doc_id* goes by in *group*'s postings, minted on
+        its first write; a writer asks once per document.  Members only,
+        checked on EVERY call."""
+        if not self.is_member(principal, group):
+            raise AccessDeniedError(principal, group)
+        return self._directories[group].number(doc_id)
+
+    def _directory_sealer(self, group: str) -> tuple[StreamCipher, NonceSequence]:
+        """The cipher and nonce PRF a dump seals *group*'s directory
+        with, both under a subkey of the group key that no posting
+        cipher derives (the key :meth:`create_group` would derive, for a
+        group not created yet)."""
+        group_key = self._groups.get(group) or derive_key(self._master, f"group:{group}")
+        key = derive_key(group_key, "directory")
+        return StreamCipher(key, memo_capacity=0), NonceSequence(key)
+
+    def sealed_directories(self) -> dict[str, bytes]:
+        """Every non-empty directory, by group, sealed under its group's
+        directory subkey: what a dump stores in place of the names.
+
+        The nonce is the PRF of the sealed names, so one directory seals
+        to the same bytes every time and two seals share a nonce only
+        for equal names.  The trusted side of a save: no principal
+        involved, nothing leaves in the clear.
+        """
+        sealed: dict[str, bytes] = {}
+        for group, directory in sorted(self._directories.items()):
+            if directory.names:
+                cipher, nonces = self._directory_sealer(group)
+                plaintext = json.dumps(directory.names).encode()
+                sealed[group] = cipher.encrypt(plaintext, nonces.next(plaintext))
+        return sealed
+
+    def install_directories(self, sealed: Mapping[str, bytes]) -> None:
+        """Take in the directories a dump stored, all or nothing.
+
+        A directory that fails its tag was sealed under another secret: it
+        is left out, as its elements will fail theirs.  One that opens
+        must agree with every number the service already holds for its
+        group — the longer of the two is kept, and a group the service
+        does not know yet is created — or nothing is installed and a
+        :class:`ConfigurationError` names the group.
+        """
+        opened: dict[str, list[str]] = {}
+        for group, blob in sealed.items():
+            cipher, _ = self._directory_sealer(group)
+            plaintext = cipher.try_decrypt(blob)
+            if plaintext is None:
+                continue
+            try:
+                names = json.loads(plaintext)
+            except ValueError:
+                names = None
+            if not isinstance(names, list) or not all(
+                isinstance(name, str) for name in names
+            ):
+                raise ConfigurationError(
+                    f"the document directory of group {group!r} is malformed"
+                )
+            directory = self._directories.get(group)
+            held = directory.names if directory is not None else []
+            common = min(len(held), len(names))
+            if held[:common] != names[:common]:
+                raise ConfigurationError(
+                    f"the document directory of group {group!r} disagrees "
+                    "with the numbers this key service holds"
+                )
+            DocumentDirectory(names)  # refuses a doc id numbered twice
+            opened[group] = names[len(held):]
+        for group, tail in opened.items():
+            self.ensure_group(group)
+            number = self._directories[group].number
+            for name in tail:
+                number(name)
 
     def nonce_sequence(self, principal: str, group: str) -> NonceSequence:
         """THE nonce sequence of a (member, group) pair — a singleton.

@@ -10,13 +10,14 @@ queries/s; a 56 Kb/s modem user downloads an answer in ≈0.5 s.
 :class:`NetworkModel` reproduces the calculation from *measured* element
 counts, so the §6.6 benchmark can plug in our synthetic-ODP numbers.
 
-The 64 bits are the paper's assumption.  A *measured* element of the e2e
-bench corpus (13-byte doc id) is 472 bits on the wire — nonce 12 +
-header 10 (tf, doc length, term number) + doc id + tag 16 bytes, plus
-the 64-bit TRS (``EncryptedPostingElement.size_bits``; 504 bits while the
-nonce was 16 bytes, 560 while the header spelled the 10-byte term out,
-736 while the plaintext was canonical JSON):
-``NetworkModel(element_bits=472)`` prices that.
+The 64 bits are the paper's assumption.  A *measured* element is 400
+bits on the wire, for every document — nonce 12 + header 14 (tf, doc
+length, term number, doc number) + tag 16 bytes, plus the 64-bit TRS
+(``EncryptedPostingElement.size_bits``).  On the e2e bench corpus (13-byte
+doc ids) it was 472 bits while the plaintext spelled the doc id out, 504
+while the nonce was 16 bytes, 560 while the header spelled the 10-byte
+term out, 736 while the plaintext was canonical JSON.
+``NetworkModel(element_bits=400)`` prices it.
 """
 
 from __future__ import annotations

@@ -30,11 +30,15 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfidentialityViolationError, ConfigurationError
 from repro.index.postings import PostingElement
+
+if TYPE_CHECKING:
+    from repro.crypto.keys import DocumentDirectory
 
 
 @dataclass(frozen=True)
@@ -92,18 +96,22 @@ class MergePlan:
         return self._addresses[term][0]
 
     @cached_property
-    def decoder(self) -> Callable[[bytes], PostingElement]:
-        """This plan's posting decoder: one stable object per plan, since
-        a cipher's memo serves the decoder that filled it by identity.
+    def _decoders(self) -> dict[DocumentDirectory, Callable[[bytes], PostingElement]]:
+        return {}
+
+    def decoder(self, directory: DocumentDirectory) -> Callable[[bytes], PostingElement]:
+        """This plan's posting decoder for the group *directory* numbers:
+        one stable object per (plan, directory), since a cipher's memo
+        serves the decoder that filled it by identity.  Only the key
+        service hands a directory out (to members, in a keyring), so a
+        decoder resolves a document number only inside its own group.
 
         It resolves :meth:`PostingElement.from_bytes` at call time, so a
         wrapper installed on that classmethod sees every miss-path decode.
         """
-        terms = self.terms
-
-        def decode(plaintext: bytes) -> PostingElement:
-            return PostingElement.from_bytes(plaintext, terms)
-
+        decode = self._decoders.get(directory)
+        if decode is None:
+            decode = self._decoders[directory] = _decoder(self.terms, directory.names)
         return decode
 
     def terms_of(self, list_id: int) -> tuple[str, ...]:
@@ -129,6 +137,13 @@ class MergePlan:
                     f"merged list {i} has term probability mass {mass:.6f} "
                     f"< 1/r = {1.0 / self.r:.6f}"
                 )
+
+
+def _decoder(terms: Sequence[str], names: Sequence[str]) -> Callable[[bytes], PostingElement]:
+    def decode(plaintext: bytes) -> PostingElement:
+        return PostingElement.from_bytes(plaintext, terms, names)
+
+    return decode
 
 
 def merged_list_confidentiality(

@@ -13,35 +13,37 @@ Three element flavours appear in the reproduction:
   keyed by an integer list id.
 
 The plaintext layout — :meth:`PostingElement.encoder` (``to_bytes`` is
-its one-element form) / ``from_bytes`` are its single owner — is a fixed
-10-byte header and one UTF-8 string::
+its one-element form) / ``from_bytes`` are its single owner — is one
+fixed 14-byte header and nothing else::
 
-    tf (2) | doc_length (4) | term number (4) | doc_id (rest)
+    tf (2) | doc_length (4) | term number (4) | doc number (4)
 
-all unsigned big-endian, with no version byte, no padding and no second
-layout.  The term travels as its number in the merge plan
-(:attr:`~repro.index.merge.MergePlan.terms`, the plan's groups read in
-order): every client can name a term from the public plan, so spelling
-it out cost bytes and told the server nothing a member needs.  The
+all unsigned big-endian, with no version byte, no padding, no variable
+tail and no second layout.  The term travels as its number in the merge
+plan (:attr:`~repro.index.merge.MergePlan.terms`, the plan's groups read
+in order): every client can name a term from the public plan.  The
 number is global, not a slot within a list, so an element the server
-moves into another list still decodes to its own term.  Given the
-plan's terms, the decoder maps every byte string either to exactly one
-element, whose ``to_bytes(number)`` is that byte string again, or to a
-:class:`~repro.errors.ProtocolError` — a number outside the plan
-included.
+moves into another list still decodes to its own term.  The document
+travels as its number in its group's
+:class:`~repro.crypto.keys.DocumentDirectory`: the key service mints it
+when a member first writes the document (dense from 0 per group, never
+reused) and hands the directory only to members, with the group's
+cipher.  Given the plan's terms and the group's directory, the decoder
+maps every byte string either to exactly one element, whose
+``to_bytes(term number, doc number)`` is that byte string again, or to a
+:class:`~repro.errors.ProtocolError` — a number outside the plan or the
+directory included.
 
 What the server learns from a length: the cipher adds a 12-byte nonce
 and a 16-byte tag and does not hide the body's length, so the untrusted
-server sees ``len(ciphertext) == 12 + 10 + len(doc_id) + 16`` (UTF-8
-bytes) for every element — a function of the document alone, the same
-for every term, tf and doc_length (pinned in
-``tests/test_integration_security.py``).  When the term was spelled out,
+server sees ``len(ciphertext) == 12 + 14 + 16 == 42`` for every element
+— the same for every document, term, tf and doc_length (pinned in
+``tests/test_integration_security.py``).  When the doc id was spelled
+out, ``len(doc_id)`` linked one document's elements across lists (a
+file path as doc id is as good as a name); when the term was,
 ``len(term)`` split a merged list into length classes, each attributable
 at better odds than Def. 2 allows; the canonical-JSON body before that
-also showed the digit counts of tf and doc_length.  What remains is
-``len(doc_id)``, which links one document's elements across lists; a
-fixed-width document number would close it and needs a document
-directory members can read.
+also showed the digit counts of tf and doc_length.
 """
 
 from __future__ import annotations
@@ -52,15 +54,14 @@ import struct
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from sys import intern
 
 from repro.errors import ProtocolError
 
-# tf, doc_length, term number.  Fixed width on purpose: one C call decodes
-# it, and the body length varies with neither the counts nor the term.
-_HEADER = struct.Struct(">HII")
+# tf, doc_length, term number, doc number.  Fixed width on purpose: one C
+# call decodes it, and the body length varies with nothing at all.
+_HEADER = struct.Struct(">HIII")
 HEADER_SIZE = _HEADER.size
-_unpack_header = _HEADER.unpack_from
+_unpack = _HEADER.unpack
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -85,29 +86,30 @@ class PostingElement:
 
     # -- serialisation (what gets encrypted) --------------------------------
 
-    def to_bytes(self, number: int) -> bytes:
+    def to_bytes(self, number: int, doc_number: int) -> bytes:
         """The element's one byte encoding (the encryption plaintext),
-        with *number* — the term's number in the merge plan — for the term.
+        with *number* — the term's number in the merge plan — for the
+        term and *doc_number* — the document's number in its group's
+        directory — for the doc id.
 
         :class:`ValueError` for a field the header cannot hold (``tf`` >
-        65 535, ``doc_length`` or *number* outside ``[0, 2**32)``) or a
-        doc id UTF-8 cannot encode.  It is :meth:`encoder`'s encoding.
+        65 535, ``doc_length`` or either number outside ``[0, 2**32)``).
+        It is :meth:`encoder`'s encoding.
         """
-        return PostingElement.encoder(self.doc_id, self.doc_length)(self.tf, number)
+        return PostingElement.encoder(doc_number, self.doc_length)(self.tf, number)
 
     @staticmethod
-    def encoder(doc_id: str, doc_length: int) -> Callable[[int, int], bytes]:
+    def encoder(doc_number: int, doc_length: int) -> Callable[[int, int], bytes]:
         """``(tf, number) -> bytes``: the encoding of every element of one
         document, without building the elements.
 
-        A writer encodes a whole document at once, so the doc id is
-        encoded once and each element costs one call: the constructor's
-        checks (``tf > 0``, ``doc_length >= tf``) and the header pack, with
-        :meth:`to_bytes`'s :class:`ValueError` for a field that does not
-        fit.  :meth:`to_bytes` is this encoder's single-element form, so
-        the layout keeps one owner.
+        A writer encodes a whole document at once, so its number is
+        looked up once and each element costs one call: the
+        constructor's checks (``tf > 0``, ``doc_length >= tf``) and the
+        header pack, with :meth:`to_bytes`'s :class:`ValueError` for a
+        field that does not fit.  :meth:`to_bytes` is this encoder's
+        single-element form, so the layout keeps one owner.
         """
-        suffix = doc_id.encode()
         pack = _HEADER.pack
 
         def encode(tf: int, number: int) -> bytes:
@@ -116,7 +118,7 @@ class PostingElement:
             if doc_length < tf:
                 raise ValueError("doc_length must be >= tf")
             try:
-                return pack(tf, doc_length, number) + suffix
+                return pack(tf, doc_length, number, doc_number)
             except struct.error as error:
                 raise ValueError(
                     f"posting element does not fit the plaintext header: {error}"
@@ -125,14 +127,17 @@ class PostingElement:
         return encode
 
     @classmethod
-    def from_bytes(cls, data: bytes, terms: Sequence[str]) -> "PostingElement":
-        """Inverse of :meth:`to_bytes`, naming the term ``terms[number]``;
-        anything else — a number outside *terms* included — is a
-        :class:`ProtocolError`.
+    def from_bytes(
+        cls, data: bytes, terms: Sequence[str], names: Sequence[str]
+    ) -> "PostingElement":
+        """Inverse of :meth:`to_bytes`, naming the term ``terms[number]``
+        and the document ``names[doc number]`` (*names* is the element's
+        group directory); anything else — a number outside *terms* or
+        *names* included — is a :class:`ProtocolError`.
 
-        The term is the very string *terms* holds, and the document id is
-        interned: a hot list repeats few of them over many elements, and
-        decoded elements live on in the cipher's memo.
+        The term and the doc id are the very strings *terms* and *names*
+        hold: nothing is decoded from UTF-8, and a decoded element that
+        lives on in a cipher's memo costs no string of its own.
 
         This is the skim's cold path, once per element a client opens, so
         it runs the constructor's checks inline and fills the slots
@@ -143,19 +148,22 @@ class PostingElement:
         and immutability are the dataclass's own.
         """
         try:
-            tf, doc_length, number = _unpack_header(data)
-            doc_id = data[HEADER_SIZE:].decode()
-        except (struct.error, UnicodeDecodeError) as error:
+            tf, doc_length, number, doc_number = _unpack(data)
+        except struct.error as error:
             raise ProtocolError(f"malformed posting element: {error!r}") from None
         if number >= len(terms):
             raise ProtocolError(f"term number {number} is not in the plan")
+        if doc_number >= len(names):
+            raise ProtocolError(
+                f"document number {doc_number} is not in the group's directory"
+            )
         if tf <= 0 or doc_length < tf:
             raise ProtocolError(
                 f"malformed posting element: tf {tf} with doc_length {doc_length}"
             )
         element = _new(cls)
         _set_term(element, terms[number])
-        _set_doc_id(element, intern(doc_id))
+        _set_doc_id(element, names[doc_number])
         _set_tf(element, tf)
         _set_doc_length(element, doc_length)
         return element

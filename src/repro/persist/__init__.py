@@ -3,10 +3,14 @@
 What is persisted is exactly what an untrusted host durably stores: the
 merged lists (ciphertext, group tag, TRS) — no keys, no plaintext —
 plus the *public* setup artifacts a joining client needs (the merge plan
-and the published RSTF model).  Group keys are deliberately **not**
+and the published RSTF model), plus each group's document directory
+sealed under a subkey of that group's key (a posting names its document
+by a number in that directory; see :mod:`repro.index.postings`), so no
+doc id is ever in the clear.  Group keys are deliberately **not**
 serialised; they live in the trusted
 :class:`~repro.crypto.keys.GroupKeyService`, which a deployment
-reconstructs from its own secret.
+reconstructs from its own secret, and :func:`load_cluster` gives it the
+dump's directories.
 
 One dump kind, a version-tagged JSON container with ``kind:
 "cluster"``, holds a whole :class:`~repro.core.cluster.ServerCluster`
@@ -16,21 +20,23 @@ index server is a one-server cluster, and its dump is this one too.  A
 ``kind: "server"`` container (a bare server, from an older build) is
 refused by name: re-index to carry it over.
 
-The container is format **v6**, the only version this build writes or
-reads.  It is renumbered because every stored ciphertext changed: a v6
-element carries a 12-byte nonce and a keyed-BLAKE2b keystream
-(:mod:`repro.crypto.cipher`) where v5 carried a 16-byte nonce and a
-SHAKE-256 one, and its tag is keyed under a new MAC subkey, so every v5
-element fails its tag.  Ciphertexts are opaque to the host, so an older
-dump would restore without complaint and then answer wrongly without an
-error: every query would come back empty.  (Every v4 element fails its
-tag too — keyed BLAKE2b-128 replaced truncated HMAC-SHA256 in v5; a v3
-element would also misread its plaintext — its term-length byte and
-first three term bytes read as a term number — and a v2 element,
-canonical JSON, never decodes at all.)  Any other version is therefore
-refused with a :class:`~repro.errors.ConfigurationError` naming the
-file, the version found and the version read.  Re-index to carry an
-older index over.
+The container is format **v7**, the only version this build writes or
+reads.  It is renumbered because every stored plaintext changed: a v7
+element names its document by a 4-byte number in a fixed 14-byte
+header, where a v6 element spelled the doc id out after a 10-byte one,
+and a v7 dump carries the sealed directories that resolve the numbers.
+Every v6 element would open and then fail the header, so a v6 dump
+would restore without complaint and answer every query with an error.
+(Every v5 element fails its tag: v6 replaced the 16-byte nonce and
+SHAKE-256 keystream with a 12-byte nonce and a keyed-BLAKE2b one under a
+new MAC subkey; every v4 element fails its tag too — keyed BLAKE2b-128
+replaced truncated HMAC-SHA256 in v5; a v3 element would also misread
+its plaintext — its term-length byte and first three term bytes read as
+a term number — and a v2 element, canonical JSON, never decodes at
+all.)  Any other version is therefore refused with a
+:class:`~repro.errors.ConfigurationError` naming the file, the version
+found and the version read, and the hint to re-index: that is how an
+older index is carried over.
 
 The v5 bump dropped the blocks only v4 dumps carry: the cluster's
 ``lag`` is written and read as the int it is (v4 wrapped it as

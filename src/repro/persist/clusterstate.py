@@ -43,6 +43,8 @@ from repro.persist.atomic import atomic_write_text
 from repro.persist.encoders import (
     FORMAT_VERSION,
     decode_list_id,
+    directories_from_dict,
+    directories_to_dict,
     element_from_dict,
     element_to_dict,
     load_server_state,
@@ -333,11 +335,13 @@ def save_cluster(
 ) -> None:
     """Atomically write a whole-cluster snapshot plus setup artifacts.
 
-    The dump holds only what the untrusted host tier stores (ciphertexts, TRS, group tags, logs) plus
-    the public setup artifacts — never keys.  An instrumented cluster
-    records snapshot size and duration into its telemetry registry
-    (wall-clock timing is fine here: ``repro.persist`` is outside the
-    determinism scope).
+    The dump holds only what the untrusted host tier stores (ciphertexts,
+    TRS, group tags, logs) plus the public setup artifacts, and the
+    cluster's key service's document directories sealed under their
+    groups' keys — never keys, never a doc id in the clear.  An
+    instrumented cluster records snapshot size and duration into its
+    telemetry registry (wall-clock timing is fine here:
+    ``repro.persist`` is outside the determinism scope).
     """
     obs = PersistInstruments(cluster.telemetry)
     start = perf_counter()
@@ -346,6 +350,7 @@ def save_cluster(
         "kind": "cluster",
         "merge_plan": merge_plan_to_dict(merge_plan),
         "rstf_model": rstf_model_to_dict(rstf_model),
+        "directories": directories_to_dict(cluster.key_service.sealed_directories()),
         "cluster": cluster_to_dict(cluster),
     }
     text = json.dumps(payload)
@@ -362,8 +367,12 @@ def load_cluster(
 ) -> tuple[ServerCluster, MergePlan, RstfModel]:
     """Recover a cluster snapshot against a (trusted) key service.
 
-    The key service must already know the deployment's groups and
-    principals: only the untrusted state is restored.  *telemetry* instruments the recovered
+    The key service is the deployment's, or one rebuilt from its
+    secret; it is given the dump's document directories (groups it does
+    not know yet are created), and a directory that disagrees with
+    numbers it already holds is a :class:`ConfigurationError` naming the
+    file, with nothing installed.  Principals are the caller's to register: only the
+    untrusted state is restored.  *telemetry* instruments the recovered
     cluster and counts the restore.
     """
     payload = read_payload(path)
@@ -380,8 +389,20 @@ def load_cluster(
         raise ConfigurationError(
             f"{path}: corrupt cluster dump: missing 'cluster' section"
         ) from None
+    directories = _typed(payload.get("directories", {}), dict, "directories", path)
+    try:
+        sealed = directories_from_dict(directories)
+    except (TypeError, ValueError) as error:
+        raise ConfigurationError(
+            f"{path}: corrupt cluster dump: {error!r}"
+        ) from error
     cluster = cluster_from_dict(
         cluster_section, key_service, source=path, telemetry=telemetry
     )
+    # Last, so a dump refused for anything else leaves the service as it was.
+    try:
+        key_service.install_directories(sealed)
+    except ConfigurationError as error:
+        raise ConfigurationError(f"{path}: {error}") from error
     PersistInstruments(telemetry).restores.inc()
     return cluster, merge_plan, rstf_model

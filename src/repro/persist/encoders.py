@@ -22,7 +22,7 @@ from repro.index.merge import MergePlan
 from repro.index.postings import EncryptedPostingElement
 
 #: The one dump format this build writes and reads (see :mod:`repro.persist`).
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 
 def read_payload(path: str | Path) -> dict:
@@ -43,7 +43,8 @@ def read_payload(path: str | Path) -> dict:
     if version != FORMAT_VERSION:
         raise ConfigurationError(
             f"{path}: unsupported dump format version {version!r} "
-            f"(this build reads {FORMAT_VERSION})"
+            f"(this build reads {FORMAT_VERSION}); re-index the corpus "
+            "to carry it over"
         )
     return payload
 
@@ -69,6 +70,21 @@ def element_from_dict(entry: dict) -> EncryptedPostingElement:
         raise TypeError(f"element TRS must be a float or null, not {trs!r}")
     ciphertext = base64.b64decode(entry["c"], validate=True)
     return EncryptedPostingElement(ciphertext=ciphertext, group=group, trs=trs)
+
+
+def directories_to_dict(sealed: dict[str, bytes]) -> dict[str, str]:
+    """Sealed document directories, by group, base64 like ciphertexts."""
+    return {group: base64.b64encode(blob).decode() for group, blob in sealed.items()}
+
+
+def directories_from_dict(data: dict) -> dict[str, bytes]:
+    """Inverse of :func:`directories_to_dict`, strict on every entry."""
+    sealed: dict[str, bytes] = {}
+    for group, blob in data.items():
+        if not isinstance(blob, str):
+            raise TypeError(f"sealed directory must be a string, not {blob!r}")
+        sealed[group] = base64.b64decode(blob, validate=True)
+    return sealed
 
 
 # -- setup artifacts ----------------------------------------------------------

@@ -1,17 +1,21 @@
-"""Write the format-v5 cluster dump that ``tests/test_persist_cluster.py``
-expects to be refused.
+"""Write the cluster dump fixture of this build's format version, the
+kind ``tests/test_persist_cluster.py`` expects a later build to refuse.
 
-    PYTHONPATH=src python tests/fixtures/make_cluster_v5.py
+    PYTHONPATH=src python tests/fixtures/make_cluster_dump.py
 
 A three-server, two-way replicated deployment of a twelve-document corpus
 under ``SECRET``, caught up, then one new document written by its group's
 owner and a third of it deleted again at lag 2, so the dump's replication
-logs still hold insert and delete ops a follower has not applied.
+logs still hold insert and delete ops a follower has not applied.  It is
+written as ``cluster_v<FORMAT_VERSION>.json``.
 
-The committed ``cluster_v5.json`` was written by the v5 code: 16-byte
-nonces (HMAC-SHA256 of a bare counter), a SHAKE-256 keystream and
-dataclass log ops.  Rerunning this script overwrites it with what the
-code in the tree writes, which is no longer a v5 dump.
+The committed dumps were written by this script at the builds of their
+versions: ``cluster_v5.json`` (16-byte nonces from HMAC-SHA256 of a bare
+counter, a SHAKE-256 keystream, dataclass log ops) and
+``cluster_v6.json`` (12-byte nonces, a keyed-BLAKE2b keystream, each
+plaintext's doc id spelled out after a 10-byte header).  Rerunning it
+writes what the code in the tree writes, so run it before a format bump,
+not after.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from pathlib import Path
 from repro import SystemConfig, ZerberRSystem
 from repro.corpus.synthetic import SyntheticCorpusConfig, SyntheticCorpusGenerator
 from repro.crypto.keys import GroupKeyService
-from repro.persist import save_cluster
+from repro.persist import FORMAT_VERSION, save_cluster
 from repro.text.analysis import DocumentStats
 
 HERE = Path(__file__).resolve().parent
@@ -59,7 +63,8 @@ def main() -> None:
         DocumentStats.from_counts("fixture-new", counts), group
     )
     owner.delete_document(receipts[: len(receipts) // 3])
-    save_cluster(HERE / "cluster_v5.json", cluster, system.merge_plan, system.rstf_model)
+    path = HERE / f"cluster_v{FORMAT_VERSION}.json"
+    save_cluster(path, cluster, system.merge_plan, system.rstf_model)
 
 
 if __name__ == "__main__":

@@ -78,6 +78,22 @@ class TestSystem:
         result = zsystem.query(term, k=10)
         assert result.trace.elements_transferred > 10
 
+    def test_documents_are_numbered_per_group_and_every_element_is_42_bytes(
+        self, zsystem, corpus
+    ):
+        """The indexer mints one number per document in its group's
+        directory, in first-write order, so the plaintext is the fixed
+        14-byte header whatever the doc id."""
+        for group in corpus.groups():
+            assert zsystem.key_service._directories[group].names == [
+                doc.doc_id for doc in corpus.documents_in_group(group)
+            ]
+        assert {
+            len(element.ciphertext)
+            for list_id in range(zsystem.merge_plan.num_lists)
+            for element in zsystem.server.download("superuser", list_id)
+        } == {42}
+
     def test_unknown_term(self, zsystem):
         with pytest.raises(UnknownTermError):
             zsystem.query("no-such-term", k=1)

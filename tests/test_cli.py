@@ -1,8 +1,14 @@
 """End-to-end tests for the repro-index CLI."""
 
+import json
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
-from repro.cli import DEFAULT_SECRET, main
+from repro.cli import DEFAULT_SECRET, _corpus_from_directory, main
+from repro.crypto.keys import GroupKeyService
+from repro.persist import load_cluster
 
 
 @pytest.fixture(scope="module")
@@ -212,3 +218,58 @@ class TestUnreadableDumps:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and str(path) in line
         assert captured.out == ""
+
+
+class TestDocumentIdsNeverReachTheServer:
+    """The doc half of Def. 2 on the shipped path: ``build`` names each
+    document by its path relative to ``--input``, paths differ in length
+    (one is not ASCII), and yet every ciphertext of every merged list is
+    the same 42 bytes and the dump never spells a path out."""
+
+    FILES = {
+        "a.txt": "reactor calibration notes reactor",
+        "alpha/quarterly-reactor-calibration-report.txt": "reactor dosing calibration",
+        "beta/übersicht-ärger.txt": "reactor defect camera calibration",
+        "beta/deep/nested/folder/notes-2009.txt": "calibration reactor budget",
+    }
+
+    @pytest.fixture(scope="class")
+    def built(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("paths")
+        for relative, text in self.FILES.items():
+            path = root / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        dump = tmp_path_factory.mktemp("idx") / "index.json"
+        assert main(["build", "--input", str(root), "--output", str(dump), "--r", "1.5"]) == 0
+        return root, dump
+
+    def test_every_ciphertext_is_42_bytes_whatever_its_path(self, built):
+        root, dump = built
+        doc_ids = _corpus_from_directory(root).doc_ids()
+        assert sorted(doc_ids) == sorted(self.FILES)
+        assert len({len(doc_id.encode()) for doc_id in doc_ids}) == len(doc_ids)
+        cluster, plan, _ = load_cluster(
+            dump, GroupKeyService(master_secret=bytes.fromhex(DEFAULT_SECRET))
+        )
+        lengths = Counter(
+            len(element.ciphertext)
+            for list_id in range(plan.num_lists)
+            for element in cluster.server(0).export_list(list_id)
+        )
+        assert sum(lengths.values()) == cluster.num_elements > 0
+        assert set(lengths) == {42}
+
+    def test_a_reloaded_index_still_names_every_path(self, built, capsys):
+        _, dump = built
+        assert main(["query", "--index", str(dump), "--term", "reactor", "--k", "10"]) == 0
+        out = capsys.readouterr().out
+        assert all(relative in out for relative in self.FILES)
+
+    def test_the_dump_holds_no_doc_id(self, built):
+        _, dump = built
+        text = dump.read_text(encoding="utf-8")
+        for doc_id in self.FILES:
+            escaped = json.dumps(doc_id)[1:-1]
+            assert doc_id not in text and escaped not in text
+            assert Path(doc_id).name not in text

@@ -21,7 +21,7 @@ from repro.crypto.cipher import NONCE_SIZE, StreamCipher
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ProtocolError, UnknownTermError
 from repro.index.merge import MergePlan
-from repro.index.postings import EncryptedPostingElement, PostingElement
+from repro.index.postings import EncryptedPostingElement
 from repro.obs import Telemetry
 from repro.text.analysis import DocumentStats
 
@@ -107,6 +107,29 @@ class TestInsert:
     def test_term_outside_plan_rejected(self, alice):
         with pytest.raises(UnknownTermError):
             alice.build_element("mango", _doc("d1", {"mango": 1}), "g1")
+
+    def test_a_document_keeps_its_number_and_a_refused_build_mints_none(
+        self, alice, bob, keys, server
+    ):
+        """Numbers are per group, dense in first-write order and kept when
+        a document is written again or deleted; a build refused for a
+        term mints nothing."""
+        receipts = alice.index_document_with_receipts(_doc("d1", {"apple": 2}), "g1")
+        with pytest.raises(UnknownTermError):
+            alice.build_document(_doc("d0", {"mango": 1}), "g1")
+        alice.index_document(_doc("d2", {"plum": 1}), "g1")
+        bob.index_document(_doc("d2", {"plum": 1}), "g2")
+        assert alice.delete_document(receipts) == 1
+        alice.index_document(_doc("d1", {"apple": 3}), "g1")
+        assert keys._directories["g1"].names == ["d1", "d2"]
+        assert keys._directories["g2"].names == ["d2"]
+
+    def test_a_writer_outside_the_group_mints_nothing(self, alice, keys):
+        from repro.errors import AccessDeniedError
+
+        with pytest.raises(AccessDeniedError):
+            alice.build_document(_doc("d1", {"apple": 1}), "g2")
+        assert keys._directories["g2"].names == []
 
     def test_trs_monotone_in_score(self, alice):
         _, low = alice.build_element("apple", _doc("d1", {"apple": 1, "pear": 9}), "g1")
@@ -318,9 +341,9 @@ class TestRevocationBetweenRounds:
         delivered = []
         skim = client_module.skim_matches
 
-        def recording(elements, term, ciphers, decode):
+        def recording(elements, term, ring):
             delivered.extend(element.group for element in elements)
-            return skim(elements, term, ciphers, decode)
+            return skim(elements, term, ring)
 
         monkeypatch.setattr(client_module, "skim_matches", recording)
         coordinator.run_until_complete()
@@ -445,7 +468,7 @@ class TestReadPathWorkBound:
         assert all(
             not keeps_a_cipher(value) for obj in holders for value in attributes(obj)
         )
-        assert keeps_a_cipher(keys._keyrings["root"])  # the check can see one
+        assert keeps_a_cipher(keys._keyrings["root"][1])  # the check can see one
 
 
 class TestTies:
@@ -480,11 +503,10 @@ class TestTies:
         result = root.query("apple", k=k, policy=ResponsePolicy(initial_size=1))
 
         eager = []  # one hit per readable matching element, in fetch order
+        ring = keys.keyring("root", plan)
         for element in fetched:
-            posting = PostingElement.from_bytes(
-                keys.cipher_for("root", element.group).decrypt(element.ciphertext),
-                plan.terms,
-            )
+            cipher, decode = ring[element.group]
+            posting = decode(cipher.decrypt(element.ciphertext))
             if posting.term == "apple":
                 eager.append(RankedHit(posting.doc_id, posting.rscore, element.group))
         eager.sort(key=lambda h: (-h.rscore, h.doc_id))
@@ -504,6 +526,27 @@ class TestTies:
             assert ranked == tuple(
                 sorted(expected.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
             )
+
+
+class TestStopInsideATie:
+    """``_topk_complete`` stops once the k-th match's TRS reaches the last
+    fetched one.  Equal rscores of one term give equal TRS, so the k-th
+    and (k+1)-th matches can tie across that boundary: the result then
+    has the true top-k scores, but of the tied matches it holds the one
+    the server served first — not the smallest doc id, which an eager
+    ranking of the whole list would pick."""
+
+    def test_the_tied_match_served_first_is_kept(self, alice, root, server):
+        for doc_id, tf in (("top", 9), ("z-tied", 5), ("a-tied", 5), ("low", 1)):
+            alice.index_document(_doc(doc_id, {"plum": tf, "pear": 10 - tf}), "g1")
+        stored = server.server(0).export_list(1)
+        assert stored[1].trs == stored[2].trs  # one term, equal rscores
+        result = root.query("plum", k=2, policy=ResponsePolicy(initial_size=2))
+        assert result.trace.num_requests == 1 and result.trace.satisfied
+        assert [hit.rscore for hit in result.hits] == [0.9, 0.5]  # exact scores
+        assert result.doc_ids() == ["top", "z-tied"]  # first served, not "a-tied"
+        everything = root.query("plum", k=3, policy=ResponsePolicy(initial_size=4))
+        assert everything.doc_ids() == ["top", "a-tied", "z-tied"]
 
 
 class TestMultiTerm:

@@ -348,14 +348,13 @@ class TestDeployShardsTheBuiltIndex:
         writer = system.client_for(f"owner:{group}")
         added = DocumentStats.from_counts("added-doc", dict(corpus.stats(donor).counts))
         assert writer.index_document(added, group) == len(added.counts)
-        cipher = system.key_service.cipher_for("superuser", group)
+        cipher, decode = system.key_service.keyring("superuser", system.merge_plan)[group]
         receipts = [
             Receipt(list_id, element.ciphertext, element.trs)
             for list_id in range(system.merge_plan.num_lists)
             for element in system.cluster.server(0).export_list(list_id)
             if element.group == group
-            and cipher.try_decrypt(element.ciphertext, system.merge_plan.decoder).doc_id
-            == victim
+            and cipher.try_decrypt(element.ciphertext, decode).doc_id == victim
         ]
         assert len(receipts) == len(corpus.stats(victim).counts)
         assert writer.delete_document(receipts) == len(receipts)

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.cipher import NONCE_SIZE, TAG_SIZE, StreamCipher
 from repro.core.client import skim_matches
+from repro.crypto.keys import DocumentDirectory
 from repro.crypto.prf import Prf, derive_key
 from repro.errors import AuthenticationError, ProtocolError
 from repro.index.merge import MergePlan
@@ -23,6 +24,14 @@ NONCE = bytes(range(NONCE_SIZE))
 TERMS = ("apple", "pear", "plum")
 # "t" is term 0; the skim's terms follow.
 PLAN = MergePlan(groups=(("t",), TERMS), r=2.0)
+# One group directory holding every doc id the tests below write.
+DIRECTORY = DocumentDirectory(["d", "d0", "d1", "doc", *(f"doc-{i}" for i in range(12))])
+DECODE = PLAN.decoder(DIRECTORY)  # one object: the memo goes by identity
+
+
+def _plaintext(posting):
+    """*posting*'s encryption plaintext under PLAN and DIRECTORY."""
+    return posting.to_bytes(PLAN.locate(posting.term)[1], DIRECTORY.number(posting.doc_id))
 
 key_strategy = st.binary(min_size=16, max_size=64)
 nonce_strategy = st.binary(min_size=NONCE_SIZE, max_size=NONCE_SIZE)
@@ -343,9 +352,9 @@ class TestDecodedMemo:
 
     def test_failed_decode_is_never_memoised(self):
         cipher = StreamCipher(KEY)
-        good = cipher.encrypt(PostingElement("t", "d", 1, 2).to_bytes(0), NONCE)
+        good = cipher.encrypt(_plaintext(PostingElement("t", "d", 1, 2)), NONCE)
         bad = cipher.encrypt(b'{"t":"t"}', bytes(NONCE_SIZE))  # authentic, malformed
-        decode = PLAN.decoder  # one object: the memo goes by identity
+        decode = DECODE
         for _ in range(2):
             with pytest.raises(ProtocolError):
                 cipher.try_decrypt_many([good, bad, good], decode)
@@ -356,11 +365,11 @@ class TestDecodedMemo:
         hit served before the element whose decode raised."""
         cipher = StreamCipher(KEY)
         first, second = (
-            cipher.encrypt(PostingElement("t", f"d{i}", 1, 2).to_bytes(0), bytes([i]) * NONCE_SIZE)
+            cipher.encrypt(_plaintext(PostingElement("t", f"d{i}", 1, 2)), bytes([i]) * NONCE_SIZE)
             for i in range(2)
         )
         bad = cipher.encrypt(b'{"t":"t"}', NONCE)  # authentic, malformed
-        decode = PLAN.decoder
+        decode = DECODE
         cipher.try_decrypt_many([first, second], decode)
         assert cipher.memo_hits == 0
         with pytest.raises(ProtocolError):
@@ -442,7 +451,8 @@ def _postings(draw):
 
 
 def _decoded(element):
-    return PLAN.decoder(element.to_bytes(PLAN.locate(element.term)[1]))
+    directory = DocumentDirectory([element.doc_id])
+    return PLAN.decoder(directory)(element.to_bytes(PLAN.locate(element.term)[1], 0))
 
 
 @given(element=_postings(), other=_postings())
@@ -472,25 +482,29 @@ class TestMalformedPlaintext:
     @pytest.mark.parametrize(
         "plaintext",
         [
-            b"\x00\x00" b"\x00\x00\x00\x05" b"\x00\x00\x00\x02" b"doc",
-            b"\x00\x06" b"\x00\x00\x00\x05" b"\x00\x00\x00\x02" b"doc",
-            b"\x00\x02" b"\x00\x00\x00\x05" b"\x00\x00\x00\x02" b"\xffdoc",
-            b"\x00\x02" b"\x00\x00\x00\x05" b"\x00\x00\x00",
-            b"\x00\x02" b"\x00\x00\x00\x05" b"\x00\x00\x00\x04" b"doc",
+            b"\x00\x00" b"\x00\x00\x00\x05" b"\x00\x00\x00\x02" b"\x00\x00\x00\x03",
+            b"\x00\x06" b"\x00\x00\x00\x05" b"\x00\x00\x00\x02" b"\x00\x00\x00\x03",
+            b"\x00\x02" b"\x00\x00\x00\x05" b"\x00\x00\x00\x02" b"\x00\x00\x00\x03d",
+            b"\x00\x02" b"\x00\x00\x00\x05" b"\x00\x00\x00\x02" b"\x00\x00\x00",
+            b"\x00\x02" b"\x00\x00\x00\x05" b"\x00\x00\x00\x04" b"\x00\x00\x00\x03",
+            b"\x00\x02" b"\x00\x00\x00\x05" b"\x00\x00\x00\x02" b"\xff\xff\xff\xff",
+            b"\x00\x02" b"\x00\x00\x00\x05" b"\x00\x00\x00\x02" b"doc",
         ],
         ids=[
             "tf-zero",
             "doc-length-below-tf",
-            "invalid-utf8",
+            "trailing-byte",
             "short-header",
             "term-outside-plan",
+            "doc-outside-directory",
+            "v6-doc-id-tail",
         ],
     )
     def test_raises_protocol_error_and_is_not_memoised(self, plaintext):
         cipher = StreamCipher(KEY)
-        good = cipher.encrypt(self.GOOD.to_bytes(PLAN.locate("pear")[1]), NONCE)
+        good = cipher.encrypt(_plaintext(self.GOOD), NONCE)
         bad = cipher.encrypt(plaintext, bytes(NONCE_SIZE))
-        decode = PLAN.decoder
+        decode = DECODE
         assert cipher.try_decrypt(good, decode) == self.GOOD
         for _ in range(2):
             with pytest.raises(ProtocolError):
@@ -531,24 +545,24 @@ class TestSkimFrameBudget:
     HIT_FRAMES_PER_ELEMENT = 1
 
     def test_a_slice_enters_exactly_its_per_element_frames(self):
-        ring = {group: StreamCipher(GROUP_KEYS[group]) for group in GROUPS}
+        # A keyring: each group's cipher and its decoder, built outside
+        # the count as the key service builds them.
+        ring = {group: (StreamCipher(GROUP_KEYS[group]), DECODE) for group in GROUPS}
         elements = []
         for serial in range(12):
             group, term = GROUPS[serial % len(GROUPS)], TERMS[serial % len(TERMS)]
             posting = PostingElement(term, f"doc-{serial}", 1 + serial, 40)
             nonce = serial.to_bytes(NONCE_SIZE, "big")
-            ciphertext = ring[group].encrypt(posting.to_bytes(PLAN.locate(term)[1]), nonce)
+            ciphertext = ring[group][0].encrypt(_plaintext(posting), nonce)
             elements.append(EncryptedPostingElement(ciphertext, group, 0.5))
 
-        decode = PLAN.decoder  # built on first use: outside the count
-
         def skim():
-            return skim_matches(elements, "pear", ring, decode)
+            return skim_matches(elements, "pear", ring)
 
         # The one frame beside the per-element ones is skim_matches itself.
         assert _frames_entered(skim) == 1 + self.COLD_FRAMES_PER_ELEMENT * len(elements)
         assert _frames_entered(skim) == 1 + self.HIT_FRAMES_PER_ELEMENT * len(elements)
-        assert sum(cipher.memo_hits for cipher in ring.values()) == len(elements)
+        assert sum(cipher.memo_hits for cipher, _ in ring.values()) == len(elements)
 
 
 class TestWriteFrameBudget:
@@ -661,7 +675,7 @@ def _element_pool(draw):
         damage = draw(st.sampled_from(["none", "none", "none", "tag", "short", "key"]))
         key = GROUP_KEYS[GROUPS[0] if damage == "key" and group != GROUPS[0] else group]
         ciphertext = StreamCipher(key).encrypt(
-            posting.to_bytes(PLAN.locate(posting.term)[1]),
+            _plaintext(posting),
             serial.to_bytes(NONCE_SIZE, "big"),
         )
         if damage == "tag":
@@ -683,7 +697,7 @@ def _reference_matches(elements, term, ciphers):
         plaintext = cipher.try_decrypt(element.ciphertext)
         if plaintext is None:
             continue
-        posting = PostingElement.from_bytes(plaintext, PLAN.terms)
+        posting = PostingElement.from_bytes(plaintext, PLAN.terms, DIRECTORY.names)
         if posting.term == term:
             matches.append((posting, element))
     return matches
@@ -712,7 +726,9 @@ def test_skim_matches_equals_per_element_reference(pool, picks, readable, capaci
     reference = {g: StreamCipher(GROUP_KEYS[g], memo_capacity=capacity) for g in readable}
     for term, indices in picks:
         elements = [pool[index % len(pool)] for index in indices]
-        matches = skim_matches(elements, term, kernel, PLAN.decoder)
+        matches = skim_matches(
+            elements, term, {g: (cipher, DECODE) for g, cipher in kernel.items()}
+        )
         assert matches == _reference_matches(elements, term, reference)
         for group in readable:
             assert kernel[group].memo_hits == reference[group].memo_hits
@@ -721,6 +737,6 @@ def test_skim_matches_equals_per_element_reference(pool, picks, readable, capaci
             # postings: same ciphertexts, same (insertion = eviction) order.
             assert list(kernel[group]._memo) == list(reference[group]._memo)
             assert list(kernel[group]._memo.values()) == [
-                PostingElement.from_bytes(plaintext, PLAN.terms)
+                PostingElement.from_bytes(plaintext, PLAN.terms, DIRECTORY.names)
                 for plaintext in reference[group]._memo.values()
             ]

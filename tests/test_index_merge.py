@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.crypto.keys import DocumentDirectory
 from repro.errors import (
     ConfidentialityViolationError,
     ConfigurationError,
@@ -73,29 +74,47 @@ class TestMergePlan:
         with pytest.raises(KeyError):
             plan.locate("zzz")
 
-    def test_one_stable_decoder_per_plan(self):
-        """A cipher memo serves the decoder that filled it, by identity."""
+    def test_one_stable_decoder_per_plan_and_directory(self):
+        """A cipher memo serves the decoder that filled it, by identity:
+        one decoder per (plan, group directory), resolving document
+        numbers in that directory alone."""
         plan = MergePlan(groups=(("a", "b"), ("c",)), r=2.0)
         same = MergePlan(groups=(("a", "b"), ("c",)), r=2.0)
-        assert plan.decoder is plan.decoder
+        mine, other = DocumentDirectory(["doc"]), DocumentDirectory(["x", "y"])
+        assert plan.decoder(mine) is plan.decoder(mine)
+        assert plan.decoder(mine) is not plan.decoder(other)
         assert same == plan  # the numbering is no part of a plan's value
         posting = PostingElement("c", "doc", 2, 5)
-        assert plan.decoder(posting.to_bytes(plan.locate("c")[1])) == posting
+        data = posting.to_bytes(plan.locate("c")[1], 0)
+        decoded = plan.decoder(mine)(data)
+        assert decoded == posting and decoded.doc_id is mine.names[0]
+        assert plan.decoder(other)(data).doc_id == "x"  # numbers are per group
         with pytest.raises(ProtocolError):
-            plan.decoder(posting.to_bytes(len(plan.terms)))
+            plan.decoder(mine)(posting.to_bytes(len(plan.terms), 0))
+        with pytest.raises(ProtocolError):
+            plan.decoder(mine)(posting.to_bytes(0, 1))  # past the directory
+
+    def test_a_directory_grows_under_its_decoder(self):
+        """Directories are append-only and the decoder reads the live
+        one: a number minted after the decoder was made resolves."""
+        plan = MergePlan(groups=(("a",),), r=2.0)
+        directory = DocumentDirectory()
+        decode = plan.decoder(directory)
+        number = directory.number("late")
+        assert decode(PostingElement("a", "late", 1, 1).to_bytes(0, number)).doc_id == "late"
 
     def test_decoder_resolves_from_bytes_at_call_time(self, monkeypatch):
         plan = MergePlan(groups=(("a",),), r=2.0)
-        decode = plan.decoder
+        decode = plan.decoder(DocumentDirectory(["d"]))
         seen = []
         original = PostingElement.__dict__["from_bytes"].__func__
 
-        def traced(cls, data, terms):
+        def traced(cls, data, terms, names):
             seen.append(data)
-            return original(cls, data, terms)
+            return original(cls, data, terms, names)
 
         monkeypatch.setattr(PostingElement, "from_bytes", classmethod(traced))
-        data = PostingElement("a", "d", 1, 1).to_bytes(0)
+        data = PostingElement("a", "d", 1, 1).to_bytes(0, 0)
         assert decode(data).term == "a" and seen == [data]
 
 

@@ -22,6 +22,7 @@ from repro.core.cluster import ServerCluster
 from repro.crypto.cipher import NONCE_SIZE, TAG_SIZE
 from repro.crypto.keys import GroupKeyService
 from repro.index.merge import MergePlan
+from repro.index.postings import HEADER_SIZE
 from repro.stats.uniformness import ks_distance_to_uniform
 from repro.text.analysis import DocumentStats
 
@@ -138,15 +139,18 @@ class TestCiphertextLength:
     """What the untrusted server learns from an element's length.
 
     The cipher hides nothing about the body's length, so the server sees
-    ``len(ciphertext)`` for every element it stores: ``12 (nonce) + 10
-    (header: tf, doc_length, term number) + len(doc_id) + 16 (tag)`` in
-    UTF-8 bytes, a function of the document alone.  When the plaintext
-    spelled the term out, ``len(term)`` split a merged list into length
-    classes the server could attribute at better odds than Def. 2 allows;
-    the canonical-JSON layout before that also gave away the digit counts
-    of tf and doc_length — the magnitude of the very score the TRS exists
-    to hide.
+    ``len(ciphertext)`` for every element it stores: ``12 (nonce) + 14
+    (header: tf, doc_length, term number, doc number) + 16 (tag) == 42``,
+    the same for every element.  When the plaintext spelled the doc id
+    out, ``len(doc_id)`` linked one document's elements across lists;
+    when it spelled the term out, ``len(term)`` split a merged list into
+    length classes the server could attribute at better odds than Def. 2
+    allows; the canonical-JSON layout before that also gave away the
+    digit counts of tf and doc_length — the magnitude of the very score
+    the TRS exists to hide.
     """
+
+    LENGTH = 42
 
     # 1, 5, 12, 40 and 300 UTF-8 bytes.
     TERMS = ("a", "café", "twelve-bytes", "ü" * 20, "€" * 100)
@@ -159,12 +163,12 @@ class TestCiphertextLength:
         client = ZerberRClient("u", keys, cluster, RstfModel({}), plan)
         return client, cluster.server(0), keys
 
-    @pytest.mark.parametrize("doc_id", ["doc-1", "akte-ß"])
-    def test_length_is_independent_of_term_tf_and_doc_length(self, doc_id):
+    @pytest.mark.parametrize("doc_id", ["d", "doc-1", "akte-ß", "reports/2009/q3-ü.txt" * 4])
+    def test_length_is_independent_of_document_term_tf_and_doc_length(self, doc_id):
         assert [len(t.encode()) for t in self.TERMS] == [1, 5, 12, 40, 300]
+        assert NONCE_SIZE + HEADER_SIZE + TAG_SIZE == self.LENGTH
         plan = MergePlan(groups=(self.TERMS, ("filler",)), r=2.0)
         client, _, _ = self._deployment(plan)
-        expected = NONCE_SIZE + 10 + len(doc_id.encode()) + TAG_SIZE
         lengths = set()
         for term in self.TERMS:
             for tf in (1, 9, 10, 255, 256, 9_999, 65_535):
@@ -177,7 +181,7 @@ class TestCiphertextLength:
                     doc = DocumentStats.from_counts(doc_id, counts)
                     [(_, element)] = client.build_document(doc, "g", [term])
                     lengths.add(len(element.ciphertext))
-        assert lengths == {expected}
+        assert lengths == {self.LENGTH}
 
     def test_length_classes_attribute_at_chance(self):
         """The length-aware adversary: group one merged list's elements
@@ -195,9 +199,9 @@ class TestCiphertextLength:
                 if rng.random() < share
             } or {plan.terms[0]: 1}
             client.index_document(DocumentStats.from_counts(f"doc-{i:03d}", counts), "g")
-        cipher = keys.cipher_for("u", "g")
+        cipher, decode = keys.keyring("u", plan)["g"]
         labelled = [
-            (len(e.ciphertext), cipher.try_decrypt(e.ciphertext, plan.decoder).term)
+            (len(e.ciphertext), cipher.try_decrypt(e.ciphertext, decode).term)
             for e in server.export_list(0)
         ]
         classes: dict[int, Counter] = {}

@@ -28,7 +28,7 @@ from repro.index.postings import HEADER_SIZE
 # 20 queries over tiny_corpus(seed=3), SystemConfig(r=4.0, seed=5), tape seed 11.
 REQUESTS = 52
 ELEMENTS = 693
-BITS = 316008
+BITS = 277200
 
 NUM_QUERIES = 20
 K = 5
@@ -59,10 +59,9 @@ def measure():
 
 def test_paper_units_are_exactly_the_recorded_ones():
     assert measure() == (REQUESTS, ELEMENTS, BITS)
-    # Every element on the wire is nonce + header + doc id + tag + one TRS
-    # double; a "tiny-NNNNNN" doc id makes that 57 bytes.
-    doc_id_size = len("tiny-000000")
-    assert BITS == ELEMENTS * 8 * (NONCE_SIZE + HEADER_SIZE + doc_id_size + TAG_SIZE + 8)
+    # Every element on the wire is nonce + header + tag + one TRS double,
+    # 50 bytes whatever its document: the doc id is a number in the header.
+    assert BITS == ELEMENTS * 8 * (NONCE_SIZE + HEADER_SIZE + TAG_SIZE + 8) == ELEMENTS * 400
 
 
 class _CountedTrs(float):

@@ -146,15 +146,50 @@ class TestOneFormatVersion:
     restore that "succeeds" would answer every query empty: any version
     but the current one is refused."""
 
-    # A v5 element carries a 16-byte nonce and a SHAKE-256 keystream and
-    # fails the v6 tag; a v4 element carries a truncated HMAC-SHA256 tag;
-    # a v3 element also spells its term out, so its length byte and first
-    # three term bytes would pass for a term number.
-    @pytest.mark.parametrize("found", [1, 2, 3, 4, 5, "6", FORMAT_VERSION + 1, None])
+    # A v6 element spells its doc id out after a 10-byte header, so it is
+    # too long for the 14-byte v7 header; a v5 element carries a 16-byte
+    # nonce and a SHAKE-256 keystream and fails the v6 tag; a v4 element
+    # carries a truncated HMAC-SHA256 tag; a v3 element also spells its
+    # term out, so its length byte and first three term bytes would pass
+    # for a term number.
+    @pytest.mark.parametrize("found", [1, 2, 3, 4, 5, 6, "7", FORMAT_VERSION + 1, None])
     def test_other_versions_are_refused_by_name(self, dump, tmp_path, found):
-        assert json.loads(dump)["format_version"] == FORMAT_VERSION == 6
+        assert json.loads(dump)["format_version"] == FORMAT_VERSION == 7
         message = _refused(dump, tmp_path, lambda p: p.update(format_version=found))
         assert repr(found) in message and f"reads {FORMAT_VERSION}" in message
+        assert "re-index" in message
+
+    def test_the_dump_holds_no_doc_id(self, dump, built):
+        """Ciphertexts name documents by number and the directories that
+        resolve them are sealed: no doc id is in the text, raw or escaped."""
+        system, _ = built
+        assert json.loads(dump)["directories"]
+        for doc_id in system.corpus.doc_ids():
+            assert doc_id not in dump and json.dumps(doc_id)[1:-1] not in dump
+
+    def test_a_directory_that_disagrees_with_the_service_is_refused(
+        self, dump, built, tmp_path
+    ):
+        system, _ = built
+        path = tmp_path / "dump.json"
+        path.write_text(dump)
+        group = sorted(system.corpus.groups())[0]
+        service = GroupKeyService(master_secret=b"p" * 32)
+        service.register("writer", {group})
+        service.document_number("writer", group, "not-the-first-document")
+        with pytest.raises(ConfigurationError, match=str(path)) as excinfo:
+            load_cluster(path, service)
+        assert "disagrees" in str(excinfo.value) and repr(group) in str(excinfo.value)
+        assert service._directories[group].names == ["not-the-first-document"]
+
+    def test_a_damaged_sealed_directory_is_refused(self, dump, tmp_path):
+        _refused(
+            dump,
+            tmp_path,
+            lambda p: p["directories"].update(
+                {g: "!" + blob for g, blob in p["directories"].items()}
+            ),
+        )
 
     def test_versionless_server_section_is_corrupt(self, dump, tmp_path):
         """The v1 shape (lists without their counters) has no default."""

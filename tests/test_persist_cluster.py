@@ -564,24 +564,30 @@ class TestRestoredDeploymentWrites:
         assert stored.isdisjoint(c[:NONCE_SIZE] for c in written)
 
 
-class TestV5Dump:
-    """``fixtures/cluster_v5.json`` was written by the v5 code (see
-    ``fixtures/make_cluster_v5.py``): 16-byte nonces and a SHAKE-256
-    keystream, sealed under a MAC subkey v6 no longer derives.  Every
-    element of it would fail its tag and every query come back empty, so
-    the dump is refused by name instead of restored."""
+class TestOlderDumps:
+    """The committed dumps of older builds (``fixtures/make_cluster_dump.py``)
+    are refused by name, with the re-index hint, instead of restored.
+
+    ``cluster_v5.json`` holds 16-byte nonces and a SHAKE-256 keystream
+    sealed under a MAC subkey v6 no longer derives: every element would
+    fail its tag.  ``cluster_v6.json`` holds elements whose plaintext
+    spells its doc id out after a 10-byte header: every element would
+    fail the 14-byte v7 header, and its dump carries no directory."""
 
     FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
-    def test_it_is_refused_by_name_and_version(self):
-        path = self.FIXTURES / "cluster_v5.json"
-        assert json.loads(path.read_text())["format_version"] == 5
+    @pytest.mark.parametrize("version", [5, 6])
+    def test_it_is_refused_by_name_and_version(self, version):
+        path = self.FIXTURES / f"cluster_v{version}.json"
+        assert json.loads(path.read_text())["format_version"] == version
         keys = GroupKeyService(b"cluster-v5-fixture-secret-012345")
         with pytest.raises(ConfigurationError) as excinfo:
             load_cluster(path, keys)
         message = str(excinfo.value)
         assert str(path) in message
-        assert "version 5" in message and f"reads {FORMAT_VERSION}" in message
+        assert f"version {version}" in message and f"reads {FORMAT_VERSION}" in message
+        assert "re-index" in message
+        assert keys.groups() == set()  # nothing was installed
 
 
 class TestCorruptClusterDumps:

@@ -62,47 +62,52 @@ def test_prf_unit_in_range(key, message):
 # A plan's terms: whatever UTF-8 can encode (``st.text()`` leaves lone
 # surrogates out), of any length — the layout carries a number, not the term.
 TERMS = ("", "x" * 300, "é" * 127, "\U0001f600" * 63, '"\\\x00\x1f\x7f', "apple")
+# A group's directory: doc ids of any length — the layout carries a number
+# for them too.
+NAMES = ("", "d", "dir/sub/ü-" * 30, "1.txt")
 
 
 @given(
     number=st.integers(0, len(TERMS) - 1),
-    doc_id=st.text(max_size=40) | st.just(""),
+    doc_number=st.integers(0, len(NAMES) - 1),
     tf=st.integers(min_value=1, max_value=2**16 - 1),
     extra=st.integers(min_value=0, max_value=2**32 - 2**16),
 )
 @settings(max_examples=300, deadline=None)
-def test_posting_element_serialisation_roundtrip(number, doc_id, tf, extra):
+def test_posting_element_serialisation_roundtrip(number, doc_number, tf, extra):
     element = PostingElement(
-        term=TERMS[number], doc_id=doc_id, tf=tf, doc_length=tf + extra
+        term=TERMS[number], doc_id=NAMES[doc_number], tf=tf, doc_length=tf + extra
     )
-    data = element.to_bytes(number)
-    assert len(data) == 10 + len(doc_id.encode())
-    assert PostingElement.from_bytes(data, TERMS) == element
+    data = element.to_bytes(number, doc_number)
+    assert len(data) == 14
+    assert PostingElement.from_bytes(data, TERMS, NAMES) == element
 
 
 @given(
     data=st.binary(max_size=64)
     # Steer half the examples past the header checks: a plausible header,
-    # its term number in and just past the plan, over arbitrary (mostly
-    # non-UTF-8) and over textual bodies.
+    # its term and doc numbers in and just past the plan and the
+    # directory, with and without a trailing body.
     | st.builds(
-        lambda tf, dl, number, body: tf.to_bytes(2, "big")
+        lambda tf, dl, number, doc_number, body: tf.to_bytes(2, "big")
         + dl.to_bytes(4, "big")
         + number.to_bytes(4, "big")
+        + doc_number.to_bytes(4, "big")
         + body,
         st.integers(0, 2),
         st.integers(0, 2**32 - 1),
         st.integers(0, len(TERMS) + 1) | st.integers(0, 2**32 - 1),
-        st.binary(max_size=8) | st.text(max_size=6).map(str.encode),
+        st.integers(0, len(NAMES) + 1) | st.integers(0, 2**32 - 1),
+        st.just(b"") | st.binary(max_size=8),
     )
 )
 @settings(max_examples=500, deadline=None)
 def test_arbitrary_bytes_decode_to_their_own_element_or_a_typed_refusal(data):
     try:
-        element = PostingElement.from_bytes(data, TERMS)
+        element = PostingElement.from_bytes(data, TERMS, NAMES)
     except ProtocolError:
         return
-    assert element.to_bytes(TERMS.index(element.term)) == data
+    assert element.to_bytes(TERMS.index(element.term), NAMES.index(element.doc_id)) == data
 
 
 @given(
@@ -115,5 +120,6 @@ def test_arbitrary_bytes_decode_to_their_own_element_or_a_typed_refusal(data):
 def test_encrypted_element_end_to_end(key, nonce, number, tf):
     element = PostingElement(term=TERMS[number], doc_id="d", tf=tf, doc_length=tf + 5)
     cipher = StreamCipher(key)
-    ciphertext = cipher.encrypt(element.to_bytes(number), nonce)
-    assert PostingElement.from_bytes(cipher.decrypt(ciphertext), TERMS) == element
+    ciphertext = cipher.encrypt(element.to_bytes(number, 1), nonce)
+    assert len(ciphertext) == 42
+    assert PostingElement.from_bytes(cipher.decrypt(ciphertext), TERMS, NAMES) == element
