@@ -26,7 +26,6 @@ from repro.errors import (
     QuorumUnavailableError,
     QuorumWriteUnavailableError,
     ReproError,
-    StaleEpochError,
     TrainingError,
     UnavailableError,
     UnknownListError,
@@ -95,7 +94,6 @@ __all__ = [
     "UnavailableError",
     "QuorumUnavailableError",
     "QuorumWriteUnavailableError",
-    "StaleEpochError",
     "TrainingError",
     # corpus
     "Corpus",

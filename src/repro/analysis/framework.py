@@ -5,7 +5,7 @@ see at every call site: nonce sequences are singletons owned by the
 :class:`~repro.crypto.keys.GroupKeyService` (one restarted counter
 repeats the ciphertext of every equal plaintext), every list mutation flows through
 the replication log (a bypassed write silently diverges replicas),
-coordinator envelopes pin the placement epoch they were routed under,
+only the cluster and persist layers read the placement table,
 ``repro.core`` draws time and randomness only from the tick clock and
 seeded generators (crash-point fuzzing replays depend on it), and the
 persistence layer never lets a raw ``KeyError`` escape to a caller.

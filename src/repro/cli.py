@@ -251,7 +251,7 @@ def _scripted_workload(
     )
     client = system.client_for("superuser", server=cluster)
 
-    # Coalesced coordinator sessions (coordinator + envelope + skim).
+    # Coalesced coordinator sessions (coalesce + skim).
     sessions = [
         coordinator.open_session(client, ["alpha", "beta", "shared"], k=3),
         coordinator.open_session(client, ["gamma", "shared"], k=2),

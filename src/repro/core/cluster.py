@@ -10,18 +10,18 @@ index server is a one-server cluster (what
 fetch splits into one sub-batch per shard server,
 so a multi-term client round costs one round-trip per *touched server*
 rather than per merged list.  A slice has one path to a shard server and
-back: ``fetch`` is a one-slice ``batch_fetch``, which routes and groups
-per server, and every server call — a client's sub-batch or a
-coordinator's envelope (:meth:`ServerCluster.serve_envelope`) — goes
-through one body, ``_serve``.
+back: ``fetch`` is a one-slice ``batch_fetch``, which routes every slice
+and groups per server — a client's round and a coordinator's flush alike
+— and every server call goes through one body,
+:meth:`ServerCluster.serve_envelope`.
 
 Which servers hold which list is fixed at construction
 (:func:`~repro.core.placement.round_robin_placement`).  The cluster owns
-the placement table plus a *placement epoch* that bumps whenever a
-failover election reorders a list's replicas (see
-:meth:`ServerCluster.check_failovers`); coordinator envelopes pin the
-epoch they were routed under so a stale route is rejected rather than
-served from a server that is no longer the list's primary.
+the placement table plus a *placement epoch*, an election record that
+bumps whenever a failover election reorders a list's replicas (see
+:meth:`ServerCluster.check_failovers`); it is persisted and shown by
+``cluster-status``, and no request carries it: a batch is routed and
+served inside one call, so no election can fall between the two.
 
 Replication is a real subsystem (:mod:`repro.core.replication`), not a
 synchronous fan-out: each list has a primary replica (first in its
@@ -100,7 +100,6 @@ from repro.errors import (
     ProtocolError,
     QuorumUnavailableError,
     QuorumWriteUnavailableError,
-    StaleEpochError,
     UnavailableError,
     UnknownListError,
 )
@@ -368,11 +367,10 @@ class ServerCluster:
         promotes the most-caught-up reachable replica — first forced to
         the log head through the log itself (invariant 3 guarantees the
         ops exist), so the new primary acknowledges writes from exactly
-        the old head.  The placement epoch bumps once per election batch,
-        rejecting in-flight coalesced envelopes routed under the old
-        primary; the deposed server stays in the replica set and catches
-        up through normal lag-driven delivery after it is restored
-        (demote-and-catch-up).
+        the old head.  The placement epoch bumps once per election batch
+        (an audit record: reads route afresh on every call); the deposed
+        server stays in the replica set and catches up through normal
+        lag-driven delivery after it is restored (demote-and-catch-up).
 
         Called from :meth:`replication_tick` when ``failover_after`` is
         set; harmless to call directly (a no-op when it is ``None`` or no
@@ -466,53 +464,35 @@ class ServerCluster:
 
     # -- data plane -----------------------------------------------------------
 
-    def _check_write_quorum(
-        self, list_id: int, consistency: WriteConsistency
-    ) -> None:
-        """Refuse a W > 1 write that cannot reach its ack count.
+    def _quorum_refusal(
+        self, list_id: int, needed: int
+    ) -> QuorumWriteUnavailableError:
+        """The refusal of a W > 1 write to *list_id*, roster and all.
 
-        Runs BEFORE the primary is mutated or anything is logged, so a
-        refused write is a clean no-op.  An ack-capable replica is one
-        that will *hold* the op when the write call returns: the primary
-        (alive — a paused primary still applies writes inline; pausing
-        only blocks log deliveries *to* it) plus every reachable
-        follower, which
+        Its live replicas are the ack-capable ones — those that will
+        *hold* the op when the write call returns: the primary (alive — a
+        paused primary still applies writes inline; pausing only blocks
+        log deliveries *to* it) plus every reachable follower, which
         :meth:`~repro.core.replication.ReplicationManager.force_acks`
-        forces current through the log.  Per the :meth:`fail_server`
-        contract, W > 1 writes
-        never lean on the durable-primary idealisation: a down primary
-        refuses the write outright even when enough followers could ack,
-        because acknowledging through a dead primary's idealised copy
-        would launder the ack count.  That refusal is exactly the one a
-        pending failover election heals — once a live replica is
-        promoted, the same write goes through — so clients may park on
-        it (see ``ZerberRClient._write_with_failover_retry``).  ``ONE``
-        keeps the pre-quorum behaviour, including the durable-primary
-        idealisation for a down primary.
+        forces current through the log.
         """
-        replicas = self.replicas_of(list_id)
-        needed = consistency.required_acks(len(replicas))
-        if needed <= 1:
-            return
+        replicas = self._placement[list_id]
         primary = replicas[0]
-        ack_capable = [primary] if self._alive[primary] else []
+        alive = self._alive
+        ack_capable = [primary] if alive[primary] else []
         ack_capable += [s for s in replicas[1:] if self._reachable(s)]
-        if not self._alive[primary] or len(ack_capable) < needed:
-            self._obs.quorum_refusals.inc()
-            raise QuorumWriteUnavailableError(
-                list_id,
-                len(replicas),
-                needed,
-                live_replicas=tuple(ack_capable),
-                down_replicas=tuple(
-                    s for s in replicas if not self._alive[s]
-                ),
-                paused_replicas=tuple(
-                    s
-                    for s in replicas
-                    if self._alive[s] and self._repl.is_paused(s) and s != primary
-                ),
-            )
+        return QuorumWriteUnavailableError(
+            list_id,
+            len(replicas),
+            needed,
+            live_replicas=tuple(ack_capable),
+            down_replicas=tuple(s for s in replicas if not alive[s]),
+            paused_replicas=tuple(
+                s
+                for s in replicas
+                if alive[s] and self._repl.is_paused(s) and s != primary
+            ),
+        )
 
     def _ensure_primary_current(self, list_id: int) -> None:
         """Refuse to acknowledge a write at a gapped primary.
@@ -587,8 +567,16 @@ class ServerCluster:
 
         Which servers can ack is decided once per batch — it is a
         property of the server, not of the list; the first list whose
-        replicas fall short gets its refusal, roster and all, from
-        :meth:`_check_write_quorum`.
+        replicas fall short is refused with :meth:`_quorum_refusal`.  Per
+        the :meth:`fail_server` contract, W > 1 writes never lean on the
+        durable-primary idealisation: a down primary refuses the write
+        outright even when enough followers could ack, because
+        acknowledging through a dead primary's idealised copy would
+        launder the ack count.  That refusal is exactly the one a pending
+        failover election heals — once a live replica is promoted, the
+        same write goes through — so clients may park on it (see
+        ``ZerberRClient._write_with_failover_retry``).  ``ONE`` keeps the
+        durable-primary idealisation for a down primary.
         """
         touched = list(dict.fromkeys(list_ids))
         needed = consistency.required_acks(self.replication)
@@ -599,7 +587,8 @@ class ServerCluster:
                     replicas = self._placement[list_id]
                     ack_capable = 1 + sum(reachable[s] for s in replicas[1:])
                     if not self._alive[replicas[0]] or ack_capable < needed:
-                        self._check_write_quorum(list_id, consistency)
+                        self._obs.quorum_refusals.inc()
+                        raise self._quorum_refusal(list_id, needed)
         for list_id in touched:
             self._ensure_primary_current(list_id)
         return touched
@@ -771,8 +760,8 @@ class ServerCluster:
     def _count_reads(self, slices: int) -> BoundHistogram | None:
         """Count *slices* served under the cluster's ``read_consistency``
         — one instrument lookup and one counter bump per server call —
-        and hand back the read-lag histogram :meth:`_serve` observes per
-        slice (``None`` while telemetry is off)."""
+        and hand back the read-lag histogram :meth:`serve_envelope`
+        observes per slice (``None`` while telemetry is off)."""
         if not self._obs.enabled:
             return None
         read_counter, lag_histogram = self._obs.read_instruments(
@@ -794,13 +783,15 @@ class ServerCluster:
     def batch_fetch(self, batch: BatchFetchRequest) -> BatchFetchResponse:
         """Serve a batch with one server call per touched shard server.
 
-        Each slice routes on its own (:meth:`route`).  A batch that lands
-        whole on one server travels as it is — the caller's
-        :class:`BatchFetchRequest` object, already validated when it was
-        built — and its reply is the one :meth:`_serve` returns; only a
-        round that really splits is re-bundled into one sub-batch per
-        touched server (one round-trip per touched server, not per
-        slice), its replies reassembled in the original slice order.  A
+        Each slice routes on its own session floor (:meth:`route`) — a
+        client's round and a coordinator's flush, many principals'
+        slices, alike.  A batch that lands whole on one server travels as
+        it is — the caller's :class:`BatchFetchRequest` object, already
+        validated when it was built — and its reply is the one
+        :meth:`serve_envelope` returns; only a batch that really splits is
+        re-bundled into one sub-batch per touched server (one round-trip
+        per touched server, not per slice; each keeps the batch's slice
+        order), its replies reassembled in the original slice order.  A
         list with no live replica fails the whole batch.
         """
         requests = batch.requests
@@ -811,11 +802,11 @@ class ServerCluster:
             per_server.setdefault(server_index, []).append(slice_index)
         if len(per_server) == 1:
             (server_index,) = per_server
-            return self._serve(server_index, batch)
+            return self.serve_envelope(server_index, batch)
         responses: list[FetchResponse | None] = [None] * len(requests)
         for server_index, slice_indices in per_server.items():
             sub_batch = BatchFetchRequest(tuple([requests[i] for i in slice_indices]))
-            served = self._serve(server_index, sub_batch).responses
+            served = self.serve_envelope(server_index, sub_batch).responses
             for i, response in zip(slice_indices, served):
                 responses[i] = response
         return BatchFetchResponse(tuple(responses))  # type: ignore[arg-type]
@@ -823,34 +814,10 @@ class ServerCluster:
     def serve_envelope(
         self, server_index: int, envelope: BatchFetchRequest
     ) -> BatchFetchResponse:
-        """Deliver a coordinator envelope to one (live) shard server.
-
-        The coordinator routed the envelope itself, so the cluster only
-        verifies that the target is alive and that the envelope was routed
-        under the *current* placement epoch — an envelope built before a
-        failover election must be re-routed, not served from a stale
-        shard map.  It is then served like any other batch
-        (:meth:`_serve`): stamped before the serve, its stale slices
-        read-repaired per ``read_consistency``.  Replies come back in
-        the envelope's slice order.
-        """
-        if not 0 <= server_index < len(self._servers):
-            raise ConfigurationError(f"unknown server index {server_index}")
-        if not self._alive[server_index]:
-            raise ProtocolError(f"server {server_index} is down")
-        if envelope.epoch is not None and envelope.epoch != self._epoch:
-            raise StaleEpochError(envelope.epoch, self._epoch)
-        with self._obs.tracer.span(
-            "serve",
-            trace=envelope.trace_id,
-            server=server_index,
-            slices=len(envelope),
-        ):
-            return self._serve(server_index, envelope)
-
-    def _serve(self, server_index: int, batch: BatchFetchRequest) -> BatchFetchResponse:
         """The one server call of the read path: stamp, serve, repair.
 
+        :meth:`batch_fetch` calls it once per touched server; called
+        directly, it serves *envelope* at the chosen (live) replica.
         Every slice's stamp — the serving replica's applied version of
         its list — is read before the server is called, together with
         the list's head, and handed down, so the server builds each reply
@@ -863,9 +830,14 @@ class ServerCluster:
         sees every slice once (:meth:`_count_reads`).  A slice stamped at
         its head comes back as the very reply the server built, and the
         whole reply when every slice is; a slice stamped below its head
-        goes through :meth:`_finalize_read`.
+        goes through :meth:`_finalize_read`.  Replies come back in the
+        envelope's slice order.
         """
-        requests = batch.requests
+        if not 0 <= server_index < len(self._servers):
+            raise ConfigurationError(f"unknown server index {server_index}")
+        if not self._alive[server_index]:
+            raise ProtocolError(f"server {server_index} is down")
+        requests = envelope.requests
         read_state = self._repl.read_state
         stamps: list[int] = []
         stale: list[int] = []
@@ -879,7 +851,7 @@ class ServerCluster:
             stamps.append(version)
             if version < head:
                 stale.append(slice_index)
-        served = self._servers[server_index].batch_fetch(batch, stamps)
+        served = self._servers[server_index].batch_fetch(envelope, stamps)
         lag_histogram = self._count_reads(len(requests))
         if lag_histogram is not None:
             pending_lag = self._repl.pending_lag_ticks
@@ -906,7 +878,7 @@ class ServerCluster:
     ) -> FetchResponse:
         """Read-repair a slice served from a replica behind its head.
 
-        *version* is the stamp :meth:`_serve` read before the serve and
+        *version* is the stamp :meth:`serve_envelope` read before the serve and
         *response* the reply the server built with it.  The serving
         replica is caught up immediately when reachable (the repair ops
         also patch its readable views).

@@ -30,15 +30,15 @@ each round from the totals its per-term traces just counted
 (:attr:`FetchResponse.size_bits`, a plain sum over the slice) are
 summed once per query.
 
-The same type is the coordinator's envelope: a
+The same type carries a coordinator's flush: a
 :class:`~repro.core.router.Coordinator` collects the pending slices of
-*many* concurrent client sessions and ships everything bound for one shard
-server as one :class:`BatchFetchRequest` per scheduling tick.  Its slices
-may belong to different principals — access control is per slice, each
-request names its own — and the reply comes back in slice order, so the
-coordinator matches replies to its sessions by position.  An envelope pins
-the *placement epoch* it was routed under, so a concurrent failover
-election cannot serve it from a stale route.
+*many* concurrent client sessions and sends them as one
+:class:`BatchFetchRequest` per scheduling tick, which the cluster splits
+into one envelope per touched shard server.  Its slices may belong to
+different principals — access control is per slice, each request names
+its own — and the reply comes back in slice order, so the coordinator
+matches replies to its sessions by position.  A batch carries slices and
+nothing else: no placement epoch, no trace id.
 
 Deletion is by :class:`Receipt`: what the inserting client kept of each
 element it uploaded.  The server cannot read ciphertexts, so a delete
@@ -125,12 +125,11 @@ class FetchRequest:
     strictly less than the query-observation channel already leaks.
 
     ``trace_id`` is the telemetry trace-context id (see
-    :mod:`repro.obs.trace`): set, it ties every hop this slice takes —
-    coalesce, envelope, serve, skim — back to the issuing session's
-    span tree.  ``None`` (the default) means tracing is off; the server
-    treats the field as opaque, and it carries no query content beyond
-    "these slices belong to one session", which the coalesced envelope
-    already reveals.
+    :mod:`repro.obs.trace`) of the issuing session: set, it names the
+    span tree the slice's flush is filed under.  ``None`` (the default)
+    means tracing is off; the server treats the field as opaque, and it
+    carries no query content beyond "these slices belong to one
+    session", which the coalesced envelope already reveals.
     """
 
     principal: str
@@ -193,18 +192,12 @@ class FetchResponse:
 class BatchFetchRequest:
     """Many fetch slices bundled into one server call.
 
-    A client round holds one principal's slices, a coordinator envelope
+    A client round holds one principal's slices, a coordinator flush
     many principals'; the server reads each slice's own principal.  Slice
     order is significant: the response carries replies in the same order.
-    ``epoch`` is the placement epoch a routed envelope was routed under
-    (``None``: unrouted, as a client's own round is).  ``trace_id`` names
-    the telemetry span tree the envelope's serve is recorded under
-    (``None`` when tracing is off).
     """
 
     requests: tuple[FetchRequest, ...]
-    epoch: int | None = None
-    trace_id: int | None = None
 
     def __post_init__(self) -> None:
         if not self.requests:

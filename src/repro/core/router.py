@@ -11,35 +11,33 @@ which schedules them over a deterministic virtual-time
 
     client sessions                coordinator                 shard servers
     ---------------          ----------------------          ---------------
-    s1: [t1,t2,t3] ─arrival─▸ flush @ tick t:          env    +----------+
-    s2: [t1,t4]    ─arrival─▸   1 gather ready    ──{srv 0}─▸ | server 0 |
-    s3: [t2,t5]    ──submit─▸     slices                      +----------+
-                                2 dedup shared slices  env    +----------+
-     ◂─deliver()/result()──     3 route @ epoch   ──{srv 1}─▸ | server 1 |
-                                4 demux by position           +----------+
+    s1: [t1,t2,t3] ─arrival─▸ flush @ tick t:                 +----------+
+    s2: [t1,t4]    ─arrival─▸   1 gather ready    ┌─{srv 0}─▸ | server 0 |
+    s3: [t2,t5]    ──submit─▸     slices          │           +----------+
+                                2 dedup shared    │           +----------+
+     ◂─deliver()/result()──     3 one batch_fetch ┴─{srv 1}─▸ | server 1 |
+                                4 fan replies out             +----------+
           background daemon:    replication delivery · anti-entropy ·
                                 failover checks
 
 Per *flush* the coordinator (1) gathers every ready session's pending
 fetch slices in submission-age order, (2) deduplicates identical
 slices — same principal, list, offset, count — so concurrent queries for
-the same hot list share one server slice, (3) routes unique slices
-through the cluster's placement table and packs everything bound for one
-server into a single :class:`~repro.core.protocol.BatchFetchRequest` —
-the type a client's own round travels in, here holding many principals'
-slices, by principal and then by slice id (one server call per touched
-server per flush, regardless of how many sessions are in flight), and
-(4) matches each reply to its slice by position — the coordinator keeps
-the slice ids, the wire carries none — and fans it out to every session
-that wanted the slice as delivery events ``round_latency`` ticks later
-(0: later in the same tick); above 0 the decrypt/skim of round *n*
-overlaps the envelope build of round *n + 1* (counted by
-``pipeline_overlap``).  Follower replication delivery, with the
-anti-entropy sweep and failover checks it carries, runs as a background
-loop daemon at the end of every tick instead of piggybacking on the flush.
-Every envelope pins the placement epoch it was routed under, so a
-failover election can never tear a flush: the cluster rejects
-stale-epoch envelopes instead of serving them from a deposed primary.
+the same hot list share one server slice, (3) sends the unique slices,
+by principal and then by age, as one
+:class:`~repro.core.protocol.BatchFetchRequest` — the type a client's own
+round travels in, here holding many principals' slices — through
+:meth:`~repro.core.cluster.ServerCluster.batch_fetch`, which routes each
+slice and makes one server call per touched server, whose share keeps
+that order, and (4) fans each reply out to every session that wanted the
+slice as delivery events ``round_latency`` ticks later (0: later in the
+same tick); above 0 the decrypt/skim of round *n* overlaps the flush of
+round *n + 1* (counted by ``pipeline_overlap``).  Routing is the
+cluster's alone: the coordinator adds cross-session dedup and per-tick
+batching.  Follower replication delivery, with the anti-entropy sweep
+and failover checks it carries, runs as a background loop daemon at the
+end of every tick instead of piggybacking on the flush; a flush routes
+and serves inside one call, so no election can fall between the two.
 
 Admission is governed by *real backpressure* rather than unbounded
 parking: with ``max_queue_depth`` set, an arrival that would exceed the
@@ -66,6 +64,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
+from operator import itemgetter
 
 from repro.core.client import ClientQuerySession, MultiQueryResult, ZerberRClient
 from repro.core.cluster import ServerCluster
@@ -77,13 +76,9 @@ from repro.core.protocol import (
     FetchResponse,
     ResponsePolicy,
 )
-from repro.errors import (
-    BackpressureError,
-    ConfigurationError,
-    ProtocolError,
-    StaleEpochError,
-)
+from repro.errors import BackpressureError, ConfigurationError, ProtocolError
 from repro.obs.instruments import CoordinatorInstruments
+from repro.obs.trace import Span
 
 SliceKey = tuple[str, int, int, int]
 """Identity of a fetch slice: (principal, list_id, offset, count).
@@ -105,18 +100,15 @@ class CoordinatorStats:
     ``slices_requested`` counts session slices gathered;
     ``slices_sent`` counts unique slices actually shipped after
     cross-session deduplication — the difference is work served from a
-    shared response.  ``server_calls`` counts envelopes sent (the number a
-    latency-bound deployment cares about).  ``stale_epoch_reroutes`` counts envelopes the cluster rejected with
-    :class:`~repro.errors.StaleEpochError` (a failover election bumped
-    the epoch after routing) whose slices were
-    re-routed under the new placement instead of failing the flush.
+    shared response.  ``server_calls`` counts the shard-server calls the
+    flushes made (the number a latency-bound deployment cares about): one
+    per touched server, plus any read-repair re-serve.
     ``backpressure_sheds`` counts arrivals refused at admission (queue
     depth exhausted) — shed *before* anything was acknowledged, so a
     shed never loses accepted work.
-    ``pipeline_overlap`` counts flushes that built envelopes while
-    earlier rounds' deliveries were still in flight — the round-
-    pipelining the event loop buys over lockstep barriers (always 0 with
-    ``round_latency=0``).
+    ``pipeline_overlap`` counts flushes sent while earlier rounds'
+    deliveries were still in flight — the round-pipelining the event
+    loop buys over lockstep barriers (always 0 with ``round_latency=0``).
     """
 
     ticks: int = 0
@@ -125,7 +117,6 @@ class CoordinatorStats:
     slices_sent: int = 0
     sessions_completed: int = 0
     sessions_spilled: int = 0  # always 0: no flush defers a session any more
-    stale_epoch_reroutes: int = 0
     backpressure_sheds: int = 0
     pipeline_overlap: int = 0
 
@@ -137,28 +128,23 @@ class CoordinatorStats:
 
 @dataclass
 class _TickPlan:
-    """Work of one flush: per-session slice keys plus unique routed slices.
+    """Work of one flush: per-session slice keys plus the unique slices.
 
-    ``unique`` maps a slice key to ``(slice_id, request, server_index)``
-    — a slice is routed once, on its first wanter's session floor, when
-    it is gathered, and dispatch reuses the stored route (the flush is
-    atomic, so the placement cannot change in between).
+    ``unique`` maps a slice key to its request, in gathering order; a
+    slice several sessions want carries the highest of their floors.
     """
 
     session_keys: list[tuple[ClientQuerySession, list[SliceKey]]] = field(
         default_factory=list
     )
-    unique: dict[SliceKey, tuple[int, FetchRequest, int]] = field(
-        default_factory=dict
-    )
+    unique: dict[SliceKey, FetchRequest] = field(default_factory=dict)
 
 
 class Coordinator:
     """Shared front-end scheduling many query sessions over one cluster.
 
-    It routes and serves every slice at the cluster's own
-    ``read_consistency`` (:meth:`ServerCluster.route`,
-    :meth:`ServerCluster.serve_envelope`); a session's fetch sequence is
+    It reads through :meth:`ServerCluster.batch_fetch`, at the cluster's
+    own ``read_consistency``; a session's fetch sequence is
     the client's, ``policy`` and the per-term request cap
     (:data:`~repro.core.client.MAX_REQUESTS`) included, so the
     coordinator takes no consistency or request-count knob of its own.
@@ -174,7 +160,7 @@ class Coordinator:
         """``max_queue_depth`` is the *admission* bound (``None``
         disables): an arrival that would exceed it is shed with a
         retry-after hint instead of parked.  ``round_latency`` ticks
-        separate an envelope's dispatch from its sessions' skim delivery
+        separate a flush's dispatch from its sessions' skim delivery
         (0 — the default — delivers later in the dispatching tick).
         """
         if round_latency < 0:
@@ -197,7 +183,7 @@ class Coordinator:
         # Scheduling counters stay plain attribute increments on the hot
         # loop; the collector mirrors them into the registry at snapshot
         # time.  Direct instruments cover only what the stats cannot: the
-        # queue-depth gauge and the per-envelope / per-session histograms.
+        # queue-depth gauge and the per-flush / per-session histograms.
         self._obs = CoordinatorInstruments(cluster.telemetry)
         self._obs.register_stats_collector(cluster.telemetry, lambda: self.stats)
         # One scheduling tick is one replication tick: the replication
@@ -384,30 +370,28 @@ class Coordinator:
             return
         plan = self._gather(ready)
         if self._pending_delivers:
-            # Envelope build of this round overlaps in-flight deliveries
-            # of earlier rounds — the pipelining win over lockstep.
+            # This round's flush overlaps in-flight deliveries of earlier
+            # rounds — the pipelining win over lockstep.
             self.stats.pipeline_overlap += 1
         # One flush's coalescing is genuinely shared work; its span is
-        # attributed to the oldest admitted session's trace.  The envelopes
-        # and serves below nest under it through the tracer's call stack.
-        trace_ctx = plan.session_keys[0][0].trace_id
+        # attributed to the oldest admitted session's trace, and any
+        # read-repair of its serve nests under it.
         with self._obs.tracer.span(
             "coalesce",
-            trace=trace_ctx,
+            trace=plan.session_keys[0][0].trace_id,
             sessions=len(plan.session_keys),
-            unique_slices=len(plan.unique),
-        ):
-            self._schedule_deliveries(plan, self._dispatch(plan, trace_ctx))
+        ) as span:
+            self._schedule_deliveries(plan, self._dispatch(plan, span))
         self.stats.ticks += 1
 
     def _schedule_deliveries(
-        self, plan: _TickPlan, replies: dict[int, FetchResponse]
+        self, plan: _TickPlan, replies: dict[SliceKey, FetchResponse]
     ) -> None:
         """Fan every slice response out to all sessions that wanted it,
         ``round_latency`` ticks from now."""
         dispatched = self._loop.now
         for session, keys in plan.session_keys:
-            responses = tuple(replies[plan.unique[key][0]] for key in keys)
+            responses = tuple([replies[key] for key in keys])
             self._awaiting.add(id(session))
             self._pending_delivers += 1
             self._loop.call_at(
@@ -444,10 +428,10 @@ class Coordinator:
     def _gather(self, ready: list[ClientQuerySession]) -> _TickPlan:
         """Collect pending slices, deduplicating across sessions.
 
-        Sessions are considered in submission (age) order, so slice ids —
-        and with them each envelope's trace attribution — follow session
-        age.  A slice another session already asked for ships once, under
-        the max of both session floors.
+        Sessions are considered in submission (age) order.  A slice
+        another session already asked for ships once, under the max of
+        both session floors — so it is routed on the highest floor of all
+        its wanters.
         """
         plan = _TickPlan()
         unique = plan.unique
@@ -461,21 +445,10 @@ class Coordinator:
                     request.count,
                 )
                 keys.append(key)
-                if key in unique:
-                    slice_id, held, server_index = unique[key]
-                    unique[key] = (
-                        slice_id,
-                        self._merge_floor(held, request),
-                        server_index,
-                    )
-                    continue
-                # Routed on this (the slice's first) wanter's session
-                # floor; a floor merged in later is still enforced when
-                # the slice is finalized.
-                server_index = self._cluster.route(
-                    request.list_id, min_version=request.min_version
+                held = unique.get(key)
+                unique[key] = (
+                    request if held is None else self._merge_floor(held, request)
                 )
-                unique[key] = (len(unique), request, server_index)
             self.stats.slices_requested += len(keys)
             plan.session_keys.append((session, keys))
         return plan
@@ -487,106 +460,25 @@ class Coordinator:
             return dataclass_replace(held, min_version=request.min_version)
         return held
 
-    @staticmethod
-    def _envelope_trace(
-        packed: list[tuple[int, FetchRequest]], trace_ctx: int | None
-    ) -> int | None:
-        """Trace to attribute one envelope (and its serve span) to.
+    def _dispatch(self, plan: _TickPlan, span: Span) -> dict[SliceKey, FetchResponse]:
+        """Send the flush's unique slices as one cluster read.
 
-        The oldest session owning a slice in *this* envelope — slice ids
-        are assigned in session-admission order, so the lowest id's
-        request carries that session's trace.  Attributing every envelope
-        to the flush-oldest session (the old behaviour) mis-filed serve
-        and re-route spans of envelopes that carried only other sessions'
-        slices, and a re-routed batch whose owner's root had been
-        force-closed started an orphan root; per-envelope attribution
-        keeps each retry attached to the session tree that asked for it.
+        The batch holds them by principal, then in gathering order (the
+        sort is stable), so every touched server's share of it — one
+        server call each — is packed the same way; replies come back in
+        batch order and are matched to their slice keys by position.
         """
-        oldest: tuple[int, int] | None = None  # (slice_id, trace_id)
-        for slice_id, request in packed:
-            if request.trace_id is None:
-                continue
-            if oldest is None or slice_id < oldest[0]:
-                oldest = (slice_id, request.trace_id)
-        return oldest[1] if oldest is not None else trace_ctx
-
-    def _dispatch(
-        self, plan: _TickPlan, trace_ctx: int | None = None
-    ) -> dict[int, FetchResponse]:
-        """Send one envelope per touched server (routes fixed at gather).
-
-        An envelope packs its slices by principal, then in slice-id
-        order; the coordinator keeps that order and matches the reply's
-        responses to their slice ids by position.
-        An envelope the cluster rejects with
-        :class:`~repro.errors.StaleEpochError` — a failover election bumped
-        the placement epoch between routing and delivery — is not an error for its sessions: the
-        rejected slices are re-routed under the now-current placement and
-        re-sent, so an epoch bump costs the affected slices one extra
-        envelope instead of failing the whole flush.
-        """
-        entries = list(plan.unique.values())
-        replies: dict[int, FetchResponse] = {}
-        attempts = 0
-        while entries:
-            attempts += 1
-            if attempts > 16:
-                raise ProtocolError(
-                    "placement epoch kept moving during dispatch; giving up "
-                    f"with {len(entries)} slice(s) undelivered"
-                )
-            epoch = self._cluster.placement_epoch
-            per_server: dict[int, dict[str, list[tuple[int, FetchRequest]]]] = {}
-            for slice_id, request, server_index in entries:
-                per_server.setdefault(server_index, {}).setdefault(
-                    request.principal, []
-                ).append((slice_id, request))
-            retry: list[tuple[int, FetchRequest, int]] = []
-            for server_index in sorted(per_server):
-                by_principal = per_server[server_index]
-                packed = [
-                    entry
-                    for principal in sorted(by_principal)
-                    for entry in by_principal[principal]
-                ]
-                envelope_trace = self._envelope_trace(packed, trace_ctx)
-                envelope = BatchFetchRequest(
-                    tuple([request for _, request in packed]),
-                    epoch=epoch,
-                    trace_id=envelope_trace,
-                )
-                with self._obs.tracer.span(
-                    "envelope",
-                    trace=envelope_trace,
-                    server=server_index,
-                    slices=len(envelope),
-                ) as span:
-                    try:
-                        response = self._cluster.serve_envelope(
-                            server_index, envelope
-                        )
-                    except StaleEpochError:
-                        span.annotate(rerouted=True)
-                        self.stats.stale_epoch_reroutes += 1
-                        retry.extend(
-                            (
-                                slice_id,
-                                request,
-                                self._cluster.route(
-                                    request.list_id,
-                                    min_version=request.min_version,
-                                ),
-                            )
-                            for slice_id, request in packed
-                        )
-                        continue
-                for (slice_id, _), reply in zip(packed, response.responses):
-                    replies[slice_id] = reply
-                self._obs.envelope_slices.observe(float(len(envelope)))
-                self.stats.server_calls += 1
-                self.stats.slices_sent += len(envelope)
-            entries = retry
-        return replies
+        keys = sorted(plan.unique, key=itemgetter(0))
+        batch = BatchFetchRequest(tuple([plan.unique[key] for key in keys]))
+        cluster = self._cluster
+        calls = cluster.total_calls
+        replies = cluster.batch_fetch(batch).responses
+        server_calls = cluster.total_calls - calls
+        span.annotate(server_calls=server_calls, slices=len(batch))
+        self._obs.envelope_slices.observe(float(len(batch)))
+        self.stats.server_calls += server_calls
+        self.stats.slices_sent += len(batch)
+        return dict(zip(keys, replies))
 
     def run_until_complete(self) -> int:
         """Tick until every submitted session is done; returns ticks run."""

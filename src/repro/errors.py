@@ -6,6 +6,9 @@ layout: indexing, cryptography/access control, protocol, and configuration
 errors are distinguishable because they typically call for different
 handling (a :class:`AccessDeniedError` is an authorization outcome, not a
 bug; a :class:`ConfidentialityViolationError` is a safety check firing).
+A read fails only on what it can act on — a list with no live replica,
+a missed quorum, a shed arrival; a failover election is never one of
+them, since a batch is routed and served inside one call.
 """
 
 from __future__ import annotations
@@ -192,25 +195,6 @@ class BackpressureError(ProtocolError):
     @property
     def retry_after_ticks(self) -> int:
         return int(getattr(self.signal, "retry_after_ticks", 1))
-
-
-class StaleEpochError(ProtocolError):
-    """An envelope was routed under an outdated placement epoch.
-
-    Raised by :meth:`~repro.core.cluster.ServerCluster.serve_envelope`
-    when a failover election bumped the epoch after the
-    envelope was routed.  The coordinator catches this and re-routes the
-    in-flight slices under the current placement instead of failing the
-    scheduling tick.
-    """
-
-    def __init__(self, envelope_epoch: int, current_epoch: int) -> None:
-        super().__init__(
-            f"envelope routed under placement epoch {envelope_epoch}, "
-            f"cluster is at {current_epoch}"
-        )
-        self.envelope_epoch = envelope_epoch
-        self.current_epoch = current_epoch
 
 
 class TrainingError(ReproError):

@@ -13,9 +13,9 @@ state):
   ``replication_stats_total``, ``views_stats_total``), summed over every
   source registered on the telemetry.
 * **Tracing** — :class:`Tracer` records per-request span trees
-  (query → coalesce → envelope → serve → skim → read-repair),
-  tick-stamped, in a bounded ring buffer; the trace-context id rides
-  the wire on ``FetchRequest`` / ``BatchFetchRequest``.
+  (query → coalesce → read-repair, query → skim), tick-stamped, in a
+  bounded ring buffer; the trace-context id rides the wire on
+  ``FetchRequest``.
 
 :class:`Telemetry` bundles a registry and a tracer into the single
 object threaded through ``deploy_cluster`` and the layer constructors;

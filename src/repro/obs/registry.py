@@ -62,7 +62,7 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec(
         "coordinator_envelope_slices",
         "histogram",
-        "slices coalesced into one per-server envelope",
+        "unique slices one coordinator flush sends in its batch",
         unit="slices",
         buckets=DEFAULT_SIZE_BUCKETS,
     ),

@@ -12,9 +12,9 @@ context-manager-only discipline statically in ``repro.core``.
 Parenting follows the synchronous call structure: an open ``span``
 nests under the innermost span on the tracer's stack; with an empty
 stack it attaches to the root of the trace named by ``trace=`` (the
-trace-context id threaded through ``FetchRequest`` /
-``BatchFetchRequest``); with neither it becomes its own
-single-root trace, so direct-path serve spans are still recorded.
+trace-context id threaded through ``FetchRequest``); with neither it
+becomes its own single-root trace, so direct-path read-repair spans are
+still recorded.
 
 Timestamps are scheduling ticks from the injected ``clock`` — never
 wall time (determinism contract).  Finished traces land in a

@@ -5,8 +5,8 @@ forget across a restart (the ``cluster`` section of a dump):
 
 * every server's merged lists **with their mutation counters** — so
   version-stamped fetch responses stay comparable across the restart;
-* the placement table and its epoch — so pre-restart envelopes are
-  correctly rejected, not silently served from a pre-election shard map;
+* the placement table and its epoch — so a restart keeps every elected
+  primary and the election count ``cluster-status`` reports;
 * the replication manager's durable state: each list's log tail above
   ``base_seq``, every replica's applied version, the lag, the
   anti-entropy cadence, the tick clock, and the paused/down server sets.

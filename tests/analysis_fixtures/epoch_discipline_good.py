@@ -1,15 +1,9 @@
-"""Good: the routed batch pins the epoch it was routed under.
+"""Good: the placement is read through the cluster's public accessor.
 
 Linted as ``repro.core.router``.
 """
 
 from typing import Any
-
-from repro.core.protocol import BatchFetchRequest, FetchRequest
-
-
-def route(cluster: Any, requests: tuple[FetchRequest, ...]) -> BatchFetchRequest:
-    return BatchFetchRequest(requests, epoch=cluster.placement_epoch)
 
 
 def replicas(cluster: Any, list_id: int) -> list[int]:

@@ -128,15 +128,17 @@ def test_typed_defs_package_list_matches_mypy_ini():
     assert strict == STRICT_PACKAGES
 
 
-def test_each_unpinned_routed_batch_fires_on_its_own():
-    """In the router both bad ``BatchFetchRequest(...)`` calls are findings
-    of their own; elsewhere a batch is a client's unrouted round, and only
-    the placement read fires."""
+def test_a_placement_read_fires_outside_its_owning_layers_only():
+    """Any layer but the cluster and persist ones that own the placement
+    table is flagged for reading it; a batch built anywhere, the router
+    included, carries no epoch and is nobody's finding."""
     routed = _lint("epoch_discipline_bad", "repro.core.router")
-    batches = [f for f in routed if f.message.startswith("BatchFetchRequest(")]
-    assert len({f.line for f in batches}) == 2
-    elsewhere = _lint("epoch_discipline_bad", "repro.core.client")
-    assert elsewhere == [f for f in routed if f not in batches]
+    assert [f.rule for f in routed] == ["epoch-discipline"]
+    assert "placement table" in routed[0].message
+    for owner in ("repro.core.cluster", "repro.persist.clusterstate"):
+        assert _lint("epoch_discipline_bad", owner) == []
+    batch = "from repro.core.protocol import BatchFetchRequest\nBatchFetchRequest(())\n"
+    assert analyze_source(batch, module="repro.core.router", path="batch.py") == []
 
 
 def test_every_list_mutator_named_in_the_bad_fixture_is_flagged():

@@ -20,6 +20,8 @@ COUNTS = {
     "replication.ops_logged_per_write": 151.64,
     "views.full_builds_per_op": 0.0,
     "router.coalesce_ratio": 0.0,
+    "router.server_calls_per_query": 0.0,
+    "cluster.server_calls_per_op": 3.11167,
 }
 
 

@@ -96,8 +96,10 @@ class TestTraceCommand:
     def test_text_shows_the_full_span_chain(self, capsys):
         assert main(["trace"]) == 0
         out = capsys.readouterr().out
-        for name in ("query", "coalesce", "envelope", "serve", "skim"):
+        for name in ("query", "coalesce", "skim"):
             assert name in out, f"span {name!r} missing from trace output"
+        assert "server_calls=" in out and "slices=" in out
+        assert "envelope" not in out
 
     def test_json_tree_is_nested(self, capsys):
         assert main(["trace", "--format", "json"]) == 0

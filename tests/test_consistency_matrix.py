@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.client import ZerberRClient
 from repro.core.cluster import ServerCluster
-from repro.core.protocol import BatchFetchRequest, FetchRequest
+from repro.core.protocol import FetchRequest
 from repro.core.replication import ReadConsistency, WriteConsistency
 from repro.core.rstf import RstfModel, train_rstf
 from repro.crypto.keys import GroupKeyService
@@ -22,7 +22,6 @@ from repro.errors import (
     ProtocolError,
     QuorumUnavailableError,
     QuorumWriteUnavailableError,
-    StaleEpochError,
     UnavailableError,
 )
 from repro.index.merge import MergePlan
@@ -410,24 +409,6 @@ class TestFailoverElection:
             cluster.replication_tick()
         assert cluster.replicas_of(0)[0] == primary
         assert cluster.failover_history() == []
-
-    def test_stale_epoch_envelope_rejected_after_failover(self, keys):
-        cluster = self._cluster(keys)
-        cluster.insert("u", 0, _element(0.5, b"x"))
-        stale_epoch = cluster.placement_epoch
-        envelope = BatchFetchRequest(
-            (FetchRequest(principal="u", list_id=0, offset=0, count=1),),
-            epoch=stale_epoch,
-        )
-        cluster.fail_server(cluster.replicas_of(0)[0])
-        for _ in range(3):
-            cluster.replication_tick()
-        target = cluster.replicas_of(0)[0]
-        with pytest.raises(StaleEpochError) as excinfo:
-            cluster.serve_envelope(target, envelope)
-        assert excinfo.value.envelope_epoch == stale_epoch
-        assert excinfo.value.current_epoch == cluster.placement_epoch
-        assert isinstance(excinfo.value, ProtocolError)
 
     def test_failover_disabled_by_default(self, keys):
         cluster = ServerCluster(

@@ -927,8 +927,10 @@ class TestWarmReadPathCounts:
 
     # The warm six-term query of the telemetry budget below, one round of
     # six slices on three servers, through Coordinator.run_queries with no
-    # telemetry: its count on CPython 3.11 plus 5 %, 509 entered.
-    COORDINATOR_FRAME_BUDGET = 534
+    # telemetry: its count on CPython 3.11, exact — 486 entered since the
+    # flush became one ``ServerCluster.batch_fetch`` (509 before, under a
+    # budget of 534).
+    COORDINATOR_FRAME_BUDGET = 486
 
     def test_frames_entered_by_one_warm_coordinator_query_stay_under_budget(
         self, system
@@ -946,16 +948,16 @@ class TestWarmReadPathCounts:
     # a Telemetry, less those entered on a second deployment of the same
     # system with none — read counters, per-slice lag observations, the
     # trace root and its clock and, through the coordinator, the coalesce
-    # and envelope spans.  The deployment with no telemetry enters exactly
+    # span and its annotation.  The deployment with no telemetry enters exactly
     # what the same deployment entered with its telemetry switched off
     # live, so the budgets kept their values when that switch went.  An
     # absolute count, so a faster read path cannot move it and a clock
-    # cannot blur it: 70 and 48 on CPython 3.11, on tiny_corpus and
-    # studip_like alike (3.12 inlines list comprehensions and can only
-    # read lower).  A change that puts more telemetry on the read path
-    # raises these in the open; refresh them from the ``(on, off)`` pair
-    # this test fails with.
-    TELEMETRY_FRAME_BUDGET = {"coordinator": 70, "direct": 48}
+    # cannot blur it: 54 and 48 on CPython 3.11 (the coordinator's was 70
+    # with its envelope and serve spans; 3.12 inlines list comprehensions
+    # and can only read lower).  A change that puts more telemetry on the
+    # read path raises these in the open; refresh them from the
+    # ``(on, off)`` pair this test fails with.
+    TELEMETRY_FRAME_BUDGET = {"coordinator": 54, "direct": 48}
 
     @pytest.mark.parametrize("path", sorted(TELEMETRY_FRAME_BUDGET))
     def test_frames_telemetry_adds_to_one_warm_query_stay_under_budget(

@@ -337,8 +337,8 @@ class _AccessorReadPath(ServerCluster):
     ``dataclasses.replace``.  It reads every stamp before the server call
     too, but serves through the server's unstamped ``batch_fetch`` and
     stamps the replies afterwards, so it shares none of
-    ``ServerCluster._serve``.  :class:`ServerCluster`'s read path must be
-    indistinguishable from it (``TestReadPathRefinement``)."""
+    ``ServerCluster.serve_envelope``.  :class:`ServerCluster`'s read path
+    must be indistinguishable from it (``TestReadPathRefinement``)."""
 
     def route(self, list_id, min_version=None):
         repl = self.replication_manager
@@ -380,7 +380,9 @@ class _AccessorReadPath(ServerCluster):
             candidates = unpaused
         return candidates[0]
 
-    def _serve(self, server_index, batch):
+    def serve_envelope(self, server_index, batch):
+        if not self.is_alive(server_index):
+            raise ProtocolError(f"server {server_index} is down")
         repl = self.replication_manager
         stamps = [
             (repl.applied_version(r.list_id, server_index), repl.head_version(r.list_id))
@@ -579,9 +581,7 @@ def _read_script(rng, steps, replicas_of):
             )
             yield f"envelope @{server} {slices} {level}", _at_level(
                 level,
-                lambda c, s=server, r=slices: c.serve_envelope(
-                    s, BatchFetchRequest(r, epoch=c.placement_epoch)
-                ),
+                lambda c, s=server, r=slices: c.serve_envelope(s, BatchFetchRequest(r)),
             )
         else:
             one, level = request(), rng.choice(CONSISTENCIES)
@@ -641,8 +641,7 @@ class TestReadPathRefinement:
         stranger = next(s for s in range(3) if s not in cluster.replicas_of(1))
         held = next(l for l in range(4) if stranger in cluster.replicas_of(l))
         envelope = BatchFetchRequest(
-            (FetchRequest("u", held, 0, 1), FetchRequest("u", 1, 0, 1)),
-            epoch=cluster.placement_epoch,
+            (FetchRequest("u", held, 0, 1), FetchRequest("u", 1, 0, 1))
         )
         with pytest.raises(ProtocolError, match=f"server {stranger} does not hold list 1"):
             cluster.serve_envelope(stranger, envelope)
@@ -688,8 +687,7 @@ class TestStampBeforeServe:
         primary, follower = cluster.replicas_of(0)
         cluster.fail_server(primary)
         if envelope:
-            batch = BatchFetchRequest(requests, epoch=cluster.placement_epoch)
-            replies = cluster.serve_envelope(follower, batch)
+            replies = cluster.serve_envelope(follower, BatchFetchRequest(requests))
         else:
             replies = cluster.batch_fetch(BatchFetchRequest(requests))
         assert [r.elements for r in replies] == [elements[s] for s in expected]
@@ -746,9 +744,8 @@ class TestReadInstrumentsPerServerCall:
         assert self._counted(reads, lags, "one") == (3, 3)
         cluster.read_consistency = ReadConsistency.QUORUM
         server = cluster.route(3)
-        envelope = BatchFetchRequest.for_slices("u", [(3, 0, 1), (3, 1, 1)])
         cluster.serve_envelope(
-            server, BatchFetchRequest(envelope.requests, epoch=cluster.placement_epoch)
+            server, BatchFetchRequest.for_slices("u", [(3, 0, 1), (3, 1, 1)])
         )
         assert self._counted(reads, lags, "quorum") == (2, 2)
         # A follower that still waits for its copy reports the ticks left.
@@ -861,8 +858,7 @@ class TestLoadAccounting:
         keys.register("v", {"g"})
         cluster = self._cluster(keys)
         envelope = BatchFetchRequest(
-            (FetchRequest("u", 0, 0, 1), FetchRequest("v", 2, 0, 1)),
-            epoch=cluster.placement_epoch,
+            (FetchRequest("u", 0, 0, 1), FetchRequest("v", 2, 0, 1))
         )
         cluster.serve_envelope(0, envelope)
         assert cluster.total_calls == 1

@@ -4,8 +4,9 @@ import dataclasses
 
 import pytest
 
+from repro.core.client import ZerberRClient
 from repro.core.cluster import ServerCluster
-from repro.core.protocol import BatchFetchRequest, FetchRequest
+from repro.core.server import ZerberRServer
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError, ProtocolError, UnavailableError
 from repro.index.postings import EncryptedPostingElement
@@ -132,24 +133,14 @@ class TestFailureAndEpoch:
             coordinator.tick()
         assert excinfo.value.list_id == list_id
 
-    def test_stale_epoch_envelope_rejected(self, system):
-        cluster, _ = system.deploy_cluster(num_servers=2)
-        term = system.vocabulary.terms_by_frequency()[0]
-        list_id = system.merge_plan.list_of(term)
-        request = FetchRequest(
-            principal="superuser", list_id=list_id, offset=0, count=2
-        )
-        envelope = BatchFetchRequest((request,), epoch=cluster.placement_epoch + 1)
-        with pytest.raises(ProtocolError):
-            cluster.serve_envelope(cluster.route(list_id), envelope)
-
-    def test_election_mid_dispatch_reroutes_stale_envelopes(
+    def test_an_election_between_two_shard_calls_of_one_flush(
         self, system, monkeypatch
     ):
-        """A failover election lands while a flush is being dispatched:
-        the envelopes routed before it carry the old epoch, the cluster
-        refuses them, and the coordinator re-routes their slices under
-        the new placement — with the results of the direct path."""
+        """A failover election lands between two shard-server calls of
+        one flush.  Nothing pins the placement the flush was routed
+        under: every slice is stamped with its replica's applied version
+        and repaired or re-served under ``read_consistency``, so the
+        results are the direct path's."""
         cluster, coordinator = system.deploy_cluster(
             num_servers=3, replication=2, failover_after=1
         )
@@ -161,23 +152,23 @@ class TestFailureAndEpoch:
         cluster.fail_server(victim)
         cluster.replication_tick()  # the failover timer starts
         epoch = cluster.placement_epoch
-        serve = cluster.serve_envelope
+        serve = ZerberRServer.batch_fetch
         ticked = []
 
-        def serve_while_replication_ticks(server_index, envelope, *args):
-            # The replication plane ticks concurrently with the first
-            # envelope of the flush: the timer has run out, so it elects.
+        def serve_after_an_election(server, batch, *args):
+            # The replication plane ticks before the flush's first shard
+            # call: the timer has run out, so it elects.
             if not ticked:
                 ticked.append(cluster.replication_tick())
-            return serve(server_index, envelope, *args)
+                assert cluster.failover_history()
+            return serve(server, batch, *args)
 
-        monkeypatch.setattr(cluster, "serve_envelope", serve_while_replication_ticks)
+        monkeypatch.setattr(ZerberRServer, "batch_fetch", serve_after_an_election)
         results = coordinator.run_queries([(client, q, 4) for q in queries])
         assert [r.ranked for r in results] == [d.ranked for d in direct]
-        assert cluster.failover_history()
+        assert ticked and cluster.failover_history()
         assert cluster.replicas_of(list_id)[0] != victim
         assert cluster.placement_epoch == epoch + 1
-        assert coordinator.stats.stale_epoch_reroutes >= 1
 
 
 class TestFloorAwareRouting:
@@ -232,6 +223,52 @@ class TestFloorAwareRouting:
         assert driven == direct
         assert all(ranked[0][0] == "written-here" for ranked in direct)
         assert driven_moved == direct_moved == dict.fromkeys(self.COUNTERS, 0)
+
+    def test_a_shared_slice_routes_on_the_highest_floor_of_its_wanters(
+        self, system, micro_corpus
+    ):
+        """Two sessions of one principal want the same slice: the first
+        has no floor on the list, the second's floor is its head.  The
+        shared slice goes to the one follower at the head — one server
+        call per flush — not to the first wanter's stale pick, to be
+        repaired and re-served there."""
+        cluster, coordinator = system.deploy_cluster(
+            num_servers=3, replication=3, lag=50, read_consistency="one"
+        )
+        writer = system.client_for("superuser", server=cluster)
+        term = system.vocabulary.terms_by_frequency()[0]
+        doc = DocumentStats.from_counts("written-here", {term: 5})
+        writer.index_document_with_receipts(doc, sorted(micro_corpus.groups())[0])
+        list_id = system.merge_plan.list_of(term)
+        primary, stale, fresh = cluster.replicas_of(list_id)
+        cluster.replication_manager.sync(list_id, fresh)
+        cluster.fail_server(primary)
+        head = cluster.primary_version(list_id)
+        assert writer.version_floor(list_id) == head
+        assert cluster.applied_version(list_id, stale) < head
+        assert cluster.applied_version(list_id, fresh) == head
+        reader = ZerberRClient(
+            principal="superuser",
+            key_service=system.key_service,
+            server=cluster,
+            rstf_model=system.rstf_model,
+            merge_plan=system.merge_plan,
+        )
+        assert not reader.version_floor(list_id)
+        before = dataclasses.replace(cluster.replication_stats)
+        calls = [cluster.server(s).num_calls for s in range(3)]
+        first = coordinator.open_session(reader, [term], 5)
+        second = coordinator.open_session(writer, [term], 5)
+        coordinator.run_until_complete()
+        assert first.result().ranked == second.result().ranked
+        assert second.result().ranked[0][0] == "written-here"
+        served = [cluster.server(s).num_calls - calls[s] for s in range(3)]
+        assert served[fresh] == coordinator.stats.server_calls
+        assert served[fresh] == coordinator.stats.ticks
+        assert served[stale] == 0
+        after = cluster.replication_stats
+        assert after.floor_reserves == before.floor_reserves
+        assert after.read_repairs == before.read_repairs
 
     def test_route_narrows_one_to_replicas_at_the_floor(self):
         keys = GroupKeyService(master_secret=b"k" * 32)

@@ -16,7 +16,9 @@ then the telemetry kill switch, snapshot merge/reset and the
 then the per-call ``consistency`` of every cluster read and write (the
 cluster's ``read_consistency`` / ``write_consistency`` is the one home of
 a level), the per-query ``max_requests`` (now the constant
-``repro.core.client.MAX_REQUESTS``) and the shard's view capacity;
+``repro.core.client.MAX_REQUESTS``) and the shard's view capacity,
+then a batch's placement ``epoch`` and ``trace_id`` (a coordinator flush
+is one ``ServerCluster.batch_fetch``, routed and served in one call);
 they were deleted, and this test keeps them from drifting back.
 """
 
@@ -34,8 +36,9 @@ import repro.persist
 from repro.core.client import ZerberRClient
 from repro.core.cluster import ServerCluster
 from repro.core.eventloop import EventLoop
+from repro.core.protocol import BatchFetchRequest
 from repro.core.replication import ReplicationManager
-from repro.core.router import Coordinator
+from repro.core.router import Coordinator, CoordinatorStats
 from repro.core.rstf import Rstf
 from repro.core.server import ZerberRServer
 from repro.core.system import ZerberRSystem
@@ -83,6 +86,8 @@ SURFACES = {
         ServerCluster.serve_envelope,
         "server_index envelope",
     ),
+    # Slices and nothing else: no placement epoch, no trace id.
+    "BatchFetchRequest": (BatchFetchRequest, "requests"),
     # The request cap is one constant; ``policy`` is what the figure
     # benches vary.
     "ZerberRClient.query": (ZerberRClient.query, "term k policy"),
@@ -139,7 +144,7 @@ DELETED_NAMES = {
         "RoundRobinPlacement load_balance_ratio "
         "ReadSelector PrimaryReads RotatingReads coerce_read_selector "
         "QueryLog ZerberRServer save_index load_index "
-        "IndexingError CryptoError __version__",
+        "IndexingError CryptoError StaleEpochError __version__",
     ),
     "repro.core": (
         repro.core,
@@ -177,13 +182,23 @@ def test_deleted_names_are_not_exported(module):
     [
         (
             ServerCluster,
-            "_resolve_consistency _resolve_write_consistency _route_read",
+            "_resolve_consistency _resolve_write_consistency _route_read "
+            "_serve _check_write_quorum",
         ),
+        (Coordinator, "_envelope_trace"),
+        (CoordinatorStats, "stale_epoch_reroutes"),
         (ZerberRSystem, "with_config"),
         (Rstf, "num_training_points"),
-        (repro.errors, "IndexingError"),
+        (repro.errors, "IndexingError StaleEpochError"),
     ],
-    ids=["ServerCluster", "ZerberRSystem", "Rstf", "repro.errors"],
+    ids=[
+        "ServerCluster",
+        "Coordinator",
+        "CoordinatorStats",
+        "ZerberRSystem",
+        "Rstf",
+        "repro.errors",
+    ],
 )
 def test_deleted_members_stay_gone(owner, names):
     for name in names.split():

@@ -14,6 +14,7 @@ from repro.obs import (
 )
 from repro.obs.export import METRICS_SCHEMA_VERSION, trace_to_dict
 from repro.obs.trace import Tracer
+from repro.text.analysis import DocumentStats
 
 
 class TestMetricsExport:
@@ -90,27 +91,44 @@ class TestEndToEndSpanChain:
         trace = next(
             t for t in telemetry.tracer.traces() if t.trace_id == session.trace_id
         )
-        names = {span.name for span in trace.spans()}
-        # acceptance criterion: session -> coalesce -> envelope -> serve -> skim
-        assert {"query", "coalesce", "envelope", "serve", "skim"} <= names
+        # The chain: session -> coalesce(server_calls, slices), session -> skim.
+        assert {span.name for span in trace.spans()} == {"query", "coalesce", "skim"}
         for span in trace.spans():
             assert span.closed
+        assert {child.name for child in trace.root.children} == {"coalesce", "skim"}
+        flushes = [c for c in trace.root.children if c.name == "coalesce"]
+        assert all(not flush.children for flush in flushes)
+        assert sum(flush.attributes["slices"] for flush in flushes) == (
+            coordinator.stats.slices_sent
+        )
+        assert sum(flush.attributes["server_calls"] for flush in flushes) == (
+            coordinator.stats.server_calls
+        )
 
-        def chain(root, path):
-            spans = [root]
-            for name in path:
-                spans = [
-                    child
-                    for span in spans
-                    for child in span.children
-                    if child.name == name
-                ]
-            return spans
-
-        assert chain(trace.root, ["coalesce", "envelope", "serve"])
-        assert any(
-            span.name == "skim" for span in trace.spans()
-        ), "decrypt skim span missing from the session trace"
+    def test_a_repaired_read_nests_under_its_flush(self, system):
+        """A slice served below its head is repaired inside the flush's
+        one cluster read, so its ``read-repair`` span files under the
+        ``coalesce`` span of the session it was served for."""
+        telemetry = Telemetry()
+        cluster, coordinator = system.deploy_cluster(
+            num_servers=2, replication=2, lag=5, telemetry=telemetry
+        )
+        cluster.run_replication_until_quiet()
+        client = system.client_for("superuser", server=cluster)
+        term = system.vocabulary.terms_by_frequency()[0]
+        doc = DocumentStats.from_counts("written-here", {term: 5})
+        client.index_document_with_receipts(doc, sorted(system.corpus.groups())[0])
+        cluster.fail_server(cluster.replicas_of(system.merge_plan.list_of(term))[0])
+        session = coordinator.open_session(client, [term], k=2)
+        coordinator.run_until_complete()
+        assert session.result().ranked[0][0] == "written-here"
+        assert cluster.replication_stats.read_repairs >= 1
+        trace = next(
+            t for t in telemetry.tracer.traces() if t.trace_id == session.trace_id
+        )
+        first_flush = next(c for c in trace.root.children if c.name == "coalesce")
+        assert [c.name for c in first_flush.children] == ["read-repair"]
+        assert first_flush.attributes["server_calls"] == 2  # the serve and its re-serve
 
     def test_metrics_cover_the_scripted_families(self, system):
         telemetry = Telemetry()
@@ -150,9 +168,9 @@ class TestEndToEndSpanChain:
         assert exported.value(field="sessions_completed") == 2
 
     def test_envelope_histogram_counts_what_the_coordinator_sent(self, system):
-        """One ``coordinator_envelope_slices`` observation per envelope,
-        carrying its slices: count and sum are the coordinator's own
-        ``server_calls`` and ``slices_sent`` after a coalesced run."""
+        """One ``coordinator_envelope_slices`` observation per flush,
+        carrying its batch's slices: count and sum are the coordinator's
+        own ``ticks`` and ``slices_sent`` after a coalesced run."""
         telemetry = Telemetry()
         cluster, coordinator = system.deploy_cluster(
             num_servers=3, telemetry=telemetry
@@ -170,7 +188,7 @@ class TestEndToEndSpanChain:
         series = telemetry.registry.snapshot()["coordinator_envelope_slices"][
             "series"
         ]
-        assert sum(entry["count"] for entry in series) == stats.server_calls
+        assert sum(entry["count"] for entry in series) == stats.ticks
         assert sum(entry["sum"] for entry in series) == stats.slices_sent
 
     def test_skim_counters_keep_what_was_served_before_a_malformed_element(
@@ -225,12 +243,19 @@ class TestEndToEndSpanChain:
         assert malformed.ciphertext not in cipher._memo
 
 
-class TestEnvelopeTraceAttribution:
-    """Each envelope is attributed to the oldest session owning one of
-    ITS slices — not the flush-oldest session — so serve and re-route
-    spans file under the session tree that asked for them."""
+class TestFlushTraceAttribution:
+    """A flush is filed under the oldest session it serves — one
+    ``coalesce`` span for its one cluster read, whichever servers that
+    touches — and every other session's tree keeps only its own skim, so
+    no span starts an orphan root."""
 
-    def _two_sessions_on_distinct_servers(self, system, cluster, coordinator):
+    def test_a_flush_over_two_servers_is_one_span_of_the_oldest_session(
+        self, system
+    ):
+        telemetry = Telemetry()
+        cluster, coordinator = system.deploy_cluster(
+            num_servers=3, telemetry=telemetry
+        )
         terms = [
             t
             for t in system.vocabulary.terms_by_frequency()
@@ -246,75 +271,12 @@ class TestEnvelopeTraceAttribution:
         client = system.client_for("superuser", server=cluster)
         first = coordinator.open_session(client, [term_a], k=2)
         second = coordinator.open_session(client, [term_b], k=2)
-        route_b = cluster.route(system.merge_plan.list_of(term_b))
-        return first, second, route_b
-
-    def test_envelope_carries_owning_sessions_trace(self, system):
-        telemetry = Telemetry()
-        cluster, coordinator = system.deploy_cluster(
-            num_servers=3, telemetry=telemetry
-        )
-        first, second, route_b = self._two_sessions_on_distinct_servers(
-            system, cluster, coordinator
-        )
-        seen = []
-        real = cluster.serve_envelope
-
-        def recording(server_index, envelope):
-            seen.append((server_index, envelope.trace_id))
-            return real(server_index, envelope)
-
-        cluster.serve_envelope = recording
-        try:
-            coordinator.tick()
-        finally:
-            cluster.serve_envelope = real
-        by_server = dict(seen)
-        # The envelope holding only the second session's slice is
-        # attributed to THAT session, not the flush-oldest one.
-        assert by_server[route_b] == second.trace_id
-        assert second.trace_id != first.trace_id
-
-    def test_rerouted_envelope_stays_in_owning_session_trace(self, system):
-        from repro.errors import StaleEpochError
-
-        telemetry = Telemetry()
-        cluster, coordinator = system.deploy_cluster(
-            num_servers=3, telemetry=telemetry
-        )
-        first, second, route_b = self._two_sessions_on_distinct_servers(
-            system, cluster, coordinator
-        )
-        real = cluster.serve_envelope
-        rejected = {"done": False}
-        retried = []
-
-        def racing(server_index, envelope):
-            if server_index == route_b and not rejected["done"]:
-                # Simulate an election bumping the epoch after routing.
-                rejected["done"] = True
-                raise StaleEpochError(envelope.epoch, envelope.epoch + 1)
-            if server_index == route_b:
-                retried.append(envelope.trace_id)
-            return real(server_index, envelope)
-
-        cluster.serve_envelope = racing
-        try:
-            coordinator.run_until_complete()
-        finally:
-            cluster.serve_envelope = real
-        assert coordinator.stats.stale_epoch_reroutes == 1
-        assert first.done and second.done
-        # The retry is attached to the session tree that asked for it.
-        assert retried[0] == second.trace_id
-        # No orphan roots: every finished trace is a session root, and
-        # the re-routed envelope span is annotated inside one of them.
-        traces = telemetry.tracer.traces()
-        assert traces and all(t.root.name == "query" for t in traces)
-        rerouted_spans = [
-            span
-            for t in traces
-            for span in t.spans()
-            if span.name == "envelope" and span.attributes.get("rerouted")
+        coordinator.tick()
+        coordinator.run_until_complete()
+        traces = {t.trace_id: t for t in telemetry.tracer.traces()}
+        assert all(t.root.name == "query" for t in traces.values())
+        flushes = [
+            c for c in traces[first.trace_id].root.children if c.name == "coalesce"
         ]
-        assert len(rerouted_spans) == 1
+        assert flushes[0].attributes == {"sessions": 2, "server_calls": 2, "slices": 2}
+        assert [c.name for c in traces[second.trace_id].root.children] == ["skim"]

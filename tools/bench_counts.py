@@ -14,7 +14,9 @@ section *exactly*:
   the paper's cost units (Figs. 11–13);
 * ``replication.ops_logged_per_write``, ``views.full_builds_per_op`` and
   ``router.coalesce_ratio`` — what the write path logs, what the read
-  path rebuilds and how much the coordinator coalesces.
+  path rebuilds and how much the coordinator coalesces;
+* ``router.server_calls_per_query`` and ``cluster.server_calls_per_op``
+  — the shard-server calls a coordinator query and any op cost.
 
 They are pure functions of corpus, seeds and tape — no clock, no machine,
 no hash seed — so any difference is a change in behaviour, and ``--check``
@@ -44,6 +46,8 @@ COUNT_METRICS: tuple[tuple[str, str], ...] = (
     ("per_layer", "replication.ops_logged_per_write"),
     ("per_layer", "views.full_builds_per_op"),
     ("per_layer", "router.coalesce_ratio"),
+    ("per_layer", "router.server_calls_per_query"),
+    ("per_layer", "cluster.server_calls_per_op"),
 )
 
 
