@@ -2,8 +2,8 @@
 
 Shows the operational workflow: build once, write the untrusted-host dump
 (ciphertexts + TRS + public setup artifacts, never keys), reload it with a
-key service reconstructed from the deployment secret, and fetch the top-k
-snippets with checksum caching.
+key service reconstructed from the deployment secret, and check that the
+reloaded index answers a top-k query as the original deployment does.
 
 Run:  python examples/persistent_index.py
 """
@@ -11,14 +11,7 @@ Run:  python examples/persistent_index.py
 import tempfile
 from pathlib import Path
 
-from repro import (
-    SnippetClient,
-    SnippetStore,
-    SystemConfig,
-    ZerberRSystem,
-    load_cluster,
-    studip_like,
-)
+from repro import SystemConfig, ZerberRSystem, load_cluster, studip_like
 from repro.core.client import ZerberRClient
 from repro.crypto.keys import GroupKeyService
 
@@ -56,23 +49,6 @@ def main() -> None:
     print(f"\nreloaded index answers top-5 for {term!r}: {result.doc_ids()}")
     original = system.query(term, k=5)
     print(f"matches the original deployment: {result.doc_ids() == original.doc_ids()}")
-
-    # --- snippets with checksum caching (§6.6 optimization) -----------------
-    store = SnippetStore(keys2)
-    publisher = SnippetClient("reader", keys2, store)
-    for hit in result.hits:
-        publisher.publish(
-            hit.group, hit.doc_id, f"<r><d>{hit.doc_id}</d><s>{'…' * 80}</s></r>"
-        )
-    reader = SnippetClient("reader", keys2, store)
-    reader.fetch_many([(h.group, h.doc_id) for h in result.hits])
-    cold = reader.bytes_transferred
-    reader.fetch_many([(h.group, h.doc_id) for h in result.hits])
-    warm = reader.bytes_transferred - cold
-    print(
-        f"\nsnippets: cold fetch {cold} B, revalidation {warm} B "
-        f"({cold / max(warm, 1):.0f}x saved by checksum caching)"
-    )
 
 
 if __name__ == "__main__":

@@ -70,7 +70,6 @@ from repro.core.rstf import TrainerConfig
 from repro.core.cluster import ServerCluster
 from repro.core.idf import BucketedIdf, aggregate_with_idf
 from repro.persist import load_cluster, save_cluster
-from repro.snippets import SnippetClient, SnippetStore
 from repro.index import (
     MergePlan,
     OrdinaryInvertedIndex,
@@ -134,8 +133,6 @@ __all__ = [
     "aggregate_with_idf",
     "save_cluster",
     "load_cluster",
-    "SnippetStore",
-    "SnippetClient",
     # index
     "MergePlan",
     "OrdinaryInvertedIndex",

@@ -1,18 +1,15 @@
 """Crypto-misuse rules: construction discipline and key-material leaks.
 
-PR 2 made nonce safety a *service* property: the
-:class:`~repro.crypto.keys.GroupKeyService` owns THE
-:class:`~repro.crypto.cipher.NonceSequence` per (principal, group), so
-every writer — clients, snippet publishers, baselines — continues one
-counter stream.  A second sequence built ad hoc over the same key
-restarts the counter.  Nonces bind their plaintext, so that no longer
-reuses a keystream on different plaintexts, but every plaintext the
-first sequence encrypted at the same count comes out as the same
-ciphertext — an equality leak no test observes, because decryption
-still succeeds.  ``crypto-construct`` therefore bans direct
-cipher/keystream/nonce construction and raw ``hmac``/``hashlib`` calls
-outside ``repro.crypto`` (the ``Prf``/``derive_key`` surface stays
-public — it is stateless, so duplicating it is safe).
+The :class:`~repro.crypto.keys.GroupKeyService` is the one cache of
+:class:`~repro.crypto.cipher.StreamCipher` objects, one per (principal,
+group), and it drops a cipher — with its memo of decoded postings — the
+moment the membership behind it is revoked.  A cipher built ad hoc over
+a group key would keep its own memo past that revoke and go on serving
+decoded postings to a principal who may no longer read them.
+``crypto-construct`` therefore bans direct cipher construction and raw
+``hmac``/``hashlib`` calls outside ``repro.crypto`` (the
+``Prf``/``derive_key`` surface stays public — it is stateless, so
+duplicating it is safe).
 
 ``crypto-key-leak`` guards the other failure mode: key bytes reaching an
 f-string, ``print`` or logger call.  The untrusted-host model collapses
@@ -35,8 +32,8 @@ from repro.analysis.framework import (
 
 _SANCTIONED_MODULES = ("repro.crypto",)
 
-#: Stateful constructions whose duplication breaks nonce/keystream safety.
-_STATEFUL_CONSTRUCTORS = frozenset({"StreamCipher", "NonceSequence"})
+#: Stateful constructions the key service must own (a memo outliving a revoke).
+_STATEFUL_CONSTRUCTORS = frozenset({"StreamCipher"})
 
 _RAW_HASH_PREFIXES = ("hmac.", "hashlib.")
 
@@ -45,8 +42,8 @@ _RAW_HASH_PREFIXES = ("hmac.", "hashlib.")
 class CryptoConstructChecker(Checker):
     rule = "crypto-construct"
     description = (
-        "no StreamCipher/NonceSequence or raw hmac/hashlib construction "
-        "outside repro.crypto (nonce-reuse hazard)"
+        "no StreamCipher or raw hmac/hashlib construction outside "
+        "repro.crypto (a memo that outlives a revoke)"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -64,9 +61,8 @@ class CryptoConstructChecker(Checker):
                     self.rule,
                     node,
                     f"direct {terminal}() construction outside repro.crypto — "
-                    "obtain ciphers and nonce sequences from GroupKeyService; "
-                    "an ad-hoc sequence restarts the nonce counter (equal "
-                    "plaintexts then repeat their ciphertexts)",
+                    "obtain ciphers from GroupKeyService; an ad-hoc cipher "
+                    "keeps its own memo of decoded postings past a revoke",
                 )
             elif name.startswith(_RAW_HASH_PREFIXES):
                 yield ctx.finding(

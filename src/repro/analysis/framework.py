@@ -1,9 +1,9 @@
 """zlint — AST-based invariant checks for the Zerber+R codebase.
 
 The reproduction's correctness rests on contracts that unit tests cannot
-see at every call site: nonce sequences are singletons owned by the
-:class:`~repro.crypto.keys.GroupKeyService` (one restarted counter
-repeats the ciphertext of every equal plaintext), every list mutation flows through
+see at every call site: ciphers are singletons owned by the
+:class:`~repro.crypto.keys.GroupKeyService` (an ad-hoc one keeps its
+memo of decoded postings past a revoke), every list mutation flows through
 the replication log (a bypassed write silently diverges replicas),
 only the cluster and persist layers read the placement table,
 ``repro.core`` draws time and randomness only from the tick clock and

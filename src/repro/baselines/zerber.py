@@ -169,10 +169,7 @@ class ZerberSystem:
         for group in sorted(self.corpus.groups()):
             owner = f"owner:{group}"
             self.key_service.register(owner, {group})
-            cipher = self.key_service.cipher_for(owner, group)
-            # The key service owns THE nonce sequence per (owner, group) —
-            # a private sequence here would restart the counter stream.
-            nonces = self.key_service.nonce_sequence(owner, group)
+            encrypt = self.key_service.cipher_for(owner, group).encrypt
             for doc in self.corpus.documents_in_group(group):
                 doc_stats = self.corpus.stats(doc.doc_id)
                 doc_number = self.key_service.document_number(
@@ -181,10 +178,10 @@ class ZerberSystem:
                 encode = PostingElement.encoder(doc_number, doc_stats.length)
                 for term in sorted(doc_stats.counts):
                     list_id, number = self.merge_plan.locate(term)
-                    plaintext = encode(doc_stats.tf(term), number)
-                    ciphertext = cipher.encrypt(plaintext, nonces.next(plaintext))
                     element = EncryptedPostingElement(
-                        ciphertext=ciphertext, group=group, trs=None
+                        ciphertext=encrypt(encode(doc_stats.tf(term), number)),
+                        group=group,
+                        trs=None,
                     )
                     self.server.insert(owner, list_id, element)
 

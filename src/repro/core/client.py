@@ -6,9 +6,9 @@ values, and sends encrypted posting elements to the server along with the
 IDs of the merged posting list that the new element belongs to, the
 document's group and the TRS value."  The document is the unit on every
 leg of that path: :meth:`ZerberRClient.build_document` builds all of a
-document's elements in one pass (one cipher, nonce-sequence and PRF
-lookup per document, one vectorised RSTF evaluation, nonces drawn in
-sorted-term order), the upload is one ``insert_many`` batch, and
+document's elements in one pass (one cipher and PRF lookup per
+document, one vectorised RSTF evaluation, elements built in sorted-term
+order), the upload is one ``insert_many`` batch, and
 :meth:`ZerberRClient.delete_document` presents the document's receipts
 (:class:`~repro.core.protocol.Receipt`) as one ``delete_many`` batch — all
 or nothing, under one failover retry.  A receipt carries the TRS the
@@ -109,7 +109,7 @@ from repro.core.protocol import (
 )
 from repro.core.rstf import RstfModel
 from repro.core.cluster import ServerCluster
-from repro.crypto.cipher import NonceSequence, StreamCipher
+from repro.crypto.cipher import StreamCipher
 from repro.crypto.keys import GroupKeyService, Opener
 from repro.errors import (
     ProtocolError,
@@ -520,13 +520,6 @@ class ZerberRClient:
         # revoke — a client-side copy would outlive the membership.
         return self._keys.cipher_for(self.principal, group)
 
-    def _nonce_sequence(self, group: str) -> NonceSequence:
-        # The key service owns THE sequence per (principal, group): two
-        # clients for one principal (e.g. bound to different backends)
-        # continue one counter stream instead of restarting it, so their
-        # nonces stay unique and not merely unique up to equal plaintexts.
-        return self._keys.nonce_sequence(self.principal, group)
-
     def _unseen_trs(self, group: str, doc_id: str) -> Callable[[str], float]:
         """The paper's rule for training-unseen terms: a random TRS.
 
@@ -551,22 +544,23 @@ class ZerberRClient:
         target list ids, in one pass.
 
         *terms* defaults to every term of the document, sorted — the
-        order nonces are drawn in, so a document's ciphertexts do not
-        depend on who builds it.  Every term is checked (present in the
-        document, covered by the merge plan) before the document's
-        number is minted and before a nonce is drawn; one plan lookup
-        per term gives its list id and its term number; the document's
-        number in the group directory, the group's cipher, nonce
-        sequence and unseen-term PRF are looked up once, and all TRS
-        values come from one
+        order the elements come back in.  A ciphertext is a function of
+        its plaintext under the group key (SIV), so a document's
+        elements do not depend on who builds them or when.  Every term
+        is checked (present in the document, covered by the merge plan)
+        before the document's number is minted and before anything is
+        encrypted; one plan lookup per term gives its list id and its
+        term number; the document's number in the group directory, the
+        group's cipher and unseen-term PRF are looked up once, and all
+        TRS values come from one
         :meth:`~repro.core.rstf.RstfModel.transform_many`.
 
         Per element it builds nothing it throws away: the document's
         :meth:`~repro.index.postings.PostingElement.encoder` encodes the
         plaintext straight from ``(tf, term number)`` (no
         :class:`PostingElement` to read ``rscore`` off — it is ``tf /
-        length``, the same float), each nonce is bound to its plaintext,
-        and :meth:`~repro.index.postings.EncryptedPostingElement.checked`
+        length``, the same float), one ``encrypt`` call seals each, and
+        :meth:`~repro.index.postings.EncryptedPostingElement.checked`
         builds the element with its TRS check inline.
         """
         terms = sorted(doc.counts) if terms is None else list(terms)
@@ -597,10 +591,9 @@ class ZerberRClient:
         # Looked up per document, not bound once: a wrapper installed on
         # StreamCipher.encrypt (the e2e tracer's) sees every encryption.
         encrypt = self._cipher(group).encrypt
-        next_nonce = self._nonce_sequence(group).next
         element = EncryptedPostingElement.checked
         return [
-            (list_id, element(encrypt(plaintext, next_nonce(plaintext)), group, trs))
+            (list_id, element(encrypt(plaintext), group, trs))
             for list_id, plaintext, trs in zip(list_ids, plaintexts, trs_values)
         ]
 

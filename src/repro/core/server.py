@@ -190,9 +190,10 @@ class ZerberRServer:
         ``(list_id, ciphertext)`` pair): ``(list_id, position, element)``
         of the element it names, or ``None`` for a miss — nothing
         matches, or an earlier receipt of the batch already claimed the
-        element (ciphertexts are nonce-bound, hence unique).  The server
-        cannot read ciphertexts, so the match is exact; the receipt's TRS
-        lets :meth:`MergedPostingList.find_by_ciphertext` bisect to it.
+        element (ciphertexts are unique, as live postings' plaintexts
+        are).  The server cannot read ciphertexts, so the match is
+        exact; the receipt's TRS lets
+        :meth:`MergedPostingList.find_by_ciphertext` bisect to it.
         Membership is enforced against the *stored* element's group tag —
         only members of the owning group may delete it — and an unknown
         list id or a foreign element refuses the whole batch here, before

@@ -258,11 +258,10 @@ class ZerberRSystem:
         are cached per ``(principal, backend)`` for object identity and
         to avoid re-deriving key material, for as long as a caller holds
         the client: the cache never keeps a dropped deployment alive, and
-        a dropped client's session floors go with it.  Nonce safety does
-        NOT depend on the cache — the shared key service owns one
-        :class:`~repro.crypto.cipher.NonceSequence` per (principal,
-        group), so even independently constructed clients continue one
-        counter stream.
+        a dropped client's session floors go with it.  Sealing does not
+        depend on the cache either: a ciphertext is a function of its
+        plaintext under the group key (SIV), so independently
+        constructed clients seal a posting to the same bytes.
         """
         backend = self.cluster if server is None else server
         cache_key = (principal, id(backend))

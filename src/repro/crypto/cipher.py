@@ -1,37 +1,44 @@
-"""Authenticated counter-mode stream cipher over the crypto substrate.
+"""Deterministic authenticated stream cipher (SIV) over the crypto substrate.
 
 Wire format of a ciphertext::
 
-    nonce (12 bytes) || body (len(plaintext) bytes) || tag (16 bytes)
+    iv (16 bytes) || body (len(plaintext) bytes)
 
-``body = plaintext XOR keystream(nonce)``; the tag is keyed BLAKE2b-128
-over ``nonce || body`` under an independent MAC subkey (encrypt-then-MAC;
-BLAKE2's keyed mode is a MAC by design, RFC 7693), checked on decryption
-(wrong-key or tampered ciphertexts raise
-:class:`~repro.errors.AuthenticationError` instead of yielding garbage — a
-querying client must be able to tell "not my group's element" apart from
-data corruption).
+``iv`` is keyed BLAKE2b-128 of the plaintext under the ``"siv:v8"``
+subkey and ``body = plaintext XOR keystream(iv)``: the synthetic IV of
+Rogaway & Shrimpton's SIV construction (*Deterministic
+Authenticated-Encryption*, EUROCRYPT 2006; RFC 5297), so the one 16-byte
+value is both the keystream's nonce and the tag.  Decryption recomputes
+the IV over the decrypted body and refuses a mismatch (wrong-key or
+tampered ciphertexts raise :class:`~repro.errors.AuthenticationError`
+instead of yielding garbage — a querying client must be able to tell
+"not my group's element" apart from data corruption).  BLAKE2's keyed
+mode is a PRF and a MAC by design (RFC 7693).
 
 The keystream is keyed BLAKE2b-512 under the enc subkey, in counter
-mode: block 0 is ``BLAKE2b(enc_subkey; nonce)`` and block ``i >= 1`` is
-``BLAKE2b(enc_subkey; nonce || i)`` with ``i`` as 8 big-endian bytes, the
+mode: block 0 is ``BLAKE2b(enc_subkey; iv)`` and block ``i >= 1`` is
+``BLAKE2b(enc_subkey; iv || i)`` with ``i`` as 8 big-endian bytes, the
 blocks concatenated and cut to the body length.  Every block hashes a
-distinct input (block 0's is 12 bytes long, every other one 20), so the
+distinct input (block 0's is 16 bytes long, every other one 24), so the
 blocks are independent PRF outputs.  A body of up to 64 bytes — every
 posting element, a fixed 14-byte header — is block 0 alone.
 
-The nonce is 96 bits, the AEAD nonce width of RFC 5116 and RFC 8439.
-:class:`NonceSequence` derives it from the plaintext it protects, so a
-repeat needs an equal plaintext and then gives the identical ciphertext;
-two *distinct* inputs share a nonce only by a collision of the 96-bit
-PRF, which the birthday bound puts at ~2^48 encryptions under one
-(principal, group) key — far past any index this code builds.
+What determinism reveals, and all it reveals: under one group key equal
+plaintexts seal to equal bytes.  Two *distinct* plaintexts share an IV
+only by a collision of the 128-bit PRF (~2^64 encryptions under one key
+by the birthday bound), and the tag is 128 bits as before.  A live index
+never holds two equal postings — (term number, doc number) is unique per
+group — so equality shows only when a deleted document is indexed again
+unchanged: its elements come back byte for byte.  The server links such
+a re-index anyway, through the identical list / TRS multiset it sends
+(the TRS of a document's elements is a function of its terms and tf, and
+of its doc id for unseen terms, so re-inserting is idempotent).  A
+document whose tf changed seals to new bytes.
 
-The MAC subkey is derived under the label ``"mac:v6"``: a ciphertext
-sealed with the 16-byte nonce and SHAKE-256 keystream of dump format v5
-covers the same bytes with its tag, so under the old subkey it would
-verify and then decrypt to garbage; under the new one it fails its tag
-and is refused like any foreign element.
+The IV subkey is derived under the label ``"siv:v8"``, fresh in format
+v8: a v7 ciphertext (``nonce (12) || body || tag (16)``) has no IV this
+subkey produced, so it fails its check and is refused like any foreign
+element.
 
 Performance model — this cipher sits on the fetch hot path (a querying
 client skims every readable element of every fetched slice, the elements
@@ -39,28 +46,23 @@ past k included), so every layer of the per-element cost is flattened:
 
 * a posting's keystream is one keyed BLAKE2b digest — ``copy`` /
   ``update`` / ``digest`` of the state keyed once in ``__init__``, the
-  tag's construction — so opening an element is two keyed BLAKE2b
-  hashes (a SHAKE-256 state copy alone costs more than a whole keyed
-  BLAKE2b digest).  Only a body past 64 bytes (a snippet) leaves the
-  inline path for :meth:`StreamCipher._stream`;
+  IV's construction — so opening an element is two keyed BLAKE2b hashes.
+  Only a body past 64 bytes (a directory) leaves the inline path for
+  :meth:`StreamCipher._stream`;
 * the XOR is a single arbitrary-precision integer operation
   (``int.from_bytes(a) ^ int.from_bytes(b)``), three C-level calls instead
   of one Python iteration per byte; the one-block keystream is cut to the
   body length by a right shift of its integer, not a slice;
-* the tag is one keyed hash: the BLAKE2b state keyed with the MAC subkey
-  is built once and each tag is ``copy`` / ``update`` / ``digest`` of it,
-  where HMAC-SHA256 needs an inner and an outer state per tag (about
-  half the time per element);
 * both subkey derivations happen once in ``__init__``, which also binds
   the ``copy`` methods of the two keyed states the kernel uses per
   element;
 * :meth:`StreamCipher.try_decrypt` is the one kernel every non-raising
-  decrypt goes through — memo probe, MAC, keystream, XOR, the caller's
-  plaintext decoder and the memo store for ONE ciphertext, all inline,
-  so a miss enters no Python frame but the decoder's and a hit none at
-  all.  It is per element, not per batch, because the steady state of a
-  query is a memo hit: a fetched slice interleaves ~7 groups at ~2
-  elements each, so a per-group batch spends more on bucketing the
+  decrypt goes through — memo probe, keystream, XOR, IV check, the
+  caller's plaintext decoder and the memo store for ONE ciphertext, all
+  inline, so a miss enters no Python frame but the decoder's and a hit
+  none at all.  It is per element, not per batch, because the steady
+  state of a query is a memo hit: a fetched slice interleaves ~7 groups
+  at ~2 elements each, so a per-group batch spends more on bucketing the
   slice, setting the batch up and re-sorting its output than the hits
   themselves cost, while a miss (a few microseconds of hashing and
   decoding) does not notice one call.
@@ -68,13 +70,13 @@ past k included), so every layer of the per-element cost is flattened:
   there is one copy of the sequence and one place the memo rules live;
 * a bounded verified-decoded memo (ciphertext -> ``decode(verified
   plaintext)``) makes re-skims of hot elements O(dict lookup) — a hit
-  skips MAC, keystream and decode alike: the paper's Zipf workload
+  skips keystream, IV check and decode alike: the paper's Zipf workload
   fetches the same head slices over and over (every concurrent query
   shares the hot terms), and a ciphertext is immutable — same bytes,
   same plaintext, same decoded value, so serving a memoised verified
-  result is sound.  Only what passed the MAC *and* its decoder is ever
-  stored; the memo holds one decoder's values at a time (a raw caller
-  never sees a decoded entry or the reverse, nor one decoder
+  result is sound.  Only what passed the IV check *and* its decoder is
+  ever stored; the memo holds one decoder's values at a time (a raw
+  caller never sees a decoded entry or the reverse, nor one decoder
   another's); and it lives inside the per-group cipher, which
   principals only obtain through the membership-checked key service
   and which dies with its membership on revoke.
@@ -90,8 +92,8 @@ from typing import Any, TypeVar, overload
 from repro.crypto.prf import derive_key
 from repro.errors import AuthenticationError
 
-NONCE_SIZE = 12
-TAG_SIZE = 16
+#: The synthetic IV: keystream nonce and authentication tag in one.
+IV_SIZE = 16
 #: One keystream block: a BLAKE2b-512 digest, the longest one-block body.
 BLOCK_SIZE = 64
 
@@ -114,7 +116,7 @@ class StreamCipher:
 
     __slots__ = (
         "_keystream",
-        "_mac",
+        "_siv",
         "_memo",
         "_memo_capacity",
         "_memo_decoder",
@@ -131,12 +133,12 @@ class StreamCipher:
         if memo_capacity < 0:
             raise ValueError("memo_capacity must be non-negative")
         # The keyed states themselves stay private to these bound methods:
-        # every keystream block and every tag starts from a copy of one.
+        # every keystream block and every IV starts from a copy of one.
         self._keystream = hashlib.blake2b(
             key=derive_key(master_key, "enc"), digest_size=BLOCK_SIZE
         ).copy
-        self._mac = hashlib.blake2b(
-            key=derive_key(master_key, "mac:v6"), digest_size=TAG_SIZE
+        self._siv = hashlib.blake2b(
+            key=derive_key(master_key, "siv:v8"), digest_size=IV_SIZE
         ).copy
         # ciphertext -> _memo_decoder(verified plaintext); None = raw bytes
         self._memo: dict[bytes, Any] = {}
@@ -144,49 +146,46 @@ class StreamCipher:
         self._memo_capacity = memo_capacity
         self.memo_hits = 0
 
-    def encrypt(self, plaintext: bytes, nonce: bytes) -> bytes:
-        """Encrypt *plaintext*; *nonce* must be unique per message.
-
-        Nonces are caller-supplied (12 bytes) so that tests and simulations
-        stay deterministic; :class:`NonceSequence` provides a safe default,
-        ``next(plaintext)``.
-        """
-        if len(nonce) != NONCE_SIZE:
-            raise ValueError(f"nonce must be {NONCE_SIZE} bytes")
+    def encrypt(self, plaintext: bytes) -> bytes:
+        """Seal *plaintext*: ``iv || plaintext XOR keystream(iv)``, the
+        IV a PRF of the plaintext, so equal plaintexts seal equal."""
+        siv = self._siv()
+        siv.update(plaintext)
+        iv = siv.digest()
         size = len(plaintext)
         if size <= BLOCK_SIZE:
             block = self._keystream()
-            block.update(nonce)
+            block.update(iv)
             stream = int.from_bytes(block.digest(), "big") >> (BLOCK_SIZE - size) * 8
         else:
-            stream = self._stream(nonce, size)
-        head = nonce + (int.from_bytes(plaintext, "big") ^ stream).to_bytes(size, "big")
-        mac = self._mac()
-        mac.update(head)
-        return head + mac.digest()
+            stream = self._stream(iv, size)
+        return iv + (int.from_bytes(plaintext, "big") ^ stream).to_bytes(size, "big")
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         """Decrypt and authenticate; raises :class:`AuthenticationError`."""
-        if len(ciphertext) < NONCE_SIZE + TAG_SIZE:
+        if len(ciphertext) < IV_SIZE:
             raise AuthenticationError("ciphertext too short")
-        mac = self._mac()
-        mac.update(ciphertext[:-TAG_SIZE])
-        if not _compare_digest(ciphertext[-TAG_SIZE:], mac.digest()):
-            raise AuthenticationError("ciphertext failed integrity check")
-        body = ciphertext[NONCE_SIZE:-TAG_SIZE]
+        iv = ciphertext[:IV_SIZE]
+        body = ciphertext[IV_SIZE:]
         size = len(body)
-        stream = self._stream(ciphertext[:NONCE_SIZE], size)
-        return (int.from_bytes(body, "big") ^ stream).to_bytes(size, "big")
+        plaintext = (int.from_bytes(body, "big") ^ self._stream(iv, size)).to_bytes(
+            size, "big"
+        )
+        siv = self._siv()
+        siv.update(plaintext)
+        if not _compare_digest(iv, siv.digest()):
+            raise AuthenticationError("ciphertext failed integrity check")
+        return plaintext
 
-    def _stream(self, nonce: bytes, size: int) -> int:
+    def _stream(self, iv: bytes, size: int) -> int:
         """The keystream of a *size*-byte body, as the integer of its
-        big-endian bytes: block 0 over *nonce*, then block ``i`` over
-        ``nonce || i``, concatenated and cut to *size*.  :meth:`encrypt`
+        big-endian bytes: block 0 over *iv*, then block ``i`` over
+        ``iv || i``, concatenated and cut to *size*.  :meth:`encrypt`
         and :meth:`try_decrypt` inline the one-block case."""
         blocks = []
         for counter in range(-(-size // BLOCK_SIZE)):
             block = self._keystream()
-            block.update(nonce + counter.to_bytes(8, "big") if counter else nonce)
+            block.update(iv + counter.to_bytes(8, "big") if counter else iv)
             blocks.append(block.digest())
         return int.from_bytes(b"".join(blocks), "big") >> (
             len(blocks) * BLOCK_SIZE - size
@@ -201,23 +200,24 @@ class StreamCipher:
     ) -> _T | None: ...
 
     def try_decrypt(self, ciphertext: bytes, decode: _Decoder | None = None) -> Any:
-        """The skim kernel: verify → decrypt → decode → memoise ONE
+        """The skim kernel: decrypt → verify → decode → memoise ONE
         ciphertext; ``None`` instead of raising where authentication fails.
 
         A memoised ciphertext is answered from the memo (and counted in
-        ``memo_hits``) before anything else.  Otherwise the tag is
-        checked and only then is the body decrypted and handed to
-        *decode* — which therefore never sees unauthenticated bytes.
-        What *decode* raises propagates and nothing is stored for that
-        ciphertext.  A store into a full memo first drops its oldest
-        half (dicts iterate in insertion order): amortised O(1) per
-        store, no per-hit bookkeeping.
+        ``memo_hits``) before anything else.  Otherwise the body is
+        decrypted, the IV recomputed over that plaintext and compared in
+        constant time, and only a match is handed to *decode* — which
+        therefore never sees unauthenticated bytes.  What *decode* raises
+        propagates and nothing is stored for that ciphertext.  A store
+        into a full memo first drops its oldest half (dicts iterate in
+        insertion order): amortised O(1) per store, no per-hit
+        bookkeeping.
 
         The memo serves only the decoder that filled it, compared by
         identity — pass one stable function, not a fresh closure or bound
         method per call.  A new decoder empties the memo and takes it
-        over; a raw caller (the snippet path shares these ciphers) goes
-        around a decoder's memo instead of evicting it.
+        over; a raw caller goes around a decoder's memo instead of
+        evicting it.
         """
         memo = self._memo
         owns_memo = True
@@ -231,21 +231,22 @@ class StreamCipher:
         else:
             memo.clear()
             self._memo_decoder = decode
-        if len(ciphertext) < NONCE_SIZE + TAG_SIZE:
+        if len(ciphertext) < IV_SIZE:
             return None
-        mac = self._mac()
-        mac.update(ciphertext[:-TAG_SIZE])
-        if not _compare_digest(ciphertext[-TAG_SIZE:], mac.digest()):
-            return None
-        body = ciphertext[NONCE_SIZE:-TAG_SIZE]
+        iv = ciphertext[:IV_SIZE]
+        body = ciphertext[IV_SIZE:]
         size = len(body)
         if size <= BLOCK_SIZE:
             block = self._keystream()
-            block.update(ciphertext[:NONCE_SIZE])
+            block.update(iv)
             stream = int.from_bytes(block.digest(), "big") >> (BLOCK_SIZE - size) * 8
         else:
-            stream = self._stream(ciphertext[:NONCE_SIZE], size)
+            stream = self._stream(iv, size)
         value: Any = (int.from_bytes(body, "big") ^ stream).to_bytes(size, "big")
+        siv = self._siv()
+        siv.update(value)
+        if not _compare_digest(iv, siv.digest()):
+            return None
         if decode is not None:
             value = decode(value)
         capacity = self._memo_capacity
@@ -270,41 +271,3 @@ class StreamCipher:
         """Skim a batch: :meth:`try_decrypt` per input, in input order."""
         try_one = self.try_decrypt
         return [try_one(ciphertext, decode) for ciphertext in ciphertexts]
-
-
-class NonceSequence:
-    """Deterministic nonces bound to their plaintext, SIV-style (RFC 5297).
-
-    ``next(plaintext)`` is keyed BLAKE2b-96 under a nonce subkey over
-    ``counter (8 bytes) || plaintext``: the state keyed once in
-    ``__init__`` is copied, updated and digested per nonce, the tag's
-    construction.  The 12 bytes are the AEAD nonce width of RFC 5116 and
-    RFC 8439.  Two nonces of one sequence repeat where the counter *and*
-    the plaintext repeat, or where two distinct inputs collide under the
-    96-bit PRF: by the birthday bound the chance is about ``n^2 / 2^97``
-    after ``n`` encryptions under one (principal, group) key, so a
-    collision becomes likely only after ~2^48 of them.  Within a process
-    the counter never repeats.  Across a restart it does — a sequence
-    rebuilt from the same key starts at 0 again, e.g. after a dump is
-    reloaded under the deployment secret — and then a repeated nonce
-    needs an equal plaintext, whose ciphertext is the identical byte
-    string: it shows the server that two elements are equal and nothing
-    more, where a counter alone would give it the XOR of two different
-    plaintexts.
-    """
-
-    __slots__ = ("_prf", "_counter")
-
-    def __init__(self, master_key: bytes, label: str = "nonce") -> None:
-        self._prf = hashlib.blake2b(
-            key=derive_key(master_key, label), digest_size=NONCE_SIZE
-        ).copy
-        self._counter = 0
-
-    def next(self, plaintext: bytes) -> bytes:
-        """The nonce to encrypt *plaintext* under, advancing the counter."""
-        prf = self._prf()
-        prf.update(self._counter.to_bytes(8, "big"))
-        prf.update(plaintext)
-        self._counter += 1
-        return prf.digest()

@@ -54,7 +54,7 @@ from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.crypto.cipher import NonceSequence, StreamCipher
+from repro.crypto.cipher import StreamCipher
 from repro.crypto.prf import Prf, derive_key
 from repro.errors import AccessDeniedError, ConfigurationError
 
@@ -126,7 +126,6 @@ class GroupKeyService:
         self._groups: dict[str, bytes] = {}
         self._directories: dict[str, DocumentDirectory] = {}
         self._principals: dict[str, Principal] = {}
-        self._nonce_sequences: dict[tuple[str, str], NonceSequence] = {}
         # Hot-path object caches: building a StreamCipher (two subkey
         # derivations plus hash key schedules) or an unseen-term Prf per
         # call would dominate the skim path.  Membership is re-checked on
@@ -239,9 +238,11 @@ class GroupKeyService:
         """THE ready-to-use cipher of a member of *group* — cached.
 
         Membership is checked on EVERY call, not just the cache miss, so a
-        revoked principal loses access immediately; the cached
-        :class:`StreamCipher` itself is stateless (nonces are
-        caller-supplied), so sharing it across calls is safe.
+        revoked principal loses access immediately.  Sealing is
+        deterministic (SIV), so the cached :class:`StreamCipher` holds
+        no write state and sharing it across calls is safe; its only
+        state is the memo of decoded postings, which dies with the cache
+        slot on enroll/revoke.
         """
         if not self.is_member(principal, group):
             raise AccessDeniedError(principal, group)
@@ -304,30 +305,28 @@ class GroupKeyService:
             raise AccessDeniedError(principal, group)
         return self._directories[group].number(doc_id)
 
-    def _directory_sealer(self, group: str) -> tuple[StreamCipher, NonceSequence]:
-        """The cipher and nonce PRF a dump seals *group*'s directory
-        with, both under a subkey of the group key that no posting
-        cipher derives (the key :meth:`create_group` would derive, for a
-        group not created yet)."""
+    def _directory_sealer(self, group: str) -> StreamCipher:
+        """The cipher a dump seals *group*'s directory with, under a
+        subkey of the group key that no posting cipher derives (the key
+        :meth:`create_group` would derive, for a group not created
+        yet)."""
         group_key = self._groups.get(group) or derive_key(self._master, f"group:{group}")
-        key = derive_key(group_key, "directory")
-        return StreamCipher(key, memo_capacity=0), NonceSequence(key)
+        return StreamCipher(derive_key(group_key, "directory"), memo_capacity=0)
 
     def sealed_directories(self) -> dict[str, bytes]:
         """Every non-empty directory, by group, sealed under its group's
         directory subkey: what a dump stores in place of the names.
 
-        The nonce is the PRF of the sealed names, so one directory seals
-        to the same bytes every time and two seals share a nonce only
-        for equal names.  The trusted side of a save: no principal
+        Sealing is deterministic, so one directory seals to the same
+        bytes every time.  The trusted side of a save: no principal
         involved, nothing leaves in the clear.
         """
         sealed: dict[str, bytes] = {}
         for group, directory in sorted(self._directories.items()):
             if directory.names:
-                cipher, nonces = self._directory_sealer(group)
-                plaintext = json.dumps(directory.names).encode()
-                sealed[group] = cipher.encrypt(plaintext, nonces.next(plaintext))
+                sealed[group] = self._directory_sealer(group).encrypt(
+                    json.dumps(directory.names).encode()
+                )
         return sealed
 
     def install_directories(self, sealed: Mapping[str, bytes]) -> None:
@@ -342,8 +341,7 @@ class GroupKeyService:
         """
         opened: dict[str, list[str]] = {}
         for group, blob in sealed.items():
-            cipher, _ = self._directory_sealer(group)
-            plaintext = cipher.try_decrypt(blob)
+            plaintext = self._directory_sealer(group).try_decrypt(blob)
             if plaintext is None:
                 continue
             try:
@@ -371,36 +369,6 @@ class GroupKeyService:
             number = self._directories[group].number
             for name in tail:
                 number(name)
-
-    def nonce_sequence(self, principal: str, group: str) -> NonceSequence:
-        """THE nonce sequence of a (member, group) pair — a singleton.
-
-        A principal's nonces are ``PRF(counter || plaintext)`` under a key
-        derived only from the group key and the principal's name (see
-        :class:`NonceSequence`).  The key service (shared by every client
-        of a deployment) owns one cached sequence per pair, so within a
-        deployment the counter never repeats and nonces are unique.  A
-        service rebuilt from the same secret — a restored dump — starts
-        the counter again, and then a nonce repeats only for an equal
-        plaintext, as the identical ciphertext: uniqueness holds across
-        restarts up to equal plaintexts.  Clients must still draw nonces
-        from here instead of building their own sequence.
-        """
-        # Membership is checked on EVERY call, not just the cache miss: a
-        # revoked principal must lose access immediately (cached state
-        # never outlives a revocation).  The cache entry itself survives a
-        # revoke so that a later re-enroll resumes the counter instead of
-        # restarting it.
-        if not self.is_member(principal, group):
-            raise AccessDeniedError(principal, group)
-        cache_key = (principal, group)
-        sequence = self._nonce_sequences.get(cache_key)
-        if sequence is None:
-            sequence = NonceSequence(
-                self.group_key(principal, group), label=f"nonce:{principal}"
-            )
-            self._nonce_sequences[cache_key] = sequence
-        return sequence
 
     def unseen_term_prf(self, principal: str, group: str) -> Prf:
         """The keyed PRF members use to assign TRS to training-unseen terms.

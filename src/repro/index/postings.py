@@ -34,9 +34,10 @@ maps every byte string either to exactly one element, whose
 :class:`~repro.errors.ProtocolError` — a number outside the plan or the
 directory included.
 
-What the server learns from a length: the cipher adds a 12-byte nonce
-and a 16-byte tag and does not hide the body's length, so the untrusted
-server sees ``len(ciphertext) == 12 + 14 + 16 == 42`` for every element
+What the server learns from a length: the cipher adds a 16-byte
+synthetic IV (nonce and tag in one) and does not hide the body's length,
+so the untrusted server sees ``len(ciphertext) == 16 + 14 == 30`` for
+every element
 — the same for every document, term, tf and doc_length (pinned in
 ``tests/test_integration_security.py``).  When the doc id was spelled
 out, ``len(doc_id)`` linked one document's elements across lists (a

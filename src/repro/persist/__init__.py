@@ -20,20 +20,21 @@ index server is a one-server cluster, and its dump is this one too.  A
 ``kind: "server"`` container (a bare server, from an older build) is
 refused by name: re-index to carry it over.
 
-The container is format **v7**, the only version this build writes or
-reads.  It is renumbered because every stored plaintext changed: a v7
-element names its document by a 4-byte number in a fixed 14-byte
-header, where a v6 element spelled the doc id out after a 10-byte one,
-and a v7 dump carries the sealed directories that resolve the numbers.
-Every v6 element would open and then fail the header, so a v6 dump
-would restore without complaint and answer every query with an error.
-(Every v5 element fails its tag: v6 replaced the 16-byte nonce and
-SHAKE-256 keystream with a 12-byte nonce and a keyed-BLAKE2b one under a
-new MAC subkey; every v4 element fails its tag too — keyed BLAKE2b-128
-replaced truncated HMAC-SHA256 in v5; a v3 element would also misread
-its plaintext — its term-length byte and first three term bytes read as
-a term number — and a v2 element, canonical JSON, never decodes at
-all.)  Any other version is therefore refused with a
+The container is format **v8**, the only version this build writes or
+reads.  It is renumbered because every stored ciphertext changed: a v8
+element (and a sealed directory) is SIV — ``iv (16) || body``, the IV a
+PRF of the plaintext under a new subkey and checked on decryption —
+where a v7 one was ``nonce (12) || body || tag (16)``.  Under the new
+check every v7 element would fail and read as not the reader's, so a v7
+dump would restore without complaint and answer every query with
+nothing.  (A v7 element named its document by number in a fixed 14-byte
+header and a v6 one spelled the doc id out after a 10-byte header; v6
+replaced v5's 16-byte nonce and SHAKE-256 keystream with a 12-byte nonce
+and a keyed-BLAKE2b one; keyed BLAKE2b-128 replaced v4's truncated
+HMAC-SHA256 tag in v5; a v3 element would also misread its plaintext —
+its term-length byte and first three term bytes read as a term number —
+and a v2 element, canonical JSON, never decodes at all.)  Any other
+version is therefore refused with a
 :class:`~repro.errors.ConfigurationError` naming the file, the version
 found and the version read, and the hint to re-index: that is how an
 older index is carried over.

@@ -22,7 +22,7 @@ from repro.index.merge import MergePlan
 from repro.index.postings import EncryptedPostingElement
 
 #: The one dump format this build writes and reads (see :mod:`repro.persist`).
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 
 def read_payload(path: str | Path) -> dict:

@@ -1,7 +1,5 @@
-"""Good: ciphers and nonce sequences come from the key service."""
+"""Good: ciphers come from the key service."""
 
 
 def encrypt_sanctioned(keys, principal: str, group: str, plaintext: bytes) -> bytes:
-    cipher = keys.cipher_for(principal, group)
-    nonce = keys.nonce_sequence(principal, group).next(plaintext)
-    return cipher.encrypt(plaintext, nonce)
+    return keys.cipher_for(principal, group).encrypt(plaintext)

@@ -85,9 +85,9 @@ def counted_encrypts(monkeypatch):
     calls = []
     encrypt = StreamCipher.encrypt
 
-    def counting(self, plaintext, nonce):
+    def counting(self, plaintext):
         calls.append(len(plaintext))
-        return encrypt(self, plaintext, nonce)
+        return encrypt(self, plaintext)
 
     monkeypatch.setattr(StreamCipher, "encrypt", counting)
     return calls

@@ -11,9 +11,11 @@ written as ``cluster_v<FORMAT_VERSION>.json``.
 
 The committed dumps were written by this script at the builds of their
 versions: ``cluster_v5.json`` (16-byte nonces from HMAC-SHA256 of a bare
-counter, a SHAKE-256 keystream, dataclass log ops) and
+counter, a SHAKE-256 keystream, dataclass log ops),
 ``cluster_v6.json`` (12-byte nonces, a keyed-BLAKE2b keystream, each
-plaintext's doc id spelled out after a 10-byte header).  Rerunning it
+plaintext's doc id spelled out after a 10-byte header) and
+``cluster_v7.json`` (``nonce (12) || body || tag (16)`` seals, the
+document numbered in a 14-byte header, sealed directories).  Rerunning it
 writes what the code in the tree writes, so run it before a format bump,
 not after.
 """

@@ -78,7 +78,7 @@ class TestSystem:
         result = zsystem.query(term, k=10)
         assert result.trace.elements_transferred > 10
 
-    def test_documents_are_numbered_per_group_and_every_element_is_42_bytes(
+    def test_documents_are_numbered_per_group_and_every_element_is_30_bytes(
         self, zsystem, corpus
     ):
         """The indexer mints one number per document in its group's
@@ -92,7 +92,7 @@ class TestSystem:
             len(element.ciphertext)
             for list_id in range(zsystem.merge_plan.num_lists)
             for element in zsystem.server.download("superuser", list_id)
-        } == {42}
+        } == {30}
 
     def test_unknown_term(self, zsystem):
         with pytest.raises(UnknownTermError):

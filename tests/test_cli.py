@@ -224,7 +224,7 @@ class TestDocumentIdsNeverReachTheServer:
     """The doc half of Def. 2 on the shipped path: ``build`` names each
     document by its path relative to ``--input``, paths differ in length
     (one is not ASCII), and yet every ciphertext of every merged list is
-    the same 42 bytes and the dump never spells a path out."""
+    the same 30 bytes and the dump never spells a path out."""
 
     FILES = {
         "a.txt": "reactor calibration notes reactor",
@@ -244,7 +244,7 @@ class TestDocumentIdsNeverReachTheServer:
         assert main(["build", "--input", str(root), "--output", str(dump), "--r", "1.5"]) == 0
         return root, dump
 
-    def test_every_ciphertext_is_42_bytes_whatever_its_path(self, built):
+    def test_every_ciphertext_is_30_bytes_whatever_its_path(self, built):
         root, dump = built
         doc_ids = _corpus_from_directory(root).doc_ids()
         assert sorted(doc_ids) == sorted(self.FILES)
@@ -258,7 +258,7 @@ class TestDocumentIdsNeverReachTheServer:
             for element in cluster.server(0).export_list(list_id)
         )
         assert sum(lengths.values()) == cluster.num_elements > 0
-        assert set(lengths) == {42}
+        assert set(lengths) == {30}
 
     def test_a_reloaded_index_still_names_every_path(self, built, capsys):
         _, dump = built

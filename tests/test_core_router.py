@@ -385,7 +385,7 @@ class TestSessionProtocol:
         assert session.result().ranked == ()
 
     def test_client_for_caches_per_backend(self, deployment):
-        """One client (one nonce sequence) per (principal, backend)."""
+        """One client (one set of session floors) per (principal, backend)."""
         system, cluster, _ = deployment
         a = system.client_for("superuser", server=cluster)
         b = system.client_for("superuser", server=cluster)

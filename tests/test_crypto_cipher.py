@@ -1,45 +1,42 @@
-"""Unit tests for the authenticated stream cipher."""
-
-import hashlib
-import hmac
+"""Unit tests for the deterministic authenticated stream cipher (SIV)."""
 
 import pytest
 
-from repro.crypto.cipher import NONCE_SIZE, NonceSequence, StreamCipher, TAG_SIZE
+from repro.crypto.cipher import IV_SIZE, StreamCipher
 from repro.errors import AuthenticationError
+from repro.index.postings import HEADER_SIZE
 
 KEY = b"k" * 32
-NONCE = b"n" * NONCE_SIZE
+#: A posting element's plaintext: a fixed-size header.
+POSTING = bytes(range(HEADER_SIZE))
 
 
 class TestStreamCipher:
     def test_roundtrip(self):
         cipher = StreamCipher(KEY)
-        assert cipher.decrypt(cipher.encrypt(b"hello", NONCE)) == b"hello"
+        assert cipher.decrypt(cipher.encrypt(b"hello")) == b"hello"
 
     def test_empty_plaintext(self):
         cipher = StreamCipher(KEY)
-        assert cipher.decrypt(cipher.encrypt(b"", NONCE)) == b""
+        assert cipher.decrypt(cipher.encrypt(b"")) == b""
 
     def test_ciphertext_layout(self):
-        ciphertext = StreamCipher(KEY).encrypt(b"abc", NONCE)
-        assert len(ciphertext) == NONCE_SIZE + 3 + TAG_SIZE
-        assert ciphertext[:NONCE_SIZE] == NONCE
+        assert len(StreamCipher(KEY).encrypt(b"abc")) == IV_SIZE + 3
 
     def test_wrong_key_fails_auth(self):
-        ciphertext = StreamCipher(KEY).encrypt(b"secret", NONCE)
+        ciphertext = StreamCipher(KEY).encrypt(b"secret")
         with pytest.raises(AuthenticationError):
             StreamCipher(b"x" * 32).decrypt(ciphertext)
 
     def test_tampered_body_fails_auth(self):
-        ciphertext = bytearray(StreamCipher(KEY).encrypt(b"secret", NONCE))
-        ciphertext[NONCE_SIZE] ^= 0x01
+        ciphertext = bytearray(StreamCipher(KEY).encrypt(b"secret"))
+        ciphertext[IV_SIZE] ^= 0x01
         with pytest.raises(AuthenticationError):
             StreamCipher(KEY).decrypt(bytes(ciphertext))
 
-    def test_tampered_tag_fails_auth(self):
-        ciphertext = bytearray(StreamCipher(KEY).encrypt(b"secret", NONCE))
-        ciphertext[-1] ^= 0x01
+    def test_tampered_iv_fails_auth(self):
+        ciphertext = bytearray(StreamCipher(KEY).encrypt(b"secret"))
+        ciphertext[0] ^= 0x01
         with pytest.raises(AuthenticationError):
             StreamCipher(KEY).decrypt(bytes(ciphertext))
 
@@ -47,23 +44,62 @@ class TestStreamCipher:
         with pytest.raises(AuthenticationError):
             StreamCipher(KEY).decrypt(b"short")
 
+    @pytest.mark.parametrize("position", range(IV_SIZE + HEADER_SIZE))
+    def test_every_byte_of_a_sealed_posting_is_authenticated(self, position):
+        """IV and body alike: no byte of a posting can change unseen."""
+        cipher = StreamCipher(KEY)
+        ciphertext = bytearray(cipher.encrypt(POSTING))
+        ciphertext[position] ^= 0x80
+        with pytest.raises(AuthenticationError):
+            cipher.decrypt(bytes(ciphertext))
+        assert cipher.try_decrypt(bytes(ciphertext)) is None
+
+    @pytest.mark.parametrize(
+        "length", [0, 1, IV_SIZE - 1, IV_SIZE, IV_SIZE + HEADER_SIZE - 1]
+    )
+    def test_a_cut_posting_is_refused(self, length):
+        """A prefix is refused, the bare IV (an empty body) included."""
+        cipher = StreamCipher(KEY)
+        cut = cipher.encrypt(POSTING)[:length]
+        with pytest.raises(AuthenticationError):
+            cipher.decrypt(cut)
+        assert cipher.try_decrypt(cut) is None
+
+    def test_an_extended_posting_is_refused(self):
+        cipher = StreamCipher(KEY)
+        with pytest.raises(AuthenticationError):
+            cipher.decrypt(cipher.encrypt(POSTING) + b"\x00")
+
+    def test_one_postings_iv_on_anothers_body_is_refused(self):
+        """The IV binds its own body: a splice of two sealed postings of
+        one key and one length opens as neither."""
+        cipher = StreamCipher(KEY)
+        first = cipher.encrypt(POSTING)
+        second = cipher.encrypt(POSTING[::-1])
+        assert cipher.try_decrypt(first[:IV_SIZE] + second[IV_SIZE:]) is None
+        assert cipher.try_decrypt(second[:IV_SIZE] + first[IV_SIZE:]) is None
+
+    def test_the_memo_does_not_change_the_bytes(self):
+        """A cipher with its memo off seals and opens the same bytes."""
+        cipher, bare = StreamCipher(KEY), StreamCipher(KEY, memo_capacity=0)
+        ciphertext = cipher.encrypt(POSTING)
+        assert bare.encrypt(POSTING) == ciphertext
+        assert bare.try_decrypt(ciphertext) == cipher.try_decrypt(ciphertext) == POSTING
+
     def test_try_decrypt_returns_none_on_failure(self):
-        ciphertext = StreamCipher(KEY).encrypt(b"m", NONCE)
+        ciphertext = StreamCipher(KEY).encrypt(b"m")
         assert StreamCipher(b"y" * 32).try_decrypt(ciphertext) is None
 
     def test_try_decrypt_success(self):
         cipher = StreamCipher(KEY)
-        assert cipher.try_decrypt(cipher.encrypt(b"m", NONCE)) == b"m"
+        assert cipher.try_decrypt(cipher.encrypt(b"m")) == b"m"
 
-    def test_wrong_nonce_size_rejected(self):
-        with pytest.raises(ValueError):
-            StreamCipher(KEY).encrypt(b"m", b"tiny")
-
-    def test_nonce_changes_ciphertext(self):
+    def test_equal_plaintexts_seal_equal_and_nothing_else_does(self):
+        """Sealing is deterministic per key: the one thing it shows."""
         cipher = StreamCipher(KEY)
-        a = cipher.encrypt(b"m", b"a" * NONCE_SIZE)
-        b = cipher.encrypt(b"m", b"b" * NONCE_SIZE)
-        assert a != b
+        assert cipher.encrypt(b"m") == StreamCipher(KEY).encrypt(b"m")
+        assert cipher.encrypt(b"m") != cipher.encrypt(b"n")
+        assert cipher.encrypt(b"m") != StreamCipher(b"x" * 32).encrypt(b"m")
 
     def test_ciphertext_looks_random(self):
         # §6.6: "query response is represented by a random bit string and
@@ -71,50 +107,6 @@ class TestStreamCipher:
         import zlib
 
         plaintext = b"A" * 2048  # highly compressible input
-        ciphertext = StreamCipher(KEY).encrypt(plaintext, NONCE)
-        body = ciphertext[NONCE_SIZE:-TAG_SIZE]
+        ciphertext = StreamCipher(KEY).encrypt(plaintext)
+        body = ciphertext[IV_SIZE:]
         assert len(zlib.compress(body, 9)) > 0.95 * len(body)
-
-
-def reference_nonce(master_key: bytes, label: str, counter: int, plaintext: bytes) -> bytes:
-    """One-shot keyed BLAKE2b-96 over ``counter || plaintext`` under the
-    label's subkey, derived with a one-shot HMAC: no precomputed state."""
-    subkey = hmac.new(master_key, b"derive:" + label.encode(), hashlib.sha256).digest()
-    message = counter.to_bytes(8, "big") + plaintext
-    return hashlib.blake2b(message, key=subkey, digest_size=NONCE_SIZE).digest()
-
-
-class TestNonceSequence:
-    def test_unique(self):
-        seq = NonceSequence(KEY)
-        nonces = {seq.next(b"same plaintext") for _ in range(500)}
-        assert len(nonces) == 500
-
-    def test_size(self):
-        assert len(NonceSequence(KEY).next(b"")) == NONCE_SIZE
-
-    def test_label_separation(self):
-        a = NonceSequence(KEY, label="alice")
-        b = NonceSequence(KEY, label="bob")
-        assert a.next(b"p") != b.next(b"p")
-
-    def test_deterministic_per_label(self):
-        a = NonceSequence(KEY, label="x")
-        b = NonceSequence(KEY, label="x")
-        assert a.next(b"p") == b.next(b"p")
-
-    def test_known_answers(self):
-        seq = NonceSequence(KEY, label="nonce:alice")
-        for counter, plaintext in enumerate([b"", b"p", b"p", bytes(range(200))]):
-            assert seq.next(plaintext) == reference_nonce(
-                KEY, "nonce:alice", counter, plaintext
-            )
-
-    def test_a_restarted_sequence_repeats_only_equal_plaintexts(self):
-        """Two sequences over one key at the same counts — a dump
-        reloaded under the deployment secret — draw the same nonce only
-        for the same plaintext, which then encrypts to the same bytes."""
-        before, after = NonceSequence(KEY), NonceSequence(KEY)
-        assert before.next(b"stored element") != after.next(b"new element")
-        nonce = before.next(b"same element")
-        assert after.next(b"same element") == nonce

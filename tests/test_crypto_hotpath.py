@@ -3,6 +3,7 @@ straight-line references, known answers stay pinned across refactors, and
 the batch/memo layers change performance only — never bytes."""
 
 import dataclasses
+import gc
 import hashlib
 import hmac
 import operator
@@ -11,16 +12,15 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.cipher import NONCE_SIZE, TAG_SIZE, StreamCipher
+from repro.crypto.cipher import IV_SIZE, StreamCipher
 from repro.core.client import skim_matches
 from repro.crypto.keys import DocumentDirectory
 from repro.crypto.prf import Prf, derive_key
 from repro.errors import AuthenticationError, ProtocolError
 from repro.index.merge import MergePlan
-from repro.index.postings import EncryptedPostingElement, PostingElement
+from repro.index.postings import HEADER_SIZE, EncryptedPostingElement, PostingElement
 
 KEY = b"0123456789abcdef0123456789abcdef"
-NONCE = bytes(range(NONCE_SIZE))
 TERMS = ("apple", "pear", "plum")
 # "t" is term 0; the skim's terms follow.
 PLAN = MergePlan(groups=(("t",), TERMS), r=2.0)
@@ -34,7 +34,6 @@ def _plaintext(posting):
     return posting.to_bytes(PLAN.locate(posting.term)[1], DIRECTORY.number(posting.doc_id))
 
 key_strategy = st.binary(min_size=16, max_size=64)
-nonce_strategy = st.binary(min_size=NONCE_SIZE, max_size=NONCE_SIZE)
 
 
 # -- straight-line references (what the optimized code must match) ------------
@@ -45,47 +44,39 @@ def reference_prf(key: bytes, message: bytes) -> bytes:
     return hmac.new(key, message, hashlib.sha256).digest()
 
 
-def reference_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
+def reference_keystream(key: bytes, iv: bytes, length: int) -> bytes:
     """One-shot keyed BLAKE2b-512 blocks, no precomputed state: block 0
-    over the nonce, block ``i >= 1`` over ``nonce || i``, cut to length."""
+    over the IV, block ``i >= 1`` over ``iv || i``, cut to length."""
     blocks = []
     counter = 0
     while 64 * counter < length:
-        message = nonce + counter.to_bytes(8, "big") if counter else nonce
+        message = iv + counter.to_bytes(8, "big") if counter else iv
         blocks.append(hashlib.blake2b(message, key=key).digest())
         counter += 1
     return b"".join(blocks)[:length]
 
 
-def reference_encrypt(master_key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
-    """The cipher construction, spelled out byte by byte: a one-shot
-    keyed-BLAKE2b keystream and a one-shot keyed BLAKE2b-128 tag over
-    ``nonce || body``, no precomputed state."""
+def reference_encrypt(master_key: bytes, plaintext: bytes) -> bytes:
+    """SIV spelled out byte by byte: the IV a one-shot keyed BLAKE2b-128
+    of the plaintext under the ``"siv:v8"`` subkey, the body the
+    plaintext XOR a one-shot keyed-BLAKE2b keystream over that IV under
+    the ``"enc"`` subkey, no precomputed state."""
+    enc_key = reference_prf(master_key, b"derive:enc")
+    siv_key = reference_prf(master_key, b"derive:siv:v8")
+    iv = hashlib.blake2b(plaintext, key=siv_key, digest_size=16).digest()
+    stream = reference_keystream(enc_key, iv, len(plaintext))
+    return iv + bytes(p ^ s for p, s in zip(plaintext, stream))
+
+
+def v7_sealed(master_key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
+    """A ciphertext as format v7 sealed it: ``nonce (12) || body || tag
+    (16)``, the same keystream over the nonce and keyed BLAKE2b-128 over
+    ``nonce || body`` under the ``"mac:v6"`` subkey."""
     enc_key = reference_prf(master_key, b"derive:enc")
     mac_key = reference_prf(master_key, b"derive:mac:v6")
     stream = reference_keystream(enc_key, nonce, len(plaintext))
-    body = bytes(p ^ s for p, s in zip(plaintext, stream))
-    tag = hashlib.blake2b(nonce + body, key=mac_key, digest_size=TAG_SIZE).digest()
-    return nonce + body + tag
-
-
-def hmac_tagged(master_key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
-    """The same ciphertext tagged the way format v4 did: HMAC-SHA256 under
-    the same MAC subkey, truncated to the same 16 bytes."""
-    mac_key = reference_prf(master_key, b"derive:mac:v6")
-    head = reference_encrypt(master_key, plaintext, nonce)[:-TAG_SIZE]
-    return head + reference_prf(mac_key, head)[:TAG_SIZE]
-
-
-def v5_sealed(master_key: bytes, plaintext: bytes, nonce: bytes) -> bytes:
-    """A ciphertext as format v5 sealed it: a 16-byte nonce, a
-    ``SHAKE-256(enc_subkey || nonce)`` keystream and keyed BLAKE2b-128
-    over ``nonce || body`` under the ``"mac"`` subkey."""
-    enc_key = reference_prf(master_key, b"derive:enc")
-    mac_key = reference_prf(master_key, b"derive:mac")
-    stream = hashlib.shake_256(enc_key + nonce).digest(len(plaintext))
     head = nonce + bytes(p ^ s for p, s in zip(plaintext, stream))
-    return head + hashlib.blake2b(head, key=mac_key, digest_size=TAG_SIZE).digest()
+    return head + hashlib.blake2b(head, key=mac_key, digest_size=16).digest()
 
 
 # -- known-answer vectors (pin the bytes across future refactors) -------------
@@ -106,10 +97,9 @@ class TestKnownAnswers:
 
     # Pinned from reference_encrypt, not from the code under test.
     def test_cipher_encrypt(self):
-        assert StreamCipher(KEY).encrypt(b"attack at dawn", NONCE).hex() == (
-            "000102030405060708090a0b"  # nonce
-            "af620120a3c5fea29974f20d0e31"  # body
-            "0db6a6044b68e4fa28eb1186374e991b"  # tag
+        assert StreamCipher(KEY).encrypt(b"attack at dawn").hex() == (
+            "c292d18bc5e148028bab8c632c24a5b2"  # iv
+            "0ff3be46b6668496eb8a5ccdd4d7"  # body
         )
 
 
@@ -122,20 +112,18 @@ def test_prf_matches_hmac(key, message):
     assert Prf(key).evaluate(message) == reference_prf(key, message)
 
 
-@given(key=key_strategy, nonce=nonce_strategy, plaintext=st.binary(max_size=300))
+@given(key=key_strategy, plaintext=st.binary(max_size=300))
 @settings(max_examples=150, deadline=None)
-def test_encrypt_matches_reference(key, nonce, plaintext):
-    assert StreamCipher(key).encrypt(plaintext, nonce) == reference_encrypt(
-        key, plaintext, nonce
-    )
+def test_encrypt_matches_reference(key, plaintext):
+    assert StreamCipher(key).encrypt(plaintext) == reference_encrypt(key, plaintext)
 
 
-@given(key=key_strategy, nonce=nonce_strategy, plaintext=st.binary(max_size=300))
+@given(key=key_strategy, plaintext=st.binary(max_size=300))
 @settings(max_examples=150, deadline=None)
-def test_roundtrip_through_reference_ciphertext(key, nonce, plaintext):
+def test_roundtrip_through_reference_ciphertext(key, plaintext):
     """A reference-built ciphertext opens on both optimized paths, the
     inline one-block keystream and the multi-block one alike."""
-    ciphertext = reference_encrypt(key, plaintext, nonce)
+    ciphertext = reference_encrypt(key, plaintext)
     cipher = StreamCipher(key)
     assert cipher.decrypt(ciphertext) == cipher.try_decrypt(ciphertext) == plaintext
 
@@ -145,37 +133,22 @@ def test_the_block_edges_match_the_reference(size):
     """64 bytes is the last one-digest body, 65 the first to need block 1."""
     plaintext = bytes(index % 256 for index in range(size))
     cipher = StreamCipher(KEY)
-    ciphertext = cipher.encrypt(plaintext, NONCE)
-    assert ciphertext == reference_encrypt(KEY, plaintext, NONCE)
+    ciphertext = cipher.encrypt(plaintext)
+    assert ciphertext == reference_encrypt(KEY, plaintext)
     assert cipher.decrypt(ciphertext) == cipher.try_decrypt(ciphertext) == plaintext
-
-
-@given(key=key_strategy, nonce=nonce_strategy, plaintext=st.binary(max_size=300))
-@settings(max_examples=100, deadline=None)
-def test_an_hmac_tagged_ciphertext_is_refused(key, nonce, plaintext):
-    """The v4 tag is not a second accepted construction: same nonce, same
-    body, same subkey, but the kernel skips it, the raising path refuses
-    it, and nothing is memoised."""
-    ciphertext = hmac_tagged(key, plaintext, nonce)
-    cipher = StreamCipher(key)
-    assert cipher.try_decrypt(ciphertext) is None
-    assert cipher.try_decrypt(ciphertext, _decode) is None
-    with pytest.raises(AuthenticationError):
-        cipher.decrypt(ciphertext)
-    assert cipher._memo == {} and cipher.memo_hits == 0
 
 
 @given(
     key=key_strategy,
-    nonce=st.binary(min_size=16, max_size=16),
+    nonce=st.binary(min_size=12, max_size=12),
     plaintext=st.binary(max_size=300),
 )
 @settings(max_examples=100, deadline=None)
-def test_a_v5_sealed_ciphertext_is_refused(key, nonce, plaintext):
-    """A v5 seal is not misread as a v6 one with a longer body: its tag
-    was keyed under the old MAC subkey, so the kernel skips it, the
+def test_a_v7_sealed_ciphertext_is_refused(key, nonce, plaintext):
+    """A v7 seal is not misread as an IV and a longer body: no IV the
+    ``"siv:v8"`` subkey produced heads it, so the kernel skips it, the
     raising path refuses it, and nothing is memoised."""
-    ciphertext = v5_sealed(key, plaintext, nonce)
+    ciphertext = v7_sealed(key, plaintext, nonce)
     cipher = StreamCipher(key)
     assert cipher.try_decrypt(ciphertext) is None
     assert cipher.try_decrypt(ciphertext, _decode) is None
@@ -190,13 +163,10 @@ def test_a_v5_sealed_ciphertext_is_refused(key, nonce, plaintext):
 class TestTryDecryptMany:
     def _batch(self):
         cipher = StreamCipher(KEY)
-        good = [
-            cipher.encrypt(b"element-%d" % i, bytes([i]) * NONCE_SIZE)
-            for i in range(8)
-        ]
-        other = StreamCipher(b"x" * 32).encrypt(b"foreign", NONCE)
+        good = [cipher.encrypt(b"element-%d" % i) for i in range(8)]
+        other = StreamCipher(b"x" * 32).encrypt(b"foreign")
         tampered = bytearray(good[0])
-        tampered[NONCE_SIZE] ^= 1
+        tampered[IV_SIZE] ^= 1
         return cipher, good + [other, bytes(tampered), b"short"]
 
     def test_matches_per_element_try_decrypt(self):
@@ -221,32 +191,32 @@ class TestTryDecryptMany:
 
     def test_decrypt_all_good(self):
         cipher = StreamCipher(KEY)
-        batch = [cipher.encrypt(b"m%d" % i, bytes([i]) * NONCE_SIZE) for i in range(5)]
+        batch = [cipher.encrypt(b"m%d" % i) for i in range(5)]
         assert [cipher.decrypt(ct) for ct in batch] == [b"m%d" % i for i in range(5)]
 
     def test_empty_plaintexts(self):
         cipher = StreamCipher(KEY)
-        batch = [cipher.encrypt(b"", NONCE)] * 3
+        batch = [cipher.encrypt(b"")] * 3
         assert cipher.try_decrypt_many(batch) == [b"", b"", b""]
 
 
 class TestDecryptMemo:
     def test_repeated_skim_identical(self):
         cipher = StreamCipher(KEY)
-        batch = [cipher.encrypt(b"hot-%d" % i, bytes([i]) * NONCE_SIZE) for i in range(4)]
+        batch = [cipher.encrypt(b"hot-%d" % i) for i in range(4)]
         first = cipher.try_decrypt_many(batch)
         second = cipher.try_decrypt_many(batch)  # served from the memo
         assert first == second == [b"hot-%d" % i for i in range(4)]
 
     def test_memo_is_bounded(self):
         cipher = StreamCipher(KEY, memo_capacity=16)
-        batch = [cipher.encrypt(b"e%d" % i, bytes([i % 251, i // 251]) * (NONCE_SIZE // 2)) for i in range(100)]
+        batch = [cipher.encrypt(b"e%d" % i) for i in range(100)]
         cipher.try_decrypt_many(batch)
         assert len(cipher._memo) <= 16
 
     def test_tamper_after_memoisation_still_fails(self):
         cipher = StreamCipher(KEY)
-        ciphertext = cipher.encrypt(b"secret", NONCE)
+        ciphertext = cipher.encrypt(b"secret")
         assert cipher.try_decrypt(ciphertext) == b"secret"
         tampered = bytearray(ciphertext)
         tampered[-1] ^= 1
@@ -254,7 +224,7 @@ class TestDecryptMemo:
 
     def test_memo_disabled(self):
         cipher = StreamCipher(KEY, memo_capacity=0)
-        ciphertext = cipher.encrypt(b"m", NONCE)
+        ciphertext = cipher.encrypt(b"m")
         assert cipher.try_decrypt(ciphertext) == b"m"
         assert cipher.try_decrypt_many([ciphertext]) == [b"m"]
         assert cipher._memo == {}
@@ -273,11 +243,11 @@ def _decode_other(plaintext: bytes) -> tuple[str, bytes]:
 
 
 class TestDecodedMemo:
-    """The memo holds ``decode(verified plaintext)``: a hit skips MAC,
-    keystream and decode, and is only ever what a miss would have been."""
+    """The memo holds ``decode(verified plaintext)``: a hit skips
+    keystream, IV check and decode, and is only ever what a miss would have been."""
 
     def _batch(self, cipher, count=4):
-        return [cipher.encrypt(b"hot-%d" % i, bytes([i]) * NONCE_SIZE) for i in range(count)]
+        return [cipher.encrypt(b"hot-%d" % i) for i in range(count)]
 
     def test_hit_skips_the_decoder(self):
         cipher = StreamCipher(KEY)
@@ -352,8 +322,8 @@ class TestDecodedMemo:
 
     def test_failed_decode_is_never_memoised(self):
         cipher = StreamCipher(KEY)
-        good = cipher.encrypt(_plaintext(PostingElement("t", "d", 1, 2)), NONCE)
-        bad = cipher.encrypt(b'{"t":"t"}', bytes(NONCE_SIZE))  # authentic, malformed
+        good = cipher.encrypt(_plaintext(PostingElement("t", "d", 1, 2)))
+        bad = cipher.encrypt(b'{"t":"t"}')  # authentic, malformed
         decode = DECODE
         for _ in range(2):
             with pytest.raises(ProtocolError):
@@ -365,10 +335,10 @@ class TestDecodedMemo:
         hit served before the element whose decode raised."""
         cipher = StreamCipher(KEY)
         first, second = (
-            cipher.encrypt(_plaintext(PostingElement("t", f"d{i}", 1, 2)), bytes([i]) * NONCE_SIZE)
+            cipher.encrypt(_plaintext(PostingElement("t", f"d{i}", 1, 2)))
             for i in range(2)
         )
-        bad = cipher.encrypt(b'{"t":"t"}', NONCE)  # authentic, malformed
+        bad = cipher.encrypt(b'{"t":"t"}')  # authentic, malformed
         decode = DECODE
         cipher.try_decrypt_many([first, second], decode)
         assert cipher.memo_hits == 0
@@ -382,8 +352,8 @@ class TestOneElementKernel:
     """``try_decrypt`` is the kernel; the batch is a comprehension over it."""
 
     def _pool(self, cipher):
-        good = [cipher.encrypt(b"el-%d" % i, bytes([i]) * NONCE_SIZE) for i in range(5)]
-        foreign = StreamCipher(b"x" * 32).encrypt(b"foreign", NONCE)
+        good = [cipher.encrypt(b"el-%d" % i) for i in range(5)]
+        foreign = StreamCipher(b"x" * 32).encrypt(b"foreign")
         broken = good[1][:-1] + bytes([good[1][-1] ^ 1])
         return [good[0], foreign, good[1], broken, good[0], b"short", *good[2:], good[1]]
 
@@ -411,7 +381,7 @@ class TestOneElementKernel:
 
     def test_raw_caller_neither_reads_nor_evicts_a_decoders_memo(self):
         cipher = StreamCipher(KEY, memo_capacity=2)
-        one, two, three = (cipher.encrypt(b"m%d" % i, bytes([i]) * NONCE_SIZE) for i in range(3))
+        one, two, three = (cipher.encrypt(b"m%d" % i) for i in range(3))
         assert cipher.try_decrypt(one, _decode) == ("decoded", b"m0")
         assert cipher.try_decrypt(two, _decode) == ("decoded", b"m1")
         before = list(cipher._memo.items())
@@ -502,8 +472,8 @@ class TestMalformedPlaintext:
     )
     def test_raises_protocol_error_and_is_not_memoised(self, plaintext):
         cipher = StreamCipher(KEY)
-        good = cipher.encrypt(_plaintext(self.GOOD), NONCE)
-        bad = cipher.encrypt(plaintext, bytes(NONCE_SIZE))
+        good = cipher.encrypt(_plaintext(self.GOOD))
+        bad = cipher.encrypt(plaintext)
         decode = DECODE
         assert cipher.try_decrypt(good, decode) == self.GOOD
         for _ in range(2):
@@ -516,7 +486,11 @@ class TestMalformedPlaintext:
 
 
 def _frames_entered(call):
-    """Python frames entered while *call* runs (``call`` events only)."""
+    """Python frames entered while *call* runs (``call`` events only).
+
+    The collector is off while it counts: a collection that happens to
+    fall inside *call* runs ``gc.callbacks`` (hypothesis registers one)
+    and weakref callbacks, whose frames are not *call*'s."""
     entered = 0
 
     def profile(frame, event, arg):
@@ -524,11 +498,15 @@ def _frames_entered(call):
         if event == "call":
             entered += 1
 
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         call()
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return entered - 1  # the lambda itself
 
 
@@ -552,8 +530,7 @@ class TestSkimFrameBudget:
         for serial in range(12):
             group, term = GROUPS[serial % len(GROUPS)], TERMS[serial % len(TERMS)]
             posting = PostingElement(term, f"doc-{serial}", 1 + serial, 40)
-            nonce = serial.to_bytes(NONCE_SIZE, "big")
-            ciphertext = ring[group][0].encrypt(_plaintext(posting), nonce)
+            ciphertext = ring[group][0].encrypt(_plaintext(posting))
             elements.append(EncryptedPostingElement(ciphertext, group, 0.5))
 
         def skim():
@@ -574,17 +551,18 @@ class TestWriteFrameBudget:
     comprehension, which differ across Python versions — cancel.
 
     A trained term's element enters the plan's ``locate``, the document's
-    encoder, ``StreamCipher.encrypt``, ``NonceSequence.next`` and
+    encoder, ``StreamCipher.encrypt`` and
     ``EncryptedPostingElement.checked``: no ``PostingElement``, no
     ``__post_init__``, no ``rscore`` property, no HMAC state (11 frames
-    when each of those was built).  A follower's insert op enters
+    when each of those was built), no nonce draw (5 while a
+    ``NonceSequence`` supplied one).  A follower's insert op enters
     ``add_sorted_by_trs`` and a delete op ``find_by_ciphertext`` and
     ``pop_at``: no per-op server call, list lookup or view patch on a
     list with no cached view.  (With one, ``note_insert`` /
     ``note_delete`` patch it per op, and the view's bisect calls its sort
     key a logarithmic number of times, so that count is not a constant.)"""
 
-    BUILD_FRAMES_PER_ELEMENT = 5
+    BUILD_FRAMES_PER_ELEMENT = 4
     INSERT_FRAMES_PER_OP = 1
     DELETE_FRAMES_PER_OP = 2
 
@@ -674,14 +652,11 @@ def _element_pool(draw):
         )
         damage = draw(st.sampled_from(["none", "none", "none", "tag", "short", "key"]))
         key = GROUP_KEYS[GROUPS[0] if damage == "key" and group != GROUPS[0] else group]
-        ciphertext = StreamCipher(key).encrypt(
-            _plaintext(posting),
-            serial.to_bytes(NONCE_SIZE, "big"),
-        )
+        ciphertext = StreamCipher(key).encrypt(_plaintext(posting))
         if damage == "tag":
             ciphertext = ciphertext[:-1] + bytes([ciphertext[-1] ^ 1])
         elif damage == "short":
-            ciphertext = ciphertext[: draw(st.integers(0, NONCE_SIZE + TAG_SIZE - 1))]
+            ciphertext = ciphertext[: draw(st.integers(0, IV_SIZE + HEADER_SIZE - 1))]
         trs = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
         pool.append(EncryptedPostingElement(ciphertext=ciphertext, group=group, trs=trs))
     return pool

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.crypto.cipher import NONCE_SIZE
 from repro.crypto.keys import DocumentDirectory, GroupKeyService
 from repro.errors import AccessDeniedError, ConfigurationError, ProtocolError
 from repro.index.merge import MergePlan
@@ -93,8 +92,7 @@ class TestKeyHandout:
 
     def test_cipher_for_member(self, service):
         cipher = service.cipher_for("alice", "g1")
-        nonce = b"n" * NONCE_SIZE
-        assert cipher.decrypt(cipher.encrypt(b"x", nonce)) == b"x"
+        assert cipher.decrypt(cipher.encrypt(b"x")) == b"x"
 
     def test_cipher_for_non_member_denied(self, service):
         with pytest.raises(AccessDeniedError):
@@ -113,13 +111,24 @@ class TestKeyHandout:
         # Re-enrolling restores access and yields a working cipher again.
         service.enroll("bob", "g2")
         cipher = service.cipher_for("bob", "g2")
-        nonce = b"n" * NONCE_SIZE
-        assert cipher.decrypt(cipher.encrypt(b"x", nonce)) == b"x"
+        assert cipher.decrypt(cipher.encrypt(b"x")) == b"x"
 
     def test_cached_ciphers_interoperate_across_members(self, service):
-        nonce = b"n" * NONCE_SIZE
-        ciphertext = service.cipher_for("alice", "g1").encrypt(b"shared", nonce)
+        ciphertext = service.cipher_for("alice", "g1").encrypt(b"shared")
         assert service.cipher_for("bob", "g1").decrypt(ciphertext) == b"shared"
+
+    def test_a_service_rebuilt_from_the_secret_seals_the_same_bytes(self, service):
+        """Sealing is deterministic per group key, so a restart changes no
+        ciphertext: what the old service sealed, the new one seals too."""
+        rebuilt = GroupKeyService(master_secret=b"m" * 32)
+        rebuilt.register("carol", {"g1"})
+        sealed = service.cipher_for("alice", "g1").encrypt(b"posting")
+        assert rebuilt.cipher_for("carol", "g1").encrypt(b"posting") == sealed
+
+    def test_one_groups_cipher_refuses_anothers_elements(self, service):
+        sealed = service.cipher_for("bob", "g2").encrypt(b"posting")
+        assert service.cipher_for("bob", "g1").try_decrypt(sealed) is None
+        assert sealed != service.cipher_for("bob", "g1").encrypt(b"posting")
 
     def test_unseen_term_prf_is_cached(self, service):
         assert service.unseen_term_prf("alice", "g1") is service.unseen_term_prf(
@@ -131,37 +140,6 @@ class TestKeyHandout:
         service.revoke("bob", "g2")
         with pytest.raises(AccessDeniedError):
             service.unseen_term_prf("bob", "g2")
-
-    def test_nonce_sequence_is_singleton_per_member(self, service):
-        """Two lookups share one counter — nonces never restart at 0."""
-        a = service.nonce_sequence("alice", "g1")
-        first = a.next(b"same plaintext")
-        b = service.nonce_sequence("alice", "g1")
-        assert b is a
-        assert b.next(b"same plaintext") != first
-
-    def test_nonce_sequence_member_and_group_separated(self, service):
-        assert service.nonce_sequence("alice", "g1") is not service.nonce_sequence(
-            "bob", "g1"
-        )
-        assert service.nonce_sequence("bob", "g1") is not service.nonce_sequence(
-            "bob", "g2"
-        )
-
-    def test_nonce_sequence_requires_membership(self, service):
-        with pytest.raises(AccessDeniedError):
-            service.nonce_sequence("alice", "g2")
-
-    def test_nonce_sequence_denied_after_revocation(self, service):
-        before = service.nonce_sequence("bob", "g2")
-        before.next(b"plaintext")
-        service.revoke("bob", "g2")
-        with pytest.raises(AccessDeniedError):
-            service.nonce_sequence("bob", "g2")
-        # Re-enrolling resumes the counter rather than restarting it.
-        service.enroll("bob", "g2")
-        after = service.nonce_sequence("bob", "g2")
-        assert after is before
 
     def test_unseen_term_prf_shared_within_group(self, service):
         prf_a = service.unseen_term_prf("alice", "g1")
@@ -210,7 +188,7 @@ class TestKeyring:
 
     def test_revoke_drops_the_group_and_reenroll_starts_cold(self, service):
         stale = service.keyring("bob", PLAN)["g2"][0]
-        ciphertext = stale.encrypt(b"x", b"n" * NONCE_SIZE)
+        ciphertext = stale.encrypt(b"x")
         assert stale.try_decrypt(ciphertext) == stale.try_decrypt(ciphertext) == b"x"
         assert stale.memo_hits == 1
         service.revoke("bob", "g2")
@@ -286,9 +264,7 @@ class TestDocumentDirectory:
         number = service.document_number("bob", "g2", "secret-doc")
         plaintext = PostingElement("a", "secret-doc", 1, 2).to_bytes(0, number)
         cipher, decode = service.keyring("bob", PLAN)["g2"]
-        assert cipher.try_decrypt(cipher.encrypt(plaintext, b"n" * NONCE_SIZE), decode).doc_id == (
-            "secret-doc"
-        )
+        assert cipher.try_decrypt(cipher.encrypt(plaintext), decode).doc_id == "secret-doc"
         service.revoke("bob", "g2")
         assert "g2" not in service.keyring("bob", PLAN)
 
@@ -299,14 +275,10 @@ class TestDocumentDirectory:
         forged_number = service.document_number("bob", "g2", "g2-only-b")
         service.document_number("alice", "g1", "g1-doc")
         cipher, decode = service.keyring("alice", PLAN)["g1"]
-        forged = cipher.encrypt(
-            PostingElement("a", "x", 1, 2).to_bytes(0, forged_number), b"f" * NONCE_SIZE
-        )
+        forged = cipher.encrypt(PostingElement("a", "x", 1, 2).to_bytes(0, forged_number))
         with pytest.raises(ProtocolError):
             cipher.try_decrypt(forged, decode)
-        in_range = cipher.encrypt(
-            PostingElement("a", "x", 1, 2).to_bytes(0, 0), b"g" * NONCE_SIZE
-        )
+        in_range = cipher.encrypt(PostingElement("a", "x", 1, 2).to_bytes(0, 0))
         assert cipher.try_decrypt(in_range, decode).doc_id == "g1-doc"
 
 

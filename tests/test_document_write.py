@@ -140,10 +140,12 @@ class TestAllOrNothing:
         ],
         ids=["large-tf", "large-doc-length"],
     )
-    def test_a_document_the_layout_cannot_hold_sends_nothing(self, keys, doc):
+    def test_a_document_the_layout_cannot_hold_sends_nothing(
+        self, keys, doc, counted_encrypts
+    ):
         """One element that does not fit the plaintext header refuses the
-        whole document before anything is sent: no insert, no floor, no
-        nonce drawn."""
+        whole document before anything is sent: no insert, no floor,
+        nothing encrypted."""
         plan = MergePlan(groups=(("apple", "pear"), ("plum",), ("fig",)), r=2.0)
         cluster = ServerCluster(
             keys, num_lists=LISTS, num_servers=SERVERS, replication=3, lag=2
@@ -151,11 +153,11 @@ class TestAllOrNothing:
         writer = ZerberRClient("u", keys, cluster, RstfModel({}), plan)
         writer.index_document(DocumentStats.from_counts("d", {"fig": 1}), "g")
         before = _state(cluster)
-        nonces = keys.nonce_sequence("u", "g")._counter
+        encrypted = len(counted_encrypts)
         with pytest.raises(ValueError):
             writer.index_document_with_receipts(doc, "g")
         assert _state(cluster) == before
-        assert keys.nonce_sequence("u", "g")._counter == nonces
+        assert len(counted_encrypts) == encrypted
         assert writer.version_floor(0) is None and writer.version_floor(1) is None
 
     def test_misses_and_duplicates_remove_each_element_once(self, keys):

@@ -11,15 +11,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro import SystemConfig, ZerberRSystem
+from repro import SystemConfig, ZerberRSystem, tiny_corpus
 from repro.attacks.background import BackgroundKnowledge
 from repro.attacks.query_observation import QueryObservationAttack, extract_sessions
 from repro.attacks.score_distribution import chance_attribution_level
 from repro.core.client import ZerberRClient
-from repro.core.protocol import ResponsePolicy
+from repro.core.protocol import Receipt, ResponsePolicy
 from repro.core.rstf import RstfModel
 from repro.core.cluster import ServerCluster
-from repro.crypto.cipher import NONCE_SIZE, TAG_SIZE
+from repro.crypto.cipher import IV_SIZE, StreamCipher
 from repro.crypto.keys import GroupKeyService
 from repro.index.merge import MergePlan
 from repro.index.postings import HEADER_SIZE
@@ -139,9 +139,9 @@ class TestCiphertextLength:
     """What the untrusted server learns from an element's length.
 
     The cipher hides nothing about the body's length, so the server sees
-    ``len(ciphertext)`` for every element it stores: ``12 (nonce) + 14
-    (header: tf, doc_length, term number, doc number) + 16 (tag) == 42``,
-    the same for every element.  When the plaintext spelled the doc id
+    ``len(ciphertext)`` for every element it stores: ``16 (synthetic IV,
+    nonce and tag in one) + 14 (header: tf, doc_length, term number, doc
+    number) == 30``, the same for every element.  When the plaintext spelled the doc id
     out, ``len(doc_id)`` linked one document's elements across lists;
     when it spelled the term out, ``len(term)`` split a merged list into
     length classes the server could attribute at better odds than Def. 2
@@ -150,7 +150,7 @@ class TestCiphertextLength:
     the TRS exists to hide.
     """
 
-    LENGTH = 42
+    LENGTH = 30
 
     # 1, 5, 12, 40 and 300 UTF-8 bytes.
     TERMS = ("a", "café", "twelve-bytes", "ü" * 20, "€" * 100)
@@ -166,7 +166,7 @@ class TestCiphertextLength:
     @pytest.mark.parametrize("doc_id", ["d", "doc-1", "akte-ß", "reports/2009/q3-ü.txt" * 4])
     def test_length_is_independent_of_document_term_tf_and_doc_length(self, doc_id):
         assert [len(t.encode()) for t in self.TERMS] == [1, 5, 12, 40, 300]
-        assert NONCE_SIZE + HEADER_SIZE + TAG_SIZE == self.LENGTH
+        assert IV_SIZE + HEADER_SIZE == self.LENGTH
         plan = MergePlan(groups=(self.TERMS, ("filler",)), r=2.0)
         client, _, _ = self._deployment(plan)
         lengths = set()
@@ -228,3 +228,92 @@ class TestCiphertextLength:
         result = client.query("plum", k=10)
         assert result.trace.elements_transferred == 3  # the moved one came along
         assert sorted(result.doc_ids()) == ["p1", "p2"]
+
+
+class TestWhatDeterministicSealingReveals:
+    """Sealing is SIV: under one group key a ciphertext is a function of
+    its plaintext.  On a built and deployed index that shows the server
+    equal postings and nothing more — and a live index holds none, since
+    (term number, doc number) is unique per group."""
+
+    @pytest.fixture(scope="class")
+    def deployed(self):
+        system = ZerberRSystem.build(tiny_corpus(), SystemConfig(r=4.0, seed=5))
+        cluster, _ = system.deploy_cluster(num_servers=3, replication=2)
+        return system, cluster
+
+    @staticmethod
+    def _held(cluster):
+        """Every (server, group, ciphertext) a replica holds."""
+        return [
+            (server, element.group, element.ciphertext)
+            for server in range(cluster.num_servers)
+            for list_id in range(cluster.num_lists)
+            for element in cluster.server(server).export_list(list_id)
+        ]
+
+    def test_every_held_ciphertext_is_30_bytes_and_unique_per_group(self, deployed):
+        _, cluster = deployed
+        held = self._held(cluster)
+        assert len(held) == 2 * cluster.num_elements > 0
+        assert {len(ciphertext) for _, _, ciphertext in held} == {IV_SIZE + HEADER_SIZE}
+        assert max(Counter(held).values()) == 1
+
+    def test_reindexing_repeats_only_an_unchanged_document(self, deployed):
+        system, cluster = deployed
+        doc_id = system.corpus.doc_ids()[0]
+        group = system.corpus.document(doc_id).group
+        owner = system.client_for(f"owner:{group}", server=cluster)
+        doc = system.corpus.stats(doc_id)
+        # The owner rebuilds the document's receipts: its elements seal
+        # to the very bytes the index holds.
+        receipts = [
+            Receipt(list_id, element.ciphertext, element.trs)
+            for list_id, element in owner.build_document(doc, group)
+        ]
+        original = {r.ciphertext for r in receipts}
+        assert original <= {c for _, _, c in self._held(cluster)}
+        assert owner.delete_document(receipts) == len(receipts)
+        assert original.isdisjoint(c for _, _, c in self._held(cluster))
+
+        again = owner.index_document_with_receipts(doc, group)
+        assert again == receipts  # byte for byte, TRS included
+        assert owner.delete_document(again) == len(again)
+
+        changed = DocumentStats.from_counts(
+            doc_id, {term: tf + 1 for term, tf in doc.counts.items()}
+        )
+        fresh = owner.index_document_with_receipts(changed, group)
+        assert len(fresh) == len(receipts)
+        assert original.isdisjoint(r.ciphertext for r in fresh)
+
+    def test_the_decoder_never_sees_a_tampered_or_foreign_plaintext(self, deployed):
+        system, cluster = deployed
+        keys = system.key_service
+        by_group: dict[str, list[bytes]] = {}
+        for server, group, ciphertext in self._held(cluster):
+            if server == 0:
+                by_group.setdefault(group, []).append(ciphertext)
+        group, foreign_group = sorted(by_group)[:2]
+        authentic = by_group[group][:40]
+        probes = [*authentic, *by_group[foreign_group][:40]]
+        for ciphertext in authentic:
+            for position in range(0, len(ciphertext), 3):
+                tampered = bytearray(ciphertext)
+                tampered[position] ^= 0x01
+                probes.append(bytes(tampered))
+            probes += [ciphertext[:-1], ciphertext + b"\0", ciphertext[IV_SIZE:]]
+        probes += authentic  # memo hits now
+        cipher = StreamCipher(keys.group_key("superuser", group))
+        _, decode = keys.keyring("superuser", system.merge_plan)[group]
+        seen = []
+
+        def recording(plaintext):
+            seen.append(plaintext)
+            return decode(plaintext)
+
+        opened = [cipher.try_decrypt(ciphertext, recording) for ciphertext in probes]
+        assert sum(posting is not None for posting in opened) == 2 * len(authentic)
+        # Every plaintext the decoder saw seals to an authentic element,
+        # and each was seen once: the memo answered the repeats.
+        assert sorted(cipher.encrypt(plaintext) for plaintext in seen) == sorted(authentic)

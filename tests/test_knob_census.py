@@ -18,7 +18,10 @@ cluster's ``read_consistency`` / ``write_consistency`` is the one home of
 a level), the per-query ``max_requests`` (now the constant
 ``repro.core.client.MAX_REQUESTS``) and the shard's view capacity,
 then a batch's placement ``epoch`` and ``trace_id`` (a coordinator flush
-is one ``ServerCluster.batch_fetch``, routed and served in one call);
+is one ``ServerCluster.batch_fetch``, routed and served in one call),
+then the caller-supplied nonce of ``StreamCipher.encrypt``, the
+``NonceSequence`` behind it and the key service's cache of them (sealing
+is SIV: the IV is a PRF of the plaintext), and the snippet store;
 they were deleted, and this test keeps them from drifting back.
 """
 
@@ -42,6 +45,8 @@ from repro.core.router import Coordinator, CoordinatorStats
 from repro.core.rstf import Rstf
 from repro.core.server import ZerberRServer
 from repro.core.system import ZerberRSystem
+from repro.crypto.cipher import StreamCipher
+from repro.crypto.keys import GroupKeyService
 from repro.obs import MetricsRegistry, Telemetry
 from repro.persist import load_cluster, save_cluster
 
@@ -105,6 +110,8 @@ SURFACES = {
     ),
     "Coordinator.run_queries": (Coordinator.run_queries, "jobs policy"),
     "ZerberRServer.__init__": (ZerberRServer.__init__, "key_service num_lists"),
+    # The IV is derived from the plaintext; no caller supplies a nonce.
+    "StreamCipher.encrypt": (StreamCipher.encrypt, "plaintext"),
     "EventLoop.__init__": (EventLoop.__init__, ""),
     "Telemetry.__init__": (Telemetry.__init__, ""),
     "EventLoop.call_at": (EventLoop.call_at, "tick fn"),
@@ -144,7 +151,8 @@ DELETED_NAMES = {
         "RoundRobinPlacement load_balance_ratio "
         "ReadSelector PrimaryReads RotatingReads coerce_read_selector "
         "QueryLog ZerberRServer save_index load_index "
-        "IndexingError CryptoError StaleEpochError __version__",
+        "IndexingError CryptoError StaleEpochError __version__ "
+        "SnippetStore SnippetClient",
     ),
     "repro.core": (
         repro.core,
@@ -155,7 +163,10 @@ DELETED_NAMES = {
         "DeliveryOutlook ReplicationLog tfidf_rscore ZerberRServer "
         "SigmaSelection attribution_probabilities probability_amplification",
     ),
-    "repro.crypto": (repro.crypto, "cipher_for_key encrypt decrypt Principal"),
+    "repro.crypto": (
+        repro.crypto,
+        "cipher_for_key encrypt decrypt Principal NonceSequence",
+    ),
     "repro.index": (repro.index, "merged_list_confidentiality"),
     "repro.obs": (
         repro.obs,
@@ -190,6 +201,7 @@ def test_deleted_names_are_not_exported(module):
         (ZerberRSystem, "with_config"),
         (Rstf, "num_training_points"),
         (repro.errors, "IndexingError StaleEpochError"),
+        (GroupKeyService, "nonce_sequence"),
     ],
     ids=[
         "ServerCluster",
@@ -198,6 +210,7 @@ def test_deleted_names_are_not_exported(module):
         "ZerberRSystem",
         "Rstf",
         "repro.errors",
+        "GroupKeyService",
     ],
 )
 def test_deleted_members_stay_gone(owner, names):

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.crypto.cipher import NONCE_SIZE
 from repro.obs import (
     Telemetry,
     metrics_to_json,
@@ -225,7 +224,7 @@ class TestEndToEndSpanChain:
         group = second.elements[0].group
         cipher = system.key_service.cipher_for(client.principal, group)
         malformed = EncryptedPostingElement(
-            ciphertext=cipher.encrypt(b'{"t":"t"}', b"\x07" * NONCE_SIZE),  # authentic
+            ciphertext=cipher.encrypt(b'{"t":"t"}'),  # authentic
             group=group,
             trs=0.0,
         )

@@ -22,13 +22,13 @@ import numpy as np
 
 from repro import SystemConfig, ZerberRSystem
 from repro.corpus.synthetic import tiny_corpus
-from repro.crypto.cipher import NONCE_SIZE, TAG_SIZE
+from repro.crypto.cipher import IV_SIZE
 from repro.index.postings import HEADER_SIZE
 
 # 20 queries over tiny_corpus(seed=3), SystemConfig(r=4.0, seed=5), tape seed 11.
 REQUESTS = 52
 ELEMENTS = 693
-BITS = 277200
+BITS = 210672
 
 NUM_QUERIES = 20
 K = 5
@@ -59,9 +59,10 @@ def measure():
 
 def test_paper_units_are_exactly_the_recorded_ones():
     assert measure() == (REQUESTS, ELEMENTS, BITS)
-    # Every element on the wire is nonce + header + tag + one TRS double,
-    # 50 bytes whatever its document: the doc id is a number in the header.
-    assert BITS == ELEMENTS * 8 * (NONCE_SIZE + HEADER_SIZE + TAG_SIZE + 8) == ELEMENTS * 400
+    # Every element on the wire is IV + header + one TRS double, 38 bytes
+    # whatever its document: the IV is the tag too, and the doc id is a
+    # number in the header.
+    assert BITS == ELEMENTS * 8 * (IV_SIZE + HEADER_SIZE + 8) == ELEMENTS * 304
 
 
 class _CountedTrs(float):

@@ -146,15 +146,17 @@ class TestOneFormatVersion:
     restore that "succeeds" would answer every query empty: any version
     but the current one is refused."""
 
-    # A v6 element spells its doc id out after a 10-byte header, so it is
-    # too long for the 14-byte v7 header; a v5 element carries a 16-byte
-    # nonce and a SHAKE-256 keystream and fails the v6 tag; a v4 element
-    # carries a truncated HMAC-SHA256 tag; a v3 element also spells its
-    # term out, so its length byte and first three term bytes would pass
-    # for a term number.
-    @pytest.mark.parametrize("found", [1, 2, 3, 4, 5, 6, "7", FORMAT_VERSION + 1, None])
+    # A v7 element is nonce || body || tag and fails the v8 IV check; a
+    # v6 element spells its doc id out after a 10-byte header; a v5
+    # element carries a 16-byte nonce and a SHAKE-256 keystream; a v4
+    # element carries a truncated HMAC-SHA256 tag; a v3 element also
+    # spells its term out, so its length byte and first three term bytes
+    # would pass for a term number.
+    @pytest.mark.parametrize(
+        "found", [1, 2, 3, 4, 5, 6, 7, "8", FORMAT_VERSION + 1, None]
+    )
     def test_other_versions_are_refused_by_name(self, dump, tmp_path, found):
-        assert json.loads(dump)["format_version"] == FORMAT_VERSION == 7
+        assert json.loads(dump)["format_version"] == FORMAT_VERSION == 8
         message = _refused(dump, tmp_path, lambda p: p.update(format_version=found))
         assert repr(found) in message and f"reads {FORMAT_VERSION}" in message
         assert "re-index" in message

@@ -24,7 +24,7 @@ from repro.core.cluster import ServerCluster
 from repro.core.protocol import BatchFetchRequest, FetchRequest
 from repro.core.replication import ReadConsistency
 from repro.corpus.synthetic import tiny_corpus
-from repro.crypto.cipher import NONCE_SIZE
+from repro.crypto.cipher import IV_SIZE
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError, UnavailableError
 from repro.index.postings import EncryptedPostingElement
@@ -526,12 +526,11 @@ class TestRestoredServersStartCold:
 class TestRestoredDeploymentWrites:
     """The documented workflow (``examples/persistent_index.py``) plus one
     write: a deployment dumped, reloaded under a key service rebuilt from
-    the same secret, and written to by a group owner whose nonce counter
-    has therefore started again at 0."""
+    the same secret, and written to by a group owner."""
 
     SECRET = b"restored-deployment-secret-01234"
 
-    def test_a_restored_owner_draws_no_nonce_already_stored(self, tmp_path):
+    def test_a_restored_owner_seals_no_iv_already_stored(self, tmp_path):
         corpus = tiny_corpus()
         system = ZerberRSystem.build(
             corpus, SystemConfig(r=4.0, seed=5), key_service=GroupKeyService(self.SECRET)
@@ -548,20 +547,20 @@ class TestRestoredDeploymentWrites:
         keys.register(owner, {group})
         doc = DocumentStats.from_counts("restored-new", corpus.stats(source).counts)
         client = ZerberRClient(owner, keys, restored, model, plan)
-        written = {r.ciphertext for r in client.index_document_with_receipts(doc, group)}
-
-        assert len(written) == len(doc.counts) > 0
         stored = {
-            element.ciphertext[:NONCE_SIZE]
+            element.ciphertext[:IV_SIZE]
             for server in range(restored.num_servers)
             for list_id in range(restored.num_lists)
             for element in restored.server(server).export_list(list_id)
-            if element.ciphertext not in written
         }
-        # A counter-only nonce repeats here for every element written: the
-        # keystream is BLAKE2b(key; nonce), so the server would learn the
-        # XOR of each new plaintext with a stored one.
-        assert stored.isdisjoint(c[:NONCE_SIZE] for c in written)
+        written = {r.ciphertext for r in client.index_document_with_receipts(doc, group)}
+
+        assert len(written) == len(doc.counts) > 0
+        # The new document copies the source's counts, so only its number
+        # tells its plaintexts apart: had the restore not carried the
+        # directory over, it would take the source's number again and
+        # seal to the source's stored bytes.
+        assert stored.isdisjoint(c[:IV_SIZE] for c in written)
 
 
 class TestOlderDumps:
@@ -572,11 +571,13 @@ class TestOlderDumps:
     sealed under a MAC subkey v6 no longer derives: every element would
     fail its tag.  ``cluster_v6.json`` holds elements whose plaintext
     spells its doc id out after a 10-byte header: every element would
-    fail the 14-byte v7 header, and its dump carries no directory."""
+    fail the 14-byte header, and its dump carries no directory.
+    ``cluster_v7.json`` holds ``nonce || body || tag`` seals: every
+    element, and every sealed directory, would fail the v8 IV check."""
 
     FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
-    @pytest.mark.parametrize("version", [5, 6])
+    @pytest.mark.parametrize("version", [5, 6, 7])
     def test_it_is_refused_by_name_and_version(self, version):
         path = self.FIXTURES / f"cluster_v{version}.json"
         assert json.loads(path.read_text())["format_version"] == version

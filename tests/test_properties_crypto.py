@@ -3,33 +3,31 @@ authentication rejects every single-bit tamper."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.cipher import NONCE_SIZE, StreamCipher
+from repro.crypto.cipher import StreamCipher
 from repro.crypto.prf import Prf, derive_key
 from repro.errors import AuthenticationError, ProtocolError
 from repro.index.postings import PostingElement
 
 key_strategy = st.binary(min_size=16, max_size=64)
-nonce_strategy = st.binary(min_size=NONCE_SIZE, max_size=NONCE_SIZE)
 plaintext_strategy = st.binary(min_size=0, max_size=512)
 
 
-@given(key=key_strategy, nonce=nonce_strategy, plaintext=plaintext_strategy)
+@given(key=key_strategy, plaintext=plaintext_strategy)
 @settings(max_examples=150, deadline=None)
-def test_roundtrip(key, nonce, plaintext):
+def test_roundtrip(key, plaintext):
     cipher = StreamCipher(key)
-    assert cipher.decrypt(cipher.encrypt(plaintext, nonce)) == plaintext
+    assert cipher.decrypt(cipher.encrypt(plaintext)) == plaintext
 
 
 @given(
     key=key_strategy,
-    nonce=nonce_strategy,
     plaintext=st.binary(min_size=1, max_size=128),
     flip=st.integers(min_value=0),
 )
 @settings(max_examples=150, deadline=None)
-def test_any_bitflip_detected(key, nonce, plaintext, flip):
+def test_any_bitflip_detected(key, plaintext, flip):
     cipher = StreamCipher(key)
-    ciphertext = bytearray(cipher.encrypt(plaintext, nonce))
+    ciphertext = bytearray(cipher.encrypt(plaintext))
     position = flip % (len(ciphertext) * 8)
     ciphertext[position // 8] ^= 1 << (position % 8)
     try:
@@ -112,14 +110,13 @@ def test_arbitrary_bytes_decode_to_their_own_element_or_a_typed_refusal(data):
 
 @given(
     key=key_strategy,
-    nonce=nonce_strategy,
     number=st.integers(0, len(TERMS) - 1),
     tf=st.integers(min_value=1, max_value=100),
 )
 @settings(max_examples=100, deadline=None)
-def test_encrypted_element_end_to_end(key, nonce, number, tf):
+def test_encrypted_element_end_to_end(key, number, tf):
     element = PostingElement(term=TERMS[number], doc_id="d", tf=tf, doc_length=tf + 5)
     cipher = StreamCipher(key)
-    ciphertext = cipher.encrypt(element.to_bytes(number, 1), nonce)
-    assert len(ciphertext) == 42
+    ciphertext = cipher.encrypt(element.to_bytes(number, 1))
+    assert len(ciphertext) == 30
     assert PostingElement.from_bytes(cipher.decrypt(ciphertext), TERMS, NAMES) == element
