@@ -21,9 +21,9 @@ silently and read-repair cannot converge them.
 
 Sanctioned mutation modules are the storage/replication layers
 themselves, the persistence codecs (restore is by definition not a
-replicated write), the cluster (which routes every write through the
-log) and the non-replicated baselines, which own private list state of
-the same shape.
+replicated write) and the cluster (which routes every write through the
+log).  The non-replicated baselines keep lists of their own records and
+call no :class:`~repro.index.postings.MergedPostingList` mutator.
 """
 
 from __future__ import annotations
@@ -47,14 +47,12 @@ _SANCTIONED_MUTATION_MODULES = (
     "repro.core.ordstat",
     "repro.index",
     "repro.persist",
-    "repro.baselines",
 )
 
 #: MergedPostingList-level mutators: distinctive names, safe to match on.
 _LIST_MUTATORS = frozenset(
     {
         "add_sorted_by_trs",
-        "add_random",
         "bulk_load_sorted_by_trs",
         "pop_at",
     }

@@ -7,11 +7,14 @@ need to be retrieved by the querying client to obtain the top-k results"
 (paper §3.1) — the bandwidth pathology Zerber+R's TRS fixes.
 
 The implementation reuses the crypto, merging, and access-control
-substrates; only the ordering discipline (random) and the query procedure
+substrates; the element (a sealed posting and its group tag, no score),
+the ordering discipline (random) and the query procedure
 (download-everything, rank client-side) differ from Zerber+R.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +30,20 @@ from repro.errors import (
     UnknownTermError,
 )
 from repro.index.merge import MergePlan, bfm_merge
-from repro.index.postings import EncryptedPostingElement, MergedPostingList, PostingElement
+from repro.index.postings import SEALED_SIZE, PostingElement
 from repro.text.vocabulary import Vocabulary
+
+
+class ZerberElement(NamedTuple):
+    """A Zerber posting: the sealed plaintext element and its group tag.
+
+    There is no score for the server to read.  The client's skim reads
+    only ``ciphertext`` and ``group``, the fields Zerber+R's elements
+    share.
+    """
+
+    ciphertext: bytes
+    group: str
 
 
 class ZerberServer:
@@ -44,8 +59,8 @@ class ZerberServer:
             raise ProtocolError("num_lists must be >= 1")
         self._keys = key_service
         self._rng = rng if rng is not None else np.random.default_rng()
-        self._lists: dict[int, MergedPostingList] = {
-            list_id: MergedPostingList(list_id) for list_id in range(num_lists)
+        self._lists: dict[int, list[ZerberElement]] = {
+            list_id: [] for list_id in range(num_lists)
         }
 
     @property
@@ -56,33 +71,28 @@ class ZerberServer:
     def num_elements(self) -> int:
         return sum(len(lst) for lst in self._lists.values())
 
-    def _list(self, list_id: int) -> MergedPostingList:
+    def _list(self, list_id: int) -> list[ZerberElement]:
         merged = self._lists.get(list_id)
         if merged is None:
             raise UnknownListError(list_id)
         return merged
 
-    def insert(
-        self, principal: str, list_id: int, element: EncryptedPostingElement
-    ) -> None:
-        """Accept an element from a group member; placement is random."""
-        if element.trs is not None:
-            raise ProtocolError("Zerber elements must not carry a plaintext score")
+    def insert(self, principal: str, list_id: int, element: ZerberElement) -> None:
+        """Accept an element from a group member at a uniformly random
+        position of its list."""
         if not self._keys.is_member(principal, element.group):
             raise AccessDeniedError(principal, element.group)
-        self._list(list_id).add_random(element, self._rng)
+        merged = self._list(list_id)
+        merged.insert(int(self._rng.integers(0, len(merged) + 1)), element)
 
-    def download(self, principal: str, list_id: int) -> list[EncryptedPostingElement]:
+    def download(self, principal: str, list_id: int) -> list[ZerberElement]:
         """Return the principal-readable portion of a whole merged list.
 
         This is Zerber's only retrieval primitive: no scores are visible,
         so no server-side pruning is possible.
         """
-        merged = self._list(list_id)
         return [
-            e
-            for e in merged.elements
-            if self._keys.is_member(principal, e.group)
+            e for e in self._list(list_id) if self._keys.is_member(principal, e.group)
         ]
 
 
@@ -115,7 +125,7 @@ class ZerberClient:
             k=k,
             num_requests=1,
             elements_transferred=len(elements),
-            bits_transferred=sum(e.size_bits for e in elements),
+            bits_transferred=len(elements) * 8 * SEALED_SIZE,
         )
         # Zerber downloads the WHOLE merged list, so the skim is the
         # dominant client cost: one pass, one keyring for all of it.
@@ -178,10 +188,8 @@ class ZerberSystem:
                 encode = PostingElement.encoder(doc_number, doc_stats.length)
                 for term in sorted(doc_stats.counts):
                     list_id, number = self.merge_plan.locate(term)
-                    element = EncryptedPostingElement(
-                        ciphertext=encrypt(encode(doc_stats.tf(term), number)),
-                        group=group,
-                        trs=None,
+                    element = ZerberElement(
+                        encrypt(encode(doc_stats.tf(term), number)), group
                     )
                     self.server.insert(owner, list_id, element)
 

@@ -71,12 +71,13 @@ spends a small constant per fetched element and nothing per group:
 
 Around the skim, each fact of a round is worked out once:
 
-* a response is walked once for the traces — its term trace counts it
-  and sums its bits as it is taken up
+* a response is counted once for the traces — its term trace counts
+  its elements as it is taken up
   (:meth:`~repro.core.protocol.QueryTrace.record_response`), and the
   session's :class:`~repro.core.protocol.BatchQueryTrace` is booked from
   those totals when the round ends, so it *is* the sum of the term
-  traces;
+  traces; bits are that count times
+  :data:`~repro.index.postings.ELEMENT_BITS`, never a walk of the reply;
 * a :class:`ClientQuerySession` keeps the terms still fetching as a
   list: ``done`` is "the list is empty", ``pending_requests`` and
   ``deliver`` walk it, and ``deliver`` refreshes it on its way out;
@@ -676,8 +677,8 @@ class ZerberRClient:
     ) -> None:
         """Absorb one round's ``(term session, response)`` pairs.
 
-        Every response is walked once for the traces: its term trace
-        counts it (and sums its bits) as it is taken up, and the round
+        Every response is counted once for the traces: its term trace
+        counts its elements as it is taken up, and the round
         is booked into the session's *batch_trace* from those totals on
         the way out, so the batch trace equals the sum of the term
         traces after every round, raised or not.
@@ -696,15 +697,14 @@ class ZerberRClient:
         ring = self._keys.keyring(self.principal, self._plan)
         counting = self._obs.enabled
         hits_before = sum([c.memo_hits for c, _ in ring.values()]) if counting else 0
-        slices = elements = bits = 0
+        slices = elements = 0
         try:
             for session, response in round_:
                 slices += 1
-                elements += len(response.elements)
-                bits += session.trace.record_response(response)
+                elements += session.trace.record_response(response)
                 self._absorb_response(session, response, ring)
         finally:
-            batch_trace.record_totals(slices, elements, bits)
+            batch_trace.record_totals(slices, elements)
             if counting:
                 memo_hits = sum([c.memo_hits for c, _ in ring.values()]) - hits_before
                 if elements:
@@ -778,12 +778,8 @@ class ZerberRClient:
         """
         if not last_elements:
             return True
-        boundary = last_elements[-1].trs
-        if boundary is None:
-            return True
-        # A match's server-visible TRS; 0.0 where the element carries none.
-        kth = sorted((element.trs or 0.0 for _, element in hits), reverse=True)[k - 1]
-        return kth >= boundary
+        kth = sorted([element.trs for _, element in hits], reverse=True)[k - 1]
+        return kth >= last_elements[-1].trs
 
     def query_multi_batched(
         self, terms: Iterable[str], k: int, policy: ResponsePolicy | None = None

@@ -120,12 +120,12 @@ def validate_write_batch(
 ) -> list[tuple[int, EncryptedPostingElement]]:
     """The all-or-nothing gate of a batched insert, mutating nothing.
 
-    Element by element, in batch order: it carries a TRS
-    (:class:`ProtocolError`), *principal* is a member of its group
-    (:class:`AccessDeniedError`), its list id is one *check_list_id*
-    accepts (it raises :class:`UnknownListError`) — so the first
-    offending element decides the refusal.  Memberships and list ids do
-    not change inside one call, so each distinct group is put to the key
+    Element by element, in batch order: *principal* is a member of its
+    group (:class:`AccessDeniedError`), its list id is one
+    *check_list_id* accepts (it raises :class:`UnknownListError`) — so
+    the first offending element decides the refusal.  The element itself
+    was checked where it was built.  Memberships and list ids do not
+    change inside one call, so each distinct group is put to the key
     service once and each distinct list id checked once.  It runs once
     per batch, in the cluster, before the first of several primaries is
     touched; the shards take what it passed as it is.
@@ -134,8 +134,6 @@ def validate_write_batch(
     groups: set[str] = set()
     list_ids: set[int] = set()
     for list_id, element in batch:
-        if element.trs is None:
-            raise ProtocolError("Zerber+R elements must carry a TRS")
         if element.group not in groups:
             if not keys.is_member(principal, element.group):
                 raise AccessDeniedError(principal, element.group)

@@ -10,9 +10,11 @@ total after ``n`` follow-ups is (Eq. 12)::
 
     TRes = b * sum_{i=0..n} 2^i
 
-:class:`ResponsePolicy` encodes the initial size and growth factor;
+:class:`ResponsePolicy` encodes the initial size ``b`` and the doubling;
 :class:`QueryTrace` records what a query session cost, feeding the Fig.
-11–13 metrics.
+11–13 metrics.  Every element on the wire is one sealed posting and its
+TRS, so the traces book a reply's bits as its element count times
+:data:`~repro.index.postings.ELEMENT_BITS`.
 
 Batched fetches: a multi-term query touches one merged list per term, and
 issuing those slices as separate server calls pays one network round-trip
@@ -26,9 +28,7 @@ distinguishes server *round-trips* (batched calls, the quantity a
 latency-bound deployment cares about) from *sub-fetches* (slices served,
 the quantity the Fig. 12 per-term statistics count).  A session books
 each round from the totals its per-term traces just counted
-(:meth:`BatchQueryTrace.record_totals`), so a response's bits
-(:attr:`FetchResponse.size_bits`, a plain sum over the slice) are
-summed once per query.
+(:meth:`BatchQueryTrace.record_totals`).
 
 The same type carries a coordinator's flush: a
 :class:`~repro.core.router.Coordinator` collects the pending slices of
@@ -56,37 +56,34 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.errors import ProtocolError
-from repro.index.postings import EncryptedPostingElement
+from repro.index.postings import ELEMENT_BITS, EncryptedPostingElement
 
 
 @dataclass(frozen=True)
 class ResponsePolicy:
-    """Initial response size and follow-up growth (paper's doubling rule).
+    """Initial response size and follow-up doubling (paper §5.2, Eq. 12).
 
     ``initial_size`` is the paper's ``b`` (best choice: ``b = k``, §6.4);
-    ``growth_factor`` is 2 in the paper; values > 1 generalise the ablation.
+    every follow-up response is twice the one before.
     """
 
     initial_size: int
-    growth_factor: int = 2
 
     def __post_init__(self) -> None:
         if self.initial_size < 1:
             raise ProtocolError("initial response size must be >= 1")
-        if self.growth_factor < 1:
-            raise ProtocolError("growth factor must be >= 1")
 
     def response_size(self, request_number: int) -> int:
         """Number of elements in the ``request_number``-th response (0-based)."""
         if request_number < 0:
             raise ProtocolError("request number must be non-negative")
-        return self.initial_size * self.growth_factor**request_number
+        return self.initial_size * 2**request_number
 
     def total_after(self, num_requests: int) -> int:
         """Cumulative elements after *num_requests* responses (Eq. 12)."""
         if num_requests < 0:
             raise ProtocolError("num_requests must be non-negative")
-        return sum(self.response_size(i) for i in range(num_requests))
+        return self.initial_size * (2**num_requests - 1)
 
 
 class Receipt(NamedTuple):
@@ -166,26 +163,6 @@ class FetchResponse:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    @property
-    def size_bits(self) -> int:
-        """Wire size of the shipped elements in bits (§6.6).
-
-        A definition, not a cache: every read walks the slice once.
-        :attr:`EncryptedPostingElement.size_bits` defines one element
-        (ciphertext bytes, plus one double where a TRS rides along) and
-        this is its sum, spelled inline instead of one property call per
-        element.  The query path reads it exactly once per response —
-        :meth:`QueryTrace.record_response` returns what it read, and the
-        batch trace is booked from those totals
-        (:meth:`BatchQueryTrace.record_totals`).
-        """
-        bits = 0
-        for element in self.elements:
-            bits += 8 * len(element.ciphertext)
-            if element.trs is not None:
-                bits += 64
-        return bits
 
 
 @dataclass(frozen=True)
@@ -276,7 +253,9 @@ class QueryTrace:
         Total posting elements shipped (the TRes of Eq. 12 — possibly less
         on the last response if the list ran out).
     bits_transferred:
-        Total wire size of shipped elements (for §6.6).
+        Total wire size of shipped elements (for §6.6): for Zerber+R
+        ``elements_transferred * ELEMENT_BITS``; a baseline with another
+        element format books its own.
     satisfied:
         Whether k matches were found before the list was exhausted.
     """
@@ -289,13 +268,13 @@ class QueryTrace:
     satisfied: bool = False
 
     def record_response(self, response: FetchResponse) -> int:
-        """Count one response; returns its wire bits, so whoever also
-        keeps a session-level trace need not sum the slice again."""
-        bits = response.size_bits
+        """Count one Zerber+R response; returns its element count, so
+        whoever also keeps a session-level trace need not count again."""
+        elements = len(response.elements)
         self.num_requests += 1
-        self.elements_transferred += len(response.elements)
-        self.bits_transferred += bits
-        return bits
+        self.elements_transferred += elements
+        self.bits_transferred += elements * ELEMENT_BITS
+        return elements
 
     @property
     def total_response_size(self) -> int:
@@ -333,7 +312,7 @@ class BatchQueryTrace:
     elements_transferred: int = 0
     bits_transferred: int = 0
 
-    def record_totals(self, subfetches: int, elements: int, bits: int) -> None:
+    def record_totals(self, subfetches: int, elements: int) -> None:
         """Book one round from totals the caller already holds.
 
         The session path: the per-term traces count every slice as it
@@ -345,7 +324,7 @@ class BatchQueryTrace:
         self.num_rounds += 1
         self.num_subfetches += subfetches
         self.elements_transferred += elements
-        self.bits_transferred += bits
+        self.bits_transferred += elements * ELEMENT_BITS
 
     @property
     def num_requests(self) -> int:

@@ -66,7 +66,11 @@ from repro.core.replication import ReplicationOp
 from repro.core.views import ReadableViewIndex, ViewStats
 from repro.crypto.keys import GroupKeyService
 from repro.errors import AccessDeniedError, ProtocolError, UnknownListError
-from repro.index.postings import EncryptedPostingElement, MergedPostingList
+from repro.index.postings import (
+    ELEMENT_BITS,
+    EncryptedPostingElement,
+    MergedPostingList,
+)
 
 
 # The observation log keeps the newest OBSERVATION_LOG_CAPACITY fetches:
@@ -414,7 +418,7 @@ class ZerberRServer:
 
     def visible_trs_values(self, list_id: int) -> list[float]:
         """All plaintext TRS values of a list, in server (descending) order."""
-        return [e.trs for e in self._list(list_id) if e.trs is not None]
+        return [e.trs for e in self._list(list_id)]
 
     def visible_group_tags(self, list_id: int) -> list[str]:
         """Plaintext group tags of a list, in server order."""
@@ -422,7 +426,7 @@ class ZerberRServer:
 
     def storage_bits(self) -> int:
         """Total stored wire size of all posting elements."""
-        return sum(lst.size_bits for lst in self._lists.values())
+        return self.num_elements * ELEMENT_BITS
 
     def clear_observations(self) -> None:
         self.observations.clear()

@@ -43,12 +43,6 @@ class Prf:
         outer.update(inner.digest())
         return outer.digest()
 
-    def evaluate_int(self, message: bytes, modulus: int) -> int:
-        """PRF output reduced modulo *modulus* (for pseudo-random indices)."""
-        if modulus <= 0:
-            raise ValueError("modulus must be positive")
-        return int.from_bytes(self.evaluate(message), "big") % modulus
-
     def evaluate_unit(self, message: bytes) -> float:
         """PRF output mapped to [0, 1) with 53-bit precision.
 

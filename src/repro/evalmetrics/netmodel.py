@@ -10,15 +10,11 @@ queries/s; a 56 Kb/s modem user downloads an answer in ≈0.5 s.
 :class:`NetworkModel` reproduces the calculation from *measured* element
 counts, so the §6.6 benchmark can plug in our synthetic-ODP numbers.
 
-The 64 bits are the paper's assumption.  A *measured* element is 304
-bits on the wire, for every document — synthetic IV 16 (nonce and tag in
-one) + header 14 (tf, doc length, term number, doc number) bytes, plus
-the 64-bit TRS (``EncryptedPostingElement.size_bits``).  On the e2e bench
-corpus (13-byte doc ids) it was 400 bits while a 12-byte nonce travelled
-beside a 16-byte tag, 472 while the plaintext spelled the doc id out, 504
-while the nonce was 16 bytes, 560 while the header spelled the 10-byte
-term out, 736 while the plaintext was canonical JSON.
-``NetworkModel(element_bits=304)`` prices it.
+The 64 bits are the paper's assumption and stay the default.  A
+*measured* Zerber+R element is
+:data:`~repro.index.postings.ELEMENT_BITS` bits on the wire, for every
+document: the sealed posting (synthetic IV and fixed header) plus the
+64-bit TRS.  Pass ``element_bits=ELEMENT_BITS`` to price that instead.
 """
 
 from __future__ import annotations

@@ -5,12 +5,12 @@ Three element flavours appear in the reproduction:
 * :class:`PostingElement` — the plaintext element of an ordinary inverted
   index (paper Fig. 1): document id, term, raw TF and document length, from
   which the relevance score (Eq. 4) derives.
-* :class:`EncryptedPostingElement` — what Zerber/Zerber+R servers store
-  (paper Fig. 2/3): an opaque ciphertext of the plaintext element, the
-  owning group (for access control), and — only in Zerber+R — the plaintext
-  *transformed relevance score* (TRS) used for server-side ranking.
+* :class:`EncryptedPostingElement` — what a Zerber+R server stores (paper
+  Fig. 3): an opaque ciphertext of the plaintext element, the owning group
+  (for access control) and the plaintext *transformed relevance score*
+  (TRS) used for server-side ranking.
 * :class:`MergedPostingList` — a merged list (one per set of merged terms)
-  keyed by an integer list id.
+  keyed by an integer list id, held in descending TRS order.
 
 The plaintext layout — :meth:`PostingElement.encoder` (``to_bytes`` is
 its one-element form) / ``from_bytes`` are its single owner — is one
@@ -34,28 +34,34 @@ maps every byte string either to exactly one element, whose
 :class:`~repro.errors.ProtocolError` — a number outside the plan or the
 directory included.
 
-What the server learns from a length: the cipher adds a 16-byte
-synthetic IV (nonce and tag in one) and does not hide the body's length,
-so the untrusted server sees ``len(ciphertext) == 16 + 14 == 30`` for
-every element
-— the same for every document, term, tf and doc_length (pinned in
-``tests/test_integration_security.py``).  When the doc id was spelled
-out, ``len(doc_id)`` linked one document's elements across lists (a
-file path as doc id is as good as a name); when the term was,
-``len(term)`` split a merged list into length classes, each attributable
-at better odds than Def. 2 allows; the canonical-JSON body before that
-also showed the digit counts of tf and doc_length.
+The element format is one decision with this module as its owner: the
+cipher adds a 16-byte synthetic IV (nonce and tag in one) to the header,
+so every ciphertext is :data:`SEALED_SIZE` bytes, and an element on the
+wire is those bytes plus one 64-bit TRS, :data:`ELEMENT_BITS` bits.
+:class:`EncryptedPostingElement` refuses anything else where it is
+built, so a wire or storage size is a count times :data:`ELEMENT_BITS`
+and nothing walks the elements to add it up.
+
+What the server learns from a length: the cipher does not hide the
+body's length, so the untrusted server sees the same
+``len(ciphertext) == SEALED_SIZE`` for every document, term, tf and
+doc_length (pinned in ``tests/test_integration_security.py``).  When the
+doc id was spelled out, ``len(doc_id)`` linked one document's elements
+across lists (a file path as doc id is as good as a name); when the term
+was, ``len(term)`` split a merged list into length classes, each
+attributable at better odds than Def. 2 allows; the canonical-JSON body
+before that also showed the digit counts of tf and doc_length.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 import struct
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
+from repro.crypto.cipher import IV_SIZE
 from repro.errors import ProtocolError
 
 # tf, doc_length, term number, doc number.  Fixed width on purpose: one C
@@ -63,6 +69,12 @@ from repro.errors import ProtocolError
 _HEADER = struct.Struct(">HIII")
 HEADER_SIZE = _HEADER.size
 _unpack = _HEADER.unpack
+
+#: Bytes of every sealed posting: the synthetic IV, then the header.
+SEALED_SIZE = IV_SIZE + HEADER_SIZE
+#: Bits of every element on the wire (§6.6): the sealed bytes and one
+#: 64-bit TRS.
+ELEMENT_BITS = 8 * SEALED_SIZE + 64
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -183,47 +195,51 @@ _set_doc_length = PostingElement.doc_length.__set__  # type: ignore[attr-defined
 class EncryptedPostingElement:
     """Server-side posting element: ciphertext + plaintext ranking metadata.
 
-    ``trs`` is ``None`` for plain Zerber (no server-side ranking) and a
-    float in [0, 1] for Zerber+R.  The ciphertext hides term, document id,
-    TF and document length; ``group`` is visible to the server because it
-    enforces group-based access control (paper §2, §5.2).
+    The ciphertext is :data:`SEALED_SIZE` bytes and hides term, document
+    id, TF and document length; ``group`` is visible to the server
+    because it enforces group-based access control (paper §2, §5.2);
+    ``trs`` is a float in [0, 1] the server ranks by.  Both ways of
+    building one refuse anything else with :class:`ValueError`, so no
+    reader checks again.
     """
 
     ciphertext: bytes
     group: str
-    trs: float | None = None
+    trs: float
 
     def __post_init__(self) -> None:
-        if self.trs is not None and not 0.0 <= self.trs <= 1.0:
+        if len(self.ciphertext) != SEALED_SIZE:
+            raise ValueError(f"a sealed posting is {SEALED_SIZE} bytes")
+        if not isinstance(self.trs, float):
+            raise ValueError(f"TRS must be a float, not {self.trs!r}")
+        if not 0.0 <= self.trs <= 1.0:
             raise ValueError("TRS must lie in [0, 1]")
 
     @classmethod
     def checked(
-        cls, ciphertext: bytes, group: str, trs: float | None
+        cls, ciphertext: bytes, group: str, trs: float
     ) -> "EncryptedPostingElement":
         """The element ``cls(ciphertext, group, trs)``, built the way
         :meth:`PostingElement.from_bytes` builds a decoded one.
 
-        A writer builds one per element it uploads, so the TRS range
-        check runs inline and the slots are filled through their
+        A writer builds one per element it uploads, so the constructor's
+        checks run inline and the slots are filled through their
         descriptors: the generated ``__init__`` would set each frozen
         field through ``object.__setattr__`` and then enter
         ``__post_init__``.  Equality, hash, repr and immutability are the
         dataclass's own.
         """
-        if trs is not None and not 0.0 <= trs <= 1.0:
+        if len(ciphertext) != SEALED_SIZE:
+            raise ValueError(f"a sealed posting is {SEALED_SIZE} bytes")
+        if not isinstance(trs, float):
+            raise ValueError(f"TRS must be a float, not {trs!r}")
+        if not 0.0 <= trs <= 1.0:
             raise ValueError("TRS must lie in [0, 1]")
         element = _new(cls)
         _set_ciphertext(element, ciphertext)
         _set_group(element, group)
         _set_trs(element, trs)
         return element
-
-    @property
-    def size_bits(self) -> int:
-        """Wire size of the element in bits (for the §6.6 bandwidth model)."""
-        overhead = 0 if self.trs is None else 64  # one double for the TRS
-        return len(self.ciphertext) * 8 + overhead
 
 
 # The slot descriptors ``checked`` fills a new element through.
@@ -270,17 +286,15 @@ class PostingList:
 class MergedPostingList:
     """A merged posting list held by an untrusted server.
 
-    ``elements`` ordering discipline depends on the system: Zerber keeps
-    them randomly permuted; Zerber+R keeps them sorted by descending TRS.
-    The list itself does not know which terms it merges — that mapping
-    lives client-side (and in the merge plan used at setup time).
+    ``elements`` are held in descending TRS order.  The list itself does
+    not know which terms it merges — that mapping lives client-side (and
+    in the merge plan used at setup time).
 
     ``version`` increments on every mutation so servers can cache derived
     views (e.g. per-principal readable sub-lists) safely.
 
     ``_neg_trs_keys`` is a position-parallel ``array('d')`` of sort keys
-    (``-trs``; TRS-less elements get ``+inf`` so they order after every
-    real TRS): a held element's key is an unboxed 8-byte double, not a
+    (``-trs``): a held element's key is an unboxed 8-byte double, not a
     ``float`` object.  Every mutator maintains the parallelism invariant —
     ``_neg_trs_keys[i] == sort_key(elements[i])`` for all ``i`` — so the
     binary searches in :meth:`add_sorted_by_trs` and the position-paired
@@ -296,22 +310,20 @@ class MergedPostingList:
 
     @staticmethod
     def sort_key(element: EncryptedPostingElement) -> float:
-        """The descending-TRS sort key; TRS-less elements sort last."""
-        return -element.trs if element.trs is not None else math.inf
+        """The descending-TRS sort key."""
+        return -element.trs
 
     def keys_in_sync(self) -> bool:
         """Whether the key list mirrors ``elements`` position-for-position."""
         return self._neg_trs_keys == array("d", map(self.sort_key, self.elements))
 
     def add_sorted_by_trs(self, element: EncryptedPostingElement) -> int:
-        """Insert keeping descending-TRS order (Zerber+R discipline).
+        """Insert keeping descending-TRS order.
 
         Returns the insertion position.  (Derived per-principal views
         re-derive their own position with a bisect on their filtered key
         list — a merged-list position is not valid there.)
         """
-        if element.trs is None:
-            raise ValueError("element has no TRS; use add_random() instead")
         position = bisect.bisect_right(self._neg_trs_keys, -element.trs)
         self._neg_trs_keys.insert(position, -element.trs)
         self.elements.insert(position, element)
@@ -326,36 +338,18 @@ class MergedPostingList:
         What feeding *elements* one by one through
         :meth:`add_sorted_by_trs` leaves — the same objects in the same
         order, held elements before incoming ones at equal TRS and
-        incoming ones in arrival order — but all-or-nothing (a TRS-less
-        element refuses the whole batch) and with ``version`` advanced
+        incoming ones in arrival order — but with ``version`` advanced
         once per call, also for an empty batch.  A key is taken once per
         incoming element; what the list holds is never re-keyed or
         re-sorted.
         """
-        incoming = list(elements)
-        if any(e.trs is None for e in incoming):
-            raise ValueError("all bulk-loaded elements must carry a TRS")
         held, keys = self.elements, self._neg_trs_keys
-        for element in incoming:
+        for element in elements:
             key = -element.trs
             position = bisect.bisect_right(keys, key)
             keys.insert(position, key)
             held.insert(position, element)
         self.version += 1
-
-    def add_random(self, element: EncryptedPostingElement, rng) -> int:
-        """Insert at a uniformly random position (Zerber discipline).
-
-        Maintains the key/element parallelism invariant (a random insert
-        can break global *sortedness* — that is inherent to the Zerber
-        discipline — but the keys never desync positionally, so later
-        position-paired deletes stay correct).  Returns the position.
-        """
-        position = int(rng.integers(0, len(self.elements) + 1))
-        self._neg_trs_keys.insert(position, self.sort_key(element))
-        self.elements.insert(position, element)
-        self.version += 1
-        return position
 
     def find_by_ciphertext(
         self, ciphertext: bytes, trs: float | None = None
@@ -366,9 +360,8 @@ class MergedPostingList:
         the element (e.g. check its group tag) before committing to a
         removal without a second O(list) pass.  A caller that knows the
         element's *trs* passes it as a hint: the run of elements sharing
-        that TRS is bisected to and searched first, O(log n) on a
-        TRS-sorted list.  A wrong hint, or a list that is not sorted,
-        only costs that probe — the scan below still decides.
+        that TRS is bisected to and searched first, O(log n).  A wrong
+        hint only costs that probe — the scan below still decides.
         """
         if trs is not None:
             keys = self._neg_trs_keys
@@ -399,11 +392,6 @@ class MergedPostingList:
         if start < 0 or count < 0:
             raise ValueError("start and count must be non-negative")
         return self.elements[start : start + count]
-
-    @property
-    def size_bits(self) -> int:
-        """Total wire size of the list in bits."""
-        return sum(element.size_bits for element in self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -62,14 +62,14 @@ def element_to_dict(element: EncryptedPostingElement) -> dict:
 
 def element_from_dict(entry: dict) -> EncryptedPostingElement:
     """Strict on every field: a damaged entry must not restore as a
-    different element (lenient base64 skips non-alphabet characters)."""
-    group, trs = entry["g"], entry["t"]
+    different element (lenient base64 skips non-alphabet characters).
+    The constructor refuses a ciphertext that is not a sealed posting and
+    a TRS that is not a float in [0, 1] with :class:`ValueError`."""
+    group = entry["g"]
     if not isinstance(group, str):
         raise TypeError(f"element group must be a string, not {group!r}")
-    if trs is not None and type(trs) is not float:
-        raise TypeError(f"element TRS must be a float or null, not {trs!r}")
     ciphertext = base64.b64decode(entry["c"], validate=True)
-    return EncryptedPostingElement(ciphertext=ciphertext, group=group, trs=trs)
+    return EncryptedPostingElement(ciphertext=ciphertext, group=group, trs=entry["t"])
 
 
 def directories_to_dict(sealed: dict[str, bytes]) -> dict[str, str]:

@@ -12,6 +12,7 @@ import pytest
 from repro import OrdinaryInvertedIndex, SystemConfig, ZerberRSystem
 from repro.corpus import tiny_corpus
 from repro.corpus.synthetic import SyntheticCorpusConfig, SyntheticCorpusGenerator
+from repro.index.postings import SEALED_SIZE
 
 
 @pytest.fixture(scope="session")
@@ -91,3 +92,12 @@ def counted_encrypts(monkeypatch):
 
     monkeypatch.setattr(StreamCipher, "encrypt", counting)
     return calls
+
+
+def sealed(label: bytes) -> bytes:
+    """A stand-in ciphertext: *label* padded to the one sealed-posting
+    size, so an element built around it passes the format check (no key
+    opens it).  Distinct labels give distinct ciphertexts."""
+    if len(label) > SEALED_SIZE:
+        raise ValueError(f"label longer than {SEALED_SIZE} bytes")
+    return label.ljust(SEALED_SIZE, b".")

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.baselines.zerber import ZerberServer, ZerberSystem
+from repro.baselines.zerber import ZerberElement, ZerberServer, ZerberSystem
 from repro.crypto.keys import GroupKeyService
-from repro.errors import AccessDeniedError, ProtocolError, UnknownTermError
-from repro.index.postings import EncryptedPostingElement
+from repro.errors import AccessDeniedError, UnknownTermError
+from repro.core.client import skim_matches
+from repro.index.postings import SEALED_SIZE, EncryptedPostingElement
+from tests.conftest import sealed
 
 
 @pytest.fixture(scope="module")
@@ -20,32 +22,39 @@ class TestServer:
         svc.register("u", {"g"})
         return svc
 
-    def test_plaintext_score_rejected(self):
-        server = ZerberServer(self._keys(), num_lists=1)
-        with pytest.raises(ProtocolError):
-            server.insert("u", 0, EncryptedPostingElement(b"c", "g", trs=0.5))
+    def test_an_element_carries_no_score(self):
+        assert ZerberElement._fields == ("ciphertext", "group")
 
     def test_membership_enforced(self):
         server = ZerberServer(self._keys(), num_lists=1)
         with pytest.raises(AccessDeniedError):
-            server.insert("u", 0, EncryptedPostingElement(b"c", "other"))
+            server.insert("u", 0, ZerberElement(sealed(b"c"), "other"))
 
     def test_random_placement(self):
-        keys = self._keys()
-        server = ZerberServer(keys, num_lists=1, rng=np.random.default_rng(3))
-        for _ in range(64):
-            server.insert("u", 0, EncryptedPostingElement(b"c", "g"))
-        # With random placement the list exists and has all elements; order
-        # carries no TRS (nothing to assert on order — that's the point).
-        assert server.num_elements == 64
+        """Each insert lands at a uniformly drawn position of its list:
+        insertion order does not survive, and the same seed places the
+        same way."""
+
+        def placed(seed):
+            server = ZerberServer(
+                self._keys(), num_lists=1, rng=np.random.default_rng(seed)
+            )
+            for i in range(64):
+                server.insert("u", 0, ZerberElement(sealed(b"c%d" % i), "g"))
+            return [e.ciphertext for e in server.download("u", 0)]
+
+        inserted = [sealed(b"c%d" % i) for i in range(64)]
+        order = placed(3)
+        assert sorted(order) == sorted(inserted) and order != inserted
+        assert placed(3) == order
 
     def test_download_filters_by_membership(self):
         keys = self._keys()
         keys.register("v", {"h"})
         keys.register("root", {"g", "h"})
         server = ZerberServer(keys, num_lists=1, rng=np.random.default_rng(4))
-        server.insert("u", 0, EncryptedPostingElement(b"c1", "g"))
-        server.insert("v", 0, EncryptedPostingElement(b"c2", "h"))
+        server.insert("u", 0, ZerberElement(sealed(b"c1"), "g"))
+        server.insert("v", 0, ZerberElement(sealed(b"c2"), "h"))
         assert len(server.download("u", 0)) == 1
         assert len(server.download("root", 0)) == 2
 
@@ -57,6 +66,7 @@ class TestSystem:
         result = zsystem.query(term, k=10)
         readable = zsystem.server.download("superuser", list_id)
         assert result.trace.elements_transferred == len(readable)
+        assert result.trace.bits_transferred == len(readable) * 8 * SEALED_SIZE
         assert result.trace.num_requests == 1
 
     def test_ranking_correct_despite_random_order(self, zsystem, corpus):
@@ -92,7 +102,23 @@ class TestSystem:
             len(element.ciphertext)
             for list_id in range(zsystem.merge_plan.num_lists)
             for element in zsystem.server.download("superuser", list_id)
-        } == {30}
+        } == {SEALED_SIZE}
+
+    def test_the_skim_reads_a_zerber_element_as_it_reads_a_zerber_r_one(
+        self, zsystem
+    ):
+        """``skim_matches`` reads only ``ciphertext`` and ``group``, so one
+        skim serves both systems' records."""
+        term = zsystem.vocabulary.terms_by_frequency()[0]
+        list_id = zsystem.merge_plan.list_of(term)
+        elements = zsystem.server.download("superuser", list_id)
+        ring = zsystem.key_service.keyring("superuser", zsystem.merge_plan)
+        as_zerber_r = [
+            EncryptedPostingElement(e.ciphertext, e.group, 0.5) for e in elements
+        ]
+        zerber = [posting for posting, _ in skim_matches(elements, term, ring)]
+        zerber_r = [posting for posting, _ in skim_matches(as_zerber_r, term, ring)]
+        assert zerber == zerber_r and zerber
 
     def test_unknown_term(self, zsystem):
         with pytest.raises(UnknownTermError):

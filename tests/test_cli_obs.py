@@ -12,6 +12,7 @@ from repro.core.router import CoordinatorStats
 from repro.core.views import ViewStats
 from repro.crypto.keys import GroupKeyService
 from repro.index.postings import EncryptedPostingElement
+from tests.conftest import sealed
 
 
 class TestMetricsCommand:
@@ -162,9 +163,9 @@ class TestClusterStatusCommand:
             service, num_lists=1, num_servers=3, replication=3, lag=2
         )
         cluster.pause_follower(1)
-        cluster.insert("u", 0, EncryptedPostingElement(b"a", "g", 0.5))
+        cluster.insert("u", 0, EncryptedPostingElement(sealed(b"a"), "g", 0.5))
         cluster.replication_tick()
-        cluster.insert("u", 0, EncryptedPostingElement(b"b", "g", 0.5))
+        cluster.insert("u", 0, EncryptedPostingElement(sealed(b"b"), "g", 0.5))
         cluster.fail_server(2)
         cluster.replication_tick()  # the first write's deliveries come due
         monkeypatch.setattr(
@@ -203,7 +204,7 @@ class TestFollowerBacklogGauge:
             )
             cluster.pause_follower(1)
             for i, trs in enumerate((0.9, 0.5, 0.1)):
-                element = EncryptedPostingElement(b"e%d" % i, "g", trs)
+                element = EncryptedPostingElement(sealed(b"e%d" % i), "g", trs)
                 cluster.insert("u", i % 2, element)
                 cluster.replication_tick()
             built.append(cluster)

@@ -27,6 +27,7 @@ from repro.errors import (
 from repro.index.merge import MergePlan
 from repro.index.postings import EncryptedPostingElement
 from repro.text.analysis import DocumentStats
+from tests.conftest import sealed
 
 
 @pytest.fixture()
@@ -36,7 +37,7 @@ def keys():
     return svc
 
 
-def _element(trs, payload=b"cipher"):
+def _element(trs, payload=sealed(b"cipher")):
     return EncryptedPostingElement(ciphertext=payload, group="g", trs=trs)
 
 
@@ -88,7 +89,7 @@ class TestQuorumWrites:
 
     def test_quorum_write_forces_acks_through_log(self, keys):
         cluster = self._cluster(keys, lag=10, write_consistency="quorum")
-        cluster.insert("u", 0, _element(0.5, b"x"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"x")))
         versions = sorted(
             cluster.applied_version(0, s) for s in cluster.replicas_of(0)
         )
@@ -105,7 +106,7 @@ class TestQuorumWrites:
 
     def test_all_write_forces_every_replica(self, keys):
         cluster = self._cluster(keys, lag=10, write_consistency="all")
-        cluster.insert("u", 0, _element(0.5, b"x"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"x")))
         assert all(
             cluster.applied_version(0, s) == 1 for s in cluster.replicas_of(0)
         )
@@ -114,9 +115,9 @@ class TestQuorumWrites:
     def test_quorum_ack_prefers_most_caught_up_follower(self, keys):
         cluster = self._cluster(keys, lag=10, write_consistency="quorum")
         cluster.pause_follower(1)
-        cluster.insert("u", 0, _element(0.5, b"a"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"a")))
         cluster.resume_follower(1)  # server 2 at v1; server 1 at v0
-        cluster.insert("u", 0, _element(0.6, b"b"))
+        cluster.insert("u", 0, _element(0.6, sealed(b"b")))
         # The nearer follower (2) was synced for the ack, ahead of the one
         # placement lists first; 1 stays behind.
         assert cluster.applied_version(0, 2) == 2
@@ -124,12 +125,12 @@ class TestQuorumWrites:
 
     def test_quorum_write_refused_before_mutation(self, keys):
         cluster = self._cluster(keys, lag=1)
-        cluster.insert("u", 0, _element(0.5, b"a"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"a")))
         cluster.fail_server(1)
         cluster.fail_server(2)
         cluster.write_consistency = WriteConsistency.QUORUM
         with pytest.raises(QuorumWriteUnavailableError) as excinfo:
-            cluster.insert("u", 0, _element(0.6, b"b"))
+            cluster.insert("u", 0, _element(0.6, sealed(b"b")))
         err = excinfo.value
         assert err.list_id == 0
         assert err.needed == 2
@@ -153,14 +154,14 @@ class TestQuorumWrites:
         # blocks deliveries TO it), so it stays ack-capable.
         cluster.resume_follower(1)
         cluster.pause_follower(0)
-        cluster.insert("u", 0, _element(0.5, b"x"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"x")))
         assert cluster.applied_version(0, 0) == 1
         assert cluster.applied_version(0, 1) == 1
 
     def test_one_write_keeps_durable_primary_idealisation(self, keys):
         cluster = self._cluster(keys, num_servers=2, replication=2, lag=1)
         cluster.fail_server(cluster.replicas_of(0)[0])
-        cluster.insert("u", 0, _element(0.5, b"x"))  # W=ONE still lands
+        cluster.insert("u", 0, _element(0.5, sealed(b"x")))  # W=ONE still lands
         assert cluster.primary_version(0) == 1
         cluster.write_consistency = WriteConsistency.QUORUM
         with pytest.raises(QuorumWriteUnavailableError):
@@ -169,7 +170,7 @@ class TestQuorumWrites:
     def test_cluster_default_write_consistency(self, keys):
         cluster = self._cluster(keys, lag=10, write_consistency="quorum")
         assert cluster.write_consistency is WriteConsistency.QUORUM
-        cluster.insert("u", 0, _element(0.5, b"x"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"x")))
         at_head = [
             s
             for s in cluster.replicas_of(0)
@@ -179,16 +180,16 @@ class TestQuorumWrites:
         # Assigning ONE relaxes the setting back down.
         cluster.fail_server(cluster.replicas_of(0)[2])
         cluster.write_consistency = WriteConsistency.ONE
-        cluster.insert("u", 0, _element(0.6, b"y"))
+        cluster.insert("u", 0, _element(0.6, sealed(b"y")))
 
     def test_batch_writes_honor_consistency(self, keys):
         cluster = self._cluster(keys, lag=10, write_consistency="all")
-        items = [(0, _element(0.1 * i, b"b%d" % i)) for i in range(1, 4)]
+        items = [(0, _element(0.1 * i, sealed(b"b%d" % i))) for i in range(1, 4)]
         assert cluster.bulk_load("u", items) == 3
         assert all(
             cluster.applied_version(0, s) == 3 for s in cluster.replicas_of(0)
         )
-        assert cluster.delete_element("u", 0, b"b1")
+        assert cluster.delete_element("u", 0, sealed(b"b1"))
         assert all(
             cluster.applied_version(0, s) == 4 for s in cluster.replicas_of(0)
         )
@@ -199,10 +200,10 @@ class TestQuorumWrites:
         cluster = self._cluster(
             keys, lag=10, write_consistency="quorum", read_consistency="quorum"
         )
-        cluster.insert("u", 0, _element(0.9, b"acked"))
+        cluster.insert("u", 0, _element(0.9, sealed(b"acked")))
         cluster.fail_server(cluster.replicas_of(0)[0])
         response = _fetch(cluster, 0)
-        assert [e.ciphertext for e in response.elements] == [b"acked"]
+        assert [e.ciphertext for e in response.elements] == [sealed(b"acked")]
 
 
 class TestMatrixUnderLag:
@@ -240,7 +241,8 @@ class TestMatrixUnderLag:
                 cluster.resume_follower(window % self.SERVERS)
             (list_id,) = rng.choices(range(self.LISTS), zipf)
             try:
-                cluster.insert("u", list_id, _element(rng.random(), b"w%d" % serial))
+                element = _element(rng.random(), sealed(b"w%d" % serial))
+                cluster.insert("u", list_id, element)
             except QuorumWriteUnavailableError:
                 refused += 1  # ALL cannot reach a partitioned follower
             else:
@@ -296,7 +298,7 @@ class TestFailoverElection:
 
     def test_primary_deposed_after_threshold(self, keys):
         cluster = self._cluster(keys)
-        cluster.insert("u", 0, _element(0.5, b"x"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"x")))
         cluster.run_replication_until_quiet()
         old_primary = cluster.replicas_of(0)[0]
         epoch_before = cluster.placement_epoch
@@ -329,7 +331,7 @@ class TestFailoverElection:
             write_consistency="quorum",
         )
         cluster.pause_follower(1)
-        cluster.insert("u", 0, _element(0.5, b"x"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"x")))
         cluster.resume_follower(1)  # server 2 at v1, server 1 at v0
         assert cluster.applied_version(0, 2) == 1
         assert cluster.applied_version(0, 1) == 0
@@ -341,7 +343,7 @@ class TestFailoverElection:
 
     def test_election_syncs_winner_to_head_first(self, keys):
         cluster = self._cluster(keys, lag=100)
-        cluster.insert("u", 0, _element(0.5, b"x"))  # followers 100 ticks back
+        cluster.insert("u", 0, _element(0.5, sealed(b"x")))  # followers 100 ticks back
         cluster.fail_server(cluster.replicas_of(0)[0])
         for _ in range(3):
             cluster.replication_tick()
@@ -349,11 +351,11 @@ class TestFailoverElection:
         assert cluster.applied_version(0, new_primary) == 1
         assert cluster.replication_stats.failover_ops == 1
         # Writes acknowledge at the elected primary from the old head.
-        cluster.insert("u", 0, _element(0.6, b"y"))
+        cluster.insert("u", 0, _element(0.6, sealed(b"y")))
         assert cluster.primary_version(0) == 2
         assert {
             e.ciphertext for e in cluster.server(new_primary).export_list(0)
-        } == {b"x", b"y"}
+        } == {sealed(b"x"), sealed(b"y")}
 
     def test_no_election_without_reachable_candidate(self, keys):
         cluster = self._cluster(keys)
@@ -375,13 +377,13 @@ class TestFailoverElection:
 
     def test_restored_old_primary_catches_up_as_follower(self, keys):
         cluster = self._cluster(keys)
-        cluster.insert("u", 0, _element(0.5, b"a"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"a")))
         cluster.run_replication_until_quiet()
         old_primary = cluster.replicas_of(0)[0]
         cluster.fail_server(old_primary)
         for _ in range(3):
             cluster.replication_tick()
-        cluster.insert("u", 0, _element(0.6, b"b"))  # lands on new primary
+        cluster.insert("u", 0, _element(0.6, sealed(b"b")))  # lands on new primary
         cluster.restore_server(old_primary)
         cluster.run_replication_until_quiet()
         cluster.replication_tick()  # reachable again: timer clears
@@ -432,10 +434,10 @@ class TestSessionFloors:
         cluster = ServerCluster(
             keys, num_lists=1, num_servers=2, replication=2, lag=50
         )
-        cluster.insert("u", 0, _element(0.5, b"old"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"old")))
         cluster.run_replication_until_quiet(max_ticks=60)
-        cluster.insert("u", 0, _element(0.9, b"new"))
-        cluster.insert("u", 0, _element(0.8, b"newer"))
+        cluster.insert("u", 0, _element(0.9, sealed(b"new")))
+        cluster.insert("u", 0, _element(0.8, sealed(b"newer")))
         cluster.fail_server(cluster.replicas_of(0)[0])  # follower is 2 behind
         return cluster
 
@@ -443,7 +445,7 @@ class TestSessionFloors:
         cluster = self._lagged(keys)
         response = _fetch(cluster, 0, consistency="one")
         assert response.replica_version == 1
-        assert [e.ciphertext for e in response.elements] == [b"old"]
+        assert [e.ciphertext for e in response.elements] == [sealed(b"old")]
         stats = cluster.replication_stats
         assert (stats.floor_reserves, stats.read_reserves) == (0, 0)
 
@@ -467,7 +469,7 @@ class TestSessionFloors:
             write_consistency="quorum",
         )
         cluster.pause_follower(1)
-        cluster.insert("u", 0, _element(0.5, b"x"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"x")))
         cluster.resume_follower(1)  # server 2 at head, server 1 at v0
         cluster.fail_server(0)
         for _ in range(4):
@@ -496,8 +498,8 @@ class TestSessionFloors:
         cluster = ServerCluster(
             keys, num_lists=1, num_servers=2, replication=2, lag=50
         )
-        cluster.insert("u", 0, _element(0.5, b"a"))
-        cluster.insert("u", 0, _element(0.6, b"b"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"a")))
+        cluster.insert("u", 0, _element(0.6, sealed(b"b")))
         cluster.fail_server(cluster.replicas_of(0)[0])
         request = FetchRequest(
             principal="u", list_id=0, offset=0, count=4, min_version=2
@@ -511,7 +513,7 @@ class TestSessionFloors:
         cluster = ServerCluster(
             keys, num_lists=1, num_servers=2, replication=2, lag=50
         )
-        cluster.insert("u", 0, _element(0.5, b"a"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"a")))
         cluster.fail_server(cluster.replicas_of(0)[0])
         request = FetchRequest(
             principal="u", list_id=0, offset=0, count=4, min_version=99
@@ -634,7 +636,7 @@ class TestDeadPrimaryRoutingMatrix:
         cluster = ServerCluster(
             keys, num_lists=1, num_servers=3, replication=3, lag=1
         )
-        cluster.insert("u", 0, _element(0.5, b"x"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"x")))
         cluster.run_replication_until_quiet()
         cluster.fail_server(cluster.replicas_of(0)[0])
         return cluster
@@ -643,7 +645,7 @@ class TestDeadPrimaryRoutingMatrix:
     def test_dead_primary_served_by_followers(self, keys, level):
         cluster = self._cluster(keys)
         response = _fetch(cluster, 0, consistency=level)
-        assert [e.ciphertext for e in response.elements] == [b"x"]
+        assert [e.ciphertext for e in response.elements] == [sealed(b"x")]
         assert response.replica_version == 1
 
     @pytest.mark.parametrize("level", ["one", "primary", "quorum"])
@@ -802,7 +804,7 @@ class TestFailoverAwareWriteRetry:
         # dead primary alone refuses the write.
         cluster = self._cluster(client_keys, failover_after=None)
         cluster.fail_server(cluster.replicas_of(0)[0])
-        element = EncryptedPostingElement(b"ct", group="g1", trs=0.5)
+        element = EncryptedPostingElement(sealed(b"ct"), group="g1", trs=0.5)
         with pytest.raises(QuorumWriteUnavailableError) as excinfo:
             cluster.insert("alice", 0, element)  # the cluster writes at QUORUM
         assert len(excinfo.value.live_replicas) == 2

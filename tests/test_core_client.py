@@ -22,7 +22,7 @@ from repro.crypto.cipher import StreamCipher
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ProtocolError, UnknownTermError
 from repro.index.merge import MergePlan
-from repro.index.postings import EncryptedPostingElement
+from repro.index.postings import ELEMENT_BITS, EncryptedPostingElement, PostingElement
 from repro.obs import Telemetry
 from repro.text.analysis import DocumentStats
 
@@ -652,11 +652,9 @@ def _assert_traces_agree(session, shipped=None):
     assert batch.num_subfetches == sum(t.num_requests for t in terms)
     assert batch.elements_transferred == sum(t.elements_transferred for t in terms)
     assert batch.bits_transferred == sum(t.bits_transferred for t in terms)
+    assert batch.bits_transferred == batch.elements_transferred * ELEMENT_BITS
     if shipped is not None:
         assert batch.elements_transferred == sum(len(r.elements) for r in shipped)
-        assert batch.bits_transferred == sum(
-            e.size_bits for r in shipped for e in r.elements
-        )
 
 
 @contextlib.contextmanager
@@ -755,16 +753,18 @@ class TestTracesAgree:
                 assert trace.elements_transferred == sum(
                     len(r.elements) for r in logged.shipped
                 )
-                assert trace.bits_transferred == sum(
-                    e.size_bits for r in logged.shipped for e in r.elements
+                assert trace.bits_transferred == (
+                    trace.elements_transferred * ELEMENT_BITS
                 )
         assert [r.ranked for r in driven] == [r.ranked for r in direct]
         assert [r.batch_trace for r in driven] == [r.batch_trace for r in direct]
 
     def _poison(self, keys, server, list_id, group, owner):
-        """An element that passes its IV check and decodes malformed, written
-        through the owner's cipher, at the head of *list_id*."""
-        bad = keys.cipher_for(owner, group).encrypt(b'{"t":"t"}')
+        """An element that passes its IV check and decodes malformed — a
+        header naming a term number past the plan — written through the
+        owner's cipher, at the head of *list_id*."""
+        header = PostingElement("t", "d", 1, 2).to_bytes(2**32 - 1, 0)
+        bad = keys.cipher_for(owner, group).encrypt(header)
         server.insert(
             owner, list_id, EncryptedPostingElement(ciphertext=bad, group=group, trs=1.0)
         )
@@ -909,9 +909,11 @@ class TestWarmReadPathCounts:
 
     # One warm two-term query that takes one round of two five-element
     # slices, telemetry off.  The budget is the path's own count on
-    # CPython 3.11 plus 5 % (3.12 inlines comprehensions and only reads
-    # lower): 168 entered.
-    FRAME_BUDGET = 176
+    # CPython 3.11, exact (3.12 inlines comprehensions and only reads
+    # lower): 156 entered since a reply's bits became its element count
+    # times ELEMENT_BITS and the top-k check sorts a list, not a
+    # generator (168 before, under a budget of 176).
+    FRAME_BUDGET = 156
 
     def test_frames_entered_by_one_warm_query_stay_under_budget(self, tiny_deployment):
         system, cluster, pool = tiny_deployment
@@ -925,14 +927,16 @@ class TestWarmReadPathCounts:
         trace = results[0].batch_trace
         assert (trace.num_rounds, trace.num_subfetches) == (1, 2)
         assert trace.elements_transferred == 10
+        assert trace.bits_transferred == 10 * ELEMENT_BITS
         assert frames <= self.FRAME_BUDGET, frames
 
     # The warm six-term query of the telemetry budget below, one round of
     # six slices on three servers, through Coordinator.run_queries with no
-    # telemetry: its count on CPython 3.11, exact — 486 entered since the
-    # flush became one ``ServerCluster.batch_fetch`` (509 before, under a
-    # budget of 534).
-    COORDINATOR_FRAME_BUDGET = 486
+    # telemetry: its count on CPython 3.11, exact — 450 entered since a
+    # reply's bits became a count times ELEMENT_BITS and the top-k check
+    # sorts a list (486 before; 509 before the flush became one
+    # ``ServerCluster.batch_fetch``, under a budget of 534).
+    COORDINATOR_FRAME_BUDGET = 450
 
     def test_frames_entered_by_one_warm_coordinator_query_stay_under_budget(
         self, system
@@ -942,6 +946,7 @@ class TestWarmReadPathCounts:
         terms, k = self._six_terms_on_three_servers(system, cluster), 5
         trace = coordinator.run_queries([(client, terms, k)])[0].batch_trace
         assert (trace.num_rounds, trace.num_subfetches) == (1, 6)
+        assert trace.bits_transferred == trace.elements_transferred * ELEMENT_BITS
         frames = _frames_entered(lambda: coordinator.run_queries([(client, terms, k)]))
         assert frames <= self.COORDINATOR_FRAME_BUDGET, frames
 

@@ -25,8 +25,9 @@ from repro.errors import (
     UnavailableError,
     UnknownListError,
 )
-from repro.index.postings import EncryptedPostingElement
+from repro.index.postings import ELEMENT_BITS, EncryptedPostingElement
 from repro.obs import Telemetry
+from tests.conftest import sealed
 
 
 @pytest.fixture()
@@ -37,7 +38,7 @@ def keys():
 
 
 def _element(trs, payload=b"cipher"):
-    return EncryptedPostingElement(ciphertext=payload, group="g", trs=trs)
+    return EncryptedPostingElement(ciphertext=sealed(payload), group="g", trs=trs)
 
 
 class TestTopology:
@@ -94,6 +95,14 @@ class TestDataPlane:
         cluster.insert("u", 0, _element(0.5))
         cluster.insert("u", 1, _element(0.6, b"other"))
         assert cluster.num_elements == 2
+
+    def test_storage_bits_count_every_stored_copy(self, keys):
+        """Physical storage, replicas included, at ELEMENT_BITS a copy."""
+        cluster = ServerCluster(keys, num_lists=4, num_servers=3, replication=2)
+        for list_id in range(4):
+            cluster.insert("u", list_id, _element(0.5, b"st%d" % list_id))
+        assert cluster.num_elements == 4
+        assert cluster.storage_bits() == 2 * 4 * ELEMENT_BITS
 
     def test_bulk_load_and_fetch(self, keys):
         cluster = ServerCluster(keys, num_lists=3, num_servers=2)
@@ -187,26 +196,20 @@ class TestDataPlane:
         """Validation failures must not leave replicas divergent."""
         cluster = ServerCluster(keys, num_lists=2, num_servers=2, replication=2)
         bad_group = EncryptedPostingElement(
-            ciphertext=b"bad", group="not-a-group", trs=0.5
+            ciphertext=sealed(b"bad"), group="not-a-group", trs=0.5
         )
         with pytest.raises(CryptoError):
             cluster.insert_many("u", [(0, _element(0.9)), (1, bad_group)])
         assert cluster.num_elements == 0
-        with pytest.raises(ProtocolError):
-            cluster.insert_many(
-                "u",
-                [
-                    (0, _element(0.9)),
-                    (1, EncryptedPostingElement(ciphertext=b"x", group="g", trs=None)),
-                ],
-            )
+        with pytest.raises(UnknownListError):
+            cluster.insert_many("u", [(0, _element(0.9)), (2, _element(0.5))])
         assert cluster.num_elements == 0
 
     def test_bulk_load_rejected_batch_touches_no_server(self, keys):
         """bulk_load gets the same all-or-nothing validation as insert_many."""
         cluster = ServerCluster(keys, num_lists=2, num_servers=3, replication=2)
         bad = EncryptedPostingElement(
-            ciphertext=b"bad", group="not-a-group", trs=0.5
+            ciphertext=sealed(b"bad"), group="not-a-group", trs=0.5
         )
         with pytest.raises(CryptoError):
             cluster.bulk_load("u", [(0, _element(0.9)), (1, bad)])
@@ -533,7 +536,9 @@ def _read_script(rng, steps, replicas_of):
         if kind < 4:
             list_id = rng.randrange(READ_LISTS)
             element = EncryptedPostingElement(
-                ciphertext=b"e%d" % number, group=rng.choice("gh"), trs=rng.random()
+                ciphertext=sealed(b"e%d" % number),
+                group=rng.choice("gh"),
+                trs=rng.random(),
             )
             inserted.append((list_id, element))
             heads[list_id] += 1

@@ -20,6 +20,7 @@ from repro.errors import (
     ProtocolError,
     UnavailableError,
 )
+from tests.conftest import sealed
 
 
 class TestEventLoopScheduling:
@@ -404,7 +405,7 @@ class TestBackgroundDaemons:
             keys, num_lists=1, num_servers=2, replication=2, lag=3
         )
         coordinator = Coordinator(cluster)
-        element = EncryptedPostingElement(b"ct", group="g", trs=0.5)
+        element = EncryptedPostingElement(sealed(b"ct"), group="g", trs=0.5)
         cluster.insert("u", 0, element)
         follower = cluster.replicas_of(0)[1]
         coordinator.loop.advance(2)

@@ -15,6 +15,7 @@ from repro.core.protocol import FetchRequest
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError, ProtocolError
 from repro.index.postings import EncryptedPostingElement
+from tests.conftest import sealed
 
 # (num_lists, num_servers, replication)
 SHAPES = [(1, 1, 1), (7, 3, 1), (7, 3, 2), (7, 3, 3), (10, 4, 2), (4, 10, 3)]
@@ -35,7 +36,7 @@ def _filled(num_lists=6, num_servers=3, replication=2, **kwargs):
         **kwargs,
     )
     for i in range(3 * num_lists):
-        element = EncryptedPostingElement(b"s-%02d" % i, "g", (i + 1) / 100.0)
+        element = EncryptedPostingElement(sealed(b"s-%02d" % i), "g", (i + 1) / 100.0)
         cluster.insert("u", i % num_lists, element)
     return cluster
 
@@ -164,7 +165,9 @@ class TestStaticLayoutUnderFailover:
             cluster.replication_tick()
             cluster.fetch(FetchRequest("u", step % 6, 0, 2))
             cluster.insert(
-                "u", step % 6, EncryptedPostingElement(b"t-%02d" % step, "g", 0.5)
+                "u",
+                step % 6,
+                EncryptedPostingElement(sealed(b"t-%02d" % step), "g", 0.5),
             )
         assert cluster.placement_table() == round_robin_placement(6, 3, 2)
         assert cluster.placement_epoch == 0
@@ -237,10 +240,10 @@ class TestStaticLayoutUnderFailover:
     def test_a_paused_follower_is_passed_over(self):
         cluster = _filled(num_lists=3, replication=3, lag=3, failover_after=1)
         cluster.pause_follower(1)
-        cluster.insert("u", 0, EncryptedPostingElement(b"late", "g", 0.99))
+        cluster.insert("u", 0, EncryptedPostingElement(sealed(b"late"), "g", 0.99))
         cluster.fail_server(0)
         cluster.replication_tick()
         cluster.replication_tick()
         assert cluster.replicas_of(0) == [2, 0, 1]
         assert cluster.applied_version(0, 2) == cluster.primary_version(0)
-        assert b"late" in _contents(cluster)[0]
+        assert sealed(b"late") in _contents(cluster)[0]

@@ -13,17 +13,19 @@ from repro.core.protocol import (
     ResponsePolicy,
 )
 from repro.errors import ProtocolError
-from repro.index.postings import EncryptedPostingElement
+from repro.index.postings import ELEMENT_BITS, EncryptedPostingElement
+from tests.conftest import sealed
 
 
 def _element(trs=0.5):
-    return EncryptedPostingElement(ciphertext=b"12345678", group="g", trs=trs)
+    return EncryptedPostingElement(ciphertext=sealed(b"12345678"), group="g", trs=trs)
 
 
 class TestResponsePolicy:
     def test_doubling_sizes(self):
         policy = ResponsePolicy(initial_size=10)
         assert [policy.response_size(i) for i in range(4)] == [10, 20, 40, 80]
+        assert ResponsePolicy(initial_size=1).response_size(0) == 1
 
     def test_total_after_matches_eq12(self):
         # Eq. 12: TRes = b * sum_{i=0..n} 2^i
@@ -32,15 +34,9 @@ class TestResponsePolicy:
         assert policy.total_after(1) == 10
         assert policy.total_after(0) == 0
 
-    def test_growth_factor_one(self):
-        policy = ResponsePolicy(initial_size=5, growth_factor=1)
-        assert policy.total_after(4) == 20
-
     def test_validation(self):
         with pytest.raises(ProtocolError):
             ResponsePolicy(initial_size=0)
-        with pytest.raises(ProtocolError):
-            ResponsePolicy(initial_size=1, growth_factor=0)
         with pytest.raises(ProtocolError):
             ResponsePolicy(initial_size=1).response_size(-1)
         with pytest.raises(ProtocolError):
@@ -58,39 +54,19 @@ class TestFetchMessages:
         response = FetchResponse(elements=(_element(), _element()), exhausted=False)
         assert len(response) == 2
 
-    def test_response_bits_summed_once_and_shared_by_both_traces(self):
-        elements = (
-            _element(),
-            _element(trs=None),
-            EncryptedPostingElement(ciphertext=b"x" * 57, group="h", trs=0.1),
-        )
-        old_sum = sum(e.size_bits for e in elements)
-        assert old_sum == (8 + 8 + 57) * 8 + 2 * 64
-        response = FetchResponse(elements=elements, exhausted=False)
-        assert response.size_bits == old_sum
+    @pytest.mark.parametrize("count", [0, 1, 3, 25])
+    def test_a_round_books_its_elements_times_element_bits(self, count):
+        """Both traces count a reply's elements once and price them at
+        ELEMENT_BITS each: no reply or element carries a size."""
+        response = FetchResponse(elements=(_element(),) * count, exhausted=False)
         per_term = QueryTrace(term="t", k=3)
-        bits = per_term.record_response(response)
+        assert per_term.record_response(response) == count
         batch = BatchQueryTrace(terms=("t",), k=3)
-        batch.record_totals(2, 2 * len(response), 2 * bits)
-        assert per_term.bits_transferred == bits == old_sum
-        assert batch.bits_transferred == 2 * old_sum
-        assert FetchResponse(elements=(), exhausted=True).size_bits == 0
-        # The cached sum is no field: equality, hashing and repr ignore it.
-        assert response == FetchResponse(elements=elements, exhausted=False)
-        assert "size_bits" not in repr(response)
-
-
-    @pytest.mark.parametrize(
-        "trs_values",
-        [(), (None,), (0.0,), (None, None), (0.0, None, 1.0, None, 0.25), (0.3,) * 6],
-    )
-    def test_response_bits_equal_the_per_element_definition(self, trs_values):
-        elements = tuple(
-            EncryptedPostingElement(ciphertext=b"c" * (7 * i), group="g", trs=trs)
-            for i, trs in enumerate(trs_values)
-        )
-        response = FetchResponse(elements=elements, exhausted=False)
-        assert response.size_bits == sum(e.size_bits for e in elements)
+        batch.record_totals(2, 2 * count)
+        assert per_term.bits_transferred == count * ELEMENT_BITS
+        assert batch.bits_transferred == 2 * count * ELEMENT_BITS
+        assert not hasattr(response, "size_bits")
+        assert not hasattr(_element(), "size_bits")
 
 
 class TestQueryTrace:
@@ -100,7 +76,7 @@ class TestQueryTrace:
         trace.record_response(FetchResponse(elements=(_element(),) * 20, exhausted=True))
         assert trace.num_requests == 2
         assert trace.elements_transferred == 30
-        assert trace.bits_transferred == 30 * (8 * 8 + 64)
+        assert trace.bits_transferred == 30 * ELEMENT_BITS
 
     def test_bandwidth_overhead_eq13_contribution(self):
         trace = QueryTrace(term="t", k=10, elements_transferred=30)
@@ -156,13 +132,16 @@ class TestBatchFetchMessages:
 class TestBatchQueryTrace:
     def test_record_totals_accumulates(self):
         trace = BatchQueryTrace(terms=("a", "b"), k=10)
-        trace.record_totals(2, 20, 20 * 128)
-        trace.record_totals(1, 20, 20 * 128)
+        trace.record_totals(2, 20)
+        trace.record_totals(1, 20)
         assert (trace.num_rounds, trace.num_subfetches) == (2, 3)
-        assert (trace.elements_transferred, trace.bits_transferred) == (40, 40 * 128)
+        assert (trace.elements_transferred, trace.bits_transferred) == (
+            40,
+            40 * ELEMENT_BITS,
+        )
 
     def test_num_requests_counts_server_calls(self):
         trace = BatchQueryTrace(terms=("a", "b", "c"), k=5)
-        trace.record_totals(3, 15, 0)
-        trace.record_totals(2, 20, 0)
+        trace.record_totals(3, 15)
+        trace.record_totals(2, 20)
         assert (trace.num_requests, trace.num_subfetches) == (2, 5)

@@ -27,6 +27,7 @@ from repro.errors import (
 )
 from repro.index.postings import EncryptedPostingElement
 from repro.obs.instruments import ReplicationInstruments, Telemetry
+from tests.conftest import sealed
 
 
 @pytest.fixture()
@@ -36,7 +37,7 @@ def keys():
     return svc
 
 
-def _element(trs, payload=b"cipher"):
+def _element(trs, payload=sealed(b"cipher")):
     return EncryptedPostingElement(ciphertext=payload, group="g", trs=trs)
 
 
@@ -90,7 +91,7 @@ class TestZeroLagIsALag:
                 serial += 1
                 list_id = rng.randrange(self.LISTS)
                 # Few distinct TRS values: ties must order alike everywhere.
-                element = _element(rng.randrange(8) / 8, b"c%d" % serial)
+                element = _element(rng.randrange(8) / 8, sealed(b"c%d" % serial))
                 items.append((list_id, element))
             live.extend((lid, e.ciphertext) for lid, e in items)
             return items
@@ -104,7 +105,7 @@ class TestZeroLagIsALag:
                 if live and rng.random() < 2 / 3:
                     list_id, receipt = live.pop(rng.randrange(len(live)))
                 else:
-                    list_id, receipt = rng.randrange(self.LISTS), b"no-such"
+                    list_id, receipt = rng.randrange(self.LISTS), sealed(b"no-such")
                 yield "delete_element", (list_id, receipt)
             else:
                 yield kind, (batch(rng.randrange(5)),)
@@ -169,14 +170,14 @@ class TestSingleReplicaLog:
             keys, num_lists=2, num_servers=2, replication=1, lag=1
         )
         for i in range(10):
-            cluster.insert("u", i % 2, _element(0.05 * i, b"s%d" % i))
-        assert cluster.delete_element("u", 0, b"s0")
-        assert cluster.bulk_load("u", [(1, _element(0.9, b"bulk"))]) == 1
+            cluster.insert("u", i % 2, _element(0.05 * i, sealed(b"s%d" % i)))
+        assert cluster.delete_element("u", 0, sealed(b"s0"))
+        assert cluster.bulk_load("u", [(1, _element(0.9, sealed(b"bulk")))]) == 1
         assert cluster.primary_version(0) == 6
         assert cluster.replication_manager.log_lengths() == {0: 0, 1: 0}
         # ... whatever unrelated server is down at the time.
         cluster.fail_server(cluster.replicas_of(1)[0])
-        cluster.insert("u", 0, _element(0.7, b"later"))
+        cluster.insert("u", 0, _element(0.7, sealed(b"later")))
         assert cluster.replication_manager.log_lengths() == {0: 0, 1: 0}
 
     def test_default_deployment_retains_no_log(self, micro_corpus):
@@ -192,9 +193,9 @@ class TestSynchronousDefault:
     def test_sync_delete_versions_only_on_removal(self, keys):
         cluster = ServerCluster(keys, num_lists=2, num_servers=2, replication=2)
         cluster.insert("u", 0, _element(0.5))
-        assert not cluster.delete_element("u", 0, b"no-such-receipt")
+        assert not cluster.delete_element("u", 0, sealed(b"no-such-receipt"))
         assert cluster.primary_version(0) == 1
-        assert cluster.delete_element("u", 0, b"cipher")
+        assert cluster.delete_element("u", 0, sealed(b"cipher"))
         assert cluster.primary_version(0) == 2
 
 
@@ -206,7 +207,7 @@ class TestLagAndConvergence:
 
     def test_write_acks_at_primary_and_drains_by_ticks(self, keys):
         cluster = self._lagged(keys, lag=2)
-        cluster.insert("u", 0, _element(0.9, b"a"))
+        cluster.insert("u", 0, _element(0.9, sealed(b"a")))
         primary, follower = cluster.replicas_of(0)
         assert cluster.server(primary).list_length(0) == 1
         assert cluster.server(follower).list_length(0) == 0
@@ -220,22 +221,22 @@ class TestLagAndConvergence:
 
     def test_ops_apply_in_log_order(self, keys):
         cluster = self._lagged(keys, lag=1)
-        cluster.insert("u", 0, _element(0.9, b"a"))
-        cluster.insert("u", 0, _element(0.8, b"b"))
-        assert cluster.delete_element("u", 0, b"a")
-        cluster.insert("u", 0, _element(0.7, b"c"))
+        cluster.insert("u", 0, _element(0.9, sealed(b"a")))
+        cluster.insert("u", 0, _element(0.8, sealed(b"b")))
+        assert cluster.delete_element("u", 0, sealed(b"a"))
+        cluster.insert("u", 0, _element(0.7, sealed(b"c")))
         cluster.run_replication_until_quiet()
         primary, follower = cluster.replicas_of(0)
         assert [e.ciphertext for e in cluster.server(follower).export_list(0)] == [
             e.ciphertext for e in cluster.server(primary).export_list(0)
-        ] == [b"b", b"c"]
+        ] == [sealed(b"b"), sealed(b"c")]
 
     def test_every_follower_trails_by_the_lag(self, keys):
         cluster = ServerCluster(
             keys, num_lists=1, num_servers=3, replication=3, lag=2
         )
         cluster.pause_follower(2)
-        cluster.insert("u", 0, _element(0.5, b"x"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"x")))
         cluster.replication_tick()
         assert [cluster.applied_version(0, s) for s in (1, 2)] == [0, 0]
         cluster.replication_tick()
@@ -248,7 +249,7 @@ class TestLagAndConvergence:
         cluster = self._lagged(keys, lag=0)
         follower = cluster.replicas_of(0)[1]
         cluster.pause_follower(follower)
-        cluster.insert("u", 0, _element(0.5, b"x"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"x")))
         assert cluster.replication_manager.outstanding_deliveries() == 1
         for _ in range(5):
             cluster.replication_tick()
@@ -262,7 +263,7 @@ class TestLagAndConvergence:
         cluster = self._lagged(keys, lag=1)
         follower = cluster.replicas_of(0)[1]
         cluster.fail_server(follower)
-        cluster.insert("u", 0, _element(0.5, b"x"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"x")))
         for _ in range(3):
             cluster.replication_tick()
         assert cluster.applied_version(0, follower) == 0
@@ -276,7 +277,7 @@ class TestLagAndConvergence:
         cluster = self._lagged(keys, lag=0)
         primary, follower = cluster.replicas_of(0)
         cluster.fail_server(follower)
-        cluster.insert("u", 0, _element(0.5, b"x"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"x")))
         assert cluster.server(primary).list_length(0) == 1
         assert cluster.server(follower).list_length(0) == 0
         assert cluster.replication_backlog() == {(0, follower): 1}
@@ -287,7 +288,7 @@ class TestLagAndConvergence:
 
     def test_bulk_load_replicates_through_log(self, keys):
         cluster = self._lagged(keys, lag=1)
-        items = [(0, _element(0.1 * i, b"b%d" % i)) for i in range(1, 6)]
+        items = [(0, _element(0.1 * i, sealed(b"b%d" % i))) for i in range(1, 6)]
         assert cluster.bulk_load("u", items) == 5
         primary, follower = cluster.replicas_of(0)
         assert cluster.server(primary).list_length(0) == 5
@@ -304,9 +305,9 @@ class TestReadConsistency:
         cluster = ServerCluster(
             keys, num_lists=1, num_servers=2, replication=2, lag=8
         )
-        cluster.insert("u", 0, _element(0.5, b"old"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"old")))
         cluster.run_replication_until_quiet(max_ticks=10)
-        cluster.insert("u", 0, _element(0.9, b"new"))
+        cluster.insert("u", 0, _element(0.9, sealed(b"new")))
         primary = cluster.replicas_of(0)[0]
         cluster.fail_server(primary)
         return cluster
@@ -314,7 +315,7 @@ class TestReadConsistency:
     def test_one_returns_stale_fast(self, keys):
         cluster = self._stale_follower_cluster(keys)
         response = _fetch(cluster, 0, consistency="one")
-        assert [e.ciphertext for e in response.elements] == [b"old"]
+        assert [e.ciphertext for e in response.elements] == [sealed(b"old")]
         assert response.replica_version == 1
         assert cluster.primary_version(0) == 2
         stats = cluster.replication_stats
@@ -330,7 +331,10 @@ class TestReadConsistency:
         response = _fetch(cluster, 0, consistency="primary")
         # Strong even though the primary is down: the follower was caught
         # up from the log and the slice re-served.
-        assert [e.ciphertext for e in response.elements] == [b"new", b"old"]
+        assert [e.ciphertext for e in response.elements] == [
+            sealed(b"new"),
+            sealed(b"old"),
+        ]
         assert response.replica_version == 2
         assert cluster.replication_stats.read_reserves == 1
 
@@ -339,7 +343,7 @@ class TestReadConsistency:
         follower = cluster.replicas_of(0)[1]
         cluster.pause_follower(follower)  # partitioned AND primary down
         response = _fetch(cluster, 0, consistency="primary")
-        assert [e.ciphertext for e in response.elements] == [b"old"]
+        assert [e.ciphertext for e in response.elements] == [sealed(b"old")]
         assert response.replica_version == 1
 
     def test_quorum_serves_version_max(self, keys):
@@ -351,13 +355,13 @@ class TestReadConsistency:
             lag=1,
         )
         cluster.pause_follower(1)
-        cluster.insert("u", 0, _element(0.5, b"x"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"x")))
         cluster.replication_tick()  # server 2 catches up; server 1 is held
         cluster.resume_follower(1)  # back, still at v0 until the next tick
         cluster.fail_server(cluster.replicas_of(0)[0])
         response = _fetch(cluster, 0, consistency="quorum")
         assert response.replica_version == 1
-        assert [e.ciphertext for e in response.elements] == [b"x"]
+        assert [e.ciphertext for e in response.elements] == [sealed(b"x")]
         assert cluster.replication_stats.version_probes >= 2
         # Served by the version-max member (2), not placement's first (1):
         # nothing had to be re-served.
@@ -397,8 +401,8 @@ class TestAntiEntropy:
             lag=100,
             anti_entropy_every=3,
         )
-        cluster.insert("u", 0, _element(0.5, b"x"))
-        cluster.insert("u", 1, _element(0.6, b"y"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"x")))
+        cluster.insert("u", 1, _element(0.6, sealed(b"y")))
         for _ in range(2):
             cluster.replication_tick()
         assert cluster.replication_backlog()  # lag far from elapsed
@@ -419,7 +423,7 @@ class TestAntiEntropy:
         )
         follower = cluster.replicas_of(0)[1]
         cluster.pause_follower(follower)
-        cluster.insert("u", 0, _element(0.5, b"x"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"x")))
         cluster.replication_tick()
         assert cluster.applied_version(0, follower) == 0
         cluster.resume_follower(follower)
@@ -435,7 +439,7 @@ class TestGappedPrimary:
         cluster = ServerCluster(
             keys, num_lists=1, num_servers=2, replication=2, lag=100
         )
-        cluster.insert("u", 0, _element(0.9, b"acked"))  # head 1, server 1 owed
+        cluster.insert("u", 0, _element(0.9, sealed(b"acked")))  # head 1, server 1 owed
         repl = cluster.replication_manager
         head, base, ops = repl.log_snapshot(0)
         applied = repl.applied_snapshot(0)
@@ -447,10 +451,10 @@ class TestGappedPrimary:
 
     def test_write_keeps_gap_ops(self, keys):
         cluster = self._gapped(keys)
-        cluster.insert("u", 0, _element(0.5, b"later"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"later")))
         assert [e.ciphertext for e in cluster.server(1).export_list(0)] == [
-            b"acked",
-            b"later",
+            sealed(b"acked"),
+            sealed(b"later"),
         ]
         assert cluster.applied_version(0, 1) == cluster.primary_version(0) == 2
 
@@ -458,7 +462,7 @@ class TestGappedPrimary:
         cluster = self._gapped(keys)
         cluster.pause_follower(1)  # gapped primary, now unreachable
         with pytest.raises(UnavailableError):
-            cluster.insert("u", 0, _element(0.5, b"later"))
+            cluster.insert("u", 0, _element(0.5, sealed(b"later")))
         # Nothing was logged or applied for the refused write.
         assert cluster.primary_version(0) == 1
         assert cluster.server(1).list_length(0) == 0
@@ -469,7 +473,7 @@ class TestReadRouting:
         cluster = ServerCluster(
             keys, num_lists=1, num_servers=3, replication=3, **kwargs
         )
-        cluster.insert("u", 0, _element(0.5, b"x"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"x")))
         return cluster
 
     def test_reads_go_to_the_primary(self, keys):
@@ -487,7 +491,7 @@ class TestReadRouting:
         # to the head; follower 1 stays an op behind.
         cluster.pause_follower(1)
         cluster.write_consistency = WriteConsistency.QUORUM
-        cluster.insert("u", 0, _element(0.9, b"new"))
+        cluster.insert("u", 0, _element(0.9, sealed(b"new")))
         cluster.resume_follower(1)
         cluster.fail_server(0)
         assert cluster.applied_version(0, 1) < cluster.primary_version(0)
@@ -497,7 +501,10 @@ class TestReadRouting:
         for _ in range(4):
             response = _fetch(cluster, 0, consistency="primary")
             assert response.replica_version == cluster.primary_version(0)
-            assert [e.ciphertext for e in response.elements] == [b"new", b"x"]
+            assert [e.ciphertext for e in response.elements] == [
+                sealed(b"new"),
+                sealed(b"x"),
+            ]
         assert cluster.per_server_load() == [0, 0, 4]
         assert cluster.replication_stats.read_reserves == 0
         # A ONE read takes the first live follower as it stands: it has
@@ -540,7 +547,7 @@ class TestWriteAccounting:
         telemetry = Telemetry()
         cluster = self._quorum_cluster(keys, lag, telemetry)
         writes = telemetry.registry.get("cluster_writes_total")
-        cluster.insert("u", 0, _element(0.5, b"kept"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"kept")))
         repl = cluster.replication_manager
 
         def state():
@@ -556,18 +563,18 @@ class TestWriteAccounting:
 
         before = state()
         assert before[0] == 1.0
-        assert cluster.delete_element("u", 0, b"no-such-receipt") is False
+        assert cluster.delete_element("u", 0, sealed(b"no-such-receipt")) is False
         assert state() == before
         # The receipt that does match is one acknowledged write more.
-        assert cluster.delete_element("u", 0, b"kept") is True
+        assert cluster.delete_element("u", 0, sealed(b"kept")) is True
         assert writes.total() == 2.0
 
     def test_logged_delete_carries_the_primarys_trs(self, keys):
         cluster = self._quorum_cluster(keys, 2, None)
-        cluster.insert("u", 0, _element(0.25, b"x"))
-        cluster.delete_element("u", 0, b"x")
+        cluster.insert("u", 0, _element(0.25, sealed(b"x")))
+        cluster.delete_element("u", 0, sealed(b"x"))
         *_, op = cluster.replication_manager.log_snapshot(0)[2]
-        assert (op.kind, op.ciphertext, op.trs) == ("delete", b"x", 0.25)
+        assert (op.kind, op.ciphertext, op.trs) == ("delete", sealed(b"x"), 0.25)
 
     def test_lagged_soak_leaves_replicas_equal_to_the_primary(self, keys):
         """Inserts and deletes among shared TRS values, delivered late and
@@ -584,7 +591,7 @@ class TestWriteAccounting:
                 victim = live.pop((step * 7) % len(live))
                 assert cluster.delete_element("u", 0, victim)
             else:
-                payload = b"e%d" % step
+                payload = sealed(b"e%d" % step)
                 cluster.insert("u", 0, _element((step % 5) / 4, payload))
                 live.append(payload)
             if step % 2:
@@ -611,7 +618,7 @@ class TestLogSlicing:
         log = ReplicationLog(0)
         for code, amount in steps:
             if code <= 1:
-                log.append("delete", ciphertext=b"c")
+                log.append("delete", ciphertext=sealed(b"c"))
             else:
                 log.truncate_to(log.base_seq + amount)
             retained = log.iter_ops()
@@ -800,8 +807,9 @@ class _World:
         return self.alive[server_index]
 
     def note(self, list_id, server_index, ciphertext):
+        number = int(ciphertext.rstrip(b"."))  # the op's sealed(b"%d") label
         self.applications.append(
-            (self.manager.tick_count, list_id, server_index, int(ciphertext))
+            (self.manager.tick_count, list_id, server_index, number)
         )
 
     # -- steps ---------------------------------------------------------------
@@ -813,7 +821,7 @@ class _World:
             m.sync(list_id, primary, reason="write-catchup")
             if m.applied_version(list_id, primary) < m.head_version(list_id):
                 return  # an unreachable gapped primary refuses the write
-        payload = b"%d" % (m.head_version(list_id) + 1)
+        payload = sealed(b"%d" % (m.head_version(list_id) + 1))
         if delete:
             m.record_delete(list_id, payload, 0.5)
         else:
@@ -1140,8 +1148,8 @@ class TestDeliveryScheduler:
 
         before = state()
         for record in (
-            lambda: m.record_insert(0, _element(0.5, b"2")),
-            lambda: m.record_delete(0, b"1", 0.5),
+            lambda: m.record_insert(0, _element(0.5, sealed(b"2"))),
+            lambda: m.record_delete(0, sealed(b"1"), 0.5),
         ):
             with pytest.raises(ProtocolError, match="cannot acknowledge op 2"):
                 record()
@@ -1208,7 +1216,9 @@ class TestWriteBatchWorkBound:
         items = [
             (
                 list_id,
-                _element(0.1 * copy + 0.01 * list_id, b"w%d-%d" % (list_id, copy)),
+                _element(
+                    0.1 * copy + 0.01 * list_id, sealed(b"w%d-%d" % (list_id, copy))
+                ),
             )
             for copy in range(2)
             for list_id in range(self.LISTS)

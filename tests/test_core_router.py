@@ -11,6 +11,7 @@ from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError, ProtocolError, UnavailableError
 from repro.index.postings import EncryptedPostingElement
 from repro.text.analysis import DocumentStats
+from tests.conftest import sealed
 
 
 @pytest.fixture()
@@ -282,7 +283,7 @@ class TestFloorAwareRouting:
             read_consistency="one",
         )
         cluster.insert(
-            "u", 0, EncryptedPostingElement(ciphertext=b"c", group="g", trs=0.5)
+            "u", 0, EncryptedPostingElement(ciphertext=sealed(b"c"), group="g", trs=0.5)
         )
         primary, follower, _ = cluster.replicas_of(0)
         assert cluster.route(0) == primary

@@ -8,11 +8,12 @@ from repro.core.cluster import ServerCluster, validate_write_batch
 from repro.core.server import ZerberRServer
 from repro.crypto.keys import GroupKeyService
 from repro.errors import AccessDeniedError, ProtocolError, UnknownListError
-from repro.index.postings import EncryptedPostingElement
+from repro.index.postings import ELEMENT_BITS, EncryptedPostingElement
 from repro.persist.clusterstate import (
     replication_op_from_dict,
     replication_op_to_dict,
 )
+from tests.conftest import sealed
 
 
 @pytest.fixture()
@@ -29,8 +30,8 @@ def server(keys):
     return ZerberRServer(keys, num_lists=3)
 
 
-def _element(group, trs, ciphertext=b"cipher"):
-    return EncryptedPostingElement(ciphertext=ciphertext, group=group, trs=trs)
+def _element(group, trs, label=b"cipher"):
+    return EncryptedPostingElement(ciphertext=sealed(label), group=group, trs=trs)
 
 
 def _insert(server, list_id, element):
@@ -53,10 +54,6 @@ class TestInsert:
         with pytest.raises(AccessDeniedError):
             cluster.insert("alice", 0, _element("g2", 0.5))
         assert cluster.num_elements == 0
-
-    def test_trs_required(self, cluster):
-        with pytest.raises(ProtocolError):
-            cluster.insert("alice", 0, EncryptedPostingElement(b"c", "g1"))
 
     def test_unknown_list(self, cluster):
         with pytest.raises(UnknownListError):
@@ -89,11 +86,10 @@ class TestInsert:
     @pytest.mark.parametrize(
         "refused, error",
         [
-            ((1, EncryptedPostingElement(b"c", "g1")), ProtocolError),
             ((1, _element("g2", 0.5)), AccessDeniedError),
             ((7, _element("g1", 0.5)), UnknownListError),
         ],
-        ids=["no-trs", "foreign-group", "unknown-list"],
+        ids=["foreign-group", "unknown-list"],
     )
     def test_a_refused_batch_insert_leaves_every_list_as_it_was(
         self, keys, refused, error
@@ -142,17 +138,12 @@ class TestWriteBatchGate:
     @pytest.mark.parametrize(
         "offending, error",
         [
-            # Per element: TRS, then membership, then list id.
-            ([(7, EncryptedPostingElement(b"c", "g2"))], ProtocolError),
+            # Per element: membership, then list id.
             ([(7, _element("g2", 0.5))], AccessDeniedError),
             ([(7, _element("g1", 0.5))], UnknownListError),
             # Across elements: the first offender in batch order.
             ([(7, _element("g1", 0.5)), (0, _element("g2", 0.5))], UnknownListError),
             ([(0, _element("g2", 0.5)), (7, _element("g1", 0.5))], AccessDeniedError),
-            (
-                [(0, _element("g2", 0.5)), (0, EncryptedPostingElement(b"c", "g1"))],
-                AccessDeniedError,
-            ),
         ],
     )
     def test_first_offender_refuses_the_batch_and_nothing_is_mutated(
@@ -357,7 +348,7 @@ class TestReadableViews:
         self._populate(server)
         self._fetch(server, "alice")
         builds = server.view_stats.full_builds
-        assert server.delete_element("alice", 0, b"c2")
+        assert server.delete_element("alice", 0, sealed(b"c2"))
         response = self._fetch(server, "alice")
         assert [e.trs for e in response.elements] == [0.9, 0.5]
         assert server.view_stats.full_builds == builds
@@ -440,7 +431,11 @@ class TestReadableViews:
         rebuilds = server.view_stats.stale_rebuilds
         groups.add("g1")
         response = self._fetch(server, "root")
-        assert [e.ciphertext for e in response.elements] == [b"c0", b"c2", b"c4"]
+        assert [e.ciphertext for e in response.elements] == [
+            sealed(b"c0"),
+            sealed(b"c2"),
+            sealed(b"c4"),
+        ]
         assert server.view_stats.stale_rebuilds == rebuilds + 1
 
     def test_revoke_and_reenroll_keep_serving_the_cached_view(self, keys, server):
@@ -480,7 +475,7 @@ class TestReadableViews:
         self._populate(server)
         self._fetch(server, "alice")
         server.bulk_load(
-            [(0, EncryptedPostingElement(ciphertext=b"bulk", group="g1", trs=0.95))]
+            [(0, _element("g1", 0.95, b"bulk"))]
         )
         response = self._fetch(server, "alice")
         assert response.elements[0].trs == 0.95
@@ -498,41 +493,41 @@ class TestReplicatedDelete:
             (0.5, b"tie-c"),
             (0.1, b"low"),
         ]:
-            server.apply_replicated_insert(
-                0, EncryptedPostingElement(ciphertext=payload, group="g1", trs=trs)
-            )
+            server.apply_replicated_insert(0, _element("g1", trs, payload))
         return server
 
-    def _ciphertexts(self, server):
-        return [e.ciphertext for e in server.export_list(0)]
+    def _labels(self, server):
+        return [e.ciphertext.rstrip(b".") for e in server.export_list(0)]
 
     def test_delete_returns_the_removed_element(self, server):
         self._tied(server)
-        removed = server.delete_element("alice", 0, b"tie-b")
-        assert (removed.ciphertext, removed.trs) == (b"tie-b", 0.5)
-        assert server.delete_element("alice", 0, b"tie-b") is None
+        removed = server.delete_element("alice", 0, sealed(b"tie-b"))
+        assert (removed.ciphertext, removed.trs) == (sealed(b"tie-b"), 0.5)
+        assert server.delete_element("alice", 0, sealed(b"tie-b")) is None
 
     @pytest.mark.parametrize("hint", [0.5, 0.9, None])
     def test_only_the_matching_element_of_a_tie_run_goes(self, server, hint):
         self._tied(server)
         alice = FetchRequest(principal="alice", list_id=0, offset=0, count=10)
         server.fetch(alice)  # a cached view the delete must patch
-        assert server.apply_replicated_delete(0, b"tie-b", hint)
-        assert self._ciphertexts(server) == [b"top", b"tie-a", b"tie-c", b"low"]
+        assert server.apply_replicated_delete(0, sealed(b"tie-b"), hint)
+        assert self._labels(server) == [b"top", b"tie-a", b"tie-c", b"low"]
         assert [e.ciphertext for e in server.fetch(alice).elements] == (
-            self._ciphertexts(server)
+            [e.ciphertext for e in server.export_list(0)]
         )
         assert server._lists[0].keys_in_sync()
 
     def test_absent_element_is_a_tolerated_miss(self, server):
         self._tied(server)
         version = server.list_version(0)
-        assert not server.apply_replicated_delete(0, b"imported-past", 0.5)
+        assert not server.apply_replicated_delete(0, sealed(b"imported-past"), 0.5)
         assert server.list_version(0) == version
-        assert len(self._ciphertexts(server)) == 5
+        assert len(self._labels(server)) == 5
 
     def test_hintless_op_from_an_older_snapshot_still_applies(self, server):
-        hinted = ReplicationOp(seq=6, kind="delete", ciphertext=b"tie-c", trs=0.5)
+        hinted = ReplicationOp(
+            seq=6, kind="delete", ciphertext=sealed(b"tie-c"), trs=0.5
+        )
         entry = replication_op_to_dict(hinted)
         assert replication_op_from_dict(entry, "dump") == hinted
         del entry["t"]  # what a dump written before the hint existed holds
@@ -540,7 +535,7 @@ class TestReplicatedDelete:
         assert old.trs is None
         self._tied(server)
         assert server.apply_replicated_delete(0, old.ciphertext, old.trs)
-        assert b"tie-c" not in self._ciphertexts(server)
+        assert b"tie-c" not in self._labels(server)
 
 
 class TestAdversaryView:
@@ -550,7 +545,8 @@ class TestAdversaryView:
 
     def test_storage_accounting(self, server):
         _insert(server, 0, _element("g1", 0.4))
-        assert server.storage_bits() == len(b"cipher") * 8 + 64
+        _insert(server, 1, _element("g2", 0.6))
+        assert server.storage_bits() == 2 * ELEMENT_BITS
 
     def test_invalid_num_lists(self, keys):
         with pytest.raises(ProtocolError):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core.views import ReadableViewIndex
 from repro.crypto.keys import GroupKeyService
 from repro.index.postings import EncryptedPostingElement, MergedPostingList
+from tests.conftest import sealed
 
 GROUPS = ["g0", "g1", "g2"]
 PRINCIPALS = ["alice", "bob", "carol"]
@@ -61,7 +62,7 @@ def test_views_match_list_backed_reference(seed):
         if roll < 0.45 or not live:
             counter += 1
             element = EncryptedPostingElement(
-                ciphertext=b"ct-%d" % counter,
+                ciphertext=sealed(b"ct-%d" % counter),
                 group=rng.choice(GROUPS),
                 # Deliberately collision-heavy TRS values to exercise the
                 # equal-key paths of insert and delete patches.
@@ -89,7 +90,7 @@ def test_views_match_list_backed_reference(seed):
             counter += 1
             extra = [
                 EncryptedPostingElement(
-                    ciphertext=b"bulk-%d-%d" % (counter, i),
+                    ciphertext=sealed(b"bulk-%d-%d" % (counter, i)),
                     group=rng.choice(GROUPS),
                     trs=rng.randrange(20) / 19.0,
                 )
@@ -133,7 +134,7 @@ def run_script(script):
         if kind == "insert":
             _, list_index, group_index, bucket, replication = op
             element = EncryptedPostingElement(
-                ciphertext=b"ct-%d" % step,
+                ciphertext=sealed(b"ct-%d" % step),
                 group=GROUPS[group_index],
                 trs=bucket / 4.0,  # five values: nearly every insert ties
             )
@@ -236,7 +237,7 @@ def test_build_never_calls_the_sort_key_and_patches_bisect(n, monkeypatch):
     merged = MergedPostingList(list_id=0)
     merged.bulk_load_sorted_by_trs(
         EncryptedPostingElement(
-            ciphertext=b"seed-%d" % i, group=GROUPS[i % 3], trs=(i % 17) / 16.0
+            ciphertext=sealed(b"seed-%d" % i), group=GROUPS[i % 3], trs=(i % 17) / 16.0
         )
         for i in range(n)
     )
@@ -265,7 +266,7 @@ def test_build_never_calls_the_sort_key_and_patches_bisect(n, monkeypatch):
     per_patch = 2 * math.ceil(math.log2(n + 1)) + 4
     for i in range(20):
         element = EncryptedPostingElement(
-            ciphertext=b"patch-%d" % i, group=GROUPS[i % 2], trs=(i % 17) / 16.0
+            ciphertext=sealed(b"patch-%d" % i), group=GROUPS[i % 2], trs=(i % 17) / 16.0
         )
         position = merged.add_sorted_by_trs(element)
         calls = 0

@@ -18,7 +18,8 @@ from repro.crypto.keys import DocumentDirectory
 from repro.crypto.prf import Prf, derive_key
 from repro.errors import AuthenticationError, ProtocolError
 from repro.index.merge import MergePlan
-from repro.index.postings import HEADER_SIZE, EncryptedPostingElement, PostingElement
+from repro.index.postings import EncryptedPostingElement, PostingElement
+from tests.conftest import sealed
 
 KEY = b"0123456789abcdef0123456789abcdef"
 TERMS = ("apple", "pear", "plum")
@@ -606,7 +607,7 @@ class TestWriteFrameBudget:
         from repro.core.replication import ReplicationOp
 
         elements = [
-            EncryptedPostingElement(b"op-%02d" % index, "g", index / 40.0)
+            EncryptedPostingElement(sealed(b"op-%02d" % index), "g", index / 40.0)
             for index in range(16)
         ]
 
@@ -650,14 +651,14 @@ def _element_pool(draw):
             tf=draw(st.integers(1, 9)),
             doc_length=draw(st.integers(9, 40)),
         )
-        damage = draw(st.sampled_from(["none", "none", "none", "tag", "short", "key"]))
+        damage = draw(st.sampled_from(["none", "none", "none", "body", "iv", "key"]))
         key = GROUP_KEYS[GROUPS[0] if damage == "key" and group != GROUPS[0] else group]
         ciphertext = StreamCipher(key).encrypt(_plaintext(posting))
-        if damage == "tag":
+        if damage == "body":
             ciphertext = ciphertext[:-1] + bytes([ciphertext[-1] ^ 1])
-        elif damage == "short":
-            ciphertext = ciphertext[: draw(st.integers(0, IV_SIZE + HEADER_SIZE - 1))]
-        trs = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+        elif damage == "iv":
+            ciphertext = bytes([ciphertext[0] ^ 1]) + ciphertext[1:]
+        trs = draw(st.floats(0.0, 1.0))
         pool.append(EncryptedPostingElement(ciphertext=ciphertext, group=group, trs=trs))
     return pool
 

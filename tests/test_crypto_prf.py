@@ -26,16 +26,6 @@ class TestPrf:
         with pytest.raises(ValueError):
             Prf(b"short")
 
-    def test_evaluate_int_range(self):
-        prf = Prf(KEY)
-        for i in range(50):
-            value = prf.evaluate_int(str(i).encode(), 7)
-            assert 0 <= value < 7
-
-    def test_evaluate_int_invalid_modulus(self):
-        with pytest.raises(ValueError):
-            Prf(KEY).evaluate_int(b"m", 0)
-
     def test_evaluate_unit_range(self):
         prf = Prf(KEY)
         values = [prf.evaluate_unit(str(i).encode()) for i in range(200)]

@@ -24,6 +24,7 @@ from repro.errors import (
 from repro.index.merge import MergePlan
 from repro.index.postings import EncryptedPostingElement
 from repro.text.analysis import DocumentStats
+from tests.conftest import sealed
 
 LISTS = 3
 SERVERS = 3
@@ -78,7 +79,7 @@ class TestAllOrNothing:
         receipts = []
         for i in range(12):
             group = "h" if i % 4 == 3 else "g"
-            element = _element((i % 5) / 5, b"c%02d" % i, group)
+            element = _element((i % 5) / 5, sealed(b"c%02d" % i), group)
             cluster.insert("root", i % LISTS, element)
             receipts.append(Receipt(i % LISTS, element.ciphertext, element.trs))
         cluster.replication_tick()
@@ -99,7 +100,7 @@ class TestAllOrNothing:
         cluster, receipts = self._loaded(keys)
         before = _state(cluster)
         with pytest.raises(UnknownListError):
-            cluster.delete_many("root", [*receipts[:5], (LISTS, b"nowhere")])
+            cluster.delete_many("root", [*receipts[:5], (LISTS, sealed(b"nowhere"))])
         assert _state(cluster) == before
 
     def test_refused_document_delete_leaves_the_session_floor_alone(self, keys):
@@ -165,7 +166,7 @@ class TestAllOrNothing:
         first, second = receipts[0], receipts[1]
         batch = [
             first,
-            (0, b"never-inserted"),
+            (0, sealed(b"never-inserted")),
             second,
             first,  # named twice: the second naming is a miss
             (first.list_id, first.ciphertext),  # and so is a legacy pair
@@ -184,13 +185,14 @@ class TestAllOrNothing:
         cluster = ServerCluster(
             keys, num_lists=1, num_servers=2, replication=2, lag=1
         )
-        cluster.insert("u", 0, _element(0.5, b"kept"))
+        cluster.insert("u", 0, _element(0.5, sealed(b"kept")))
         cluster.pause_follower(1)
         cluster.replication_tick()  # due, but held for the partition
         cluster.resume_follower(1)
         before = _state(cluster)
         assert before["backlog"] == {(0, 1): 1}
-        assert cluster.delete_many("u", [(0, b"gone"), Receipt(0, b"gone", 0.5)]) == [
+        gone = sealed(b"gone")
+        assert cluster.delete_many("u", [(0, gone), Receipt(0, gone, 0.5)]) == [
             False,
             False,
         ]
@@ -199,15 +201,18 @@ class TestAllOrNothing:
 
     def test_a_one_server_clusters_batches_are_all_or_nothing_too(self, keys):
         cluster = ServerCluster(keys, num_lists=1, num_servers=1)
+        s = [sealed(b"s%d" % i) for i in range(4)]
         for i in range(4):
-            cluster.insert("root", 0, _element(i / 4, b"s%d" % i, "gh"[i % 2]))
+            cluster.insert("root", 0, _element(i / 4, s[i], "gh"[i % 2]))
         before = _state(cluster)
         with pytest.raises(AccessDeniedError):
-            cluster.delete_many("u", [(0, b"s0"), (0, b"s2"), (0, b"s1")])
+            cluster.delete_many("u", [(0, s[0]), (0, s[2]), (0, s[1])])
         assert _state(cluster) == before
-        removed = cluster.delete_many("u", [Receipt(0, b"s2", 0.5), (0, b"s0"), (0, b"s2")])
+        removed = cluster.delete_many(
+            "u", [Receipt(0, s[2], 0.5), (0, s[0]), (0, s[2])]
+        )
         assert removed == [True, True, False]
-        assert [e.ciphertext for e in _primary_list(cluster, 0)] == [b"s3", b"s1"]
+        assert [e.ciphertext for e in _primary_list(cluster, 0)] == [s[3], s[1]]
 
 
 def _primary_list(cluster, list_id):
@@ -238,7 +243,7 @@ class TestBatchRefinesTheLoop:
                 if live and rng.random() < 0.8:
                     batch.append(receipt_for(*live.pop(rng.randrange(len(live)))))
                 else:
-                    batch.append(Receipt(rng.randrange(LISTS), b"no-such", 0.5))
+                    batch.append(Receipt(rng.randrange(LISTS), sealed(b"no-such"), 0.5))
             if batch and rng.random() < 0.3:
                 batch.append(batch[0])  # the same element named twice
             return batch
@@ -251,7 +256,7 @@ class TestBatchRefinesTheLoop:
                 items = []
                 for _ in range(rng.randrange(1, 9)):
                     serial += 1
-                    element = _element(rng.randrange(8) / 8, b"c%d" % serial)
+                    element = _element(rng.randrange(8) / 8, sealed(b"c%d" % serial))
                     items.append((rng.randrange(LISTS), element))
                 live.extend(items)
                 yield kind, items
@@ -364,7 +369,7 @@ class TestWorkBound:
         cluster.bulk_load(
             "u",
             [
-                (lid, _element(rng.random(), b"f%d-%d" % (lid, i)))
+                (lid, _element(rng.random(), sealed(b"f%d-%d" % (lid, i))))
                 for lid in range(LISTS)
                 for i in range(1200)
             ],

@@ -14,6 +14,7 @@ import pytest
 
 from repro import SystemConfig, ZerberRSystem
 from repro.index.postings import EncryptedPostingElement
+from tests.conftest import sealed
 
 
 @pytest.fixture()
@@ -59,7 +60,7 @@ class TestTamperedCiphertexts:
         list_id = system.merge_plan.list_of(term)
         group = _held(system, list_id).elements[0].group
         forged = EncryptedPostingElement(
-            ciphertext=b"forged-by-the-server" * 3, group=group, trs=0.999
+            ciphertext=sealed(b"forged-by-the-server"), group=group, trs=0.999
         )
         _held(system, list_id).add_sorted_by_trs(forged)
         result = system.query(term, k=3)
@@ -98,9 +99,7 @@ class TestMisorderedServer:
         rng = np.random.default_rng(3)
         perm = rng.permutation(len(merged.elements))
         merged.elements[:] = [merged.elements[i] for i in perm]
-        merged._neg_trs_keys[:] = array(
-            "d", [-e.trs if e.trs is not None else 0.0 for e in merged.elements]
-        )
+        merged._neg_trs_keys[:] = array("d", [-e.trs for e in merged.elements])
         merged.version += 1
         result = system.query(term, k=3)
         scores = [h.rscore for h in result.hits]

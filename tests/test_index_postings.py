@@ -11,13 +11,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.crypto.cipher import IV_SIZE
 from repro.errors import ProtocolError
 from repro.index.postings import (
+    ELEMENT_BITS,
+    HEADER_SIZE,
+    SEALED_SIZE,
     EncryptedPostingElement,
     MergedPostingList,
     PostingElement,
     PostingList,
 )
+from tests.conftest import sealed
 
 
 class TestPostingElement:
@@ -163,32 +168,26 @@ class TestPostingElement:
 class TestEncryptedPostingElement:
     def test_trs_range_validated(self):
         with pytest.raises(ValueError):
-            EncryptedPostingElement(ciphertext=b"x", group="g", trs=1.5)
+            EncryptedPostingElement(ciphertext=sealed(b"x"), group="g", trs=1.5)
 
-    def test_trs_none_allowed(self):
-        element = EncryptedPostingElement(ciphertext=b"x", group="g")
-        assert element.trs is None
-
-    def test_size_bits_with_trs(self):
-        element = EncryptedPostingElement(ciphertext=b"1234", group="g", trs=0.5)
-        assert element.size_bits == 4 * 8 + 64
-
-    def test_size_bits_without_trs(self):
-        element = EncryptedPostingElement(ciphertext=b"1234", group="g")
-        assert element.size_bits == 32
+    def test_one_element_format(self):
+        """A sealed posting is the synthetic IV and the header; on the
+        wire an element is those bytes and one 64-bit TRS."""
+        assert SEALED_SIZE == IV_SIZE + HEADER_SIZE == 16 + 14
+        assert ELEMENT_BITS == 8 * SEALED_SIZE + 64 == 304
 
     def test_slots_keep_elements_small_and_frozen(self):
-        element = EncryptedPostingElement(ciphertext=b"1234", group="g", trs=0.5)
+        element = EncryptedPostingElement(sealed(b"1234"), group="g", trs=0.5)
         assert not hasattr(element, "__dict__")
         with pytest.raises(AttributeError):
             element.trs = 0.9
-        assert element == EncryptedPostingElement(b"1234", "g", 0.5)
-        assert hash(element) == hash(EncryptedPostingElement(b"1234", "g", 0.5))
+        assert element == EncryptedPostingElement(sealed(b"1234"), "g", 0.5)
+        assert hash(element) == hash(EncryptedPostingElement(sealed(b"1234"), "g", 0.5))
 
     @given(
-        ciphertext=st.binary(max_size=12),
+        ciphertext=st.binary(min_size=SEALED_SIZE, max_size=SEALED_SIZE),
         group=st.text(max_size=6),
-        trs=st.one_of(st.none(), st.floats(0.0, 1.0)),
+        trs=st.floats(0.0, 1.0),
     )
     @settings(max_examples=150, deadline=None)
     def test_checked_builds_the_constructed_element(self, ciphertext, group, trs):
@@ -204,12 +203,46 @@ class TestEncryptedPostingElement:
             checked.trs = 0.5
         assert not hasattr(checked, "__dict__")
 
-    @pytest.mark.parametrize("trs", [-0.0001, 1.0001, math.inf, -math.inf, math.nan])
-    def test_checked_refuses_a_trs_outside_the_unit_interval(self, trs):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            EncryptedPostingElement.checked(b"x", "g", trs)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            EncryptedPostingElement(b"x", "g", trs)
+    @pytest.mark.parametrize(
+        "ciphertext, trs, message",
+        [
+            (sealed(b"x"), -0.0001, r"\[0, 1\]"),
+            (sealed(b"x"), 1.0001, r"\[0, 1\]"),
+            (sealed(b"x"), math.inf, r"\[0, 1\]"),
+            (sealed(b"x"), -math.inf, r"\[0, 1\]"),
+            (sealed(b"x"), math.nan, r"\[0, 1\]"),
+            (sealed(b"x")[:-1], 0.5, f"{SEALED_SIZE} bytes"),
+            (sealed(b"x") + b".", 0.5, f"{SEALED_SIZE} bytes"),
+            (b"", 0.5, f"{SEALED_SIZE} bytes"),
+            (sealed(b"x")[:IV_SIZE], 0.5, f"{SEALED_SIZE} bytes"),
+            (sealed(b"x"), None, "float"),
+            (sealed(b"x"), 1, "float"),
+            (sealed(b"x"), True, "float"),
+            (sealed(b"x"), "0.5", "float"),
+        ],
+        ids=[
+            "below",
+            "above",
+            "inf",
+            "-inf",
+            "nan",
+            "29-bytes",
+            "31-bytes",
+            "empty",
+            "iv-only",
+            "no-trs",
+            "int-trs",
+            "bool-trs",
+            "str-trs",
+        ],
+    )
+    def test_both_builders_refuse_what_is_not_a_sealed_posting_with_a_unit_trs(
+        self, ciphertext, trs, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            EncryptedPostingElement.checked(ciphertext, "g", trs)
+        with pytest.raises(ValueError, match=message):
+            EncryptedPostingElement(ciphertext, "g", trs)
 
 
 class TestPostingList:
@@ -252,7 +285,7 @@ class TestPostingList:
 
 class TestMergedPostingList:
     def _enc(self, trs):
-        return EncryptedPostingElement(ciphertext=b"c", group="g", trs=trs)
+        return EncryptedPostingElement(ciphertext=sealed(b"c"), group="g", trs=trs)
 
     def test_sorted_insert(self):
         merged = MergedPostingList(0)
@@ -268,26 +301,6 @@ class TestMergedPostingList:
         bulk = MergedPostingList(1)
         bulk.bulk_load_sorted_by_trs(self._enc(v) for v in values)
         assert [e.trs for e in incremental] == [e.trs for e in bulk]
-
-    def test_trs_required_for_sorted_insert(self):
-        merged = MergedPostingList(0)
-        with pytest.raises(ValueError):
-            merged.add_sorted_by_trs(
-                EncryptedPostingElement(ciphertext=b"c", group="g")
-            )
-        with pytest.raises(ValueError):
-            merged.bulk_load_sorted_by_trs(
-                [EncryptedPostingElement(ciphertext=b"c", group="g")]
-            )
-
-    def test_random_insert_position_bounds(self):
-        rng = np.random.default_rng(1)
-        merged = MergedPostingList(0)
-        for _ in range(50):
-            merged.add_random(
-                EncryptedPostingElement(ciphertext=b"c", group="g"), rng
-            )
-        assert len(merged) == 50
 
     def test_version_increments(self):
         merged = MergedPostingList(0)
@@ -307,11 +320,6 @@ class TestMergedPostingList:
         with pytest.raises(ValueError):
             MergedPostingList(0).slice(-1, 1)
 
-    def test_size_bits(self):
-        merged = MergedPostingList(0)
-        merged.bulk_load_sorted_by_trs([self._enc(0.5)])
-        assert merged.size_bits == 8 + 64
-
     def test_sorted_insert_returns_position(self):
         merged = MergedPostingList(0)
         assert merged.add_sorted_by_trs(self._enc(0.5)) == 0
@@ -322,13 +330,13 @@ class TestMergedPostingList:
         merged = MergedPostingList(0)
         for trs, payload in [(0.9, b"a"), (0.5, b"b"), (0.1, b"c")]:
             merged.add_sorted_by_trs(
-                EncryptedPostingElement(ciphertext=payload, group="g", trs=trs)
+                EncryptedPostingElement(ciphertext=sealed(payload), group="g", trs=trs)
             )
-        position, element = merged.find_by_ciphertext(b"b")
+        position, element = merged.find_by_ciphertext(sealed(b"b"))
         assert (position, element.trs) == (1, 0.5)
-        assert merged.find_by_ciphertext(b"zz") is None
+        assert merged.find_by_ciphertext(sealed(b"zz")) is None
         popped = merged.pop_at(position)
-        assert popped.ciphertext == b"b"
+        assert popped.ciphertext == sealed(b"b")
         assert [e.trs for e in merged] == [0.9, 0.1]
         assert merged.keys_in_sync()
 
@@ -361,7 +369,9 @@ class TestBulkLoadRefinesSortedInsert:
     @staticmethod
     def _elements(batch):
         return [
-            EncryptedPostingElement(ciphertext=b"c", group="g", trs=_CountedTrs(trs))
+            EncryptedPostingElement(
+                ciphertext=sealed(b"c"), group="g", trs=_CountedTrs(trs)
+            )
             for trs in batch
         ]
 
@@ -392,18 +402,6 @@ class TestBulkLoadRefinesSortedInsert:
             assert all(e.trs.negations == 1 for e in held)
             held += elements
 
-    def test_a_refused_batch_changes_nothing(self):
-        merged = MergedPostingList(0)
-        merged.bulk_load_sorted_by_trs(self._elements([0.5, 0.9]))
-        before = (list(merged), merged.version)
-        with pytest.raises(ValueError):
-            merged.bulk_load_sorted_by_trs(
-                self._elements([0.7])
-                + [EncryptedPostingElement(ciphertext=b"c", group="g")]
-            )
-        assert (list(merged), merged.version) == before
-        assert merged.keys_in_sync()
-
 
 class TestTrsAddressedFind:
     """``find_by_ciphertext(ciphertext, trs)``: the hint only narrows the
@@ -419,25 +417,25 @@ class TestTrsAddressedFind:
             (0.1, b"low"),
         ]:
             merged.add_sorted_by_trs(
-                EncryptedPostingElement(ciphertext=payload, group="g", trs=trs)
+                EncryptedPostingElement(ciphertext=sealed(payload), group="g", trs=trs)
             )
         return merged
 
     @pytest.mark.parametrize("payload", [b"tie-a", b"tie-b", b"tie-c"])
     def test_only_the_matching_ciphertext_of_a_tie_run_goes(self, payload):
         merged = self._tied()
-        position, element = merged.find_by_ciphertext(payload, 0.5)
-        assert element.ciphertext == payload
-        assert (position, element) == merged.find_by_ciphertext(payload)
+        position, element = merged.find_by_ciphertext(sealed(payload), 0.5)
+        assert element.ciphertext == sealed(payload)
+        assert (position, element) == merged.find_by_ciphertext(sealed(payload))
         merged.pop_at(position)
-        assert payload not in [e.ciphertext for e in merged]
+        assert sealed(payload) not in [e.ciphertext for e in merged]
         assert len(merged) == 4
         assert merged.keys_in_sync()
 
     @pytest.mark.parametrize("hint", [0.9, 0.3, 0.0, 1.0, float("nan")])
     def test_wrong_hint_falls_back_to_the_scan(self, hint):
         merged = self._tied()
-        assert merged.find_by_ciphertext(b"tie-b", hint) == (
+        assert merged.find_by_ciphertext(sealed(b"tie-b"), hint) == (
             2,
             merged.elements[2],
         )
@@ -445,8 +443,8 @@ class TestTrsAddressedFind:
     def test_hint_for_an_absent_element_finds_nothing(self):
         merged = self._tied()
         version = merged.version
-        assert merged.find_by_ciphertext(b"gone", 0.5) is None
-        assert merged.find_by_ciphertext(b"gone", 0.7) is None
+        assert merged.find_by_ciphertext(sealed(b"gone"), 0.5) is None
+        assert merged.find_by_ciphertext(sealed(b"gone"), 0.7) is None
         assert (len(merged), merged.version) == (5, version)
         assert merged.keys_in_sync()
 
@@ -462,59 +460,19 @@ class TestTrsAddressedFind:
         for i in range(200):
             merged.add_sorted_by_trs(
                 EncryptedPostingElement(
-                    ciphertext=b"pad%d" % i, group="g", trs=0.6 + i / 1000
+                    ciphertext=sealed(b"pad%d" % i), group="g", trs=0.6 + i / 1000
                 )
             )
         merged.elements = Counting(merged.elements)
-        assert merged.find_by_ciphertext(b"tie-c", 0.5) is not None
+        assert merged.find_by_ciphertext(sealed(b"tie-c"), 0.5) is not None
         assert Counting.reads <= 2 * 3  # the run has three elements
-
-    def test_hint_on_a_randomly_ordered_list_still_finds_by_scan(self):
-        rng = np.random.default_rng(5)
-        merged = MergedPostingList(0)
-        for i in range(50):
-            merged.add_random(
-                EncryptedPostingElement(
-                    ciphertext=b"r%d" % i, group="g", trs=float(rng.uniform())
-                ),
-                rng,
-            )
-        for element in list(merged):
-            found = merged.find_by_ciphertext(element.ciphertext, element.trs)
-            assert found is not None and found[1] is element
 
 
 class TestKeySyncInvariant:
     """The key list must mirror ``elements`` through every mutator mix."""
 
     def _sorted_el(self, trs, payload):
-        return EncryptedPostingElement(ciphertext=payload, group="g", trs=trs)
-
-    def _random_el(self, payload):
-        return EncryptedPostingElement(ciphertext=payload, group="g")
-
-    def test_add_random_maintains_keys(self):
-        rng = np.random.default_rng(2)
-        merged = MergedPostingList(0)
-        for i, trs in enumerate([0.5, 0.9, 0.1]):
-            merged.add_sorted_by_trs(self._sorted_el(trs, b"s%d" % i))
-        for i in range(10):
-            merged.add_random(self._random_el(b"r%d" % i), rng)
-        assert merged.keys_in_sync()
-
-    def test_regression_delete_after_random_insert_respects_trs_order(self):
-        # Seed bug: add_random never inserted a key, so a later delete
-        # removed the *wrong* key and the next sorted insert bisected
-        # against stale keys, landing out of TRS order.
-        rng = np.random.default_rng(11)  # first draw inserts at position 0
-        merged = MergedPostingList(0)
-        for trs, payload in [(0.9, b"a"), (0.5, b"b"), (0.2, b"c")]:
-            merged.add_sorted_by_trs(self._sorted_el(trs, payload))
-        merged.add_random(self._random_el(b"rnd"), rng)
-        merged.pop_at(merged.find_by_ciphertext(b"rnd")[0])
-        merged.add_sorted_by_trs(self._sorted_el(0.8, b"d"))
-        assert [e.trs for e in merged] == [0.9, 0.8, 0.5, 0.2]
-        assert merged.keys_in_sync()
+        return EncryptedPostingElement(ciphertext=sealed(payload), group="g", trs=trs)
 
     def test_mixed_mutator_fuzz_keeps_keys_in_sync(self):
         rng = np.random.default_rng(7)
@@ -531,13 +489,16 @@ class TestKeySyncInvariant:
                 )
                 live.append(payload)
             elif op == 1:
-                payload = b"r%d" % counter
-                counter += 1
-                merged.add_random(self._random_el(payload), rng)
-                live.append(payload)
+                payloads = [b"b%d" % (counter + i) for i in range(3)]
+                counter += 3
+                merged.bulk_load_sorted_by_trs(
+                    self._sorted_el(float(rng.uniform()), payload)
+                    for payload in payloads
+                )
+                live += payloads
             elif live:
                 victim = live.pop(int(rng.integers(0, len(live))))
-                found = merged.find_by_ciphertext(victim)
+                found = merged.find_by_ciphertext(sealed(victim))
                 assert found is not None
                 merged.pop_at(found[0])
             assert merged.keys_in_sync()
@@ -555,7 +516,7 @@ class TestKeySyncInvariant:
             live.append(payload)
             if i % 3 == 2:
                 victim = live.pop(int(rng.integers(0, len(live))))
-                merged.pop_at(merged.find_by_ciphertext(victim)[0])
+                merged.pop_at(merged.find_by_ciphertext(sealed(victim))[0])
             trs = [e.trs for e in merged]
             assert trs == sorted(trs, reverse=True)
             assert merged.keys_in_sync()
@@ -570,7 +531,7 @@ class TestKeyStorage:
         n = 10_000
         trs = np.random.default_rng(1).uniform(size=n).tolist()
         elements = [
-            EncryptedPostingElement(ciphertext=b"c%d" % i, group="g", trs=t)
+            EncryptedPostingElement(ciphertext=sealed(b"c%d" % i), group="g", trs=t)
             for i, t in enumerate(trs)
         ]
         merged = MergedPostingList(0)

@@ -21,7 +21,11 @@ then a batch's placement ``epoch`` and ``trace_id`` (a coordinator flush
 is one ``ServerCluster.batch_fetch``, routed and served in one call),
 then the caller-supplied nonce of ``StreamCipher.encrypt``, the
 ``NonceSequence`` behind it and the key service's cache of them (sealing
-is SIV: the IV is a PRF of the plaintext), and the snippet store;
+is SIV: the IV is a PRF of the plaintext), and the snippet store,
+then the response policy's growth factor (the doubling is the paper's
+constant), ``Prf.evaluate_int``, the Zerber ordering ``add_random`` on
+the Zerber+R list and every ``size_bits`` (a wire size is a count times
+``ELEMENT_BITS``);
 they were deleted, and this test keeps them from drifting back.
 """
 
@@ -39,7 +43,7 @@ import repro.persist
 from repro.core.client import ZerberRClient
 from repro.core.cluster import ServerCluster
 from repro.core.eventloop import EventLoop
-from repro.core.protocol import BatchFetchRequest
+from repro.core.protocol import BatchFetchRequest, FetchResponse, ResponsePolicy
 from repro.core.replication import ReplicationManager
 from repro.core.router import Coordinator, CoordinatorStats
 from repro.core.rstf import Rstf
@@ -47,6 +51,8 @@ from repro.core.server import ZerberRServer
 from repro.core.system import ZerberRSystem
 from repro.crypto.cipher import StreamCipher
 from repro.crypto.keys import GroupKeyService
+from repro.crypto.prf import Prf
+from repro.index.postings import EncryptedPostingElement, MergedPostingList
 from repro.obs import MetricsRegistry, Telemetry
 from repro.persist import load_cluster, save_cluster
 
@@ -93,6 +99,8 @@ SURFACES = {
     ),
     # Slices and nothing else: no placement epoch, no trace id.
     "BatchFetchRequest": (BatchFetchRequest, "requests"),
+    # Every follow-up doubles (§5.2, Eq. 12): b is the one knob.
+    "ResponsePolicy": (ResponsePolicy, "initial_size"),
     # The request cap is one constant; ``policy`` is what the figure
     # benches vary.
     "ZerberRClient.query": (ZerberRClient.query, "term k policy"),
@@ -202,6 +210,10 @@ def test_deleted_names_are_not_exported(module):
         (Rstf, "num_training_points"),
         (repro.errors, "IndexingError StaleEpochError"),
         (GroupKeyService, "nonce_sequence"),
+        (Prf, "evaluate_int"),
+        (MergedPostingList, "add_random size_bits"),
+        (EncryptedPostingElement, "size_bits"),
+        (FetchResponse, "size_bits"),
     ],
     ids=[
         "ServerCluster",
@@ -211,6 +223,10 @@ def test_deleted_names_are_not_exported(module):
         "Rstf",
         "repro.errors",
         "GroupKeyService",
+        "Prf",
+        "MergedPostingList",
+        "EncryptedPostingElement",
+        "FetchResponse",
     ],
 )
 def test_deleted_members_stay_gone(owner, names):

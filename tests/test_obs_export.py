@@ -200,7 +200,7 @@ class TestEndToEndSpanChain:
 
         from repro.core.protocol import BatchFetchRequest
         from repro.errors import ProtocolError
-        from repro.index.postings import EncryptedPostingElement
+        from repro.index.postings import EncryptedPostingElement, PostingElement
 
         telemetry = Telemetry()
         cluster, _ = system.deploy_cluster(num_servers=2, telemetry=telemetry)
@@ -223,10 +223,10 @@ class TestEndToEndSpanChain:
         assert first.elements and second.elements
         group = second.elements[0].group
         cipher = system.key_service.cipher_for(client.principal, group)
+        # Authentic, and a header naming a document past the directory.
+        header = PostingElement("t", "d", 1, 2).to_bytes(0, 2**32 - 1)
         malformed = EncryptedPostingElement(
-            ciphertext=cipher.encrypt(b'{"t":"t"}'),  # authentic
-            group=group,
-            trs=0.0,
+            ciphertext=cipher.encrypt(header), group=group, trs=0.0
         )
         poisoned = replace(second, elements=(second.elements[0], malformed))
         elements_before = total("crypto_skim_elements_total")

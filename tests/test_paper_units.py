@@ -23,7 +23,7 @@ import numpy as np
 from repro import SystemConfig, ZerberRSystem
 from repro.corpus.synthetic import tiny_corpus
 from repro.crypto.cipher import IV_SIZE
-from repro.index.postings import HEADER_SIZE
+from repro.index.postings import ELEMENT_BITS, HEADER_SIZE
 
 # 20 queries over tiny_corpus(seed=3), SystemConfig(r=4.0, seed=5), tape seed 11.
 REQUESTS = 52
@@ -62,7 +62,8 @@ def test_paper_units_are_exactly_the_recorded_ones():
     # Every element on the wire is IV + header + one TRS double, 38 bytes
     # whatever its document: the IV is the tag too, and the doc id is a
     # number in the header.
-    assert BITS == ELEMENTS * 8 * (IV_SIZE + HEADER_SIZE + 8) == ELEMENTS * 304
+    assert BITS == ELEMENTS * ELEMENT_BITS
+    assert ELEMENT_BITS == 8 * (IV_SIZE + HEADER_SIZE + 8) == 304
 
 
 class _CountedTrs(float):

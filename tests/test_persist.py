@@ -1,5 +1,6 @@
 """Tests for index persistence: the one dump, a cluster's, round-tripped."""
 
+import base64
 import json
 
 import pytest
@@ -137,6 +138,10 @@ def _refused(dump, tmp_path, damage, match=None):
     return str(excinfo.value)
 
 
+def _b64(data):
+    return base64.b64encode(data).decode()
+
+
 def _server_section(payload):
     return payload["cluster"]["servers"][0]
 
@@ -202,10 +207,25 @@ class TestOneFormatVersion:
         [
             # Lenient base64 drops the "!!" and restores a shorter ciphertext.
             ("c", lambda text: text[:4] + "!!" + text[4:]),
+            # Authentic base64 of a sealed posting one byte short.
+            ("c", lambda text: _b64(base64.b64decode(text)[:-1])),
+            ("c", lambda text: _b64(base64.b64decode(text) + b"?")),
             ("g", lambda group: 5),
             ("t", lambda trs: str(trs)),
+            ("t", lambda trs: None),
+            ("t", lambda trs: 1),
+            ("t", lambda trs: 1.5),
         ],
-        ids=["b64-foreign-chars", "int-group", "str-trs"],
+        ids=[
+            "b64-foreign-chars",
+            "29-byte-ciphertext",
+            "31-byte-ciphertext",
+            "int-group",
+            "str-trs",
+            "null-trs",
+            "int-trs",
+            "trs-above-one",
+        ],
     )
     def test_damaged_element_is_refused_not_restored(
         self, dump, tmp_path, field, damage

@@ -11,6 +11,7 @@ the wait.  No acknowledged op may be lost across the restart.
 
 from __future__ import annotations
 
+import base64
 import json
 import tempfile
 from pathlib import Path
@@ -27,10 +28,11 @@ from repro.corpus.synthetic import tiny_corpus
 from repro.crypto.cipher import IV_SIZE
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError, UnavailableError
-from repro.index.postings import EncryptedPostingElement
+from repro.index.postings import SEALED_SIZE, EncryptedPostingElement
 from repro.persist import FORMAT_VERSION, load_cluster, save_cluster
 from repro.persist.clusterstate import cluster_from_dict, cluster_to_dict
 from repro.text.analysis import DocumentStats
+from tests.conftest import sealed
 
 NUM_LISTS = 3
 NUM_SERVERS = 4
@@ -100,7 +102,7 @@ def _run_ops(cluster, ops, ref=None, counter_start=0):
             list_id = r % NUM_LISTS
             counter += 1
             element = EncryptedPostingElement(
-                ciphertext=b"el-%05d" % counter,
+                ciphertext=sealed(b"el-%05d" % counter),
                 group="g",
                 trs=(counter % 997) / 1000.0,
             )
@@ -192,7 +194,9 @@ def _lagged_snapshot_cluster():
         for list_id in range(NUM_LISTS):
             counter += 1
             element = EncryptedPostingElement(
-                ciphertext=b"seed-%03d" % counter, group="g", trs=counter / 100.0
+                ciphertext=sealed(b"seed-%03d" % counter),
+                group="g",
+                trs=counter / 100.0,
             )
             cluster.insert("u", list_id, element)
             ref.insert(list_id, element)
@@ -271,7 +275,7 @@ class TestLaggedSnapshotRecovery:
         restored, _ = _reload(cluster, tmp_path)
         head_before = restored.primary_version(0)
         element = EncryptedPostingElement(
-            ciphertext=b"post-restart", group="g", trs=0.999
+            ciphertext=sealed(b"post-restart"), group="g", trs=0.999
         )
         restored.insert("u", 0, element)
         ref.insert(0, element)
@@ -342,7 +346,7 @@ class TestFailoverStatePersistence:
         for list_id in range(NUM_LISTS):
             counter += 1
             element = EncryptedPostingElement(
-                ciphertext=b"fo-%03d" % counter, group="g", trs=counter / 100.0
+                ciphertext=sealed(b"fo-%03d" % counter), group="g", trs=counter / 100.0
             )
             cluster.insert("u", list_id, element)
             ref.insert(list_id, element)
@@ -369,7 +373,7 @@ class TestFailoverStatePersistence:
         # primary (the healed old primary counts toward W again).
         restored.restore_server(victim)
         element = EncryptedPostingElement(
-            ciphertext=b"post-failover", group="g", trs=0.999
+            ciphertext=sealed(b"post-failover"), group="g", trs=0.999
         )
         restored.insert("u", 0, element)  # at the restored QUORUM
         ref.insert(0, element)
@@ -506,7 +510,7 @@ class TestRestoredServersStartCold:
         cluster = _cluster(lag=0)
         for counter in range(6):
             element = EncryptedPostingElement(
-                ciphertext=b"load-%02d" % counter, group="g", trs=counter / 10.0
+                ciphertext=sealed(b"load-%02d" % counter), group="g", trs=counter / 10.0
             )
             cluster.insert("u", counter % NUM_LISTS, element)
         for list_id in range(NUM_LISTS):
@@ -637,6 +641,29 @@ class TestCorruptClusterDumps:
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigurationError, match="contiguous"):
             load_cluster(path, _keys())
+
+    @pytest.mark.parametrize("where", ["server-list", "log-op"])
+    def test_a_29_byte_element_names_the_file(self, tmp_path, where):
+        """Every element is one sealed posting: one byte short is a
+        corrupt dump, named, wherever the element sits."""
+        path = self._dump(tmp_path)
+        payload = json.loads(path.read_text())
+        cluster = payload["cluster"]
+        if where == "server-list":
+            lists = next(s["lists"] for s in cluster["servers"] if s["lists"])
+            entry = next(iter(lists.values()))[0]
+        else:
+            entry = next(
+                op["e"]
+                for log in cluster["replication_state"]["logs"].values()
+                for op in log["ops"]
+                if "e" in op
+            )
+        entry["c"] = base64.b64encode(base64.b64decode(entry["c"])[:-1]).decode()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match=f"{SEALED_SIZE} bytes") as excinfo:
+            load_cluster(path, _keys())
+        assert str(path) in str(excinfo.value)
 
     def test_non_integer_paused_entry(self, tmp_path):
         path = self._dump(tmp_path)

@@ -20,13 +20,16 @@ def test_eq12_closed_form(b, n):
 
 @given(
     b=st.integers(min_value=1, max_value=100),
-    g=st.integers(min_value=1, max_value=5),
     n=st.integers(min_value=1, max_value=12),
 )
 @settings(max_examples=200, deadline=None)
-def test_response_sizes_consistent_with_total(b, g, n):
-    policy = ResponsePolicy(initial_size=b, growth_factor=g)
-    assert sum(policy.response_size(i) for i in range(n)) == policy.total_after(n)
+def test_response_sizes_consistent_with_total(b, n):
+    """Every follow-up doubles the one before (§5.2), and the sizes sum
+    to Eq. 12's total."""
+    policy = ResponsePolicy(initial_size=b)
+    sizes = [policy.response_size(i) for i in range(n)]
+    assert sizes == [b * 2**i for i in range(n)]
+    assert sum(sizes) == policy.total_after(n)
 
 
 @given(

@@ -28,6 +28,7 @@ from repro.core.replication import ReadConsistency, WriteConsistency
 from repro.errors import UnavailableError
 from repro.crypto.keys import GroupKeyService
 from repro.index.postings import EncryptedPostingElement
+from tests.conftest import sealed
 
 NUM_LISTS = 3
 NUM_SERVERS = 4
@@ -105,7 +106,7 @@ def _run_ops(cluster, ops):
             counter += 1
             # Unique TRS per element keeps replica order comparison exact.
             element = EncryptedPostingElement(
-                ciphertext=b"el-%04d" % counter,
+                ciphertext=sealed(b"el-%04d" % counter),
                 group="g",
                 trs=(counter % 997) / 1000.0,
             )
@@ -280,7 +281,7 @@ class TestMidOutage:
             nonlocal counter
             counter += 1
             element = EncryptedPostingElement(
-                ciphertext=b"mr-%03d" % counter, group="g", trs=counter / 1000.0
+                ciphertext=sealed(b"mr-%03d" % counter), group="g", trs=counter / 1000.0
             )
             cluster.insert("u", list_id, element)
             ref.insert(list_id, element)
@@ -320,7 +321,7 @@ class TestMidOutage:
             nonlocal counter
             counter += 1
             element = EncryptedPostingElement(
-                ciphertext=b"fe-%03d" % counter, group="g", trs=counter / 1000.0
+                ciphertext=sealed(b"fe-%03d" % counter), group="g", trs=counter / 1000.0
             )
             cluster.write_consistency = consistency
             cluster.insert("u", list_id, element)
