@@ -105,7 +105,6 @@ from repro.core.protocol import (
     FetchResponse,
     QueryTrace,
     Receipt,
-    ReceiptLike,
     ResponsePolicy,
 )
 from repro.core.rstf import RstfModel
@@ -258,7 +257,7 @@ class _TermSession:
         self.done = False
 
     def next_request(
-        self, principal: str, min_version: int | None, trace_id: int | None
+        self, principal: str, min_version: int, trace_id: int | None
     ) -> FetchRequest:
         return FetchRequest(
             principal,
@@ -342,7 +341,7 @@ class ClientQuerySession:
         trace_id = self.trace_id
         return tuple(
             [
-                s.next_request(principal, floor_of(s.list_id), trace_id)
+                s.next_request(principal, floor_of(s.list_id, 0), trace_id)
                 for s in self._active
             ]
         )
@@ -432,20 +431,20 @@ class ZerberRClient:
 
     # -- session-consistency tokens ----------------------------------------------
 
-    def version_floor(self, list_id: int) -> int | None:
+    def version_floor(self, list_id: int) -> int:
         """The version floor this client's reads of *list_id* must meet.
 
-        ``None`` until the client first writes the list or sees a
-        versioned response for it.  The floor is stamped into every
+        0 (no floor) until the client first writes or reads the list.
+        The floor is stamped into every
         :class:`~repro.core.protocol.FetchRequest` the client (or a
         session it opened) issues, and a replicated backend repairs and
         re-serves any answer below it.
         """
-        return self._version_floors.get(list_id)
+        return self._version_floors.get(list_id, 0)
 
-    def _note_version(self, list_id: int, version: int | None) -> None:
+    def _note_version(self, list_id: int, version: int) -> None:
         """Raise the floor of one list (floors only ever go up)."""
-        if version is not None and version > self._version_floors.get(list_id, 0):
+        if version > self._version_floors.get(list_id, 0):
             self._version_floors[list_id] = version
 
     def _note_written(self, list_ids: Iterable[int]) -> None:
@@ -628,11 +627,12 @@ class ZerberRClient:
             for list_id, element in items
         ]
 
-    def delete_document(self, receipts: Iterable[ReceiptLike]) -> int:
+    def delete_document(self, receipts: Iterable[Receipt]) -> int:
         """Remove a previously inserted document by its receipts.
 
         One batch under one failover retry, all or nothing: a refused
-        batch (foreign element, unknown list, no quorum) deletes nothing.
+        batch (a receipt without its float TRS, foreign element, unknown
+        list, no quorum) deletes nothing.
         Returns the number of elements actually removed (receipts for
         already-removed elements are counted as misses, not errors —
         deletion is idempotent).
@@ -641,7 +641,7 @@ class ZerberRClient:
         outcome = self._write_with_failover_retry(
             lambda: self._server.delete_many(self.principal, batch)
         )
-        touched = [receipt[0] for receipt, hit in zip(batch, outcome) if hit]
+        touched = [receipt.list_id for receipt, hit in zip(batch, outcome) if hit]
         self._note_written(touched)
         return len(touched)
 

@@ -82,7 +82,6 @@ from repro.core.protocol import (
     FetchRequest,
     FetchResponse,
     Receipt,
-    ReceiptLike,
 )
 from repro.core.replication import (
     FailoverEvent,
@@ -627,26 +626,39 @@ class ServerCluster:
         return len(items)
 
     def delete_many(
-        self, principal: str, receipts: Iterable[ReceiptLike]
+        self, principal: str, receipts: Iterable[Receipt]
     ) -> list[bool]:
         """Delete a document's elements by their receipts, as one write.
 
         The delete-side twin of :meth:`insert_many`, on the same
-        pipeline: every touched list is admitted (ack quorum, primary at
-        the head) and every receipt is located and membership-checked at
-        its primary before any element is removed, so an unknown list id,
-        a foreign-group element or a refused quorum leaves every replica,
+        pipeline.  Every receipt is checked first: one that is not a
+        :class:`~repro.core.protocol.Receipt` with a float TRS in [0, 1]
+        refuses the whole batch with :class:`ProtocolError`.  Then every
+        touched list is admitted (ack quorum, primary at the head) and
+        every receipt is located and membership-checked at its primary
+        before any element is removed, so an unknown list id, a
+        foreign-group element or a refused quorum leaves every replica,
         version and log untouched.  Receipts are located *after* the
         primary catch-up because locating reads the primary's list.  Then
         the primaries pop and patch their views, each removed element is
-        recorded with its stored TRS (followers bisect to it), and the
-        batch closes with one delivery round and one ack pass over the
-        touched lists.  Returns, per receipt, whether it removed an
-        element; a miss (already deleted, named twice, never inserted)
+        recorded (followers bisect to it by its TRS), and the batch
+        closes with one delivery round and one ack pass over the touched
+        lists.  Returns, per receipt, whether it removed an element; a
+        miss (already deleted, named twice, never inserted, another TRS)
         mutates, logs and counts nothing — deletion is idempotent.
         """
         consistency = self.write_consistency
-        batch = [Receipt(*receipt) for receipt in receipts]
+        batch = list(receipts)
+        for receipt in batch:
+            if not (
+                isinstance(receipt, Receipt)
+                and isinstance(receipt.trs, float)
+                and 0.0 <= receipt.trs <= 1.0
+            ):
+                raise ProtocolError(
+                    "a delete names each element by a Receipt with its "
+                    f"float TRS in [0, 1], not {receipt!r}"
+                )
         per_primary: dict[int, list[int]] = {}
         for index, receipt in enumerate(batch):
             primary = self._primary_of(receipt.list_id)
@@ -666,8 +678,8 @@ class ServerCluster:
             )
             for index, element in zip(per_primary[server_index], elements):
                 if element is not None:
-                    list_id, ciphertext, _ = batch[index]
-                    self._repl.record_delete(list_id, ciphertext, element.trs)
+                    list_id = batch[index].list_id
+                    self._repl.record_delete(list_id, element)
                     removed[index] = True
                     written.append(list_id)
         if written:
@@ -676,9 +688,9 @@ class ServerCluster:
             )
         return removed
 
-    def delete_element(self, principal: str, list_id: int, ciphertext: bytes) -> bool:
+    def delete_element(self, principal: str, receipt: Receipt) -> bool:
         """Delete one element: a one-receipt :meth:`delete_many`."""
-        return self.delete_many(principal, [Receipt(list_id, ciphertext)])[0]
+        return self.delete_many(principal, [receipt])[0]
 
     # -- read path -------------------------------------------------------------
     #
@@ -690,15 +702,16 @@ class ServerCluster:
     # a remembered route would be a second source of truth for replica
     # health, and the log read is two dict lookups.
 
-    def route(self, list_id: int, min_version: int | None = None) -> int:
+    def route(self, list_id: int, min_version: int = 0) -> int:
         """The replica that should serve a read of *list_id*.
 
         Eligibility depends on the cluster's ``read_consistency``:
         ``PRIMARY`` prefers caught-up live replicas, ``ONE`` accepts any
         live replica — narrowed, when *min_version* (the asking session's
-        read-your-writes/monotonic floor) is given, to those at or above
-        it whenever one exists, so the read is not routed to a replica
-        :meth:`_finalize_read` would then have to repair and re-serve —
+        read-your-writes/monotonic floor; 0 for none) is set, to those at
+        or above it whenever one exists, so the read is not routed to a
+        replica :meth:`_finalize_read` would then have to repair and
+        re-serve —
         and ``QUORUM`` requires a live majority and returns the
         version-max member.
         Among eligible replicas, paused (partitioned) ones are avoided
@@ -915,7 +928,7 @@ class ServerCluster:
         needs_fresh = consistency is not ReadConsistency.ONE
         # A session floor can never honestly exceed the log head (it came
         # from an earlier response of this cluster); clamp defensively.
-        floor = min(request.min_version or 0, head)
+        floor = min(request.min_version, head)
         floor_violated = version < floor
         if needs_fresh or floor_violated:
             reserve_from = None

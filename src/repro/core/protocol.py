@@ -43,10 +43,10 @@ nothing else: no placement epoch, no trace id.
 Deletion is by :class:`Receipt`: what the inserting client kept of each
 element it uploaded.  The server cannot read ciphertexts, so a delete
 names the element by exact ciphertext match; the receipt also carries the
-TRS the client computed at index time, which lets the server bisect to
-the element instead of scanning for it.  The TRS is stored in the clear
-beside the element (it is what the server ranks by), so a receipt tells
-the server nothing it does not already hold.
+TRS the client computed at index time, and the server looks for the
+element only in the run of its list that holds that TRS.  The TRS is
+stored in the clear beside the element (it is what the server ranks
+by), so a receipt tells the server nothing it does not already hold.
 """
 
 from __future__ import annotations
@@ -89,18 +89,13 @@ class ResponsePolicy:
 class Receipt(NamedTuple):
     """Deletion receipt of one uploaded posting element.
 
-    *trs* is a position hint only: a wrong or absent one (a legacy
-    ``(list_id, ciphertext)`` pair) costs the bisect probe, and the
-    ciphertext scan still decides.
+    *trs* is the element's stored TRS: the server searches only the run
+    of equal TRS it bisects to, so a receipt with another TRS is a miss.
     """
 
     list_id: int
     ciphertext: bytes
-    trs: float | None = None
-
-
-# What a delete call accepts per element: ``Receipt(*pair)`` normalises.
-ReceiptLike = Receipt | tuple[int, bytes]
+    trs: float
 
 
 @dataclass(frozen=True)
@@ -114,7 +109,7 @@ class FetchRequest:
     ``min_version`` is a session-consistency floor: the lowest
     replication-log version of the list the response may reflect,
     carried by sessions enforcing read-your-writes and monotonic reads
-    (see :class:`~repro.core.client.ClientQuerySession`).  ``None`` (the
+    (see :class:`~repro.core.client.ClientQuerySession`).  ``0`` (the
     default, what a client sends before it first writes or reads the
     list) imposes no floor; a read below the floor is repaired and
     re-served.  It
@@ -133,7 +128,7 @@ class FetchRequest:
     list_id: int
     offset: int
     count: int
-    min_version: int | None = None
+    min_version: int = 0
     trace_id: int | None = None
 
     def __post_init__(self) -> None:
@@ -141,7 +136,7 @@ class FetchRequest:
             raise ProtocolError("offset must be non-negative")
         if self.count < 1:
             raise ProtocolError("count must be >= 1")
-        if self.min_version is not None and self.min_version < 0:
+        if self.min_version < 0:
             raise ProtocolError("min_version must be non-negative")
 
 
@@ -152,14 +147,13 @@ class FetchResponse:
     ``replica_version`` is the serving replica's applied replication-log
     version of the fetched list (see :mod:`repro.core.replication`): the
     cluster reads it before the serve and hands it to the server, which
-    builds the reply with it (``None`` only from a shard called with no
-    stamp).  The cluster compares it against the list's log head to
-    detect a stale replica and trigger read-repair.
+    builds the reply with it.  The cluster compares it against the
+    list's log head to detect a stale replica and trigger read-repair.
     """
 
     elements: tuple[EncryptedPostingElement, ...]
     exhausted: bool
-    replica_version: int | None = None
+    replica_version: int
 
     def __len__(self) -> int:
         return len(self.elements)

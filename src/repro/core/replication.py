@@ -223,10 +223,8 @@ class ReplicationOp(NamedTuple):
 
     ``seq`` is the list's log sequence number after applying this op
     (the first op of a list has ``seq == 1``).  ``kind`` is ``"insert"``
-    (payload in ``element``) or ``"delete"`` (payload in ``ciphertext``
-    — deletion is by receipt, exactly like the client protocol — plus,
-    as a position hint, the ``trs`` of the element the primary removed;
-    ``None`` in ops logged before the hint existed).
+    or ``"delete"``; ``element`` is the element the primary inserted or
+    removed, so a follower bisects to its place by its TRS either way.
 
     A tuple, not a dataclass: every element written is one op, built on
     the write path, and a tuple is built in one C call where a frozen
@@ -235,9 +233,7 @@ class ReplicationOp(NamedTuple):
 
     seq: int
     kind: str
-    element: EncryptedPostingElement | None = None
-    ciphertext: bytes | None = None
-    trs: float | None = None
+    element: EncryptedPostingElement
 
 
 _new_op = tuple.__new__
@@ -268,19 +264,11 @@ class ReplicationLog:
     def __len__(self) -> int:
         return len(self._ops)
 
-    def append(
-        self,
-        kind: str,
-        element: EncryptedPostingElement | None = None,
-        ciphertext: bytes | None = None,
-        trs: float | None = None,
-    ) -> ReplicationOp:
+    def append(self, kind: str, element: EncryptedPostingElement) -> ReplicationOp:
         # One op per element written: the tuple is built in one C call,
         # without the generated ``__new__`` a call to the class enters.
         seq = self.head_seq + 1
-        op: ReplicationOp = _new_op(
-            ReplicationOp, (seq, kind, element, ciphertext, trs)
-        )
+        op: ReplicationOp = _new_op(ReplicationOp, (seq, kind, element))
         self._ops.append(op)
         self.head_seq = seq
         return op
@@ -545,25 +533,17 @@ class ReplicationManager:
         self, list_id: int, element: EncryptedPostingElement
     ) -> None:
         """Log an insert the cluster just applied to the primary."""
-        self._record(list_id, "insert", element, None, None)
+        self._record(list_id, "insert", element)
 
     def record_delete(
-        self, list_id: int, ciphertext: bytes, trs: float | None = None
+        self, list_id: int, element: EncryptedPostingElement
     ) -> None:
-        """Log a delete the cluster just applied to the primary.
-
-        *trs* is the TRS of the element the primary removed: followers
-        use it to bisect to the element instead of scanning for it.
-        """
-        self._record(list_id, "delete", None, ciphertext, trs)
+        """Log a delete the cluster just applied to the primary: *element*
+        is the one it removed."""
+        self._record(list_id, "delete", element)
 
     def _record(
-        self,
-        list_id: int,
-        kind: str,
-        element: EncryptedPostingElement | None,
-        ciphertext: bytes | None,
-        trs: float | None,
+        self, list_id: int, kind: str, element: EncryptedPostingElement
     ) -> None:
         log = self._logs[list_id]
         replicas = self._replicas_of(list_id)
@@ -589,7 +569,7 @@ class ReplicationManager:
             seq = log.head_seq + 1
             log.head_seq = log.base_seq = applied[primary] = seq
             return
-        op = log.append(kind, element, ciphertext, trs)
+        op = log.append(kind, element)
         applied[primary] = op.seq
         for follower in replicas[1:]:
             self._enqueue(log, follower, op.seq)

@@ -456,7 +456,7 @@ class Coordinator:
     @staticmethod
     def _merge_floor(held: FetchRequest, request: FetchRequest) -> FetchRequest:
         """Raise a deduplicated slice's session floor to cover both wanters."""
-        if (request.min_version or 0) > (held.min_version or 0):
+        if request.min_version > held.min_version:
             return dataclass_replace(held, min_version=request.min_version)
         return held
 

@@ -52,7 +52,6 @@ from __future__ import annotations
 import bisect
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import repeat
 
 from repro.core.protocol import (
     BatchFetchRequest,
@@ -60,7 +59,6 @@ from repro.core.protocol import (
     FetchRequest,
     FetchResponse,
     Receipt,
-    ReceiptLike,
 )
 from repro.core.replication import ReplicationOp
 from repro.core.views import ReadableViewIndex, ViewStats
@@ -186,18 +184,18 @@ class ZerberRServer:
     # update and insert operations") ------------------------------------------
 
     def locate_receipts(
-        self, principal: str, receipts: Iterable[ReceiptLike]
+        self, principal: str, receipts: Iterable[Receipt]
     ) -> list[tuple[int, int, EncryptedPostingElement] | None]:
         """Validate a batch of deletion receipts; mutates nothing.
 
-        Per receipt (a :class:`~repro.core.protocol.Receipt` or a legacy
-        ``(list_id, ciphertext)`` pair): ``(list_id, position, element)``
-        of the element it names, or ``None`` for a miss — nothing
-        matches, or an earlier receipt of the batch already claimed the
-        element (ciphertexts are unique, as live postings' plaintexts
-        are).  The server cannot read ciphertexts, so the match is
-        exact; the receipt's TRS lets
-        :meth:`MergedPostingList.find_by_ciphertext` bisect to it.
+        Per :class:`~repro.core.protocol.Receipt`: ``(list_id, position,
+        element)`` of the element it names, or ``None`` for a miss —
+        nothing in the run of the receipt's TRS matches, or an earlier
+        receipt of the batch already claimed the element (ciphertexts
+        are unique, as live postings' plaintexts are).  The server
+        cannot read ciphertexts, so the match is exact, and
+        :meth:`MergedPostingList.find_by_ciphertext` searches only the
+        bisected run of the receipt's TRS.
         Membership is enforced against the *stored* element's group tag —
         only members of the owning group may delete it — and an unknown
         list id or a foreign element refuses the whole batch here, before
@@ -205,8 +203,7 @@ class ZerberRServer:
         """
         located: list[tuple[int, int, EncryptedPostingElement] | None] = []
         claimed: set[tuple[int, int]] = set()
-        for receipt in receipts:
-            list_id, ciphertext, trs = Receipt(*receipt)
+        for list_id, ciphertext, trs in receipts:
             found = self._list(list_id).find_by_ciphertext(ciphertext, trs)
             if found is None or (list_id, found[0]) in claimed:
                 located.append(None)
@@ -227,7 +224,7 @@ class ZerberRServer:
         are the located ones, shifted by the batch's own earlier pops of
         the same list.  Cached readable views are patched rather than
         invalidated.  Returns the removed element per receipt (the
-        cluster logs its TRS so replicas bisect too), ``None`` per miss.
+        cluster logs it so replicas bisect to it too), ``None`` per miss.
         """
         removed: list[EncryptedPostingElement | None] = []
         popped: dict[int, list[int]] = {}
@@ -245,11 +242,10 @@ class ZerberRServer:
         return removed
 
     def delete_element(
-        self, principal: str, list_id: int, ciphertext: bytes
+        self, principal: str, receipt: Receipt
     ) -> EncryptedPostingElement | None:
         """Remove one element by its receipt: locate, then remove."""
-        located = self.locate_receipts(principal, [Receipt(list_id, ciphertext)])
-        return self.remove_located(located)[0]
+        return self.remove_located(self.locate_receipts(principal, [receipt]))[0]
 
     # -- replication (cluster data plane; see repro.core.replication) -----------
 
@@ -262,9 +258,9 @@ class ZerberRServer:
         No membership re-check: each op was validated and admitted at the
         primary when it was acknowledged; re-checking at delivery time
         would let a concurrent revocation make replicas diverge
-        permanently.  An insert is bisected into place; a delete is by
-        ciphertext receipt, like the client protocol, with the op's TRS
-        as the position hint (see
+        permanently.  An insert is bisected into place; a delete finds
+        the removed element by its ciphertext in the run of its TRS,
+        like a receipt (see
         :meth:`MergedPostingList.find_by_ciphertext`).  A delete that
         finds nothing is tolerated: log order guarantees the insert
         preceded it, so a miss can only mean the state was restored
@@ -282,16 +278,13 @@ class ZerberRServer:
         add = merged.add_sorted_by_trs
         find, pop = merged.find_by_ciphertext, merged.pop_at
         changed = 0
-        for op in ops:
-            if op.kind == "insert":
-                element = op.element
-                assert element is not None
+        for _, kind, element in ops:
+            if kind == "insert":
                 add(element)
                 if views is not None:
                     views.note_insert(merged, element, replication=True)
             else:
-                assert op.ciphertext is not None
-                found = find(op.ciphertext, op.trs)
+                found = find(element.ciphertext, element.trs)
                 if found is None:
                     continue
                 pop(found[0])
@@ -307,11 +300,11 @@ class ZerberRServer:
         self.apply_replicated_ops(list_id, [ReplicationOp(0, "insert", element)])
 
     def apply_replicated_delete(
-        self, list_id: int, ciphertext: bytes, trs: float | None = None
+        self, list_id: int, element: EncryptedPostingElement
     ) -> bool:
         """Apply one delete op: a one-op :meth:`apply_replicated_ops`;
         returns whether an element was removed."""
-        op = ReplicationOp(0, "delete", None, ciphertext, trs)
+        op = ReplicationOp(0, "delete", element)
         return self.apply_replicated_ops(list_id, [op]) == 1
 
     # -- crash recovery (persistence support; see repro.persist) ----------------
@@ -320,49 +313,33 @@ class ZerberRServer:
         """Snapshot one list's elements in server order."""
         return list(self._list(list_id).elements)
 
-    def list_version(self, list_id: int) -> int:
-        """The mutation counter of one merged list (persisted with the list)."""
-        return self._list(list_id).version
-
     def restore_list(
-        self,
-        list_id: int,
-        elements: Iterable[EncryptedPostingElement],
-        version: int,
+        self, list_id: int, elements: Iterable[EncryptedPostingElement]
     ) -> None:
-        """Reinstall one list's persisted content *and* version counter.
-
-        A restored list resumes at its pre-restart version, so version-stamped fetch responses and the replication manager's
-        applied versions stay comparable across the restart.  A dump is
-        written in list order, which the load keeps as it is; a dump
-        that is not comes back TRS-sorted.
-        """
-        if version < 0:
-            raise ProtocolError(f"list {list_id}: version must be >= 0")
+        """Reinstall one list's persisted content.  A dump is written in
+        list order, which the load keeps as it is; a dump that is not
+        comes back TRS-sorted."""
         merged = self._list(list_id)
         merged.clear()
         merged.bulk_load_sorted_by_trs(elements)
-        merged.version = version
         self._views.invalidate_list(list_id)
 
     # -- queries (paper §5.2) --------------------------------------------------
 
-    def fetch(
-        self, request: FetchRequest, version: int | None = None
-    ) -> FetchResponse:
+    def fetch(self, request: FetchRequest, version: int) -> FetchResponse:
         """Serve a TRS-ordered slice of the principal-readable elements.
 
         ``offset`` counts within the readable sub-list (the principal never
         learns how many unreadable elements interleave), and ``exhausted``
         signals that no readable elements remain past the returned slice.
-        *version* is the reply's ``replica_version``: the stamp a cluster
-        read for this replica before the call (``None`` when none is given).
+        *version* is the reply's ``replica_version``: the stamp the
+        cluster read for this replica before the call.
         """
         self._calls_served += 1
         return self._serve_slice(request, None, version)
 
     def batch_fetch(
-        self, batch: BatchFetchRequest, versions: Sequence[int] | None = None
+        self, batch: BatchFetchRequest, versions: Sequence[int]
     ) -> BatchFetchResponse:
         """Serve many slices in one call — a client's round or a
         coordinator's envelope alike.
@@ -370,20 +347,19 @@ class ZerberRServer:
         Slices are served in request order, each under its own request's
         principal; each is logged as its own :class:`ObservedFetch`
         carrying the shared ``batch_id``, because the compromised-server
-        adversary sees them travel together.  *versions*, when given,
-        runs parallel to the requests: the stamp each reply is built with
-        (see :meth:`fetch`).
+        adversary sees them travel together.  *versions* runs parallel
+        to the requests: the stamp each reply is built with (see
+        :meth:`fetch`).
         """
         self._calls_served += 1
         self._batch_counter += 1
         batch_id = self._batch_counter
         serve = self._serve_slice
-        stamps: Iterable[int | None] = repeat(None) if versions is None else versions
         return BatchFetchResponse(
             tuple(
                 [
                     serve(request, batch_id, version)
-                    for request, version in zip(batch.requests, stamps)
+                    for request, version in zip(batch.requests, versions)
                 ]
             )
         )
@@ -392,7 +368,7 @@ class ZerberRServer:
     coalesced_fetch = batch_fetch
 
     def _serve_slice(
-        self, request: FetchRequest, batch_id: int | None, version: int | None
+        self, request: FetchRequest, batch_id: int | None, version: int
     ) -> FetchResponse:
         """Serve, count and observe one slice — once each, whatever call
         it travelled in — and build its one reply, stamped *version*."""

@@ -352,26 +352,22 @@ class MergedPostingList:
         self.version += 1
 
     def find_by_ciphertext(
-        self, ciphertext: bytes, trs: float | None = None
+        self, ciphertext: bytes, trs: float
     ) -> tuple[int, EncryptedPostingElement] | None:
-        """Locate the element with *ciphertext*.
+        """Locate the element with *ciphertext* and TRS *trs*.
 
         Returns ``(position, element)`` or ``None``; lets callers inspect
         the element (e.g. check its group tag) before committing to a
-        removal without a second O(list) pass.  A caller that knows the
-        element's *trs* passes it as a hint: the run of elements sharing
-        that TRS is bisected to and searched first, O(log n).  A wrong
-        hint only costs that probe — the scan below still decides.
+        removal.  Only the run of elements sharing *trs* is searched —
+        bisected to, O(log n + run) — so an element stored under another
+        TRS is a miss.
         """
-        if trs is not None:
-            keys = self._neg_trs_keys
-            run = range(bisect.bisect_left(keys, -trs), bisect.bisect_right(keys, -trs))
-            for position in run:
-                if self.elements[position].ciphertext == ciphertext:
-                    return position, self.elements[position]
-        for position, element in enumerate(self.elements):
-            if element.ciphertext == ciphertext:
-                return position, element
+        keys, elements = self._neg_trs_keys, self.elements
+        for position in range(
+            bisect.bisect_left(keys, -trs), bisect.bisect_right(keys, -trs)
+        ):
+            if elements[position].ciphertext == ciphertext:
+                return position, elements[position]
         return None
 
     def pop_at(self, position: int) -> EncryptedPostingElement:

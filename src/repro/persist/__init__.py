@@ -20,17 +20,28 @@ index server is a one-server cluster, and its dump is this one too.  A
 ``kind: "server"`` container (a bare server, from an older build) is
 refused by name: re-index to carry it over.
 
-The container is format **v8**, the only version this build writes or
-reads.  It is renumbered because every stored ciphertext changed: a v8
-element (and a sealed directory) is SIV — ``iv (16) || body``, the IV a
-PRF of the plaintext under a new subkey and checked on decryption —
-where a v7 one was ``nonce (12) || body || tag (16)``.  Under the new
-check every v7 element would fail and read as not the reader's, so a v7
-dump would restore without complaint and answer every query with
-nothing.  (A v7 element named its document by number in a fixed 14-byte
-header and a v6 one spelled the doc id out after a 10-byte header; v6
-replaced v5's 16-byte nonce and SHAKE-256 keystream with a 12-byte nonce
-and a keyed-BLAKE2b one; keyed BLAKE2b-128 replaced v4's truncated
+The container is format **v9**, the only version this build writes or
+reads.  It is renumbered because a replication op changed shape: every
+op, insert or delete, is ``{"s", "k", "e"}``, ``"e"`` the element the
+primary inserted or removed, through the one element codec; a v8
+delete op carried a bare ciphertext ``"c"`` and, when it had one, a TRS
+``"t"``, so a v8 log's delete ops hold no element for this build to
+apply.
+A v9 server section holds its ``lists`` only: v8's per-list mutation
+counters (``"versions"``) are gone, because no reader needs them —
+replies are stamped with the replication log's applied versions, and
+readable views are rebuilt after a restore.
+
+The v8 bump changed every stored ciphertext: a v8 element (and a sealed
+directory) is SIV — ``iv (16) || body``, the IV a PRF of the plaintext
+under a new subkey and checked on decryption — where a v7 one was
+``nonce (12) || body || tag (16)``.  Under the new check every v7
+element would fail and read as not the reader's, so a v7 dump would
+restore without complaint and answer every query with nothing.  (A v7
+element named its document by number in a fixed 14-byte header and a
+v6 one spelled the doc id out after a 10-byte header; v6 replaced v5's
+16-byte nonce and SHAKE-256 keystream with a 12-byte nonce and a
+keyed-BLAKE2b one; keyed BLAKE2b-128 replaced v4's truncated
 HMAC-SHA256 tag in v5; a v3 element would also misread its plaintext —
 its term-length byte and first three term bytes read as a term number —
 and a v2 element, canonical JSON, never decodes at all.)  Any other
@@ -51,8 +62,8 @@ Format / recovery invariants
    directory and ``os.replace``\\ s it into place: an interrupted save
    leaves the previous dump intact, never a torn file
    (:mod:`repro.persist.atomic`).
-2. **Versions restart nowhere.**  Each merged list's mutation counter
-   and each replication log's ``(base_seq, head_seq]`` tail are part of
+2. **Versions restart nowhere.**  Each replication log's ``(base_seq,
+   head_seq]`` tail and every replica's applied version are part of
    the dump, so post-restart version stamps remain comparable with
    pre-restart state: ``head_seq`` continues from where the crashed
    process stopped, and invariant 3 of
@@ -75,9 +86,10 @@ Format / recovery invariants
    :class:`~repro.errors.ConfigurationError` naming the file and the
    offending value — nothing escapes as a raw ``KeyError``,
    ``IndexError`` or ``AttributeError`` (every cluster section is
-   type-checked before it is read).  Element fields are decoded strictly (base64 with
-   validation, string group, float-or-null TRS): a damaged entry never
-   restores as a *different* ciphertext.  The setup artifacts are held
+   type-checked before it is read).  Element fields are decoded
+   strictly (base64 with validation, string group, float TRS in
+   [0, 1]): a damaged entry never restores as a *different*
+   ciphertext.  The setup artifacts are held
    to the same rule: a merge plan or RSTF model its own constructor
    refuses is a :class:`~repro.errors.ConfigurationError` naming the
    file, never a bare one or a ``TrainingError``.

@@ -3,8 +3,7 @@
 A cluster snapshot captures everything the untrusted host tier must not
 forget across a restart (the ``cluster`` section of a dump):
 
-* every server's merged lists **with their mutation counters** — so
-  version-stamped fetch responses stay comparable across the restart;
+* every server's merged lists;
 * the placement table and its epoch — so a restart keeps every elected
   primary and the election count ``cluster-status`` reports;
 * the replication manager's durable state: each list's log tail above
@@ -26,7 +25,6 @@ one anti-entropy sweep bounds how long convergence takes.
 
 from __future__ import annotations
 
-import base64
 import json
 from pathlib import Path
 from time import perf_counter
@@ -78,43 +76,21 @@ def _typed(value: Any, kind: type, what: str, source: str | Path) -> Any:
 
 
 def replication_op_to_dict(op: ReplicationOp) -> dict:
-    entry: dict = {"s": op.seq, "k": op.kind}
-    if op.element is not None:
-        entry["e"] = element_to_dict(op.element)
-    if op.ciphertext is not None:
-        entry["c"] = base64.b64encode(op.ciphertext).decode()
-    if op.trs is not None:
-        entry["t"] = op.trs
-    return entry
+    return {"s": op.seq, "k": op.kind, "e": element_to_dict(op.element)}
 
 
 def replication_op_from_dict(entry: dict, source: str | Path) -> ReplicationOp:
     kind = _typed(entry, dict, "a replication op", source).get("k")
-    if kind == "insert":
-        if "e" not in entry:
-            raise ConfigurationError(
-                f"{source}: corrupt cluster dump: insert op {entry.get('s')} "
-                "has no element payload"
-            )
-        return ReplicationOp(
-            seq=int(entry["s"]), kind="insert", element=element_from_dict(entry["e"])
+    if kind not in ("insert", "delete"):
+        raise ConfigurationError(
+            f"{source}: corrupt cluster dump: unknown replication op kind {kind!r}"
         )
-    if kind == "delete":
-        if "c" not in entry:
-            raise ConfigurationError(
-                f"{source}: corrupt cluster dump: delete op {entry.get('s')} "
-                "has no ciphertext receipt"
-            )
-        return ReplicationOp(
-            seq=int(entry["s"]),
-            kind="delete",
-            ciphertext=base64.b64decode(entry["c"], validate=True),
-            # The position hint; a delete by a bare (list, ciphertext) has none.
-            trs=float(entry["t"]) if "t" in entry else None,
+    if "e" not in entry:
+        raise ConfigurationError(
+            f"{source}: corrupt cluster dump: {kind} op {entry.get('s')} "
+            "has no element payload"
         )
-    raise ConfigurationError(
-        f"{source}: corrupt cluster dump: unknown replication op kind {kind!r}"
-    )
+    return ReplicationOp(int(entry["s"]), kind, element_from_dict(entry["e"]))
 
 
 # -- whole-cluster encode -----------------------------------------------------

@@ -22,7 +22,7 @@ from repro.index.merge import MergePlan
 from repro.index.postings import EncryptedPostingElement
 
 #: The one dump format this build writes and reads (see :mod:`repro.persist`).
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 
 def read_payload(path: str | Path) -> dict:
@@ -149,20 +149,13 @@ def setup_from_payload(
 
 
 def server_to_dict(server: ZerberRServer) -> dict:
-    """One server's merged lists (empty ones omitted) and each list's
-    mutation counter, so a reload resumes where the pre-restart process
-    stopped: post-restart version-stamped fetch responses and replication
-    applied-versions stay comparable with pre-restart log state.
-    """
+    """One server's merged lists, empty ones omitted."""
     lists = {}
-    versions = {}
     for list_id in range(server.num_lists):
         merged = server._lists[list_id]
         if merged.elements:
             lists[str(list_id)] = [element_to_dict(e) for e in merged.elements]
-        if merged.version:
-            versions[str(list_id)] = merged.version
-    return {"num_lists": server.num_lists, "lists": lists, "versions": versions}
+    return {"num_lists": server.num_lists, "lists": lists}
 
 
 def decode_list_id(list_id_str: str, num_lists: int, source: str | Path) -> int:
@@ -182,22 +175,12 @@ def decode_list_id(list_id_str: str, num_lists: int, source: str | Path) -> int:
 
 
 def load_server_state(server: ZerberRServer, data: dict, source: str | Path) -> None:
-    """Restore merged lists and their version counters into an
-    existing, empty server."""
+    """Restore merged lists into an existing, empty server."""
     try:
-        lists, versions = data["lists"], data["versions"]
-        for list_id_str in sorted(set(lists) | set(versions), key=str):
+        for list_id_str, entries in data["lists"].items():
             list_id = decode_list_id(list_id_str, server.num_lists, source)
-            # KeyError: elements without a counter cannot have been written.
-            version = int(versions[list_id_str])
-            if version < 1:
-                raise ConfigurationError(
-                    f"{source}: corrupt dump: list {list_id_str} has "
-                    f"non-positive version {version}"
-                )
-            elements = [element_from_dict(e) for e in lists.get(list_id_str, ())]
-            server.restore_list(list_id, elements, version)
+            server.restore_list(list_id, [element_from_dict(e) for e in entries])
     except ConfigurationError:
         raise
-    except (KeyError, TypeError, ValueError) as error:
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
         raise ConfigurationError(f"{source}: corrupt dump: {error!r}") from error

@@ -15,7 +15,10 @@ counter, a SHAKE-256 keystream, dataclass log ops),
 ``cluster_v6.json`` (12-byte nonces, a keyed-BLAKE2b keystream, each
 plaintext's doc id spelled out after a 10-byte header) and
 ``cluster_v7.json`` (``nonce (12) || body || tag (16)`` seals, the
-document numbered in a 14-byte header, sealed directories).  Rerunning it
+document numbered in a 14-byte header, sealed directories) and
+``cluster_v8.json`` (SIV seals, ``iv (16) || body``; delete ops naming
+their element by a bare ciphertext ``"c"`` and its TRS ``"t"``; per-list
+mutation counters in every server section).  Rerunning it
 writes what the code in the tree writes, so run it before a format bump,
 not after.
 """

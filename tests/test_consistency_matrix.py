@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.client import ZerberRClient
 from repro.core.cluster import ServerCluster
-from repro.core.protocol import FetchRequest
+from repro.core.protocol import FetchRequest, Receipt
 from repro.core.replication import ReadConsistency, WriteConsistency
 from repro.core.rstf import RstfModel, train_rstf
 from repro.crypto.keys import GroupKeyService
@@ -41,7 +41,7 @@ def _element(trs, payload=sealed(b"cipher")):
     return EncryptedPostingElement(ciphertext=payload, group="g", trs=trs)
 
 
-def _fetch(cluster, list_id, count=8, consistency=None, min_version=None):
+def _fetch(cluster, list_id, count=8, consistency=None, min_version=0):
     """One slice of *list_id*; a *consistency* given becomes the
     cluster's read level first (the one place a level lives)."""
     if consistency is not None:
@@ -189,7 +189,7 @@ class TestQuorumWrites:
         assert all(
             cluster.applied_version(0, s) == 3 for s in cluster.replicas_of(0)
         )
-        assert cluster.delete_element("u", 0, sealed(b"b1"))
+        assert cluster.delete_element("u", Receipt(0, sealed(b"b1"), 0.1))
         assert all(
             cluster.applied_version(0, s) == 4 for s in cluster.replicas_of(0)
         )
@@ -586,7 +586,7 @@ class TestClientSessionGuarantees:
         writer = self._client(client_keys, cluster, model, plan)
         reader = self._client(client_keys, cluster, model, plan)
         writer.index_document(self._doc("d1", {"apple": 3}), "g1")
-        assert reader.version_floor(0) is None
+        assert reader.version_floor(0) == 0
         reader.query("apple", k=5)
         # The read's response version became the reader's floor: later
         # reads can never regress below what this one observed.

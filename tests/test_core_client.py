@@ -351,7 +351,7 @@ class TestRevocationBetweenRounds:
         stored = cluster.server(cluster.replicas_of(list_id)[0]).export_list(list_id)
         assert {e.group for e in stored} == {"g1", "g2"}
         late = root.open_multi_session(["apple"], 10)
-        late.deliver([FetchResponse(elements=tuple(stored), exhausted=True)])
+        late.deliver([FetchResponse(tuple(stored), True, replica_version=0)])
         assert late.result().ranked == tuple(
             sorted(
                 ((f"a{i}", i / 10) for i in range(1, 6)), key=lambda kv: (-kv[1], kv[0])

@@ -13,6 +13,7 @@ from repro.core.protocol import (
     BatchFetchResponse,
     FetchRequest,
     FetchResponse,
+    Receipt,
 )
 from repro.core.replication import ReadConsistency
 from repro.core.server import ZerberRServer
@@ -338,12 +339,12 @@ class _AccessorReadPath(ServerCluster):
     ``replicas_of`` (a row copy per slice), one ``applied_version`` call
     per replica, ``head_version``, ``is_paused`` and
     ``dataclasses.replace``.  It reads every stamp before the server call
-    too, but serves through the server's unstamped ``batch_fetch`` and
-    stamps the replies afterwards, so it shares none of
+    too, but has the server build every reply stamped 0 and stamps the
+    replies afterwards, so it shares none of
     ``ServerCluster.serve_envelope``.  :class:`ServerCluster`'s read path
     must be indistinguishable from it (``TestReadPathRefinement``)."""
 
-    def route(self, list_id, min_version=None):
+    def route(self, list_id, min_version=0):
         repl = self.replication_manager
         consistency = self.read_consistency
         replicas = self.replicas_of(list_id)
@@ -369,9 +370,7 @@ class _AccessorReadPath(ServerCluster):
             candidates = fresh if fresh else live
         else:
             candidates = live
-            floor = 0
-            if min_version is not None:
-                floor = min(min_version, head)
+            floor = min(min_version, head)
             if floor > 0:
                 satisfying = [
                     s for s in live if repl.applied_version(list_id, s) >= floor
@@ -391,7 +390,7 @@ class _AccessorReadPath(ServerCluster):
             (repl.applied_version(r.list_id, server_index), repl.head_version(r.list_id))
             for r in batch.requests
         ]
-        served = self.server(server_index).batch_fetch(batch)
+        served = self.server(server_index).batch_fetch(batch, [0] * len(batch))
         return BatchFetchResponse(
             tuple(
                 dataclasses.replace(response, replica_version=version)
@@ -420,7 +419,7 @@ class _AccessorReadPath(ServerCluster):
                 ):
                     repl.stats.read_repairs += 1
         needs_fresh = consistency is not ReadConsistency.ONE
-        floor = min(request.min_version or 0, head)
+        floor = min(request.min_version, head)
         floor_violated = version < floor
         if needs_fresh or floor_violated:
             reserve_from = None
@@ -436,7 +435,7 @@ class _AccessorReadPath(ServerCluster):
             if reserve_from is not None:
                 if not needs_fresh:
                     repl.stats.floor_reserves += 1
-                response = self.server(reserve_from).fetch(request)
+                response = self.server(reserve_from).fetch(request, 0)
                 repl.stats.read_reserves += 1
                 version = repl.applied_version(list_id, reserve_from)
                 return dataclasses.replace(response, replica_version=version)
@@ -522,7 +521,7 @@ def _read_script(rng, steps, replicas_of):
     def request(principal=None, lists=range(READ_LISTS)):
         list_id = rng.choice(lists)
         head = heads[list_id]
-        floor = rng.choice([None, None, 0, head, rng.randint(0, head + 2)])
+        floor = rng.choice([0, 0, 0, head, rng.randint(0, head + 2)])
         return FetchRequest(
             principal or rng.choice("uv"),
             list_id,
@@ -546,9 +545,8 @@ def _read_script(rng, steps, replicas_of):
         elif kind == 4 and inserted:
             list_id, element = inserted.pop(rng.randrange(len(inserted)))
             heads[list_id] += 1
-            yield f"delete {list_id}", lambda c, l=list_id, e=element: c.delete_element(
-                "v", l, e.ciphertext
-            )
+            receipt = Receipt(list_id, element.ciphertext, element.trs)
+            yield f"delete {list_id}", lambda c, r=receipt: c.delete_element("v", r)
         elif kind == 5:
             yield "tick", lambda c: c.replication_tick()
         elif kind == 6:

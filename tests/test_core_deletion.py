@@ -3,6 +3,7 @@
 import pytest
 
 from repro import SystemConfig, ZerberRSystem
+from repro.core.protocol import Receipt
 from repro.errors import AccessDeniedError
 from repro.text.analysis import DocumentStats
 
@@ -76,7 +77,7 @@ class TestDeletion:
 
     def test_unknown_receipt_is_a_miss(self, system):
         client = system.client_for("superuser")
-        assert client.delete_document([(0, b"no-such-ciphertext")]) == 0
+        assert client.delete_document([Receipt(0, b"no-such-ciphertext", 0.5)]) == 0
 
     def test_trs_order_maintained_after_deletion(self, system, micro_corpus):
         group = sorted(micro_corpus.groups())[0]

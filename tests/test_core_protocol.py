@@ -51,14 +51,14 @@ class TestFetchMessages:
             FetchRequest(principal="p", list_id=0, offset=0, count=0)
 
     def test_response_len(self):
-        response = FetchResponse(elements=(_element(), _element()), exhausted=False)
+        response = FetchResponse((_element(), _element()), False, 0)
         assert len(response) == 2
 
     @pytest.mark.parametrize("count", [0, 1, 3, 25])
     def test_a_round_books_its_elements_times_element_bits(self, count):
         """Both traces count a reply's elements once and price them at
         ELEMENT_BITS each: no reply or element carries a size."""
-        response = FetchResponse(elements=(_element(),) * count, exhausted=False)
+        response = FetchResponse((_element(),) * count, False, 0)
         per_term = QueryTrace(term="t", k=3)
         assert per_term.record_response(response) == count
         batch = BatchQueryTrace(terms=("t",), k=3)
@@ -72,8 +72,8 @@ class TestFetchMessages:
 class TestQueryTrace:
     def test_record_response_accumulates(self):
         trace = QueryTrace(term="t", k=10)
-        trace.record_response(FetchResponse(elements=(_element(),) * 10, exhausted=False))
-        trace.record_response(FetchResponse(elements=(_element(),) * 20, exhausted=True))
+        trace.record_response(FetchResponse((_element(),) * 10, False, 0))
+        trace.record_response(FetchResponse((_element(),) * 20, True, 0))
         assert trace.num_requests == 2
         assert trace.elements_transferred == 30
         assert trace.bits_transferred == 30 * ELEMENT_BITS
@@ -120,8 +120,8 @@ class TestBatchFetchMessages:
     def test_response_accounting(self):
         response = BatchFetchResponse(
             responses=(
-                FetchResponse(elements=(_element(),) * 2, exhausted=False),
-                FetchResponse(elements=(), exhausted=True),
+                FetchResponse((_element(),) * 2, False, 0),
+                FetchResponse((), True, 0),
             )
         )
         assert len(response) == 2

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cluster import ServerCluster
-from repro.core.protocol import FetchRequest
+from repro.core.protocol import FetchRequest, Receipt
 from repro.core.replication import (
     DeliveryOutlook,
     ReadConsistency,
@@ -93,7 +93,7 @@ class TestZeroLagIsALag:
                 # Few distinct TRS values: ties must order alike everywhere.
                 element = _element(rng.randrange(8) / 8, sealed(b"c%d" % serial))
                 items.append((list_id, element))
-            live.extend((lid, e.ciphertext) for lid, e in items)
+            live.extend(Receipt(lid, e.ciphertext, e.trs) for lid, e in items)
             return items
 
         for _ in range(40):
@@ -103,10 +103,10 @@ class TestZeroLagIsALag:
                 yield "insert", (list_id, element)
             elif kind == "delete":
                 if live and rng.random() < 2 / 3:
-                    list_id, receipt = live.pop(rng.randrange(len(live)))
+                    receipt = live.pop(rng.randrange(len(live)))
                 else:
-                    list_id, receipt = rng.randrange(self.LISTS), sealed(b"no-such")
-                yield "delete_element", (list_id, receipt)
+                    receipt = Receipt(rng.randrange(self.LISTS), sealed(b"no-such"), 0.5)
+                yield "delete_element", (receipt,)
             else:
                 yield kind, (batch(rng.randrange(5)),)
 
@@ -145,7 +145,7 @@ class TestZeroLagIsALag:
                     assert cluster.server(server_index).export_list(list_id) == held
                     assert cluster.applied_version(list_id, server_index) == head
                 request = FetchRequest("u", list_id, offset=0, count=1000)
-                expected = reference.fetch(request)
+                expected = reference.fetch(request, 0)
                 for consistency in ReadConsistency:
                     cluster.read_consistency = consistency
                     response = cluster.fetch(request)
@@ -171,7 +171,7 @@ class TestSingleReplicaLog:
         )
         for i in range(10):
             cluster.insert("u", i % 2, _element(0.05 * i, sealed(b"s%d" % i)))
-        assert cluster.delete_element("u", 0, sealed(b"s0"))
+        assert cluster.delete_element("u", Receipt(0, sealed(b"s0"), 0.0))
         assert cluster.bulk_load("u", [(1, _element(0.9, sealed(b"bulk")))]) == 1
         assert cluster.primary_version(0) == 6
         assert cluster.replication_manager.log_lengths() == {0: 0, 1: 0}
@@ -193,9 +193,11 @@ class TestSynchronousDefault:
     def test_sync_delete_versions_only_on_removal(self, keys):
         cluster = ServerCluster(keys, num_lists=2, num_servers=2, replication=2)
         cluster.insert("u", 0, _element(0.5))
-        assert not cluster.delete_element("u", 0, sealed(b"no-such-receipt"))
+        assert not cluster.delete_element(
+            "u", Receipt(0, sealed(b"no-such-receipt"), 0.5)
+        )
         assert cluster.primary_version(0) == 1
-        assert cluster.delete_element("u", 0, sealed(b"cipher"))
+        assert cluster.delete_element("u", Receipt(0, sealed(b"cipher"), 0.5))
         assert cluster.primary_version(0) == 2
 
 
@@ -223,7 +225,7 @@ class TestLagAndConvergence:
         cluster = self._lagged(keys, lag=1)
         cluster.insert("u", 0, _element(0.9, sealed(b"a")))
         cluster.insert("u", 0, _element(0.8, sealed(b"b")))
-        assert cluster.delete_element("u", 0, sealed(b"a"))
+        assert cluster.delete_element("u", Receipt(0, sealed(b"a"), 0.9))
         cluster.insert("u", 0, _element(0.7, sealed(b"c")))
         cluster.run_replication_until_quiet()
         primary, follower = cluster.replicas_of(0)
@@ -558,30 +560,32 @@ class TestWriteAccounting:
                 repl.stats.write_ack_syncs,
                 repl.outstanding_deliveries(),
                 repl.log_lengths(),
-                [cluster.server(s).list_version(0) for s in range(3)],
+                [cluster.server(s)._lists[0].version for s in range(3)],
             )
 
         before = state()
         assert before[0] == 1.0
-        assert cluster.delete_element("u", 0, sealed(b"no-such-receipt")) is False
+        missing = Receipt(0, sealed(b"no-such-receipt"), 0.5)
+        assert cluster.delete_element("u", missing) is False
         assert state() == before
         # The receipt that does match is one acknowledged write more.
-        assert cluster.delete_element("u", 0, sealed(b"kept")) is True
+        assert cluster.delete_element("u", Receipt(0, sealed(b"kept"), 0.5)) is True
         assert writes.total() == 2.0
 
-    def test_logged_delete_carries_the_primarys_trs(self, keys):
+    def test_logged_delete_carries_the_removed_element(self, keys):
         cluster = self._quorum_cluster(keys, 2, None)
-        cluster.insert("u", 0, _element(0.25, sealed(b"x")))
-        cluster.delete_element("u", 0, sealed(b"x"))
+        element = _element(0.25, sealed(b"x"))
+        cluster.insert("u", 0, element)
+        cluster.delete_element("u", Receipt(0, sealed(b"x"), 0.25))
         *_, op = cluster.replication_manager.log_snapshot(0)[2]
-        assert (op.kind, op.ciphertext, op.trs) == ("delete", sealed(b"x"), 0.25)
+        assert op.kind == "delete" and op.element is element
 
     def test_lagged_soak_leaves_replicas_equal_to_the_primary(self, keys):
         """Inserts and deletes among shared TRS values, delivered late and
         partly forced by quorum acks: every replica ends element-for-element
         equal to the primary, in the primary's order."""
         cluster = self._quorum_cluster(keys, 2, None)
-        live: list[bytes] = []
+        live: list[Receipt] = []
         for step in range(240):
             if step % 40 == 10:
                 cluster.pause_follower(2)
@@ -589,17 +593,19 @@ class TestWriteAccounting:
                 cluster.resume_follower(2)
             if step % 3 == 2 and live:
                 victim = live.pop((step * 7) % len(live))
-                assert cluster.delete_element("u", 0, victim)
+                assert cluster.delete_element("u", victim)
             else:
-                payload = sealed(b"e%d" % step)
-                cluster.insert("u", 0, _element((step % 5) / 4, payload))
-                live.append(payload)
+                element = _element((step % 5) / 4, sealed(b"e%d" % step))
+                cluster.insert("u", 0, element)
+                live.append(Receipt(0, element.ciphertext, element.trs))
             if step % 2:
                 cluster.replication_tick()
         cluster.run_replication_until_quiet()
         assert cluster.replication_backlog() == {}
         primary = cluster.server(cluster.replicas_of(0)[0]).export_list(0)
-        assert sorted(e.ciphertext for e in primary) == sorted(live)
+        assert sorted(e.ciphertext for e in primary) == sorted(
+            r.ciphertext for r in live
+        )
         for server_index in cluster.replicas_of(0)[1:]:
             assert cluster.server(server_index).export_list(0) == primary
 
@@ -618,7 +624,7 @@ class TestLogSlicing:
         log = ReplicationLog(0)
         for code, amount in steps:
             if code <= 1:
-                log.append("delete", ciphertext=sealed(b"c"))
+                log.append("delete", _element(0.5, sealed(b"c")))
             else:
                 log.truncate_to(log.base_seq + amount)
             retained = log.iter_ops()
@@ -758,8 +764,7 @@ class _RecordingServer:
     def apply_replicated_ops(self, list_id, ops):
         self.world.runs.append((list_id, self.index, [op.seq for op in ops]))
         for op in ops:
-            payload = op.element.ciphertext if op.kind == "insert" else op.ciphertext
-            self.world.note(list_id, self.index, payload)
+            self.world.note(list_id, self.index, op.element.ciphertext)
         return len(ops)
 
 
@@ -823,7 +828,7 @@ class _World:
                 return  # an unreachable gapped primary refuses the write
         payload = sealed(b"%d" % (m.head_version(list_id) + 1))
         if delete:
-            m.record_delete(list_id, payload, 0.5)
+            m.record_delete(list_id, _element(0.5, payload))
         else:
             m.record_insert(list_id, _element(0.5, payload))
 
@@ -1149,7 +1154,7 @@ class TestDeliveryScheduler:
         before = state()
         for record in (
             lambda: m.record_insert(0, _element(0.5, sealed(b"2"))),
-            lambda: m.record_delete(0, sealed(b"1"), 0.5),
+            lambda: m.record_delete(0, _element(0.5, sealed(b"1"))),
         ):
             with pytest.raises(ProtocolError, match="cannot acknowledge op 2"):
                 record()

@@ -2,12 +2,17 @@
 
 import pytest
 
-from repro.core.protocol import BatchFetchRequest, FetchRequest
+from repro.core.protocol import BatchFetchRequest, FetchRequest, Receipt
 from repro.core.replication import ReplicationOp
 from repro.core.cluster import ServerCluster, validate_write_batch
 from repro.core.server import ZerberRServer
 from repro.crypto.keys import GroupKeyService
-from repro.errors import AccessDeniedError, ProtocolError, UnknownListError
+from repro.errors import (
+    AccessDeniedError,
+    ConfigurationError,
+    ProtocolError,
+    UnknownListError,
+)
 from repro.index.postings import ELEMENT_BITS, EncryptedPostingElement
 from repro.persist.clusterstate import (
     replication_op_from_dict,
@@ -186,12 +191,12 @@ class TestFetch:
     def test_slice_and_exhaustion(self, server):
         self._populate(server)
         response = server.fetch(
-            FetchRequest(principal="root", list_id=0, offset=0, count=3)
+            FetchRequest(principal="root", list_id=0, offset=0, count=3), 0
         )
         assert [e.trs for e in response.elements] == [0.9, 0.8, 0.7]
         assert not response.exhausted
         response2 = server.fetch(
-            FetchRequest(principal="root", list_id=0, offset=3, count=3)
+            FetchRequest(principal="root", list_id=0, offset=3, count=3), 0
         )
         assert [e.trs for e in response2.elements] == [0.6, 0.5]
         assert response2.exhausted
@@ -199,7 +204,7 @@ class TestFetch:
     def test_access_control_filters_elements(self, server):
         self._populate(server)
         response = server.fetch(
-            FetchRequest(principal="alice", list_id=0, offset=0, count=10)
+            FetchRequest(principal="alice", list_id=0, offset=0, count=10), 0
         )
         assert [e.trs for e in response.elements] == [0.9, 0.7, 0.5]
         assert all(e.group == "g1" for e in response.elements)
@@ -210,10 +215,10 @@ class TestFetch:
         self._populate(server)
         alice, bob = FetchRequest("alice", 0, 0, 10), FetchRequest("bob", 0, 0, 10)
         server.clear_observations()
-        mixed = server.batch_fetch(BatchFetchRequest((alice, bob)))
+        mixed = server.batch_fetch(BatchFetchRequest((alice, bob)), [0, 0])
         trs = [[e.trs for e in r.elements] for r in mixed]
         assert trs == [[0.9, 0.7, 0.5], [0.8, 0.6]]
-        singles = [server.fetch(alice).elements, server.fetch(bob).elements]
+        singles = [server.fetch(alice, 0).elements, server.fetch(bob, 0).elements]
         assert [r.elements for r in mixed] == singles
         first, second = server.observations[:2]
         assert (first.principal, second.principal) == ("alice", "bob")
@@ -222,26 +227,26 @@ class TestFetch:
     def test_offsets_count_within_readable_view(self, server):
         self._populate(server)
         response = server.fetch(
-            FetchRequest(principal="alice", list_id=0, offset=1, count=1)
+            FetchRequest(principal="alice", list_id=0, offset=1, count=1), 0
         )
         assert [e.trs for e in response.elements] == [0.7]
 
     def test_cache_invalidated_on_insert(self, server):
         self._populate(server)
-        server.fetch(FetchRequest(principal="alice", list_id=0, offset=0, count=1))
+        server.fetch(FetchRequest(principal="alice", list_id=0, offset=0, count=1), 0)
         _insert(server, 0, _element("g1", 0.95))
         response = server.fetch(
-            FetchRequest(principal="alice", list_id=0, offset=0, count=1)
+            FetchRequest(principal="alice", list_id=0, offset=0, count=1), 0
         )
         assert response.elements[0].trs == 0.95
 
     def test_unknown_list(self, server):
         with pytest.raises(UnknownListError):
-            server.fetch(FetchRequest(principal="root", list_id=9, offset=0, count=1))
+            server.fetch(FetchRequest(principal="root", list_id=9, offset=0, count=1), 0)
 
     def test_observations_recorded(self, server):
         self._populate(server)
-        server.fetch(FetchRequest(principal="root", list_id=0, offset=0, count=2))
+        server.fetch(FetchRequest(principal="root", list_id=0, offset=0, count=2), 0)
         assert len(server.observations) == 1
         obs = server.observations[0]
         assert (obs.principal, obs.list_id, obs.offset, obs.count, obs.returned) == (
@@ -254,7 +259,7 @@ class TestFetch:
 
     def test_clear_observations(self, server):
         self._populate(server)
-        server.fetch(FetchRequest(principal="root", list_id=0, offset=0, count=1))
+        server.fetch(FetchRequest(principal="root", list_id=0, offset=0, count=1), 0)
         server.clear_observations()
         assert server.observations == []
 
@@ -268,7 +273,7 @@ class TestFetch:
         log = server.observations
         for i in range(3 * capacity):
             server.fetch(
-                FetchRequest(principal="root", list_id=0, offset=i, count=1)
+                FetchRequest(principal="root", list_id=0, offset=i, count=1), 0
             )
             assert len(server.observations) < 2 * capacity
         assert server.observations is log  # trimmed in place, still the list
@@ -286,18 +291,20 @@ class TestBatchFetch:
     def test_batch_matches_singleton_fetches(self, server):
         self._populate(server)
         batch = BatchFetchRequest.for_slices("root", [(0, 0, 2), (1, 0, 2), (0, 2, 2)])
-        batched = server.batch_fetch(batch)
+        batched = server.batch_fetch(batch, [0] * len(batch))
         assert len(batched) == 3
         for request, response in zip(batch.requests, batched.responses):
-            single = server.fetch(request)
+            single = server.fetch(request, 0)
             assert single.elements == response.elements
             assert single.exhausted == response.exhausted
 
     def test_batch_slices_share_batch_id(self, server):
         self._populate(server)
         server.clear_observations()
-        server.batch_fetch(BatchFetchRequest.for_slices("root", [(0, 0, 1), (1, 0, 1)]))
-        server.batch_fetch(BatchFetchRequest.for_slices("root", [(0, 1, 1)]))
+        server.batch_fetch(
+            BatchFetchRequest.for_slices("root", [(0, 0, 1), (1, 0, 1)]), [0, 0]
+        )
+        server.batch_fetch(BatchFetchRequest.for_slices("root", [(0, 1, 1)]), [0])
         ids = [obs.batch_id for obs in server.observations]
         assert len(ids) == 3
         assert ids[0] == ids[1] is not None
@@ -305,20 +312,20 @@ class TestBatchFetch:
 
     def test_singleton_fetch_has_no_batch_id(self, server):
         self._populate(server)
-        server.fetch(FetchRequest(principal="root", list_id=0, offset=0, count=1))
+        server.fetch(FetchRequest(principal="root", list_id=0, offset=0, count=1), 0)
         assert server.observations[-1].batch_id is None
 
     def test_batch_access_control_per_slice(self, server):
         self._populate(server)
         batched = server.batch_fetch(
-            BatchFetchRequest.for_slices("alice", [(0, 0, 10), (1, 0, 10)])
+            BatchFetchRequest.for_slices("alice", [(0, 0, 10), (1, 0, 10)]), [0, 0]
         )
         for response in batched:
             assert all(e.group == "g1" for e in response.elements)
 
     def test_batch_unknown_list(self, server):
         with pytest.raises(UnknownListError):
-            server.batch_fetch(BatchFetchRequest.for_slices("root", [(9, 0, 1)]))
+            server.batch_fetch(BatchFetchRequest.for_slices("root", [(9, 0, 1)]), [0])
 
 
 class TestReadableViews:
@@ -329,7 +336,7 @@ class TestReadableViews:
 
     def _fetch(self, server, principal, count=10):
         return server.fetch(
-            FetchRequest(principal=principal, list_id=0, offset=0, count=count)
+            FetchRequest(principal=principal, list_id=0, offset=0, count=count), 0
         )
 
     def test_insert_patches_view_without_rebuild(self, server):
@@ -348,7 +355,7 @@ class TestReadableViews:
         self._populate(server)
         self._fetch(server, "alice")
         builds = server.view_stats.full_builds
-        assert server.delete_element("alice", 0, sealed(b"c2"))
+        assert server.delete_element("alice", Receipt(0, sealed(b"c2"), 0.7))
         response = self._fetch(server, "alice")
         assert [e.trs for e in response.elements] == [0.9, 0.5]
         assert server.view_stats.full_builds == builds
@@ -369,13 +376,13 @@ class TestReadableViews:
         _insert(server, 0, _element("g1", 0.5, b"a"))
         for principal in ["alice", "bob", "root"]:
             server.fetch(
-                FetchRequest(principal=principal, list_id=0, offset=0, count=1)
+                FetchRequest(principal=principal, list_id=0, offset=0, count=1), 0
             )
         assert len(server._views) == 2
         assert server.view_stats.evictions == 1
         # The evicted (oldest) principal rebuilds on its next fetch.
         builds = server.view_stats.full_builds
-        server.fetch(FetchRequest(principal="alice", list_id=0, offset=0, count=1))
+        server.fetch(FetchRequest(principal="alice", list_id=0, offset=0, count=1), 0)
         assert server.view_stats.full_builds == builds + 1
 
     def test_revocation_invalidates_cached_view(self, keys, server):
@@ -405,7 +412,7 @@ class TestReadableViews:
         monkeypatch.setattr(GroupKeyService, "membership_snapshot", recording)
         hits = server.view_stats.hits
         for offset in range(4):
-            server.fetch(FetchRequest("root", 0, offset, 2))
+            server.fetch(FetchRequest("root", 0, offset, 2), 0)
         assert server.view_stats.hits == hits + 4 and len(answers) == 4
         (view,) = server._views._views.values()
         assert all(answer is view.memberships for answer in answers)
@@ -501,41 +508,48 @@ class TestReplicatedDelete:
 
     def test_delete_returns_the_removed_element(self, server):
         self._tied(server)
-        removed = server.delete_element("alice", 0, sealed(b"tie-b"))
+        receipt = Receipt(0, sealed(b"tie-b"), 0.5)
+        removed = server.delete_element("alice", receipt)
         assert (removed.ciphertext, removed.trs) == (sealed(b"tie-b"), 0.5)
-        assert server.delete_element("alice", 0, sealed(b"tie-b")) is None
+        assert server.delete_element("alice", receipt) is None
 
-    @pytest.mark.parametrize("hint", [0.5, 0.9, None])
-    def test_only_the_matching_element_of_a_tie_run_goes(self, server, hint):
+    def test_only_the_matching_element_of_a_tie_run_goes(self, server):
         self._tied(server)
         alice = FetchRequest(principal="alice", list_id=0, offset=0, count=10)
-        server.fetch(alice)  # a cached view the delete must patch
-        assert server.apply_replicated_delete(0, sealed(b"tie-b"), hint)
+        server.fetch(alice, 0)  # a cached view the delete must patch
+        assert server.apply_replicated_delete(0, _element("g1", 0.5, b"tie-b"))
         assert self._labels(server) == [b"top", b"tie-a", b"tie-c", b"low"]
-        assert [e.ciphertext for e in server.fetch(alice).elements] == (
+        assert [e.ciphertext for e in server.fetch(alice, 0).elements] == (
             [e.ciphertext for e in server.export_list(0)]
         )
         assert server._lists[0].keys_in_sync()
 
-    def test_absent_element_is_a_tolerated_miss(self, server):
+    @pytest.mark.parametrize(
+        "element",
+        [_element("g1", 0.5, b"imported-past"), _element("g1", 0.9, b"tie-c")],
+        ids=["absent", "other-trs"],
+    )
+    def test_a_miss_is_tolerated_and_changes_nothing(self, server, element):
+        """An element absent from the run of its TRS is a miss, also when
+        its ciphertext is stored under another TRS."""
         self._tied(server)
-        version = server.list_version(0)
-        assert not server.apply_replicated_delete(0, sealed(b"imported-past"), 0.5)
-        assert server.list_version(0) == version
+        version = server._lists[0].version
+        assert not server.apply_replicated_delete(0, element)
+        assert server._lists[0].version == version
         assert len(self._labels(server)) == 5
 
-    def test_hintless_op_from_an_older_snapshot_still_applies(self, server):
-        hinted = ReplicationOp(
-            seq=6, kind="delete", ciphertext=sealed(b"tie-c"), trs=0.5
-        )
-        entry = replication_op_to_dict(hinted)
-        assert replication_op_from_dict(entry, "dump") == hinted
-        del entry["t"]  # what a dump written before the hint existed holds
-        old = replication_op_from_dict(entry, "dump")
-        assert old.trs is None
+    def test_a_delete_op_round_trips_through_the_element_codec(self, server):
+        op = ReplicationOp(6, "delete", _element("g1", 0.5, b"tie-c"))
+        entry = replication_op_to_dict(op)
+        assert set(entry) == {"s", "k", "e"}
+        assert replication_op_from_dict(entry, "dump") == op
         self._tied(server)
-        assert server.apply_replicated_delete(0, old.ciphertext, old.trs)
+        assert server.apply_replicated_ops(0, [op]) == 1
         assert b"tie-c" not in self._labels(server)
+        # The v8 shape, a bare ciphertext and its TRS, has no element.
+        v8 = {"s": 6, "k": "delete", "c": entry["e"]["c"], "t": 0.5}
+        with pytest.raises(ConfigurationError, match="no element payload"):
+            replication_op_from_dict(v8, "dump")
 
 
 class TestAdversaryView:

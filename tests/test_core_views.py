@@ -73,7 +73,7 @@ def test_views_match_list_backed_reference(seed):
             live.append(element)
         elif roll < 0.7:
             element = live.pop(rng.randrange(len(live)))
-            position, found = merged.find_by_ciphertext(element.ciphertext)
+            position, found = merged.find_by_ciphertext(element.ciphertext, element.trs)
             assert found is element
             assert merged.pop_at(position) is element
             views.note_delete(merged, element)

@@ -613,7 +613,7 @@ class TestWriteFrameBudget:
 
         def run(held, ops):
             _, server = self._client()  # a fresh replica, no view cached
-            server.restore_list(0, held, 0)
+            server.restore_list(0, held)
             return lambda: server.apply_replicated_ops(0, ops)
 
         def inserts(n):
@@ -621,10 +621,7 @@ class TestWriteFrameBudget:
             return run([], ops)
 
         def deletes(n):
-            ops = [
-                ReplicationOp(i + 1, "delete", None, e.ciphertext, e.trs)
-                for i, e in enumerate(elements[:n])
-            ]
+            ops = [ReplicationOp(i + 1, "delete", e) for i, e in enumerate(elements[:n])]
             return run(elements[:n], ops)
 
         assert inserts(8)() == deletes(8)() == 8

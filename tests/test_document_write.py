@@ -18,6 +18,7 @@ from repro.core.rstf import RstfModel, train_rstf
 from repro.crypto.keys import GroupKeyService
 from repro.errors import (
     AccessDeniedError,
+    ProtocolError,
     QuorumWriteUnavailableError,
     UnknownListError,
 )
@@ -52,7 +53,7 @@ def _state(cluster):
             for s in range(cluster.num_servers)
         ],
         "list_versions": [
-            [cluster.server(s).list_version(lid) for lid in range(cluster.num_lists)]
+            [cluster.server(s)._lists[lid].version for lid in range(cluster.num_lists)]
             for s in range(cluster.num_servers)
         ],
         "applied": {
@@ -100,7 +101,31 @@ class TestAllOrNothing:
         cluster, receipts = self._loaded(keys)
         before = _state(cluster)
         with pytest.raises(UnknownListError):
-            cluster.delete_many("root", [*receipts[:5], (LISTS, sealed(b"nowhere"))])
+            cluster.delete_many(
+                "root", [*receipts[:5], Receipt(LISTS, sealed(b"nowhere"), 0.5)]
+            )
+        assert _state(cluster) == before
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (0, sealed(b"c00")),
+            Receipt(0, sealed(b"c00"), None),
+            Receipt(0, sealed(b"c00"), 0),
+            Receipt(0, sealed(b"c00"), 1.5),
+        ],
+        ids=["bare-pair", "none-trs", "int-trs", "trs-above-one"],
+    )
+    def test_a_receipt_without_its_float_trs_refuses_the_whole_batch(
+        self, keys, bad
+    ):
+        """Every receipt is checked before anything is touched: one that
+        is not a ``Receipt`` with a float TRS in [0, 1] refuses the batch,
+        the valid receipts before it included."""
+        cluster, receipts = self._loaded(keys)
+        before = _state(cluster)
+        with pytest.raises(ProtocolError, match="float TRS"):
+            cluster.delete_many("root", [*receipts[:5], bad])
         assert _state(cluster) == before
 
     def test_refused_document_delete_leaves_the_session_floor_alone(self, keys):
@@ -127,7 +152,7 @@ class TestAllOrNothing:
         with pytest.raises(AccessDeniedError):
             intruder.delete_document([*theirs, receipts[-1]])
         assert _state(cluster) == before
-        assert intruder.version_floor(0) is None
+        assert intruder.version_floor(0) == 0
         assert intruder.delete_document(theirs) == 2
         assert intruder.version_floor(0) == cluster.primary_version(0)
 
@@ -159,20 +184,20 @@ class TestAllOrNothing:
             writer.index_document_with_receipts(doc, "g")
         assert _state(cluster) == before
         assert len(counted_encrypts) == encrypted
-        assert writer.version_floor(0) is None and writer.version_floor(1) is None
+        assert writer.version_floor(0) == writer.version_floor(1) == 0
 
     def test_misses_and_duplicates_remove_each_element_once(self, keys):
         cluster, receipts = self._loaded(keys)
         first, second = receipts[0], receipts[1]
         batch = [
             first,
-            (0, sealed(b"never-inserted")),
+            Receipt(0, sealed(b"never-inserted"), 0.5),
+            second._replace(trs=0.9),  # another TRS: a miss
             second,
             first,  # named twice: the second naming is a miss
-            (first.list_id, first.ciphertext),  # and so is a legacy pair
         ]
         logged = cluster.replication_stats.ops_logged
-        assert cluster.delete_many("root", batch) == [True, False, True, False, False]
+        assert cluster.delete_many("root", batch) == [True, False, False, True, False]
         assert cluster.replication_stats.ops_logged == logged + 2
         assert cluster.delete_many("root", batch) == [False] * 5
         assert cluster.replication_stats.ops_logged == logged + 2
@@ -192,10 +217,9 @@ class TestAllOrNothing:
         before = _state(cluster)
         assert before["backlog"] == {(0, 1): 1}
         gone = sealed(b"gone")
-        assert cluster.delete_many("u", [(0, gone), Receipt(0, gone, 0.5)]) == [
-            False,
-            False,
-        ]
+        assert cluster.delete_many(
+            "u", [Receipt(0, gone, 0.5), Receipt(0, gone, 0.25)]
+        ) == [False, False]
         assert cluster.delete_many("u", []) == []
         assert _state(cluster) == before
 
@@ -206,10 +230,12 @@ class TestAllOrNothing:
             cluster.insert("root", 0, _element(i / 4, s[i], "gh"[i % 2]))
         before = _state(cluster)
         with pytest.raises(AccessDeniedError):
-            cluster.delete_many("u", [(0, s[0]), (0, s[2]), (0, s[1])])
+            cluster.delete_many(
+                "u", [Receipt(0, s[0], 0.0), Receipt(0, s[2], 0.5), Receipt(0, s[1], 0.25)]
+            )
         assert _state(cluster) == before
         removed = cluster.delete_many(
-            "u", [Receipt(0, s[2], 0.5), (0, s[0]), (0, s[2])]
+            "u", [Receipt(0, s[2], 0.5), Receipt(0, s[0], 0.0), Receipt(0, s[2], 0.5)]
         )
         assert removed == [True, True, False]
         assert [e.ciphertext for e in _primary_list(cluster, 0)] == [s[3], s[1]]
@@ -225,15 +251,13 @@ class TestBatchRefinesTheLoop:
 
     def _script(self, rng):
         """Write calls plus partition and clock events.  Few distinct TRS
-        values (ties), wrong and absent hints, legacy pairs, misses."""
+        values (ties), receipts with a random TRS (a miss unless it is the
+        element's), misses."""
         live: list[tuple[int, EncryptedPostingElement]] = []
         serial = 0
 
         def receipt_for(list_id, element):
-            shape = rng.randrange(4)
-            if shape == 0:
-                return (list_id, element.ciphertext)  # legacy pair
-            if shape == 1:
+            if rng.randrange(4) == 0:
                 return Receipt(list_id, element.ciphertext, rng.randrange(8) / 8)
             return Receipt(list_id, element.ciphertext, element.trs)
 
@@ -264,8 +288,7 @@ class TestBatchRefinesTheLoop:
                 yield kind, some_receipts(rng.randrange(7))
             elif kind == "delete_element":
                 if live:
-                    list_id, element = live.pop(rng.randrange(len(live)))
-                    yield kind, (list_id, element.ciphertext)
+                    yield kind, receipt_for(*live.pop(rng.randrange(len(live))))
             elif kind == "tick":
                 yield kind, None
             else:
@@ -276,7 +299,7 @@ class TestBatchRefinesTheLoop:
 
     @staticmethod
     def _per_receipt(cluster, receipts):
-        """The reference: one single-receipt call per receipt, hints kept."""
+        """The reference: one single-receipt call per receipt."""
         return [cluster.delete_many("u", [receipt])[0] for receipt in receipts]
 
     @pytest.mark.parametrize("level", ["one", "quorum", "all"])
@@ -310,11 +333,10 @@ class TestBatchRefinesTheLoop:
                 assert got == self._per_receipt(looped, arg)
                 deleted += sum(got)
             elif kind in ("insert_many", "delete_element"):
-                args = arg if kind == "delete_element" else (arg,)
                 outcomes = []
                 for cluster in (batched, looped):
                     try:
-                        outcomes.append(getattr(cluster, kind)("u", *args))
+                        outcomes.append(getattr(cluster, kind)("u", arg))
                     except QuorumWriteUnavailableError:
                         outcomes.append("refused")
                 assert outcomes[0] == outcomes[1]
@@ -396,6 +418,29 @@ class TestWorkBound:
         assert client.delete_document(counted) == 150
         bound = sum(2 * math.ceil(math.log2(n)) + run for run in runs.values())
         assert 150 <= _CountingBytes.comparisons <= bound
+
+    def test_a_miss_compares_at_most_its_run(self, keys):
+        """Absent ciphertexts, at a TRS five elements share and at one no
+        element holds: the primary compares each only with its run,
+        never with the rest of a list of over a thousand elements."""
+        cluster, _ = self._deployment(keys, replication=1)
+        cluster.bulk_load(
+            "u", [(0, _element(0.5, sealed(b"tie%d" % i))) for i in range(5)]
+        )
+        unused = 0.123456789
+        assert unused not in cluster.visible_trs_values(1)
+        misses = [
+            Receipt(0, _CountingBytes(sealed(b"absent-0")), 0.5),
+            Receipt(1, _CountingBytes(sealed(b"absent-1")), unused),
+        ]
+        assert min(cluster.list_length(r.list_id) for r in misses) >= 1000
+        runs = [cluster.visible_trs_values(r.list_id).count(r.trs) for r in misses]
+        assert runs == [5, 0]
+        before = _state(cluster)
+        _CountingBytes.comparisons = 0
+        assert cluster.delete_many("u", misses) == [False, False]
+        assert _CountingBytes.comparisons <= sum(runs)
+        assert _state(cluster) == before
 
     def test_one_delivery_round_per_document(self, keys, monkeypatch):
         cluster, client = self._deployment(keys, replication=3)

@@ -332,9 +332,10 @@ class TestMergedPostingList:
             merged.add_sorted_by_trs(
                 EncryptedPostingElement(ciphertext=sealed(payload), group="g", trs=trs)
             )
-        position, element = merged.find_by_ciphertext(sealed(b"b"))
+        position, element = merged.find_by_ciphertext(sealed(b"b"), 0.5)
         assert (position, element.trs) == (1, 0.5)
-        assert merged.find_by_ciphertext(sealed(b"zz")) is None
+        assert merged.find_by_ciphertext(sealed(b"zz"), 0.5) is None
+        assert merged.find_by_ciphertext(sealed(b"b"), 0.9) is None
         popped = merged.pop_at(position)
         assert popped.ciphertext == sealed(b"b")
         assert [e.trs for e in merged] == [0.9, 0.1]
@@ -404,8 +405,9 @@ class TestBulkLoadRefinesSortedInsert:
 
 
 class TestTrsAddressedFind:
-    """``find_by_ciphertext(ciphertext, trs)``: the hint only narrows the
-    search; the answer is the scan's whatever the hint says."""
+    """``find_by_ciphertext(ciphertext, trs)`` searches only the run of
+    elements stored under *trs*: an element stored under another TRS is
+    a miss."""
 
     def _tied(self):
         merged = MergedPostingList(0)
@@ -426,21 +428,17 @@ class TestTrsAddressedFind:
         merged = self._tied()
         position, element = merged.find_by_ciphertext(sealed(payload), 0.5)
         assert element.ciphertext == sealed(payload)
-        assert (position, element) == merged.find_by_ciphertext(sealed(payload))
         merged.pop_at(position)
         assert sealed(payload) not in [e.ciphertext for e in merged]
         assert len(merged) == 4
         assert merged.keys_in_sync()
 
-    @pytest.mark.parametrize("hint", [0.9, 0.3, 0.0, 1.0, float("nan")])
-    def test_wrong_hint_falls_back_to_the_scan(self, hint):
+    @pytest.mark.parametrize("trs", [0.9, 0.3, 0.0, 1.0])
+    def test_another_trs_is_a_miss(self, trs):
         merged = self._tied()
-        assert merged.find_by_ciphertext(sealed(b"tie-b"), hint) == (
-            2,
-            merged.elements[2],
-        )
+        assert merged.find_by_ciphertext(sealed(b"tie-b"), trs) is None
 
-    def test_hint_for_an_absent_element_finds_nothing(self):
+    def test_an_absent_element_is_a_miss(self):
         merged = self._tied()
         version = merged.version
         assert merged.find_by_ciphertext(sealed(b"gone"), 0.5) is None
@@ -448,7 +446,7 @@ class TestTrsAddressedFind:
         assert (len(merged), merged.version) == (5, version)
         assert merged.keys_in_sync()
 
-    def test_hint_examines_only_the_tie_run(self):
+    def test_only_the_tie_run_is_examined(self):
         class Counting(list):
             reads = 0
 
@@ -477,28 +475,26 @@ class TestKeySyncInvariant:
     def test_mixed_mutator_fuzz_keeps_keys_in_sync(self):
         rng = np.random.default_rng(7)
         merged = MergedPostingList(0)
-        live: list[bytes] = []
+        live: list[EncryptedPostingElement] = []
         counter = 0
         for _ in range(300):
             op = int(rng.integers(0, 3))
             if op == 0:
-                payload = b"s%d" % counter
+                element = self._sorted_el(float(rng.uniform()), b"s%d" % counter)
                 counter += 1
-                merged.add_sorted_by_trs(
-                    self._sorted_el(float(rng.uniform()), payload)
-                )
-                live.append(payload)
+                merged.add_sorted_by_trs(element)
+                live.append(element)
             elif op == 1:
-                payloads = [b"b%d" % (counter + i) for i in range(3)]
+                elements = [
+                    self._sorted_el(float(rng.uniform()), b"b%d" % (counter + i))
+                    for i in range(3)
+                ]
                 counter += 3
-                merged.bulk_load_sorted_by_trs(
-                    self._sorted_el(float(rng.uniform()), payload)
-                    for payload in payloads
-                )
-                live += payloads
+                merged.bulk_load_sorted_by_trs(iter(elements))
+                live += elements
             elif live:
                 victim = live.pop(int(rng.integers(0, len(live))))
-                found = merged.find_by_ciphertext(sealed(victim))
+                found = merged.find_by_ciphertext(victim.ciphertext, victim.trs)
                 assert found is not None
                 merged.pop_at(found[0])
             assert merged.keys_in_sync()
@@ -507,16 +503,15 @@ class TestKeySyncInvariant:
     def test_pure_sorted_discipline_survives_interleaved_deletes(self):
         rng = np.random.default_rng(11)
         merged = MergedPostingList(0)
-        live: list[bytes] = []
+        live: list[EncryptedPostingElement] = []
         for i in range(200):
-            payload = b"e%d" % i
-            merged.add_sorted_by_trs(
-                self._sorted_el(float(rng.uniform()), payload)
-            )
-            live.append(payload)
+            element = self._sorted_el(float(rng.uniform()), b"e%d" % i)
+            merged.add_sorted_by_trs(element)
+            live.append(element)
             if i % 3 == 2:
                 victim = live.pop(int(rng.integers(0, len(live))))
-                merged.pop_at(merged.find_by_ciphertext(sealed(victim))[0])
+                found = merged.find_by_ciphertext(victim.ciphertext, victim.trs)
+                merged.pop_at(found[0])
             trs = [e.trs for e in merged]
             assert trs == sorted(trs, reverse=True)
             assert merged.keys_in_sync()

@@ -86,10 +86,8 @@ SURFACES = {
     "ServerCluster.insert_many": (ServerCluster.insert_many, "principal items"),
     "ServerCluster.bulk_load": (ServerCluster.bulk_load, "principal items"),
     "ServerCluster.delete_many": (ServerCluster.delete_many, "principal receipts"),
-    "ServerCluster.delete_element": (
-        ServerCluster.delete_element,
-        "principal list_id ciphertext",
-    ),
+    # A delete names its element by a Receipt, TRS included.
+    "ServerCluster.delete_element": (ServerCluster.delete_element, "principal receipt"),
     "ServerCluster.route": (ServerCluster.route, "list_id min_version"),
     "ServerCluster.fetch": (ServerCluster.fetch, "request"),
     "ServerCluster.batch_fetch": (ServerCluster.batch_fetch, "batch"),

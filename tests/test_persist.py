@@ -78,11 +78,11 @@ class TestSaveLoad:
             h.rscore for h in original.hits
         ]
 
-    def test_roundtrip_preserves_lists_in_order_with_their_versions(
+    def test_roundtrip_preserves_lists_in_order_and_log_versions(
         self, built, tmp_path
     ):
-        """Dumps carry per-list mutation counters, so version-stamped
-        responses stay comparable across a restart."""
+        """Dumps carry each list in order and its log head, so replies
+        stamped with applied versions stay comparable across a restart."""
         system, _ = built
         path = tmp_path / "index.json"
         _save(system, path)
@@ -95,9 +95,6 @@ class TestSaveLoad:
             ) == built_server.visible_trs_values(list_id)
             assert cluster.primary_version(list_id) == (
                 system.cluster.primary_version(list_id)
-            )
-            assert loaded_server.list_version(list_id) == (
-                built_server.list_version(list_id)
             )
 
     def test_wrong_secret_cannot_decrypt(self, built, tmp_path):
@@ -151,17 +148,18 @@ class TestOneFormatVersion:
     restore that "succeeds" would answer every query empty: any version
     but the current one is refused."""
 
-    # A v7 element is nonce || body || tag and fails the v8 IV check; a
+    # A v8 delete op names its element by a bare ciphertext; a v7
+    # element is nonce || body || tag and fails the v8 IV check; a
     # v6 element spells its doc id out after a 10-byte header; a v5
     # element carries a 16-byte nonce and a SHAKE-256 keystream; a v4
     # element carries a truncated HMAC-SHA256 tag; a v3 element also
     # spells its term out, so its length byte and first three term bytes
     # would pass for a term number.
     @pytest.mark.parametrize(
-        "found", [1, 2, 3, 4, 5, 6, 7, "8", FORMAT_VERSION + 1, None]
+        "found", [1, 2, 3, 4, 5, 6, 7, 8, "9", FORMAT_VERSION + 1, None]
     )
     def test_other_versions_are_refused_by_name(self, dump, tmp_path, found):
-        assert json.loads(dump)["format_version"] == FORMAT_VERSION == 8
+        assert json.loads(dump)["format_version"] == FORMAT_VERSION == 9
         message = _refused(dump, tmp_path, lambda p: p.update(format_version=found))
         assert repr(found) in message and f"reads {FORMAT_VERSION}" in message
         assert "re-index" in message
@@ -198,9 +196,18 @@ class TestOneFormatVersion:
             ),
         )
 
-    def test_versionless_server_section_is_corrupt(self, dump, tmp_path):
-        """The v1 shape (lists without their counters) has no default."""
-        _refused(dump, tmp_path, lambda p: _server_section(p).pop("versions"))
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda section: section.pop("lists"),
+            lambda section: section.update(lists=[]),
+        ],
+        ids=["no-lists", "lists-not-an-object"],
+    )
+    def test_a_server_section_without_its_lists_is_corrupt(
+        self, dump, tmp_path, damage
+    ):
+        _refused(dump, tmp_path, lambda p: damage(_server_section(p)))
 
     @pytest.mark.parametrize(
         "field, damage",

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro import SystemConfig, ZerberRSystem
 from repro.core.client import ZerberRClient
 from repro.core.cluster import ServerCluster
-from repro.core.protocol import BatchFetchRequest, FetchRequest
+from repro.core.protocol import BatchFetchRequest, FetchRequest, Receipt
 from repro.core.replication import ReadConsistency
 from repro.corpus.synthetic import tiny_corpus
 from repro.crypto.cipher import IV_SIZE
@@ -95,7 +95,7 @@ class _Reference:
 def _run_ops(cluster, ops, ref=None, counter_start=0):
     """Drive the cluster; mirror acknowledged writes into the reference."""
     ref = ref if ref is not None else _Reference()
-    receipts: list[tuple[int, bytes]] = []
+    receipts: list[Receipt] = []
     counter = counter_start
     for opcode, r in ops:
         if opcode == "insert":
@@ -111,14 +111,14 @@ def _run_ops(cluster, ops, ref=None, counter_start=0):
             except UnavailableError:
                 continue
             ref.insert(list_id, element)
-            receipts.append((list_id, element.ciphertext))
+            receipts.append(Receipt(list_id, element.ciphertext, element.trs))
         elif opcode == "delete":
             if not receipts:
                 continue
-            list_id, ciphertext = receipts[r % len(receipts)]
+            receipt = receipts[r % len(receipts)]
             try:
-                if cluster.delete_element("u", list_id, ciphertext):
-                    ref.delete(list_id, ciphertext)
+                if cluster.delete_element("u", receipt):
+                    ref.delete(receipt.list_id, receipt.ciphertext)
             except UnavailableError:
                 continue
         elif opcode == "tick":
@@ -225,9 +225,6 @@ class TestLaggedSnapshotRecovery:
                 assert restored.applied_version(
                     list_id, server_index
                 ) == cluster.applied_version(list_id, server_index)
-                assert restored.server(server_index).list_version(
-                    list_id
-                ) == cluster.server(server_index).list_version(list_id)
 
     def test_primary_reads_identical_after_restart(self, tmp_path):
         cluster, ref, _ = _lagged_snapshot_cluster()
@@ -475,7 +472,7 @@ class TestRestoredServersStartCold:
         assert cluster.view_stats().full_builds == NUM_LISTS
         data = cluster_to_dict(cluster)
         for server in data["servers"]:  # no views, no access counters
-            assert set(server) == {"num_lists", "lists", "versions"}
+            assert set(server) == {"num_lists", "lists"}
         restored = cluster_from_dict(data, _keys())
         assert all(len(restored.server(s)._views) == 0 for s in range(NUM_SERVERS))
         for list_id in range(NUM_LISTS):
@@ -577,13 +574,26 @@ class TestOlderDumps:
     spells its doc id out after a 10-byte header: every element would
     fail the 14-byte header, and its dump carries no directory.
     ``cluster_v7.json`` holds ``nonce || body || tag`` seals: every
-    element, and every sealed directory, would fail the v8 IV check."""
+    element, and every sealed directory, would fail the v8 IV check.
+    ``cluster_v8.json`` holds delete ops that name their element by a
+    bare ciphertext and TRS, and per-list mutation counters."""
 
     FIXTURES = Path(__file__).resolve().parent / "fixtures"
+    DUMPS = sorted(FIXTURES.glob("cluster_v*.json"))
 
-    @pytest.mark.parametrize("version", [5, 6, 7])
-    def test_it_is_refused_by_name_and_version(self, version):
-        path = self.FIXTURES / f"cluster_v{version}.json"
+    @staticmethod
+    def _version(path):
+        return int(path.stem.removeprefix("cluster_v"))
+
+    def test_a_format_bump_commits_the_dump_it_leaves_behind(self):
+        found = sorted(self._version(path) for path in self.DUMPS)
+        assert found == list(range(5, FORMAT_VERSION))
+
+    @pytest.mark.parametrize(
+        "path", DUMPS, ids=lambda path: path.stem.removeprefix("cluster_v")
+    )
+    def test_it_is_refused_by_name_and_version(self, path):
+        version = self._version(path)
         assert json.loads(path.read_text())["format_version"] == version
         keys = GroupKeyService(b"cluster-v5-fixture-secret-012345")
         with pytest.raises(ConfigurationError) as excinfo:
