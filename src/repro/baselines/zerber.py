@@ -30,16 +30,16 @@ from repro.errors import (
     UnknownTermError,
 )
 from repro.index.merge import MergePlan, bfm_merge
-from repro.index.postings import SEALED_SIZE, PostingElement
+from repro.index.postings import WIRE_ELEMENT_BITS, PostingElement
 from repro.text.vocabulary import Vocabulary
 
 
 class ZerberElement(NamedTuple):
     """A Zerber posting: the sealed plaintext element and its group tag.
 
-    There is no score for the server to read.  The client's skim reads
-    only ``ciphertext`` and ``group``, the fields Zerber+R's elements
-    share.
+    There is no score for the server to read.  It has the shape of a
+    Zerber+R reply element (:class:`~repro.core.protocol.SealedElement`),
+    all the client's skim reads.
     """
 
     ciphertext: bytes
@@ -125,7 +125,7 @@ class ZerberClient:
             k=k,
             num_requests=1,
             elements_transferred=len(elements),
-            bits_transferred=len(elements) * 8 * SEALED_SIZE,
+            bits_transferred=len(elements) * WIRE_ELEMENT_BITS,
         )
         # Zerber downloads the WHOLE merged list, so the skim is the
         # dominant client cost: one pass, one keyring for all of it.

@@ -19,9 +19,15 @@ nothing new.
 Query path (paper §5.2): fetch the head of the merged list, decrypt what
 the user's group keys open, filter for the queried term, and follow up with
 doubled response sizes until ``k`` matches are held or the list is
-exhausted.  The client returns results ranked by the *decrypted* relevance
-score — identical to TRS order for a single term because the RSTF is
-monotonic (§4.2 property 3).
+exhausted.  That stop rule needs no TRS: the list is served as a prefix in
+descending TRS order, so once a term holds ``k`` matches no unfetched
+element can beat its k-th — the client reads only ``ciphertext`` and
+``group`` off a reply (:class:`~repro.core.protocol.SealedElement`).  The
+client returns results ranked by the *decrypted* relevance score —
+identical to TRS order for a single term because the RSTF is monotonic
+(§4.2 property 3).  TRS values are not tie-free (one term's equal rscores
+give equal TRS), so of the matches tied with the k-th at the stop, the
+result holds the ones the server served first.
 
 A query of any number of terms runs that per-term doubling protocol for
 every term *in lockstep*: each round bundles the next slice of every
@@ -77,7 +83,10 @@ Around the skim, each fact of a round is worked out once:
   session's :class:`~repro.core.protocol.BatchQueryTrace` is booked from
   those totals when the round ends, so it *is* the sum of the term
   traces; bits are that count times
-  :data:`~repro.index.postings.ELEMENT_BITS`, never a walk of the reply;
+  :data:`~repro.index.postings.WIRE_ELEMENT_BITS`, never a walk of the
+  reply;
+* a term stops on its match count alone — ``len(hits) >= k``, one
+  comparison per slice, no sort of the hits' TRS per round;
 * a :class:`ClientQuerySession` keeps the terms still fetching as a
   list: ``done`` is "the list is empty", ``pending_requests`` and
   ``deliver`` walk it, and ``deliver`` refreshes it on its way out;
@@ -106,6 +115,7 @@ from repro.core.protocol import (
     QueryTrace,
     Receipt,
     ResponsePolicy,
+    SealedElement,
 )
 from repro.core.rstf import RstfModel
 from repro.core.cluster import ServerCluster
@@ -139,11 +149,11 @@ class RankedHit:
     group: str
 
 
-_Match = tuple[PostingElement, EncryptedPostingElement]
+_Match = tuple[PostingElement, SealedElement]
 
 
 def skim_matches(
-    elements: Iterable[EncryptedPostingElement],
+    elements: Iterable[SealedElement],
     term: str,
     ring: Mapping[str, Opener],
 ) -> list[_Match]:
@@ -729,13 +739,13 @@ class ZerberRClient:
         session.request_number += 1
         hits = session.hits
         hits += skim_matches(elements, session.term, ring)
-        if len(hits) >= session.k and self._topk_complete(hits, session.k, elements):
+        # §5.2: follow up "until the user is satisfied with the result or
+        # obtains the whole list".  Every unfetched element ranks at or
+        # below every fetched one, so k matches held carry the top-k scores.
+        if len(hits) >= session.k:
             session.trace.satisfied = True
             session.done = True
-        elif response.exhausted:
-            session.trace.satisfied = len(hits) >= session.k
-            session.done = True
-        elif session.request_number >= MAX_REQUESTS:
+        elif response.exhausted or session.request_number >= MAX_REQUESTS:
             session.done = True
 
     def query(
@@ -753,33 +763,6 @@ class ZerberRClient:
         self._drive(ClientQuerySession(self, term_sessions, k))
         (session,) = term_sessions
         return QueryResult(hits=ranked_hits(session.hits, k), trace=session.trace)
-
-    @staticmethod
-    def _topk_complete(
-        hits: list[_Match],
-        k: int,
-        last_elements: Sequence[EncryptedPostingElement],
-    ) -> bool:
-        """Whether no unfetched element can still enter the top-k.
-
-        The merged list is served in descending TRS order, so every
-        unfetched element's TRS is <= the last fetched one.  If the k-th
-        best matched TRS is at least the boundary, later elements cannot
-        strictly beat the current top-k.
-
-        TRS values are *not* tie-free: one term's equal rscores give
-        equal TRS (on the bench index 7 171 of 60 330 elements share
-        their TRS with a neighbour, in runs of up to 63).  So the
-        guarantee is exact up to ties at the boundary: the result's
-        scores are the true top-k scores, and every match that strictly
-        beats the k-th is in it, but of the matches tied with the k-th
-        it holds whichever the server served first — an arbitrary subset
-        of the tie, not the ones with the smallest doc ids.
-        """
-        if not last_elements:
-            return True
-        kth = sorted([element.trs for _, element in hits], reverse=True)[k - 1]
-        return kth >= last_elements[-1].trs
 
     def query_multi_batched(
         self, terms: Iterable[str], k: int, policy: ResponsePolicy | None = None

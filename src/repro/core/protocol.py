@@ -12,9 +12,17 @@ total after ``n`` follow-ups is (Eq. 12)::
 
 :class:`ResponsePolicy` encodes the initial size ``b`` and the doubling;
 :class:`QueryTrace` records what a query session cost, feeding the Fig.
-11–13 metrics.  Every element on the wire is one sealed posting and its
-TRS, so the traces book a reply's bits as its element count times
-:data:`~repro.index.postings.ELEMENT_BITS`.
+11–13 metrics.
+
+A reply element is what its reader opens and nothing more: a
+:class:`SealedElement`, sealed bytes and a group tag.  The server ranks
+by TRS and serves a list as a prefix in descending TRS order, so the
+client needs no TRS to know when to stop: it holds ``k`` matches, or the
+list is exhausted.  A stored
+:class:`~repro.index.postings.EncryptedPostingElement` still travels as
+it is in-process; its ``trs`` is simply not part of the wire type.  The
+traces book a reply's bits as its element count times
+:data:`~repro.index.postings.WIRE_ELEMENT_BITS`, the sealed bytes alone.
 
 Batched fetches: a multi-term query touches one merged list per term, and
 issuing those slices as separate server calls pays one network round-trip
@@ -52,11 +60,11 @@ by), so a receipt tells the server nothing it does not already hold.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple, Protocol
 
 from repro.errors import ProtocolError
-from repro.index.postings import ELEMENT_BITS, EncryptedPostingElement
+from repro.index.postings import WIRE_ELEMENT_BITS
 
 
 @dataclass(frozen=True)
@@ -140,6 +148,18 @@ class FetchRequest:
             raise ProtocolError("min_version must be non-negative")
 
 
+class SealedElement(Protocol):
+    """One element of a reply, as its reader sees it: the sealed posting
+    and the group whose key opens it.  No TRS — nothing on the read path
+    needs one."""
+
+    @property
+    def ciphertext(self) -> bytes: ...
+
+    @property
+    def group(self) -> str: ...
+
+
 @dataclass(frozen=True)
 class FetchResponse:
     """Server reply: an ordered slice plus an exhaustion flag.
@@ -151,7 +171,7 @@ class FetchResponse:
     list's log head to detect a stale replica and trigger read-repair.
     """
 
-    elements: tuple[EncryptedPostingElement, ...]
+    elements: tuple[SealedElement, ...]
     exhausted: bool
     replica_version: int
 
@@ -248,10 +268,11 @@ class QueryTrace:
         on the last response if the list ran out).
     bits_transferred:
         Total wire size of shipped elements (for §6.6): for Zerber+R
-        ``elements_transferred * ELEMENT_BITS``; a baseline with another
-        element format books its own.
+        ``elements_transferred * WIRE_ELEMENT_BITS``, the sealed bytes
+        alone; a baseline with another element format books its own.
     satisfied:
-        Whether k matches were found before the list was exhausted.
+        Whether k matches were held before the list was exhausted —
+        the term's stop rule.
     """
 
     term: str
@@ -267,7 +288,7 @@ class QueryTrace:
         elements = len(response.elements)
         self.num_requests += 1
         self.elements_transferred += elements
-        self.bits_transferred += elements * ELEMENT_BITS
+        self.bits_transferred += elements * WIRE_ELEMENT_BITS
         return elements
 
     @property
@@ -318,7 +339,7 @@ class BatchQueryTrace:
         self.num_rounds += 1
         self.num_subfetches += subfetches
         self.elements_transferred += elements
-        self.bits_transferred += elements * ELEMENT_BITS
+        self.bits_transferred += elements * WIRE_ELEMENT_BITS
 
     @property
     def num_requests(self) -> int:

@@ -65,7 +65,7 @@ from repro.core.views import ReadableViewIndex, ViewStats
 from repro.crypto.keys import GroupKeyService
 from repro.errors import AccessDeniedError, ProtocolError, UnknownListError
 from repro.index.postings import (
-    ELEMENT_BITS,
+    STORED_ELEMENT_BITS,
     EncryptedPostingElement,
     MergedPostingList,
 )
@@ -401,8 +401,8 @@ class ZerberRServer:
         return [e.group for e in self._list(list_id)]
 
     def storage_bits(self) -> int:
-        """Total stored wire size of all posting elements."""
-        return self.num_elements * ELEMENT_BITS
+        """Total stored size of all posting elements, TRS included."""
+        return self.num_elements * STORED_ELEMENT_BITS
 
     def clear_observations(self) -> None:
         self.observations.clear()

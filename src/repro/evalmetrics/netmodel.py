@@ -12,9 +12,11 @@ counts, so the §6.6 benchmark can plug in our synthetic-ODP numbers.
 
 The 64 bits are the paper's assumption and stay the default.  A
 *measured* Zerber+R element is
-:data:`~repro.index.postings.ELEMENT_BITS` bits on the wire, for every
-document: the sealed posting (synthetic IV and fixed header) plus the
-64-bit TRS.  Pass ``element_bits=ELEMENT_BITS`` to price that instead.
+:data:`~repro.index.postings.WIRE_ELEMENT_BITS` (240) bits on the wire,
+for every document — 3.75× the paper's 64: the sealed posting (a 16-byte
+synthetic IV and a 14-byte header) and nothing else, since the client
+stops on its match count and reads no TRS.  Pass
+``element_bits=WIRE_ELEMENT_BITS`` to price that instead.
 """
 
 from __future__ import annotations

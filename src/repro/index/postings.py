@@ -36,11 +36,14 @@ directory included.
 
 The element format is one decision with this module as its owner: the
 cipher adds a 16-byte synthetic IV (nonce and tag in one) to the header,
-so every ciphertext is :data:`SEALED_SIZE` bytes, and an element on the
-wire is those bytes plus one 64-bit TRS, :data:`ELEMENT_BITS` bits.
-:class:`EncryptedPostingElement` refuses anything else where it is
-built, so a wire or storage size is a count times :data:`ELEMENT_BITS`
-and nothing walks the elements to add it up.
+so every ciphertext is :data:`SEALED_SIZE` bytes.  An element has two
+sizes, one per place it lives.  On the wire it is those sealed bytes and
+nothing else, :data:`WIRE_ELEMENT_BITS` bits: the client stops a term
+once it holds ``k`` matches (§5.2), so it never reads a TRS.  On the
+server it is the sealed bytes plus the 64-bit TRS the server ranks by,
+:data:`STORED_ELEMENT_BITS` bits.  :class:`EncryptedPostingElement`
+refuses anything else where it is built, so a wire or storage size is a
+count times one of the two and nothing walks the elements to add it up.
 
 What the server learns from a length: the cipher does not hide the
 body's length, so the untrusted server sees the same
@@ -72,9 +75,12 @@ _unpack = _HEADER.unpack
 
 #: Bytes of every sealed posting: the synthetic IV, then the header.
 SEALED_SIZE = IV_SIZE + HEADER_SIZE
-#: Bits of every element on the wire (§6.6): the sealed bytes and one
-#: 64-bit TRS.
-ELEMENT_BITS = 8 * SEALED_SIZE + 64
+#: Bits of every element on the wire (§6.6): the sealed bytes only; a
+#: reader needs no TRS.  The group tag is not counted.
+WIRE_ELEMENT_BITS = 8 * SEALED_SIZE
+#: Bits of every element a server stores: the sealed bytes and the 64-bit
+#: TRS it ranks by.
+STORED_ELEMENT_BITS = WIRE_ELEMENT_BITS + 64
 
 
 @dataclass(frozen=True, order=True, slots=True)

@@ -3,6 +3,7 @@
 import contextlib
 import gc
 import itertools
+import random
 import sys
 from collections import Counter
 
@@ -12,9 +13,15 @@ from hypothesis import strategies as st
 
 import repro.core.client as client_module
 from repro.attacks.query_observation import extract_sessions
+from repro.baselines.zerber import ZerberElement
 from repro.core.client import ClientQuerySession, RankedHit, ZerberRClient
 from repro.core.cluster import ServerCluster
-from repro.core.protocol import BatchFetchRequest, FetchResponse, ResponsePolicy
+from repro.core.protocol import (
+    BatchFetchRequest,
+    BatchFetchResponse,
+    FetchResponse,
+    ResponsePolicy,
+)
 from repro.core.router import Coordinator
 from repro.core.server import ZerberRServer
 from repro.core.rstf import RstfModel, train_rstf
@@ -22,13 +29,16 @@ from repro.crypto.cipher import StreamCipher
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ProtocolError, UnknownTermError
 from repro.index.merge import MergePlan
-from repro.index.postings import ELEMENT_BITS, EncryptedPostingElement, PostingElement
+from repro.index.postings import (
+    WIRE_ELEMENT_BITS,
+    EncryptedPostingElement,
+    PostingElement,
+)
 from repro.obs import Telemetry
 from repro.text.analysis import DocumentStats
 
 
-@pytest.fixture()
-def keys():
+def _keys():
     svc = GroupKeyService(master_secret=b"s" * 32)
     svc.register("alice", {"g1"})
     svc.register("bob", {"g2"})
@@ -36,13 +46,11 @@ def keys():
     return svc
 
 
-@pytest.fixture()
-def plan():
+def _plan():
     return MergePlan(groups=(("apple", "pear"), ("plum",)), r=2.0)
 
 
-@pytest.fixture()
-def model():
+def _model():
     return RstfModel(
         {
             "apple": train_rstf([0.1, 0.2, 0.3, 0.5], sigma=20.0),
@@ -52,10 +60,29 @@ def model():
     )
 
 
-@pytest.fixture()
-def server(keys):
+def _server(keys):
     """The paper's single index server: a one-server cluster."""
     return ServerCluster(keys, num_lists=2, num_servers=1)
+
+
+@pytest.fixture()
+def keys():
+    return _keys()
+
+
+@pytest.fixture()
+def plan():
+    return _plan()
+
+
+@pytest.fixture()
+def model():
+    return _model()
+
+
+@pytest.fixture()
+def server(keys):
+    return _server(keys)
 
 
 def _client(principal, keys, server, model, plan):
@@ -523,12 +550,11 @@ class TestTies:
 
 
 class TestStopInsideATie:
-    """``_topk_complete`` stops once the k-th match's TRS reaches the last
-    fetched one.  Equal rscores of one term give equal TRS, so the k-th
-    and (k+1)-th matches can tie across that boundary: the result then
-    has the true top-k scores, but of the tied matches it holds the one
-    the server served first — not the smallest doc id, which an eager
-    ranking of the whole list would pick."""
+    """A term stops as soon as it holds k matches.  Equal rscores of one
+    term give equal TRS, so the k-th and (k+1)-th matches can tie across
+    the stop: the result then has the true top-k scores, but of the tied
+    matches it holds the one the server served first — not the smallest
+    doc id, which an eager ranking of the whole list would pick."""
 
     def test_the_tied_match_served_first_is_kept(self, alice, root, server):
         for doc_id, tf in (("top", 9), ("z-tied", 5), ("a-tied", 5), ("low", 1)):
@@ -541,6 +567,74 @@ class TestStopInsideATie:
         assert result.doc_ids() == ["top", "z-tied"]  # first served, not "a-tied"
         everything = root.query("plum", k=3, policy=ResponsePolicy(initial_size=4))
         assert everything.doc_ids() == ["top", "a-tied", "z-tied"]
+
+
+# A document: which two terms it holds (list 0 merges apple and pear, so
+# either shape interleaves matches and non-matches there), the first
+# term's tf out of 5 — four values, so scores tie in runs — and its group.
+DOCUMENTS = st.lists(
+    st.tuples(
+        st.sampled_from([("apple", "pear"), ("pear", "plum")]),
+        st.integers(1, 4),
+        st.sampled_from(["g1", "g2"]),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+class TestStopRule:
+    """On a list nobody writes to, a term's session ends at the first
+    round that leaves it holding ≥ k matches, or at the round that
+    exhausts the readable list — and the scores it returns are the eager
+    top-k scores of the whole list."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        documents=DOCUMENTS,
+        term=st.sampled_from(["apple", "pear"]),
+        reader=st.sampled_from(["alice", "root"]),
+        k=st.integers(1, 8),
+        b=st.integers(1, 4),
+    )
+    def test_a_term_stops_at_k_matches_held_or_at_exhaustion(
+        self, documents, term, reader, k, b
+    ):
+        # Built per example: a hypothesis example may not share the
+        # function-scoped fixtures.
+        keys, plan, model = _keys(), _plan(), _model()
+        cluster = _server(keys)
+        writers = {
+            group: _client(owner, keys, cluster, model, plan)
+            for group, owner in (("g1", "alice"), ("g2", "bob"))
+        }
+        for i, ((first, second), tf, group) in enumerate(documents):
+            doc = _doc(f"d{i}", {first: tf, second: 5 - tf})
+            writers[group].index_document(doc, group)
+        result = _client(reader, keys, cluster, model, plan).query(
+            term, k, policy=ResponsePolicy(initial_size=b)
+        )
+
+        ring = keys.keyring(reader, plan)
+        scores = []  # one per readable element, None for a non-match
+        for element in cluster.server(0).export_list(plan.list_of(term)):
+            if element.group in ring:
+                cipher, decode = ring[element.group]
+                posting = decode(cipher.decrypt(element.ciphertext))
+                scores.append(posting.rscore if posting.term == term else None)
+        offset = rounds = held = 0
+        while True:
+            count = b * 2**rounds
+            held += sum(score is not None for score in scores[offset : offset + count])
+            exhausted = offset + count >= len(scores)
+            offset, rounds = min(offset + count, len(scores)), rounds + 1
+            if held >= k or exhausted:
+                break
+        trace = result.trace
+        assert (trace.num_requests, trace.elements_transferred) == (rounds, offset)
+        assert trace.satisfied == (held >= k)
+        eager = sorted((s for s in scores if s is not None), reverse=True)[:k]
+        assert [hit.rscore for hit in result.hits] == eager
 
 
 class TestMultiTerm:
@@ -652,7 +746,7 @@ def _assert_traces_agree(session, shipped=None):
     assert batch.num_subfetches == sum(t.num_requests for t in terms)
     assert batch.elements_transferred == sum(t.elements_transferred for t in terms)
     assert batch.bits_transferred == sum(t.bits_transferred for t in terms)
-    assert batch.bits_transferred == batch.elements_transferred * ELEMENT_BITS
+    assert batch.bits_transferred == batch.elements_transferred * WIRE_ELEMENT_BITS
     if shipped is not None:
         assert batch.elements_transferred == sum(len(r.elements) for r in shipped)
 
@@ -754,7 +848,7 @@ class TestTracesAgree:
                     len(r.elements) for r in logged.shipped
                 )
                 assert trace.bits_transferred == (
-                    trace.elements_transferred * ELEMENT_BITS
+                    trace.elements_transferred * WIRE_ELEMENT_BITS
                 )
         assert [r.ranked for r in driven] == [r.ranked for r in direct]
         assert [r.batch_trace for r in driven] == [r.batch_trace for r in direct]
@@ -808,6 +902,63 @@ class TestTracesAgree:
         assert not session.done
         with pytest.raises(ProtocolError, match="expected 1 responses"):
             session.deliver(responses)
+
+
+class TestTheClientReadsNoTrs:
+    """The client reads ``ciphertext`` and ``group`` off a reply element
+    (a :class:`~repro.core.protocol.SealedElement`) and nothing else: a
+    cluster whose every reply element is rebuilt as a TRS-less
+    ``ZerberElement`` gives every driver the very hits, rankings and
+    traces the plain cluster gives."""
+
+    @pytest.mark.parametrize("b", [None, 1])
+    def test_trs_less_replies_change_no_hit_ranking_or_trace(
+        self, tiny_deployment, monkeypatch, b
+    ):
+        system, cluster, pool = tiny_deployment
+        client = system.client_for("superuser", server=cluster)
+        policy = b and ResponsePolicy(initial_size=b)
+        rng = random.Random(44)
+        tape = [
+            (rng.sample(pool, rng.randint(1, 3)), rng.choice([1, 3, 5, 10]))
+            for _ in range(12)
+        ]
+        rebuilt = []
+        drivers = [
+            lambda: [client.query(terms[0], k, policy) for terms, k in tape],
+            lambda: [client.query_multi_batched(terms, k, policy) for terms, k in tape],
+            lambda: Coordinator(cluster).run_queries(
+                [(client, terms, k) for terms, k in tape], policy
+            ),
+        ]
+
+        def run():
+            results, shipped = [], []
+            for drive in drivers:
+                results.append(drive())
+                shipped.append(len(rebuilt))
+            return results, shipped
+
+        plain, _ = run()
+        batch_fetch = cluster.batch_fetch
+
+        def trs_less(batch):
+            responses = []
+            for reply in batch_fetch(batch):
+                elements = tuple(
+                    ZerberElement(e.ciphertext, e.group) for e in reply.elements
+                )
+                rebuilt.extend(elements)
+                responses.append(
+                    FetchResponse(elements, reply.exhausted, reply.replica_version)
+                )
+            return BatchFetchResponse(tuple(responses))
+
+        monkeypatch.setattr(cluster, "batch_fetch", trs_less)
+        twin, shipped = run()
+        assert 0 < shipped[0] < shipped[1] < shipped[2]  # every driver read them
+        assert not any(hasattr(element, "trs") for element in rebuilt)
+        assert twin == plain
 
 
 class TestQueryTelemetry:
@@ -910,10 +1061,11 @@ class TestWarmReadPathCounts:
     # One warm two-term query that takes one round of two five-element
     # slices, telemetry off.  The budget is the path's own count on
     # CPython 3.11, exact (3.12 inlines comprehensions and only reads
-    # lower): 156 entered since a reply's bits became its element count
-    # times ELEMENT_BITS and the top-k check sorts a list, not a
-    # generator (168 before, under a budget of 176).
-    FRAME_BUDGET = 156
+    # lower): 152 entered since a term stops on its match count alone
+    # (156 while a TRS top-k check and its list comprehension ran once per
+    # finished term; 168 while every reply was walked for its bits and
+    # the check sorted a generator, under a budget of 176).
+    FRAME_BUDGET = 152
 
     def test_frames_entered_by_one_warm_query_stay_under_budget(self, tiny_deployment):
         system, cluster, pool = tiny_deployment
@@ -927,16 +1079,17 @@ class TestWarmReadPathCounts:
         trace = results[0].batch_trace
         assert (trace.num_rounds, trace.num_subfetches) == (1, 2)
         assert trace.elements_transferred == 10
-        assert trace.bits_transferred == 10 * ELEMENT_BITS
+        assert trace.bits_transferred == 10 * WIRE_ELEMENT_BITS
         assert frames <= self.FRAME_BUDGET, frames
 
     # The warm six-term query of the telemetry budget below, one round of
     # six slices on three servers, through Coordinator.run_queries with no
-    # telemetry: its count on CPython 3.11, exact — 450 entered since a
-    # reply's bits became a count times ELEMENT_BITS and the top-k check
-    # sorts a list (486 before; 509 before the flush became one
+    # telemetry: its count on CPython 3.11, exact — 438 entered since a
+    # term stops on its match count alone (450 with the TRS top-k check,
+    # two frames per finished term; 486 while replies were walked for
+    # their bits; 509 before the flush became one
     # ``ServerCluster.batch_fetch``, under a budget of 534).
-    COORDINATOR_FRAME_BUDGET = 450
+    COORDINATOR_FRAME_BUDGET = 438
 
     def test_frames_entered_by_one_warm_coordinator_query_stay_under_budget(
         self, system
@@ -946,7 +1099,9 @@ class TestWarmReadPathCounts:
         terms, k = self._six_terms_on_three_servers(system, cluster), 5
         trace = coordinator.run_queries([(client, terms, k)])[0].batch_trace
         assert (trace.num_rounds, trace.num_subfetches) == (1, 6)
-        assert trace.bits_transferred == trace.elements_transferred * ELEMENT_BITS
+        assert trace.bits_transferred == (
+            trace.elements_transferred * WIRE_ELEMENT_BITS
+        )
         frames = _frames_entered(lambda: coordinator.run_queries([(client, terms, k)]))
         assert frames <= self.COORDINATOR_FRAME_BUDGET, frames
 

@@ -26,7 +26,7 @@ from repro.errors import (
     UnavailableError,
     UnknownListError,
 )
-from repro.index.postings import ELEMENT_BITS, EncryptedPostingElement
+from repro.index.postings import STORED_ELEMENT_BITS, EncryptedPostingElement
 from repro.obs import Telemetry
 from tests.conftest import sealed
 
@@ -98,12 +98,12 @@ class TestDataPlane:
         assert cluster.num_elements == 2
 
     def test_storage_bits_count_every_stored_copy(self, keys):
-        """Physical storage, replicas included, at ELEMENT_BITS a copy."""
+        """Physical storage, replicas included, at STORED_ELEMENT_BITS a copy."""
         cluster = ServerCluster(keys, num_lists=4, num_servers=3, replication=2)
         for list_id in range(4):
             cluster.insert("u", list_id, _element(0.5, b"st%d" % list_id))
         assert cluster.num_elements == 4
-        assert cluster.storage_bits() == 2 * 4 * ELEMENT_BITS
+        assert cluster.storage_bits() == 2 * 4 * STORED_ELEMENT_BITS
 
     def test_bulk_load_and_fetch(self, keys):
         cluster = ServerCluster(keys, num_lists=3, num_servers=2)

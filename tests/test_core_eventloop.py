@@ -399,7 +399,7 @@ class TestBackgroundDaemons:
         return svc
 
     def test_replication_delivery_rides_virtual_time(self, keys):
-        from repro.core.protocol import EncryptedPostingElement
+        from repro.index.postings import EncryptedPostingElement
 
         cluster = ServerCluster(
             keys, num_lists=1, num_servers=2, replication=2, lag=3

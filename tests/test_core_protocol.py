@@ -13,7 +13,7 @@ from repro.core.protocol import (
     ResponsePolicy,
 )
 from repro.errors import ProtocolError
-from repro.index.postings import ELEMENT_BITS, EncryptedPostingElement
+from repro.index.postings import WIRE_ELEMENT_BITS, EncryptedPostingElement
 from tests.conftest import sealed
 
 
@@ -57,14 +57,14 @@ class TestFetchMessages:
     @pytest.mark.parametrize("count", [0, 1, 3, 25])
     def test_a_round_books_its_elements_times_element_bits(self, count):
         """Both traces count a reply's elements once and price them at
-        ELEMENT_BITS each: no reply or element carries a size."""
+        WIRE_ELEMENT_BITS each: no reply or element carries a size."""
         response = FetchResponse((_element(),) * count, False, 0)
         per_term = QueryTrace(term="t", k=3)
         assert per_term.record_response(response) == count
         batch = BatchQueryTrace(terms=("t",), k=3)
         batch.record_totals(2, 2 * count)
-        assert per_term.bits_transferred == count * ELEMENT_BITS
-        assert batch.bits_transferred == 2 * count * ELEMENT_BITS
+        assert per_term.bits_transferred == count * WIRE_ELEMENT_BITS
+        assert batch.bits_transferred == 2 * count * WIRE_ELEMENT_BITS
         assert not hasattr(response, "size_bits")
         assert not hasattr(_element(), "size_bits")
 
@@ -76,7 +76,7 @@ class TestQueryTrace:
         trace.record_response(FetchResponse((_element(),) * 20, True, 0))
         assert trace.num_requests == 2
         assert trace.elements_transferred == 30
-        assert trace.bits_transferred == 30 * ELEMENT_BITS
+        assert trace.bits_transferred == 30 * WIRE_ELEMENT_BITS
 
     def test_bandwidth_overhead_eq13_contribution(self):
         trace = QueryTrace(term="t", k=10, elements_transferred=30)
@@ -137,7 +137,7 @@ class TestBatchQueryTrace:
         assert (trace.num_rounds, trace.num_subfetches) == (2, 3)
         assert (trace.elements_transferred, trace.bits_transferred) == (
             40,
-            40 * ELEMENT_BITS,
+            40 * WIRE_ELEMENT_BITS,
         )
 
     def test_num_requests_counts_server_calls(self):

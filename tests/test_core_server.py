@@ -13,7 +13,7 @@ from repro.errors import (
     ProtocolError,
     UnknownListError,
 )
-from repro.index.postings import ELEMENT_BITS, EncryptedPostingElement
+from repro.index.postings import STORED_ELEMENT_BITS, EncryptedPostingElement
 from repro.persist.clusterstate import (
     replication_op_from_dict,
     replication_op_to_dict,
@@ -560,7 +560,7 @@ class TestAdversaryView:
     def test_storage_accounting(self, server):
         _insert(server, 0, _element("g1", 0.4))
         _insert(server, 1, _element("g2", 0.6))
-        assert server.storage_bits() == 2 * ELEMENT_BITS
+        assert server.storage_bits() == 2 * STORED_ELEMENT_BITS
 
     def test_invalid_num_lists(self, keys):
         with pytest.raises(ProtocolError):

@@ -14,9 +14,10 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.crypto.cipher import IV_SIZE
 from repro.errors import ProtocolError
 from repro.index.postings import (
-    ELEMENT_BITS,
     HEADER_SIZE,
     SEALED_SIZE,
+    STORED_ELEMENT_BITS,
+    WIRE_ELEMENT_BITS,
     EncryptedPostingElement,
     MergedPostingList,
     PostingElement,
@@ -172,9 +173,11 @@ class TestEncryptedPostingElement:
 
     def test_one_element_format(self):
         """A sealed posting is the synthetic IV and the header; on the
-        wire an element is those bytes and one 64-bit TRS."""
+        wire an element is those bytes alone, stored it is those bytes
+        and one 64-bit TRS."""
         assert SEALED_SIZE == IV_SIZE + HEADER_SIZE == 16 + 14
-        assert ELEMENT_BITS == 8 * SEALED_SIZE + 64 == 304
+        assert WIRE_ELEMENT_BITS == 8 * SEALED_SIZE == 240
+        assert STORED_ELEMENT_BITS == 8 * SEALED_SIZE + 64 == 304
 
     def test_slots_keep_elements_small_and_frozen(self):
         element = EncryptedPostingElement(sealed(b"1234"), group="g", trs=0.5)

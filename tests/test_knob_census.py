@@ -25,7 +25,7 @@ is SIV: the IV is a PRF of the plaintext), and the snippet store,
 then the response policy's growth factor (the doubling is the paper's
 constant), ``Prf.evaluate_int``, the Zerber ordering ``add_random`` on
 the Zerber+R list and every ``size_bits`` (a wire size is a count times
-``ELEMENT_BITS``);
+``WIRE_ELEMENT_BITS``);
 they were deleted, and this test keeps them from drifting back.
 """
 

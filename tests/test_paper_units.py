@@ -23,12 +23,12 @@ import numpy as np
 from repro import SystemConfig, ZerberRSystem
 from repro.corpus.synthetic import tiny_corpus
 from repro.crypto.cipher import IV_SIZE
-from repro.index.postings import ELEMENT_BITS, HEADER_SIZE
+from repro.index.postings import HEADER_SIZE, STORED_ELEMENT_BITS, WIRE_ELEMENT_BITS
 
 # 20 queries over tiny_corpus(seed=3), SystemConfig(r=4.0, seed=5), tape seed 11.
 REQUESTS = 52
 ELEMENTS = 693
-BITS = 210672
+BITS = 166320
 
 NUM_QUERIES = 20
 K = 5
@@ -59,11 +59,13 @@ def measure():
 
 def test_paper_units_are_exactly_the_recorded_ones():
     assert measure() == (REQUESTS, ELEMENTS, BITS)
-    # Every element on the wire is IV + header + one TRS double, 38 bytes
-    # whatever its document: the IV is the tag too, and the doc id is a
-    # number in the header.
-    assert BITS == ELEMENTS * ELEMENT_BITS
-    assert ELEMENT_BITS == 8 * (IV_SIZE + HEADER_SIZE + 8) == 304
+    # Every element on the wire is IV + header, 30 bytes whatever its
+    # document: the IV is the tag too, the doc id is a number in the
+    # header, and the client stops on its match count, so no TRS travels.
+    # The server stores the TRS beside the sealed bytes: 38 bytes.
+    assert BITS == ELEMENTS * WIRE_ELEMENT_BITS
+    assert WIRE_ELEMENT_BITS == 8 * (IV_SIZE + HEADER_SIZE) == 240
+    assert STORED_ELEMENT_BITS == 8 * (IV_SIZE + HEADER_SIZE + 8) == 304
 
 
 class _CountedTrs(float):
