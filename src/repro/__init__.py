@@ -50,7 +50,6 @@ from repro.core import (
     Coordinator,
     CoordinatorStats,
     FailoverEvent,
-    EventLoop,
     MultiQueryResult,
     QueryResult,
     QueryTrace,
@@ -118,7 +117,6 @@ __all__ = [
     "ClientQuerySession",
     "Coordinator",
     "CoordinatorStats",
-    "EventLoop",
     "MultiQueryResult",
     "ReadConsistency",
     "WriteConsistency",

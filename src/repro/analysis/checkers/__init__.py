@@ -10,7 +10,6 @@ from repro.analysis.checkers import (
     crypto,
     determinism,
     epoch,
-    eventloop,
     exceptions,
     exports,
     obs,
@@ -23,7 +22,6 @@ __all__ = [
     "crypto",
     "determinism",
     "epoch",
-    "eventloop",
     "exceptions",
     "exports",
     "obs",

@@ -10,6 +10,12 @@ entropy (``os.urandom``/``secrets``/``uuid``), the module-level
 construction (``random.Random()`` / ``np.random.default_rng()`` with no
 arguments) inside ``repro.core`` — and, since PR 9, inside
 ``repro.obs``, whose tick-stamped traces must replay the same way.
+
+It also bans importing host concurrency and timer modules
+(``threading``, ``_thread``, ``asyncio``, ``sched``, ``concurrent``,
+``queue``, ``signal``) there: the coordinator's per-tick agenda is the
+only scheduler, and an OS thread or timer would race it, so two runs of
+one tape would no longer do the same work in the same order.
 """
 
 from __future__ import annotations
@@ -51,19 +57,44 @@ _SEEDED_CONSTRUCTORS = frozenset(
     {"random.Random", "np.random.default_rng", "numpy.random.default_rng", "default_rng"}
 )
 
+#: Host concurrency / timer modules, banned at import (any submodule too).
+_HOST_SCHEDULERS = frozenset(
+    {"threading", "_thread", "asyncio", "sched", "concurrent", "queue", "signal"}
+)
+
+
+def _imported_modules(node: ast.AST) -> list[str]:
+    """The absolute modules an import statement names (none for any other
+    node, and none for a package-relative ``from .queue import ...``)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module is not None and not node.level:
+        return [node.module]
+    return []
+
 
 @register
 class DeterminismChecker(Checker):
     rule = "determinism"
     description = (
-        "no wall-clock, OS entropy, global random state or unseeded "
-        "generators in repro.core/repro.obs (replayability contract)"
+        "no wall-clock, OS entropy, global random state, unseeded "
+        "generators or host threads/timers in repro.core/repro.obs "
+        "(replayability contract)"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not module_matches(ctx.module, _SCOPE):
             return
         for node in ast.walk(ctx.tree):
+            for module in _imported_modules(node):
+                if module.split(".", 1)[0] in _HOST_SCHEDULERS:
+                    yield ctx.finding(
+                        self.rule,
+                        node,
+                        f"import {module} in {ctx.module} — a host thread or "
+                        "timer races the coordinator's tick agenda, the only "
+                        "scheduler",
+                    )
             if not isinstance(node, ast.Call):
                 continue
             name = call_name(node)

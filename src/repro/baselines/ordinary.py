@@ -49,7 +49,7 @@ class OrdinarySearchSystem:
             num_requests=1,
             elements_transferred=len(elements),
             bits_transferred=len(elements) * PLAINTEXT_ELEMENT_BITS,
-            satisfied=len(elements) >= min(k, len(self._index.posting_list(term))),
+            satisfied=len(elements) >= k,
         )
         return QueryResult(hits=hits, trace=trace)
 

@@ -132,7 +132,7 @@ class ZerberClient:
         matches = skim_matches(
             elements, term, self._keys.keyring(self.principal, self._plan)
         )
-        trace.satisfied = len(matches) >= k or len(matches) > 0
+        trace.satisfied = len(matches) >= k
         return QueryResult(hits=ranked_hits(matches, k), trace=trace)
 
 

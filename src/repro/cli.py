@@ -282,7 +282,7 @@ def _scripted_workload(
         )
     ]
     for offset, session in enumerate(burst):
-        coordinator.submit_arrival(session, at=coordinator.loop.now + offset)
+        coordinator.submit_arrival(session, at=coordinator.now + offset)
     coordinator.drain()
 
     # Direct reads at every consistency level (read-path histograms).  A

@@ -12,7 +12,6 @@ from repro.core.confidentiality import (
     audit_merge_plan,
     ConfidentialityAudit,
 )
-from repro.core.eventloop import EventLoop
 from repro.core.protocol import (
     BackpressureSignal,
     BatchFetchRequest,
@@ -57,7 +56,6 @@ __all__ = [
     "trs_variance_for_sigma",
     "audit_merge_plan",
     "ConfidentialityAudit",
-    "EventLoop",
     "BackpressureSignal",
     "BatchFetchRequest",
     "BatchFetchResponse",

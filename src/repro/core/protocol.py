@@ -271,8 +271,9 @@ class QueryTrace:
         ``elements_transferred * WIRE_ELEMENT_BITS``, the sealed bytes
         alone; a baseline with another element format books its own.
     satisfied:
-        Whether k matches were held before the list was exhausted —
-        the term's stop rule.
+        Whether the query held k readable matches, on every system that
+        books a trace: a term with fewer than k matches the principal can
+        read ends unsatisfied, however much of its list was shipped.
     """
 
     term: str

@@ -6,8 +6,7 @@ they wanted the *same* head-term slices (the Fig. 10 skew makes that the
 common case).  The coordinator inverts the call direction — clients no
 longer call servers; they park resumable
 :class:`~repro.core.client.ClientQuerySession` objects at the coordinator,
-which schedules them over a deterministic virtual-time
-:class:`~repro.core.eventloop.EventLoop`::
+which schedules them on its own virtual clock, one agenda per tick::
 
     client sessions                coordinator                 shard servers
     ---------------          ----------------------          ---------------
@@ -17,7 +16,7 @@ which schedules them over a deterministic virtual-time
                                 2 dedup shared    │           +----------+
      ◂─deliver()/result()──     3 one batch_fetch ┴─{srv 1}─▸ | server 1 |
                                 4 fan replies out             +----------+
-          background daemon:    replication delivery · anti-entropy ·
+          end of every tick:    replication delivery · anti-entropy ·
                                 failover checks
 
 Per *flush* the coordinator (1) gathers every ready session's pending
@@ -30,14 +29,23 @@ round travels in, here holding many principals' slices — through
 :meth:`~repro.core.cluster.ServerCluster.batch_fetch`, which routes each
 slice and makes one server call per touched server, whose share keeps
 that order, and (4) fans each reply out to every session that wanted the
-slice as delivery events ``round_latency`` ticks later (0: later in the
+slice as deliveries ``round_latency`` ticks later (0: later in the
 same tick); above 0 the decrypt/skim of round *n* overlaps the flush of
 round *n + 1* (counted by ``pipeline_overlap``).  Routing is the
 cluster's alone: the coordinator adds cross-session dedup and per-tick
 batching.  Follower replication delivery, with the anti-entropy sweep
-and failover checks it carries, runs as a background loop daemon at the
-end of every tick instead of piggybacking on the flush; a flush routes
-and serves inside one call, so no election can fall between the two.
+and failover checks it carries, runs once at the end of every tick
+instead of piggybacking on the flush; a flush routes and serves inside
+one call, so no election can fall between the two.
+
+The schedule is a plain agenda: ``_agenda[tick]`` is a list of
+callables — arrivals, flushes, deliveries — run first in, first out,
+work appended to the running tick included.  :meth:`Coordinator.advance`
+runs one tick's list, then ``cluster.replication_tick()`` once (on an
+idle tick too), then moves :attr:`Coordinator.now` on.  A tick is never
+regrouped into phases: a flush clears its tick from ``_flush_scheduled``
+before it runs, so work queued later in the same tick gets a second
+flush, and which slices share a flush is exactly this append order.
 
 Admission is governed by *real backpressure* rather than unbounded
 parking: with ``max_queue_depth`` set, an arrival that would exceed the
@@ -47,8 +55,8 @@ bound is shed before anything is acknowledged, carrying a deterministic
 :class:`~repro.errors.BackpressureError`; :meth:`submit_arrival`
 reschedules the arrival for the hinted tick).
 
-The lockstep :meth:`Coordinator.tick` is a thin driver over the loop —
-one tick advances virtual time by exactly one tick, which drains that
+The lockstep :meth:`Coordinator.tick` is a thin driver over the agenda
+— one tick advances virtual time by exactly one tick, which drains that
 tick to quiescence.  One cadence rule holds at every latency: a
 session's next flush is at ``max(delivery tick, dispatch tick + 1)``, so
 a round takes ``max(round_latency, 1)`` ticks.
@@ -61,14 +69,13 @@ results are byte-identical to the direct path — the coordinator changes
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclass_replace
 from operator import itemgetter
 
 from repro.core.client import ClientQuerySession, MultiQueryResult, ZerberRClient
 from repro.core.cluster import ServerCluster
-from repro.core.eventloop import EventLoop
 from repro.core.protocol import (
     BackpressureSignal,
     BatchFetchRequest,
@@ -107,8 +114,8 @@ class CoordinatorStats:
     depth exhausted) — shed *before* anything was acknowledged, so a
     shed never loses accepted work.
     ``pipeline_overlap`` counts flushes sent while earlier rounds'
-    deliveries were still in flight — the round-pipelining the event
-    loop buys over lockstep barriers (always 0 with ``round_latency=0``).
+    deliveries were still in flight — the round-pipelining the agenda
+    buys over lockstep barriers (always 0 with ``round_latency=0``).
     """
 
     ticks: int = 0
@@ -170,13 +177,14 @@ class Coordinator:
         self._cluster = cluster
         self._round_latency = round_latency
         self._max_queue_depth = max_queue_depth
-        self._loop = EventLoop()
+        self._now = 0
+        # Work queued per virtual tick, run in append order.
+        self._agenda: dict[int, list[Callable[[], None]]] = {}
         self._sessions: list[ClientQuerySession] = []
         # Sessions whose responses are in flight (id() keys — sessions are
         # scheduled by identity, never by equality).
         self._awaiting: set[int] = set()
-        self._pending_delivers = 0
-        # Virtual ticks with a flush event already queued (dedup guard).
+        # Virtual ticks with a flush already queued (dedup guard).
         self._flush_scheduled: set[int] = set()
         self.sheds: list[BackpressureSignal] = []
         self.stats = CoordinatorStats()
@@ -186,18 +194,15 @@ class Coordinator:
         # queue-depth gauge and the per-flush / per-session histograms.
         self._obs = CoordinatorInstruments(cluster.telemetry)
         self._obs.register_stats_collector(cluster.telemetry, lambda: self.stats)
-        # One scheduling tick is one replication tick: the replication
-        # delivery daemon fires after all of the tick's session work.
-        self._loop.every(1, cluster.replication_tick)
 
     @property
     def cluster(self) -> ServerCluster:
         return self._cluster
 
     @property
-    def loop(self) -> EventLoop:
-        """The coordinator's virtual-time scheduler."""
-        return self._loop
+    def now(self) -> int:
+        """The current virtual tick (the replication clock's unit)."""
+        return self._now
 
     @property
     def active_sessions(self) -> int:
@@ -216,7 +221,7 @@ class Coordinator:
             return None
         return BackpressureSignal(
             principal=principal,
-            tick=self._loop.now,
+            tick=self._now,
             retry_after_ticks=depth - self._max_queue_depth + 1,
             queue_depth=depth,
             limit=self._max_queue_depth,
@@ -256,7 +261,7 @@ class Coordinator:
         self._sessions.append(session)
         # As for an arrival: the session's first round is queued now, so
         # drain() settles it as tick() does (tick finds this flush queued).
-        self._ensure_flush(self._loop.now)
+        self._ensure_flush(self._now)
         return session
 
     def submit_arrival(
@@ -267,17 +272,17 @@ class Coordinator:
     ) -> None:
         """Schedule *session* to arrive at virtual tick *at* (default now).
 
-        The arrival-driven intake: admission happens when the event
-        fires, a flush is scheduled for the same tick, and the session
+        The arrival-driven intake: admission happens when the arrival
+        runs, a flush is scheduled for the same tick, and the session
         runs its rounds without any external ``tick()`` driver — callers
-        :meth:`drain` the loop (or advance it themselves) to completion.
+        :meth:`drain` the coordinator (or :meth:`advance` it) to completion.
         A shed arrival is rescheduled ``retry_after_ticks`` later when
         *retry_on_shed* is set, so a transient overload degrades into
         deferred admission instead of lost work.
         """
         self._check_intake(session)
-        when = self._loop.now if at is None else at
-        self._loop.call_at(when, lambda: self._admit_arrival(session, retry_on_shed))
+        when = self._now if at is None else at
+        self._call_at(when, lambda: self._admit_arrival(session, retry_on_shed))
 
     def _admit_arrival(
         self, session: ClientQuerySession, retry_on_shed: bool
@@ -288,13 +293,13 @@ class Coordinator:
         if signal is not None:
             self._record_shed(signal)
             if retry_on_shed:
-                self._loop.call_at(
-                    self._loop.now + signal.retry_after_ticks,
+                self._call_at(
+                    self._now + signal.retry_after_ticks,
                     lambda: self._admit_arrival(session, retry_on_shed),
                 )
             return
         self._sessions.append(session)
-        self._ensure_flush(self._loop.now)
+        self._ensure_flush(self._now)
 
     def evict(self, session: ClientQuerySession) -> None:
         """Remove a parked session (e.g. a caller abandoning a query).
@@ -316,11 +321,33 @@ class Coordinator:
 
     # -- scheduling --------------------------------------------------------------
 
+    def _call_at(self, tick: int, fn: Callable[[], None]) -> None:
+        """Queue *fn* at virtual *tick* (a past tick clamps to now)."""
+        self._agenda.setdefault(max(tick, self._now), []).append(fn)
+
+    def advance(self, ticks: int = 1) -> None:
+        """Run the next *ticks* virtual ticks, one at a time.
+
+        A tick runs its agenda in append order, work appended to it while
+        it runs included, then one ``cluster.replication_tick()`` — on an
+        idle tick too — and then moves :attr:`now` on.  If a callable
+        raises, the ones not yet run stay queued and ``now`` stays.
+        """
+        if ticks < 1:
+            raise ConfigurationError("ticks must be >= 1")
+        for _ in range(ticks):
+            due = self._agenda.get(self._now, [])
+            while due:
+                due.pop(0)()
+            self._agenda.pop(self._now, None)
+            self._cluster.replication_tick()
+            self._now += 1
+
     def tick(self) -> bool:
         """Run one lockstep scheduling tick; returns whether work was done.
 
-        Advances virtual time by exactly one tick, which fires this
-        tick's flush, its deliveries, the replication daemon and any due
+        Advances virtual time by exactly one tick, which runs this
+        tick's flush, its deliveries, the replication tick and any due
         maintenance.  Raises :class:`~repro.errors.UnavailableError` if a
         needed list has no live replica — fail-fast, matching
         :meth:`ServerCluster.batch_fetch` semantics.
@@ -329,19 +356,28 @@ class Coordinator:
         if not self._sessions:
             self._obs.queue_depth.set(0.0)
             return False
-        self._ensure_flush(self._loop.now)
-        self._loop.advance(1)
+        self._ensure_flush(self._now)
+        self.advance(1)
         return True
 
     def drain(self, max_ticks: int = 100_000) -> int:
-        """Advance the loop until all arrivals, rounds and deliveries settle.
+        """Advance until all arrivals, rounds and deliveries settle.
 
         The arrival-driven counterpart of :meth:`run_until_complete`:
         returns the virtual ticks advanced; raises
-        :class:`~repro.errors.ProtocolError` if the loop fails to quiesce
-        within *max_ticks*.
+        :class:`~repro.errors.ProtocolError` if the agenda is not empty
+        within *max_ticks* (work that keeps rescheduling itself).
         """
-        return self._loop.run_until_quiet(max_ticks)
+        start = self._now
+        while any(self._agenda.values()):
+            if self._now - start >= max_ticks:
+                queued = sum(map(len, self._agenda.values()))
+                raise ProtocolError(
+                    f"coordinator did not quiesce within {max_ticks} ticks "
+                    f"({queued} callable(s) queued)"
+                )
+            self.advance(1)
+        return self._now - start
 
     def _prune(self) -> None:
         """Drop, and count, sessions that were already done when submitted
@@ -354,11 +390,11 @@ class Coordinator:
 
     def _ensure_flush(self, tick: int) -> None:
         """Schedule a flush at *tick* unless one is already queued there."""
-        tick = max(tick, self._loop.now)
+        tick = max(tick, self._now)
         if tick in self._flush_scheduled:
             return
         self._flush_scheduled.add(tick)
-        self._loop.call_at(tick, lambda: self._flush(tick))
+        self._call_at(tick, lambda: self._flush(tick))
 
     def _flush(self, at_tick: int) -> None:
         """Run one coalescing round over every ready (non-awaiting) session."""
@@ -369,7 +405,7 @@ class Coordinator:
         if not ready:
             return
         plan = self._gather(ready)
-        if self._pending_delivers:
+        if self._awaiting:
             # This round's flush overlaps in-flight deliveries of earlier
             # rounds — the pipelining win over lockstep.
             self.stats.pipeline_overlap += 1
@@ -389,12 +425,11 @@ class Coordinator:
     ) -> None:
         """Fan every slice response out to all sessions that wanted it,
         ``round_latency`` ticks from now."""
-        dispatched = self._loop.now
+        dispatched = self._now
         for session, keys in plan.session_keys:
             responses = tuple([replies[key] for key in keys])
             self._awaiting.add(id(session))
-            self._pending_delivers += 1
-            self._loop.call_at(
+            self._call_at(
                 dispatched + self._round_latency,
                 lambda s=session, r=responses: self._deliver_one(
                     s, r, dispatched
@@ -409,7 +444,6 @@ class Coordinator:
     ) -> None:
         """Land one session's round (skim happens here)."""
         self._awaiting.discard(id(session))
-        self._pending_delivers -= 1
         if not any(existing is session for existing in self._sessions):
             return  # evicted while the round was in flight
         session.deliver(responses)

@@ -27,7 +27,6 @@ RULE_FIXTURES = {
     "replication-bypass": ("replication_bypass", None),
     "epoch-discipline": ("epoch_discipline", "repro.core.router"),
     "determinism": ("determinism", "repro.core.fixture_mod"),
-    "eventloop-discipline": ("eventloop_discipline", "repro.core.fixture_mod"),
     "exception-discipline": ("exception_discipline", "repro.persist.fixture_mod"),
     "consistency-exhaustiveness": ("consistency", None),
     "export-sanity": ("export_sanity", None),
@@ -89,6 +88,41 @@ def test_write_consistency_mirror_matches_enum():
     from repro.core.replication import WriteConsistency
 
     assert WRITE_CONSISTENCY_MEMBERS == {member.name for member in WriteConsistency}
+
+
+def test_a_host_thread_or_timer_import_in_the_core_fails_determinism():
+    """``repro.core`` has one scheduler, the coordinator's tick agenda: a
+    host thread or timer module is refused at import, submodules too."""
+    imports = {
+        f.message.split(" in ")[0]
+        for f in _lint("determinism_bad", "repro.core.fixture_mod")
+        if f.message.startswith("import ")
+    }
+    assert imports == {"import threading", "import sched"}
+    source = "import concurrent.futures\nfrom asyncio import sleep\n"
+    assert [f.rule for f in analyze_source(source, module="repro.core.router")] == [
+        "determinism",
+        "determinism",
+    ]
+    assert analyze_source(source, module="repro.index.fixture_mod") == []
+
+
+@pytest.mark.parametrize(
+    "module", ["threading", "_thread", "asyncio", "sched", "concurrent", "queue", "signal"]
+)
+def test_each_host_concurrency_module_is_refused_in_the_core(module):
+    source = f"import {module}\nimport {module}.sub\nfrom {module} import x\n"
+    findings = analyze_source(source, module="repro.obs.fixture_mod")
+    assert [(f.rule, f.line) for f in findings] == [
+        ("determinism", 1),
+        ("determinism", 2),
+        ("determinism", 3),
+    ]
+
+
+def test_a_relative_import_of_a_like_named_sibling_is_not_a_host_module():
+    source = "from .queue import Backlog\nfrom ..signal import Tone\nimport queued\n"
+    assert analyze_source(source, module="repro.core.fixture_mod") == []
 
 
 def test_typed_defs_reports_each_def_once_naming_what_is_missing():

@@ -22,6 +22,7 @@ COUNTS = {
     "router.coalesce_ratio": 0.0,
     "router.server_calls_per_query": 0.0,
     "cluster.server_calls_per_op": 3.11167,
+    "router.ticks_per_query": 0.0,
 }
 
 

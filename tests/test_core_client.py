@@ -1084,12 +1084,13 @@ class TestWarmReadPathCounts:
 
     # The warm six-term query of the telemetry budget below, one round of
     # six slices on three servers, through Coordinator.run_queries with no
-    # telemetry: its count on CPython 3.11, exact — 438 entered since a
-    # term stops on its match count alone (450 with the TRS top-k check,
-    # two frames per finished term; 486 while replies were walked for
-    # their bits; 509 before the flush became one
-    # ``ServerCluster.batch_fetch``, under a budget of 534).
-    COORDINATOR_FRAME_BUDGET = 438
+    # telemetry: its count on CPython 3.11, exact — 433 entered since the
+    # coordinator keeps its own clock (438 while it read an event loop's
+    # ``now`` property; 450 with the TRS top-k check, two frames per
+    # finished term; 486 while replies were walked for their bits; 509
+    # before the flush became one ``ServerCluster.batch_fetch``, under a
+    # budget of 534).
+    COORDINATOR_FRAME_BUDGET = 433
 
     def test_frames_entered_by_one_warm_coordinator_query_stay_under_budget(
         self, system
@@ -1114,8 +1115,9 @@ class TestWarmReadPathCounts:
     # what the same deployment entered with its telemetry switched off
     # live, so the budgets kept their values when that switch went.  An
     # absolute count, so a faster read path cannot move it and a clock
-    # cannot blur it: 54 and 48 on CPython 3.11 (the coordinator's was 70
-    # with its envelope and serve spans; 3.12 inlines list comprehensions
+    # cannot blur it: 54 and 48 on CPython 3.11, re-measured when the
+    # event loop went (the coordinator's was 70 with its envelope and
+    # serve spans; 3.12 inlines list comprehensions
     # and can only read lower).  A change that puts more telemetry on the
     # read path raises these in the open; refresh them from the
     # ``(on, off)`` pair this test fails with.

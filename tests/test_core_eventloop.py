@@ -1,4 +1,4 @@
-"""Tests for the event-driven core: the virtual-time loop, arrival-driven
+"""Tests for the event-driven core: the coordinator's agenda, arrival-driven
 coordinator scheduling, round pipelining, backpressure, the equivalence
 of the lockstep ``tick()`` driver and arrival-driven sessions, and the
 one cadence rule rounds follow at every ``round_latency``."""
@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.client import ClientQuerySession
 from repro.core.cluster import ServerCluster
-from repro.core.eventloop import EventLoop
 from repro.core.protocol import BackpressureSignal, ResponsePolicy
 from repro.core.router import Coordinator
 from repro.crypto.keys import GroupKeyService
@@ -23,128 +22,128 @@ from repro.errors import (
 from tests.conftest import sealed
 
 
-class TestEventLoopScheduling:
-    def test_fires_in_tick_order(self):
-        loop = EventLoop()
-        fired = []
-        loop.call_at(3, lambda: fired.append("c"))
-        loop.call_at(1, lambda: fired.append("a"))
-        loop.call_at(2, lambda: fired.append("b"))
-        assert loop.advance(4) == 3
-        assert fired == ["a", "b", "c"]
-        assert loop.now == 4
+class TestTheAgenda:
+    """The coordinator's own clock: one list of callables per tick, run
+    first in, first out, then one replication tick per tick."""
 
-    def test_events_fire_before_tasks_and_tasks_in_registration_order(self):
-        loop = EventLoop()
-        fired = []
-        loop.every(1, lambda: fired.append("early"))
-        loop.advance(5)
-        # Its entry is queued at tick 5, "early"'s at tick 8: it still
-        # fires second, because tasks keep their registration order.
-        loop.every(5, lambda: fired.append("late"))
-        loop.call_at(9, lambda: fired.append("event"))
-        del fired[:]
-        loop.advance(5)
-        assert fired == ["early"] * 4 + ["event", "early", "late"]
+    @staticmethod
+    def _coordinator():
+        keys = GroupKeyService(master_secret=b"a" * 32)
+        keys.register("u", {"g"})
+        return Coordinator(ServerCluster(keys, num_lists=1, num_servers=2))
 
-    def test_fifo_within_tick_and_priority(self):
-        loop = EventLoop()
-        fired = []
-        for i in range(5):
-            loop.call_at(1, lambda i=i: fired.append(i))
-        loop.advance(2)
-        assert fired == [0, 1, 2, 3, 4]
+    @pytest.fixture()
+    def coordinator(self):
+        return self._coordinator()
 
-    def test_past_tick_clamps_to_now(self):
-        loop = EventLoop()
-        loop.advance(10)
+    def test_a_tick_runs_fifo_then_one_replication_tick(self, coordinator):
         fired = []
-        loop.call_at(3, lambda: fired.append(("late", loop.now)))
-        loop.advance(1)
-        assert fired == [("late", 10)]
+        replication_tick = coordinator.cluster.replication_tick
 
-    def test_same_window_events_fire_in_same_advance(self):
-        # The lockstep-compat contract: events scheduled DURING a tick's
-        # processing, due within the window, fire before advance returns.
-        loop = EventLoop()
-        fired = []
+        def recording():
+            fired.append(("replication", coordinator.now))
+            replication_tick()
+
+        coordinator.cluster.replication_tick = recording
 
         def chain():
             fired.append("first")
-            loop.call_at(loop.now, lambda: fired.append("second"))
+            coordinator._call_at(coordinator.now, lambda: fired.append("chained"))
 
-        loop.call_at(0, chain)
-        loop.advance(1)
-        assert fired == ["first", "second"]
+        coordinator._call_at(1, chain)
+        for i in range(3):
+            coordinator._call_at(1, lambda i=i: fired.append(i))
+        coordinator.advance(2)
+        assert fired == [
+            ("replication", 0),
+            "first",
+            0,
+            1,
+            2,
+            "chained",
+            ("replication", 1),
+        ]
+        assert coordinator.now == 2
 
-    def test_a_dropped_loop_frees_its_task_without_the_cycle_collector(self):
-        """A task that re-pushed itself from a closure would hold itself
-        through the heap: a coordinator's loop would keep its cluster's
-        ``replication_tick``, hence the whole deployment, until a full
-        collection."""
+    def test_ticks_run_in_tick_order(self, coordinator):
+        fired = []
+        for tick, name in ((3, "c"), (1, "a"), (2, "b")):
+            coordinator._call_at(tick, lambda name=name: fired.append(name))
+        coordinator.advance(4)
+        assert fired == ["a", "b", "c"]
+        assert coordinator.now == 4
+
+    def test_a_past_tick_clamps_to_now(self, coordinator):
+        coordinator.advance(10)
+        fired = []
+        coordinator._call_at(3, lambda: fired.append(coordinator.now))
+        coordinator.advance(1)
+        assert fired == [10]
+
+    def test_every_advanced_tick_is_one_replication_tick_idle_ones_too(
+        self, coordinator
+    ):
+        assert coordinator.drain() == 0
+        coordinator.advance(5)
+        assert coordinator.now == 5
+        assert coordinator.cluster.replication_manager.tick_count == 5
+
+    @pytest.mark.parametrize("ticks", [0, -1])
+    def test_advance_refuses_a_non_positive_tick_count(self, coordinator, ticks):
+        with pytest.raises(ConfigurationError):
+            coordinator.advance(ticks)
+        assert coordinator.now == 0
+        assert coordinator.cluster.replication_manager.tick_count == 0
+
+    def test_drain_runs_through_the_last_scheduled_tick_only(self, coordinator):
+        """The replication tick is not agenda work: it never keeps
+        ``drain`` going once the last queued callable has run."""
+        fired = []
+        coordinator._call_at(2, lambda: fired.append(coordinator.now))
+        assert coordinator.drain() == 3
+        assert fired == [2]
+        assert coordinator.cluster.replication_manager.tick_count == 3
+        assert coordinator.drain() == 0
+        assert coordinator.now == 3
+
+    def test_a_raise_leaves_the_rest_queued_and_the_clock_still(
+        self, coordinator
+    ):
         fired = []
 
-        def task():
-            fired.append(1)
+        def boom():
+            raise ProtocolError("boom")
 
-        loop = EventLoop()
-        loop.every(1, task)
-        loop.advance(3)
-        assert fired == [1, 1, 1]
-        freed = weakref.ref(task)
+        for fn in (lambda: fired.append("a"), boom, lambda: fired.append("c")):
+            coordinator._call_at(0, fn)
+        with pytest.raises(ProtocolError):
+            coordinator.advance(1)
+        assert (fired, coordinator.now) == (["a"], 0)
+        assert coordinator.drain() == 1
+        assert fired == ["a", "c"]
+
+    def test_drain_raises_on_livelock(self, coordinator):
+        def reschedule():
+            coordinator._call_at(coordinator.now + 1, reschedule)
+
+        coordinator._call_at(0, reschedule)
+        with pytest.raises(ProtocolError):
+            coordinator.drain(max_ticks=10)
+
+    def test_a_dropped_deployment_is_freed_without_the_cycle_collector(self):
+        """Nothing the agenda keeps once it is empty refers back to the
+        coordinator or its cluster, so dropping the pair frees every
+        element its servers hold at once."""
+        coordinator = self._coordinator()
+        coordinator._call_at(1, lambda: None)
+        coordinator.drain()
+        freed = weakref.ref(coordinator.cluster), weakref.ref(coordinator)
         gc.disable()
         try:
-            del loop, task
-            assert freed() is None
+            del coordinator
+            assert [ref() for ref in freed] == [None, None]
         finally:
             gc.enable()
-
-    def test_advance_validates_ticks(self):
-        loop = EventLoop()
-        with pytest.raises(ConfigurationError):
-            loop.advance(0)
-
-
-class TestPeriodicTasks:
-    def test_every_fires_at_period_cadence(self):
-        loop = EventLoop()
-        fires = []
-        loop.every(3, lambda: fires.append(loop.now))
-        loop.advance(9)
-        # First firing at now + period - 1 (end of the period-th tick).
-        assert fires == [2, 5, 8]
-
-    def test_period_one_fires_every_tick(self):
-        loop = EventLoop()
-        fires = []
-        loop.every(1, lambda: fires.append(loop.now))
-        loop.advance(4)
-        assert fires == [0, 1, 2, 3]
-
-    def test_period_validated(self):
-        loop = EventLoop()
-        with pytest.raises(ConfigurationError):
-            loop.every(0, lambda: None)
-
-    def test_daemons_do_not_block_quiescence(self):
-        loop = EventLoop()
-        loop.every(1, lambda: None)
-        assert loop.run_until_quiet() == 0
-        fired = []
-        loop.call_at(2, lambda: fired.append("work"))
-        ticks = loop.run_until_quiet()
-        assert fired == ["work"]
-        assert ticks == 3  # advanced through tick 2
-
-    def test_run_until_quiet_raises_on_livelock(self):
-        loop = EventLoop()
-
-        def reschedule():
-            loop.call_at(loop.now + 1, reschedule)
-
-        loop.call_at(0, reschedule)
-        with pytest.raises(ProtocolError):
-            loop.run_until_quiet(max_ticks=10)
 
 
 @pytest.fixture()
@@ -188,7 +187,7 @@ class TestArrivalDrivenScheduling:
         client = system.client_for("superuser", server=cluster)
         session = client.open_multi_session(_queries(system, 1)[0], 4)
         coordinator.submit_arrival(session, at=5)
-        coordinator.loop.advance(5)  # ticks 0..4: not yet admitted
+        coordinator.advance(5)  # ticks 0..4: not yet admitted
         assert coordinator.active_sessions == 0
         coordinator.drain()
         assert session.done
@@ -210,7 +209,7 @@ class TestArrivalDrivenScheduling:
         client = system.client_for("superuser", server=cluster)
         session = client.open_multi_session(_queries(system, 1)[0], 4)
         coordinator.submit_arrival(session, at=0)
-        coordinator.loop.advance(1)  # flush dispatched; delivery at tick 3
+        coordinator.advance(1)  # flush dispatched; delivery at tick 3
         coordinator.evict(session)
         coordinator.drain()  # the deferred delivery fires as a no-op
         assert not session.done
@@ -353,15 +352,12 @@ class TestBackpressure:
                 arrivals.append((session, tick))
                 coordinator.submit_arrival(session, at=tick, retry_on_shed=False)
         finished = {}
-
-        def probe():
+        # Every admitted session ends within the horizon of its arrival.
+        for _ in range(2 * horizon):
+            coordinator.advance(1)
             for session, _ in arrivals:
                 if session.done:
-                    finished.setdefault(id(session), coordinator.loop.now)
-
-        coordinator.loop.every(1, probe)
-        coordinator.drain()
-        probe()
+                    finished.setdefault(id(session), coordinator.now)
         stats = coordinator.stats
         admitted = len(arrivals) - stats.backpressure_sheds
         assert stats.backpressure_sheds > 0
@@ -408,9 +404,9 @@ class TestBackgroundDaemons:
         element = EncryptedPostingElement(sealed(b"ct"), group="g", trs=0.5)
         cluster.insert("u", 0, element)
         follower = cluster.replicas_of(0)[1]
-        coordinator.loop.advance(2)
+        coordinator.advance(2)
         assert cluster.applied_version(0, follower) == 0
-        coordinator.loop.advance(2)  # lag elapsed on the virtual clock
+        coordinator.advance(2)  # lag elapsed on the virtual clock
         assert cluster.applied_version(0, follower) == 1
 
 
@@ -460,15 +456,15 @@ class TestLockstepEquivalence:
         coordinator.submit(
             client.open_multi_session(_queries(system, 1)[0], 4)
         )
-        before = coordinator.loop.now
+        before = coordinator.now
         assert coordinator.tick() is True
-        assert coordinator.loop.now == before + 1
+        assert coordinator.now == before + 1
         assert cluster.replication_manager.tick_count == before + 1
 
     def test_idle_tick_does_not_advance_time(self, system):
         cluster, coordinator = system.deploy_cluster(num_servers=2)
         assert coordinator.tick() is False
-        assert coordinator.loop.now == 0
+        assert coordinator.now == 0
         assert cluster.replication_manager.tick_count == 0
 
 
@@ -497,7 +493,7 @@ class TestOneCadenceRule:
             requests = pending_requests(session)
             dispatches[id(session)].append(
                 (
-                    coordinator.loop.now,
+                    coordinator.now,
                     [(r.list_id, r.offset, r.count) for r in requests],
                 )
             )

@@ -47,6 +47,25 @@ class TestAggregates:
         traces = [_trace(10, 10), _trace(10, 10, satisfied=False)]
         assert satisfied_fraction(traces) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("build", ["zerber-r", "zerber", "ordinary"])
+    def test_satisfied_means_k_matches_held_on_every_system(
+        self, build, system, corpus, rare_term, frequent_term
+    ):
+        """``satisfied_fraction`` averages the flag across systems, so it
+        means one thing on each: the query held k matches."""
+        from repro.baselines.ordinary import OrdinarySearchSystem
+        from repro.baselines.zerber import ZerberSystem
+
+        searched = {
+            "zerber-r": lambda: system,
+            "zerber": lambda: ZerberSystem.build(corpus, r=4.0, seed=9),
+            "ordinary": lambda: OrdinarySearchSystem.build(corpus),
+        }[build]()
+        short = searched.query(rare_term, k=2)  # one document holds the term
+        assert len(short.hits) == 1 and not short.trace.satisfied
+        held = searched.query(frequent_term, k=2)
+        assert len(held.hits) == 2 and held.trace.satisfied
+
     def test_empty_traces_rejected(self):
         with pytest.raises(ValueError):
             average_bandwidth_overhead([])

@@ -10,8 +10,8 @@ capacity and checks the backpressure invariants that make shedding safe:
   (shedding defers admission, it never corrupts scheduling);
 * every shed is recorded with a well-formed retry hint;
 * after quiescence the replication data plane converges — all replicas
-  of every list agree with the primary (the delivery daemon on the loop
-  is a full substitute for the legacy chained replication tick);
+  of every list agree with the primary (the replication tick that ends
+  every coordinator tick is a full substitute for the legacy chained one);
 * the same arrival tape against a fresh identical deployment produces
   identical stats and shed records (virtual-time determinism).
 """
@@ -99,9 +99,9 @@ arrivals_strategy = st.lists(
 
 
 def _run_schedule(coordinator, clients, arrivals):
-    """Submit every arrival on the virtual clock; returns the sessions
-    and the per-tick queue-depth samples from a probe registered after
-    the coordinator's replication daemon, so it reads each tick settled."""
+    """Submit every arrival on the virtual clock, then advance tick by tick
+    until every session is done; returns the sessions and the queue depth
+    read after each tick, once its replication tick has run."""
     sessions = []
     for tick, principal_idx, terms, k in arrivals:
         client = clients[PRINCIPALS[principal_idx]]
@@ -109,8 +109,11 @@ def _run_schedule(coordinator, clients, arrivals):
         sessions.append(session)
         coordinator.submit_arrival(session, at=tick)
     depths = []
-    coordinator.loop.every(1, lambda: depths.append(coordinator.active_sessions))
-    coordinator.drain()
+    for _ in range(1_000):
+        if all(session.done for session in sessions):
+            break
+        coordinator.advance(1)
+        depths.append(coordinator.active_sessions)
     return sessions, depths
 
 
@@ -187,7 +190,7 @@ def test_same_tape_is_deterministic(docs, arrivals, round_latency):
                 list(coordinator.sheds),
                 depths,
                 [s.result().ranked for s in sessions],
-                coordinator.loop.now,
+                coordinator.now,
             )
         )
     assert runs[0] == runs[1]

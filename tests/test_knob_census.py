@@ -25,7 +25,8 @@ is SIV: the IV is a PRF of the plaintext), and the snippet store,
 then the response policy's growth factor (the doubling is the paper's
 constant), ``Prf.evaluate_int``, the Zerber ordering ``add_random`` on
 the Zerber+R list and every ``size_bits`` (a wire size is a count times
-``WIRE_ELEMENT_BITS``);
+``WIRE_ELEMENT_BITS``),
+then the event loop itself (the coordinator keeps a per-tick agenda);
 they were deleted, and this test keeps them from drifting back.
 """
 
@@ -42,7 +43,6 @@ import repro.obs
 import repro.persist
 from repro.core.client import ZerberRClient
 from repro.core.cluster import ServerCluster
-from repro.core.eventloop import EventLoop
 from repro.core.protocol import BatchFetchRequest, FetchResponse, ResponsePolicy
 from repro.core.replication import ReplicationManager
 from repro.core.router import Coordinator, CoordinatorStats
@@ -118,10 +118,11 @@ SURFACES = {
     "ZerberRServer.__init__": (ZerberRServer.__init__, "key_service num_lists"),
     # The IV is derived from the plaintext; no caller supplies a nonce.
     "StreamCipher.encrypt": (StreamCipher.encrypt, "plaintext"),
-    "EventLoop.__init__": (EventLoop.__init__, ""),
     "Telemetry.__init__": (Telemetry.__init__, ""),
-    "EventLoop.call_at": (EventLoop.call_at, "tick fn"),
-    "EventLoop.every": (EventLoop.every, "period fn"),
+    # The coordinator keeps its own clock: a tick's agenda, then one
+    # replication tick.  ``now`` is a read-only property.
+    "Coordinator.advance": (Coordinator.advance, "ticks"),
+    "Coordinator.drain": (Coordinator.drain, "max_ticks"),
     "load_cluster": (
         load_cluster,
         "path key_service telemetry",
@@ -158,7 +159,7 @@ DELETED_NAMES = {
         "ReadSelector PrimaryReads RotatingReads coerce_read_selector "
         "QueryLog ZerberRServer save_index load_index "
         "IndexingError CryptoError StaleEpochError __version__ "
-        "SnippetStore SnippetClient",
+        "SnippetStore SnippetClient EventLoop",
     ),
     "repro.core": (
         repro.core,
@@ -167,7 +168,8 @@ DELETED_NAMES = {
         "ReadSelector PrimaryReads RotatingReads coerce_read_selector "
         "EventHandle PeriodicTask FOREGROUND BACKGROUND MAINTENANCE "
         "DeliveryOutlook ReplicationLog tfidf_rscore ZerberRServer "
-        "SigmaSelection attribution_probabilities probability_amplification",
+        "SigmaSelection attribution_probabilities probability_amplification "
+        "EventLoop",
     ),
     "repro.crypto": (
         repro.crypto,
@@ -202,7 +204,7 @@ def test_deleted_names_are_not_exported(module):
             "_resolve_consistency _resolve_write_consistency _route_read "
             "_serve _check_write_quorum",
         ),
-        (Coordinator, "_envelope_trace"),
+        (Coordinator, "_envelope_trace loop"),
         (CoordinatorStats, "stale_epoch_reroutes"),
         (ZerberRSystem, "with_config"),
         (Rstf, "num_training_points"),
@@ -230,6 +232,10 @@ def test_deleted_names_are_not_exported(module):
 def test_deleted_members_stay_gone(owner, names):
     for name in names.split():
         assert not hasattr(owner, name), name
+
+
+def test_the_coordinator_clock_is_a_read_only_property():
+    assert isinstance(Coordinator.now, property) and Coordinator.now.fset is None
 
 
 def test_telemetry_has_no_kill_switch_merge_or_reset():

@@ -16,7 +16,9 @@ section *exactly*:
   ``router.coalesce_ratio`` — what the write path logs, what the read
   path rebuilds and how much the coordinator coalesces;
 * ``router.server_calls_per_query`` and ``cluster.server_calls_per_op``
-  — the shard-server calls a coordinator query and any op cost.
+  — the shard-server calls a coordinator query and any op cost;
+* ``router.ticks_per_query`` — the flushes per coordinator query, which
+  pins the coordinator's same-tick schedule.
 
 They are pure functions of corpus, seeds and tape — no clock, no machine,
 no hash seed — so any difference is a change in behaviour, and ``--check``
@@ -48,6 +50,7 @@ COUNT_METRICS: tuple[tuple[str, str], ...] = (
     ("per_layer", "router.coalesce_ratio"),
     ("per_layer", "router.server_calls_per_query"),
     ("per_layer", "cluster.server_calls_per_op"),
+    ("per_layer", "router.ticks_per_query"),
 )
 
 
