@@ -18,9 +18,7 @@ Quickstart::
 
 from repro.errors import (
     AccessDeniedError,
-    AuthenticationError,
     BackpressureError,
-    ConfidentialityViolationError,
     ConfigurationError,
     ProtocolError,
     QuorumUnavailableError,
@@ -74,7 +72,6 @@ from repro.index import (
     OrdinaryInvertedIndex,
     bfm_merge,
     greedy_pairing_merge,
-    random_merge,
 )
 from repro.text import Tokenizer, Vocabulary
 
@@ -84,8 +81,6 @@ __all__ = [
     "ConfigurationError",
     "UnknownTermError",
     "UnknownListError",
-    "ConfidentialityViolationError",
-    "AuthenticationError",
     "AccessDeniedError",
     "ProtocolError",
     "BackpressureError",
@@ -135,7 +130,6 @@ __all__ = [
     "MergePlan",
     "OrdinaryInvertedIndex",
     "bfm_merge",
-    "random_merge",
     "greedy_pairing_merge",
     # text
     "Tokenizer",

@@ -53,9 +53,6 @@ class BackgroundKnowledge:
 
     # -- accessors -----------------------------------------------------------
 
-    def terms(self) -> set[str]:
-        return set(self._priors)
-
     def prior(self, term: str) -> float:
         """``P(t in d | B)`` — the Def. 1 denominator."""
         p = self._priors.get(term)

@@ -1,7 +1,5 @@
 """Baseline systems the paper compares against or builds upon.
 
-* :class:`OrdinarySearchSystem` — unprotected inverted index with exact
-  server-side top-k (the efficiency yardstick).
 * :class:`ZerberSystem` — Zerber (EDBT 2008): encrypted merged lists in
   random order; top-k only client-side after downloading whole lists.
 * :class:`MuServIndex` — μ-Serv-style probabilistic index (Bawa et al.):
@@ -9,15 +7,16 @@
 * :class:`OrderPreservingIndex` — order-preserving score mapping
   (Swaminathan et al.): per-term uniformisation without merging; leaks
   document frequency and needs rebuilds on insert.
+
+The unprotected yardstick is :class:`~repro.index.inverted.OrdinaryInvertedIndex`
+itself, which the Fig. 11–13 scripts query directly.
 """
 
-from repro.baselines.ordinary import OrdinarySearchSystem
 from repro.baselines.zerber import ZerberClient, ZerberServer, ZerberSystem
 from repro.baselines.mu_serv import MuServConfig, MuServIndex
 from repro.baselines.ops_index import OrderPreservingIndex
 
 __all__ = [
-    "OrdinarySearchSystem",
     "ZerberSystem",
     "ZerberServer",
     "ZerberClient",

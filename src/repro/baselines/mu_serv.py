@@ -96,20 +96,12 @@ class MuServIndex:
 
     # -- index surface (what an adversary reading the server sees) -----------
 
-    @property
-    def num_terms(self) -> int:
-        return len(self._postings)
-
     def visible_posting_set(self, term: str) -> set[str]:
         """The padded posting set stored server-side."""
         postings = self._postings.get(term)
         if postings is None:
             raise UnknownTermError(term)
         return set(postings)
-
-    def visible_document_frequency(self, term: str) -> int:
-        """df as the adversary sees it (inflated by false positives)."""
-        return len(self.visible_posting_set(term))
 
     # -- querying ---------------------------------------------------------------
 
@@ -122,13 +114,3 @@ class MuServIndex:
             true_matches=tuple(sorted(true)),
             elements_transferred=len(postings),
         )
-
-    def query_top_k_cost(self, term: str, k: int) -> int:
-        """Elements a client must fetch to assemble a top-k: the whole set.
-
-        μ-Serv has no server-side ranking, so k does not reduce the
-        transfer (returned for symmetry with the other systems' traces).
-        """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        return len(self.visible_posting_set(term))

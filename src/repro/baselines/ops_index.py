@@ -71,34 +71,12 @@ class OrderPreservingIndex:
 
     # -- adversary-visible surface -------------------------------------------
 
-    @property
-    def num_terms(self) -> int:
-        return len(self._lists)
-
     def visible_document_frequency(self, term: str) -> int:
         """df is fully exposed: one posting list per term (the critique)."""
         lst = self._lists.get(term)
         if lst is None:
             raise UnknownTermError(term)
         return len(lst)
-
-    def visible_scores(self, term: str) -> list[float]:
-        """Mapped scores in server order (uniform — but per-term lists)."""
-        lst = self._lists.get(term)
-        if lst is None:
-            raise UnknownTermError(term)
-        return [score for score, _ in lst]
-
-    # -- retrieval ----------------------------------------------------------------
-
-    def top_k(self, term: str, k: int) -> list[str]:
-        """Server-side top-k by mapped score (this part works fine)."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        lst = self._lists.get(term)
-        if lst is None:
-            raise UnknownTermError(term)
-        return [doc_id for _, doc_id in lst[:k]]
 
     # -- inserts (the inefficiency being modelled) ----------------------------------
 

@@ -63,14 +63,6 @@ class ZerberServer:
             list_id: [] for list_id in range(num_lists)
         }
 
-    @property
-    def num_lists(self) -> int:
-        return len(self._lists)
-
-    @property
-    def num_elements(self) -> int:
-        return sum(len(lst) for lst in self._lists.values())
-
     def _list(self, list_id: int) -> list[ZerberElement]:
         merged = self._lists.get(list_id)
         if merged is None:

@@ -1,6 +1,6 @@
 """Zerber+R core: RSTF, σ selection, confidentiality, server/client/protocol."""
 
-from repro.core.scoring import rscore, extract_term_scores
+from repro.core.scoring import extract_term_scores
 from repro.core.rstf import Rstf, RstfModel, RstfTrainer, train_rstf
 from repro.core.sigma import (
     default_sigma_grid,
@@ -44,7 +44,6 @@ from repro.core.router import Coordinator, CoordinatorStats
 from repro.core.system import ZerberRSystem, SystemConfig
 
 __all__ = [
-    "rscore",
     "extract_term_scores",
     "Rstf",
     "RstfModel",

@@ -613,10 +613,6 @@ class ZerberRClient:
         """Build one element: a one-term :meth:`build_document`."""
         return self.build_document(doc, group, [term])[0]
 
-    def index_document(self, doc: DocumentStats, group: str) -> int:
-        """Encrypt and upload every term of *doc*; returns elements sent."""
-        return len(self.index_document_with_receipts(doc, group))
-
     def index_document_with_receipts(
         self, doc: DocumentStats, group: str
     ) -> list[Receipt]:

@@ -7,41 +7,17 @@ the best attribution probability of an element to a term t is
 ``p_t / sum(p_s for s in S)``, an amplification of ``1 / sum(p_s)`` over the
 prior ``p_t`` — hence the requirement ``sum(p_s) >= 1/r``.
 
-This module provides the audit machinery used by tests, benchmarks and the
-system facade's safety checks.
+This module holds the one Def. 2 check, :func:`audit_merge_plan`: what
+:meth:`~repro.core.system.ZerberRSystem.audit`, the examples and the tests
+read a plan's confidentiality from.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 
-from repro.errors import ConfidentialityViolationError
 from repro.index.merge import MergePlan
-
-
-def probability_amplification(prior: float, posterior: float) -> float:
-    """The Def. 1 ratio ``P(X|I,B) / P(X|B)``."""
-    if not 0.0 < prior <= 1.0:
-        raise ValueError("prior must be in (0, 1]")
-    if not 0.0 <= posterior <= 1.0:
-        raise ValueError("posterior must be in [0, 1]")
-    return posterior / prior
-
-
-def attribution_probabilities(
-    terms: Sequence[str], probabilities: Mapping[str, float]
-) -> dict[str, float]:
-    """Adversary's best per-term attribution posterior within a merged list.
-
-    Posting elements are randomly placed / TRS-uniformised, so position and
-    score carry no signal; the best the adversary can do is proportional
-    attribution by prior: ``P(element is t) = p_t / sum_S p``.
-    """
-    mass = sum(probabilities[t] for t in terms)
-    if mass <= 0:
-        raise ValueError("term probability mass must be positive")
-    return {t: probabilities[t] / mass for t in terms}
 
 
 @dataclass(frozen=True)
@@ -69,14 +45,6 @@ class ConfidentialityAudit:
         """Whether every merged list respects the r bound."""
         return self.max_amplification <= self.r + 1e-12
 
-    def violating_lists(self) -> list[int]:
-        """Ids of lists whose amplification exceeds r."""
-        return [
-            i
-            for i, amp in enumerate(self.per_list_amplification)
-            if amp > self.r + 1e-12
-        ]
-
 
 def audit_merge_plan(
     plan: MergePlan, probabilities: Mapping[str, float]
@@ -91,16 +59,3 @@ def audit_merge_plan(
     return ConfidentialityAudit(
         per_list_amplification=tuple(amplifications), r=plan.r
     )
-
-
-def require_r_confidential(
-    plan: MergePlan, probabilities: Mapping[str, float]
-) -> None:
-    """Raise :class:`ConfidentialityViolationError` if the plan violates r."""
-    audit = audit_merge_plan(plan, probabilities)
-    if not audit.is_confidential:
-        bad = audit.violating_lists()
-        raise ConfidentialityViolationError(
-            f"merge plan violates r={plan.r}: lists {bad[:10]} amplify up to "
-            f"{audit.max_amplification:.3f}"
-        )

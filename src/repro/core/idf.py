@@ -123,27 +123,6 @@ class BucketedIdf:
         """The representative IDF weight the client multiplies by."""
         return self._weights[self.bucket(term)]
 
-    def terms(self) -> set[str]:
-        return set(self._buckets)
-
-    # -- leakage accounting ----------------------------------------------------------
-
-    def leakage_bits(self) -> float:
-        """Worst-case df information published per term: log2(#buckets).
-
-        Exact IDF publishes the full df (log2(N) bits for an N-document
-        collection); one bucket publishes nothing.
-        """
-        return math.log2(self.num_buckets)
-
-    def empirical_leakage_bits(self) -> float:
-        """Entropy of the realised bucket distribution (<= worst case)."""
-        counts = np.bincount(
-            [self._buckets[t] for t in self._buckets], minlength=self.num_buckets
-        ).astype(float)
-        probs = counts[counts > 0] / counts.sum()
-        return float(-(probs * np.log2(probs)).sum())
-
 
 def aggregate_with_idf(
     per_term_hits: Mapping[str, Iterable], idf: BucketedIdf | None

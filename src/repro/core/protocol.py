@@ -194,21 +194,6 @@ class BatchFetchRequest:
         if not self.requests:
             raise ProtocolError("batch must contain at least one fetch request")
 
-    @classmethod
-    def for_slices(
-        cls, principal: str, slices: "tuple[tuple[int, int, int], ...] | list"
-    ) -> "BatchFetchRequest":
-        """Build one principal's batch from ``(list_id, offset, count)``
-        triples."""
-        return cls(
-            tuple(
-                FetchRequest(
-                    principal=principal, list_id=list_id, offset=offset, count=count
-                )
-                for list_id, offset, count in slices
-            )
-        )
-
     def __len__(self) -> int:
         return len(self.requests)
 
@@ -291,11 +276,6 @@ class QueryTrace:
         self.elements_transferred += elements
         self.bits_transferred += elements * WIRE_ELEMENT_BITS
         return elements
-
-    @property
-    def total_response_size(self) -> int:
-        """TRes — elements actually shipped over the session."""
-        return self.elements_transferred
 
     def bandwidth_overhead(self) -> float:
         """``TRes / k`` — this query's contribution to AvBO (Eq. 13)."""

@@ -104,9 +104,6 @@ class Rstf:
             return float(result)
         return np.asarray(result)
 
-    def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
-        return self.transform(x)
-
 
 def train_rstf(scores: Iterable[float], sigma: float, kind: str = "logistic") -> Rstf:
     """Train one term's RSTF with a fixed σ."""

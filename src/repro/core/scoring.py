@@ -1,43 +1,15 @@
 """Relevance score computation (paper §3.2, Eq. 3 and Eq. 4).
 
 Zerber+R ranks single-term queries by normalized term frequency
-``rscore(q, d) = TF_q / |d|`` (Eq. 4) — deliberately *without* IDF, which
-would leak collection statistics.  The TFxIDF form (Eq. 3) is provided for
-the ordinary-index baseline and the multi-term accuracy study.
+``rscore(q, d) = TF_q / |d|`` (Eq. 4) — deliberately *without* IDF (Eq. 3),
+which would leak collection statistics.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
 from repro.text.analysis import DocumentStats
-from repro.text.vocabulary import Vocabulary
-
-
-def rscore(tf: int, doc_length: int) -> float:
-    """Single-term relevance score ``TF / |d|`` (Eq. 4)."""
-    if doc_length <= 0:
-        raise ValueError("document length must be positive")
-    if not 0 <= tf <= doc_length:
-        raise ValueError("tf must be in [0, doc_length]")
-    return tf / doc_length
-
-
-def tfidf_rscore(
-    query_terms: Iterable[str], doc: DocumentStats, vocabulary: Vocabulary
-) -> float:
-    """TFxIDF relevance of *doc* for a multi-term query (Eq. 3).
-
-    Terms missing from the vocabulary contribute nothing (a live engine
-    would never have indexed them).
-    """
-    score = 0.0
-    for term in query_terms:
-        tf = doc.tf(term)
-        if tf == 0 or term not in vocabulary:
-            continue
-        score += rscore(tf, doc.length) * vocabulary.idf(term)
-    return score
 
 
 def extract_term_scores(
@@ -55,17 +27,4 @@ def extract_term_scores(
             raise ValueError(f"document {doc.doc_id!r} is empty")
         for term, tf in doc.counts.items():
             scores.setdefault(term, []).append(tf / doc.length)
-    return scores
-
-
-def scores_by_term_for_corpus(
-    documents: Iterable[DocumentStats], terms: Iterable[str]
-) -> Mapping[str, list[float]]:
-    """Like :func:`extract_term_scores` restricted to *terms* (memory bound)."""
-    wanted = set(terms)
-    scores: dict[str, list[float]] = {term: [] for term in wanted}
-    for doc in documents:
-        for term, tf in doc.counts.items():
-            if term in wanted:
-                scores[term].append(tf / doc.length)
     return scores

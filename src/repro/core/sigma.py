@@ -86,21 +86,6 @@ class SigmaSelection:
     def best_variance(self) -> float:
         return self.variances[self.best_index]
 
-    def is_u_shaped(self, tolerance: float = 0.0) -> bool:
-        """Whether the curve decreases to its minimum then increases.
-
-        The paper's Fig. 9 shape check, used by tests/benches.  *tolerance*
-        allows small non-monotonic wiggles (fraction of the value range).
-        """
-        v = np.asarray(self.variances)
-        i = self.best_index
-        if i == 0 or i == len(v) - 1:
-            return False
-        slack = tolerance * float(v.max() - v.min())
-        left_ok = bool(np.all(np.diff(v[: i + 1]) <= slack))
-        right_ok = bool(np.all(np.diff(v[i:]) >= -slack))
-        return left_ok and right_ok
-
 
 def select_sigma(
     train_scores: Sequence[float],

@@ -32,11 +32,11 @@ from repro.core.rstf import RstfModel, RstfTrainer, TrainerConfig
 from repro.corpus.documents import Corpus
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError
-from repro.index.merge import MergePlan, bfm_merge, greedy_pairing_merge, random_merge
+from repro.index.merge import MergePlan, bfm_merge, greedy_pairing_merge
 from repro.obs import Telemetry
 from repro.text.vocabulary import Vocabulary
 
-MERGE_SCHEMES = ("bfm", "random", "greedy")
+MERGE_SCHEMES = ("bfm", "greedy")
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,14 @@ class SystemConfig:
         Fraction of the corpus sampled as the RSTF training set (paper
         §6.1.2: 30%).
     merge_scheme:
-        ``"bfm"`` (the paper's choice), ``"random"`` or ``"greedy"``
-        (ablations, see :mod:`repro.index.merge`).
+        ``"bfm"`` (the paper's choice) or ``"greedy"`` (the ablation
+        that mixes frequencies, see :mod:`repro.index.merge`).
     trainer:
         RSTF training policy; ``None`` selects the heuristic-σ strategy,
         which is fast enough for whole-corpus training (the CV strategy
         reproduces Fig. 9 but costs a σ sweep per term).
     seed:
-        Seed for training-set sampling and the random merge scheme.
+        Seed for training-set sampling.
     """
 
     r: float = 4.0
@@ -133,7 +133,7 @@ class ZerberRSystem:
         probabilities = {
             term: vocabulary.probability(term) for term in vocabulary
         }
-        merge_plan = cls._build_merge_plan(probabilities, config, rng)
+        merge_plan = cls._build_merge_plan(probabilities, config)
 
         trainer_config = (
             config.trainer
@@ -181,14 +181,10 @@ class ZerberRSystem:
 
     @staticmethod
     def _build_merge_plan(
-        probabilities: dict[str, float],
-        config: SystemConfig,
-        rng: np.random.Generator,
+        probabilities: dict[str, float], config: SystemConfig
     ) -> MergePlan:
         if config.merge_scheme == "bfm":
             return bfm_merge(probabilities, config.r)
-        if config.merge_scheme == "random":
-            return random_merge(probabilities, config.r, rng=rng)
         return greedy_pairing_merge(probabilities, config.r)
 
     def _owner_of(self, group: str) -> str:

@@ -194,16 +194,12 @@ class ReadableViewIndex:
         self._views.move_to_end(cache_key)
         self._by_list.setdefault(cache_key[0], set()).add(cache_key[1])
         while len(self._views) > self.capacity:
-            evicted_key, _ = self._views.popitem(last=False)
-            self._forget(evicted_key)
-            self.stats.evictions += 1
-
-    def _forget(self, cache_key: tuple[int, str]) -> None:
-        principals = self._by_list.get(cache_key[0])
-        if principals is not None:
-            principals.discard(cache_key[1])
+            (list_id, principal), _ = self._views.popitem(last=False)
+            principals = self._by_list[list_id]
+            principals.discard(principal)
             if not principals:
-                del self._by_list[cache_key[0]]
+                del self._by_list[list_id]
+            self.stats.evictions += 1
 
     # -- write path (called by the server AFTER the list mutated) -------------
 
@@ -270,11 +266,6 @@ class ReadableViewIndex:
 
     def invalidate_list(self, list_id: int) -> None:
         """Drop every cached view of one list (bulk loads, external edits)."""
-        for principal in list(self._by_list.get(list_id, ())):
+        for principal in self._by_list.pop(list_id, ()):
             del self._views[(list_id, principal)]
-            self._forget((list_id, principal))
             self.stats.invalidations += 1
-
-    def clear(self) -> None:
-        self._views.clear()
-        self._by_list.clear()

@@ -8,7 +8,7 @@ documents with a shared :class:`~repro.text.Vocabulary` built lazily.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 from repro.text.analysis import DocumentStats
@@ -72,10 +72,6 @@ class Corpus:
 
     # -- access ------------------------------------------------------------
 
-    @property
-    def tokenizer(self) -> Tokenizer:
-        return self._tokenizer
-
     def document(self, doc_id: str) -> Document:
         """Look up a document by id."""
         try:
@@ -123,28 +119,6 @@ class Corpus:
     def __iter__(self) -> Iterator[Document]:
         return iter(self._documents)
 
-    def __contains__(self, doc_id: object) -> bool:
-        return doc_id in self._by_id
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Corpus(name={self.name!r}, documents={len(self._documents)})"
-
-
-def corpus_from_texts(
-    texts: Sequence[str],
-    groups: Sequence[str] | None = None,
-    tokenizer: Tokenizer | None = None,
-    name: str = "corpus",
-) -> Corpus:
-    """Convenience constructor: build a corpus from raw strings."""
-    if groups is not None and len(groups) != len(texts):
-        raise ValueError("groups must match texts in length")
-    docs = [
-        Document(
-            doc_id=f"d{i:06d}",
-            group=groups[i] if groups is not None else DEFAULT_GROUP,
-            text=text,
-        )
-        for i, text in enumerate(texts)
-    ]
-    return Corpus(docs, tokenizer=tokenizer, name=name)
+    # ``doc_id in corpus`` would compare an id against each Document and be
+    # False: make ``in`` a TypeError; ``doc_ids()`` holds the ids.
+    __contains__ = None

@@ -20,7 +20,7 @@ exposes the flattened single-term workload.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +40,6 @@ class Query:
         if len(set(self.terms)) != len(self.terms):
             raise ValueError("query terms must be distinct")
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
 
 class QueryLog:
     """An aggregated query workload: query -> occurrence count."""
@@ -52,17 +49,6 @@ class QueryLog:
             if count <= 0:
                 raise ValueError(f"count for {query} must be positive")
         self._counts = dict(counts)
-
-    # -- basic accessors ---------------------------------------------------
-
-    @property
-    def total_queries(self) -> int:
-        """Total number of query instances (with multiplicity)."""
-        return sum(self._counts.values())
-
-    @property
-    def distinct_queries(self) -> int:
-        return len(self._counts)
 
     def items(self) -> Iterator[tuple[Query, int]]:
         """(query, count) pairs in descending count order."""
@@ -76,8 +62,6 @@ class QueryLog:
             for _ in range(count):
                 yield query
 
-    # -- derived statistics --------------------------------------------------
-
     def term_frequencies(self) -> Counter[str]:
         """Single-term query frequencies ``q_j`` (paper Eq. 9).
 
@@ -89,32 +73,6 @@ class QueryLog:
             for term in query.terms:
                 freqs[term] += count
         return freqs
-
-    def mean_terms_per_query(self) -> float:
-        """Average query length in terms (paper: 2.4)."""
-        total = self.total_queries
-        if total == 0:
-            raise ValueError("empty query log")
-        return sum(len(q) * c for q, c in self._counts.items()) / total
-
-    def distinct_terms(self) -> set[str]:
-        """All distinct query terms in the log."""
-        terms: set[str] = set()
-        for query in self._counts:
-            terms.update(query.terms)
-        return terms
-
-    def head_share(self, fraction: float) -> float:
-        """Share of the single-term workload carried by the top *fraction*
-        of terms ranked by query frequency (the Fig. 10 statistic)."""
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        freqs = sorted(self.term_frequencies().values(), reverse=True)
-        if not freqs:
-            raise ValueError("empty query log")
-        head = max(1, int(len(freqs) * fraction))
-        total = sum(freqs)
-        return sum(freqs[:head]) / total
 
 
 @dataclass(frozen=True)
@@ -241,8 +199,3 @@ class QueryLogGenerator:
                 retries += 1
             counts[Query(terms=tuple(sorted(unique)))] += 1
         return QueryLog(dict(counts))
-
-
-def single_term_log(term_counts: dict[str, int]) -> QueryLog:
-    """Build a query log of single-term queries from explicit counts."""
-    return QueryLog({Query(terms=(term,)): count for term, count in term_counts.items()})

@@ -161,11 +161,6 @@ class SyntheticCorpusGenerator:
             )
         return corpus
 
-    @property
-    def terms(self) -> list[str]:
-        """The global vocabulary, ordered by background frequency rank."""
-        return list(self._terms)
-
 
 def studip_like(
     num_documents: int = 800,

@@ -8,11 +8,11 @@ Wire format of a ciphertext::
 subkey and ``body = plaintext XOR keystream(iv)``: the synthetic IV of
 Rogaway & Shrimpton's SIV construction (*Deterministic
 Authenticated-Encryption*, EUROCRYPT 2006; RFC 5297), so the one 16-byte
-value is both the keystream's nonce and the tag.  Decryption recomputes
-the IV over the decrypted body and refuses a mismatch (wrong-key or
-tampered ciphertexts raise :class:`~repro.errors.AuthenticationError`
-instead of yielding garbage — a querying client must be able to tell
-"not my group's element" apart from data corruption).  BLAKE2's keyed
+value is both the keystream's nonce and the tag.  Opening a ciphertext
+(:meth:`StreamCipher.try_decrypt`, the one way to) recomputes the IV over
+the decrypted body and refuses a mismatch: a wrong-key or tampered
+ciphertext opens as ``None`` instead of garbage, so a querying client
+tells "not my group's element" apart from a plaintext.  BLAKE2's keyed
 mode is a PRF and a MAC by design (RFC 7693).
 
 The keystream is keyed BLAKE2b-512 under the enc subkey, in counter
@@ -56,11 +56,11 @@ past k included), so every layer of the per-element cost is flattened:
 * both subkey derivations happen once in ``__init__``, which also binds
   the ``copy`` methods of the two keyed states the kernel uses per
   element;
-* :meth:`StreamCipher.try_decrypt` is the one kernel every non-raising
-  decrypt goes through — memo probe, keystream, XOR, IV check, the
-  caller's plaintext decoder and the memo store for ONE ciphertext, all
-  inline, so a miss enters no Python frame but the decoder's and a hit
-  none at all.  It is per element, not per batch, because the steady
+* :meth:`StreamCipher.try_decrypt` is the one kernel every open goes
+  through — memo probe, keystream, XOR, IV check, the caller's
+  plaintext decoder and the memo store for ONE ciphertext, all inline,
+  so a miss enters no Python frame but the decoder's and a hit none at
+  all.  It is per element, not per batch, because the steady
   state of a query is a memo hit: a fetched slice interleaves ~7 groups
   at ~2 elements each, so a per-group batch spends more on bucketing the
   slice, setting the batch up and re-sorting its output than the hits
@@ -90,7 +90,6 @@ from hmac import compare_digest as _compare_digest
 from typing import Any, TypeVar, overload
 
 from repro.crypto.prf import derive_key
-from repro.errors import AuthenticationError
 
 #: The synthetic IV: keystream nonce and authentication tag in one.
 IV_SIZE = 16
@@ -102,7 +101,7 @@ _Decoder = Callable[[bytes], Any]
 
 
 class StreamCipher:
-    """Encrypt/decrypt byte strings under one group master key.
+    """Seal and open byte strings under one group master key.
 
     ``memo_capacity`` bounds the verified-decoded memo (entries,
     FIFO-evicted in halves); ``0`` disables memoisation entirely.
@@ -160,22 +159,6 @@ class StreamCipher:
         else:
             stream = self._stream(iv, size)
         return iv + (int.from_bytes(plaintext, "big") ^ stream).to_bytes(size, "big")
-
-    def decrypt(self, ciphertext: bytes) -> bytes:
-        """Decrypt and authenticate; raises :class:`AuthenticationError`."""
-        if len(ciphertext) < IV_SIZE:
-            raise AuthenticationError("ciphertext too short")
-        iv = ciphertext[:IV_SIZE]
-        body = ciphertext[IV_SIZE:]
-        size = len(body)
-        plaintext = (int.from_bytes(body, "big") ^ self._stream(iv, size)).to_bytes(
-            size, "big"
-        )
-        siv = self._siv()
-        siv.update(plaintext)
-        if not _compare_digest(iv, siv.digest()):
-            raise AuthenticationError("ciphertext failed integrity check")
-        return plaintext
 
     def _stream(self, iv: bytes, size: int) -> int:
         """The keystream of a *size*-byte body, as the integer of its

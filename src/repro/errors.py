@@ -5,7 +5,7 @@ callers can catch one base class.  The sub-hierarchy mirrors the package
 layout: indexing, cryptography/access control, protocol, and configuration
 errors are distinguishable because they typically call for different
 handling (a :class:`AccessDeniedError` is an authorization outcome, not a
-bug; a :class:`ConfidentialityViolationError` is a safety check firing).
+bug).
 A read fails only on what it can act on — a list with no live replica,
 a missed quorum, a shed arrival; a failover election is never one of
 them, since a batch is routed and served inside one call.
@@ -46,16 +46,8 @@ class UnknownListError(IndexError_):
         self.list_id = list_id
 
 
-class ConfidentialityViolationError(ReproError):
-    """An operation would violate the configured r-confidentiality bound."""
-
-
 class CryptoError(ReproError):
     """Base class for encryption/decryption failures."""
-
-
-class AuthenticationError(CryptoError):
-    """Ciphertext failed its integrity check (wrong key or tampering)."""
 
 
 class AccessDeniedError(CryptoError):

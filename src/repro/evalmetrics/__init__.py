@@ -5,8 +5,6 @@ from repro.evalmetrics.bandwidth import (
     average_bandwidth_overhead,
     average_num_requests,
     efficiency_curve,
-    query_efficiency,
-    total_response_size,
 )
 from repro.evalmetrics.workload import (
     cumulative_workload_curve,
@@ -17,7 +15,6 @@ from repro.evalmetrics.workload import (
 from repro.evalmetrics.retrieval import (
     kendall_tau,
     overlap_at_k,
-    precision_at_k,
 )
 from repro.evalmetrics.storage import StorageReport, compare_storage
 from repro.evalmetrics.netmodel import NetworkModel, COMPETITOR_RESPONSE_KB
@@ -26,15 +23,12 @@ __all__ = [
     "average_bandwidth_overhead",
     "average_num_requests",
     "efficiency_curve",
-    "query_efficiency",
-    "total_response_size",
     "cumulative_workload_curve",
     "expected_first_position",
     "expected_retrieval_count",
     "workload_cost",
     "kendall_tau",
     "overlap_at_k",
-    "precision_at_k",
     "StorageReport",
     "compare_storage",
     "NetworkModel",

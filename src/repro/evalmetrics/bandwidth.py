@@ -1,13 +1,13 @@
 """Bandwidth and efficiency metrics over query traces (paper §6.4–6.5).
 
 * Eq. 12 — total response size after n follow-ups: ``TRes = b * Σ 2^i``
-  (:func:`total_response_size`; traces record the measured value, which can
-  be smaller when a list runs out).
+  (:meth:`~repro.core.protocol.ResponsePolicy.total_after`; traces record
+  the measured value, which can be smaller when a list runs out).
 * Eq. 13 — average bandwidth overhead over a workload:
   ``AvBO = mean(TRes(q) / k)`` (:func:`average_bandwidth_overhead`).
 * Eq. 14 — per-query efficiency ``QRatioeff = k / TRes``
-  (:func:`query_efficiency`); Fig. 13 plots its sorted curve
-  (:func:`efficiency_curve`).
+  (:meth:`~repro.core.protocol.QueryTrace.query_efficiency`); Fig. 13
+  plots its sorted curve (:func:`efficiency_curve`).
 
 Batched sessions: a multi-term query served over the batch fetch protocol
 records a :class:`~repro.core.protocol.BatchQueryTrace` whose
@@ -23,17 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.core.protocol import BatchQueryTrace, QueryTrace, ResponsePolicy
-
-
-def total_response_size(policy: ResponsePolicy, num_requests: int) -> int:
-    """Eq. 12 for an un-truncated session under *policy*."""
-    return policy.total_after(num_requests)
-
-
-def query_efficiency(trace: QueryTrace) -> float:
-    """Eq. 14: ``k / TRes`` for one trace."""
-    return trace.query_efficiency()
+from repro.core.protocol import BatchQueryTrace, QueryTrace
 
 
 def average_bandwidth_overhead(traces: Sequence[QueryTrace]) -> float:
@@ -70,13 +60,6 @@ def efficiency_at_percentile(curve: Sequence[float], percent: float) -> float:
         raise ValueError("percent must be in [0, 100]")
     index = min(int(len(curve) * percent / 100.0), len(curve) - 1)
     return curve[index]
-
-
-def satisfied_fraction(traces: Sequence[QueryTrace]) -> float:
-    """Fraction of queries that assembled their full top-k."""
-    if not traces:
-        raise ValueError("no traces")
-    return sum(1 for t in traces if t.satisfied) / len(traces)
 
 
 def total_server_requests(

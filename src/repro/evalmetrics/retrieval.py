@@ -1,4 +1,4 @@
-"""Retrieval-quality metrics: overlap, precision, rank correlation.
+"""Retrieval-quality metrics: overlap and rank correlation.
 
 Used to verify the paper's accuracy claims: Zerber+R single-term rankings
 must equal the ordinary index's exactly (monotonic RSTF), and multi-term
@@ -17,17 +17,6 @@ def overlap_at_k(result_a: Sequence[str], result_b: Sequence[str], k: int) -> fl
     a = set(result_a[:k])
     b = set(result_b[:k])
     return len(a & b) / k
-
-
-def precision_at_k(result: Sequence[str], relevant: Sequence[str], k: int) -> float:
-    """Fraction of the first k results that appear in *relevant*."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    head = list(result[:k])
-    if not head:
-        return 0.0
-    truth = set(relevant)
-    return sum(1 for doc in head if doc in truth) / len(head)
 
 
 def kendall_tau(ranking_a: Sequence[str], ranking_b: Sequence[str]) -> float:

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines.ordinary import PLAINTEXT_ELEMENT_BITS
 from repro.core.cluster import ServerCluster
 from repro.index.inverted import OrdinaryInvertedIndex
 
 TRS_BITS = 64  # one double per element, same as a plaintext score slot
+# A plaintext posting element: doc id hash + score, the same 64-bit
+# encoding the paper assumes for Zerber+R elements in §6.6.
+PLAINTEXT_ELEMENT_BITS = 64
 
 
 @dataclass(frozen=True)

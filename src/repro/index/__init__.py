@@ -10,7 +10,6 @@ from repro.index.inverted import OrdinaryInvertedIndex
 from repro.index.merge import (
     MergePlan,
     bfm_merge,
-    random_merge,
     greedy_pairing_merge,
 )
 
@@ -22,6 +21,5 @@ __all__ = [
     "OrdinaryInvertedIndex",
     "MergePlan",
     "bfm_merge",
-    "random_merge",
     "greedy_pairing_merge",
 ]

@@ -67,10 +67,6 @@ class OrdinaryInvertedIndex:
         return len(self._doc_lengths)
 
     @property
-    def num_terms(self) -> int:
-        return len(self._lists)
-
-    @property
     def num_posting_elements(self) -> int:
         return sum(len(lst) for lst in self._lists.values())
 
@@ -80,9 +76,6 @@ class OrdinaryInvertedIndex:
         if posting_list is None:
             raise UnknownTermError(term)
         return posting_list
-
-    def document_frequency(self, term: str) -> int:
-        return self._vocabulary.document_frequency(term)
 
     # -- retrieval -----------------------------------------------------------
 
@@ -112,10 +105,6 @@ class OrdinaryInvertedIndex:
                 )
         best = heapq.nsmallest(k, scores.items(), key=lambda kv: (-kv[1], kv[0]))
         return [(doc_id, score) for doc_id, score in best]
-
-    def scores_for_term(self, term: str) -> list[float]:
-        """All relevance scores of *term*, descending (RSTF training input)."""
-        return [element.rscore for element in self.posting_list(term)]
 
     # -- storage accounting (for §6.3) ---------------------------------------
 

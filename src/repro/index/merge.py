@@ -21,8 +21,9 @@ Schemes:
   list with the most frequent remaining term, then tops up with the rarest
   ones).  Confidential per Def. 2 but mixes frequencies — the ablation that
   shows why BFM matters for the query-observation attack.
-* :func:`random_merge` — random term order, threshold grouping; the second
-  ablation.
+
+Def. 2 is checked in one place:
+:func:`repro.core.confidentiality.audit_merge_plan`.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-import numpy as np
 
-from repro.errors import ConfidentialityViolationError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.index.postings import PostingElement
 
 if TYPE_CHECKING:
@@ -75,7 +75,7 @@ class MergePlan:
     def terms(self) -> tuple[str, ...]:
         """Every term, numbered: a term's number is its index here —
         ``groups`` read in order.  A posting plaintext names its term by
-        this number (:meth:`~repro.index.postings.PostingElement.to_bytes`)."""
+        this number (:meth:`~repro.index.postings.PostingElement.encoder`)."""
         return tuple(term for group in self.groups for term in group)
 
     @cached_property
@@ -120,44 +120,11 @@ class MergePlan:
             raise ConfigurationError(f"no such list id: {list_id}")
         return self.groups[list_id]
 
-    def all_terms(self) -> set[str]:
-        return set(self.terms)
-
-    def verify(self, probabilities: Mapping[str, float]) -> None:
-        """Assert Def. 2 for every group; raises on violation.
-
-        A group consisting of a *single* term is exempt when that term alone
-        satisfies ``p_t >= 1/r`` (a sufficiently frequent term needs no
-        merging — attributing an element to it amplifies nothing beyond r).
-        """
-        for i, group in enumerate(self.groups):
-            mass = sum(probabilities[t] for t in group)
-            if mass < 1.0 / self.r - 1e-12:
-                raise ConfidentialityViolationError(
-                    f"merged list {i} has term probability mass {mass:.6f} "
-                    f"< 1/r = {1.0 / self.r:.6f}"
-                )
-
-
 def _decoder(terms: Sequence[str], names: Sequence[str]) -> Callable[[bytes], PostingElement]:
     def decode(plaintext: bytes) -> PostingElement:
         return PostingElement.from_bytes(plaintext, terms, names)
 
     return decode
-
-
-def merged_list_confidentiality(
-    terms: Sequence[str], probabilities: Mapping[str, float]
-) -> float:
-    """The effective r of a merged list: ``1 / sum(p_t)``.
-
-    Smaller is more confidential; a list is r-confidential iff the returned
-    value is <= r.
-    """
-    mass = sum(probabilities[t] for t in terms)
-    if mass <= 0:
-        raise ConfigurationError("term probability mass must be positive")
-    return 1.0 / mass
 
 
 def _threshold_groups(
@@ -168,8 +135,8 @@ def _threshold_groups(
     """Group consecutive terms until each group's mass reaches 1/r.
 
     The trailing group may fall short of the threshold; it is folded into
-    the previous group (or, if it is the only group, kept — the caller's
-    ``verify`` will flag genuinely infeasible inputs).
+    the previous group (or, if it is the only group, kept — the Def. 2
+    audit flags genuinely infeasible inputs).
     """
     if r <= 1.0:
         raise ConfigurationError("r must be > 1 (r=1 means no amplification allowed)")
@@ -202,18 +169,6 @@ def bfm_merge(probabilities: Mapping[str, float], r: float) -> MergePlan:
     """
     ordered = sorted(probabilities, key=lambda t: (-probabilities[t], t))
     groups = _threshold_groups(ordered, probabilities, r)
-    return MergePlan(groups=tuple(tuple(g) for g in groups), r=r)
-
-
-def random_merge(
-    probabilities: Mapping[str, float], r: float, rng: np.random.Generator | None = None
-) -> MergePlan:
-    """Random-order threshold merging (ablation: destroys frequency locality)."""
-    rng = rng if rng is not None else np.random.default_rng()
-    ordered = sorted(probabilities)  # deterministic base order
-    perm = rng.permutation(len(ordered))
-    shuffled = [ordered[i] for i in perm]
-    groups = _threshold_groups(shuffled, probabilities, r)
     return MergePlan(groups=tuple(tuple(g) for g in groups), r=r)
 
 

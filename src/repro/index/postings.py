@@ -12,9 +12,9 @@ Three element flavours appear in the reproduction:
 * :class:`MergedPostingList` — a merged list (one per set of merged terms)
   keyed by an integer list id, held in descending TRS order.
 
-The plaintext layout — :meth:`PostingElement.encoder` (``to_bytes`` is
-its one-element form) / ``from_bytes`` are its single owner — is one
-fixed 14-byte header and nothing else::
+The plaintext layout — :meth:`PostingElement.encoder` /
+``from_bytes`` are its single owner — is one fixed 14-byte header and
+nothing else::
 
     tf (2) | doc_length (4) | term number (4) | doc number (4)
 
@@ -29,8 +29,9 @@ travels as its number in its group's
 when a member first writes the document (dense from 0 per group, never
 reused) and hands the directory only to members, with the group's
 cipher.  Given the plan's terms and the group's directory, the decoder
-maps every byte string either to exactly one element, whose
-``to_bytes(term number, doc number)`` is that byte string again, or to a
+maps every byte string either to exactly one element, which the
+encoder of its doc number and length encodes, with its tf and term
+number, to that byte string again, or to a
 :class:`~repro.errors.ProtocolError` — a number outside the plan or the
 directory included.
 
@@ -105,29 +106,19 @@ class PostingElement:
 
     # -- serialisation (what gets encrypted) --------------------------------
 
-    def to_bytes(self, number: int, doc_number: int) -> bytes:
-        """The element's one byte encoding (the encryption plaintext),
-        with *number* — the term's number in the merge plan — for the
-        term and *doc_number* — the document's number in its group's
-        directory — for the doc id.
-
-        :class:`ValueError` for a field the header cannot hold (``tf`` >
-        65 535, ``doc_length`` or either number outside ``[0, 2**32)``).
-        It is :meth:`encoder`'s encoding.
-        """
-        return PostingElement.encoder(doc_number, self.doc_length)(self.tf, number)
-
     @staticmethod
     def encoder(doc_number: int, doc_length: int) -> Callable[[int, int], bytes]:
-        """``(tf, number) -> bytes``: the encoding of every element of one
-        document, without building the elements.
+        """``(tf, number) -> bytes``: the encryption plaintext of every
+        element of one document, without building the elements — *number*
+        is the term's number in the merge plan, *doc_number* the
+        document's number in its group's directory.
 
         A writer encodes a whole document at once, so its number is
         looked up once and each element costs one call: the
         constructor's checks (``tf > 0``, ``doc_length >= tf``) and the
-        header pack, with :meth:`to_bytes`'s :class:`ValueError` for a
-        field that does not fit.  :meth:`to_bytes` is this encoder's
-        single-element form, so the layout keeps one owner.
+        header pack, with a :class:`ValueError` for a field the header
+        cannot hold (``tf`` > 65 535, ``doc_length`` or either number
+        outside ``[0, 2**32)``).  It is the layout's one encoding.
         """
         pack = _HEADER.pack
 
@@ -149,7 +140,7 @@ class PostingElement:
     def from_bytes(
         cls, data: bytes, terms: Sequence[str], names: Sequence[str]
     ) -> "PostingElement":
-        """Inverse of :meth:`to_bytes`, naming the term ``terms[number]``
+        """Inverse of :meth:`encoder`, naming the term ``terms[number]``
         and the document ``names[doc number]`` (*names* is the element's
         group directory); anything else — a number outside *terms* or
         *names* included — is a :class:`ProtocolError`.
@@ -388,12 +379,6 @@ class MergedPostingList:
         self.elements.clear()
         del self._neg_trs_keys[:]
         self.version += 1
-
-    def slice(self, start: int, count: int) -> list[EncryptedPostingElement]:
-        """Elements ``[start, start+count)`` in server order."""
-        if start < 0 or count < 0:
-            raise ValueError("start and count must be non-negative")
-        return self.elements[start : start + count]
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -22,8 +22,8 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 
 from repro.obs.metrics import (
+    NULL_BOUND_GAUGE,
     NULL_COUNTER,
-    NULL_GAUGE,
     NULL_HISTOGRAM,
     BoundCounter,
     BoundHistogram,
@@ -74,7 +74,7 @@ class CoordinatorInstruments(_InstrumentBundle):
                 "coordinator_session_rounds"
             ).bind()
         else:
-            self.queue_depth = NULL_GAUGE.bind()
+            self.queue_depth = NULL_BOUND_GAUGE
             self.envelope_slices = NULL_HISTOGRAM.bind()
             self.session_rounds = NULL_HISTOGRAM.bind()
 
@@ -210,6 +210,6 @@ class PersistInstruments(_InstrumentBundle):
             self.restores = registry.counter("persist_restores_total").bind()
         else:
             self.snapshots = NULL_COUNTER.bind()
-            self.snapshot_bytes = NULL_GAUGE.bind()
-            self.snapshot_seconds = NULL_GAUGE.bind()
+            self.snapshot_bytes = NULL_BOUND_GAUGE
+            self.snapshot_seconds = NULL_BOUND_GAUGE
             self.restores = NULL_COUNTER.bind()

@@ -165,14 +165,6 @@ class Gauge(Metric):
         return shell
 
 
-class NullGauge(Gauge):
-    def set(self, value: float, **labels: str) -> None:
-        pass
-
-    def bind(self, **labels: str) -> BoundGauge:
-        return NULL_BOUND_GAUGE
-
-
 class _HistogramSeries:
     __slots__ = ("bucket_counts", "total", "count")
 
@@ -243,9 +235,6 @@ class Histogram(Metric):
         series.total += value
         series.count += 1
 
-    def observe(self, value: float, **labels: str) -> None:
-        self._observe_key(freeze_labels(labels), value)
-
     def bind(self, **labels: str) -> BoundHistogram:
         return BoundHistogram(self, freeze_labels(labels))
 
@@ -288,11 +277,6 @@ class Histogram(Metric):
 
 
 class NullHistogram(Histogram):
-    def observe(self, value: float, **labels: str) -> None:
-        pass
-
-    def _observe_key(self, key: LabelKey, value: float) -> None:
-        pass
 
     def bind(self, **labels: str) -> BoundHistogram:
         return NULL_BOUND_HISTOGRAM
@@ -302,6 +286,5 @@ class NullHistogram(Histogram):
 NULL_BOUND_COUNTER = NullBoundCounter({}, ())
 NULL_BOUND_GAUGE = NullBoundGauge({}, ())
 NULL_COUNTER = NullCounter("null")
-NULL_GAUGE = NullGauge("null")
 NULL_HISTOGRAM = NullHistogram("null", buckets=(1.0,))
 NULL_BOUND_HISTOGRAM = NullBoundHistogram(NULL_HISTOGRAM, ())

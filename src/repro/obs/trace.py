@@ -180,10 +180,6 @@ class Tracer:
         self._stack: list[Span] = []
         self._finished: deque[Trace] = deque(maxlen=capacity)
 
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
     def begin_trace(self, name: str, **attributes: object) -> int:
         """Open a session-lifetime root span; returns the trace id.
 
@@ -243,11 +239,6 @@ class Tracer:
     def last_trace(self) -> Trace | None:
         return self._finished[-1] if self._finished else None
 
-    def reset(self) -> None:
-        self._active.clear()
-        self._stack.clear()
-        self._finished.clear()
-
 
 class NullTracer(Tracer):
     """No-op tracer handed to instrumented code when telemetry is off."""
@@ -256,9 +247,6 @@ class NullTracer(Tracer):
         super().__init__(lambda: 0, capacity=1)
         self._null_span = _NullSpan("null", 0)
         self._null_span._tracer = self
-
-    def begin_trace(self, name: str, **attributes: object) -> int:
-        return 0
 
     def end_trace(self, trace_id: int | None) -> None:
         pass

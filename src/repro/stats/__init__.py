@@ -2,39 +2,30 @@
 
 from repro.stats.gaussian import (
     gaussian_pdf,
-    gaussian_cdf,
-    logistic_cdf,
     gaussian_sum_pdf,
     gaussian_sum_cdf,
     logistic_sum_cdf,
 )
 from repro.stats.distributions import (
-    ZipfSampler,
     zipf_probabilities,
     fit_power_law,
     PowerLawFit,
 )
-from repro.stats.crossval import train_control_split, k_fold_indices
+from repro.stats.crossval import train_control_split
 from repro.stats.uniformness import (
     uniformness_variance,
     ks_distance_to_uniform,
-    empirical_cdf,
 )
 
 __all__ = [
     "gaussian_pdf",
-    "gaussian_cdf",
-    "logistic_cdf",
     "gaussian_sum_pdf",
     "gaussian_sum_cdf",
     "logistic_sum_cdf",
-    "ZipfSampler",
     "zipf_probabilities",
     "fit_power_law",
     "PowerLawFit",
     "train_control_split",
-    "k_fold_indices",
     "uniformness_variance",
     "ks_distance_to_uniform",
-    "empirical_cdf",
 ]

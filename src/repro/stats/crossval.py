@@ -39,21 +39,3 @@ def train_control_split(
     train = [items[i] for i in range(n) if i not in control_idx]
     control = [items[i] for i in range(n) if i in control_idx]
     return train, control
-
-
-def k_fold_indices(
-    n: int, k: int, rng: np.random.Generator | None = None
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Shuffled k-fold split of ``range(n)`` into (train, validation) pairs."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if n < k:
-        raise ValueError("need at least k items")
-    rng = rng if rng is not None else np.random.default_rng()
-    perm = rng.permutation(n)
-    folds = np.array_split(perm, k)
-    splits: list[tuple[np.ndarray, np.ndarray]] = []
-    for i, fold in enumerate(folds):
-        train = np.concatenate([f for j, f in enumerate(folds) if j != i])
-        splits.append((np.sort(train), np.sort(fold)))
-    return splits

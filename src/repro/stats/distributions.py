@@ -1,8 +1,8 @@
-"""Zipf/power-law sampling and fitting.
+"""Zipf laws and power-law fitting.
 
 Two uses in the reproduction:
 
-* the synthetic corpus generator draws term ranks from Zipf laws so that raw
+* the synthetic corpus generator weights term ranks by Zipf laws so that raw
   TF distributions follow a power law (paper Fig. 4) and document
   frequencies have the usual heavy head;
 * the Fig. 4/5 benchmarks *fit* a power law to measured distributions to
@@ -27,44 +27,6 @@ def zipf_probabilities(n: int, exponent: float = 1.0) -> np.ndarray:
     return weights / weights.sum()
 
 
-class ZipfSampler:
-    """Draw term ranks from a (finite-support) Zipf distribution.
-
-    Sampling is done by inverse-CDF lookup on a precomputed cumulative
-    table, which makes drawing a full synthetic corpus O(tokens · log V).
-    """
-
-    def __init__(self, n: int, exponent: float = 1.0, rng: np.random.Generator | None = None):
-        self.n = n
-        self.exponent = exponent
-        self._probs = zipf_probabilities(n, exponent)
-        self._cum = np.cumsum(self._probs)
-        self._rng = rng if rng is not None else np.random.default_rng()
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """The rank probabilities ``p_1..p_n`` (copy)."""
-        return self._probs.copy()
-
-    def sample(self, size: int) -> np.ndarray:
-        """Draw *size* ranks in ``0..n-1`` (0-based)."""
-        if size < 0:
-            raise ValueError("size must be non-negative")
-        u = self._rng.random(size)
-        return np.searchsorted(self._cum, u, side="left")
-
-    def sample_counts(self, size: int) -> np.ndarray:
-        """Draw *size* tokens and return per-rank counts (length ``n``).
-
-        Equivalent to ``np.bincount(self.sample(size), minlength=n)`` but
-        uses a single multinomial draw, which is much faster for long
-        documents.
-        """
-        if size < 0:
-            raise ValueError("size must be non-negative")
-        return self._rng.multinomial(size, self._probs)
-
-
 @dataclass(frozen=True)
 class PowerLawFit:
     """Least-squares fit of ``log10 y = slope * log10 x + intercept``.
@@ -82,11 +44,6 @@ class PowerLawFit:
     slope: float
     intercept: float
     r_squared: float
-
-    def predict(self, x) -> np.ndarray:
-        """Evaluate the fitted power law at *x*."""
-        x = np.asarray(x, dtype=float)
-        return 10.0 ** (self.slope * np.log10(x) + self.intercept)
 
 
 def fit_power_law(x, y) -> PowerLawFit:

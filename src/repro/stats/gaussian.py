@@ -46,17 +46,6 @@ def gaussian_pdf(x, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
     return _INV_SQRT_2PI / scale * np.exp(-0.5 * z * z)
 
 
-def gaussian_cdf(x, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-    """CDF of N(mu, (1/sigma)^2) at *x* via the error function (Eq. 7 exact)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    scale = 1.0 / sigma
-    z = (_as_array(x) - mu) / (scale * _SQRT2)
-    # np.vectorize'd math.erf is slower than the polynomial route below for
-    # large arrays; scipy is optional, so use the numpy-native erf fallback.
-    return 0.5 * (1.0 + _erf(z))
-
-
 def _erf(z: np.ndarray) -> np.ndarray:
     """Vectorised error function.
 
@@ -69,21 +58,6 @@ def _erf(z: np.ndarray) -> np.ndarray:
         return np.asarray(math.erf(float(z)))
     flat = np.array([math.erf(v) for v in z.ravel()])
     return flat.reshape(z.shape)
-
-
-def logistic_cdf(x, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-    """Logistic approximation of the Gaussian integral (paper Eq. 7/8).
-
-    ``1 / (1 + exp(-sigma * (x - mu)))`` — monotonically increasing in *x*,
-    range (0, 1), steepness σ.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    z = -sigma * (_as_array(x) - mu)
-    # Clip to avoid overflow in exp for extreme inputs; the result saturates
-    # to 0/1 well before the clip boundary matters.
-    z = np.clip(z, -700.0, 700.0)
-    return 1.0 / (1.0 + np.exp(z))
 
 
 def gaussian_sum_pdf(x, mus, sigma: float) -> np.ndarray:

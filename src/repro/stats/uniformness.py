@@ -34,13 +34,6 @@ def uniformness_variance(values) -> float:
     return float(((arr - expected) ** 2).mean())
 
 
-def empirical_cdf(values, grid) -> np.ndarray:
-    """Empirical CDF of *values* evaluated on *grid*."""
-    arr = np.sort(np.asarray(values, dtype=float))
-    grid = np.asarray(grid, dtype=float)
-    return np.searchsorted(arr, grid, side="right") / arr.size
-
-
 def ks_distance_to_uniform(values) -> float:
     """Kolmogorov–Smirnov distance between *values* and Uniform[0, 1]."""
     arr = np.sort(np.asarray(values, dtype=float))

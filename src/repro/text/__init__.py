@@ -1,20 +1,12 @@
 """Text processing substrate: tokenisation, term statistics, vocabulary."""
 
-from repro.text.tokenizer import Tokenizer, simple_tokenize
-from repro.text.analysis import (
-    DocumentStats,
-    normalized_tf,
-    raw_tf,
-    term_frequencies,
-)
+from repro.text.tokenizer import Tokenizer
+from repro.text.analysis import DocumentStats, term_frequencies
 from repro.text.vocabulary import Vocabulary
 
 __all__ = [
     "Tokenizer",
-    "simple_tokenize",
     "DocumentStats",
-    "normalized_tf",
-    "raw_tf",
     "term_frequencies",
     "Vocabulary",
 ]

@@ -1,4 +1,4 @@
-"""Per-document term statistics: raw and normalized term frequency.
+"""Per-document term statistics: term counts and the Eq. 4 score.
 
 The paper's relevance score for a single-term query (Eq. 4) is the
 *normalized term frequency*::
@@ -20,26 +20,6 @@ from dataclasses import dataclass
 def term_frequencies(tokens: Iterable[str]) -> Counter[str]:
     """Count occurrences of every term in a token stream."""
     return Counter(tokens)
-
-
-def raw_tf(tokens: Iterable[str], term: str) -> int:
-    """Number of occurrences of *term* in the token stream."""
-    return sum(1 for token in tokens if token == term)
-
-
-def normalized_tf(tf: int, doc_length: int) -> float:
-    """Normalized term frequency ``TF / |d|`` (Eq. 4).
-
-    Raises :class:`ValueError` for a zero-length document — such documents
-    contain no terms, so no posting element should ever be built for them.
-    """
-    if doc_length <= 0:
-        raise ValueError("document length must be positive")
-    if tf < 0:
-        raise ValueError("term frequency must be non-negative")
-    if tf > doc_length:
-        raise ValueError("term frequency cannot exceed document length")
-    return tf / doc_length
 
 
 @dataclass(frozen=True)
@@ -87,13 +67,3 @@ class DocumentStats:
         if self.length == 0:
             raise ValueError(f"document {self.doc_id!r} is empty")
         return self.counts.get(term, 0) / self.length
-
-    def terms(self) -> set[str]:
-        """The set of distinct terms occurring in the document."""
-        return set(self.counts)
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __contains__(self, term: object) -> bool:
-        return term in self.counts

@@ -10,7 +10,7 @@ this module produces, so the choice is encapsulated here.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 # Word characters incl. unicode letters/digits; apostrophes inside words kept
@@ -25,15 +25,6 @@ DEFAULT_STOPWORDS: frozenset[str] = frozenset(
     """a an and are as at be by for from has he in is it its of on that the
     to was were will with""".split()
 )
-
-
-def simple_tokenize(text: str) -> list[str]:
-    """Tokenise *text* with the default analyser (lowercase, no stopwords).
-
-    >>> simple_tokenize("The imClone report, v2!")
-    ['the', 'imclone', 'report', 'v2']
-    """
-    return [match.group(0).lower() for match in _TOKEN_RE.finditer(text)]
 
 
 @dataclass(frozen=True)
@@ -74,11 +65,3 @@ class Tokenizer:
             if token in self.stopwords:
                 continue
             yield token
-
-    def tokenize(self, text: str) -> list[str]:
-        """Return index terms from *text* as a list."""
-        return list(self.tokens(text))
-
-    def tokenize_all(self, texts: Iterable[str]) -> list[list[str]]:
-        """Tokenise a collection of texts, preserving order."""
-        return [self.tokenize(text) for text in texts]

@@ -9,7 +9,7 @@ and exposes ``p_t = df(t) / N``.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 
 from repro.errors import UnknownTermError
 from repro.text.analysis import DocumentStats
@@ -26,7 +26,6 @@ class Vocabulary:
     def __init__(self) -> None:
         self._df: Counter[str] = Counter()
         self._num_documents = 0
-        self._total_terms = 0
 
     # -- construction ------------------------------------------------------
 
@@ -41,7 +40,6 @@ class Vocabulary:
     def add_document(self, doc: DocumentStats) -> None:
         """Register one document's terms."""
         self._num_documents += 1
-        self._total_terms += doc.length
         for term in doc.counts:
             self._df[term] += 1
 
@@ -56,11 +54,6 @@ class Vocabulary:
     def num_terms(self) -> int:
         """Number of distinct terms."""
         return len(self._df)
-
-    @property
-    def total_term_occurrences(self) -> int:
-        """Total token count over all registered documents."""
-        return self._total_terms
 
     def document_frequency(self, term: str) -> int:
         """``n_d(t)``: number of documents containing *term* (0 if unseen)."""
@@ -80,26 +73,6 @@ class Vocabulary:
             raise UnknownTermError(term)
         return df / self._num_documents
 
-    def probability_or_zero(self, term: str) -> float:
-        """Like :meth:`probability` but returns 0.0 for unseen terms."""
-        if self._num_documents == 0:
-            return 0.0
-        return self._df.get(term, 0) / self._num_documents
-
-    def idf(self, term: str) -> float:
-        """Inverse document frequency ``log(N / n_d(t))`` (Eq. 3).
-
-        Provided for the ordinary-index baseline and for the multi-term
-        accuracy study; Zerber+R itself deliberately avoids IDF (paper
-        §3.2) because it leaks collection statistics.
-        """
-        import math
-
-        df = self.document_frequency(term)
-        if df == 0:
-            raise UnknownTermError(term)
-        return math.log(self._num_documents / df)
-
     def terms_by_frequency(self, descending: bool = True) -> list[str]:
         """All terms sorted by document frequency (ties broken by term)."""
         return [
@@ -110,10 +83,6 @@ class Vocabulary:
             )
         ]
 
-    def document_frequencies(self) -> Mapping[str, int]:
-        """Read-only view of the df table."""
-        return dict(self._df)
-
     # -- mapping protocol ----------------------------------------------------
 
     def __contains__(self, term: object) -> bool:
@@ -121,12 +90,3 @@ class Vocabulary:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._df)
-
-    def __len__(self) -> int:
-        return len(self._df)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Vocabulary(num_documents={self._num_documents}, "
-            f"num_terms={len(self._df)})"
-        )

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from repro import OrdinaryInvertedIndex, SystemConfig, ZerberRSystem
+from repro.core.protocol import BatchFetchRequest, FetchRequest
 from repro.corpus import tiny_corpus
 from repro.corpus.synthetic import SyntheticCorpusConfig, SyntheticCorpusGenerator
-from repro.index.postings import SEALED_SIZE
+from repro.index.postings import SEALED_SIZE, PostingElement
 
 
 @pytest.fixture(scope="session")
@@ -101,3 +102,15 @@ def sealed(label: bytes) -> bytes:
     if len(label) > SEALED_SIZE:
         raise ValueError(f"label longer than {SEALED_SIZE} bytes")
     return label.ljust(SEALED_SIZE, b".")
+
+
+def posting_bytes(element: PostingElement, number: int, doc_number: int) -> bytes:
+    """*element*'s encryption plaintext with term number *number* and
+    document number *doc_number*, through the writer's one encoder."""
+    return PostingElement.encoder(doc_number, element.doc_length)(element.tf, number)
+
+
+def slices_batch(principal: str, slices) -> BatchFetchRequest:
+    """One principal's batch of ``(list_id, offset, count)`` slices."""
+    requests = (FetchRequest(principal, *slice_) for slice_ in slices)
+    return BatchFetchRequest(tuple(requests))

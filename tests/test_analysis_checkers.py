@@ -90,6 +90,16 @@ def test_write_consistency_mirror_matches_enum():
     assert WRITE_CONSISTENCY_MEMBERS == {member.name for member in WriteConsistency}
 
 
+def test_a_match_over_a_consistency_enum_must_cover_every_member():
+    """A ``match`` is checked like an if/elif chain: cases that miss a
+    member with no wildcard give one finding; covering them, or a
+    ``case _``, gives none."""
+    bad = _lint("consistency_match_bad", None)
+    assert [f.rule for f in bad] == ["consistency-exhaustiveness"]
+    assert "match over ReadConsistency" in bad[0].message and "QUORUM" in bad[0].message
+    assert _lint("consistency_match_good", None) == []
+
+
 def test_a_host_thread_or_timer_import_in_the_core_fails_determinism():
     """``repro.core`` has one scheduler, the coordinator's tick agenda: a
     host thread or timer module is refused at import, submodules too."""

@@ -26,7 +26,7 @@ class TestFalsePositives:
         true_df = len(
             [d for d in corpus.doc_ids() if corpus.stats(d).tf(medium_term) > 0]
         )
-        assert index.visible_document_frequency(medium_term) >= true_df
+        assert len(index.visible_posting_set(medium_term)) >= true_df
 
     def test_precision_below_one_for_padded_terms(self, index, medium_term):
         outcome = index.query(medium_term)
@@ -51,19 +51,10 @@ class TestQuerying:
         with pytest.raises(UnknownTermError):
             index.query("no-such-term")
 
-    def test_no_ranking_cost_independent_of_k(self, index, medium_term):
-        assert index.query_top_k_cost(medium_term, 1) == index.query_top_k_cost(
-            medium_term, 50
-        )
-
-    def test_cost_equals_padded_set_size(self, index, medium_term):
-        assert index.query_top_k_cost(medium_term, 10) == len(
-            index.visible_posting_set(medium_term)
-        )
-
-    def test_invalid_k(self, index, medium_term):
-        with pytest.raises(ValueError):
-            index.query_top_k_cost(medium_term, 0)
+    def test_no_ranking_cost_is_the_padded_set(self, index, medium_term):
+        """No ranking: a query ships the whole padded set, whatever k."""
+        outcome = index.query(medium_term)
+        assert outcome.elements_transferred == len(index.visible_posting_set(medium_term))
 
     def test_transferred_matches_result_size(self, index, medium_term):
         outcome = index.query(medium_term)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.zerber import ZerberElement, ZerberServer, ZerberSystem
+from repro.core.confidentiality import audit_merge_plan
 from repro.crypto.keys import GroupKeyService
 from repro.errors import AccessDeniedError, UnknownTermError
 from repro.core.client import skim_matches
@@ -128,4 +129,4 @@ class TestSystem:
         probabilities = {
             t: zsystem.vocabulary.probability(t) for t in zsystem.vocabulary
         }
-        zsystem.merge_plan.verify(probabilities)
+        assert audit_merge_plan(zsystem.merge_plan, probabilities).is_confidential

@@ -1,17 +1,25 @@
-"""The bookkeeping of the benchmark tools in ``tools/``: the pair table's
-signs and verdicts, the committed record's shape, and the count gate's
-exact comparison — on hand-made reports, without running a benchmark."""
+"""The bookkeeping of the tools in ``tools/``: the pair table's signs and
+verdicts, the committed record's shape, the count gate's exact comparison
+— on hand-made reports, without running a benchmark — and the
+reachability census: its classes on a tiny package of its own, and its
+rows and pinned e2e targets against the defs under ``src/repro``."""
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import sys
+import textwrap
 from pathlib import Path
+
+import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 sys.path.insert(0, str(TOOLS))
 
 import bench_counts  # noqa: E402
 import bench_pairs  # noqa: E402
+import reach  # noqa: E402
 
 COUNTS = {
     "requests_per_query": 2.048,
@@ -88,3 +96,107 @@ def test_the_count_gate_compares_exactly():
     (line,) = bench_counts.differences(COUNTS, moved)
     assert line.startswith("bytes_per_query: recorded 3176.41, measured 3176.41")
     assert bench_counts.differences({}, COUNTS)[0].startswith("requests_per_query")
+
+
+def test_the_count_gate_refuses_medians_the_counts_have_left():
+    """A timed median of a paper unit more than 5 % from the record's own
+    count is a stale record; one 4 % off is not."""
+    runs = [_run(s, 1.0, 900.0) for s in (1, 2, 3)]
+    record = bench_pairs.make_record(runs, [1, 2, 3], "abc123")
+    assert bench_counts.stale_medians(record) == []
+    medians = record["workloads"]["mixed-write-read"]["end_to_end"]
+    medians["elements_per_query"]["median"] = COUNTS["elements_per_query"] * 1.04
+    assert bench_counts.stale_medians(record) == []
+    medians["bytes_per_query"]["median"] = 1.27 * COUNTS["bytes_per_query"]
+    (line,) = bench_counts.stale_medians(record)
+    assert line.startswith("mixed-write-read: bytes_per_query median 4034.")
+
+
+PACKAGE = """
+from typing import overload
+
+
+def used():
+    return 1
+
+
+def test_only():
+    return 2
+
+
+def unreached():
+    return 3
+
+
+@overload
+def stub(x: int) -> int: ...
+def stub(x):
+    return x
+
+
+class Base:
+    def hook(self):
+        raise NotImplementedError
+"""
+
+
+def test_the_census_classes_each_def_by_what_enters_it(tmp_path):
+    """Run under the hook, a user and a test of a tiny package class its
+    defs; the overload stub and a ``NotImplementedError`` body are not
+    counted, and a row whose def is used or gone is stale."""
+    src = tmp_path / "src"
+    (src / "pkg").mkdir(parents=True)
+    (src / "pkg" / "__init__.py").write_text(textwrap.dedent(PACKAGE))
+    run = [sys.executable, "-c"]
+    users = reach.record([[*run, "import pkg; pkg.used(); pkg.stub(1)"]], tmp_path / "u", src)
+    tests = reach.record([[*run, "import pkg; pkg.used(); pkg.test_only()"]], tmp_path / "t", src)
+    rows = {"pkg:test_only": "reference", "pkg:used": "observer", "pkg:gone": "fault"}
+    classes, problems = reach.classify(reach.defs(src), users, tests, rows, set())
+    named = {kind: [(d.key, reason) for d, reason in defs] for kind, defs in classes.items()}
+    assert named == {
+        "used": [("pkg:used", ""), ("pkg:stub", "")],
+        "test-only": [("pkg:test_only", "reference")],
+        "unreached": [("pkg:unreached", "")],
+    }
+    assert problems == [
+        "unreached: pkg:unreached (2 lines)",
+        "stale row: pkg:used covers no test-only def",
+        "stale row: pkg:gone covers no test-only def",
+    ]
+    # Without its row the test-only def is a finding of its own.
+    _, problems = reach.classify(reach.defs(src), users, tests, {}, set())
+    assert "no row: pkg:test_only (2 lines) is reached only by tests" in problems
+
+
+@functools.cache
+def _census_keys() -> tuple[frozenset[str], frozenset[str]]:
+    """The keys of every counted ``src/repro`` def, and of those ``pinned``."""
+    defs = reach.defs(reach.SRC)
+    return frozenset(d.key for d in defs), frozenset(reach.pinned(defs))
+
+
+@pytest.mark.parametrize("row", sorted(reach.ROWS))
+def test_each_census_row_names_a_def_in_src_and_one_reason(row):
+    """A row whose def was renamed or deleted is stale: tier-1 sees that at
+    once, without the census's runs, and a module row must still hold defs."""
+    assert reach.REASON.fullmatch(reach.ROWS[row])
+    keys, _ = _census_keys()
+    assert row in keys if ":" in row else any(key.startswith((f"{row}:", f"{row}.")) for key in keys)
+
+
+_spec = importlib.util.spec_from_file_location("e2e_tracing", reach.TARGETS_FILE)
+tracing = importlib.util.module_from_spec(_spec)  # type: ignore[arg-type]
+_spec.loader.exec_module(tracing)  # type: ignore[union-attr]
+
+
+@pytest.mark.parametrize(
+    "target", tracing.TARGETS, ids=[".".join(filter(None, t[2:])) for t in tracing.TARGETS]
+)
+def test_each_harness_target_is_a_pinned_def(target):
+    """``pinned`` maps every e2e ``TARGETS`` row to the def it wraps (an
+    alias such as ``coalesced_fetch`` to the def it is bound to), so a
+    wrapped def needs no hand-written row."""
+    _, module, owner, attr = target
+    raw = vars(tracing.target_owner(module, owner))[attr]
+    function = getattr(raw, "__func__", raw)
+    assert f"{function.__module__}:{function.__qualname__}" in _census_keys()[1]

@@ -1,6 +1,9 @@
 """End-to-end tests for the repro-index CLI."""
 
+import contextlib
+import io
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -9,6 +12,9 @@ import pytest
 from repro.cli import DEFAULT_SECRET, _corpus_from_directory, main
 from repro.crypto.keys import GroupKeyService
 from repro.persist import load_cluster
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import reach  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -273,3 +279,27 @@ class TestDocumentIdsNeverReachTheServer:
             escaped = json.dumps(doc_id)[1:-1]
             assert doc_id not in text and escaped not in text
             assert Path(doc_id).name not in text
+
+
+@pytest.fixture(scope="module")
+def census_runs(tmp_path_factory):
+    """Each ``reach.CLI`` line's exit code, stdout and stderr, run in order
+    in one directory, as the reachability census runs them."""
+    work, runs = tmp_path_factory.mktemp("census"), {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(reach.ROOT)  # ``lint src``
+        for line in reach.CLI:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                runs[line] = main(reach.cli_argv(line, work)), out.getvalue(), err.getvalue()
+    return runs
+
+
+@pytest.mark.parametrize("line", reach.CLI)
+def test_every_command_runs_in_every_format(census_runs, line):
+    """What the census counts as a CLI user exits 0 and reports; a JSON
+    format prints one JSON document to stdout."""
+    code, out, err = census_runs[line]
+    assert code == 0 and (out + err).strip()
+    if line.endswith("--format json"):
+        json.loads(out)

@@ -565,7 +565,7 @@ class TestClientSessionGuarantees:
             read_consistency="one",
         )
         alice = self._client(client_keys, cluster, model, plan)
-        alice.index_document(self._doc("d1", {"apple": 3}), "g1")
+        alice.index_document_with_receipts(self._doc("d1", {"apple": 3}), "g1")
         assert alice.version_floor(0) == cluster.primary_version(0)
         cluster.fail_server(cluster.replicas_of(0)[0])
         # The surviving follower never received the write; alice's floor
@@ -585,7 +585,7 @@ class TestClientSessionGuarantees:
         )
         writer = self._client(client_keys, cluster, model, plan)
         reader = self._client(client_keys, cluster, model, plan)
-        writer.index_document(self._doc("d1", {"apple": 3}), "g1")
+        writer.index_document_with_receipts(self._doc("d1", {"apple": 3}), "g1")
         assert reader.version_floor(0) == 0
         reader.query("apple", k=5)
         # The read's response version became the reader's floor: later
@@ -597,7 +597,7 @@ class TestClientSessionGuarantees:
             client_keys, num_lists=1, num_servers=2, replication=2, lag=1
         )
         alice = self._client(client_keys, cluster, model, plan)
-        alice.index_document(self._doc("d1", {"apple": 3}), "g1")
+        alice.index_document_with_receipts(self._doc("d1", {"apple": 3}), "g1")
         floor = alice.version_floor(0)
         assert floor is not None and floor >= 1
         alice._note_version(0, 0)  # a stale observation cannot lower it
@@ -608,7 +608,7 @@ class TestClientSessionGuarantees:
         keep floors like any other, and a floor there is always met."""
         cluster = ServerCluster(client_keys, num_lists=1, num_servers=1)
         alice = self._client(client_keys, cluster, model, plan)
-        alice.index_document(self._doc("d1", {"apple": 3}), "g1")
+        alice.index_document_with_receipts(self._doc("d1", {"apple": 3}), "g1")
         assert alice.version_floor(0) == cluster.primary_version(0) == 1
         session = alice.open_multi_session(["apple"], k=2)
         for request in session.pending_requests():
@@ -728,13 +728,13 @@ class TestFailoverAwareWriteRetry:
     ):
         cluster = self._cluster(client_keys)
         alice = self._client(client_keys, cluster, model, plan)
-        alice.index_document(self._doc("d1", {"apple": 3}), "g1")
+        alice.index_document_with_receipts(self._doc("d1", {"apple": 3}), "g1")
         cluster.run_replication_until_quiet()
         old_primary = cluster.replicas_of(0)[0]
         cluster.fail_server(old_primary)
         # The write parks: the retry loop drives replication ticks until
         # the election promotes a live follower, then goes through.
-        alice.index_document(self._doc("d2", {"apple": 5}), "g1")
+        alice.index_document_with_receipts(self._doc("d2", {"apple": 5}), "g1")
         new_primary = cluster.replicas_of(0)[0]
         assert new_primary != old_primary
         assert len(cluster.failover_history()) == 1
@@ -759,7 +759,7 @@ class TestFailoverAwareWriteRetry:
     ):
         cluster = self._cluster(client_keys)
         alice = self._client(client_keys, cluster, model, plan)
-        alice.index_document(self._doc("d1", {"apple": 3}), "g1")
+        alice.index_document_with_receipts(self._doc("d1", {"apple": 3}), "g1")
         cluster.run_replication_until_quiet()
         replicas = cluster.replicas_of(0)
         cluster.fail_server(replicas[0])
@@ -768,7 +768,7 @@ class TestFailoverAwareWriteRetry:
         # reach QUORUM=2, so the parked write surfaces honestly -- but
         # only after the election actually fired.
         with pytest.raises(QuorumWriteUnavailableError):
-            alice.index_document(self._doc("d2", {"apple": 5}), "g1")
+            alice.index_document_with_receipts(self._doc("d2", {"apple": 5}), "g1")
         assert len(cluster.failover_history()) == 1
         assert cluster.replicas_of(0)[0] == replicas[2]
 
@@ -782,7 +782,7 @@ class TestFailoverAwareWriteRetry:
         cluster.fail_server(cluster.replicas_of(0)[2])
         ticks_before = cluster.replication_manager.tick_count
         with pytest.raises(QuorumWriteUnavailableError):
-            alice.index_document(self._doc("d1", {"apple": 3}), "g1")
+            alice.index_document_with_receipts(self._doc("d1", {"apple": 3}), "g1")
         assert cluster.replication_manager.tick_count == ticks_before
 
     def test_no_parking_without_failover_machinery(
@@ -793,7 +793,7 @@ class TestFailoverAwareWriteRetry:
         cluster.fail_server(cluster.replicas_of(0)[0])
         ticks_before = cluster.replication_manager.tick_count
         with pytest.raises(QuorumWriteUnavailableError):
-            alice.index_document(self._doc("d1", {"apple": 3}), "g1")
+            alice.index_document_with_receipts(self._doc("d1", {"apple": 3}), "g1")
         assert cluster.replication_manager.tick_count == ticks_before
 
     def test_down_primary_refuses_quorum_even_with_follower_acks(

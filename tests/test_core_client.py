@@ -36,6 +36,7 @@ from repro.index.postings import (
 )
 from repro.obs import Telemetry
 from repro.text.analysis import DocumentStats
+from tests.conftest import posting_bytes
 
 
 def _keys():
@@ -116,8 +117,8 @@ def _doc(doc_id, counts):
 
 class TestInsert:
     def test_index_document_counts_elements(self, alice, server):
-        sent = alice.index_document(_doc("d1", {"apple": 2, "plum": 1}), "g1")
-        assert sent == 2
+        doc = _doc("d1", {"apple": 2, "plum": 1})
+        assert len(alice.index_document_with_receipts(doc, "g1")) == 2
         assert server.num_elements == 2
 
     def test_build_element_routes_to_merged_list(self, alice, plan):
@@ -145,10 +146,10 @@ class TestInsert:
         receipts = alice.index_document_with_receipts(_doc("d1", {"apple": 2}), "g1")
         with pytest.raises(UnknownTermError):
             alice.build_document(_doc("d0", {"mango": 1}), "g1")
-        alice.index_document(_doc("d2", {"plum": 1}), "g1")
-        bob.index_document(_doc("d2", {"plum": 1}), "g2")
+        alice.index_document_with_receipts(_doc("d2", {"plum": 1}), "g1")
+        bob.index_document_with_receipts(_doc("d2", {"plum": 1}), "g2")
         assert alice.delete_document(receipts) == 1
-        alice.index_document(_doc("d1", {"apple": 3}), "g1")
+        alice.index_document_with_receipts(_doc("d1", {"apple": 3}), "g1")
         assert keys._directories["g1"].names == ["d1", "d2"]
         assert keys._directories["g2"].names == ["d2"]
 
@@ -235,16 +236,17 @@ class TestInsert:
         assert [stored[r.ciphertext] for r in receipts] == [
             (r.list_id, r.trs) for r in receipts
         ]
-        assert alice.index_document(_doc("d2", {"apple": 1, "pear": 1}), "g1") == 2
+        doc = _doc("d2", {"apple": 1, "pear": 1})
+        assert len(alice.index_document_with_receipts(doc, "g1")) == 2
 
 
 class TestQuery:
     def _populate(self, alice, bob):
         # g1 documents: apple-heavy.
-        alice.index_document(_doc("a1", {"apple": 8, "pear": 2}), "g1")
-        alice.index_document(_doc("a2", {"apple": 1, "pear": 9}), "g1")
+        alice.index_document_with_receipts(_doc("a1", {"apple": 8, "pear": 2}), "g1")
+        alice.index_document_with_receipts(_doc("a2", {"apple": 1, "pear": 9}), "g1")
         # g2 documents.
-        bob.index_document(_doc("b1", {"apple": 5, "plum": 5}), "g2")
+        bob.index_document_with_receipts(_doc("b1", {"apple": 5, "plum": 5}), "g2")
 
     def test_topk_order_matches_rscore(self, alice, bob, root):
         self._populate(alice, bob)
@@ -336,8 +338,8 @@ class TestRevocationBetweenRounds:
             _client(name, keys, cluster, model, plan) for name in ("alice", "bob", "root")
         )
         for i in range(1, 6):
-            alice.index_document(_doc(f"a{i}", {"apple": i, "pear": 10 - i}), "g1")
-            bob.index_document(_doc(f"b{i}", {"apple": i + 1, "plum": 9 - i}), "g2")
+            alice.index_document_with_receipts(_doc(f"a{i}", {"apple": i, "pear": 10 - i}), "g1")
+            bob.index_document_with_receipts(_doc(f"b{i}", {"apple": i + 1, "plum": 9 - i}), "g2")
         assert {d[0] for d in root.query("apple", k=10).doc_ids()} == {"a", "b"}
         coordinator = Coordinator(cluster, round_latency=1)
         session = coordinator.open_session(
@@ -499,12 +501,12 @@ class TestTies:
 
     def _populate(self, alice, bob):
         # d1 lives in both groups with one score; a2 / b2 / a3 tie across docs.
-        alice.index_document(_doc("d1", {"apple": 4, "pear": 4}), "g1")
-        bob.index_document(_doc("d1", {"apple": 4, "plum": 4}), "g2")
-        alice.index_document(_doc("a2", {"apple": 2, "pear": 6}), "g1")
-        bob.index_document(_doc("b2", {"apple": 2, "plum": 6}), "g2")
-        alice.index_document(_doc("a3", {"apple": 1, "pear": 3}), "g1")
-        alice.index_document(_doc("a4", {"apple": 7, "pear": 1}), "g1")
+        alice.index_document_with_receipts(_doc("d1", {"apple": 4, "pear": 4}), "g1")
+        bob.index_document_with_receipts(_doc("d1", {"apple": 4, "plum": 4}), "g2")
+        alice.index_document_with_receipts(_doc("a2", {"apple": 2, "pear": 6}), "g1")
+        bob.index_document_with_receipts(_doc("b2", {"apple": 2, "plum": 6}), "g2")
+        alice.index_document_with_receipts(_doc("a3", {"apple": 1, "pear": 3}), "g1")
+        alice.index_document_with_receipts(_doc("a4", {"apple": 7, "pear": 1}), "g1")
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 9])
     def test_query_ranks_ties_like_the_eager_reference(
@@ -527,7 +529,7 @@ class TestTies:
         ring = keys.keyring("root", plan)
         for element in fetched:
             cipher, decode = ring[element.group]
-            posting = decode(cipher.decrypt(element.ciphertext))
+            posting = decode(cipher.try_decrypt(element.ciphertext))
             if posting.term == "apple":
                 eager.append(RankedHit(posting.doc_id, posting.rscore, element.group))
         eager.sort(key=lambda h: (-h.rscore, h.doc_id))
@@ -558,7 +560,7 @@ class TestStopInsideATie:
 
     def test_the_tied_match_served_first_is_kept(self, alice, root, server):
         for doc_id, tf in (("top", 9), ("z-tied", 5), ("a-tied", 5), ("low", 1)):
-            alice.index_document(_doc(doc_id, {"plum": tf, "pear": 10 - tf}), "g1")
+            alice.index_document_with_receipts(_doc(doc_id, {"plum": tf, "pear": 10 - tf}), "g1")
         stored = server.server(0).export_list(1)
         assert stored[1].trs == stored[2].trs  # one term, equal rscores
         result = root.query("plum", k=2, policy=ResponsePolicy(initial_size=2))
@@ -610,7 +612,7 @@ class TestStopRule:
         }
         for i, ((first, second), tf, group) in enumerate(documents):
             doc = _doc(f"d{i}", {first: tf, second: 5 - tf})
-            writers[group].index_document(doc, group)
+            writers[group].index_document_with_receipts(doc, group)
         result = _client(reader, keys, cluster, model, plan).query(
             term, k, policy=ResponsePolicy(initial_size=b)
         )
@@ -620,7 +622,7 @@ class TestStopRule:
         for element in cluster.server(0).export_list(plan.list_of(term)):
             if element.group in ring:
                 cipher, decode = ring[element.group]
-                posting = decode(cipher.decrypt(element.ciphertext))
+                posting = decode(cipher.try_decrypt(element.ciphertext))
                 scores.append(posting.rscore if posting.term == term else None)
         offset = rounds = held = 0
         while True:
@@ -639,8 +641,8 @@ class TestStopRule:
 
 class TestMultiTerm:
     def test_aggregation(self, alice, bob, root):
-        alice.index_document(_doc("a1", {"apple": 5, "pear": 5}), "g1")
-        alice.index_document(_doc("a2", {"apple": 9, "pear": 1}), "g1")
+        alice.index_document_with_receipts(_doc("a1", {"apple": 5, "pear": 5}), "g1")
+        alice.index_document_with_receipts(_doc("a2", {"apple": 9, "pear": 1}), "g1")
         result = root.query_multi_batched(["apple", "pear"], k=2)
         ranked = result.ranked
         assert len(result.traces) == 2
@@ -652,10 +654,10 @@ class TestMultiTerm:
 
 class TestBatchedMultiTerm:
     def _populate(self, alice, bob):
-        alice.index_document(_doc("a1", {"apple": 5, "pear": 5}), "g1")
-        alice.index_document(_doc("a2", {"apple": 9, "pear": 1}), "g1")
-        alice.index_document(_doc("a3", {"apple": 2, "pear": 7, "plum": 1}), "g1")
-        bob.index_document(_doc("b1", {"apple": 5, "plum": 5}), "g2")
+        alice.index_document_with_receipts(_doc("a1", {"apple": 5, "pear": 5}), "g1")
+        alice.index_document_with_receipts(_doc("a2", {"apple": 9, "pear": 1}), "g1")
+        alice.index_document_with_receipts(_doc("a3", {"apple": 2, "pear": 7, "plum": 1}), "g1")
+        bob.index_document_with_receipts(_doc("b1", {"apple": 5, "plum": 5}), "g2")
 
     def test_batched_matches_sequential_per_term_queries(self, alice, bob, root):
         self._populate(alice, bob)
@@ -857,7 +859,7 @@ class TestTracesAgree:
         """An element that passes its IV check and decodes malformed — a
         header naming a term number past the plan — written through the
         owner's cipher, at the head of *list_id*."""
-        header = PostingElement("t", "d", 1, 2).to_bytes(2**32 - 1, 0)
+        header = posting_bytes(PostingElement("t", "d", 1, 2), 2**32 - 1, 0)
         bad = keys.cipher_for(owner, group).encrypt(header)
         server.insert(
             owner, list_id, EncryptedPostingElement(ciphertext=bad, group=group, trs=1.0)
@@ -999,13 +1001,13 @@ def _frames_entered(call):
         if event == "call":
             entered += 1
 
-    enabled = gc.isenabled()
+    enabled, previous = gc.isenabled(), sys.getprofile()
     gc.disable()
     sys.setprofile(profile)
     try:
         call()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)  # a census or coverage hook keeps running
         if enabled:
             gc.enable()
     return entered - 1  # the lambda itself
@@ -1017,7 +1019,7 @@ class TestWarmReadPathCounts:
     ):
         cluster = ServerCluster(keys, num_lists=2, num_servers=2)
         writer = _client("alice", keys, cluster, model, plan)
-        writer.index_document(_doc("a1", {"apple": 5, "pear": 5}), "g1")
+        writer.index_document_with_receipts(_doc("a1", {"apple": 5, "pear": 5}), "g1")
         reader = _client("root", keys, cluster, model, plan)
         reader.query_multi_batched(["apple", "pear"], k=1)  # warm
         seen = {ServerCluster: [], ZerberRServer: []}

@@ -28,7 +28,7 @@ from repro.errors import (
 )
 from repro.index.postings import STORED_ELEMENT_BITS, EncryptedPostingElement
 from repro.obs import Telemetry
-from tests.conftest import sealed
+from tests.conftest import sealed, slices_batch
 
 
 @pytest.fixture()
@@ -249,7 +249,7 @@ class TestBatchFetchCluster:
 
     def test_batch_spans_shards(self, keys):
         cluster = self._populated(keys)
-        batch = BatchFetchRequest.for_slices(
+        batch = slices_batch(
             "u", [(0, 0, 2), (1, 0, 2), (2, 1, 2), (3, 0, 1)]
         )
         batched = cluster.batch_fetch(batch)
@@ -259,7 +259,7 @@ class TestBatchFetchCluster:
 
     def test_one_sub_batch_per_touched_server(self, keys):
         cluster = self._populated(keys)
-        batch = BatchFetchRequest.for_slices(
+        batch = slices_batch(
             "u", [(0, 0, 1), (2, 0, 1), (1, 0, 1), (3, 0, 1)]
         )
         cluster.batch_fetch(batch)
@@ -276,7 +276,7 @@ class TestBatchFetchCluster:
         primary = cluster.replicas_of(0)[0]
         cluster.fail_server(primary)
         batched = cluster.batch_fetch(
-            BatchFetchRequest.for_slices("u", [(0, 0, 1), (1, 0, 1)])
+            slices_batch("u", [(0, 0, 1), (1, 0, 1)])
         )
         assert [r.elements[0].trs for r in batched] == [0.9, 0.9]
         # Nothing was served by the failed primary.
@@ -290,11 +290,11 @@ class TestBatchFetchCluster:
         cluster.fail_server(cluster.replicas_of(0)[0])
         with pytest.raises(ProtocolError):
             cluster.batch_fetch(
-                BatchFetchRequest.for_slices("u", [(0, 0, 1), (1, 0, 1)])
+                slices_batch("u", [(0, 0, 1), (1, 0, 1)])
             )
         # Lists on the surviving server still batch-fetch fine.
         batched = cluster.batch_fetch(
-            BatchFetchRequest.for_slices("u", [(1, 0, 1), (3, 0, 1)])
+            slices_batch("u", [(1, 0, 1), (3, 0, 1)])
         )
         assert len(batched) == 2
 
@@ -740,7 +740,7 @@ class TestReadInstrumentsPerServerCall:
         lags = telemetry.registry.histogram("cluster_read_lag_ticks")
         cluster.fetch(FetchRequest("u", 0, 0, 1))
         assert self._counted(reads, lags, "primary") == (1, 1)
-        batch = BatchFetchRequest.for_slices("u", [(0, 0, 1), (1, 0, 1), (2, 0, 1)])
+        batch = slices_batch("u", [(0, 0, 1), (1, 0, 1), (2, 0, 1)])
         cluster.read_consistency = ReadConsistency.ONE
         cluster.batch_fetch(batch)  # splits over both servers
         assert {o.batch_id for s in range(2) for o in cluster.observations_at(s)} >= {1}
@@ -748,7 +748,7 @@ class TestReadInstrumentsPerServerCall:
         cluster.read_consistency = ReadConsistency.QUORUM
         server = cluster.route(3)
         cluster.serve_envelope(
-            server, BatchFetchRequest.for_slices("u", [(3, 0, 1), (3, 1, 1)])
+            server, slices_batch("u", [(3, 0, 1), (3, 1, 1)])
         )
         assert self._counted(reads, lags, "quorum") == (2, 2)
         # A follower that still waits for its copy reports the ticks left.
@@ -850,7 +850,7 @@ class TestLoadAccounting:
 
     def test_a_split_batch_is_one_call_per_touched_server(self, keys):
         cluster = self._cluster(keys)
-        batch = BatchFetchRequest.for_slices(
+        batch = slices_batch(
             "u", [(0, 0, 1), (1, 0, 1), (2, 0, 1)]
         )
         cluster.batch_fetch(batch)

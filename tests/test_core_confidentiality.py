@@ -1,56 +1,9 @@
-"""Unit tests for r-confidentiality auditing (Def. 1 & 2)."""
+"""Unit tests for r-confidentiality auditing (Def. 2)."""
 
 import pytest
 
-from repro.core.confidentiality import (
-    attribution_probabilities,
-    audit_merge_plan,
-    probability_amplification,
-    require_r_confidential,
-)
-from repro.errors import ConfidentialityViolationError
+from repro.core.confidentiality import audit_merge_plan
 from repro.index.merge import MergePlan
-
-
-class TestAmplification:
-    def test_ratio(self):
-        assert probability_amplification(0.1, 0.4) == pytest.approx(4.0)
-
-    def test_no_amplification(self):
-        assert probability_amplification(0.2, 0.2) == pytest.approx(1.0)
-
-    def test_invalid_prior(self):
-        with pytest.raises(ValueError):
-            probability_amplification(0.0, 0.5)
-
-    def test_invalid_posterior(self):
-        with pytest.raises(ValueError):
-            probability_amplification(0.5, 1.5)
-
-
-class TestAttribution:
-    def test_proportional_to_priors(self):
-        post = attribution_probabilities(["a", "b"], {"a": 0.3, "b": 0.1})
-        assert post["a"] == pytest.approx(0.75)
-        assert post["b"] == pytest.approx(0.25)
-
-    def test_sums_to_one(self):
-        post = attribution_probabilities(
-            ["a", "b", "c"], {"a": 0.2, "b": 0.05, "c": 0.15}
-        )
-        assert sum(post.values()) == pytest.approx(1.0)
-
-    def test_amplification_equals_inverse_mass(self):
-        probs = {"a": 0.3, "b": 0.1}
-        post = attribution_probabilities(["a", "b"], probs)
-        for term in probs:
-            assert probability_amplification(probs[term], post[term]) == pytest.approx(
-                1 / 0.4
-            )
-
-    def test_zero_mass_rejected(self):
-        with pytest.raises(ValueError):
-            attribution_probabilities(["a"], {"a": 0.0})
 
 
 class TestAudit:
@@ -60,7 +13,6 @@ class TestAudit:
         plan = MergePlan(groups=(("a", "b"), ("c", "d")), r=4.0)
         audit = audit_merge_plan(plan, self.PROBS)
         assert audit.is_confidential
-        assert audit.violating_lists() == []
 
     def test_amplification_values(self):
         plan = MergePlan(groups=(("a", "b"), ("c", "d")), r=4.0)
@@ -73,16 +25,17 @@ class TestAudit:
         plan = MergePlan(groups=(("c",),), r=4.0)  # mass 0.05 -> amp 20
         audit = audit_merge_plan(plan, self.PROBS)
         assert not audit.is_confidential
-        assert audit.violating_lists() == [0]
 
-    def test_require_raises(self):
-        plan = MergePlan(groups=(("c",),), r=4.0)
-        with pytest.raises(ConfidentialityViolationError):
-            require_r_confidential(plan, self.PROBS)
-
-    def test_require_passes(self):
+    def test_one_list_of_every_term_passes(self):
         plan = MergePlan(groups=(("a", "b", "c", "d"),), r=2.0)
-        require_r_confidential(plan, self.PROBS)
+        audit = audit_merge_plan(plan, self.PROBS)
+        assert audit.is_confidential
+        assert audit.max_amplification == pytest.approx(1 / 0.7)
+
+    def test_zero_mass_rejected(self):
+        plan = MergePlan(groups=(("a",), ("z",)), r=2.0)
+        with pytest.raises(ValueError):
+            audit_merge_plan(plan, {"a": 0.6, "z": 0.0})
 
     def test_boundary_exact_r(self):
         # mass exactly 1/r should pass (Def. 2 uses >=).

@@ -1,6 +1,5 @@
 """Tests for the bucketed-IDF extension (the paper's future work)."""
 
-import math
 
 import numpy as np
 import pytest
@@ -36,7 +35,6 @@ class TestTraining:
 
     def test_single_bucket_publishes_nothing(self):
         idf = BucketedIdf.train(_docs(), num_buckets=1)
-        assert idf.leakage_bits() == 0.0
         assert idf.bucket("common") == idf.bucket("rare") == 0
 
     def test_unseen_terms_get_top_bucket(self):
@@ -59,22 +57,6 @@ class TestTraining:
             BucketedIdf.train([], num_buckets=2)
         with pytest.raises(ConfigurationError):
             BucketedIdf(buckets={"t": 5}, weights={0: 1.0}, num_buckets=2)
-
-
-class TestLeakage:
-    def test_worst_case_bits(self):
-        idf = BucketedIdf.train(_docs(), num_buckets=8)
-        assert idf.leakage_bits() == pytest.approx(3.0)
-
-    def test_empirical_at_most_worst_case(self):
-        for buckets in (2, 4, 8):
-            idf = BucketedIdf.train(_docs(), num_buckets=buckets)
-            assert idf.empirical_leakage_bits() <= idf.leakage_bits() + 1e-9
-
-    def test_far_below_exact_idf_leakage(self):
-        # Exact IDF reveals the full df: log2(N) bits for N documents.
-        idf = BucketedIdf.train(_docs(), num_buckets=4)
-        assert idf.leakage_bits() < math.log2(20)
 
 
 class _Hit:

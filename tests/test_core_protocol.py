@@ -106,17 +106,6 @@ class TestBatchFetchMessages:
         with pytest.raises(ProtocolError):
             BatchFetchRequest(requests=())
 
-    def test_for_slices_builder(self):
-        batch = BatchFetchRequest.for_slices("p", [(0, 0, 5), (3, 10, 2)])
-        assert len(batch) == 2
-        assert batch.requests[1] == self._request(
-            principal="p", list_id=3, offset=10, count=2
-        )
-
-    def test_slice_validation_still_applies(self):
-        with pytest.raises(ProtocolError):
-            BatchFetchRequest.for_slices("p", [(0, -1, 5)])
-
     def test_response_accounting(self):
         response = BatchFetchResponse(
             responses=(

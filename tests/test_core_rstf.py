@@ -61,10 +61,6 @@ class TestRstf:
         rstf = train_rstf(self.SCORES, sigma=50.0)
         assert isinstance(rstf.transform(0.2), float)
 
-    def test_callable(self):
-        rstf = train_rstf(self.SCORES, sigma=50.0)
-        assert rstf(0.2) == rstf.transform(0.2)
-
     def test_midpoint_at_half_for_single_score(self):
         rstf = train_rstf([0.3], sigma=40.0)
         assert rstf.transform(0.3) == pytest.approx(0.5)

@@ -1,59 +1,13 @@
-"""Unit tests for relevance scoring (Eq. 3/4)."""
-
-import math
+"""Unit tests for relevance scoring (Eq. 4)."""
 
 import pytest
 
-from repro.core.scoring import (
-    extract_term_scores,
-    rscore,
-    scores_by_term_for_corpus,
-    tfidf_rscore,
-)
+from repro.core.scoring import extract_term_scores
 from repro.text.analysis import DocumentStats
-from repro.text.vocabulary import Vocabulary
 
 
 def _doc(doc_id, counts):
     return DocumentStats.from_counts(doc_id, counts)
-
-
-class TestRscore:
-    def test_eq4(self):
-        assert rscore(3, 12) == pytest.approx(0.25)
-
-    def test_bounds(self):
-        assert rscore(0, 10) == 0.0
-        assert rscore(10, 10) == 1.0
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            rscore(1, 0)
-        with pytest.raises(ValueError):
-            rscore(-1, 10)
-        with pytest.raises(ValueError):
-            rscore(11, 10)
-
-
-class TestTfidf:
-    def test_matches_eq3(self):
-        docs = [_doc("d1", {"a": 2, "b": 2}), _doc("d2", {"a": 1})]
-        vocab = Vocabulary.from_documents(docs)
-        score = tfidf_rscore(["b"], docs[0], vocab)
-        assert score == pytest.approx((2 / 4) * math.log(2 / 1))
-
-    def test_multi_term_sums(self):
-        docs = [_doc("d1", {"a": 1, "b": 1}), _doc("d2", {"b": 1})]
-        vocab = Vocabulary.from_documents(docs)
-        combined = tfidf_rscore(["a", "b"], docs[0], vocab)
-        single_a = tfidf_rscore(["a"], docs[0], vocab)
-        single_b = tfidf_rscore(["b"], docs[0], vocab)
-        assert combined == pytest.approx(single_a + single_b)
-
-    def test_absent_and_unknown_terms_ignored(self):
-        docs = [_doc("d1", {"a": 1}), _doc("d2", {"b": 1})]
-        vocab = Vocabulary.from_documents(docs)
-        assert tfidf_rscore(["zzz", "b"], docs[0], vocab) == 0.0
 
 
 class TestExtraction:
@@ -67,14 +21,3 @@ class TestExtraction:
     def test_empty_document_rejected(self):
         with pytest.raises(ValueError):
             extract_term_scores([DocumentStats(doc_id="e", counts={}, length=0)])
-
-    def test_restricted_extraction(self):
-        scores = scores_by_term_for_corpus(
-            [_doc("d1", {"a": 1, "b": 1})], terms=["a"]
-        )
-        assert set(scores) == {"a"}
-        assert scores["a"] == [pytest.approx(0.5)]
-
-    def test_restricted_extraction_missing_term_empty(self):
-        scores = scores_by_term_for_corpus([_doc("d1", {"a": 1})], terms=["q"])
-        assert scores["q"] == []

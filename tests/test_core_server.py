@@ -18,7 +18,7 @@ from repro.persist.clusterstate import (
     replication_op_from_dict,
     replication_op_to_dict,
 )
-from tests.conftest import sealed
+from tests.conftest import sealed, slices_batch
 
 
 @pytest.fixture()
@@ -290,7 +290,7 @@ class TestBatchFetch:
 
     def test_batch_matches_singleton_fetches(self, server):
         self._populate(server)
-        batch = BatchFetchRequest.for_slices("root", [(0, 0, 2), (1, 0, 2), (0, 2, 2)])
+        batch = slices_batch("root", [(0, 0, 2), (1, 0, 2), (0, 2, 2)])
         batched = server.batch_fetch(batch, [0] * len(batch))
         assert len(batched) == 3
         for request, response in zip(batch.requests, batched.responses):
@@ -302,9 +302,9 @@ class TestBatchFetch:
         self._populate(server)
         server.clear_observations()
         server.batch_fetch(
-            BatchFetchRequest.for_slices("root", [(0, 0, 1), (1, 0, 1)]), [0, 0]
+            slices_batch("root", [(0, 0, 1), (1, 0, 1)]), [0, 0]
         )
-        server.batch_fetch(BatchFetchRequest.for_slices("root", [(0, 1, 1)]), [0])
+        server.batch_fetch(slices_batch("root", [(0, 1, 1)]), [0])
         ids = [obs.batch_id for obs in server.observations]
         assert len(ids) == 3
         assert ids[0] == ids[1] is not None
@@ -318,14 +318,14 @@ class TestBatchFetch:
     def test_batch_access_control_per_slice(self, server):
         self._populate(server)
         batched = server.batch_fetch(
-            BatchFetchRequest.for_slices("alice", [(0, 0, 10), (1, 0, 10)]), [0, 0]
+            slices_batch("alice", [(0, 0, 10), (1, 0, 10)]), [0, 0]
         )
         for response in batched:
             assert all(e.group == "g1" for e in response.elements)
 
     def test_batch_unknown_list(self, server):
         with pytest.raises(UnknownListError):
-            server.batch_fetch(BatchFetchRequest.for_slices("root", [(9, 0, 1)]), [0])
+            server.batch_fetch(slices_batch("root", [(9, 0, 1)]), [0])
 
 
 class TestReadableViews:

@@ -6,6 +6,8 @@ import weakref
 import pytest
 
 from repro import SystemConfig, ZerberRSystem
+from repro.core.confidentiality import audit_merge_plan
+from repro.core.system import MERGE_SCHEMES
 from repro.crypto.keys import GroupKeyService
 from repro.errors import AccessDeniedError, ConfigurationError
 from repro.index.merge import MergePlan
@@ -26,11 +28,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             SystemConfig(merge_scheme="magic")
 
+    def test_the_merge_schemes_are_bfm_and_greedy(self):
+        assert MERGE_SCHEMES == ("bfm", "greedy")
+        with pytest.raises(ConfigurationError):
+            SystemConfig(merge_scheme="random")
+
 
 class TestBuild:
     def test_all_corpus_terms_in_plan(self, system):
         vocab_terms = set(iter(system.vocabulary))
-        assert vocab_terms <= system.merge_plan.all_terms()
+        assert vocab_terms <= set(system.merge_plan.terms)
 
     def test_one_server_cluster_holds_all_posting_elements(self, system, corpus):
         """One deployment shape: the paper's single index server is a
@@ -85,7 +92,7 @@ class TestBuild:
         probabilities = {
             t: system.vocabulary.probability(t) for t in system.vocabulary
         }
-        system.merge_plan.verify(probabilities)
+        assert audit_merge_plan(system.merge_plan, probabilities).is_confidential
 
 
 class TestQuerying:
@@ -234,7 +241,7 @@ class TestADroppedDeploymentIsFreedByReferenceCounting:
 
 
 class TestMergeSchemes:
-    @pytest.mark.parametrize("scheme", ["bfm", "random", "greedy"])
+    @pytest.mark.parametrize("scheme", ["bfm", "greedy"])
     def test_all_schemes_confidential(self, micro_corpus, scheme):
         system = ZerberRSystem.build(
             micro_corpus, SystemConfig(r=3.0, merge_scheme=scheme, seed=1)
@@ -337,7 +344,7 @@ class TestDeployShardsTheBuiltIndex:
         donor = corpus.documents_in_group(other)[0].doc_id
         writer = system.client_for(f"owner:{group}")
         added = DocumentStats.from_counts("added-doc", dict(corpus.stats(donor).counts))
-        assert writer.index_document(added, group) == len(added.counts)
+        assert len(writer.index_document_with_receipts(added, group)) == len(added.counts)
         cipher, decode = system.key_service.keyring("superuser", system.merge_plan)[group]
         receipts = [
             Receipt(list_id, element.ciphertext, element.trs)

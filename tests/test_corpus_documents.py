@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.corpus.documents import Corpus, Document, corpus_from_texts
+from repro.corpus.documents import Corpus, Document
 
 
 class TestDocument:
@@ -42,6 +42,10 @@ class TestCorpus:
         assert len(corpus) == 3
         assert [d.doc_id for d in corpus] == ["a", "b", "c"]
 
+    def test_membership_is_a_type_error_not_false(self):
+        with pytest.raises(TypeError):
+            "a" in self._corpus()
+
     def test_duplicate_id_rejected(self):
         corpus = self._corpus()
         with pytest.raises(ValueError):
@@ -64,11 +68,6 @@ class TestCorpus:
         corpus = self._corpus()
         assert [d.doc_id for d in corpus.documents_in_group("g1")] == ["a", "b"]
 
-    def test_contains(self):
-        corpus = self._corpus()
-        assert "a" in corpus
-        assert "zzz" not in corpus
-
     def test_sample_size(self):
         corpus = self._corpus()
         sample = corpus.sample(0.67, np.random.default_rng(1))
@@ -85,18 +84,3 @@ class TestCorpus:
     def test_all_stats_order(self):
         corpus = self._corpus()
         assert [s.doc_id for s in corpus.all_stats()] == ["a", "b", "c"]
-
-
-class TestCorpusFromTexts:
-    def test_builds_documents(self):
-        corpus = corpus_from_texts(["hello world", "goodbye"])
-        assert len(corpus) == 2
-        assert corpus.stats("d000000").tf("hello") == 1
-
-    def test_groups_assigned(self):
-        corpus = corpus_from_texts(["a", "b"], groups=["g1", "g2"])
-        assert corpus.document("d000001").group == "g2"
-
-    def test_group_length_mismatch(self):
-        with pytest.raises(ValueError):
-            corpus_from_texts(["a"], groups=["g1", "g2"])

@@ -58,7 +58,7 @@ class TestGeneration:
         assert any(
             a.stats(i).counts != b.stats(i).counts
             for i in a.doc_ids()
-            if i in b
+            if i in b.doc_ids()
         )
 
     def test_lengths_within_bounds(self, corpus):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.crypto.cipher import IV_SIZE, StreamCipher
-from repro.errors import AuthenticationError
 from repro.index.postings import HEADER_SIZE
 
 KEY = b"k" * 32
@@ -14,35 +13,31 @@ POSTING = bytes(range(HEADER_SIZE))
 class TestStreamCipher:
     def test_roundtrip(self):
         cipher = StreamCipher(KEY)
-        assert cipher.decrypt(cipher.encrypt(b"hello")) == b"hello"
+        assert cipher.try_decrypt(cipher.encrypt(b"hello")) == b"hello"
 
     def test_empty_plaintext(self):
         cipher = StreamCipher(KEY)
-        assert cipher.decrypt(cipher.encrypt(b"")) == b""
+        assert cipher.try_decrypt(cipher.encrypt(b"")) == b""
 
     def test_ciphertext_layout(self):
         assert len(StreamCipher(KEY).encrypt(b"abc")) == IV_SIZE + 3
 
     def test_wrong_key_fails_auth(self):
         ciphertext = StreamCipher(KEY).encrypt(b"secret")
-        with pytest.raises(AuthenticationError):
-            StreamCipher(b"x" * 32).decrypt(ciphertext)
+        assert StreamCipher(b"x" * 32).try_decrypt(ciphertext) is None
 
     def test_tampered_body_fails_auth(self):
         ciphertext = bytearray(StreamCipher(KEY).encrypt(b"secret"))
         ciphertext[IV_SIZE] ^= 0x01
-        with pytest.raises(AuthenticationError):
-            StreamCipher(KEY).decrypt(bytes(ciphertext))
+        assert StreamCipher(KEY).try_decrypt(bytes(ciphertext)) is None
 
     def test_tampered_iv_fails_auth(self):
         ciphertext = bytearray(StreamCipher(KEY).encrypt(b"secret"))
         ciphertext[0] ^= 0x01
-        with pytest.raises(AuthenticationError):
-            StreamCipher(KEY).decrypt(bytes(ciphertext))
+        assert StreamCipher(KEY).try_decrypt(bytes(ciphertext)) is None
 
     def test_truncated_ciphertext_fails(self):
-        with pytest.raises(AuthenticationError):
-            StreamCipher(KEY).decrypt(b"short")
+        assert StreamCipher(KEY).try_decrypt(b"short") is None
 
     @pytest.mark.parametrize("position", range(IV_SIZE + HEADER_SIZE))
     def test_every_byte_of_a_sealed_posting_is_authenticated(self, position):
@@ -50,8 +45,6 @@ class TestStreamCipher:
         cipher = StreamCipher(KEY)
         ciphertext = bytearray(cipher.encrypt(POSTING))
         ciphertext[position] ^= 0x80
-        with pytest.raises(AuthenticationError):
-            cipher.decrypt(bytes(ciphertext))
         assert cipher.try_decrypt(bytes(ciphertext)) is None
 
     @pytest.mark.parametrize(
@@ -61,14 +54,11 @@ class TestStreamCipher:
         """A prefix is refused, the bare IV (an empty body) included."""
         cipher = StreamCipher(KEY)
         cut = cipher.encrypt(POSTING)[:length]
-        with pytest.raises(AuthenticationError):
-            cipher.decrypt(cut)
         assert cipher.try_decrypt(cut) is None
 
     def test_an_extended_posting_is_refused(self):
         cipher = StreamCipher(KEY)
-        with pytest.raises(AuthenticationError):
-            cipher.decrypt(cipher.encrypt(POSTING) + b"\x00")
+        assert cipher.try_decrypt(cipher.encrypt(POSTING) + b"\x00") is None
 
     def test_one_postings_iv_on_anothers_body_is_refused(self):
         """The IV binds its own body: a splice of two sealed postings of

@@ -177,7 +177,7 @@ class TestAllOrNothing:
             keys, num_lists=LISTS, num_servers=SERVERS, replication=3, lag=2
         )
         writer = ZerberRClient("u", keys, cluster, RstfModel({}), plan)
-        writer.index_document(DocumentStats.from_counts("d", {"fig": 1}), "g")
+        writer.index_document_with_receipts(DocumentStats.from_counts("d", {"fig": 1}), "g")
         before = _state(cluster)
         encrypted = len(counted_encrypts)
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.protocol import BatchQueryTrace, QueryTrace, ResponsePolicy
+from repro.core.protocol import BatchQueryTrace, QueryTrace
 from repro.evalmetrics.bandwidth import (
     average_bandwidth_overhead,
     average_num_requests,
@@ -11,27 +11,14 @@ from repro.evalmetrics.bandwidth import (
     total_server_requests,
     efficiency_at_percentile,
     efficiency_curve,
-    query_efficiency,
-    satisfied_fraction,
-    total_response_size,
 )
 
 
-def _trace(k, transferred, requests=1, satisfied=True):
-    return QueryTrace(
-        term="t",
-        k=k,
-        num_requests=requests,
-        elements_transferred=transferred,
-        satisfied=satisfied,
-    )
+def _trace(k, transferred, requests=1):
+    return QueryTrace(term="t", k=k, num_requests=requests, elements_transferred=transferred)
 
 
 class TestAggregates:
-    def test_total_response_size_eq12(self):
-        policy = ResponsePolicy(initial_size=10)
-        assert total_response_size(policy, 3) == 70
-
     def test_avbo_eq13(self):
         traces = [_trace(10, 10), _trace(10, 30)]
         assert average_bandwidth_overhead(traces) == pytest.approx(2.0)
@@ -40,26 +27,17 @@ class TestAggregates:
         traces = [_trace(10, 10, requests=1), _trace(10, 30, requests=3)]
         assert average_num_requests(traces) == pytest.approx(2.0)
 
-    def test_query_efficiency_eq14(self):
-        assert query_efficiency(_trace(10, 40)) == pytest.approx(0.25)
-
-    def test_satisfied_fraction(self):
-        traces = [_trace(10, 10), _trace(10, 10, satisfied=False)]
-        assert satisfied_fraction(traces) == pytest.approx(0.5)
-
-    @pytest.mark.parametrize("build", ["zerber-r", "zerber", "ordinary"])
+    @pytest.mark.parametrize("build", ["zerber-r", "zerber"])
     def test_satisfied_means_k_matches_held_on_every_system(
         self, build, system, corpus, rare_term, frequent_term
     ):
-        """``satisfied_fraction`` averages the flag across systems, so it
-        means one thing on each: the query held k matches."""
-        from repro.baselines.ordinary import OrdinarySearchSystem
+        """The flag means one thing on each system: the query held k
+        matches."""
         from repro.baselines.zerber import ZerberSystem
 
         searched = {
             "zerber-r": lambda: system,
             "zerber": lambda: ZerberSystem.build(corpus, r=4.0, seed=9),
-            "ordinary": lambda: OrdinarySearchSystem.build(corpus),
         }[build]()
         short = searched.query(rare_term, k=2)  # one document holds the term
         assert len(short.hits) == 1 and not short.trace.satisfied
@@ -73,8 +51,6 @@ class TestAggregates:
             average_num_requests([])
         with pytest.raises(ValueError):
             efficiency_curve([])
-        with pytest.raises(ValueError):
-            satisfied_fraction([])
 
 
 class TestCurve:

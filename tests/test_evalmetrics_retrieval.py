@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.evalmetrics.retrieval import kendall_tau, overlap_at_k, precision_at_k
+from repro.evalmetrics.retrieval import kendall_tau, overlap_at_k
 
 
 class TestOverlap:
@@ -21,20 +21,6 @@ class TestOverlap:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             overlap_at_k(["a"], ["a"], 0)
-
-
-class TestPrecision:
-    def test_all_relevant(self):
-        assert precision_at_k(["a", "b"], ["a", "b", "c"], 2) == 1.0
-
-    def test_half_relevant(self):
-        assert precision_at_k(["a", "x"], ["a"], 2) == 0.5
-
-    def test_short_result(self):
-        assert precision_at_k(["a"], ["a"], 5) == 1.0
-
-    def test_empty_result(self):
-        assert precision_at_k([], ["a"], 5) == 0.0
 
 
 class TestKendallTau:

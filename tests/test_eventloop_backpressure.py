@@ -68,7 +68,7 @@ def _deploy(docs, *, max_queue_depth, round_latency, lag=0):
     }
     writer = clients[PRINCIPALS[0]]
     for i, counts in enumerate(docs):
-        writer.index_document(
+        writer.index_document_with_receipts(
             DocumentStats.from_counts(f"doc-{i}", counts), "g1"
         )
     cluster.run_replication_until_quiet()

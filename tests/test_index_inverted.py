@@ -25,7 +25,7 @@ def index():
 class TestConstruction:
     def test_counts(self, index):
         assert index.num_documents == 3
-        assert index.num_terms == 3
+        assert index.vocabulary.num_terms == 3
         assert index.num_posting_elements == 6
 
     def test_duplicate_doc_rejected(self, index):
@@ -37,8 +37,8 @@ class TestConstruction:
             index.add_document(DocumentStats(doc_id="e", counts={}, length=0))
 
     def test_document_frequency(self, index):
-        assert index.document_frequency("apple") == 3
-        assert index.document_frequency("plum") == 1
+        assert index.vocabulary.document_frequency("apple") == 3
+        assert index.vocabulary.document_frequency("plum") == 1
 
 
 class TestSingleTermTopK:
@@ -53,8 +53,8 @@ class TestSingleTermTopK:
         with pytest.raises(UnknownTermError):
             index.top_k("zzz", 1)
 
-    def test_scores_for_term_descending(self, index):
-        scores = index.scores_for_term("apple")
+    def test_posting_list_descending(self, index):
+        scores = [element.rscore for element in index.posting_list("apple")]
         assert scores == sorted(scores, reverse=True)
         assert scores[0] == pytest.approx(0.8)
 

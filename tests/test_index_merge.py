@@ -1,22 +1,13 @@
 """Unit tests for merging schemes and Def. 2 enforcement."""
 
-import numpy as np
 import pytest
 
+from repro.core.confidentiality import audit_merge_plan
 from repro.crypto.keys import DocumentDirectory
-from repro.errors import (
-    ConfidentialityViolationError,
-    ConfigurationError,
-    ProtocolError,
-)
-from repro.index.merge import (
-    MergePlan,
-    bfm_merge,
-    greedy_pairing_merge,
-    merged_list_confidentiality,
-    random_merge,
-)
+from repro.errors import ConfigurationError, ProtocolError
+from repro.index.merge import MergePlan, bfm_merge, greedy_pairing_merge
 from repro.index.postings import PostingElement
+from tests.conftest import posting_bytes
 
 
 @pytest.fixture()
@@ -52,18 +43,13 @@ class TestMergePlan:
         with pytest.raises(ConfigurationError):
             MergePlan(groups=((),), r=2.0)
 
-    def test_verify_passes_for_valid_plan(self):
+    def test_audit_passes_a_valid_plan(self):
         plan = MergePlan(groups=(("a", "b"),), r=2.0)
-        plan.verify({"a": 0.3, "b": 0.3})
+        assert audit_merge_plan(plan, {"a": 0.3, "b": 0.3}).is_confidential
 
-    def test_verify_raises_for_violation(self):
+    def test_audit_flags_a_violation(self):
         plan = MergePlan(groups=(("a", "b"),), r=2.0)
-        with pytest.raises(ConfidentialityViolationError):
-            plan.verify({"a": 0.1, "b": 0.1})
-
-    def test_all_terms(self):
-        plan = MergePlan(groups=(("a", "b"), ("c",)), r=2.0)
-        assert plan.all_terms() == {"a", "b", "c"}
+        assert not audit_merge_plan(plan, {"a": 0.1, "b": 0.1}).is_confidential
 
     def test_terms_are_numbered_globally_in_group_order(self):
         plan = MergePlan(groups=(("b", "a"), ("c",), ("e", "d")), r=2.0)
@@ -85,14 +71,14 @@ class TestMergePlan:
         assert plan.decoder(mine) is not plan.decoder(other)
         assert same == plan  # the numbering is no part of a plan's value
         posting = PostingElement("c", "doc", 2, 5)
-        data = posting.to_bytes(plan.locate("c")[1], 0)
+        data = posting_bytes(posting, plan.locate("c")[1], 0)
         decoded = plan.decoder(mine)(data)
         assert decoded == posting and decoded.doc_id is mine.names[0]
         assert plan.decoder(other)(data).doc_id == "x"  # numbers are per group
         with pytest.raises(ProtocolError):
-            plan.decoder(mine)(posting.to_bytes(len(plan.terms), 0))
+            plan.decoder(mine)(posting_bytes(posting, len(plan.terms), 0))
         with pytest.raises(ProtocolError):
-            plan.decoder(mine)(posting.to_bytes(0, 1))  # past the directory
+            plan.decoder(mine)(posting_bytes(posting, 0, 1))  # past the directory
 
     def test_a_directory_grows_under_its_decoder(self):
         """Directories are append-only and the decoder reads the live
@@ -101,7 +87,7 @@ class TestMergePlan:
         directory = DocumentDirectory()
         decode = plan.decoder(directory)
         number = directory.number("late")
-        assert decode(PostingElement("a", "late", 1, 1).to_bytes(0, number)).doc_id == "late"
+        assert decode(posting_bytes(PostingElement("a", "late", 1, 1), 0, number)).doc_id == "late"
 
     def test_decoder_resolves_from_bytes_at_call_time(self, monkeypatch):
         plan = MergePlan(groups=(("a",),), r=2.0)
@@ -114,29 +100,18 @@ class TestMergePlan:
             return original(cls, data, terms, names)
 
         monkeypatch.setattr(PostingElement, "from_bytes", classmethod(traced))
-        data = PostingElement("a", "d", 1, 1).to_bytes(0, 0)
+        data = posting_bytes(PostingElement("a", "d", 1, 1), 0, 0)
         assert decode(data).term == "a" and seen == [data]
-
-
-class TestEffectiveConfidentiality:
-    def test_value(self):
-        assert merged_list_confidentiality(
-            ["a", "b"], {"a": 0.25, "b": 0.25}
-        ) == pytest.approx(2.0)
-
-    def test_zero_mass_rejected(self):
-        with pytest.raises(ConfigurationError):
-            merged_list_confidentiality(["a"], {"a": 0.0})
 
 
 class TestBfmMerge:
     def test_all_terms_covered(self, probabilities):
         plan = bfm_merge(probabilities, r=4.0)
-        assert plan.all_terms() == set(probabilities)
+        assert set(plan.terms) == set(probabilities)
 
     def test_def2_satisfied_everywhere(self, probabilities):
         plan = bfm_merge(probabilities, r=4.0)
-        plan.verify(probabilities)
+        assert audit_merge_plan(plan, probabilities).is_confidential
 
     def test_frequency_locality(self, probabilities):
         # BFM groups consecutive frequency ranks: within each group, the
@@ -162,29 +137,14 @@ class TestBfmMerge:
             bfm_merge(probabilities, r=1.0)
 
 
-class TestRandomMerge:
-    def test_def2_satisfied(self, probabilities):
-        plan = random_merge(probabilities, r=4.0, rng=np.random.default_rng(1))
-        plan.verify(probabilities)
-
-    def test_all_terms_covered(self, probabilities):
-        plan = random_merge(probabilities, r=4.0, rng=np.random.default_rng(2))
-        assert plan.all_terms() == set(probabilities)
-
-    def test_different_seeds_differ(self, probabilities):
-        a = random_merge(probabilities, 4.0, rng=np.random.default_rng(1))
-        b = random_merge(probabilities, 4.0, rng=np.random.default_rng(2))
-        assert a != b
-
-
 class TestGreedyPairingMerge:
     def test_def2_satisfied(self, probabilities):
         plan = greedy_pairing_merge(probabilities, r=4.0)
-        plan.verify(probabilities)
+        assert audit_merge_plan(plan, probabilities).is_confidential
 
     def test_all_terms_covered(self, probabilities):
         plan = greedy_pairing_merge(probabilities, r=4.0)
-        assert plan.all_terms() == set(probabilities)
+        assert set(plan.terms) == set(probabilities)
 
     def test_mixes_head_with_tail(self, probabilities):
         plan = greedy_pairing_merge(probabilities, r=3.0)

@@ -46,7 +46,7 @@ class TestSingleTermEquivalence:
         assert unseen, "training fraction < 1 must leave some terms unseen"
         checked = 0
         for term in unseen:
-            df = ordinary_index.document_frequency(term)
+            df = ordinary_index.vocabulary.document_frequency(term)
             expected = {e.doc_id for e in ordinary_index.top_k(term, df)}
             got = set(system.query(term, k=df).doc_ids())
             assert got == expected, term
@@ -127,7 +127,7 @@ class TestZerberComparison:
 class TestRankCorrelation:
     def test_full_ranking_tau_is_one(self, system, ordinary_index):
         term = ordinary_index.vocabulary.terms_by_frequency()[5]
-        df = ordinary_index.document_frequency(term)
+        df = ordinary_index.vocabulary.document_frequency(term)
         expected = [e.doc_id for e in ordinary_index.top_k(term, df)]
         got = system.query(term, k=df).doc_ids()
         # Scores tie across docs; tau over the common order of *scores*

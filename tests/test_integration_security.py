@@ -198,7 +198,7 @@ class TestCiphertextLength:
                 for term, share in zip(plan.terms, (0.9, 0.5, 0.3, 0.15))
                 if rng.random() < share
             } or {plan.terms[0]: 1}
-            client.index_document(DocumentStats.from_counts(f"doc-{i:03d}", counts), "g")
+            client.index_document_with_receipts(DocumentStats.from_counts(f"doc-{i:03d}", counts), "g")
         cipher, decode = keys.keyring("u", plan)["g"]
         labelled = [
             (len(e.ciphertext), cipher.try_decrypt(e.ciphertext, decode).term)
@@ -220,9 +220,9 @@ class TestCiphertextLength:
         for a term of that list fetches it and skips it."""
         plan = MergePlan(groups=(("apple", "pear"), ("plum", "fig")), r=2.0)
         client, server, _ = self._deployment(plan)
-        client.index_document(DocumentStats.from_counts("moved", {"apple": 3}), "g")
+        client.index_document_with_receipts(DocumentStats.from_counts("moved", {"apple": 3}), "g")
         for doc_id in ("p1", "p2"):
-            client.index_document(DocumentStats.from_counts(doc_id, {"plum": 1}), "g")
+            client.index_document_with_receipts(DocumentStats.from_counts(doc_id, {"plum": 1}), "g")
         [element] = server.export_list(0)
         server.insert_many([(1, element)])
         result = client.query("plum", k=10)

@@ -35,26 +35,41 @@ import inspect
 import pytest
 
 import repro
+import repro.baselines
 import repro.core
+import repro.corpus
 import repro.crypto
 import repro.errors
+import repro.evalmetrics
 import repro.index
 import repro.obs
+import repro.obs.metrics
 import repro.persist
+import repro.stats
+import repro.text
 from repro.core.client import ZerberRClient
 from repro.core.cluster import ServerCluster
-from repro.core.protocol import BatchFetchRequest, FetchResponse, ResponsePolicy
+from repro.core.confidentiality import ConfidentialityAudit
+from repro.core.idf import BucketedIdf
+from repro.core.protocol import BatchFetchRequest, FetchResponse, QueryTrace, ResponsePolicy
 from repro.core.replication import ReplicationManager
 from repro.core.router import Coordinator, CoordinatorStats
 from repro.core.rstf import Rstf
 from repro.core.server import ZerberRServer
+from repro.core.sigma import SigmaSelection
 from repro.core.system import ZerberRSystem
+from repro.corpus.querylog import QueryLog
 from repro.crypto.cipher import StreamCipher
 from repro.crypto.keys import GroupKeyService
 from repro.crypto.prf import Prf
-from repro.index.postings import EncryptedPostingElement, MergedPostingList
+from repro.index.inverted import OrdinaryInvertedIndex
+from repro.index.merge import MergePlan
+from repro.index.postings import EncryptedPostingElement, MergedPostingList, PostingElement
 from repro.obs import MetricsRegistry, Telemetry
+from repro.obs.metrics import Histogram
+from repro.obs.trace import Tracer
 from repro.persist import load_cluster, save_cluster
+from repro.text.vocabulary import Vocabulary
 
 SURFACES = {
     "ZerberRSystem.deploy_cluster": (
@@ -159,7 +174,8 @@ DELETED_NAMES = {
         "ReadSelector PrimaryReads RotatingReads coerce_read_selector "
         "QueryLog ZerberRServer save_index load_index "
         "IndexingError CryptoError StaleEpochError __version__ "
-        "SnippetStore SnippetClient EventLoop",
+        "SnippetStore SnippetClient EventLoop "
+        "AuthenticationError ConfidentialityViolationError random_merge",
     ),
     "repro.core": (
         repro.core,
@@ -169,13 +185,24 @@ DELETED_NAMES = {
         "EventHandle PeriodicTask FOREGROUND BACKGROUND MAINTENANCE "
         "DeliveryOutlook ReplicationLog tfidf_rscore ZerberRServer "
         "SigmaSelection attribution_probabilities probability_amplification "
-        "EventLoop",
+        "EventLoop rscore require_r_confidential",
     ),
     "repro.crypto": (
         repro.crypto,
         "cipher_for_key encrypt decrypt Principal NonceSequence",
     ),
-    "repro.index": (repro.index, "merged_list_confidentiality"),
+    "repro.index": (repro.index, "merged_list_confidentiality random_merge"),
+    "repro.baselines": (repro.baselines, "OrdinarySearchSystem"),
+    "repro.evalmetrics": (
+        repro.evalmetrics,
+        "query_efficiency total_response_size satisfied_fraction precision_at_k",
+    ),
+    "repro.stats": (
+        repro.stats,
+        "gaussian_cdf logistic_cdf ZipfSampler k_fold_indices empirical_cdf",
+    ),
+    "repro.text": (repro.text, "simple_tokenize normalized_tf raw_tf"),
+    "repro.corpus": (repro.corpus, "corpus_from_texts single_term_log"),
     "repro.obs": (
         repro.obs,
         "ClusterMonitor MonitorSample MetricSpec metrics_to_dict trace_to_dict",
@@ -208,12 +235,30 @@ def test_deleted_names_are_not_exported(module):
         (CoordinatorStats, "stale_epoch_reroutes"),
         (ZerberRSystem, "with_config"),
         (Rstf, "num_training_points"),
-        (repro.errors, "IndexingError StaleEpochError"),
+        (repro.errors, "IndexingError StaleEpochError AuthenticationError"),
         (GroupKeyService, "nonce_sequence"),
         (Prf, "evaluate_int"),
-        (MergedPostingList, "add_random size_bits"),
+        (MergedPostingList, "add_random size_bits slice"),
         (EncryptedPostingElement, "size_bits"),
         (FetchResponse, "size_bits"),
+        (StreamCipher, "decrypt"),
+        (PostingElement, "to_bytes"),
+        (MergePlan, "verify all_terms"),
+        (ConfidentialityAudit, "violating_lists"),
+        (BatchFetchRequest, "for_slices"),
+        (QueryTrace, "total_response_size"),
+        (SigmaSelection, "is_u_shaped"),
+        (BucketedIdf, "leakage_bits empirical_leakage_bits terms"),
+        (
+            QueryLog,
+            "total_queries distinct_queries mean_terms_per_query distinct_terms head_share",
+        ),
+        (Vocabulary, "idf probability_or_zero total_term_occurrences document_frequencies"),
+        (ZerberRClient, "index_document"),
+        (OrdinaryInvertedIndex, "num_terms document_frequency scores_for_term"),
+        (repro.obs.metrics, "NullGauge NULL_GAUGE"),
+        (Histogram, "observe"),
+        (Tracer, "reset capacity"),
     ],
     ids=[
         "ServerCluster",
@@ -227,6 +272,21 @@ def test_deleted_names_are_not_exported(module):
         "MergedPostingList",
         "EncryptedPostingElement",
         "FetchResponse",
+        "StreamCipher",
+        "PostingElement",
+        "MergePlan",
+        "ConfidentialityAudit",
+        "BatchFetchRequest",
+        "QueryTrace",
+        "SigmaSelection",
+        "BucketedIdf",
+        "QueryLog",
+        "Vocabulary",
+        "ZerberRClient",
+        "OrdinaryInvertedIndex",
+        "repro.obs.metrics",
+        "Histogram",
+        "Tracer",
     ],
 )
 def test_deleted_members_stay_gone(owner, names):

@@ -14,15 +14,15 @@ from repro.obs import (
 from repro.obs.export import METRICS_SCHEMA_VERSION, trace_to_dict
 from repro.obs.trace import Tracer
 from repro.text.analysis import DocumentStats
+from tests.conftest import posting_bytes
 
 
 class TestMetricsExport:
     def _snapshot(self):
         telemetry = Telemetry()
         telemetry.registry.counter("cluster_reads_total").inc(3.0, consistency="one")
-        telemetry.registry.histogram("cluster_read_lag_ticks").observe(
-            2.0, consistency="one"
-        )
+        lag = telemetry.registry.histogram("cluster_read_lag_ticks")
+        lag.bind(consistency="one").observe(2.0)
         telemetry.registry.gauge("cluster_server_load").set(7.0, server="0")
         return telemetry.registry.snapshot()
 
@@ -224,7 +224,7 @@ class TestEndToEndSpanChain:
         group = second.elements[0].group
         cipher = system.key_service.cipher_for(client.principal, group)
         # Authentic, and a header naming a document past the directory.
-        header = PostingElement("t", "d", 1, 2).to_bytes(0, 2**32 - 1)
+        header = posting_bytes(PostingElement("t", "d", 1, 2), 0, 2**32 - 1)
         malformed = EncryptedPostingElement(
             ciphertext=cipher.encrypt(header), group=group, trs=0.0
         )

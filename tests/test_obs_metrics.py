@@ -7,8 +7,8 @@ import pytest
 from repro.obs.metrics import (
     DEFAULT_SIZE_BUCKETS,
     DEFAULT_TICK_BUCKETS,
+    NULL_BOUND_GAUGE,
     NULL_COUNTER,
-    NULL_GAUGE,
     NULL_HISTOGRAM,
     Counter,
     Gauge,
@@ -71,11 +71,12 @@ class TestHistogramBucketMath:
 
     def test_bounds_are_inclusive_upper_bounds(self):
         hist = Histogram("h", buckets=(0.0, 2.0, 4.0))
-        hist.observe(0.0)  # == first bound -> bucket 0
-        hist.observe(1.0)  # <= 2.0 -> bucket 1
-        hist.observe(2.0)  # == 2.0 -> bucket 1
-        hist.observe(3.0)  # <= 4.0 -> bucket 2
-        hist.observe(99.0)  # overflow (+Inf)
+        series = hist.bind()
+        series.observe(0.0)  # == first bound -> bucket 0
+        series.observe(1.0)  # <= 2.0 -> bucket 1
+        series.observe(2.0)  # == 2.0 -> bucket 1
+        series.observe(3.0)  # <= 4.0 -> bucket 2
+        series.observe(99.0)  # overflow (+Inf)
         assert hist.bucket_counts() == [1, 2, 1, 1]
         assert hist.count() == 5
         assert hist.sum() == 105.0
@@ -84,7 +85,7 @@ class TestHistogramBucketMath:
     def test_every_observation_lands_in_exactly_one_bucket(self):
         hist = Histogram("h", buckets=DEFAULT_TICK_BUCKETS)
         for value in range(0, 200, 7):
-            hist.observe(float(value))
+            hist.bind().observe(float(value))
         assert sum(hist.bucket_counts()) == hist.count()
 
     def test_overflow_bucket_is_extra(self):
@@ -101,8 +102,8 @@ class TestHistogramBucketMath:
 
     def test_labeled_series(self):
         hist = Histogram("h", buckets=(1.0, 2.0))
-        hist.observe(0.5, consistency="one")
-        hist.observe(1.5, consistency="quorum")
+        hist.bind(consistency="one").observe(0.5)
+        hist.bind(consistency="quorum").observe(1.5)
         assert hist.count(consistency="one") == 1
         assert hist.count(consistency="quorum") == 1
         assert hist.count() == 0
@@ -115,12 +116,10 @@ class TestNullInstruments:
     def test_null_instruments_swallow_everything(self):
         NULL_COUNTER.inc(5.0)
         NULL_COUNTER.bind(x="1").inc()
-        NULL_GAUGE.set(5.0)
-        NULL_GAUGE.bind(x="1").set(5.0)
-        NULL_HISTOGRAM.observe(5.0)
+        NULL_BOUND_GAUGE.set(5.0)
         NULL_HISTOGRAM.bind(x="1").observe(5.0)
         assert NULL_COUNTER.total() == 0.0
-        assert NULL_GAUGE.value() == 0.0
+        assert NULL_BOUND_GAUGE._series == {}
         assert NULL_HISTOGRAM.count() == 0
 
 
@@ -210,7 +209,7 @@ class TestSnapshot:
         registry = MetricsRegistry()
         registry.counter("cluster_reads_total").inc(3.0, consistency="one")
         registry.gauge("cluster_server_load").set(5.0, server="0")
-        registry.histogram("cluster_read_lag_ticks").observe(1.0, consistency="one")
+        registry.histogram("cluster_read_lag_ticks").bind(consistency="one").observe(1.0)
         snapshot = registry.snapshot()
         assert list(snapshot) == sorted(snapshot)
         json.dumps(snapshot)  # must be serializable as-is

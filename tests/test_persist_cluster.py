@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro import SystemConfig, ZerberRSystem
 from repro.core.client import ZerberRClient
 from repro.core.cluster import ServerCluster
-from repro.core.protocol import BatchFetchRequest, FetchRequest, Receipt
+from repro.core.protocol import FetchRequest, Receipt
 from repro.core.replication import ReadConsistency
 from repro.corpus.synthetic import tiny_corpus
 from repro.crypto.cipher import IV_SIZE
@@ -32,7 +32,7 @@ from repro.index.postings import SEALED_SIZE, EncryptedPostingElement
 from repro.persist import FORMAT_VERSION, load_cluster, save_cluster
 from repro.persist.clusterstate import cluster_from_dict, cluster_to_dict
 from repro.text.analysis import DocumentStats
-from tests.conftest import sealed
+from tests.conftest import sealed, slices_batch
 
 NUM_LISTS = 3
 NUM_SERVERS = 4
@@ -516,7 +516,7 @@ class TestRestoredServersStartCold:
         restored, _ = _reload(cluster, tmp_path)
         assert restored.per_server_load() == [0] * NUM_SERVERS
         assert restored.total_calls == 0
-        batch = BatchFetchRequest.for_slices("u", [(0, 0, 1), (1, 0, 1)])
+        batch = slices_batch("u", [(0, 0, 1), (1, 0, 1)])
         restored.batch_fetch(batch)
         assert sum(restored.per_server_load()) == 2
         assert restored.total_calls == len(

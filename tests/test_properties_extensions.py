@@ -1,6 +1,5 @@
 """Property-based tests for the extension modules (cluster routing, IDF)."""
 
-import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.cluster import ServerCluster
@@ -109,12 +108,3 @@ def test_idf_weights_monotone_in_bucket(data, num_buckets):
     idf = BucketedIdf.train(docs, num_buckets=num_buckets)
     weights = [idf._weights[b] for b in range(num_buckets)]
     assert all(w1 <= w2 + 1e-9 for w1, w2 in zip(weights, weights[1:]))
-
-
-@given(data=_df_corpus(), num_buckets=st.integers(min_value=1, max_value=16))
-@settings(max_examples=60, deadline=None)
-def test_idf_leakage_bounds(data, num_buckets):
-    docs, dfs, n = data
-    idf = BucketedIdf.train(docs, num_buckets=num_buckets)
-    assert 0.0 <= idf.empirical_leakage_bits() <= idf.leakage_bits() + 1e-9
-    assert idf.leakage_bits() == np.log2(num_buckets)

@@ -1,10 +1,10 @@
 """Property-based tests for merging schemes: Def. 2 must hold for every
 feasible vocabulary, and plans must always partition the term set."""
 
-import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.index.merge import bfm_merge, greedy_pairing_merge, random_merge
+from repro.core.confidentiality import audit_merge_plan
+from repro.index.merge import bfm_merge, greedy_pairing_merge
 
 probabilities_strategy = st.dictionaries(
     keys=st.text(
@@ -30,17 +30,8 @@ def _feasible(probabilities, r):
 def test_bfm_partitions_and_satisfies_def2(probabilities, r):
     assume(_feasible(probabilities, r))
     plan = bfm_merge(probabilities, r)
-    assert plan.all_terms() == set(probabilities)
-    plan.verify(probabilities)
-
-
-@given(probabilities=probabilities_strategy, r=r_strategy, seed=st.integers(0, 2**16))
-@settings(max_examples=100, deadline=None)
-def test_random_merge_partitions_and_satisfies_def2(probabilities, r, seed):
-    assume(_feasible(probabilities, r))
-    plan = random_merge(probabilities, r, rng=np.random.default_rng(seed))
-    assert plan.all_terms() == set(probabilities)
-    plan.verify(probabilities)
+    assert set(plan.terms) == set(probabilities)
+    assert audit_merge_plan(plan, probabilities).is_confidential
 
 
 @given(probabilities=probabilities_strategy, r=r_strategy)
@@ -48,8 +39,8 @@ def test_random_merge_partitions_and_satisfies_def2(probabilities, r, seed):
 def test_greedy_merge_partitions_and_satisfies_def2(probabilities, r):
     assume(_feasible(probabilities, r))
     plan = greedy_pairing_merge(probabilities, r)
-    assert plan.all_terms() == set(probabilities)
-    plan.verify(probabilities)
+    assert set(plan.terms) == set(probabilities)
+    assert audit_merge_plan(plan, probabilities).is_confidential
 
 
 @given(probabilities=probabilities_strategy, r=r_strategy)

@@ -406,7 +406,7 @@ class TestMidCoordinatorTick:
             if system.vocabulary.document_frequency(t) >= 2
         )
         doc = DocumentStats.from_counts("fresh-doc", {term: 5})
-        owner.index_document(doc, group)
+        owner.index_document_with_receipts(doc, group)
         list_id = system.merge_plan.list_of(term)
         cluster.fail_server(cluster.replicas_of(list_id)[0])
         superuser = system.client_for("superuser", server=cluster)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats.crossval import k_fold_indices, train_control_split
+from repro.stats.crossval import train_control_split
 
 
 class TestTrainControlSplit:
@@ -43,27 +43,3 @@ class TestTrainControlSplit:
             train_control_split([1, 2, 3], control_fraction=0.0)
         with pytest.raises(ValueError):
             train_control_split([1, 2, 3], control_fraction=1.0)
-
-
-class TestKFold:
-    def test_folds_cover_everything(self):
-        splits = k_fold_indices(20, 4, rng=np.random.default_rng(1))
-        assert len(splits) == 4
-        all_validation = np.concatenate([v for _, v in splits])
-        assert sorted(all_validation.tolist()) == list(range(20))
-
-    def test_train_and_validation_disjoint(self):
-        for train, validation in k_fold_indices(15, 3, rng=np.random.default_rng(2)):
-            assert not set(train.tolist()) & set(validation.tolist())
-
-    def test_train_plus_validation_complete(self):
-        for train, validation in k_fold_indices(12, 4, rng=np.random.default_rng(3)):
-            assert sorted(train.tolist() + validation.tolist()) == list(range(12))
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            k_fold_indices(10, 1)
-
-    def test_n_smaller_than_k(self):
-        with pytest.raises(ValueError):
-            k_fold_indices(3, 5)

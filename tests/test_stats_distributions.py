@@ -1,14 +1,9 @@
-"""Unit tests for Zipf sampling and power-law fitting."""
+"""Unit tests for Zipf laws and power-law fitting."""
 
 import numpy as np
 import pytest
 
-from repro.stats.distributions import (
-    PowerLawFit,
-    ZipfSampler,
-    fit_power_law,
-    zipf_probabilities,
-)
+from repro.stats.distributions import fit_power_law, zipf_probabilities
 
 
 class TestZipfProbabilities:
@@ -35,39 +30,6 @@ class TestZipfProbabilities:
             zipf_probabilities(5, -1.0)
 
 
-class TestZipfSampler:
-    def test_sample_range(self):
-        sampler = ZipfSampler(20, 1.0, rng=np.random.default_rng(1))
-        draws = sampler.sample(1000)
-        assert draws.min() >= 0
-        assert draws.max() < 20
-
-    def test_head_dominates(self):
-        sampler = ZipfSampler(100, 1.2, rng=np.random.default_rng(2))
-        draws = sampler.sample(20000)
-        head_share = np.mean(draws < 10)
-        assert head_share > 0.5
-
-    def test_sample_counts_sums_to_size(self):
-        sampler = ZipfSampler(30, 1.0, rng=np.random.default_rng(3))
-        counts = sampler.sample_counts(500)
-        assert counts.sum() == 500
-        assert counts.shape == (30,)
-
-    def test_counts_match_probabilities(self):
-        sampler = ZipfSampler(10, 1.0, rng=np.random.default_rng(4))
-        counts = sampler.sample_counts(100000)
-        empirical = counts / counts.sum()
-        assert np.allclose(empirical, sampler.probabilities, atol=0.01)
-
-    def test_negative_size_rejected(self):
-        sampler = ZipfSampler(5)
-        with pytest.raises(ValueError):
-            sampler.sample(-1)
-        with pytest.raises(ValueError):
-            sampler.sample_counts(-1)
-
-
 class TestPowerLawFit:
     def test_recovers_exact_power_law(self):
         x = np.arange(1, 101, dtype=float)
@@ -75,10 +37,6 @@ class TestPowerLawFit:
         fit = fit_power_law(x, y)
         assert fit.slope == pytest.approx(-1.5, abs=1e-9)
         assert fit.r_squared == pytest.approx(1.0)
-
-    def test_predict_inverts_fit(self):
-        fit = PowerLawFit(slope=-2.0, intercept=1.0, r_squared=1.0)
-        assert fit.predict(10.0) == pytest.approx(10.0 ** (-2.0 + 1.0))
 
     def test_noisy_data_lower_r_squared(self):
         rng = np.random.default_rng(5)

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.stats.gaussian import (
-    gaussian_cdf,
     gaussian_pdf,
     gaussian_sum_cdf,
     gaussian_sum_pdf,
-    logistic_cdf,
     logistic_sum_cdf,
 )
 
@@ -33,48 +31,6 @@ class TestGaussianPdf:
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
             gaussian_pdf(0.0, sigma=0.0)
-
-
-class TestGaussianCdf:
-    def test_half_at_mean(self):
-        assert float(gaussian_cdf(0.3, mu=0.3, sigma=4.0)) == pytest.approx(0.5)
-
-    def test_limits(self):
-        assert float(gaussian_cdf(10.0, mu=0.0, sigma=2.0)) == pytest.approx(1.0)
-        assert float(gaussian_cdf(-10.0, mu=0.0, sigma=2.0)) == pytest.approx(0.0)
-
-    def test_monotone(self):
-        x = np.linspace(-3, 3, 101)
-        values = gaussian_cdf(x, mu=0.0, sigma=1.5)
-        assert np.all(np.diff(values) >= 0)
-
-    def test_matches_pdf_derivative(self):
-        x = np.linspace(-2, 2, 4001)
-        cdf = gaussian_cdf(x, mu=0.1, sigma=2.0)
-        pdf = gaussian_pdf(x, mu=0.1, sigma=2.0)
-        numeric = np.gradient(cdf, x)
-        assert np.allclose(numeric[100:-100], pdf[100:-100], atol=1e-3)
-
-
-class TestLogisticCdf:
-    def test_half_at_mean(self):
-        assert float(logistic_cdf(0.5, mu=0.5, sigma=10.0)) == pytest.approx(0.5)
-
-    def test_range_open_unit_interval(self):
-        # Open interval holds up to float64 resolution; use a range where
-        # exp() does not underflow to exactly 0/1.
-        values = logistic_cdf(np.linspace(-30, 30, 11), mu=0.0, sigma=1.0)
-        assert np.all(values > 0.0)
-        assert np.all(values < 1.0)
-
-    def test_no_overflow_extreme_inputs(self):
-        assert float(logistic_cdf(-1e6, mu=0.0, sigma=10.0)) == pytest.approx(0.0)
-        assert float(logistic_cdf(1e6, mu=0.0, sigma=10.0)) == pytest.approx(1.0)
-
-    def test_steeper_sigma_sharper_transition(self):
-        soft = float(logistic_cdf(0.1, mu=0.0, sigma=1.0))
-        sharp = float(logistic_cdf(0.1, mu=0.0, sigma=100.0))
-        assert sharp > soft
 
 
 class TestSums:

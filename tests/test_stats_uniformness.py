@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.stats.uniformness import (
-    empirical_cdf,
     ks_distance,
     ks_distance_to_uniform,
     uniformness_variance,
@@ -83,15 +82,3 @@ class TestKsDistances:
             ks_distance([], [1.0])
         with pytest.raises(ValueError):
             ks_distance_to_uniform([])
-
-
-class TestEmpiricalCdf:
-    def test_values_on_grid(self):
-        values = [0.2, 0.4, 0.6, 0.8]
-        grid = [0.0, 0.5, 1.0]
-        cdf = empirical_cdf(values, grid)
-        assert cdf.tolist() == [0.0, 0.5, 1.0]
-
-    def test_step_behaviour(self):
-        cdf = empirical_cdf([0.5], [0.49, 0.5, 0.51])
-        assert cdf.tolist() == [0.0, 1.0, 1.0]

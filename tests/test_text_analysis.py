@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.text.analysis import (
-    DocumentStats,
-    normalized_tf,
-    raw_tf,
-    term_frequencies,
-)
+from repro.text.analysis import DocumentStats, term_frequencies
 
 
 class TestFrequencyHelpers:
@@ -15,29 +10,6 @@ class TestFrequencyHelpers:
         counts = term_frequencies(["a", "b", "a"])
         assert counts == {"a": 2, "b": 1}
 
-    def test_raw_tf(self):
-        assert raw_tf(["x", "y", "x"], "x") == 2
-
-    def test_raw_tf_absent(self):
-        assert raw_tf(["x"], "z") == 0
-
-    def test_normalized_tf_value(self):
-        assert normalized_tf(3, 12) == 0.25
-
-    def test_normalized_tf_full_document(self):
-        assert normalized_tf(5, 5) == 1.0
-
-    def test_normalized_tf_zero_length_rejected(self):
-        with pytest.raises(ValueError):
-            normalized_tf(0, 0)
-
-    def test_normalized_tf_negative_rejected(self):
-        with pytest.raises(ValueError):
-            normalized_tf(-1, 5)
-
-    def test_normalized_tf_exceeding_length_rejected(self):
-        with pytest.raises(ValueError):
-            normalized_tf(6, 5)
 
 
 class TestDocumentStats:
@@ -61,16 +33,6 @@ class TestDocumentStats:
     def test_rscore_absent_term_is_zero(self):
         stats = DocumentStats.from_counts("d1", {"a": 1})
         assert stats.rscore("zzz") == 0.0
-
-    def test_terms_set(self):
-        stats = DocumentStats.from_counts("d1", {"a": 1, "b": 2})
-        assert stats.terms() == {"a", "b"}
-
-    def test_container_protocol(self):
-        stats = DocumentStats.from_counts("d1", {"a": 1})
-        assert "a" in stats
-        assert "b" not in stats
-        assert len(stats) == 1
 
     def test_empty_token_stream(self):
         stats = DocumentStats.from_tokens("d1", [])

@@ -2,59 +2,52 @@
 
 import pytest
 
-from repro.text.tokenizer import DEFAULT_STOPWORDS, Tokenizer, simple_tokenize
+from repro.text.tokenizer import DEFAULT_STOPWORDS, Tokenizer
 
 
-class TestSimpleTokenize:
+def _tokens(text, **options):
+    return list(Tokenizer(**options).tokens(text))
+
+
+class TestDefaultTokenizer:
     def test_basic_splitting(self):
-        assert simple_tokenize("Hello, world!") == ["hello", "world"]
+        assert _tokens("Hello, world!") == ["hello", "world"]
 
     def test_numbers_kept(self):
-        assert simple_tokenize("report v2 2009") == ["report", "v2", "2009"]
+        assert _tokens("report v2 2009") == ["report", "v2", "2009"]
 
     def test_apostrophes_inside_words(self):
-        assert simple_tokenize("don't stop") == ["don't", "stop"]
+        assert _tokens("don't stop") == ["don't", "stop"]
 
     def test_unicode_letters(self):
-        assert simple_tokenize("Vergütung für Arbeit") == ["vergütung", "für", "arbeit"]
+        assert _tokens("Vergütung für Arbeit") == ["vergütung", "für", "arbeit"]
 
     def test_empty_string(self):
-        assert simple_tokenize("") == []
+        assert _tokens("") == []
 
     def test_punctuation_only(self):
-        assert simple_tokenize("... --- !!!") == []
+        assert _tokens("... --- !!!") == []
 
     def test_underscores_split(self):
-        assert simple_tokenize("foo_bar") == ["foo", "bar"]
+        assert _tokens("foo_bar") == ["foo", "bar"]
 
 
 class TestTokenizer:
-    def test_default_matches_simple(self):
-        text = "The imClone Report, v2!"
-        assert Tokenizer().tokenize(text) == simple_tokenize(text)
-
     def test_case_preserved_when_disabled(self):
-        assert Tokenizer(lowercase=False).tokenize("Ab Cd") == ["Ab", "Cd"]
+        assert _tokens("Ab Cd", lowercase=False) == ["Ab", "Cd"]
 
     def test_stopwords_removed_after_folding(self):
-        tokenizer = Tokenizer(stopwords=DEFAULT_STOPWORDS)
-        assert tokenizer.tokenize("The cat AND the hat") == ["cat", "hat"]
+        assert _tokens("The cat AND the hat", stopwords=DEFAULT_STOPWORDS) == ["cat", "hat"]
 
     def test_min_length_filter(self):
-        tokenizer = Tokenizer(min_length=3)
-        assert tokenizer.tokenize("a an the cat") == ["the", "cat"]
+        assert _tokens("a an the cat", min_length=3) == ["the", "cat"]
 
     def test_max_length_filter(self):
-        tokenizer = Tokenizer(max_length=5)
-        assert tokenizer.tokenize("short verylongtoken") == ["short"]
+        assert _tokens("short verylongtoken", max_length=5) == ["short"]
 
     def test_tokens_is_lazy_iterator(self):
         iterator = Tokenizer().tokens("a b c")
         assert next(iterator) == "a"
-
-    def test_tokenize_all_preserves_order(self):
-        result = Tokenizer().tokenize_all(["a b", "c"])
-        assert result == [["a", "b"], ["c"]]
 
     def test_invalid_min_length_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,4 @@
-"""Unit tests for the corpus vocabulary (df, p_t, IDF)."""
-
-import math
+"""Unit tests for the corpus vocabulary (df and p_t)."""
 
 import pytest
 
@@ -31,9 +29,6 @@ class TestVocabulary:
     def test_distinct_terms(self, vocab):
         assert vocab.num_terms == 3
 
-    def test_total_term_occurrences(self, vocab):
-        assert vocab.total_term_occurrences == 8
-
     def test_document_frequency(self, vocab):
         assert vocab.document_frequency("a") == 3
         assert vocab.document_frequency("b") == 1
@@ -49,21 +44,9 @@ class TestVocabulary:
         with pytest.raises(UnknownTermError):
             vocab.probability("zzz")
 
-    def test_probability_or_zero(self, vocab):
-        assert vocab.probability_or_zero("zzz") == 0.0
-        assert vocab.probability_or_zero("a") == pytest.approx(1.0)
-
     def test_probability_on_empty_vocab_raises(self):
         with pytest.raises(UnknownTermError):
             Vocabulary().probability("a")
-
-    def test_idf(self, vocab):
-        assert vocab.idf("b") == pytest.approx(math.log(3))
-        assert vocab.idf("a") == pytest.approx(0.0)
-
-    def test_idf_unseen_raises(self, vocab):
-        with pytest.raises(UnknownTermError):
-            vocab.idf("zzz")
 
     def test_terms_by_frequency_descending(self, vocab):
         ordered = vocab.terms_by_frequency()
@@ -87,10 +70,4 @@ class TestVocabulary:
     def test_mapping_protocol(self, vocab):
         assert "a" in vocab
         assert "zzz" not in vocab
-        assert len(vocab) == 3
         assert set(iter(vocab)) == {"a", "b", "c"}
-
-    def test_document_frequencies_copy(self, vocab):
-        dfs = vocab.document_frequencies()
-        dfs["a"] = 999
-        assert vocab.document_frequency("a") == 3

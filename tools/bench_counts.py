@@ -22,7 +22,10 @@ section *exactly*:
 
 They are pure functions of corpus, seeds and tape — no clock, no machine,
 no hash seed — so any difference is a change in behaviour, and ``--check``
-exits 1 on it.  A change that means to move a count says so and refreshes
+exits 1 on it.  ``--check`` also exits 1 on a stale record: a ``workloads``
+median of a paper unit (requests, elements or bytes per query) more than
+5 % away from the same record's ``counts``, i.e. timed medians recorded
+on a tree whose counts have since moved.  A change that means to move a count says so and refreshes
 the section with ``--update`` (timed metrics stay in the record as
 ``tools/bench_pairs.py --record`` wrote them).
 """
@@ -54,6 +57,11 @@ COUNT_METRICS: tuple[tuple[str, str], ...] = (
 )
 
 
+# The paper's units, whose timed-run medians must match the counts.
+PAPER_UNITS = ("requests_per_query", "elements_per_query", "bytes_per_query")
+STALE_SHARE = 0.05  # a median this far off its own record's count is stale
+
+
 def counts_of(report: dict[str, Any]) -> dict[str, float]:
     """The gated counts of one workload report written by ``run.py``."""
     return {metric: report[section][metric]["value"] for section, metric in COUNT_METRICS}
@@ -79,6 +87,19 @@ def differences(recorded: dict[str, float], measured: dict[str, float]) -> list[
     ]
 
 
+def stale_medians(record: dict[str, Any]) -> list[str]:
+    """One line per ``workloads`` median of a paper unit more than
+    :data:`STALE_SHARE` away from the record's own count of it."""
+    lines = []
+    for workload, counts in record["counts"]["workloads"].items():
+        medians = record["workloads"].get(workload, {}).get("end_to_end", {})
+        for metric in PAPER_UNITS:
+            median = medians.get(metric, {}).get("median")
+            if median is None or abs(median - counts[metric]) > STALE_SHARE * counts[metric]:
+                lines.append(f"{workload}: {metric} median {median!r}, count {counts[metric]!r}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -89,7 +110,10 @@ def main(argv: list[str] | None = None) -> int:
     record = json.loads(path.read_text())
     seed, recorded = record["counts"]["seed"], record["counts"]["workloads"]
     quick = bool(record["environment"].get("quick"))  # a smoke record gates smoke runs
-    failed = False
+    stale = [] if args.update else stale_medians(record)
+    for line in stale:
+        print(f"STALE  {line}")
+    failed = bool(stale)
     with tempfile.TemporaryDirectory() as workdir:
         for workload in recorded:
             try:
