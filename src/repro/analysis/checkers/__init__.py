@@ -12,6 +12,7 @@ from repro.analysis.checkers import (
     epoch,
     exceptions,
     exports,
+    imports,
     obs,
     replication,
     typed_defs,
@@ -24,6 +25,7 @@ __all__ = [
     "epoch",
     "exceptions",
     "exports",
+    "imports",
     "obs",
     "replication",
     "typed_defs",

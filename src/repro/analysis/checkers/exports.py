@@ -21,7 +21,7 @@ from collections.abc import Iterator
 from repro.analysis.framework import Checker, FileContext, Finding, register
 
 
-def _literal_all(tree: ast.Module) -> tuple[ast.stmt, list[str]] | None:
+def literal_all(tree: ast.Module) -> tuple[ast.stmt, list[str]] | None:
     """The ``__all__ = [...]`` statement and its strings, if literal."""
     for stmt in tree.body:
         targets: list[ast.expr] = []
@@ -61,7 +61,7 @@ class ExportSanityChecker(Checker):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        found = _literal_all(ctx.tree)
+        found = literal_all(ctx.tree)
         if found is None:
             return
         all_stmt, exported = found

@@ -108,7 +108,7 @@ class ZerberClient:
         if k < 1:
             raise ValueError("k must be >= 1")
         try:
-            list_id = self._plan.list_of(term)
+            list_id, number = self._plan.locate(term)
         except KeyError:
             raise UnknownTermError(term) from None
         elements = self._server.download(self.principal, list_id)
@@ -122,7 +122,11 @@ class ZerberClient:
         # Zerber downloads the WHOLE merged list, so the skim is the
         # dominant client cost: one pass, one keyring for all of it.
         matches = skim_matches(
-            elements, term, self._keys.keyring(self.principal, self._plan)
+            elements,
+            term,
+            number,
+            self._plan.term_field,
+            self._keys.keyring(self.principal, self._plan),
         )
         trace.satisfied = len(matches) >= k
         return QueryResult(hits=ranked_hits(matches, k), trace=trace)

@@ -59,16 +59,18 @@ spends a small constant per fetched element and nothing per group:
   directories (``_cipher`` below serves the write path and caches
   nothing either);
 * :func:`skim_matches` is one loop in element order — ring lookup,
-  :meth:`~repro.crypto.cipher.StreamCipher.try_decrypt`, term filter,
-  append — with no per-group buckets to build and no order to restore;
+  :meth:`~repro.crypto.cipher.StreamCipher.skim`, term filter, append —
+  with no per-group buckets to build and no order to restore.  The
+  kernel reads each element's term number before verifying it, so an
+  element of another term of the list costs one keystream block and no
+  decode; the wanted number is looked up once per term session
+  (:meth:`~repro.index.merge.MergePlan.locate`), never per slice;
 * each decoder in the ring is the merge plan's
   :meth:`~repro.index.merge.MergePlan.decoder` of one group's document
-  directory, one stable object per (plan, group) (the cipher memo goes
-  by decoder identity, and every client of a deployment shares the
-  plan and the key service) that resolves ``PostingElement.from_bytes``
-  at call time, so a wrapper installed on that classmethod (the e2e
-  tracer's ``index.decode`` span) keeps seeing every miss-path decode.
-  A miss decodes one fixed header: the term and the document are
+  directory, and it resolves ``PostingElement.from_bytes`` at call
+  time, so a wrapper installed on that classmethod (the e2e tracer's
+  ``index.decode`` span) keeps seeing every candidate's decode.  A
+  candidate decodes one fixed header: the term and the document are
   indexes into the plan's terms and the group's directory, not strings
   to convert;
 * a term session keeps the matched ``(posting, element)`` pairs as they
@@ -155,22 +157,29 @@ _Match = tuple[PostingElement, SealedElement]
 def skim_matches(
     elements: Iterable[SealedElement],
     term: str,
+    number: int,
+    field: tuple[int, int, int],
     ring: Mapping[str, Opener],
 ) -> list[_Match]:
     """Skim → decode → match over one fetched slice, in one pass.
 
-    Per element: look its group up in *ring* (a keyring — the keys are
-    the readable set), open it with that group's cipher and decoder
-    (:meth:`~repro.crypto.cipher.StreamCipher.try_decrypt`, so it is
-    verified and decoded at most once and a memo hit is the decoded
-    :class:`PostingElement` itself) and keep it if it is a posting of
-    *term*.  Elements of a group not in *ring* or that fail
+    *number* is *term*'s number in the merge plan and *field* the plan's
+    :attr:`~repro.index.merge.MergePlan.term_field`.  Per element: look
+    its group up in *ring* (a keyring — the keys are the readable set)
+    and skim it with that group's cipher and decoder
+    (:meth:`~repro.crypto.cipher.StreamCipher.skim`: an element whose
+    term number is another term of the plan is dropped unverified, a
+    candidate is verified and decoded at most once, and a memo hit is the
+    decoded :class:`PostingElement` itself), and keep it if it is a
+    posting of *term*.  Elements of a group not in *ring* or that fail
     authentication are skipped, and so is an authentic element of
     another term — one the server moved here from its own list too.
-    The decoder resolves the document number in the element's own
-    group, so a number past that group's directory raises
+    Every kept element has passed its IV check.  The decoder resolves
+    the document number in the element's own group, so a candidate's
+    number past that group's directory raises
     :class:`~repro.errors.ProtocolError` rather than name another
-    group's document.
+    group's document, and so does an authentic term number outside the
+    plan.
 
     Returns ``(posting, element)`` per match, in element order.
     """
@@ -180,7 +189,7 @@ def skim_matches(
         opener = opener_of(element.group)
         if opener is not None:
             cipher, decode = opener
-            posting = cipher.try_decrypt(element.ciphertext, decode)
+            posting = cipher.skim(element.ciphertext, number, field, decode)
             if posting is not None and posting.term == term:
                 matches.append((posting, element))
     return matches
@@ -240,6 +249,7 @@ class _TermSession:
     __slots__ = (
         "term",
         "list_id",
+        "number",
         "k",
         "policy",
         "trace",
@@ -253,11 +263,13 @@ class _TermSession:
         self,
         term: str,
         list_id: int,
+        number: int,
         k: int,
         policy: ResponsePolicy,
     ) -> None:
         self.term = term
         self.list_id = list_id
+        self.number = number
         self.k = k
         self.policy = policy
         self.trace = QueryTrace(term=term, k=k)
@@ -660,19 +672,20 @@ class ZerberRClient:
         policy: ResponsePolicy | None,
     ) -> list["_TermSession"]:
         """One term session per term of a query: ``k`` is validated and
-        the default policy (``b = k``, §6.4) built once per query."""
+        the default policy (``b = k``, §6.4) built once per query, and
+        each term's list and number are looked up once per session."""
         if k < 1:
             raise ValueError("k must be >= 1")
         if policy is None:
             policy = ResponsePolicy(k)
-        list_of = self._plan.list_of
+        locate = self._plan.locate
         sessions = []
         for term in terms:
             try:
-                list_id = list_of(term)
+                list_id, number = locate(term)
             except KeyError:
                 raise UnknownTermError(term) from None
-            sessions.append(_TermSession(term, list_id, k, policy))
+            sessions.append(_TermSession(term, list_id, number, k, policy))
         return sessions
 
     def _absorb_round(
@@ -734,7 +747,9 @@ class ZerberRClient:
         session.offset += len(elements)
         session.request_number += 1
         hits = session.hits
-        hits += skim_matches(elements, session.term, ring)
+        hits += skim_matches(
+            elements, session.term, session.number, self._plan.term_field, ring
+        )
         # §5.2: follow up "until the user is satisfied with the result or
         # obtains the whole list".  Every unfetched element ranks at or
         # below every fetched one, so k matches held carry the top-k scores.

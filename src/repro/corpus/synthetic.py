@@ -24,7 +24,7 @@ larger parameters; nothing in the generator is quadratic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

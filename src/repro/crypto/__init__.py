@@ -13,7 +13,8 @@ audited production cipher.
 
 The layer is tuned for the fetch hot path: keyed hash states built once
 and copied per element, a one-digest keystream per posting, a one-element
-skim kernel and a bounded verified-decoded memo per group cipher — see
+skim kernel that reads a posting's term number before it verifies, and a
+bounded memo per group cipher — see
 :mod:`repro.crypto.prf` and :mod:`repro.crypto.cipher` for the perf model.
 The key service (:mod:`repro.crypto.keys`) is the only cache of ciphers.
 """

@@ -13,7 +13,7 @@ delivery round of every query, so what it hands out is cached, and every
 cache answers to the live membership:
 
 * one :class:`~repro.crypto.cipher.StreamCipher` (and with it the
-  group's memo of decoded postings) per (principal, group), built on
+  group's skim memo of decoded postings) per (principal, group), built on
   first use, handed out by :meth:`GroupKeyService.cipher_for` after a
   membership check on EVERY call and dropped on enroll/revoke;
 * one *keyring* per principal (:meth:`GroupKeyService.keyring`): the
@@ -241,7 +241,7 @@ class GroupKeyService:
         revoked principal loses access immediately.  Sealing is
         deterministic (SIV), so the cached :class:`StreamCipher` holds
         no write state and sharing it across calls is safe; its only
-        state is the memo of decoded postings, which dies with the cache
+        state is the skim's memo of decoded postings, which dies with the cache
         slot on enroll/revoke.
         """
         if not self.is_member(principal, group):
@@ -311,7 +311,7 @@ class GroupKeyService:
         :meth:`create_group` would derive, for a group not created
         yet)."""
         group_key = self._groups.get(group) or derive_key(self._master, f"group:{group}")
-        return StreamCipher(derive_key(group_key, "directory"), memo_capacity=0)
+        return StreamCipher(derive_key(group_key, "directory"))
 
     def sealed_directories(self) -> dict[str, bytes]:
         """Every non-empty directory, by group, sealed under its group's

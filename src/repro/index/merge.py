@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 
 
 from repro.errors import ConfigurationError
-from repro.index.postings import PostingElement
+from repro.index.postings import TERM_NUMBER_MASK, TERM_NUMBER_SHIFT, PostingElement
 
 if TYPE_CHECKING:
     from repro.crypto.keys import DocumentDirectory
@@ -96,23 +96,25 @@ class MergePlan:
         return self._addresses[term][0]
 
     @cached_property
-    def _decoders(self) -> dict[DocumentDirectory, Callable[[bytes], PostingElement]]:
-        return {}
+    def term_field(self) -> tuple[int, int, int]:
+        """``(shift, mask, count)``, what a skim needs to read a posting's
+        term number before verifying it
+        (:meth:`~repro.crypto.cipher.StreamCipher.skim`): the number is
+        the header's big-endian integer ``>> shift & mask``, and this
+        plan's terms are the numbers below ``count``."""
+        return (TERM_NUMBER_SHIFT, TERM_NUMBER_MASK, len(self.terms))
 
     def decoder(self, directory: DocumentDirectory) -> Callable[[bytes], PostingElement]:
-        """This plan's posting decoder for the group *directory* numbers:
-        one stable object per (plan, directory), since a cipher's memo
-        serves the decoder that filled it by identity.  Only the key
-        service hands a directory out (to members, in a keyring), so a
-        decoder resolves a document number only inside its own group.
+        """This plan's posting decoder for the group *directory* numbers.
+        Only the key service hands a directory out (to members, in a
+        keyring), so a decoder resolves a document number only inside
+        its own group.
 
         It resolves :meth:`PostingElement.from_bytes` at call time, so a
-        wrapper installed on that classmethod sees every miss-path decode.
+        wrapper installed on that classmethod sees every decode a skim
+        makes.
         """
-        decode = self._decoders.get(directory)
-        if decode is None:
-            decode = self._decoders[directory] = _decoder(self.terms, directory.names)
-        return decode
+        return _decoder(self.terms, directory.names)
 
     def terms_of(self, list_id: int) -> tuple[str, ...]:
         """Terms merged into *list_id*."""

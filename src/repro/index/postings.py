@@ -73,6 +73,11 @@ from repro.errors import ProtocolError
 _HEADER = struct.Struct(">HIII")
 HEADER_SIZE = _HEADER.size
 _unpack = _HEADER.unpack
+#: Where the term number sits in a header read as one big-endian integer:
+#: ``header >> TERM_NUMBER_SHIFT & TERM_NUMBER_MASK`` — bytes 6–10, ahead of
+#: the 4-byte doc number.  A skim reads it before verifying the element.
+TERM_NUMBER_SHIFT = 8 * 4
+TERM_NUMBER_MASK = 0xFFFF_FFFF
 
 #: Bytes of every sealed posting: the synthetic IV, then the header.
 SEALED_SIZE = IV_SIZE + HEADER_SIZE

@@ -162,7 +162,7 @@ METRIC_CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec(
         "crypto_skim_memo_hits_total",
         "counter",
-        "skim elements answered by the verified-decoded memo (decode skipped too)",
+        "skim elements answered by the memo, without a keystream (decode skipped too)",
         unit="elements",
     ),
     # -- persistence ------------------------------------------------------

@@ -32,6 +32,7 @@ RULE_FIXTURES = {
     "export-sanity": ("export_sanity", None),
     "obs-discipline": ("obs_discipline", "repro.core.fixture_mod"),
     "typed-defs": ("typed_defs", "repro.core.fixture_mod"),
+    "unused-import": ("unused_import", None),
 }
 
 
@@ -109,7 +110,7 @@ def test_a_host_thread_or_timer_import_in_the_core_fails_determinism():
         if f.message.startswith("import ")
     }
     assert imports == {"import threading", "import sched"}
-    source = "import concurrent.futures\nfrom asyncio import sleep\n"
+    source = "import concurrent.futures\nfrom asyncio import sleep\nUSED = concurrent, sleep\n"
     assert [f.rule for f in analyze_source(source, module="repro.core.router")] == [
         "determinism",
         "determinism",
@@ -121,7 +122,7 @@ def test_a_host_thread_or_timer_import_in_the_core_fails_determinism():
     "module", ["threading", "_thread", "asyncio", "sched", "concurrent", "queue", "signal"]
 )
 def test_each_host_concurrency_module_is_refused_in_the_core(module):
-    source = f"import {module}\nimport {module}.sub\nfrom {module} import x\n"
+    source = f"import {module}\nimport {module}.sub\nfrom {module} import x\nUSED = {module}, x\n"
     findings = analyze_source(source, module="repro.obs.fixture_mod")
     assert [(f.rule, f.line) for f in findings] == [
         ("determinism", 1),
@@ -131,7 +132,10 @@ def test_each_host_concurrency_module_is_refused_in_the_core(module):
 
 
 def test_a_relative_import_of_a_like_named_sibling_is_not_a_host_module():
-    source = "from .queue import Backlog\nfrom ..signal import Tone\nimport queued\n"
+    source = (
+        "from .queue import Backlog\nfrom ..signal import Tone\nimport queued\n"
+        "USED = Backlog, Tone, queued\n"
+    )
     assert analyze_source(source, module="repro.core.fixture_mod") == []
 
 
@@ -200,3 +204,10 @@ def test_a_shard_is_built_only_by_the_cluster():
     (finding,) = analyze_source(source, module="repro.core.system", path="s.py")
     assert finding.rule == "replication-bypass" and "ZerberRServer" in finding.message
     assert analyze_source(source, module="repro.core.cluster", path="c.py") == []
+
+
+def test_unused_import_names_each_unread_binding_once():
+    """``import a.b`` binds ``a``; an alias binds its alias; an import
+    inside a function is checked too."""
+    names = [f.message.split("'")[1] for f in _lint("unused_import_bad", None)]
+    assert names == ["os", "OrderedDict", "encode", "floor"]

@@ -3,8 +3,6 @@
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import (
     Finding,
     all_checkers,

@@ -26,6 +26,17 @@ def test_zlint_runs_clean_on_own_source():
     assert files_checked > 50  # the walk actually saw the tree
 
 
+def test_no_unused_import_in_src_or_tests():
+    """``unused-import`` is the one rule that also holds over tests/, the
+    other rules' fixtures included; only its own bad fixture may fire."""
+    findings, files_checked = analyze_paths(
+        [SRC, REPO_ROOT / "tests"], rules=["unused-import"]
+    )
+    rendered = "\n".join(f.render() for f in findings)
+    assert {Path(f.path).name for f in findings} == {"unused_import_bad.py"}, rendered
+    assert files_checked > 150
+
+
 @pytest.mark.parametrize("package", AUDITED_PACKAGES)
 def test_dunder_all_names_resolve(package):
     module = importlib.import_module(package)

@@ -1,6 +1,5 @@
 """Unit tests for the order-preserving mapping baseline ([21])."""
 
-import numpy as np
 import pytest
 
 from repro.baselines.ops_index import OrderPreservingIndex

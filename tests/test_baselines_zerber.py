@@ -111,14 +111,19 @@ class TestSystem:
         """``skim_matches`` reads only ``ciphertext`` and ``group``, so one
         skim serves both systems' records."""
         term = zsystem.vocabulary.terms_by_frequency()[0]
-        list_id = zsystem.merge_plan.list_of(term)
+        plan = zsystem.merge_plan
+        list_id, number = plan.locate(term)
         elements = zsystem.server.download("superuser", list_id)
-        ring = zsystem.key_service.keyring("superuser", zsystem.merge_plan)
+        ring = zsystem.key_service.keyring("superuser", plan)
         as_zerber_r = [
             EncryptedPostingElement(e.ciphertext, e.group, 0.5) for e in elements
         ]
-        zerber = [posting for posting, _ in skim_matches(elements, term, ring)]
-        zerber_r = [posting for posting, _ in skim_matches(as_zerber_r, term, ring)]
+
+        def skim(held):
+            return skim_matches(held, term, number, plan.term_field, ring)
+
+        zerber = [posting for posting, _ in skim(elements)]
+        zerber_r = [posting for posting, _ in skim(as_zerber_r)]
         assert zerber == zerber_r and zerber
 
     def test_unknown_term(self, zsystem):

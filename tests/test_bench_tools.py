@@ -31,6 +31,7 @@ COUNTS = {
     "router.server_calls_per_query": 0.0,
     "cluster.server_calls_per_op": 3.11167,
     "router.ticks_per_query": 0.0,
+    "index.decode_calls_per_op": 25.5,
 }
 
 

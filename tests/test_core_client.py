@@ -364,9 +364,9 @@ class TestRevocationBetweenRounds:
         delivered = []
         skim = client_module.skim_matches
 
-        def recording(elements, term, ring):
+        def recording(elements, *rest):
             delivered.extend(element.group for element in elements)
-            return skim(elements, term, ring)
+            return skim(elements, *rest)
 
         monkeypatch.setattr(client_module, "skim_matches", recording)
         coordinator.run_until_complete()
@@ -430,13 +430,13 @@ class TestReadPathWorkBound:
     ):
         session, responses = self._round(alice, bob, root, server)
         probed = Counter()
-        kernel = StreamCipher.try_decrypt
+        kernel = StreamCipher.skim
 
-        def counting(cipher, ciphertext, decode=None):
+        def counting(cipher, ciphertext, *rest):
             probed[ciphertext] += 1
-            return kernel(cipher, ciphertext, decode)
+            return kernel(cipher, ciphertext, *rest)
 
-        monkeypatch.setattr(StreamCipher, "try_decrypt", counting)
+        monkeypatch.setattr(StreamCipher, "skim", counting)
         session.deliver(responses)
         assert probed == Counter(e.ciphertext for r in responses for e in r.elements)
 

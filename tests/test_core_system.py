@@ -351,7 +351,7 @@ class TestDeployShardsTheBuiltIndex:
             for list_id in range(system.merge_plan.num_lists)
             for element in system.cluster.server(0).export_list(list_id)
             if element.group == group
-            and cipher.try_decrypt(element.ciphertext, decode).doc_id == victim
+            and decode(cipher.try_decrypt(element.ciphertext)).doc_id == victim
         ]
         assert len(receipts) == len(corpus.stats(victim).counts)
         assert writer.delete_document(receipts) == len(receipts)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.corpus.synthetic import (
     SyntheticCorpusConfig,
-    SyntheticCorpusGenerator,
     odp_like,
     studip_like,
     tiny_corpus,

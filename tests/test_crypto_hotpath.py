@@ -3,6 +3,7 @@ straight-line references, known answers stay pinned across refactors, and
 the batch/memo layers change performance only — never bytes."""
 
 import dataclasses
+import functools
 import gc
 import hashlib
 import hmac
@@ -18,7 +19,7 @@ from repro.crypto.keys import DocumentDirectory
 from repro.crypto.prf import Prf, derive_key
 from repro.errors import ProtocolError
 from repro.index.merge import MergePlan
-from repro.index.postings import EncryptedPostingElement, PostingElement
+from repro.index.postings import SEALED_SIZE, EncryptedPostingElement, PostingElement
 from tests.conftest import posting_bytes, sealed
 
 KEY = b"0123456789abcdef0123456789abcdef"
@@ -27,7 +28,11 @@ TERMS = ("apple", "pear", "plum")
 PLAN = MergePlan(groups=(("t",), TERMS), r=2.0)
 # One group directory holding every doc id the tests below write.
 DIRECTORY = DocumentDirectory(["d", "d0", "d1", "doc", *(f"doc-{i}" for i in range(12))])
-DECODE = PLAN.decoder(DIRECTORY)  # one object: the memo goes by identity
+DECODE = PLAN.decoder(DIRECTORY)
+FIELD = PLAN.term_field
+# The field of a plan with no terms: no number is dropped on sight, so the
+# kernel verifies every element — its memo rules without the header-first drop.
+EVERY = (*FIELD[:2], 0)
 
 
 def _plaintext(posting):
@@ -147,16 +152,16 @@ def test_the_block_edges_match_the_reference(size):
 @settings(max_examples=100, deadline=None)
 def test_a_v7_sealed_ciphertext_is_refused(key, nonce, plaintext):
     """A v7 seal is not misread as an IV and a longer body: no IV the
-    ``"siv:v8"`` subkey produced heads it, so the kernel skips it and
-    nothing is memoised."""
+    ``"siv:v8"`` subkey produced heads it, so it is refused and nothing
+    is memoised."""
     ciphertext = v7_sealed(key, plaintext, nonce)
     cipher = StreamCipher(key)
     assert cipher.try_decrypt(ciphertext) is None
-    assert cipher.try_decrypt(ciphertext, _decode) is None
+    assert cipher.skim(ciphertext, 0, EVERY, _decode) is None
     assert cipher._memo == {} and cipher.memo_hits == 0
 
 
-# -- batch skim semantics -----------------------------------------------------
+# -- raw opens ------------------------------------------------------------------
 
 
 class TestTryDecryptMany:
@@ -184,55 +189,38 @@ class TestTryDecryptMany:
         batch = [cipher.encrypt(b"")] * 3
         assert cipher.try_decrypt_many(batch) == [b"", b"", b""]
 
+    def test_a_raw_open_neither_reads_nor_writes_the_memo(self):
+        cipher = StreamCipher(KEY, memo_capacity=2)
+        one, two, three = (cipher.encrypt(b"m%d" % i) for i in range(3))
+        assert cipher.skim(one, 0, EVERY, _decode) == ("decoded", b"m0")
+        assert cipher.skim(two, 0, EVERY, _decode) == ("decoded", b"m1")
+        before = list(cipher._memo.items())
+        # Raw opens of a memoised and of an unseen ciphertext: bytes come
+        # back, nothing is served from, stored in or evicted from the memo.
+        assert cipher.try_decrypt_many([one, three, one]) == [b"m0", b"m2", b"m0"]
+        assert cipher.memo_hits == 0 and list(cipher._memo.items()) == before
+        assert cipher.skim(one, 0, EVERY, _decode) == ("decoded", b"m0")
+        assert cipher.memo_hits == 1
 
-class TestDecryptMemo:
-    def test_repeated_skim_identical(self):
-        cipher = StreamCipher(KEY)
-        batch = [cipher.encrypt(b"hot-%d" % i) for i in range(4)]
-        first = cipher.try_decrypt_many(batch)
-        second = cipher.try_decrypt_many(batch)  # served from the memo
-        assert first == second == [b"hot-%d" % i for i in range(4)]
 
-    def test_memo_is_bounded(self):
-        cipher = StreamCipher(KEY, memo_capacity=16)
-        batch = [cipher.encrypt(b"e%d" % i) for i in range(100)]
-        cipher.try_decrypt_many(batch)
-        assert len(cipher._memo) <= 16
-
-    def test_tamper_after_memoisation_still_fails(self):
-        cipher = StreamCipher(KEY)
-        ciphertext = cipher.encrypt(b"secret")
-        assert cipher.try_decrypt(ciphertext) == b"secret"
-        tampered = bytearray(ciphertext)
-        tampered[-1] ^= 1
-        assert cipher.try_decrypt(bytes(tampered)) is None
-
-    def test_memo_disabled(self):
-        cipher = StreamCipher(KEY, memo_capacity=0)
-        ciphertext = cipher.encrypt(b"m")
-        assert cipher.try_decrypt(ciphertext) == b"m"
-        assert cipher.try_decrypt_many([ciphertext]) == [b"m"]
-        assert cipher._memo == {}
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            StreamCipher(KEY, memo_capacity=-1)
+# -- the skim kernel's memo -------------------------------------------------------
 
 
 def _decode(plaintext: bytes) -> tuple[str, bytes]:
     return ("decoded", plaintext)
 
 
-def _decode_other(plaintext: bytes) -> tuple[str, bytes]:
-    return ("other", plaintext)
-
-
-class TestDecodedMemo:
+class TestSkimMemo:
     """The memo holds ``decode(verified plaintext)``: a hit skips
-    keystream, IV check and decode, and is only ever what a miss would have been."""
+    keystream, IV check and decode, and is only ever what a miss would
+    have been.  These skims use :data:`EVERY`, so no element is dropped
+    on sight and every one is a candidate."""
 
     def _batch(self, cipher, count=4):
         return [cipher.encrypt(b"hot-%d" % i) for i in range(count)]
+
+    def _skim(self, cipher, batch, decode=_decode):
+        return [cipher.skim(ciphertext, 0, EVERY, decode) for ciphertext in batch]
 
     def test_hit_skips_the_decoder(self):
         cipher = StreamCipher(KEY)
@@ -243,75 +231,45 @@ class TestDecodedMemo:
             calls.append(plaintext)
             return ("decoded", plaintext)
 
-        first = cipher.try_decrypt_many(batch, decode)
+        first = self._skim(cipher, batch, decode)
         assert first == [("decoded", b"hot-%d" % i) for i in range(4)]
-        assert cipher.try_decrypt_many(batch, decode) == first
+        assert self._skim(cipher, batch, decode) == first
         assert len(calls) == 4 and cipher.memo_hits == 4
+
+    def test_memo_is_bounded(self):
+        cipher = StreamCipher(KEY, memo_capacity=16)
+        self._skim(cipher, self._batch(cipher, 100))
+        assert len(cipher._memo) <= 16
+
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            StreamCipher(KEY, memo_capacity=-1)
 
     def test_tampered_ciphertext_never_served_from_memo(self):
         cipher = StreamCipher(KEY)
         (ciphertext,) = self._batch(cipher, 1)
-        assert cipher.try_decrypt_many([ciphertext], _decode) == [("decoded", b"hot-0")]
+        assert self._skim(cipher, [ciphertext]) == [("decoded", b"hot-0")]
         for position in range(len(ciphertext)):
             tampered = bytearray(ciphertext)
             tampered[position] ^= 0x80
-            assert cipher.try_decrypt_many([bytes(tampered)], _decode) == [None]
-        assert cipher.try_decrypt_many([ciphertext[:-1], ciphertext + b"\0"], _decode) == [
-            None,
-            None,
-        ]
+            assert self._skim(cipher, [bytes(tampered)]) == [None]
+        assert self._skim(cipher, [ciphertext[:-1], ciphertext + b"\0"]) == [None, None]
         assert cipher.memo_hits == 0 and list(cipher._memo) == [ciphertext]
-
-    def test_decoded_entry_never_returned_raw(self):
-        cipher = StreamCipher(KEY)
-        batch = self._batch(cipher)
-        decoded = cipher.try_decrypt_many(batch, _decode)
-        raw = [b"hot-%d" % i for i in range(4)]
-        assert cipher.try_decrypt_many(batch) == raw
-        assert [cipher.try_decrypt(ct) for ct in batch] == raw
-        assert cipher.memo_hits == 0  # raw callers went around the memo ...
-        assert cipher.try_decrypt_many(batch, _decode) == decoded
-        assert cipher.memo_hits == 4  # ... and left the decoder's entries alone
-
-    def test_raw_entry_never_returned_decoded(self):
-        cipher = StreamCipher(KEY)
-        batch = self._batch(cipher)
-        assert cipher.try_decrypt_many(batch) == cipher.try_decrypt_many(batch)
-        assert cipher.memo_hits == 4
-        assert cipher.try_decrypt_many(batch, _decode) == [
-            ("decoded", b"hot-%d" % i) for i in range(4)
-        ]
-        assert cipher.memo_hits == 4  # nothing raw was served to the decoder
-
-    def test_one_decoder_never_sees_anothers_entries(self):
-        cipher = StreamCipher(KEY)
-        batch = self._batch(cipher)
-        cipher.try_decrypt_many(batch, _decode)
-        assert cipher.try_decrypt_many(batch, _decode_other) == [
-            ("other", b"hot-%d" % i) for i in range(4)
-        ]
-        assert cipher.try_decrypt_many(batch, _decode) == [
-            ("decoded", b"hot-%d" % i) for i in range(4)
-        ]
-        assert cipher.memo_hits == 0 and len(cipher._memo) == 4
 
     def test_capacity_zero_decodes_and_stores_nothing(self):
         cipher = StreamCipher(KEY, memo_capacity=0)
         batch = self._batch(cipher)
         for _ in range(2):
-            assert cipher.try_decrypt_many(batch, _decode) == [
-                ("decoded", b"hot-%d" % i) for i in range(4)
-            ]
+            assert self._skim(cipher, batch) == [("decoded", b"hot-%d" % i) for i in range(4)]
         assert cipher._memo == {} and cipher.memo_hits == 0
 
     def test_failed_decode_is_never_memoised(self):
         cipher = StreamCipher(KEY)
         good = cipher.encrypt(_plaintext(PostingElement("t", "d", 1, 2)))
         bad = cipher.encrypt(b'{"t":"t"}')  # authentic, malformed
-        decode = DECODE
         for _ in range(2):
             with pytest.raises(ProtocolError):
-                cipher.try_decrypt_many([good, bad, good], decode)
+                [cipher.skim(ct, 0, FIELD, DECODE) for ct in (good, bad, good)]
         assert list(cipher._memo) == [good]
 
     def test_decoder_that_raises_keeps_the_hits_served_before_it(self):
@@ -323,61 +281,143 @@ class TestDecodedMemo:
             for i in range(2)
         )
         bad = cipher.encrypt(b'{"t":"t"}')  # authentic, malformed
-        decode = DECODE
-        cipher.try_decrypt_many([first, second], decode)
+        skim_t = functools.partial(cipher.skim, number=0, field=FIELD, decode=DECODE)
+        [skim_t(ct) for ct in (first, second)]
         assert cipher.memo_hits == 0
         with pytest.raises(ProtocolError):
-            cipher.try_decrypt_many([first, second, bad], decode)
+            [skim_t(ct) for ct in (first, second, bad)]
         assert cipher.memo_hits == 2
         assert list(cipher._memo) == [first, second]
 
-
-class TestOneElementKernel:
-    """``try_decrypt`` is the kernel; the batch is a comprehension over it."""
-
-    def _pool(self, cipher):
+    def test_decoder_never_sees_unauthenticated_bytes(self):
+        cipher = StreamCipher(KEY)
         good = [cipher.encrypt(b"el-%d" % i) for i in range(5)]
         foreign = StreamCipher(b"x" * 32).encrypt(b"foreign")
         broken = good[1][:-1] + bytes([good[1][-1] ^ 1])
-        return [good[0], foreign, good[1], broken, good[0], b"short", *good[2:], good[1]]
-
-    @pytest.mark.parametrize("decode", [None, _decode])
-    @pytest.mark.parametrize("capacity", [0, 1, 2, 3, 64])
-    def test_batch_is_the_kernel_per_element(self, decode, capacity):
-        batch_cipher = StreamCipher(KEY, memo_capacity=capacity)
-        kernel_cipher = StreamCipher(KEY, memo_capacity=capacity)
-        pool = self._pool(batch_cipher)
-        for _ in range(2):
-            assert batch_cipher.try_decrypt_many(pool, decode) == [
-                kernel_cipher.try_decrypt(ct, decode) for ct in pool
-            ]
-            assert batch_cipher.memo_hits == kernel_cipher.memo_hits
-            assert list(batch_cipher._memo.items()) == list(kernel_cipher._memo.items())
-
-    def test_raw_caller_neither_reads_nor_evicts_a_decoders_memo(self):
-        cipher = StreamCipher(KEY, memo_capacity=2)
-        one, two, three = (cipher.encrypt(b"m%d" % i) for i in range(3))
-        assert cipher.try_decrypt(one, _decode) == ("decoded", b"m0")
-        assert cipher.try_decrypt(two, _decode) == ("decoded", b"m1")
-        before = list(cipher._memo.items())
-        # Raw opens of a memoised and of an unseen ciphertext: bytes come
-        # back, nothing is served from, stored in or evicted from the memo.
-        assert [cipher.try_decrypt(ct) for ct in (one, three, one)] == [b"m0", b"m2", b"m0"]
-        assert cipher.memo_hits == 0 and list(cipher._memo.items()) == before
-        assert cipher.try_decrypt(one, _decode) == ("decoded", b"m0") and cipher.memo_hits == 1
-
-    def test_decoder_never_sees_unauthenticated_bytes(self):
-        cipher = StreamCipher(KEY)
+        pool = [good[0], foreign, good[1], broken, good[0], b"short", *good[2:], good[1]]
         seen = []
 
         def decode(plaintext):
             seen.append(plaintext)
             return plaintext
 
-        for ciphertext in self._pool(cipher):
-            cipher.try_decrypt(ciphertext, decode)
+        self._skim(cipher, pool, decode)
         assert sorted(seen) == [b"el-%d" % i for i in range(5)]  # once each
         assert len(cipher._memo) == 5
+
+
+class TestHeaderFirstSkim:
+    """The kernel reads a posting's term number before it verifies: an
+    element of another term of the plan is dropped on sight and
+    memoised as that number; only a candidate is verified, decoded and
+    memoised decoded."""
+
+    def _slice(self, cipher):
+        """Two elements of each of the skim's terms, interleaved."""
+        return {
+            (term, serial): cipher.encrypt(
+                _plaintext(PostingElement(term, f"doc-{serial}", 1 + serial, 40))
+            )
+            for serial in range(2)
+            for term in TERMS
+        }
+
+    def _counting_ivs(self, cipher):
+        """Count the IVs *cipher* computes from here on."""
+        computed = []
+        siv = cipher._siv
+
+        def counting():
+            computed.append(1)
+            return siv()
+
+        cipher._siv = counting
+        return computed
+
+    def _skim(self, cipher, elements, term, decode=DECODE):
+        number = PLAN.locate(term)[1]
+        return [cipher.skim(ciphertext, number, FIELD, decode) for ciphertext in elements]
+
+    def test_only_a_candidate_is_verified_decoded_and_memoised_decoded(self):
+        cipher = StreamCipher(KEY)
+        slice_ = self._slice(cipher)
+        ivs, decoded = self._counting_ivs(cipher), []
+
+        def decode(plaintext):
+            decoded.append(plaintext)
+            return DECODE(plaintext)
+
+        opened = self._skim(cipher, slice_.values(), "pear", decode)
+        assert [posting is not None for posting in opened] == [
+            term == "pear" for term, _ in slice_
+        ]
+        assert len(ivs) == len(decoded) == 2  # the two pears, nothing else
+        assert list(cipher._memo.items()) == [
+            (ciphertext, posting if term == "pear" else PLAN.locate(term)[1])
+            for ((term, _), ciphertext), posting in zip(slice_.items(), opened)
+        ]
+        assert cipher.memo_hits == 0
+
+    def test_a_memoised_number_equal_to_the_wanted_one_is_not_a_hit(self):
+        """A hit means "answered without a keystream": a dropped element
+        met again by its own term pays its keystream, IV check and decode
+        then, and its entry becomes the decoded posting."""
+        cipher = StreamCipher(KEY)
+        slice_ = self._slice(cipher)
+        self._skim(cipher, slice_.values(), "pear")
+        ivs = self._counting_ivs(cipher)
+        opened = self._skim(cipher, slice_.values(), "apple")
+        assert cipher.memo_hits == 4  # the pears (decoded) and the plums (numbers)
+        assert len(ivs) == 2  # the apples, verified now
+        assert [p.term for p in opened if p is not None] == ["apple", "pear"] * 2
+        assert {type(v) for (t, _), v in zip(slice_, cipher._memo.values()) if t != "plum"} == {
+            PostingElement
+        }
+        self._skim(cipher, slice_.values(), "plum")
+        assert cipher.memo_hits == 4 + 4 and len(ivs) == 2 + 2
+
+    def test_a_malformed_element_of_another_term_raises_only_for_its_own(self):
+        cipher = StreamCipher(KEY)
+        apple = PLAN.locate("apple")[1]
+        # Authentic, and a header naming a document past the directory.
+        malformed = cipher.encrypt(
+            posting_bytes(PostingElement("apple", "d", 1, 2), apple, 2**32 - 1)
+        )
+        for _ in range(2):
+            assert self._skim(cipher, [malformed], "pear") == [None]
+            with pytest.raises(ProtocolError):
+                self._skim(cipher, [malformed], "apple")
+            assert cipher._memo == {malformed: apple}  # its number, never a decode
+
+    def test_an_authentic_number_outside_the_plan_raises_for_every_term(self):
+        cipher = StreamCipher(KEY)
+        outside = cipher.encrypt(
+            posting_bytes(PostingElement("apple", "d", 1, 2), len(PLAN.terms), 0)
+        )
+        for term in PLAN.terms:
+            with pytest.raises(ProtocolError):
+                self._skim(cipher, [outside], term)
+        assert cipher._memo == {} and cipher.memo_hits == 0
+
+    @given(term_of=st.sampled_from(TERMS), bit=st.integers(0, 8 * SEALED_SIZE - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_a_tampered_element_is_dropped_whatever_its_header_reads(self, term_of, bit):
+        """Flip any one bit of a sealed element of a readable group: for
+        every term of the plan, twice over (cold, then through the memo),
+        the skim drops it — no raise, no match — and the authentic
+        element still opens."""
+        ring = {"g": (StreamCipher(KEY), DECODE)}
+        cipher = ring["g"][0]
+        element = PostingElement(term_of, "d", 3, 7)
+        authentic = cipher.encrypt(_plaintext(element))
+        tampered = bytearray(authentic)
+        tampered[bit // 8] ^= 0x80 >> bit % 8
+        sent = [EncryptedPostingElement(bytes(tampered), "g", 0.5)]
+        for _ in range(2):
+            for term in PLAN.terms:
+                assert skim_matches(sent, term, PLAN.locate(term)[1], FIELD, ring) == []
+        assert all(type(value) is int for value in cipher._memo.values())
+        assert self._skim(cipher, [authentic], term_of) == [element]
 
 
 # -- the decoder of the skim's cold path ----------------------------------------
@@ -446,14 +486,16 @@ class TestMalformedPlaintext:
         ],
     )
     def test_raises_protocol_error_and_is_not_memoised(self, plaintext):
+        """Skimmed for pear, the term each header names (or a number
+        outside the plan, where the header is cut or padded)."""
         cipher = StreamCipher(KEY)
         good = cipher.encrypt(_plaintext(self.GOOD))
         bad = cipher.encrypt(plaintext)
-        decode = DECODE
-        assert cipher.try_decrypt(good, decode) == self.GOOD
+        pear = PLAN.locate("pear")[1]
+        assert cipher.skim(good, pear, FIELD, DECODE) == self.GOOD
         for _ in range(2):
             with pytest.raises(ProtocolError):
-                cipher.try_decrypt(bad, decode)
+                cipher.skim(bad, pear, FIELD, DECODE)
         assert list(cipher._memo) == [good] and cipher.memo_hits == 0
 
 
@@ -489,13 +531,16 @@ class TestSkimFrameBudget:
     """Python frames ``skim_matches`` enters to open one slice, per
     element: a count, not a clock, so it is the same on every machine and
     a refactor that adds a frame per element fails here in the open (as
-    ``TELEMETRY_FRAME_BUDGET`` does for telemetry).  A cold element enters
-    ``try_decrypt``, the plan's decoder and ``from_bytes``, and nothing
+    ``TELEMETRY_FRAME_BUDGET`` does for telemetry).  A cold candidate
+    enters ``skim``, the plan's decoder and ``from_bytes``, and nothing
     else: no memo-store helper, no constructor, no ``__post_init__``.  A
-    memo hit enters ``try_decrypt`` alone."""
+    cold element of another term enters ``skim`` alone (it is dropped on
+    its unverified term number; 3 frames while every element was
+    verified and decoded), and so does a memo hit."""
 
-    COLD_FRAMES_PER_ELEMENT = 3
-    HIT_FRAMES_PER_ELEMENT = 1
+    COLD_CANDIDATE_FRAMES = 3
+    COLD_NON_MATCH_FRAMES = 1
+    HIT_FRAMES = 1
 
     def test_a_slice_enters_exactly_its_per_element_frames(self):
         # A keyring: each group's cipher and its decoder, built outside
@@ -507,13 +552,19 @@ class TestSkimFrameBudget:
             posting = PostingElement(term, f"doc-{serial}", 1 + serial, 40)
             ciphertext = ring[group][0].encrypt(_plaintext(posting))
             elements.append(EncryptedPostingElement(ciphertext, group, 0.5))
+        number = PLAN.locate("pear")[1]
 
         def skim():
-            return skim_matches(elements, "pear", ring)
+            return skim_matches(elements, "pear", number, FIELD, ring)
 
+        candidates = 4  # every third element is a pear
         # The one frame beside the per-element ones is skim_matches itself.
-        assert _frames_entered(skim) == 1 + self.COLD_FRAMES_PER_ELEMENT * len(elements)
-        assert _frames_entered(skim) == 1 + self.HIT_FRAMES_PER_ELEMENT * len(elements)
+        assert _frames_entered(skim) == (
+            1
+            + self.COLD_CANDIDATE_FRAMES * candidates
+            + self.COLD_NON_MATCH_FRAMES * (len(elements) - candidates)
+        )
+        assert _frames_entered(skim) == 1 + self.HIT_FRAMES * len(elements)
         assert sum(cipher.memo_hits for cipher, _ in ring.values()) == len(elements)
 
 
@@ -634,18 +685,59 @@ def _element_pool(draw):
     return pool
 
 
-def _reference_matches(elements, term, ciphers):
-    """What the skim replaced: per element, try_decrypt + from_bytes + filter."""
+class _ReferenceSkim:
+    """The skim's memo rules spelled out for one group key: the term
+    number read off header bytes 6–10 through a one-shot reference
+    keystream, the raw open and ``from_bytes`` for a candidate, and a
+    memo of decoded postings and dropped elements' numbers."""
+
+    def __init__(self, key, capacity):
+        self.opener = StreamCipher(key)  # raw opens only: no memo
+        self.enc_key = reference_prf(key, b"derive:enc")
+        self.capacity, self.memo, self.hits = capacity, {}, 0
+
+    def skim(self, ciphertext, number):
+        cached = self.memo.get(ciphertext)
+        if isinstance(cached, PostingElement) or (cached is not None and cached != number):
+            self.hits += 1
+            return cached if isinstance(cached, PostingElement) else None
+        if len(ciphertext) < IV_SIZE:
+            return None
+        iv, body = ciphertext[:IV_SIZE], ciphertext[IV_SIZE:]
+        stream = reference_keystream(self.enc_key, iv, len(body))
+        header = bytes(b ^ k for b, k in zip(body, stream))
+        # Bytes 6–10 of a 14-byte header: the four before the doc number
+        # (so a cut or padded body is read where the kernel reads it).
+        seen = int.from_bytes(header[-8:-4], "big")
+        if seen != number and seen < len(PLAN.terms):
+            self._store(ciphertext, seen)
+            return None
+        plaintext = self.opener.try_decrypt(ciphertext)
+        if plaintext is None:
+            return None
+        posting = PostingElement.from_bytes(plaintext, PLAN.terms, DIRECTORY.names)
+        self._store(ciphertext, posting)
+        return posting
+
+    def _store(self, ciphertext, value):
+        if not self.capacity:
+            return
+        if ciphertext not in self.memo and len(self.memo) >= self.capacity:
+            for stale in list(self.memo)[: self.capacity // 2 + 1]:
+                del self.memo[stale]
+        self.memo[ciphertext] = value
+
+
+def _reference_matches(elements, term, references):
+    """Per element: the group's reference skim, then the term filter."""
+    number = PLAN.locate(term)[1]
     matches = []
     for element in elements:
-        cipher = ciphers.get(element.group)
-        if cipher is None:
+        reference = references.get(element.group)
+        if reference is None:
             continue
-        plaintext = cipher.try_decrypt(element.ciphertext)
-        if plaintext is None:
-            continue
-        posting = PostingElement.from_bytes(plaintext, PLAN.terms, DIRECTORY.names)
-        if posting.term == term:
+        posting = reference.skim(element.ciphertext, number)
+        if posting is not None and posting.term == term:
             matches.append((posting, element))
     return matches
 
@@ -666,24 +758,44 @@ def _reference_matches(elements, term, ciphers):
 @settings(max_examples=200, deadline=None)
 def test_skim_matches_equals_per_element_reference(pool, picks, readable, capacity):
     """Identical matches in identical order, identical per-cipher memo
-    tallies and memo contents — with groups interleaved, groups absent
-    from the mapping, broken tags, truncated and duplicate ciphertexts,
+    tallies and memo contents — a decoded posting for a verified element,
+    the term number for one dropped on sight — with groups interleaved,
+    groups absent from the mapping, broken tags, duplicate ciphertexts,
     and a memo small enough to evict in the middle of a slice."""
     kernel = {g: StreamCipher(GROUP_KEYS[g], memo_capacity=capacity) for g in readable}
-    reference = {g: StreamCipher(GROUP_KEYS[g], memo_capacity=capacity) for g in readable}
+    reference = {g: _ReferenceSkim(GROUP_KEYS[g], capacity) for g in readable}
+    ring = {g: (cipher, DECODE) for g, cipher in kernel.items()}
     for term, indices in picks:
         elements = [pool[index % len(pool)] for index in indices]
-        matches = skim_matches(
-            elements, term, {g: (cipher, DECODE) for g, cipher in kernel.items()}
-        )
+        matches = skim_matches(elements, term, PLAN.locate(term)[1], FIELD, ring)
         assert matches == _reference_matches(elements, term, reference)
         for group in readable:
-            assert kernel[group].memo_hits == reference[group].memo_hits
+            assert kernel[group].memo_hits == reference[group].hits
             assert len(kernel[group]._memo) <= capacity
-            # The reference memoises raw plaintexts, the skim decoded
-            # postings: same ciphertexts, same (insertion = eviction) order.
-            assert list(kernel[group]._memo) == list(reference[group]._memo)
-            assert list(kernel[group]._memo.values()) == [
-                PostingElement.from_bytes(plaintext, PLAN.terms, DIRECTORY.names)
-                for plaintext in reference[group]._memo.values()
-            ]
+            assert list(kernel[group]._memo.items()) == list(reference[group].memo.items())
+
+
+@pytest.mark.parametrize("capacity", [0, 1, 2, 3, 64])
+@pytest.mark.parametrize("order", [TERMS, TERMS[::-1]])
+def test_the_kernel_is_the_reference_on_every_kind_of_element(capacity, order):
+    """One group's pool of postings of every skimmed term, repeated,
+    beside a foreign, a tampered, a cut, a padded and a too-short
+    ciphertext, skimmed term after term: same postings, same hits, same
+    memo, entry for entry, at every capacity."""
+    kernel = StreamCipher(GROUP_KEYS["g0"], memo_capacity=capacity)
+    reference = _ReferenceSkim(GROUP_KEYS["g0"], capacity)
+    good = [
+        kernel.encrypt(_plaintext(PostingElement(term, f"doc-{serial}", 1 + serial, 40)))
+        for serial in range(2)
+        for term in TERMS
+    ]
+    foreign = StreamCipher(GROUP_KEYS["g1"]).encrypt(_plaintext(PostingElement("pear", "d", 1, 2)))
+    tampered = good[1][:-1] + bytes([good[1][-1] ^ 1])
+    pool = [*good, foreign, tampered, good[2][:-1], good[2] + b"\0", b"short", *good[::-1]]
+    for term in order * 2:
+        number = PLAN.locate(term)[1]
+        assert [kernel.skim(ct, number, FIELD, DECODE) for ct in pool] == [
+            reference.skim(ct, number) for ct in pool
+        ]
+        assert kernel.memo_hits == reference.hits
+        assert list(kernel._memo.items()) == list(reference.memo.items())

@@ -162,9 +162,10 @@ class TestKeyring:
         ring = service.keyring("bob", PLAN)
         assert ring.keys() == service.memberships("bob") == {"g1", "g2"}
         assert all(ring[g][0] is service.cipher_for("bob", g) for g in ring)
-        assert all(
-            ring[g][1] is PLAN.decoder(service._directories[g]) for g in ring
-        )
+        for group in ring:
+            number = service.document_number("bob", group, f"{group}-doc")
+            data = posting_bytes(PostingElement("a", "x", 1, 2), 0, number)
+            assert ring[group][1](data) == PostingElement("a", f"{group}-doc", 1, 2)
         assert service.keyring("alice", PLAN).keys() == {"g1"}
 
     def test_unknown_principal_raises_what_memberships_raises(self, service):
@@ -188,9 +189,12 @@ class TestKeyring:
         assert not service.is_member("bob", "g9")
 
     def test_revoke_drops_the_group_and_reenroll_starts_cold(self, service):
-        stale = service.keyring("bob", PLAN)["g2"][0]
-        ciphertext = stale.encrypt(b"x")
-        assert stale.try_decrypt(ciphertext) == stale.try_decrypt(ciphertext) == b"x"
+        stale, decode = service.keyring("bob", PLAN)["g2"]
+        number = service.document_number("bob", "g2", "d")
+        ciphertext = stale.encrypt(posting_bytes(PostingElement("a", "d", 1, 2), 0, number))
+        first = stale.skim(ciphertext, 0, PLAN.term_field, decode)
+        assert first.doc_id == "d"
+        assert stale.skim(ciphertext, 0, PLAN.term_field, decode) is first
         assert stale.memo_hits == 1
         service.revoke("bob", "g2")
         assert service.keyring("bob", PLAN).keys() == {"g1"}
@@ -224,11 +228,12 @@ class TestKeyring:
         service.enroll("bob", "g3")
         service.keyring("bob", PLAN)
         assert len(built) == 5  # one rebuild over the three groups
-        other = MergePlan(groups=(("a",), ("b",)), r=2.0)
-        assert service.keyring("bob", other)["g1"][1] is other.decoder(
-            service._directories["g1"]
-        )
+        other = MergePlan(groups=(("b",), ("a",)), r=2.0)
+        number = service.document_number("bob", "g1", "doc")
+        data = posting_bytes(PostingElement("b", "doc", 1, 2), 0, number)
+        assert service.keyring("bob", other)["g1"][1](data).term == "b"
         assert len(built) == 8  # a ring serves the plan it was built for
+        assert service.keyring("bob", PLAN)["g1"][1](data).term == "a"
 
 
 def _sealed(service, names, group="g1", writer="alice"):
@@ -265,7 +270,7 @@ class TestDocumentDirectory:
         number = service.document_number("bob", "g2", "secret-doc")
         plaintext = posting_bytes(PostingElement("a", "secret-doc", 1, 2), 0, number)
         cipher, decode = service.keyring("bob", PLAN)["g2"]
-        assert cipher.try_decrypt(cipher.encrypt(plaintext), decode).doc_id == "secret-doc"
+        assert decode(cipher.try_decrypt(cipher.encrypt(plaintext))).doc_id == "secret-doc"
         service.revoke("bob", "g2")
         assert "g2" not in service.keyring("bob", PLAN)
 
@@ -278,9 +283,9 @@ class TestDocumentDirectory:
         cipher, decode = service.keyring("alice", PLAN)["g1"]
         forged = cipher.encrypt(posting_bytes(PostingElement("a", "x", 1, 2), 0, forged_number))
         with pytest.raises(ProtocolError):
-            cipher.try_decrypt(forged, decode)
+            decode(cipher.try_decrypt(forged))
         in_range = cipher.encrypt(posting_bytes(PostingElement("a", "x", 1, 2), 0, 0))
-        assert cipher.try_decrypt(in_range, decode).doc_id == "g1-doc"
+        assert decode(cipher.try_decrypt(in_range)).doc_id == "g1-doc"
 
 
 class TestSealedDirectories:

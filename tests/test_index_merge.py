@@ -60,15 +60,20 @@ class TestMergePlan:
         with pytest.raises(KeyError):
             plan.locate("zzz")
 
-    def test_one_stable_decoder_per_plan_and_directory(self):
-        """A cipher memo serves the decoder that filled it, by identity:
-        one decoder per (plan, group directory), resolving document
-        numbers in that directory alone."""
+    def test_the_term_field_reads_the_number_the_encoder_wrote(self):
+        plan = MergePlan(groups=(("a", "b"), ("c",)), r=2.0)
+        shift, mask, count = plan.term_field
+        assert count == len(plan.terms) == 3
+        for number in (0, 1, 2, 2**32 - 1):
+            header = posting_bytes(PostingElement("a", "d", 7, 9), number, 2**32 - 2)
+            assert int.from_bytes(header, "big") >> shift & mask == number
+
+    def test_one_decoder_per_plan_and_directory(self):
+        """A decoder names terms by the plan's numbering and resolves
+        document numbers in its own group directory alone."""
         plan = MergePlan(groups=(("a", "b"), ("c",)), r=2.0)
         same = MergePlan(groups=(("a", "b"), ("c",)), r=2.0)
         mine, other = DocumentDirectory(["doc"]), DocumentDirectory(["x", "y"])
-        assert plan.decoder(mine) is plan.decoder(mine)
-        assert plan.decoder(mine) is not plan.decoder(other)
         assert same == plan  # the numbering is no part of a plan's value
         posting = PostingElement("c", "doc", 2, 5)
         data = posting_bytes(posting, plan.locate("c")[1], 0)

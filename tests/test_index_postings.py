@@ -9,7 +9,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.cipher import IV_SIZE
 from repro.errors import ProtocolError

@@ -223,8 +223,11 @@ class TestEndToEndSpanChain:
         assert first.elements and second.elements
         group = second.elements[0].group
         cipher = system.key_service.cipher_for(client.principal, group)
-        # Authentic, and a header naming a document past the directory.
-        header = posting_bytes(PostingElement("t", "d", 1, 2), 0, 2**32 - 1)
+        # Authentic, and a header naming the second slice's own term and a
+        # document past the directory: a candidate, so it is verified and
+        # its decode raises (another term's number would be dropped unread).
+        number = system.merge_plan.locate(terms[1])[1]
+        header = posting_bytes(PostingElement("t", "d", 1, 2), number, 2**32 - 1)
         malformed = EncryptedPostingElement(
             ciphertext=cipher.encrypt(header), group=group, trs=0.0
         )

@@ -5,8 +5,9 @@
 
 Runs every workload of the committed record once at the record's count
 seed, on the full corpus (the smoke corpus for a ``--quick`` record), with
-``benchmarks/e2e/run.py --workload W --seed S --seconds 0 --output ...``
-(the minimum number of passes; a few seconds each), and compares the
+``benchmarks/e2e/run.py --workload W --seed S --seconds 0 --trace 1 --output
+...`` (the minimum number of passes, traced: only a traced report carries
+the tracer's call counts; ten-odd seconds each), and compares the
 machine-independent half of the report with the record's ``counts``
 section *exactly*:
 
@@ -18,7 +19,10 @@ section *exactly*:
 * ``router.server_calls_per_query`` and ``cluster.server_calls_per_op``
   — the shard-server calls a coordinator query and any op cost;
 * ``router.ticks_per_query`` — the flushes per coordinator query, which
-  pins the coordinator's same-tick schedule.
+  pins the coordinator's same-tick schedule;
+* ``index.decode_calls_per_op`` — the posting decodes a query or write
+  costs (the tracer's ``PostingElement.from_bytes`` span count), which
+  pins how much of a skim is verified and decoded.
 
 They are pure functions of corpus, seeds and tape — no clock, no machine,
 no hash seed — so any difference is a change in behaviour, and ``--check``
@@ -54,6 +58,7 @@ COUNT_METRICS: tuple[tuple[str, str], ...] = (
     ("per_layer", "router.server_calls_per_query"),
     ("per_layer", "cluster.server_calls_per_op"),
     ("per_layer", "router.ticks_per_query"),
+    ("per_layer", "index.decode_calls_per_op"),
 )
 
 
@@ -68,10 +73,11 @@ def counts_of(report: dict[str, Any]) -> dict[str, float]:
 
 
 def measure(workload: str, seed: int, quick: bool, workdir: Path) -> dict[str, float]:
-    """One ``--seconds 0`` run of *workload* at *seed*; its gated counts."""
+    """One traced ``--seconds 0`` run of *workload* at *seed*; its gated counts."""
     output = workdir / f"{workload}.json"
     command = [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed)]
-    command += ["--seconds", "0", "--output", str(output)] + ["--quick"] * quick
+    command += ["--seconds", "0", "--trace", "1", "--output", str(output)]
+    command += ["--quick"] * quick
     done = subprocess.run(command, stdout=subprocess.DEVNULL)
     if done.returncode != 0 or not output.exists():
         raise RuntimeError(f"{workload}: run.py exited with {done.returncode}")
