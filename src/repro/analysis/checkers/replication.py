@@ -1,13 +1,19 @@
 """Replication-bypass rule: all list mutations flow through the log.
 
 Every write enters through :class:`~repro.core.cluster.ServerCluster` —
-``insert_many`` / ``bulk_load`` / ``delete_many`` — which validates the
-batch, mutates the primaries and records each op in the
-:class:`~repro.core.replication.ReplicationManager` log that the
-followers replay.  Three things would let a write past that log:
+``insert_many`` / ``delete_many`` — which validates the batch, records
+each op in the :class:`~repro.core.replication.ReplicationManager` log
+and hands each touched list's run to its primary through
+:meth:`~repro.core.server.ZerberRServer.apply_replicated_ops`, the one
+call the log's deliveries to the followers make too.  Four things would
+let a write past that log:
 
 * calling a :class:`~repro.index.postings.MergedPostingList` mutator
   directly outside the storage layers;
+* calling ``apply_replicated_ops`` anywhere but in the three modules
+  that hand it logged ops (``repro.core.cluster``,
+  ``repro.core.replication``) or define it (``repro.core.server``): ops
+  no log recorded reach one copy of a list and no other;
 * reaching into a server's ``_lists`` from outside the server/persist
   layers;
 * constructing a :class:`~repro.core.server.ZerberRServer` anywhere but
@@ -53,9 +59,16 @@ _SANCTIONED_MUTATION_MODULES = (
 _LIST_MUTATORS = frozenset(
     {
         "add_sorted_by_trs",
-        "bulk_load_sorted_by_trs",
         "pop_at",
     }
+)
+
+#: The one server mutator, and the modules that may call it.
+_REPLICA_APPLY = "apply_replicated_ops"
+_REPLICA_APPLY_MODULES = (
+    "repro.core.cluster",
+    "repro.core.replication",
+    "repro.core.server",
 )
 
 _STATE_ATTR_MODULES = ("repro.core.server", "repro.persist")
@@ -82,14 +95,16 @@ class ReplicationBypassChecker(Checker):
     rule = "replication-bypass"
     description = (
         "no direct MergedPostingList mutation or server list-state access "
-        "outside the server/replication/persist layers, and no "
-        "ZerberRServer built outside the cluster"
+        "outside the server/replication/persist layers, no "
+        "apply_replicated_ops call outside the cluster/replication/server "
+        "modules, and no ZerberRServer built outside the cluster"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         mutation_sanctioned = module_matches(ctx.module, _SANCTIONED_MUTATION_MODULES)
         state_sanctioned = module_matches(ctx.module, _STATE_ATTR_MODULES)
         shard_owner = ctx.module == _SHARD_OWNER
+        apply_sanctioned = module_matches(ctx.module, _REPLICA_APPLY_MODULES)
         for node in ast.walk(ctx.tree):
             if (
                 not shard_owner
@@ -117,6 +132,20 @@ class ReplicationBypassChecker(Checker):
                     "storage layers — writes must enter through ServerCluster "
                     "so the ReplicationManager logs them; a bypassed write "
                     "never reaches replicas",
+                )
+            elif (
+                not apply_sanctioned
+                and isinstance(node, ast.Call)
+                and _called_name(node) == _REPLICA_APPLY
+            ):
+                yield ctx.finding(
+                    self.rule,
+                    node,
+                    "apply_replicated_ops() outside repro.core.cluster, "
+                    "repro.core.replication and repro.core.server — a list "
+                    "changes only by ops its replication log recorded, "
+                    "applied at the primary by the cluster and at a "
+                    "follower by the log's delivery",
                 )
             elif (
                 not state_sanctioned

@@ -258,8 +258,7 @@ def _scripted_workload(
     ]
     ticks = 0
     while any(not s.done for s in sessions) and ticks < 64:
-        coordinator.tick()
-        cluster.replication_tick()
+        coordinator.tick()  # runs the cluster's replication tick too
         ticks += 1
 
     # An arrival-driven burst past the queue bound (shed + retry path,
@@ -363,8 +362,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     )
     ticks = 0
     while not session.done and ticks < 64:
-        coordinator.tick()
-        cluster.replication_tick()
+        coordinator.tick()  # runs the cluster's replication tick too
         ticks += 1
     session.result()
     trace = next(

@@ -26,13 +26,18 @@ served inside one call, so no election can fall between the two.
 Replication is a real subsystem (:mod:`repro.core.replication`), not a
 synchronous fan-out: each list has a primary replica (first in its
 placement tuple) and a versioned replication log.  Every write, at every
-lag, takes one path: validate, check the ack quorum, mutate the primary,
-record the op, deliver what is due, force the acks W still lacks.  The
-unit of that path is the batch — a document insert (``insert_many``) or
-a document delete (``delete_many``) is one pass through it: one
+lag, takes one path: validate, check the ack quorum and that the primary
+is at the head, locate (a delete), record the ops, apply them at the
+primary, deliver what is due, force the acks W still lacks.  The primary
+applies the ops it just logged through the call a follower's delivery
+makes (:meth:`~repro.core.server.ZerberRServer.apply_replicated_ops`,
+one call per touched list), so no copy of a list changes by any other
+code.  The unit of that path is the batch — a document insert
+(``insert_many``, also the upload of a whole index at build and deploy)
+or a document delete (``delete_many``) is one pass through it: one
 admission pass (which servers can ack is decided once per batch, the
-preconditions once per touched list) before any primary is written, so
-a refused batch is a clean no-op, and one ack pass
+preconditions once per touched list) before any op is recorded, so a
+refused batch is a clean no-op, and one ack pass
 (:meth:`~repro.core.replication.ReplicationManager.force_acks`) at the
 end; ``insert`` and ``delete_element`` are its one-item calls.
 Followers receive ops through the log ``lag`` ticks after they were
@@ -87,6 +92,7 @@ from repro.core.replication import (
     FailoverEvent,
     ReadConsistency,
     ReplicationManager,
+    ReplicationOp,
     ReplicationStats,
     WriteConsistency,
 )
@@ -507,17 +513,6 @@ class ServerCluster:
             if self._repl.staleness(list_id, replicas[0]):
                 raise UnavailableError(list_id, len(replicas))
 
-    def _group_by_primary(
-        self, items: list[tuple[int, EncryptedPostingElement]]
-    ) -> dict[int, list[tuple[int, EncryptedPostingElement]]]:
-        """Group items by their list's primary, preserving caller order
-        (the items themselves, not copies: one per element written)."""
-        per_server: dict[int, list[tuple[int, EncryptedPostingElement]]] = {}
-        placement = self._placement
-        for item in items:
-            per_server.setdefault(placement[item[0]][0], []).append(item)
-        return per_server
-
     def insert(
         self, principal: str, list_id: int, element: EncryptedPostingElement
     ) -> None:
@@ -527,40 +522,42 @@ class ServerCluster:
     def insert_many(
         self, principal: str, items: Iterable[tuple[int, EncryptedPostingElement]]
     ) -> int:
-        """Replicated multi-insert, batched per touched primary.
+        """Replicated multi-insert: a document, or a whole index at deploy.
 
         Items are validated up front (list id, TRS and group membership
         of the whole batch before any server is touched, see
-        :func:`validate_write_batch` — a rejected
-        batch cannot leave replicas of a list divergent) and grouped by
-        primary, so a batch costs
-        O(touched primaries) server write calls.  Only the primaries are
+        :func:`validate_write_batch` — a rejected batch cannot leave
+        replicas of a list divergent), then every element is recorded in
+        its list's log and each touched list's run of ops goes to its
+        primary in one call (:meth:`_commit_write`), so a batch costs
+        O(touched lists) server write calls.  Only the primaries are
         written by this call; every follower copy arrives through the
         replication log — in this same call when its lag is 0, on a later
         replication tick otherwise — except the W - 1 follower acks a
         ``QUORUM``/``ALL`` ``write_consistency`` forces through the log
         before returning.  The ack count is checked for every touched list
-        before anything is mutated, so a write refused with
+        before anything is recorded, so a write refused with
         :class:`~repro.errors.QuorumWriteUnavailableError` is a clean
         no-op.
         """
-        return self._replicated_write_batch(principal, items, bulk=False)
-
-    def bulk_load(
-        self, principal: str, items: Iterable[tuple[int, EncryptedPostingElement]]
-    ) -> int:
-        """Bulk-load with the same all-or-nothing validation and the
-        same replication discipline as :meth:`insert_many` — every
-        element is one logged op — but each touched primary list takes
-        its share of the batch as one mutation."""
-        return self._replicated_write_batch(principal, items, bulk=True)
+        consistency = self.write_consistency
+        items = validate_write_batch(
+            self._keys, principal, items, self._primary_of
+        )
+        self._admit_write((lid for lid, _ in items), consistency)
+        record = self._repl.record_insert
+        runs: dict[int, list[ReplicationOp]] = {}
+        for list_id, element in items:
+            runs.setdefault(list_id, []).append(record(list_id, element))
+        self._commit_write(runs, consistency)
+        return len(items)
 
     def _admit_write(
         self, list_ids: Iterable[int], consistency: WriteConsistency
-    ) -> list[int]:
+    ) -> None:
         """Per touched list: the ack quorum is reachable and the primary
-        holds the log head.  Runs before any primary is written, so a
-        refusal is a clean no-op.  Returns the distinct lists, in order.
+        holds the log head.  Runs before any op is recorded, so a
+        refusal is a clean no-op.
 
         Which servers can ack is decided once per batch — it is a
         property of the server, not of the list; the first list whose
@@ -588,42 +585,26 @@ class ServerCluster:
                         raise self._quorum_refusal(list_id, needed)
         for list_id in touched:
             self._ensure_primary_current(list_id)
-        return touched
 
-    def _acknowledge_write(
-        self, touched: Iterable[int], consistency: WriteConsistency, ops: int
+    def _commit_write(
+        self, runs: dict[int, list[ReplicationOp]], consistency: WriteConsistency
     ) -> None:
-        """Close a batch whose *ops* are applied at the primaries and
-        recorded: one delivery round, then the acks W still lacks."""
+        """Close a batch whose ops are recorded, *runs* holding each
+        touched list's ops in log order: each run goes to the list's
+        primary in one :meth:`~repro.core.server.ZerberRServer.apply_replicated_ops`
+        call — the call a follower's delivery makes, so a primary and
+        its followers apply the same ops through the same code — then
+        one delivery round, then the acks W still lacks."""
+        servers, placement = self._servers, self._placement
+        ops = 0
+        for list_id, run in runs.items():
+            servers[placement[list_id][0]].apply_replicated_ops(list_id, run)
+            ops += len(run)
         # Deliver before forcing: a zero-lag follower's copy of the ops
         # just recorded is already due, so the forcing finds it at the head.
         self._repl.deliver_due()
-        self._repl.force_acks(touched, consistency)
+        self._repl.force_acks(runs, consistency)
         self._obs.writes.inc(float(ops), consistency=consistency.value)
-
-    def _replicated_write_batch(
-        self,
-        principal: str,
-        items: Iterable[tuple[int, EncryptedPostingElement]],
-        bulk: bool,
-    ) -> int:
-        """Shared body of :meth:`insert_many` and :meth:`bulk_load` —
-        identical replication discipline, different server entry point."""
-        consistency = self.write_consistency
-        items = validate_write_batch(
-            self._keys, principal, items, self._primary_of
-        )
-        touched = self._admit_write((lid for lid, _ in items), consistency)
-        per_primary = self._group_by_primary(items)
-        for server_index in sorted(per_primary):
-            server = self._servers[server_index]
-            load = server.bulk_load if bulk else server.insert_many
-            load(per_primary[server_index])
-        record_insert = self._repl.record_insert
-        for list_id, element in items:
-            record_insert(list_id, element)
-        self._acknowledge_write(touched, consistency, len(items))
-        return len(items)
 
     def delete_many(
         self, principal: str, receipts: Iterable[Receipt]
@@ -640,12 +621,13 @@ class ServerCluster:
         foreign-group element or a refused quorum leaves every replica,
         version and log untouched.  Receipts are located *after* the
         primary catch-up because locating reads the primary's list.  Then
-        the primaries pop and patch their views, each removed element is
-        recorded (followers bisect to it by its TRS), and the batch
-        closes with one delivery round and one ack pass over the touched
-        lists.  Returns, per receipt, whether it removed an element; a
-        miss (already deleted, named twice, never inserted, another TRS)
-        mutates, logs and counts nothing — deletion is idempotent.
+        each located element is recorded as a delete op, and the batch
+        closes as an insert batch does (:meth:`_commit_write`): the
+        primary finds the element again by its ciphertext in its TRS
+        run, as a follower does.  Returns, per receipt, whether it
+        removed an element; a miss (already deleted, named twice, never
+        inserted, another TRS) mutates, logs and counts nothing —
+        deletion is idempotent.
         """
         consistency = self.write_consistency
         batch = list(receipts)
@@ -671,21 +653,16 @@ class ServerCluster:
             for server_index, indices in per_primary.items()
         }
         removed = [False] * len(batch)
-        written: list[int] = []
-        for server_index in sorted(per_primary):
-            elements = self._servers[server_index].remove_located(
-                located[server_index]
-            )
-            for index, element in zip(per_primary[server_index], elements):
-                if element is not None:
-                    list_id = batch[index].list_id
-                    self._repl.record_delete(list_id, element)
+        record = self._repl.record_delete
+        runs: dict[int, list[ReplicationOp]] = {}
+        for server_index, indices in per_primary.items():
+            for index, found in zip(indices, located[server_index]):
+                if found is not None:
+                    list_id, element = found
+                    runs.setdefault(list_id, []).append(record(list_id, element))
                     removed[index] = True
-                    written.append(list_id)
-        if written:
-            self._acknowledge_write(
-                dict.fromkeys(written), consistency, len(written)
-            )
+        if runs:
+            self._commit_write(runs, consistency)
         return removed
 
     def delete_element(self, principal: str, receipt: Receipt) -> bool:
@@ -1023,8 +1000,7 @@ class ServerCluster:
 
         Aggregates every server's :class:`~repro.core.views.ViewStats`
         (hits, rebuilds, patches, evictions, …) so benchmarks and the
-        coordinator can watch view churn — replication repair traffic
-        shows up as ``replication_patches``.
+        coordinator can watch view churn.
         """
         total = ViewStats()
         for server in self._servers:

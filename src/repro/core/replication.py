@@ -7,10 +7,13 @@ diverge and "replication" bought availability only.  This module gives
 
 * each merged list has a **primary** replica (the first server in its
   placement tuple) and a monotonically versioned :class:`ReplicationLog`;
-* a write applies to the primary immediately (that is the acknowledged
-  durable copy — the op also lives in the log until every replica holds
-  it) and is *recorded* as a :class:`ReplicationOp` with the next log
-  sequence number;
+* a write is *recorded* as a :class:`ReplicationOp` with the next log
+  sequence number and applied to the primary in the same call (that is
+  the acknowledged durable copy — the op also lives in the log until
+  every replica holds it).  The primary takes the ops it logged through
+  the very call a follower's delivery makes,
+  :meth:`~repro.core.server.ZerberRServer.apply_replicated_ops`, so
+  every copy of a list is the log's ops applied in log order;
 * followers receive recorded ops asynchronously through a tick-driven
   scheduler embedded in :class:`ReplicationManager`: each op becomes due
   ``lag`` ticks after it was recorded (one delay for every follower), and
@@ -47,9 +50,9 @@ Version / log invariants
    *prefix* of the log: ops are delivered strictly in sequence order —
    a follower's buckets come due in due-tick order and each delivers
    the run ``(applied, upto_seq]`` — and nothing else mutates a
-   replicated list (a bulk load is a run of recorded inserts; a restored
-   replica is admitted through :meth:`register_replica` at the version
-   its dump recorded).
+   replicated list (the primary applies each batch's recorded ops as
+   one run too; a restored replica is admitted through
+   :meth:`register_replica` at the version its dump recorded).
 3. ``base_seq(list) <= min(log.applied.values())`` — the log retains at
    least every op some current replica still lacks, so any reachable
    replica can always be caught up from the log alone (read-repair,
@@ -69,7 +72,7 @@ bucket entry — ``log.pending[server]`` remembers that bucket's due tick,
 which is also all :meth:`ReplicationManager.pending_lag_ticks` needs — is
 dropped there and then: a QUORUM write forces a follower in the very
 batch that scheduled its delivery, and leaving those entries in place
-piles them up through a lagged bulk load.  Entries in *older* buckets
+piles them up through a large lagged upload.  Entries in *older* buckets
 are left where they are and skipped when their bucket comes due
 (``upto_seq <= applied``): finding them eagerly would mean walking
 buckets on the write path, and there are at most ``lag`` of them.
@@ -147,8 +150,8 @@ class WriteConsistency(Enum):
 
     The write-side half of the consistency matrix (reads are tuned by
     :class:`ReadConsistency`).  Whatever the level, the mutation itself
-    always applies to the primary first and is recorded in the
-    replication log; the level only controls how many replicas must
+    is always recorded in the replication log and applied to the primary
+    first; the level only controls how many replicas must
     *hold* the op before the write call returns — acks are forced
     synchronously through the log (no wall-clock waiting), so an
     acknowledged write is never outrun by a crash of fewer than W
@@ -223,8 +226,9 @@ class ReplicationOp(NamedTuple):
 
     ``seq`` is the list's log sequence number after applying this op
     (the first op of a list has ``seq == 1``).  ``kind`` is ``"insert"``
-    or ``"delete"``; ``element`` is the element the primary inserted or
-    removed, so a follower bisects to its place by its TRS either way.
+    or ``"delete"``; ``element`` is the element inserted or removed, so
+    every replica, the primary included, bisects to its place by its TRS
+    either way.
 
     A tuple, not a dataclass: every element written is one op, built on
     the write path, and a tuple is built in one C call where a frozen
@@ -387,7 +391,8 @@ class ReplicationManager:
     cluster's authoritative state.  It owns the follower-side server
     *mutations*: a delivery, catch-up or repair hands a replica the run of
     ops it lacks on one list in one
-    :meth:`ZerberRServer.apply_replicated_ops` call (no membership
+    :meth:`ZerberRServer.apply_replicated_ops` call — the call the
+    cluster hands a primary the ops it just recorded with (no membership
     re-check — the ops were admitted at the primary; re-checking at drain
     time would let a concurrent revocation fork the replicas).
 
@@ -531,20 +536,21 @@ class ReplicationManager:
 
     def record_insert(
         self, list_id: int, element: EncryptedPostingElement
-    ) -> None:
-        """Log an insert the cluster just applied to the primary."""
-        self._record(list_id, "insert", element)
+    ) -> ReplicationOp:
+        """Log an insert of *element*; returns the op, which the cluster
+        then applies at the primary."""
+        return self._record(list_id, "insert", element)
 
     def record_delete(
         self, list_id: int, element: EncryptedPostingElement
-    ) -> None:
-        """Log a delete the cluster just applied to the primary: *element*
-        is the one it removed."""
-        self._record(list_id, "delete", element)
+    ) -> ReplicationOp:
+        """Log a delete of *element*, the one a receipt located at the
+        primary; returns the op, which the cluster then applies there."""
+        return self._record(list_id, "delete", element)
 
     def _record(
         self, list_id: int, kind: str, element: EncryptedPostingElement
-    ) -> None:
+    ) -> ReplicationOp:
         log = self._logs[list_id]
         replicas = self._replicas_of(list_id)
         primary = replicas[0]
@@ -568,11 +574,12 @@ class ReplicationManager:
             # op is kept (the log was empty: the base sat at the head).
             seq = log.head_seq + 1
             log.head_seq = log.base_seq = applied[primary] = seq
-            return
+            return _new_op(ReplicationOp, (seq, kind, element))
         op = log.append(kind, element)
         applied[primary] = op.seq
         for follower in replicas[1:]:
             self._enqueue(log, follower, op.seq)
+        return op
 
     def _enqueue(self, log: ReplicationLog, server_index: int, upto_seq: int) -> None:
         """Owe *server_index* the ops of *log* up to *upto_seq*, due after

@@ -34,12 +34,16 @@ Two throughput mechanisms sit on the fetch path:
   merged list, fetches extract ``(offset, count)`` slices in O(count),
   and an LRU over ``(list, principal)`` pairs bounds the memory.
 
-Deletion is by receipt (:class:`~repro.core.protocol.Receipt`), a batch
-at a time and in two steps — :meth:`ZerberRServer.locate_receipts`
-validates every receipt without touching a list,
-:meth:`ZerberRServer.remove_located` then removes what was found — so a
-cluster can validate a batch at every primary it spans before the first
-element goes, and a refused batch deletes nothing.
+Outside a restore from a dump (:meth:`ZerberRServer.restore_list`), a
+list changes one way: :meth:`ZerberRServer.apply_replicated_ops`
+applies a run of ops from the list's replication log.  A primary takes
+the ops the cluster just recorded through it, a follower the ops a
+delivery, catch-up or repair hands it, so every copy of a list is the
+same ops applied by the same code.  Deletion is by receipt
+(:class:`~repro.core.protocol.Receipt`): :meth:`ZerberRServer.locate_receipts`
+validates a whole batch without touching a list, so a cluster can check
+it at every primary it spans before the first delete op is recorded,
+and a refused batch deletes nothing.
 
 Everything the server can observe — stored TRS values, group tags, and the
 stream of fetch requests — is exactly what the threat-model adversary gets
@@ -49,7 +53,6 @@ log that the attack modules read.
 
 from __future__ import annotations
 
-import bisect
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -150,34 +153,10 @@ class ZerberRServer:
     # -- inserts (paper §5: online insertion phase) ----------------------------
 
     def insert_many(self, items: Sequence[tuple[int, EncryptedPostingElement]]) -> int:
-        """Insert a batch the cluster has validated, each element by TRS
-        order, patching the list's cached readable views in place.
-        Returns the number of elements inserted."""
-        lists = self._lists
-        note_insert = self._views.note_insert
+        """Insert a validated batch, element by element, through
+        :meth:`apply_replicated_insert`.  Returns the number inserted."""
         for list_id, element in items:
-            merged = lists[list_id]
-            merged.add_sorted_by_trs(element)
-            note_insert(merged, element)
-        return len(items)
-
-    def bulk_load(self, items: Sequence[tuple[int, EncryptedPostingElement]]) -> int:
-        """Load a validated batch, mutating each touched list once.
-
-        Leaves every list as :meth:`insert_many` would (same elements,
-        same order) but a touched list takes its share of the batch in
-        one call (:meth:`MergedPostingList.bulk_load_sorted_by_trs`) and
-        its version advances once; used when a whole index is loaded at
-        system setup.  Touched lists' cached views are dropped
-        wholesale — a bulk load changes too much for per-element
-        patching to win.
-        """
-        by_list: dict[int, list[EncryptedPostingElement]] = {}
-        for list_id, element in items:
-            by_list.setdefault(list_id, []).append(element)
-        for list_id, elements in by_list.items():
-            self._lists[list_id].bulk_load_sorted_by_trs(elements)
-            self._views.invalidate_list(list_id)
+            self.apply_replicated_insert(list_id, element)
         return len(items)
 
     # -- deletion (collaborative updates, paper §5's "unlimited index
@@ -185,11 +164,11 @@ class ZerberRServer:
 
     def locate_receipts(
         self, principal: str, receipts: Iterable[Receipt]
-    ) -> list[tuple[int, int, EncryptedPostingElement] | None]:
+    ) -> list[tuple[int, EncryptedPostingElement] | None]:
         """Validate a batch of deletion receipts; mutates nothing.
 
-        Per :class:`~repro.core.protocol.Receipt`: ``(list_id, position,
-        element)`` of the element it names, or ``None`` for a miss —
+        Per :class:`~repro.core.protocol.Receipt`: ``(list_id, element)``
+        of the element it names, or ``None`` for a miss —
         nothing in the run of the receipt's TRS matches, or an earlier
         receipt of the batch already claimed the element (ciphertexts
         are unique, as live postings' plaintexts are).  The server
@@ -199,9 +178,9 @@ class ZerberRServer:
         Membership is enforced against the *stored* element's group tag —
         only members of the owning group may delete it — and an unknown
         list id or a foreign element refuses the whole batch here, before
-        :meth:`remove_located` touches anything.
+        any delete op is recorded.
         """
-        located: list[tuple[int, int, EncryptedPostingElement] | None] = []
+        located: list[tuple[int, EncryptedPostingElement] | None] = []
         claimed: set[tuple[int, int]] = set()
         for list_id, ciphertext, trs in receipts:
             found = self._list(list_id).find_by_ciphertext(ciphertext, trs)
@@ -212,66 +191,45 @@ class ZerberRServer:
             if not self._keys.is_member(principal, target.group):
                 raise AccessDeniedError(principal, target.group)
             claimed.add((list_id, position))
-            located.append((list_id, position, target))
+            located.append((list_id, target))
         return located
-
-    def remove_located(
-        self, located: Iterable[tuple[int, int, EncryptedPostingElement] | None]
-    ) -> list[EncryptedPostingElement | None]:
-        """Remove what :meth:`locate_receipts` found, in receipt order.
-
-        Nothing may mutate the lists between the two calls: positions
-        are the located ones, shifted by the batch's own earlier pops of
-        the same list.  Cached readable views are patched rather than
-        invalidated.  Returns the removed element per receipt (the
-        cluster logs it so replicas bisect to it too), ``None`` per miss.
-        """
-        removed: list[EncryptedPostingElement | None] = []
-        popped: dict[int, list[int]] = {}
-        for entry in located:
-            if entry is None:
-                removed.append(None)
-                continue
-            list_id, position, target = entry
-            merged = self._lists[list_id]
-            below = popped.setdefault(list_id, [])
-            merged.pop_at(position - bisect.bisect_left(below, position))
-            bisect.insort(below, position)
-            self._views.note_delete(merged, target)
-            removed.append(target)
-        return removed
 
     def delete_element(
         self, principal: str, receipt: Receipt
     ) -> EncryptedPostingElement | None:
-        """Remove one element by its receipt: locate, then remove."""
-        return self.remove_located(self.locate_receipts(principal, [receipt]))[0]
+        """Remove one element by its receipt: locate it, then
+        :meth:`apply_replicated_delete` it.  Returns it, or ``None``."""
+        found = self.locate_receipts(principal, [receipt])[0]
+        if found is None:
+            return None
+        self.apply_replicated_delete(*found)
+        return found[1]
 
     # -- replication (cluster data plane; see repro.core.replication) -----------
 
     def apply_replicated_ops(
         self, list_id: int, ops: Iterable[ReplicationOp]
     ) -> int:
-        """Apply a run of ops delivered from a list's replication log, in
-        log order; returns how many of them changed the list.
+        """Apply a run of ops from a list's replication log, in log
+        order; returns how many of them changed the list.
 
-        No membership re-check: each op was validated and admitted at the
-        primary when it was acknowledged; re-checking at delivery time
-        would let a concurrent revocation make replicas diverge
-        permanently.  An insert is bisected into place; a delete finds
-        the removed element by its ciphertext in the run of its TRS,
-        like a receipt (see
+        The one way any copy of a list changes: the cluster hands a
+        primary the ops a write batch just recorded, and the replication
+        manager hands a follower the run it lacks.  No membership
+        re-check: each op was validated and admitted at the primary when
+        it was recorded; re-checking at delivery time would let a
+        concurrent revocation make replicas diverge permanently.  An
+        insert is bisected into place; a delete finds the removed element
+        by its ciphertext in the run of its TRS, like a receipt (see
         :meth:`MergedPostingList.find_by_ciphertext`).  A delete that
         finds nothing is tolerated: log order guarantees the insert
         preceded it, so a miss can only mean the state was restored
         wholesale past this op.
 
-        A replica is handed the whole run it lacks at once: the list is
-        looked up once per run, and its cached readable views are patched
-        per op exactly as for a direct write (attributed to replication
-        in the view stats) — when it has any; a list nobody has read
-        since it was loaded has none, and its ops cost the list mutation
-        alone.
+        The list is looked up once per run, and its cached readable
+        views are patched per op — when it has any; a list nobody has
+        read since it was loaded has none, and its ops cost the list
+        mutation alone.
         """
         merged = self._list(list_id)
         views = self._views if self._views.holds_views_of(list_id) else None
@@ -282,14 +240,14 @@ class ZerberRServer:
             if kind == "insert":
                 add(element)
                 if views is not None:
-                    views.note_insert(merged, element, replication=True)
+                    views.note_insert(merged, element)
             else:
                 found = find(element.ciphertext, element.trs)
                 if found is None:
                     continue
                 pop(found[0])
                 if views is not None:
-                    views.note_delete(merged, found[1], replication=True)
+                    views.note_delete(merged, found[1])
             changed += 1
         return changed
 
@@ -316,12 +274,13 @@ class ZerberRServer:
     def restore_list(
         self, list_id: int, elements: Iterable[EncryptedPostingElement]
     ) -> None:
-        """Reinstall one list's persisted content.  A dump is written in
-        list order, which the load keeps as it is; a dump that is not
-        comes back TRS-sorted."""
+        """Reinstall one list's persisted content, element by element.
+        A dump is written in list order, which the load keeps as it is; a
+        dump that is not comes back TRS-sorted."""
         merged = self._list(list_id)
         merged.clear()
-        merged.bulk_load_sorted_by_trs(elements)
+        for element in elements:
+            merged.add_sorted_by_trs(element)
         self._views.invalidate_list(list_id)
 
     # -- queries (paper §5.2) --------------------------------------------------

@@ -214,15 +214,15 @@ class ZerberRSystem:
                 items.extend(
                     client.build_document(self.corpus.stats(doc.doc_id), group)
                 )
-            self.cluster.bulk_load(owner, items)
+            self.cluster.insert_many(owner, items)
 
     def _shard_index_into(self, cluster: ServerCluster) -> None:
         """Upload the built index, as it stands, into *cluster*.
 
         Every list of :attr:`cluster`'s one server, read through
-        ``export_list`` in list-id order, goes to one ``cluster.bulk_load``
+        ``export_list`` in list-id order, goes to one ``cluster.insert_many``
         by ``superuser`` — the gate, admission, log and ack pass of any
-        upload, so a superuser revoked from a group is refused before
+        write, so a superuser revoked from a group is refused before
         anything is written, and deploying enrols no one.  The new
         cluster holds the very (immutable) element objects this system's
         holds, in the same order, ties included: nothing is encrypted
@@ -231,7 +231,7 @@ class ZerberRSystem:
         """
         source = self.cluster.server(0)
         lists = range(source.num_lists)
-        cluster.bulk_load(
+        cluster.insert_many(
             "superuser",
             ((lid, e) for lid in lists for e in source.export_list(lid)),
         )

@@ -8,12 +8,13 @@ next fetch, which under a mixed read/write workload degenerates back to
 O(list) per mutation.
 
 :class:`ReadableViewIndex` keeps the readable sub-lists *incrementally*:
-server mutators notify it of each insert/delete, and a cached view whose
-version is exactly one behind the list is patched instead of rebuilt.
-Views that fall further behind — e.g. after a bulk load, or when tests
-mutate list internals directly — fail the version check and rebuild
-lazily on next access, so correctness never depends on every mutation
-being routed through the notifications.
+the server's one mutator (``ZerberRServer.apply_replicated_ops``, which
+applies a primary's and a follower's ops alike) notifies it of each
+insert/delete, and a cached view whose version is exactly one behind the
+list is patched instead of rebuilt.  Views that fall further behind —
+e.g. when tests mutate list internals directly — fail the version check
+and rebuild lazily on next access, so correctness never depends on every
+mutation being routed through the notifications.
 
 Performance model: each view is an
 :class:`~repro.core.ordstat.OrderStatList` — one flat Python list of the
@@ -63,20 +64,13 @@ from repro.index.postings import EncryptedPostingElement, MergedPostingList
 
 @dataclass
 class ViewStats:
-    """Operation counters of a :class:`ReadableViewIndex`.
-
-    ``replication_patches`` is the subset of ``incremental_updates``
-    applied on behalf of the replication subsystem (follower catch-up,
-    read-repair, anti-entropy — see :mod:`repro.core.replication`), so
-    benchmarks can attribute view churn to repair traffic.
-    """
+    """Operation counters of a :class:`ReadableViewIndex`."""
 
     hits: int = 0
     misses: int = 0
     full_builds: int = 0
     stale_rebuilds: int = 0
     incremental_updates: int = 0
-    replication_patches: int = 0
     evictions: int = 0
     invalidations: int = 0
 
@@ -204,18 +198,13 @@ class ReadableViewIndex:
     # -- write path (called by the server AFTER the list mutated) -------------
 
     def note_insert(
-        self,
-        merged: MergedPostingList,
-        element: EncryptedPostingElement,
-        replication: bool = False,
+        self, merged: MergedPostingList, element: EncryptedPostingElement
     ) -> None:
         """Patch cached views of *merged* for a just-inserted element.
 
         Only views that were current immediately before this mutation
         (``view.version == merged.version - 1``) are patched; anything
-        further behind rebuilds lazily on next access.  *replication*
-        marks patches driven by replica catch-up/repair ops so
-        :class:`ViewStats` can attribute the churn.
+        further behind rebuilds lazily on next access.
         """
         for principal in self._by_list.get(merged.list_id, ()):
             view = self._views[(merged.list_id, principal)]
@@ -230,15 +219,10 @@ class ReadableViewIndex:
                 # view's relative order always matches the list's.
                 view.data.insert(element)
                 self.stats.incremental_updates += 1
-                if replication:
-                    self.stats.replication_patches += 1
             view.version = merged.version
 
     def note_delete(
-        self,
-        merged: MergedPostingList,
-        element: EncryptedPostingElement,
-        replication: bool = False,
+        self, merged: MergedPostingList, element: EncryptedPostingElement
     ) -> None:
         """Patch cached views of *merged* for a just-removed element."""
         for principal in self._by_list.get(merged.list_id, ()):
@@ -255,8 +239,6 @@ class ReadableViewIndex:
                     if candidate.ciphertext == element.ciphertext:
                         view.data.pop(position)
                         self.stats.incremental_updates += 1
-                        if replication:
-                            self.stats.replication_patches += 1
                         break
                 else:
                     # The element should have been in the view; treat the
@@ -265,7 +247,7 @@ class ReadableViewIndex:
             view.version = merged.version
 
     def invalidate_list(self, list_id: int) -> None:
-        """Drop every cached view of one list (bulk loads, external edits)."""
+        """Drop every cached view of one list (a list restored from a dump)."""
         for principal in self._by_list.pop(list_id, ()):
             del self._views[(list_id, principal)]
             self.stats.invalidations += 1

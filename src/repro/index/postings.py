@@ -326,32 +326,13 @@ class MergedPostingList:
         re-derive their own position with a bisect on their filtered key
         list — a merged-list position is not valid there.)
         """
-        position = bisect.bisect_right(self._neg_trs_keys, -element.trs)
-        self._neg_trs_keys.insert(position, -element.trs)
+        keys = self._neg_trs_keys
+        key = -element.trs
+        position = bisect.bisect_right(keys, key)
+        keys.insert(position, key)
         self.elements.insert(position, element)
         self.version += 1
         return position
-
-    def bulk_load_sorted_by_trs(
-        self, elements: Iterable[EncryptedPostingElement]
-    ) -> None:
-        """Add many elements as one mutation, each bisected to its place.
-
-        What feeding *elements* one by one through
-        :meth:`add_sorted_by_trs` leaves — the same objects in the same
-        order, held elements before incoming ones at equal TRS and
-        incoming ones in arrival order — but with ``version`` advanced
-        once per call, also for an empty batch.  A key is taken once per
-        incoming element; what the list holds is never re-keyed or
-        re-sorted.
-        """
-        held, keys = self.elements, self._neg_trs_keys
-        for element in elements:
-            key = -element.trs
-            position = bisect.bisect_right(keys, key)
-            keys.insert(position, key)
-            held.insert(position, element)
-        self.version += 1
 
     def find_by_ciphertext(
         self, ciphertext: bytes, trs: float
@@ -364,9 +345,9 @@ class MergedPostingList:
         bisected to, O(log n + run) — so an element stored under another
         TRS is a miss.
         """
-        keys, elements = self._neg_trs_keys, self.elements
+        keys, elements, key = self._neg_trs_keys, self.elements, -trs
         for position in range(
-            bisect.bisect_left(keys, -trs), bisect.bisect_right(keys, -trs)
+            bisect.bisect_left(keys, key), bisect.bisect_right(keys, key)
         ):
             if elements[position].ciphertext == ciphertext:
                 return position, elements[position]

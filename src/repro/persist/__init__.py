@@ -22,8 +22,8 @@ refused by name: re-index to carry it over.
 
 The container is format **v9**, the only version this build writes or
 reads.  It is renumbered because a replication op changed shape: every
-op, insert or delete, is ``{"s", "k", "e"}``, ``"e"`` the element the
-primary inserted or removed, through the one element codec; a v8
+op, insert or delete, is ``{"s", "k", "e"}``, ``"e"`` the element
+inserted or removed, through the one element codec; a v8
 delete op carried a bare ciphertext ``"c"`` and, when it had one, a TRS
 ``"t"``, so a v8 log's delete ops hold no element for this build to
 apply.

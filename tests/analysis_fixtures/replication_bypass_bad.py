@@ -12,8 +12,8 @@ def sneak_delete(merged, position: int):
     return merged.pop_at(position)
 
 
-def sneak_bulk_load(merged, elements) -> None:
-    merged.bulk_load_sorted_by_trs(elements)  # a whole batch no replica sees
+def sneak_ops(server, list_id: int, ops) -> None:
+    server.apply_replicated_ops(list_id, ops)  # ops no log recorded
 
 
 def bare_shard(keys, num_lists: int):

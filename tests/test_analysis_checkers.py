@@ -190,11 +190,26 @@ def test_a_placement_read_fires_outside_its_owning_layers_only():
 
 
 def test_every_list_mutator_named_in_the_bad_fixture_is_flagged():
-    """The bulk load stays a storage-layer call: a direct
-    ``bulk_load_sorted_by_trs`` from anywhere else is a bypassed batch."""
     messages = " ".join(f.message for f in _lint("replication_bypass_bad", None))
-    for mutator in ("add_sorted_by_trs", "pop_at", "bulk_load_sorted_by_trs"):
+    for mutator in ("add_sorted_by_trs", "pop_at"):
         assert f"MergedPostingList.{mutator}()" in messages
+    assert "apply_replicated_ops()" in messages
+
+
+_APPLY_CALLERS = ("repro.core.cluster", "repro.core.replication", "repro.core.server")
+
+
+def test_replica_ops_are_applied_only_by_the_write_pipeline():
+    """One mutation path: ``apply_replicated_ops`` is called by the
+    cluster (a primary's ops), the replication manager (a follower's)
+    and the server that defines it, and nowhere else."""
+    for module in ("repro.core.system", "repro.persist.clusterstate", None):
+        (finding,) = _lint("replication_apply_bad", module)
+        assert finding.rule == "replication-bypass"
+        assert "apply_replicated_ops()" in finding.message
+    for module in _APPLY_CALLERS:
+        assert _lint("replication_apply_bad", module) == []
+        assert _lint("replication_apply_good", module) == []
 
 
 def test_a_shard_is_built_only_by_the_cluster():

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.core.cluster import ServerCluster
 from repro.core.replication import ReplicationStats
@@ -230,3 +231,37 @@ class TestFollowerBacklogGauge:
         assert gauge == printed
         # Paused, server 1 lacks both ops of list 0 (it leads list 1).
         assert gauge == {0: 0.0, 1: 2.0, 2: 1.0}
+
+
+class TestReplicationClock:
+    """``Coordinator.advance`` runs one cluster replication tick per
+    coordinator tick, so a loop driven by ``coordinator.tick()`` adds no
+    replication tick of its own."""
+
+    @pytest.mark.parametrize("command", ["metrics", "trace"])
+    def test_one_replication_tick_per_coordinator_tick(
+        self, capsys, monkeypatch, command
+    ):
+        deployments, quiet = [], []
+        workload = cli._scripted_workload
+        until_quiet = ServerCluster.run_replication_until_quiet
+
+        def recording_workload(telemetry):
+            deployments.append(workload(telemetry))
+            return deployments[-1]
+
+        def recording_until_quiet(cluster, max_ticks=1000):
+            quiet.append(until_quiet(cluster, max_ticks))
+            return quiet[-1]
+
+        monkeypatch.setattr(cli, "_scripted_workload", recording_workload)
+        monkeypatch.setattr(
+            ServerCluster, "run_replication_until_quiet", recording_until_quiet
+        )
+        assert main([command]) == 0
+        capsys.readouterr()
+        ((_, cluster, coordinator),) = deployments
+        # Beside the coordinator's ticks, the script ticks four times while
+        # a failover is due, then until the replicas are quiet.
+        assert coordinator.now > 0
+        assert cluster.replication_stats.ticks == coordinator.now + 4 + sum(quiet)

@@ -185,7 +185,7 @@ class TestQuorumWrites:
     def test_batch_writes_honor_consistency(self, keys):
         cluster = self._cluster(keys, lag=10, write_consistency="all")
         items = [(0, _element(0.1 * i, sealed(b"b%d" % i))) for i in range(1, 4)]
-        assert cluster.bulk_load("u", items) == 3
+        assert cluster.insert_many("u", items) == 3
         assert all(
             cluster.applied_version(0, s) == 3 for s in cluster.replicas_of(0)
         )

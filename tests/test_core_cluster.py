@@ -105,10 +105,10 @@ class TestDataPlane:
         assert cluster.num_elements == 4
         assert cluster.storage_bits() == 2 * 4 * STORED_ELEMENT_BITS
 
-    def test_bulk_load_and_fetch(self, keys):
+    def test_insert_many_and_fetch(self, keys):
         cluster = ServerCluster(keys, num_lists=3, num_servers=2)
         items = [(0, _element(t, str(t).encode())) for t in (0.2, 0.9, 0.5)]
-        assert cluster.bulk_load("u", items) == 3
+        assert cluster.insert_many("u", items) == 3
         response = cluster.fetch(
             FetchRequest(principal="u", list_id=0, offset=0, count=3)
         )
@@ -150,40 +150,34 @@ class TestDataPlane:
         assert isinstance(excinfo.value, ProtocolError)
 
     def test_insert_many_batches_per_server(self, keys, monkeypatch):
-        """Replicated multi-insert costs one call per touched primary, and
-        one call per (list, follower) run of the log on the follower side."""
+        """Replicated multi-insert costs one ``apply_replicated_ops`` call
+        per touched list at its primary, and one per (list, follower) run
+        of the log on the follower side: the same call, the same runs."""
         cluster = ServerCluster(keys, num_lists=4, num_servers=3, replication=2)
-        calls = []
+        servers = [cluster.server(i) for i in range(cluster.num_servers)]
         runs = []
-        original = ZerberRServer.insert_many
         original_apply = ZerberRServer.apply_replicated_ops
 
-        def counting_insert_many(self, items):
-            items = list(items)
-            calls.append(len(items))
-            return original(self, items)
-
         def counting_apply(self, list_id, ops):
-            runs.append((list_id, [op.kind for op in ops]))
+            runs.append((list_id, servers.index(self), [op.kind for op in ops]))
             return original_apply(self, list_id, ops)
 
-        monkeypatch.setattr(ZerberRServer, "insert_many", counting_insert_many)
         monkeypatch.setattr(ZerberRServer, "apply_replicated_ops", counting_apply)
         items = [
             (list_id, _element(0.1 * (i + 1), b"im%d" % i))
             for i, list_id in enumerate([0, 1, 2, 3, 0, 1])
         ]
         assert cluster.insert_many("u", items) == 6
-        # 6 elements over 3 primaries: one call per primary, not one per
-        # element; each follower copy arrives through the log, a list's
-        # run in one call.
-        assert len(calls) == 3
-        assert sum(calls) == 6
-        assert sorted(runs) == [
-            (0, ["insert", "insert"]),
-            (1, ["insert", "insert"]),
-            (2, ["insert"]),
-            (3, ["insert"]),
+        # 6 elements over 4 lists: one call per list at its primary, not
+        # one per element, and then one per list at its follower.
+        expected = []
+        for list_id, kinds in enumerate([["insert"] * 2] * 2 + [["insert"]] * 2):
+            for server_index in cluster.replicas_of(list_id):
+                expected.append((list_id, server_index, kinds))
+        assert sorted(runs) == sorted(expected)
+        # The primaries' runs came first, in first-touch order.
+        assert [run[:2] for run in runs[:4]] == [
+            (list_id, cluster.replicas_of(list_id)[0]) for list_id in range(4)
         ]
         # Contents landed exactly as per-element replicated inserts would.
         assert cluster.num_elements == 6
@@ -206,16 +200,6 @@ class TestDataPlane:
             cluster.insert_many("u", [(0, _element(0.9)), (2, _element(0.5))])
         assert cluster.num_elements == 0
 
-    def test_bulk_load_rejected_batch_touches_no_server(self, keys):
-        """bulk_load gets the same all-or-nothing validation as insert_many."""
-        cluster = ServerCluster(keys, num_lists=2, num_servers=3, replication=2)
-        bad = EncryptedPostingElement(
-            ciphertext=sealed(b"bad"), group="not-a-group", trs=0.5
-        )
-        with pytest.raises(CryptoError):
-            cluster.bulk_load("u", [(0, _element(0.9)), (1, bad)])
-        assert cluster.num_elements == 0
-
     def test_view_stats_aggregates_across_servers(self, keys):
         cluster = ServerCluster(keys, num_lists=4, num_servers=2)
         for list_id in range(4):
@@ -233,6 +217,95 @@ class TestDataPlane:
         assert aggregated.hits == sum(s.hits for s in per_server)
         assert aggregated.full_builds == 4  # one cold build per list
         assert aggregated.hits == 4  # one warm hit per list
+
+
+class TestOneMutationPath:
+    """A primary takes the ops a batch recorded through the call its
+    followers take them through, ``apply_replicated_ops``, so a batch
+    leaves every replica holding its primary's very list."""
+
+    # Per list: a tie run of three at 0.5 between two singletons.
+    PAYLOADS = [
+        (0.9, b"top"),
+        (0.5, b"tie-a"),
+        (0.5, b"tie-b"),
+        (0.5, b"tie-c"),
+        (0.1, b"low"),
+    ]
+
+    def _cluster(self, keys, lag):
+        cluster = ServerCluster(keys, num_lists=3, num_servers=3, replication=3, lag=lag)
+        cluster.insert_many(
+            "u",
+            [
+                (list_id, _element(trs, b"%d-%s" % (list_id, payload)))
+                for list_id in range(3)
+                for trs, payload in self.PAYLOADS
+            ],
+        )
+        cluster.run_replication_until_quiet()
+        return cluster
+
+    @staticmethod
+    def _receipt(list_id, payload, trs):
+        return Receipt(list_id, sealed(b"%d-%s" % (list_id, payload)), trs)
+
+    def _batch(self):
+        r = self._receipt
+        return [
+            r(0, b"tie-b", 0.5),
+            r(0, b"tie-b", 0.5),  # the same element named twice
+            r(1, b"absent", 0.5),  # never inserted
+            r(1, b"tie-a", 0.5),
+            r(2, b"tie-c", 0.9),  # its ciphertext, another TRS
+            r(2, b"tie-c", 0.5),
+            r(2, b"low", 0.1),
+        ]
+
+    @pytest.mark.parametrize("lag", [0, 2])
+    def test_every_replica_holds_its_primarys_list(self, keys, lag):
+        cluster = self._cluster(keys, lag)
+        assert len({cluster.replicas_of(i)[0] for i in range(3)}) == 3
+        hits = cluster.delete_many("u", self._batch())
+        assert hits == [True, False, False, True, False, True, True]
+        if lag:
+            assert cluster.replication_backlog()
+            cluster.run_replication_until_quiet()
+        assert cluster.replication_backlog() == {}
+        for list_id in range(3):
+            primary, *followers = cluster.replicas_of(list_id)
+            held = cluster.server(primary).export_list(list_id)
+            left = [
+                [b"top", b"tie-a", b"tie-c", b"low"],
+                [b"top", b"tie-b", b"tie-c", b"low"],
+                [b"top", b"tie-a", b"tie-b"],
+            ][list_id]
+            assert [e.ciphertext for e in held] == [
+                sealed(b"%d-%s" % (list_id, payload)) for payload in left
+            ]
+            for follower in followers:
+                copy = cluster.server(follower).export_list(list_id)
+                assert len(copy) == len(held)
+                assert all(a is b for a, b in zip(copy, held))
+
+    def test_a_delete_batch_applies_one_run_per_touched_list(self, keys, monkeypatch):
+        cluster = self._cluster(keys, lag=0)
+        servers = [cluster.server(i) for i in range(cluster.num_servers)]
+        runs = []
+        apply = ZerberRServer.apply_replicated_ops
+
+        def counting_apply(server, list_id, ops):
+            ops = list(ops)
+            runs.append((list_id, servers.index(server), len(ops)))
+            return apply(server, list_id, ops)
+
+        monkeypatch.setattr(ZerberRServer, "apply_replicated_ops", counting_apply)
+        cluster.delete_many("u", self._batch())
+        primaries = [(list_id, cluster.replicas_of(list_id)[0]) for list_id in range(3)]
+        # One run per list at its primary, first; then one per follower.
+        assert [run[:2] for run in runs[:3]] == primaries
+        assert [run[2] for run in runs[:3]] == [1, 1, 2]
+        assert len(runs) == 3 * 3
 
 
 class TestBatchFetchCluster:

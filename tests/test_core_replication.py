@@ -97,7 +97,7 @@ class TestZeroLagIsALag:
             return items
 
         for _ in range(40):
-            kind = rng.choice(["insert", "insert_many", "bulk_load", "delete"])
+            kind = rng.choice(["insert", "insert_many", "delete"])
             if kind == "insert":
                 ((list_id, element),) = batch(1)
                 yield "insert", (list_id, element)
@@ -172,7 +172,7 @@ class TestSingleReplicaLog:
         for i in range(10):
             cluster.insert("u", i % 2, _element(0.05 * i, sealed(b"s%d" % i)))
         assert cluster.delete_element("u", Receipt(0, sealed(b"s0"), 0.0))
-        assert cluster.bulk_load("u", [(1, _element(0.9, sealed(b"bulk")))]) == 1
+        assert cluster.insert_many("u", [(1, _element(0.9, sealed(b"bulk")))]) == 1
         assert cluster.primary_version(0) == 6
         assert cluster.replication_manager.log_lengths() == {0: 0, 1: 0}
         # ... whatever unrelated server is down at the time.
@@ -288,10 +288,12 @@ class TestLagAndConvergence:
         assert cluster.server(follower).list_length(0) == 1
         assert cluster.replication_manager.outstanding_deliveries() == 0
 
-    def test_bulk_load_replicates_through_log(self, keys):
+    def test_a_batch_replicates_through_log(self, keys):
+        """A whole upload (what a deploy sends) reaches the follower
+        through the log only, one tick behind the primary."""
         cluster = self._lagged(keys, lag=1)
         items = [(0, _element(0.1 * i, sealed(b"b%d" % i))) for i in range(1, 6)]
-        assert cluster.bulk_load("u", items) == 5
+        assert cluster.insert_many("u", items) == 5
         primary, follower = cluster.replicas_of(0)
         assert cluster.server(primary).list_length(0) == 5
         assert cluster.server(follower).list_length(0) == 0

@@ -64,24 +64,10 @@ class TestInsert:
         with pytest.raises(UnknownListError):
             cluster.insert("alice", 99, _element("g1", 0.5))
 
-    def test_bulk_load_membership_checked(self, cluster):
-        with pytest.raises(AccessDeniedError):
-            cluster.bulk_load("alice", [(0, _element("g2", 0.5))])
-        assert cluster.num_elements == 0
-
     def test_insert_keeps_trs_order(self, server):
         for trs in [0.2, 0.9, 0.5]:
             _insert(server, 0, _element("g1", trs))
         assert server.visible_trs_values(0) == [0.9, 0.5, 0.2]
-
-    def test_bulk_load_matches_incremental(self, keys):
-        incremental = ZerberRServer(keys, num_lists=1)
-        bulk = ZerberRServer(keys, num_lists=1)
-        elements = [_element("g1", t) for t in [0.3, 0.8, 0.1]]
-        for e in elements:
-            _insert(incremental, 0, e)
-        bulk.bulk_load([(0, e) for e in elements])
-        assert incremental.visible_trs_values(0) == bulk.visible_trs_values(0)
 
     def test_num_elements(self, server):
         _insert(server, 0, _element("g1", 0.1))
@@ -156,10 +142,9 @@ class TestWriteBatchGate:
     ):
         batch = [(0, _element("g1", 0.9)), (1, _element("g1", 0.8))] + offending
         cluster = ServerCluster(keys, num_lists=3, num_servers=3, replication=2)
-        for write in (cluster.bulk_load, cluster.insert_many):
-            with pytest.raises(error):
-                write("alice", batch)
-            assert cluster.num_elements == 0
+        with pytest.raises(error):
+            cluster.insert_many("alice", batch)
+        assert cluster.num_elements == 0
         assert cluster.replication_stats.ops_logged == 0
         assert [cluster.primary_version(i) for i in range(3)] == [0, 0, 0]
 
@@ -176,10 +161,9 @@ class TestWriteBatchGate:
         )
         cluster = ServerCluster(keys, num_lists=3, num_servers=3, replication=2)
         batch = [(i, _element("g1", 0.1 * (i + 1))) for i in range(3)]
-        for write in (cluster.bulk_load, cluster.insert_many):
-            assert write("alice", batch) == 3
+        assert cluster.insert_many("alice", batch) == 3
         assert len({cluster.replicas_of(i)[0] for i in range(3)}) == 3
-        assert asked == ["g1", "g1"]
+        assert asked == ["g1"]
 
 
 class TestFetch:
@@ -478,12 +462,11 @@ class TestReadableViews:
         assert response.elements == ()
         assert response.exhausted
 
-    def test_bulk_load_invalidates_views(self, server):
+    def test_restore_list_invalidates_views(self, server):
         self._populate(server)
         self._fetch(server, "alice")
-        server.bulk_load(
-            [(0, _element("g1", 0.95, b"bulk"))]
-        )
+        held = server.export_list(0)
+        server.restore_list(0, [_element("g1", 0.95, b"restored")] + held)
         response = self._fetch(server, "alice")
         assert response.elements[0].trs == 0.95
         assert server.view_stats.invalidations >= 1

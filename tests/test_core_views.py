@@ -85,8 +85,8 @@ def test_views_match_list_backed_reference(seed):
             else:
                 keys.enroll(principal, group)
         elif roll < 0.85:
-            # Bulk load bypasses the per-element notifications entirely;
-            # views must recover through invalidation + lazy rebuild.
+            # A reload (as a restore does) bypasses the per-element
+            # notifications; views recover through invalidation + rebuild.
             counter += 1
             extra = [
                 EncryptedPostingElement(
@@ -96,7 +96,8 @@ def test_views_match_list_backed_reference(seed):
                 )
                 for i in range(rng.randrange(1, 4))
             ]
-            merged.bulk_load_sorted_by_trs(extra)
+            for element in extra:
+                merged.add_sorted_by_trs(element)
             views.invalidate_list(merged.list_id)
             live.extend(extra)
         check(rng.choice(PRINCIPALS))
@@ -116,9 +117,8 @@ def run_script(script):
     """Apply ``(op, probe)`` steps; after each, the probed slice must equal
     the merged list filtered by the principal's *current* groups.
 
-    Ops: ``("insert", list, group, trs_bucket, replication)``,
-    ``("delete", list, pick, replication)``, ``("toggle", principal,
-    group)`` (enroll or revoke).  A probe is ``(list, principal, offset,
+    Ops: ``("insert", list, group, trs_bucket)``, ``("delete", list,
+    pick)``, ``("toggle", principal, group)`` (enroll or revoke).  A probe is ``(list, principal, offset,
     count)``.
     """
     keys = GroupKeyService(master_secret=b"views-script-secret-0123456789ab")
@@ -132,20 +132,20 @@ def run_script(script):
     for step, (op, probe) in enumerate(script):
         kind = op[0]
         if kind == "insert":
-            _, list_index, group_index, bucket, replication = op
+            _, list_index, group_index, bucket = op
             element = EncryptedPostingElement(
                 ciphertext=sealed(b"ct-%d" % step),
                 group=GROUPS[group_index],
                 trs=bucket / 4.0,  # five values: nearly every insert ties
             )
             lists[list_index].add_sorted_by_trs(element)
-            views.note_insert(lists[list_index], element, replication=replication)
+            views.note_insert(lists[list_index], element)
         elif kind == "delete":
-            _, list_index, pick, replication = op
+            _, list_index, pick = op
             merged = lists[list_index]
             if merged.elements:
                 element = merged.pop_at(pick % len(merged.elements))
-                views.note_delete(merged, element, replication=replication)
+                views.note_delete(merged, element)
         elif kind == "toggle":
             _, principal_index, group_index = op
             principal, group = PRINCIPALS[principal_index], GROUPS[group_index]
@@ -170,8 +170,8 @@ _list_index = st.integers(0, SCRIPT_LISTS - 1)
 _principal_index = st.integers(0, len(PRINCIPALS) - 1)
 _group_index = st.integers(0, len(GROUPS) - 1)
 _op = st.one_of(
-    st.tuples(st.just("insert"), _list_index, _group_index, st.integers(0, 4), st.booleans()),
-    st.tuples(st.just("delete"), _list_index, st.integers(0, 63), st.booleans()),
+    st.tuples(st.just("insert"), _list_index, _group_index, st.integers(0, 4)),
+    st.tuples(st.just("delete"), _list_index, st.integers(0, 63)),
     st.tuples(st.just("toggle"), _principal_index, _group_index),
 )
 _probe = st.tuples(_list_index, _principal_index, st.integers(0, 12), st.integers(0, 6))
@@ -188,10 +188,14 @@ def _pinned_script(seed=20260930, steps=600):
     script = []
     for _ in range(steps):
         roll = rng.random()
+        # Each write draws once more, where ops carried a replication flag
+        # at f4248a8: the stream, and so the script, stays that commit's.
         if roll < 0.5:
-            op = ("insert", rng.randrange(SCRIPT_LISTS), rng.randrange(3), rng.randrange(5), rng.random() < 0.3)
+            op = ("insert", rng.randrange(SCRIPT_LISTS), rng.randrange(3), rng.randrange(5))
+            rng.random()
         elif roll < 0.8:
-            op = ("delete", rng.randrange(SCRIPT_LISTS), rng.randrange(64), rng.random() < 0.3)
+            op = ("delete", rng.randrange(SCRIPT_LISTS), rng.randrange(64))
+            rng.random()
         else:
             op = ("toggle", rng.randrange(3), rng.randrange(3))
         # Probe mostly the same two pairs so views live long enough to be
@@ -204,9 +208,8 @@ def _pinned_script(seed=20260930, steps=600):
     return script
 
 
-# (full_builds, incremental_updates, replication_patches, stale_rebuilds,
-#  evictions, hits, misses)
-PINNED_STATS = (189, 295, 82, 63, 123, 411, 126)
+# (full_builds, incremental_updates, stale_rebuilds, evictions, hits, misses)
+PINNED_STATS = (189, 295, 63, 123, 411, 126)
 
 
 def test_view_stats_unchanged_by_the_container():
@@ -218,7 +221,6 @@ def test_view_stats_unchanged_by_the_container():
     assert (
         stats.full_builds,
         stats.incremental_updates,
-        stats.replication_patches,
         stats.stale_rebuilds,
         stats.evictions,
         stats.hits,
@@ -235,12 +237,12 @@ def test_build_never_calls_the_sort_key_and_patches_bisect(n, monkeypatch):
     keys.register("reader", {"g0", "g1"})
     keys.ensure_group("g2")
     merged = MergedPostingList(list_id=0)
-    merged.bulk_load_sorted_by_trs(
-        EncryptedPostingElement(
-            ciphertext=sealed(b"seed-%d" % i), group=GROUPS[i % 3], trs=(i % 17) / 16.0
+    for i in range(n):
+        merged.add_sorted_by_trs(
+            EncryptedPostingElement(
+                ciphertext=sealed(b"seed-%d" % i), group=GROUPS[i % 3], trs=(i % 17) / 16.0
+            )
         )
-        for i in range(n)
-    )
     views = ReadableViewIndex(keys, capacity=2)
 
     calls = 0

@@ -388,7 +388,7 @@ class TestWorkBound:
             write_consistency="quorum",
         )
         rng = random.Random(5)
-        cluster.bulk_load(
+        cluster.insert_many(
             "u",
             [
                 (lid, _element(rng.random(), sealed(b"f%d-%d" % (lid, i))))
@@ -424,7 +424,7 @@ class TestWorkBound:
         element holds: the primary compares each only with its run,
         never with the rest of a list of over a thousand elements."""
         cluster, _ = self._deployment(keys, replication=1)
-        cluster.bulk_load(
+        cluster.insert_many(
             "u", [(0, _element(0.5, sealed(b"tie%d" % i))) for i in range(5)]
         )
         unused = 0.123456789

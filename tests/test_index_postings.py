@@ -291,21 +291,12 @@ class TestMergedPostingList:
             merged.add_sorted_by_trs(self._enc(trs))
         assert [e.trs for e in merged] == [0.9, 0.7, 0.5, 0.1]
 
-    def test_bulk_load_equivalent_to_incremental(self):
-        values = [0.4, 0.8, 0.2, 0.6, 0.6]
-        incremental = MergedPostingList(0)
-        for v in values:
-            incremental.add_sorted_by_trs(self._enc(v))
-        bulk = MergedPostingList(1)
-        bulk.bulk_load_sorted_by_trs(self._enc(v) for v in values)
-        assert [e.trs for e in incremental] == [e.trs for e in bulk]
-
     def test_version_increments(self):
         merged = MergedPostingList(0)
         v0 = merged.version
         merged.add_sorted_by_trs(self._enc(0.5))
         assert merged.version == v0 + 1
-        merged.bulk_load_sorted_by_trs([self._enc(0.2)])
+        merged.pop_at(0)
         assert merged.version == v0 + 2
 
     def test_sorted_insert_returns_position(self):
@@ -348,12 +339,10 @@ _trs_batches = st.lists(
 )
 
 
-class TestBulkLoadRefinesSortedInsert:
-    """``bulk_load_sorted_by_trs`` is a refinement of repeated
-    ``add_sorted_by_trs``: the abstract action is "insert these, one after
-    the other"; the bulk load must leave the very state that leaves (the
-    abstract-action -> implementation argument PAPERS.md cites for
-    Event-B -> SQL), in one version step and without re-keying what it holds."""
+class TestSortedInsert:
+    """``add_sorted_by_trs`` is the one way an element enters a list: a
+    stable insert under one key per element, which never re-keys what the
+    list holds."""
 
     @staticmethod
     def _elements(batch):
@@ -366,18 +355,21 @@ class TestBulkLoadRefinesSortedInsert:
 
     @given(batches=_trs_batches)
     @settings(max_examples=300, deadline=None)
-    def test_same_objects_in_the_same_order_as_one_by_one(self, batches):
-        bulk, reference = MergedPostingList(0), MergedPostingList(1)
+    def test_ties_keep_arrival_order(self, batches):
+        """Held elements before incoming ones at equal TRS, incoming ones
+        in arrival order: a stable sort of everything added so far."""
+        merged, arrived = MergedPostingList(0), []
         for batch in batches:
             elements = self._elements(batch)
-            version = bulk.version
-            bulk.bulk_load_sorted_by_trs(iter(elements))
+            version = merged.version
             for element in elements:
-                reference.add_sorted_by_trs(element)
-            assert bulk.version == version + 1
-            assert len(bulk) == len(reference)
-            assert all(a is b for a, b in zip(bulk, reference))
-            assert bulk.keys_in_sync()
+                merged.add_sorted_by_trs(element)
+            arrived += elements
+            expected = sorted(arrived, key=lambda e: -float(e.trs))
+            assert merged.version == version + len(elements)
+            assert len(merged) == len(expected)
+            assert all(a is b for a, b in zip(merged, expected))
+            assert merged.keys_in_sync()
 
     @given(batches=_trs_batches)
     @settings(max_examples=100, deadline=None)
@@ -386,7 +378,8 @@ class TestBulkLoadRefinesSortedInsert:
         held = []
         for batch in batches:
             elements = self._elements(batch)
-            merged.bulk_load_sorted_by_trs(elements)
+            for element in elements:
+                merged.add_sorted_by_trs(element)
             assert [e.trs.negations for e in elements] == [1] * len(elements)
             assert all(e.trs.negations == 1 for e in held)
             held += elements
@@ -478,7 +471,8 @@ class TestKeySyncInvariant:
                     for i in range(3)
                 ]
                 counter += 3
-                merged.bulk_load_sorted_by_trs(iter(elements))
+                for element in elements:
+                    merged.add_sorted_by_trs(element)
                 live += elements
             elif live:
                 victim = live.pop(int(rng.integers(0, len(live))))
@@ -510,7 +504,7 @@ class TestKeyStorage:
     would cost a 24-byte ``float`` object per element per replica on top
     of the 8-byte slot that points at it."""
 
-    def test_bulk_load_keeps_eight_bytes_a_key_and_allocates_no_float(self):
+    def test_sorted_inserts_keep_eight_bytes_a_key_and_allocate_no_float(self):
         n = 10_000
         trs = np.random.default_rng(1).uniform(size=n).tolist()
         elements = [
@@ -521,7 +515,8 @@ class TestKeyStorage:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            merged.bulk_load_sorted_by_trs(elements)
+            for element in elements:
+                merged.add_sorted_by_trs(element)
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -532,6 +527,6 @@ class TestKeyStorage:
         # insert-grown buffer keeps.
         assert len(keys) * keys.itemsize == 8 * n
         assert key_bytes <= 8 * n * 17 // 16
-        # All the load leaves behind is the two buffers: no object per key.
+        # All the inserts leave behind is the two buffers: no object per key.
         assert grown - held - key_bytes < 1024
         assert merged.keys_in_sync()

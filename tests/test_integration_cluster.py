@@ -37,7 +37,7 @@ def cluster_setup(micro_corpus):
             stats = micro_corpus.stats(doc.doc_id)
             for term in sorted(stats.counts):
                 items.append(client.build_element(term, stats, group))
-        cluster.bulk_load(owner, items)
+        cluster.insert_many(owner, items)
     superuser = ZerberRClient(
         principal="superuser",
         key_service=system.key_service,

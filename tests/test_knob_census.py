@@ -99,7 +99,6 @@ SURFACES = {
     # A level is the cluster's setting, never a per-call argument.
     "ServerCluster.insert": (ServerCluster.insert, "principal list_id element"),
     "ServerCluster.insert_many": (ServerCluster.insert_many, "principal items"),
-    "ServerCluster.bulk_load": (ServerCluster.bulk_load, "principal items"),
     "ServerCluster.delete_many": (ServerCluster.delete_many, "principal receipts"),
     # A delete names its element by a Receipt, TRS included.
     "ServerCluster.delete_element": (ServerCluster.delete_element, "principal receipt"),

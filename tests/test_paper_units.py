@@ -19,6 +19,7 @@ per element they imply.
 """
 
 import numpy as np
+import pytest
 
 from repro import SystemConfig, ZerberRSystem
 from repro.corpus.synthetic import tiny_corpus
@@ -78,11 +79,13 @@ class _CountedTrs(float):
         return -float(self)
 
 
-def test_setup_work_is_once_per_element(monkeypatch, counted_encrypts):
+@pytest.mark.parametrize("replication", [1, 2])
+def test_setup_work_is_once_per_element(monkeypatch, counted_encrypts, replication):
     """``build`` + ``deploy_cluster``: one encryption per element indexed,
-    and at most one sort key per element per list copy bulk-loaded (the
-    single server's and the cluster primary's; at ``replication=1`` there
-    is no follower, whose copy arrives op by op through the log)."""
+    and exactly one sort key per element per list copy — the single
+    server's, then each of the deployed cluster's ``replication`` copies,
+    the primary's and every follower's taken in by the same one op at a
+    time."""
     from repro.index.postings import EncryptedPostingElement
 
     checked = EncryptedPostingElement.checked
@@ -94,11 +97,11 @@ def test_setup_work_is_once_per_element(monkeypatch, counted_encrypts):
     monkeypatch.setattr(_CountedTrs, "taken", 0)
     corpus = tiny_corpus(seed=3)
     system = ZerberRSystem.build(corpus, SystemConfig(r=4.0, seed=5))
-    cluster, _ = system.deploy_cluster(num_servers=3, replication=1)
+    cluster, _ = system.deploy_cluster(num_servers=3, replication=replication)
     elements = sum(len(corpus.stats(doc_id).counts) for doc_id in corpus.doc_ids())
     assert system.cluster.num_elements == cluster.num_elements == elements
     assert len(counted_encrypts) == elements
-    assert 0 < _CountedTrs.taken <= 2 * elements
+    assert _CountedTrs.taken == (1 + replication) * elements
 
 
 if __name__ == "__main__":
