@@ -29,7 +29,7 @@ from repro.core.client import ZerberRClient
 from repro.core.system import SystemConfig, ZerberRSystem
 from repro.corpus.documents import Corpus, Document
 from repro.crypto.keys import GroupKeyService
-from repro.errors import ReproError
+from repro.errors import BackpressureError, ReproError
 from repro.persist import load_cluster
 
 DEFAULT_SECRET = "0f" * 32
@@ -251,23 +251,19 @@ def _scripted_workload(
     )
     client = system.client_for("superuser", server=cluster)
 
-    # Coalesced coordinator sessions (coalesce + skim).
-    sessions = [
-        coordinator.open_session(client, ["alpha", "beta", "shared"], k=3),
-        coordinator.open_session(client, ["gamma", "shared"], k=2),
-    ]
-    ticks = 0
-    while any(not s.done for s in sessions) and ticks < 64:
-        coordinator.tick()  # runs the cluster's replication tick too
-        ticks += 1
+    # Coalesced coordinator sessions (coalesce + skim); each tick runs
+    # the cluster's replication tick too.
+    for terms, k in ((["alpha", "beta", "shared"], 3), (["gamma", "shared"], 2)):
+        coordinator.submit(client.open_multi_session(terms, k))
+    coordinator.drain()
 
-    # An arrival-driven burst past the queue bound (shed + retry path,
-    # round pipelining): staggered arrivals against max_queue_depth=2.
-    # The second session is admitted one tick into the first one's
-    # in-flight round (initial_size=1 forces several doubling rounds),
-    # so their flushes interleave with pending deliveries — pipeline
-    # overlap; the later arrivals find the queue full and are shed with
-    # retry hints, and retry-on-shed drains every session to completion.
+    # A staggered burst past the queue bound (shed + retry, round
+    # pipelining): one submit a tick against max_queue_depth=2.  The
+    # second session is admitted one tick into the first one's in-flight
+    # round (initial_size=1 forces several doubling rounds), so their
+    # flushes interleave with pending deliveries — pipeline overlap; the
+    # later ones find the queue full and are refused with retry hints.
+    # The first two always fit, so the refused ones fit once it drains.
     from repro.core.protocol import ResponsePolicy
 
     burst_policy = ResponsePolicy(initial_size=1)
@@ -280,8 +276,16 @@ def _scripted_workload(
             (["alpha", "beta"], 3),
         )
     ]
-    for offset, session in enumerate(burst):
-        coordinator.submit_arrival(session, at=coordinator.now + offset)
+    refused = []
+    for session in burst:
+        try:
+            coordinator.submit(session)
+        except BackpressureError:
+            refused.append(session)
+        coordinator.advance(1)
+    coordinator.drain()
+    for session in refused:
+        coordinator.submit(session)
     coordinator.drain()
 
     # Direct reads at every consistency level (read-path histograms).  A
@@ -357,13 +361,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     telemetry = Telemetry()
     system, cluster, coordinator = _scripted_workload(telemetry)
     client = system.client_for("superuser", server=cluster)
-    session = coordinator.open_session(
-        client, ["alpha", "beta", "shared"], k=args.k
+    session = coordinator.submit(
+        client.open_multi_session(["alpha", "beta", "shared"], args.k)
     )
-    ticks = 0
-    while not session.done and ticks < 64:
-        coordinator.tick()  # runs the cluster's replication tick too
-        ticks += 1
+    coordinator.drain()
     session.result()
     trace = next(
         (t for t in telemetry.tracer.traces() if t.trace_id == session.trace_id),

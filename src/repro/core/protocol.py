@@ -215,7 +215,7 @@ class BatchFetchResponse:
 class BackpressureSignal:
     """Shed notice a coordinator returns instead of admitting a session.
 
-    When the bounded admission queue is full, the arrival is *shed* with
+    When the bounded admission queue is full, the submit is *shed* with
     an explicit, deterministic retry hint instead of being parked
     unboundedly.  This is the wire-shaped record of that decision — what
     a fronting RPC layer would serialize back to the client as a
@@ -223,7 +223,7 @@ class BackpressureSignal:
 
     ``retry_after_ticks`` is a lower-bound hint (capacity may free up
     later than estimated; retrying earlier only earns another shed);
-    ``queue_depth`` is the depth the arrival found, ``limit`` the bound.
+    ``queue_depth`` is the depth the submit found, ``limit`` the bound.
     """
 
     principal: str

@@ -10,8 +10,8 @@ which schedules them on its own virtual clock, one agenda per tick::
 
     client sessions                coordinator                 shard servers
     ---------------          ----------------------          ---------------
-    s1: [t1,t2,t3] ─arrival─▸ flush @ tick t:                 +----------+
-    s2: [t1,t4]    ─arrival─▸   1 gather ready    ┌─{srv 0}─▸ | server 0 |
+    s1: [t1,t2,t3] ──submit─▸ flush @ tick t:                 +----------+
+    s2: [t1,t4]    ──submit─▸   1 gather ready    ┌─{srv 0}─▸ | server 0 |
     s3: [t2,t5]    ──submit─▸     slices          │           +----------+
                                 2 dedup shared    │           +----------+
      ◂─deliver()/result()──     3 one batch_fetch ┴─{srv 1}─▸ | server 1 |
@@ -39,27 +39,27 @@ instead of piggybacking on the flush; a flush routes and serves inside
 one call, so no election can fall between the two.
 
 The schedule is a plain agenda: ``_agenda[tick]`` is a list of
-callables — arrivals, flushes, deliveries — run first in, first out,
-work appended to the running tick included.  :meth:`Coordinator.advance`
+callables — flushes and deliveries — run first in, first out, work
+appended to the running tick included.  :meth:`Coordinator.advance`
 runs one tick's list, then ``cluster.replication_tick()`` once (on an
 idle tick too), then moves :attr:`Coordinator.now` on.  A tick is never
 regrouped into phases: a flush clears its tick from ``_flush_scheduled``
 before it runs, so work queued later in the same tick gets a second
 flush, and which slices share a flush is exactly this append order.
 
-Admission is governed by *real backpressure* rather than unbounded
-parking: with ``max_queue_depth`` set, an arrival that would exceed the
-bound is shed before anything is acknowledged, carrying a deterministic
-:class:`~repro.core.protocol.BackpressureSignal` retry hint
-(:meth:`Coordinator.submit` raises
-:class:`~repro.errors.BackpressureError`; :meth:`submit_arrival`
-reschedules the arrival for the hinted tick).
-
-The lockstep :meth:`Coordinator.tick` is a thin driver over the agenda
-— one tick advances virtual time by exactly one tick, which drains that
-tick to quiescence.  One cadence rule holds at every latency: a
-session's next flush is at ``max(delivery tick, dispatch tick + 1)``, so
-a round takes ``max(round_latency, 1)`` ticks.
+There is one way in and one way through.  :meth:`Coordinator.submit`
+admits a session at ``now`` and queues a flush, or refuses it with
+:class:`~repro.errors.BackpressureError` when ``max_queue_depth``
+sessions are already parked: a refusal parks and queues nothing, is
+counted once in ``backpressure_sheds``, and its
+:class:`~repro.core.protocol.BackpressureSignal` retry hint is its only
+record — the caller owns the retry.  :meth:`Coordinator.tick` queues a
+flush for the parked sessions and advances one tick, so a session whose
+flush raised (every replica of a list down) picks up again on the next
+tick; :meth:`Coordinator.drain` ticks until no session is parked.  One
+cadence rule holds at every latency: a session's next flush is at
+``max(delivery tick, dispatch tick + 1)``, so a round takes
+``max(round_latency, 1)`` ticks.
 
 Per-session fetch sequences (offsets, counts, stop conditions) are exactly
 what the session would have issued against the cluster directly, so query
@@ -95,10 +95,6 @@ sessions wanting the same slice under different floors still share one
 server fetch — the coalesced request carries the *max* of their floors,
 which satisfies both (floors are lower bounds)."""
 
-#: Retained shed records (oldest dropped first); enough for any test or
-#: bench to inspect recent admission decisions without unbounded growth.
-_MAX_SHED_RECORDS = 1024
-
 
 @dataclass
 class CoordinatorStats:
@@ -110,9 +106,9 @@ class CoordinatorStats:
     shared response.  ``server_calls`` counts the shard-server calls the
     flushes made (the number a latency-bound deployment cares about): one
     per touched server, plus any read-repair re-serve.
-    ``backpressure_sheds`` counts arrivals refused at admission (queue
-    depth exhausted) — shed *before* anything was acknowledged, so a
-    shed never loses accepted work.
+    ``backpressure_sheds`` counts submits refused at admission (queue
+    depth exhausted), once each — shed *before* anything was
+    acknowledged, so a shed never loses accepted work.
     ``pipeline_overlap`` counts flushes sent while earlier rounds'
     deliveries were still in flight — the round-pipelining the agenda
     buys over lockstep barriers (always 0 with ``round_latency=0``).
@@ -165,7 +161,7 @@ class Coordinator:
         max_queue_depth: int | None = None,
     ) -> None:
         """``max_queue_depth`` is the *admission* bound (``None``
-        disables): an arrival that would exceed it is shed with a
+        disables): a submit that would exceed it is shed with a
         retry-after hint instead of parked.  ``round_latency`` ticks
         separate a flush's dispatch from its sessions' skim delivery
         (0 — the default — delivers later in the dispatching tick).
@@ -186,7 +182,6 @@ class Coordinator:
         self._awaiting: set[int] = set()
         # Virtual ticks with a flush already queued (dedup guard).
         self._flush_scheduled: set[int] = set()
-        self.sheds: list[BackpressureSignal] = []
         self.stats = CoordinatorStats()
         # Scheduling counters stay plain attribute increments on the hot
         # loop; the collector mirrors them into the registry at snapshot
@@ -206,100 +201,49 @@ class Coordinator:
 
     @property
     def active_sessions(self) -> int:
-        return sum(1 for s in self._sessions if not s.done)
-
-    # -- admission control -------------------------------------------------------
-
-    def _admission_signal(
-        self, principal: str
-    ) -> BackpressureSignal | None:
-        """The shed signal admitting *principal* now would trigger, if any."""
-        if self._max_queue_depth is None:
-            return None
-        depth = sum(1 for s in self._sessions if not s.done)
-        if depth < self._max_queue_depth:
-            return None
-        return BackpressureSignal(
-            principal=principal,
-            tick=self._now,
-            retry_after_ticks=depth - self._max_queue_depth + 1,
-            queue_depth=depth,
-            limit=self._max_queue_depth,
-        )
-
-    def _record_shed(self, signal: BackpressureSignal) -> None:
-        self.stats.backpressure_sheds += 1
-        self.sheds.append(signal)
-        if len(self.sheds) > _MAX_SHED_RECORDS:
-            del self.sheds[: len(self.sheds) - _MAX_SHED_RECORDS]
+        """Sessions parked here: admitted and not yet done."""
+        return len(self._sessions)
 
     # -- session intake ----------------------------------------------------------
 
-    def _check_intake(self, session: ClientQuerySession) -> None:
+    def submit(self, session: ClientQuerySession) -> ClientQuerySession:
+        """Admit a client's query session at :attr:`now`, or refuse it.
+
+        The session's client must be bound to this coordinator's cluster;
+        accepting a session from a client on another backend would answer
+        it from the wrong index.  A session already done (no terms) is
+        counted complete and never parked.  With ``max_queue_depth``
+        sessions parked, the session is refused with
+        :class:`~repro.errors.BackpressureError`: nothing is parked or
+        queued for it, the refusal is counted once in
+        ``stats.backpressure_sheds``, and the error's signal is its only
+        record — the caller owns the retry.  An admitted session's first
+        flush is queued at :attr:`now`.
+        """
         if session.backend is not self._cluster:
             raise ConfigurationError(
                 "session's client is not bound to this coordinator's cluster"
             )
         if any(existing is session for existing in self._sessions):
             raise ProtocolError("session is already submitted")
-
-    def submit(self, session: ClientQuerySession) -> ClientQuerySession:
-        """Park a client's query session for scheduling.
-
-        The session's client must be bound to this coordinator's cluster;
-        accepting a session from a client on another backend would answer
-        it from the wrong index.  With admission bounds configured, a
-        session that would exceed them is refused with
-        :class:`~repro.errors.BackpressureError` — nothing is parked, the
-        caller owns the retry.
-        """
-        self._check_intake(session)
-        signal = self._admission_signal(session.principal)
-        if signal is not None:
-            self._record_shed(signal)
-            raise BackpressureError(signal)
+        if session.done:
+            self.stats.sessions_completed += 1
+            return session
+        depth, limit = len(self._sessions), self._max_queue_depth
+        if limit is not None and depth >= limit:
+            self.stats.backpressure_sheds += 1
+            raise BackpressureError(
+                BackpressureSignal(
+                    principal=session.principal,
+                    tick=self._now,
+                    retry_after_ticks=depth - limit + 1,
+                    queue_depth=depth,
+                    limit=limit,
+                )
+            )
         self._sessions.append(session)
-        # As for an arrival: the session's first round is queued now, so
-        # drain() settles it as tick() does (tick finds this flush queued).
         self._ensure_flush(self._now)
         return session
-
-    def submit_arrival(
-        self,
-        session: ClientQuerySession,
-        at: int | None = None,
-        retry_on_shed: bool = True,
-    ) -> None:
-        """Schedule *session* to arrive at virtual tick *at* (default now).
-
-        The arrival-driven intake: admission happens when the arrival
-        runs, a flush is scheduled for the same tick, and the session
-        runs its rounds without any external ``tick()`` driver — callers
-        :meth:`drain` the coordinator (or :meth:`advance` it) to completion.
-        A shed arrival is rescheduled ``retry_after_ticks`` later when
-        *retry_on_shed* is set, so a transient overload degrades into
-        deferred admission instead of lost work.
-        """
-        self._check_intake(session)
-        when = self._now if at is None else at
-        self._call_at(when, lambda: self._admit_arrival(session, retry_on_shed))
-
-    def _admit_arrival(
-        self, session: ClientQuerySession, retry_on_shed: bool
-    ) -> None:
-        if any(existing is session for existing in self._sessions):
-            return  # double-scheduled arrival; already admitted
-        signal = self._admission_signal(session.principal)
-        if signal is not None:
-            self._record_shed(signal)
-            if retry_on_shed:
-                self._call_at(
-                    self._now + signal.retry_after_ticks,
-                    lambda: self._admit_arrival(session, retry_on_shed),
-                )
-            return
-        self._sessions.append(session)
-        self._ensure_flush(self._now)
 
     def evict(self, session: ClientQuerySession) -> None:
         """Remove a parked session (e.g. a caller abandoning a query).
@@ -308,16 +252,6 @@ class Coordinator:
         (delivery is matched by identity against the parked set).
         """
         self._sessions = [s for s in self._sessions if s is not session]
-
-    def open_session(
-        self,
-        client: ZerberRClient,
-        terms: Sequence[str],
-        k: int,
-        policy: ResponsePolicy | None = None,
-    ) -> ClientQuerySession:
-        """Open a session on *client* and submit it in one step."""
-        return self.submit(client.open_multi_session(terms, k, policy=policy))
 
     # -- scheduling --------------------------------------------------------------
 
@@ -344,15 +278,16 @@ class Coordinator:
             self._now += 1
 
     def tick(self) -> bool:
-        """Run one lockstep scheduling tick; returns whether work was done.
+        """Run one scheduling tick; returns whether a session was parked.
 
-        Advances virtual time by exactly one tick, which runs this
-        tick's flush, its deliveries, the replication tick and any due
-        maintenance.  Raises :class:`~repro.errors.UnavailableError` if a
-        needed list has no live replica — fail-fast, matching
-        :meth:`ServerCluster.batch_fetch` semantics.
+        Queues a flush at :attr:`now` for the parked sessions (a no-op if
+        one is queued) and advances exactly one tick, which runs this
+        tick's flush, its deliveries and the replication tick.  Raises
+        :class:`~repro.errors.UnavailableError` if a needed list has no
+        live replica — fail-fast, matching
+        :meth:`ServerCluster.batch_fetch` semantics; the sessions stay
+        parked, and the next tick flushes them again.
         """
-        self._prune()
         if not self._sessions:
             self._obs.queue_depth.set(0.0)
             return False
@@ -361,32 +296,20 @@ class Coordinator:
         return True
 
     def drain(self, max_ticks: int = 100_000) -> int:
-        """Advance until all arrivals, rounds and deliveries settle.
+        """:meth:`tick` until no session is parked; returns the ticks run.
 
-        The arrival-driven counterpart of :meth:`run_until_complete`:
-        returns the virtual ticks advanced; raises
-        :class:`~repro.errors.ProtocolError` if the agenda is not empty
-        within *max_ticks* (work that keeps rescheduling itself).
+        Raises :class:`~repro.errors.ProtocolError` if sessions are still
+        parked after *max_ticks* ticks.
         """
         start = self._now
-        while any(self._agenda.values()):
+        while self._sessions:
             if self._now - start >= max_ticks:
-                queued = sum(map(len, self._agenda.values()))
                 raise ProtocolError(
                     f"coordinator did not quiesce within {max_ticks} ticks "
-                    f"({queued} callable(s) queued)"
+                    f"({len(self._sessions)} session(s) parked)"
                 )
-            self.advance(1)
+            self.tick()
         return self._now - start
-
-    def _prune(self) -> None:
-        """Drop, and count, sessions that were already done when submitted
-        (e.g. zero terms): they never reach :meth:`_deliver_one`, which
-        counts and drops every other session as it finishes."""
-        done = sum(1 for s in self._sessions if s.done)
-        if done:
-            self.stats.sessions_completed += done
-            self._sessions = [s for s in self._sessions if not s.done]
 
     def _ensure_flush(self, tick: int) -> None:
         """Schedule a flush at *tick* unless one is already queued there."""
@@ -399,7 +322,6 @@ class Coordinator:
     def _flush(self, at_tick: int) -> None:
         """Run one coalescing round over every ready (non-awaiting) session."""
         self._flush_scheduled.discard(at_tick)
-        self._prune()
         self._obs.queue_depth.set(float(len(self._sessions)))
         ready = [s for s in self._sessions if id(s) not in self._awaiting]
         if not ready:
@@ -514,20 +436,13 @@ class Coordinator:
         self.stats.slices_sent += len(batch)
         return dict(zip(keys, replies))
 
-    def run_until_complete(self) -> int:
-        """Tick until every submitted session is done; returns ticks run."""
-        ticks = 0
-        while self.tick():
-            ticks += 1
-        return ticks
-
     def run_queries(
         self,
         jobs: Sequence[tuple[ZerberRClient, Sequence[str], int]],
         policy: ResponsePolicy | None = None,
     ) -> list[MultiQueryResult]:
         """Serve ``(client, terms, k)`` jobs concurrently; results in order."""
-        if self.active_sessions:
+        if self._sessions:
             raise ProtocolError("coordinator already has sessions in flight")
         # Open every session before submitting any: a bad job (unknown
         # term, invalid k) must fail the whole call without leaving
@@ -539,7 +454,7 @@ class Coordinator:
         try:
             for session in sessions:
                 self.submit(session)
-            self.run_until_complete()
+            self.drain()
         except BaseException:
             # A failure at admission (a later job shed by the queue bound)
             # or mid-run (e.g. every replica of a list down) must not park

@@ -7,7 +7,7 @@ errors are distinguishable because they typically call for different
 handling (a :class:`AccessDeniedError` is an authorization outcome, not a
 bug).
 A read fails only on what it can act on — a list with no live replica,
-a missed quorum, a shed arrival; a failover election is never one of
+a missed quorum, a shed submit; a failover election is never one of
 them, since a batch is routed and served inside one call.
 """
 

@@ -114,3 +114,10 @@ def slices_batch(principal: str, slices) -> BatchFetchRequest:
     """One principal's batch of ``(list_id, offset, count)`` slices."""
     requests = (FetchRequest(principal, *slice_) for slice_ in slices)
     return BatchFetchRequest(tuple(requests))
+
+
+def held_work(coordinator):
+    """What a coordinator holds: parked sessions, agenda callables and
+    ticks with a flush queued."""
+    agenda = sum(map(len, coordinator._agenda.values()))
+    return len(coordinator._sessions), agenda, set(coordinator._flush_scheduled)

@@ -169,6 +169,23 @@ def test_the_census_classes_each_def_by_what_enters_it(tmp_path):
     assert "no row: pkg:test_only (2 lines) is reached only by tests" in problems
 
 
+def test_a_source_file_edited_during_the_census_fails_it(tmp_path):
+    """A file edited while the commands run would leave its defs matched
+    against line numbers it no longer has; the census names it instead."""
+    src = tmp_path / "src"
+    (src / "pkg").mkdir(parents=True)
+    init = src / "pkg" / "__init__.py"
+    init.write_text(textwrap.dedent(PACKAGE))
+    before = reach.sources(src)
+    reach.check_unchanged(src, before)
+    run = [sys.executable, "-c"]
+    edit = f"import pathlib; p = pathlib.Path({str(init)!r}); p.write_text('#\\n' + p.read_text())"
+    reach.record([[*run, "import pkg; pkg.used()"], [*run, edit]], tmp_path / "u", src)
+    with pytest.raises(RuntimeError) as excinfo:
+        reach.check_unchanged(src, before)
+    assert str(excinfo.value) == f"{init} changed during the census; rerun"
+
+
 @functools.cache
 def _census_keys() -> tuple[frozenset[str], frozenset[str]]:
     """The keys of every counted ``src/repro`` def, and of those ``pinned``."""

@@ -55,6 +55,10 @@ class TestMetricsCommand:
         assert stat("replication_stats_total", "failovers") >= 1
         assert stat("replication_stats_total", "read_repairs") > 0
         assert stat("coordinator_stats_total", "server_calls") > 0
+        # The staggered burst is refused past the queue bound and its
+        # rounds overlap in-flight deliveries.
+        assert stat("coordinator_stats_total", "backpressure_sheds") >= 1
+        assert stat("coordinator_stats_total", "pipeline_overlap") >= 1
         assert stat("views_stats_total", "hits") > 0
         assert total("crypto_skim_elements_total") > 0
         assert total("persist_snapshots_total") >= 1

@@ -342,8 +342,8 @@ class TestRevocationBetweenRounds:
             bob.index_document_with_receipts(_doc(f"b{i}", {"apple": i + 1, "plum": 9 - i}), "g2")
         assert {d[0] for d in root.query("apple", k=10).doc_ids()} == {"a", "b"}
         coordinator = Coordinator(cluster, round_latency=1)
-        session = coordinator.open_session(
-            root, ["apple"], 4, policy=ResponsePolicy(initial_size=8)
+        session = coordinator.submit(
+            root.open_multi_session(["apple"], 4, policy=ResponsePolicy(initial_size=8))
         )
         coordinator.tick()
         assert session.rounds == 0 and not session.done  # dispatched, not delivered
@@ -369,7 +369,7 @@ class TestRevocationBetweenRounds:
             return skim(elements, *rest)
 
         monkeypatch.setattr(client_module, "skim_matches", recording)
-        coordinator.run_until_complete()
+        coordinator.drain()
         assert "g2" in delivered  # the in-flight response did carry them
         ranked = session.result().ranked
         assert ranked and all(doc_id.startswith("a") for doc_id, _ in ranked)
@@ -834,10 +834,10 @@ class TestTracesAgree:
             assert len(rounds) == sum(r.batch_trace.num_rounds for r in direct)
             coordinator = Coordinator(cluster, round_latency=round_latency)
             sessions = [
-                coordinator.open_session(client, terms, k, policy=policy)
+                coordinator.submit(client.open_multi_session(terms, k, policy=policy))
                 for terms, k, policy in queries
             ]
-            coordinator.run_until_complete()
+            coordinator.drain()
             driven = [session.result() for session in sessions]
             # query(): a one-term session, run by the same driver, its
             # rounds checked like every other session's.
@@ -1086,13 +1086,15 @@ class TestWarmReadPathCounts:
 
     # The warm six-term query of the telemetry budget below, one round of
     # six slices on three servers, through Coordinator.run_queries with no
-    # telemetry: its count on CPython 3.11, exact — 433 entered since the
-    # coordinator keeps its own clock (438 while it read an event loop's
-    # ``now`` property; 450 with the TRS top-k check, two frames per
-    # finished term; 486 while replies were walked for their bits; 509
-    # before the flush became one ``ServerCluster.batch_fetch``, under a
-    # budget of 534).
-    COORDINATOR_FRAME_BUDGET = 433
+    # telemetry: its count on CPython 3.11, exact — 420 entered since
+    # ``submit`` counts a session done at submit and ``drain`` stops when
+    # none is parked (433 while every tick and flush pruned done sessions
+    # and ``run_until_complete`` called a last idle ``tick``; 438 while it
+    # read an event loop's ``now`` property; 450 with the TRS top-k check,
+    # two frames per finished term; 486 while replies were walked for
+    # their bits; 509 before the flush became one
+    # ``ServerCluster.batch_fetch``, under a budget of 534).
+    COORDINATOR_FRAME_BUDGET = 420
 
     def test_frames_entered_by_one_warm_coordinator_query_stay_under_budget(
         self, system

@@ -1,7 +1,7 @@
-"""Tests for the event-driven core: the coordinator's agenda, arrival-driven
-coordinator scheduling, round pipelining, backpressure, the equivalence
-of the lockstep ``tick()`` driver and arrival-driven sessions, and the
-one cadence rule rounds follow at every ``round_latency``."""
+"""Tests for the event-driven core: the coordinator's agenda, its one
+intake (``submit``) and its one run-to-quiescence driver (``drain``),
+round pipelining, backpressure, and the one cadence rule rounds follow
+at every ``round_latency``."""
 
 import gc
 import weakref
@@ -19,7 +19,7 @@ from repro.errors import (
     ProtocolError,
     UnavailableError,
 )
-from tests.conftest import sealed
+from tests.conftest import held_work, sealed
 
 
 class TestTheAgenda:
@@ -95,17 +95,6 @@ class TestTheAgenda:
         assert coordinator.now == 0
         assert coordinator.cluster.replication_manager.tick_count == 0
 
-    def test_drain_runs_through_the_last_scheduled_tick_only(self, coordinator):
-        """The replication tick is not agenda work: it never keeps
-        ``drain`` going once the last queued callable has run."""
-        fired = []
-        coordinator._call_at(2, lambda: fired.append(coordinator.now))
-        assert coordinator.drain() == 3
-        assert fired == [2]
-        assert coordinator.cluster.replication_manager.tick_count == 3
-        assert coordinator.drain() == 0
-        assert coordinator.now == 3
-
     def test_a_raise_leaves_the_rest_queued_and_the_clock_still(
         self, coordinator
     ):
@@ -119,16 +108,8 @@ class TestTheAgenda:
         with pytest.raises(ProtocolError):
             coordinator.advance(1)
         assert (fired, coordinator.now) == (["a"], 0)
-        assert coordinator.drain() == 1
-        assert fired == ["a", "c"]
-
-    def test_drain_raises_on_livelock(self, coordinator):
-        def reschedule():
-            coordinator._call_at(coordinator.now + 1, reschedule)
-
-        coordinator._call_at(0, reschedule)
-        with pytest.raises(ProtocolError):
-            coordinator.drain(max_ticks=10)
+        coordinator.advance(1)
+        assert (fired, coordinator.now) == (["a", "c"], 1)
 
     def test_a_dropped_deployment_is_freed_without_the_cycle_collector(self):
         """Nothing the agenda keeps once it is empty refers back to the
@@ -136,7 +117,7 @@ class TestTheAgenda:
         element its servers hold at once."""
         coordinator = self._coordinator()
         coordinator._call_at(1, lambda: None)
-        coordinator.drain()
+        coordinator.advance(2)
         freed = weakref.ref(coordinator.cluster), weakref.ref(coordinator)
         gc.disable()
         try:
@@ -173,47 +154,33 @@ class TestArrivalDrivenScheduling:
         queries = _queries(system, 4)
         direct = [client.query_multi_batched(q, 4) for q in queries]
         sessions = [client.open_multi_session(q, 4) for q in queries]
-        # Staggered arrivals on the virtual clock, no external tick().
-        for i, session in enumerate(sessions):
-            coordinator.submit_arrival(session, at=i)
+        # Staggered submits on the virtual clock, one a tick.
+        for session in sessions:
+            coordinator.submit(session)
+            coordinator.advance(1)
         coordinator.drain()
         for session, expected in zip(sessions, direct):
             assert session.done
             assert session.result().ranked == expected.ranked
         assert coordinator.stats.sessions_completed == len(sessions)
 
-    def test_future_arrival_waits_for_its_tick(self, system):
-        cluster, coordinator = system.deploy_cluster(num_servers=2)
-        client = system.client_for("superuser", server=cluster)
-        session = client.open_multi_session(_queries(system, 1)[0], 4)
-        coordinator.submit_arrival(session, at=5)
-        coordinator.advance(5)  # ticks 0..4: not yet admitted
-        assert coordinator.active_sessions == 0
-        coordinator.drain()
-        assert session.done
-
     def test_double_arrival_admits_once(self, system):
-        cluster, coordinator = system.deploy_cluster(num_servers=2)
+        """A parked session submitted again at a later tick is refused
+        and held once: it completes once."""
+        cluster, coordinator = system.deploy_cluster(
+            num_servers=2, round_latency=2
+        )
         client = system.client_for("superuser", server=cluster)
-        session = client.open_multi_session(_queries(system, 1)[0], 4)
-        coordinator.submit_arrival(session, at=0)
-        coordinator.submit_arrival(session, at=0)
+        session = coordinator.submit(
+            client.open_multi_session(_queries(system, 1)[0], 4)
+        )
+        coordinator.advance(1)
+        with pytest.raises(ProtocolError):
+            coordinator.submit(session)
+        assert coordinator.active_sessions == 1
         coordinator.drain()
         assert session.done
         assert coordinator.stats.sessions_completed == 1
-
-    def test_evicted_session_in_flight_delivery_noops(self, system):
-        cluster, coordinator = system.deploy_cluster(
-            num_servers=2, round_latency=3
-        )
-        client = system.client_for("superuser", server=cluster)
-        session = client.open_multi_session(_queries(system, 1)[0], 4)
-        coordinator.submit_arrival(session, at=0)
-        coordinator.advance(1)  # flush dispatched; delivery at tick 3
-        coordinator.evict(session)
-        coordinator.drain()  # the deferred delivery fires as a no-op
-        assert not session.done
-        assert coordinator.stats.sessions_completed == 0
 
 
 class TestRoundPipelining:
@@ -225,21 +192,23 @@ class TestRoundPipelining:
         queries = _queries(system, 4)
         direct = [client.query_multi_batched(q, 4) for q in queries]
         sessions = [client.open_multi_session(q, 4) for q in queries]
-        for i, session in enumerate(sessions):
-            coordinator.submit_arrival(session, at=i)
+        for session in sessions:
+            coordinator.submit(session)
+            coordinator.advance(1)
         coordinator.drain()
         for session, expected in zip(sessions, direct):
             assert session.result().ranked == expected.ranked
 
     def test_staggered_arrivals_overlap_rounds(self, system):
-        # With deliveries deferred 2 ticks, a session arriving mid-flight
+        # With deliveries deferred 2 ticks, a session submitted mid-flight
         # builds its envelope while earlier rounds are still in the air.
         cluster, coordinator = system.deploy_cluster(
             num_servers=3, round_latency=2
         )
         client = system.client_for("superuser", server=cluster)
-        for i, q in enumerate(_queries(system, 6)):
-            coordinator.submit_arrival(client.open_multi_session(q, 4), at=i)
+        for q in _queries(system, 6):
+            coordinator.submit(client.open_multi_session(q, 4))
+            coordinator.advance(1)
         coordinator.drain()
         assert coordinator.stats.pipeline_overlap > 0
 
@@ -252,7 +221,128 @@ class TestRoundPipelining:
         assert coordinator.stats.pipeline_overlap == 0
 
 
+class TestTickAndDrain:
+    def test_tick_driver_advances_exactly_one_tick(self, system):
+        cluster, coordinator = system.deploy_cluster(num_servers=2)
+        client = system.client_for("superuser", server=cluster)
+        coordinator.submit(
+            client.open_multi_session(_queries(system, 1)[0], 4)
+        )
+        before = coordinator.now
+        assert coordinator.tick() is True
+        assert coordinator.now == before + 1
+        assert cluster.replication_manager.tick_count == before + 1
+
+    def test_idle_tick_does_not_advance_time(self, system):
+        cluster, coordinator = system.deploy_cluster(num_servers=2)
+        assert coordinator.tick() is False
+        assert coordinator.now == 0
+        assert cluster.replication_manager.tick_count == 0
+
+    def test_drain_ticks_until_no_session_is_parked(self, system):
+        """The replication tick is not session work: ``drain`` stops at
+        the tick the last session ends in, and a queued callable of no
+        session does not keep it going."""
+        cluster, coordinator = system.deploy_cluster(
+            num_servers=2, round_latency=2
+        )
+        client = system.client_for("superuser", server=cluster)
+        session = coordinator.submit(
+            client.open_multi_session(_queries(system, 1)[0], 4)
+        )
+        ticks = coordinator.drain()
+        assert session.done and ticks == coordinator.now >= 3
+        assert cluster.replication_manager.tick_count == ticks
+        coordinator._call_at(coordinator.now + 5, lambda: None)
+        assert coordinator.drain() == 0
+
+    def test_drain_picks_a_session_up_again_after_an_outage(self, system):
+        """A flush that raised is not lost: the next tick queues a flush
+        for every parked session, so ``drain`` finishes it once the
+        servers are back."""
+        cluster, coordinator = system.deploy_cluster(num_servers=3)
+        client = system.client_for("superuser", server=cluster)
+        query = _queries(system, 1)[0]
+        session = coordinator.submit(client.open_multi_session(query, 4))
+        for server_index in range(cluster.num_servers):
+            cluster.fail_server(server_index)
+        with pytest.raises(UnavailableError):
+            coordinator.drain()
+        assert coordinator.active_sessions == 1 and not session.done
+        for server_index in range(cluster.num_servers):
+            cluster.restore_server(server_index)
+        assert coordinator.drain() >= 1
+        assert session.done and coordinator.active_sessions == 0
+        assert session.result().ranked == client.query_multi_batched(query, 4).ranked
+        assert coordinator.stats.sessions_completed == 1
+
+    def test_drain_raises_past_max_ticks(self, system):
+        cluster, coordinator = system.deploy_cluster(
+            num_servers=2, round_latency=5
+        )
+        client = system.client_for("superuser", server=cluster)
+        session = coordinator.submit(
+            client.open_multi_session(_queries(system, 1)[0], 4)
+        )
+        with pytest.raises(ProtocolError, match="1 session"):
+            coordinator.drain(max_ticks=2)
+        assert coordinator.now == 2
+        coordinator.drain()
+        assert session.done
+
+    def test_evicted_session_in_flight_delivery_noops(self, system):
+        cluster, coordinator = system.deploy_cluster(
+            num_servers=2, round_latency=3
+        )
+        client = system.client_for("superuser", server=cluster)
+        session = coordinator.submit(
+            client.open_multi_session(_queries(system, 1)[0], 4)
+        )
+        coordinator.advance(1)  # flush dispatched; delivery at tick 3
+        coordinator.evict(session)
+        assert coordinator.drain() == 0  # nothing parked
+        coordinator.advance(3)  # the deferred delivery fires as a no-op
+        assert not session.done
+        assert coordinator.stats.sessions_completed == 0
+
+
 class TestBackpressure:
+    def test_a_refused_submit_is_counted_once_and_held_nowhere(self, system):
+        """200 submits at tick 0 against a bound of 2: 198 refusals, each
+        counted once, none kept — no shed log, no retry on the agenda —
+        and draining the two admitted sessions adds no shed."""
+        cluster, coordinator = system.deploy_cluster(
+            num_servers=2, round_latency=1, max_queue_depth=2
+        )
+        client = system.client_for("superuser", server=cluster)
+        query = _queries(system, 1)[0]
+        refused, signals = [], []
+        for _ in range(200):
+            session = client.open_multi_session(query, 4)
+            try:
+                coordinator.submit(session)
+            except BackpressureError as error:
+                refused.append(weakref.ref(session))
+                signals.append(error.signal)
+                assert error.retry_after_ticks == error.signal.retry_after_ticks
+        del session
+        assert len(refused) == coordinator.stats.backpressure_sheds == 198
+        assert signals[0] == BackpressureSignal(
+            principal="superuser", tick=0, retry_after_ticks=1, queue_depth=2, limit=2
+        )
+        assert held_work(coordinator) == (2, 1, {0})  # the admitted pair's flush
+        gc.collect()
+        assert all(ref() is None for ref in refused)
+        assert not [
+            name
+            for name, value in vars(coordinator).items()
+            if isinstance(value, list)
+            and any(isinstance(item, BackpressureSignal) for item in value)
+        ]
+        coordinator.drain()
+        assert coordinator.stats.sessions_completed == 2
+        assert coordinator.stats.backpressure_sheds == 198
+
     def test_submit_sheds_past_queue_depth(self, system):
         cluster, coordinator = system.deploy_cluster(
             num_servers=2, max_queue_depth=2
@@ -268,12 +358,30 @@ class TestBackpressure:
         assert isinstance(signal, BackpressureSignal)
         assert signal.queue_depth == 2
         assert coordinator.stats.backpressure_sheds == 1
-        assert coordinator.sheds == [signal]
         # Nothing was parked; the accepted sessions still complete.
         assert coordinator.active_sessions == 2
-        coordinator.run_until_complete()
+        coordinator.drain()
+        assert coordinator.stats.sessions_completed == 2
 
-    def test_shed_arrival_retries_and_completes(self, system):
+    def test_shed_without_retry_drops_the_arrival(self, system):
+        """A refused session the caller does not resubmit never runs."""
+        cluster, coordinator = system.deploy_cluster(
+            num_servers=2, max_queue_depth=1
+        )
+        client = system.client_for("superuser", server=cluster)
+        queries = _queries(system, 2)
+        kept = coordinator.submit(client.open_multi_session(queries[0], 4))
+        dropped = client.open_multi_session(queries[1], 4)
+        with pytest.raises(BackpressureError):
+            coordinator.submit(dropped)
+        coordinator.drain()
+        assert kept.done
+        assert not dropped.done
+        assert coordinator.stats.backpressure_sheds == 1
+
+    def test_a_refused_session_resubmitted_after_drain_completes(self, system):
+        """Overload degrades into caller-owned deferred admission, not
+        lost work: what was refused fits once the queue drains."""
         cluster, coordinator = system.deploy_cluster(
             num_servers=2, max_queue_depth=2
         )
@@ -281,28 +389,19 @@ class TestBackpressure:
         sessions = [
             client.open_multi_session(q, 4) for q in _queries(system, 6)
         ]
-        for session in sessions:
-            coordinator.submit_arrival(session, at=0)
-        coordinator.drain()
-        # Overload degraded into deferred admission, not lost work.
-        assert coordinator.stats.backpressure_sheds > 0
+        pending = sessions
+        while pending:
+            refused = []
+            for session in pending:
+                try:
+                    coordinator.submit(session)
+                except BackpressureError:
+                    refused.append(session)
+            coordinator.drain()
+            pending = refused
+        assert coordinator.stats.backpressure_sheds == 4 + 2
         assert all(session.done for session in sessions)
         assert coordinator.stats.sessions_completed == len(sessions)
-
-    def test_shed_without_retry_drops_the_arrival(self, system):
-        cluster, coordinator = system.deploy_cluster(
-            num_servers=2, max_queue_depth=1
-        )
-        client = system.client_for("superuser", server=cluster)
-        queries = _queries(system, 2)
-        kept = client.open_multi_session(queries[0], 4)
-        dropped = client.open_multi_session(queries[1], 4)
-        coordinator.submit_arrival(kept, at=0)
-        coordinator.submit_arrival(dropped, at=0, retry_on_shed=False)
-        coordinator.drain()
-        assert kept.done
-        assert not dropped.done
-        assert coordinator.stats.backpressure_sheds == 1
 
     def test_run_queries_shed_at_admission_evicts_every_job(self, system):
         """A later job shed by the queue bound fails the whole call and
@@ -334,9 +433,7 @@ class TestBackpressure:
         )
         client = system.client_for("superuser", server=cluster)
         for query in queries:
-            coordinator.submit_arrival(
-                client.open_multi_session(query, 5, policy=policy), at=0
-            )
+            coordinator.submit(client.open_multi_session(query, 5, policy=policy))
         rate = 2 * len(queries) / coordinator.drain()
 
         horizon = 24
@@ -345,15 +442,18 @@ class TestBackpressure:
         )
         client = system.client_for("superuser", server=cluster)
         arrivals = []  # (session, arrival tick)
-        for tick in range(horizon):
-            for _ in range(int((tick + 1) * rate) - int(tick * rate)):
+        finished = {}
+        # Every admitted session ends within the horizon of its arrival.
+        for tick in range(2 * horizon):
+            due = int((tick + 1) * rate) - int(tick * rate) if tick < horizon else 0
+            for _ in range(due):
                 query = queries[len(arrivals) % len(queries)]
                 session = client.open_multi_session(query, 5, policy=policy)
                 arrivals.append((session, tick))
-                coordinator.submit_arrival(session, at=tick, retry_on_shed=False)
-        finished = {}
-        # Every admitted session ends within the horizon of its arrival.
-        for _ in range(2 * horizon):
+                try:
+                    coordinator.submit(session)
+                except BackpressureError:
+                    pass  # refused: the caller owns the retry
             coordinator.advance(1)
             for session, _ in arrivals:
                 if session.done:
@@ -410,64 +510,6 @@ class TestBackgroundDaemons:
         assert cluster.applied_version(0, follower) == 1
 
 
-class TestLockstepEquivalence:
-    """The acceptance bar: at zero round latency arrival-driven sessions
-    and the lockstep driver give the same results, the same stats and the
-    same replication cadence."""
-
-    def _run_lockstep(self, system, queries):
-        cluster, coordinator = system.deploy_cluster(num_servers=3)
-        client = system.client_for("superuser", server=cluster)
-        results = coordinator.run_queries([(client, q, 4) for q in queries])
-        return cluster, coordinator, results
-
-    def _run_event_driven(self, system, queries):
-        cluster, coordinator = system.deploy_cluster(num_servers=3)
-        client = system.client_for("superuser", server=cluster)
-        sessions = [client.open_multi_session(q, 4) for q in queries]
-        for session in sessions:
-            coordinator.submit_arrival(session, at=0)
-        coordinator.drain()
-        return cluster, coordinator, [s.result() for s in sessions]
-
-    def test_event_driven_equals_lockstep_at_zero_latency(self, system):
-        queries = _queries(system, 6)
-        l_cluster, l_coord, l_results = self._run_lockstep(system, queries)
-        e_cluster, e_coord, e_results = self._run_event_driven(
-            system, queries
-        )
-        for lr, er in zip(l_results, e_results):
-            assert er.ranked == lr.ranked
-            assert [t.elements_transferred for t in er.traces] == [
-                t.elements_transferred for t in lr.traces
-            ]
-        # The whole stats dataclass, not a field subset: any scheduling
-        # divergence (extra flush, missed dedup, spurious spill) shows up.
-        assert e_coord.stats == l_coord.stats
-        assert (
-            e_cluster.replication_manager.tick_count
-            == l_cluster.replication_manager.tick_count
-        )
-        assert e_cluster.total_calls == l_cluster.total_calls
-
-    def test_tick_driver_advances_exactly_one_tick(self, system):
-        cluster, coordinator = system.deploy_cluster(num_servers=2)
-        client = system.client_for("superuser", server=cluster)
-        coordinator.submit(
-            client.open_multi_session(_queries(system, 1)[0], 4)
-        )
-        before = coordinator.now
-        assert coordinator.tick() is True
-        assert coordinator.now == before + 1
-        assert cluster.replication_manager.tick_count == before + 1
-
-    def test_idle_tick_does_not_advance_time(self, system):
-        cluster, coordinator = system.deploy_cluster(num_servers=2)
-        assert coordinator.tick() is False
-        assert coordinator.now == 0
-        assert cluster.replication_manager.tick_count == 0
-
-
 class TestOneCadenceRule:
     """A session's next flush is at max(delivery tick, dispatch tick + 1):
     one rule, whether the delivery lands in the dispatching tick or later."""
@@ -503,7 +545,7 @@ class TestOneCadenceRule:
             coordinator.submit(session)
         with monkeypatch.context() as patch:
             patch.setattr(ClientQuerySession, "pending_requests", recording)
-            coordinator.run_until_complete()
+            coordinator.drain()
         return (
             coordinator.stats,
             [dispatches[id(session)] for session in sessions],
@@ -538,9 +580,7 @@ class TestOneCadenceRule:
         cluster, coordinator = system.deploy_cluster(num_servers=3)
         client = system.client_for("superuser", server=cluster)
         queries = _queries(system, 2)
-        session = coordinator.open_session(
-            client, queries[0], 4, policy=self.POLICY
-        )
+        session = coordinator.submit(client.open_multi_session(queries[0], 4, policy=self.POLICY))
         assert coordinator.tick() is True  # round 1 dispatched and delivered
         assert session.rounds == 1 and not session.done
         down_list = session.pending_requests()[0].list_id

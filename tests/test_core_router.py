@@ -101,10 +101,10 @@ class TestCoalescing:
         system, cluster, coordinator = deployment
         queries = _queries(system, 2)
         client = system.client_for("superuser", server=cluster)
-        first = coordinator.open_session(client, queries[0], 4)
+        first = coordinator.submit(client.open_multi_session(queries[0], 4))
         coordinator.tick()
-        second = coordinator.open_session(client, queries[1], 4)
-        coordinator.run_until_complete()
+        second = coordinator.submit(client.open_multi_session(queries[1], 4))
+        coordinator.drain()
         direct = client.query_multi_batched(queries[1], 4)
         assert second.result().ranked == direct.ranked
         assert first.done
@@ -129,7 +129,7 @@ class TestFailureAndEpoch:
         for server_index in cluster.replicas_of(list_id):
             cluster.fail_server(server_index)
         client = system.client_for("superuser", server=cluster)
-        coordinator.open_session(client, query, 4)
+        coordinator.submit(client.open_multi_session(query, 4))
         with pytest.raises(UnavailableError) as excinfo:
             coordinator.tick()
         assert excinfo.value.list_id == list_id
@@ -258,9 +258,9 @@ class TestFloorAwareRouting:
         assert not reader.version_floor(list_id)
         before = dataclasses.replace(cluster.replication_stats)
         calls = [cluster.server(s).num_calls for s in range(3)]
-        first = coordinator.open_session(reader, [term], 5)
-        second = coordinator.open_session(writer, [term], 5)
-        coordinator.run_until_complete()
+        first = coordinator.submit(reader.open_multi_session([term], 5))
+        second = coordinator.submit(writer.open_multi_session([term], 5))
+        coordinator.drain()
         assert first.result().ranked == second.result().ranked
         assert second.result().ranked[0][0] == "written-here"
         served = [cluster.server(s).num_calls - calls[s] for s in range(3)]
@@ -319,7 +319,7 @@ class TestSessionProtocol:
         system, cluster, coordinator = deployment
         query = _queries(system, 1)[0]
         client = system.client_for("superuser", server=cluster)
-        coordinator.open_session(client, query, 4)
+        coordinator.submit(client.open_multi_session(query, 4))
         with pytest.raises(ProtocolError):
             coordinator.run_queries([(client, query, 4)])
 
@@ -353,10 +353,10 @@ class TestSessionProtocol:
         system, cluster, coordinator = deployment
         query = _queries(system, 1)[0]
         client = system.client_for("superuser", server=cluster)
-        session = coordinator.open_session(client, query, 4)
+        session = coordinator.submit(client.open_multi_session(query, 4))
         with pytest.raises(ProtocolError):
             coordinator.submit(session)
-        coordinator.run_until_complete()
+        coordinator.drain()
         assert session.done
 
     def test_failed_run_does_not_wedge_coordinator(self, deployment):
@@ -378,7 +378,7 @@ class TestSessionProtocol:
     def test_done_at_submit_sessions_are_pruned(self, deployment):
         system, cluster, coordinator = deployment
         client = system.client_for("superuser", server=cluster)
-        session = coordinator.open_session(client, [], 4)
+        session = coordinator.submit(client.open_multi_session([], 4))
         assert session.done
         assert coordinator.tick() is False
         assert not coordinator._sessions

@@ -188,10 +188,9 @@ def _deploy(system, tmp_path):
         num_servers=3, replication=2, lag=1, round_latency=1
     )
     superuser = system.client_for("superuser", server=cluster)
-    session = coordinator.open_session(
-        superuser, system.vocabulary.terms_by_frequency()[:2], 5
-    )
-    coordinator.run_until_complete()
+    terms = system.vocabulary.terms_by_frequency()[:2]
+    session = coordinator.submit(superuser.open_multi_session(terms, 5))
+    coordinator.drain()
     assert session.result().ranked
     source = system.corpus.doc_ids()[0]
     group = system.corpus.document(source).group

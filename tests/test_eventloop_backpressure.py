@@ -1,19 +1,22 @@
 """Property suite for overload behaviour of the event-driven coordinator.
 
-Hypothesis drives open-loop arrival schedules *above* the admission
-capacity and checks the backpressure invariants that make shedding safe:
+Hypothesis drives open-loop arrival tapes *above* the admission capacity
+— at each tick, that tick's arrivals are submitted, then the coordinator
+advances one tick — and checks the backpressure invariants that make
+shedding safe:
 
 * the parked-session count never exceeds ``max_queue_depth`` — the bound
   is enforced at admission, not discovered at flush time;
-* no acknowledged work is lost: with retry-on-shed, every arrival
-  eventually completes, and each result equals the direct query path
-  (shedding defers admission, it never corrupts scheduling);
-* every shed is recorded with a well-formed retry hint;
+* no acknowledged work is lost: every admitted session completes, and
+  each result equals the direct query path (shedding refuses admission,
+  it never corrupts scheduling);
+* each refused submit raises once, with a well-formed retry hint, is
+  counted once, and leaves nothing parked or queued for its session;
 * after quiescence the replication data plane converges — all replicas
   of every list agree with the primary (the replication tick that ends
   every coordinator tick is a full substitute for the legacy chained one);
 * the same arrival tape against a fresh identical deployment produces
-  identical stats and shed records (virtual-time determinism).
+  identical stats and refusals (virtual-time determinism).
 """
 
 from hypothesis import given, settings, strategies as st
@@ -23,8 +26,10 @@ from repro.core.cluster import ServerCluster
 from repro.core.router import Coordinator
 from repro.core.rstf import RstfModel, train_rstf
 from repro.crypto.keys import GroupKeyService
+from repro.errors import BackpressureError
 from repro.index.merge import MergePlan
 from repro.text.analysis import DocumentStats
+from tests.conftest import held_work
 
 TERMS = ("apple", "pear", "plum")
 PRINCIPALS = ("p0", "p1", "p2")
@@ -99,22 +104,28 @@ arrivals_strategy = st.lists(
 
 
 def _run_schedule(coordinator, clients, arrivals):
-    """Submit every arrival on the virtual clock, then advance tick by tick
-    until every session is done; returns the sessions and the queue depth
-    read after each tick, once its replication tick has run."""
-    sessions = []
-    for tick, principal_idx, terms, k in arrivals:
-        client = clients[PRINCIPALS[principal_idx]]
-        session = client.open_multi_session(terms, k)
-        sessions.append(session)
-        coordinator.submit_arrival(session, at=tick)
-    depths = []
-    for _ in range(1_000):
-        if all(session.done for session in sessions):
-            break
+    """At each tick, submit that tick's arrivals, then ``advance(1)``;
+    then drain.  Returns the admitted ``(arrival, session)`` pairs, the
+    refusals' signals and the queue depth read after each tape tick,
+    once its replication tick has run."""
+    admitted, refused, depths = [], [], []
+    for tick in range(max(arrival[0] for arrival in arrivals) + 1):
+        for arrival in (a for a in arrivals if a[0] == tick):
+            _, principal_idx, terms, k = arrival
+            client = clients[PRINCIPALS[principal_idx]]
+            session = client.open_multi_session(terms, k)
+            held = held_work(coordinator)
+            try:
+                coordinator.submit(session)
+                admitted.append((arrival, session))
+            except BackpressureError as error:
+                refused.append(error.signal)
+                # Nothing parked or queued for a refused session.
+                assert held_work(coordinator) == held
         coordinator.advance(1)
         depths.append(coordinator.active_sessions)
-    return sessions, depths
+    coordinator.drain(max_ticks=1_000)
+    return admitted, refused, depths
 
 
 @given(
@@ -132,19 +143,21 @@ def test_overload_sheds_without_losing_work(
         max_queue_depth=max_queue_depth,
         round_latency=round_latency,
     )
-    sessions, depths = _run_schedule(coordinator, clients, arrivals)
+    admitted, refused, depths = _run_schedule(coordinator, clients, arrivals)
     # Bounded queue: admission enforces the depth cap at every instant.
     assert all(depth <= max_queue_depth for depth in depths)
-    # No lost acknowledged work: every arrival completed despite sheds.
-    assert all(session.done for session in sessions)
-    assert coordinator.stats.sessions_completed == len(sessions)
-    # Every shed carries a well-formed deterministic retry hint.
-    assert coordinator.stats.backpressure_sheds == len(coordinator.sheds)
-    for signal in coordinator.sheds:
+    # No lost acknowledged work: every admitted session completed.
+    assert all(session.done for _, session in admitted)
+    assert coordinator.stats.sessions_completed == len(admitted)
+    # Each refused submit raised once, was counted once, and carries a
+    # well-formed deterministic retry hint.
+    assert len(admitted) + len(refused) == len(arrivals)
+    assert coordinator.stats.backpressure_sheds == len(refused)
+    for signal in refused:
         assert signal.retry_after_ticks >= 1
-        assert signal.queue_depth >= signal.limit
+        assert signal.queue_depth >= signal.limit == max_queue_depth
     # Scheduling never corrupts results: each equals the direct path.
-    for (tick, principal_idx, terms, k), session in zip(arrivals, sessions):
+    for (tick, principal_idx, terms, k), session in admitted:
         direct = clients[PRINCIPALS[principal_idx]].query_multi_batched(
             terms, k
         )
@@ -183,13 +196,13 @@ def test_same_tape_is_deterministic(docs, arrivals, round_latency):
         _, coordinator, clients = _deploy(
             docs, max_queue_depth=2, round_latency=round_latency
         )
-        sessions, depths = _run_schedule(coordinator, clients, arrivals)
+        admitted, refused, depths = _run_schedule(coordinator, clients, arrivals)
         runs.append(
             (
                 coordinator.stats,
-                list(coordinator.sheds),
+                refused,
                 depths,
-                [s.result().ranked for s in sessions],
+                [session.result().ranked for _, session in admitted],
                 coordinator.now,
             )
         )

@@ -26,7 +26,11 @@ then the response policy's growth factor (the doubling is the paper's
 constant), ``Prf.evaluate_int``, the Zerber ordering ``add_random`` on
 the Zerber+R list and every ``size_bits`` (a wire size is a count times
 ``WIRE_ELEMENT_BITS``),
-then the event loop itself (the coordinator keeps a per-tick agenda);
+then the event loop itself (the coordinator keeps a per-tick agenda),
+then the coordinator's arrival intake with its ``at`` and
+``retry_on_shed`` knobs, its shed log, ``open_session`` and
+``run_until_complete`` (``submit`` is the one intake, ``drain`` the one
+run-to-quiescence driver);
 they were deleted, and this test keeps them from drifting back.
 """
 
@@ -124,10 +128,8 @@ SURFACES = {
         ZerberRClient.open_multi_session,
         "terms k policy",
     ),
-    "Coordinator.open_session": (
-        Coordinator.open_session,
-        "client terms k policy",
-    ),
+    # The one intake: a session the caller opened, admitted at ``now``.
+    "Coordinator.submit": (Coordinator.submit, "session"),
     "Coordinator.run_queries": (Coordinator.run_queries, "jobs policy"),
     "ZerberRServer.__init__": (ZerberRServer.__init__, "key_service num_lists"),
     # The IV is derived from the plaintext; no caller supplies a nonce.
@@ -230,7 +232,11 @@ def test_deleted_names_are_not_exported(module):
             "_resolve_consistency _resolve_write_consistency _route_read "
             "_serve _check_write_quorum",
         ),
-        (Coordinator, "_envelope_trace loop"),
+        (
+            Coordinator,
+            "_envelope_trace loop submit_arrival _admit_arrival _check_intake "
+            "open_session run_until_complete sheds",
+        ),
         (CoordinatorStats, "stale_epoch_reroutes"),
         (ZerberRSystem, "with_config"),
         (Rstf, "num_training_points"),

@@ -83,7 +83,7 @@ class TestEndToEndSpanChain:
         ][:2]
         assert len(terms) == 2
         client = system.client_for("superuser", server=cluster)
-        session = coordinator.open_session(client, terms, k=2)
+        session = coordinator.submit(client.open_multi_session(terms, k=2))
         while not session.done:
             coordinator.tick()
             cluster.replication_tick()
@@ -118,8 +118,8 @@ class TestEndToEndSpanChain:
         doc = DocumentStats.from_counts("written-here", {term: 5})
         client.index_document_with_receipts(doc, sorted(system.corpus.groups())[0])
         cluster.fail_server(cluster.replicas_of(system.merge_plan.list_of(term))[0])
-        session = coordinator.open_session(client, [term], k=2)
-        coordinator.run_until_complete()
+        session = coordinator.submit(client.open_multi_session([term], k=2))
+        coordinator.drain()
         assert session.result().ranked[0][0] == "written-here"
         assert cluster.replication_stats.read_repairs >= 1
         trace = next(
@@ -136,7 +136,7 @@ class TestEndToEndSpanChain:
         )
         terms = list(system.vocabulary.terms_by_frequency())[:2]
         client = system.client_for("superuser", server=cluster)
-        session = coordinator.open_session(client, terms, k=2)
+        session = coordinator.submit(client.open_multi_session(terms, k=2))
         while not session.done:
             coordinator.tick()
             cluster.replication_tick()
@@ -271,10 +271,10 @@ class TestFlushTraceAttribution:
             if cluster.route(system.merge_plan.list_of(t)) != route_a
         )
         client = system.client_for("superuser", server=cluster)
-        first = coordinator.open_session(client, [term_a], k=2)
-        second = coordinator.open_session(client, [term_b], k=2)
+        first = coordinator.submit(client.open_multi_session([term_a], k=2))
+        second = coordinator.submit(client.open_multi_session([term_b], k=2))
         coordinator.tick()
-        coordinator.run_until_complete()
+        coordinator.drain()
         traces = {t.trace_id: t for t in telemetry.tracer.traces()}
         assert all(t.root.name == "query" for t in traces.values())
         flushes = [

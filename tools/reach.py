@@ -6,7 +6,9 @@ Each top-level function and method under ``src/repro`` is *used*,
 *test-only* or *unreached*, as a profile hook in every process records.
 A test-only def needs a ``ROWS`` reason or an e2e ``TARGETS`` row;
 ``--check`` exits 1 on one without, on a stale row and on an unreached
-def.  See "Reachability census" in docs/ANALYSIS.md.
+def.  The defs are parsed before the runs, and a source file that
+changes during them fails the census ("rerun") instead of leaving its
+defs unmatched.  See "Reachability census" in docs/ANALYSIS.md.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ ROWS = {
     "repro.core.protocol:FetchResponse.__len__": "observer",
     "repro.core.replication:ReplicationManager.outstanding_deliveries": "observer",
     "repro.core.router:Coordinator.cluster": "observer",
+    "repro.core.router:Coordinator.now": "observer",
     "repro.core.router:CoordinatorStats.slices_shared": "observer",
     "repro.core.views:ReadableViewIndex.__len__": "observer",
     "repro.core.views:ReadableViewIndex.get": "observer",
@@ -95,7 +98,6 @@ ROWS = {
     "repro.obs.trace:Tracer.open_spans": "observer",
     "repro.attacks": "item 3",
     "repro.core.router:Coordinator.run_queries": "item 2",
-    "repro.core.router:Coordinator.run_until_complete": "item 2",
     "repro.core.router:Coordinator.evict": "item 2",
     "repro.core.router:Coordinator.active_sessions": "item 2",
     "repro.evalmetrics.workload": "item 8 (c)",
@@ -160,6 +162,21 @@ def record(commands: list[list[str]], out: Path, src: Path, cwd: Path = ROOT) ->
                 sys.stdout.write(done.stdout)
                 raise RuntimeError(f"exit {done.returncode}: {' '.join(command)}")
     return {line for f in out.glob("*.hits") for line in f.read_text().splitlines() if line}
+
+
+def sources(src: Path) -> dict[Path, bytes]:
+    """Every ``.py`` file under *src* with its bytes."""
+    return {path: path.read_bytes() for path in src.rglob("*.py")}
+
+
+def check_unchanged(src: Path, before: dict[Path, bytes]) -> None:
+    """Raise ``RuntimeError`` naming the first file under *src* whose bytes
+    differ from *before*: hits recorded while it changed name line numbers
+    its parsed defs no longer have."""
+    after = sources(src)
+    for path in sorted(before.keys() | after.keys()):
+        if before.get(path) != after.get(path):
+            raise RuntimeError(f"{path} changed during the census; rerun")
 
 
 @dataclass(frozen=True)
@@ -263,14 +280,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check", action="store_true", help="exit 1 on a census problem")
     args = parser.parse_args(argv)
     tier1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    source, all_defs = sources(SRC), defs(SRC)
     with tempfile.TemporaryDirectory() as scratch:
         try:
             used = record(user_commands(Path(scratch)), Path(scratch, "users"), SRC)
             tested = record([tier1], Path(scratch, "tests"), SRC)
+            check_unchanged(SRC, source)
         except RuntimeError as error:
             print(f"census failed: {error}")
             return 1
-    all_defs = defs(SRC)
     classes, problems = classify(all_defs, used, tested, ROWS, pinned(all_defs))
     report(classes)
     sys.stdout.writelines(f"{problem}\n" for problem in problems)
