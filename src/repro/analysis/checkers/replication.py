@@ -14,8 +14,7 @@ let a write past that log:
   that hand it logged ops (``repro.core.cluster``,
   ``repro.core.replication``) or define it (``repro.core.server``): ops
   no log recorded reach one copy of a list and no other;
-* reaching into a server's ``_lists`` from outside the server/persist
-  layers;
+* reaching into a server's ``_lists`` from outside the server;
 * constructing a :class:`~repro.core.server.ZerberRServer` anywhere but
   in ``repro.core.cluster``: a shard that no cluster holds has no log,
   no replicas and no write gate, so what it is handed no snapshot
@@ -26,10 +25,12 @@ Each produces a write that no replica ever sees: replicas diverge
 silently and read-repair cannot converge them.
 
 Sanctioned mutation modules are the storage/replication layers
-themselves, the persistence codecs (restore is by definition not a
-replicated write) and the cluster (which routes every write through the
-log).  The non-replicated baselines keep lists of their own records and
-call no :class:`~repro.index.postings.MergedPostingList` mutator.
+themselves and the cluster (which routes every write through the log).
+The persistence codecs are not among them: restore replays the log, so
+a restored list changes through ``apply_replicated_ops`` too, called by
+the replication manager.  The non-replicated baselines keep lists of
+their own records and call no
+:class:`~repro.index.postings.MergedPostingList` mutator.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ _SANCTIONED_MUTATION_MODULES = (
     "repro.core.views",
     "repro.core.ordstat",
     "repro.index",
-    "repro.persist",
 )
 
 #: MergedPostingList-level mutators: distinctive names, safe to match on.
@@ -71,7 +71,7 @@ _REPLICA_APPLY_MODULES = (
     "repro.core.server",
 )
 
-_STATE_ATTR_MODULES = ("repro.core.server", "repro.persist")
+_STATE_ATTR_MODULES = ("repro.core.server",)
 
 #: The one module that constructs a shard.
 _SHARD_OWNER = "repro.core.cluster"
@@ -95,7 +95,7 @@ class ReplicationBypassChecker(Checker):
     rule = "replication-bypass"
     description = (
         "no direct MergedPostingList mutation or server list-state access "
-        "outside the server/replication/persist layers, no "
+        "outside the server/replication layers, no "
         "apply_replicated_ops call outside the cluster/replication/server "
         "modules, and no ZerberRServer built outside the cluster"
     )

@@ -262,7 +262,7 @@ def _scripted_workload(
     # second session is admitted one tick into the first one's in-flight
     # round (initial_size=1 forces several doubling rounds), so their
     # flushes interleave with pending deliveries — pipeline overlap; the
-    # later ones find the queue full and are refused with retry hints.
+    # later ones find the queue full and are refused.
     # The first two always fit, so the refused ones fit once it drains.
     from repro.core.protocol import ResponsePolicy
 

@@ -937,13 +937,11 @@ class ServerCluster:
 
         Replaces the replication manager with a fresh one built over the
         restored placement (same lag and anti-entropy cadence);
-        the persistence layer then reinstalls each list's log and
-        per-replica applied versions through
+        the persistence layer then reinstalls the clock and each list's
+        log through
         :meth:`~repro.core.replication.ReplicationManager.restore_clock`
-        and ``restore_list_state``.  Must run before the servers' list
-        contents are restored only in the sense that nothing here reads
-        them — the order the persist module uses is topology, clock,
-        lists, logs.
+        and ``restore_list_state``, which replays the list into every
+        replica — the order is topology, clock, then logs.
         """
         if epoch < 0:
             raise ConfigurationError("placement epoch must be >= 0")

@@ -215,26 +215,17 @@ class BatchFetchResponse:
 class BackpressureSignal:
     """Shed notice a coordinator returns instead of admitting a session.
 
-    When the bounded admission queue is full, the submit is *shed* with
-    an explicit, deterministic retry hint instead of being parked
-    unboundedly.  This is the wire-shaped record of that decision — what
-    a fronting RPC layer would serialize back to the client as a
-    429-with-Retry-After.
-
-    ``retry_after_ticks`` is a lower-bound hint (capacity may free up
-    later than estimated; retrying earlier only earns another shed);
-    ``queue_depth`` is the depth the submit found, ``limit`` the bound.
+    When the bounded admission queue is full, the submit is *shed*
+    instead of being parked unboundedly.  This is the wire-shaped record
+    of that decision — what a fronting RPC layer would serialize back to
+    the client as a 429.  ``queue_depth`` is the depth the submit found,
+    ``limit`` the bound; the caller owns the retry.
     """
 
     principal: str
     tick: int
-    retry_after_ticks: int
     queue_depth: int
     limit: int
-
-    def __post_init__(self) -> None:
-        if self.retry_after_ticks < 1:
-            raise ProtocolError("retry_after_ticks must be >= 1")
 
 
 @dataclass

@@ -51,8 +51,8 @@ Version / log invariants
    a follower's buckets come due in due-tick order and each delivers
    the run ``(applied, upto_seq]`` — and nothing else mutates a
    replicated list (the primary applies each batch's recorded ops as
-   one run too; a restored replica is admitted through
-   :meth:`register_replica` at the version its dump recorded).
+   one run too; a restore replays each replica's prefix of the log,
+   :meth:`ReplicationManager.restore_list_state`).
 3. ``base_seq(list) <= min(log.applied.values())`` — the log retains at
    least every op some current replica still lacks, so any reachable
    replica can always be caught up from the log alone (read-repair,
@@ -761,19 +761,6 @@ class ReplicationManager:
 
     # -- recovery (persistence support; see repro.persist) ----------------------
 
-    def register_replica(
-        self, list_id: int, server_index: int, at_version: int
-    ) -> None:
-        """Admit a replica whose state was restored at *at_version*.
-
-        If it is behind the log head, the remaining ops are scheduled for
-        normal lag-driven delivery, so it converges through the log.
-        """
-        log = self._logs[list_id]
-        log.applied[server_index] = at_version
-        if at_version < log.head_seq:
-            self._enqueue(log, server_index, log.head_seq)
-
     def log_snapshot(self, list_id: int) -> tuple[int, int, list[ReplicationOp]]:
         """One list's durable log state: ``(head_seq, base_seq, retained ops)``."""
         log = self._logs[list_id]
@@ -811,20 +798,27 @@ class ReplicationManager:
         list_id: int,
         head_seq: int,
         base_seq: int,
+        run: Sequence[EncryptedPostingElement],
         ops: Sequence[ReplicationOp],
         applied: Mapping[int, int],
     ) -> None:
-        """Reinstall one list's persisted log and per-replica versions.
+        """Rebuild one list of a fresh cluster by replaying its log.
 
-        *applied* must name exactly the list's current replicas (the
-        cluster restores its placement table first), each at a version
-        within ``[base_seq, head_seq]`` — invariant 3 guarantees a
-        snapshot taken through :meth:`log_snapshot` satisfies this.
-        Replicas behind the restored head are re-registered through
-        :meth:`register_replica`, which schedules their remaining log ops
-        for normal lag-driven delivery: a restarted follower converges
-        through the existing catch-up machinery instead of starting
-        blank, so no acknowledged-but-undelivered op is lost.
+        *run* is the list at version *base_seq* and *ops* the retained
+        run ``(base_seq, head_seq]``.  *applied* must name exactly the
+        list's current replicas (the cluster restores its placement
+        table first), each at a version within ``[base_seq, head_seq]``
+        — invariant 3 guarantees a snapshot taken through
+        :meth:`log_snapshot` satisfies this.  Each replica is handed the
+        run as insert ops, then its own ops ``(base_seq, applied]``, in
+        two :meth:`ZerberRServer.apply_replicated_ops` calls — the one
+        way any list changes — so every replica shares the run's element
+        objects.  The ops it still lacks are scheduled for normal
+        lag-driven delivery: a restarted follower converges through the
+        log instead of starting blank, so no acknowledged-but-undelivered
+        op is lost.  Nothing is counted in :attr:`stats`.  A replayed
+        delete that removes nothing means the run and the ops disagree:
+        a :class:`ProtocolError`.
         """
         replicas = list(self._replicas_of(list_id))
         if set(applied) != set(replicas):
@@ -841,12 +835,22 @@ class ReplicationManager:
                 )
         log = self._logs[list_id]
         log.restore(head_seq, base_seq, ops)
-        for bucket in self._buckets.values():
-            bucket.pop(list_id, None)
-        log.pending.clear()
-        log.applied.clear()
+        inserts = [ReplicationOp(0, "insert", element) for element in run]
         for server_index in replicas:
-            self.register_replica(list_id, server_index, applied[server_index])
+            version = applied[server_index]
+            server = self._servers[server_index]
+            for replay in (inserts, log.ops_between(base_seq, version)):
+                if not replay:
+                    continue  # a server call carries a non-empty run
+                if server.apply_replicated_ops(list_id, replay) != len(replay):
+                    raise ProtocolError(
+                        f"list {list_id}: a restored delete op finds nothing "
+                        f"to remove at server {server_index}: the run at "
+                        f"version {base_seq} and the ops disagree"
+                    )
+            log.applied[server_index] = version
+            if version < head_seq:
+                self._enqueue(log, server_index, head_seq)
         # A hand-made dump may retain ops below every replica's version;
         # _apply_ops relies on the base sitting at the minimum.
         log.truncate_to(min(log.applied.values()))

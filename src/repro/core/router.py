@@ -52,8 +52,8 @@ admits a session at ``now`` and queues a flush, or refuses it with
 :class:`~repro.errors.BackpressureError` when ``max_queue_depth``
 sessions are already parked: a refusal parks and queues nothing, is
 counted once in ``backpressure_sheds``, and its
-:class:`~repro.core.protocol.BackpressureSignal` retry hint is its only
-record — the caller owns the retry.  :meth:`Coordinator.tick` queues a
+:class:`~repro.core.protocol.BackpressureSignal` is its only record —
+the caller owns the retry.  :meth:`Coordinator.tick` queues a
 flush for the parked sessions and advances one tick, so a session whose
 flush raised (every replica of a list down) picks up again on the next
 tick; :meth:`Coordinator.drain` ticks until no session is parked.  One
@@ -100,7 +100,7 @@ which satisfies both (floors are lower bounds)."""
 class CoordinatorStats:
     """Scheduling counters of one coordinator.
 
-    ``slices_requested`` counts session slices gathered;
+    ``slices_requested`` counts session slices served;
     ``slices_sent`` counts unique slices actually shipped after
     cross-session deduplication — the difference is work served from a
     shared response.  ``server_calls`` counts the shard-server calls the
@@ -135,12 +135,14 @@ class _TickPlan:
 
     ``unique`` maps a slice key to its request, in gathering order; a
     slice several sessions want carries the highest of their floors.
+    ``requested`` counts the session slices, shared ones included.
     """
 
     session_keys: list[tuple[ClientQuerySession, list[SliceKey]]] = field(
         default_factory=list
     )
     unique: dict[SliceKey, FetchRequest] = field(default_factory=dict)
+    requested: int = 0
 
 
 class Coordinator:
@@ -236,7 +238,6 @@ class Coordinator:
                 BackpressureSignal(
                     principal=session.principal,
                     tick=self._now,
-                    retry_after_ticks=depth - limit + 1,
                     queue_depth=depth,
                     limit=limit,
                 )
@@ -405,7 +406,7 @@ class Coordinator:
                 unique[key] = (
                     request if held is None else self._merge_floor(held, request)
                 )
-            self.stats.slices_requested += len(keys)
+            plan.requested += len(keys)
             plan.session_keys.append((session, keys))
         return plan
 
@@ -432,7 +433,10 @@ class Coordinator:
         server_calls = cluster.total_calls - calls
         span.annotate(server_calls=server_calls, slices=len(batch))
         self._obs.envelope_slices.observe(float(len(batch)))
+        # Counted once the read returned: a flush that raises is retried
+        # whole on the next tick.
         self.stats.server_calls += server_calls
+        self.stats.slices_requested += plan.requested
         self.stats.slices_sent += len(batch)
         return dict(zip(keys, replies))
 

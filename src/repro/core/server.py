@@ -34,12 +34,13 @@ Two throughput mechanisms sit on the fetch path:
   merged list, fetches extract ``(offset, count)`` slices in O(count),
   and an LRU over ``(list, principal)`` pairs bounds the memory.
 
-Outside a restore from a dump (:meth:`ZerberRServer.restore_list`), a
-list changes one way: :meth:`ZerberRServer.apply_replicated_ops`
+A list changes one way: :meth:`ZerberRServer.apply_replicated_ops`
 applies a run of ops from the list's replication log.  A primary takes
 the ops the cluster just recorded through it, a follower the ops a
-delivery, catch-up or repair hands it, so every copy of a list is the
-same ops applied by the same code.  Deletion is by receipt
+delivery, catch-up or repair hands it, and a restored replica the run
+its dump holds at the log base followed by its own prefix of the
+retained ops, so every copy of a list is the same ops applied by the
+same code.  Deletion is by receipt
 (:class:`~repro.core.protocol.Receipt`): :meth:`ZerberRServer.locate_receipts`
 validates a whole batch without touching a list, so a cluster can check
 it at every primary it spans before the first delete op is recorded,
@@ -222,9 +223,9 @@ class ZerberRServer:
         insert is bisected into place; a delete finds the removed element
         by its ciphertext in the run of its TRS, like a receipt (see
         :meth:`MergedPostingList.find_by_ciphertext`).  A delete that
-        finds nothing is tolerated: log order guarantees the insert
-        preceded it, so a miss can only mean the state was restored
-        wholesale past this op.
+        finds nothing changes nothing and is not counted: log order
+        guarantees the insert preceded it, so only a restore whose run
+        and ops disagree meets one, and it refuses the dump by the count.
 
         The list is looked up once per run, and its cached readable
         views are patched per op — when it has any; a list nobody has
@@ -268,20 +269,8 @@ class ZerberRServer:
     # -- crash recovery (persistence support; see repro.persist) ----------------
 
     def export_list(self, list_id: int) -> list[EncryptedPostingElement]:
-        """Snapshot one list's elements in server order."""
+        """Snapshot one list's elements in server order (a dump's run)."""
         return list(self._list(list_id).elements)
-
-    def restore_list(
-        self, list_id: int, elements: Iterable[EncryptedPostingElement]
-    ) -> None:
-        """Reinstall one list's persisted content, element by element.
-        A dump is written in list order, which the load keeps as it is; a
-        dump that is not comes back TRS-sorted."""
-        merged = self._list(list_id)
-        merged.clear()
-        for element in elements:
-            merged.add_sorted_by_trs(element)
-        self._views.invalidate_list(list_id)
 
     # -- queries (paper §5.2) --------------------------------------------------
 

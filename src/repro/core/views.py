@@ -9,12 +9,14 @@ O(list) per mutation.
 
 :class:`ReadableViewIndex` keeps the readable sub-lists *incrementally*:
 the server's one mutator (``ZerberRServer.apply_replicated_ops``, which
-applies a primary's and a follower's ops alike) notifies it of each
-insert/delete, and a cached view whose version is exactly one behind the
-list is patched instead of rebuilt.  Views that fall further behind —
-e.g. when tests mutate list internals directly — fail the version check
-and rebuild lazily on next access, so correctness never depends on every
-mutation being routed through the notifications.
+applies a primary's, a follower's and a restore's ops alike) notifies it
+of each insert/delete, and a cached view whose version is exactly one
+behind the list is patched instead of rebuilt.  Nothing drops views
+wholesale: a restore builds a fresh cluster, which holds none, and a view
+that falls further behind — e.g. when tests mutate list internals
+directly — fails the version check and rebuilds lazily on next access,
+so correctness never depends on every mutation being routed through the
+notifications.
 
 Performance model: each view is an
 :class:`~repro.core.ordstat.OrderStatList` — one flat Python list of the
@@ -72,7 +74,6 @@ class ViewStats:
     stale_rebuilds: int = 0
     incremental_updates: int = 0
     evictions: int = 0
-    invalidations: int = 0
 
 
 class _ReadableView:
@@ -245,9 +246,3 @@ class ReadableViewIndex:
                     # inconsistency as staleness rather than guessing.
                     continue
             view.version = merged.version
-
-    def invalidate_list(self, list_id: int) -> None:
-        """Drop every cached view of one list (a list restored from a dump)."""
-        for principal in self._by_list.pop(list_id, ()):
-            del self._views[(list_id, principal)]
-            self.stats.invalidations += 1

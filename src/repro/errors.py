@@ -169,24 +169,18 @@ class BackpressureError(ProtocolError):
     Raised by :meth:`~repro.core.router.Coordinator.submit` when real
     backpressure is configured (``max_queue_depth``) and admitting the
     session would exceed the bound.  The shed happens *before* admission, so nothing was
-    acknowledged and nothing is lost — the caller retries no earlier
-    than ``signal.retry_after_ticks`` virtual ticks later.  ``signal``
-    is the :class:`~repro.core.protocol.BackpressureSignal` a fronting
-    RPC layer would ship back to the client.
+    acknowledged and nothing is lost — the caller owns the retry.
+    ``signal`` is the :class:`~repro.core.protocol.BackpressureSignal` a
+    fronting RPC layer would ship back to the client.
     """
 
     def __init__(self, signal: object) -> None:
         super().__init__(
             "session shed at admission (queue: "
             f"depth {getattr(signal, 'queue_depth', '?')} at limit "
-            f"{getattr(signal, 'limit', '?')}); retry after "
-            f"{getattr(signal, 'retry_after_ticks', '?')} tick(s)"
+            f"{getattr(signal, 'limit', '?')})"
         )
         self.signal = signal
-
-    @property
-    def retry_after_ticks(self) -> int:
-        return int(getattr(self.signal, "retry_after_ticks", 1))
 
 
 class TrainingError(ReproError):

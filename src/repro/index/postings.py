@@ -360,12 +360,6 @@ class MergedPostingList:
         self.version += 1
         return element
 
-    def clear(self) -> None:
-        """Drop every element (a restore reloads the list from a dump)."""
-        self.elements.clear()
-        del self._neg_trs_keys[:]
-        self.version += 1
-
     def __len__(self) -> int:
         return len(self.elements)
 

@@ -1,7 +1,8 @@
 """On-disk persistence for a Zerber+R deployment.
 
 What is persisted is exactly what an untrusted host durably stores: the
-merged lists (ciphertext, group tag, TRS) — no keys, no plaintext —
+merged lists (ciphertext, group tag, TRS), each once, as its
+replication log — no keys, no plaintext —
 plus the *public* setup artifacts a joining client needs (the merge plan
 and the published RSTF model), plus each group's document directory
 sealed under a subkey of that group's key (a posting names its document
@@ -20,17 +21,25 @@ index server is a one-server cluster, and its dump is this one too.  A
 ``kind: "server"`` container (a bare server, from an older build) is
 refused by name: re-index to carry it over.
 
-The container is format **v9**, the only version this build writes or
-reads.  It is renumbered because a replication op changed shape: every
-op, insert or delete, is ``{"s", "k", "e"}``, ``"e"`` the element
-inserted or removed, through the one element codec; a v8
-delete op carried a bare ciphertext ``"c"`` and, when it had one, a TRS
-``"t"``, so a v8 log's delete ops hold no element for this build to
-apply.
-A v9 server section holds its ``lists`` only: v8's per-list mutation
-counters (``"versions"``) are gone, because no reader needs them —
-replies are stamped with the replication log's applied versions, and
-readable views are rebuilt after a restore.
+The container is format **v10**, the only version this build writes or
+reads.  A dump is the log: each written list is one entry ``{"head",
+"base", "run", "ops"}`` under ``cluster.replication_state.logs``,
+``run`` the list at version ``base`` and ``ops`` the retained run
+``(base, head]``, beside every replica's applied version.  A replica at
+version ``v`` *is* the run plus the ops up to ``v``, so a v10 dump holds
+each list once and cannot encode replicas that disagree with their log.
+A v9 dump held a ``servers`` section with every replica's copy of every
+list (95.7 % of a ``mixed-write-read`` dump, 3.0 element entries per
+logical element), which this build has no reader for.
+
+The v9 bump changed the replication op: every op, insert or delete, is
+``{"s", "k", "e"}``, ``"e"`` the element inserted or removed, through
+the one element codec; a v8 delete op carried a bare ciphertext ``"c"``
+and, when it had one, a TRS ``"t"``, so a v8 log's delete ops hold no
+element for this build to apply.  It also dropped v8's per-list
+mutation counters (``"versions"``): replies are stamped with the
+replication log's applied versions, and readable views are rebuilt
+after a restore.
 
 The v8 bump changed every stored ciphertext: a v8 element (and a sealed
 directory) is SIV — ``iv (16) || body``, the IV a PRF of the plaintext
@@ -62,22 +71,27 @@ Format / recovery invariants
    directory and ``os.replace``\\ s it into place: an interrupted save
    leaves the previous dump intact, never a torn file
    (:mod:`repro.persist.atomic`).
-2. **Versions restart nowhere.**  Each replication log's ``(base_seq,
-   head_seq]`` tail and every replica's applied version are part of
-   the dump, so post-restart version stamps remain comparable with
-   pre-restart state: ``head_seq`` continues from where the crashed
-   process stopped, and invariant 3 of
-   :mod:`repro.core.replication` (``base_seq <= min(applied)``) holds in
-   the dump because it held in memory when the snapshot was taken.
-3. **Acknowledged ops survive restarts.**  Recovery re-registers every
-   replica at its *persisted* applied version; a replica behind the
-   restored head gets its remaining log ops scheduled through the normal
-   catch-up machinery, so a restarted lagged/paused/dead follower
-   converges exactly as a live one would (one anti-entropy sweep bounds
-   the wait) — it never silently restarts blank.
+2. **Versions restart nowhere.**  Each list's run at ``base_seq``, its
+   ``(base_seq, head_seq]`` tail and every replica's applied version are
+   part of the dump, so post-restart version stamps remain comparable
+   with pre-restart state: ``head_seq`` continues from where the crashed
+   process stopped.  Invariant 3 of :mod:`repro.core.replication` (ops
+   at or below ``min(applied)`` are truncated, so ``base_seq`` sits at
+   the minimum) held in memory when the snapshot was taken, so some
+   replica sat at the base and the run is its copy.
+3. **Restore is replay.**  Every replica, the one-server index's
+   included, is rebuilt by replaying the run and its own prefix of the
+   retained ops through ``apply_replicated_ops``, the one call any list
+   changes by, and is re-registered at its *persisted* applied version;
+   a replica behind the restored head gets its remaining log ops
+   scheduled through the normal catch-up machinery, so a restarted
+   lagged/paused/dead follower converges exactly as a live one would
+   (one anti-entropy sweep bounds the wait) — no acknowledged op is
+   lost.  A replayed delete that removes nothing means the run and the
+   ops disagree, and the dump is refused as corrupt.
 4. **Views are derived, not persisted.**  A restored server holds no
    readable views: the first read of a list by a principal builds its
-   view from the restored list under the live key service, so a restart
+   view from the replayed list under the live key service, so a restart
    can never serve under revoked access rights.  Nor does a dump carry
    access counters (the v4 ``heat`` block): every restored server
    counts its load from zero.
@@ -106,7 +120,6 @@ from repro.persist.encoders import (
     merge_plan_to_dict,
     read_payload,
     rstf_model_to_dict,
-    server_to_dict,
 )
 
 __all__ = [
@@ -117,7 +130,6 @@ __all__ = [
     "element_from_dict",
     "merge_plan_to_dict",
     "rstf_model_to_dict",
-    "server_to_dict",
     "read_payload",
     "atomic_write_text",
 ]

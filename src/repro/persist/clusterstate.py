@@ -3,24 +3,28 @@
 A cluster snapshot captures everything the untrusted host tier must not
 forget across a restart (the ``cluster`` section of a dump):
 
-* every server's merged lists;
+* each written list once, as its replication log: the ``run`` the list
+  held at the log's ``base_seq``, the retained ops ``(base_seq,
+  head_seq]`` and every replica's applied version — a replica at
+  version ``v`` *is* the run plus the ops up to ``v``;
 * the placement table and its epoch — so a restart keeps every elected
   primary and the election count ``cluster-status`` reports;
-* the replication manager's durable state: each list's log tail above
-  ``base_seq``, every replica's applied version, the lag, the
-  anti-entropy cadence, the tick clock, and the paused/down server sets.
+* the lag, the anti-entropy cadence, the tick clock, and the
+  paused/down server sets.
 
 Readable views are not in the dump: each is derived from its list and
 rebuilt on its first read after recovery, as on any cold server.
 
 Recovery (:func:`cluster_from_dict`) rebuilds a live
 :class:`~repro.core.cluster.ServerCluster` in dependency order —
-topology, clock, list contents, then logs + applied versions —
-re-registering each replica at its persisted applied version.  Replicas
-behind the restored log head get their remaining ops *scheduled* through
-the normal catch-up machinery, so a restarted lagged or paused follower
-converges exactly as a live one would: no acknowledged op is lost, and
-one anti-entropy sweep bounds how long convergence takes.
+topology, clock, then logs — and replays each list into every replica
+inside the logs step
+(:meth:`~repro.core.replication.ReplicationManager.restore_list_state`).
+Replicas behind the restored log head get their remaining ops
+*scheduled* through the normal catch-up machinery, so a restarted lagged
+or paused follower converges exactly as a live one would: no
+acknowledged op is lost, and one anti-entropy sweep bounds how long
+convergence takes.
 """
 
 from __future__ import annotations
@@ -45,11 +49,9 @@ from repro.persist.encoders import (
     directories_to_dict,
     element_from_dict,
     element_to_dict,
-    load_server_state,
     merge_plan_to_dict,
     read_payload,
     rstf_model_to_dict,
-    server_to_dict,
     setup_from_payload,
 )
 
@@ -97,7 +99,12 @@ def replication_op_from_dict(entry: dict, source: str | Path) -> ReplicationOp:
 
 
 def cluster_to_dict(cluster: ServerCluster) -> dict:
-    """The durable state of a cluster as one JSON-ready dict."""
+    """The durable state of a cluster as one JSON-ready dict.
+
+    Each written list is written once: its run is read from the first
+    replica, in placement order, at the log base (invariant 3 of
+    :mod:`repro.core.replication` says one is there).
+    """
     repl = cluster.replication_manager
     logs: dict[str, dict] = {}
     applied: dict[str, dict] = {}
@@ -105,14 +112,24 @@ def cluster_to_dict(cluster: ServerCluster) -> dict:
         head, base, ops = repl.log_snapshot(list_id)
         if head == 0:
             continue  # never written: every replica is trivially at 0
+        versions = repl.applied_snapshot(list_id)
+        holder = next((s for s, v in versions.items() if v == base), None)
+        if holder is None:
+            raise ProtocolError(
+                f"list {list_id}: no replica is at the log base {base} "
+                f"(applied versions {versions})"
+            )
         logs[str(list_id)] = {
             "head": head,
             "base": base,
+            "run": [
+                element_to_dict(e)
+                for e in cluster.server(holder).export_list(list_id)
+            ],
             "ops": [replication_op_to_dict(op) for op in ops],
         }
         applied[str(list_id)] = {
-            str(server_index): version
-            for server_index, version in repl.applied_snapshot(list_id).items()
+            str(server_index): version for server_index, version in versions.items()
         }
     return {
         "num_lists": cluster.num_lists,
@@ -157,10 +174,6 @@ def cluster_to_dict(cluster: ServerCluster) -> dict:
             "logs": logs,
             "applied": applied,
         },
-        "servers": [
-            server_to_dict(cluster.server(server_index))
-            for server_index in range(cluster.num_servers)
-        ],
     }
 
 
@@ -234,15 +247,6 @@ def cluster_from_dict(
             f"{source}: corrupt cluster dump: {error}"
         ) from error
 
-    servers_data = _typed(data.get("servers", []), list, "servers", source)
-    if len(servers_data) != num_servers:
-        raise ConfigurationError(
-            f"{source}: corrupt cluster dump: {len(servers_data)} server "
-            f"sections for {num_servers} declared servers"
-        )
-    for server_index, server_data in enumerate(servers_data):
-        load_server_state(cluster.server(server_index), server_data, source)
-
     repl = cluster.replication_manager
     state = _typed(
         data.get("replication_state", {}), dict, "replication_state", source
@@ -271,11 +275,13 @@ def cluster_from_dict(
             )
         _typed(log_data, dict, f"the log of list {list_id}", source)
         _typed(applied_data, dict, f"the applied versions of list {list_id}", source)
+        run = _typed(log_data.get("run"), list, f"the run of list {list_id}", source)
         try:
             repl.restore_list_state(
                 list_id,
                 int(log_data["head"]),
                 int(log_data["base"]),
+                [element_from_dict(entry) for entry in run],
                 [
                     replication_op_from_dict(entry, source)
                     for entry in log_data.get("ops", ())

@@ -16,13 +16,12 @@ import json
 from pathlib import Path
 
 from repro.core.rstf import Rstf, RstfModel
-from repro.core.server import ZerberRServer
 from repro.errors import ConfigurationError, TrainingError
 from repro.index.merge import MergePlan
 from repro.index.postings import EncryptedPostingElement
 
 #: The one dump format this build writes and reads (see :mod:`repro.persist`).
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 
 
 def read_payload(path: str | Path) -> dict:
@@ -145,17 +144,7 @@ def setup_from_payload(
     return merge_plan, rstf_model
 
 
-# -- server state -------------------------------------------------------------
-
-
-def server_to_dict(server: ZerberRServer) -> dict:
-    """One server's merged lists, empty ones omitted."""
-    lists = {}
-    for list_id in range(server.num_lists):
-        merged = server._lists[list_id]
-        if merged.elements:
-            lists[str(list_id)] = [element_to_dict(e) for e in merged.elements]
-    return {"num_lists": server.num_lists, "lists": lists}
+# -- list ids -----------------------------------------------------------------
 
 
 def decode_list_id(list_id_str: str, num_lists: int, source: str | Path) -> int:
@@ -172,15 +161,3 @@ def decode_list_id(list_id_str: str, num_lists: int, source: str | Path) -> int:
             f"(dump declares {num_lists} lists)"
         )
     return list_id
-
-
-def load_server_state(server: ZerberRServer, data: dict, source: str | Path) -> None:
-    """Restore merged lists into an existing, empty server."""
-    try:
-        for list_id_str, entries in data["lists"].items():
-            list_id = decode_list_id(list_id_str, server.num_lists, source)
-            server.restore_list(list_id, [element_from_dict(e) for e in entries])
-    except ConfigurationError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as error:
-        raise ConfigurationError(f"{source}: corrupt dump: {error!r}") from error

@@ -15,12 +15,13 @@ counter, a SHAKE-256 keystream, dataclass log ops),
 ``cluster_v6.json`` (12-byte nonces, a keyed-BLAKE2b keystream, each
 plaintext's doc id spelled out after a 10-byte header) and
 ``cluster_v7.json`` (``nonce (12) || body || tag (16)`` seals, the
-document numbered in a 14-byte header, sealed directories) and
+document numbered in a 14-byte header, sealed directories),
 ``cluster_v8.json`` (SIV seals, ``iv (16) || body``; delete ops naming
 their element by a bare ciphertext ``"c"`` and its TRS ``"t"``; per-list
-mutation counters in every server section).  Rerunning it
-writes what the code in the tree writes, so run it before a format bump,
-not after.
+mutation counters in every server section) and ``cluster_v9.json``
+(per-server ``servers`` sections, one copy of each list per replica,
+beside logs of ``head``, ``base`` and ``ops`` only).  Rerunning it writes
+what the code in the tree writes, so run it before a format bump, not after.
 """
 
 from __future__ import annotations

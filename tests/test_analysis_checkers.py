@@ -189,11 +189,13 @@ def test_a_placement_read_fires_outside_its_owning_layers_only():
     assert analyze_source(batch, module="repro.core.router", path="batch.py") == []
 
 
-def test_every_list_mutator_named_in_the_bad_fixture_is_flagged():
-    messages = " ".join(f.message for f in _lint("replication_bypass_bad", None))
+@pytest.mark.parametrize("module", [None, "repro.persist.fixture_mod"])
+def test_every_list_mutator_named_in_the_bad_fixture_is_flagged(module):
+    """``repro.persist`` has no exemption either: restore replays the log."""
+    messages = " ".join(f.message for f in _lint("replication_bypass_bad", module))
     for mutator in ("add_sorted_by_trs", "pop_at"):
         assert f"MergedPostingList.{mutator}()" in messages
-    assert "apply_replicated_ops()" in messages
+    assert "apply_replicated_ops()" in messages and "(._lists)" in messages
 
 
 _APPLY_CALLERS = ("repro.core.cluster", "repro.core.replication", "repro.core.server")

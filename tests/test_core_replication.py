@@ -440,16 +440,18 @@ class TestGappedPrimary:
     catch it up from the log first, not stamp over the gap."""
 
     def _gapped(self, keys):
-        cluster = ServerCluster(
-            keys, num_lists=1, num_servers=2, replication=2, lag=100
+        live, cluster = (
+            ServerCluster(keys, num_lists=1, num_servers=2, replication=2, lag=100)
+            for _ in range(2)
         )
-        cluster.insert("u", 0, _element(0.9, sealed(b"acked")))  # head 1, server 1 owed
-        repl = cluster.replication_manager
+        live.insert("u", 0, _element(0.9, sealed(b"acked")))  # head 1, server 1 owed
+        repl = live.replication_manager
         head, base, ops = repl.log_snapshot(0)
-        applied = repl.applied_snapshot(0)
-        # The dump names the lagging replica primary.
+        # The dump names the lagging replica primary; the run at base 0 is empty.
         cluster.restore_topology([(1, 0)], epoch=1)
-        cluster.replication_manager.restore_list_state(0, head, base, ops, applied)
+        cluster.replication_manager.restore_list_state(
+            0, head, base, [], ops, repl.applied_snapshot(0)
+        )
         assert cluster.applied_version(0, 1) == 0 < cluster.primary_version(0)
         return cluster
 
@@ -835,13 +837,15 @@ class _World:
             m.record_insert(list_id, _element(0.5, payload))
 
     def snapshot_restore(self):
-        """A restart: a fresh manager reinstated from the durable state."""
+        """A restart: a fresh manager reinstated from the durable state
+        (the stand-in servers hold no list, so every run is empty)."""
         old, self.manager = self.manager, self._new_manager()
         self.manager.stats = old.stats
         self.manager.restore_clock(old.tick_count, old.paused_servers())
         for list_id in range(SCHED_LISTS):
+            head, base, ops = old.log_snapshot(list_id)
             self.manager.restore_list_state(
-                list_id, *old.log_snapshot(list_id), old.applied_snapshot(list_id)
+                list_id, head, base, [], ops, old.applied_snapshot(list_id)
             )
 
     def step(self, code, a, b):
@@ -1067,7 +1071,7 @@ class TestDeliveryScheduler:
         head, base, ops = world.manager.log_snapshot(0)
         assert (head, base, len(ops)) == (3, 0, 3)
         world.manager = m = world._new_manager()
-        m.restore_list_state(0, head, base, ops, {0: 3, 1: 2, 2: 2})
+        m.restore_list_state(0, head, base, [], ops, {0: 3, 1: 2, 2: 2})
         assert m.log_snapshot(0)[1] == 2 and m.log_lengths()[0] == 1
         m.sync(0, 1)
         assert m.log_lengths()[0] == 1  # server 2 still needs op 3

@@ -134,6 +134,21 @@ class TestFailureAndEpoch:
             coordinator.tick()
         assert excinfo.value.list_id == list_id
 
+    def test_a_flush_that_raises_counts_no_slice(self, deployment):
+        """Three refused flushes count nothing; the one that serves counts."""
+        system, cluster, coordinator = deployment
+        client = system.client_for("superuser", server=cluster)
+        coordinator.submit(client.open_multi_session(_queries(system, 1)[0], 4))
+        for server_index in range(3):
+            cluster.fail_server(server_index)
+        for _ in range(3):
+            with pytest.raises(UnavailableError):
+                coordinator.tick()
+        for server_index in range(3):
+            cluster.restore_server(server_index)
+        coordinator.drain()
+        assert coordinator.stats.slices_requested == coordinator.stats.slices_sent == 2
+
     def test_an_election_between_two_shard_calls_of_one_flush(
         self, system, monkeypatch
     ):

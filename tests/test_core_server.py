@@ -462,15 +462,6 @@ class TestReadableViews:
         assert response.elements == ()
         assert response.exhausted
 
-    def test_restore_list_invalidates_views(self, server):
-        self._populate(server)
-        self._fetch(server, "alice")
-        held = server.export_list(0)
-        server.restore_list(0, [_element("g1", 0.95, b"restored")] + held)
-        response = self._fetch(server, "alice")
-        assert response.elements[0].trs == 0.95
-        assert server.view_stats.invalidations >= 1
-
 
 class TestReplicatedDelete:
     """The follower side of a delete op: addressed by TRS, decided by ciphertext."""

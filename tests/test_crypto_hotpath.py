@@ -638,7 +638,7 @@ class TestWriteFrameBudget:
 
         def run(held, ops):
             _, server = self._client()  # a fresh replica, no view cached
-            server.restore_list(0, held)
+            server.apply_replicated_ops(0, [ReplicationOp(0, "insert", e) for e in held])
             return lambda: server.apply_replicated_ops(0, ops)
 
         def inserts(n):

@@ -30,7 +30,7 @@ then the event loop itself (the coordinator keeps a per-tick agenda),
 then the coordinator's arrival intake with its ``at`` and
 ``retry_on_shed`` knobs, its shed log, ``open_session`` and
 ``run_until_complete`` (``submit`` is the one intake, ``drain`` the one
-run-to-quiescence driver);
+run-to-quiescence driver), then a shed's ``retry_after_ticks`` (always 1);
 they were deleted, and this test keeps them from drifting back.
 """
 
@@ -212,7 +212,8 @@ DELETED_NAMES = {
         repro.persist,
         "DEFAULT_VIEW_SPILL cluster_to_dict cluster_from_dict "
         "merge_plan_from_dict replication_op_to_dict replication_op_from_dict "
-        "rstf_model_from_dict save_index load_index server_from_dict",
+        "rstf_model_from_dict save_index load_index server_from_dict "
+        "server_to_dict load_server_state",
     ),
 }
 
@@ -238,12 +239,14 @@ def test_deleted_names_are_not_exported(module):
             "open_session run_until_complete sheds",
         ),
         (CoordinatorStats, "stale_epoch_reroutes"),
+        (repro.core.protocol.BackpressureSignal("p", 0, 1, 1), "retry_after_ticks"),
+        (repro.errors.BackpressureError, "retry_after_ticks"),
         (ZerberRSystem, "with_config"),
         (Rstf, "num_training_points"),
         (repro.errors, "IndexingError StaleEpochError AuthenticationError"),
         (GroupKeyService, "nonce_sequence"),
         (Prf, "evaluate_int"),
-        (MergedPostingList, "add_random size_bits slice"),
+        (MergedPostingList, "add_random size_bits slice clear"),
         (EncryptedPostingElement, "size_bits"),
         (FetchResponse, "size_bits"),
         (StreamCipher, "decrypt"),
@@ -269,6 +272,8 @@ def test_deleted_names_are_not_exported(module):
         "ServerCluster",
         "Coordinator",
         "CoordinatorStats",
+        "BackpressureSignal",
+        "BackpressureError",
         "ZerberRSystem",
         "Rstf",
         "repro.errors",

@@ -139,8 +139,12 @@ def _b64(data):
     return base64.b64encode(data).decode()
 
 
-def _server_section(payload):
-    return payload["cluster"]["servers"][0]
+def _logs(payload):
+    return payload["cluster"]["replication_state"]["logs"]
+
+
+def _run(payload):  # the run of the first list the dump holds elements of
+    return next(log["run"] for log in _logs(payload).values() if log["run"])
 
 
 class TestOneFormatVersion:
@@ -148,18 +152,18 @@ class TestOneFormatVersion:
     restore that "succeeds" would answer every query empty: any version
     but the current one is refused."""
 
-    # A v8 delete op names its element by a bare ciphertext; a v7
-    # element is nonce || body || tag and fails the v8 IV check; a
-    # v6 element spells its doc id out after a 10-byte header; a v5
-    # element carries a 16-byte nonce and a SHAKE-256 keystream; a v4
-    # element carries a truncated HMAC-SHA256 tag; a v3 element also
-    # spells its term out, so its length byte and first three term bytes
-    # would pass for a term number.
+    # A v9 dump holds every replica's copy of a list; a v8 delete op names
+    # its element by a bare ciphertext; a v7 element is nonce || body ||
+    # tag and fails the v8 IV check; a v6 element spells its doc id out
+    # after a 10-byte header; a v5 element carries a 16-byte nonce and a
+    # SHAKE-256 keystream; a v4 element carries a truncated HMAC-SHA256
+    # tag; a v3 element also spells its term out, so its length byte and
+    # first three term bytes would pass for a term number.
     @pytest.mark.parametrize(
-        "found", [1, 2, 3, 4, 5, 6, 7, 8, "9", FORMAT_VERSION + 1, None]
+        "found", [1, 2, 3, 4, 5, 6, 7, 8, 9, "10", FORMAT_VERSION + 1, None]
     )
     def test_other_versions_are_refused_by_name(self, dump, tmp_path, found):
-        assert json.loads(dump)["format_version"] == FORMAT_VERSION == 9
+        assert json.loads(dump)["format_version"] == FORMAT_VERSION == 10
         message = _refused(dump, tmp_path, lambda p: p.update(format_version=found))
         assert repr(found) in message and f"reads {FORMAT_VERSION}" in message
         assert "re-index" in message
@@ -198,16 +202,11 @@ class TestOneFormatVersion:
 
     @pytest.mark.parametrize(
         "damage",
-        [
-            lambda section: section.pop("lists"),
-            lambda section: section.update(lists=[]),
-        ],
-        ids=["no-lists", "lists-not-an-object"],
+        [lambda log: log.pop("run"), lambda log: log.update(run={})],
+        ids=["no-run", "run-not-an-array"],
     )
-    def test_a_server_section_without_its_lists_is_corrupt(
-        self, dump, tmp_path, damage
-    ):
-        _refused(dump, tmp_path, lambda p: damage(_server_section(p)))
+    def test_a_log_without_its_run_is_corrupt(self, dump, tmp_path, damage):
+        _refused(dump, tmp_path, lambda p: damage(next(iter(_logs(p).values()))))
 
     @pytest.mark.parametrize(
         "field, damage",
@@ -241,31 +240,26 @@ class TestOneFormatVersion:
         that then fails its MAC for every reader and drops out of results."""
 
         def damage_first_element(payload):
-            entry = next(iter(_server_section(payload)["lists"].values()))[0]
+            entry = _run(payload)[0]
             entry[field] = damage(entry[field])
 
         _refused(dump, tmp_path, damage_first_element)
 
 
 class TestCorruptDumps:
-    """A hand-edited server section fails as a named configuration error,
+    """A hand-edited list log fails as a named configuration error,
     never a raw KeyError/IndexError."""
 
-    def test_unknown_list_id_names_path_and_id(self, dump, tmp_path):
-        bad_id = str(json.loads(dump)["cluster"]["num_lists"] + 7)
+    @pytest.mark.parametrize("bad_id", ["out-of-range", "banana"])
+    def test_a_bad_list_id_names_path_and_id(self, dump, tmp_path, bad_id):
+        if bad_id == "out-of-range":
+            bad_id = str(json.loads(dump)["cluster"]["num_lists"] + 7)
 
         def move_a_list(payload):
-            lists = _server_section(payload)["lists"]
+            lists = _logs(payload)
             lists[bad_id] = lists.pop(next(iter(lists)))
 
         _refused(dump, tmp_path, move_a_list, match=bad_id)
-
-    def test_non_integer_list_id(self, dump, tmp_path):
-        def rename_a_list(payload):
-            lists = _server_section(payload)["lists"]
-            lists["banana"] = lists.pop(next(iter(lists)))
-
-        _refused(dump, tmp_path, rename_a_list, match="banana")
 
     def test_truncated_json_names_path(self, dump, tmp_path):
         path = tmp_path / "dump.json"
@@ -273,15 +267,8 @@ class TestCorruptDumps:
         with pytest.raises(ConfigurationError, match=str(path)):
             _load(path)
 
-    def test_missing_lists_section(self, dump, tmp_path):
-        _refused(dump, tmp_path, lambda p: _server_section(p).pop("lists"))
-
     def test_element_missing_ciphertext(self, dump, tmp_path):
-        _refused(
-            dump,
-            tmp_path,
-            lambda p: next(iter(_server_section(p)["lists"].values()))[0].pop("c"),
-        )
+        _refused(dump, tmp_path, lambda p: _run(p)[0].pop("c"))
 
 
 class TestAtomicWrites:

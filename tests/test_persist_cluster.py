@@ -29,7 +29,7 @@ from repro.crypto.cipher import IV_SIZE
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError, UnavailableError
 from repro.index.postings import SEALED_SIZE, EncryptedPostingElement
-from repro.persist import FORMAT_VERSION, load_cluster, save_cluster
+from repro.persist import FORMAT_VERSION, element_from_dict, load_cluster, save_cluster
 from repro.persist.clusterstate import cluster_from_dict, cluster_to_dict
 from repro.text.analysis import DocumentStats
 from tests.conftest import sealed, slices_batch
@@ -58,12 +58,12 @@ def _keys():
     return svc
 
 
-def _cluster(lag=2, **kwargs):
+def _cluster(lag=2, replication=REPLICATION, **kwargs):
     return ServerCluster(
         _keys(),
         num_lists=NUM_LISTS,
         num_servers=NUM_SERVERS,
-        replication=REPLICATION,
+        replication=replication,
         lag=lag,
         **kwargs,
     )
@@ -162,6 +162,18 @@ def _reload(cluster, tmp_path, name="cluster.json"):
     return restored, path
 
 
+def _refused(path, section, damage):
+    """Load the dump at *path* after *damage*(its *section*); returns the
+    error text, which names the file."""
+    payload = json.loads(path.read_text())
+    damage(payload[section])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigurationError) as excinfo:
+        load_cluster(path, _keys())
+    assert str(path) in str(excinfo.value)
+    return str(excinfo.value)
+
+
 def _assert_converged(cluster, ref):
     """Heal everything, one anti-entropy sweep, compare every replica."""
     for server_index in range(NUM_SERVERS):
@@ -181,6 +193,10 @@ def _assert_converged(cluster, ref):
             assert got == expected, (
                 f"replica {server_index} of list {list_id} diverged"
             )
+
+
+def _first_log(state):
+    return next(iter(state["logs"].values()))
 
 
 def _lagged_snapshot_cluster():
@@ -287,6 +303,61 @@ class TestLaggedSnapshotRecovery:
         assert not restored.is_alive(victim)
         restored.restore_server(victim)
         _assert_converged(restored, ref)
+
+
+def _tied_quorum_cluster():
+    """Replication 3, lag 2, QUORUM writes, three TRS values, snapshotted
+    with followers behind and delete ops retained."""
+    cluster, receipts = _cluster(replication=3, write_consistency="quorum"), []
+    for counter in range(30):
+        element = EncryptedPostingElement(sealed(b"tie-%02d" % counter), "g", counter % 3 / 4)
+        cluster.insert("u", counter % NUM_LISTS, element)
+        receipts.append(Receipt(counter % NUM_LISTS, element.ciphertext, element.trs))
+        if counter % 4 == 3:
+            cluster.replication_tick()
+    cluster.delete_many("u", receipts[3:12:4])
+    assert cluster.replication_backlog()
+    return cluster
+
+
+class TestADumpIsTheLog:
+    """A dump holds each list once, as the run at its log base; restore
+    replays the run and each replica's own prefix of the retained ops."""
+
+    def test_every_replica_is_restored_as_it_was(self, tmp_path):
+        cluster = _tied_quorum_cluster()
+        restored, _ = _reload(cluster, tmp_path)
+        for list_id in range(NUM_LISTS):
+            copies = []
+            for s in cluster.replicas_of(list_id):
+                assert restored.applied_version(list_id, s) == cluster.applied_version(list_id, s)
+                copies.append(restored.server(s).export_list(list_id))
+                assert copies[-1] == cluster.server(s).export_list(list_id)  # ties in order
+            # One object per element, whichever replicas hold it.
+            held = [e for copy in copies for e in copy]
+            assert len({id(e) for e in held}) == len({e.ciphertext for e in held})
+
+    def test_a_list_is_written_once(self, tmp_path):
+        cluster = _tied_quorum_cluster()
+        _, path = _reload(cluster, tmp_path)
+        text = path.read_text()
+        logs = json.loads(text)["cluster"]["replication_state"]["logs"]
+        assert text.count('"c": ') == sum(len(log["run"]) + len(log["ops"]) for log in logs.values())
+        repl = cluster.replication_manager
+        for list_id, log in logs.items():  # the run is a replica at the base
+            applied = repl.applied_snapshot(int(list_id))
+            holder = min(applied, key=applied.__getitem__)
+            run = cluster.server(holder).export_list(int(list_id))
+            assert [element_from_dict(entry) for entry in log["run"]] == run
+
+    def test_a_delete_the_run_cannot_hold_is_refused(self, tmp_path):
+        def forge(state):
+            ops = [op for log in state["logs"].values() for op in log["ops"]]
+            element = next(op for op in ops if op["k"] == "delete")["e"]
+            element["c"] = base64.b64encode(sealed(b"never-inserted")).decode()
+
+        _, path = _reload(_tied_quorum_cluster(), tmp_path)
+        assert "disagree" in _refused(path, "cluster", lambda c: forge(c["replication_state"]))
 
 
 class TestFuzzedCrashRecovery:
@@ -471,8 +542,9 @@ class TestRestoredServersStartCold:
         cluster, ref = self._warmed()
         assert cluster.view_stats().full_builds == NUM_LISTS
         data = cluster_to_dict(cluster)
-        for server in data["servers"]:  # no views, no access counters
-            assert set(server) == {"num_lists", "lists"}
+        assert "servers" not in data  # a list is its log: no views, no counters
+        for log in data["replication_state"]["logs"].values():
+            assert set(log) == {"head", "base", "run", "ops"}
         restored = cluster_from_dict(data, _keys())
         assert all(len(restored.server(s)._views) == 0 for s in range(NUM_SERVERS))
         for list_id in range(NUM_LISTS):
@@ -576,7 +648,9 @@ class TestOlderDumps:
     ``cluster_v7.json`` holds ``nonce || body || tag`` seals: every
     element, and every sealed directory, would fail the v8 IV check.
     ``cluster_v8.json`` holds delete ops that name their element by a
-    bare ciphertext and TRS, and per-list mutation counters."""
+    bare ciphertext and TRS, and per-list mutation counters.
+    ``cluster_v9.json`` holds per-server ``servers`` sections, one copy
+    of each list per replica, and logs without a ``run``."""
 
     FIXTURES = Path(__file__).resolve().parent / "fixtures"
     DUMPS = sorted(FIXTURES.glob("cluster_v*.json"))
@@ -611,77 +685,38 @@ class TestCorruptClusterDumps:
         restored, path = _reload(cluster, tmp_path)
         return path
 
-    def test_unknown_log_list_id_is_named(self, tmp_path):
+    # A log of the wrong shape: applied versions missing, an op without
+    # its element, a gap in the retained run, a non-integer paused server.
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda state: state["applied"].popitem(), "applied"),
+            (lambda state: _first_log(state)["ops"][0].pop("e"), "element payload"),
+            (lambda state: _first_log(state)["ops"].pop(0), "contiguous"),
+            (lambda state: state.update(paused=["two"]), "corrupt cluster dump"),
+        ],
+        ids=["no-applied-versions", "op-without-element", "gapped-ops", "paused-string"],
+    )
+    def test_a_damaged_log_names_the_file(self, tmp_path, damage, named):
         path = self._dump(tmp_path)
-        payload = json.loads(path.read_text())
-        logs = payload["cluster"]["replication_state"]["logs"]
-        logs["99"] = logs.pop(next(iter(logs)))
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match=r"99"):
-            load_cluster(path, _keys())
+        assert _first_log(json.loads(path.read_text())["cluster"]["replication_state"])["ops"]
+        message = _refused(path, "cluster", lambda c: damage(c["replication_state"]))
+        assert named in message
 
-    def test_log_without_applied_versions(self, tmp_path):
-        path = self._dump(tmp_path)
-        payload = json.loads(path.read_text())
-        state = payload["cluster"]["replication_state"]
-        state["applied"].pop(next(iter(state["applied"])))
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match="applied"):
-            load_cluster(path, _keys())
-
-    def test_op_missing_payload(self, tmp_path):
-        path = self._dump(tmp_path)
-        payload = json.loads(path.read_text())
-        logs = payload["cluster"]["replication_state"]["logs"]
-        entry = next(iter(logs.values()))
-        assert entry["ops"], "scenario must retain log ops"
-        entry["ops"][0].pop("e", None)
-        entry["ops"][0].pop("c", None)
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match=str(path)):
-            load_cluster(path, _keys())
-
-    def test_gapped_log_run_rejected(self, tmp_path):
-        path = self._dump(tmp_path)
-        payload = json.loads(path.read_text())
-        logs = payload["cluster"]["replication_state"]["logs"]
-        entry = next(iter(logs.values()))
-        assert entry["ops"], "scenario must retain log ops"
-        del entry["ops"][0]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match="contiguous"):
-            load_cluster(path, _keys())
-
-    @pytest.mark.parametrize("where", ["server-list", "log-op"])
+    @pytest.mark.parametrize("where", ["run", "log-op"])
     def test_a_29_byte_element_names_the_file(self, tmp_path, where):
         """Every element is one sealed posting: one byte short is a
         corrupt dump, named, wherever the element sits."""
-        path = self._dump(tmp_path)
-        payload = json.loads(path.read_text())
-        cluster = payload["cluster"]
-        if where == "server-list":
-            lists = next(s["lists"] for s in cluster["servers"] if s["lists"])
-            entry = next(iter(lists.values()))[0]
-        else:
-            entry = next(
-                op["e"]
-                for log in cluster["replication_state"]["logs"].values()
-                for op in log["ops"]
-                if "e" in op
-            )
-        entry["c"] = base64.b64encode(base64.b64decode(entry["c"])[:-1]).decode()
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match=f"{SEALED_SIZE} bytes") as excinfo:
-            load_cluster(path, _keys())
-        assert str(path) in str(excinfo.value)
 
-    def test_non_integer_paused_entry(self, tmp_path):
-        path = self._dump(tmp_path)
-        payload = json.loads(path.read_text())
-        payload["cluster"]["replication_state"]["paused"] = ["two"]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match=str(path)):
-            load_cluster(path, _keys())
+        def shorten(cluster):
+            logs = cluster["replication_state"]["logs"].values()
+            if where == "run":
+                entry = next(log["run"][0] for log in logs if log["run"])
+            else:
+                entry = next(log["ops"][0]["e"] for log in logs if log["ops"])
+            entry["c"] = base64.b64encode(base64.b64decode(entry["c"])[:-1]).decode()
+
+        assert f"{SEALED_SIZE} bytes" in _refused(self._dump(tmp_path), "cluster", shorten)
 
     @pytest.mark.parametrize("version", [4, 5, FORMAT_VERSION])
     def test_a_v4_shaped_dump_is_refused(self, tmp_path, version):
@@ -697,9 +732,9 @@ class TestCorruptClusterDumps:
         assert load_cluster(path, _keys())[0].replication_manager.lag == 3
         payload["format_version"] = version
         payload["cluster"]["lag"] = {"fixed_ticks": 3, "per_server": {"1": 5}}
-        for server in payload["cluster"]["servers"]:
-            server["views"] = [{"list": 0, "principal": "u", "positions": [0]}]
-            server["heat"] = {"fetch_counts": {"0": 7, "2": 1}, "calls": 3}
+        views = [{"list": 0, "principal": "u", "positions": [0]}]
+        heat = {"fetch_counts": {"0": 7, "2": 1}, "calls": 3}
+        payload["cluster"]["servers"] = [{"views": views, "heat": heat}]
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigurationError) as excinfo:
             load_cluster(path, _keys())
@@ -752,13 +787,7 @@ class TestCorruptClusterDumps:
         ],
     )
     def test_a_section_of_the_wrong_type_names_the_file(self, tmp_path, damage):
-        path = self._dump(tmp_path)
-        payload = json.loads(path.read_text())
-        damage(payload["cluster"])
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match="corrupt cluster dump") as excinfo:
-            load_cluster(path, _keys())
-        assert str(path) in str(excinfo.value)
+        assert "corrupt cluster dump" in _refused(self._dump(tmp_path), "cluster", damage)
 
     # Each of these is well-typed JSON that ServerCluster itself refuses;
     # its ConfigurationError used to escape without the file's name.
@@ -787,13 +816,8 @@ class TestCorruptClusterDumps:
         self, tmp_path, damage, named
     ):
         path = self._dump(tmp_path)
-        payload = json.loads(path.read_text())
-        damage(payload["cluster"])
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match=named) as excinfo:
-            load_cluster(path, _keys())
-        message = str(excinfo.value)
-        assert message.startswith(f"{path}: corrupt cluster dump: "), message
+        message = _refused(path, "cluster", damage)
+        assert message.startswith(f"{path}: corrupt cluster dump: ") and named in message
 
     @staticmethod
     def _setup_dump(tmp_path, shape="replicated"):
@@ -812,16 +836,6 @@ class TestCorruptClusterDumps:
         save_cluster(path, cluster, plan, RstfModel({}))
         return path
 
-    @staticmethod
-    def _refused(path, section, damage):
-        payload = json.loads(path.read_text())
-        damage(payload[section])
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError) as excinfo:
-            load_cluster(path, _keys())
-        assert str(path) in str(excinfo.value)
-        return str(excinfo.value)
-
     @pytest.mark.parametrize("shape", ["replicated", "one-server"])
     @pytest.mark.parametrize(
         "damage, named",
@@ -837,7 +851,7 @@ class TestCorruptClusterDumps:
         """The plan numbers every term a ciphertext names: a bad one is
         as corrupt as a bad element, and is reported like one."""
         path = self._setup_dump(tmp_path, shape)
-        assert named in self._refused(path, "merge_plan", damage)
+        assert named in _refused(path, "merge_plan", damage)
 
     @pytest.mark.parametrize("shape", ["replicated", "one-server"])
     @pytest.mark.parametrize(
@@ -853,16 +867,10 @@ class TestCorruptClusterDumps:
     ):
         """Not a bare ``TrainingError``: the model's own refusal, with the file."""
         path = self._setup_dump(tmp_path, shape)
-        message = self._refused(
+        message = _refused(
             path, "rstf_model", lambda model: model.update(t0=entry)
         )
         assert named in message
-
-    def test_truncated_file_names_path(self, tmp_path):
-        path = self._dump(tmp_path)
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
-        with pytest.raises(ConfigurationError, match=str(path)):
-            load_cluster(path, _keys())
 
     def test_a_server_kind_dump_is_refused_with_a_re_index_hint(self, tmp_path):
         """A bare server's dump, from an older build, is no cluster dump."""
