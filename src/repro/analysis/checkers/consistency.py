@@ -11,9 +11,8 @@ whatever the last branch did, which is a *consistency* bug, not a crash.
 This rule flags multi-branch dispatches over either enum's members that
 lack an ``else``/``case _`` and do not test every member.
 
-The member lists are mirrored here (not imported) so zlint stays
-dependency-free; ``tests/test_analysis_checkers.py`` asserts each mirror
-matches the live enum, so drift fails CI.
+The member sets are read off the live enums, so a member added to
+either is guarded the moment it exists.
 """
 
 from __future__ import annotations
@@ -22,17 +21,12 @@ import ast
 from collections.abc import Iterator
 
 from repro.analysis.framework import Checker, FileContext, Finding, register
+from repro.core.replication import ReadConsistency, WriteConsistency
 
-#: Mirror of repro.core.replication.ReadConsistency member names.
-READ_CONSISTENCY_MEMBERS = frozenset({"ONE", "PRIMARY", "QUORUM"})
-
-#: Mirror of repro.core.replication.WriteConsistency member names.
-WRITE_CONSISTENCY_MEMBERS = frozenset({"ONE", "QUORUM", "ALL"})
-
-#: Guarded enum name -> its mirrored member set.
+#: Guarded enum name -> its member names.
 CONSISTENCY_ENUMS = {
-    "ReadConsistency": READ_CONSISTENCY_MEMBERS,
-    "WriteConsistency": WRITE_CONSISTENCY_MEMBERS,
+    enum.__name__: frozenset(member.name for member in enum)
+    for enum in (ReadConsistency, WriteConsistency)
 }
 
 

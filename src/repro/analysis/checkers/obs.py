@@ -14,9 +14,9 @@ included, a metric name is a literal from the catalog.  Third, there
 is no side-channel telemetry: ``print()`` in ``repro.core`` is banned
 outright.
 
-The catalog names are mirrored here (not imported) so zlint stays
-dependency-free; ``tests/test_obs_discipline.py`` asserts the mirror
-matches the live catalog, so drift fails CI.
+The catalog names are read off the live catalog
+(:data:`repro.obs.registry.CATALOG_BY_NAME`), so a metric declared there
+is accepted the moment it exists.
 """
 
 from __future__ import annotations
@@ -32,51 +32,15 @@ from repro.analysis.framework import (
     module_matches,
     register,
 )
+from repro.obs.registry import CATALOG_BY_NAME
 
 #: Modules where instrument *creation* is banned outright.
 _CORE_SCOPE = ("repro.core",)
 
-#: Modules where metric names must be literals from the mirror.
+#: Modules where metric names must be literals from the catalog.
 _CATALOG_SCOPE = ("repro",)
 
 _INSTRUMENT_FACTORIES = frozenset({"counter", "gauge", "histogram"})
-
-#: Mirror of the ``repro.obs.registry.METRIC_CATALOG`` names.  The
-#: ``*_stats_total`` families carry one ``field=`` series per field of
-#: their ``*Stats`` dataclass, so a new field needs no entry here.
-CATALOG_METRIC_NAMES = frozenset(
-    {
-        # coordinator
-        "coordinator_stats_total",
-        "coordinator_queue_depth",
-        "coordinator_envelope_slices",
-        "coordinator_session_rounds",
-        # cluster read/write paths
-        "cluster_reads_total",
-        "cluster_writes_total",
-        "cluster_read_lag_ticks",
-        "cluster_read_staleness",
-        "cluster_quorum_write_refusals_total",
-        "cluster_server_load",
-        # replication
-        "replication_stats_total",
-        "replication_max_staleness",
-        "replication_ack_latency_ticks",
-        "replication_log_length",
-        "replication_follower_backlog",
-        # readable views
-        "views_stats_total",
-        # crypto skim
-        "crypto_skim_elements_total",
-        "crypto_skim_memo_hits_total",
-        # persistence
-        "persist_snapshots_total",
-        "persist_snapshot_bytes",
-        "persist_snapshot_seconds",
-        "persist_restores_total",
-    }
-)
-
 
 def _is_span_call(node: ast.Call) -> bool:
     return isinstance(node.func, ast.Attribute) and node.func.attr == "span"
@@ -153,13 +117,12 @@ class ObsDisciplineChecker(Checker):
                     continue
                 first = node.args[0] if node.args else None
                 if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                    if first.value not in CATALOG_METRIC_NAMES:
+                    if first.value not in CATALOG_BY_NAME:
                         yield ctx.finding(
                             self.rule,
                             node,
                             f"metric {first.value!r} is not in METRIC_CATALOG — "
-                            "declare it in repro.obs.registry and the "
-                            "obs-discipline mirror first",
+                            "declare it in repro.obs.registry first",
                         )
                 else:
                     yield ctx.finding(

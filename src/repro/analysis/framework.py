@@ -20,9 +20,9 @@ Suppressions::
     risky_call()  # zlint: disable=crypto-construct  -- why it is safe
     # zlint: disable-file=determinism  -- whole-file opt-out
 
-The framework deliberately imports nothing from the rest of ``repro`` (or
-third-party packages), so ``zlint`` runs in environments where the
-runtime dependencies are absent.
+The framework imports nothing from the rest of ``repro``; the checkers
+read the declarations they guard (the consistency enums, the metric
+catalog) off the live objects.
 """
 
 from __future__ import annotations

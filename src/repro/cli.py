@@ -401,7 +401,7 @@ def cmd_cluster_status(args: argparse.Namespace) -> int:
     )
     for server_index in range(cluster.num_servers):
         alive = cluster.is_alive(server_index)
-        paused = repl.is_paused(server_index)
+        paused = cluster.is_paused(server_index)
         state = "up" if alive else "DOWN"
         if paused:
             state += ",partitioned"

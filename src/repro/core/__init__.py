@@ -31,7 +31,7 @@ from repro.core.client import (
     QueryResult,
     ZerberRClient,
 )
-from repro.core.placement import round_robin_placement
+from repro.core.cluster import round_robin_placement
 from repro.core.replication import (
     FailoverEvent,
     ReadConsistency,

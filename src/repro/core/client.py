@@ -278,16 +278,13 @@ class _TermSession:
         self.request_number = 0
         self.done = False
 
-    def next_request(
-        self, principal: str, min_version: int, trace_id: int | None
-    ) -> FetchRequest:
+    def next_request(self, principal: str, min_version: int) -> FetchRequest:
         return FetchRequest(
             principal,
             self.list_id,
             self.offset,
             self.policy.response_size(self.request_number),
             min_version,
-            trace_id,
         )
 
 
@@ -323,7 +320,7 @@ class ClientQuerySession:
         # The session root span outlives any call frame (a coordinator
         # advances it across many scheduling ticks), so it is the one
         # sanctioned begin/end trace pair; everything below it uses the
-        # context-manager span API.  trace_id rides every FetchRequest.
+        # context-manager span API.
         self._tracer = client._obs.tracer
         self.trace_id: int | None = None
         if client._obs.enabled:
@@ -360,12 +357,8 @@ class ClientQuerySession:
         """
         principal = self.principal
         floor_of = self._client._version_floors.get  # version_floor(), unwrapped
-        trace_id = self.trace_id
         return tuple(
-            [
-                s.next_request(principal, floor_of(s.list_id, 0), trace_id)
-                for s in self._active
-            ]
+            [s.next_request(principal, floor_of(s.list_id, 0)) for s in self._active]
         )
 
     def deliver(self, responses: Sequence[FetchResponse]) -> None:

@@ -15,13 +15,21 @@ and groups per server — a client's round and a coordinator's flush alike
 — and every server call goes through one body,
 :meth:`ServerCluster.serve_envelope`.
 
-Which servers hold which list is fixed at construction
-(:func:`~repro.core.placement.round_robin_placement`).  The cluster owns
-the placement table plus a *placement epoch*, an election record that
-bumps whenever a failover election reorders a list's replicas (see
+The cluster owns the topology: which servers exist, which lists each
+holds, which are down and which are partitioned.  Which servers hold
+which list is fixed at construction (:func:`round_robin_placement`:
+list ``i`` is primaried on server ``i % N`` with replicas on the next
+``f - 1``); a list's replica *set* never changes, only its order, when
+a failover election promotes a follower.  Beside the placement table the
+cluster keeps a *placement epoch*, an election record that bumps
+whenever an election reorders a list's replicas (see
 :meth:`ServerCluster.check_failovers`); it is persisted and shown by
 ``cluster-status``, and no request carries it: a batch is routed and
 served inside one call, so no election can fall between the two.
+Whether a server can serve and receive log traffic — alive and not
+partitioned — is one predicate the cluster builds over its down and
+partition tables and hands the replication manager, so both decide
+reachability by the same code.
 
 Replication is a real subsystem (:mod:`repro.core.replication`), not a
 synchronous fan-out: each list has a primary replica (first in its
@@ -58,7 +66,8 @@ only when the primary cannot.  Every shard server is a synchronous
 in-process call with no queue, so spreading reads would buy no latency.
 Routing a slice and stamping its
 answer each read the replication log once
-(:meth:`~repro.core.replication.ReplicationManager.read_state`), and a
+(:meth:`~repro.core.replication.ReplicationManager.read_state`, the
+head and every replica's applied version), and a
 batch that lands whole on one server is passed through as the object
 the caller built; nothing about a route is remembered between slices.
 The stamp is read *before* the serve and handed to the server, which
@@ -77,10 +86,9 @@ replicas *diverge* instead).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import fields as dataclass_fields
 
-from repro.core.placement import round_robin_placement, validate_placement
 from repro.core.protocol import (
     BatchFetchRequest,
     BatchFetchResponse,
@@ -117,6 +125,47 @@ from repro.obs.instruments import (
 from repro.obs.metrics import BoundHistogram
 
 
+Placement = list[tuple[int, ...]]
+"""One replica tuple (primary first) per list id."""
+
+
+def round_robin_placement(
+    num_lists: int, num_servers: int, replication: int
+) -> Placement:
+    """Primary ``list_id % N``, replicas on the next ``replication - 1``."""
+    return [
+        tuple((list_id + i) % num_servers for i in range(replication))
+        for list_id in range(num_lists)
+    ]
+
+
+def validate_placement(
+    placement: Sequence[Sequence[int]],
+    num_lists: int,
+    num_servers: int,
+    replication: int,
+) -> Placement:
+    """Check a placement table's shape and server indices; normalise it."""
+    if len(placement) != num_lists:
+        raise ConfigurationError(
+            f"placement covers {len(placement)} lists, expected {num_lists}"
+        )
+    normalised: Placement = []
+    for list_id, replicas in enumerate(placement):
+        replicas = tuple(replicas)
+        if len(replicas) != replication:
+            raise ConfigurationError(
+                f"list {list_id} has {len(replicas)} replicas, "
+                f"expected {replication}"
+            )
+        if len(set(replicas)) != len(replicas):
+            raise ConfigurationError(f"list {list_id} repeats a replica server")
+        if not all(0 <= s < num_servers for s in replicas):
+            raise ConfigurationError(f"list {list_id} names an unknown server")
+        normalised.append(replicas)
+    return normalised
+
+
 def validate_write_batch(
     keys: GroupKeyService,
     principal: str,
@@ -147,6 +196,19 @@ def validate_write_batch(
             check_list_id(list_id)
             list_ids.add(list_id)
     return batch
+
+
+def _reachability(alive: list[bool], paused: set[int]) -> Callable[[int], bool]:
+    """The one reachability predicate, over the cluster's own down and
+    partition tables.  A closure, not a bound method: the replication
+    manager holds it, and it must not hold the cluster (a dropped
+    deployment is freed without the cycle collector)."""
+
+    def reachable(server_index: int) -> bool:
+        """Alive and not partitioned — can serve and receive log traffic."""
+        return alive[server_index] and server_index not in paused
+
+    return reachable
 
 
 class ServerCluster:
@@ -188,6 +250,10 @@ class ServerCluster:
             for _ in range(num_servers)
         ]
         self._alive = [True] * num_servers
+        # Servers partitioned away from replication traffic (they still
+        # serve reads; deliveries to them are held).
+        self._paused: set[int] = set()
+        self._reachable = _reachability(self._alive, self._paused)
         self._placement = round_robin_placement(num_lists, num_servers, replication)
         self._epoch = 0
         self.read_consistency = ReadConsistency.coerce(read_consistency)
@@ -229,12 +295,13 @@ class ServerCluster:
     ) -> ReplicationManager:
         """A manager over the current placement table.  It is handed ids
         the cluster has validated, so it reads the rows as stored.  It
-        holds the two tables, not the cluster: with no telemetry a
-        dropped cluster is freed at once, not at the next collection."""
+        holds the placement table and the reachability predicate, not
+        the cluster: with no telemetry a dropped cluster is freed at
+        once, not at the next collection."""
         return ReplicationManager(
             self._servers,
             replicas_of=self._placement.__getitem__,
-            server_alive=self._alive.__getitem__,
+            reachable=self._reachable,
             num_lists=self._num_lists,
             lag=lag,
             anti_entropy_every=anti_entropy_every,
@@ -295,6 +362,29 @@ class ServerCluster:
         """Whether one server is currently up."""
         return self._alive[index]
 
+    def is_paused(self, index: int) -> bool:
+        """Whether one server is partitioned from replication traffic."""
+        return index in self._paused
+
+    def pause_follower(self, index: int) -> None:
+        """Partition one server from replication traffic.
+
+        The server still serves reads (that is the point: its answers go
+        stale), but log deliveries to it are held — not dropped — until
+        :meth:`resume_follower`.
+        """
+        self._check_server(index)
+        self._paused.add(index)
+
+    def resume_follower(self, index: int) -> None:
+        """Heal the partition; the backlog drains on subsequent ticks."""
+        self._check_server(index)
+        self._paused.discard(index)
+
+    def _check_server(self, index: int) -> None:
+        if not 0 <= index < len(self._servers):
+            raise ConfigurationError(f"unknown server index {index}")
+
     # -- replication control plane ------------------------------------------
 
     @property
@@ -319,13 +409,6 @@ class ServerCluster:
         if self.failover_after is not None:
             self.check_failovers()
         return applied
-
-    def pause_follower(self, index: int) -> None:
-        """Partition one server from replication traffic (reads still work)."""
-        self._repl.pause(index)
-
-    def resume_follower(self, index: int) -> None:
-        self._repl.resume(index)
 
     def primary_version(self, list_id: int) -> int:
         """The replication-log head version of *list_id*."""
@@ -356,10 +439,6 @@ class ServerCluster:
         return ticks
 
     # -- primary failover ----------------------------------------------------
-
-    def _reachable(self, server_index: int) -> bool:
-        """Alive and not partitioned — can serve and receive log traffic."""
-        return self._alive[server_index] and not self._repl.is_paused(server_index)
 
     def check_failovers(self) -> list[FailoverEvent]:
         """Elect new primaries for lists whose primary stayed unreachable.
@@ -493,7 +572,7 @@ class ServerCluster:
             paused_replicas=tuple(
                 s
                 for s in replicas
-                if alive[s] and self._repl.is_paused(s) and s != primary
+                if alive[s] and s in self._paused and s != primary
             ),
         )
 
@@ -673,11 +752,12 @@ class ServerCluster:
     #
     # Per slice the cluster decides which replica serves it and which
     # version the answer is stamped with — the stamp before the server is
-    # called; both are read off the replication log in one call
-    # (ReplicationManager.read_state: head, the log's own server ->
-    # applied mapping, the paused set).  Neither decision is cached here:
-    # a remembered route would be a second source of truth for replica
-    # health, and the log read is two dict lookups.
+    # called; each reads the replication log in one call
+    # (ReplicationManager.read_state: head and the log's own server ->
+    # applied mapping) and replica health off the cluster's own down and
+    # partition tables.  Neither decision is cached here: a remembered
+    # route would be a second source of truth for replica health, and
+    # the log read is two dict lookups.
 
     def route(self, list_id: int, min_version: int = 0) -> int:
         """The replica that should serve a read of *list_id*.
@@ -698,8 +778,8 @@ class ServerCluster:
 
         One log read per slice: the placement row is read as stored (no
         copy), liveness is filtered once, versions are compared out of
-        the log's own mapping, and the paused set is consulted only when
-        somebody is paused.
+        the log's own mapping, and the cluster's partition set is
+        consulted only when somebody is paused.
 
         Raises :class:`UnavailableError` when every replica is down and
         :class:`QuorumUnavailableError` when a quorum read lacks a live
@@ -712,7 +792,8 @@ class ServerCluster:
         live = [s for s in replicas if alive[s]]
         if not live:
             raise UnavailableError(list_id, len(replicas))
-        head, applied, paused = self._repl.read_state(list_id)
+        head, applied = self._repl.read_state(list_id)
+        paused = self._paused
         consistency = self.read_consistency
         if consistency is ReadConsistency.QUORUM:
             needed = len(replicas) // 2 + 1
@@ -830,7 +911,7 @@ class ServerCluster:
         stamps: list[int] = []
         stale: list[int] = []
         for slice_index, request in enumerate(requests):
-            head, applied, _ = read_state(request.list_id)
+            head, applied = read_state(request.list_id)
             version = applied.get(server_index)
             if version is None:
                 raise ProtocolError(
@@ -884,7 +965,7 @@ class ServerCluster:
         """
         list_id = request.list_id
         consistency = self.read_consistency
-        head, applied, _ = self._repl.read_state(list_id)
+        head, applied = self._repl.read_state(list_id)
         self._repl.observe_staleness(head - version)
         self._obs.read_staleness.observe(float(head - version))
         with self._obs.tracer.span(
@@ -936,9 +1017,9 @@ class ServerCluster:
         """Install a persisted placement table and epoch (recovery path).
 
         Replaces the replication manager with a fresh one built over the
-        restored placement (same lag and anti-entropy cadence);
-        the persistence layer then reinstalls the clock and each list's
-        log through
+        restored placement (same lag and anti-entropy cadence and the
+        same reachability predicate); the persistence layer then
+        reinstalls the clock and each list's log through
         :meth:`~repro.core.replication.ReplicationManager.restore_clock`
         and ``restore_list_state``, which replays the list into every
         replica — the order is topology, clock, then logs.

@@ -123,13 +123,6 @@ class FetchRequest:
     re-served.  It
     reveals only how recently the session last touched the list —
     strictly less than the query-observation channel already leaks.
-
-    ``trace_id`` is the telemetry trace-context id (see
-    :mod:`repro.obs.trace`) of the issuing session: set, it names the
-    span tree the slice's flush is filed under.  ``None`` (the default)
-    means tracing is off; the server treats the field as opaque, and it
-    carries no query content beyond "these slices belong to one
-    session", which the coalesced envelope already reveals.
     """
 
     principal: str
@@ -137,7 +130,6 @@ class FetchRequest:
     offset: int
     count: int
     min_version: int = 0
-    trace_id: int | None = None
 
     def __post_init__(self) -> None:
         if self.offset < 0:

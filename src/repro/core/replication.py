@@ -29,11 +29,12 @@ diverge and "replication" bought availability only.  This module gives
   ``records`` counts the ops behind one entry, which is what
   :meth:`ReplicationManager.outstanding_deliveries` and the ack-latency
   histogram (one observation per delivered record) read;
-* a follower can be **paused** (network partition): deliveries to it are
-  held — not dropped — until :meth:`ReplicationManager.resume`; buckets
-  that came due while their follower was paused or down wait under that
-  server's name, and every delivery round asks once per such server
-  whether it is back;
+* a follower can be **paused** (a network partition the cluster keeps,
+  :meth:`~repro.core.cluster.ServerCluster.pause_follower`): deliveries
+  to it are held — not dropped — until it is resumed; buckets that came
+  due while their follower was paused or down wait under that server's
+  name, and every delivery round asks the cluster's reachability
+  predicate once per such server whether it is back;
 * an **anti-entropy sweep** (every ``anti_entropy_every`` ticks) force-
   syncs every reachable stale follower, bounding worst-case staleness
   even for lists that nobody reads.
@@ -88,12 +89,12 @@ head, the base and the replica's version together, and keeps no op.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Set
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
 from itertools import islice
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, TypeVar
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.index.postings import EncryptedPostingElement
@@ -101,6 +102,27 @@ from repro.obs.instruments import ReplicationInstruments
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.server import ZerberRServer
+
+
+_Level = TypeVar("_Level", "ReadConsistency", "WriteConsistency")
+
+
+def _coerce(
+    cls: type[_Level], value: _Level | str | None, default: _Level, side: str
+) -> _Level:
+    """A level from its member, its string spelling (any case) or
+    ``None`` (*default*); anything else is a :class:`ConfigurationError`."""
+    if value is None:
+        return default
+    if isinstance(value, cls):
+        return value
+    try:
+        return cls(str(value).lower())
+    except ValueError:
+        raise ConfigurationError(
+            f"unknown {side} consistency {value!r}; "
+            f"expected one of {[c.value for c in cls]}"
+        ) from None
 
 
 class ReadConsistency(Enum):
@@ -132,17 +154,7 @@ class ReadConsistency(Enum):
 
     @classmethod
     def coerce(cls, value: "ReadConsistency | str | None") -> "ReadConsistency":
-        if value is None:
-            return cls.PRIMARY
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value).lower())
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown read consistency {value!r}; "
-                f"expected one of {[c.value for c in cls]}"
-            ) from None
+        return _coerce(cls, value, cls.PRIMARY, "read")
 
 
 class WriteConsistency(Enum):
@@ -179,17 +191,7 @@ class WriteConsistency(Enum):
 
     @classmethod
     def coerce(cls, value: "WriteConsistency | str | None") -> "WriteConsistency":
-        if value is None:
-            return cls.ONE
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value).lower())
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown write consistency {value!r}; "
-                f"expected one of {[c.value for c in cls]}"
-            ) from None
+        return _coerce(cls, value, cls.ONE, "write")
 
     def required_acks(self, num_replicas: int) -> int:
         """Replicas that must hold an op before the write is acked."""
@@ -385,10 +387,11 @@ class DeliveryOutlook(NamedTuple):
 class ReplicationManager:
     """Per-list replication logs plus the tick-driven delivery scheduler.
 
-    The manager owns no placement: the cluster passes ``replicas_of``
-    (current replica tuple per list, primary first) and ``server_alive``
-    callables so elections and failures are always judged against the
-    cluster's authoritative state.  It owns the follower-side server
+    The manager owns no topology: the cluster passes ``replicas_of``
+    (current replica tuple per list, primary first) and ``reachable``
+    (alive and not partitioned) callables, so elections, failures and
+    partitions are always judged against the cluster's authoritative
+    state.  It owns the follower-side server
     *mutations*: a delivery, catch-up or repair hands a replica the run of
     ops it lacks on one list in one
     :meth:`ZerberRServer.apply_replicated_ops` call — the call the
@@ -399,14 +402,14 @@ class ReplicationManager:
     *lag* is the number of ticks every follower trails a recorded op by
     (0: due on the tick it was recorded, so the write call that recorded
     it delivers it).  Pausing a follower is *not* a lag value — it is a
-    partition, modelled by :meth:`pause`.
+    partition, which the cluster keeps and ``reachable`` reports.
     """
 
     def __init__(
         self,
         servers: "Sequence[ZerberRServer]",
         replicas_of: Callable[[int], Sequence[int]],
-        server_alive: Callable[[int], bool],
+        reachable: Callable[[int], bool],
         num_lists: int,
         lag: int = 0,
         anti_entropy_every: int | None = None,
@@ -418,7 +421,8 @@ class ReplicationManager:
             raise ConfigurationError("anti_entropy_every must be >= 1")
         self._servers = servers
         self._replicas_of = replicas_of
-        self._alive = server_alive
+        # The cluster's one reachability predicate (alive, not partitioned).
+        self._deliverable = reachable
         # The delay never changes, so a follower's buckets come due in the
         # order they were filled and a bucket's recording tick is its due
         # tick minus the delay.
@@ -442,7 +446,6 @@ class ReplicationManager:
         # asks again about each server that has something held.
         self._schedule: list[tuple[int, int]] = []
         self._held: dict[int, list[int]] = {}
-        self._paused: set[int] = set()
         self.tick_count = 0
         self.stats = ReplicationStats()
         # The largest head-minus-applied gap any read ever observed.
@@ -452,32 +455,6 @@ class ReplicationManager:
     def lag(self) -> int:
         """Ticks between recording an op and its delivery to a follower."""
         return self._lag
-
-    # -- partitions ------------------------------------------------------------
-
-    def pause(self, server_index: int) -> None:
-        """Partition one server away from replication traffic.
-
-        The server still serves reads (that is the point: its answers go
-        stale), but deliveries to it are held until :meth:`resume`.
-        """
-        self._check_server(server_index)
-        self._paused.add(server_index)
-
-    def resume(self, server_index: int) -> None:
-        """Heal the partition; the backlog drains on subsequent ticks."""
-        self._check_server(server_index)
-        self._paused.discard(server_index)
-
-    def is_paused(self, server_index: int) -> bool:
-        return server_index in self._paused
-
-    def _check_server(self, server_index: int) -> None:
-        if not 0 <= server_index < len(self._servers):
-            raise ConfigurationError(f"unknown server index {server_index}")
-
-    def _deliverable(self, server_index: int) -> bool:
-        return self._alive(server_index) and server_index not in self._paused
 
     # -- versions --------------------------------------------------------------
 
@@ -494,21 +471,18 @@ class ReplicationManager:
                 f"server {server_index} does not hold list {list_id}"
             ) from None
 
-    def read_state(
-        self, list_id: int
-    ) -> tuple[int, Mapping[int, int], Set[int]]:
+    def read_state(self, list_id: int) -> tuple[int, Mapping[int, int]]:
         """What a read of *list_id* is routed and stamped by, in one call:
-        ``(head version, applied version per current replica, paused
-        servers)``.
+        ``(head version, applied version per current replica)``.
 
-        The mapping is the log's own (:attr:`ReplicationLog.applied`) and
-        the set the manager's own — read-only for the caller, and live: a
-        repair that runs after this call shows in the mapping already
-        held.  :meth:`head_version`, :meth:`applied_version` and
-        :meth:`is_paused` answer the same questions one at a time.
+        The mapping is the log's own (:attr:`ReplicationLog.applied`) —
+        read-only for the caller, and live: a repair that runs after
+        this call shows in the mapping already held.
+        :meth:`head_version` and :meth:`applied_version` answer the same
+        questions one at a time.
         """
         log = self._logs[list_id]
-        return log.head_seq, log.applied, self._paused
+        return log.head_seq, log.applied
 
     def staleness(self, list_id: int, server_index: int) -> int:
         """Ops of *list_id*'s log that *server_index* still lacks."""
@@ -774,12 +748,8 @@ class ReplicationManager:
             for server_index in self._replicas_of(list_id)
         }
 
-    def paused_servers(self) -> set[int]:
-        """Servers currently partitioned away from replication traffic."""
-        return set(self._paused)
-
-    def restore_clock(self, tick_count: int, paused: Iterable[int] = ()) -> None:
-        """Reinstall the persisted replication clock and partition set.
+    def restore_clock(self, tick_count: int) -> None:
+        """Reinstall the persisted replication clock.
 
         Called on a fresh manager, before :meth:`restore_list_state`, so
         catch-up deliveries scheduled during the restore are due relative
@@ -787,11 +757,7 @@ class ReplicationManager:
         """
         if tick_count < 0:
             raise ConfigurationError("tick_count must be >= 0")
-        paused = set(paused)
-        for server_index in paused:
-            self._check_server(server_index)
         self.tick_count = tick_count
-        self._paused = paused
 
     def restore_list_state(
         self,
@@ -878,7 +844,8 @@ class ReplicationManager:
 
     def delivery_outlook(self, server_index: int) -> DeliveryOutlook:
         """When *server_index*'s scheduled deliveries are due (read-only)."""
-        self._check_server(server_index)
+        if not 0 <= server_index < len(self._servers):
+            raise ConfigurationError(f"unknown server index {server_index}")
         owed = {due for (due, s), _ in self._unsatisfied() if s == server_index}
         held = owed.intersection(self._held.get(server_index, ()))
         scheduled = owed - held

@@ -102,6 +102,12 @@ class QuorumUnavailableError(UnavailableError):
     the error alone.
     """
 
+    #: The message's first clause; the roster follows it in parentheses.
+    _shortfall = (
+        "quorum read of list {list_id} needs {needed} of "
+        "{num_replicas} replicas live, only {live} up"
+    )
+
     def __init__(
         self,
         list_id: int,
@@ -111,23 +117,20 @@ class QuorumUnavailableError(UnavailableError):
         down_replicas: tuple[int, ...] = (),
         paused_replicas: tuple[int, ...] = (),
     ) -> None:
-        ProtocolError.__init__(
-            self,
-            f"quorum read of list {list_id} needs {needed} of "
-            f"{num_replicas} replicas live, only {len(live_replicas)} up "
-            f"({_replica_roster(live_replicas, down_replicas, paused_replicas)})",
+        shortfall = self._shortfall.format(
+            list_id=list_id,
+            needed=needed,
+            num_replicas=num_replicas,
+            live=len(live_replicas),
         )
+        roster = _replica_roster(live_replicas, down_replicas, paused_replicas)
+        ProtocolError.__init__(self, f"{shortfall} ({roster})")
         self.list_id = list_id
         self.num_replicas = num_replicas
         self.needed = needed
         self.live_replicas = live_replicas
         self.down_replicas = down_replicas
         self.paused_replicas = paused_replicas
-
-    @property
-    def live(self) -> int:
-        """Number of live replicas (kept for pre-roster handlers)."""
-        return len(self.live_replicas)
 
 
 class QuorumWriteUnavailableError(QuorumUnavailableError):
@@ -139,28 +142,10 @@ class QuorumWriteUnavailableError(QuorumUnavailableError):
     plus followers reachable by the replication log (live and unpaused).
     """
 
-    def __init__(
-        self,
-        list_id: int,
-        num_replicas: int,
-        needed: int,
-        live_replicas: tuple[int, ...],
-        down_replicas: tuple[int, ...] = (),
-        paused_replicas: tuple[int, ...] = (),
-    ) -> None:
-        ProtocolError.__init__(
-            self,
-            f"write to list {list_id} needs {needed} ack(s) from "
-            f"{num_replicas} replicas, only "
-            f"{len(live_replicas)} reachable "
-            f"({_replica_roster(live_replicas, down_replicas, paused_replicas)})",
-        )
-        self.list_id = list_id
-        self.num_replicas = num_replicas
-        self.needed = needed
-        self.live_replicas = live_replicas
-        self.down_replicas = down_replicas
-        self.paused_replicas = paused_replicas
+    _shortfall = (
+        "write to list {list_id} needs {needed} ack(s) from "
+        "{num_replicas} replicas, only {live} reachable"
+    )
 
 
 class BackpressureError(ProtocolError):

@@ -212,7 +212,7 @@ class MetricsRegistry:
         if spec is None:
             raise ValueError(
                 f"metric {name!r} is not in METRIC_CATALOG — declare it in "
-                "repro.obs.registry (and the obs-discipline mirror) first"
+                "repro.obs.registry first"
             )
         if spec.kind != kind:
             raise ValueError(

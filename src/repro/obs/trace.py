@@ -12,7 +12,7 @@ context-manager-only discipline statically in ``repro.core``.
 Parenting follows the synchronous call structure: an open ``span``
 nests under the innermost span on the tracer's stack; with an empty
 stack it attaches to the root of the trace named by ``trace=`` (the
-trace-context id threaded through ``FetchRequest``); with neither it
+issuing session's ``trace_id``); with neither it
 becomes its own single-root trace, so direct-path read-repair spans are
 still recorded.
 

@@ -28,6 +28,9 @@ reads.  A dump is the log: each written list is one entry ``{"head",
 ``(base, head]``, beside every replica's applied version.  A replica at
 version ``v`` *is* the run plus the ops up to ``v``, so a v10 dump holds
 each list once and cannot encode replicas that disagree with their log.
+The topology — placement table, epoch, down servers (``cluster.down``)
+and partitioned ones (``cluster.replication_state.paused``) — is read
+and written through the cluster, which owns all of it.
 A v9 dump held a ``servers`` section with every replica's copy of every
 list (95.7 % of a ``mixed-write-read`` dump, 3.0 element entries per
 logical element), which this build has no reader for.

@@ -9,16 +9,19 @@ forget across a restart (the ``cluster`` section of a dump):
   version ``v`` *is* the run plus the ops up to ``v``;
 * the placement table and its epoch — so a restart keeps every elected
   primary and the election count ``cluster-status`` reports;
-* the lag, the anti-entropy cadence, the tick clock, and the
-  paused/down server sets.
+* the lag, the anti-entropy cadence and the tick clock;
+* the cluster's down and partitioned ("paused") server sets, read and
+  restored through the cluster, which owns both (``down`` at the top of
+  the section, ``paused`` under ``replication_state``, where earlier
+  builds put it).
 
 Readable views are not in the dump: each is derived from its list and
 rebuilt on its first read after recovery, as on any cold server.
 
 Recovery (:func:`cluster_from_dict`) rebuilds a live
 :class:`~repro.core.cluster.ServerCluster` in dependency order —
-topology, clock, then logs — and replays each list into every replica
-inside the logs step
+topology, clock and partitions, then logs, then down servers — and
+replays each list into every replica inside the logs step
 (:meth:`~repro.core.replication.ReplicationManager.restore_list_state`).
 Replicas behind the restored log head get their remaining ops
 *scheduled* through the normal catch-up machinery, so a restarted lagged
@@ -170,7 +173,11 @@ def cluster_to_dict(cluster: ServerCluster) -> dict:
         ],
         "replication_state": {
             "tick_count": repl.tick_count,
-            "paused": sorted(repl.paused_servers()),
+            "paused": [
+                server_index
+                for server_index in range(cluster.num_servers)
+                if cluster.is_paused(server_index)
+            ],
             "logs": logs,
             "applied": applied,
         },
@@ -253,10 +260,9 @@ def cluster_from_dict(
     )
     paused = _typed(state.get("paused", []), list, "replication_state.paused", source)
     try:
-        repl.restore_clock(
-            int(state.get("tick_count", 0)),
-            (int(server_index) for server_index in paused),
-        )
+        repl.restore_clock(int(state.get("tick_count", 0)))
+        for server_index in paused:
+            cluster.pause_follower(int(server_index))
     except (ReproError, TypeError, ValueError) as error:
         raise ConfigurationError(
             f"{source}: corrupt cluster dump: {error}"

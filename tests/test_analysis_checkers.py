@@ -12,10 +12,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import all_checkers, analyze_source
-from repro.analysis.checkers.consistency import (
-    READ_CONSISTENCY_MEMBERS,
-    WRITE_CONSISTENCY_MEMBERS,
-)
 from repro.analysis.checkers.typed_defs import STRICT_PACKAGES
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
@@ -75,20 +71,6 @@ def test_bad_fixtures_report_real_locations():
         for finding in _lint(f"{base}_bad", module):
             assert 1 <= finding.line <= len(lines), (rule, finding)
             assert finding.col >= 1
-
-
-def test_read_consistency_mirror_matches_enum():
-    """The checker's member mirror must track repro.core.replication."""
-    from repro.core.replication import ReadConsistency
-
-    assert READ_CONSISTENCY_MEMBERS == {member.name for member in ReadConsistency}
-
-
-def test_write_consistency_mirror_matches_enum():
-    """The write-side mirror must track repro.core.replication too."""
-    from repro.core.replication import WriteConsistency
-
-    assert WRITE_CONSISTENCY_MEMBERS == {member.name for member in WriteConsistency}
 
 
 def test_a_match_over_a_consistency_enum_must_cover_every_member():

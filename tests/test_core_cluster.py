@@ -410,7 +410,7 @@ class _AccessorReadPath(ServerCluster):
     """Test-only reference: routing and stamping as they were spelled
     before they read the replication log in one call — through
     ``replicas_of`` (a row copy per slice), one ``applied_version`` call
-    per replica, ``head_version``, ``is_paused`` and
+    per replica, ``head_version``, the cluster's ``is_paused`` and
     ``dataclasses.replace``.  It reads every stamp before the server call
     too, but has the server build every reply stamped 0 and stamps the
     replies afterwards, so it shares none of
@@ -433,7 +433,7 @@ class _AccessorReadPath(ServerCluster):
                     needed,
                     live_replicas=tuple(live),
                     down_replicas=tuple(s for s in replicas if not self.is_alive(s)),
-                    paused_replicas=tuple(s for s in live if repl.is_paused(s)),
+                    paused_replicas=tuple(s for s in live if self.is_paused(s)),
                 )
             repl.stats.version_probes += len(live)
             return max(live, key=lambda s: repl.applied_version(list_id, s))
@@ -450,7 +450,7 @@ class _AccessorReadPath(ServerCluster):
                 ]
                 if satisfying:
                     candidates = satisfying
-        unpaused = [s for s in candidates if not repl.is_paused(s)]
+        unpaused = [s for s in candidates if not self.is_paused(s)]
         if unpaused:
             candidates = unpaused
         return candidates[0]

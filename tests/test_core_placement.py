@@ -9,8 +9,11 @@ from collections import Counter
 
 import pytest
 
-from repro.core.cluster import ServerCluster
-from repro.core.placement import round_robin_placement, validate_placement
+from repro.core.cluster import (
+    ServerCluster,
+    round_robin_placement,
+    validate_placement,
+)
 from repro.core.protocol import FetchRequest
 from repro.crypto.keys import GroupKeyService
 from repro.errors import ConfigurationError, ProtocolError

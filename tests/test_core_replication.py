@@ -23,6 +23,7 @@ from repro.errors import (
     ConfigurationError,
     ProtocolError,
     QuorumUnavailableError,
+    QuorumWriteUnavailableError,
     UnavailableError,
 )
 from repro.index.postings import EncryptedPostingElement
@@ -261,17 +262,60 @@ class TestLagAndConvergence:
         assert cluster.applied_version(0, follower) == 1
         assert cluster.replication_manager.outstanding_deliveries() == 0
 
-    def test_failed_server_receives_nothing_until_restore(self, keys):
-        cluster = self._lagged(keys, lag=1)
-        follower = cluster.replicas_of(0)[1]
+    @pytest.mark.parametrize(
+        "partitioned", [False, True], ids=["down", "restored-while-partitioned"]
+    )
+    def test_failed_server_receives_nothing_until_restore(self, keys, partitioned):
+        """A down follower receives nothing until it is restored.  One
+        that is also partitioned and restored while still partitioned
+        stays unreachable to every user of the cluster's one
+        reachability predicate — routing, the QUORUM ack roster, delivery
+        and its failover timer — until it is resumed."""
+        cluster = ServerCluster(
+            keys,
+            num_lists=1,
+            num_servers=3,
+            replication=3,
+            lag=1,
+            write_consistency="quorum",
+            failover_after=10,
+        )
+        primary, follower, other = cluster.replicas_of(0)
         cluster.fail_server(follower)
+        if partitioned:
+            cluster.pause_follower(follower)
+        cluster.replication_tick()  # its failover timer starts at tick 1
+        if partitioned:
+            cluster.restore_server(follower)
+            cluster.fail_server(primary)  # both followers at the head, v0
+            assert cluster.route(0) == other
+            cluster.restore_server(primary)
         cluster.insert("u", 0, _element(0.5, sealed(b"x")))
+        # The QUORUM ack is forced at the other follower, not at this one.
+        versions = [cluster.applied_version(0, s) for s in (primary, follower, other)]
+        assert versions == [1, 0, 1]
         for _ in range(3):
             cluster.replication_tick()
         assert cluster.applied_version(0, follower) == 0
-        cluster.restore_server(follower)
+        assert cluster.replication_manager.delivery_outlook(follower).held == 1
+        assert cluster.unreachable_since() == {follower: 1}
+        if partitioned:
+            cluster.fail_server(other)
+            with pytest.raises(QuorumWriteUnavailableError) as refused:
+                cluster.insert("u", 0, _element(0.6, sealed(b"y")))
+            roster = refused.value
+            assert (
+                roster.live_replicas,
+                roster.down_replicas,
+                roster.paused_replicas,
+            ) == ((primary,), (other,), (follower,))
+            cluster.restore_server(other)
+            cluster.resume_follower(follower)
+        else:
+            cluster.restore_server(follower)
         cluster.replication_tick()
         assert cluster.applied_version(0, follower) == 1
+        assert cluster.unreachable_since() == {}
 
     def test_zero_lag_write_with_dead_follower_drains_after_restore(self, keys):
         """The dead follower's copy waits in the log and arrives on the
@@ -381,7 +425,7 @@ class TestReadConsistency:
         with pytest.raises(QuorumUnavailableError) as excinfo:
             _fetch(cluster, 0, consistency="quorum")
         assert excinfo.value.needed == 2
-        assert excinfo.value.live == 1
+        assert len(excinfo.value.live_replicas) == 1
         # Still an UnavailableError subtype for legacy handlers.
         assert isinstance(excinfo.value, UnavailableError)
         # ONE-consistency reads survive on the last live replica.
@@ -778,8 +822,9 @@ SYNC_REASONS = ("repair", "anti-entropy", "write-ack", "failover")
 
 
 class _World:
-    """One manager under test with the placement and liveness it is judged
-    against; ``applications`` is every (tick, list, server, seq) it applied."""
+    """One manager under test with the placement, liveness and partitions
+    it is judged against; ``applications`` is every (tick, list, server,
+    seq) it applied."""
 
     def __init__(
         self, manager_cls, lag, anti_entropy_every, spread=True, telemetry=False
@@ -793,6 +838,7 @@ class _World:
             for list_id in range(SCHED_LISTS)
         }
         self.alive = [True] * SCHED_SERVERS
+        self.paused = set()
         self.alive_calls = 0
         self.applications: list[tuple[int, int, int, int]] = []
         # (list, server, seqs) per server call: the run it was handed.
@@ -804,16 +850,22 @@ class _World:
         return self.manager_cls(
             self.servers,
             replicas_of=lambda list_id: self.placement[list_id],
-            server_alive=self._is_alive,
+            reachable=self._is_reachable,
             num_lists=SCHED_LISTS,
             lag=self.lag,
             anti_entropy_every=self.anti_entropy_every,
             instruments=ReplicationInstruments(self.telemetry),
         )
 
-    def _is_alive(self, server_index):
+    def _is_reachable(self, server_index):
         self.alive_calls += 1
-        return self.alive[server_index]
+        return self.alive[server_index] and server_index not in self.paused
+
+    def pause(self, server_index):
+        self.paused.add(server_index)
+
+    def resume(self, server_index):
+        self.paused.discard(server_index)
 
     def note(self, list_id, server_index, ciphertext):
         number = int(ciphertext.rstrip(b"."))  # the op's sealed(b"%d") label
@@ -841,7 +893,7 @@ class _World:
         (the stand-in servers hold no list, so every run is empty)."""
         old, self.manager = self.manager, self._new_manager()
         self.manager.stats = old.stats
-        self.manager.restore_clock(old.tick_count, old.paused_servers())
+        self.manager.restore_clock(old.tick_count)
         for list_id in range(SCHED_LISTS):
             head, base, ops = old.log_snapshot(list_id)
             self.manager.restore_list_state(
@@ -860,9 +912,9 @@ class _World:
             if server in self.placement[list_id]:
                 m.sync(list_id, server, reason=SYNC_REASONS[(a + b) % 4])
         elif code == 9:
-            m.pause(server)
+            self.pause(server)
         elif code == 10:
-            m.resume(server)
+            self.resume(server)
         elif code == 11:
             self.alive[server] = False
         elif code == 12:
@@ -926,7 +978,7 @@ class TestDeliveryScheduler:
         for world in (new, ref):
             world.alive = [True] * SCHED_SERVERS
             for server in range(SCHED_SERVERS):
-                world.manager.resume(server)
+                world.resume(server)
             for _ in range(lag + 6):
                 world.manager.tick()
         assert new.observe() == ref.observe()
@@ -983,7 +1035,7 @@ class TestDeliveryScheduler:
         world = self._loaded(lag=1, queues=2)
         m = world.manager
         if outage == "pause":
-            m.pause(2)
+            world.pause(2)
         else:
             world.alive[2] = False
         applied = m.tick()  # everything comes due; server 2 is unreachable
@@ -999,7 +1051,7 @@ class TestDeliveryScheduler:
         assert world.alive_calls == 1
         # Nobody tells the manager about the recovery ...
         if outage == "pause":
-            m.resume(2)
+            world.resume(2)
         else:
             world.alive[2] = True
         # ... and the very next call, without a tick, delivers.
@@ -1029,7 +1081,7 @@ class TestDeliveryScheduler:
 
     def test_snapshot_mid_lag_delivers_exactly_the_outstanding_ops(self):
         world = _World(ReplicationManager, 2, None, spread=False)
-        world.manager.pause(2)
+        world.pause(2)
         for _ in range(3):
             world.record(0, delete=False)
         world.manager.tick()
@@ -1040,14 +1092,13 @@ class TestDeliveryScheduler:
         m = world.manager
         assert m.backlog() == {(0, 1): 1, (0, 2): 4}
         assert _every_bucket_is_scheduled_or_held(m)
-        assert m.is_paused(2)
         assert m.delivery_outlook(1) == DeliveryOutlook(4, 1, 0)
         assert m.delivery_outlook(2) == DeliveryOutlook(4, 1, 0)
         world.applications.clear()
         m.tick()
         m.tick()  # tick 4: server 2's remainder comes due while paused
         assert m.delivery_outlook(2) == DeliveryOutlook(None, 0, 1)
-        m.resume(2)
+        world.resume(2)
         m.tick()
         # Re-registered at the restored clock: each follower's remainder
         # arrives one lag after it (server 2's on the first tick it is
@@ -1117,7 +1168,7 @@ class TestDeliveryScheduler:
         bucket at once and keeps waiting for the one not yet due."""
         for world in self._twins(lag=2):
             m = world.manager
-            m.pause(2)
+            world.pause(2)
             world.record(0, delete=False)  # due at 2
             m.tick()
             world.record(0, delete=False)  # due at 3
@@ -1125,7 +1176,7 @@ class TestDeliveryScheduler:
             m.tick()  # tick 2: server 2's first delivery is held
             assert m.applied_version(0, 2) == 0
             assert m.pending_lag_ticks(0, 2) == 1
-            m.resume(2)
+            world.resume(2)
             assert m.deliver_due() == 1
             assert m.applied_version(0, 2) == 1
             assert m.pending_lag_ticks(0, 2) == 1

@@ -30,10 +30,14 @@ then the event loop itself (the coordinator keeps a per-tick agenda),
 then the coordinator's arrival intake with its ``at`` and
 ``retry_on_shed`` knobs, its shed log, ``open_session`` and
 ``run_until_complete`` (``submit`` is the one intake, ``drain`` the one
-run-to-quiescence driver), then a shed's ``retry_after_ticks`` (always 1);
+run-to-quiescence driver), then a shed's ``retry_after_ticks`` (always 1),
+then a slice's ``trace_id`` (the coordinator files a flush under the
+session's own trace) and the replication manager's partition table (the
+cluster owns the topology, ``repro.core.placement`` folded into it);
 they were deleted, and this test keeps them from drifting back.
 """
 
+import importlib
 import inspect
 
 import pytest
@@ -55,7 +59,13 @@ from repro.core.client import ZerberRClient
 from repro.core.cluster import ServerCluster
 from repro.core.confidentiality import ConfidentialityAudit
 from repro.core.idf import BucketedIdf
-from repro.core.protocol import BatchFetchRequest, FetchResponse, QueryTrace, ResponsePolicy
+from repro.core.protocol import (
+    BatchFetchRequest,
+    FetchRequest,
+    FetchResponse,
+    QueryTrace,
+    ResponsePolicy,
+)
 from repro.core.replication import ReplicationManager
 from repro.core.router import Coordinator, CoordinatorStats
 from repro.core.rstf import Rstf
@@ -115,6 +125,8 @@ SURFACES = {
     ),
     # Slices and nothing else: no placement epoch, no trace id.
     "BatchFetchRequest": (BatchFetchRequest, "requests"),
+    # What the server sees of a slice; no session-linkage trace id.
+    "FetchRequest": (FetchRequest, "principal list_id offset count min_version"),
     # Every follow-up doubles (§5.2, Eq. 12): b is the one knob.
     "ResponsePolicy": (ResponsePolicy, "initial_size"),
     # The request cap is one constant; ``policy`` is what the figure
@@ -239,11 +251,13 @@ def test_deleted_names_are_not_exported(module):
             "open_session run_until_complete sheds",
         ),
         (CoordinatorStats, "stale_epoch_reroutes"),
+        (ReplicationManager, "pause resume is_paused paused_servers"),
         (repro.core.protocol.BackpressureSignal("p", 0, 1, 1), "retry_after_ticks"),
         (repro.errors.BackpressureError, "retry_after_ticks"),
         (ZerberRSystem, "with_config"),
         (Rstf, "num_training_points"),
         (repro.errors, "IndexingError StaleEpochError AuthenticationError"),
+        (repro.errors.QuorumUnavailableError, "live"),
         (GroupKeyService, "nonce_sequence"),
         (Prf, "evaluate_int"),
         (MergedPostingList, "add_random size_bits slice clear"),
@@ -272,11 +286,13 @@ def test_deleted_names_are_not_exported(module):
         "ServerCluster",
         "Coordinator",
         "CoordinatorStats",
+        "ReplicationManager",
         "BackpressureSignal",
         "BackpressureError",
         "ZerberRSystem",
         "Rstf",
         "repro.errors",
+        "QuorumUnavailableError",
         "GroupKeyService",
         "Prf",
         "MergedPostingList",
@@ -302,6 +318,12 @@ def test_deleted_names_are_not_exported(module):
 def test_deleted_members_stay_gone(owner, names):
     for name in names.split():
         assert not hasattr(owner, name), name
+
+
+def test_the_placement_module_is_folded_into_the_cluster():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.core.placement")
+    assert repro.core.round_robin_placement is repro.core.cluster.round_robin_placement
 
 
 def test_the_coordinator_clock_is_a_read_only_property():

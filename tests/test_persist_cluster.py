@@ -233,7 +233,7 @@ class TestLaggedSnapshotRecovery:
         assert {
             lid: restored.primary_version(lid) for lid in range(NUM_LISTS)
         } == versions_before
-        assert restored.replication_manager.is_paused(paused)
+        assert restored.is_paused(paused)
         assert restored.placement_table() == cluster.placement_table()
         assert restored.placement_epoch == cluster.placement_epoch
         for list_id in range(NUM_LISTS):

@@ -60,8 +60,7 @@ ROWS = {
     "repro.core.cluster:ServerCluster._quorum_refusal": "fault",
     "repro.core.cluster:ServerCluster.pause_follower": "fault",
     "repro.core.cluster:ServerCluster.resume_follower": "fault",
-    "repro.core.replication:ReplicationManager.pause": "fault",
-    "repro.core.replication:ReplicationManager.resume": "fault",
+    "repro.core.cluster:ServerCluster._check_server": "fault",
     "repro.evalmetrics.retrieval:kendall_tau": "reference",
     "repro.core.client:MultiQueryResult.doc_ids": "observer",
     "repro.core.client:ZerberRClient.version_floor": "observer",
