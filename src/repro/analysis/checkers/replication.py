@@ -2,8 +2,8 @@
 
 Every write enters through :class:`~repro.core.cluster.ServerCluster` —
 ``insert_many`` / ``delete_many`` — which validates the batch, records
-each op in the :class:`~repro.core.replication.ReplicationManager` log
-and hands each touched list's run to its primary through
+it in the :class:`~repro.core.replication.ReplicationManager` logs and
+hands each primary server the runs of the lists it leads through
 :meth:`~repro.core.server.ZerberRServer.apply_replicated_ops`, the one
 call the log's deliveries to the followers make too.  Four things would
 let a write past that log:

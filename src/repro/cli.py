@@ -418,7 +418,7 @@ def cmd_cluster_status(args: argparse.Namespace) -> int:
         behind = per_server_behind.get(server_index, 0)
         if behind:
             line += f"  backlog={behind} op(s)"
-        outlook = repl.delivery_outlook(server_index)
+        outlook = cluster.delivery_outlook(server_index)
         if outlook.next_due is not None:
             line += f"  next delivery in {outlook.next_due - tick} tick(s)"
         if outlook.held:

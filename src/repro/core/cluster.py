@@ -36,13 +36,15 @@ synchronous fan-out: each list has a primary replica (first in its
 placement tuple) and a versioned replication log.  Every write, at every
 lag, takes one path: validate, check the ack quorum and that the primary
 is at the head, locate (a delete), record the ops, apply them at the
-primary, deliver what is due, force the acks W still lacks.  The primary
-applies the ops it just logged through the call a follower's delivery
-makes (:meth:`~repro.core.server.ZerberRServer.apply_replicated_ops`,
-one call per touched list), so no copy of a list changes by any other
-code.  The unit of that path is the batch — a document insert
-(``insert_many``, also the upload of a whole index at build and deploy)
-or a document delete (``delete_many``) is one pass through it: one
+primaries, deliver what is due, force the acks W still lacks.  The
+primary applies the ops it just logged through the call a follower's
+delivery makes (:meth:`~repro.core.server.ZerberRServer.apply_replicated_ops`,
+one call per primary server carrying a run per list it leads), so no
+copy of a list changes by any other code, and the server, not the
+list, is the unit of every replica write.  The unit of that path is
+the batch — a document insert (``insert_many``, also the upload of a
+whole index at build and deploy) or a document delete
+(``delete_many``) is one pass through it: one
 admission pass (which servers can ack is decided once per batch, the
 preconditions once per touched list) before any op is recorded, so a
 refused batch is a clean no-op, and one ack pass
@@ -97,6 +99,7 @@ from repro.core.protocol import (
     Receipt,
 )
 from repro.core.replication import (
+    DeliveryOutlook,
     FailoverEvent,
     ReadConsistency,
     ReplicationManager,
@@ -382,6 +385,7 @@ class ServerCluster:
         self._paused.discard(index)
 
     def _check_server(self, index: int) -> None:
+        """The one check that *index* names a server of this cluster."""
         if not 0 <= index < len(self._servers):
             raise ConfigurationError(f"unknown server index {index}")
 
@@ -412,12 +416,18 @@ class ServerCluster:
 
     def primary_version(self, list_id: int) -> int:
         """The replication-log head version of *list_id*."""
-        self.replicas_of(list_id)  # validates the id
+        if not 0 <= list_id < self._num_lists:
+            raise UnknownListError(list_id)
         return self._repl.head_version(list_id)
 
     def applied_version(self, list_id: int, server_index: int) -> int:
         """Ops of *list_id* applied at *server_index*."""
         return self._repl.applied_version(list_id, server_index)
+
+    def delivery_outlook(self, server_index: int) -> DeliveryOutlook:
+        """When one server's scheduled deliveries are due (``cluster-status``)."""
+        self._check_server(server_index)
+        return self._repl.delivery_outlook(server_index)
 
     def replication_backlog(self) -> dict[tuple[int, int], int]:
         """Staleness per (list, server) pair; empty when fully converged."""
@@ -538,10 +548,7 @@ class ServerCluster:
         self._failover_history = list(history)
         timers = dict(unreachable_since or {})
         for server_index in timers:
-            if not 0 <= server_index < len(self._servers):
-                raise ConfigurationError(
-                    f"unreachable-since timer names unknown server {server_index}"
-                )
+            self._check_server(server_index)
         self._unreachable_since = timers
 
     # -- data plane -----------------------------------------------------------
@@ -577,20 +584,21 @@ class ServerCluster:
         )
 
     def _ensure_primary_current(self, list_id: int) -> None:
-        """Refuse to acknowledge a write at a gapped primary.
+        """Catch up a gapped primary, or refuse to acknowledge the write.
 
         A primary below the log head (a restored dump can say so) must
         not acknowledge a fresh write: that would stamp the primary
         *over* its gap and silently lose the gap ops (their scheduled
-        catch-up delivery would no-op).  Catch the primary up from the
-        log first; if it is unreachable (paused or down with a gap), the
-        write fails honestly with :class:`UnavailableError`.
+        catch-up delivery would no-op).  :meth:`_admit_write` calls this
+        for a gapped primary only: it is caught up from the log first;
+        if it is unreachable (paused or down with a gap), the write fails
+        honestly with :class:`UnavailableError`.
         """
         replicas = self._placement[list_id]
-        if self._repl.staleness(list_id, replicas[0]):
-            self._repl.sync(list_id, replicas[0], reason="write-catchup")
-            if self._repl.staleness(list_id, replicas[0]):
-                raise UnavailableError(list_id, len(replicas))
+        self._repl.sync(list_id, replicas[0], reason="write-catchup")
+        head, applied = self._repl.read_state(list_id)
+        if applied[replicas[0]] != head:
+            raise UnavailableError(list_id, len(replicas))
 
     def insert(
         self, principal: str, list_id: int, element: EncryptedPostingElement
@@ -607,9 +615,10 @@ class ServerCluster:
         of the whole batch before any server is touched, see
         :func:`validate_write_batch` — a rejected batch cannot leave
         replicas of a list divergent), then every element is recorded in
-        its list's log and each touched list's run of ops goes to its
-        primary in one call (:meth:`_commit_write`), so a batch costs
-        O(touched lists) server write calls.  Only the primaries are
+        its list's log, and the runs of ops go to the primaries in one
+        call per primary server (:meth:`_commit_write`), so a batch costs
+        O(touched servers) server write calls, not one per list or per
+        element.  Only the primaries are
         written by this call; every follower copy arrives through the
         replication log — in this same call when its lag is 0, on a later
         replication tick otherwise — except the W - 1 follower acks a
@@ -623,12 +632,8 @@ class ServerCluster:
         items = validate_write_batch(
             self._keys, principal, items, self._primary_of
         )
-        self._admit_write((lid for lid, _ in items), consistency)
-        record = self._repl.record_insert
-        runs: dict[int, list[ReplicationOp]] = {}
-        for list_id, element in items:
-            runs.setdefault(list_id, []).append(record(list_id, element))
-        self._commit_write(runs, consistency)
+        self._admit_write([list_id for list_id, _ in items], consistency)
+        self._commit_write(self._repl.record_insert(items), consistency)
         return len(items)
 
     def _admit_write(
@@ -662,23 +667,35 @@ class ServerCluster:
                     if not self._alive[replicas[0]] or ack_capable < needed:
                         self._obs.quorum_refusals.inc()
                         raise self._quorum_refusal(list_id, needed)
+        read_state, placement = self._repl.read_state, self._placement
         for list_id in touched:
-            self._ensure_primary_current(list_id)
+            head, applied = read_state(list_id)
+            if applied[placement[list_id][0]] != head:
+                self._ensure_primary_current(list_id)
 
     def _commit_write(
         self, runs: dict[int, list[ReplicationOp]], consistency: WriteConsistency
     ) -> None:
         """Close a batch whose ops are recorded, *runs* holding each
-        touched list's ops in log order: each run goes to the list's
-        primary in one :meth:`~repro.core.server.ZerberRServer.apply_replicated_ops`
-        call — the call a follower's delivery makes, so a primary and
-        its followers apply the same ops through the same code — then
-        one delivery round, then the acks W still lacks."""
-        servers, placement = self._servers, self._placement
+        touched list's ops in log order: the runs go to their primaries
+        in one :meth:`~repro.core.server.ZerberRServer.apply_replicated_ops`
+        call per primary server — the call a follower's delivery makes,
+        so a primary and its followers apply the same ops through the
+        same code — then one delivery round, then the acks W still
+        lacks."""
+        placement = self._placement
+        per_primary: dict[int, list[tuple[int, list[ReplicationOp]]]] = {}
         ops = 0
         for list_id, run in runs.items():
-            servers[placement[list_id][0]].apply_replicated_ops(list_id, run)
+            primary = placement[list_id][0]
+            led = per_primary.get(primary)
+            if led is None:
+                led = per_primary[primary] = []
+            led.append((list_id, run))
             ops += len(run)
+        servers = self._servers
+        for primary, led in per_primary.items():
+            servers[primary].apply_replicated_ops(led)
         # Deliver before forcing: a zero-lag follower's copy of the ops
         # just recorded is already due, so the forcing finds it at the head.
         self._repl.deliver_due()
@@ -724,7 +741,7 @@ class ServerCluster:
         for index, receipt in enumerate(batch):
             primary = self._primary_of(receipt.list_id)
             per_primary.setdefault(primary, []).append(index)
-        self._admit_write((receipt.list_id for receipt in batch), consistency)
+        self._admit_write([receipt.list_id for receipt in batch], consistency)
         located = {
             server_index: self._servers[server_index].locate_receipts(
                 principal, [batch[i] for i in indices]
@@ -732,16 +749,14 @@ class ServerCluster:
             for server_index, indices in per_primary.items()
         }
         removed = [False] * len(batch)
-        record = self._repl.record_delete
-        runs: dict[int, list[ReplicationOp]] = {}
+        hits: list[tuple[int, EncryptedPostingElement]] = []
         for server_index, indices in per_primary.items():
             for index, found in zip(indices, located[server_index]):
                 if found is not None:
-                    list_id, element = found
-                    runs.setdefault(list_id, []).append(record(list_id, element))
+                    hits.append(found)
                     removed[index] = True
-        if runs:
-            self._commit_write(runs, consistency)
+        if hits:
+            self._commit_write(self._repl.record_delete(hits), consistency)
         return removed
 
     def delete_element(self, principal: str, receipt: Receipt) -> bool:
@@ -902,8 +917,7 @@ class ServerCluster:
         goes through :meth:`_finalize_read`.  Replies come back in the
         envelope's slice order.
         """
-        if not 0 <= server_index < len(self._servers):
-            raise ConfigurationError(f"unknown server index {server_index}")
+        self._check_server(server_index)
         if not self._alive[server_index]:
             raise ProtocolError(f"server {server_index} is down")
         requests = envelope.requests
@@ -1098,8 +1112,8 @@ class ServerCluster:
         """Fraction of merged lists an adversary owning *compromised*
         servers can read — the confidentiality benefit of sharding."""
         owned = set(compromised)
-        if not owned <= set(range(len(self._servers))):
-            raise ConfigurationError("unknown server index")
+        for server_index in owned:
+            self._check_server(server_index)
         visible = sum(
             1
             for list_id in range(self._num_lists)

@@ -7,11 +7,12 @@ diverge and "replication" bought availability only.  This module gives
 
 * each merged list has a **primary** replica (the first server in its
   placement tuple) and a monotonically versioned :class:`ReplicationLog`;
-* a write is *recorded* as a :class:`ReplicationOp` with the next log
-  sequence number and applied to the primary in the same call (that is
-  the acknowledged durable copy — the op also lives in the log until
-  every replica holds it).  The primary takes the ops it logged through
-  the very call a follower's delivery makes,
+* a write batch is *recorded* in one call, each element as a
+  :class:`ReplicationOp` with the next sequence number of its list's
+  log, and applied to the primaries in the same write call (that is the
+  acknowledged durable copy — the op also lives in the log until every
+  replica holds it).  The primaries take the ops they logged through the
+  very call a follower's delivery makes,
   :meth:`~repro.core.server.ZerberRServer.apply_replicated_ops`, so
   every copy of a list is the log's ops applied in log order;
 * followers receive recorded ops asynchronously through a tick-driven
@@ -24,8 +25,9 @@ diverge and "replication" bought availability only.  This module gives
   bucket — at most one push per follower per tick, however many lists a
   write batch touched — so a delivery round touches the followers that
   have something due and nothing else (``docs/REPLICATION.md``,
-  "Delivery scheduler").  The delay never changes, so the tick a bucket
-  was recorded at is ``due - lag`` and is not stored;
+  "Delivery scheduler"), and a bucket goes to its follower in one
+  server call, one run per list.  The delay never changes, so the tick
+  a bucket was recorded at is ``due - lag`` and is not stored;
   ``records`` counts the ops behind one entry, which is what
   :meth:`ReplicationManager.outstanding_deliveries` and the ack-latency
   histogram (one observation per delivered record) read;
@@ -36,24 +38,30 @@ diverge and "replication" bought availability only.  This module gives
   name, and every delivery round asks the cluster's reachability
   predicate once per such server whether it is back;
 * an **anti-entropy sweep** (every ``anti_entropy_every`` ticks) force-
-  syncs every reachable stale follower, bounding worst-case staleness
-  even for lists that nobody reads.
+  syncs every reachable stale follower, one server call per server,
+  bounding worst-case staleness even for lists that nobody reads.
+
+The server, not the list, is the unit of every replica write: whatever
+hands a replica ops — a write batch at its primaries, a delivery bucket,
+a forced ack, a sweep — hands each server the runs of all its lists in
+one ``apply_replicated_ops`` call, while each list keeps its own log,
+versions and invariants below.
 
 Version / log invariants
 ------------------------
 
 1. ``head_seq(list)`` increments by exactly one per recorded op (insert
    or delete); it is the version of the primary's state, because a write
-   applies to the primary in the same call that records the op.
+   applies to the primary in the same write call that records the op.
 2. ``log.applied[server]`` is the number of the log's ops *server* has
    applied; the log owns one entry per current replica
    (:attr:`ReplicationLog.applied`).  Every replica's state is always a
    *prefix* of the log: ops are delivered strictly in sequence order —
    a follower's buckets come due in due-tick order and each delivers
-   the run ``(applied, upto_seq]`` — and nothing else mutates a
-   replicated list (the primary applies each batch's recorded ops as
-   one run too; a restore replays each replica's prefix of the log,
-   :meth:`ReplicationManager.restore_list_state`).
+   the run ``(applied, upto_seq]`` of each of its lists — and nothing
+   else mutates a replicated list (the primary applies each batch's
+   recorded ops as one run per list too; a restore replays each
+   replica's prefix of the log, :meth:`ReplicationManager.restore_list_state`).
 3. ``base_seq(list) <= min(log.applied.values())`` — the log retains at
    least every op some current replica still lacks, so any reachable
    replica can always be caught up from the log alone (read-repair,
@@ -61,7 +69,7 @@ Version / log invariants
    at or below the minimum applied version are truncated, so the
    retained ops are exactly the run ``(base_seq, head_seq]``; the
    minimum is over the log's own dict, and only the replica that held
-   it looks for something to truncate.
+   it looks for something to truncate (:meth:`ReplicationLog.advance`).
 4. Staleness of a replica is ``head_seq - applied``; it is what fetch
    responses expose as the serving replica's
    :attr:`~repro.core.protocol.FetchResponse.replica_version` and what
@@ -270,25 +278,43 @@ class ReplicationLog:
     def __len__(self) -> int:
         return len(self._ops)
 
-    def append(self, kind: str, element: EncryptedPostingElement) -> ReplicationOp:
-        # One op per element written: the tuple is built in one C call,
-        # without the generated ``__new__`` a call to the class enters.
-        seq = self.head_seq + 1
-        op: ReplicationOp = _new_op(ReplicationOp, (seq, kind, element))
-        self._ops.append(op)
-        self.head_seq = seq
-        return op
+    def extend(self, ops: Sequence[ReplicationOp]) -> None:
+        """Retain a non-empty run of new ops, numbered on from the head."""
+        self._ops.extend(ops)
+        self.head_seq = ops[-1].seq
 
     def ops_between(self, after_seq: int, upto_seq: int) -> list[ReplicationOp]:
         """Ops with ``after_seq < seq <= upto_seq``, in order."""
-        if after_seq < self.base_seq:
-            raise ProtocolError(
-                f"list {self.list_id}: ops after seq {after_seq} were "
-                f"truncated (log base is {self.base_seq})"
-            )
-        # The retained ops are the contiguous run (base_seq, head_seq].
         base = self.base_seq
+        if after_seq < base:
+            raise self._truncated(after_seq)
+        # The retained ops are the contiguous run (base_seq, head_seq].
         return list(islice(self._ops, after_seq - base, max(upto_seq - base, 0)))
+
+    def advance(self, server_index: int, upto_seq: int) -> list[ReplicationOp]:
+        """The run ``(applied, upto_seq]`` a replica lacks, which it is
+        marked as having applied; *upto_seq* is above its version and at
+        most the head.  The ops every replica now holds are truncated
+        (invariant 3): only the replica that held the minimum can raise
+        it."""
+        applied = self.applied
+        after = applied[server_index]
+        base = self.base_seq
+        if after < base:
+            raise self._truncated(after)
+        ops = list(islice(self._ops, after - base, upto_seq - base))
+        applied[server_index] = upto_seq
+        if after == base:
+            low = min(applied.values())
+            if low > base:
+                self.truncate_to(low)
+        return ops
+
+    def _truncated(self, after_seq: int) -> ProtocolError:
+        return ProtocolError(
+            f"list {self.list_id}: ops after seq {after_seq} were "
+            f"truncated (log base is {self.base_seq})"
+        )
 
     def truncate_to(self, min_applied: int) -> None:
         """Drop ops every current replica has applied (invariant 3)."""
@@ -392,12 +418,15 @@ class ReplicationManager:
     (alive and not partitioned) callables, so elections, failures and
     partitions are always judged against the cluster's authoritative
     state.  It owns the follower-side server
-    *mutations*: a delivery, catch-up or repair hands a replica the run of
-    ops it lacks on one list in one
-    :meth:`ZerberRServer.apply_replicated_ops` call — the call the
-    cluster hands a primary the ops it just recorded with (no membership
-    re-check — the ops were admitted at the primary; re-checking at drain
-    time would let a concurrent revocation fork the replicas).
+    *mutations*: a delivery, catch-up, forced ack or repair hands a
+    replica the run of ops it lacks on each of its lists in one
+    :meth:`ZerberRServer.apply_replicated_ops` call per server — the call
+    the cluster hands each primary server the runs a batch just recorded
+    with (no membership re-check — the ops were admitted at the primary;
+    re-checking at drain time would let a concurrent revocation fork the
+    replicas).  A write batch is recorded in one call too
+    (:meth:`record_insert` / :meth:`record_delete`), one scheduled entry
+    per (list, follower) whatever the number of ops behind it.
 
     *lag* is the number of ticks every follower trails a recorded op by
     (0: due on the tick it was recorded, so the write call that recorded
@@ -484,11 +513,6 @@ class ReplicationManager:
         log = self._logs[list_id]
         return log.head_seq, log.applied
 
-    def staleness(self, list_id: int, server_index: int) -> int:
-        """Ops of *list_id*'s log that *server_index* still lacks."""
-        log = self._logs[list_id]
-        return log.head_seq - self.applied_version(list_id, server_index)
-
     def _unsatisfied(self) -> Iterator[tuple[tuple[int, int], int]]:
         """``(bucket key, records)`` of every entry still owed.
 
@@ -509,68 +533,102 @@ class ReplicationManager:
     # -- write path ------------------------------------------------------------
 
     def record_insert(
-        self, list_id: int, element: EncryptedPostingElement
-    ) -> ReplicationOp:
-        """Log an insert of *element*; returns the op, which the cluster
-        then applies at the primary."""
-        return self._record(list_id, "insert", element)
+        self, items: Iterable[tuple[int, EncryptedPostingElement]]
+    ) -> dict[int, list[ReplicationOp]]:
+        """Log an insert of each ``(list_id, element)`` of a write batch;
+        returns each touched list's run of ops, which the cluster then
+        applies at the list's primary."""
+        return self._record("insert", items)
 
     def record_delete(
-        self, list_id: int, element: EncryptedPostingElement
-    ) -> ReplicationOp:
-        """Log a delete of *element*, the one a receipt located at the
-        primary; returns the op, which the cluster then applies there."""
-        return self._record(list_id, "delete", element)
+        self, items: Iterable[tuple[int, EncryptedPostingElement]]
+    ) -> dict[int, list[ReplicationOp]]:
+        """Log a delete of each ``(list_id, element)``, the elements
+        receipts located at the primaries; returns the runs per list, as
+        :meth:`record_insert` does."""
+        return self._record("delete", items)
 
     def _record(
-        self, list_id: int, kind: str, element: EncryptedPostingElement
-    ) -> ReplicationOp:
-        log = self._logs[list_id]
-        replicas = self._replicas_of(list_id)
-        primary = replicas[0]
-        applied = log.applied
-        if applied[primary] != log.head_seq:
-            # The cluster guards every write with a primary
-            # catch-up (ServerCluster._ensure_primary_current); stamping
-            # a gapped primary to the new head here would mark its missing
-            # ops as applied and silently lose them, so fail loudly — and
-            # before the op is appended: a refused record logs, schedules
-            # and counts nothing.
-            raise ProtocolError(
-                f"list {list_id}: primary {primary} is at version "
-                f"{applied[primary]}, cannot acknowledge op {log.head_seq + 1}"
-            )
-        self.stats.ops_logged += 1
-        if len(replicas) == 1:
-            # Invariant 3 applied as the op is recorded: the sole replica
-            # holds it already and no follower will ever ask for it, so
-            # the head, the base and its version advance together and no
-            # op is kept (the log was empty: the base sat at the head).
-            seq = log.head_seq + 1
-            log.head_seq = log.base_seq = applied[primary] = seq
-            return _new_op(ReplicationOp, (seq, kind, element))
-        op = log.append(kind, element)
-        applied[primary] = op.seq
-        for follower in replicas[1:]:
-            self._enqueue(log, follower, op.seq)
-        return op
+        self, kind: str, items: Iterable[tuple[int, EncryptedPostingElement]]
+    ) -> dict[int, list[ReplicationOp]]:
+        """Record a batch: one op per item, numbered on from each list's
+        head in batch order, and one scheduled delivery per (list,
+        follower) carrying the count of ops behind it.  Lists come back
+        in first-touch order."""
+        logs, replicas_of = self._logs, self._replicas_of
+        # list_id -> (its log, its replicas, its elements in batch order).
+        touched: dict[
+            int, tuple[ReplicationLog, Sequence[int], list[EncryptedPostingElement]]
+        ] = {}
+        for list_id, element in items:
+            entry = touched.get(list_id)
+            if entry is None:
+                log = logs[list_id]
+                replicas = replicas_of(list_id)
+                if log.applied[replicas[0]] != log.head_seq:
+                    # The cluster guards every write with a primary catch-up
+                    # (ServerCluster._ensure_primary_current); stamping a
+                    # gapped primary to the new head here would mark its
+                    # missing ops as applied and silently lose them, so fail
+                    # loudly — and before any op is numbered: a refused
+                    # batch logs, schedules and counts nothing.
+                    raise ProtocolError(
+                        f"list {list_id}: primary {replicas[0]} is at version "
+                        f"{log.applied[replicas[0]]}, cannot acknowledge op "
+                        f"{log.head_seq + 1}"
+                    )
+                entry = touched[list_id] = (log, replicas, [])
+            entry[2].append(element)
+        runs: dict[int, list[ReplicationOp]] = {}
+        for list_id, (log, replicas, elements) in touched.items():
+            seq = log.head_seq
+            run: list[ReplicationOp] = []
+            for element in elements:
+                # One op per element written: the tuple is built in one C
+                # call, without the generated ``__new__`` a call to the
+                # class enters.
+                seq += 1
+                run.append(_new_op(ReplicationOp, (seq, kind, element)))
+            runs[list_id] = run
+            self.stats.ops_logged += len(run)
+            log.applied[replicas[0]] = seq
+            if len(replicas) == 1:
+                # Invariant 3 applied as the ops are recorded: the sole
+                # replica holds them already and no follower will ever
+                # ask for them, so the head, the base and its version
+                # advance together and no op is kept (the log was empty:
+                # the base sat at the head).
+                log.head_seq = log.base_seq = seq
+                continue
+            log.extend(run)
+            self._enqueue(log, replicas[1:], seq, len(run))
+        return runs
 
-    def _enqueue(self, log: ReplicationLog, server_index: int, upto_seq: int) -> None:
-        """Owe *server_index* the ops of *log* up to *upto_seq*, due after
-        its lag: one more record in the follower's bucket for that tick."""
+    def _enqueue(
+        self,
+        log: ReplicationLog,
+        followers: Iterable[int],
+        upto_seq: int,
+        records: int,
+    ) -> None:
+        """Owe each of *followers* the ops of *log* up to *upto_seq*, due
+        after the lag: *records* more ops in each follower's bucket for
+        that tick."""
         due = self.tick_count + self._lag
-        key = (due, server_index)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = self._buckets[key] = {}
-            heappush(self._schedule, key)
-        entry = bucket.get(log.list_id)
-        if entry is None:
-            bucket[log.list_id] = [upto_seq, 1]
-        else:
-            entry[0] = upto_seq
-            entry[1] += 1
-        log.pending[server_index] = due
+        buckets, list_id = self._buckets, log.list_id
+        for server_index in followers:
+            key = (due, server_index)
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = {}
+                heappush(self._schedule, key)
+            entry = bucket.get(list_id)
+            if entry is None:
+                bucket[list_id] = [upto_seq, records]
+            else:
+                entry[0] = upto_seq
+                entry[1] += records
+            log.pending[server_index] = due
 
     def force_acks(
         self, list_ids: Iterable[int], consistency: WriteConsistency
@@ -580,18 +638,25 @@ class ReplicationManager:
         The closing pass of a write batch over the lists it touched.  The
         acks are synchronous *through the log* — no wall-clock waiting:
         per list, the most-caught-up reachable followers (ties by
-        placement order) are caught up, counted as ``"write-ack"`` syncs,
-        until the required count of replicas sits at the head.  The
-        cluster's admission check already proved enough replicas are
-        reachable, and invariant 3 guarantees the log holds every op they
-        lack, so this cannot fail once the write was admitted.  Whether a
-        server is reachable is decided once per batch, not per list.
+        placement order) are chosen, counted as ``"write-ack"`` syncs,
+        until the required count of replicas would sit at the head; then
+        each chosen follower is caught up on all its lists in one server
+        call.  The cluster's admission check already proved enough
+        replicas are reachable, and invariant 3 guarantees the log holds
+        every op they lack, so this cannot fail once the write was
+        admitted.  Whether a server is reachable is decided once per
+        batch, not per list.
         """
         reachable: dict[int, bool] = {}
+        required: dict[int, int] = {}
+        forced: dict[int, list[ReplicationLog]] = {}
         for list_id in list_ids:
             log = self._logs[list_id]
             applied = log.applied
-            needed = consistency.required_acks(len(applied))
+            replicas = len(applied)
+            needed = required.get(replicas)
+            if needed is None:
+                needed = required[replicas] = consistency.required_acks(replicas)
             head = log.head_seq
             acked = 0
             for version in applied.values():
@@ -606,9 +671,16 @@ class ReplicationManager:
                         reachable[follower] = self._deliverable(follower)
                     if reachable[follower]:
                         stale.append(follower)
-            stale.sort(key=lambda s: -applied[s])
+            # Most caught up first; a stable sort keeps placement order
+            # among equals, reversed or not.
+            stale.sort(key=applied.__getitem__, reverse=True)
             for follower in stale[: needed - acked]:
-                self._catch_up(log, follower, "write-ack")
+                logs = forced.get(follower)
+                if logs is None:
+                    logs = forced[follower] = []
+                logs.append(log)
+        for follower, logs in forced.items():
+            self._catch_up(follower, logs, "write-ack")
 
     # -- delivery --------------------------------------------------------------
 
@@ -653,13 +725,15 @@ class ReplicationManager:
         return total
 
     def _deliver(self, key: tuple[int, int]) -> int:
-        """Hand one follower everything one bucket owes it."""
+        """Hand one follower everything one bucket owes it, in one server
+        call."""
         due, server_index = key
         observe = self._obs.ack_latency.observe if self._obs.enabled else None
         latency = float(self.tick_count - (due - self._lag))
-        applied = 0
+        logs = self._logs
+        owed: list[tuple[ReplicationLog, int]] = []
         for list_id, (upto_seq, records) in self._buckets.pop(key).items():
-            log = self._logs[list_id]
+            log = logs[list_id]
             if upto_seq <= log.applied[server_index]:
                 continue  # a catch-up got there first; it observed nothing
             if observe is not None:
@@ -667,71 +741,90 @@ class ReplicationManager:
                     observe(latency)
             if log.pending.get(server_index) == due:
                 del log.pending[server_index]  # nothing newer is scheduled
-            applied += self._apply_ops(log, server_index, upto_seq)
-        return applied
+            owed.append((log, upto_seq))
+        return self._apply_runs(server_index, owed) if owed else 0
 
     def sync(self, list_id: int, server_index: int, reason: str = "repair") -> int:
         """Catch one replica up to the log head right now (if reachable).
 
-        Used by read-repair, the anti-entropy sweep and failover
-        elections.  Returns the number of ops applied (0 when the replica
-        is already current, paused or down).
+        Used by read-repair and failover elections.  Returns the number
+        of ops applied (0 when the replica is already current, paused or
+        down).
         """
         log = self._logs.get(list_id)
         if log is None or server_index not in log.applied:
             raise ProtocolError(f"server {server_index} does not hold list {list_id}")
         if not self._deliverable(server_index):
             return 0
-        return self._catch_up(log, server_index, reason)
+        return self._catch_up(server_index, [log], reason)
 
-    def _catch_up(self, log: ReplicationLog, server_index: int, reason: str) -> int:
-        """:meth:`sync` of a replica already known to be reachable."""
-        applied = self._apply_ops(log, server_index, log.head_seq)
-        if applied:
-            if reason == "anti-entropy":
-                self.stats.anti_entropy_syncs += 1
-                self.stats.anti_entropy_ops += applied
-            elif reason == "write-ack":
-                self.stats.write_ack_syncs += 1
-                self.stats.write_ack_ops += applied
-            elif reason == "failover":
-                self.stats.failover_ops += applied
-            else:
-                self.stats.repair_ops += applied
-            # At the head, the replica is owed nothing: drop the newest
-            # delivery scheduled for it.  Older buckets skip theirs when
-            # they come due (see the module docstring).
-            due = log.pending.pop(server_index, None)
-            if due is not None:
-                del self._buckets[due, server_index][log.list_id]
+    def _catch_up(
+        self, server_index: int, logs: Iterable[ReplicationLog], reason: str
+    ) -> int:
+        """Bring a replica known to be reachable to the head of each of
+        *logs* in one server call; returns the ops applied.  Each log it
+        was behind on counts as one sync of *reason*."""
+        owed: list[tuple[ReplicationLog, int]] = []
+        for log in logs:
+            if log.applied[server_index] < log.head_seq:
+                owed.append((log, log.head_seq))
+                # At the head, the replica is owed nothing: drop the newest
+                # delivery scheduled for it.  Older buckets skip theirs when
+                # they come due (see the module docstring).
+                due = log.pending.pop(server_index, None)
+                if due is not None:
+                    del self._buckets[due, server_index][log.list_id]
+        if not owed:
+            return 0
+        applied = self._apply_runs(server_index, owed)
+        stats = self.stats
+        if reason == "anti-entropy":
+            stats.anti_entropy_syncs += len(owed)
+            stats.anti_entropy_ops += applied
+        elif reason == "write-ack":
+            stats.write_ack_syncs += len(owed)
+            stats.write_ack_ops += applied
+        elif reason == "failover":
+            stats.failover_ops += applied
+        else:
+            stats.repair_ops += applied
         return applied
 
     def anti_entropy_sweep(self) -> int:
-        """Force-sync every reachable stale follower of every list."""
+        """Force-sync every reachable stale follower of every list: one
+        server call per stale server, carrying all its lists."""
         self.stats.anti_entropy_runs += 1
-        total = 0
+        stale: dict[int, list[ReplicationLog]] = {}
         for list_id, log in self._logs.items():
             head = log.head_seq
             if log.base_seq == head:
                 continue  # invariant 3: the minimum is at the head
             for server_index in self._replicas_of(list_id):
                 if log.applied[server_index] < head:
-                    total += self.sync(list_id, server_index, reason="anti-entropy")
+                    logs = stale.get(server_index)
+                    if logs is None:
+                        logs = stale[server_index] = []
+                    logs.append(log)
+        total = 0
+        for server_index, logs in stale.items():
+            if self._deliverable(server_index):
+                total += self._catch_up(server_index, logs, "anti-entropy")
         return total
 
-    def _apply_ops(self, log: ReplicationLog, server_index: int, upto_seq: int) -> int:
-        """Hand one replica the run ``(applied, upto_seq]`` of *log* in
-        one server call."""
-        applied = log.applied[server_index]
-        if upto_seq <= applied:
-            return 0
-        ops = log.ops_between(applied, upto_seq)
-        self._servers[server_index].apply_replicated_ops(log.list_id, ops)
-        log.applied[server_index] = upto_seq
-        if applied <= log.base_seq:
-            # Only the replica that held the minimum can raise it.
-            log.truncate_to(min(log.applied.values()))
-        return len(ops)
+    def _apply_runs(
+        self, server_index: int, owed: Iterable[tuple[ReplicationLog, int]]
+    ) -> int:
+        """Hand one replica, in one server call, the run ``(applied,
+        upto_seq]`` of each ``(log, upto_seq)`` it is *owed* (each run
+        non-empty); returns the ops handed over."""
+        runs: list[tuple[int, list[ReplicationOp]]] = []
+        total = 0
+        for log, upto_seq in owed:
+            ops = log.advance(server_index, upto_seq)
+            runs.append((log.list_id, ops))
+            total += len(ops)
+        self._servers[server_index].apply_replicated_ops(runs)
+        return total
 
     # -- recovery (persistence support; see repro.persist) ----------------------
 
@@ -776,10 +869,10 @@ class ReplicationManager:
         table first), each at a version within ``[base_seq, head_seq]``
         — invariant 3 guarantees a snapshot taken through
         :meth:`log_snapshot` satisfies this.  Each replica is handed the
-        run as insert ops, then its own ops ``(base_seq, applied]``, in
-        two :meth:`ZerberRServer.apply_replicated_ops` calls — the one
-        way any list changes — so every replica shares the run's element
-        objects.  The ops it still lacks are scheduled for normal
+        run as insert ops, then its own ops ``(base_seq, applied]``, as
+        two runs of one :meth:`ZerberRServer.apply_replicated_ops` call —
+        the one way any list changes — so every replica shares the run's
+        element objects.  The ops it still lacks are scheduled for normal
         lag-driven delivery: a restarted follower converges through the
         log instead of starting blank, so no acknowledged-but-undelivered
         op is lost.  Nothing is counted in :attr:`stats`.  A replayed
@@ -804,21 +897,28 @@ class ReplicationManager:
         inserts = [ReplicationOp(0, "insert", element) for element in run]
         for server_index in replicas:
             version = applied[server_index]
-            server = self._servers[server_index]
-            for replay in (inserts, log.ops_between(base_seq, version)):
-                if not replay:
-                    continue  # a server call carries a non-empty run
-                if server.apply_replicated_ops(list_id, replay) != len(replay):
-                    raise ProtocolError(
-                        f"list {list_id}: a restored delete op finds nothing "
-                        f"to remove at server {server_index}: the run at "
-                        f"version {base_seq} and the ops disagree"
-                    )
+            # A server call carries non-empty runs only.
+            replay = [
+                (list_id, part)
+                for part in (inserts, log.ops_between(base_seq, version))
+                if part
+            ]
+            expected = sum(len(part) for _, part in replay)
+            if (
+                replay
+                and self._servers[server_index].apply_replicated_ops(replay)
+                != expected
+            ):
+                raise ProtocolError(
+                    f"list {list_id}: a restored delete op finds nothing "
+                    f"to remove at server {server_index}: the run at "
+                    f"version {base_seq} and the ops disagree"
+                )
             log.applied[server_index] = version
             if version < head_seq:
-                self._enqueue(log, server_index, head_seq)
+                self._enqueue(log, (server_index,), head_seq, 1)
         # A hand-made dump may retain ops below every replica's version;
-        # _apply_ops relies on the base sitting at the minimum.
+        # ReplicationLog.advance relies on the base sitting at the minimum.
         log.truncate_to(min(log.applied.values()))
 
     # -- observability ---------------------------------------------------------
@@ -843,9 +943,10 @@ class ReplicationManager:
         return 0 if due is None else max(0, due - self.tick_count)
 
     def delivery_outlook(self, server_index: int) -> DeliveryOutlook:
-        """When *server_index*'s scheduled deliveries are due (read-only)."""
-        if not 0 <= server_index < len(self._servers):
-            raise ConfigurationError(f"unknown server index {server_index}")
+        """When *server_index*'s scheduled deliveries are due (read-only;
+        :meth:`ServerCluster.delivery_outlook
+        <repro.core.cluster.ServerCluster.delivery_outlook>` checks the
+        index)."""
         owed = {due for (due, s), _ in self._unsatisfied() if s == server_index}
         held = owed.intersection(self._held.get(server_index, ()))
         scheduled = owed - held

@@ -35,16 +35,19 @@ Two throughput mechanisms sit on the fetch path:
   and an LRU over ``(list, principal)`` pairs bounds the memory.
 
 A list changes one way: :meth:`ZerberRServer.apply_replicated_ops`
-applies a run of ops from the list's replication log.  A primary takes
-the ops the cluster just recorded through it, a follower the ops a
-delivery, catch-up or repair hands it, and a restored replica the run
+applies runs of ops from the lists' replication logs, one ``(list_id,
+ops)`` run per list, in one call per server however many lists a write
+touched.  A primary server takes the runs the cluster just recorded on
+the lists it leads, a follower the runs a delivery bucket, forced ack,
+anti-entropy sweep or repair hands it, and a restored replica the run
 its dump holds at the log base followed by its own prefix of the
 retained ops, so every copy of a list is the same ops applied by the
 same code.  Deletion is by receipt
 (:class:`~repro.core.protocol.Receipt`): :meth:`ZerberRServer.locate_receipts`
-validates a whole batch without touching a list, so a cluster can check
-it at every primary it spans before the first delete op is recorded,
-and a refused batch deletes nothing.
+validates a whole batch without touching a list, asking about each
+group it meets once, so a cluster can check it at every primary it
+spans before the first delete op is recorded, and a refused batch
+deletes nothing.
 
 Everything the server can observe — stored TRS values, group tags, and the
 stream of fetch requests — is exactly what the threat-model adversary gets
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 from repro.core.protocol import (
     BatchFetchRequest,
@@ -154,11 +158,14 @@ class ZerberRServer:
     # -- inserts (paper §5: online insertion phase) ----------------------------
 
     def insert_many(self, items: Sequence[tuple[int, EncryptedPostingElement]]) -> int:
-        """Insert a validated batch, element by element, through
-        :meth:`apply_replicated_insert`.  Returns the number inserted."""
-        for list_id, element in items:
-            self.apply_replicated_insert(list_id, element)
-        return len(items)
+        """Insert a validated batch, in batch order, as one
+        :meth:`apply_replicated_ops` call.  Returns the number inserted."""
+        return self.apply_replicated_ops(
+            [
+                (list_id, [ReplicationOp(0, "insert", element)])
+                for list_id, element in items
+            ]
+        )
 
     # -- deletion (collaborative updates, paper §5's "unlimited index
     # update and insert operations") ------------------------------------------
@@ -183,14 +190,19 @@ class ZerberRServer:
         """
         located: list[tuple[int, EncryptedPostingElement] | None] = []
         claimed: set[tuple[int, int]] = set()
+        # Memberships do not change inside one call: each distinct group
+        # is put to the key service once, as validate_write_batch does.
+        members: set[str] = set()
         for list_id, ciphertext, trs in receipts:
             found = self._list(list_id).find_by_ciphertext(ciphertext, trs)
             if found is None or (list_id, found[0]) in claimed:
                 located.append(None)
                 continue
             position, target = found
-            if not self._keys.is_member(principal, target.group):
-                raise AccessDeniedError(principal, target.group)
+            if target.group not in members:
+                if not self._keys.is_member(principal, target.group):
+                    raise AccessDeniedError(principal, target.group)
+                members.add(target.group)
             claimed.add((list_id, position))
             located.append((list_id, target))
         return located
@@ -209,14 +221,17 @@ class ZerberRServer:
     # -- replication (cluster data plane; see repro.core.replication) -----------
 
     def apply_replicated_ops(
-        self, list_id: int, ops: Iterable[ReplicationOp]
+        self, runs: Iterable[tuple[int, Iterable[ReplicationOp]]]
     ) -> int:
-        """Apply a run of ops from a list's replication log, in log
-        order; returns how many of them changed the list.
+        """Apply runs of ops from the lists' replication logs, each
+        ``(list_id, ops)`` in log order and the runs in the order given;
+        returns how many ops changed a list.
 
-        The one way any copy of a list changes: the cluster hands a
-        primary the ops a write batch just recorded, and the replication
-        manager hands a follower the run it lacks.  No membership
+        The one way any copy of a list changes, and one call per server
+        however many lists a write touched: the cluster hands a primary
+        the runs a write batch just recorded on the lists it leads, and
+        the replication manager hands a follower the runs it lacks — a
+        delivery bucket's, a forced ack's or a sweep's.  No membership
         re-check: each op was validated and admitted at the primary when
         it was recorded; re-checking at delivery time would let a
         concurrent revocation make replicas diverge permanently.  An
@@ -227,36 +242,41 @@ class ZerberRServer:
         guarantees the insert preceded it, so only a restore whose run
         and ops disagree meets one, and it refuses the dump by the count.
 
-        The list is looked up once per run, and its cached readable
+        Each list is looked up once per run, and its cached readable
         views are patched per op — when it has any; a list nobody has
         read since it was loaded has none, and its ops cost the list
         mutation alone.
         """
-        merged = self._list(list_id)
-        views = self._views if self._views.holds_views_of(list_id) else None
-        add = merged.add_sorted_by_trs
-        find, pop = merged.find_by_ciphertext, merged.pop_at
+        lists, view_index = self._lists, self._views
+        viewed = view_index.by_list
         changed = 0
-        for _, kind, element in ops:
-            if kind == "insert":
-                add(element)
-                if views is not None:
-                    views.note_insert(merged, element)
-            else:
-                found = find(element.ciphertext, element.trs)
-                if found is None:
-                    continue
-                pop(found[0])
-                if views is not None:
-                    views.note_delete(merged, found[1])
-            changed += 1
+        for list_id, ops in runs:
+            merged = lists.get(list_id)
+            if merged is None:
+                raise UnknownListError(list_id)
+            views = view_index if list_id in viewed else None
+            # A run holds about one op on the document-write path: the
+            # list's mutators are called as attributes, not bound first.
+            for _, kind, element in ops:
+                if kind == "insert":
+                    merged.add_sorted_by_trs(element)
+                    if views is not None:
+                        views.note_insert(merged, element)
+                else:
+                    found = merged.find_by_ciphertext(element.ciphertext, element.trs)
+                    if found is None:
+                        continue
+                    merged.pop_at(found[0])
+                    if views is not None:
+                        views.note_delete(merged, found[1])
+                changed += 1
         return changed
 
     def apply_replicated_insert(
         self, list_id: int, element: EncryptedPostingElement
     ) -> None:
         """Apply one insert op: a one-op :meth:`apply_replicated_ops`."""
-        self.apply_replicated_ops(list_id, [ReplicationOp(0, "insert", element)])
+        self.apply_replicated_ops([(list_id, [ReplicationOp(0, "insert", element)])])
 
     def apply_replicated_delete(
         self, list_id: int, element: EncryptedPostingElement
@@ -264,7 +284,7 @@ class ZerberRServer:
         """Apply one delete op: a one-op :meth:`apply_replicated_ops`;
         returns whether an element was removed."""
         op = ReplicationOp(0, "delete", element)
-        return self.apply_replicated_ops(list_id, [op]) == 1
+        return self.apply_replicated_ops([(list_id, [op])]) == 1
 
     # -- crash recovery (persistence support; see repro.persist) ----------------
 
@@ -302,14 +322,10 @@ class ZerberRServer:
         self._calls_served += 1
         self._batch_counter += 1
         batch_id = self._batch_counter
-        serve = self._serve_slice
+        # ``map`` calls the slice server straight from C: no comprehension
+        # frame per call.
         return BatchFetchResponse(
-            tuple(
-                [
-                    serve(request, batch_id, version)
-                    for request, version in zip(batch.requests, versions)
-                ]
-            )
+            tuple(map(self._serve_slice, batch.requests, repeat(batch_id), versions))
         )
 
     # The envelope entry's old name, still bound by the e2e bench tracer.

@@ -9,9 +9,11 @@ O(list) per mutation.
 
 :class:`ReadableViewIndex` keeps the readable sub-lists *incrementally*:
 the server's one mutator (``ZerberRServer.apply_replicated_ops``, which
-applies a primary's, a follower's and a restore's ops alike) notifies it
-of each insert/delete, and a cached view whose version is exactly one
-behind the list is patched instead of rebuilt.  Nothing drops views
+applies a primary's, a follower's and a restore's runs alike, the runs
+of many lists in one call) notifies it of each insert/delete — per op,
+and only on a list that is a key of :attr:`ReadableViewIndex.by_list` —
+and a cached view whose version is exactly one behind the list is
+patched instead of rebuilt.  Nothing drops views
 wholesale: a restore builds a fresh cluster, which holds none, and a view
 that falls further behind — e.g. when tests mutate list internals
 directly — fails the version check and rebuilds lazily on next access,
@@ -109,18 +111,14 @@ class ReadableViewIndex:
         self.capacity = capacity
         self._views: OrderedDict[tuple[int, str], _ReadableView] = OrderedDict()
         # list_id -> principals with a cached view; lets mutators find the
-        # views of one list without scanning the whole LRU.
-        self._by_list: dict[int, set[str]] = {}
+        # views of one list without scanning the whole LRU.  Read-only
+        # outside this class: the server's mutator skips the patch calls
+        # for a list that is not a key here.
+        self.by_list: dict[int, set[str]] = {}
         self.stats = ViewStats()
 
     def __len__(self) -> int:
         return len(self._views)
-
-    def holds_views_of(self, list_id: int) -> bool:
-        """Whether any view of *list_id* is cached — a mutator with no
-        view to patch need not call :meth:`note_insert` /
-        :meth:`note_delete`, which would find none."""
-        return list_id in self._by_list
 
     # -- read path -----------------------------------------------------------
 
@@ -187,13 +185,13 @@ class ReadableViewIndex:
     def _store(self, cache_key: tuple[int, str], view: _ReadableView) -> None:
         self._views[cache_key] = view
         self._views.move_to_end(cache_key)
-        self._by_list.setdefault(cache_key[0], set()).add(cache_key[1])
+        self.by_list.setdefault(cache_key[0], set()).add(cache_key[1])
         while len(self._views) > self.capacity:
             (list_id, principal), _ = self._views.popitem(last=False)
-            principals = self._by_list[list_id]
+            principals = self.by_list[list_id]
             principals.discard(principal)
             if not principals:
-                del self._by_list[list_id]
+                del self.by_list[list_id]
             self.stats.evictions += 1
 
     # -- write path (called by the server AFTER the list mutated) -------------
@@ -207,7 +205,7 @@ class ReadableViewIndex:
         (``view.version == merged.version - 1``) are patched; anything
         further behind rebuilds lazily on next access.
         """
-        for principal in self._by_list.get(merged.list_id, ()):
+        for principal in self.by_list.get(merged.list_id, ()):
             view = self._views[(merged.list_id, principal)]
             if view.version != merged.version - 1:
                 continue
@@ -226,7 +224,7 @@ class ReadableViewIndex:
         self, merged: MergedPostingList, element: EncryptedPostingElement
     ) -> None:
         """Patch cached views of *merged* for a just-removed element."""
-        for principal in self._by_list.get(merged.list_id, ()):
+        for principal in self.by_list.get(merged.list_id, ()):
             view = self._views[(merged.list_id, principal)]
             if view.version != merged.version - 1:
                 continue

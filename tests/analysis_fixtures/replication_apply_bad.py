@@ -10,4 +10,4 @@ def patch_primary(
 ) -> None:
     primary = cluster.server(cluster.replicas_of(list_id)[0])
     # The primary changes; the log, and so every follower, never hears of it.
-    primary.apply_replicated_ops(list_id, [ReplicationOp(1, "insert", element)])
+    primary.apply_replicated_ops([(list_id, [ReplicationOp(1, "insert", element)])])

@@ -13,7 +13,6 @@ def deliver(
     server_index: int,
     upto_seq: int,
 ) -> int:
-    ops = log.ops_between(log.applied[server_index], upto_seq)
-    servers[server_index].apply_replicated_ops(log.list_id, ops)
-    log.applied[server_index] = upto_seq
+    ops = log.advance(server_index, upto_seq)
+    servers[server_index].apply_replicated_ops([(log.list_id, ops)])
     return len(ops)

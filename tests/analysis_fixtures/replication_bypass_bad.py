@@ -13,7 +13,7 @@ def sneak_delete(merged, position: int):
 
 
 def sneak_ops(server, list_id: int, ops) -> None:
-    server.apply_replicated_ops(list_id, ops)  # ops no log recorded
+    server.apply_replicated_ops([(list_id, ops)])  # ops no log recorded
 
 
 def bare_shard(keys, num_lists: int):

@@ -67,6 +67,24 @@ class TestTopology:
         with pytest.raises(UnknownListError):
             cluster.replicas_of(99)
 
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_one_check_refuses_an_unknown_server_everywhere(self, keys, index):
+        """Every entry point that takes a server index refuses one the
+        cluster does not have with the same error, a negative one too."""
+        cluster = ServerCluster(keys, num_lists=4, num_servers=2, replication=2)
+        refusals = [
+            lambda: cluster.pause_follower(index),
+            lambda: cluster.resume_follower(index),
+            lambda: cluster.delivery_outlook(index),
+            lambda: cluster.visible_fraction([0, index]),
+            lambda: cluster.serve_envelope(index, slices_batch("u", [(0, 0, 1)])),
+            lambda: cluster.restore_failover_state(unreachable_since={index: 1}),
+        ]
+        for refused in refusals:
+            with pytest.raises(ConfigurationError, match=f"unknown server index {index}"):
+                refused()
+        assert cluster.unreachable_since() == {}
+
     def test_a_dropped_cluster_is_freed_without_the_cycle_collector(self, keys):
         """Every system holds a one-server cluster: held in a reference
         cycle, a dropped system's index would outlive it until the next
@@ -151,16 +169,19 @@ class TestDataPlane:
 
     def test_insert_many_batches_per_server(self, keys, monkeypatch):
         """Replicated multi-insert costs one ``apply_replicated_ops`` call
-        per touched list at its primary, and one per (list, follower) run
-        of the log on the follower side: the same call, the same runs."""
+        per primary server, carrying the run of each list it leads, and
+        one per follower server on the delivery side, carrying its run of
+        each list it follows: the same call, the same runs per list."""
         cluster = ServerCluster(keys, num_lists=4, num_servers=3, replication=2)
         servers = [cluster.server(i) for i in range(cluster.num_servers)]
-        runs = []
+        calls = []
         original_apply = ZerberRServer.apply_replicated_ops
 
-        def counting_apply(self, list_id, ops):
-            runs.append((list_id, servers.index(self), [op.kind for op in ops]))
-            return original_apply(self, list_id, ops)
+        def counting_apply(self, runs):
+            runs = [(list_id, list(ops)) for list_id, ops in runs]
+            carried = [(list_id, [op.kind for op in ops]) for list_id, ops in runs]
+            calls.append((servers.index(self), carried))
+            return original_apply(self, runs)
 
         monkeypatch.setattr(ZerberRServer, "apply_replicated_ops", counting_apply)
         items = [
@@ -168,17 +189,29 @@ class TestDataPlane:
             for i, list_id in enumerate([0, 1, 2, 3, 0, 1])
         ]
         assert cluster.insert_many("u", items) == 6
-        # 6 elements over 4 lists: one call per list at its primary, not
-        # one per element, and then one per list at its follower.
+        # 6 elements over 4 lists: one run per list at each of its
+        # replicas, not one per element.
         expected = []
         for list_id, kinds in enumerate([["insert"] * 2] * 2 + [["insert"]] * 2):
             for server_index in cluster.replicas_of(list_id):
                 expected.append((list_id, server_index, kinds))
-        assert sorted(runs) == sorted(expected)
-        # The primaries' runs came first, in first-touch order.
-        assert [run[:2] for run in runs[:4]] == [
-            (list_id, cluster.replicas_of(list_id)[0]) for list_id in range(4)
+        runs = [
+            (list_id, server_index, kinds)
+            for server_index, carried in calls
+            for list_id, kinds in carried
         ]
+        assert sorted(runs) == sorted(expected)
+        # One call per server on each side, not one per list: the
+        # primaries' calls came first, each carrying the lists its server
+        # leads in first-touch order.
+        leads = {}
+        for list_id in range(4):
+            leads.setdefault(cluster.replicas_of(list_id)[0], []).append(list_id)
+        assert [
+            (server_index, [list_id for list_id, _ in carried])
+            for server_index, carried in calls[: len(leads)]
+        ] == list(leads.items())
+        assert len(calls) == 2 * cluster.num_servers
         # Contents landed exactly as per-element replicated inserts would.
         assert cluster.num_elements == 6
         for list_id in range(4):
@@ -291,21 +324,36 @@ class TestOneMutationPath:
     def test_a_delete_batch_applies_one_run_per_touched_list(self, keys, monkeypatch):
         cluster = self._cluster(keys, lag=0)
         servers = [cluster.server(i) for i in range(cluster.num_servers)]
-        runs = []
+        calls = []
         apply = ZerberRServer.apply_replicated_ops
 
-        def counting_apply(server, list_id, ops):
-            ops = list(ops)
-            runs.append((list_id, servers.index(server), len(ops)))
-            return apply(server, list_id, ops)
+        def counting_apply(server, runs):
+            runs = [(list_id, list(ops)) for list_id, ops in runs]
+            carried = [(list_id, len(ops)) for list_id, ops in runs]
+            calls.append((servers.index(server), carried))
+            return apply(server, runs)
 
         monkeypatch.setattr(ZerberRServer, "apply_replicated_ops", counting_apply)
         cluster.delete_many("u", self._batch())
         primaries = [(list_id, cluster.replicas_of(list_id)[0]) for list_id in range(3)]
-        # One run per list at its primary, first; then one per follower.
-        assert [run[:2] for run in runs[:3]] == primaries
-        assert [run[2] for run in runs[:3]] == [1, 1, 2]
-        assert len(runs) == 3 * 3
+        # One run per list at its primary, first — one call per primary
+        # server, each leading one list here; then one call per follower
+        # server, carrying its run of both lists it follows.
+        assert calls[:3] == [
+            (primary, [(list_id, hits)])
+            for (list_id, primary), hits in zip(primaries, [1, 1, 2])
+        ]
+        runs = [
+            (list_id, server_index)
+            for server_index, carried in calls
+            for list_id, _ in carried
+        ]
+        assert sorted(runs) == sorted(
+            (list_id, server_index)
+            for list_id in range(3)
+            for server_index in cluster.replicas_of(list_id)
+        )
+        assert len(calls) == 2 * cluster.num_servers
 
 
 class TestBatchFetchCluster:

@@ -8,6 +8,7 @@ from dataclasses import replace as dataclass_replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import SystemConfig, ZerberRSystem
 from repro.core.cluster import ServerCluster
 from repro.core.protocol import FetchRequest, Receipt
 from repro.core.replication import (
@@ -15,6 +16,7 @@ from repro.core.replication import (
     ReadConsistency,
     ReplicationLog,
     ReplicationManager,
+    ReplicationOp,
     WriteConsistency,
 )
 from repro.core.server import ZerberRServer
@@ -28,7 +30,9 @@ from repro.errors import (
 )
 from repro.index.postings import EncryptedPostingElement
 from repro.obs.instruments import ReplicationInstruments, Telemetry
+from repro.text.analysis import DocumentStats
 from tests.conftest import sealed
+from tests.test_core_client import _frames_entered
 
 
 @pytest.fixture()
@@ -672,7 +676,8 @@ class TestLogSlicing:
         log = ReplicationLog(0)
         for code, amount in steps:
             if code <= 1:
-                log.append("delete", _element(0.5, sealed(b"c")))
+                element = _element(0.5, sealed(b"c"))
+                log.extend([ReplicationOp(log.head_seq + 1, "delete", element)])
             else:
                 log.truncate_to(log.base_seq + amount)
             retained = log.iter_ops()
@@ -705,14 +710,15 @@ class _PerPairManager(ReplicationManager):
         self._pair_schedule = []
         self._held_pairs = set()
 
-    def _enqueue(self, log, server_index, upto_seq):
-        key = (log.list_id, server_index)
+    def _enqueue(self, log, followers, upto_seq, records):
         due = self.tick_count + self.lag
-        queue = self._due.get(key)
-        if queue is None:
-            queue = self._due[key] = deque()
-            heapq.heappush(self._pair_schedule, (due, *key))
-        queue.append((due, upto_seq, self.tick_count))
+        for server_index in followers:
+            key = (log.list_id, server_index)
+            queue = self._due.get(key)
+            if queue is None:
+                queue = self._due[key] = deque()
+                heapq.heappush(self._pair_schedule, (due, *key))
+            queue.extend([(due, upto_seq, self.tick_count)] * records)
 
     def deliver_due(self):
         total = 0
@@ -742,27 +748,22 @@ class _PerPairManager(ReplicationManager):
             _, upto, recorded = queue.popleft()
             self._obs.ack_latency.observe(float(self.tick_count - recorded))
         applied = 0
-        if upto is not None:
-            applied = self._apply_ops(self._logs[key[0]], key[1], upto)
+        log = self._logs[key[0]]
+        if upto is not None and upto > log.applied[key[1]]:
+            applied = self._apply_runs(key[1], [(log, upto)])
+            while queue and queue[0][1] <= upto:
+                queue.popleft()
         if queue:
             heapq.heappush(self._pair_schedule, (queue[0][0], *key))
         else:
             self._due.pop(key, None)
         return applied
 
-    def _apply_ops(self, log, server_index, upto_seq):
-        applied = super()._apply_ops(log, server_index, upto_seq)
-        queue = self._due.get((log.list_id, server_index))
-        if applied and queue:
-            while queue and queue[0][1] <= upto_seq:
-                queue.popleft()
-            if not queue:
-                del self._due[(log.list_id, server_index)]
-        return applied
-
-    def _catch_up(self, log, server_index, reason):
-        applied = super()._catch_up(log, server_index, reason)
-        if applied:
+    def _catch_up(self, server_index, logs, reason):
+        logs = list(logs)
+        behind = [log for log in logs if log.applied[server_index] < log.head_seq]
+        applied = super()._catch_up(server_index, logs, reason)
+        for log in behind:
             self._due.pop((log.list_id, server_index), None)
         return applied
 
@@ -809,11 +810,14 @@ class _RecordingServer:
     def __init__(self, index, world):
         self.index, self.world = index, world
 
-    def apply_replicated_ops(self, list_id, ops):
-        self.world.runs.append((list_id, self.index, [op.seq for op in ops]))
-        for op in ops:
-            self.world.note(list_id, self.index, op.element.ciphertext)
-        return len(ops)
+    def apply_replicated_ops(self, runs):
+        applied = 0
+        for list_id, ops in runs:
+            self.world.runs.append((list_id, self.index, [op.seq for op in ops]))
+            for op in ops:
+                self.world.note(list_id, self.index, op.element.ciphertext)
+            applied += len(ops)
+        return applied
 
 
 SCHED_LISTS = 3
@@ -884,9 +888,9 @@ class _World:
                 return  # an unreachable gapped primary refuses the write
         payload = sealed(b"%d" % (m.head_version(list_id) + 1))
         if delete:
-            m.record_delete(list_id, _element(0.5, payload))
+            m.record_delete([(list_id, _element(0.5, payload))])
         else:
-            m.record_insert(list_id, _element(0.5, payload))
+            m.record_insert([(list_id, _element(0.5, payload))])
 
     def snapshot_restore(self):
         """A restart: a fresh manager reinstated from the durable state
@@ -1191,7 +1195,8 @@ class TestDeliveryScheduler:
 
     def test_a_refused_record_leaves_no_trace(self):
         """A gapped primary is refused before the op is appended: head,
-        retained ops, backlog, what is scheduled and stats stay as they were."""
+        retained ops, backlog, what is scheduled and stats stay as they
+        were — those of a sound list earlier in the same batch too."""
         world = _World(ReplicationManager, 2, None, spread=False)
         m = world.manager
         world.record(0, delete=False)
@@ -1201,6 +1206,7 @@ class TestDeliveryScheduler:
         def state():
             return (
                 m.log_snapshot(0),
+                m.log_snapshot(1),
                 m.backlog(),
                 m.outstanding_deliveries(),
                 m.pending_lag_ticks(0, 0),
@@ -1210,13 +1216,16 @@ class TestDeliveryScheduler:
 
         before = state()
         for record in (
-            lambda: m.record_insert(0, _element(0.5, sealed(b"2"))),
-            lambda: m.record_delete(0, _element(0.5, sealed(b"1"))),
+            lambda: m.record_insert([(0, _element(0.5, sealed(b"2")))]),
+            lambda: m.record_delete([(0, _element(0.5, sealed(b"1")))]),
+            lambda: m.record_insert(
+                [(1, _element(0.5, sealed(b"1"))), (0, _element(0.5, sealed(b"2")))]
+            ),
         ):
             with pytest.raises(ProtocolError, match="cannot acknowledge op 2"):
                 record()
             assert state() == before
-        assert before[0][0] == 1 and before[1] == {(0, 1): 1, (0, 2): 1}
+        assert before[0][0] == 1 and before[2] == {(0, 1): 1, (0, 2): 1}
 
 
 class _CountedLiveness(list):
@@ -1303,3 +1312,60 @@ class TestWriteBatchWorkBound:
         assert liveness.reads <= self.SERVERS
         assert cluster.replication_backlog() == {}
         assert repl.outstanding_deliveries() == 0
+
+
+class TestWritePathFrameBudget:
+    """The frames one document's write path enters, end to end, on the
+    deployment shape of the ``mixed-write-read`` benchmark (replication
+    3, lag 2, ``QUORUM`` writes): the client's insert of a document, a
+    replication tick, the delete of its receipts and a second tick,
+    which delivers the insert to the follower the ack did not force.
+
+    Per element it pays the build (4 frames, :class:`TestWriteFrameBudget`
+    in ``test_crypto_hotpath.py``), the locate at the primary and the
+    per-op list calls at each replica; per touched list, one slice of the
+    log per replica it reaches, one delivery entry per list and the
+    client's version floor; per touched server, one
+    ``apply_replicated_ops`` call for a primary's runs, a forced
+    follower's, a delivery bucket's.  No call is made per (list,
+    replica) pair at the server, nor per op at the log."""
+
+    # 18 elements over 18 lists, four servers.  The count on CPython
+    # 3.11, exact (3.12 inlines comprehensions and only reads lower): 838
+    # since a write batch reaches each replica server in one call and is
+    # recorded in one call (1 590 at the parent, where each replica of
+    # each list took its own apply call and each op its own record call).
+    FRAME_BUDGET = 838
+
+    def test_frames_entered_by_one_document_write_stay_under_budget(
+        self, micro_corpus
+    ):
+        system = ZerberRSystem.build(micro_corpus, SystemConfig(r=4.0, seed=5))
+        cluster, _ = system.deploy_cluster(
+            num_servers=4, replication=3, lag=2, write_consistency="quorum"
+        )
+        cluster.run_replication_until_quiet()
+        client = system.client_for("superuser", server=cluster)
+        source = list(micro_corpus)[1]
+        counts = dict(micro_corpus.stats(source.doc_id).counts)
+        doc = DocumentStats.from_counts("budget-doc", counts)
+
+        def write():
+            receipts = client.index_document_with_receipts(doc, source.group)
+            cluster.replication_tick()
+            assert client.delete_document(receipts) == len(receipts)
+            cluster.replication_tick()
+            return receipts
+
+        # The first write mints the document's number; the second, the one
+        # counted, writes the very same ciphertexts.
+        receipts = write()
+        assert len({receipt.list_id for receipt in receipts}) == len(receipts) == 18
+        stats = cluster.replication_stats
+        synced, logged = stats.write_ack_syncs, stats.ops_logged
+        frames = _frames_entered(write)
+        # One forced follower per list and write, one op per element and
+        # write — and the counted write wrote what the first one did.
+        assert stats.write_ack_syncs - synced == 2 * 18
+        assert stats.ops_logged - logged == 2 * 18
+        assert frames <= self.FRAME_BUDGET, frames

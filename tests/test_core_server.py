@@ -166,6 +166,45 @@ class TestWriteBatchGate:
         assert asked == ["g1"]
 
 
+class TestDeleteBatchGate:
+    """``locate_receipts`` is the delete side's gate, run at each primary
+    before any delete op is recorded: each distinct group of a batch is
+    put to the key service once, and a receipt of a group the principal
+    is not in refuses the whole batch wherever it sits in it."""
+
+    def test_a_foreign_receipt_last_in_the_batch_refuses_all_of_it(
+        self, keys, monkeypatch
+    ):
+        cluster = ServerCluster(keys, num_lists=3, num_servers=1)
+        items = [
+            (list_id, _element("g1", 0.1 * (j + 1), b"r%d%d" % (list_id, j)))
+            for list_id in range(3)
+            for j in range(2)
+        ] + [(2, _element("g2", 0.05, b"theirs"))]
+        cluster.insert_many("root", items)
+        receipts = [Receipt(l, e.ciphertext, e.trs) for l, e in items]
+        asked = []
+        is_member = GroupKeyService.is_member
+        monkeypatch.setattr(
+            GroupKeyService,
+            "is_member",
+            lambda service, principal, group: asked.append(group)
+            or is_member(service, principal, group),
+        )
+        assert cluster.server(0).locate_receipts("root", receipts) == items
+        assert asked == ["g1", "g2"]
+        del asked[:]
+        lists = [cluster.server(0).export_list(l) for l in range(3)]
+        versions = [cluster.primary_version(l) for l in range(3)]
+        logged = cluster.replication_stats.ops_logged
+        with pytest.raises(AccessDeniedError):
+            cluster.delete_many("alice", receipts)
+        assert asked == ["g1", "g2"]
+        assert [cluster.server(0).export_list(l) for l in range(3)] == lists
+        assert [cluster.primary_version(l) for l in range(3)] == versions
+        assert cluster.replication_stats.ops_logged == logged
+
+
 class TestFetch:
     def _populate(self, server):
         for i, trs in enumerate([0.9, 0.8, 0.7, 0.6, 0.5]):
@@ -518,7 +557,7 @@ class TestReplicatedDelete:
         assert set(entry) == {"s", "k", "e"}
         assert replication_op_from_dict(entry, "dump") == op
         self._tied(server)
-        assert server.apply_replicated_ops(0, [op]) == 1
+        assert server.apply_replicated_ops([(0, [op])]) == 1
         assert b"tie-c" not in self._labels(server)
         # The v8 shape, a bare ciphertext and its TRS, has no element.
         v8 = {"s": 6, "k": "delete", "c": entry["e"]["c"], "t": 0.5}

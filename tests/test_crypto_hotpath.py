@@ -638,8 +638,9 @@ class TestWriteFrameBudget:
 
         def run(held, ops):
             _, server = self._client()  # a fresh replica, no view cached
-            server.apply_replicated_ops(0, [ReplicationOp(0, "insert", e) for e in held])
-            return lambda: server.apply_replicated_ops(0, ops)
+            held_ops = [ReplicationOp(0, "insert", e) for e in held]
+            server.apply_replicated_ops([(0, held_ops)])
+            return lambda: server.apply_replicated_ops([(0, ops)])
 
         def inserts(n):
             ops = [ReplicationOp(i + 1, "insert", e) for i, e in enumerate(elements[:n])]

@@ -58,9 +58,10 @@ ROWS = {
     "repro.analysis.checkers.consistency:ConsistencyExhaustivenessChecker._check_match": "fault",
     "repro.core.client:ZerberRClient._failover_retry_budget": "fault",
     "repro.core.cluster:ServerCluster._quorum_refusal": "fault",
+    "repro.core.cluster:ServerCluster._ensure_primary_current": "fault",
+    "repro.core.replication:ReplicationLog._truncated": "fault",
     "repro.core.cluster:ServerCluster.pause_follower": "fault",
     "repro.core.cluster:ServerCluster.resume_follower": "fault",
-    "repro.core.cluster:ServerCluster._check_server": "fault",
     "repro.evalmetrics.retrieval:kendall_tau": "reference",
     "repro.core.client:MultiQueryResult.doc_ids": "observer",
     "repro.core.client:ZerberRClient.version_floor": "observer",
